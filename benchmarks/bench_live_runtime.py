@@ -7,9 +7,11 @@ This bench measures what that live path sustains:
 
 * **live_publish_throughput** — N publishes through a started
   :class:`~repro.service.runtime.LiveRuntime` (publish → full cascade
-  drain, the replay-safe discipline), reported as publishes/sec via
-  ``extra_info["events"]``, plus the per-destination delivery count the
-  cascades produced;
+  drain, the replay-safe discipline), reported as ``publishes_per_sec``
+  and — from the per-destination delivery count the cascades produced —
+  ``deliveries_per_sec`` (``extra_info["publishes"]`` /
+  ``extra_info["deliveries"]``; a publish is not an engine event, so
+  neither lands under ``events_per_sec``);
 * **queue_transport_pump** — the same workload with the asyncio layer
   peeled off: the queue transport pumped synchronously on a virtual
   clock. The gap between the two rows is the event-loop tax
@@ -51,7 +53,7 @@ def test_live_publish_throughput(benchmark):
         return asyncio.run(scenario())
 
     status = benchmark.pedantic(run_service, rounds=2, iterations=1)
-    benchmark.extra_info["events"] = PUBLISHES
+    benchmark.extra_info["publishes"] = PUBLISHES
     benchmark.extra_info["population"] = GROUP_S + SUPER_S
     benchmark.extra_info["deliveries"] = status["queue"]["executed"]
     benchmark.extra_info["scheduler_lag_max_ms"] = round(
@@ -87,7 +89,7 @@ def test_queue_transport_pump(benchmark):
         return transport.executed
 
     executed = benchmark.pedantic(run_sync, rounds=2, iterations=1)
-    benchmark.extra_info["events"] = PUBLISHES
+    benchmark.extra_info["publishes"] = PUBLISHES
     benchmark.extra_info["population"] = GROUP_S + SUPER_S
     benchmark.extra_info["deliveries"] = executed
     assert executed > PUBLISHES * GROUP_S  # cascades really fanned out

@@ -8,7 +8,8 @@ and then converts that dump into a small, stable, diff-friendly record::
 where ``<k>`` comes from ``REPRO_PR_NUMBER`` (CI sets it to the pull-request
 number, falling back to the workflow run number) or ``"local"``. One such
 file per PR, uploaded with the bench-tables artifact, is the bench
-trajectory: events/sec for the throughput benches, build seconds for the
+trajectory: events/sec for the throughput benches, publishes/sec and
+deliveries/sec for the live-runtime benches, build seconds for the
 membership bench, sweep wall-clock for the parallel-sweep bench.
 
 Schema (``repro-bench-v1``)::
@@ -26,7 +27,10 @@ Schema (``repro-bench-v1``)::
           "min_s": 0.0119,
           "rounds": 5,
           "ops_per_sec": 81.3,
-          "events_per_sec": 813000.0,   # when extra_info reports "events"
+          "events_per_sec": 813000.0,   # when extra_info reports "events";
+                                        # likewise "publishes_per_sec" and
+                                        # "deliveries_per_sec" — one rate
+                                        # per counted unit, never mixed
           "extra_info": {"events": 10000}
         },
         ...
@@ -45,6 +49,11 @@ import os
 import pathlib
 import sys
 
+#: ``extra_info`` counts (per benchmark round) reported as ``<unit>_per_sec``:
+#: engine events, live publishes and per-destination deliveries are
+#: different units and each keeps its own key.
+RATE_UNITS = ("events", "publishes", "deliveries")
+
 
 def build_report(raw: dict, pr: str) -> dict:
     """The standardized record for one raw pytest-benchmark dump."""
@@ -62,9 +71,10 @@ def build_report(raw: dict, pr: str) -> dict:
             "ops_per_sec": (1.0 / mean) if mean else None,
             "extra_info": extra_info,
         }
-        events = extra_info.get("events")
-        if isinstance(events, (int, float)) and mean:
-            entry["events_per_sec"] = events / mean
+        for unit in RATE_UNITS:
+            count = extra_info.get(unit)
+            if isinstance(count, (int, float)) and mean:
+                entry[f"{unit}_per_sec"] = count / mean
         bytes_per_process = extra_info.get("bytes_per_process")
         if isinstance(bytes_per_process, (int, float)):
             entry["bytes_per_process"] = bytes_per_process

@@ -15,9 +15,9 @@ replaces the per-process state with:
   receives whole delivery batches (``handle_batch``) and walks them with
   index arithmetic;
 * **one flyweight peer per group** — rebound to the acting member before
-  each ``disseminate`` call, so the protocol code sees the
-  :class:`~repro.core.dissemination.DisseminationPeer` interface without
-  a peer object per process;
+  each ``disseminate`` call, so the protocol code sees the pid-level
+  :class:`~repro.core.dissemination.DisseminationPeer` contract without
+  a peer object per process (or a descriptor object per target);
 * **per-event seen bitmasks** — Fig. 5's first-reception dedup as one
   ``bytearray(S)`` per in-flight event per group instead of a Python set
   of event-id tuples per process.
@@ -29,7 +29,8 @@ membership/columnar.py) — pinned by :meth:`construction_digest` matching
 :meth:`DaMulticastSystem.construction_digest` on the S=500 golden.
 *Runtime* draws use per-group streams (``group/<topic>``): one Mersenne
 state per group instead of ~2.5 KB per process, statistically equivalent
-gossip, not trajectory-gated against the object backend.
+gossip, not trajectory-gated against the object backend — the runtime
+trajectory is pinned by its own golden (tests/test_core_columnar.py).
 """
 
 from __future__ import annotations
@@ -45,89 +46,25 @@ from repro.errors import ConfigError, ProtocolError, UnknownTopic
 from repro.membership.columnar import ColumnarGroupTables, build_group_tables
 from repro.membership.static import nearest_populated_super
 from repro.net.latency import LatencyModel, ZERO_LATENCY
-from repro.net.message import EventMessage, Message
+from repro.net.message import EventMessage, Message, Scope
 from repro.failures.model import FailureModel
 from repro.runtime import SimulationHarness
 from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
 
-class _Ref:
-    """A pid/topic pair quacking like a ProcessDescriptor (transient,
-    built per dissemination from the pid columns)."""
-
-    __slots__ = ("pid", "topic")
-
-    def __init__(self, pid: int, topic: Topic):
-        self.pid = pid
-        self.topic = topic
-
-
-class _ColumnarTopicView:
-    """Flyweight topic-table view over the acting member's row."""
-
-    __slots__ = ("tables", "index")
-
-    def __init__(self, tables: ColumnarGroupTables):
-        self.tables = tables
-        self.index = 0
-
-    def sample(
-        self, k: int, rng: random.Random, exclude: Any = ()
-    ) -> list[_Ref]:
-        """Index-based uniform draw off the member's pid row.
-
-        ``exclude`` is accepted for interface parity and ignored: the
-        member's own pid is excluded at construction time, and the static
-        protocol never excludes anything else.
-        """
-        tables = self.tables
-        topic = tables.topic
-        return [
-            _Ref(pid, topic)
-            for pid in tables.sample_row(self.index, k, rng)
-        ]
-
-    def __len__(self) -> int:
-        return self.tables.stride
-
-
-class _ColumnarSuperView:
-    """Flyweight ``sTable`` view over the acting member's super row."""
-
-    __slots__ = ("tables", "index")
-
-    def __init__(self, tables: ColumnarGroupTables):
-        self.tables = tables
-        self.index = 0
-
-    @property
-    def is_empty(self) -> bool:
-        return self.tables.super_stride == 0
-
-    @property
-    def target_topic(self) -> Topic | None:
-        return self.tables.super_topic
-
-    def descriptors(self) -> tuple[_Ref, ...]:
-        tables = self.tables
-        super_topic = tables.super_topic
-        return tuple(
-            _Ref(pid, super_topic)
-            for pid in tables.super_row_pids(self.index)
-        )
-
-    def __len__(self) -> int:
-        return self.tables.super_stride
-
-
 class _MemberPeer:
     """The flyweight :class:`DisseminationPeer`: one instance per group,
-    rebound (pid + view indices) to the acting member per dissemination."""
+    rebound to the acting member per dissemination.
+
+    Everything that depends only on the (static) group — ``fanout(S)``,
+    ``p_sel(S)``, ``p_a``, the intra scope — is computed once here, and
+    both selections return ints straight off the pid columns.
+    """
 
     __slots__ = (
-        "pid", "topic", "rng", "params", "group_size",
-        "_network", "_topic_view", "_super_view",
+        "pid", "topic", "intra_scope",
+        "_tables", "_index", "_rng", "_fanout", "_p_sel", "_p_a", "_network",
     )
 
     def __init__(
@@ -139,27 +76,40 @@ class _MemberPeer:
     ):
         self.pid = tables.base
         self.topic = tables.topic
-        self.rng = rng
-        self.params = params
-        self.group_size = tables.size
+        self.intra_scope = Scope("intra", tables.topic)
+        self._tables = tables
+        self._index = 0
+        self._rng = rng
+        self._fanout = params.fanout(tables.size)
+        self._p_sel = params.p_sel(tables.size)
+        self._p_a = params.p_a
         self._network = network
-        self._topic_view = _ColumnarTopicView(tables)
-        self._super_view = _ColumnarSuperView(tables)
 
-    def bind(self, index: int, base: int) -> None:
-        self.pid = base + index
-        self._topic_view.index = index
-        self._super_view.index = index
+    def bind(self, index: int) -> None:
+        self._index = index
+        self.pid = self._tables.base + index
 
-    def topic_table(self) -> _ColumnarTopicView:
-        return self._topic_view
+    def link_targets(
+        self, force_link: bool
+    ) -> tuple[tuple[Topic, list[int]], ...]:
+        tables = self._tables
+        if not tables.super_stride:
+            return ()
+        random_draw = self._rng.random
+        if not (force_link or random_draw() < self._p_sel):
+            return ()
+        p_a = self._p_a
+        links = [
+            pid
+            for pid in tables.super_row_pids(self._index)
+            if random_draw() < p_a
+        ]
+        return ((tables.super_topic, links),) if links else ()
 
-    @property
-    def super_table(self) -> _ColumnarSuperView:
-        return self._super_view
-
-    def send(self, target: int, message: Message) -> None:
-        self._network.send(self.pid, target, message)
+    def gossip_targets(self) -> list[int]:
+        # The member's own pid is never in its row (exclusion is built
+        # into construction), so there is nothing to filter.
+        return self._tables.sample_row(self._index, self._fanout, self._rng)
 
     def multicast(self, targets, message: Message) -> None:
         self._network.multicast(self.pid, targets, message)
@@ -230,7 +180,7 @@ class ColumnarGroupActor:
         force_link: bool = False,
     ) -> None:
         peer = self._peer
-        peer.bind(index, self.tables.base)
+        peer.bind(index)
         disseminate(
             peer, event, force_link=force_link, arrival_hops=arrival_hops
         )

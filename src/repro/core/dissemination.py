@@ -17,50 +17,103 @@ A process disseminating an event ``e_Ti``:
 RECEIVE (Fig. 5): on the *first* reception of an event, deliver it to the
 application and disseminate it; later copies are ignored.
 
-The functions here are pure protocol logic over a narrow
-:class:`DisseminationPeer` interface, so the same code drives the static
-(paper-simulation) and dynamic (full-protocol) modes.
+The functions here are pure protocol logic over the narrow, pid-level
+:class:`DisseminationPeer` contract, so the same code drives the static
+(paper-simulation), columnar and dynamic (full-protocol) hosts.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import groupby
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from repro.core.events import Event
 from repro.core.params import TopicParams
+from repro.core.tables import SuperTopicTable
 from repro.membership.view import PartialView
 from repro.net.message import EventMessage, Message, Scope
-from repro.core.tables import SuperTopicTable
 from repro.topics.topic import Topic
 
 
 class DisseminationPeer(Protocol):
-    """What dissemination needs to know about the process running it."""
+    """What DISSEMINATE needs from the process running it: pids.
+
+    The host owns its tables (descriptor views, pid columns, one
+    supertopic table or one per parent) and its RNG stream, and makes
+    Fig. 7's two selections itself; :func:`disseminate` only ever sees the
+    chosen pids, builds one message per scope and multicasts it. Hosts
+    over descriptor tables make the selections with :func:`elect_links`
+    and :func:`sample_gossip`; a host must draw in Fig. 7's order — link
+    election and ``p_a`` draws first, gossip sample second — so that every
+    host consumes its stream identically.
+    """
 
     pid: int
     topic: Topic
+    #: the frozen ``Scope("intra", topic)`` every gossip message carries
+    intra_scope: Scope
 
-    @property
-    def rng(self) -> random.Random: ...  # pragma: no cover - protocol
+    def link_targets(
+        self, force_link: bool
+    ) -> Iterable[tuple[Topic, Sequence[int]]]:
+        """Fig. 7 lines 3-7: ``(supertopic, pids)`` per supergroup this
+        process hands the event up to — empty unless it elects itself as a
+        link (probability ``p_sel``, or ``force_link``); each supertopic
+        table entry is then kept with probability ``p_a``."""
+        ...  # pragma: no cover - protocol
 
-    @property
-    def params(self) -> TopicParams: ...  # pragma: no cover - protocol
-
-    @property
-    def group_size(self) -> int: ...  # pragma: no cover - protocol
-
-    def topic_table(self) -> PartialView: ...  # pragma: no cover - protocol
-
-    @property
-    def super_table(self) -> SuperTopicTable: ...  # pragma: no cover - protocol
-
-    def send(self, target: int, message: Message) -> None: ...  # pragma: no cover
+    def gossip_targets(self) -> Sequence[int]:
+        """Fig. 7 lines 8-14: up to ``log(S)+c`` distinct topic-table pids
+        (never the process itself)."""
+        ...  # pragma: no cover - protocol
 
     def multicast(
         self, targets: Sequence[int], message: Message
-    ) -> None: ...  # pragma: no cover
+    ) -> None: ...  # pragma: no cover - protocol
+
+
+def elect_links(
+    table: SuperTopicTable,
+    params: TopicParams,
+    group_size: int,
+    rng: random.Random,
+    force_link: bool,
+) -> list[tuple[Topic, list[int]]]:
+    """Fig. 7 lines 3-7 over one descriptor ``table``: the
+    :meth:`DisseminationPeer.link_targets` of a host that keeps
+    :class:`~repro.core.tables.SuperTopicTable` objects.
+
+    An empty table draws nothing. All entries normally share the table's
+    target topic; consecutive runs are grouped so mid-retarget mixtures
+    still get one message (and one Fig. 9 accounting scope) per supertopic.
+    """
+    if table.is_empty:
+        return []
+    if not (force_link or rng.random() < params.p_sel(group_size)):
+        return []
+    random_draw = rng.random
+    p_a = params.p_a
+    chosen = [d for d in table.descriptors() if random_draw() < p_a]
+    return [
+        (super_topic, [d.pid for d in run])
+        for super_topic, run in groupby(chosen, key=lambda d: d.topic)
+    ]
+
+
+def sample_gossip(
+    view: PartialView,
+    params: TopicParams,
+    group_size: int,
+    rng: random.Random,
+    pid: int,
+) -> list[int]:
+    """Fig. 7 lines 8-14 over one descriptor ``view``: the
+    :meth:`DisseminationPeer.gossip_targets` of a host that keeps a
+    :class:`~repro.membership.view.PartialView` — ``log(S)+c`` distinct
+    pids sampled from ``Table − Ω`` (fewer when the view is small)."""
+    fanout = params.fanout(group_size)
+    return [d.pid for d in view.sample(fanout, rng, exclude=(pid,))]
 
 
 def disseminate(
@@ -78,51 +131,36 @@ def disseminate(
     publisher); forwarded copies carry ``arrival_hops + 1``. Returns
     ``(intra_sent, inter_sent)`` message counts for diagnostics.
 
-    Both fan-outs are issued as batched multicasts: targets are elected
-    first (same per-target RNG draws, in table order, as the historical
-    one-send-per-target loop) and each scope's target list then goes out
-    as one :meth:`DisseminationPeer.multicast` call sharing one message.
+    Both fan-outs are issued as batched multicasts: the peer elects its
+    targets first and each scope's pid list then goes out as one
+    :meth:`DisseminationPeer.multicast` call sharing one message.
     """
-    params = peer.params
-    inter_sent = 0
+    pid = peer.pid
     next_hops = arrival_hops + 1
 
-    # (1) Hand the event up to the supergroup (Fig. 7 lines 3-7).
-    super_table = peer.super_table
-    if not super_table.is_empty:
-        elected = force_link or peer.rng.random() < params.p_sel(peer.group_size)
-        if elected:
-            random_draw = peer.rng.random
-            p_a = params.p_a
-            chosen = [
-                d for d in super_table.descriptors() if random_draw() < p_a
-            ]
-            # All entries normally share the table's target topic; group
-            # consecutive runs so mid-retarget mixtures still get one
-            # message (and one Figs. 9 accounting scope) per supertopic.
-            for super_topic, run in groupby(chosen, key=lambda d: d.topic):
-                batch = [d.pid for d in run]
-                peer.multicast(
-                    batch,
-                    EventMessage(
-                        sender=peer.pid,
-                        event=event,
-                        scope=Scope("inter", peer.topic, super_topic),
-                        hops=next_hops,
-                    ),
-                )
-                inter_sent += len(batch)
+    # (1) Hand the event up to the supergroup(s) (Fig. 7 lines 3-7).
+    inter_sent = 0
+    for super_topic, links in peer.link_targets(force_link):
+        peer.multicast(
+            links,
+            EventMessage(
+                sender=pid,
+                event=event,
+                scope=Scope("inter", peer.topic, super_topic),
+                hops=next_hops,
+            ),
+        )
+        inter_sent += len(links)
 
     # (2) Gossip inside our own group (Fig. 7 lines 8-14).
-    fanout = params.fanout(peer.group_size)
-    targets = peer.topic_table().sample(fanout, peer.rng, exclude=(peer.pid,))
+    targets = peer.gossip_targets()
     if targets:
         peer.multicast(
-            [d.pid for d in targets],
+            targets,
             EventMessage(
-                sender=peer.pid,
+                sender=pid,
                 event=event,
-                scope=Scope("intra", peer.topic),
+                scope=peer.intra_scope,
                 hops=next_hops,
             ),
         )

@@ -22,9 +22,9 @@ tables are drawn from global knowledge by
 from __future__ import annotations
 
 import functools
-from itertools import groupby
 from typing import Any
 
+from repro.core.dissemination import disseminate, elect_links, sample_gossip
 from repro.core.events import Event, EventFactory, EventId
 from repro.core.params import DaMulticastConfig
 from repro.core.tables import SuperTopicTable
@@ -58,6 +58,7 @@ class MultiParentProcess:
         self._harness = harness
         self.rng = harness.rngs.stream(f"mp-process/{pid}")
         self.descriptor = ProcessDescriptor(pid, topic)
+        self.intra_scope = Scope("intra", topic)
         params = config.params_for(topic)
         self.topic_view = PartialView(1)  # replaced at finalize time
         #: one supertopic table per direct supertopic (§VIII)
@@ -99,8 +100,8 @@ class MultiParentProcess:
         )
         self.seen.add(event.event_id)
         self._deliver(event)
-        self._disseminate(
-            event, force_link=self.config.publisher_always_links
+        disseminate(
+            self, event, force_link=self.config.publisher_always_links
         )
         return event
 
@@ -116,50 +117,24 @@ class MultiParentProcess:
             return
         self.seen.add(event.event_id)
         self._deliver(event)
-        self._disseminate(event)
+        disseminate(self, event)
 
-    def _disseminate(self, event: Event, force_link: bool = False) -> None:
-        params = self._params
-        # (1) hand the event to EVERY supergroup, one election per table;
-        # each table's elected contacts go out as one batched multicast.
+    def link_targets(self, force_link: bool) -> list[tuple[Topic, list[int]]]:
+        """Hand-off pids for EVERY supergroup: one election per table,
+        each table's elected contacts one batch."""
+        links: list[tuple[Topic, list[int]]] = []
         # repro-lint: allow[DET003]: super_tables is built in fixed ancestor order at construction; sorting would permute the draw sequence and break golden digests
-        for super_topic, table in self.super_tables.items():
-            if table.is_empty:
-                continue
-            elected = (
-                force_link
-                or self.rng.random() < params.p_sel(self.group_size)
+        for table in self.super_tables.values():
+            links += elect_links(
+                table, self._params, self.group_size, self.rng, force_link
             )
-            if not elected:
-                continue
-            for scope_topic, run in groupby(
-                (
-                    d
-                    for d in table.descriptors()
-                    if self.rng.random() < params.p_a
-                ),
-                key=lambda d: d.topic,
-            ):
-                self._multicast(
-                    [descriptor.pid for descriptor in run],
-                    EventMessage(
-                        sender=self.pid,
-                        event=event,
-                        scope=Scope("inter", self.topic, scope_topic),
-                    ),
-                )
-        # (2) gossip inside our own group.
-        fanout = params.fanout(self.group_size)
-        targets = self.topic_view.sample(fanout, self.rng, exclude=(self.pid,))
-        if targets:
-            self._multicast(
-                [descriptor.pid for descriptor in targets],
-                EventMessage(
-                    sender=self.pid,
-                    event=event,
-                    scope=Scope("intra", self.topic),
-                ),
-            )
+        return links
+
+    def gossip_targets(self) -> list[int]:
+        """``log(S)+c`` distinct pids of our own group's table."""
+        return sample_gossip(
+            self.topic_view, self._params, self.group_size, self.rng, self.pid
+        )
 
     def _deliver(self, event: Event) -> None:
         if not self.interested_in(event):
@@ -172,10 +147,8 @@ class MultiParentProcess:
             self.pid, event, self._harness.now
         )
 
-    def _send(self, target: int, message: Message) -> None:
-        self._harness.network.send(self.pid, target, message)
-
-    def _multicast(self, targets: list[int], message: Message) -> None:
+    def multicast(self, targets: list[int], message: Message) -> None:
+        """Send one message to many targets via the batched fast path."""
         self._harness.network.multicast(self.pid, targets, message)
 
     @property

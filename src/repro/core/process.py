@@ -22,10 +22,15 @@ from collections import defaultdict
 from typing import Any, Callable, Sequence
 
 from repro.core.bootstrap import FindSuperContact, handle_req_contact
-from repro.core.dissemination import disseminate, should_deliver
+from repro.core.dissemination import (
+    disseminate,
+    elect_links,
+    sample_gossip,
+    should_deliver,
+)
 from repro.core.events import Event, EventFactory, EventId
 from repro.core.maintenance import KeepTableUpdated
-from repro.core.params import DaMulticastConfig, TopicParams
+from repro.core.params import DaMulticastConfig
 from repro.core.tables import SuperTopicTable
 from repro.errors import ProtocolError
 from repro.membership.flat import FlatMembership, FlatMembershipConfig
@@ -43,6 +48,7 @@ from repro.net.message import (
     Ping,
     Pong,
     ReqContact,
+    Scope,
 )
 from repro.net.network import Network
 from repro.sim.clock import Clock
@@ -94,6 +100,7 @@ class DaMulticastProcess:
         self.network = network
         self.rng = rng
         self.descriptor = ProcessDescriptor(pid, topic)
+        self.intra_scope = Scope("intra", topic)
         self.dynamic = dynamic
         self._overlay = overlay
         self._tracker = tracker
@@ -102,7 +109,9 @@ class DaMulticastProcess:
         self._group_size_cell: GroupSizeCell | None = None
         self._expected_provider: Callable[[], int] | None = None
 
-        params = config.params_for(topic)
+        #: the parameters governing this process's topic group (the config
+        #: is immutable, so they are resolved once)
+        params = self.params = config.params_for(topic)
         self.super_table = SuperTopicTable(params.z)
         self.seen: set[EventId] = set()
         self.seen_requests: set[tuple[int, int]] = set()
@@ -148,11 +157,6 @@ class DaMulticastProcess:
     # ------------------------------------------------------------------
     # Configuration accessors
     # ------------------------------------------------------------------
-    @property
-    def params(self) -> TopicParams:
-        """The parameters governing this process's topic group."""
-        return self.config.params_for(self.topic)
-
     @property
     def group_size(self) -> int:
         """Best-known size ``S_Ti`` of this process's group.
@@ -317,6 +321,22 @@ class DaMulticastProcess:
     def multicast(self, targets: Sequence[int], message: Message) -> None:
         """Send one message to many targets via the batched fast path."""
         self.network.multicast(self.pid, targets, message)
+
+    # ------------------------------------------------------------------
+    # DisseminationPeer: Fig. 7's two selections, as pids
+    # ------------------------------------------------------------------
+    def link_targets(self, force_link: bool) -> list[tuple[Topic, list[int]]]:
+        """Supergroup pids this process hands an event up to (Fig. 7
+        lines 3-7): empty unless it elects itself as a link."""
+        return elect_links(
+            self.super_table, self.params, self.group_size, self.rng, force_link
+        )
+
+    def gossip_targets(self) -> list[int]:
+        """``log(S)+c`` distinct topic-table pids (Fig. 7 lines 8-14)."""
+        return sample_gossip(
+            self.topic_table(), self.params, self.group_size, self.rng, self.pid
+        )
 
     # ------------------------------------------------------------------
     # Event reception (Fig. 5 lines 5-10)

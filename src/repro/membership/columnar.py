@@ -55,7 +55,7 @@ class ColumnarGroupTables:
 
     __slots__ = (
         "topic", "base", "size", "capacity", "stride", "rows",
-        "super_topic", "super_stride", "super_rows",
+        "super_topic", "super_stride", "super_rows", "_inline_mode",
     )
 
     def __init__(
@@ -79,6 +79,10 @@ class ColumnarGroupTables:
         self.super_topic = super_topic
         self.super_stride = super_stride
         self.super_rows = super_rows
+        #: sample size -> which ``random.sample`` branch a row draw takes
+        #: (the ``_sample_setsize`` comparison, hoisted out of the per-call
+        #: path like the builders')
+        self._inline_mode: dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     # Row access (pids, in draw order — the digest/golden order)
@@ -97,21 +101,49 @@ class ColumnarGroupTables:
         self, index: int, k: int, rng: random.Random
     ) -> list[int]:
         """Up to ``k`` distinct topic-table pids of member ``index``,
-        uniformly, straight off the column (index-based sampling — no
-        descriptor objects, no candidate list).
+        uniformly, straight off the column (no descriptor objects, no
+        position list).
 
-        The member's own pid is never in its row (exclusion is built into
-        construction), so no per-call filtering is needed — the columnar
-        equivalent of ``PartialView.sample(k, rng, exclude=(self.pid,))``.
+        Draw-for-draw identical to mapping ``rng.sample(range(stride), k)``
+        through the row — both of ``random.sample``'s branches are
+        performed on the row itself — so the RNG end-state is the one the
+        stdlib call would leave. The member's own pid is never in its row
+        (exclusion is built into construction), so no per-call filtering
+        is needed: the columnar equivalent of
+        ``PartialView.sample(k, rng, exclude=(self.pid,))``.
         """
         stride = self.stride
         start = index * stride
-        rows = self.rows
         if k >= stride:
-            return rows[start : start + stride].tolist()
-        return [
-            rows[start + r] for r in rng.sample(range(stride), k)
-        ]
+            return self.rows[start : start + stride].tolist()
+        inline = self._inline_mode.get(k)
+        if inline is None:
+            inline = self._inline_mode[k] = stride > _sample_setsize(k)
+        if inline:
+            # Selection-set branch: distinct positions by rejection.
+            rows = self.rows
+            return [
+                rows[start + r]
+                for r in _sample_positions_inline(
+                    stride, k, stride.bit_length(), rng
+                )
+            ]
+        # Pool branch: a partial shuffle of the row's own pids; each
+        # selection is ``_randbelow(remaining)`` (``getrandbits`` with
+        # rejection) and the vacancy is refilled from the pool's tail.
+        getrandbits = rng.getrandbits
+        pool = self.rows[start : start + stride].tolist()
+        chosen = [0] * k
+        remaining = stride
+        for t in range(k):
+            nbits = remaining.bit_length()
+            r = getrandbits(nbits)
+            while r >= remaining:
+                r = getrandbits(nbits)
+            chosen[t] = pool[r]
+            remaining -= 1
+            pool[r] = pool[remaining]
+        return chosen
 
     def nbytes(self) -> int:
         """Bytes held by the pid columns (the backend's membership state)."""

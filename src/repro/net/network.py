@@ -33,26 +33,45 @@ Batched fast path
 
 Every gossip step of the protocols is a *fan-out* — Fig. 7's DISSEMINATE
 alone sends to ``log(S)+c`` topic-table members plus up to ``z`` supergroup
-contacts — so :meth:`Network.multicast` runs the same six stages as one
-vectorized pass over a target list:
+contacts — so :meth:`Network.multicast` runs the six stages once per
+fan-out, staged so that what is the same for every target is decided once:
 
-* the sender-side stages (2–5) execute per target *in target order*, with
-  exactly the RNG draws :meth:`Network.send` would make, so a multicast is
-  bit-identical to the equivalent loop of sends under the same seed;
-* statistics are recorded in bulk (``record_sent_many`` /
-  ``record_dropped_many`` / ``record_delivered_many``), once per outcome
-  class instead of once per destination;
-* surviving deliveries that share a latency share **one** engine entry —
-  an applied ``(fn, args)`` array-batch entry per latency class
+* **validation by span** — when block actors are registered and the
+  smallest and largest target fall in one registered ``[start, stop)``,
+  every pid between them is registered and owned by that actor, so the
+  fan-out validates with two comparisons; two blocks, a gap, or per-pid
+  actors mixed in fall back to the per-target check.
+  :class:`~repro.errors.UnknownActor` is raised before any statistic is
+  recorded either way;
+* **bulk statistics** — ``record_sent_many`` / ``record_dropped_many`` /
+  ``record_delivered_many``, once per outcome class instead of once per
+  destination;
+* **the clean channel** — the stage-known no-op models consume no
+  randomness, so when *all* of them are installed (``AlwaysAlive``,
+  ``FullyConnected``, ``ConstantLatency``, no fault hook) and tracing is
+  off, the sender-side pass (stages 2–5) is exactly the loss draw per
+  target, in target order, and stage 6 one latency class: one list
+  comprehension, one ``record_dropped_many``, one dispatch. The
+  branch is chosen per call from the installed model types — there is no
+  switch to set;
+* **the general channel** — anything else checks the sender once, then
+  runs stages 3–5 per target *in target order*, with exactly the RNG
+  draws :meth:`Network.send` would make (a no-op built-in is still
+  skipped, since it draws nothing). Either way a
+  multicast is bit-identical to the equivalent loop of sends under the
+  same seed;
+* **one entry per latency class** — surviving deliveries that share a
+  latency share one applied ``(fn, args)`` array-batch entry
   (:meth:`repro.sim.engine.Engine.schedule_apply`) instead of one closure
   and one heap push per destination; with zero latency (the paper's
   synchronous rounds, the dominant case) an entire fan-out is one entry in
   the engine's FIFO bucket. The entry carries ``count=len(batch)``, so
   ``Engine.processed``/``pending`` account per destination exactly like a
   loop of sends;
-* stage-known no-op models (``AlwaysAlive``, ``FullyConnected``, constant
-  latency) are detected once per multicast and skipped per target — they
-  consume no randomness, so skipping them cannot change a trajectory.
+* **delivery by span** — at delivery time a batch whose live targets lie
+  in one block is a single ``handle_batch`` call, resolved with the same
+  two comparisons; otherwise consecutive same-block runs are flushed one
+  call each and per-pid actors get ``handle_message`` in order.
 
 Ordering caveats (documented, not observable by well-behaved actors): the
 trace log groups a multicast's ``net.sent`` records before its drop
@@ -74,7 +93,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigError, UnknownActor
 from repro.failures.model import AlwaysAlive, FailureModel
@@ -293,6 +312,41 @@ class Network:
                 return block[2]
         return None
 
+    def _span_block(
+        self, targets: Sequence[int]
+    ) -> tuple[int, int, BlockActor] | None:
+        """The one registered block holding every pid of ``targets``, or
+        None (two blocks, a gap, a per-pid actor, an unknown pid).
+
+        Blocks are contiguous and overlap nothing, so when the smallest and
+        the largest target fall in the same ``[start, stop)`` every pid
+        between them is registered and owned by that block's actor: a
+        whole fan-out resolves with two comparisons.
+        """
+        low = min(targets)
+        block = self._block_cache
+        if block is None or not block[0] <= low < block[1]:
+            if self._block_for(low) is None:
+                return None
+            block = self._block_cache  # _block_for left low's block here
+        return block if max(targets) < block[1] else None
+
+    def _require_registered(self, targets: Sequence[int]) -> None:
+        """Raise :class:`UnknownActor` unless every target is registered."""
+        if not self._blocks:
+            actors = self._actors
+            for target in targets:
+                if target not in actors:
+                    raise UnknownActor(
+                        f"no actor registered with pid {target}"
+                    )
+        elif self._span_block(targets) is None:
+            for target in targets:
+                if target not in self:
+                    raise UnknownActor(
+                        f"no actor registered with pid {target}"
+                    )
+
     def actor(self, pid: int) -> Actor | BlockActor:
         """Look an actor up by process id (a block pid resolves to its
         block actor)."""
@@ -372,7 +426,10 @@ class Network:
             raise UnknownActor(f"no actor registered with pid {target}")
         now = self._clock.now
         self.stats.record_sent(message)
-        self.trace.record(now, "net.sent", sender, target, message_kind=message.kind)
+        if self.trace.enabled:
+            self.trace.record(
+                now, "net.sent", sender, target, message_kind=message.kind
+            )
 
         if not self.failure_model.is_alive(sender, now):
             self._drop(message, sender, target, DROP_DEAD_SENDER)
@@ -442,29 +499,52 @@ class Network:
         targets = list(targets)
         if not targets:
             return 0
-        actors = self._actors
-        if self._blocks:
-            for target in targets:
-                if target not in self:
-                    raise UnknownActor(f"no actor registered with pid {target}")
-        else:
-            for target in targets:
-                if target not in actors:
-                    raise UnknownActor(
-                        f"no actor registered with pid {target}"
-                    )
-        now = self._clock.now
+        self._require_registered(targets)
         stats = self.stats
-        trace = self.trace
-        tracing = trace.enabled
         count = len(targets)
         stats.record_sent_many(message, count)
+        failure_model = self.failure_model
+        partition_model = self.partition_model
+        latency = self._latency
+        fault_hook = self._fault_hook
+        trace = self.trace
+        tracing = trace.enabled
+        rng = self._rng
+        random_draw = rng.random
+        p_success = self.p_success
+
+        if (
+            type(failure_model) is AlwaysAlive
+            and type(partition_model) is FullyConnected
+            and type(latency) is ConstantLatency
+            and fault_hook is None
+            and not tracing
+        ):
+            # Clean channel: every stage but the loss draw is a no-op
+            # built-in that consumes no randomness, so the whole sender-side
+            # pass is the loss draw per target, in target order.
+            survivors = tuple(
+                [target for target in targets if random_draw() < p_success]
+            )
+            scheduled = len(survivors)
+            stats.record_dropped_many(
+                message, DROP_CHANNEL_LOSS, count - scheduled
+            )
+            if scheduled:
+                self._transport.dispatch(
+                    latency.delay,
+                    self._deliver_batch,
+                    (sender, survivors, message),
+                    count=scheduled,
+                )
+            return scheduled
+
+        now = self._clock.now
         kind = message.kind
         if tracing:
             for target in targets:
                 trace.record(now, "net.sent", sender, target, message_kind=kind)
 
-        failure_model = self.failure_model
         if not failure_model.is_alive(sender, now):
             stats.record_dropped_many(message, DROP_DEAD_SENDER, count)
             if tracing:
@@ -475,16 +555,12 @@ class Network:
                     )
             return 0
 
-        # Vectorized sender-side pass. The no-op built-ins are skipped per
-        # target (they draw no randomness, so the trajectory is unchanged);
-        # any other model is consulted per target exactly like send().
-        rng = self._rng
-        random_draw = rng.random
-        p_success = self.p_success
+        # General channel: per-target pass. The no-op built-ins are still
+        # skipped per target (they draw no randomness, so the trajectory is
+        # unchanged); any other model is consulted per target exactly like
+        # send().
         check_perceived = type(failure_model) is not AlwaysAlive
-        partition_model = self.partition_model
         check_partition = type(partition_model) is not FullyConnected
-        latency = self._latency
         fixed_delay = latency.delay if type(latency) is ConstantLatency else None
         sample_link = self._sample_link
 
@@ -495,7 +571,6 @@ class Network:
         # latency-class batch (it "splits out" of its class); a
         # duplicated target appears ``copies`` times in its batch, so
         # survivors still share one engine entry per latency class.
-        fault_hook = self._fault_hook
         fault_rng = self._fault_rng
         fault_loss = fault_dup = fault_spike = 0
 
@@ -592,7 +667,10 @@ class Network:
             self._drop(message, sender, target, DROP_DEAD_TARGET)
             return
         self.stats.record_delivered(message)
-        self.trace.record(now, "net.delivered", sender, target, message_kind=message.kind)
+        if self.trace.enabled:
+            self.trace.record(
+                now, "net.delivered", sender, target, message_kind=message.kind
+            )
         actor = self._actors.get(target)
         if actor is not None:
             actor.handle_message(message)
@@ -631,26 +709,31 @@ class Network:
                         )
             stats.record_dropped_many(message, DROP_DEAD_TARGET, dead)
         stats.record_delivered_many(message, len(alive))
-        actors = self._actors
         if tracing:
             for target in alive:
                 trace.record(
                     now, "net.delivered", sender, target, message_kind=kind
                 )
+        if not alive:
+            return
         if not self._blocks:
+            actors = self._actors
             for target in alive:
                 actors[target].handle_message(message)
+            return
+        block = self._span_block(alive)
+        if block is not None:
+            block[2].handle_batch(sender, tuple(alive), message)
         else:
             self._dispatch_mixed(sender, alive, message)
 
     def _dispatch_mixed(
         self, sender: int, alive: Iterable[int], message: Message
     ) -> None:
-        """Dispatch a delivered batch when block actors are registered.
+        """Dispatch a delivered batch that does not sit in one block.
 
         Consecutive targets owned by the same block actor are flushed as
-        one ``handle_batch`` call (fan-outs target one group, so a whole
-        batch usually lands in a single call); per-pid actors still get
+        one ``handle_batch`` call; per-pid actors still get
         ``handle_message`` individually, in order.
         """
         actors = self._actors
@@ -676,10 +759,11 @@ class Network:
 
     def _drop(self, message: Message, sender: int, target: int, reason: str) -> None:
         self.stats.record_dropped(message, reason)
-        self.trace.record(
-            self._clock.now, "net.dropped", sender, target,
-            message_kind=message.kind, reason=reason,
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                self._clock.now, "net.dropped", sender, target,
+                message_kind=message.kind, reason=reason,
+            )
 
     def __repr__(self) -> str:
         return (

@@ -83,6 +83,24 @@ class TestBenchReport:
         # No "events" in extra_info → no events_per_sec key.
         assert "events_per_sec" not in benches["test_membership_build"]
 
+    def test_live_rows_keep_their_units(self):
+        # A live publish is not an engine event: its rate lands under
+        # publishes_per_sec / deliveries_per_sec, never events_per_sec.
+        module = _load_module()
+        raw = {
+            "benchmarks": [
+                {
+                    "name": "test_live_publish_throughput",
+                    "stats": {"mean": 0.1, "min": 0.1, "rounds": 2},
+                    "extra_info": {"publishes": 50, "deliveries": 3000},
+                }
+            ]
+        }
+        (live,) = module.build_report(raw, pr="x")["benches"]
+        assert live["publishes_per_sec"] == 50 / 0.1
+        assert live["deliveries_per_sec"] == 3000 / 0.1
+        assert "events_per_sec" not in live
+
     def test_main_writes_named_file(self, tmp_path, monkeypatch, capsys):
         module = _load_module()
         raw_path = tmp_path / "raw.json"

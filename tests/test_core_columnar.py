@@ -8,6 +8,8 @@ the full tracker and the paper's expectations (100% delivery on a lossless
 network, sane fractions under stillborn failure).
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.columnar import ColumnarStaticSystem
@@ -210,3 +212,59 @@ class TestBlockActor:
             system.group_actor(t).membership_bytes() for t in (".t1", ".t1.t2")
         )
         assert system.membership_bytes() == per_group > 0
+
+
+#: Captured at the commit before the flood path was restructured (staged
+#: ``Network.multicast``, pid-level ``DisseminationPeer``, inlined
+#: ``sample_row`` draws): seed 20240, groups .t1 = 50 / .t1.t2 = 500,
+#: ``p_success = 0.85``, three publications on .t1.t2. The stream hashes
+#: are SHA-256 of ``repr(getstate())`` of each ``group/<topic>`` stream —
+#: one draw more or fewer anywhere in a flood changes them.
+GOLDEN_RUNTIME = {
+    "stats": {
+        "sent_by_kind": {"event": 19370},
+        "delivered_by_kind": {"event": 16511},
+        "dropped_by_reason": {"channel_loss": 2859},
+        "faults_by_reason": {},
+        "intra_group_sent": {".t1": 1350, ".t1.t2": 18000},
+        "inter_group_sent": {".t1.t2->.t1": 20},
+    },
+    "delivered": {".t1.t2": 1650},
+    "processed": 16511,
+    "streams": {
+        ".t1": (
+            "51fc137bdf8e792435895e75e6293b875a910d20f492dea69b2012cfa863b91b"
+        ),
+        ".t1.t2": (
+            "e668733f1bc332e38ea784ace3ab89c7b2a763d5bc6259c30d7b59644abf3158"
+        ),
+    },
+}
+
+
+def test_runtime_trajectory_golden():
+    """The columnar *runtime* is not gated against the object backend (it
+    draws from per-group streams); this pins its own trajectory instead."""
+    system = ColumnarStaticSystem(seed=20240, p_success=0.85)
+    system.add_group(".t1", 50)
+    system.add_group(".t1.t2", 500)
+    system.finalize_static_membership()
+    for _ in range(3):
+        system.publish(".t1.t2")
+        system.run_until_idle()
+    tracker = system.tracker
+    streams = system.harness.rngs
+    assert {
+        "stats": system.stats.as_dict(),
+        "delivered": {
+            topic.name: tracker.topic_stats(topic).delivered
+            for topic in tracker.topics()
+        },
+        "processed": system.engine.processed,
+        "streams": {
+            name: hashlib.sha256(
+                repr(streams.stream(f"group/{name}").getstate()).encode()
+            ).hexdigest()
+            for name in (".t1", ".t1.t2")
+        },
+    } == GOLDEN_RUNTIME

@@ -7,9 +7,10 @@ import pytest
 from repro.core.dissemination import disseminate, should_deliver
 from repro.core.events import Event, EventId
 from repro.core.params import TopicParams
+from repro.core.process import DaMulticastProcess
 from repro.core.tables import SuperTopicTable
 from repro.membership.view import PartialView, ProcessDescriptor
-from repro.net.message import EventMessage
+from repro.net.message import EventMessage, Scope
 from repro.topics import Topic
 
 T1 = Topic.parse(".t1")
@@ -17,11 +18,19 @@ T2 = Topic.parse(".t1.t2")
 
 
 class ScriptedPeer:
-    """A DisseminationPeer with fully controlled tables and rng."""
+    """A DisseminationPeer with fully controlled tables and rng.
+
+    Fig. 7's two selections are the object host's own methods, borrowed
+    unbound, so these tests exercise production code over scripted tables.
+    """
+
+    link_targets = DaMulticastProcess.link_targets
+    gossip_targets = DaMulticastProcess.gossip_targets
 
     def __init__(self, *, params, group_size, table_pids, super_pids, seed=0):
         self.pid = 0
         self.topic = T2
+        self.intra_scope = Scope("intra", T2)
         self.rng = random.Random(seed)
         self.params = params
         self.group_size = group_size
@@ -40,9 +49,6 @@ class ScriptedPeer:
 
     def topic_table(self):
         return self._table
-
-    def send(self, target, message):
-        self.sent.append((target, message))
 
     def multicast(self, targets, message):
         for target in targets:
@@ -188,6 +194,45 @@ class TestSuperHandoff:
         for message in inter_messages:
             assert message.scope.group == T2
             assert message.scope.super_group == T1
+
+
+class PidPeer:
+    """The whole contract: two pid selections, a scope and ``multicast``."""
+
+    pid = 7
+    topic = T2
+    intra_scope = Scope("intra", T2)
+
+    def __init__(self, links, gossip):
+        self._links, self._gossip = links, gossip
+        self.batches: list[tuple[list[int], EventMessage]] = []
+
+    def link_targets(self, force_link):
+        return self._links
+
+    def gossip_targets(self):
+        return self._gossip
+
+    def multicast(self, targets, message):
+        self.batches.append((targets, message))
+
+
+class TestPidLevelContract:
+    def test_one_message_per_scope_carrying_the_peers_pids(self):
+        peer = PidPeer([(T1, [10, 11])], [1, 2, 3])
+        intra, inter = disseminate(peer, make_event(), arrival_hops=4)
+        assert (intra, inter) == (3, 2)
+        (up_targets, up), (in_targets, inside) = peer.batches
+        assert up_targets == [10, 11] and in_targets == [1, 2, 3]
+        assert up.scope == Scope("inter", T2, T1)
+        assert inside.scope is peer.intra_scope
+        assert up.sender == inside.sender == 7
+        assert up.hops == inside.hops == 5
+
+    def test_nothing_selected_sends_nothing(self):
+        peer = PidPeer([], [])
+        assert disseminate(peer, make_event()) == (0, 0)
+        assert peer.batches == []
 
 
 class TestShouldDeliver:

@@ -18,7 +18,7 @@ which must itself still equal the pinned constant.
 import random
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.columnar import ColumnarStaticSystem
 from repro.core.system import DaMulticastSystem
@@ -152,6 +152,33 @@ def test_sample_row_is_uniform_over_the_row(n, capacity, k, seed):
     assert len(set(drawn)) == len(drawn)
     assert set(drawn) <= set(row)
     assert (100 + index) not in drawn
+
+
+@given(
+    n=st.integers(min_value=2, max_value=300),
+    capacity=st.integers(min_value=1, max_value=64),
+    k=st.integers(min_value=1, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=200, capacity=40, k=3, seed=1)  # selection-set branch (40 > 21)
+@example(n=200, capacity=40, k=15, seed=1)  # pool branch (40 <= 85)
+@example(n=200, capacity=40, k=40, seed=1)  # k >= stride: the row, no draws
+@settings(max_examples=200, deadline=None)
+def test_sample_row_draws_exactly_like_random_sample(n, capacity, k, seed):
+    """``sample_row`` performs ``random.sample``'s own draws on the row:
+    same pids in the same order as mapping ``rng.sample(range(stride), k)``
+    through it, and the same RNG end-state — what keeps the per-group
+    runtime streams (and every downstream digest) where they were."""
+    tables = build_group_tables(T, 100, n, capacity, random.Random(seed))
+    index = seed % n
+    row = tables.row_pids(index)
+    rng, reference = random.Random(seed + 1), random.Random(seed + 1)
+    drawn = tables.sample_row(index, k, rng)
+    if k >= len(row):
+        assert drawn == row
+    else:
+        assert drawn == [row[r] for r in reference.sample(range(len(row)), k)]
+    assert rng.getstate() == reference.getstate()
 
 
 def _paper_shaped_pair(seed: int):

@@ -15,7 +15,15 @@ from hypothesis import given, settings
 
 from repro.errors import UnknownActor
 from repro.failures import DynamicFailures, StillbornFailures
-from repro.net import ConstantLatency, Network, StaticPartition, UniformLatency
+from repro.net import (
+    BernoulliLoss,
+    ConstantLatency,
+    DuplicateModel,
+    FaultPipeline,
+    Network,
+    StaticPartition,
+    UniformLatency,
+)
 from repro.net.message import Message, Ping
 from repro.sim import Engine, TraceLog
 
@@ -374,3 +382,182 @@ def test_equivalence_holds_through_nested_forwarding(seed, p_success):
         observations.append(_observe(engine, net, actors))
     loop, batch = observations
     assert batch == loop
+
+
+# ----------------------------------------------------------------------
+# Block actors: the same contract on both multicast branches
+# ----------------------------------------------------------------------
+#
+# Layout: per-pid actors 0-3, two adjacent blocks [10,16) and [16,20), a gap
+# of unregistered pids 20-29, a third block [30,34). A fan-out may sit
+# inside one block (resolved by span), cross into the adjacent block, jump
+# the gap, or mix blocks with per-pid actors (all three resolved per
+# target).
+
+PLAIN_PIDS = (0, 1, 2, 3)
+BLOCK_RANGES = ((10, 16), (16, 20), (30, 34))
+GAP_PID = 25
+REGISTERED = PLAIN_PIDS + tuple(
+    pid for start, stop in BLOCK_RANGES for pid in range(start, stop)
+)
+
+#: Each entry switches exactly one precondition of the clean branch off
+#: (``clean`` leaves them all on), as Network keyword arguments.
+CHANNELS = {
+    "clean": lambda: {},
+    "tracing": lambda: {"trace": TraceLog()},
+    "fault_hook": lambda: {
+        "faults": FaultPipeline([BernoulliLoss(0.3), DuplicateModel(0.3)]),
+        "fault_rng": random.Random(99),
+    },
+    "latency": lambda: {"latency": UniformLatency(0.0, 3.0)},
+    "failures": lambda: {"failure_model": StillbornFailures({2, 12, 17, 31})},
+    "partition": lambda: {
+        "partition_model": StaticPartition([[0, 1, 10, 11, 16, 30], []])
+    },
+}
+
+
+def make_block_net(seed=0, p_success=1.0, channel="clean"):
+    engine = Engine()
+    kwargs = CHANNELS[channel]()
+    net = Network(engine, random.Random(seed), p_success=p_success, **kwargs)
+    plain = [Recorder(pid) for pid in PLAIN_PIDS]
+    for actor in plain:
+        net.register(actor)
+    blocks = [BlockRecorder() for _ in BLOCK_RANGES]
+    for block, (start, stop) in zip(blocks, BLOCK_RANGES):
+        net.register_block(block, start, stop)
+    return engine, net, plain, blocks
+
+
+def _observe_blocks(engine, net, plain, blocks):
+    inboxes = {actor.pid: [m.nonce for m in actor.inbox] for actor in plain}
+    for block, (start, stop) in zip(blocks, BLOCK_RANGES):
+        for _, targets, message in block.batches:
+            for target in targets:
+                assert start <= target < stop  # never another block's pid
+                inboxes.setdefault(target, []).append(message.nonce)
+    fault_rng = net._fault_rng
+    return {
+        "inboxes": inboxes,
+        "stats": {
+            "sent": dict(net.stats.sent_by_kind),
+            "delivered": dict(net.stats.delivered_by_kind),
+            "dropped_reason": dict(net.stats.dropped_by_reason),
+            "dropped_kind": dict(net.stats.dropped_by_kind),
+            "faults": dict(net.stats.faults_by_reason),
+        },
+        "rng_state": net._rng.getstate(),
+        "fault_rng_state": fault_rng.getstate() if fault_rng else None,
+        # the trace groups a multicast's records differently (module
+        # docstring), so it is compared as a multiset
+        "trace": sorted(
+            (r.time, r.kind, r.source, r.target, sorted(r.detail.items()))
+            for r in net.trace
+        ),
+        "processed": engine.processed,
+        "now": engine.now,
+    }
+
+
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p_success=st.floats(0.0, 1.0),
+    fanouts=st.lists(
+        st.lists(st.sampled_from(REGISTERED), min_size=0, max_size=8),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_multicast_equivalent_to_send_loop(
+    channel, seed, p_success, fanouts
+):
+    observations = []
+    for batched in (False, True):
+        engine, net, plain, blocks = make_block_net(seed, p_success, channel)
+        for nonce, targets in enumerate(fanouts):
+            message = Ping(sender=0, nonce=nonce)
+            if batched:
+                net.multicast(0, targets, message)
+            else:
+                for target in targets:
+                    net.send(0, target, message)
+        engine.run()
+        observations.append(_observe_blocks(engine, net, plain, blocks))
+    loop, batch = observations
+    assert batch == loop
+
+
+#: Channels that keep a fan-out's survivors in one delivery batch.
+ONE_BATCH_CHANNELS = sorted(set(CHANNELS) - {"latency", "fault_hook"})
+
+
+class TestBlockFanouts:
+    @pytest.mark.parametrize("channel", ONE_BATCH_CHANNELS)
+    def test_single_block_fanout_is_one_handle_batch_call(self, channel):
+        engine, net, _, blocks = make_block_net(channel=channel)
+        net.multicast(0, [10, 11, 13, 15], Ping(sender=0, nonce=1))
+        engine.run()
+        assert len(blocks[0].batches) == 1
+        assert blocks[1].batches == [] and blocks[2].batches == []
+        (_, targets, _), = blocks[0].batches
+        assert isinstance(targets, tuple)
+        assert set(targets) <= {10, 11, 13, 15}
+
+    @pytest.mark.parametrize("channel", ONE_BATCH_CHANNELS)
+    def test_fanout_spanning_adjacent_blocks_splits_per_block(self, channel):
+        engine, net, _, blocks = make_block_net(channel=channel)
+        net.multicast(0, [10, 11, 16, 19], Ping(sender=0, nonce=1))
+        engine.run()
+        assert [t for _, t, _ in blocks[0].batches] == [(10, 11)]
+        delivered = [t for _, ts, _ in blocks[1].batches for t in ts]
+        assert set(delivered) <= {16, 19}
+        assert len(blocks[1].batches) <= 1
+
+    def test_fanout_jumping_the_gap_reaches_both_blocks(self):
+        engine, net, _, blocks = make_block_net()
+        net.multicast(0, [15, 30, 33], Ping(sender=0, nonce=1))
+        engine.run()
+        assert [t for _, t, _ in blocks[0].batches] == [(15,)]
+        assert [t for _, t, _ in blocks[2].batches] == [(30, 33)]
+
+    def test_unsorted_single_block_fanout_keeps_target_order(self):
+        engine, net, _, blocks = make_block_net()
+        net.multicast(0, [33, 30, 32], Ping(sender=0, nonce=1))
+        engine.run()
+        assert [t for _, t, _ in blocks[2].batches] == [(33, 30, 32)]
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize(
+        "targets", [[12, GAP_PID, 31], [GAP_PID], [19, 20], [9, 10], [31, 34]]
+    )
+    def test_unregistered_pid_raises_before_anything_is_recorded(
+        self, channel, targets
+    ):
+        engine, net, _, blocks = make_block_net(channel=channel)
+        rng_state = net._rng.getstate()
+        with pytest.raises(UnknownActor):
+            net.multicast(0, targets, Ping(sender=0, nonce=1))
+        assert net.stats.total_sent == 0
+        assert net.stats.total_dropped == 0
+        assert not net.stats.faults_by_reason
+        assert len(net.trace) == 0
+        assert engine.pending == 0
+        assert net._rng.getstate() == rng_state
+        assert all(block.batches == [] for block in blocks)
+
+    def test_block_registered_after_dispatch_is_resolved_at_delivery(self):
+        engine = Engine()
+        net = Network(engine, random.Random(0), latency=ConstantLatency(1.0))
+        first, second = Recorder(0), Recorder(1)
+        net.register(first)
+        net.register(second)
+        net.multicast(0, [0, 1], Ping(sender=0, nonce=1))
+        late = BlockRecorder()
+        net.register_block(late, 10, 12)
+        engine.run()
+        assert len(first.inbox) == len(second.inbox) == 1
+        assert late.batches == []
