@@ -24,7 +24,6 @@ from repro.experiments.executor import (
     PoolExecutor,
     SerialExecutor,
     WarmPoolExecutor,
-    coerce_executor,
     parse_executor_spec,
     resolve_executor,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "WarmPoolExecutor",
     "parse_executor_spec",
     "resolve_executor",
-    "coerce_executor",
     "ArtifactStore",
     "CachingExecutor",
     "write_json_atomic",

@@ -16,7 +16,7 @@ from repro.analysis.reliability import (
     atomic_gossip_reliability,
     damulticast_reliability,
 )
-from repro.experiments.executor import ExecutorSpec, coerce_executor
+from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import ProgressFn, run_sweep
 from repro.metrics.report import Table
 from repro.workloads.scenarios import PaperScenario
@@ -59,7 +59,6 @@ def sweep_link_redundancy(
     master_seed: int = 0,
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
 ) -> Table:
     """Reliability/messages as the number of inter-group links ``g`` grows.
 
@@ -76,7 +75,7 @@ def sweep_link_redundancy(
         runs=runs,
         master_seed=master_seed,
         label="ablation-g",
-        executor=coerce_executor(executor, jobs=jobs),
+        executor=executor,
         progress=progress,
     )
     table = Table(
@@ -112,7 +111,6 @@ def sweep_fanout_constant(
     master_seed: int = 0,
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
 ) -> Table:
     """Reliability/messages as the gossip fan-out constant ``c`` grows.
 
@@ -129,7 +127,7 @@ def sweep_fanout_constant(
         runs=runs,
         master_seed=master_seed,
         label="ablation-c",
-        executor=coerce_executor(executor, jobs=jobs),
+        executor=executor,
         progress=progress,
     )
     table = Table(

@@ -18,7 +18,7 @@ from typing import Mapping
 from repro.baselines.broadcast import GossipBroadcastSystem
 from repro.baselines.hierarchical import HierarchicalGossipSystem
 from repro.baselines.multicast import GossipMulticastSystem
-from repro.experiments.executor import ExecutorSpec, coerce_executor
+from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import (
     ProgressFn,
     SweepCell,
@@ -147,15 +147,13 @@ def measured_comparison(
     master_seed: int = 0,
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
 ) -> Table:
     """The §VI-E table, measured: one row per algorithm (means over runs).
 
     ``executor`` runs the repetitions on a parallel backend; seed names
     match the serial ``comparison/{j}`` derivation, so the table is
-    identical for every backend. ``jobs`` is the deprecated keyword.
-    ``progress`` is invoked per completed repetition as
-    ``progress(run_index, completed_runs, total_runs)``.
+    identical for every backend. ``progress`` is invoked per completed
+    repetition as ``progress(run_index, completed_runs, total_runs)``.
     """
     scenario = scenario or PaperScenario()
     cells = [
@@ -166,7 +164,7 @@ def measured_comparison(
         functools.partial(_comparison_cell, scenario=scenario),
         cells,
         master_seed=master_seed,
-        executor=coerce_executor(executor, jobs=jobs),
+        executor=executor,
         on_result=grouped_progress(
             progress, [float(j) for j in range(runs)], 1
         ),

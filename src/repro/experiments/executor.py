@@ -7,24 +7,23 @@ a stable interface::
 
     executor.map_cells(run, cells, master_seed=..., on_result=...)
 
-Three first-class backends ship here:
+Three backends ship here, over one pool mechanism:
 
 * :class:`SerialExecutor` — in-process, canonical order; the oracle
   every other backend must match bit-for-bit.
-* :class:`PoolExecutor` — the chunked fail-fast ``multiprocessing``
-  scheduler (PR 3), relocated behind the port. A fresh pool is spawned
-  per :meth:`~Executor.map_cells` call and torn down afterwards.
-* :class:`WarmPoolExecutor` — a pool whose worker processes persist
-  across ``map_cells`` calls. Workers keep the unpickled run function
-  cached by content digest, and (via the process-local compiled-spec
-  cache in :mod:`repro.workloads.spec`) re-use compiled scenario specs
-  across cells and across whole sweeps — the ModelOps-style warm-pool
-  shape: pay the spawn + import + compile cost once, not per sweep.
+* :class:`WarmPoolExecutor` — the chunked fail-fast ``multiprocessing``
+  scheduler. Its worker processes persist across ``map_cells`` calls,
+  keep the unpickled run function cached by content digest, and (via
+  the process-local compiled-spec cache in :mod:`repro.workloads.spec`)
+  re-use compiled scenario specs across cells and across whole sweeps —
+  the ModelOps-style warm-pool shape: pay the spawn + import + compile
+  cost once, not per sweep.
+* :class:`PoolExecutor` — a warm pool closed after one call: fresh
+  workers per ``map_cells``, nothing held in between.
 
-Optional adapters (:class:`JoblibExecutor`, :class:`DaskExecutor`) map
-onto third-party schedulers when those libraries are installed; they are
-import-gated and raise :class:`~repro.errors.ConfigError` otherwise —
-nothing here requires a dependency beyond the stdlib.
+(:class:`~repro.experiments.artifacts.CachingExecutor` wraps any of
+them with the content-addressed result store.) Nothing here requires a
+dependency beyond the stdlib.
 
 Bit-identity contract
 ---------------------
@@ -41,15 +40,13 @@ User-facing entry points accept an :data:`ExecutorSpec` — an
 :class:`Executor` instance, ``None`` (serial), or a compact string::
 
     "serial"            in-process
-    "pool"  / "pool:N"  fresh multiprocessing pool, N workers
+    "pool"  / "pool:N"  fresh multiprocessing pool per call, N workers
     "warm"  / "warm:N"  persistent multiprocessing pool, N workers
-    "joblib" / "joblib:N"  joblib.Parallel (requires joblib)
-    "dask"  / "dask:N"     dask.bag (requires dask)
 
 ``N`` defaults to the machine's CPU count. :func:`resolve_executor`
-turns a spec into an instance; :func:`coerce_executor` additionally
-accepts the legacy ``jobs``/``chunk_size``/``start_method`` keyword
-trio (PR 3's API) with a :class:`DeprecationWarning`.
+turns a spec into an instance. Whoever builds an instance closes it:
+:func:`~repro.experiments.runner.run_cells` closes what it resolved
+from a string or ``None``; an instance handed in stays the caller's.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ import multiprocessing
 import os
 import pickle
 import traceback
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence, Union, runtime_checkable
 
@@ -197,39 +193,12 @@ def _make_chunks(
     ]
 
 
-def _raise_first_failure(
-    failures: list[tuple[int, tuple[str, str]]],
-    cells: Sequence[SweepCell],
-    master_seed: int,
-) -> None:
-    index, (cause, worker_tb) = min(failures)
-    cell = cells[index]
-    raise SweepWorkerError(
-        cell,
-        # repro-lint: allow[DET004]: cell.seed_name is an f-string literal declared by each sweep driver and linted there
-        derive_seed(master_seed, cell.seed_name),
-        cause,
-        worker_tb,
-    )
-
-
-# Cold-pool workers are initialized once with (run, master_seed); each
-# task is a chunk of (index, cell) pairs. The worker re-derives every
-# cell's seed from (master_seed, cell.seed_name) — the parent never
+# Each pool task is a chunk of (index, cell) pairs. The worker re-derives
+# every cell's seed from (master_seed, cell.seed_name) — the parent never
 # ships seeds, so the serial and parallel paths cannot diverge on
 # seeding. Exceptions are captured per cell and reported back as data:
 # a worker never dies on a run-function error, and the parent re-raises
 # deterministically for the lowest failing cell index.
-_WORKER_RUN: Callable[[Any, int], Any] | None = None
-_WORKER_MASTER_SEED: int = 0
-
-
-def _init_worker(run: Callable[[Any, int], Any], master_seed: int) -> None:
-    global _WORKER_RUN, _WORKER_MASTER_SEED
-    _WORKER_RUN = run
-    _WORKER_MASTER_SEED = master_seed
-
-
 def _eval_cell(
     run: Callable[[Any, int], Any],
     master_seed: int,
@@ -249,29 +218,14 @@ def _eval_cell(
         return (index, False, (repr(exc), traceback.format_exc()))
 
 
-def _run_chunk(
-    chunk: list[tuple[int, SweepCell]]
-) -> list[tuple[int, bool, Any]]:
-    return [
-        _eval_cell(_WORKER_RUN, _WORKER_MASTER_SEED, index, cell)
-        for index, cell in chunk
-    ]
-
-
 def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _check_jobs(jobs: int) -> int:
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    return jobs
-
-
-def _check_chunk_size(chunk_size: int | None) -> int | None:
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-    return chunk_size
+def _check_count(value: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -295,87 +249,6 @@ class SerialExecutor:
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
-
-
-class PoolExecutor:
-    """Chunked fail-fast ``multiprocessing`` pool, one pool per call.
-
-    The PR-3 scheduler behind the port: cells fan out in contiguous
-    chunks of ``chunk_size`` (default: enough chunks for ~4 per worker)
-    over a pool created for the call and torn down afterwards.
-    ``start_method`` picks fork/spawn/forkserver (None = platform
-    default). A single-cell (or empty) call never pays for a pool — it
-    degrades to the serial path, so even unpicklable run functions work.
-
-    On a run-function failure the error is re-raised as
-    :class:`SweepWorkerError` for the lowest failing cell index, with
-    the worker traceback attached; once every cell below the lowest
-    observed failure has completed (so the canonical first failure is
-    known), the pool is torn down without waiting for the rest.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ):
-        self.jobs = _check_jobs(jobs)
-        self.chunk_size = _check_chunk_size(chunk_size)
-        self.start_method = start_method
-
-    def map_cells(
-        self,
-        run: Callable[[Any, int], Any],
-        cells: Sequence[SweepCell],
-        *,
-        master_seed: int = 0,
-        on_result: OnResultFn | None = None,
-    ) -> list[Any]:
-        cells = list(cells)
-        total = len(cells)
-        if self.jobs == 1 or total <= 1:
-            return _run_serial(run, cells, master_seed, on_result)
-        _ensure_picklable(run, cells)
-        chunks = _make_chunks(cells, self.jobs, self.chunk_size)
-        results: list[Any] = [None] * total
-        failures: list[tuple[int, tuple[str, str]]] = []
-        finished = [False] * total
-        done = 0
-        ctx = multiprocessing.get_context(self.start_method)
-        with ctx.Pool(
-            processes=min(self.jobs, len(chunks)),
-            initializer=_init_worker,
-            initargs=(run, master_seed),
-        ) as pool:
-            for chunk_results in pool.imap_unordered(_run_chunk, chunks):
-                for index, ok, payload in chunk_results:
-                    finished[index] = True
-                    if ok:
-                        results[index] = payload
-                        done += 1
-                        if on_result is not None:
-                            on_result(index, done, total)
-                    else:
-                        failures.append((index, payload))
-                # Fail fast, deterministically: once every cell below the
-                # lowest observed failure has completed (necessarily
-                # successfully, or the minimum would be lower), that
-                # failure is the canonical first one — abandon the rest
-                # of the sweep instead of draining it. Exiting the `with`
-                # terminates the pool.
-                if failures and all(finished[: min(failures)[0]]):
-                    break
-        if failures:
-            _raise_first_failure(failures, cells, master_seed)
-        return results
-
-    def close(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"PoolExecutor(jobs={self.jobs})"
 
 
 # Warm workers cache unpickled run functions by content digest, so a
@@ -404,7 +277,14 @@ def _run_warm_chunk(
 
 
 class WarmPoolExecutor:
-    """A ``multiprocessing`` pool whose workers persist across calls.
+    """The chunked fail-fast ``multiprocessing`` scheduler, workers kept.
+
+    Cells fan out in contiguous chunks of ``chunk_size`` (default:
+    enough chunks for ~4 per worker) over ``jobs`` worker processes;
+    ``start_method`` picks fork/spawn/forkserver (None = platform
+    default). A single-cell (or empty, or one-worker) call never pays
+    for a pool — it runs serially, so even unpicklable run functions
+    work.
 
     The pool is created lazily on the first parallel ``map_cells`` and
     reused by every later call — ``run_cells``, ``run_sweep`` and
@@ -415,15 +295,17 @@ class WarmPoolExecutor:
     compiled-spec cache in :mod:`repro.workloads.spec`) the compiled
     scenario per spec digest.
 
-    Failure semantics match :class:`PoolExecutor` — deterministic
-    :class:`SweepWorkerError` for the canonically first failing cell —
-    except that the pool is *not* torn down: in-flight chunks finish in
-    the background and the workers stay warm for the next call.
+    A run-function failure is re-raised as :class:`SweepWorkerError`
+    for the lowest failing cell index, with the worker traceback
+    attached, as soon as every cell below it has completed (so the
+    canonical first failure is known). The pool is *not* torn down:
+    in-flight chunks finish in the background and the workers stay warm
+    for the next call.
 
     Close explicitly (``close()`` or use as a context manager) when
     done; an unclosed executor's pool is reclaimed at garbage
     collection / interpreter exit by ``multiprocessing``'s own
-    finalizers.
+    finalizers, with a :class:`ResourceWarning`.
     """
 
     def __init__(
@@ -433,8 +315,10 @@ class WarmPoolExecutor:
         chunk_size: int | None = None,
         start_method: str | None = None,
     ):
-        self.jobs = _check_jobs(jobs)
-        self.chunk_size = _check_chunk_size(chunk_size)
+        self.jobs = _check_count(jobs, "jobs")
+        self.chunk_size = (
+            None if chunk_size is None else _check_count(chunk_size, "chunk_size")
+        )
         self.start_method = start_method
         self._pool = None
 
@@ -454,11 +338,9 @@ class WarmPoolExecutor:
     ) -> list[Any]:
         cells = list(cells)
         total = len(cells)
-        if self.jobs == 1 and self._pool is None:
-            # A 1-worker warm pool would only re-pay IPC per chunk; keep
-            # the serial fast path (still bit-identical by contract).
-            return _run_serial(run, cells, master_seed, on_result)
-        if total <= 1:
+        if self.jobs == 1 or total <= 1:
+            # One worker would only re-pay IPC per chunk; keep the serial
+            # fast path (still bit-identical by contract).
             return _run_serial(run, cells, master_seed, on_result)
         _ensure_picklable(run, cells)
         run_blob = pickle.dumps(run)
@@ -480,14 +362,24 @@ class WarmPoolExecutor:
                         on_result(index, done, total)
                 else:
                     failures.append((index, payload))
-            # Same deterministic fail-fast condition as PoolExecutor,
-            # but the iterator is abandoned rather than the pool torn
-            # down — remaining chunks drain in the background and the
+            # Fail fast, deterministically: once every cell below the
+            # lowest observed failure has completed (necessarily
+            # successfully, or the minimum would be lower), that failure
+            # is the canonical first one. The iterator is abandoned, not
+            # the pool: remaining chunks drain in the background and the
             # workers stay warm.
             if failures and all(finished[: min(failures)[0]]):
                 break
         if failures:
-            _raise_first_failure(failures, cells, master_seed)
+            index, (cause, worker_tb) = min(failures)
+            cell = cells[index]
+            raise SweepWorkerError(
+                cell,
+                # repro-lint: allow[DET004]: cell.seed_name is an f-string literal declared by each sweep driver and linted there
+                derive_seed(master_seed, cell.seed_name),
+                cause,
+                worker_tb,
+            )
         return results
 
     def close(self) -> None:
@@ -507,89 +399,26 @@ class WarmPoolExecutor:
         return f"WarmPoolExecutor(jobs={self.jobs}, {state})"
 
 
-# ----------------------------------------------------------------------
-# Optional third-party adapters (import-gated; stdlib-only otherwise).
-# ----------------------------------------------------------------------
-def _joblib_eval(blob: bytes, master_seed: int, index: int, cell: SweepCell):
-    return _eval_cell(pickle.loads(blob), master_seed, index, cell)
+class PoolExecutor:
+    """A :class:`WarmPoolExecutor` closed after every call.
 
-
-class JoblibExecutor:
-    """Adapter onto ``joblib.Parallel`` (loky processes).
-
-    Requires joblib to be installed; constructing the executor without
-    it raises :class:`~repro.errors.ConfigError`. Results and seeding
-    follow the same contract as every other backend.
+    Each ``map_cells`` runs on workers spawned for that call and torn
+    down when it returns or raises, so nothing is held between calls and
+    there is nothing to close. Arguments, scheduling, chunking and
+    failure semantics are the warm pool's — it is the same code.
     """
 
-    def __init__(self, jobs: int):
-        try:
-            import joblib  # noqa: F401 — availability probe
-        except ImportError as exc:
-            raise ConfigError(
-                "executor 'joblib' requires the joblib package, which is "
-                "not installed"
-            ) from exc
-        self.jobs = _check_jobs(jobs)
-
-    def map_cells(
+    def __init__(
         self,
-        run: Callable[[Any, int], Any],
-        cells: Sequence[SweepCell],
+        jobs: int,
         *,
-        master_seed: int = 0,
-        on_result: OnResultFn | None = None,
-    ) -> list[Any]:
-        import joblib
-
-        cells = list(cells)
-        total = len(cells)
-        if self.jobs == 1 or total <= 1:
-            return _run_serial(run, cells, master_seed, on_result)
-        _ensure_picklable(run, cells)
-        blob = pickle.dumps(run)
-        outputs = joblib.Parallel(n_jobs=self.jobs)(
-            joblib.delayed(_joblib_eval)(blob, master_seed, index, cell)
-            for index, cell in enumerate(cells)
+        chunk_size: int | None = None,
+        start_method: str | None = None,
+    ):
+        self._warm = WarmPoolExecutor(
+            jobs, chunk_size=chunk_size, start_method=start_method
         )
-        results: list[Any] = [None] * total
-        failures: list[tuple[int, tuple[str, str]]] = []
-        done = 0
-        for index, ok, payload in outputs:
-            if ok:
-                results[index] = payload
-                done += 1
-                if on_result is not None:
-                    on_result(index, done, total)
-            else:
-                failures.append((index, payload))
-        if failures:
-            _raise_first_failure(failures, cells, master_seed)
-        return results
-
-    def close(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"JoblibExecutor(jobs={self.jobs})"
-
-
-class DaskExecutor:
-    """Adapter onto ``dask.bag`` with the multiprocessing scheduler.
-
-    Requires dask to be installed; constructing the executor without it
-    raises :class:`~repro.errors.ConfigError`.
-    """
-
-    def __init__(self, jobs: int):
-        try:
-            import dask.bag  # noqa: F401 — availability probe
-        except ImportError as exc:
-            raise ConfigError(
-                "executor 'dask' requires the dask package, which is "
-                "not installed"
-            ) from exc
-        self.jobs = _check_jobs(jobs)
+        self.jobs = self._warm.jobs
 
     def map_cells(
         self,
@@ -599,57 +428,33 @@ class DaskExecutor:
         master_seed: int = 0,
         on_result: OnResultFn | None = None,
     ) -> list[Any]:
-        import dask.bag
-
-        cells = list(cells)
-        total = len(cells)
-        if self.jobs == 1 or total <= 1:
-            return _run_serial(run, cells, master_seed, on_result)
-        _ensure_picklable(run, cells)
-        blob = pickle.dumps(run)
-        bag = dask.bag.from_sequence(list(enumerate(cells)), npartitions=self.jobs)
-        outputs = bag.map(
-            lambda pair: _joblib_eval(blob, master_seed, pair[0], pair[1])
-        ).compute(scheduler="processes", num_workers=self.jobs)
-        results: list[Any] = [None] * total
-        failures: list[tuple[int, tuple[str, str]]] = []
-        done = 0
-        for index, ok, payload in outputs:
-            if ok:
-                results[index] = payload
-                done += 1
-                if on_result is not None:
-                    on_result(index, done, total)
-            else:
-                failures.append((index, payload))
-        if failures:
-            _raise_first_failure(failures, cells, master_seed)
-        return results
+        with self._warm as pool:
+            return pool.map_cells(
+                run, cells, master_seed=master_seed, on_result=on_result
+            )
 
     def close(self) -> None:
         pass
 
     def __repr__(self) -> str:
-        return f"DaskExecutor(jobs={self.jobs})"
+        return f"PoolExecutor(jobs={self.jobs})"
 
 
 # ----------------------------------------------------------------------
-# Spec parsing and the legacy-kwarg shim
+# Spec parsing
 # ----------------------------------------------------------------------
 _BACKENDS: dict[str, Callable[[int], Executor]] = {
     "serial": lambda jobs: SerialExecutor(),
     "pool": PoolExecutor,
     "warm": WarmPoolExecutor,
-    "joblib": JoblibExecutor,
-    "dask": DaskExecutor,
 }
 
 
 def parse_executor_spec(spec: str) -> Executor:
     """Parse a compact executor spec string into an instance.
 
-    ``"serial"``, ``"pool"``/``"pool:N"``, ``"warm"``/``"warm:N"``,
-    ``"joblib[:N]"``, ``"dask[:N]"``; ``N`` defaults to the CPU count.
+    ``"serial"``, ``"pool"``/``"pool:N"``, ``"warm"``/``"warm:N"``;
+    ``N`` defaults to the CPU count.
     """
     name, sep, arg = spec.partition(":")
     factory = _BACKENDS.get(name)
@@ -690,46 +495,4 @@ def resolve_executor(executor: ExecutorSpec) -> Executor:
     raise ConfigError(
         "executor must be None, a spec string ('serial', 'pool:N', "
         f"'warm:N', ...) or an Executor instance, got {executor!r}"
-    )
-
-
-def coerce_executor(
-    executor: ExecutorSpec = None,
-    *,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
-    start_method: str | None = None,
-    _stacklevel: int = 3,
-) -> Executor:
-    """Resolve ``executor``, honouring the deprecated PR-3 keyword trio.
-
-    ``jobs``/``chunk_size``/``start_method`` were the pre-executor API;
-    passing any of them emits a :class:`DeprecationWarning` and builds
-    the equivalent backend (``jobs<=1`` → serial, else a
-    :class:`PoolExecutor`). Combining them with ``executor`` is a
-    :class:`ConfigError` — there must be one source of truth.
-    """
-    legacy = (
-        jobs is not None or chunk_size is not None or start_method is not None
-    )
-    if not legacy:
-        return resolve_executor(executor)
-    if executor is not None:
-        raise ConfigError(
-            "pass either executor=... or the deprecated jobs/chunk_size/"
-            "start_method keywords, not both"
-        )
-    warnings.warn(
-        "the jobs/chunk_size/start_method keywords are deprecated; pass "
-        "executor='serial' | 'pool:N' | 'warm:N' (or an Executor "
-        "instance) instead",
-        DeprecationWarning,
-        stacklevel=_stacklevel,
-    )
-    jobs = 1 if jobs is None else _check_jobs(jobs)
-    _check_chunk_size(chunk_size)
-    if jobs == 1 and chunk_size is None and start_method is None:
-        return SerialExecutor()
-    return PoolExecutor(
-        jobs, chunk_size=chunk_size, start_method=start_method
     )

@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 from typing import Mapping, Sequence
 
-from repro.experiments.executor import Executor, ExecutorSpec, coerce_executor
-from repro.experiments.runner import ProgressFn, SweepResult, run_sweep
+from repro.experiments.executor import ExecutorSpec
+from repro.experiments.runner import ProgressFn, run_sweep
 from repro.metrics.report import Table
 from repro.workloads.scenarios import PaperScenario
 
@@ -57,20 +57,48 @@ def _run_scenario_once(
     return metrics
 
 
-def _sweep(
-    *,
-    grid: Sequence[float],
-    runs: int,
-    master_seed: int,
-    scenario: PaperScenario,
-    failure_mode: str,
+#: Per figure: (failure mode, table title, metric-key pattern, column
+#: header pattern, lowest plotted level). Level ``L`` runs from the
+#: scenario's depth down to the lowest plotted level; ``U`` is ``L - 1``.
+_FIGURES: Mapping[str, tuple[str, str, str, str, int]] = {
+    "fig8": (
+        "stillborn", "Fig. 8 — events sent within each group",
+        "intra_T{L}", "msgs_T{L}", 0,
+    ),
+    "fig9": (
+        "stillborn", "Fig. 9 — events sent between groups",
+        "inter_T{L}_T{U}", "T{L}->T{U}", 1,
+    ),
+    "fig10": (
+        "stillborn", "Fig. 10 — reliability (stillborn processes)",
+        "received_T{L}", "recv_T{L}", 0,
+    ),
+    "fig11": (
+        "dynamic", "Fig. 11 — reliability (dynamically failed processes)",
+        "received_T{L}", "recv_T{L}", 0,
+    ),
+}
+
+
+def _run_figure(
     label: str,
-    executor: Executor,
+    *,
+    grid: Sequence[float] = DEFAULT_GRID,
+    runs: int = 5,
+    master_seed: int = 0,
+    scenario: PaperScenario | None = None,
+    executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-) -> SweepResult:
+) -> Table:
+    """One figure: sweep the alive fraction, tabulate its plotted series.
+
+    ``label`` keys :data:`_FIGURES` and is the sweep's seed label.
+    """
+    failure_mode, title, metric, header, lowest = _FIGURES[label]
+    scenario = scenario or PaperScenario()
     # A partial of the module-level run function (not a lambda) so the
     # sweep can be fanned out over parallel executors.
-    return run_sweep(
+    sweep = run_sweep(
         functools.partial(
             _run_scenario_once, scenario=scenario, failure_mode=failure_mode
         ),
@@ -81,146 +109,22 @@ def _sweep(
         executor=executor,
         progress=progress,
     )
-
-
-def _table_from_sweep(
-    sweep: SweepResult, title: str, columns: Mapping[str, str]
-) -> Table:
-    """Build a report table from selected sweep metrics.
-
-    ``columns`` maps metric key → column header, in display order.
-    """
+    # metric key -> column header, in display order (deepest group first)
+    columns = {
+        metric.format(L=level, U=level - 1): header.format(L=level, U=level - 1)
+        for level in range(scenario.depth, lowest - 1, -1)
+    }
     table = Table(title, ["alive_fraction", *columns.values()], precision=3)
     for index, point in enumerate(sweep.points):
-        row = [point]
-        for metric in columns:
-            row.append(sweep.means[metric][index])
-        table.add_row(*row)
+        table.add_row(point, *(sweep.means[key][index] for key in columns))
     return table
 
 
-def run_figure8(
-    *,
-    grid: Sequence[float] = DEFAULT_GRID,
-    runs: int = 5,
-    master_seed: int = 0,
-    scenario: PaperScenario | None = None,
-    executor: ExecutorSpec = None,
-    progress: ProgressFn | None = None,
-    jobs: int | None = None,
-) -> Table:
-    """Fig. 8: number of events sent in each group vs alive fraction."""
-    scenario = scenario or PaperScenario()
-    sweep = _sweep(
-        grid=grid,
-        runs=runs,
-        master_seed=master_seed,
-        scenario=scenario,
-        failure_mode="stillborn",
-        label="fig8",
-        executor=coerce_executor(executor, jobs=jobs),
-        progress=progress,
-    )
-    depth = scenario.depth
-    columns = {
-        f"intra_T{level}": f"msgs_T{level}" for level in range(depth, -1, -1)
-    }
-    return _table_from_sweep(
-        sweep, "Fig. 8 — events sent within each group", columns
-    )
-
-
-def run_figure9(
-    *,
-    grid: Sequence[float] = DEFAULT_GRID,
-    runs: int = 5,
-    master_seed: int = 0,
-    scenario: PaperScenario | None = None,
-    executor: ExecutorSpec = None,
-    progress: ProgressFn | None = None,
-    jobs: int | None = None,
-) -> Table:
-    """Fig. 9: number of inter-group events vs alive fraction."""
-    scenario = scenario or PaperScenario()
-    sweep = _sweep(
-        grid=grid,
-        runs=runs,
-        master_seed=master_seed,
-        scenario=scenario,
-        failure_mode="stillborn",
-        label="fig9",
-        executor=coerce_executor(executor, jobs=jobs),
-        progress=progress,
-    )
-    depth = scenario.depth
-    columns = {
-        f"inter_T{level}_T{level - 1}": f"T{level}->T{level - 1}"
-        for level in range(depth, 0, -1)
-    }
-    return _table_from_sweep(
-        sweep, "Fig. 9 — events sent between groups", columns
-    )
-
-
-def run_figure10(
-    *,
-    grid: Sequence[float] = DEFAULT_GRID,
-    runs: int = 5,
-    master_seed: int = 0,
-    scenario: PaperScenario | None = None,
-    executor: ExecutorSpec = None,
-    progress: ProgressFn | None = None,
-    jobs: int | None = None,
-) -> Table:
-    """Fig. 10: reception fraction per group, stillborn failures."""
-    scenario = scenario or PaperScenario()
-    sweep = _sweep(
-        grid=grid,
-        runs=runs,
-        master_seed=master_seed,
-        scenario=scenario,
-        failure_mode="stillborn",
-        label="fig10",
-        executor=coerce_executor(executor, jobs=jobs),
-        progress=progress,
-    )
-    depth = scenario.depth
-    columns = {
-        f"received_T{level}": f"recv_T{level}"
-        for level in range(depth, -1, -1)
-    }
-    return _table_from_sweep(
-        sweep, "Fig. 10 — reliability (stillborn processes)", columns
-    )
-
-
-def run_figure11(
-    *,
-    grid: Sequence[float] = DEFAULT_GRID,
-    runs: int = 5,
-    master_seed: int = 0,
-    scenario: PaperScenario | None = None,
-    executor: ExecutorSpec = None,
-    progress: ProgressFn | None = None,
-    jobs: int | None = None,
-) -> Table:
-    """Fig. 11: reception fraction per group, dynamic failures."""
-    scenario = scenario or PaperScenario()
-    sweep = _sweep(
-        grid=grid,
-        runs=runs,
-        master_seed=master_seed,
-        scenario=scenario,
-        failure_mode="dynamic",
-        label="fig11",
-        executor=coerce_executor(executor, jobs=jobs),
-        progress=progress,
-    )
-    depth = scenario.depth
-    columns = {
-        f"received_T{level}": f"recv_T{level}"
-        for level in range(depth, -1, -1)
-    }
-    return _table_from_sweep(
-        sweep, "Fig. 11 — reliability (dynamically failed processes)", columns
-    )
+#: Fig. 8: number of events sent in each group vs alive fraction.
+run_figure8 = functools.partial(_run_figure, "fig8")
+#: Fig. 9: number of inter-group events vs alive fraction.
+run_figure9 = functools.partial(_run_figure, "fig9")
+#: Fig. 10: reception fraction per group, stillborn failures.
+run_figure10 = functools.partial(_run_figure, "fig10")
+#: Fig. 11: reception fraction per group, dynamic failures.
+run_figure11 = functools.partial(_run_figure, "fig11")

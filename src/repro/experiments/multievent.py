@@ -18,7 +18,7 @@ import random
 import statistics
 from typing import Mapping
 
-from repro.experiments.executor import ExecutorSpec, coerce_executor
+from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import (
     ProgressFn,
     SweepCell,
@@ -98,7 +98,6 @@ def stream_table(
     publish_levels: tuple[int, ...] = (1, 2),
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
 ) -> Table:
     """Stream metrics across arrival rates (means over ``runs``).
 
@@ -107,8 +106,8 @@ def stream_table(
     rates (mixed levels have legitimately different costs). ``executor``
     fans the (rate, run) cells over a parallel backend; the seed names
     match the serial loop's ``stream/{rate}/{j}`` derivation, so results
-    are identical for every backend (``jobs`` is the deprecated
-    keyword). ``progress`` is invoked once per completed rate as
+    are identical for every backend. ``progress`` is invoked once per
+    completed rate as
     ``progress(rate, completed_rates, total_rates)``.
     """
     table = Table(
@@ -138,7 +137,7 @@ def stream_table(
         ),
         cells,
         master_seed=master_seed,
-        executor=coerce_executor(executor, jobs=jobs),
+        executor=executor,
         on_result=grouped_progress(progress, list(rates), runs),
     )
     for index, rate in enumerate(rates):

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.system import DaMulticastSystem
-from repro.experiments.executor import ExecutorSpec, coerce_executor
+from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import (
     ProgressFn,
     SweepCell,
@@ -129,15 +129,13 @@ def repair_comparison(
     scenario: PaperScenario | None = None,
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
 ) -> Table:
     """Frozen vs repaired delivery among survivors, same failure fraction.
 
     Both modes of repetition ``j`` share ``derive_seed(master_seed,
     f"repair/{j}")`` — the comparison is paired — and ``executor`` fans
-    the 2·runs cells over a parallel backend without changing any seed
-    (``jobs`` is the deprecated keyword). ``progress`` fires once per
-    completed (frozen, repaired) pair.
+    the 2·runs cells over a parallel backend without changing any seed.
+    ``progress`` fires once per completed (frozen, repaired) pair.
     """
     scenario = scenario or PaperScenario(sizes=(4, 12, 48), p_succ=0.9)
     cells = [
@@ -153,7 +151,7 @@ def repair_comparison(
         ),
         cells,
         master_seed=master_seed,
-        executor=coerce_executor(executor, jobs=jobs),
+        executor=executor,
         on_result=grouped_progress(progress, list(range(runs)), 2),
     )
     rows: dict[str, list[Mapping[str, float]]] = {

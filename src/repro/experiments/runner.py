@@ -30,15 +30,17 @@ Execution backends
 ------------------
 How cells are evaluated is the :class:`~repro.experiments.executor.
 Executor` port's concern — ``executor=None`` (serial, the default),
-``"pool:N"`` (fresh multiprocessing pool), ``"warm:N"`` (persistent
-workers), or any object implementing the protocol (e.g. a
-:class:`~repro.experiments.artifacts.CachingExecutor`). Parallel
+``"pool:N"`` (worker processes spawned for the call), ``"warm:N"``
+(the same workers, kept across calls), or any object implementing the
+protocol (e.g. a :class:`~repro.experiments.artifacts.CachingExecutor`).
+Every entry point hands its ``executor`` argument down unchanged to
+:func:`run_cells`, the one place a spec is resolved: an executor built
+there from a string or ``None`` is closed there when the call returns
+or raises; an instance handed in stays the caller's to close. Parallel
 backends require the run function to be picklable — a module-level
 function, or a :func:`functools.partial` of one with picklable bound
 arguments; lambdas and nested closures are rejected with a
-:class:`~repro.errors.ConfigError`. The pre-executor ``jobs``/
-``chunk_size``/``start_method`` keywords still work, with a
-:class:`DeprecationWarning`.
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.experiments.executor import (
     OnResultFn,
     SweepCell,
     SweepWorkerError,
-    coerce_executor,
+    resolve_executor,
 )
 from repro.validation import check_finite_grid
 
@@ -67,6 +69,7 @@ __all__ = [
     "grouped_progress",
     "run_cells",
     "run_sweep",
+    "sweep_values",
 ]
 
 RunFn = Callable[[float, int], Mapping[str, float]]
@@ -161,9 +164,6 @@ def run_cells(
     master_seed: int = 0,
     executor: ExecutorSpec = None,
     on_result: OnResultFn | None = None,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
-    start_method: str | None = None,
 ) -> list[Any]:
     """Evaluate ``run(cell.arg, seed)`` for every cell; results in order.
 
@@ -175,25 +175,71 @@ def run_cells(
 
     ``executor`` selects the backend (None = serial; ``"pool:N"``,
     ``"warm:N"``, or an :class:`~repro.experiments.executor.Executor`
-    instance). ``on_result(index, completed, total)`` is called after
-    each *successful* cell (completion order); a failed cell is never
+    instance). One built here from a string or None is closed before
+    returning; an instance is left open for its owner.
+    ``on_result(index, completed, total)`` is called after each
+    *successful* cell (completion order); a failed cell is never
     announced as done. A run-function exception is re-raised as
     :class:`SweepWorkerError` for the canonically first failing cell,
     with the worker traceback attached when it failed in a pool worker.
-
-    ``jobs``/``chunk_size``/``start_method`` are the deprecated PR-3
-    keywords; they still work (DeprecationWarning) but cannot be
-    combined with ``executor``.
     """
-    resolved = coerce_executor(
-        executor,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        start_method=start_method,
+    resolved = resolve_executor(executor)
+    try:
+        return resolved.map_cells(
+            run, cells, master_seed=master_seed, on_result=on_result
+        )
+    finally:
+        if resolved is not executor:
+            resolved.close()
+
+
+def sweep_values(
+    run: Callable[[Any, int], Mapping[str, float]],
+    values: Sequence[Any],
+    *,
+    runs: int,
+    master_seed: int,
+    label: str,
+    executor: ExecutorSpec,
+    progress: ProgressFn | None,
+) -> SweepResult:
+    """``runs`` seeded cells per value, aggregated per value.
+
+    The scheduler shared by :func:`run_sweep` (numeric grids) and
+    :func:`~repro.workloads.spec.sweep_scenario` (any values): cell
+    ``j`` of ``value`` is seeded ``derive_seed(master_seed,
+    f"{label}/{value}/{j}")`` and the fold runs in canonical (value,
+    run) order.
+    """
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
+    cells = [
+        SweepCell(
+            arg=value,
+            seed_name=f"{label}/{value}/{j}",
+            describe=f"point={value!r}, run={j}",
+        )
+        for value in values
+        for j in range(runs)
+    ]
+    samples = run_cells(
+        run,
+        cells,
+        master_seed=master_seed,
+        executor=executor,
+        on_result=grouped_progress(progress, list(values), runs),
     )
-    return resolved.map_cells(
-        run, cells, master_seed=master_seed, on_result=on_result
-    )
+    result = SweepResult(runs=runs)
+    for index, value in enumerate(values):
+        means, stds = aggregate_runs(samples[index * runs : (index + 1) * runs])
+        result.points.append(value)
+        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
+        for key, mean in means.items():
+            result.means.setdefault(key, []).append(mean)
+        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
+        for key, std in stds.items():
+            result.stds.setdefault(key, []).append(std)
+    return result
 
 
 def run_sweep(
@@ -205,9 +251,6 @@ def run_sweep(
     label: str = "sweep",
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
-    start_method: str | None = None,
 ) -> SweepResult:
     """Evaluate ``run`` at every grid point, ``runs`` times each.
 
@@ -226,47 +269,16 @@ def run_sweep(
     ``functools.partial`` of one). ``progress`` is invoked once per
     completed grid point as ``progress(point, completed_points,
     total_points)``.
-
-    ``jobs``/``chunk_size``/``start_method`` are the deprecated PR-3
-    keywords; they still work (DeprecationWarning) but cannot be
-    combined with ``executor``.
     """
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
     if not grid:
         raise ConfigError("grid must not be empty")
     check_finite_grid(grid)
-    resolved = coerce_executor(
-        executor,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        start_method=start_method,
-    )
-    cells = [
-        SweepCell(
-            arg=point,
-            seed_name=f"{label}/{point}/{j}",
-            describe=f"point={point!r}, run={j}",
-        )
-        for point in grid
-        for j in range(runs)
-    ]
-    samples = resolved.map_cells(
+    return sweep_values(
         run,
-        cells,
+        grid,
+        runs=runs,
         master_seed=master_seed,
-        on_result=grouped_progress(progress, list(grid), runs),
+        label=label,
+        executor=executor,
+        progress=progress,
     )
-    result = SweepResult(runs=runs)
-    for point_index, point in enumerate(grid):
-        means, stds = aggregate_runs(
-            samples[point_index * runs : (point_index + 1) * runs]
-        )
-        result.points.append(point)
-        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
-        for key, value in means.items():
-            result.means.setdefault(key, []).append(value)
-        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
-        for key, value in stds.items():
-            result.stds.setdefault(key, []).append(value)
-    return result

@@ -19,7 +19,7 @@ import math
 from dataclasses import replace
 from typing import Mapping, Sequence
 
-from repro.experiments.executor import ExecutorSpec, coerce_executor
+from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import ProgressFn, run_sweep
 from repro.metrics.report import Table
 from repro.workloads.scenarios import PaperScenario
@@ -57,7 +57,6 @@ def sweep_group_size(
     log_base: float = 10.0,
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
 ) -> Table:
     """Messages per publication vs the bottom group size ``S``.
 
@@ -76,7 +75,7 @@ def sweep_group_size(
         ),
         [float(s) for s in s_values],
         runs=runs, master_seed=master_seed, label="scale-S",
-        executor=coerce_executor(executor, jobs=jobs), progress=progress,
+        executor=executor, progress=progress,
     )
     table = Table(
         "Scaling — event messages vs bottom group size S "
@@ -117,7 +116,6 @@ def sweep_depth(
     log_base: float = 10.0,
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
-    jobs: int | None = None,
 ) -> Table:
     """Messages per publication vs chain depth ``t`` at fixed level size."""
     sweep = run_sweep(
@@ -126,7 +124,7 @@ def sweep_depth(
         ),
         [float(t) for t in t_values],
         runs=runs, master_seed=master_seed, label="scale-t",
-        executor=coerce_executor(executor, jobs=jobs), progress=progress,
+        executor=executor, progress=progress,
     )
     table = Table(
         "Scaling — total event messages vs hierarchy depth t "

@@ -59,7 +59,7 @@ bit-identical to the same spec before the fault layer existed. That is what make
 sweepable over any field through the parallel sweep engine:
 :func:`sweep_scenario` derives per-cell seeds with the standard
 ``derive_seed(master_seed, f"{label}/{point}/{j}")`` contract and is
-therefore bit-identical for every ``jobs`` count.
+therefore bit-identical for every executor and worker count.
 
 Defaults differing from :class:`~repro.core.params.TopicParams`: specs use
 ``fanout_log_base = 10`` (the paper's own simulator scale) unless
@@ -87,15 +87,15 @@ from repro.baselines.naive_publisher import NaivePublisherSystem
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.system import DaMulticastSystem
 from repro.errors import ConfigError, ReproError
-from repro.experiments.executor import ExecutorSpec, coerce_executor
+from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import (
     ProgressFn,
     SweepCell,
     SweepResult,
-    aggregate_runs,
     grouped_progress,
     run_cells,
     run_sweep,
+    sweep_values,
 )
 from repro.failures.churn import ChurnSchedule
 from repro.failures.dynamic import DynamicFailures
@@ -1813,7 +1813,7 @@ def load_spec(ref: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Repetition and sweeping (bit-identical for any jobs count)
+# Repetition and sweeping (bit-identical for any worker count)
 # ----------------------------------------------------------------------
 def _scenario_cell(_run_index: int, seed: int, *, spec: dict) -> dict[str, float]:
     return run_spec(spec, seed)
@@ -1827,18 +1827,15 @@ def run_scenario(
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
     label: str | None = None,
-    jobs: int | None = None,
 ) -> list[dict[str, float]]:
     """Run ``spec`` ``runs`` times with derived seeds; per-run metrics.
 
     Run ``j`` uses ``derive_seed(master_seed, f"{label}/{j}")``; cells
     run on ``executor`` (None = serial; ``"pool:N"``/``"warm:N"`` or an
     Executor instance) and the result list is identical for every
-    backend and worker count. ``jobs`` is the deprecated pre-executor
-    keyword. Aggregate with
+    backend and worker count. Aggregate with
     :func:`~repro.experiments.runner.aggregate_runs`.
     """
-    resolved = coerce_executor(executor, jobs=jobs)
     compiled = compile_spec_cached(spec)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
@@ -1851,7 +1848,7 @@ def run_scenario(
         functools.partial(_scenario_cell, spec=compiled.spec),
         cells,
         master_seed=master_seed,
-        executor=resolved,
+        executor=executor,
         on_result=grouped_progress(progress, [float(j) for j in range(runs)], 1),
     )
 
@@ -1872,67 +1869,33 @@ def sweep_scenario(
     executor: ExecutorSpec = None,
     progress: ProgressFn | None = None,
     label: str | None = None,
-    jobs: int | None = None,
 ) -> SweepResult:
     """Sweep ``spec`` over any dotted field; aggregated metrics per value.
 
     Numeric grids go through :func:`~repro.experiments.runner.run_sweep`
-    unchanged; non-numeric values (protocol names, failure kinds, ...) use
-    the same cell scheduler and the identical ``{label}/{value}/{j}`` seed
-    naming, so both paths are bit-identical across executors and worker
-    counts. ``jobs`` is the deprecated pre-executor keyword.
+    unchanged; non-numeric values (protocol names, failure kinds, ...) skip
+    only its finite-grid check — same cell scheduler, same
+    ``{label}/{value}/{j}`` seed naming — so both are bit-identical across
+    executors and worker counts.
     """
-    resolved = coerce_executor(executor, jobs=jobs)
     if not values:
         raise ConfigError("sweep values must not be empty")
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
     base = copy.deepcopy(dict(spec))
     # Validate every point spec eagerly in the parent: a typo'd field or a
     # bad value should fail before any worker spins up.
     for value in values:
         compile_spec(spec_with(base, sweep_field, value))
-    name = base.get("name", "spec")
-    label = label or f"scenario/{name}/{sweep_field}"
-    run = functools.partial(_sweep_spec_cell, spec=base, sweep_field=sweep_field)
     numeric = all(
         isinstance(value, (int, float)) and not isinstance(value, bool)
         for value in values
     )
-    if numeric:
-        return run_sweep(
-            run,
-            list(values),
-            runs=runs,
-            master_seed=master_seed,
-            label=label,
-            executor=resolved,
-            progress=progress,
-        )
-    cells = [
-        SweepCell(
-            arg=value,
-            seed_name=f"{label}/{value}/{j}",
-            describe=f"point={value!r}, run={j}",
-        )
-        for value in values
-        for j in range(runs)
-    ]
-    samples = run_cells(
-        run,
-        cells,
+    name = base.get("name", "spec")
+    return (run_sweep if numeric else sweep_values)(
+        functools.partial(_sweep_spec_cell, spec=base, sweep_field=sweep_field),
+        list(values),
+        runs=runs,
         master_seed=master_seed,
-        executor=resolved,
-        on_result=grouped_progress(progress, list(values), runs),
+        label=label or f"scenario/{name}/{sweep_field}",
+        executor=executor,
+        progress=progress,
     )
-    result = SweepResult(runs=runs)
-    for index, value in enumerate(values):
-        means, stds = aggregate_runs(samples[index * runs : (index + 1) * runs])
-        result.points.append(value)
-        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
-        for key, mean in means.items():
-            result.means.setdefault(key, []).append(mean)
-        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
-        for key, std in stds.items():
-            result.stds.setdefault(key, []).append(std)
-    return result

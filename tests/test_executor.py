@@ -6,14 +6,13 @@ each backend derives cell seeds inside the worker from ``(master_seed,
 cell.seed_name)`` and returns results in cell order. On top of that:
 spec strings parse predictably, warm pools actually reuse their worker
 processes across ``map_cells`` calls, failures stay deterministic and
-leave a warm pool usable, the optional joblib/dask adapters are
-import-gated, and no internal call site still uses the deprecated
-``jobs``/``chunk_size``/``start_method`` keywords.
+leave a warm pool usable, and the pre-executor ``jobs``/``chunk_size``/
+``start_method`` keywords and the joblib/dask spec strings are gone
+from every entry point.
 """
 
-import ast
+import inspect
 import os
-import pathlib
 import warnings
 
 import pytest
@@ -22,21 +21,16 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.experiments.executor import (
-    DaskExecutor,
     Executor,
-    JoblibExecutor,
     PoolExecutor,
     SerialExecutor,
     SweepCell,
     SweepWorkerError,
     WarmPoolExecutor,
-    coerce_executor,
     parse_executor_spec,
     resolve_executor,
 )
 from repro.sim.rng import derive_seed
-
-SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def _metrics(point, seed):
@@ -220,6 +214,13 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             parse_executor_spec(bad)
 
+    @pytest.mark.parametrize("spec", ["joblib:2", "dask"])
+    def test_removed_backends_are_unknown_executors(self, spec):
+        with pytest.raises(
+            ConfigError, match="unknown executor.*pool, serial, warm"
+        ):
+            parse_executor_spec(spec)
+
     def test_resolve_none_is_serial(self):
         assert isinstance(resolve_executor(None), SerialExecutor)
 
@@ -236,83 +237,36 @@ class TestSpecParsing:
         assert isinstance(WarmPoolExecutor(1), Executor)
 
 
-class TestCoerceExecutor:
-    def test_no_args_is_serial(self):
-        assert isinstance(coerce_executor(), SerialExecutor)
-
-    def test_legacy_jobs_warns_and_builds_pool(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            executor = coerce_executor(jobs=3)
-        assert isinstance(executor, PoolExecutor)
-        assert executor.jobs == 3
-
-    def test_legacy_jobs_one_is_serial(self):
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(coerce_executor(jobs=1), SerialExecutor)
-
-    def test_both_sources_conflict(self):
-        with pytest.raises(ConfigError, match="not both"):
-            coerce_executor("pool:2", jobs=2)
-
-
-class TestOptionalAdapters:
-    def test_joblib_gated_or_equivalent(self):
-        try:
-            import joblib  # noqa: F401
-        except ImportError:
-            with pytest.raises(ConfigError, match="joblib"):
-                JoblibExecutor(2)
-            with pytest.raises(ConfigError, match="joblib"):
-                parse_executor_spec("joblib:2")
-            return
-        cells = _cells([1.0, 2.0, 3.0])
-        assert JoblibExecutor(2).map_cells(
-            _metrics, cells, master_seed=3
-        ) == SerialExecutor().map_cells(_metrics, cells, master_seed=3)
-
-    def test_dask_gated_or_equivalent(self):
-        try:
-            import dask.bag  # noqa: F401
-        except ImportError:
-            with pytest.raises(ConfigError, match="dask"):
-                DaskExecutor(2)
-            return
-        cells = _cells([1.0, 2.0, 3.0])
-        assert DaskExecutor(2).map_cells(
-            _metrics, cells, master_seed=3
-        ) == SerialExecutor().map_cells(_metrics, cells, master_seed=3)
-
-
 class TestNoInternalLegacyUse:
-    """The deprecated keyword trio survives only as the user-facing shim."""
+    """One ``executor`` argument on every entry point, nothing beside it."""
 
-    def test_no_internal_call_site_passes_legacy_kwargs(self):
-        # Every call in src/repro that passes jobs=/chunk_size=/
-        # start_method= must be the shim forwarding into coerce_executor
-        # (or live in executor.py, which implements the shim). Anything
-        # else is an internal caller still on the deprecated API.
-        offenders = []
+    def test_no_entry_point_takes_the_legacy_keywords(self):
+        from repro.experiments import ablations, comparisons, figures
+        from repro.experiments import multievent, repair, runner, scale
+        from repro.workloads import spec
+
+        entry_points = [
+            runner.run_cells,
+            runner.run_sweep,
+            spec.run_scenario,
+            spec.sweep_scenario,
+            figures.run_figure8,
+            figures.run_figure9,
+            figures.run_figure10,
+            figures.run_figure11,
+            ablations.sweep_link_redundancy,
+            ablations.sweep_fanout_constant,
+            comparisons.measured_comparison,
+            scale.sweep_group_size,
+            scale.sweep_depth,
+            multievent.stream_table,
+            repair.repair_comparison,
+        ]
         legacy = {"jobs", "chunk_size", "start_method"}
-        for path in sorted(SRC_ROOT.rglob("*.py")):
-            if path.name == "executor.py":
-                continue
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                passed = {
-                    kw.arg for kw in node.keywords if kw.arg in legacy
-                }
-                if not passed:
-                    continue
-                func = node.func
-                name = getattr(func, "id", getattr(func, "attr", None))
-                if name != "coerce_executor":
-                    offenders.append(
-                        f"{path.relative_to(SRC_ROOT)}:{node.lineno} "
-                        f"passes {sorted(passed)} to {name}"
-                    )
-        assert not offenders, "\n".join(offenders)
+        for entry_point in entry_points:
+            parameters = inspect.signature(entry_point).parameters
+            assert "executor" in parameters, entry_point
+            assert not legacy & set(parameters), entry_point
 
     def test_public_entry_points_warn_free(self):
         # Behavioral counterpart: exercising the executor-based API end

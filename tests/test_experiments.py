@@ -26,6 +26,45 @@ SMALL = PaperScenario(sizes=(4, 16, 64))
 GRID = (0.3, 1.0)
 
 
+# `python -m repro figN --runs 2 --grid 0.5 1.0 --sizes 3 8 20`, recorded
+# before the four run_figureN bodies became one table and one runner.
+# The labels "fig8"…"fig11" are seed names, so any change shows here.
+FIGURE_GOLDENS = {
+    "fig8": (
+        "Fig. 8 — events sent within each group",
+        "======================================",
+        "alive_fraction  msgs_T2  msgs_T1  msgs_T0",
+        "--------------  -------  -------  -------",
+        "0.500           48.000   16.000   1.000  ",
+        "1.000           120.000  32.000   6.000  ",
+    ),
+    "fig9": (
+        "Fig. 9 — events sent between groups",
+        "===================================",
+        "alive_fraction  T2->T1  T1->T0",
+        "--------------  ------  ------",
+        "0.500           4.000   1.500 ",
+        "1.000           4.500   3.500 ",
+    ),
+    "fig10": (
+        "Fig. 10 — reliability (stillborn processes)",
+        "===========================================",
+        "alive_fraction  recv_T2  recv_T1  recv_T0",
+        "--------------  -------  -------  -------",
+        "0.500           0.475    0.312    0.000  ",
+        "1.000           1.000    1.000    1.000  ",
+    ),
+    "fig11": (
+        "Fig. 11 — reliability (dynamically failed processes)",
+        "====================================================",
+        "alive_fraction  recv_T2  recv_T1  recv_T0",
+        "--------------  -------  -------  -------",
+        "0.500           0.925    0.500    0.500  ",
+        "1.000           1.000    1.000    1.000  ",
+    ),
+}
+
+
 class TestRunner:
     def test_aggregate_mean_std(self):
         means, stds = aggregate_runs([{"x": 1.0}, {"x": 3.0}])
@@ -115,6 +154,19 @@ class TestFigures:
         assert (
             fig11.column("recv_T0")[0] >= fig10.column("recv_T0")[0] - 1e-9
         )
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_GOLDENS))
+    def test_tables_byte_identical_to_recorded(self, name):
+        runner = {
+            "fig8": run_figure8,
+            "fig9": run_figure9,
+            "fig10": run_figure10,
+            "fig11": run_figure11,
+        }[name]
+        table = runner(
+            grid=(0.5, 1.0), runs=2, scenario=PaperScenario(sizes=(3, 8, 20))
+        )
+        assert table.render().split("\n") == list(FIGURE_GOLDENS[name])
 
     def test_zero_aliveness_kills_dissemination(self):
         table = run_figure10(grid=(0.0,), runs=1, scenario=SMALL)

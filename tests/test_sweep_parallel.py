@@ -5,8 +5,10 @@ bit-identical to the serial path for every N, chunk size and start
 method, because workers re-derive each cell's seed from ``(master_seed,
 label, point, j)`` and aggregation happens in canonical (point, run)
 order. Worker failures must surface with the failing (point, run, seed)
-identified. The deprecated ``jobs``/``chunk_size``/``start_method``
-keywords must keep working behind a DeprecationWarning.
+identified. Every pool-semantics test takes ``make_pool`` and so runs
+against both lifetimes of the one pool mechanism: ``PoolExecutor``
+(closed after the call) and ``WarmPoolExecutor`` (kept). An entry point
+closes the executor it built from a spec string.
 
 Cross-backend equivalence (serial vs pool vs warm, arbitrary worker
 counts) lives in ``test_executor.py``; this file covers the sweep
@@ -18,6 +20,9 @@ test).
 """
 
 import functools
+import gc
+import multiprocessing
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from repro.experiments import (
     PoolExecutor,
     SweepCell,
     SweepWorkerError,
+    WarmPoolExecutor,
     aggregate_runs,
     run_cells,
     run_sweep,
@@ -57,6 +63,20 @@ def _unpicklable_result(point, seed):
 
 def _scaled(point, seed, *, factor):
     return {"y": point * factor + (seed % 11)}
+
+
+@pytest.fixture(params=[PoolExecutor, WarmPoolExecutor], ids=["pool", "warm"])
+def make_pool(request):
+    """``make_pool(jobs, **kwargs)`` for each pool lifetime; closed after."""
+    made = []
+
+    def make(jobs, **kwargs):
+        made.append(request.param(jobs, **kwargs))
+        return made[-1]
+
+    yield make
+    for executor in made:
+        executor.close()
 
 
 def _sweeps_equal(a, b):
@@ -104,18 +124,18 @@ class TestSerialParallelEquivalence:
         _sweeps_equal(serial, parallel)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 100])
-    def test_chunk_size_irrelevant_to_results(self, chunk_size):
+    def test_chunk_size_irrelevant_to_results(self, make_pool, chunk_size):
         serial = run_sweep(_poly, [1.0, 2.0, 3.0], runs=2, label="chunk")
         parallel = run_sweep(
             _poly,
             [1.0, 2.0, 3.0],
             runs=2,
             label="chunk",
-            executor=PoolExecutor(3, chunk_size=chunk_size),
+            executor=make_pool(3, chunk_size=chunk_size),
         )
         _sweeps_equal(serial, parallel)
 
-    def test_spawn_start_method_identical(self):
+    def test_spawn_start_method_identical(self, make_pool):
         # Spawn-safety: workers import everything fresh and re-derive
         # seeds; nothing depends on forked parent state.
         serial = run_sweep(_poly, [1.0, 2.0], runs=2, label="spawn")
@@ -124,7 +144,7 @@ class TestSerialParallelEquivalence:
             [1.0, 2.0],
             runs=2,
             label="spawn",
-            executor=PoolExecutor(2, start_method="spawn"),
+            executor=make_pool(2, start_method="spawn"),
         )
         _sweeps_equal(serial, parallel)
 
@@ -164,7 +184,7 @@ class TestWorkerErrors:
         assert "ValueError" in message
         assert "worker traceback" in message
 
-    def test_parallel_error_is_deterministic_lowest_cell(self):
+    def test_parallel_error_is_deterministic_lowest_cell(self, make_pool):
         # Both runs at point 2.0 fail; the error must always name the
         # canonically-first failing cell regardless of completion order.
         for _ in range(3):
@@ -174,11 +194,11 @@ class TestWorkerErrors:
                     [2.0, 1.0],
                     runs=2,
                     label="err",
-                    executor=PoolExecutor(2, chunk_size=1),
+                    executor=make_pool(2, chunk_size=1),
                 )
             assert "run=0" in str(excinfo.value)
 
-    def test_unpicklable_result_surfaces_as_cell_failure(self):
+    def test_unpicklable_result_surfaces_as_cell_failure(self, make_pool):
         # A result that cannot cross the process boundary must name its
         # cell, not abort the pool with an opaque MaybeEncodingError.
         with pytest.raises(SweepWorkerError) as excinfo:
@@ -187,16 +207,19 @@ class TestWorkerErrors:
                 [1.0, 2.0],
                 runs=2,
                 label="pkl",
-                executor="pool:2",
+                executor=make_pool(2),
             )
         message = str(excinfo.value)
         assert "point=1.0" in message
         assert "run=0" in message
 
-    def test_lambda_rejected_for_parallel(self):
+    def test_lambda_rejected_for_parallel(self, make_pool):
         with pytest.raises(ConfigError, match="picklable"):
             run_sweep(
-                lambda p, s: {"y": 0.0}, [1.0, 2.0], runs=2, executor="pool:2"
+                lambda p, s: {"y": 0.0},
+                [1.0, 2.0],
+                runs=2,
+                executor=make_pool(2),
             )
 
     def test_single_cell_sweep_runs_in_process(self):
@@ -211,49 +234,60 @@ class TestWorkerErrors:
         with pytest.raises(ConfigError):
             run_sweep(_poly, [1.0], runs=1, executor="pool:0")
 
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_chunk_size_validation(self, bad):
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
+    def test_chunk_size_validation(self, make_pool, bad):
         with pytest.raises(ConfigError, match="chunk_size"):
-            PoolExecutor(2, chunk_size=bad)
+            make_pool(2, chunk_size=bad)
 
 
-class TestLegacyKeywordShims:
-    """The pre-executor ``jobs``/``chunk_size``/``start_method`` API."""
+def _leaves_no_pool_behind(call):
+    # An unclosed pool announces itself from Pool.__del__, where an
+    # "error" filter could only reach the unraisable hook; record instead,
+    # collect inside the filter, and look at what is still running.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        call()
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+    assert multiprocessing.active_children() == []
 
-    def test_jobs_keyword_warns_and_matches_executor(self):
-        serial = run_sweep(_poly, [1.0, 2.0], runs=2, label="shim")
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run_sweep(_poly, [1.0, 2.0], runs=2, label="shim", jobs=2)
-        _sweeps_equal(serial, legacy)
 
-    def test_chunk_size_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_sweep(
-                _poly, [1.0, 2.0], runs=2, label="shim", jobs=2, chunk_size=1
+class TestSpecStringOwnership:
+    """An executor built from a spec string is closed by who built it."""
+
+    def test_run_sweep_closes_the_pool_it_built(self):
+        _leaves_no_pool_behind(
+            lambda: run_sweep(_poly, [1.0, 2.0], runs=2, executor="warm:2")
+        )
+
+    def test_sweep_scenario_closes_the_pool_it_built(self):
+        from repro.workloads.spec import sweep_scenario
+
+        spec = {
+            "name": "owned",
+            "topics": {"kind": "chain", "depth": 1},
+            "subscriptions": {"kind": "per_level", "counts": [2, 4]},
+        }
+        _leaves_no_pool_behind(
+            lambda: sweep_scenario(
+                spec, "p_success", [0.5, 1.0], runs=2, executor="warm:2"
             )
-        _sweeps_equal(run_sweep(_poly, [1.0, 2.0], runs=2, label="shim"), legacy)
+        )
 
-    def test_jobs_one_warns_but_stays_serial(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_sweep(
-                lambda p, s: {"y": p}, [1.0, 2.0], runs=1, label="shim1", jobs=1
-            )
-        assert legacy.means["y"] == [1.0, 2.0]
+    def test_closed_even_when_a_cell_fails(self):
+        def failing():
+            with pytest.raises(SweepWorkerError):
+                run_sweep(
+                    _fail_at_two, [1.0, 2.0], runs=2, executor="warm:2"
+                )
 
-    def test_executor_and_jobs_conflict(self):
-        with pytest.raises(ConfigError, match="not both"):
-            run_sweep(_poly, [1.0], runs=1, executor="serial", jobs=2)
+        _leaves_no_pool_behind(failing)
 
-    def test_run_cells_jobs_keyword_warns(self):
-        cells = [SweepCell(arg=x, seed_name=f"shim/{x}") for x in (1.0, 2.0)]
-        with pytest.warns(DeprecationWarning):
-            legacy = run_cells(_poly, cells, jobs=2)
-        assert legacy == run_cells(_poly, cells)
-
-    def test_legacy_jobs_validation(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                run_sweep(_poly, [1.0], runs=1, jobs=0)
+    def test_an_instance_stays_open_for_its_owner(self):
+        with WarmPoolExecutor(2) as warm:
+            run_sweep(_poly, [1.0, 2.0], runs=2, executor=warm)
+            assert repr(warm) == "WarmPoolExecutor(jobs=2, warm)"
+        assert repr(warm) == "WarmPoolExecutor(jobs=2, cold)"
 
 
 class TestProgress:
