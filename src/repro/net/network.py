@@ -61,11 +61,11 @@ fan-out, staged so that what is the same for every target is decided once:
   multicast is bit-identical to the equivalent loop of sends under the
   same seed;
 * **one entry per latency class** — surviving deliveries that share a
-  latency share one applied ``(fn, args)`` array-batch entry
-  (:meth:`repro.sim.engine.Engine.schedule_apply`) instead of one closure
-  and one heap push per destination; with zero latency (the paper's
-  synchronous rounds, the dominant case) an entire fan-out is one entry in
-  the engine's FIFO bucket. The entry carries ``count=len(batch)``, so
+  latency share one ``fn(*args)`` array-batch call on the transport
+  (:meth:`repro.sim.engine.Engine.dispatch`) instead of one closure and one
+  heap push per destination; with zero latency (the paper's synchronous
+  rounds, the dominant case) an entire fan-out is one entry in the
+  engine's FIFO bucket. The call carries ``count=len(batch)``, so
   ``Engine.processed``/``pending`` account per destination exactly like a
   loop of sends;
 * **delivery by span** — at delivery time a batch whose live targets lie
@@ -95,7 +95,7 @@ import random
 from bisect import bisect_right
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.errors import ConfigError, UnknownActor
+from repro.errors import ConfigError, SchedulingError, UnknownActor
 from repro.failures.model import AlwaysAlive, FailureModel
 from repro.net.faults import LinkFaultModel, NoFaults
 from repro.net.latency import ConstantLatency, LatencyModel, ZERO_LATENCY
@@ -113,7 +113,7 @@ from repro.net.stats import (
     FAULT_LOSS,
     NetworkStats,
 )
-from repro.net.transport import EngineTransport, Transport
+from repro.net.transport import Transport
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceLog
 
@@ -149,9 +149,9 @@ class Network:
     """Best-effort message transport over a clock and delivery transport.
 
     ``clock`` supplies timestamps for the sender-side pipeline;
-    ``transport`` executes the surviving deliveries. The default
-    transport dispatches onto the clock's own ``schedule_apply`` (the
-    discrete-event heap) — the historical behavior, bit-for-bit; the live
+    ``transport`` executes the surviving deliveries. Without one, the
+    clock itself is the transport — an :class:`~repro.sim.engine.Engine`
+    has ``dispatch``, so deliveries are ordinary engine events; the live
     runtime passes a :class:`~repro.net.transport.QueueTransport` instead.
     """
 
@@ -172,10 +172,15 @@ class Network:
     ):
         if not 0.0 <= p_success <= 1.0:
             raise ConfigError(f"p_success must be in [0,1], got {p_success}")
+        if transport is None:
+            if not isinstance(clock, Transport):
+                raise SchedulingError(
+                    f"{type(clock).__name__} has no dispatch, so it cannot "
+                    "deliver; pass transport=QueueTransport(clock)"
+                )
+            transport = clock
         self._clock = clock
-        self._transport: Transport = (
-            EngineTransport(clock) if transport is None else transport
-        )
+        self._transport: Transport = transport
         self._rng = rng
         self.p_success = p_success
         self.latency = latency  # property: also caches the sample_link hook

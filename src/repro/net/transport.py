@@ -3,35 +3,35 @@
 The network's six-stage sender-side pipeline (attempt accounting, liveness,
 perceived failures, partitions, channel loss, latency/fault sampling) is
 transport-independent — it runs identically whether deliveries land on the
-discrete-event heap or in a live in-process queue. Only the *last* step —
-"execute this delivery callback after ``delay``" — differs, and that step
-is this module's :class:`Transport` protocol:
+discrete-event engine or in a live in-process queue. Only the *last* step —
+"execute this delivery call after ``delay``" — differs, and that step is
+this module's :class:`Transport` protocol:
 
-* :class:`EngineTransport` — the historical in-heap path: deliveries become
-  applied ``(fn, args)`` entries on a discrete-event
-  :class:`~repro.sim.engine.Engine` (or any scheduler exposing
-  ``schedule_apply``), preserving per-destination ``pending``/``processed``
-  accounting and zero-latency FIFO-bucket batching bit-for-bit.
+* :class:`~repro.sim.engine.Engine` is its own transport: ``dispatch`` is
+  the engine's scheduling primitive, so deliveries are ordinary engine
+  events (per-destination ``pending``/``processed`` accounting, the
+  zero-latency FIFO bucket). It is what a :class:`Network` built without
+  ``transport=`` uses.
 * :class:`QueueTransport` — an in-process delivery queue for the live
   runtime: deliveries are enqueued with their due time and executed by an
   explicit :meth:`~QueueTransport.pump` (the asyncio pump task, or a test
-  draining synchronously). Ordering is ``(due, enqueue order)`` — exactly
-  the engine's ``(time, seq)`` rule — so a zero-latency cascade pumps in
-  the same order the engine's FIFO bucket would run it, which is what
-  makes a live trace replayable on the virtual-time oracle.
+  draining synchronously).
 
-Because the latency and fault hooks run *before* dispatch, both transports
-consult them identically by construction.
+Both order calls with the same :class:`~repro.sim.engine.CallQueue` —
+``(due, enqueue order)`` here is the engine's ``(time, seq)`` — so a
+zero-latency cascade pumps in the order the engine would run it, which is
+what makes a live trace replayable on the virtual-time oracle. Because the
+latency and fault hooks run *before* dispatch, both transports consult them
+identically by construction.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.errors import SchedulingError
 from repro.sim.clock import Clock
+from repro.sim.engine import CallQueue, EventHandle
 
 
 @runtime_checkable
@@ -51,81 +51,6 @@ class Transport(Protocol):
         passes the whole target tuple as one call). Returns a cancellable
         handle."""
         ...  # pragma: no cover - protocol
-
-
-class EngineTransport:
-    """In-heap delivery: dispatches onto a scheduler's ``schedule_apply``.
-
-    The default transport — with an :class:`~repro.sim.engine.Engine`
-    clock this is byte-for-byte the scheduling path the network always
-    used (one applied array-batch entry per latency class, per-delivery
-    event accounting).
-    """
-
-    def __init__(self, scheduler):
-        apply = getattr(scheduler, "schedule_apply", None)
-        if not callable(apply):
-            raise SchedulingError(
-                f"{type(scheduler).__name__} has no schedule_apply; "
-                "EngineTransport needs an Engine-style scheduler "
-                "(use QueueTransport for plain clocks)"
-            )
-        self._scheduler = scheduler
-        self._apply = apply
-
-    @property
-    def scheduler(self):
-        """The scheduler deliveries land on."""
-        return self._scheduler
-
-    def dispatch(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        args: tuple,
-        *,
-        count: int = 1,
-    ):
-        return self._apply(delay, fn, args, count=count)
-
-    def __repr__(self) -> str:
-        return f"EngineTransport({type(self._scheduler).__name__})"
-
-
-class QueuedDelivery:
-    """Handle to one queued delivery (satisfies the clock Handle protocol)."""
-
-    __slots__ = ("due", "_fn", "_args", "_count", "_cancelled", "_fired")
-
-    def __init__(self, due: float, fn, args: tuple, count: int):
-        if due != due:  # NaN due time would corrupt heap ordering
-            raise SchedulingError("delivery due time must not be NaN")
-        self.due = due
-        self._fn = fn
-        self._args = args
-        self._count = count
-        self._cancelled = False
-        self._fired = False
-
-    def cancel(self) -> None:
-        """Drop the delivery (no-op once executed); releases the callback."""
-        if self._cancelled or self._fired:
-            return
-        self._cancelled = True
-        self._fn = None
-        self._args = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        return not self._cancelled and not self._fired
 
 
 class QueueTransport:
@@ -149,29 +74,22 @@ class QueueTransport:
         on_enqueue: Callable[[], None] | None = None,
     ):
         self._clock = clock
-        self._heap: list[tuple[float, int, QueuedDelivery]] = []
-        self._seq = itertools.count()
+        self._queue = CallQueue()
         self._on_enqueue = on_enqueue
         #: logical deliveries enqueued / executed so far (per-destination,
-        #: mirroring Engine.pending/processed accounting)
+        #: mirroring Engine.pending/processed accounting); without
+        #: cancellations ``dispatched == executed + pending`` at all times
         self.dispatched = 0
         self.executed = 0
 
     @property
     def pending(self) -> int:
         """Logical deliveries still queued (cancelled ones excluded)."""
-        return sum(
-            entry._count
-            for _, _, entry in self._heap
-            if not entry._cancelled
-        )
+        return self._queue.pending
 
     def next_due(self) -> float | None:
         """Due time of the earliest live entry, or None when idle."""
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        return self._queue.peek_time()
 
     def dispatch(
         self,
@@ -180,40 +98,31 @@ class QueueTransport:
         args: tuple,
         *,
         count: int = 1,
-    ) -> QueuedDelivery:
-        if delay != delay:  # NaN would corrupt the heap invariant
-            raise SchedulingError("delivery delay must not be NaN")
+    ) -> EventHandle:
         if delay < 0:
             raise SchedulingError(f"cannot deliver in the past (delay={delay})")
-        entry = QueuedDelivery(self._clock.now + delay, fn, tuple(args), count)
-        heapq.heappush(self._heap, (entry.due, next(self._seq), entry))
+        handle = self._queue.push(self._clock.now + delay, fn, args, count)
         self.dispatched += count
         if self._on_enqueue is not None:
             self._on_enqueue()
-        return entry
+        return handle
 
     def pump(self, now: float | None = None) -> int:
         """Execute every delivery due at or before ``now`` (default: the
         clock's current time, re-read as the cascade enqueues more work).
         Returns the number of logical deliveries executed."""
-        heap = self._heap
-        executed = 0
-        follow_clock = now is None
-        horizon = self._clock.now if follow_clock else now
-        while heap and heap[0][0] <= horizon:
-            _, _, entry = heapq.heappop(heap)
-            if entry._cancelled:
-                continue
-            entry._fired = True
-            fn, args = entry._fn, entry._args
-            entry._fn = None  # a fired closure is garbage too
-            entry._args = None
-            executed += entry._count
+        pop_due = self._queue.pop_due
+        clock = self._clock
+        start = self.executed
+        while True:
+            handle = pop_due(clock.now if now is None else now)
+            if handle is None:
+                return self.executed - start
+            # Counted before the call, so a raising delivery stays counted.
+            self.executed += handle._count
+            fn, args = handle._fn, handle._args
+            handle._fn = handle._args = None  # a fired call is garbage too
             fn(*args)
-            if follow_clock:
-                horizon = self._clock.now
-        self.executed += executed
-        return executed
 
     def __repr__(self) -> str:
         return (

@@ -11,8 +11,9 @@ the delivery :class:`~repro.net.transport.Transport` — and exposes:
 * ``await publish(topic, payload)`` — publishes from a uniformly chosen
   group member and waits for the dissemination cascade to drain;
 * ``status()`` — per-topic delivery counts (via the streaming tracker),
-  :class:`~repro.net.stats.NetworkStats`, queue depth and scheduler lag
-  (the wall-clock analogue of engine-vs-wall drift);
+  :class:`~repro.net.stats.NetworkStats`, queue depth, subscriber
+  callback failures and scheduler lag (the wall-clock analogue of
+  engine-vs-wall drift);
 * ``trace()`` — a JSON-serializable record of the run that
   :func:`repro.service.replay.replay_live_trace` re-executes on the
   deterministic engine, reproducing the same per-topic delivery sets.
@@ -92,6 +93,7 @@ class LiveRuntime:
         self._pump_task: asyncio.Task | None = None
         self._max_lag = 0.0
         self._last_lag = 0.0
+        self._subscriber_errors = 0
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -134,6 +136,9 @@ class LiveRuntime:
         self._pump_task = asyncio.create_task(
             self._pump_loop(), name="repro-live-pump"
         )
+        # A delivery that raises ends the pump task; wake whoever waits in
+        # drain() so it re-raises instead of waiting for ever.
+        self._pump_task.add_done_callback(lambda _task: self._idle.set())
 
     async def stop(self) -> None:
         """Stop the pump task and every process's periodic work."""
@@ -189,8 +194,15 @@ class LiveRuntime:
         return event
 
     async def drain(self) -> None:
-        """Wait until the delivery queue is empty (cascade finished)."""
+        """Wait until the delivery queue is empty (cascade finished).
+
+        If a delivery raised, the pump task died with it and nothing will
+        empty the queue: that exception is re-raised here instead.
+        """
         while self.transport.next_due() is not None:
+            task = self._pump_task
+            if task is not None and task.done():
+                task.result()
             self._idle.clear()
             self._wake.set()
             await self._idle.wait()
@@ -207,7 +219,12 @@ class LiveRuntime:
         callbacks = self._subscribers.get(process.topic)
         if callbacks:
             for callback in list(callbacks):
-                callback(event, process.pid)
+                try:
+                    callback(event, process.pid)
+                except Exception:
+                    # A subscriber's failure is its own: the delivery
+                    # happened, and the cascade behind it must go on.
+                    self._subscriber_errors += 1
 
     async def _pump_loop(self) -> None:
         transport = self.transport
@@ -256,6 +273,8 @@ class LiveRuntime:
                 "dispatched": self.transport.dispatched,
                 "executed": self.transport.executed,
             },
+            #: subscriber callbacks that raised (the delivery still counts)
+            "subscriber_errors": self._subscriber_errors,
             "network": self.harness.stats.as_dict(),
             #: how late deliveries ran relative to their due time — the
             #: wall-clock analogue of engine-vs-wall drift

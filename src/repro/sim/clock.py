@@ -16,8 +16,8 @@ contract:
   (KEEP_TABLE_UPDATED, FIND_SUPER_CONTACT), written against :class:`Clock`
   only, so one implementation drives both oracles.
 
-Code that needs engine-only capabilities (``run``, ``schedule_batch``,
-event accounting) keeps importing :class:`~repro.sim.engine.Engine`;
+Code that needs engine-only capabilities (``run``, ``dispatch``, event
+accounting) keeps importing :class:`~repro.sim.engine.Engine`;
 everything that merely *tells time* takes a :class:`Clock`.
 """
 

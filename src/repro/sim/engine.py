@@ -1,31 +1,28 @@
-"""Event-driven simulation engine.
+"""Event-driven simulation engine and the call queue under it.
 
-A minimal, fast discrete-event scheduler: callbacks are executed in
-timestamp order, ties broken by scheduling order (FIFO), which keeps runs
+A minimal, fast discrete-event scheduler: calls are executed in timestamp
+order, ties broken by scheduling order (FIFO), which keeps runs
 deterministic. Periodic protocol tasks (the paper's KEEP_TABLE_UPDATED and
 FIND_SUPER_CONTACT timers) are built on top via :class:`PeriodicTask`.
 
 Time is a unitless float; the paper's synchronous gossip rounds map to
 events at integer times with zero-latency message delivery in between.
 
-Two fast paths keep large fan-outs cheap:
+That ``(time, scheduling order)`` rule is implemented once, in
+:class:`CallQueue`: a heap of :class:`EventHandle` entries with lazy
+discard of cancelled heads and an exact live-event count. Every queued call
+has one shape — ``fn(*args)`` standing for ``count`` logical events — so a
+fan-out folded into a single array-batch entry is indistinguishable,
+counter-wise, from one entry per destination. :class:`Engine` (virtual
+time) is a :class:`CallQueue`; the live runtime's
+:class:`repro.net.transport.QueueTransport` (wall clock) owns one.
 
-* **Zero-latency FIFO bucket** — an event scheduled at exactly the current
-  time goes into a plain deque instead of the heap. Because simulation time
-  only advances once every same-time event has run, the bucket drains
-  before any later heap entry fires, so FIFO tie-breaking is preserved
-  while the dominant zero-latency case (the paper's synchronous rounds)
-  skips the ``O(log n)`` heap entirely.
-* **Batched events** — :meth:`Engine.schedule_batch` stores many callbacks
-  behind a single queue entry, so N same-timestamp events cost one
-  scheduling operation instead of N while keeping per-event accounting.
-* **Applied calls** — :meth:`Engine.schedule_apply` stores a bare
-  ``(fn, args)`` pair on the queue entry instead of a closure.  One entry
-  can stand for ``count`` logical events (the network's vectorized
-  delivery batches): :attr:`Engine.pending` and :attr:`Engine.processed`
-  account for all of them, so a fan-out folded into a single array-batch
-  entry is indistinguishable, counter-wise, from the historical
-  one-closure-per-destination loop.
+The engine adds one fast path, the **zero-latency FIFO bucket**: a call
+scheduled at exactly the current time goes into a plain deque instead of
+the heap. Because simulation time only advances once every same-time call
+has run, the bucket drains before any later heap entry fires, so FIFO
+tie-breaking is preserved while the dominant zero-latency case (the paper's
+synchronous rounds) skips the ``O(log n)`` heap entirely.
 """
 
 from __future__ import annotations
@@ -33,88 +30,138 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Iterable
+from math import inf
+from typing import Any, Callable
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import Clock, Handle, PeriodicTask
 
-__all__ = ["Clock", "Engine", "EventHandle", "Handle", "PeriodicTask"]
+__all__ = ["CallQueue", "Clock", "Engine", "EventHandle", "Handle", "PeriodicTask"]
 
 
 class EventHandle:
-    """Handle to a scheduled callback (or callback batch), allowing
-    cancellation.
+    """Handle to one queued call ``fn(*args)``, allowing cancellation.
 
-    The callback reference lives on the handle, not in the queue entry, so
-    :meth:`cancel` can release the closure (and everything it captures)
-    immediately instead of pinning it until the queue entry is popped.
+    Creating a handle registers its ``count`` logical events with ``queue``
+    (sequence number, live count); the call lives on the handle, not in the
+    queue entry, so :meth:`cancel` can release it (and everything it
+    captures) immediately instead of pinning it until the entry is popped.
     """
 
-    __slots__ = (
-        "time", "_seq", "_count", "_cancelled", "_fired", "_callback",
-        "_args", "_engine",
-    )
+    __slots__ = ("time", "_seq", "_count", "_fn", "_args", "_queue", "_cancelled")
 
     def __init__(
         self,
+        queue: "CallQueue",
         time: float,
-        seq: int,
-        callback: Any,
-        engine: "Engine | None" = None,
-        count: int = 1,
-        args: tuple | None = None,
+        fn: Callable[..., Any],
+        args: tuple,
+        count: int,
     ):
-        if time != time:  # NaN passes `time < now` and corrupts the heap
+        if time != time:  # NaN passes every ordered check and corrupts the heap
             raise SchedulingError("event time must not be NaN")
+        if count < 1:
+            raise SchedulingError(f"count must be >= 1, got {count}")
         self.time = time
-        self._seq = seq
+        self._seq = next(queue._sequence)
         self._count = count
-        self._callback = callback
+        self._fn = fn  # None once fired or cancelled
         self._args = args
-        self._engine = engine
+        self._queue = queue
         self._cancelled = False
-        self._fired = False
+        queue._live += count
 
     def cancel(self) -> None:
-        """Prevent the callback(s) from running (no-op if already fired).
+        """Prevent the call from running (no-op if already fired).
 
-        Cancelling releases the callback reference immediately and
-        decrements the engine's live-event count; the dead queue entry is
-        discarded lazily when it reaches the front.
+        Cancelling releases the call immediately and decrements the queue's
+        live-event count; the dead queue entry is discarded lazily when it
+        reaches the front.
         """
-        if self._cancelled or self._fired:
+        if self._fn is None:
             return
         self._cancelled = True
-        self._callback = None  # release the closure(s) right away
-        self._args = None
-        engine = self._engine
-        if engine is not None:
-            engine._live -= self._count
-            self._engine = None
+        self._fn = self._args = None
+        self._queue._live -= self._count
 
     @property
     def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called before the event fired."""
+        """Whether :meth:`cancel` was called before the call fired."""
         return self._cancelled
 
     @property
     def fired(self) -> bool:
-        """Whether the callback has already been executed."""
-        return self._fired
+        """Whether the call has already been executed."""
+        return self._fn is None and not self._cancelled
 
     @property
     def pending(self) -> bool:
-        """Whether the event is still waiting to fire."""
-        return not self._cancelled and not self._fired
+        """Whether the call is still waiting to fire."""
+        return self._fn is not None
 
 
-class Engine:
+class CallQueue:
+    """Calls ordered by ``(time, push order)``, cancellable in O(1).
+
+    The queue orders and counts; running a popped call — take ``_fn`` and
+    ``_args`` off the handle, then ``fn(*args)`` — is up to the owner, which
+    also keeps its own executed total.
+    """
+
+    def __init__(self) -> None:
+        #: (time, seq, handle) — the call itself lives on the handle
+        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._sequence = itertools.count()
+        self._live = 0
+
+    @property
+    def pending(self) -> int:
+        """Number of logical events still queued.
+
+        Exact: a cancelled call is subtracted the moment it is cancelled,
+        and a call standing for ``count`` events counts ``count`` times.
+        """
+        return self._live
+
+    def push(
+        self, time: float, fn: Callable[..., Any], args: tuple = (), count: int = 1
+    ) -> EventHandle:
+        """Queue ``fn(*args)`` at ``time``, standing for ``count`` events."""
+        handle = EventHandle(self, time, fn, args, count)
+        heapq.heappush(self._heap, (time, handle._seq, handle))
+        return handle
+
+    def peek_time(self) -> float | None:
+        """Time of the earliest live call, or None when there is none."""
+        heap = self._heap
+        while heap:
+            if not heap[0][2]._cancelled:
+                return heap[0][0]
+            heapq.heappop(heap)
+        return None
+
+    def pop_due(self, horizon: float) -> EventHandle | None:
+        """Remove and return the earliest live call if its time is at or
+        before ``horizon`` (its events leave :attr:`pending`), else None."""
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            handle = heapq.heappop(heap)[2]
+            if not handle._cancelled:
+                self._live -= handle._count
+                return handle
+        return None
+
+
+class Engine(CallQueue):
     """Deterministic discrete-event scheduler — the virtual-time oracle.
 
-    Implements the :class:`repro.sim.clock.Clock` protocol (plus the
-    engine-only batch/apply scheduling and event accounting below), so the
-    protocol core written against :class:`Clock` runs here deterministically
-    and on the live wall-clock runtime unchanged.
+    Implements the :class:`repro.sim.clock.Clock` protocol and, through
+    :meth:`dispatch`, the network's delivery
+    :class:`~repro.net.transport.Transport`, so the protocol core written
+    against :class:`Clock` runs here deterministically and on the live
+    wall-clock runtime unchanged. It is a :class:`CallQueue` whose
+    :meth:`push` knows the current time; :meth:`step` and :meth:`run` pop
+    (``peek_time`` and ``pop_due`` see the heap only, not the bucket).
 
     >>> engine = Engine()
     >>> seen = []
@@ -127,15 +174,12 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        #: future events: (time, seq, handle) — the callback lives on the handle
-        self._queue: list[tuple[float, int, EventHandle]] = []
-        #: events at exactly the current time, FIFO (seq still assigned so
-        #: ordering against same-time heap entries stays exact)
+        super().__init__()
+        #: calls at exactly the current time, FIFO (they still take a
+        #: sequence number, and count in ``pending``, like heap entries)
         self._bucket: deque[EventHandle] = deque()
-        self._sequence = itertools.count()
         self._now = 0.0
         self._processed = 0
-        self._live = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -147,83 +191,29 @@ class Engine:
         return self._now
 
     @property
-    def pending(self) -> int:
-        """Number of callbacks still scheduled to run.
-
-        Exact: cancelled events are subtracted the moment they are
-        cancelled, and each callback of a batch counts individually.
-        """
-        return self._live
-
-    @property
     def processed(self) -> int:
-        """Number of callbacks executed so far."""
+        """Number of logical events executed so far."""
         return self._processed
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
-        """Run ``callback`` after ``delay`` time units (``delay >= 0``)."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
-
-    def schedule_at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
-        """Run ``callback`` at absolute ``time`` (``time >= now``)."""
+    def push(
+        self, time: float, fn: Callable[..., Any], args: tuple = (), count: int = 1
+    ) -> EventHandle:
+        """Queue ``fn(*args)`` at absolute ``time`` (``time >= now``); a
+        call at exactly the current time joins the FIFO bucket."""
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        handle = EventHandle(time, next(self._sequence), callback, self)
-        self._live += 1
-        if time == self._now:
-            self._bucket.append(handle)
-        else:
-            heapq.heappush(self._queue, (time, handle._seq, handle))
+        if time != self._now:
+            return CallQueue.push(self, time, fn, args, count)
+        handle = EventHandle(self, time, fn, args, count)
+        self._bucket.append(handle)
         return handle
 
-    def schedule_batch(
-        self, delay: float, callbacks: Iterable[Callable[[], Any]]
-    ) -> EventHandle:
-        """Run every callback of ``callbacks`` after ``delay``, in order,
-        behind a *single* queue entry.
-
-        The batch fires atomically at one timestamp: its callbacks run
-        FIFO, back to back, exactly where one event with the batch's
-        scheduling order would have run. Cancelling the returned handle
-        cancels the whole batch (individual members cannot be cancelled).
-        Each callback counts separately in :attr:`pending` and
-        :attr:`processed`: N same-timestamp events cost one heap/bucket
-        entry without losing per-event accounting (used by
-        :func:`repro.workloads.publications.replay_on` for zero-spacing
-        bursts; the network's multicast goes further and folds a whole
-        fan-out into a single vectorized callback).
-        """
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_batch_at(self._now + delay, callbacks)
-
-    def schedule_batch_at(
-        self, time: float, callbacks: Iterable[Callable[[], Any]]
-    ) -> EventHandle:
-        """Absolute-time variant of :meth:`schedule_batch` (``time >= now``)."""
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
-        batch = tuple(callbacks)
-        if not batch:
-            raise SchedulingError("schedule_batch needs at least one callback")
-        handle = EventHandle(time, next(self._sequence), batch, self, count=len(batch))
-        self._live += len(batch)
-        if time == self._now:
-            self._bucket.append(handle)
-        else:
-            heapq.heappush(self._queue, (time, handle._seq, handle))
-        return handle
-
-    def schedule_apply(
+    def dispatch(
         self,
         delay: float,
         fn: Callable[..., Any],
@@ -231,44 +221,26 @@ class Engine:
         *,
         count: int = 1,
     ) -> EventHandle:
-        """Run ``fn(*args)`` after ``delay``, storing the bare ``(fn, args)``
-        pair on the queue entry instead of a closure.
+        """Run ``fn(*args)`` after ``delay`` time units (``delay >= 0``).
 
         ``count`` is the number of logical events the single call stands
         for: the network's vectorized delivery batches pass the whole
         fan-out as one ``fn(sender, targets, message)`` call with
         ``count=len(targets)``, and :attr:`pending` / :attr:`processed`
-        account for every one of them. Cancelling the handle cancels the
-        whole batch.
+        account for every one of them. Cancelling the handle cancels them
+        all.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_apply_at(self._now + delay, fn, args, count=count)
+        return self.push(self._now + delay, fn, args, count)
 
-    def schedule_apply_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        *,
-        count: int = 1,
-    ) -> EventHandle:
-        """Absolute-time variant of :meth:`schedule_apply` (``time >= now``)."""
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
-        if count < 1:
-            raise SchedulingError(f"count must be >= 1, got {count}")
-        handle = EventHandle(
-            time, next(self._sequence), fn, self, count=count, args=tuple(args)
-        )
-        self._live += count
-        if time == self._now:
-            self._bucket.append(handle)
-        else:
-            heapq.heappush(self._queue, (time, handle._seq, handle))
-        return handle
+    def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
+        """Run ``callback`` after ``delay`` time units (``delay >= 0``)."""
+        return self.dispatch(delay, callback)
+
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
+        """Run ``callback`` at absolute ``time`` (``time >= now``)."""
+        return self.push(time, callback)
 
     def every(
         self,
@@ -290,71 +262,30 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pop_next(self) -> EventHandle | None:
-        """Remove and return the next live handle (discarding cancelled
-        entries), or None when nothing is left."""
-        bucket = self._bucket
-        queue = self._queue
-        while bucket and bucket[0]._cancelled:
-            bucket.popleft()
-        while queue and queue[0][2]._cancelled:
-            heapq.heappop(queue)
-        if bucket:
-            # Bucket entries sit at the current time; a heap entry can only
-            # precede them if it shares that time with a smaller sequence.
-            if queue:
-                time, seq, handle = queue[0]
-                head = bucket[0]
-                if time < head.time or (time == head.time and seq < head._seq):
-                    heapq.heappop(queue)
-                    return handle
-            return bucket.popleft()
-        if queue:
-            return heapq.heappop(queue)[2]
-        return None
-
-    def _peek_time(self) -> float | None:
-        """Timestamp of the next live event, or None when idle."""
-        bucket = self._bucket
-        queue = self._queue
-        while bucket and bucket[0]._cancelled:
-            bucket.popleft()
-        while queue and queue[0][2]._cancelled:
-            heapq.heappop(queue)
-        if bucket:
-            head_time = bucket[0].time
-            if queue and queue[0][0] < head_time:
-                return queue[0][0]
-            return head_time
-        if queue:
-            return queue[0][0]
-        return None
-
     def step(self) -> bool:
-        """Execute the single next event (a whole batch counts as one
-        step but ``len(batch)`` processed callbacks). Returns False when
-        the queue is empty."""
-        handle = self._pop_next()
+        """Execute the single next call (one step, ``count`` processed
+        events). Returns False when nothing is queued."""
+        return self._step(inf)
+
+    def _step(self, until: float) -> bool:
+        """Execute the next call if its time is at or before ``until``."""
+        bucket = self._bucket
+        while bucket and bucket[0]._cancelled:
+            bucket.popleft()
+        # Bucket calls sit at the current time. A heap call at that time was
+        # pushed before time got there, so it runs first; a later one waits.
+        horizon = bucket[0].time if bucket and bucket[0].time < until else until
+        handle = self.pop_due(horizon) if self._heap else None
         if handle is None:
-            return False
+            if not bucket or bucket[0].time > until:
+                return False
+            handle = bucket.popleft()
+            self._live -= handle._count
         self._now = handle.time
-        handle._fired = True
-        handle._engine = None
-        self._live -= handle._count
-        callback = handle._callback
-        args = handle._args
-        handle._callback = None  # a fired closure is garbage too
-        handle._args = None
-        if type(callback) is tuple:
-            for member in callback:
-                self._processed += 1
-                member()
-        elif args is not None:
-            self._processed += handle._count
-            callback(*args)
-        else:
-            self._processed += 1
-            callback()
+        self._processed += handle._count
+        fn, args = handle._fn, handle._args
+        handle._fn = handle._args = None  # a fired call is garbage too
+        fn(*args)
         return True
 
     def run(
@@ -365,22 +296,21 @@ class Engine:
         """Drain the event queue.
 
         Stops when the queue is empty, when simulation time would exceed
-        ``until``, or after ``max_events`` callbacks — whichever happens
-        first. Returns the number of callbacks executed by this call.
+        ``until``, or after ``max_events`` events — whichever happens
+        first. Returns the number of events executed by this call.
         ``max_events`` guards against accidental live-lock from
         self-rescheduling tasks: exceeding it with events still pending and
-        no ``until`` horizon raises :class:`SimulationError`. (A batch runs
-        atomically, so a stop boundary can overshoot by at most one batch.)
+        no ``until`` horizon raises :class:`SimulationError`. (A call runs
+        atomically, so a stop boundary can overshoot by at most one call's
+        ``count``.)
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
         start = self._processed
+        horizon = inf if until is None else until
         try:
-            while True:
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
+            while self._live:
                 if (
                     max_events is not None
                     and self._processed - start >= max_events
@@ -391,13 +321,12 @@ class Engine:
                             f"{self.pending} events still pending"
                         )
                     break
-                if until is not None and next_time > until:
+                if not self._step(horizon):
                     self._now = until
                     break
-                self.step()
         finally:
             self._running = False
-        if until is not None and self._peek_time() is None and self._now < until:
+        if until is not None and not self._live and self._now < until:
             self._now = until
         return self._processed - start
 

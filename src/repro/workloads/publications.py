@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.errors import ConfigError
@@ -81,14 +80,8 @@ def replay_on(
             system.publish(topic, publisher=chosen)
         )
 
-    # Consecutive same-time publications (e.g. a zero-spacing burst) share
-    # one engine entry instead of one closure-per-event in the heap.
-    for time, group in groupby(publications, key=lambda p: p.time):
-        thunks = [_publisher(p.topic) for p in group]
-        if len(thunks) == 1:
-            system.engine.schedule_at(time, thunks[0])
-        else:
-            system.engine.schedule_batch_at(time, thunks)
+    for publication in publications:
+        system.engine.schedule_at(publication.time, _publisher(publication.topic))
     return published
 
 

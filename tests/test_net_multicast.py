@@ -131,11 +131,12 @@ class TestMulticastBasics:
     def test_single_engine_entry_for_zero_latency_fanout(self):
         engine, net, _ = make_net()
         net.multicast(0, [1, 2, 3, 4, 5], Ping(sender=0, nonce=1))
-        # One applied array-batch entry standing for five logical events:
-        # per-destination accounting, single queue entry.
+        # One array-batch call standing for five logical events:
+        # per-destination accounting, a single step.
         assert engine.pending == 5
-        assert len(engine._bucket) + len(engine._queue) == 1
-        assert engine.run() == 5
+        assert engine.step() is True
+        assert engine.processed == 5 and engine.pending == 0
+        assert engine.step() is False
         assert net.stats.delivered_by_kind["ping"] == 5
 
     def test_latency_delays_the_whole_batch(self):

@@ -1,30 +1,34 @@
-"""The transport seam: EngineTransport vs QueueTransport equivalence.
+"""The transport seam: ``Engine`` and ``QueueTransport`` behind one contract.
 
-The refactor's contract: the network's sender-side pipeline (and hence
-every RNG draw) is transport-independent, and the two transports execute
-the surviving deliveries in the same order — heap ``(time, seq)`` on the
-engine, ``(due, enqueue order)`` in the queue. The equivalence tests
-drive identical workloads through both and require bit-identical results
-including the network RNG's final state.
+The network's sender-side pipeline (and hence every RNG draw) is
+transport-independent, and the two transports execute the surviving
+deliveries in the same order — both keep them in a
+:class:`~repro.sim.engine.CallQueue`, ``(time, seq)`` on the engine,
+``(due, enqueue order)`` in the queue. ``TestTransportContract`` runs one
+set of expectations over both; the equivalence tests drive identical
+workloads through both and require bit-identical results including the
+network RNG's final state.
 """
 
+import gc
 import random
+import weakref
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.errors import SchedulingError
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import (
+    ConstantLatency,
+    UniformLatency,
+    ZERO_LATENCY,
+)
 from repro.net.message import Message, Ping
 from repro.net.network import Network
-from repro.net.transport import (
-    EngineTransport,
-    QueueTransport,
-    QueuedDelivery,
-    Transport,
-)
-from repro.sim.engine import Engine
+from repro.net.transport import QueueTransport, Transport
+from repro.sim.clock import Handle
+from repro.sim.engine import Engine, EventHandle
 
 
 class Recorder:
@@ -43,108 +47,198 @@ class TickClock:
         self.now = 0.0
 
 
-class TestEngineTransport:
-    def test_default_transport_is_engine_transport(self):
+class EngineDriver:
+    """An engine as its own transport, run to idle."""
+
+    def __init__(self):
+        self.transport = self._engine = Engine()
+
+    def drain(self) -> int:
+        return self._engine.run_until_idle()
+
+    @property
+    def pending(self) -> int:
+        return self._engine.pending
+
+    @property
+    def executed(self) -> int:
+        return self._engine.processed
+
+
+class QueueDriver:
+    """A QueueTransport over a tick clock, pumped to exhaustion."""
+
+    def __init__(self):
+        self.transport = QueueTransport(TickClock())
+
+    def drain(self) -> int:
+        executed = 0
+        while (due := self.transport.next_due()) is not None:
+            executed += self.transport.pump(due)
+        return executed
+
+    @property
+    def pending(self) -> int:
+        return self.transport.pending
+
+    @property
+    def executed(self) -> int:
+        return self.transport.executed
+
+
+@pytest.fixture(params=[EngineDriver, QueueDriver], ids=["engine", "queue"])
+def driver(request):
+    return request.param()
+
+
+class TestTransportContract:
+    def test_is_a_transport_returning_the_one_handle_class(self, driver):
+        assert isinstance(driver.transport, Transport)
+        handle = driver.transport.dispatch(0.0, lambda: None, ())
+        assert type(handle) is EventHandle
+        assert isinstance(handle, Handle)
+        assert handle.pending and not handle.fired and not handle.cancelled
+        driver.drain()
+        assert handle.fired and not handle.pending and not handle.cancelled
+
+    def test_fifo_at_equal_time(self, driver):
+        seen = []
+        for label in (1, 2, 3):
+            driver.transport.dispatch(1.0, seen.append, (label,))
+        assert driver.pending == 3
+        assert driver.drain() == 3
+        assert seen == [1, 2, 3]
+        assert driver.pending == 0
+        assert driver.executed == 3
+
+    def test_due_order_over_enqueue_order(self, driver):
+        seen = []
+        driver.transport.dispatch(2.0, seen.append, ("late",))
+        driver.transport.dispatch(1.0, seen.append, ("early",))
+        driver.transport.dispatch(2.0, seen.append, ("later",))
+        driver.drain()
+        assert seen == ["early", "late", "later"]
+
+    def test_cascade_joins_the_same_drain(self, driver):
+        seen = []
+
+        def first():
+            seen.append("first")
+            driver.transport.dispatch(0.0, seen.append, ("cascade",))
+
+        driver.transport.dispatch(0.0, first, ())
+        driver.transport.dispatch(0.0, seen.append, ("second",))
+        assert driver.drain() == 3
+        assert seen == ["first", "second", "cascade"]
+
+    def test_cancel(self, driver):
+        class Payload:
+            pass
+
+        payload = Payload()
+        ref = weakref.ref(payload)
+        seen = []
+        doomed = driver.transport.dispatch(1.0, seen.append, (payload,), count=4)
+        driver.transport.dispatch(1.0, seen.append, ("kept",))
+        del payload
+        assert driver.pending == 5
+        doomed.cancel()
+        assert doomed.cancelled and not doomed.pending and not doomed.fired
+        assert driver.pending == 1
+        gc.collect()
+        assert ref() is None  # released at once, not when the entry is popped
+        doomed.cancel()  # idempotent
+        assert driver.pending == 1
+        assert driver.drain() == 1
+        assert seen == ["kept"]
+        doomed.cancel()  # and still a no-op after the drain
+        assert driver.pending == 0
+
+    def test_cancel_after_fire_is_a_noop(self, driver):
+        handle = driver.transport.dispatch(0.0, lambda: None, (), count=2)
+        driver.drain()
+        handle.cancel()
+        assert handle.fired and not handle.cancelled
+        assert driver.pending == 0
+
+    def test_count_accounting(self, driver):
+        calls = []
+        driver.transport.dispatch(0.0, lambda a, b: calls.append((a, b)), (1, 2), count=5)
+        assert driver.pending == 5
+        assert driver.drain() == 5
+        assert calls == [(1, 2)]  # one physical call, five logical deliveries
+        assert driver.executed == 5
+        assert driver.pending == 0
+
+    @pytest.mark.parametrize(
+        "delay, count", [(float("nan"), 1), (-1.0, 1), (0.0, 0), (1.0, -3)]
+    )
+    def test_bad_dispatch_rejected_and_not_counted(self, driver, delay, count):
+        with pytest.raises(SchedulingError):
+            driver.transport.dispatch(delay, lambda: None, (), count=count)
+        assert driver.pending == 0
+        assert driver.drain() == 0
+
+    def test_accounting_survives_a_raising_delivery(self, driver):
+        """Everything dispatched is executed or pending — also after a
+        delivery raised half-way through a drain."""
+        seen = []
+
+        def boom():
+            raise RuntimeError("delivery failed")
+
+        driver.transport.dispatch(0.0, seen.append, ("a",), count=2)
+        driver.transport.dispatch(0.0, boom, (), count=3)
+        driver.transport.dispatch(0.0, seen.append, ("b",), count=4)
+        with pytest.raises(RuntimeError):
+            driver.drain()
+        assert seen == ["a"]
+        assert (driver.executed, driver.pending) == (5, 4)
+        assert driver.drain() == 4
+        assert seen == ["a", "b"]
+        assert (driver.executed, driver.pending) == (9, 0)
+
+
+class TestDefaultTransport:
+    def test_default_transport_is_the_clock(self):
         engine = Engine()
         net = Network(engine, random.Random(0))
-        assert isinstance(net.transport, EngineTransport)
-        assert net.transport.scheduler is engine
-        assert isinstance(net.transport, Transport)
-
-    def test_rejects_plain_clocks(self):
-        with pytest.raises(SchedulingError):
-            EngineTransport(TickClock())
-
-    def test_dispatch_lands_on_engine(self):
-        engine = Engine()
-        transport = EngineTransport(engine)
-        seen = []
-        transport.dispatch(1.5, seen.append, ("x",))
+        assert net.transport is engine
+        net.register(Recorder(0))
+        net.register(Recorder(1))
+        net.send(0, 1, Ping(sender=0, nonce=1))
         assert engine.pending == 1
-        engine.run_until_idle()
-        assert seen == ["x"]
+
+    def test_plain_clock_rejected(self):
+        with pytest.raises(SchedulingError, match="QueueTransport"):
+            Network(TickClock(), random.Random(0))
 
 
 class TestQueueTransport:
-    def test_dispatch_and_pump_fifo(self):
-        clock = TickClock()
-        transport = QueueTransport(clock)
-        seen = []
-        transport.dispatch(0.0, seen.append, (1,))
-        transport.dispatch(0.0, seen.append, (2,))
-        transport.dispatch(0.0, seen.append, (3,))
-        assert transport.pending == 3
-        assert transport.next_due() == 0.0
-        assert transport.pump() == 3
-        assert seen == [1, 2, 3]
-        assert transport.pending == 0
-        assert transport.next_due() is None
-        assert transport.executed == 3
-
-    def test_due_ordering_over_enqueue_ordering(self):
-        clock = TickClock()
-        transport = QueueTransport(clock)
-        seen = []
-        transport.dispatch(2.0, seen.append, ("late",))
-        transport.dispatch(1.0, seen.append, ("early",))
-        clock.now = 5.0
-        transport.pump()
-        assert seen == ["early", "late"]
-
-    def test_pump_horizon_leaves_future_entries(self):
+    def test_pump_follows_the_clock(self):
         clock = TickClock()
         transport = QueueTransport(clock)
         seen = []
         transport.dispatch(0.0, seen.append, ("now",))
         transport.dispatch(3.0, seen.append, ("later",))
+        assert transport.next_due() == 0.0
         assert transport.pump() == 1
         assert seen == ["now"]
         assert transport.pending == 1
         assert transport.next_due() == 3.0
-
-    def test_cascade_joins_same_pump(self):
-        clock = TickClock()
-        transport = QueueTransport(clock)
-        seen = []
-
-        def first():
-            seen.append("first")
-            transport.dispatch(0.0, lambda: seen.append("cascade"), ())
-
-        transport.dispatch(0.0, first, ())
-        assert transport.pump() == 2
-        assert seen == ["first", "cascade"]
-
-    def test_cancel_drops_delivery(self):
-        clock = TickClock()
-        transport = QueueTransport(clock)
-        seen = []
-        handle = transport.dispatch(0.0, seen.append, (1,))
-        assert isinstance(handle, QueuedDelivery)
-        assert handle.pending
-        handle.cancel()
-        assert handle.cancelled and not handle.pending
-        assert transport.pending == 0
+        clock.now = 5.0
+        assert transport.pump() == 1
+        assert seen == ["now", "later"]
         assert transport.next_due() is None
-        assert transport.pump() == 0
-        assert seen == []
-        handle.cancel()  # idempotent
 
-    def test_count_accounting(self):
-        clock = TickClock()
-        transport = QueueTransport(clock)
-        transport.dispatch(0.0, lambda a, b: None, (1, 2), count=5)
-        assert transport.dispatched == 5
+    def test_dispatched_counts_every_enqueue(self):
+        transport = QueueTransport(TickClock())
+        transport.dispatch(0.0, lambda: None, (), count=5)
+        transport.dispatch(1.0, lambda: None, ()).cancel()
+        assert transport.dispatched == 6
         assert transport.pending == 5
         assert transport.pump() == 5
         assert transport.executed == 5
-
-    def test_nan_and_negative_delay_rejected(self):
-        transport = QueueTransport(TickClock())
-        with pytest.raises(SchedulingError):
-            transport.dispatch(float("nan"), lambda: None, ())
-        with pytest.raises(SchedulingError):
-            transport.dispatch(-1.0, lambda: None, ())
 
     def test_on_enqueue_fires_per_dispatch(self):
         woken = []
@@ -163,11 +257,44 @@ class TestQueueTransport:
         assert seen == ["a"]
 
 
-def _run_workload(transport_factory, *, seed, p_success, latency, sends):
-    """Drive one deterministic workload and snapshot everything observable."""
+class RecordingTransport:
+    """Passes dispatches through, keeping the handles for cancellation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.handles = []
+
+    def dispatch(self, delay, fn, args, *, count=1):
+        handle = self.inner.dispatch(delay, fn, args, count=count)
+        self.handles.append(handle)
+        return handle
+
+
+def engine_transport(engine):
+    return engine
+
+
+def _run_workload(
+    transport_factory,
+    *,
+    seed,
+    p_success,
+    latency,
+    sends,
+    cancels=(),
+    drain_after=None,
+):
+    """Drive one deterministic workload and snapshot everything observable.
+
+    ``cancels`` is ``(after operation, which handle)`` pairs, the handle
+    picked among those dispatched so far; ``drain_after`` the operations to
+    drain after (default: every one — the live runtime's publish-then-drain
+    discipline; the last always drains).
+    """
     engine = Engine()
     rng = random.Random(seed)
-    transport = transport_factory(engine)
+    inner = transport_factory(engine)
+    transport = RecordingTransport(inner)
     net = Network(
         engine,
         rng,
@@ -178,22 +305,27 @@ def _run_workload(transport_factory, *, seed, p_success, latency, sends):
     actors = [Recorder(i) for i in range(6)]
     for actor in actors:
         net.register(actor)
+    last = len(sends) - 1
     for index, (kind, sender, targets) in enumerate(sends):
         if kind == "send":
             net.send(sender, targets[0], Ping(sender=sender, nonce=index))
         else:
             net.multicast(sender, targets, Ping(sender=sender, nonce=index))
-        # Drain between operations — mirrors the live runtime's
-        # publish-then-drain discipline the equivalence argument rests on.
-        if isinstance(transport, QueueTransport):
-            while transport.next_due() is not None:
-                transport.pump(transport.next_due())
-        else:
+        for after, which in cancels:
+            if after == index and transport.handles:
+                transport.handles[which % len(transport.handles)].cancel()
+        if drain_after is not None and index not in drain_after and index != last:
+            continue
+        if inner is engine:
             engine.run_until_idle()
+        else:
+            while inner.next_due() is not None:
+                inner.pump(inner.next_due())
     inboxes = [
         [(m.sender, m.nonce) for m in actor.inbox] for actor in actors
     ]
-    return inboxes, rng.getstate(), net.stats.as_dict()
+    fates = [(h.fired, h.cancelled) for h in transport.handles]
+    return inboxes, fates, rng.getstate(), net.stats.as_dict()
 
 
 WORKLOAD = [
@@ -206,41 +338,27 @@ WORKLOAD = [
 ]
 
 
+def _both(**workload):
+    return (
+        _run_workload(engine_transport, **workload),
+        _run_workload(QueueTransport, **workload),
+    )
+
+
 class TestTransportEquivalence:
     @pytest.mark.parametrize("p_success", [1.0, 0.85, 0.5])
     def test_queue_matches_engine_bit_identically(self, p_success):
         """Same workload, same seed → same inboxes, same RNG state, same
         stats on both transports (zero latency: the replay-oracle case)."""
-        from repro.net.latency import ZERO_LATENCY
-
-        engine_run = _run_workload(
-            EngineTransport,
-            seed=7,
-            p_success=p_success,
-            latency=ZERO_LATENCY,
-            sends=WORKLOAD,
-        )
-        queue_run = _run_workload(
-            QueueTransport,
-            seed=7,
-            p_success=p_success,
-            latency=ZERO_LATENCY,
-            sends=WORKLOAD,
+        engine_run, queue_run = _both(
+            seed=7, p_success=p_success, latency=ZERO_LATENCY, sends=WORKLOAD
         )
         assert engine_run == queue_run
 
     def test_queue_matches_engine_with_latency_classes(self):
         """Nonzero sampled latencies: deliveries split into latency-class
         batches; the queue's (due, seq) order must match the engine's."""
-        engine_run = _run_workload(
-            EngineTransport,
-            seed=11,
-            p_success=0.9,
-            latency=UniformLatency(0.1, 2.0),
-            sends=WORKLOAD,
-        )
-        queue_run = _run_workload(
-            QueueTransport,
+        engine_run, queue_run = _both(
             seed=11,
             p_success=0.9,
             latency=UniformLatency(0.1, 2.0),
@@ -251,23 +369,29 @@ class TestTransportEquivalence:
     @given(
         seed=st.integers(0, 2**16),
         p_success=st.floats(0.3, 1.0, allow_nan=False),
+        latency=st.sampled_from(
+            [ZERO_LATENCY, ConstantLatency(0.5), UniformLatency(0.1, 2.0)]
+        ),
+        cancels=st.lists(
+            st.tuples(st.integers(0, len(WORKLOAD) - 1), st.integers(0, 31)),
+            max_size=6,
+        ),
+        drain_after=st.sets(st.integers(0, len(WORKLOAD) - 1)),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_equivalence_property(self, seed, p_success):
-        latency = ConstantLatency(0.5)
-        engine_run = _run_workload(
-            EngineTransport,
+    @settings(max_examples=60, deadline=None)
+    def test_equivalence_property(
+        self, seed, p_success, latency, cancels, drain_after
+    ):
+        """Cancellations interleaved with the sends, drains only now and
+        then: same execution order, same handle fates, same RNG end-state,
+        same NetworkStats."""
+        engine_run, queue_run = _both(
             seed=seed,
             p_success=p_success,
             latency=latency,
             sends=WORKLOAD,
-        )
-        queue_run = _run_workload(
-            QueueTransport,
-            seed=seed,
-            p_success=p_success,
-            latency=latency,
-            sends=WORKLOAD,
+            cancels=cancels,
+            drain_after=drain_after,
         )
         assert engine_run == queue_run
 

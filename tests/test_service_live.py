@@ -129,6 +129,64 @@ class TestPubSubApi:
         assert status["queue"]["pending"] == 0
 
 
+class TestFailingDeliveries:
+    def test_subscriber_exception_is_counted_and_contained(self):
+        """A subscriber that raises must not kill the pump: the publish
+        returns, every process still delivers, the failure is counted."""
+
+        async def scenario():
+            runtime = build_runtime()
+            calls = []
+
+            def flaky(event, pid):
+                calls.append(pid)
+                if len(calls) == 2:
+                    raise ValueError("subscriber bug")
+
+            runtime.subscribe(".conf.dsn", flaky)
+            async with runtime:
+                event = await asyncio.wait_for(runtime.publish(".conf.dsn"), 2)
+                assert not runtime._pump_task.done()
+                # ...and the runtime keeps serving afterwards
+                await asyncio.wait_for(runtime.publish(".conf.dsn"), 2)
+                return runtime, event, calls, runtime.status()
+
+        runtime, event, calls, status = run_live(scenario())
+        dsn_pids = sorted(runtime.system.group_pids(".conf.dsn"))
+        assert len(dsn_pids) == 8
+        assert sorted(calls[:8]) == dsn_pids and len(calls) == 16
+        delivered = runtime.trace()["deliveries"][str(event.event_id)]
+        assert delivered == sorted(runtime.system.network.pids)
+        assert status["subscriber_errors"] == 1
+        assert status["queue"]["pending"] == 0
+        assert status["queue"]["executed"] == status["queue"]["dispatched"]
+
+    def test_raising_delivery_fails_the_publish_instead_of_hanging(self):
+        """An error that is not a subscriber's ends the pump task; whoever
+        waits for the drain gets that error, now and on every later call."""
+
+        async def scenario():
+            runtime = build_runtime()
+            await runtime.start()
+
+            def boom():
+                raise RuntimeError("delivery path broke")
+
+            runtime.transport.dispatch(0.0, boom, ())
+            with pytest.raises(RuntimeError, match="delivery path broke"):
+                await asyncio.wait_for(runtime.publish(".conf.dsn"), 2)
+            assert runtime._pump_task.done()
+            with pytest.raises(RuntimeError, match="delivery path broke"):
+                await asyncio.wait_for(runtime.drain(), 2)
+            queue = runtime.status()["queue"]
+            assert queue["pending"] > 0
+            assert queue["dispatched"] == queue["executed"] + queue["pending"]
+            with pytest.raises(RuntimeError, match="delivery path broke"):
+                await runtime.stop()
+
+        run_live(scenario())
+
+
 class TestReplayOracle:
     def test_trace_is_json_serializable(self):
         async def scenario():

@@ -205,93 +205,22 @@ class TestPendingAccuracy:
         assert ref() is None
 
 
-class TestScheduleBatch:
-    def test_batch_runs_all_in_order(self):
-        engine = Engine()
-        order = []
-        engine.schedule_batch(
-            1.0, [lambda label=label: order.append(label) for label in "abc"]
-        )
-        engine.run()
-        assert order == ["a", "b", "c"]
+class TestDispatch:
+    """``dispatch`` is the scheduling primitive: ``fn(*args)`` standing for
+    ``count`` events. (The contract it shares with ``QueueTransport`` is in
+    ``tests/test_net_transport.py``.)"""
 
-    def test_batch_interleaves_fifo_with_singles(self):
-        engine = Engine()
-        order = []
-        engine.schedule(1.0, lambda: order.append("before"))
-        engine.schedule_batch(
-            1.0, [lambda n=n: order.append(f"batch{n}") for n in (1, 2)]
-        )
-        engine.schedule(1.0, lambda: order.append("after"))
-        engine.run()
-        assert order == ["before", "batch1", "batch2", "after"]
-
-    def test_zero_delay_batch_runs_after_current_same_time_events(self):
-        engine = Engine()
-        order = []
-
-        def first():
-            order.append("first")
-            engine.schedule_batch(0.0, [lambda: order.append("nested")])
-
-        engine.schedule(1.0, first)
-        engine.schedule(1.0, lambda: order.append("second"))
-        engine.run()
-        assert order == ["first", "second", "nested"]
-
-    def test_batch_counts_each_callback(self):
-        engine = Engine()
-        engine.schedule_batch(1.0, [lambda: None] * 3)
-        assert engine.pending == 3
-        executed = engine.run()
-        assert executed == 3
-        assert engine.processed == 3
-
-    def test_cancel_batch_cancels_all(self):
-        engine = Engine()
-        fired = []
-        handle = engine.schedule_batch(1.0, [lambda: fired.append(1)] * 4)
-        assert engine.pending == 4
-        handle.cancel()
-        assert engine.pending == 0
-        engine.run()
-        assert fired == []
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(SchedulingError):
-            Engine().schedule_batch(1.0, [])
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SchedulingError):
-            Engine().schedule_batch(-1.0, [lambda: None])
-
-    def test_schedule_batch_at_past_rejected(self):
-        engine = Engine()
-        engine.schedule(5.0, lambda: None)
-        engine.run()
-        with pytest.raises(SchedulingError):
-            engine.schedule_batch_at(1.0, [lambda: None])
-
-    def test_schedule_batch_at_absolute_time(self):
-        engine = Engine()
-        times = []
-        engine.schedule_batch_at(3.5, [lambda: times.append(engine.now)] * 2)
-        engine.run()
-        assert times == [3.5, 3.5]
-
-
-class TestScheduleApply:
-    def test_apply_calls_fn_with_args(self):
+    def test_dispatch_calls_fn_with_args(self):
         engine = Engine()
         seen = []
-        engine.schedule_apply(1.0, lambda a, b: seen.append((a, b)), (3, "x"))
+        engine.dispatch(1.0, lambda a, b: seen.append((a, b)), (3, "x"))
         engine.run()
         assert seen == [(3, "x")]
 
-    def test_apply_count_accounting(self):
+    def test_dispatch_count_accounting(self):
         engine = Engine()
         calls = []
-        engine.schedule_apply(1.0, calls.append, ("batch",), count=7)
+        engine.dispatch(1.0, calls.append, ("batch",), count=7)
         assert engine.pending == 7
         executed = engine.run()
         assert calls == ["batch"]  # one physical call...
@@ -299,26 +228,26 @@ class TestScheduleApply:
         assert engine.processed == 7
         assert engine.pending == 0
 
-    def test_apply_no_args(self):
+    def test_dispatch_no_args(self):
         engine = Engine()
         seen = []
-        engine.schedule_apply(0.0, lambda: seen.append(engine.now))
+        engine.dispatch(0.0, lambda: seen.append(engine.now))
         engine.run()
         assert seen == [0.0]
 
-    def test_apply_interleaves_fifo_with_closures(self):
+    def test_dispatch_interleaves_fifo_with_schedule(self):
         engine = Engine()
         order = []
         engine.schedule(1.0, lambda: order.append("before"))
-        engine.schedule_apply(1.0, order.append, ("applied",), count=3)
+        engine.dispatch(1.0, order.append, ("dispatched",), count=3)
         engine.schedule(1.0, lambda: order.append("after"))
         engine.run()
-        assert order == ["before", "applied", "after"]
+        assert order == ["before", "dispatched", "after"]
 
-    def test_cancel_apply_releases_args_and_count(self):
+    def test_cancel_dispatch_releases_args_and_count(self):
         engine = Engine()
         fired = []
-        handle = engine.schedule_apply(1.0, fired.append, (1,), count=5)
+        handle = engine.dispatch(1.0, fired.append, (1,), count=5)
         assert engine.pending == 5
         handle.cancel()
         assert engine.pending == 0
@@ -326,26 +255,28 @@ class TestScheduleApply:
         engine.run()
         assert fired == []
 
-    def test_apply_negative_delay_rejected(self):
+    def test_dispatch_negative_delay_rejected(self):
         with pytest.raises(SchedulingError):
-            Engine().schedule_apply(-1.0, lambda: None)
+            Engine().dispatch(-1.0, lambda: None)
 
-    def test_apply_zero_count_rejected(self):
-        with pytest.raises(SchedulingError):
-            Engine().schedule_apply(1.0, lambda: None, (), count=0)
-
-    def test_apply_at_past_rejected(self):
+    def test_dispatch_zero_count_rejected(self):
         engine = Engine()
-        engine.schedule(5.0, lambda: None)
-        engine.run()
         with pytest.raises(SchedulingError):
-            engine.schedule_apply_at(1.0, lambda: None)
+            engine.dispatch(1.0, lambda: None, (), count=0)
+        assert engine.pending == 0
 
-    def test_apply_at_absolute_time(self):
+    def test_dispatch_nan_delay_rejected(self):
+        engine = Engine()
+        with pytest.raises(SchedulingError):
+            engine.dispatch(float("nan"), lambda: None)
+        assert engine.pending == 0
+
+    def test_schedule_at_absolute_time(self):
         engine = Engine()
         times = []
-        engine.schedule_apply_at(3.5, lambda: times.append(engine.now))
-        engine.run()
+        engine.schedule_at(3.5, lambda: times.append(engine.now))
+        assert engine.pending == 1
+        assert engine.run() == 1
         assert times == [3.5]
 
 
