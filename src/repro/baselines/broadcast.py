@@ -58,7 +58,7 @@ class GossipBroadcastSystem(BaselineSystem):
         # Broadcast floods the global group: every process is an intended
         # receiver (interested or not) — the parasite cost made measurable.
         self.tracker.record_publish(
-            event, chosen.pid, expected=len(self.processes)
+            event, chosen.pid, expected=len(self._processes)
         )
         chosen.publish_in_groups(event, [GLOBAL_GROUP])
         return event

@@ -213,6 +213,13 @@ class BaselineSystem:
         """Run the simulation to quiescence."""
         return self.harness.run_until_idle(max_events=max_events)
 
+    def close(self) -> None:
+        """Release every process of a finished system (idempotent); see
+        :meth:`repro.core.system.DaMulticastSystem.close`."""
+        self._processes.clear()
+        self._interest_groups.clear()
+        self.harness.close()
+
     def fanout(self, group_size: int) -> int:
         """Infect-and-die fan-out ``log(S)+c`` (≥1)."""
         log_term = (
@@ -234,6 +241,7 @@ class BaselineSystem:
 
     def add_process(self, interest: Topic | str) -> BaselineProcess:
         """Create one process subscribed to ``interest``."""
+        self.harness.require_open()
         resolved = (
             Topic.parse(interest) if isinstance(interest, str) else interest
         )
@@ -254,8 +262,9 @@ class BaselineSystem:
     # ------------------------------------------------------------------
     @property
     def processes(self) -> list[BaselineProcess]:
-        """All processes, in creation order."""
-        return [self._processes[pid] for pid in sorted(self._processes)]
+        """All processes, in creation order (pids come from one counter,
+        so the registry's insertion order is already ascending)."""
+        return list(self._processes.values())
 
     def interested_in(self, topic: Topic | str) -> list[BaselineProcess]:
         """Processes whose subscription *includes* events of ``topic``.
@@ -334,6 +343,7 @@ class BaselineSystem:
         return self.harness.rngs.stream("publish").choice(candidates)
 
     def _require_finalized(self) -> None:
+        self.harness.require_open()
         if not self._finalized:
             raise ConfigError(
                 "call finalize_membership() before publishing"

@@ -175,7 +175,7 @@ class HierarchicalGossipSystem(BaselineSystem):
         # Interest-oblivious clusters flood every process (§VI-E): all of
         # them are intended receivers.
         self.tracker.record_publish(
-            event, chosen.pid, expected=len(self.processes)
+            event, chosen.pid, expected=len(self._processes)
         )
         assert chosen.cluster is not None
         chosen.seen.add(event.event_id)

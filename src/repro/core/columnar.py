@@ -309,12 +309,21 @@ class ColumnarStaticSystem:
         """Run to quiescence."""
         return self.harness.run_until_idle(max_events=max_events)
 
+    def close(self) -> None:
+        """Release every group of a finished system (idempotent); see
+        :meth:`repro.core.system.DaMulticastSystem.close`."""
+        self._blocks.clear()
+        self._actors.clear()
+        self._alive_cache.clear()
+        self.harness.close()
+
     # ------------------------------------------------------------------
     # Topology construction
     # ------------------------------------------------------------------
     def add_group(self, topic: Topic | str, count: int) -> range:
         """Reserve one contiguous pid block of ``count`` processes for
         ``topic``; returns the pid range. One call per topic."""
+        self.harness.require_open()
         if self._finalized:
             raise ConfigError("membership already finalized")
         resolved = self.hierarchy.add(topic)
@@ -384,6 +393,7 @@ class ColumnarStaticSystem:
     ) -> Event:
         """Publish one event on ``topic`` from an alive group member
         (uniformly chosen when ``publisher_pid`` is not given)."""
+        self.harness.require_open()
         if not self._finalized:
             raise ConfigError(
                 "columnar backend: call finalize_static_membership() "

@@ -190,11 +190,18 @@ class MultiParentSystem:
         self._groups: dict[Topic, list[MultiParentProcess]] = {}
         self._finalized = False
 
+    def close(self) -> None:
+        """Release every process of a finished system (idempotent); see
+        :meth:`repro.core.system.DaMulticastSystem.close`."""
+        self._groups.clear()
+        self.harness.close()
+
     # ------------------------------------------------------------------
     # Population
     # ------------------------------------------------------------------
     def add_process(self, topic: Topic | str) -> MultiParentProcess:
         """Create one process interested in ``topic`` (must be in the DAG)."""
+        self.harness.require_open()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
         if resolved not in self.dag:
             raise UnknownTopic(f"{resolved.name} is not in the DAG")
@@ -301,6 +308,7 @@ class MultiParentSystem:
         publisher: MultiParentProcess | None = None,
     ) -> Event:
         """Publish from a (given or random alive) member of ``topic``."""
+        self.harness.require_open()
         if not self._finalized:
             raise ConfigError("call finalize_static_membership() first")
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic

@@ -17,6 +17,7 @@ bootstrap, shuffling and repair).
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import defaultdict
 from typing import Any, Callable, Sequence
@@ -119,6 +120,9 @@ class DaMulticastProcess:
         self.subscribed = False
         self._event_factory = EventFactory(pid)
 
+        #: static mode: the frozen table ``finalize_static_membership``
+        #: installs (until then :meth:`topic_table` makes an empty one)
+        self._static_view: PartialView | None = None
         if dynamic:
             if membership_config is None:
                 expected = group_size_hint if group_size_hint else 16
@@ -136,23 +140,40 @@ class DaMulticastProcess:
                 super_sample_provider=self._piggyback_super_sample,
                 super_sample_consumer=self._merge_piggybacked_super,
             )
-            self._static_view: PartialView | None = None
+            # The timer path reads both tasks on every tick: build them now,
+            # so that they are plain instance attributes from the start.
+            self.find_super_contact = self._bootstrap_task()
+            self.maintenance = self._maintenance_task()
         else:
             self.membership = None
-            self._static_view = PartialView(params.table_capacity(
-                max(2, group_size_hint or 2)
-            ))
 
-        self.find_super_contact = FindSuperContact(
+    # ------------------------------------------------------------------
+    # The two protocol tasks
+    # ------------------------------------------------------------------
+    def _bootstrap_task(self) -> FindSuperContact:
+        """Fig. 4's FIND_SUPER_CONTACT task of this process."""
+        return FindSuperContact(
             self,
-            timeout=config.bootstrap_timeout,
-            ttl=config.bootstrap_ttl,
+            timeout=self.config.bootstrap_timeout,
+            ttl=self.config.bootstrap_ttl,
         )
-        self.maintenance = KeepTableUpdated(
+
+    def _maintenance_task(self) -> KeepTableUpdated:
+        """Fig. 6's KEEP_TABLE_UPDATED task of this process."""
+        return KeepTableUpdated(
             self,
-            interval=config.maintain_interval,
-            ping_timeout=config.ping_timeout,
+            interval=self.config.maintain_interval,
+            ping_timeout=self.config.ping_timeout,
         )
+
+    # A static process never starts either task, and a task points back at
+    # its process: built on first touch instead, they leave the process in
+    # no reference cycle of its own, so a closed system's processes are
+    # freed by reference count. ``cached_property`` defines no ``__set__``,
+    # so the instance attribute — assigned by the constructor in dynamic
+    # mode — shadows it and every read after the first is a plain one.
+    find_super_contact = functools.cached_property(_bootstrap_task)
+    maintenance = functools.cached_property(_maintenance_task)
 
     # ------------------------------------------------------------------
     # Configuration accessors
@@ -212,8 +233,14 @@ class DaMulticastProcess:
         """The topic table ``Table_Ti`` (whoever maintains it)."""
         if self.membership is not None:
             return self.membership.view
-        assert self._static_view is not None
-        return self._static_view
+        view = self._static_view
+        if view is None:  # static mode, before finalize_static_membership
+            view = self._static_view = PartialView(
+                self.params.table_capacity(
+                    max(2, self._group_size_hint or 2)
+                )
+            )
+        return view
 
     def install_static_topic_table(self, view: PartialView) -> None:
         """Replace the frozen topic table (static mode only).

@@ -129,6 +129,22 @@ class DaMulticastSystem:
         """Run to quiescence (static mode; dynamic mode never idles)."""
         return self.harness.run_until_idle(max_events=max_events)
 
+    def close(self) -> None:
+        """Release every process of a finished system (idempotent).
+
+        Drops the process and group registries and the network's
+        actors. Those registries are the only thing that ties a
+        static system's processes into reference cycles, so after
+        ``close()`` they are freed by reference count as soon as the
+        caller lets go of the system — not whenever the cycle collector
+        next runs. Statistics, tracker, clock and RNG streams stay
+        readable; process queries see an empty system, and adding,
+        finalizing or publishing raises :class:`ConfigError`.
+        """
+        self._processes.clear()
+        self._groups.clear()
+        self.harness.close()
+
     # ------------------------------------------------------------------
     # Topology construction
     # ------------------------------------------------------------------
@@ -147,46 +163,7 @@ class DaMulticastSystem:
         :meth:`finalize_static_membership`.
         """
         resolved = self.hierarchy.add(topic)
-        pid = self.harness.next_pid()
-        process = DaMulticastProcess(
-            pid,
-            resolved,
-            self.config,
-            engine=self.engine,
-            network=self.network,
-            rng=self.harness.rngs.stream(f"process/{pid}"),
-            overlay=self.overlay,
-            tracker=self.tracker,
-            delivery_callback=self._delivery_callback,
-            dynamic=(self.mode == "dynamic"),
-            membership_config=membership_config,
-            group_size_hint=None,
-        )
-        self.network.register(process)
-        group = self._groups.setdefault(resolved, [])
-        group.append(process)
-        self._processes[pid] = process
-        cell = self._group_size_cells.get(resolved)
-        if cell is None:
-            cell = self._group_size_cells[resolved] = GroupSizeCell()
-        cell.value = len(group)
-        process.bind_group_size(cell)
-        process.bind_expected_receivers(
-            functools.partial(self._interested_count, resolved)
-        )
-        self._sync_membership_capacity(resolved, group, cell.value, process)
-
-        if self.mode == "dynamic":
-            assert self.overlay is not None
-            self.overlay.add_process(
-                process.descriptor, self.harness.rngs.stream("overlay")
-            )
-            if subscribe:
-                contact = self._membership_contact_for(process)
-                process.subscribe(contact)
-        elif subscribe:
-            process.subscribe()
-        return process
+        return self._add_members(resolved, 1, subscribe, membership_config)[0]
 
     def add_group(
         self,
@@ -199,10 +176,71 @@ class DaMulticastSystem:
         if count < 1:
             raise ConfigError(f"count must be >= 1, got {count}")
         resolved = self.hierarchy.add(topic)  # parse/register once, not per process
-        return [
-            self.add_process(resolved, subscribe=subscribe)
-            for _ in range(count)
-        ]
+        return self._add_members(resolved, count, subscribe)
+
+    def _add_members(
+        self,
+        topic: Topic,
+        count: int,
+        subscribe: bool,
+        membership_config: FlatMembershipConfig | None = None,
+    ) -> list[DaMulticastProcess]:
+        """Create ``count`` members of ``topic`` (already in the hierarchy).
+
+        What every member of a group shares — the group list, the size
+        cell, the expected-receiver provider, the harness parts — is
+        resolved here, once per call; the loop body is what one member
+        costs. Members join one after the other exactly as ``count``
+        :meth:`add_process` calls would make them (same pids, same draws).
+        """
+        harness = self.harness
+        harness.require_open()
+        streams = harness.rngs
+        network = harness.network
+        dynamic = self.mode == "dynamic"
+        group = self._groups.setdefault(topic, [])
+        cell = self._group_size_cells.get(topic)
+        if cell is None:
+            cell = self._group_size_cells[topic] = GroupSizeCell()
+        expected_receivers = functools.partial(self._interested_count, topic)
+        # Tables drawn before a newcomer know nothing of it (and the
+        # newcomer has none): publishing waits for the next finalize.
+        self._static_finalized = False
+        created = []
+        for _ in range(count):
+            pid = harness.next_pid()
+            process = DaMulticastProcess(
+                pid,
+                topic,
+                self.config,
+                engine=harness.engine,
+                network=network,
+                rng=streams.stream(f"process/{pid}"),
+                overlay=self.overlay,
+                tracker=harness.tracker,
+                delivery_callback=self._delivery_callback,
+                dynamic=dynamic,
+                membership_config=membership_config,
+                group_size_hint=None,
+            )
+            network.register(process)
+            group.append(process)
+            self._processes[pid] = process
+            cell.value = len(group)
+            process.bind_group_size(cell)
+            process.bind_expected_receivers(expected_receivers)
+            if dynamic:
+                self._sync_membership_capacity(topic, group, cell.value, process)
+                assert self.overlay is not None
+                self.overlay.add_process(
+                    process.descriptor, streams.stream("overlay")
+                )
+                if subscribe:
+                    process.subscribe(self._membership_contact_for(process))
+            elif subscribe:
+                process.subscribe()
+            created.append(process)
+        return created
 
     def _membership_contact_for(
         self, process: DaMulticastProcess
@@ -235,8 +273,6 @@ class DaMulticastSystem:
         lists are append-only), so no eviction draw is ever consumed and
         same-seed trajectories are unchanged.
         """
-        if self.mode != "dynamic":
-            return
         capacity = self.config.params_for(topic).table_capacity(max(2, size))
         previous = self._group_capacities.get(topic)
         self._group_capacities[topic] = capacity
@@ -259,6 +295,7 @@ class DaMulticastSystem:
         """
         if self.mode != "static":
             raise ConfigError("finalize_static_membership requires mode='static'")
+        self.harness.require_open()
         rng = self.harness.rngs.stream("static-membership")
         population: dict[Topic, list[ProcessDescriptor]] = {
             topic: [p.descriptor for p in members]
@@ -283,11 +320,11 @@ class DaMulticastSystem:
                 process.install_static_topic_table(
                     builder.table_at(index, capacity, rng)
                 )
-                if super_topic is not None and super_sampler is not None:
-                    sampled = super_sampler.sample(z, rng)
-                    process.super_table.clear()
-                    process.super_table.adopt(
-                        super_topic, sampled, rng, own_topic=topic
+                if super_sampler is not None:
+                    # super_topic is a populated strict supertopic and the
+                    # sample is <= z of its members: all adopt() would check
+                    process.super_table.install(
+                        super_topic, super_sampler.sample(z, rng)
                     )
         self._static_finalized = True
 
@@ -306,6 +343,7 @@ class DaMulticastSystem:
         ``publisher`` defaults to a uniformly chosen *alive* member of the
         topic's group (the §VII setting publishes from an alive process).
         """
+        self.harness.require_open()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
         if publisher is None:
             members = self._groups.get(resolved, [])
@@ -326,8 +364,9 @@ class DaMulticastSystem:
     # ------------------------------------------------------------------
     @property
     def processes(self) -> list[DaMulticastProcess]:
-        """All processes, in creation order."""
-        return [self._processes[pid] for pid in sorted(self._processes)]
+        """All processes, in creation order (pids come from one counter,
+        so the registry's insertion order is already ascending)."""
+        return list(self._processes.values())
 
     def process(self, pid: int) -> DaMulticastProcess:
         """Process lookup by id."""

@@ -301,6 +301,20 @@ class Network:
         self._block_cache = None
         self._pids_cache = None
 
+    def close(self) -> None:
+        """Forget every registered actor and block (idempotent).
+
+        Actors point at their network, so the registry is what ties a
+        finished simulation into one reference cycle; without it the
+        actors are freed as soon as their owner lets go of them.
+        Statistics and the trace stay readable.
+        """
+        self._actors.clear()
+        self._blocks.clear()
+        self._block_starts.clear()
+        self._block_cache = None
+        self._pids_cache = None
+
     def _block_for(self, pid: int) -> BlockActor | None:
         """The block actor owning ``pid``, or None."""
         cached = self._block_cache

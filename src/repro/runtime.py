@@ -87,6 +87,25 @@ class SimulationHarness:
         else:
             self.tracker = tracker
         self._pid_counter = itertools.count(0)
+        #: set by :meth:`close`; the system facades refuse to build on or
+        #: publish into a closed harness
+        self.closed = False
+
+    def close(self) -> None:
+        """Let go of every actor (idempotent).
+
+        The system facades call this from their own ``close()`` after
+        dropping their process/group registries. Clock, RNG streams,
+        statistics, tracker and trace stay readable; nothing can be
+        delivered any more.
+        """
+        self.network.close()
+        self.closed = True
+
+    def require_open(self) -> None:
+        """Raise :class:`ConfigError` once :meth:`close` was called."""
+        if self.closed:
+            raise ConfigError("the system is closed")
 
     def next_pid(self) -> int:
         """Allocate the next process id."""

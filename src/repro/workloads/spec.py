@@ -1406,8 +1406,19 @@ class CompiledSpec:
         )
 
     def run(self, seed: int) -> dict[str, float]:
-        """Build, replay the schedule to quiescence, return metrics."""
-        return self.build(seed).execute()
+        """Build, replay the schedule to quiescence, return metrics.
+
+        ``run`` owns the system it built and closes it once the metrics
+        are taken, so a sweep's finished cells are freed by reference
+        count; :meth:`build` hands the system to the caller, who may keep
+        querying it after ``execute()`` and calls ``system.close()`` when
+        done with it.
+        """
+        built = self.build(seed)
+        try:
+            return built.execute()
+        finally:
+            built.system.close()
 
 
 def _members(system, topic: Topic) -> list:
@@ -1558,7 +1569,8 @@ class BuiltScenario:
                 statistics.fmean(all_fractions) if all_fractions else 1.0
             ),
             "parasites": float(parasites),
-            "processes": float(len(system.processes)),
+            # every process is one registered actor: counted, not listed
+            "processes": float(len(system.harness.network)),
             "subscribed_topics": float(
                 sum(1 for count in self.counts.values() if count > 0)
             ),

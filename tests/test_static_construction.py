@@ -1,0 +1,306 @@
+"""Static construction is paid per group, and a finished system is freed
+by reference count.
+
+Three kinds of test: equivalence (``add_group`` is ``n × add_process``; a
+static process, which builds neither protocol task until one is touched,
+behaves as it always did), the ``close()`` contract of every system
+facade, and exact object counts — deterministic, no timer — that fail
+when a per-process allocation or a per-process reference cycle creeps
+back into the cold build.
+"""
+
+import gc
+
+import pytest
+
+from repro.baselines import GossipBroadcastSystem
+from repro.core import DaMulticastSystem
+from repro.core.bootstrap import FindSuperContact
+from repro.core.columnar import ColumnarStaticSystem
+from repro.core.maintenance import KeepTableUpdated
+from repro.core.multiparent import MultiParentSystem
+from repro.core.process import DaMulticastProcess
+from repro.errors import ConfigError
+from repro.membership import ProcessDescriptor
+from repro.net.message import AnsContact, NewProcessRequest
+from repro.topics import Topic, TopicDag
+from repro.workloads.presets import load_preset
+from repro.workloads.spec import compile_spec
+
+T1 = Topic.parse(".t1")
+T2 = Topic.parse(".t1.t2")
+
+
+def static_system(sizes=(4, 20), **kwargs):
+    system = DaMulticastSystem(mode="static", **kwargs)
+    system.add_group(T1, sizes[0])
+    system.add_group(T2, sizes[1])
+    system.finalize_static_membership()
+    return system
+
+
+# ----------------------------------------------------------------------
+# Adding to a finalized static system
+# ----------------------------------------------------------------------
+class TestAddAfterFinalize:
+    @pytest.mark.parametrize("grow", ["add_process", "add_group"])
+    def test_publish_waits_for_the_tables_to_be_redrawn(self, grow):
+        system = static_system(sizes=(4, 20), seed=3, p_success=1.0)
+        if grow == "add_process":
+            late = system.add_process(T2)
+        else:
+            late = system.add_group(T2, 1)[0]
+        # the newcomer has no tables and nobody's table holds it
+        assert len(late.topic_table()) == 0 and late.super_table.is_empty
+        with pytest.raises(ConfigError, match="finalize_static_membership"):
+            system.publish(T2)
+        with pytest.raises(ConfigError, match="finalize_static_membership"):
+            system.publish(T2, publisher=late)
+        system.finalize_static_membership()
+        event = system.publish(T2, publisher=late)
+        system.run_until_idle()
+        assert system.delivered_fraction(event, T2) == 1.0
+        assert event in late.delivered
+
+
+# ----------------------------------------------------------------------
+# add_group(t, n) == n x add_process(t)
+# ----------------------------------------------------------------------
+def _populate(mode, one_by_one, seed=11):
+    system = DaMulticastSystem(mode=mode, seed=seed, p_success=0.9)
+    for topic, count in ((T1, 5), (T2, 40)):
+        if one_by_one:
+            for _ in range(count):
+                system.add_process(topic)
+        else:
+            system.add_group(topic, count)
+    if mode == "static":
+        system.finalize_static_membership()
+    else:
+        system.run(until=12.0)
+    return system
+
+
+def _stream_states(system):
+    rngs = system.harness.rngs
+    return {name: rngs.stream(name).getstate() for name in rngs.streams()}
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_add_group_is_n_times_add_process(mode):
+    grouped = _populate(mode, one_by_one=False)
+    single = _populate(mode, one_by_one=True)
+    assert [p.pid for p in grouped.processes] == list(range(45))
+    assert grouped.construction_digest() == single.construction_digest()
+    assert list(grouped.harness.rngs.streams()) == list(
+        single.harness.rngs.streams()
+    )
+    assert _stream_states(grouped) == _stream_states(single)
+    horizon = None if mode == "static" else 16.0
+    for system in (grouped, single):
+        system.publish(T2)
+        system.run(until=horizon)
+    assert grouped.stats.as_dict() == single.stats.as_dict()
+    assert _stream_states(grouped) == _stream_states(single)
+    assert [len(p.delivered) for p in grouped.processes] == [
+        len(p.delivered) for p in single.processes
+    ]
+
+
+# ----------------------------------------------------------------------
+# The two protocol tasks: on first touch in static mode, eager in dynamic
+# ----------------------------------------------------------------------
+TASKS = ("find_super_contact", "maintenance")
+
+
+def _built_tasks(process):
+    return [name for name in TASKS if name in vars(process)]
+
+
+class TestProtocolTasks:
+    def test_static_process_builds_them_on_first_touch(self):
+        process = static_system().group(T2)[0]
+        assert _built_tasks(process) == []
+        assert not process.find_super_contact.active
+        assert _built_tasks(process) == ["find_super_contact"]
+        assert process.find_super_contact is process.find_super_contact
+        assert not process.maintenance.running
+        assert _built_tasks(process) == list(TASKS)
+        assert process.maintenance._process is process
+
+    def test_dynamic_process_holds_both_from_construction(self):
+        system = DaMulticastSystem(mode="dynamic", seed=0)
+        process = system.add_process(T2, subscribe=False)
+        assert _built_tasks(process) == list(TASKS)
+        assert isinstance(vars(process)["find_super_contact"], FindSuperContact)
+        assert isinstance(vars(process)["maintenance"], KeepTableUpdated)
+
+    def test_static_unsubscribe(self):
+        system = static_system()
+        process = system.group(T2)[0]
+        assert process.subscribed
+        process.unsubscribe()
+        assert not process.subscribed
+        assert not process.maintenance.running
+        assert not process.find_super_contact.active
+        assert system.engine.pending == 0
+        assert system.stats.total_sent == 0
+
+    def test_static_stray_ans_contact_merges_like_a_late_answer(self):
+        system = static_system(sizes=(6, 20), seed=5)
+        process = system.group(T2)[0]
+        before = process.super_table.pids
+        rng_before = process.rng.getstate()
+        newcomer = next(
+            p.pid for p in system.group(T1) if p.pid not in before
+        )
+        process.handle_message(
+            AnsContact(
+                sender=newcomer,
+                answered_topic=T1,
+                contacts=(ProcessDescriptor(newcomer, T1),),
+                request_id=1,
+            )
+        )
+        # a full table (z entries) admits the contact and evicts one entry
+        # with one draw from the process's own stream
+        after = process.super_table.pids
+        assert len(after) == len(before) == process.params.z
+        assert set(after) <= set(before) | {newcomer}
+        assert process.super_table.target_topic == T1
+        assert process.rng.getstate() != rng_before
+        assert not process.find_super_contact.active
+        assert system.stats.total_sent == 0
+
+    def test_static_new_process_request_is_answered(self):
+        system = static_system(sizes=(6, 20), seed=5, p_success=1.0)
+        superprocess = system.group(T1)[0]
+        asker = system.group(T2)[0]
+        superprocess.handle_message(
+            NewProcessRequest(sender=asker.pid, wanted=2)
+        )
+        assert system.stats.sent_by_kind["new_process_reply"] == 1
+        system.run_until_idle()
+        # the reply lands in the asker's maintenance task (MERGE): entries
+        # never heard from give way to the reply's contacts
+        assert superprocess.pid in asker.super_table
+        assert asker.super_table.target_topic == T1
+        assert len(asker.super_table) == asker.params.z
+
+
+# ----------------------------------------------------------------------
+# close() on every system facade
+# ----------------------------------------------------------------------
+def _damulticast():
+    return static_system(), T2
+
+
+def _columnar():
+    system = ColumnarStaticSystem(seed=0)
+    system.add_group(T1, 4)
+    system.add_group(T2, 20)
+    system.finalize_static_membership()
+    return system, T2
+
+
+def _multiparent():
+    dag = TopicDag()
+    dag.add(T2)
+    system = MultiParentSystem(dag, seed=0)
+    system.add_group(T1, 4)
+    system.add_group(T2, 20)
+    system.finalize_static_membership()
+    return system, T2
+
+
+def _baseline():
+    system = GossipBroadcastSystem(seed=0)
+    system.add_group(T1, 4)
+    system.add_group(T2, 20)
+    system.finalize_membership()
+    return system, T2
+
+
+@pytest.mark.parametrize(
+    "make", [_damulticast, _columnar, _multiparent, _baseline]
+)
+def test_close_is_idempotent_and_a_closed_system_refuses_work(make):
+    system, topic = make()
+    system.publish(topic)
+    system.run_until_idle()
+    sent = system.stats.total_sent
+    assert sent > 0
+    system.close()
+    system.close()
+    assert len(system.harness.network) == 0
+    assert system.stats.total_sent == sent  # statistics stay readable
+    with pytest.raises(ConfigError, match="closed"):
+        system.publish(topic)
+    with pytest.raises(ConfigError, match="closed"):
+        system.add_group(topic, 1)
+
+
+def test_closed_damulticast_system_refuses_finalize_and_is_empty():
+    system, _ = _damulticast()
+    system.close()
+    assert system.processes == [] and system.topics() == []
+    with pytest.raises(ConfigError, match="closed"):
+        system.finalize_static_membership()
+    with pytest.raises(ConfigError, match="closed"):
+        system.add_process(T2)
+
+
+# ----------------------------------------------------------------------
+# Exact counts on the paper's population (10 + 100 + 1000 processes)
+# ----------------------------------------------------------------------
+def _live(kind):
+    return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+
+
+@pytest.fixture
+def paper_vii():
+    compiled = compile_spec(load_preset("paper-vii"))
+    compiled.run(0)  # first-use caches, imports
+    gc.collect()
+    gc.disable()
+    try:
+        yield compiled
+    finally:
+        gc.enable()
+
+
+class TestExactCounts:
+    def test_a_finished_run_leaves_nothing_for_the_cycle_collector(
+        self, paper_vii
+    ):
+        before = _live(DaMulticastProcess)
+        metrics = paper_vii.run(1)
+        assert metrics["processes"] == 1110.0
+        assert _live(DaMulticastProcess) == before
+        assert gc.collect() == 0
+
+    def test_build_hands_the_system_to_the_caller(self, paper_vii):
+        before = _live(DaMulticastProcess)
+        built = paper_vii.build(1)
+        built.execute()
+        # still the caller's: queries after execute() see every process
+        assert len(built.system.processes) == 1110
+        assert _live(DaMulticastProcess) == before + 1110
+        assert built.metrics()["processes"] == 1110.0
+        built.system.close()
+        del built
+        assert _live(DaMulticastProcess) == before
+        assert gc.collect() == 0
+
+    def test_objects_one_build_adds(self, paper_vii):
+        tasks = _live(FindSuperContact) + _live(KeepTableUpdated)
+        tracked = len(gc.get_objects())
+        built = paper_vii.build(1)
+        added = len(gc.get_objects()) - tracked
+        assert _live(FindSuperContact) + _live(KeepTableUpdated) == tasks
+        # 14 per process (21 before construction was per group): the
+        # process, its descriptor, scope and RNG stream, the event factory
+        # and its counter, three dedup/delivery containers, and five for
+        # the two tables — plus a few dozen per-system objects
+        assert added <= 16_000, added
+        built.system.close()
