@@ -12,8 +12,7 @@ four ways:
 
 The gates are correctness, not timing: every path must be bit-identical
 to the serial sweep, and the cached pass must execute exactly zero
-cells. The wall-clocks land in ``BENCH_PR<k>.json`` (via
-``make_bench_report.py``) as the cold-vs-warm-vs-cached trajectory.
+cells. The wall-clocks are the cold-vs-warm-vs-cached comparison.
 """
 
 import os

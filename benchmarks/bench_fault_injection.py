@@ -8,14 +8,12 @@ CI smoke population, cheap enough for the per-PR trajectory):
 
 * **no_faults** — the uninstalled hook: one publication flood with no
   fault model, the pre-existing fast path. Its events/sec is the
-  baseline every earlier BENCH_PR<k>.json recorded;
+  baseline;
 * **bernoulli_1pct** — the same flood through ``BernoulliLoss(0.01)``,
   the cheapest active model (one coin per target). The events/sec gap
   between the two IS the fault-layer tax; extra_info records both the
   loss count and the delivered fraction, tying the perf number to the
   graceful-degradation story it pays for.
-
-Both land in BENCH_PR<k>.json via make_bench_report.py.
 """
 
 import os

@@ -17,8 +17,6 @@ This bench measures what that live path sustains:
   clock. The gap between the two rows is the event-loop tax
   (task switches, timer wheel, drain round-trips), isolating protocol
   cost from asyncio cost.
-
-Both land in BENCH_PR<k>.json via make_bench_report.py.
 """
 
 import asyncio

@@ -46,10 +46,10 @@ def measure_naive(seed: int) -> dict:
     for topic, size in zip(topics, SCENARIO.sizes):
         system.add_group(topic, size)
     system.finalize_membership()
-    publisher = system.subscribers_of(topics[-1])[0]
+    publisher = system.group(topics[-1])[0]
     system.publish(topics[-1], publisher=publisher)
     system.run_until_idle()
-    root_subscribers = [p.pid for p in system.subscribers_of(topics[0])]
+    root_subscribers = [p.pid for p in system.group(topics[0])]
     receivers = system.tracker.receivers(
         system.tracker.events[0].event_id
     )

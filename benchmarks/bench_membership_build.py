@@ -225,8 +225,7 @@ def test_membership_build(benchmark, emit):
 
     rows = table.as_dicts()
     by_size = {row["S"]: row for row in rows}
-    # Feed the per-PR bench trajectory record (BENCH_PR<k>.json): build
-    # seconds and speedup per group size, keyed by S.
+    # Build seconds and speedup per group size, keyed by S.
     benchmark.extra_info["build_seconds"] = {
         str(row["S"]): row["build_fast_s"] for row in rows
     }

@@ -3,8 +3,7 @@
 `bench_sec6_memory_complexity` evaluates the §VI closed forms; this bench
 actually *runs* a §VII-shaped static scenario at populations the object
 backend cannot reach (its per-process object graph walls out around
-S≈10⁴). Two measurements land in the per-PR trajectory record
-(BENCH_PR<k>.json via make_bench_report.py):
+S≈10⁴). Two measurements land in the benchmark's ``extra_info``:
 
 * **bytes/process** — tracemalloc peak of the columnar build divided by
   the population, the measured counterpart of the O(k·(b+1)·log S)

@@ -4,10 +4,8 @@ The static-mode benches time the §VII publish path; this one times the
 *dynamic* path the PR-5 scenario specs opened — staggered bootstrap over
 the overlay (FIND_SUPER_CONTACT floods), KEEP_TABLE_UPDATED maintenance,
 a failure campaign and non-constant latency, horizon-bound. The
-``events`` extra_info is the engine's processed-callback count, so
-``make_bench_report.py`` derives an events/sec row for the dynamic
-scenario in every ``BENCH_PR<k>.json`` — the bench trajectory covers the
-dynamic path from this PR on.
+``events`` extra_info is the engine's processed-callback count, from
+which an events/sec figure for the dynamic path follows.
 """
 
 from repro.workloads.presets import load_preset

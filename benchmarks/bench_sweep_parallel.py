@@ -75,7 +75,7 @@ def test_sweep_parallel_equality_and_scaling(
         serial_s / warm_second_s,
     )
     emit(table, "sweep_parallel")
-    # Sweep wall-clock for the per-PR bench trajectory record.
+    # Sweep wall-clock, into the pytest-benchmark JSON.
     benchmark.extra_info["serial_s"] = serial_s
     benchmark.extra_info["parallel_s"] = parallel_s
     benchmark.extra_info["warm_first_s"] = warm_first_s

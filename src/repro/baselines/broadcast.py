@@ -30,7 +30,7 @@ class GossipBroadcastSystem(BaselineSystem):
 
     def finalize_membership(self) -> None:
         """Draw each process's single global table of size ``(b+1)·log(n)``."""
-        rng = self.harness.rngs.stream("static-membership")
+        rng = self._membership_rng()
         everyone = [
             ProcessDescriptor(p.pid, GLOBAL_GROUP) for p in self.processes
         ]
@@ -53,7 +53,7 @@ class GossipBroadcastSystem(BaselineSystem):
         """Broadcast an event of ``topic`` through the global group."""
         self._require_finalized()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        chosen = self._pick_publisher(resolved, publisher)
+        chosen = self._publisher(resolved, publisher)
         event = chosen.make_event(resolved, payload)
         # Broadcast floods the global group: every process is an intended
         # receiver (interested or not) — the parasite cost made measurable.

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.events import Event, EventFactory, EventId
-from repro.errors import ConfigError, UnknownTopic
+from repro.errors import ConfigError
 from repro.failures.model import FailureModel
 from repro.membership.view import PartialView, ProcessDescriptor
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.message import EventMessage, Message, Scope
-from repro.runtime import SimulationHarness
+from repro.runtime import ObjectSystemFacade, SimulationHarness
 from repro.topics.topic import Topic
 from repro.validation import check_finite, check_positive
 
@@ -153,15 +153,17 @@ class BaselineProcess:
         )
 
 
-class BaselineSystem:
+class BaselineSystem(ObjectSystemFacade):
     """Common facade: process management, publishing, reliability queries.
 
-    Subclasses implement :meth:`_groups_of` (which groups a process joins),
-    :meth:`_publish_groups` (where an event is injected) and
-    :meth:`finalize_membership` parameters.
+    Subclasses implement :meth:`finalize_membership` (which groups a
+    process joins) and :meth:`publish` (where an event is injected).
     """
 
-    #: gossip constants shared by the baselines (paper defaults)
+    _finalize_verb = "finalize_membership"
+    #: what ``_add_members`` instantiates
+    _process_class = BaselineProcess
+
     def __init__(
         self,
         *,
@@ -174,52 +176,26 @@ class BaselineSystem:
         log_base: float = math.e,
         trace: bool = False,
     ):
-        self.harness = SimulationHarness(
-            seed=seed,
-            p_success=p_success,
-            latency=latency,
-            failure_model=failure_model,
-            trace=trace,
+        super().__init__(
+            SimulationHarness(
+                seed=seed,
+                p_success=p_success,
+                latency=latency,
+                failure_model=failure_model,
+                trace=trace,
+            )
         )
         check_finite(b, "b")
         check_finite(c, "c")
         check_positive(log_base, "log_base")
+        #: gossip constants shared by the baselines (paper defaults)
         self.b = b
         self.c = c
         self.log_base = log_base
-        self._processes: dict[int, BaselineProcess] = {}
-        self._interest_groups: dict[Topic, list[BaselineProcess]] = {}
-        self._finalized = False
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    @property
-    def engine(self):
-        """The discrete-event engine."""
-        return self.harness.engine
-
-    @property
-    def stats(self):
-        """Network statistics."""
-        return self.harness.stats
-
-    @property
-    def tracker(self):
-        """The delivery tracker."""
-        return self.harness.tracker
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Run the simulation to quiescence."""
-        return self.harness.run_until_idle(max_events=max_events)
-
-    def close(self) -> None:
-        """Release every process of a finished system (idempotent); see
-        :meth:`repro.core.system.DaMulticastSystem.close`."""
-        self._processes.clear()
-        self._interest_groups.clear()
-        self.harness.close()
-
     def fanout(self, group_size: int) -> int:
         """Infect-and-die fan-out ``log(S)+c`` (≥1)."""
         log_term = (
@@ -236,36 +212,23 @@ class BaselineSystem:
     # ------------------------------------------------------------------
     # Population
     # ------------------------------------------------------------------
-    def _make_process(self, interest: Topic) -> BaselineProcess:
-        return BaselineProcess(self.harness.next_pid(), interest, self.harness)
-
-    def add_process(self, interest: Topic | str) -> BaselineProcess:
-        """Create one process subscribed to ``interest``."""
-        self.harness.require_open()
-        resolved = (
-            Topic.parse(interest) if isinstance(interest, str) else interest
-        )
-        process = self._make_process(resolved)
-        self.harness.network.register(process)
-        self._processes[process.pid] = process
-        self._interest_groups.setdefault(resolved, []).append(process)
-        return process
-
-    def add_group(self, interest: Topic | str, count: int) -> list[BaselineProcess]:
-        """Create ``count`` processes subscribed to ``interest``."""
-        if count < 1:
-            raise ConfigError(f"count must be >= 1, got {count}")
-        return [self.add_process(interest) for _ in range(count)]
+    def _add_members(self, interest: Topic, count: int) -> list[BaselineProcess]:
+        """The body of ``add_process`` / ``add_group``: ``count`` processes
+        subscribed to ``interest``."""
+        harness = self.harness
+        created = [
+            self._process_class(harness.next_pid(), interest, harness)
+            for _ in range(count)
+        ]
+        for process in created:
+            harness.network.register(process)
+            self._processes[process.pid] = process
+        self._groups.setdefault(interest, []).extend(created)
+        return created
 
     # ------------------------------------------------------------------
     # Queries shared by all baselines
     # ------------------------------------------------------------------
-    @property
-    def processes(self) -> list[BaselineProcess]:
-        """All processes, in creation order (pids come from one counter,
-        so the registry's insertion order is already ascending)."""
-        return list(self._processes.values())
-
     def interested_in(self, topic: Topic | str) -> list[BaselineProcess]:
         """Processes whose subscription *includes* events of ``topic``.
 
@@ -276,28 +239,6 @@ class BaselineSystem:
         return [
             p for p in self.processes if p.interest.includes(resolved)
         ]
-
-    def subscribers_of(self, topic: Topic | str) -> list[BaselineProcess]:
-        """Processes subscribed to exactly ``topic``."""
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        return list(self._interest_groups.get(resolved, []))
-
-    def interests(self) -> dict[int, Topic]:
-        """pid → subscription, for parasite accounting."""
-        return {pid: p.interest for pid, p in self._processes.items()}
-
-    def delivered_fraction(
-        self, event: Event, topic: Topic | str, *, alive_only: bool = True
-    ) -> float:
-        """Fraction of processes subscribed to exactly ``topic`` that got
-        ``event`` (comparable to DaMulticastSystem.delivered_fraction)."""
-        from repro.metrics.delivery import delivered_fraction
-
-        pids = [p.pid for p in self.subscribers_of(topic)]
-        is_alive = (
-            self.harness.is_alive if alive_only else (lambda pid: True)
-        )
-        return delivered_fraction(self.tracker, event.event_id, pids, is_alive)
 
     def parasite_count(self) -> int:
         """Total parasite deliveries so far (§I's efficiency criterion)."""
@@ -325,26 +266,3 @@ class BaselineSystem:
     ) -> Event:
         """Publish an event on ``topic`` (baseline-specific injection)."""
         raise NotImplementedError
-
-    def _pick_publisher(
-        self, topic: Topic, publisher: BaselineProcess | None
-    ) -> BaselineProcess:
-        if publisher is not None:
-            return publisher
-        candidates = [
-            p
-            for p in self.subscribers_of(topic)
-            if self.harness.is_alive(p.pid)
-        ]
-        if not candidates:
-            raise UnknownTopic(
-                f"no alive process subscribed to {topic.name} to publish from"
-            )
-        return self.harness.rngs.stream("publish").choice(candidates)
-
-    def _require_finalized(self) -> None:
-        self.harness.require_open()
-        if not self._finalized:
-            raise ConfigError(
-                "call finalize_membership() before publishing"
-            )

@@ -77,6 +77,8 @@ class HierarchicalProcess(BaselineProcess):
 class HierarchicalGossipSystem(BaselineSystem):
     """Two-level interest-oblivious gossip broadcast."""
 
+    _process_class = HierarchicalProcess
+
     def __init__(
         self,
         *,
@@ -94,17 +96,12 @@ class HierarchicalGossipSystem(BaselineSystem):
         self.c2 = self.c if c2 is None else c2
         self._clusters: dict[Topic, list[HierarchicalProcess]] = {}
 
-    def _make_process(self, interest: Topic) -> HierarchicalProcess:
-        return HierarchicalProcess(
-            self.harness.next_pid(), interest, self.harness
-        )
-
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def finalize_membership(self) -> None:
         """Partition processes into clusters and draw both tables each."""
-        rng = self.harness.rngs.stream("static-membership")
+        rng = self._membership_rng()
         processes = list(self.processes)
         if len(processes) < self.n_clusters:
             raise ConfigError(
@@ -121,6 +118,7 @@ class HierarchicalGossipSystem(BaselineSystem):
             key = cluster_keys[index % self.n_clusters]
             self._clusters[key].append(process)  # type: ignore[arg-type]
             process.cluster = key  # type: ignore[attr-defined]
+            process.groups.clear()  # a re-draw may move it to another cluster
 
         # In-cluster tables: (b+1)·log(m), fan-out log(m)+c1. One shared
         # build context per cluster (draw-identical to the former
@@ -169,7 +167,7 @@ class HierarchicalGossipSystem(BaselineSystem):
         """Inject an event at its publisher's cluster (both levels)."""
         self._require_finalized()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        chosen = self._pick_publisher(resolved, publisher)
+        chosen = self._publisher(resolved, publisher)
         assert isinstance(chosen, HierarchicalProcess)
         event = chosen.make_event(resolved, payload)
         # Interest-oblivious clusters flood every process (§VI-E): all of

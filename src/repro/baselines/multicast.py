@@ -20,21 +20,11 @@ from repro.baselines.common import BaselineProcess, BaselineSystem
 from repro.core.events import Event
 from repro.membership.static import GroupTableBuilder
 from repro.membership.view import ProcessDescriptor
-from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
 
 class GossipMulticastSystem(BaselineSystem):
     """Per-topic gossip groups; subscribers join every subtopic group."""
-
-    def __init__(self, **kwargs: Any):
-        super().__init__(**kwargs)
-        self.hierarchy = TopicHierarchy()
-
-    def add_process(self, interest: Topic | str) -> BaselineProcess:
-        process = super().add_process(interest)
-        self.hierarchy.add(process.interest)
-        return process
 
     # ------------------------------------------------------------------
     # Membership
@@ -52,7 +42,7 @@ class GossipMulticastSystem(BaselineSystem):
         A process subscribed to ``Ta`` joins the group of every registered
         topic that ``Ta`` includes — ``Ta`` itself and all its subtopics.
         """
-        rng = self.harness.rngs.stream("static-membership")
+        rng = self._membership_rng()
         for topic in self.hierarchy.topics:
             members = self.group_members(topic)
             if not members:
@@ -81,7 +71,7 @@ class GossipMulticastSystem(BaselineSystem):
         self._require_finalized()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
         self.hierarchy.require(resolved)
-        chosen = self._pick_publisher(resolved, publisher)
+        chosen = self._publisher(resolved, publisher)
         event = chosen.make_event(resolved, payload)
         # The topic's group holds its subscribers plus every supertopic
         # subscriber (they joined each subtopic group): the intended

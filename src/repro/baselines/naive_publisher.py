@@ -32,21 +32,11 @@ from repro.baselines.common import BaselineProcess, BaselineSystem
 from repro.core.events import Event
 from repro.membership.static import GroupTableBuilder
 from repro.membership.view import ProcessDescriptor
-from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
 
 class NaivePublisherSystem(BaselineSystem):
     """Pattern (2) of §IV-A, without daMulticast's optimization."""
-
-    def __init__(self, **kwargs: Any):
-        super().__init__(**kwargs)
-        self.hierarchy = TopicHierarchy()
-
-    def add_process(self, interest: Topic | str) -> BaselineProcess:
-        process = super().add_process(interest)
-        self.hierarchy.add(process.interest)
-        return process
 
     # ------------------------------------------------------------------
     # Membership
@@ -55,10 +45,10 @@ class NaivePublisherSystem(BaselineSystem):
         """Every subscriber joins only its own topic's group; every
         process additionally receives tables for all its supertopic
         groups so it can publish into them (the pattern-2 requirement)."""
-        rng = self.harness.rngs.stream("static-membership")
+        rng = self._membership_rng()
         builders: dict[Topic, GroupTableBuilder] = {}
         for topic in self.hierarchy.topics:
-            members = self.subscribers_of(topic)
+            members = self.group(topic)
             if members:
                 builders[topic] = GroupTableBuilder(
                     [ProcessDescriptor(p.pid, topic) for p in members]
@@ -67,7 +57,7 @@ class NaivePublisherSystem(BaselineSystem):
             size = len(builder)
             capacity = self.table_capacity(size)
             fanout = self.fanout(size)
-            for index, process in enumerate(self.subscribers_of(topic)):
+            for index, process in enumerate(self.group(topic)):
                 view = builder.table_at(index, capacity, rng)
                 process.join_group(topic, view, fanout)
         # Publisher-side supergroup tables: every process gets one table
@@ -102,7 +92,7 @@ class NaivePublisherSystem(BaselineSystem):
         self._require_finalized()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
         self.hierarchy.require(resolved)
-        chosen = self._pick_publisher(resolved, publisher)
+        chosen = self._publisher(resolved, publisher)
         event = chosen.make_event(resolved, payload)
         # The publisher injects into the topic group and every supergroup:
         # intended receivers are the interested set.

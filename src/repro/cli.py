@@ -47,6 +47,7 @@ executes zero cells, an interrupted sweep resumes where it stopped.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Any, Mapping, Sequence
@@ -76,7 +77,9 @@ from repro.experiments.artifacts import (
     write_json_atomic,
 )
 from repro.experiments.executor import Executor, resolve_executor
+from repro.experiments.multievent import stream_table
 from repro.experiments.runner import aggregate_runs
+from repro.experiments.scale import sweep_depth, sweep_group_size
 from repro.metrics.report import (
     SCENARIO_RUN_SCHEMA,
     SCENARIO_SWEEP_SCHEMA,
@@ -148,10 +151,6 @@ def _executor_spec_from(args: argparse.Namespace) -> str | None:
     return executor
 
 
-def _resolved_executor(args: argparse.Namespace) -> Executor:
-    return resolve_executor(_executor_spec_from(args))
-
-
 def _add_common_experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--runs", type=int, default=5, help="repetitions per grid point"
@@ -173,10 +172,6 @@ def _add_common_experiment_args(parser: argparse.ArgumentParser) -> None:
         default=[10, 100, 1000],
         help="group sizes from the root down (default: paper's 10 100 1000)",
     )
-
-
-def _scenario_from(args: argparse.Namespace) -> PaperScenario:
-    return PaperScenario(sizes=tuple(args.sizes))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -513,23 +508,6 @@ def _progress_printer(args: argparse.Namespace):
     return report
 
 
-def _run_figure_command(args: argparse.Namespace, executor: Executor) -> Table:
-    runner = {
-        "fig8": run_figure8,
-        "fig9": run_figure9,
-        "fig10": run_figure10,
-        "fig11": run_figure11,
-    }[args.command]
-    return runner(
-        grid=tuple(args.grid),
-        runs=args.runs,
-        master_seed=args.seed,
-        scenario=_scenario_from(args),
-        executor=executor,
-        progress=_progress_printer(args),
-    )
-
-
 def _parse_cli_value(raw: str) -> Any:
     """JSON when it parses, bare string otherwise (so ``--set
     protocol=broadcast`` needs no shell-quoted JSON)."""
@@ -718,6 +696,14 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
     return 0
 
 
+def _run_analysis_command(args: argparse.Namespace) -> int:
+    scenario = ChainScenario(sizes=tuple(args.sizes), p_succ=args.p_succ)
+    for table in comparison_table(scenario).values():
+        print(table.render())
+        print()
+    return 0
+
+
 def _run_tuning_command(args: argparse.Namespace) -> Table:
     table = Table(
         f"Appendix tuning (pit={args.pit}, t={args.t})",
@@ -823,127 +809,85 @@ def _run_lint_command(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-#: Subcommands that evaluate sweeps and therefore honour the shared
-#: execution option group.
-_SWEEPING_COMMANDS = frozenset(
-    {
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "compare",
-        "ablate-g",
-        "ablate-c",
-        "scale-s",
-        "scale-t",
-        "stream",
-    }
-)
+_FIGURE_KEYWORDS = {
+    "grid": "grid", "runs": "runs", "master_seed": "seed", "scenario": "sizes",
+}
+
+#: command → (driver, {driver keyword: parsed-argument attribute}); ``None``
+#: hands the driver the parsed arguments whole. A driver that declares
+#: ``executor`` also gets the one resolved from the shared execution
+#: options, closed when it returns. It returns the table to print, or,
+#: having printed its own report, an exit code.
+_COMMANDS = {
+    "fig8": (run_figure8, _FIGURE_KEYWORDS),
+    "fig9": (run_figure9, _FIGURE_KEYWORDS),
+    "fig10": (run_figure10, _FIGURE_KEYWORDS),
+    "fig11": (run_figure11, _FIGURE_KEYWORDS),
+    "compare": (
+        measured_comparison,
+        {"scenario": "sizes", "runs": "runs", "master_seed": "seed"},
+    ),
+    "analysis": (_run_analysis_command, None),
+    "tuning": (_run_tuning_command, None),
+    "ablate-g": (
+        sweep_link_redundancy,
+        {"g_values": "values", "alive_fraction": "alive", "runs": "runs"},
+    ),
+    "ablate-c": (
+        sweep_fanout_constant,
+        {"c_values": "values", "alive_fraction": "alive", "runs": "runs"},
+    ),
+    "scale-s": (sweep_group_size, {"s_values": "values", "runs": "runs"}),
+    "scale-t": (
+        sweep_depth,
+        {"t_values": "values", "level_size": "level_size", "runs": "runs"},
+    ),
+    "stream": (stream_table, {"rates": "rates", "runs": "runs"}),
+    "scenario": (_run_scenario_command, None),
+    "serve": (_run_serve_command, None),
+    "lint": (_run_lint_command, None),
+}
+
+
+def _driver_call(args: argparse.Namespace, keywords) -> dict[str, Any]:
+    """The driver's keyword arguments, read off the parsed ones."""
+    if keywords is None:
+        return {"args": args}
+    call: dict[str, Any] = {"progress": _progress_printer(args)}
+    for keyword, attribute in keywords.items():
+        value = getattr(args, attribute)
+        if isinstance(value, list):
+            value = tuple(value)
+        # the one option that is not passed as parsed: --sizes names the
+        # paper scenario's group sizes
+        call[keyword] = (
+            PaperScenario(sizes=value) if keyword == "scenario" else value
+        )
+    return call
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "lint":
-        return _run_lint_command(args)
-    if args.command == "serve":
-        try:
-            return _run_serve_command(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "scenario":
-        executor = None
-        try:
-            if args.scenario_command in ("run", "sweep"):
-                executor = _resolved_executor(args)
-            return _run_scenario_command(args, executor)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            if executor is not None:
-                executor.close()
+    driver, keywords = _COMMANDS[args.command]
     executor = None
     try:
-        if args.command in _SWEEPING_COMMANDS:
-            executor = _resolved_executor(args)
-        if args.command in ("fig8", "fig9", "fig10", "fig11"):
-            print(_run_figure_command(args, executor).render())
-        elif args.command == "compare":
-            table = measured_comparison(
-                scenario=PaperScenario(sizes=tuple(args.sizes)),
-                runs=args.runs,
-                master_seed=args.seed,
-                executor=executor,
-                progress=_progress_printer(args),
+        call = _driver_call(args, keywords)
+        if "executor" in inspect.signature(driver).parameters:
+            executor = call["executor"] = resolve_executor(
+                _executor_spec_from(args)
             )
-            print(table.render())
-        elif args.command == "analysis":
-            scenario = ChainScenario(
-                sizes=tuple(args.sizes), p_succ=args.p_succ
-            )
-            for table in comparison_table(scenario).values():
-                print(table.render())
-                print()
-        elif args.command == "tuning":
-            print(_run_tuning_command(args).render())
-        elif args.command == "ablate-g":
-            table = sweep_link_redundancy(
-                g_values=tuple(args.values),
-                alive_fraction=args.alive,
-                runs=args.runs,
-                executor=executor,
-                progress=_progress_printer(args),
-            )
-            print(table.render())
-        elif args.command == "ablate-c":
-            table = sweep_fanout_constant(
-                c_values=tuple(args.values),
-                alive_fraction=args.alive,
-                runs=args.runs,
-                executor=executor,
-                progress=_progress_printer(args),
-            )
-            print(table.render())
-        elif args.command == "scale-s":
-            from repro.experiments.scale import sweep_group_size
-
-            print(
-                sweep_group_size(
-                    s_values=tuple(args.values),
-                    runs=args.runs,
-                    executor=executor,
-                    progress=_progress_printer(args),
-                ).render()
-            )
-        elif args.command == "scale-t":
-            from repro.experiments.scale import sweep_depth
-
-            print(
-                sweep_depth(
-                    t_values=tuple(args.values),
-                    level_size=args.level_size,
-                    runs=args.runs,
-                    executor=executor,
-                    progress=_progress_printer(args),
-                ).render()
-            )
-        elif args.command == "stream":
-            from repro.experiments.multievent import stream_table
-
-            print(
-                stream_table(
-                    rates=tuple(args.rates),
-                    runs=args.runs,
-                    executor=executor,
-                    progress=_progress_printer(args),
-                ).render()
-            )
+        result = driver(**call)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if executor is not None:
             executor.close()
-    return 0
+    if isinstance(result, Table):
+        print(result.render())
+        return 0
+    return result
 
 
 if __name__ == "__main__":  # pragma: no cover

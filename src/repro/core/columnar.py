@@ -48,8 +48,7 @@ from repro.membership.static import nearest_populated_super
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.message import EventMessage, Message, Scope
 from repro.failures.model import FailureModel
-from repro.runtime import SimulationHarness
-from repro.topics.hierarchy import TopicHierarchy
+from repro.runtime import SimulationHarness, SystemFacade
 from repro.topics.topic import Topic
 
 
@@ -233,7 +232,7 @@ class ColumnarGroupActor:
         )
 
 
-class ColumnarStaticSystem:
+class ColumnarStaticSystem(SystemFacade):
     """The paper's static-mode simulator over columnar group state.
 
     API mirrors the static subset of :class:`DaMulticastSystem`
@@ -256,66 +255,27 @@ class ColumnarStaticSystem:
         trace: bool = False,
     ):
         self.config = config or DaMulticastConfig()
-        self.harness = SimulationHarness(
-            seed=seed,
-            p_success=p_success,
-            latency=latency,
-            failure_model=failure_model,
-            trace=trace,
-            tracker=tracker,
+        super().__init__(
+            SimulationHarness(
+                seed=seed,
+                p_success=p_success,
+                latency=latency,
+                failure_model=failure_model,
+                trace=trace,
+                tracker=tracker,
+            )
         )
-        self.hierarchy = TopicHierarchy()
         self._blocks: dict[Topic, range] = {}
         self._actors: dict[Topic, ColumnarGroupActor] = {}
         #: lazily cached alive pids per topic (static failure models are
         #: time-invariant in this mode, matching the §VII setting)
         self._alive_cache: dict[Topic, list[int]] = {}
         self._publish_seq: dict[int, int] = {}
-        self._finalized = False
 
-    # ------------------------------------------------------------------
-    # Convenience passthroughs
-    # ------------------------------------------------------------------
-    @property
-    def engine(self):
-        """The discrete-event engine."""
-        return self.harness.engine
-
-    @property
-    def network(self):
-        """The unreliable network."""
-        return self.harness.network
-
-    @property
-    def stats(self):
-        """Network statistics (message counts per kind/group)."""
-        return self.harness.stats
-
-    @property
-    def tracker(self):
-        """The delivery tracker (streaming by default)."""
-        return self.harness.tracker
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.harness.now
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the simulation."""
-        return self.harness.run(until=until, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = 100_000_000) -> int:
-        """Run to quiescence."""
-        return self.harness.run_until_idle(max_events=max_events)
-
-    def close(self) -> None:
-        """Release every group of a finished system (idempotent); see
-        :meth:`repro.core.system.DaMulticastSystem.close`."""
+    def _release(self) -> None:
         self._blocks.clear()
         self._actors.clear()
         self._alive_cache.clear()
-        self.harness.close()
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -343,11 +303,11 @@ class ColumnarStaticSystem:
         the object backend's ``finalize_static_membership`` — the S=500
         construction-digest golden pins the equality.
         """
+        rng = self._membership_rng()
         if self._finalized:
             raise ConfigError("membership already finalized")
         if not self._blocks:
             raise ConfigError("no groups added")
-        rng = self.harness.rngs.stream("static-membership")
         population = self._blocks
         for topic, block in self._blocks.items():
             params = self.config.params_for(topic)
@@ -393,24 +353,15 @@ class ColumnarStaticSystem:
     ) -> Event:
         """Publish one event on ``topic`` from an alive group member
         (uniformly chosen when ``publisher_pid`` is not given)."""
-        self.harness.require_open()
-        if not self._finalized:
-            raise ConfigError(
-                "columnar backend: call finalize_static_membership() "
-                "before publishing"
-            )
+        self._require_finalized()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
         block = self._blocks.get(resolved)
         if block is None:
             raise UnknownTopic(f"no group for topic {resolved.name}")
         if publisher_pid is None:
-            alive = self._alive_pids(resolved)
-            if not alive:
-                raise UnknownTopic(
-                    f"no alive process interested in {resolved.name} "
-                    "to publish from"
-                )
-            publisher_pid = self.harness.rngs.stream("publish").choice(alive)
+            publisher_pid = self._elect_publisher(
+                resolved, self._alive_pids(resolved)
+            )
         elif publisher_pid not in block:
             raise ConfigError(
                 f"pid {publisher_pid} is not a member of {resolved.name}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Any, Mapping
+from typing import Any
 
 from repro.core.events import Event
 from repro.core.params import DaMulticastConfig
@@ -32,7 +32,7 @@ from repro.core.process import (
     DeliveryCallback,
     GroupSizeCell,
 )
-from repro.errors import ConfigError, UnknownTopic
+from repro.errors import ConfigError
 from repro.failures.model import FailureModel
 from repro.membership.flat import FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
@@ -42,15 +42,16 @@ from repro.membership.static import (
     nearest_populated_super,
 )
 from repro.membership.view import ProcessDescriptor
-from repro.metrics.delivery import all_received, delivered_fraction
 from repro.net.latency import LatencyModel, ZERO_LATENCY
-from repro.runtime import SimulationHarness
-from repro.topics.hierarchy import TopicHierarchy
+from repro.runtime import ObjectSystemFacade, SimulationHarness
 from repro.topics.topic import Topic
 
 
-class DaMulticastSystem:
+class DaMulticastSystem(ObjectSystemFacade):
     """A complete daMulticast deployment on one simulation harness."""
+
+    #: what ``_add_members`` instantiates (read once per call)
+    _process_class = DaMulticastProcess
 
     def __init__(
         self,
@@ -73,128 +74,49 @@ class DaMulticastSystem:
         # A pre-built harness (e.g. the live runtime's wall-clock one) is
         # adopted as-is; the seed/p_success/latency/... knobs then belong
         # to whoever built it.
-        self.harness = harness if harness is not None else SimulationHarness(
-            seed=seed,
-            p_success=p_success,
-            latency=latency,
-            failure_model=failure_model,
-            trace=trace,
+        super().__init__(
+            harness if harness is not None else SimulationHarness(
+                seed=seed,
+                p_success=p_success,
+                latency=latency,
+                failure_model=failure_model,
+                trace=trace,
+            )
         )
-        self.hierarchy = TopicHierarchy()
         self.overlay = (
             BootstrapOverlay(overlay_degree) if mode == "dynamic" else None
         )
-        self._groups: dict[Topic, list[DaMulticastProcess]] = {}
-        self._processes: dict[int, DaMulticastProcess] = {}
         #: one live size counter per group, shared with every member
         self._group_size_cells: dict[Topic, GroupSizeCell] = {}
         #: last (b+1)·log S capacity pushed to a group's dynamic views
         self._group_capacities: dict[Topic, int] = {}
         self._delivery_callback = delivery_callback
-        self._static_finalized = False
-
-    # ------------------------------------------------------------------
-    # Convenience passthroughs
-    # ------------------------------------------------------------------
-    @property
-    def engine(self):
-        """The discrete-event engine."""
-        return self.harness.engine
-
-    @property
-    def network(self):
-        """The unreliable network."""
-        return self.harness.network
-
-    @property
-    def stats(self):
-        """Network statistics (message counts per kind/group)."""
-        return self.harness.stats
-
-    @property
-    def tracker(self):
-        """The delivery tracker (who received which event)."""
-        return self.harness.tracker
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.harness.now
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the simulation (see :meth:`repro.sim.engine.Engine.run`)."""
-        return self.harness.run(until=until, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Run to quiescence (static mode; dynamic mode never idles)."""
-        return self.harness.run_until_idle(max_events=max_events)
-
-    def close(self) -> None:
-        """Release every process of a finished system (idempotent).
-
-        Drops the process and group registries and the network's
-        actors. Those registries are the only thing that ties a
-        static system's processes into reference cycles, so after
-        ``close()`` they are freed by reference count as soon as the
-        caller lets go of the system — not whenever the cycle collector
-        next runs. Statistics, tracker, clock and RNG streams stay
-        readable; process queries see an empty system, and adding,
-        finalizing or publishing raises :class:`ConfigError`.
-        """
-        self._processes.clear()
-        self._groups.clear()
-        self.harness.close()
 
     # ------------------------------------------------------------------
     # Topology construction
     # ------------------------------------------------------------------
-    def add_process(
-        self,
-        topic: Topic | str,
-        *,
-        subscribe: bool = True,
-        membership_config: FlatMembershipConfig | None = None,
-    ) -> DaMulticastProcess:
-        """Create one process interested in ``topic`` and wire it up.
-
-        In dynamic mode the process immediately joins: it gets overlay
-        contacts, a same-group membership contact when one exists, and its
-        background tasks start. In static mode it stays inert until
-        :meth:`finalize_static_membership`.
-        """
-        resolved = self.hierarchy.add(topic)
-        return self._add_members(resolved, 1, subscribe, membership_config)[0]
-
-    def add_group(
-        self,
-        topic: Topic | str,
-        count: int,
-        *,
-        subscribe: bool = True,
-    ) -> list[DaMulticastProcess]:
-        """Create ``count`` processes interested in ``topic``."""
-        if count < 1:
-            raise ConfigError(f"count must be >= 1, got {count}")
-        resolved = self.hierarchy.add(topic)  # parse/register once, not per process
-        return self._add_members(resolved, count, subscribe)
-
     def _add_members(
         self,
         topic: Topic,
         count: int,
-        subscribe: bool,
+        *,
+        subscribe: bool = True,
         membership_config: FlatMembershipConfig | None = None,
     ) -> list[DaMulticastProcess]:
-        """Create ``count`` members of ``topic`` (already in the hierarchy).
+        """The body of :meth:`add_process` / :meth:`add_group`.
+
+        In dynamic mode each process immediately joins: it gets overlay
+        contacts, a same-group membership contact when one exists, and its
+        background tasks start. In static mode it stays inert until
+        :meth:`finalize_static_membership`.
 
         What every member of a group shares — the group list, the size
         cell, the expected-receiver provider, the harness parts — is
         resolved here, once per call; the loop body is what one member
-        costs. Members join one after the other exactly as ``count``
-        :meth:`add_process` calls would make them (same pids, same draws).
+        costs.
         """
+        make_process = self._process_class
         harness = self.harness
-        harness.require_open()
         streams = harness.rngs
         network = harness.network
         dynamic = self.mode == "dynamic"
@@ -203,13 +125,10 @@ class DaMulticastSystem:
         if cell is None:
             cell = self._group_size_cells[topic] = GroupSizeCell()
         expected_receivers = functools.partial(self._interested_count, topic)
-        # Tables drawn before a newcomer know nothing of it (and the
-        # newcomer has none): publishing waits for the next finalize.
-        self._static_finalized = False
         created = []
         for _ in range(count):
             pid = harness.next_pid()
-            process = DaMulticastProcess(
+            process = make_process(
                 pid,
                 topic,
                 self.config,
@@ -295,8 +214,7 @@ class DaMulticastSystem:
         """
         if self.mode != "static":
             raise ConfigError("finalize_static_membership requires mode='static'")
-        self.harness.require_open()
-        rng = self.harness.rngs.stream("static-membership")
+        rng = self._membership_rng()
         population: dict[Topic, list[ProcessDescriptor]] = {
             topic: [p.descriptor for p in members]
             for topic, members in self._groups.items()
@@ -326,7 +244,7 @@ class DaMulticastSystem:
                     process.super_table.install(
                         super_topic, super_sampler.sample(z, rng)
                     )
-        self._static_finalized = True
+        self._finalized = True
 
     # ------------------------------------------------------------------
     # Publishing
@@ -341,49 +259,25 @@ class DaMulticastSystem:
         """Publish an event on ``topic``.
 
         ``publisher`` defaults to a uniformly chosen *alive* member of the
-        topic's group (the §VII setting publishes from an alive process).
+        topic's group (the §VII setting publishes from an alive process);
+        a given one must be a member of that group — a process publishes
+        events of its own topic only.
         """
-        self.harness.require_open()
+        if self.mode == "static":
+            self._require_finalized()
+        else:
+            self.harness.require_open()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        if publisher is None:
-            members = self._groups.get(resolved, [])
-            alive = [p for p in members if self.harness.is_alive(p.pid)]
-            if not alive:
-                raise UnknownTopic(
-                    f"no alive process interested in {resolved.name} to publish from"
-                )
-            publisher = self.harness.rngs.stream("publish").choice(alive)
-        if self.mode == "static" and not self._static_finalized:
+        if publisher is not None and publisher.topic != resolved:
             raise ConfigError(
-                "static mode: call finalize_static_membership() before publishing"
+                f"process {publisher.pid} publishes {publisher.topic.name} "
+                f"events, not {resolved.name}"
             )
-        return publisher.publish(payload)
+        return self._publisher(resolved, publisher).publish(payload)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def processes(self) -> list[DaMulticastProcess]:
-        """All processes, in creation order (pids come from one counter,
-        so the registry's insertion order is already ascending)."""
-        return list(self._processes.values())
-
-    def process(self, pid: int) -> DaMulticastProcess:
-        """Process lookup by id."""
-        try:
-            return self._processes[pid]
-        except KeyError:
-            raise UnknownTopic(f"no process with pid {pid}") from None
-
-    def group(self, topic: Topic | str) -> list[DaMulticastProcess]:
-        """All processes interested in exactly ``topic``."""
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        return list(self._groups.get(resolved, []))
-
-    def group_pids(self, topic: Topic | str) -> list[int]:
-        """Pids of :meth:`group`."""
-        return [p.pid for p in self.group(topic)]
-
     def _interested_count(self, topic: Topic) -> int:
         """Processes whose subscription *includes* events of ``topic`` —
         its own group plus every supergroup (inclusion, §III-B): the
@@ -396,10 +290,6 @@ class DaMulticastSystem:
             if t.includes(topic)
         )
 
-    def interests(self) -> Mapping[int, Topic]:
-        """pid → subscribed topic, for parasite accounting."""
-        return {pid: p.topic for pid, p in self._processes.items()}
-
     def topic_of(self, pid: int) -> Topic | None:
         """``pid``'s topic, or None for unknown pids (e.g. not yet joined).
 
@@ -409,34 +299,6 @@ class DaMulticastSystem:
         """
         process = self._processes.get(pid)
         return None if process is None else process.topic
-
-    def topics(self) -> list[Topic]:
-        """All topics with at least one interested process."""
-        return sorted(self._groups)
-
-    def delivered_fraction(
-        self,
-        event: Event,
-        topic: Topic | str,
-        *,
-        alive_only: bool = True,
-    ) -> float:
-        """Figs. 10/11 quantity: fraction of the group that delivered."""
-        pids = self.group_pids(topic)
-        is_alive = self.harness.is_alive if alive_only else (lambda pid: True)
-        return delivered_fraction(self.tracker, event.event_id, pids, is_alive)
-
-    def all_received(
-        self,
-        event: Event,
-        topic: Topic | str,
-        *,
-        alive_only: bool = True,
-    ) -> bool:
-        """§VI-D reliability indicator for one run."""
-        pids = self.group_pids(topic)
-        is_alive = self.harness.is_alive if alive_only else (lambda pid: True)
-        return all_received(self.tracker, event.event_id, pids, is_alive)
 
     def memory_footprints(self, topic: Topic | str) -> list[int]:
         """Measured membership state per process of a group (§VI-C)."""

@@ -45,7 +45,6 @@ STREAM_REGISTRY: Mapping[str, tuple[str, ...]] = {
         "live/publish",
         "static-membership",
         "process/{pid}",
-        "mp-process/{pid}",
         "baseline-process/{pid}",
         "group/{topic}",
         "pair/{sender}/{target}",

@@ -1123,7 +1123,7 @@ class CompiledSpec:
             islands_spec = section["islands"]
             if islands_spec == "by_topic":
                 islands = [
-                    [process.pid for process in _members(system, topic)]
+                    [process.pid for process in system.group(topic)]
                     for topic in sorted(counts)
                     if counts[topic] > 0
                 ]
@@ -1388,7 +1388,7 @@ class CompiledSpec:
         )
         scenario_rng = random.Random(derive_seed(seed, "spec/scenario"))
         publishers = {
-            topic: scenario_rng.choice(_members(system, topic))
+            topic: scenario_rng.choice(system.group(topic))
             for topic in sorted({publication.topic for publication in schedule})
         }
         self._apply_failures(system, publishers, counts, scenario_rng)
@@ -1419,13 +1419,6 @@ class CompiledSpec:
             return built.execute()
         finally:
             built.system.close()
-
-
-def _members(system, topic: Topic) -> list:
-    """Processes subscribed to exactly ``topic`` on either system family."""
-    if hasattr(system, "subscribers_of"):
-        return system.subscribers_of(topic)
-    return system.group(topic)
 
 
 def _make_fault_pipeline(section: Mapping) -> LinkFaultModel | None:

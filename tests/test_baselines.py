@@ -74,8 +74,8 @@ class TestMulticast:
         system = populate(GossipMulticastSystem(seed=0))
         # A ROOT subscriber joins the root, T1 and T2 groups (3 tables);
         # a T2 subscriber joins only T2's group (1 table).
-        root_proc = system.subscribers_of(ROOT)[0]
-        t2_proc = system.subscribers_of(T2)[0]
+        root_proc = system.group(ROOT)[0]
+        t2_proc = system.group(T2)[0]
         assert root_proc.table_count == 3
         assert t2_proc.table_count == 1
 
@@ -98,7 +98,7 @@ class TestMulticast:
         system = populate(GossipMulticastSystem(seed=0))
         event = system.publish(T1)
         system.run_until_idle()
-        t2_pids = {p.pid for p in system.subscribers_of(T2)}
+        t2_pids = {p.pid for p in system.group(T2)}
         receivers = set(system.tracker.receivers(event.event_id))
         assert receivers.isdisjoint(t2_pids)
 
@@ -125,8 +125,11 @@ class TestHierarchical:
         sizes = {len(members) for members in clusters.values()}
         assert max(sizes) - min(sizes) <= 1  # balanced
 
-    def test_two_tables_per_process(self):
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_two_tables_per_process(self, redraw):
         system = populate(HierarchicalGossipSystem(seed=0, n_clusters=5))
+        if redraw:  # most processes change cluster; the old table goes
+            system.finalize_membership()
         for process in system.processes:
             assert process.table_count == 2
             assert CLUSTERS_ROOT in process.groups
@@ -181,7 +184,7 @@ class TestFairSubstrate:
         system.finalize_membership()
         alive_t2 = [
             p
-            for p in system.subscribers_of(T2)
+            for p in system.group(T2)
             if system.harness.is_alive(p.pid)
         ]
         event = system.publish(T2, publisher=alive_t2[0])

@@ -21,16 +21,16 @@ def populate(system):
 class TestStructure:
     def test_publisher_holds_table_per_level(self):
         system = populate(NaivePublisherSystem(seed=0))
-        t2_process = system.subscribers_of(T2)[0]
+        t2_process = system.group(T2)[0]
         assert t2_process.table_count == 3  # own + T1 + root
-        root_process = system.subscribers_of(ROOT)[0]
+        root_process = system.group(ROOT)[0]
         assert root_process.table_count == 1
 
     def test_groups_hold_direct_subscribers_only(self):
         system = populate(NaivePublisherSystem(seed=0))
         # A root subscriber never appears in a T2 subscriber's T2 table.
-        root_pids = {p.pid for p in system.subscribers_of(ROOT)}
-        for process in system.subscribers_of(T2):
+        root_pids = {p.pid for p in system.group(ROOT)}
+        for process in system.group(T2):
             t2_view = process.groups[T2].view
             assert root_pids.isdisjoint(set(t2_view.pids))
 
@@ -39,7 +39,7 @@ class TestStructure:
         system.add_group(ROOT, 3)
         system.add_group(T2, 10)  # T1 unpopulated
         system.finalize_membership()
-        process = system.subscribers_of(T2)[0]
+        process = system.group(T2)[0]
         assert T1 not in process.groups
         assert ROOT in process.groups
 
@@ -62,7 +62,7 @@ class TestDissemination:
 
     def test_publisher_carries_all_levels(self):
         system = populate(NaivePublisherSystem(seed=2, p_success=1.0))
-        publisher = system.subscribers_of(T2)[0]
+        publisher = system.group(T2)[0]
         system.publish(T2, publisher=publisher)
         system.run_until_idle()
         load = system.stats.sender_load(publisher.pid)
@@ -75,7 +75,7 @@ class TestDissemination:
 
     def test_non_publishers_stay_cheap(self):
         system = populate(NaivePublisherSystem(seed=3, p_success=1.0))
-        publisher = system.subscribers_of(T2)[0]
+        publisher = system.group(T2)[0]
         system.publish(T2, publisher=publisher)
         system.run_until_idle()
         publisher_load = system.stats.sender_load(publisher.pid)

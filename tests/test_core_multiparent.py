@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core import DaMulticastSystem
 from repro.core.multiparent import MultiParentSystem
 from repro.errors import ConfigError, UnknownTopic
-from repro.topics import ROOT, Topic, TopicDag
+from repro.topics import ROOT, Topic, TopicDag, TopicHierarchy
+from repro.topics.builders import balanced_tree, chain
 
 NEWS = Topic.parse(".news")
 SPORTS = Topic.parse(".sports")
@@ -130,6 +132,81 @@ class TestDissemination:
                 len(t) for t in process.super_tables.values()
             )
             assert process.memory_footprint == len(
-                process.topic_view
+                process.topic_table()
             ) + expected_super
             assert expected_super >= 2
+
+
+# ----------------------------------------------------------------------
+# §VIII with one supertopic per topic IS §V: over a DAG without extra
+# links the multi-parent system is the static system, bit for bit
+# ----------------------------------------------------------------------
+def _chain_population():
+    topics = chain(3)
+    return dict(zip(topics, (4, 12, 30, 60)))
+
+
+def _tree_population():
+    # a balanced binary tree with one level left unpopulated on one side,
+    # so a supertopic table has to climb past an empty parent
+    topics = balanced_tree(2, 2).topics
+    sizes = {topic: 6 + 7 * index for index, topic in enumerate(topics)}
+    sizes.pop(Topic.parse(".s1"))
+    return sizes
+
+
+def _stream_states(system):
+    rngs = system.harness.rngs
+    return {name: rngs.stream(name).getstate() for name in rngs.streams()}
+
+
+@pytest.mark.parametrize(
+    "population", [_chain_population, _tree_population], ids=["chain", "tree"]
+)
+@pytest.mark.parametrize("seed", [0, 7])
+class TestSingleParentConformance:
+    @pytest.fixture
+    def systems(self, population, seed):
+        sizes = population()
+        dag = TopicDag.from_hierarchy(TopicHierarchy.from_topics(sizes))
+        pair = (
+            DaMulticastSystem(mode="static", seed=seed, p_success=0.85),
+            MultiParentSystem(dag, seed=seed, p_success=0.85),
+        )
+        for system in pair:
+            for topic, count in sizes.items():
+                system.add_group(topic, count)
+            system.finalize_static_membership()
+        return pair, max(sizes, key=lambda topic: topic.depth)
+
+    def test_same_tables(self, systems):
+        (static, multi), _ = systems
+        for ours, theirs in zip(static.processes, multi.processes):
+            assert theirs.pid == ours.pid and theirs.topic == ours.topic
+            assert theirs.topic_table().pids == ours.topic_table().pids
+            supers = list(theirs.super_tables.values())
+            assert len(supers) == (0 if ours.super_table.is_empty else 1)
+            for table in supers:
+                assert table.pids == ours.super_table.pids
+                assert table.target_topic == ours.super_table.target_topic
+            assert theirs.memory_footprint == ours.memory_footprint
+        assert _stream_states(multi) == _stream_states(static)
+
+    def test_same_flood(self, systems):
+        (static, multi), leaf = systems
+        events = [system.publish(leaf, "e") for system in (static, multi)]
+        for system in (static, multi):
+            system.run_until_idle()
+        assert events[0] == events[1]
+        assert multi.stats.as_dict() == static.stats.as_dict()
+        event_id = events[0].event_id
+        for query in ("receivers", "delivery_hops", "expected"):
+            assert getattr(multi.tracker, query)(event_id) == getattr(
+                static.tracker, query
+            )(event_id), query
+        # p_success = 0.85 loses messages: the floods agree on which
+        assert static.stats.total_dropped > 0
+        assert list(multi.harness.rngs.streams()) == list(
+            static.harness.rngs.streams()
+        )
+        assert _stream_states(multi) == _stream_states(static)

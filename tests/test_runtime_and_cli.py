@@ -167,3 +167,21 @@ class TestCli:
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["--jobs", "0", "fig10", "--runs", "1"], "jobs must be >= 1"),
+            (["fig10", "--runs", "0"], "runs must be >= 1"),
+            (["ablate-g", "--values", "nan"], "NaN"),
+        ],
+    )
+    def test_a_bad_option_is_one_error_line_on_every_command(
+        self, capsys, argv, complaint
+    ):
+        # not only on `scenario` and `serve`: no traceback, exit code 2
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and complaint in captured.err
+        assert captured.err.count("\n") == 1

@@ -13,7 +13,12 @@ import gc
 
 import pytest
 
-from repro.baselines import GossipBroadcastSystem
+from repro.baselines import (
+    GossipBroadcastSystem,
+    GossipMulticastSystem,
+    HierarchicalGossipSystem,
+    NaivePublisherSystem,
+)
 from repro.core import DaMulticastSystem
 from repro.core.bootstrap import FindSuperContact
 from repro.core.columnar import ColumnarStaticSystem
@@ -31,12 +36,42 @@ T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
 
 
-def static_system(sizes=(4, 20), **kwargs):
-    system = DaMulticastSystem(mode="static", **kwargs)
+def _multiparent_system(**kwargs):
+    dag = TopicDag()
+    dag.add(T2)
+    return MultiParentSystem(dag, **kwargs)
+
+
+#: every facade that keeps process objects: name -> (factory, finalize verb)
+OBJECT_FACADES = {
+    "damulticast": (
+        lambda **kwargs: DaMulticastSystem(mode="static", **kwargs),
+        "finalize_static_membership",
+    ),
+    "multiparent": (_multiparent_system, "finalize_static_membership"),
+    "broadcast": (GossipBroadcastSystem, "finalize_membership"),
+    "multicast": (GossipMulticastSystem, "finalize_membership"),
+    "naive": (NaivePublisherSystem, "finalize_membership"),
+    "hierarchical": (
+        lambda **kwargs: HierarchicalGossipSystem(n_clusters=3, **kwargs),
+        "finalize_membership",
+    ),
+}
+
+
+def object_system(facade, sizes=(4, 20), **kwargs):
+    """A finalized two-group system of ``facade``, with its finalize."""
+    make, verb = OBJECT_FACADES[facade]
+    system = make(**kwargs)
     system.add_group(T1, sizes[0])
     system.add_group(T2, sizes[1])
-    system.finalize_static_membership()
-    return system
+    finalize = getattr(system, verb)
+    finalize()
+    return system, finalize
+
+
+def static_system(sizes=(4, 20), **kwargs):
+    return object_system("damulticast", sizes, **kwargs)[0]
 
 
 # ----------------------------------------------------------------------
@@ -44,23 +79,35 @@ def static_system(sizes=(4, 20), **kwargs):
 # ----------------------------------------------------------------------
 class TestAddAfterFinalize:
     @pytest.mark.parametrize("grow", ["add_process", "add_group"])
-    def test_publish_waits_for_the_tables_to_be_redrawn(self, grow):
-        system = static_system(sizes=(4, 20), seed=3, p_success=1.0)
+    @pytest.mark.parametrize("facade", OBJECT_FACADES)
+    def test_publish_waits_for_the_tables_to_be_redrawn(self, facade, grow):
+        system, finalize = object_system(facade, seed=3, p_success=1.0)
         if grow == "add_process":
             late = system.add_process(T2)
         else:
             late = system.add_group(T2, 1)[0]
         # the newcomer has no tables and nobody's table holds it
-        assert len(late.topic_table()) == 0 and late.super_table.is_empty
-        with pytest.raises(ConfigError, match="finalize_static_membership"):
+        assert late.memory_footprint == 0
+        with pytest.raises(ConfigError, match=finalize.__name__):
             system.publish(T2)
-        with pytest.raises(ConfigError, match="finalize_static_membership"):
+        with pytest.raises(ConfigError, match=finalize.__name__):
             system.publish(T2, publisher=late)
-        system.finalize_static_membership()
+        finalize()
         event = system.publish(T2, publisher=late)
         system.run_until_idle()
         assert system.delivered_fraction(event, T2) == 1.0
         assert event in late.delivered
+
+
+@pytest.mark.parametrize("facade", ["damulticast", "multiparent"])
+def test_a_process_publishes_events_of_its_own_topic_only(facade):
+    system, _ = object_system(facade, seed=1)
+    outsider = system.group(T1)[0]
+    with pytest.raises(ConfigError, match=r"\.t1 events, not \.t1\.t2"):
+        system.publish(T2, publisher=outsider)
+    assert outsider.delivered == [] and system.stats.total_sent == 0
+    event = system.publish(T1, publisher=outsider)
+    assert event.topic == T1
 
 
 # ----------------------------------------------------------------------
@@ -191,42 +238,21 @@ class TestProtocolTasks:
 # ----------------------------------------------------------------------
 # close() on every system facade
 # ----------------------------------------------------------------------
-def _damulticast():
-    return static_system(), T2
-
-
-def _columnar():
-    system = ColumnarStaticSystem(seed=0)
+def _columnar(**kwargs):
+    system = ColumnarStaticSystem(**kwargs)
     system.add_group(T1, 4)
     system.add_group(T2, 20)
     system.finalize_static_membership()
-    return system, T2
+    return system, system.finalize_static_membership
 
 
-def _multiparent():
-    dag = TopicDag()
-    dag.add(T2)
-    system = MultiParentSystem(dag, seed=0)
-    system.add_group(T1, 4)
-    system.add_group(T2, 20)
-    system.finalize_static_membership()
-    return system, T2
-
-
-def _baseline():
-    system = GossipBroadcastSystem(seed=0)
-    system.add_group(T1, 4)
-    system.add_group(T2, 20)
-    system.finalize_membership()
-    return system, T2
-
-
-@pytest.mark.parametrize(
-    "make", [_damulticast, _columnar, _multiparent, _baseline]
-)
-def test_close_is_idempotent_and_a_closed_system_refuses_work(make):
-    system, topic = make()
-    system.publish(topic)
+@pytest.mark.parametrize("facade", ["columnar", *OBJECT_FACADES])
+def test_close_is_idempotent_and_a_closed_system_refuses_work(facade):
+    if facade == "columnar":
+        system, finalize = _columnar(seed=0)
+    else:
+        system, finalize = object_system(facade, seed=0)
+    system.publish(T2)
     system.run_until_idle()
     sent = system.stats.total_sent
     assert sent > 0
@@ -234,20 +260,17 @@ def test_close_is_idempotent_and_a_closed_system_refuses_work(make):
     system.close()
     assert len(system.harness.network) == 0
     assert system.stats.total_sent == sent  # statistics stay readable
+    assert list(system.topics()) == [] and system.group_pids(T2) == []
     with pytest.raises(ConfigError, match="closed"):
-        system.publish(topic)
+        system.publish(T2)
     with pytest.raises(ConfigError, match="closed"):
-        system.add_group(topic, 1)
-
-
-def test_closed_damulticast_system_refuses_finalize_and_is_empty():
-    system, _ = _damulticast()
-    system.close()
-    assert system.processes == [] and system.topics() == []
+        system.add_group(T2, 1)
     with pytest.raises(ConfigError, match="closed"):
-        system.finalize_static_membership()
-    with pytest.raises(ConfigError, match="closed"):
-        system.add_process(T2)
+        finalize()
+    if facade != "columnar":
+        assert system.processes == []
+        with pytest.raises(ConfigError, match="closed"):
+            system.add_process(T2)
 
 
 # ----------------------------------------------------------------------
