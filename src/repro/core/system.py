@@ -290,16 +290,6 @@ class DaMulticastSystem(ObjectSystemFacade):
             if t.includes(topic)
         )
 
-    def topic_of(self, pid: int) -> Topic | None:
-        """``pid``'s topic, or None for unknown pids (e.g. not yet joined).
-
-        Link classifiers (per-link-class latency) use this instead of
-        :meth:`process` because they are consulted for every transmission,
-        including ones racing a staggered join.
-        """
-        process = self._processes.get(pid)
-        return None if process is None else process.topic
-
     def memory_footprints(self, topic: Topic | str) -> list[int]:
         """Measured membership state per process of a group (§VI-C)."""
         return [p.memory_footprint for p in self.group(topic)]

@@ -57,7 +57,6 @@ import random
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigError
-from repro.net.latency import LinkClassifier
 from repro.validation import check_finite, check_probability
 
 #: A fault outcome: (number of copies to deliver, delay to deliver at).
@@ -315,13 +314,13 @@ class FaultPipeline:
 class LinkClassFaults:
     """Per-link-class faults: a default model plus named-class overrides.
 
-    Mirrors :class:`~repro.net.latency.LinkClassLatency`: the classifier
-    usually needs the built system (pid → topic), which does not exist at
-    construction — create the model, then :meth:`bind` the classifier.
-    Unbound or unclassifiable links use the default model. A class mapped
-    to :class:`NoFaults` (or a default of ``NoFaults``) makes no draws
-    for its links, so scoping faults to ``inter`` links leaves the intra
-    gossip stream untouched.
+    Mirrors :class:`~repro.net.latency.LinkClassLatency`: the class →
+    model table only. The network classifies a fan-out once (its bound
+    link classifier, shared with the latency model) and asks
+    :meth:`model_for` per class; unclassifiable links use the default
+    model. A class mapped to :class:`NoFaults` (or a default of
+    ``NoFaults``) makes no draws for its links, so scoping faults to
+    ``inter`` links leaves the intra gossip stream untouched.
     """
 
     def __init__(
@@ -344,22 +343,16 @@ class LinkClassFaults:
                 raise ConfigError(
                     f"override {name!r} must be a fault model, got {model!r}"
                 )
-        self._classify: LinkClassifier | None = None
 
-    def bind(self, classifier: LinkClassifier) -> None:
-        """Install the link classifier (called once the system exists)."""
-        self._classify = classifier
+    def model_for(self, link_class: str | None) -> LinkFaultModel:
+        """The model of one link class (the default for None or a class
+        without an override)."""
+        return self.overrides.get(link_class, self.default)
 
     def transmit(
         self, sender: int, target: int, delay: float, rng: random.Random
     ) -> tuple[int, float]:
-        if self._classify is None:
-            model = self.default
-        else:
-            model = self.overrides.get(
-                self._classify(sender, target), self.default
-            )
-        return model.transmit(sender, target, delay, rng)
+        return self.default.transmit(sender, target, delay, rng)
 
     def __repr__(self) -> str:
         classes = ", ".join(

@@ -9,7 +9,7 @@ dynamic-protocol experiments where timeouts and staleness matter.
 from __future__ import annotations
 
 import random
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping, Protocol, Sequence
 
 from repro.errors import ConfigError
 from repro.validation import check_finite
@@ -51,7 +51,8 @@ class UniformLatency:
         self.high = high
 
     def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        # random.uniform's own expression, without its frame
+        return self.low + (self.high - self.low) * rng.random()
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
@@ -78,9 +79,13 @@ class ExponentialLatency:
         return f"ExponentialLatency({self.mean})"
 
 
-#: Classifies one (sender, target) link into a class name, or None when the
-#: link cannot be classified yet (e.g. a process that has not joined).
-LinkClassifier = Callable[[int, int], "str | None"]
+#: Classifies the links of one fan-out: ``(sender, targets)`` → one class
+#: name per target, in target order — None where a link cannot be classified
+#: yet (e.g. a process that has not joined). Bound once on the network
+#: (:meth:`repro.net.network.Network.bind_link_classifier`), which consults
+#: it once per transmission and shares the answer between the latency and
+#: the fault model.
+LinkClassifier = Callable[[int, Sequence[int]], "Sequence[str | None]"]
 
 
 class LinkClassLatency:
@@ -89,14 +94,11 @@ class LinkClassLatency:
     The dynamic-protocol experiments want different delay regimes per link
     class — e.g. cheap intra-group gossip but slow inter-group links (the
     scenario specs classify links as ``"intra"``/``"inter"`` by the
-    endpoints' topics). The network consults :meth:`sample_link` when the
-    installed latency model provides it; models without it keep the plain
-    ``sample`` path, so existing trajectories are untouched.
-
-    The classifier usually needs the built system (pid → topic), which does
-    not exist when the network is constructed — create the model first,
-    then :meth:`bind` the classifier. Unbound (or unclassifiable) links
-    fall back to the default model.
+    endpoints' topics). The model is the class → model table only: the
+    network owns the classifier, classifies a fan-out once and asks
+    :meth:`model_for` per class. A link the network cannot classify (no
+    classifier bound, or the classifier answers None) uses the default
+    model, so existing trajectories are untouched.
     """
 
     def __init__(
@@ -119,22 +121,14 @@ class LinkClassLatency:
                 raise ConfigError(
                     f"override {name!r} must be a latency model, got {model!r}"
                 )
-        self._classify: LinkClassifier | None = None
 
-    def bind(self, classifier: LinkClassifier) -> None:
-        """Install the link classifier (called once the system exists)."""
-        self._classify = classifier
+    def model_for(self, link_class: str | None) -> LatencyModel:
+        """The model of one link class (the default for None or a class
+        without an override)."""
+        return self.overrides.get(link_class, self.default)
 
     def sample(self, rng: random.Random) -> float:
         return self.default.sample(rng)
-
-    def sample_link(self, sender: int, target: int, rng: random.Random) -> float:
-        """Delay for one specific link (the network's preferred entry)."""
-        if self._classify is None:
-            return self.default.sample(rng)
-        link_class = self._classify(sender, target)
-        model = self.overrides.get(link_class, self.default)
-        return model.sample(rng)
 
     def __repr__(self) -> str:
         classes = ", ".join(

@@ -57,8 +57,15 @@ fan-out, staged so that what is the same for every target is decided once:
 * **the general channel** — anything else checks the sender once, then
   runs stages 3–5 per target *in target order*, with exactly the RNG
   draws :meth:`Network.send` would make (a no-op built-in is still
-  skipped, since it draws nothing). Either way a
-  multicast is bit-identical to the equivalent loop of sends under the
+  skipped, since it draws nothing). What depends on the fan-out is still
+  decided once per fan-out: when a model keyed by link class is installed
+  (:class:`~repro.net.latency.LinkClassLatency`,
+  :class:`~repro.net.faults.LinkClassFaults`), the link classifier bound on
+  the network (:meth:`Network.bind_link_classifier`) classifies the whole
+  fan-out in one call — one classification per transmission, shared by the
+  latency and the fault model — and each class resolves to its bound
+  ``sample``/``transmit`` once; only the draws are per target. Either way
+  a multicast is bit-identical to the equivalent loop of sends under the
   same seed;
 * **one entry per latency class** — surviving deliveries that share a
   latency share one ``fn(*args)`` array-batch call on the transport
@@ -67,7 +74,9 @@ fan-out, staged so that what is the same for every target is decided once:
   rounds, the dominant case) an entire fan-out is one entry in the
   engine's FIFO bucket. The call carries ``count=len(batch)``, so
   ``Engine.processed``/``pending`` account per destination exactly like a
-  loop of sends;
+  loop of sends. A class of one — every target, under a continuous
+  latency model — is not dressed as a batch: it is delivered by the same
+  ``_deliver`` a :meth:`Network.send` schedules;
 * **delivery by span** — at delivery time a batch whose live targets lie
   in one block is a single ``handle_batch`` call, resolved with the same
   two comparisons; otherwise consecutive same-block runs are flushed one
@@ -93,12 +102,18 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from itertools import repeat
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigError, SchedulingError, UnknownActor
 from repro.failures.model import AlwaysAlive, FailureModel
 from repro.net.faults import LinkFaultModel, NoFaults
-from repro.net.latency import ConstantLatency, LatencyModel, ZERO_LATENCY
+from repro.net.latency import (
+    ConstantLatency,
+    LatencyModel,
+    LinkClassifier,
+    ZERO_LATENCY,
+)
 from repro.net.message import Message
 from repro.net.partitions import FullyConnected, PartitionModel
 from repro.net.stats import (
@@ -116,6 +131,11 @@ from repro.net.stats import (
 from repro.net.transport import Transport
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceLog
+
+
+#: "No link class resolved yet" — distinct from None, which is a class (the
+#: default model's).
+_UNRESOLVED = object()
 
 
 @runtime_checkable
@@ -183,8 +203,9 @@ class Network:
         self._transport: Transport = transport
         self._rng = rng
         self.p_success = p_success
-        self.latency = latency  # property: also caches the sample_link hook
-        self.install_faults(faults, fault_rng)
+        self._link_classifier: LinkClassifier | None = None
+        self._latency = latency
+        self.install_faults(faults, fault_rng)  # also resolves link classes
         self.failure_model: FailureModel = failure_model or AlwaysAlive()
         self.partition_model: PartitionModel = partition_model or FullyConnected()
         self.stats = stats if stats is not None else NetworkStats()
@@ -209,7 +230,7 @@ class Network:
         return self._transport
 
     # ------------------------------------------------------------------
-    # Latency (the per-link hook is resolved once per model, not per send)
+    # Latency and link classes (resolved once per model, not per send)
     # ------------------------------------------------------------------
     @property
     def latency(self) -> LatencyModel:
@@ -219,10 +240,46 @@ class Network:
     @latency.setter
     def latency(self, model: LatencyModel) -> None:
         self._latency = model
-        # Link-class models sample per (sender, target) pair; resolving the
-        # optional hook here keeps the per-message send() path free of a
-        # getattr on dynamic mode's one-at-a-time control traffic.
-        self._sample_link = getattr(model, "sample_link", None)
+        self._resolve_link_classes()
+
+    def bind_link_classifier(self, classifier: LinkClassifier) -> None:
+        """Install the link classifier ``(sender, targets) → link classes``.
+
+        It usually needs the built system (pid → topic), which does not
+        exist when the network is constructed, so it is bound afterwards —
+        once, here: the latency and the fault model share one
+        classification per transmission. It is consulted only while a
+        class-keyed model (one with ``model_for``, i.e.
+        :class:`~repro.net.latency.LinkClassLatency` or
+        :class:`~repro.net.faults.LinkClassFaults`) is installed; without a
+        classifier such a model answers with its default.
+        """
+        self._link_classifier = classifier
+        self._resolve_link_classes()
+
+    def _resolve_link_classes(self) -> None:
+        """Re-derive, after any of the three changed, whether transmissions
+        are classified at all, and forget the per-class models."""
+        keyed = hasattr(self._latency, "model_for") or hasattr(
+            self._faults, "model_for"
+        )
+        self._classify = self._link_classifier if keyed else None
+        #: link class → bound (sample, transmit), filled on first use
+        self._class_models: dict[str | None, tuple] = {}
+
+    def _models_for(self, link_class: str | None) -> tuple:
+        """The bound ``(sample, transmit)`` of one link class — resolved
+        once per class and installed model, not per target."""
+        latency, faults = self._latency, self._faults
+        if hasattr(latency, "model_for"):
+            latency = latency.model_for(link_class)
+        if hasattr(faults, "model_for"):
+            faults = faults.model_for(link_class)
+        models = self._class_models[link_class] = (
+            latency.sample,
+            None if faults is None else faults.transmit,
+        )
+        return models
 
     # ------------------------------------------------------------------
     # Link faults (resolved once per model, not per send)
@@ -251,6 +308,7 @@ class Network:
             self._faults = None
             self._fault_rng = None
             self._fault_hook = None
+            self._resolve_link_classes()
             return
         if not callable(getattr(model, "transmit", None)):
             raise ConfigError(
@@ -264,6 +322,7 @@ class Network:
         self._faults = model
         self._fault_rng = rng
         self._fault_hook = model.transmit
+        self._resolve_link_classes()
 
     # ------------------------------------------------------------------
     # Registration
@@ -463,13 +522,15 @@ class Network:
             self._drop(message, sender, target, DROP_CHANNEL_LOSS)
             return False
 
-        sample_link = self._sample_link
-        delay = (
-            sample_link(sender, target, self._rng)
-            if sample_link is not None
-            else self._latency.sample(self._rng)
-        )
-        fault_hook = self._fault_hook
+        classify = self._classify
+        if classify is None:
+            sample, fault_hook = self._latency.sample, self._fault_hook
+        else:
+            (link_class,) = classify(sender, (target,))
+            sample, fault_hook = self._class_models.get(
+                link_class
+            ) or self._models_for(link_class)
+        delay = sample(self._rng)
         if fault_hook is not None:
             copies, faulted_delay = fault_hook(
                 sender, target, delay, self._fault_rng
@@ -581,7 +642,19 @@ class Network:
         check_perceived = type(failure_model) is not AlwaysAlive
         check_partition = type(partition_model) is not FullyConnected
         fixed_delay = latency.delay if type(latency) is ConstantLatency else None
-        sample_link = self._sample_link
+        sample = latency.sample
+
+        # Link classes are decided once per fan-out, for the latency and the
+        # fault model together, and only when one of them is keyed by class;
+        # the models are re-resolved where the class changes along the
+        # fan-out (a gossip fan-out is one class), never per target. The
+        # draws themselves stay per target, in target order.
+        classify = self._classify
+        class_models = self._class_models
+        if classify is None:
+            link_classes, resolved = repeat(None, count), None
+        else:
+            link_classes, resolved = classify(sender, targets), _UNRESOLVED
 
         # The fault hook draws from its own dedicated rng (never the
         # network stream), so a fault-free multicast makes exactly the
@@ -595,7 +668,7 @@ class Network:
 
         drop_counts: dict[str, int] = {}
         batches: dict[float, list[int]] = {}
-        for target in targets:
+        for target, link_class in zip(targets, link_classes):
             if check_perceived and failure_model.transmission_blocked(
                 sender, target, now, rng
             ):
@@ -607,45 +680,40 @@ class Network:
             elif random_draw() >= p_success:
                 reason = DROP_CHANNEL_LOSS
             else:
-                if fixed_delay is not None:
-                    delay = fixed_delay
-                elif sample_link is not None:
-                    delay = sample_link(sender, target, rng)
-                else:
-                    delay = latency.sample(rng)
+                if link_class is not resolved:
+                    resolved = link_class
+                    sample, fault_hook = class_models.get(
+                        link_class
+                    ) or self._models_for(link_class)
+                delay = fixed_delay if fixed_delay is not None else sample(rng)
                 copies = 1
                 if fault_hook is not None:
                     copies, faulted_delay = fault_hook(
                         sender, target, delay, fault_rng
                     )
-                    if copies:
-                        if faulted_delay != delay:
-                            fault_spike += 1
-                            if tracing:
-                                trace.record(
-                                    now, "net.fault", sender, target,
-                                    message_kind=kind,
-                                    reason=FAULT_DELAY_SPIKE,
-                                )
-                            delay = faulted_delay
-                        if copies > 1:
-                            fault_dup += copies - 1
-                            if tracing:
-                                trace.record(
-                                    now, "net.fault", sender, target,
-                                    message_kind=kind,
-                                    reason=FAULT_DUPLICATE,
-                                )
-                if copies:
+                    if faulted_delay != delay and copies:
+                        fault_spike += 1
+                        if tracing:
+                            trace.record(
+                                now, "net.fault", sender, target,
+                                message_kind=kind, reason=FAULT_DELAY_SPIKE,
+                            )
+                        delay = faulted_delay
+                if copies == 1:
                     batch = batches.get(delay)
                     if batch is None:
-                        batches[delay] = (
-                            [target] if copies == 1 else [target] * copies
-                        )
-                    elif copies == 1:
-                        batch.append(target)
+                        batches[delay] = [target]
                     else:
-                        batch.extend((target,) * copies)
+                        batch.append(target)
+                    continue
+                if copies:
+                    fault_dup += copies - 1
+                    if tracing:
+                        trace.record(
+                            now, "net.fault", sender, target,
+                            message_kind=kind, reason=FAULT_DUPLICATE,
+                        )
+                    batches.setdefault(delay, []).extend((target,) * copies)
                     continue
                 fault_loss += 1
                 reason = DROP_FAULT_LOSS
@@ -657,38 +725,50 @@ class Network:
                 )
         for reason, dropped in drop_counts.items():
             stats.record_dropped_many(message, reason, dropped)
-        if fault_hook is not None:
+        if fault_loss:
             stats.record_fault(FAULT_LOSS, fault_loss)
+        if fault_dup:
             stats.record_fault(FAULT_DUPLICATE, fault_dup)
+        if fault_spike:
             stats.record_fault(FAULT_DELAY_SPIKE, fault_spike)
 
         # Each latency class becomes one applied array-batch entry — no
         # per-destination closures, and pending/processed still count every
         # destination (with zero latency — the dominant case — the whole
-        # fan-out lands in the engine's FIFO bucket).
+        # fan-out lands in the engine's FIFO bucket). A lone target (every
+        # target, under a continuous latency model) is delivered like a
+        # send: no tuple, no batch machinery.
         scheduled = 0
         dispatch = self._transport.dispatch
+        deliver = self._deliver
         deliver_batch = self._deliver_batch
         # repro-lint: allow[DET003]: batches is keyed by latency class in first-occurrence order; sorting would reorder same-time deliveries and break bit-identity
         for delay, batch in batches.items():
-            scheduled += len(batch)
-            dispatch(
-                delay,
-                deliver_batch,
-                (sender, tuple(batch), message),
-                count=len(batch),
-            )
+            size = len(batch)
+            scheduled += size
+            if size == 1:
+                dispatch(delay, deliver, (sender, batch[0], message))
+            else:
+                dispatch(
+                    delay,
+                    deliver_batch,
+                    (sender, tuple(batch), message),
+                    count=size,
+                )
         return scheduled
 
     def _deliver(self, sender: int, target: int, message: Message) -> None:
-        now = self._clock.now
-        if not self.failure_model.is_alive(target, now):
+        failure_model = self.failure_model
+        if type(failure_model) is not AlwaysAlive and not failure_model.is_alive(
+            target, self._clock.now
+        ):
             self._drop(message, sender, target, DROP_DEAD_TARGET)
             return
         self.stats.record_delivered(message)
         if self.trace.enabled:
             self.trace.record(
-                now, "net.delivered", sender, target, message_kind=message.kind
+                self._clock.now, "net.delivered", sender, target,
+                message_kind=message.kind,
             )
         actor = self._actors.get(target)
         if actor is not None:

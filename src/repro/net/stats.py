@@ -57,9 +57,6 @@ class NetworkStats:
     intra_group_sent: Counter = field(default_factory=Counter)
     #: Fig. 9 — events *sent* from a group to its supergroup, per edge.
     inter_group_sent: Counter = field(default_factory=Counter)
-    #: Deliveries of the above (after loss/failures), same keys.
-    intra_group_delivered: Counter = field(default_factory=Counter)
-    inter_group_delivered: Counter = field(default_factory=Counter)
     #: §IV-A load distribution — event messages sent per process.
     events_sent_by_sender: Counter = field(default_factory=Counter)
     #: Injected link faults by reason (loss / duplicate / delay_spike).
@@ -82,12 +79,6 @@ class NetworkStats:
     def record_delivered(self, message: Message) -> None:
         """Count a successful delivery."""
         self.delivered_by_kind[message.kind] += 1
-        if isinstance(message, EventMessage):
-            scope = message.scope
-            if scope.kind == "intra":
-                self.intra_group_delivered[scope.group] += 1
-            else:
-                self.inter_group_delivered[(scope.group, scope.super_group)] += 1
 
     def record_dropped(self, message: Message, reason: str) -> None:
         """Count a drop with its cause."""
@@ -131,14 +122,6 @@ class NetworkStats:
         if count <= 0:
             return
         self.delivered_by_kind[message.kind] += count
-        if isinstance(message, EventMessage):
-            scope = message.scope
-            if scope.kind == "intra":
-                self.intra_group_delivered[scope.group] += count
-            else:
-                self.inter_group_delivered[
-                    (scope.group, scope.super_group)
-                ] += count
 
     def record_dropped_many(self, message: Message, reason: str, count: int) -> None:
         """Count ``count`` same-reason drops of one message in a single pass."""
@@ -222,7 +205,5 @@ class NetworkStats:
         self.dropped_by_kind.clear()
         self.intra_group_sent.clear()
         self.inter_group_sent.clear()
-        self.intra_group_delivered.clear()
-        self.inter_group_delivered.clear()
         self.events_sent_by_sender.clear()
         self.faults_by_reason.clear()

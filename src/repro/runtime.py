@@ -26,7 +26,8 @@ notices the difference.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
@@ -306,6 +307,13 @@ class ObjectSystemFacade(SystemFacade):
         super().__init__(harness)
         self._groups: dict[Topic, list] = {}
         self._processes: dict[int, Any] = {}
+        #: pid → process, a live read-only view: what is asked per
+        #: transmission (link classifiers) looks a pid up with its ``get``,
+        #: which costs no frame and answers None for a pid that has not
+        #: joined yet where :meth:`process` raises
+        self.process_by_pid: Mapping[int, Any] = MappingProxyType(
+            self._processes
+        )
 
     def _release(self) -> None:
         self._processes.clear()

@@ -58,8 +58,11 @@ class EventHandle:
         args: tuple,
         count: int,
     ):
-        if time != time:  # NaN passes every ordered check and corrupts the heap
-            raise SchedulingError("event time must not be NaN")
+        # NaN passes every ordered check and corrupts the heap; an infinite
+        # time is never due on a queue and, once fired on an engine, makes
+        # every later ``now + delay`` the current time.
+        if not -inf < time < inf:
+            raise SchedulingError(f"event time must be finite, got {time}")
         if count < 1:
             raise SchedulingError(f"count must be >= 1, got {count}")
         self.time = time
@@ -232,7 +235,16 @@ class Engine(CallQueue):
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        return self.push(self._now + delay, fn, args, count)
+        # One frame per scheduled call (plus the handle's own): this is
+        # push() with the time already known not to lie in the past.
+        now = self._now
+        time = now + delay
+        handle = EventHandle(self, time, fn, args, count)
+        if time != now:
+            heapq.heappush(self._heap, (time, handle._seq, handle))
+        else:
+            self._bucket.append(handle)
+        return handle
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Run ``callback`` after ``delay`` time units (``delay >= 0``)."""
@@ -265,28 +277,53 @@ class Engine(CallQueue):
     def step(self) -> bool:
         """Execute the single next call (one step, ``count`` processed
         events). Returns False when nothing is queued."""
-        return self._step(inf)
+        before = self._processed
+        self._fire(inf, before + 1)
+        return self._processed != before
 
-    def _step(self, until: float) -> bool:
-        """Execute the next call if its time is at or before ``until``."""
+    def _fire(self, horizon: float, stop: float) -> bool:
+        """Execute queued calls in ``(time, scheduling order)`` order.
+
+        Returns True when ``processed`` reached ``stop`` with events still
+        queued; False when the queue drained or nothing is left at or
+        before ``horizon`` (simulation time then moves to ``horizon``).
+        The one copy of the step body: :meth:`step` is this loop stopping
+        after one call, :meth:`run` this loop under its guards.
+        """
         bucket = self._bucket
-        while bucket and bucket[0]._cancelled:
-            bucket.popleft()
-        # Bucket calls sit at the current time. A heap call at that time was
-        # pushed before time got there, so it runs first; a later one waits.
-        horizon = bucket[0].time if bucket and bucket[0].time < until else until
-        handle = self.pop_due(horizon) if self._heap else None
-        if handle is None:
-            if not bucket or bucket[0].time > until:
-                return False
-            handle = bucket.popleft()
-            self._live -= handle._count
-        self._now = handle.time
-        self._processed += handle._count
-        fn, args = handle._fn, handle._args
-        handle._fn = handle._args = None  # a fired call is garbage too
-        fn(*args)
-        return True
+        heap = self._heap
+        heappop = heapq.heappop
+        while self._live:
+            if self._processed >= stop:
+                return True
+            due = horizon
+            if bucket:
+                while bucket and bucket[0]._cancelled:
+                    bucket.popleft()
+                # Bucket calls sit at the current time. A heap call at that
+                # time was pushed before time got there, so it runs first;
+                # a later one waits.
+                if bucket and bucket[0].time < horizon:
+                    due = bucket[0].time
+            handle = None
+            while heap and heap[0][0] <= due:
+                popped = heappop(heap)[2]
+                if not popped._cancelled:  # cancelled heads: lazy discard
+                    handle = popped
+                    break
+            if handle is None:
+                if not bucket or bucket[0].time > horizon:
+                    self._now = horizon
+                    return False
+                handle = bucket.popleft()
+            count = handle._count
+            self._live -= count
+            self._now = handle.time
+            self._processed += count
+            fn, args = handle._fn, handle._args
+            handle._fn = handle._args = None  # a fired call is garbage too
+            fn(*args)
+        return False
 
     def run(
         self,
@@ -308,24 +345,18 @@ class Engine(CallQueue):
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
         start = self._processed
-        horizon = inf if until is None else until
         try:
-            while self._live:
-                if (
-                    max_events is not None
-                    and self._processed - start >= max_events
-                ):
-                    if until is None:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} with "
-                            f"{self.pending} events still pending"
-                        )
-                    break
-                if not self._step(horizon):
-                    self._now = until
-                    break
+            stopped = self._fire(
+                inf if until is None else until,
+                inf if max_events is None else start + max_events,
+            )
         finally:
             self._running = False
+        if stopped and until is None:
+            raise SimulationError(
+                f"exceeded max_events={max_events} with "
+                f"{self.pending} events still pending"
+            )
         if until is not None and not self._live and self._now < until:
             self._now = until
         return self._processed - start

@@ -1054,16 +1054,13 @@ class CompiledSpec:
             config = DaMulticastConfig(
                 default_params=self.params, overrides=dict(self.overrides)
             )
-            system = DaMulticastSystem(
+            return DaMulticastSystem(
                 config=config,
                 seed=seed,
                 p_success=self.p_success,
                 latency=latency_model,
                 mode="static",
             )
-            if isinstance(latency_model, LinkClassLatency):
-                latency_model.bind(_topic_link_classifier(system))
-            return system
         common = dict(
             seed=seed,
             p_success=self.p_success,
@@ -1176,22 +1173,25 @@ class CompiledSpec:
             return default
         return LinkClassFaults(default or NO_FAULTS, overrides)
 
-    def _install_faults(self, system, seed: int) -> None:
-        """Install the spec's fault model on the built system's network.
+    def _install_link_models(self, system, seed: int) -> None:
+        """Install the spec's fault model on the built system's network,
+        and the link classifier its class-keyed models share.
 
         The coins come from the dedicated ``spec/faults`` stream, so
         installing a model never perturbs the network/latency draw
         sequence — a 0%-loss point of a sweep replays the exact fault-free
         trajectory.
         """
+        network = system.harness.network
         model = self._faults_model()
-        if model is None:
-            return
-        if isinstance(model, LinkClassFaults):
-            model.bind(_topic_link_classifier(system))
-        system.harness.network.install_faults(
-            model, random.Random(derive_seed(seed, "spec/faults"))
-        )
+        if model is not None:
+            network.install_faults(
+                model, random.Random(derive_seed(seed, "spec/faults"))
+            )
+        if isinstance(network.latency, LinkClassLatency) or isinstance(
+            model, LinkClassFaults
+        ):
+            network.bind_link_classifier(_topic_link_classifier(system))
 
     def _dynamic_settings(self) -> dict[str, Any]:
         section = self.spec.get("dynamic", {})
@@ -1320,9 +1320,7 @@ class CompiledSpec:
             mode="dynamic",
             overlay_degree=settings["overlay_degree"],
         )
-        if isinstance(latency_model, LinkClassLatency):
-            latency_model.bind(_topic_link_classifier(system))
-        self._install_faults(system, seed)
+        self._install_link_models(system, seed)
         for time, topic in joins:
             system.engine.schedule_at(
                 time, functools.partial(system.add_process, topic)
@@ -1377,7 +1375,7 @@ class CompiledSpec:
         if self.mode == "dynamic":
             return self._build_dynamic(seed, counts)
         system = self._make_system(seed, counts)
-        self._install_faults(system, seed)
+        self._install_link_models(system, seed)
         populate_system(system, counts)
         schedule = self._realize_schedule(
             self.spec.get("publications", {"kind": "single"}),
@@ -1478,15 +1476,22 @@ def _make_latency(section: Mapping) -> LatencyModel:
 
 
 def _topic_link_classifier(system: DaMulticastSystem):
-    """Classify links as ``intra`` (same group) / ``inter`` (cross-group)."""
-    topic_of = system.topic_of
+    """Classify a fan-out's links as ``intra`` (same group) / ``inter``
+    (cross-group); None for a pid that has not joined yet (a send racing a
+    staggered join)."""
+    process_of = system.process_by_pid.get
 
-    def classify(sender: int, target: int) -> str | None:
-        sender_topic = topic_of(sender)
-        target_topic = topic_of(target)
-        if sender_topic is None or target_topic is None:
-            return None
-        return "intra" if sender_topic == target_topic else "inter"
+    def classify(sender: int, targets: Sequence[int]) -> list[str | None]:
+        source = process_of(sender)
+        if source is None:
+            return [None] * len(targets)
+        topic = source.topic
+        return [
+            None if (peer := process_of(target)) is None
+            else "intra" if peer.topic is topic or peer.topic == topic
+            else "inter"
+            for target in targets
+        ]
 
     return classify
 

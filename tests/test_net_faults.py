@@ -174,10 +174,29 @@ class TestModels:
 
     def test_link_class_faults_routes_by_class(self):
         model = LinkClassFaults(NoFaults(), {"inter": BernoulliLoss(1.0)})
-        model.bind(lambda s, t: "inter" if t == 9 else "intra")
         rng = random.Random(0)
-        assert model.transmit(0, 9, 1.0, rng)[0] == 0  # inter: always lost
-        assert model.transmit(0, 1, 1.0, rng)[0] == 1  # intra: default
+        lossy, default = model.model_for("inter"), model.model_for("intra")
+        assert lossy.transmit(0, 5, 1.0, rng)[0] == 0  # inter: always lost
+        assert default.transmit(0, 1, 1.0, rng)[0] == 1  # intra: default
+        assert model.model_for(None) is model.default
+
+    def test_network_routes_faults_by_bound_link_class(self):
+        engine, net, actors = make_net(
+            faults=LinkClassFaults(NoFaults(), {"inter": BernoulliLoss(1.0)}),
+            fault_rng=random.Random(7),
+        )
+        net.bind_link_classifier(
+            lambda s, ts: ["inter" if t == 5 else "intra" for t in ts]
+        )
+        net.send(0, 5, Ping(sender=0, nonce=1))
+        net.send(0, 1, Ping(sender=0, nonce=2))
+        net.multicast(0, [1, 5, 2], Ping(sender=0, nonce=3))
+        engine.run()
+        assert actors[5].inbox == []  # inter: always lost
+        assert [m.nonce for m in actors[1].inbox] == [2, 3]
+        assert [m.nonce for m in actors[2].inbox] == [3]
+        assert net.stats.faults_by_reason[FAULT_LOSS] == 2
+        assert net.stats.dropped_by_reason[DROP_FAULT_LOSS] == 2
 
     def test_link_class_faults_unbound_uses_default(self):
         model = LinkClassFaults(BernoulliLoss(1.0), {"inter": NoFaults()})

@@ -150,33 +150,12 @@ class TestLinkClassLatency:
             ConstantLatency(0.1), {"inter": ConstantLatency(2.0)}
         )
 
-    def test_unbound_falls_back_to_default(self):
-        rng = random.Random(0)
-        model = self._model()
-        assert model.sample(rng) == 0.1
-        assert model.sample_link(1, 2, rng) == 0.1
-
-    def test_bound_classifier_selects_override(self):
-        rng = random.Random(0)
-        model = self._model()
-        model.bind(lambda s, t: "inter" if (s, t) == (1, 2) else "intra")
-        assert model.sample_link(1, 2, rng) == 2.0
-        assert model.sample_link(2, 1, rng) == 0.1  # intra has no override
-
-    def test_unclassifiable_link_uses_default(self):
-        rng = random.Random(0)
-        model = self._model()
-        model.bind(lambda s, t: None)
-        assert model.sample_link(5, 6, rng) == 0.1
-
-    def test_rejects_bad_class_names(self):
-        from repro.net import LinkClassLatency
-
-        with pytest.raises(ConfigError):
-            LinkClassLatency(ConstantLatency(0.0), {"": ConstantLatency(1.0)})
-
-    def test_network_uses_per_link_delays(self):
-        from repro.net import LinkClassLatency, Network
+    def _arrivals(self, classifier, model=None):
+        """Per-sink arrival times of a send to and a multicast over pids 1
+        and 2 from pid 0, on a network with ``classifier`` bound (None:
+        nothing bound)."""
+        from repro.net import Network
+        from repro.net.message import Ping
         from repro.sim import Engine
 
         class Sink:
@@ -188,20 +167,54 @@ class TestLinkClassLatency:
                 self.received_at.append(engine.now)
 
         engine = Engine()
-        model = LinkClassLatency(
-            ConstantLatency(0.0), {"inter": ConstantLatency(3.0)}
+        network = Network(
+            engine, random.Random(0), latency=model or self._model()
         )
-        model.bind(lambda s, t: "inter" if t == 2 else "intra")
-        network = Network(engine, random.Random(0), latency=model)
+        if classifier is not None:
+            network.bind_link_classifier(classifier)
         sinks = [Sink(i) for i in range(3)]
         for sink in sinks:
             network.register(sink)
-        from repro.net.message import Ping
-
         ping = Ping(sender=0, nonce=1)
         network.send(0, 1, ping)
         network.send(0, 2, ping)
         network.multicast(0, [1, 2], ping)
         engine.run()
-        assert sinks[1].received_at == [0.0, 0.0]
-        assert sinks[2].received_at == [3.0, 3.0]
+        return [sink.received_at for sink in sinks[1:]]
+
+    def test_unbound_falls_back_to_default(self):
+        rng = random.Random(0)
+        model = self._model()
+        assert model.sample(rng) == 0.1
+        assert model.model_for(None).sample(rng) == 0.1
+        assert self._arrivals(None) == [[0.1, 0.1]] * 2
+
+    def test_bound_classifier_selects_override(self):
+        rng = random.Random(0)
+        model = self._model()
+        assert model.model_for("inter").sample(rng) == 2.0
+        assert model.model_for("intra").sample(rng) == 0.1  # no override
+        arrivals = self._arrivals(lambda s, ts: ["inter"] * len(ts))
+        assert arrivals == [[2.0, 2.0]] * 2
+
+    def test_unclassifiable_link_uses_default(self):
+        arrivals = self._arrivals(lambda s, ts: [None] * len(ts))
+        assert arrivals == [[0.1, 0.1]] * 2
+
+    def test_rejects_bad_class_names(self):
+        from repro.net import LinkClassLatency
+
+        with pytest.raises(ConfigError):
+            LinkClassLatency(ConstantLatency(0.0), {"": ConstantLatency(1.0)})
+
+    def test_network_uses_per_link_delays(self):
+        from repro.net import LinkClassLatency
+
+        to_one, to_two = self._arrivals(
+            lambda s, ts: ["inter" if t == 2 else "intra" for t in ts],
+            LinkClassLatency(
+                ConstantLatency(0.0), {"inter": ConstantLatency(3.0)}
+            ),
+        )
+        assert to_one == [0.0, 0.0]
+        assert to_two == [3.0, 3.0]

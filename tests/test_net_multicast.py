@@ -18,8 +18,12 @@ from repro.failures import DynamicFailures, StillbornFailures
 from repro.net import (
     BernoulliLoss,
     ConstantLatency,
+    DelaySpike,
     DuplicateModel,
     FaultPipeline,
+    GilbertElliott,
+    LinkClassFaults,
+    LinkClassLatency,
     Network,
     StaticPartition,
     UniformLatency,
@@ -402,8 +406,22 @@ REGISTERED = PLAIN_PIDS + tuple(
     pid for start, stop in BLOCK_RANGES for pid in range(start, stop)
 )
 
+
+
+def classify_by_target(sender, targets):
+    """A link classifier answering all three ways within one fan-out:
+    ``intra`` to the per-pid actors, ``inter`` into the two adjacent blocks,
+    unclassifiable (None → default models) into the third."""
+    return [
+        "intra" if target < 10 else "inter" if target < 30 else None
+        for target in targets
+    ]
+
+
 #: Each entry switches exactly one precondition of the clean branch off
-#: (``clean`` leaves them all on), as Network keyword arguments.
+#: (``clean`` leaves them all on), as Network keyword arguments —
+#: ``link_classes`` switches two (latency and fault hook, both keyed by
+#: link class) and carries the classifier ``make_block_net`` binds.
 CHANNELS = {
     "clean": lambda: {},
     "tracing": lambda: {"trace": TraceLog()},
@@ -416,13 +434,34 @@ CHANNELS = {
     "partition": lambda: {
         "partition_model": StaticPartition([[0, 1, 10, 11, 16, 30], []])
     },
+    "link_classes": lambda: {
+        "latency": LinkClassLatency(
+            UniformLatency(0.0, 3.0), {"inter": UniformLatency(2.0, 5.0)}
+        ),
+        "faults": LinkClassFaults(
+            BernoulliLoss(0.3),
+            {
+                "inter": FaultPipeline(
+                    [
+                        GilbertElliott(0.3, 0.4, loss_good=0.1, loss_bad=0.8),
+                        DelaySpike(0.3, extra=2.0),
+                    ]
+                )
+            },
+        ),
+        "fault_rng": random.Random(99),
+        "link_classifier": classify_by_target,
+    },
 }
 
 
 def make_block_net(seed=0, p_success=1.0, channel="clean"):
     engine = Engine()
     kwargs = CHANNELS[channel]()
+    link_classifier = kwargs.pop("link_classifier", None)
     net = Network(engine, random.Random(seed), p_success=p_success, **kwargs)
+    if link_classifier is not None:
+        net.bind_link_classifier(link_classifier)
     plain = [Recorder(pid) for pid in PLAIN_PIDS]
     for actor in plain:
         net.register(actor)
@@ -493,7 +532,9 @@ def test_block_multicast_equivalent_to_send_loop(
 
 
 #: Channels that keep a fan-out's survivors in one delivery batch.
-ONE_BATCH_CHANNELS = sorted(set(CHANNELS) - {"latency", "fault_hook"})
+ONE_BATCH_CHANNELS = sorted(
+    set(CHANNELS) - {"latency", "fault_hook", "link_classes"}
+)
 
 
 class TestBlockFanouts:
@@ -562,3 +603,97 @@ class TestBlockFanouts:
         engine.run()
         assert len(first.inbox) == len(second.inbox) == 1
         assert late.batches == []
+
+
+# ----------------------------------------------------------------------
+# One link classification per transmission call, shared by both models
+# ----------------------------------------------------------------------
+
+
+class CountingClassifier:
+    """Records every consultation: (sender, the targets it was handed)."""
+
+    def __init__(self):
+        self.calls: list[tuple[int, tuple[int, ...]]] = []
+
+    def __call__(self, sender, targets):
+        self.calls.append((sender, tuple(targets)))
+        return classify_by_target(sender, targets)
+
+
+class TestLinkClassifierConsultation:
+    def test_once_per_multicast_and_once_per_send(self):
+        """Class-keyed latency *and* faults installed: one consultation per
+        call, whole fan-out at once — not one per model per target."""
+        engine, net, _, _ = make_block_net(channel="link_classes")
+        classifier = CountingClassifier()
+        net.bind_link_classifier(classifier)
+        net.multicast(0, [1, 12, 31, 2], Ping(sender=0, nonce=1))
+        assert classifier.calls == [(0, (1, 12, 31, 2))]
+        net.send(0, 17, Ping(sender=0, nonce=2))
+        assert classifier.calls[1:] == [(0, (17,))]
+        engine.run()
+        assert len(classifier.calls) == 2  # delivery classifies nothing
+
+    @pytest.mark.parametrize("model", ["latency", "faults"])
+    def test_once_with_a_single_class_keyed_model(self, model):
+        kwargs = CHANNELS["link_classes"]()
+        del kwargs["link_classifier"]
+        if model == "latency":
+            del kwargs["faults"], kwargs["fault_rng"]
+        else:
+            del kwargs["latency"]
+        _, net, _ = make_net(**kwargs)
+        classifier = CountingClassifier()
+        net.bind_link_classifier(classifier)
+        net.multicast(0, [1, 2, 3], Ping(sender=0, nonce=1))
+        net.send(0, 4, Ping(sender=0, nonce=2))
+        assert classifier.calls == [(0, (1, 2, 3)), (0, (4,))]
+
+    @pytest.mark.parametrize(
+        "channel", sorted(set(CHANNELS) - {"link_classes"})
+    )
+    def test_never_without_a_class_keyed_model(self, channel):
+        """The clean channel never reaches it; the other general channels
+        have nothing keyed by class to ask it for."""
+        engine, net, _, _ = make_block_net(channel=channel)
+        classifier = CountingClassifier()
+        net.bind_link_classifier(classifier)
+        net.multicast(0, [1, 12, 31, 2], Ping(sender=0, nonce=1))
+        net.send(0, 17, Ping(sender=0, nonce=2))
+        engine.run()
+        assert classifier.calls == []
+
+    def test_dead_sender_returns_before_classifying(self):
+        kwargs = CHANNELS["link_classes"]()
+        del kwargs["link_classifier"]
+        engine, net, _ = make_net(
+            failure_model=StillbornFailures({0}), **kwargs
+        )
+        classifier = CountingClassifier()
+        net.bind_link_classifier(classifier)
+        net.multicast(0, [1, 2, 3], Ping(sender=0, nonce=1))
+        engine.run()
+        assert classifier.calls == []
+        assert net.stats.dropped_by_reason["dead_sender"] == 3
+
+    def test_installing_a_class_keyed_model_later_starts_consulting(self):
+        _, net, _ = make_net()
+        classifier = CountingClassifier()
+        net.bind_link_classifier(classifier)
+        net.multicast(0, [1, 2], Ping(sender=0, nonce=1))
+        assert classifier.calls == []
+        net.latency = LinkClassLatency(
+            ConstantLatency(0.0), {"inter": ConstantLatency(1.0)}
+        )
+        net.multicast(0, [1, 2], Ping(sender=0, nonce=2))
+        assert classifier.calls == [(0, (1, 2))]
+        net.latency = ConstantLatency(0.0)
+        net.install_faults(
+            LinkClassFaults(BernoulliLoss(0.0)), random.Random(3)
+        )
+        net.send(0, 1, Ping(sender=0, nonce=3))
+        assert classifier.calls[1:] == [(0, (1,))]
+        net.install_faults(None)
+        net.send(0, 1, Ping(sender=0, nonce=4))
+        assert len(classifier.calls) == 2

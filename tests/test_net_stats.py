@@ -41,7 +41,7 @@ class TestEventAttribution:
         message = event_message(INTRA)
         stats.record_sent(message)
         stats.record_delivered(message)
-        assert stats.intra_group_delivered[T2] == 1
+        assert stats.delivered_by_kind["event"] == stats.sent_by_kind["event"] == 1
 
     def test_event_messages_sent_totals_both_scopes(self):
         stats = NetworkStats()

@@ -171,7 +171,8 @@ class TestTransportContract:
         assert driver.pending == 0
 
     @pytest.mark.parametrize(
-        "delay, count", [(float("nan"), 1), (-1.0, 1), (0.0, 0), (1.0, -3)]
+        "delay, count",
+        [(float("nan"), 1), (float("inf"), 1), (-1.0, 1), (0.0, 0), (1.0, -3)],
     )
     def test_bad_dispatch_rejected_and_not_counted(self, driver, delay, count):
         with pytest.raises(SchedulingError):
@@ -239,6 +240,15 @@ class TestQueueTransport:
         assert transport.pending == 5
         assert transport.pump() == 5
         assert transport.executed == 5
+
+    def test_infinite_delay_rejected_instead_of_never_due(self):
+        """An entry at +inf would never be due: ``pending`` never reaches 0
+        and a drain waits on it forever."""
+        transport = QueueTransport(TickClock())
+        with pytest.raises(SchedulingError, match="finite"):
+            transport.dispatch(float("inf"), lambda: None, ())
+        assert transport.pending == 0
+        assert transport.next_due() is None
 
     def test_on_enqueue_fires_per_dispatch(self):
         woken = []

@@ -271,6 +271,27 @@ class TestDispatch:
             engine.dispatch(float("nan"), lambda: None)
         assert engine.pending == 0
 
+    @pytest.mark.parametrize("how", ["schedule", "schedule_at", "dispatch"])
+    def test_infinite_time_rejected(self, how):
+        """A call at +inf would fire, leave ``now`` at inf and collapse
+        every later ``now + delay`` into the current time."""
+        engine = Engine()
+        fired = []
+        with pytest.raises(SchedulingError, match="finite"):
+            getattr(engine, how)(float("inf"), lambda: fired.append(1))
+        assert engine.pending == 0
+        engine.schedule(1.0, lambda: fired.append(2))
+        assert engine.run() == 1
+        assert fired == [2] and engine.now == 1.0
+
+    def test_negative_infinite_time_rejected(self):
+        engine = Engine()
+        with pytest.raises(SchedulingError):
+            engine.schedule_at(float("-inf"), lambda: None)
+        with pytest.raises(SchedulingError):
+            engine.dispatch(float("-inf"), lambda: None)
+        assert engine.pending == 0
+
     def test_schedule_at_absolute_time(self):
         engine = Engine()
         times = []
