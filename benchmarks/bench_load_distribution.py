@@ -16,6 +16,7 @@ from repro.baselines.naive_publisher import NaivePublisherSystem
 from repro.metrics.report import Table
 from repro.sim.rng import derive_seed
 from repro.workloads import PaperScenario
+from repro.workloads.scenarios import delivered_fractions
 
 SCENARIO = PaperScenario(p_succ=1.0)
 RUNS = 3
@@ -23,14 +24,16 @@ RUNS = 3
 
 def measure_damulticast(seed: int) -> dict:
     built = SCENARIO.build(seed=seed, alive_fraction=1.0)
-    built.publish_and_run()
+    built.execute()
     stats = built.system.stats
-    publisher = built.publisher_pid
+    publisher = built.publishers[built.schedule[0].topic].pid
     return {
         "publisher_load": stats.sender_load(publisher),
         "max_load": stats.max_sender_load(),
         "publisher_tables": 2,
-        "delivered_root": built.delivered_fractions()[built.topics[0]],
+        "delivered_root": delivered_fractions(built)[
+            built.compiled.ordered_topics[0]
+        ],
     }
 
 

@@ -27,7 +27,7 @@ def build_and_measure():
         ["group", "group_size", "mean_entries", "max_entries", "tables"],
         precision=2,
     )
-    for topic, size in zip(built.topics, SCENARIO.sizes):
+    for topic, size in zip(built.compiled.ordered_topics, SCENARIO.sizes):
         members = system.group(topic)
         entries = [p.memory_footprint for p in members]
         tables = [1 if p.super_table.is_empty else 2 for p in members]
@@ -48,7 +48,7 @@ def test_memory_complexity(benchmark, emit):
     emit(table, "sec6_memory_measured")
 
     rows = {row["group"]: row for row in table.as_dicts()}
-    topics = built.topics
+    topics = built.compiled.ordered_topics
 
     # Root processes: exactly 1 table; everyone else: exactly 2.
     assert rows["."]["tables"] == 1

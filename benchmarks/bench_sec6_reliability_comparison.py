@@ -29,11 +29,11 @@ RUNS = 20
 
 def measure_all_received(alive: float, seed: int):
     built = SCENARIO.build(seed=seed, alive_fraction=alive)
-    built.publish_and_run()
-    flags = built.all_received_flags()
+    built.execute()
+    (event,) = built.published
     return {
-        f"all_T{level}": 1.0 if flags[topic] else 0.0
-        for level, topic in enumerate(built.topics)
+        f"all_T{level}": float(built.system.all_received(event, topic))
+        for level, topic in enumerate(built.compiled.ordered_topics)
     }
 
 

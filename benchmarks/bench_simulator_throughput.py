@@ -65,7 +65,7 @@ def test_full_paper_publication(benchmark):
 
     def one_publication():
         built = scenario.build(seed=7, alive_fraction=1.0)
-        built.publish_and_run()
+        built.execute()
         return built.system.stats.event_messages_sent()
 
     messages = benchmark(one_publication)

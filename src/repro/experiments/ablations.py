@@ -19,22 +19,25 @@ from repro.analysis.reliability import (
 from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import ProgressFn, run_sweep
 from repro.metrics.report import Table
-from repro.workloads.scenarios import PaperScenario
+from repro.workloads.scenarios import (
+    PaperScenario,
+    delivered_fractions,
+    inter_group_messages,
+)
 
 
 def _run_with_scenario(
     scenario: PaperScenario, seed: int, alive_fraction: float
 ) -> Mapping[str, float]:
     built = scenario.build(seed=seed, alive_fraction=alive_fraction)
-    built.publish_and_run()
-    fractions = built.delivered_fractions()
-    root = built.topics[0]
-    inter_total = sum(built.inter_group_messages().values())
+    metrics = built.execute()
+    fractions = delivered_fractions(built)
+    inter_total = sum(inter_group_messages(built).values())
     return {
-        "received_root": fractions[root],
-        "received_bottom": fractions[built.publish_topic],
+        "received_root": fractions[built.compiled.ordered_topics[0]],
+        "received_bottom": fractions[built.published[0].topic],
         "inter_messages": float(inter_total),
-        "event_messages": float(built.system.stats.event_messages_sent()),
+        "event_messages": metrics["event_messages"],
     }
 
 

@@ -15,9 +15,6 @@ from __future__ import annotations
 import functools
 from typing import Mapping
 
-from repro.baselines.broadcast import GossipBroadcastSystem
-from repro.baselines.hierarchical import HierarchicalGossipSystem
-from repro.baselines.multicast import GossipMulticastSystem
 from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import (
     ProgressFn,
@@ -36,12 +33,12 @@ def _measure_damulticast(
     scenario: PaperScenario, seed: int
 ) -> Mapping[str, float]:
     built = scenario.build(seed=seed, alive_fraction=1.0)
-    event = built.publish_and_run()
+    built.execute()
+    event = built.published[0]
     system = built.system
+    topics = built.compiled.ordered_topics
     interested_pids = [
-        p.pid
-        for p in system.processes
-        if p.topic.includes(built.publish_topic)
+        p.pid for p in system.processes if p.topic.includes(event.topic)
     ]
     footprints = [
         p.memory_footprint
@@ -58,8 +55,8 @@ def _measure_damulticast(
     }
     # Parasite check: publish on a *mid-level* topic — subscribers of its
     # subtopics are NOT interested, so broadcast-style algorithms leak.
-    if len(built.topics) > 1:
-        system.publish(built.topics[1])
+    if len(topics) > 1:
+        system.publish(topics[1])
         system.run_until_idle()
     metrics["parasites"] = float(
         parasite_deliveries(system.tracker, system.interests())
@@ -67,14 +64,14 @@ def _measure_damulticast(
     return metrics
 
 
-def _populate_baseline(system, scenario: PaperScenario):
-    for topic, size in zip(scenario.topics(), scenario.sizes):
-        system.add_group(topic, size)
-    system.finalize_membership()
-    return system
+def _measure_baseline(
+    scenario: PaperScenario, protocol: str, seed: int
+) -> Mapping[str, float]:
+    # Imported here: repro.workloads.spec imports this package.
+    from repro.workloads.spec import compile_spec_cached
 
-
-def _measure_baseline(system, scenario: PaperScenario) -> Mapping[str, float]:
+    spec = {**scenario.spec(), "protocol": protocol, "failures": {"kind": "none"}}
+    system = compile_spec_cached(spec).build(seed).system
     topics = scenario.topics()
     publish_topic = topics[scenario.publish_level]
     event = system.publish(publish_topic)
@@ -103,35 +100,18 @@ def run_all_algorithms_once(
     scenario: PaperScenario, seed: int
 ) -> dict[str, Mapping[str, float]]:
     """One measured run of all four algorithms with aligned settings."""
-    common = dict(
-        p_success=scenario.p_succ,
-        b=scenario.b,
-        c=scenario.c,
-        log_base=scenario.fanout_log_base,
-    )
-    results: dict[str, Mapping[str, float]] = {}
-    results["daMulticast"] = _measure_damulticast(scenario, seed)
-
-    broadcast = _populate_baseline(
-        GossipBroadcastSystem(seed=derive_seed(seed, "a"), **common), scenario
-    )
-    results["broadcast (a)"] = _measure_baseline(broadcast, scenario)
-
-    multicast = _populate_baseline(
-        GossipMulticastSystem(seed=derive_seed(seed, "b"), **common), scenario
-    )
-    results["multicast (b)"] = _measure_baseline(multicast, scenario)
-
-    total = sum(scenario.sizes)
-    n_clusters = max(2, round(total ** 0.5 / 3))
-    hierarchical = _populate_baseline(
-        HierarchicalGossipSystem(
-            seed=derive_seed(seed, "c"), n_clusters=n_clusters, **common
+    return {
+        "daMulticast": _measure_damulticast(scenario, seed),
+        "broadcast (a)": _measure_baseline(
+            scenario, "broadcast", derive_seed(seed, "a")
         ),
-        scenario,
-    )
-    results["hierarchical (c)"] = _measure_baseline(hierarchical, scenario)
-    return results
+        "multicast (b)": _measure_baseline(
+            scenario, "multicast", derive_seed(seed, "b")
+        ),
+        "hierarchical (c)": _measure_baseline(
+            scenario, "hierarchical", derive_seed(seed, "c")
+        ),
+    }
 
 
 def _comparison_cell(

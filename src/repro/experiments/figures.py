@@ -19,7 +19,11 @@ from typing import Mapping, Sequence
 from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import ProgressFn, run_sweep
 from repro.metrics.report import Table
-from repro.workloads.scenarios import PaperScenario
+from repro.workloads.scenarios import (
+    PaperScenario,
+    delivered_fractions,
+    inter_group_messages,
+)
 
 #: The figures' x-axis: percentage of alive processes, 0 → 1.
 DEFAULT_GRID: tuple[float, ...] = (
@@ -38,22 +42,20 @@ def _run_scenario_once(
     built = scenario.build(
         seed=seed, alive_fraction=alive_fraction, failure_mode=failure_mode
     )
-    built.publish_and_run()
+    built.execute()
+    system, event = built.system, built.published[0]
     metrics: dict[str, float] = {}
-    topics = built.topics  # [T0, T1, ..., Tt] root-first
-    intra = built.intra_group_messages()
-    for level, topic in enumerate(topics):
-        metrics[f"intra_T{level}"] = float(intra[topic])
-    for (lower, upper), count in built.inter_group_messages().items():
-        lower_level = topics.index(lower)
-        upper_level = topics.index(upper)
-        metrics[f"inter_T{lower_level}_T{upper_level}"] = float(count)
-    fractions = built.delivered_fractions()
-    for level, topic in enumerate(topics):
-        metrics[f"received_T{level}"] = fractions[topic]
-    flags = built.all_received_flags()
-    for level, topic in enumerate(topics):
-        metrics[f"all_received_T{level}"] = 1.0 if flags[topic] else 0.0
+    # both helpers walk the chain root-first: level 0 is T0
+    for level, (topic, fraction) in enumerate(delivered_fractions(built).items()):
+        metrics[f"intra_T{level}"] = float(
+            system.stats.events_sent_in_group(topic)
+        )
+        metrics[f"received_T{level}"] = fraction
+        metrics[f"all_received_T{level}"] = float(
+            system.all_received(event, topic)
+        )
+    for level, count in enumerate(inter_group_messages(built).values(), start=1):
+        metrics[f"inter_T{level}_T{level - 1}"] = float(count)
     return metrics
 
 

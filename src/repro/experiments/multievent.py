@@ -44,7 +44,7 @@ def run_stream(
     scenario = scenario or PaperScenario(sizes=(5, 25, 120))
     built = scenario.build(seed=seed, alive_fraction=1.0)
     system = built.system
-    topics = [built.topics[level] for level in publish_levels]
+    topics = [built.compiled.ordered_topics[level] for level in publish_levels]
     schedule = PoissonSchedule(topics, rate=rate, horizon=horizon)
     publications = schedule.generate(random.Random(derive_seed(seed, "stream")))
     if not publications:

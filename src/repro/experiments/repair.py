@@ -37,7 +37,7 @@ from repro.failures.churn import ChurnSchedule
 from repro.metrics.report import Table
 from repro.sim.rng import derive_seed
 from repro.topics.builders import chain
-from repro.workloads.scenarios import PaperScenario
+from repro.workloads.scenarios import PaperScenario, delivered_fractions
 
 
 def _frozen_run(
@@ -46,11 +46,11 @@ def _frozen_run(
     built = scenario.build(
         seed=seed, alive_fraction=alive_fraction, failure_mode="stillborn"
     )
-    built.publish_and_run()
-    fractions = built.delivered_fractions(alive_only=True)
+    built.execute()
+    fractions = delivered_fractions(built, alive_only=True)
     return {
-        "bottom": fractions[built.publish_topic],
-        "root": fractions[built.topics[0]],
+        "bottom": fractions[built.published[0].topic],
+        "root": fractions[built.compiled.ordered_topics[0]],
     }
 
 

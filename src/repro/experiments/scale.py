@@ -22,21 +22,21 @@ from typing import Mapping, Sequence
 from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import ProgressFn, run_sweep
 from repro.metrics.report import Table
-from repro.workloads.scenarios import PaperScenario
+from repro.workloads.scenarios import PaperScenario, inter_group_messages
 
 
 def _messages_for_scenario(
     scenario: PaperScenario, seed: int
 ) -> Mapping[str, float]:
     built = scenario.build(seed=seed, alive_fraction=1.0)
-    built.publish_and_run()
-    bottom = built.topics[-1]
+    metrics = built.execute()
+    bottom = built.compiled.ordered_topics[-1]
     return {
-        "event_messages": float(built.system.stats.event_messages_sent()),
+        "event_messages": metrics["event_messages"],
         "bottom_messages": float(
             built.system.stats.events_sent_in_group(bottom)
         ),
-        "inter_messages": float(sum(built.inter_group_messages().values())),
+        "inter_messages": float(sum(inter_group_messages(built).values())),
     }
 
 

@@ -48,7 +48,6 @@ STREAM_REGISTRY: Mapping[str, tuple[str, ...]] = {
         "baseline-process/{pid}",
         "group/{topic}",
         "pair/{sender}/{target}",
-        "scenario",
         "stream",
         "repair-victims",
         "a",

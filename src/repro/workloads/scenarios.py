@@ -1,4 +1,4 @@
-"""The §VII simulation scenario, as a reusable builder.
+"""The §VII simulation scenario, as a typed spec factory.
 
 "The number of levels t in the topic hierarchy is set to 3 (T0, T1, T2
 ...). The number of subscribers S_Ti is 1000 for T2, 100 for T1 and 10
@@ -8,27 +8,23 @@ to 3 for all groups. The probability for an event to be received is set
 to an arbitrary value of 0.85. ... the events disseminated in the
 simulation belong to topic T2."
 
-The fan-out logarithm base defaults to 10 to match the paper's own
-simulator scale (Fig. 8 peaks at ≈8000 = 1000·(log10(1000)+5) messages;
-DESIGN.md note 2). Pass ``fanout_log_base=math.e`` for the theory-faithful
-variant.
+:class:`PaperScenario` is the typed front end of the ``paper-vii`` preset:
+``spec()`` states its fields as a plain scenario spec and ``build()`` hands
+that spec to the one build path, :meth:`repro.workloads.spec.CompiledSpec.build`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.events import Event
-from repro.core.params import DaMulticastConfig, TopicParams
-from repro.core.system import DaMulticastSystem
+from repro.core.params import TopicParams
 from repro.errors import ConfigError
-from repro.failures.dynamic import DynamicFailures
-from repro.failures.stillborn import sample_stillborn
-from repro.sim.rng import derive_seed
 from repro.topics.builders import chain
 from repro.topics.topic import Topic
+
+if TYPE_CHECKING:
+    from repro.workloads.spec import BuiltScenario
 
 
 @dataclass(frozen=True)
@@ -43,10 +39,13 @@ class PaperScenario:
     a: float = 1.0
     z: int = 3
     p_succ: float = 0.85
+    #: 10 matches the paper's own simulator scale (Fig. 8 peaks at ≈8000 =
+    #: 1000·(log10(1000)+5) messages; DESIGN.md note 2); math.e is theory-faithful
     fanout_log_base: float = 10.0
     #: index (into the chain, root-first) of the publication topic;
     #: -1 = the bottom-most topic, the paper's choice
     publish_level: int = -1
+    _PARAMS = ("b", "c", "g", "a", "z", "fanout_log_base")  # the TopicParams fields §VII fixes
 
     def __post_init__(self) -> None:
         if len(self.sizes) < 1:
@@ -63,139 +62,49 @@ class PaperScenario:
 
     def params(self) -> TopicParams:
         """The per-group protocol parameters."""
-        return TopicParams(
-            b=self.b,
-            c=self.c,
-            g=self.g,
-            a=self.a,
-            z=self.z,
-            fanout_log_base=self.fanout_log_base,
-        )
+        return TopicParams(**{name: getattr(self, name) for name in self._PARAMS})
 
-    def config(self) -> DaMulticastConfig:
-        """The system configuration."""
-        return DaMulticastConfig(default_params=self.params())
+    def spec(self, *, alive_fraction: float = 1.0, failure_mode: str = "stillborn") -> dict:
+        """This scenario as a plain spec (``paper-vii`` at the defaults).
 
-    # ------------------------------------------------------------------
-    # One experiment run
-    # ------------------------------------------------------------------
+        ``failure_mode``: ``"stillborn"`` (Figs. 8-10: a random ``1-alive_fraction`` of
+        processes dead from t=0, publisher protected) or ``"dynamic"`` (Fig. 11: everyone
+        alive, each transmission independently blocked with probability ``1-alive_fraction``).
+        """
+        return {
+            "protocol": "daMulticast",
+            "topics": {"kind": "chain", "depth": self.depth, "prefix": "t"},
+            "subscriptions": {"kind": "per_level", "counts": list(self.sizes)},
+            "publications": {"kind": "single", "level": self.publish_level},
+            "failures": {"kind": failure_mode, "alive_fraction": alive_fraction},
+            "params": {name: getattr(self, name) for name in self._PARAMS},
+            "p_success": self.p_succ,
+        }
+
     def build(
-        self,
-        *,
-        seed: int,
-        alive_fraction: float = 1.0,
-        failure_mode: str = "stillborn",
-    ) -> "ScenarioRun":
-        """Assemble a ready-to-publish static system.
+        self, *, seed: int, alive_fraction: float = 1.0, failure_mode: str = "stillborn"
+    ) -> BuiltScenario:
+        """A built, failure-armed, finalized static system for one seed."""
+        # imported here: spec.py imports the experiments package, whose drivers import this module
+        from repro.workloads.spec import compile_spec_cached
 
-        ``failure_mode``: ``"stillborn"`` (Figs. 8-10: a random
-        ``1-alive_fraction`` of processes dead from t=0, publisher
-        protected) or ``"dynamic"`` (Fig. 11: everyone alive, each
-        transmission independently blocked with probability
-        ``1-alive_fraction``).
-        """
-        if failure_mode not in ("stillborn", "dynamic"):
-            raise ConfigError(f"unknown failure_mode {failure_mode!r}")
-        if not 0.0 <= alive_fraction <= 1.0:
-            raise ConfigError(
-                f"alive_fraction must be in [0,1], got {alive_fraction}"
-            )
-        system = DaMulticastSystem(
-            config=self.config(),
-            seed=seed,
-            p_success=self.p_succ,
-            mode="static",
-        )
-        topics = self.topics()
-        for topic, size in zip(topics, self.sizes):
-            system.add_group(topic, size)
-
-        publish_topic = topics[self.publish_level]
-        scenario_rng = random.Random(derive_seed(seed, "scenario"))
-        publisher_pid = scenario_rng.choice(system.group_pids(publish_topic))
-
-        if failure_mode == "stillborn":
-            failure_model = sample_stillborn(
-                [p.pid for p in system.processes],
-                alive_fraction,
-                scenario_rng,
-                protected=[publisher_pid],
-            )
-        else:
-            failure_model = DynamicFailures(
-                fail_probability=1.0 - alive_fraction,
-                mode="per_attempt",
-            )
-        system.network.failure_model = failure_model
-        system.finalize_static_membership()
-        return ScenarioRun(
-            scenario=self,
-            system=system,
-            topics=topics,
-            publish_topic=publish_topic,
-            publisher_pid=publisher_pid,
-        )
+        spec = self.spec(alive_fraction=alive_fraction, failure_mode=failure_mode)
+        return compile_spec_cached(spec).build(seed)
 
 
-@dataclass
-class ScenarioRun:
-    """A built scenario plus the handles experiments need."""
+def inter_group_messages(built: BuiltScenario) -> dict[tuple[Topic, Topic], int]:
+    """Fig. 9: events sent from each chain group to its supergroup."""
+    topics, sent = built.compiled.ordered_topics, built.system.stats.events_sent_between
+    return {(lower, upper): sent(lower, upper) for lower, upper in zip(topics[1:], topics)}
 
-    scenario: PaperScenario
-    system: DaMulticastSystem
-    topics: list[Topic]
-    publish_topic: Topic
-    publisher_pid: int
-    event: Event | None = field(default=None)
 
-    def publish_and_run(self) -> Event:
-        """Publish one event from the chosen publisher and run to idle."""
-        publisher = self.system.process(self.publisher_pid)
-        self.event = self.system.publish(
-            self.publish_topic, publisher=publisher
-        )
-        self.system.run_until_idle()
-        return self.event
+def delivered_fractions(built: BuiltScenario, alive_only: bool = False) -> dict[Topic, float]:
+    """Figs. 10/11: fraction of each group that delivered the first event.
 
-    # ------------------------------------------------------------------
-    # Measurements (the quantities of Figs. 8-11)
-    # ------------------------------------------------------------------
-    def intra_group_messages(self) -> dict[Topic, int]:
-        """Fig. 8: events sent inside each group."""
-        return {
-            topic: self.system.stats.events_sent_in_group(topic)
-            for topic in self.topics
-        }
-
-    def inter_group_messages(self) -> dict[tuple[Topic, Topic], int]:
-        """Fig. 9: events sent from each group to its supergroup."""
-        result = {}
-        for lower, upper in zip(self.topics[1:], self.topics):
-            result[(lower, upper)] = self.system.stats.events_sent_between(
-                lower, upper
-            )
-        return result
-
-    def delivered_fractions(self, alive_only: bool = False) -> dict[Topic, float]:
-        """Figs. 10/11: fraction of group members that delivered.
-
-        The paper's y-axis ("percentage of processes receiving a message")
-        counts *all* group members — failed processes cannot receive, which
-        is what keeps the curves at or below the diagonal. Pass
-        ``alive_only=True`` for the coverage-among-survivors variant.
-        """
-        assert self.event is not None, "publish_and_run() first"
-        return {
-            topic: self.system.delivered_fraction(
-                self.event, topic, alive_only=alive_only
-            )
-            for topic in self.topics
-        }
-
-    def all_received_flags(self) -> dict[Topic, bool]:
-        """§VI-D reliability indicator per group, for this run."""
-        assert self.event is not None, "publish_and_run() first"
-        return {
-            topic: self.system.all_received(self.event, topic)
-            for topic in self.topics
-        }
+    The paper's y-axis counts *all* members (the dead cannot receive, which keeps
+    the curves under the diagonal); ``alive_only=True`` counts among survivors.
+    """
+    return {
+        topic: built.system.delivered_fraction(built.published[0], topic, alive_only=alive_only)
+        for topic in built.compiled.ordered_topics
+    }

@@ -1,8 +1,9 @@
 """Declarative scenario specifications: a dict/JSON spec → runnable simulation.
 
-Every experiment so far is hard-coded to the §VII :class:`PaperScenario`
-shape. A :class:`ScenarioSpec` opens the scenario space declaratively by
-composing the ingredients that already exist as modules:
+Every scenario in the tree is built here — the §VII
+:class:`~repro.workloads.scenarios.PaperScenario` under the figure drivers
+included, which states itself as a spec. A spec composes the ingredients
+that already exist as modules:
 
 * a **topic hierarchy** — chain, balanced tree, or explicit dotted names
   (:mod:`repro.topics.builders`),
@@ -39,10 +40,10 @@ A spec is a plain mapping (JSON-serializable), validated with precise
 values and impossible references all fail eagerly at compile time, never
 mid-simulation. :func:`compile_spec` turns it into a :class:`CompiledSpec`;
 ``CompiledSpec.run(seed)`` (or the :func:`run_spec` shorthand) builds the
-static system the same way :class:`PaperScenario` does — populate groups,
-pin failure-protected publishers, install the failure/partition model,
-finalize static membership — replays the schedule, and returns the
-standard metrics dict.
+system — populate groups, pin failure-protected publishers, install the
+failure/partition model, finalize static membership (``PaperScenario.build``
+is this build of ``PaperScenario.spec()``) — replays the schedule, and
+returns the standard metrics dict.
 
 Determinism
 -----------
@@ -285,6 +286,19 @@ def _parse_topic(name: Any, where: str) -> Topic:
         raise ConfigError(f"{where}: invalid topic name {name!r}: {exc}") from exc
 
 
+def _parse_topic_key(name: Any, where: str, seen: dict[Topic, str]) -> Topic:
+    """A mapping key naming a topic. Two spellings of one topic (``a`` and
+    ``.a``) are refused: the later entry would silently replace the earlier."""
+    topic = _parse_topic(name, where)
+    if seen.setdefault(topic, name) != name:
+        first, second = sorted((seen[topic], name))
+        raise ConfigError(
+            f"{where}: topic {topic.name!r} is given twice "
+            f"({first!r} and {second!r})"
+        )
+    return topic
+
+
 # ----------------------------------------------------------------------
 # Section validators (each returns nothing; compile stores the sections)
 # ----------------------------------------------------------------------
@@ -306,7 +320,10 @@ def _validate_topics(
             raise ConfigError(
                 f"topics: prefix must be a non-empty string, got {prefix!r}"
             )
-        topics = chain(depth, prefix=prefix)
+        try:
+            topics = chain(depth, prefix=prefix)
+        except ReproError as exc:
+            raise ConfigError(f"topics: invalid prefix {prefix!r}: {exc}") from exc
         return TopicHierarchy.from_topics(topics), tuple(topics), True
     if kind == "tree":
         _reject_unknown_keys(section, {"kind", "arity", "depth"}, "topics")
@@ -369,9 +386,10 @@ def _validate_subscriptions(
         counts = section.get("counts")
         _require_mapping(counts, "subscriptions.counts")
         total = 0
+        seen: dict[Topic, str] = {}
         # repro-lint: allow[DET003]: the integer total is order-independent and counts preserves the spec's declared topic order
         for name, count in counts.items():
-            topic = _parse_topic(name, "subscriptions.counts")
+            topic = _parse_topic_key(name, "subscriptions.counts", seen)
             if topic not in hierarchy:
                 raise ConfigError(
                     f"subscriptions.counts: topic {topic.name!r} is not in "
@@ -875,8 +893,9 @@ def _validate_params(
                 f"'daMulticast', got {protocol!r}"
             )
         override_map = _require_mapping(section["overrides"], "params.overrides")
+        seen: dict[Topic, str] = {}
         for name, fields in override_map.items():
-            topic = _parse_topic(name, "params.overrides")
+            topic = _parse_topic_key(name, "params.overrides", seen)
             where = f"params.overrides[{name!r}]"
             fields = _require_mapping(fields, where)
             _reject_unknown_keys(fields, set(_PARAM_DEFAULTS), where)
@@ -997,8 +1016,8 @@ class CompiledSpec:
         section: Mapping,
         seed: int,
         counts: Mapping[Topic, int],
-        stream: str,
-        where: str,
+        stream: str = "spec/publications",
+        where: str = "publications",
     ) -> list[ScheduledPublication]:
         kind = section["kind"]
         if kind == "single":
@@ -1048,18 +1067,32 @@ class CompiledSpec:
         merged.sort(key=lambda publication: publication.time)
         return merged
 
-    def _make_system(self, seed: int, counts: Mapping[Topic, int]):
+    def _make_system(
+        self,
+        seed: int,
+        counts: Mapping[Topic, int],
+        failure_model=None,
+        *,
+        overlay_degree: int = _DYNAMIC_DEFAULTS["overlay_degree"],
+        **timers: Any,
+    ):
+        """The empty system of this spec's protocol and mode; ``timers``
+        are the dynamic section's :class:`DaMulticastConfig` fields."""
         latency_model = self._latency_model()
         if self.protocol == "daMulticast":
             config = DaMulticastConfig(
-                default_params=self.params, overrides=dict(self.overrides)
+                default_params=self.params,
+                overrides=dict(self.overrides),
+                **timers,
             )
             return DaMulticastSystem(
                 config=config,
                 seed=seed,
                 p_success=self.p_success,
                 latency=latency_model,
-                mode="static",
+                failure_model=failure_model,
+                mode=self.mode,
+                overlay_degree=overlay_degree,
             )
         common = dict(
             seed=seed,
@@ -1081,6 +1114,33 @@ class CompiledSpec:
         )
         return HierarchicalGossipSystem(n_clusters=n_clusters, **common)
 
+    def _failure_model(
+        self, pids: Sequence[int], rng: random.Random, protected: Sequence[int] = ()
+    ):
+        """The spec's process-failure model over ``pids`` (``protected``
+        never fail); None for ``none`` and for ``partition``, a link model."""
+        section = self.spec["failures"]
+        kind = section["kind"]
+        if kind == "stillborn":
+            return sample_stillborn(
+                pids, section["alive_fraction"], rng, protected=protected
+            )
+        if kind == "dynamic":
+            return DynamicFailures(
+                fail_probability=1.0 - section["alive_fraction"],
+                mode=section.get("mode", "per_attempt"),
+            )
+        if kind == "churn":
+            shielded = set(protected)
+            return ChurnSchedule.random_churn(
+                [pid for pid in pids if pid not in shielded],
+                rng,
+                crash_probability=section["crash_probability"],
+                horizon=section["horizon"],
+                recover_probability=section.get("recover_probability", 0.5),
+            )
+        return None
+
     def _apply_failures(
         self,
         system,
@@ -1088,34 +1148,15 @@ class CompiledSpec:
         counts: Mapping[Topic, int],
         rng: random.Random,
     ) -> None:
-        section = self.spec.get("failures", {"kind": "none"})
-        kind = section["kind"]
-        if kind == "none":
+        section = self.spec["failures"]
+        if section["kind"] == "none":
             return
         network = system.harness.network
         all_pids = [process.pid for process in system.processes]
         protected = sorted({process.pid for process in publishers.values()})
-        if kind == "stillborn":
-            network.failure_model = sample_stillborn(
-                all_pids,
-                section["alive_fraction"],
-                rng,
-                protected=protected,
-            )
-        elif kind == "dynamic":
-            network.failure_model = DynamicFailures(
-                fail_probability=1.0 - section["alive_fraction"],
-                mode=section.get("mode", "per_attempt"),
-            )
-        elif kind == "churn":
-            candidates = [pid for pid in all_pids if pid not in set(protected)]
-            network.failure_model = ChurnSchedule.random_churn(
-                candidates,
-                rng,
-                crash_probability=section["crash_probability"],
-                horizon=section["horizon"],
-                recover_probability=section.get("recover_probability", 0.5),
-            )
+        failure_model = self._failure_model(all_pids, rng, protected)
+        if failure_model is not None:
+            network.failure_model = failure_model
         else:  # partition
             islands_spec = section["islands"]
             if islands_spec == "by_topic":
@@ -1193,13 +1234,6 @@ class CompiledSpec:
         ):
             network.bind_link_classifier(_topic_link_classifier(system))
 
-    def _dynamic_settings(self) -> dict[str, Any]:
-        section = self.spec.get("dynamic", {})
-        return {
-            key: section.get(key, default)
-            for key, default in _DYNAMIC_DEFAULTS.items()
-        }
-
     def _join_plan(
         self, counts: Mapping[Topic, int]
     ) -> list[tuple[float, Topic]]:
@@ -1212,7 +1246,7 @@ class CompiledSpec:
         section = self.spec.get("dynamic", {}).get(
             "bootstrap", {"kind": "immediate"}
         )
-        kind = section["kind"] if "kind" in section else "immediate"
+        kind = section["kind"]
         topics = [
             topic
             for topic in sorted(counts, key=lambda t: (t.depth, t.name))
@@ -1274,52 +1308,32 @@ class CompiledSpec:
                 campaign.recover_all(at)
 
     def _build_dynamic(
-        self, seed: int, counts: Mapping[Topic, int]
+        self,
+        seed: int,
+        counts: Mapping[Topic, int],
+        schedule: list[ScheduledPublication],
     ) -> "BuiltScenario":
         """Assemble a full-protocol run: staggered joins, maintenance,
         optional campaign, publications offset by the warmup, horizon-bound.
         """
-        settings = self._dynamic_settings()
+        section = self.spec.get("dynamic", {})
+        settings = {
+            key: section.get(key, default)
+            for key, default in _DYNAMIC_DEFAULTS.items()
+        }
+        warmup, settle = settings.pop("warmup"), settings.pop("settle")
         joins = self._join_plan(counts)
-        failures = self.spec.get("failures", {"kind": "none"})
         campaign_spec = self.spec.get("campaign")
-        failure_model = None
-        if failures["kind"] == "churn":
-            # Pids are assigned 0..N-1 in join order, so the churn timeline
-            # can be realized over the full pid space before any process
-            # exists — a pid crashed before its join simply joins dead.
-            failure_model = ChurnSchedule.random_churn(
-                range(sum(counts.values())),
-                random.Random(derive_seed(seed, "spec/churn")),
-                crash_probability=failures["crash_probability"],
-                horizon=failures["horizon"],
-                recover_probability=failures.get("recover_probability", 0.5),
-            )
-        elif failures["kind"] == "dynamic":
-            failure_model = DynamicFailures(
-                fail_probability=1.0 - failures["alive_fraction"],
-                mode=failures.get("mode", "per_attempt"),
-            )
-        elif campaign_spec is not None:
+        # Pids are assigned 0..N-1 in join order, so a churn timeline can
+        # be realized over the full pid space before any process exists —
+        # a pid crashed before its join simply joins dead.
+        failure_model = self._failure_model(
+            range(sum(counts.values())),
+            random.Random(derive_seed(seed, "spec/churn")),
+        )
+        if failure_model is None and campaign_spec is not None:
             failure_model = ChurnSchedule()
-        latency_model = self._latency_model()
-        config = DaMulticastConfig(
-            default_params=self.params,
-            overrides=dict(self.overrides),
-            maintain_interval=settings["maintain_interval"],
-            bootstrap_timeout=settings["bootstrap_timeout"],
-            bootstrap_ttl=settings["bootstrap_ttl"],
-            ping_timeout=settings["ping_timeout"],
-        )
-        system = DaMulticastSystem(
-            config=config,
-            seed=seed,
-            p_success=self.p_success,
-            latency=latency_model,
-            failure_model=failure_model,
-            mode="dynamic",
-            overlay_degree=settings["overlay_degree"],
-        )
+        system = self._make_system(seed, counts, failure_model, **settings)
         self._install_link_models(system, seed)
         for time, topic in joins:
             system.engine.schedule_at(
@@ -1333,14 +1347,6 @@ class CompiledSpec:
                 random.Random(derive_seed(seed, "spec/campaign")),
             )
             self._schedule_campaign(campaign, campaign_spec["actions"])
-        schedule = self._realize_schedule(
-            self.spec.get("publications", {"kind": "single"}),
-            seed,
-            counts,
-            stream="spec/publications",
-            where="publications",
-        )
-        warmup = settings["warmup"]
         shifted = [
             ScheduledPublication(warmup + publication.time, publication.topic)
             for publication in schedule
@@ -1356,7 +1362,7 @@ class CompiledSpec:
                 max((publication.time for publication in shifted), default=0.0),
                 last_action,
             )
-            + settings["settle"]
+            + settle
         )
         return BuiltScenario(
             compiled=self,
@@ -1372,18 +1378,12 @@ class CompiledSpec:
     def build(self, seed: int) -> "BuiltScenario":
         """Assemble the ready-to-run simulation for one seed."""
         counts = self._population(seed)
+        schedule = self._realize_schedule(self.spec["publications"], seed, counts)
         if self.mode == "dynamic":
-            return self._build_dynamic(seed, counts)
+            return self._build_dynamic(seed, counts, schedule)
         system = self._make_system(seed, counts)
         self._install_link_models(system, seed)
         populate_system(system, counts)
-        schedule = self._realize_schedule(
-            self.spec.get("publications", {"kind": "single"}),
-            seed,
-            counts,
-            stream="spec/publications",
-            where="publications",
-        )
         scenario_rng = random.Random(derive_seed(seed, "spec/scenario"))
         publishers = {
             topic: scenario_rng.choice(system.group(topic))

@@ -8,6 +8,7 @@ must be lint-clean, and deleting any single inline pragma from src/
 must make the lint fail again (checked on in-memory copies).
 """
 
+import ast
 import pathlib
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.lint import lint_source, run_lint
 from repro.lint.pragmas import PRAGMA_MARKER, scan_pragmas
+from repro.lint.rules.det004_stream_labels import _harvest, _normalize_fstring
 from repro.sim.rng import (
     STREAM_REGISTRY,
     normalize_stream_label,
@@ -386,6 +388,54 @@ class TestSrcTreeGates:
                 )
                 checked += 1
         assert checked >= 10  # the triage pass left real pragmas behind
+
+    #: declared entries no harvestable call site names, each with the
+    #: reason DET004's harvest cannot see its use
+    UNHARVESTABLE = {
+        # the default of CompiledSpec._realize_schedule's ``stream``
+        # argument, drawn from at its pragma'd derive_seed(seed, stream)
+        "spec/publications",
+        # built there as f"{stream}/{index}" for the mixed-parts recursion
+        # and handed down through that argument
+        "spec/publications/{index}",
+        # drawn in DaMulticastSystem._add_members through the per-call
+        # alias ``streams = harness.rngs``, a base name the harvest does
+        # not take for a registry
+        "overlay",
+        "process/{pid}",
+    }
+
+    def test_every_declared_stream_is_drawn_from(self):
+        """Declared ⇒ used: a label whose last caller went away may not
+        linger in the registry (DET004 itself checks used ⇒ declared)."""
+        literals: set[str] = set()
+        dynamic: set[str] = set()
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for label, _where in _harvest(tree):
+                if isinstance(label, ast.Constant):
+                    literals.add(label.value)
+                elif isinstance(label, ast.JoinedStr):
+                    dynamic.add(_normalize_fstring(label)[0])
+
+        def drawn_from(entry: str) -> bool:
+            # stricter than DET004's own match, where a variable label
+            # segment stands for anything: f"{label}/{point}/{j}" may not
+            # count as a use of every three-segment entry
+            if "{" not in entry:
+                return entry in literals
+            regex = stream_pattern_regex(entry)
+            return normalize_stream_label(entry) in dynamic or any(
+                regex.fullmatch(label) for label in literals
+            )
+
+        unused = {
+            entry
+            for entries in STREAM_REGISTRY.values()
+            for entry in entries
+            if not drawn_from(entry)
+        }
+        assert unused == self.UNHARVESTABLE
 
 
 # ----------------------------------------------------------------------

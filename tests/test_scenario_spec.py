@@ -108,6 +108,38 @@ class TestValidation:
                 )
             )
 
+    def test_explicit_topic_spelled_twice(self):
+        # "a" and ".a" are one topic; summing both into the population
+        # check while the build kept only one was a silent wrong number.
+        names = {"kind": "names", "names": ["a.b"]}
+        counts = {"a": 5, ".a": 7, ".a.b": 3}
+        with pytest.raises(
+            ConfigError,
+            match=r"subscriptions\.counts: topic '\.a' is given twice "
+            r"\('\.a' and 'a'\)",
+        ):
+            compile_spec(
+                small(
+                    topics=names,
+                    subscriptions={"kind": "explicit", "counts": counts},
+                    publications={"kind": "single"},
+                )
+            )
+
+    def test_override_topic_spelled_twice(self):
+        overrides = {"t1": {"c": 6}, ".t1": {"c": 7}}
+        with pytest.raises(
+            ConfigError, match=r"params\.overrides: topic '\.t1' is given twice"
+        ):
+            compile_spec(small(params={"overrides": overrides}))
+
+    @pytest.mark.parametrize("prefix", ["a.b", "t ", "."])
+    def test_chain_prefix_must_be_a_topic_segment(self, prefix):
+        with pytest.raises(ConfigError, match="topics: invalid prefix"):
+            compile_spec(
+                small(topics={"kind": "chain", "depth": 2, "prefix": prefix})
+            )
+
     def test_burst_zero_count(self):
         with pytest.raises(ConfigError, match="count must be >= 1"):
             compile_spec(
@@ -531,6 +563,18 @@ class TestCli:
     def test_invalid_spec_exits_2(self, capsys):
         assert main(["scenario", "run", "no-such-preset"]) == 2
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_invalid_chain_prefix_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                small(topics={"kind": "chain", "depth": 2, "prefix": "a.b"})
+            )
+        )
+        assert main(["scenario", "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: topics: invalid prefix 'a.b'")
+        assert err.count("\n") == 1
 
     def test_bad_set_pair_exits_2(self, capsys):
         assert (

@@ -16,6 +16,7 @@ from repro.workloads import (
     uniform_subscriptions,
     zipf_subscriptions,
 )
+from repro.workloads.scenarios import delivered_fractions, inter_group_messages
 
 
 class TestPaperScenario:
@@ -38,18 +39,20 @@ class TestPaperScenario:
 
     def test_build_creates_groups(self):
         run = PaperScenario(sizes=(3, 10, 30)).build(seed=1)
-        for topic, size in zip(run.topics, (3, 10, 30)):
+        for topic, size in zip(run.compiled.ordered_topics, (3, 10, 30)):
             assert len(run.system.group(topic)) == size
 
     def test_publisher_in_publish_group(self):
         run = PaperScenario(sizes=(3, 10, 30)).build(seed=1)
-        assert run.publisher_pid in run.system.group_pids(run.publish_topic)
+        topic = run.schedule[0].topic
+        assert run.publishers[topic].pid in run.system.group_pids(topic)
 
     def test_publisher_protected_from_stillborn(self):
         run = PaperScenario(sizes=(3, 10, 30)).build(
             seed=1, alive_fraction=0.1
         )
-        assert run.system.harness.is_alive(run.publisher_pid)
+        publisher = run.publishers[run.schedule[0].topic]
+        assert run.system.harness.is_alive(publisher.pid)
 
     def test_dynamic_mode_keeps_everyone_alive(self):
         run = PaperScenario(sizes=(3, 10, 30)).build(
@@ -61,22 +64,21 @@ class TestPaperScenario:
 
     def test_publish_and_run_measures(self):
         run = PaperScenario(sizes=(3, 10, 30)).build(seed=2)
-        event = run.publish_and_run()
-        assert event is run.event
-        fractions = run.delivered_fractions()
-        assert set(fractions) == set(run.topics)
-        intra = run.intra_group_messages()
-        assert intra[run.publish_topic] > 0
-        inter = run.inter_group_messages()
+        run.execute()
+        (event,) = run.published
+        fractions = delivered_fractions(run)
+        assert set(fractions) == set(run.compiled.ordered_topics)
+        assert run.system.stats.events_sent_in_group(event.topic) > 0
+        inter = inter_group_messages(run)
         assert len(inter) == 2
 
     def test_same_seed_same_outcome(self):
         def outcome(seed):
             run = PaperScenario(sizes=(3, 10, 30)).build(seed=seed)
-            run.publish_and_run()
+            run.execute()
             return (
                 run.system.stats.event_messages_sent(),
-                tuple(sorted(run.delivered_fractions().values())),
+                tuple(sorted(delivered_fractions(run).values())),
             )
 
         assert outcome(7) == outcome(7)
@@ -93,7 +95,27 @@ class TestPaperScenario:
     def test_publish_level_override(self):
         scenario = PaperScenario(sizes=(3, 10, 30), publish_level=1)
         run = scenario.build(seed=0)
-        assert run.publish_topic == run.topics[1]
+        assert run.schedule[0].topic == run.compiled.ordered_topics[1]
+
+    @pytest.mark.parametrize(
+        "scenario, section",
+        [
+            (PaperScenario(sizes=(3, 5.5, 10)), "subscriptions"),
+            (PaperScenario(sizes=(3, 5, 10), publish_level=7), "publications"),
+        ],
+    )
+    def test_bad_field_is_a_config_error_naming_the_section(
+        self, scenario, section
+    ):
+        with pytest.raises(ConfigError, match=section):
+            scenario.build(seed=1)
+
+    def test_unpopulated_middle_level_is_skipped(self):
+        # §III-B: nobody interested in super(Ti) — the sTable points at the
+        # next populated supertopic and the event still reaches the root.
+        run = PaperScenario(sizes=(3, 0, 10)).build(seed=1)
+        run.execute()
+        assert list(delivered_fractions(run).values()) == [1.0, 1.0, 1.0]
 
 
 class TestSubscriptions:
