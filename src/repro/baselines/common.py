@@ -118,11 +118,11 @@ class BaselineProcess:
         state = self.groups.get(group)
         if state is None:
             return  # not a member (stale table entry pointed at us)
-        targets = state.view.sample(state.fanout, self.rng, exclude=(self.pid,))
+        targets = state.view.sample_pids(state.fanout, self.rng, self.pid)
         if not targets:
             return
         self.multicast(
-            [descriptor.pid for descriptor in targets],
+            targets,
             EventMessage(
                 sender=self.pid, event=event, scope=Scope("intra", group)
             ),

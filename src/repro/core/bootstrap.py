@@ -24,7 +24,6 @@ Answers merge into the supertopic table via
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from repro.membership.view import ProcessDescriptor
@@ -39,8 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class FindSuperContact:
     """The per-process FIND_SUPER_CONTACT task."""
-
-    _request_ids = itertools.count(1)
 
     def __init__(
         self,
@@ -57,6 +54,11 @@ class FindSuperContact:
         self._max_attempts = max_attempts
         self._targets: list[Topic] = []
         self._attempts = 0
+        #: floods are deduplicated by ``(requester, request_id)``, so the
+        #: ids only have to be unique per requester: counted here, a second
+        #: run of one ``(spec, seed)`` in the same interpreter sends the
+        #: same ids as the first
+        self._last_request_id = 0
         self._task: PeriodicTask | None = None
         self.active = False
 
@@ -113,11 +115,12 @@ class FindSuperContact:
     def _flood(self) -> None:
         process = self._process
         self._attempts += 1
+        self._last_request_id += 1
         request = ReqContact(
             sender=process.pid,
             requester=process.pid,
             topics=tuple(self._targets),
-            request_id=next(self._request_ids),
+            request_id=self._last_request_id,
             ttl=self._ttl,
         )
         process.multicast(

@@ -19,19 +19,22 @@ application and disseminate it; later copies are ignored.
 
 The functions here are pure protocol logic over the narrow, pid-level
 :class:`DisseminationPeer` contract, so the same code drives the static
-(paper-simulation), columnar and dynamic (full-protocol) hosts.
+(paper-simulation), columnar and dynamic (full-protocol) hosts. Pid-level
+all the way down: both kinds of host draw their gossip targets through one
+sampler (:func:`repro.membership.sampling.sample_from`) that hands back
+pids — off a :class:`~repro.membership.view.PartialView`'s pid list or off
+a pid column — and resolve ``fanout(S)``, ``p_sel(S)`` and ``p_a`` once per
+group size, so a forwarder pays for its draws and its fan-out, not for
+descriptors or logarithms.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import groupby
 from typing import Iterable, Protocol, Sequence
 
 from repro.core.events import Event
-from repro.core.params import TopicParams
 from repro.core.tables import SuperTopicTable
-from repro.membership.view import PartialView
 from repro.net.message import EventMessage, Message, Scope
 from repro.topics.topic import Topic
 
@@ -44,9 +47,13 @@ class DisseminationPeer(Protocol):
     Fig. 7's two selections itself; :func:`disseminate` only ever sees the
     chosen pids, builds one message per scope and multicasts it. Hosts
     over descriptor tables make the selections with :func:`elect_links`
-    and :func:`sample_gossip`; a host must draw in Fig. 7's order — link
-    election and ``p_a`` draws first, gossip sample second — so that every
-    host consumes its stream identically.
+    and :meth:`PartialView.sample_pids
+    <repro.membership.view.PartialView.sample_pids>`, hosts over pid
+    columns with :meth:`ColumnarGroupTables.sample_row
+    <repro.membership.columnar.ColumnarGroupTables.sample_row>` — the same
+    sampler under both; a host must draw in Fig. 7's order — link election
+    and ``p_a`` draws first, gossip sample second — so that every host
+    consumes its stream identically.
     """
 
     pid: int
@@ -75,14 +82,15 @@ class DisseminationPeer(Protocol):
 
 def elect_links(
     table: SuperTopicTable,
-    params: TopicParams,
-    group_size: int,
+    p_sel: float,
+    p_a: float,
     rng: random.Random,
     force_link: bool,
 ) -> list[tuple[Topic, list[int]]]:
     """Fig. 7 lines 3-7 over one descriptor ``table``: the
     :meth:`DisseminationPeer.link_targets` of a host that keeps
-    :class:`~repro.core.tables.SuperTopicTable` objects.
+    :class:`~repro.core.tables.SuperTopicTable` objects, given its group's
+    resolved ``p_sel(S)`` and ``p_a``.
 
     An empty table draws nothing. All entries normally share the table's
     target topic; consecutive runs are grouped so mid-retarget mixtures
@@ -90,30 +98,21 @@ def elect_links(
     """
     if table.is_empty:
         return []
-    if not (force_link or rng.random() < params.p_sel(group_size)):
+    if not (force_link or rng.random() < p_sel):
         return []
     random_draw = rng.random
-    p_a = params.p_a
-    chosen = [d for d in table.descriptors() if random_draw() < p_a]
-    return [
-        (super_topic, [d.pid for d in run])
-        for super_topic, run in groupby(chosen, key=lambda d: d.topic)
-    ]
-
-
-def sample_gossip(
-    view: PartialView,
-    params: TopicParams,
-    group_size: int,
-    rng: random.Random,
-    pid: int,
-) -> list[int]:
-    """Fig. 7 lines 8-14 over one descriptor ``view``: the
-    :meth:`DisseminationPeer.gossip_targets` of a host that keeps a
-    :class:`~repro.membership.view.PartialView` — ``log(S)+c`` distinct
-    pids sampled from ``Table − Ω`` (fewer when the view is small)."""
-    fanout = params.fanout(group_size)
-    return [d.pid for d in view.sample(fanout, rng, exclude=(pid,))]
+    links: list[tuple[Topic, list[int]]] = []
+    run_topic: Topic | None = None
+    run: list[int] = []
+    for descriptor in table.descriptors():
+        if random_draw() < p_a:
+            topic = descriptor.topic
+            # group members share one interned Topic; == decides the rest
+            if topic is not run_topic and topic != run_topic:
+                run_topic, run = topic, []
+                links.append((topic, run))
+            run.append(descriptor.pid)
+    return links
 
 
 def disseminate(

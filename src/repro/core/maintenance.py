@@ -19,7 +19,6 @@ Repeatedly (every ``maintain_interval``), each process:
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from repro.net.message import NewProcessReply, NewProcessRequest, Ping
@@ -32,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class KeepTableUpdated:
     """The per-process maintenance task."""
-
-    _nonces = itertools.count(1)
 
     def __init__(
         self,
@@ -48,6 +45,7 @@ class KeepTableUpdated:
         self._interval = interval
         self._ping_timeout = ping_timeout
         self._task: PeriodicTask | None = None
+        #: also the Ping nonce: per prober, so the same on every run
         self.probes_started = 0
         self.refreshes_requested = 0
 
@@ -89,9 +87,9 @@ class KeepTableUpdated:
         evaluate after the timeout."""
         process = self._process
         self.probes_started += 1
-        nonce = next(self._nonces)
         process.multicast(
-            process.super_table.pids, Ping(sender=process.pid, nonce=nonce)
+            process.super_table.pids,
+            Ping(sender=process.pid, nonce=self.probes_started),
         )
         process.engine.schedule(self._ping_timeout, self._evaluate)
 

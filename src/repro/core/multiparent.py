@@ -55,11 +55,13 @@ class MultiParentProcess(DaMulticastProcess):
     def link_targets(self, force_link: bool) -> list[tuple[Topic, list[int]]]:
         """Hand-off pids for EVERY supergroup: one election per table,
         each table's elected contacts one batch."""
+        if self.group_size != self._sized_for:
+            self._size_group_constants()
         links: list[tuple[Topic, list[int]]] = []
         # repro-lint: allow[DET003]: super_tables is built in sorted-parent order at finalize; sorting would permute the draw sequence
         for table in self.super_tables.values():
             links += elect_links(
-                table, self.params, self.group_size, self.rng, force_link
+                table, self._p_sel, self._p_a, self.rng, force_link
             )
         return links
 

@@ -23,12 +23,7 @@ from collections import defaultdict
 from typing import Any, Callable, Sequence
 
 from repro.core.bootstrap import FindSuperContact, handle_req_contact
-from repro.core.dissemination import (
-    disseminate,
-    elect_links,
-    sample_gossip,
-    should_deliver,
-)
+from repro.core.dissemination import disseminate, elect_links
 from repro.core.events import Event, EventFactory, EventId
 from repro.core.maintenance import KeepTableUpdated
 from repro.core.params import DaMulticastConfig
@@ -113,6 +108,13 @@ class DaMulticastProcess:
         #: the parameters governing this process's topic group (the config
         #: is immutable, so they are resolved once)
         params = self.params = config.params_for(topic)
+        #: Fig. 7's group constants: ``p_a`` never changes; ``fanout(S)``
+        #: and ``p_sel(S)`` are resolved for the last group size a
+        #: selection saw (``_sized_for``), not once per forwarder
+        self._p_a = params.p_a
+        self._sized_for = 0
+        self._fanout = 0
+        self._p_sel = 0.0
         self.super_table = SuperTopicTable(params.z)
         self.seen: set[EventId] = set()
         self.seen_requests: set[tuple[int, int]] = set()
@@ -320,7 +322,15 @@ class DaMulticastProcess:
     def handle_message(self, message: Message) -> None:
         """Network entry point: dispatch one delivered message."""
         if isinstance(message, EventMessage):
-            self._on_event(message)
+            # Fig. 5 lines 5-10, RECEIVE: only the first copy of an event
+            # is delivered and disseminated. Most receptions of a flood
+            # are later copies, and they end here, in this frame.
+            event = message.event
+            if event.event_id in self.seen:
+                return
+            self.seen.add(event.event_id)
+            self._deliver(event, hops=message.hops)
+            disseminate(self, event, arrival_hops=message.hops)
         elif isinstance(message, ReqContact):
             handle_req_contact(self, message)
         elif isinstance(message, AnsContact):
@@ -352,34 +362,37 @@ class DaMulticastProcess:
     # ------------------------------------------------------------------
     # DisseminationPeer: Fig. 7's two selections, as pids
     # ------------------------------------------------------------------
+    def _size_group_constants(self) -> None:
+        """Resolve ``fanout(S)`` and ``p_sel(S)`` for the current group size
+        (static mode: once; dynamic mode: when a join moved the cell)."""
+        size = self.group_size
+        self._fanout = self.params.fanout(size)
+        self._p_sel = self.params.p_sel(size)
+        self._sized_for = size
+
     def link_targets(self, force_link: bool) -> list[tuple[Topic, list[int]]]:
         """Supergroup pids this process hands an event up to (Fig. 7
         lines 3-7): empty unless it elects itself as a link."""
+        if self.group_size != self._sized_for:
+            self._size_group_constants()
         return elect_links(
-            self.super_table, self.params, self.group_size, self.rng, force_link
+            self.super_table, self._p_sel, self._p_a, self.rng, force_link
         )
 
     def gossip_targets(self) -> list[int]:
-        """``log(S)+c`` distinct topic-table pids (Fig. 7 lines 8-14)."""
-        return sample_gossip(
-            self.topic_table(), self.params, self.group_size, self.rng, self.pid
-        )
+        """``log(S)+c`` distinct pids sampled from ``Table − Ω`` — fewer
+        when the table is small (Fig. 7 lines 8-14)."""
+        if self.group_size != self._sized_for:
+            self._size_group_constants()
+        return self.topic_table().sample_pids(self._fanout, self.rng, self.pid)
 
     # ------------------------------------------------------------------
-    # Event reception (Fig. 5 lines 5-10)
+    # Delivery to the application (Fig. 5 line 8)
     # ------------------------------------------------------------------
-    def _on_event(self, message: EventMessage) -> None:
-        event = message.event
-        if event.event_id in self.seen:
-            return
-        self.seen.add(event.event_id)
-        self._deliver(event, hops=message.hops)
-        disseminate(self, event, arrival_hops=message.hops)
-
     def _deliver(self, event: Event, hops: int = 0) -> None:
         # The paper's property 4: no parasite messages, ever. Make it a
         # hard invariant instead of trusting the routing.
-        if not should_deliver(event, self.topic):
+        if not self.topic.includes(event.topic):
             raise ProtocolError(
                 f"parasite delivery: process {self.pid} (topic "
                 f"{self.topic.name}) got event of {event.topic.name}"

@@ -19,10 +19,9 @@ The builders replay :class:`~repro.membership.static.GroupTableBuilder` /
 the same positional-sampling property (``random.Random.sample`` consumes
 the RNG as a function of ``(len(population), k)`` only — see
 membership/static.py). Positions come from the shared
-:func:`~repro.membership.static._sample_positions_inline` loop (or
-``rng.sample(range(n), k)`` on the small-population branch, which draws
-identically to sampling the descriptor list itself) and are mapped to pids
-with the exclusion arithmetic ``j = r if r < i else r+1`` instead of a
+:func:`~repro.membership.sampling.sample_from` in its positions form (which
+draws identically to sampling the descriptor list itself) and are mapped to
+pids with the exclusion arithmetic ``j = r if r < i else r+1`` instead of a
 working exclusion list. The construction therefore produces the *same pid
 sequences in the same order from the same RNG stream* as the object
 backend — pinned by the S=500 construction-digest golden and the
@@ -40,7 +39,7 @@ from array import array
 from typing import Iterator
 
 from repro.errors import ConfigError
-from repro.membership.static import _sample_positions_inline, _sample_setsize
+from repro.membership.sampling import sample_from
 from repro.topics.topic import Topic
 
 
@@ -55,7 +54,7 @@ class ColumnarGroupTables:
 
     __slots__ = (
         "topic", "base", "size", "capacity", "stride", "rows",
-        "super_topic", "super_stride", "super_rows", "_inline_mode",
+        "super_topic", "super_stride", "super_rows",
     )
 
     def __init__(
@@ -79,10 +78,6 @@ class ColumnarGroupTables:
         self.super_topic = super_topic
         self.super_stride = super_stride
         self.super_rows = super_rows
-        #: sample size -> which ``random.sample`` branch a row draw takes
-        #: (the ``_sample_setsize`` comparison, hoisted out of the per-call
-        #: path like the builders')
-        self._inline_mode: dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     # Row access (pids, in draw order — the digest/golden order)
@@ -105,45 +100,18 @@ class ColumnarGroupTables:
         position list).
 
         Draw-for-draw identical to mapping ``rng.sample(range(stride), k)``
-        through the row — both of ``random.sample``'s branches are
-        performed on the row itself — so the RNG end-state is the one the
-        stdlib call would leave. The member's own pid is never in its row
-        (exclusion is built into construction), so no per-call filtering
-        is needed: the columnar equivalent of
-        ``PartialView.sample(k, rng, exclude=(self.pid,))``.
+        through the row — the shared sampler runs on the row's slice of the
+        column itself — so the RNG end-state is the one the stdlib call
+        would leave. The member's own pid is never in its row (exclusion
+        is built into construction), so no per-call filtering is needed:
+        the columnar equivalent of
+        ``PartialView.sample_pids(k, rng, self.pid)``.
         """
         stride = self.stride
         start = index * stride
         if k >= stride:
             return self.rows[start : start + stride].tolist()
-        inline = self._inline_mode.get(k)
-        if inline is None:
-            inline = self._inline_mode[k] = stride > _sample_setsize(k)
-        if inline:
-            # Selection-set branch: distinct positions by rejection.
-            rows = self.rows
-            return [
-                rows[start + r]
-                for r in _sample_positions_inline(
-                    stride, k, stride.bit_length(), rng
-                )
-            ]
-        # Pool branch: a partial shuffle of the row's own pids; each
-        # selection is ``_randbelow(remaining)`` (``getrandbits`` with
-        # rejection) and the vacancy is refilled from the pool's tail.
-        getrandbits = rng.getrandbits
-        pool = self.rows[start : start + stride].tolist()
-        chosen = [0] * k
-        remaining = stride
-        for t in range(k):
-            nbits = remaining.bit_length()
-            r = getrandbits(nbits)
-            while r >= remaining:
-                r = getrandbits(nbits)
-            chosen[t] = pool[r]
-            remaining -= 1
-            pool[r] = pool[remaining]
-        return chosen
+        return sample_from(self.rows, start, stride, k, rng)
 
     def nbytes(self) -> int:
         """Bytes held by the pid columns (the backend's membership state)."""
@@ -185,9 +153,7 @@ class ColumnarTableBuilder:
         n = size - 1  # the exclusion list length: everyone but the member
         self.stride = min(capacity, n)
         self._n = n
-        self._nbits = n.bit_length()
         self._take_all = capacity >= n
-        self._inline = (not self._take_all) and n > _sample_setsize(capacity)
         self.rows = array("l")
 
     def draw_row(self, index: int, rng: random.Random) -> None:
@@ -202,12 +168,7 @@ class ColumnarTableBuilder:
                 if j != index:
                     append(base + j)
             return
-        if self._inline:
-            positions = _sample_positions_inline(
-                n, self.capacity, self._nbits, rng
-            )
-        else:
-            positions = rng.sample(range(n), self.capacity)
+        positions = sample_from(None, 0, n, self.capacity, rng)
         # Exclusion arithmetic: position r in the member-i-removed list is
         # group index r below i, r+1 at or above it.
         for r in positions:
@@ -227,9 +188,7 @@ class ColumnarSuperBuilder:
         self.super_size = super_size
         self.z = z
         self.stride = min(z, super_size)
-        self._nbits = super_size.bit_length()
         self._take_all = z >= super_size
-        self._inline = (not self._take_all) and super_size > _sample_setsize(z)
         self.rows = array("l")
 
     def draw_row(self, rng: random.Random) -> None:
@@ -237,14 +196,9 @@ class ColumnarSuperBuilder:
         n = self.super_size
         base = self.super_base
         append = self.rows.append
-        if self._take_all:
-            for r in range(n):
-                append(base + r)
-            return
-        if self._inline:
-            positions = _sample_positions_inline(n, self.z, self._nbits, rng)
-        else:
-            positions = rng.sample(range(n), self.z)
+        positions = (
+            range(n) if self._take_all else sample_from(None, 0, n, self.z, rng)
+        )
         for r in positions:
             append(base + r)
 

@@ -28,7 +28,6 @@ so the same code runs under any network/failure configuration.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -106,10 +105,8 @@ class FlatMembership:
         "owner", "group", "config", "_engine", "_rng", "_send",
         "_multicast", "_super_sample_provider", "_super_sample_consumer",
         "view", "_pending_shuffles", "_tombstones", "_task", "started",
+        "_last_nonce",
     )
-
-    #: class-level so nonces stay unique across every instance
-    _nonce_counter = itertools.count(1)
 
     def __init__(
         self,
@@ -141,6 +138,9 @@ class FlatMembership:
         self._super_sample_consumer = super_sample_consumer
         self.view = PartialView(config.capacity)
         self._pending_shuffles: dict[int, int] = {}  # nonce -> partner pid
+        #: a reply echoes the nonce to the member that drew it, so nonces
+        #: only have to be unique per member (0 = no reply to match)
+        self._last_nonce = 0
         self._tombstones: dict[int, float] = {}  # pid -> suspicion expiry
         self._task: PeriodicTask | None = None
         self.started = False
@@ -185,7 +185,7 @@ class FlatMembership:
         if not partner:
             return
         target = partner[0]
-        nonce = next(self._nonce_counter)
+        nonce = self._last_nonce = self._last_nonce + 1
         self._pending_shuffles[nonce] = target.pid
         self._engine.schedule(
             self.config.shuffle_timeout, lambda: self._expire_shuffle(nonce)

@@ -16,6 +16,7 @@ import random
 from typing import Iterable
 
 from repro.errors import ConfigError, UnknownActor
+from repro.membership.sampling import sample_from
 from repro.membership.view import ProcessDescriptor
 
 
@@ -56,7 +57,7 @@ class BootstrapOverlay:
             for index, descriptor in enumerate(population):
                 self._contacts[descriptor.pid] = [
                     population[r if r < index else r + 1]
-                    for r in rng.sample(range(n - 1), k)
+                    for r in sample_from(None, 0, n - 1, k, rng)
                 ] if k else []
         else:
             # Duplicate pids: keep the historical every-occurrence
@@ -65,7 +66,7 @@ class BootstrapOverlay:
                 others = [d for d in population if d.pid != descriptor.pid]
                 k = min(self.degree, len(others))
                 self._contacts[descriptor.pid] = (
-                    rng.sample(others, k) if k else []
+                    sample_from(others, 0, len(others), k, rng) if k else []
                 )
 
     def add_process(
@@ -78,9 +79,12 @@ class BootstrapOverlay:
         """
         existing = list(self._descriptors.values())
         self._descriptors[descriptor.pid] = descriptor
-        k = min(self.degree, len(existing))
-        self._contacts[descriptor.pid] = rng.sample(existing, k) if k else []
-        for other in rng.sample(existing, k) if k else []:
+        n = len(existing)
+        k = min(self.degree, n)
+        self._contacts[descriptor.pid] = (
+            sample_from(existing, 0, n, k, rng) if k else []
+        )
+        for other in sample_from(existing, 0, n, k, rng) if k else []:
             contacts = self._contacts.setdefault(other.pid, [])
             contacts.append(descriptor)
 

@@ -38,11 +38,12 @@ O(S·k) per group, while remaining draw-for-draw identical:
   ``others_i[j] = group[j]`` for ``j < i`` and ``group[j+1]`` otherwise, so
   a single working copy is advanced from member to member with one O(1)
   write (``work[i-1] = group[i-1]``) instead of an O(S) rebuild.
-* for large populations ``random.sample`` uses its selection-set branch
-  (draw ``_randbelow(n)``, reject repeats); the builder inlines that exact
-  loop with the per-group constants (``n.bit_length()``, the branch
-  threshold) hoisted out, consuming the same ``getrandbits`` stream. Small
-  populations delegate to ``random.sample`` itself.
+* the draw itself is :func:`repro.membership.sampling.sample_from` — both
+  of ``random.sample``'s branches (pool for small populations, selection
+  set with rejection for large ones) written out once over the
+  ``getrandbits`` stream the stdlib consumes, and shared with
+  :class:`~repro.membership.view.PartialView` and the columnar rows, so
+  every table in the tree is drawn and later sampled by one loop.
 
 Because the per-member draw never exceeds the view capacity, tables are
 materialised with the bulk :meth:`~repro.membership.view.PartialView.
@@ -59,6 +60,7 @@ import random
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigError
+from repro.membership.sampling import sample_from
 from repro.membership.view import PartialView, ProcessDescriptor
 from repro.topics.topic import Topic
 
@@ -76,70 +78,6 @@ def static_table_capacity(
     if group_size == 1:
         return 1
     return max(1, math.ceil((b + 1) * math.log(group_size, log_base)))
-
-
-def _sample_setsize(k: int) -> int:
-    """``random.Random.sample``'s branch threshold for a draw of ``k``.
-
-    Mirrors CPython's heuristic (stable since 2.x): populations larger than
-    this use the selection-set branch (``_randbelow(n)`` with rejection of
-    repeats), smaller ones the partial-shuffle pool branch. The fast paths
-    below must take the same branch ``random.sample`` would, because the
-    two branches consume the RNG differently; the reference-vs-fast
-    property test pins this equivalence on the running interpreter.
-    """
-    setsize = 21  # size of a small set minus size of an empty list
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))  # table size for big sets
-    return setsize
-
-
-def _sample_positions_inline(
-    n: int,
-    k: int,
-    nbits: int,
-    rng: random.Random,
-) -> list[int]:
-    """``rng.sample(range(n), k)`` via the inlined selection-set loop.
-
-    Caller guarantees ``n > _sample_setsize(k)`` (the branch
-    ``random.sample`` itself would take) and ``nbits == n.bit_length()``.
-    Draw-for-draw identical to the stdlib: each selection draws
-    ``getrandbits(nbits)`` rejecting values ``>= n``, then redraws while the
-    index was already selected. Returning bare *positions* lets the
-    columnar backend map them straight into pid arrays, while
-    :func:`_sample_inline` maps them through a descriptor list — both
-    consume the identical ``getrandbits`` stream.
-    """
-    getrandbits = rng.getrandbits
-    selected: set[int] = set()
-    selected_add = selected.add
-    chosen: list[int] = [0] * k
-    for t in range(k):
-        r = getrandbits(nbits)
-        while r >= n:
-            r = getrandbits(nbits)
-        while r in selected:
-            r = getrandbits(nbits)
-            while r >= n:
-                r = getrandbits(nbits)
-        selected_add(r)
-        chosen[t] = r
-    return chosen
-
-
-def _sample_inline(
-    population: Sequence[ProcessDescriptor],
-    n: int,
-    k: int,
-    nbits: int,
-    rng: random.Random,
-) -> list[ProcessDescriptor]:
-    """``rng.sample(population[:n], k)`` via the inlined selection-set loop
-    (see :func:`_sample_positions_inline` for the contract)."""
-    return [
-        population[r] for r in _sample_positions_inline(n, k, nbits, rng)
-    ]
 
 
 class GroupTableBuilder:
@@ -174,20 +112,6 @@ class GroupTableBuilder:
         # the member at ``_cursor`` removed, order preserved).
         self._work = self._descriptors[1:]
         self._cursor = 0
-        self._nbits = (
-            (len(self._descriptors) - 1).bit_length()
-            if len(self._descriptors) > 1
-            else 0
-        )
-        #: capacity -> whether the selection-set branch applies (the
-        #: ``_sample_setsize`` comparison, hoisted out of the per-member loop)
-        self._inline_mode: dict[int, bool] = {}
-
-    def _use_inline(self, n: int, capacity: int) -> bool:
-        mode = self._inline_mode.get(capacity)
-        if mode is None:
-            mode = self._inline_mode[capacity] = n > _sample_setsize(capacity)
-        return mode
 
     def __len__(self) -> int:
         return len(self._descriptors)
@@ -216,10 +140,8 @@ class GroupTableBuilder:
         others = self._others_for(index)
         if capacity >= n:
             chosen: Sequence[ProcessDescriptor] = others
-        elif self._use_inline(n, capacity):
-            chosen = _sample_inline(others, n, capacity, self._nbits, rng)
         else:
-            chosen = rng.sample(others, capacity)
+            chosen = sample_from(others, 0, n, capacity, rng)
         view.install(chosen)
         return view
 
@@ -246,12 +168,8 @@ class GroupTableBuilder:
         n = len(self._descriptors)
         if capacity >= n:
             chosen: Sequence[ProcessDescriptor] = self._descriptors
-        elif n > _sample_setsize(capacity):
-            chosen = _sample_inline(
-                self._descriptors, n, capacity, n.bit_length(), rng
-            )
         else:
-            chosen = rng.sample(self._descriptors, capacity)
+            chosen = sample_from(self._descriptors, 0, n, capacity, rng)
         view.install(chosen)
         return view
 
@@ -267,8 +185,6 @@ class GroupSampler:
 
     def __init__(self, group: Sequence[ProcessDescriptor]):
         self._descriptors = list(group)
-        self._nbits = len(self._descriptors).bit_length()
-        self._inline_mode: dict[int, bool] = {}
 
     def __len__(self) -> int:
         return len(self._descriptors)
@@ -278,12 +194,7 @@ class GroupSampler:
         n = len(self._descriptors)
         if k >= n:
             return list(self._descriptors)
-        mode = self._inline_mode.get(k)
-        if mode is None:
-            mode = self._inline_mode[k] = n > _sample_setsize(k)
-        if mode:
-            return _sample_inline(self._descriptors, n, k, self._nbits, rng)
-        return rng.sample(self._descriptors, k)
+        return sample_from(self._descriptors, 0, n, k, rng)
 
     def table(self, z: int, rng: random.Random) -> PartialView:
         """A fresh ``sTable`` view holding a uniform ``z``-draw."""

@@ -8,27 +8,28 @@ by the underlying membership algorithm) and the supertopic table
 (which keeps views close to uniform samples of the group — the property the
 gossip analysis of [10] needs), and supports the paper's MERGE semantics.
 
-Hot-path design (the gossip fast path calls :meth:`PartialView.sample`
-once per event reception, and static construction calls
-:meth:`PartialView.install` once per process):
+Hot-path design (the gossip fast path calls
+:meth:`PartialView.sample_pids` once per first reception of an event, and
+static construction calls :meth:`PartialView.install` once per process).
+Beside the entry dict a view keeps two insertion-ordered mirrors of it:
 
-* **Cached descriptor tuple.** ``sample`` and ``descriptors`` serve from a
-  tuple snapshot of the entries, rebuilt lazily after any mutation (every
-  mutator resets the cache to ``None``). The ubiquitous
-  ``exclude=(self.pid,)`` call — where the caller's own pid is never in its
-  table — then samples straight from the cached tuple with no per-call
-  filtering or allocation. ``random.Random.sample`` draws identically from
-  a tuple and a list of the same ordering, so the fast path is draw-for-draw
-  identical to the historical build-a-candidates-list code.
-* **Eviction pid list.** Uniform eviction needs "the i-th key of the entry
-  dict" for a freshly drawn ``i``. Instead of materialising
-  ``list(self._entries)`` per eviction, a parallel pid list mirrors the
-  dict's insertion order (invariant: ``_pid_list is None`` or
-  ``_pid_list == list(_entries)``; ``install`` leaves it ``None`` and it is
-  rebuilt on first eviction). The victim is picked with one
-  ``rng._randbelow(len)`` draw — exactly the single draw
-  ``rng.choice(list(entries))`` used to make, so eviction trajectories are
-  bit-identical.
+* **Cached descriptor tuple** — what ``descriptors`` and ``sample`` serve
+  from; every mutator (``add``, ``_evict_uniform``, ``remove``, ``replace``,
+  ``install``, ``clear``, and ``set_capacity`` through its evictions) resets
+  it to ``None`` and it is rebuilt lazily.
+* **Pid list** — what ``sample_pids`` and uniform eviction index into, so
+  that neither materialises ``list(self._entries)`` per call. It is never
+  stale: the same mutators keep it in step in place (invariant:
+  ``_pid_list is None`` or ``_pid_list == list(_entries)``; only the bulk
+  ``install`` drops it to ``None``, and the first sample or eviction
+  rebuilds it). An eviction victim is one ``rng._randbelow(len)`` draw —
+  exactly the draw ``rng.choice(list(entries))`` used to make.
+
+Both samples go through :func:`repro.membership.sampling.sample_from`, which
+selects positions exactly as ``random.Random.sample`` does, so a pid sample
+is, draw for draw, the pids of the descriptor sample. The ubiquitous
+``exclude=(self.pid,)`` call — a process never holds itself in its own
+table — runs straight over the mirror with no per-call filtering.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigError, MembershipError
+from repro.membership.sampling import sample_from
 from repro.topics.topic import Topic
 
 
@@ -59,6 +61,13 @@ class PartialView:
     Insertion order is preserved (oldest first), which gives the supertopic
     table a natural notion of "favorite" entries (footnote 5: MERGE keeps
     the favorite superprocesses): the longest-held live entries survive.
+
+    Two insertion-ordered mirrors of the entry dict serve the hot paths
+    (module docstring): the descriptor tuple ``_cache`` behind
+    :meth:`descriptors`/:meth:`sample`, dropped by every mutator and
+    rebuilt lazily, and the pid list ``_pid_list`` behind
+    :meth:`sample_pids` and eviction, kept in step by every mutator
+    (dropped only by the bulk :meth:`install`). Neither can be served stale.
     """
 
     __slots__ = ("capacity", "_entries", "_pid_list", "_cache")
@@ -69,7 +78,7 @@ class PartialView:
         self.capacity = capacity
         self._entries: dict[int, ProcessDescriptor] = {}
         #: insertion-order mirror of ``_entries`` keys; ``None`` = rebuild
-        #: lazily on first eviction (bulk ``install`` skips building it).
+        #: lazily on first sample or eviction (bulk ``install`` skips it).
         self._pid_list: list[int] | None = []
         #: tuple snapshot served by ``descriptors``/``sample``; ``None``
         #: after any mutation.
@@ -264,9 +273,28 @@ class PartialView:
                         d for d in candidates if d.pid not in excluded
                     ]
                     break
-        if k >= len(candidates):
+        n = len(candidates)
+        if k >= n:
             return list(candidates)
-        return rng.sample(candidates, k)
+        return sample_from(candidates, 0, n, k, rng)
+
+    def sample_pids(
+        self, k: int, rng: random.Random, exclude_pid: int | None = None
+    ) -> list[int]:
+        """The pids of ``sample(k, rng, exclude=(exclude_pid,))``, from the
+        same draws, without touching a descriptor (Fig. 7 only ever needs
+        the chosen pids)."""
+        if k < 0:
+            raise ConfigError(f"sample size must be >= 0, got {k}")
+        pids = self._pid_list
+        if pids is None:
+            pids = self._pid_list = list(self._entries)
+        if exclude_pid in self._entries:  # never, for a process's own table
+            pids = [pid for pid in pids if pid != exclude_pid]
+        n = len(pids)
+        if k >= n:
+            return list(pids)
+        return sample_from(pids, 0, n, k, rng)
 
     def __repr__(self) -> str:
         return f"PartialView({len(self._entries)}/{self.capacity})"

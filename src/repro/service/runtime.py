@@ -34,7 +34,7 @@ import asyncio
 from typing import Any, Callable
 
 from repro.core.params import DaMulticastConfig
-from repro.core.events import Event
+from repro.core.events import Event, EventId
 from repro.core.process import DaMulticastProcess
 from repro.core.system import DaMulticastSystem
 from repro.errors import ConfigError, UnknownTopic
@@ -86,7 +86,7 @@ class LiveRuntime:
         self._subscribers: dict[Topic, list[SubscribeCallback]] = {}
         self._topics: list[tuple[str, int]] = []
         self._publishes: list[dict[str, Any]] = []
-        self._deliveries: dict[str, list[int]] = {}
+        self._deliveries: dict[EventId, list[int]] = {}
         self._p_success = p_success
         self._wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
@@ -215,7 +215,7 @@ class LiveRuntime:
             self._wake.set()
 
     def _on_delivery(self, process: DaMulticastProcess, event: Event) -> None:
-        self._deliveries.setdefault(str(event.event_id), []).append(process.pid)
+        self._deliveries.setdefault(event.event_id, []).append(process.pid)
         callbacks = self._subscribers.get(process.topic)
         if callbacks:
             for callback in list(callbacks):
@@ -296,7 +296,8 @@ class LiveRuntime:
             "topics": [list(entry) for entry in self._topics],
             "publishes": [dict(record) for record in self._publishes],
             "deliveries": {
-                key: sorted(pids) for key, pids in self._deliveries.items()
+                str(event_id): sorted(pids)
+                for event_id, pids in self._deliveries.items()
             },
         }
 

@@ -46,6 +46,10 @@ class Topic:
                     f"invalid topic segment {segment!r}: segments must match "
                     f"[A-Za-z0-9_-]+"
                 )
+        self._set(checked)
+
+    def _set(self, checked: tuple[str, ...]) -> None:
+        """Fill the slots from segments that are already validated."""
         self._segments = checked
         self._name = "." + ".".join(checked) if checked else "."
         # repro-lint: allow[DET003]: cached tuple hash for dict/set keying only; it never crosses a process or digest boundary
@@ -112,9 +116,13 @@ class Topic:
     @property
     def super_topic(self) -> "Topic | None":
         """The direct supertopic ``super(Ti)``, or ``None`` for the root."""
-        if self.is_root:
+        if not self._segments:
             return None
-        return Topic(self._segments[:-1])
+        # our own segments were validated when we were built: no second
+        # regex pass per step of every ancestors() walk
+        parent = Topic.__new__(Topic)
+        parent._set(self._segments[:-1])
+        return parent
 
     def ancestors(self, include_self: bool = False) -> Iterator["Topic"]:
         """Yield supertopics from the direct one up to (and including) root.
@@ -136,9 +144,11 @@ class Topic:
         ``Ta.includes(Tb)`` is true when ``Ta`` is ``Tb`` or a supertopic of
         ``Tb``: every event of ``Tb`` is also an event of ``Ta``.
         """
-        if self.depth > other.depth:
-            return False
-        return other._segments[: self.depth] == self._segments
+        if other is self:  # group members share the hierarchy's Topic
+            return True
+        mine = self._segments
+        # (a deeper ``self`` compares against a shorter slice: unequal)
+        return other._segments[: len(mine)] == mine
 
     def is_strict_supertopic_of(self, other: "Topic") -> bool:
         """Whether ``self`` is a proper (non-equal) supertopic of ``other``."""

@@ -4,11 +4,17 @@ These drive the search directly over a real (small) network so the flood,
 widening, narrowing and stop conditions can be observed step by step.
 """
 
+import sys
+from collections import Counter, defaultdict
+
 import pytest
 
 from repro.core import DaMulticastConfig, DaMulticastSystem
-from repro.core.bootstrap import known_contacts_for
+from repro.core.bootstrap import FindSuperContact, known_contacts_for
+from repro.net.message import ReqContact
 from repro.topics import ROOT, Topic
+from repro.workloads.presets import load_preset
+from repro.workloads.spec import compile_spec
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
@@ -149,3 +155,123 @@ class TestReceiverSide:
         # The flood must terminate: bounded by TTL and per-process dedup,
         # not exponential.
         assert sent_first <= 5 * 5 * 5  # generous cap
+
+
+# ----------------------------------------------------------------------
+# One whole run: what the floods of the ``super-link-attack`` preset do
+# ----------------------------------------------------------------------
+class RecordedRun:
+    """One ``super-link-attack`` run with ``Network.send``/``multicast``
+    and ``FindSuperContact.start`` wrapped, recording what is asserted
+    below. No preset, spec key or protocol constant is touched."""
+
+    def __init__(self, seed=0):
+        built = compile_spec(load_preset("super-link-attack")).build(seed=seed)
+        system = built.system
+        network = system.network
+        #: ``(kind, request_id | nonce)`` of every message handed over
+        self.ids = []
+        #: (forwarder, requester, request_id) -> REQCONTACT multicasts
+        self.forwards = Counter()
+        #: (requester, request_id) -> transmissions / the pids that sent them
+        self.flood_size = Counter()
+        self.flood_senders = defaultdict(set)
+        #: originations by a process whose sTable pointed at its direct
+        #: supertopic at that moment
+        self.needless_originations = []
+        #: name of the calling function -> searches it actually started
+        self.searches_started = Counter()
+
+        def record(message):
+            self.ids.append(
+                (
+                    type(message).__name__,
+                    getattr(message, "request_id", getattr(message, "nonce", None)),
+                )
+            )
+
+        def send(sender, target, message, _send=network.send):
+            assert not isinstance(message, ReqContact)  # floods are batched
+            record(message)
+            return _send(sender, target, message)
+
+        def multicast(sender, targets, message, _multicast=network.multicast):
+            record(message)
+            if isinstance(message, ReqContact):
+                flood = (message.requester, message.request_id)
+                self.forwards[(sender, *flood)] += 1
+                self.flood_size[flood] += len(targets)
+                self.flood_senders[flood].add(sender)
+                if sender == message.requester:
+                    origin = system.process(sender)
+                    if origin.super_table.targets_direct_super_of(origin.topic):
+                        self.needless_originations.append((system.now, sender))
+            return _multicast(sender, targets, message)
+
+        def start(task, _start=FindSuperContact.start):
+            was_active = task.active
+            _start(task)
+            if task.active and not was_active:
+                self.searches_started[sys._getframe(1).f_code.co_name] += 1
+
+        network.send, network.multicast = send, multicast
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(FindSuperContact, "start", start)
+            try:
+                built.execute()
+                self.neighborhood_size = {
+                    p.pid: len(p.neighborhood()) for p in system.processes
+                }
+            finally:
+                system.close()
+
+
+class TestSuperLinkAttackFloods:
+    """ROADMAP 3(a), answered as invariants: the REQCONTACT storm of this
+    preset is Fig. 4 run as specified, set off by the preset's timers."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return RecordedRun()
+
+    def test_ids_repeat_across_runs_in_one_interpreter(self, run):
+        # Request ids and nonces used to come from class-level counters
+        # shared by every system the interpreter ever built: the second
+        # run of one (spec, seed) sent different message contents.
+        again = RecordedRun()
+        assert any(kind == "ReqContact" for kind, _ in run.ids)
+        assert any(kind == "Ping" for kind, _ in run.ids)
+        assert any(
+            kind == "MembershipGossip" and nonce for kind, nonce in run.ids
+        )
+        assert again.ids == run.ids
+
+    def test_each_process_forwards_a_flood_at_most_once(self, run):
+        assert run.forwards
+        assert max(run.forwards.values()) == 1
+
+    def test_no_flood_exceeds_its_forwarders_neighborhoods(self, run):
+        for flood, transmissions in run.flood_size.items():
+            reachable = sum(
+                run.neighborhood_size[pid] for pid in run.flood_senders[flood]
+            )
+            assert transmissions <= reachable, flood
+
+    def test_a_linked_process_originates_no_flood(self, run):
+        # While its sTable holds contacts of its direct supertopic a
+        # process never floods; only _evaluate clearing the table (or the
+        # table never having been filled) sets a search off.
+        assert run.needless_originations == []
+
+    def test_searches_are_started_by_the_ping_timeout(self, run):
+        # The preset configures ping_timeout = 0.5 against an inter-group
+        # round trip of 2 × U[0.1, 0.5] (mean 0.6): P(RTT <= 0.5) ≈ 0.28,
+        # × 0.9² for the two channel crossings, so a probe usually finds
+        # 0 of 3 entries "alive", _evaluate clears the table and restarts
+        # the search — before anything has been killed. That is what this
+        # workload measures; retuning the preset changes the workload, not
+        # the speed of the code under it.
+        started = run.searches_started
+        assert set(started) <= {"subscribe", "_tick", "_evaluate"}
+        assert started["subscribe"] > 0
+        assert started["_evaluate"] > 0.9 * sum(started.values()), started

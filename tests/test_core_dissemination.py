@@ -26,6 +26,7 @@ class ScriptedPeer:
 
     link_targets = DaMulticastProcess.link_targets
     gossip_targets = DaMulticastProcess.gossip_targets
+    _size_group_constants = DaMulticastProcess._size_group_constants
 
     def __init__(self, *, params, group_size, table_pids, super_pids, seed=0):
         self.pid = 0
@@ -34,6 +35,9 @@ class ScriptedPeer:
         self.rng = random.Random(seed)
         self.params = params
         self.group_size = group_size
+        # what the borrowed selections keep beside ``params``
+        self._p_a = params.p_a
+        self._sized_for = 0
         self._table = PartialView(max(1, len(table_pids) or 1))
         for pid in table_pids:
             self._table.add(ProcessDescriptor(pid, T2))

@@ -49,6 +49,31 @@ def test_super_topic_includes_strictly(topic):
 
 
 @given(topic_strategy)
+def test_super_topic_is_the_validated_topic_of_the_prefix(topic):
+    # super_topic builds the parent without re-validating segments that
+    # were validated when ``topic`` was built: same value all the same
+    parent = topic.super_topic
+    if topic.is_root:
+        assert parent is None
+        return
+    built = Topic(topic.segments[:-1])
+    assert parent == built
+    assert hash(parent) == hash(built)
+    assert repr(parent) == repr(built)
+    assert (parent.name, parent.segments) == (built.name, built.segments)
+    assert type(parent) is Topic
+
+
+@given(topic_strategy, topic_strategy)
+def test_includes_equal_but_distinct_objects(a, b):
+    # includes() answers identity first; equal copies must answer the same
+    twin = Topic(a.segments)
+    assert a.includes(b) == twin.includes(b)
+    assert b.includes(a) == b.includes(twin)
+    assert a.includes(twin) and twin.includes(a)
+
+
+@given(topic_strategy)
 def test_parse_roundtrip(topic):
     assert Topic.parse(topic.name) == topic
 
