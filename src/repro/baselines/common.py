@@ -15,6 +15,7 @@ cluster groups of the hierarchical baseline use synthetic topics under
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Any
 
@@ -55,11 +56,26 @@ class BaselineProcess:
         self.pid = pid
         self.interest = interest
         self._harness = harness
-        self.rng = harness.rngs.stream(f"baseline-process/{pid}")
+        #: the ``baseline-process/{pid}`` stream once seeded (see :attr:`rng`)
+        self._rng: random.Random | None = None
         self.groups: dict[Topic, GroupState] = {}
         self.seen: set[EventId] = set()
         self.delivered: list[Event] = []
-        self._event_factory = EventFactory(pid)
+        #: mints this process's events; made by its first :meth:`make_event`
+        self._event_factory: EventFactory | None = None
+
+    @property
+    def rng(self) -> random.Random:
+        """This process's ``baseline-process/{pid}`` stream, seeded on
+        first need — the convention of
+        :attr:`repro.core.process.DaMulticastProcess.rng`: a process no
+        flood reaches never pays for a Mersenne state."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._harness.rngs.stream(
+                f"baseline-process/{self.pid}"
+            )
+        return rng
 
     @property
     def descriptor(self) -> ProcessDescriptor:
@@ -144,7 +160,10 @@ class BaselineProcess:
 
     def make_event(self, topic: Topic, payload: Any) -> Event:
         """Mint a new event from this process."""
-        return self._event_factory.create(topic, payload, self._harness.now)
+        factory = self._event_factory
+        if factory is None:
+            factory = self._event_factory = EventFactory(self.pid)
+        return factory.create(topic, payload, self._harness.now)
 
     def __repr__(self) -> str:
         return (

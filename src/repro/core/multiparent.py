@@ -61,7 +61,7 @@ class MultiParentProcess(DaMulticastProcess):
         # repro-lint: allow[DET003]: super_tables is built in sorted-parent order at finalize; sorting would permute the draw sequence
         for table in self.super_tables.values():
             links += elect_links(
-                table, self._p_sel, self._p_a, self.rng, force_link
+                table, self._p_sel, self._p_a, self._rng, force_link
             )
         return links
 

@@ -48,6 +48,7 @@ from repro.net.message import (
 )
 from repro.net.network import Network
 from repro.sim.clock import Clock
+from repro.sim.rng import RngRegistry
 from repro.topics.topic import Topic
 
 DeliveryCallback = Callable[["DaMulticastProcess", Event], None]
@@ -71,7 +72,21 @@ class GroupSizeCell:
 
 
 class DaMulticastProcess:
-    """One process interested in exactly one topic (§III-A)."""
+    """One process interested in exactly one topic (§III-A).
+
+    ``rngs`` is the run's stream registry; the process draws from its
+    ``process/{pid}`` stream only. A dynamic process seeds it at
+    construction (it acts at once: its flat membership takes the stream).
+    A static process seeds it the first time Fig. 7 selects targets —
+    behind the group-constants gate both selections already pass, so the
+    forwarding path gains no check and no frame — or when anything reads
+    :attr:`rng`, whichever comes first. Named streams are independent of
+    each other and of when they are made, so every draw is the one an
+    eagerly seeded process would make; a process that never acts — in the
+    paper's own experiments (Figs. 8–10) most are stillborn or never
+    reached — never pays for a Mersenne state. What only a publisher needs
+    (its event factory) is likewise made by the first :meth:`publish`.
+    """
 
     def __init__(
         self,
@@ -81,7 +96,7 @@ class DaMulticastProcess:
         *,
         engine: Clock,
         network: Network,
-        rng: random.Random,
+        rngs: RngRegistry,
         overlay: BootstrapOverlay | None = None,
         tracker: DeliveryTracker | None = None,
         delivery_callback: DeliveryCallback | None = None,
@@ -94,7 +109,9 @@ class DaMulticastProcess:
         self.config = config
         self.engine = engine
         self.network = network
-        self.rng = rng
+        self.rngs = rngs
+        #: the ``process/{pid}`` stream once seeded (read it as :attr:`rng`)
+        self._rng: random.Random | None = None
         self.descriptor = ProcessDescriptor(pid, topic)
         self.intra_scope = Scope("intra", topic)
         self.dynamic = dynamic
@@ -120,7 +137,8 @@ class DaMulticastProcess:
         self.seen_requests: set[tuple[int, int]] = set()
         self.delivered: list[Event] = []
         self.subscribed = False
-        self._event_factory = EventFactory(pid)
+        #: mints this process's events; made by its first :meth:`publish`
+        self._event_factory: EventFactory | None = None
 
         #: static mode: the frozen table ``finalize_static_membership``
         #: installs (until then :meth:`topic_table` makes an empty one)
@@ -136,7 +154,7 @@ class DaMulticastProcess:
                 topic,
                 membership_config,
                 engine,
-                rng,
+                self._seed_rng(),
                 self.send,
                 multicast=self.multicast,
                 super_sample_provider=self._piggyback_super_sample,
@@ -176,6 +194,27 @@ class DaMulticastProcess:
     # mode — shadows it and every read after the first is a plain one.
     find_super_contact = functools.cached_property(_bootstrap_task)
     maintenance = functools.cached_property(_maintenance_task)
+
+    # ------------------------------------------------------------------
+    # The process's random stream
+    # ------------------------------------------------------------------
+    def _seed_rng(self) -> random.Random:
+        """Make ``_rng`` the ``process/{pid}`` stream (the one draw site)."""
+        rng = self._rng = self.rngs.stream(f"process/{self.pid}")
+        return rng
+
+    @property
+    def rng(self) -> random.Random:
+        """This process's ``process/{pid}`` stream, seeded on first need.
+
+        A plain property on purpose: ``functools.cached_property`` stores
+        its value in the instance ``__dict__``, which slows every other
+        attribute load of the instance, and a ``__getattr__`` hook slows
+        them for the whole class (ROADMAP, *Settled*). The forwarding
+        path reads ``_rng`` directly, after the gate that seeds it.
+        """
+        rng = self._rng
+        return rng if rng is not None else self._seed_rng()
 
     # ------------------------------------------------------------------
     # Configuration accessors
@@ -298,7 +337,10 @@ class DaMulticastProcess:
     def publish(self, payload: Any = None) -> Event:
         """Publish an event on this process's topic and disseminate it."""
         self.subscribe()  # Fig. 7 line 2: DISSEMINATE starts with SUBSCRIBE
-        event = self._event_factory.create(self.topic, payload, self.engine.now)
+        factory = self._event_factory
+        if factory is None:
+            factory = self._event_factory = EventFactory(self.pid)
+        event = factory.create(self.topic, payload, self.engine.now)
         if self._tracker is not None:
             expected = (
                 self._expected_provider()
@@ -364,11 +406,15 @@ class DaMulticastProcess:
     # ------------------------------------------------------------------
     def _size_group_constants(self) -> None:
         """Resolve ``fanout(S)`` and ``p_sel(S)`` for the current group size
-        (static mode: once; dynamic mode: when a join moved the cell)."""
+        (static mode: once; dynamic mode: when a join moved the cell) — and,
+        a group size being at least 1 and ``_sized_for`` starting at 0, the
+        stream a static process's first selection is about to draw from."""
         size = self.group_size
         self._fanout = self.params.fanout(size)
         self._p_sel = self.params.p_sel(size)
         self._sized_for = size
+        if self._rng is None:
+            self._seed_rng()
 
     def link_targets(self, force_link: bool) -> list[tuple[Topic, list[int]]]:
         """Supergroup pids this process hands an event up to (Fig. 7
@@ -376,7 +422,7 @@ class DaMulticastProcess:
         if self.group_size != self._sized_for:
             self._size_group_constants()
         return elect_links(
-            self.super_table, self._p_sel, self._p_a, self.rng, force_link
+            self.super_table, self._p_sel, self._p_a, self._rng, force_link
         )
 
     def gossip_targets(self) -> list[int]:
@@ -384,7 +430,7 @@ class DaMulticastProcess:
         when the table is small (Fig. 7 lines 8-14)."""
         if self.group_size != self._sized_for:
             self._size_group_constants()
-        return self.topic_table().sample_pids(self._fanout, self.rng, self.pid)
+        return self.topic_table().sample_pids(self._fanout, self._rng, self.pid)
 
     # ------------------------------------------------------------------
     # Delivery to the application (Fig. 5 line 8)

@@ -108,7 +108,8 @@ class DaMulticastSystem(ObjectSystemFacade):
         In dynamic mode each process immediately joins: it gets overlay
         contacts, a same-group membership contact when one exists, and its
         background tasks start. In static mode it stays inert until
-        :meth:`finalize_static_membership`.
+        :meth:`finalize_static_membership` — it is handed the stream
+        registry, not a stream, and seeds its own on first action.
 
         What every member of a group shares — the group list, the size
         cell, the expected-receiver provider, the harness parts — is
@@ -134,7 +135,7 @@ class DaMulticastSystem(ObjectSystemFacade):
                 self.config,
                 engine=harness.engine,
                 network=network,
-                rng=streams.stream(f"process/{pid}"),
+                rngs=streams,
                 overlay=self.overlay,
                 tracker=harness.tracker,
                 delivery_callback=self._delivery_callback,

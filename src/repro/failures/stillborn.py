@@ -19,6 +19,9 @@ class StillbornFailures:
 
     def __init__(self, failed: Iterable[int]):
         self._failed = frozenset(failed)
+        #: the declaration of :mod:`repro.failures.model`: the dead set is
+        #: fixed for the run and perception equals ground truth
+        self.static_dead = self._failed
 
     @property
     def failed(self) -> frozenset[int]:

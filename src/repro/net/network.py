@@ -46,14 +46,19 @@ fan-out, staged so that what is the same for every target is decided once:
 * **bulk statistics** — ``record_sent_many`` / ``record_dropped_many`` /
   ``record_delivered_many``, once per outcome class instead of once per
   destination;
-* **the clean channel** — the stage-known no-op models consume no
-  randomness, so when *all* of them are installed (``AlwaysAlive``,
-  ``FullyConnected``, ``ConstantLatency``, no fault hook) and tracing is
-  off, the sender-side pass (stages 2–5) is exactly the loss draw per
-  target, in target order, and stage 6 one latency class: one list
-  comprehension, one ``record_dropped_many``, one dispatch. The
-  branch is chosen per call from the installed model types — there is no
-  switch to set;
+* **the clean channel** — when nothing installed draws randomness or
+  depends on the time — a failure model that declares its dead set
+  (``static_dead``, :mod:`repro.failures.model`: ``AlwaysAlive``'s is
+  empty, ``StillbornFailures``' is the paper's Figs. 8–10 setting),
+  ``FullyConnected``, ``ConstantLatency``, no fault hook — and tracing is
+  off, the sender-side pass (stages 2–5) is one membership test on the
+  sender and then exactly the loss draw per target, in target order, and
+  stage 6 one latency class: one list comprehension, one
+  ``record_dropped_many``, one dispatch; at delivery the batch is
+  filtered against the same set in one comprehension. The branch is
+  chosen per call from what the installed models are and declare — there
+  is no switch to set, and a failure model that declares nothing (churn,
+  perceived failures, a user's own) never takes it;
 * **the general channel** — anything else checks the sender once, then
   runs stages 3–5 per target *in target order*, with exactly the RNG
   draws :meth:`Network.send` would make (a no-op built-in is still
@@ -206,7 +211,7 @@ class Network:
         self._link_classifier: LinkClassifier | None = None
         self._latency = latency
         self.install_faults(faults, fault_rng)  # also resolves link classes
-        self.failure_model: FailureModel = failure_model or AlwaysAlive()
+        self.failure_model = failure_model or AlwaysAlive()
         self.partition_model: PartitionModel = partition_model or FullyConnected()
         self.stats = stats if stats is not None else NetworkStats()
         self.trace = trace if trace is not None else TraceLog(enabled=False)
@@ -228,6 +233,23 @@ class Network:
     def transport(self) -> Transport:
         """The delivery transport surviving messages dispatch through."""
         return self._transport
+
+    # ------------------------------------------------------------------
+    # Failures (what the model declares is read once per model, not per send)
+    # ------------------------------------------------------------------
+    @property
+    def failure_model(self) -> FailureModel:
+        """The installed failure model (assign to replace it)."""
+        return self._failure_model
+
+    @failure_model.setter
+    def failure_model(self, model: FailureModel) -> None:
+        self._failure_model = model
+        #: the fixed dead set the model declares (:mod:`repro.failures.model`),
+        #: or None: the clean channel's entry condition on the failure side
+        self._static_dead: frozenset[int] | None = getattr(
+            model, "static_dead", None
+        )
 
     # ------------------------------------------------------------------
     # Latency and link classes (resolved once per model, not per send)
@@ -474,7 +496,7 @@ class Network:
     # ------------------------------------------------------------------
     def is_alive(self, pid: int) -> bool:
         """Ground-truth liveness of ``pid`` right now."""
-        return self.failure_model.is_alive(pid, self._clock.now)
+        return self._failure_model.is_alive(pid, self._clock.now)
 
     def alive_pids(self) -> list[int]:
         """All currently alive registered pids, sorted.
@@ -483,7 +505,7 @@ class Network:
         order, same per-pid liveness queries as the historical
         list-rebuilding version, so trajectories are bit-identical.
         """
-        failure_model = self.failure_model
+        failure_model = self._failure_model
         now = self._clock.now
         return [
             pid for pid in self.pid_view()
@@ -509,10 +531,11 @@ class Network:
                 now, "net.sent", sender, target, message_kind=message.kind
             )
 
-        if not self.failure_model.is_alive(sender, now):
+        failure_model = self._failure_model
+        if not failure_model.is_alive(sender, now):
             self._drop(message, sender, target, DROP_DEAD_SENDER)
             return False
-        if self.failure_model.transmission_blocked(sender, target, now, self._rng):
+        if failure_model.transmission_blocked(sender, target, now, self._rng):
             self._drop(message, sender, target, DROP_PERCEIVED_FAILED)
             return False
         if not self.partition_model.connected(sender, target, now):
@@ -583,7 +606,8 @@ class Network:
         stats = self.stats
         count = len(targets)
         stats.record_sent_many(message, count)
-        failure_model = self.failure_model
+        failure_model = self._failure_model
+        static_dead = self._static_dead
         partition_model = self.partition_model
         latency = self._latency
         fault_hook = self._fault_hook
@@ -594,15 +618,18 @@ class Network:
         p_success = self.p_success
 
         if (
-            type(failure_model) is AlwaysAlive
+            static_dead is not None
             and type(partition_model) is FullyConnected
             and type(latency) is ConstantLatency
             and fault_hook is None
             and not tracing
         ):
-            # Clean channel: every stage but the loss draw is a no-op
-            # built-in that consumes no randomness, so the whole sender-side
-            # pass is the loss draw per target, in target order.
+            # Clean channel: nothing installed draws randomness or reads the
+            # clock, so the whole sender-side pass is the dead-sender test
+            # and the loss draw per target, in target order.
+            if sender in static_dead:
+                stats.record_dropped_many(message, DROP_DEAD_SENDER, count)
+                return 0
             survivors = tuple(
                 [target for target in targets if random_draw() < p_success]
             )
@@ -639,7 +666,7 @@ class Network:
         # skipped per target (they draw no randomness, so the trajectory is
         # unchanged); any other model is consulted per target exactly like
         # send().
-        check_perceived = type(failure_model) is not AlwaysAlive
+        check_perceived = static_dead is None
         check_partition = type(partition_model) is not FullyConnected
         fixed_delay = latency.delay if type(latency) is ConstantLatency else None
         sample = latency.sample
@@ -758,10 +785,12 @@ class Network:
         return scheduled
 
     def _deliver(self, sender: int, target: int, message: Message) -> None:
-        failure_model = self.failure_model
-        if type(failure_model) is not AlwaysAlive and not failure_model.is_alive(
-            target, self._clock.now
-        ):
+        static_dead = self._static_dead
+        if static_dead is None:
+            dead = not self._failure_model.is_alive(target, self._clock.now)
+        else:
+            dead = target in static_dead
+        if dead:
             self._drop(message, sender, target, DROP_DEAD_TARGET)
             return
         self.stats.record_delivered(message)
@@ -786,13 +815,21 @@ class Network:
         order; statistics are recorded in bulk.
         """
         now = self._clock.now
-        failure_model = self.failure_model
+        failure_model = self._failure_model
+        static_dead = self._static_dead
         stats = self.stats
         trace = self.trace
         tracing = trace.enabled
         kind = message.kind
-        if type(failure_model) is AlwaysAlive:
+        if static_dead is not None and not tracing:
             alive = targets
+            if static_dead:
+                alive = [
+                    target for target in targets if target not in static_dead
+                ]
+                stats.record_dropped_many(
+                    message, DROP_DEAD_TARGET, len(targets) - len(alive)
+                )
         else:
             alive = []
             dead = 0

@@ -1892,9 +1892,11 @@ def sweep_scenario(
         raise ConfigError("sweep values must not be empty")
     base = copy.deepcopy(dict(spec))
     # Validate every point spec eagerly in the parent: a typo'd field or a
-    # bad value should fail before any worker spins up.
+    # bad value should fail before any worker spins up. Through the memo,
+    # so a serial cell finds its point compiled and a re-run of the sweep
+    # (every cell a cache hit, say) compiles nothing.
     for value in values:
-        compile_spec(spec_with(base, sweep_field, value))
+        compile_spec_cached(spec_with(base, sweep_field, value))
     numeric = all(
         isinstance(value, (int, float)) and not isinstance(value, bool)
         for value in values

@@ -33,6 +33,7 @@ class ScriptedPeer:
         self.topic = T2
         self.intra_scope = Scope("intra", T2)
         self.rng = random.Random(seed)
+        self._rng = self.rng  # the resolved stream the selections read
         self.params = params
         self.group_size = group_size
         # what the borrowed selections keep beside ``params``

@@ -402,7 +402,6 @@ class TestSrcTreeGates:
         # alias ``streams = harness.rngs``, a base name the harvest does
         # not take for a registry
         "overlay",
-        "process/{pid}",
     }
 
     def test_every_declared_stream_is_drawn_from(self):

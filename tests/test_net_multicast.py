@@ -7,14 +7,17 @@ reasons, :class:`NetworkStats` counters, *and* RNG end-state — across
 arbitrary pipelines (loss, perceived failures, partitions, latency).
 """
 
+import pathlib
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import repro
 from repro.errors import UnknownActor
-from repro.failures import DynamicFailures, StillbornFailures
+from repro.failures import ChurnSchedule, DynamicFailures, StillbornFailures
 from repro.net import (
     BernoulliLoss,
     ConstantLatency,
@@ -697,3 +700,228 @@ class TestLinkClassifierConsultation:
         net.install_faults(None)
         net.send(0, 1, Ping(sender=0, nonce=4))
         assert len(classifier.calls) == 2
+
+
+# ----------------------------------------------------------------------
+# Stillborn failures ride the clean channel — and are still the send loop
+# ----------------------------------------------------------------------
+#
+# A failure model that declares ``static_dead`` (repro.failures.model) is
+# answered by set membership: the sender once per fan-out, the targets in
+# one comprehension at delivery. Same layout as above (per-pid actors and
+# blocks), random dead sets — a dead *sender* and an all-dead fan-out
+# included — tracing on (the general channel) and off (the clean one).
+
+
+class OrderedRecorder(Recorder):
+    """A per-pid actor that also logs into one network-wide delivery log."""
+
+    def __init__(self, pid: int, log: list):
+        super().__init__(pid)
+        self._log = log
+
+    def handle_message(self, message: Message) -> None:
+        super().handle_message(message)
+        self._log.append((self.pid, message.nonce))
+
+
+class OrderedBlockRecorder(BlockRecorder):
+    def __init__(self, log: list):
+        super().__init__()
+        self._log = log
+
+    def handle_batch(self, sender, targets, message):
+        super().handle_batch(sender, targets, message)
+        self._log.extend((target, message.nonce) for target in targets)
+
+
+def _run_stillborn(seed, p_success, dead, tracing, delay, fanouts, batched):
+    engine = Engine()
+    net = Network(
+        engine,
+        random.Random(seed),
+        p_success=p_success,
+        latency=ConstantLatency(delay),
+        failure_model=StillbornFailures(dead),
+        trace=TraceLog() if tracing else None,
+    )
+    order: list[tuple[int, int]] = []
+    plain = [OrderedRecorder(pid, order) for pid in PLAIN_PIDS]
+    for actor in plain:
+        net.register(actor)
+    blocks = [OrderedBlockRecorder(order) for _ in BLOCK_RANGES]
+    for block, (start, stop) in zip(blocks, BLOCK_RANGES):
+        net.register_block(block, start, stop)
+    for nonce, (sender, targets) in enumerate(fanouts):
+        message = Ping(sender=sender, nonce=nonce)
+        if batched:
+            net.multicast(sender, targets, message)
+        else:
+            for target in targets:
+                net.send(sender, target, message)
+    engine.run()
+    observed = _observe_blocks(engine, net, plain, blocks)
+    observed["order"] = order
+    return observed
+
+
+STILLBORN_FANOUTS = st.lists(
+    st.tuples(
+        st.sampled_from(REGISTERED),
+        st.lists(st.sampled_from(REGISTERED), min_size=0, max_size=8),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p_success=st.floats(0.0, 1.0),
+    dead=st.sets(st.sampled_from(REGISTERED)),
+    tracing=st.booleans(),
+    delay=st.sampled_from([0.0, 2.5]),
+    fanouts=STILLBORN_FANOUTS,
+)
+@example(  # a dead sender: every target dropped, no draw
+    seed=1, p_success=0.5, dead={0}, tracing=False, delay=0.0,
+    fanouts=[(0, [1, 10, 11]), (1, [0, 2])],
+)
+@example(  # an all-dead fan-out, inside one block and across actors
+    seed=2, p_success=1.0, dead={1, 10, 11, 12}, tracing=False, delay=0.0,
+    fanouts=[(0, [10, 11, 12]), (0, [1, 10])],
+)
+@example(  # the same under tracing (general channel, no perception calls)
+    seed=2, p_success=1.0, dead={1, 10, 11, 12}, tracing=True, delay=2.5,
+    fanouts=[(0, [10, 11, 12]), (1, [0, 2])],
+)
+@settings(max_examples=150, deadline=None)
+def test_stillborn_multicast_equivalent_to_send_loop(
+    seed, p_success, dead, tracing, delay, fanouts
+):
+    loop, batch = (
+        _run_stillborn(seed, p_success, dead, tracing, delay, fanouts, batched)
+        for batched in (False, True)
+    )
+    assert batch == loop
+    dropped = batch["stats"]["dropped_reason"]
+    attempts_by_dead_senders = sum(
+        len(targets) for sender, targets in fanouts if sender in dead
+    )
+    assert dropped.get("dead_sender", 0) == attempts_by_dead_senders
+    assert all(pid not in dead for pid, _ in batch["order"])
+
+
+class CallCounting:
+    """Counts the failure-model calls the network makes."""
+
+    def __init__(self, failed=()):
+        self.failed = frozenset(failed)
+        self.calls = 0
+
+    def is_alive(self, pid, now):
+        self.calls += 1
+        return pid not in self.failed
+
+    def transmission_blocked(self, sender, target, now, rng):
+        self.calls += 1
+        return False
+
+
+class DeclaredCallCounting(CallCounting):
+    """The same model with the declaration: eligible for the clean channel."""
+
+    def __init__(self, failed=()):
+        super().__init__(failed)
+        self.static_dead = self.failed
+
+
+def _package_frames(run) -> int:
+    """Python frames entered under ``src/repro/`` while ``run()`` executes
+    (comprehension frames left out: CPython 3.12 inlines them)."""
+    package = str(pathlib.Path(repro.__file__).resolve().parent)
+    frames = 0
+
+    def profiler(frame, event, arg):
+        nonlocal frames
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename.startswith(package)
+            and code.co_name != "<listcomp>"
+        ):
+            frames += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+class TestStillbornChannelCost:
+    TARGETS = [1, 2, 3, 4, 5, 6]
+
+    def _fanout_frames(self, failure_model) -> int:
+        engine, net, _ = make_net(failure_model=failure_model)
+
+        def run():
+            net.multicast(0, self.TARGETS, Ping(sender=0, nonce=1))
+            engine.run()
+
+        frames = _package_frames(run)
+        assert net.stats.total_sent == len(self.TARGETS)
+        return frames
+
+    def test_stillborn_fanout_costs_the_clean_channel_plus_one_frame(self):
+        """Exact: the one frame is ``record_dropped_many(DROP_DEAD_TARGET)``
+        at delivery — no ``is_alive``/``transmission_blocked`` frame per
+        target, however many targets there are."""
+        clean = self._fanout_frames(None)  # AlwaysAlive
+        assert self._fanout_frames(StillbornFailures({2, 5})) == clean + 1
+        # nobody dead: nothing to filter, nothing to record
+        assert self._fanout_frames(StillbornFailures(())) == clean
+
+    def test_dead_sender_on_the_clean_channel_draws_nothing(self):
+        engine, net, actors = make_net(
+            failure_model=StillbornFailures({0}), p_success=0.5
+        )
+        state = net._rng.getstate()
+        assert net.multicast(0, self.TARGETS, Ping(sender=0, nonce=1)) == 0
+        engine.run()
+        assert net._rng.getstate() == state
+        assert dict(net.stats.dropped_by_reason) == {
+            "dead_sender": len(self.TARGETS)
+        }
+        assert all(not actor.inbox for actor in actors)
+
+    def test_declared_model_is_never_called(self):
+        model = DeclaredCallCounting({2, 5})
+        engine, net, actors = make_net(failure_model=model)
+        net.multicast(0, self.TARGETS, Ping(sender=0, nonce=1))
+        net.send(0, 2, Ping(sender=0, nonce=2))  # _deliver reads the set too
+        engine.run()
+        # send() itself asks the model about its sender and the perception;
+        # the fan-out and both deliveries asked nothing
+        assert model.calls == 2
+        assert net.stats.dropped_by_reason["dead_target"] == 3
+        assert [len(actor.inbox) for actor in actors] == [0, 1, 0, 1, 1, 0, 1, 0]
+
+    def test_undeclared_model_takes_the_general_channel(self):
+        """Pinned: only the declaration opens the clean channel — a third
+        model cannot slip onto it by looking like one of the built-ins."""
+        model = CallCounting({2, 5})
+        engine, net, _ = make_net(failure_model=model)
+        net.multicast(0, self.TARGETS, Ping(sender=0, nonce=1))
+        engine.run()
+        # the sender's liveness once, then perception at transmission and
+        # liveness at delivery for every target
+        assert model.calls == 1 + 2 * len(self.TARGETS)
+        assert net.stats.dropped_by_reason["dead_target"] == 2
+
+    @pytest.mark.parametrize(
+        "model", [ChurnSchedule(), DynamicFailures(0.3)], ids=repr
+    )
+    def test_time_varying_and_perceived_models_declare_nothing(self, model):
+        assert not hasattr(model, "static_dead")

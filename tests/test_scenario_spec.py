@@ -9,11 +9,13 @@ integrity (every preset runs end-to-end and is bit-identical across CLI
 
 import copy
 import json
+from collections import OrderedDict
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError
+from repro.experiments import ArtifactStore, CachingExecutor, SerialExecutor
 from repro.workloads.presets import load_preset, preset_names
 from repro.workloads.spec import (
     compile_spec,
@@ -364,6 +366,54 @@ class TestDeterminism:
     def test_sweep_validates_every_point_eagerly(self):
         with pytest.raises(ConfigError, match="alive_fraction must be <= 1"):
             sweep_scenario(SMALL, "failures.alive_fraction", [0.5, 2.0], runs=1)
+
+    @pytest.fixture
+    def compiled_specs(self, monkeypatch):
+        """Every ``compile_spec`` call made under a fresh compile memo."""
+        import repro.workloads.spec as spec_module
+
+        compiled = []
+        real_compile = spec_module.compile_spec
+
+        def counting_compile(spec):
+            compiled.append(spec)
+            return real_compile(spec)
+
+        monkeypatch.setattr(spec_module, "_COMPILE_CACHE", OrderedDict())
+        monkeypatch.setattr(spec_module, "compile_spec", counting_compile)
+        return compiled
+
+    def test_sweep_compiles_each_point_once(self, compiled_specs, tmp_path):
+        """The eager validation and the serial cells share one memo: ten
+        points plus a fully cached re-run compile ten specs (it was thirty:
+        validate, cell, validate again)."""
+        values = [round(0.1 * i, 1) for i in range(1, 11)]
+        executor = CachingExecutor(
+            SerialExecutor(), ArtifactStore(tmp_path), "compile-once"
+        )
+        kwargs = dict(runs=1, master_seed=4, executor=executor)
+        cold = sweep_scenario(SMALL, "failures.alive_fraction", values, **kwargs)
+        assert (executor.executed, executor.hits) == (10, 0)
+        warm = sweep_scenario(SMALL, "failures.alive_fraction", values, **kwargs)
+        assert (executor.executed, executor.hits) == (0, 10)
+        assert warm.means == cold.means
+        assert len(compiled_specs) == 10
+
+    def test_bad_last_point_raises_before_the_first_cell(
+        self, compiled_specs, tmp_path
+    ):
+        executor = CachingExecutor(
+            SerialExecutor(), ArtifactStore(tmp_path), "bad-last-point"
+        )
+        values = [round(0.1 * i, 1) for i in range(1, 10)] + [2.0]
+        with pytest.raises(ConfigError, match="alive_fraction must be <= 1"):
+            sweep_scenario(
+                SMALL, "failures.alive_fraction", values, runs=1,
+                executor=executor,
+            )
+        assert (executor.executed, executor.hits) == (0, 0)
+        assert not list(tmp_path.rglob("*.json"))
+        assert len(compiled_specs) == 10  # nine good points, then the bad one
 
 
 class TestProtocolsAndFailures:
