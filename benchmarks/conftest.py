@@ -1,45 +1,18 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the two pytest-benchmark files left here.
 
-Every bench regenerates one figure/table of the paper, prints the same
-rows/series the paper reports, persists them under ``benchmarks/out/`` and
-asserts the qualitative acceptance criteria from DESIGN.md §8 (who wins,
-orderings, scales). Timing is captured by pytest-benchmark with exactly one
-round — these are experiment harnesses, not micro-benchmarks.
+``bench_membership_build.py`` and ``bench_transport_batching.py`` each
+time an implementation against its reference and gate on the wall-clock
+ratio; both print their table and persist it under ``benchmarks/out/``.
+Every other number is the ledger's (``benchmarks/ledger/``).
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-
-@pytest.fixture(scope="session")
-def sweep_jobs() -> int:
-    """Worker processes for sweep-based benches.
-
-    Sweep results are bit-identical for any value (asserted by
-    tests/test_sweep_parallel.py and bench_sweep_parallel.py), so
-    benches run with one worker per core (capped at 4) unless
-    ``REPRO_SWEEP_JOBS`` overrides it.
-    """
-    return int(
-        os.environ.get("REPRO_SWEEP_JOBS", str(min(4, os.cpu_count() or 1)))
-    )
-
-
-@pytest.fixture(scope="session")
-def sweep_executor(sweep_jobs) -> str:
-    """Executor spec for sweep-based benches: a pool of ``sweep_jobs``.
-
-    A spec string (``"pool:N"``, or ``"serial"`` for one worker) rather
-    than an Executor instance, so every bench resolves a fresh executor
-    and none shares pool state across benches.
-    """
-    return "serial" if sweep_jobs == 1 else f"pool:{sweep_jobs}"
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Builds the three comparison "tables" of §VI-E — message complexity, memory
 complexity and reliability — for a chain scenario, in the same rows the
-paper discusses. The benchmark harness prints these next to simulated
-measurements so who-wins orderings can be checked mechanically.
+paper discusses. ``repro analysis`` prints these and ``repro compare``
+the simulated measurements, so who-wins orderings can be checked
+mechanically (``tests/test_sim_vs_analysis.py`` does).
 """
 
 from __future__ import annotations

@@ -5,15 +5,13 @@
 interest; tables have size ``(b+1)·log(n)`` and fan-out is ``log(n)+c``
 with ``n`` the total system size.
 
-Consequences measured by the benchmarks: message complexity
+Consequences measured by ``repro compare``: message complexity
 ``O(n·log n)`` instead of ``O(S_Tmax·log S_Tmax)``, reliability
 ``e^{-e^{-c}}`` over the *whole* system, and maximal parasite deliveries —
 every process receives every event, interested or not.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.baselines.common import BaselineProcess, BaselineSystem
 from repro.core.events import Event
@@ -43,22 +41,10 @@ class GossipBroadcastSystem(BaselineSystem):
             process.join_group(GLOBAL_GROUP, view, fanout)
         self._finalized = True
 
-    def publish(
-        self,
-        topic: Topic | str,
-        payload: Any = None,
-        *,
-        publisher: BaselineProcess | None = None,
-    ) -> Event:
-        """Broadcast an event of ``topic`` through the global group."""
-        self._require_finalized()
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        chosen = self._publisher(resolved, publisher)
-        event = chosen.make_event(resolved, payload)
+    def _expected(self, topic: Topic) -> int:
         # Broadcast floods the global group: every process is an intended
         # receiver (interested or not) — the parasite cost made measurable.
-        self.tracker.record_publish(
-            event, chosen.pid, expected=len(self._processes)
-        )
-        chosen.publish_in_groups(event, [GLOBAL_GROUP])
-        return event
+        return len(self._processes)
+
+    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
+        publisher.publish_in_groups(event, [GLOBAL_GROUP])

@@ -176,7 +176,7 @@ class BaselineSystem(ObjectSystemFacade):
     """Common facade: process management, publishing, reliability queries.
 
     Subclasses implement :meth:`finalize_membership` (which groups a
-    process joins) and :meth:`publish` (where an event is injected).
+    process joins) and the two hooks under :meth:`publish`.
     """
 
     _finalize_verb = "finalize_membership"
@@ -270,12 +270,8 @@ class BaselineSystem(ObjectSystemFacade):
         return [p.memory_footprint for p in self.processes]
 
     # ------------------------------------------------------------------
-    # To be provided by each baseline
+    # Publishing
     # ------------------------------------------------------------------
-    def finalize_membership(self) -> None:
-        """Draw all static tables (baseline-specific)."""
-        raise NotImplementedError
-
     def publish(
         self,
         topic: Topic | str,
@@ -283,5 +279,36 @@ class BaselineSystem(ObjectSystemFacade):
         *,
         publisher: BaselineProcess | None = None,
     ) -> Event:
-        """Publish an event on ``topic`` (baseline-specific injection)."""
+        """Publish an event on ``topic`` from ``publisher`` (default: an
+        elected alive subscriber); an unregistered topic is
+        :class:`~repro.errors.UnknownTopic`. A baseline differs in who it
+        expects to receive (:meth:`_expected`) and where the event enters
+        (:meth:`_inject`)."""
+        self._require_finalized()
+        resolved = self.hierarchy.require(
+            Topic.parse(topic) if isinstance(topic, str) else topic
+        )
+        chosen = self._publisher(resolved, publisher)
+        event = chosen.make_event(resolved, payload)
+        self.tracker.record_publish(
+            event, chosen.pid, expected=self._expected(resolved)
+        )
+        self._inject(chosen, event)
+        return event
+
+    def _expected(self, topic: Topic) -> int:
+        """How many processes an event of ``topic`` is meant to reach: the
+        interested set, unless the baseline floods everyone."""
+        return len(self.interested_in(topic))
+
+    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
+        """Start the dissemination: by default in the event's own topic
+        group (§IV-A's pattern 1)."""
+        publisher.publish_in_groups(event, [event.topic])
+
+    # ------------------------------------------------------------------
+    # To be provided by each baseline
+    # ------------------------------------------------------------------
+    def finalize_membership(self) -> None:
+        """Draw all static tables (baseline-specific)."""
         raise NotImplementedError

@@ -157,31 +157,17 @@ class HierarchicalGossipSystem(BaselineSystem):
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
-    def publish(
-        self,
-        topic: Topic | str,
-        payload: Any = None,
-        *,
-        publisher: BaselineProcess | None = None,
-    ) -> Event:
-        """Inject an event at its publisher's cluster (both levels)."""
-        self._require_finalized()
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        chosen = self._publisher(resolved, publisher)
-        assert isinstance(chosen, HierarchicalProcess)
-        event = chosen.make_event(resolved, payload)
+    def _expected(self, topic: Topic) -> int:
         # Interest-oblivious clusters flood every process (§VI-E): all of
         # them are intended receivers.
-        self.tracker.record_publish(
-            event, chosen.pid, expected=len(self._processes)
-        )
-        assert chosen.cluster is not None
-        chosen.seen.add(event.event_id)
-        chosen.delivered.append(event)
-        self.tracker.record_delivery(chosen.pid, event, self.harness.now)
-        chosen._forward(event, chosen.cluster)
-        chosen._forward_cross_cluster(event)
-        return event
+        return len(self._processes)
+
+    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
+        """At the publisher's cluster, on both levels."""
+        assert isinstance(publisher, HierarchicalProcess)
+        assert publisher.cluster is not None
+        publisher.publish_in_groups(event, [publisher.cluster])
+        publisher._forward_cross_cluster(event)
 
     def clusters(self) -> dict[Topic, list[HierarchicalProcess]]:
         """The cluster partition (after finalization)."""

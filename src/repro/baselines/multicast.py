@@ -14,10 +14,7 @@ registered subtopic of its interest (up to ``t`` tables on a chain,
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.baselines.common import BaselineProcess, BaselineSystem
-from repro.core.events import Event
 from repro.membership.static import GroupTableBuilder
 from repro.membership.view import ProcessDescriptor
 from repro.topics.topic import Topic
@@ -56,32 +53,3 @@ class GossipMulticastSystem(BaselineSystem):
                 view = builder.table_at(index, capacity, rng)
                 process.join_group(topic, view, fanout)
         self._finalized = True
-
-    # ------------------------------------------------------------------
-    # Publishing
-    # ------------------------------------------------------------------
-    def publish(
-        self,
-        topic: Topic | str,
-        payload: Any = None,
-        *,
-        publisher: BaselineProcess | None = None,
-    ) -> Event:
-        """Disseminate an event *only* in its own topic's group (pattern 1)."""
-        self._require_finalized()
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        self.hierarchy.require(resolved)
-        chosen = self._publisher(resolved, publisher)
-        event = chosen.make_event(resolved, payload)
-        # The topic's group holds its subscribers plus every supertopic
-        # subscriber (they joined each subtopic group): the intended
-        # receivers are exactly the interested set.
-        self.tracker.record_publish(
-            event, chosen.pid, expected=len(self.interested_in(resolved))
-        )
-        chosen.publish_in_groups(event, [resolved])
-        return event
-
-    def tables_per_process(self) -> dict[int, int]:
-        """pid → number of membership tables (the §VI-E.2 overhead)."""
-        return {p.pid: p.table_count for p in self.processes}

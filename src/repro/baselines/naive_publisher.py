@@ -17,7 +17,7 @@ This comparator implements the naive pattern faithfully:
   each event into all of them itself (the load price);
 * inside each group, normal infect-and-die gossip.
 
-The load-distribution benchmark measures exactly the claim: here the
+``tests/test_baselines_naive.py`` measures exactly the claim: here the
 publisher transmits ``Σᵢ fanout(Sᵢ)`` copies per event and is a single
 point of failure for the upward flow, whereas in daMulticast the
 publisher's burden is one group's fan-out plus at most ``z`` hand-offs,
@@ -25,8 +25,6 @@ and any group member can carry the event upward.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.baselines.common import BaselineProcess, BaselineSystem
 from repro.core.events import Event
@@ -80,29 +78,10 @@ class NaivePublisherSystem(BaselineSystem):
     # ------------------------------------------------------------------
     # Publishing: the publisher fans into every group itself
     # ------------------------------------------------------------------
-    def publish(
-        self,
-        topic: Topic | str,
-        payload: Any = None,
-        *,
-        publisher: BaselineProcess | None = None,
-    ) -> Event:
-        """Inject the event into the topic's group and every supergroup —
-        all transmissions paid by the publisher (§IV-A's plain arrows)."""
-        self._require_finalized()
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        self.hierarchy.require(resolved)
-        chosen = self._publisher(resolved, publisher)
-        event = chosen.make_event(resolved, payload)
-        # The publisher injects into the topic group and every supergroup:
-        # intended receivers are the interested set.
-        self.tracker.record_publish(
-            event, chosen.pid, expected=len(self.interested_in(resolved))
+    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
+        """The topic's group and every supergroup — all transmissions paid
+        by the publisher (§IV-A's plain arrows)."""
+        publisher.publish_in_groups(
+            event,
+            [group for group in publisher.groups if group.includes(event.topic)],
         )
-        groups = [
-            group
-            for group in chosen.groups
-            if group.includes(resolved) or group == resolved
-        ]
-        chosen.publish_in_groups(event, groups)
-        return event

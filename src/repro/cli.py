@@ -9,6 +9,7 @@ Usage (installed as ``damulticast``, or ``python -m repro``)::
     damulticast analysis            # §VI-E closed-form tables
     damulticast tuning --pit 0.9995 # Appendix feasibility/z-bounds
     damulticast ablate-g / ablate-c # tuning-knob sweeps
+    damulticast repair --alive 0.4  # frozen (§VII) vs repaired membership
 
     damulticast serve --topics .conf:5 .conf.dsn:10 \\
         --publish 20 --verify-replay     # live pub/sub service mode
@@ -50,6 +51,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import replace
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.comparison import ChainScenario, comparison_table
@@ -78,6 +80,7 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.executor import Executor, resolve_executor
 from repro.experiments.multievent import stream_table
+from repro.experiments.repair import REPAIR_SCENARIO, repair_comparison
 from repro.experiments.runner import aggregate_runs
 from repro.experiments.scale import sweep_depth, sweep_group_size
 from repro.metrics.report import (
@@ -95,6 +98,9 @@ from repro.workloads.spec import (
     spec_with,
     sweep_scenario,
 )
+
+#: the §VII scenario: what `--sizes` resizes on the figure commands
+_PAPER = PaperScenario()
 
 
 def _make_exec_parent(top_level: bool = False) -> argparse.ArgumentParser:
@@ -151,26 +157,28 @@ def _executor_spec_from(args: argparse.Namespace) -> str | None:
     return executor
 
 
-def _add_common_experiment_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--runs", type=int, default=5, help="repetitions per grid point"
+def _make_experiment_parent(runs: int) -> argparse.ArgumentParser:
+    """The `--runs`/`--seed` pair of every command that repeats a seeded
+    run; ``runs`` is the command's own default. One parent per command:
+    argparse shares a parent's actions, so a shared one could hold only
+    one default."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--runs", type=int, default=runs, help="repetitions with derived seeds"
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="master seed for the sweep"
+    parent.add_argument(
+        "--seed", type=int, default=0, help="master seed every run derives from"
     )
-    parser.add_argument(
-        "--grid",
-        type=float,
-        nargs="+",
-        default=list(DEFAULT_GRID),
-        help="alive-fraction grid points",
-    )
+    return parent
+
+
+def _add_sizes(parser: argparse.ArgumentParser, default: Sequence[int]) -> None:
     parser.add_argument(
         "--sizes",
         type=int,
         nargs="+",
-        default=[10, 100, 1000],
-        help="group sizes from the root down (default: paper's 10 100 1000)",
+        default=list(default),
+        help="group sizes from the root down (default: %(default)s)",
     )
 
 
@@ -186,25 +194,33 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     exec_parent = _make_exec_parent()
 
+    def experiment(name: str, runs: int, help_text: str):
+        return sub.add_parser(
+            name,
+            help=help_text,
+            parents=[exec_parent, _make_experiment_parent(runs)],
+        )
+
     for name, help_text in [
         ("fig8", "events sent within each group vs alive fraction"),
         ("fig9", "events sent between groups vs alive fraction"),
         ("fig10", "reliability under stillborn failures"),
         ("fig11", "reliability under dynamic failures"),
     ]:
-        figure = sub.add_parser(name, help=help_text, parents=[exec_parent])
-        _add_common_experiment_args(figure)
+        figure = experiment(name, 5, help_text)
+        figure.add_argument(
+            "--grid",
+            type=float,
+            nargs="+",
+            default=list(DEFAULT_GRID),
+            help="alive-fraction grid points",
+        )
+        _add_sizes(figure, _PAPER.sizes)
 
-    compare = sub.add_parser(
-        "compare",
-        help="measured §VI-E comparison of all four algorithms",
-        parents=[exec_parent],
+    compare = experiment(
+        "compare", 3, "measured §VI-E comparison of all four algorithms"
     )
-    compare.add_argument("--runs", type=int, default=3)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument(
-        "--sizes", type=int, nargs="+", default=[10, 100, 1000]
-    )
+    _add_sizes(compare, _PAPER.sizes)
 
     analysis = sub.add_parser(
         "analysis", help="closed-form §VI-E tables (no simulation)"
@@ -225,58 +241,49 @@ def _build_parser() -> argparse.ArgumentParser:
     tuning.add_argument("--s-t", type=float, default=1000.0)
     tuning.add_argument("--clusters", type=int, default=10)
 
-    ablate_g = sub.add_parser(
-        "ablate-g",
-        help="reliability/messages vs link redundancy g",
-        parents=[exec_parent],
+    ablate_g = experiment(
+        "ablate-g", 5, "reliability/messages vs link redundancy g"
     )
-    ablate_g.add_argument("--runs", type=int, default=5)
     ablate_g.add_argument("--alive", type=float, default=0.7)
     ablate_g.add_argument(
         "--values", type=float, nargs="+", default=[1, 2, 5, 10, 20]
     )
 
-    ablate_c = sub.add_parser(
-        "ablate-c",
-        help="reliability/messages vs gossip constant c",
-        parents=[exec_parent],
+    ablate_c = experiment(
+        "ablate-c", 5, "reliability/messages vs gossip constant c"
     )
-    ablate_c.add_argument("--runs", type=int, default=5)
     ablate_c.add_argument("--alive", type=float, default=1.0)
     ablate_c.add_argument(
         "--values", type=float, nargs="+", default=[0, 1, 2, 3, 5, 8]
     )
 
-    scale_s = sub.add_parser(
-        "scale-s",
-        help="message growth vs bottom group size (O(S log S))",
-        parents=[exec_parent],
+    scale_s = experiment(
+        "scale-s", 3, "message growth vs bottom group size (O(S log S))"
     )
-    scale_s.add_argument("--runs", type=int, default=3)
     scale_s.add_argument(
         "--values", type=int, nargs="+", default=[50, 100, 200, 400, 800]
     )
 
-    scale_t = sub.add_parser(
-        "scale-t",
-        help="message growth vs hierarchy depth (linear in t)",
-        parents=[exec_parent],
+    scale_t = experiment(
+        "scale-t", 3, "message growth vs hierarchy depth (linear in t)"
     )
-    scale_t.add_argument("--runs", type=int, default=3)
     scale_t.add_argument(
         "--values", type=int, nargs="+", default=[1, 2, 3, 4, 5]
     )
     scale_t.add_argument("--level-size", type=int, default=100)
 
-    stream = sub.add_parser(
-        "stream",
-        help="steady-state Poisson stream: cost/delivery/parasites",
-        parents=[exec_parent],
+    stream = experiment(
+        "stream", 3, "steady-state Poisson stream: cost/delivery/parasites"
     )
-    stream.add_argument("--runs", type=int, default=3)
     stream.add_argument(
         "--rates", type=float, nargs="+", default=[0.05, 0.2, 0.5]
     )
+
+    repair = experiment(
+        "repair", 4, "frozen membership (§VII) vs live repair, among survivors"
+    )
+    repair.add_argument("--alive", type=float, default=0.6)
+    _add_sizes(repair, REPAIR_SCENARIO.sizes)
 
     scenario = sub.add_parser(
         "scenario",
@@ -289,16 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_run = scenario_sub.add_parser(
         "run",
         help="run one spec (JSON file path or bundled preset name)",
-        parents=[exec_parent],
+        parents=[exec_parent, _make_experiment_parent(3)],
     )
     scenario_run.add_argument(
         "spec", help="path to a SPEC.json, or a bundled preset name"
-    )
-    scenario_run.add_argument(
-        "--runs", type=int, default=3, help="repetitions with derived seeds"
-    )
-    scenario_run.add_argument(
-        "--seed", type=int, default=0, help="master seed for the repetitions"
     )
     scenario_run.add_argument(
         "--cache",
@@ -335,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_sweep = scenario_sub.add_parser(
         "sweep",
         help="sweep one spec field over a list of values",
-        parents=[exec_parent],
+        parents=[exec_parent, _make_experiment_parent(3)],
     )
     scenario_sweep.add_argument(
         "spec", help="path to a SPEC.json, or a bundled preset name"
@@ -351,8 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="values for the swept field (each parsed as JSON, then string)",
     )
-    scenario_sweep.add_argument("--runs", type=int, default=3)
-    scenario_sweep.add_argument("--seed", type=int, default=0)
     scenario_sweep.add_argument(
         "--cache",
         default=None,
@@ -809,40 +808,43 @@ def _run_lint_command(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-_FIGURE_KEYWORDS = {
-    "grid": "grid", "runs": "runs", "master_seed": "seed", "scenario": "sizes",
-}
+#: the keywords every seeded driver takes
+_SEEDED = {"runs": "runs", "master_seed": "seed"}
+_FIGURE_KEYWORDS = {"grid": "grid", "scenario": _PAPER, **_SEEDED}
 
 #: command → (driver, {driver keyword: parsed-argument attribute}); ``None``
-#: hands the driver the parsed arguments whole. A driver that declares
-#: ``executor`` also gets the one resolved from the shared execution
-#: options, closed when it returns. It returns the table to print, or,
-#: having printed its own report, an exit code.
+#: hands the driver the parsed arguments whole, and a :class:`PaperScenario`
+#: in place of an attribute is the command's scenario, resized by
+#: ``--sizes``. A driver that declares ``executor`` also gets the one
+#: resolved from the shared execution options, closed when it returns. It
+#: returns the table to print, or, having printed its own report, an exit
+#: code.
 _COMMANDS = {
     "fig8": (run_figure8, _FIGURE_KEYWORDS),
     "fig9": (run_figure9, _FIGURE_KEYWORDS),
     "fig10": (run_figure10, _FIGURE_KEYWORDS),
     "fig11": (run_figure11, _FIGURE_KEYWORDS),
-    "compare": (
-        measured_comparison,
-        {"scenario": "sizes", "runs": "runs", "master_seed": "seed"},
-    ),
+    "compare": (measured_comparison, {"scenario": _PAPER, **_SEEDED}),
     "analysis": (_run_analysis_command, None),
     "tuning": (_run_tuning_command, None),
     "ablate-g": (
         sweep_link_redundancy,
-        {"g_values": "values", "alive_fraction": "alive", "runs": "runs"},
+        {"g_values": "values", "alive_fraction": "alive", **_SEEDED},
     ),
     "ablate-c": (
         sweep_fanout_constant,
-        {"c_values": "values", "alive_fraction": "alive", "runs": "runs"},
+        {"c_values": "values", "alive_fraction": "alive", **_SEEDED},
     ),
-    "scale-s": (sweep_group_size, {"s_values": "values", "runs": "runs"}),
+    "scale-s": (sweep_group_size, {"s_values": "values", **_SEEDED}),
     "scale-t": (
         sweep_depth,
-        {"t_values": "values", "level_size": "level_size", "runs": "runs"},
+        {"t_values": "values", "level_size": "level_size", **_SEEDED},
     ),
-    "stream": (stream_table, {"rates": "rates", "runs": "runs"}),
+    "stream": (stream_table, {"rates": "rates", **_SEEDED}),
+    "repair": (
+        repair_comparison,
+        {"alive_fraction": "alive", "scenario": REPAIR_SCENARIO, **_SEEDED},
+    ),
     "scenario": (_run_scenario_command, None),
     "serve": (_run_serve_command, None),
     "lint": (_run_lint_command, None),
@@ -855,14 +857,11 @@ def _driver_call(args: argparse.Namespace, keywords) -> dict[str, Any]:
         return {"args": args}
     call: dict[str, Any] = {"progress": _progress_printer(args)}
     for keyword, attribute in keywords.items():
+        if isinstance(attribute, PaperScenario):
+            call[keyword] = replace(attribute, sizes=tuple(args.sizes))
+            continue
         value = getattr(args, attribute)
-        if isinstance(value, list):
-            value = tuple(value)
-        # the one option that is not passed as parsed: --sizes names the
-        # paper scenario's group sizes
-        call[keyword] = (
-            PaperScenario(sizes=value) if keyword == "scenario" else value
-        )
+        call[keyword] = tuple(value) if isinstance(value, list) else value
     return call
 
 

@@ -14,8 +14,9 @@
   (z, a, g, c) the paper highlights as the reliability/message trade-off.
 
 Every entry point returns a :class:`repro.metrics.report.Table` whose rows
-are the series the paper plots; the benchmarks print them and assert the
-qualitative shape (who wins, orderings, crossovers).
+are the series the paper plots; the CLI prints them and
+``tests/test_experiments.py`` asserts the qualitative shape (who wins,
+orderings, crossovers).
 """
 
 from repro.experiments.executor import (

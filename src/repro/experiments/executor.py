@@ -30,9 +30,9 @@ Bit-identity contract
 Every backend derives each cell's seed *inside the worker* as
 ``derive_seed(master_seed, cell.seed_name)`` and returns results in cell
 order, so any backend × any worker count × any chunking is bit-identical
-to :class:`SerialExecutor`. The equality gate in
-``benchmarks/bench_sweep_parallel.py`` and the hypothesis suite in
-``tests/test_executor.py`` enforce this for every backend.
+to :class:`SerialExecutor`. The hypothesis suites in
+``tests/test_sweep_parallel.py`` and ``tests/test_executor.py`` enforce
+this for every backend.
 
 Executor specs
 --------------

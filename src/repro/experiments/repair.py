@@ -40,6 +40,11 @@ from repro.topics.builders import chain
 from repro.workloads.scenarios import PaperScenario, delivered_fractions
 
 
+#: the default scenario, and what ``repro repair --sizes`` resizes: kept
+#: small because the repaired half runs the full dynamic protocol
+REPAIR_SCENARIO = PaperScenario(sizes=(4, 12, 48), p_succ=0.9)
+
+
 def _frozen_run(
     scenario: PaperScenario, alive_fraction: float, seed: int
 ) -> Mapping[str, float]:
@@ -137,7 +142,7 @@ def repair_comparison(
     the 2·runs cells over a parallel backend without changing any seed.
     ``progress`` fires once per completed (frozen, repaired) pair.
     """
-    scenario = scenario or PaperScenario(sizes=(4, 12, 48), p_succ=0.9)
+    scenario = scenario or REPAIR_SCENARIO
     cells = [
         SweepCell(
             arg=mode, seed_name=f"repair/{j}", describe=f"mode={mode}, run={j}"

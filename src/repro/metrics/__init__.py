@@ -8,7 +8,6 @@ own internals.
 """
 
 from repro.metrics.collector import DeliveryTracker
-from repro.metrics.convergence import OverlayStats, overlay_stats, views_of
 from repro.metrics.degradation import (
     WindowPoint,
     degradation_summary,
@@ -22,8 +21,7 @@ from repro.metrics.delivery import (
     topic_delivery_summary,
 )
 from repro.metrics.streaming import StreamingDeliveryTracker, TopicDeliveryStats
-from repro.metrics.paths import hop_distribution, hops_by_group, max_hops, mean_hops
-from repro.metrics.report import Table, format_series, render_table
+from repro.metrics.report import Table, format_series
 
 __all__ = [
     "DeliveryTracker",
@@ -37,14 +35,6 @@ __all__ = [
     "delivery_ratio_series",
     "time_to_repair",
     "degradation_summary",
-    "OverlayStats",
-    "overlay_stats",
-    "views_of",
-    "hop_distribution",
-    "hops_by_group",
-    "mean_hops",
-    "max_hops",
     "Table",
-    "render_table",
     "format_series",
 ]

@@ -1,6 +1,6 @@
 """Plain-text tables and series rendering for experiment output.
 
-The benchmark harness prints, for every figure/table of the paper, the same
+The CLI prints, for every figure/table of the paper, the same
 rows/series the paper reports. These helpers render them as aligned ASCII
 tables (readable in CI logs) and as machine-readable dicts.
 """
@@ -82,11 +82,6 @@ class Table:
             indent=2,
             default=str,
         )
-
-
-def render_table(table: Table) -> str:
-    """Convenience alias for ``table.render()``."""
-    return table.render()
 
 
 #: Payload schemas written by ``repro scenario run/sweep --out`` and read

@@ -12,14 +12,12 @@ perturb each other's random sequences.
 
 from repro.sim.engine import Engine, EventHandle, PeriodicTask
 from repro.sim.rng import RngRegistry, derive_seed, spawn_seeds
-from repro.sim.rounds import RoundScheduler
 from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Engine",
     "EventHandle",
     "PeriodicTask",
-    "RoundScheduler",
     "RngRegistry",
     "derive_seed",
     "spawn_seeds",

@@ -6,6 +6,7 @@ from repro.baselines import (
     GossipBroadcastSystem,
     GossipMulticastSystem,
     HierarchicalGossipSystem,
+    NaivePublisherSystem,
 )
 from repro.baselines.broadcast import GLOBAL_GROUP
 from repro.baselines.hierarchical import CLUSTERS_ROOT
@@ -197,3 +198,22 @@ class TestFairSubstrate:
         system.run_until_idle()
         fraction = system.delivered_fraction(event, T2)
         assert fraction > 0.8
+
+
+class TestOnePublish:
+    @pytest.mark.parametrize(
+        "system_class",
+        [
+            GossipBroadcastSystem,
+            GossipMulticastSystem,
+            HierarchicalGossipSystem,
+            NaivePublisherSystem,
+        ],
+    )
+    def test_unregistered_topic_rejected_whoever_publishes(self, system_class):
+        system = populate(system_class(seed=0))
+        for publisher in (None, system.group(T2)[0]):
+            with pytest.raises(UnknownTopic, match="not in the hierarchy"):
+                system.publish(".nonexistent", publisher=publisher)
+        assert system.tracker.events == []
+        assert system.stats.total_sent == 0

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import NaivePublisherSystem
 from repro.errors import ConfigError
 from repro.topics import ROOT, Topic
+from repro.workloads import PaperScenario
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
@@ -85,6 +86,30 @@ class TestDissemination:
             if p.pid != publisher.pid
         ]
         assert max(other_loads) < publisher_load
+
+    def test_publisher_pays_more_than_damulticasts(self):
+        # §IV-A at the §VII population, lossless: the naive publisher
+        # injects into every level itself (8 + 7 + the root's 4-entry
+        # table = 19 transmissions); daMulticast's pays one group's
+        # fan-out, 8, plus at most z = 3 hand-offs.
+        scenario = PaperScenario(p_succ=1.0)
+        built = scenario.build(seed=0)
+        built.execute()
+        (event,) = built.published
+        ours = built.system.stats.sender_load(
+            built.system.tracker.publisher_of(event.event_id)
+        )
+
+        system = NaivePublisherSystem(
+            seed=0, c=scenario.c, log_base=scenario.fanout_log_base
+        )
+        for topic, size in zip(scenario.topics(), scenario.sizes):
+            system.add_group(topic, size)
+        system.finalize_membership()
+        publisher = system.group(scenario.topics()[-1])[0]
+        system.publish(publisher.interest, publisher=publisher)
+        system.run_until_idle()
+        assert system.stats.sender_load(publisher.pid) >= ours + 5
 
     def test_publish_requires_finalize(self):
         system = NaivePublisherSystem(seed=0)

@@ -9,6 +9,7 @@ network, sane fractions under stillborn failure).
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -17,7 +18,9 @@ from repro.core.events import Event, EventId
 from repro.errors import ConfigError, ProtocolError, UnknownTopic
 from repro.failures.stillborn import StillbornFailures
 from repro.metrics.delivery import delivered_fraction
+from repro.net.faults import BernoulliLoss
 from repro.net.message import EventMessage, Message, Scope
+from repro.net.stats import FAULT_LOSS
 from repro.topics.topic import Topic
 
 T1 = Topic.parse(".t1")
@@ -142,6 +145,19 @@ class TestPublish:
         assert not (seen_pids & dead)
         alive = [p for p in system.group_pids(".t1.t2") if p not in dead]
         assert len(seen_pids & set(alive)) / len(alive) > 0.8
+
+    def test_link_faults_degrade_the_flood_gracefully(self):
+        """The fault hook sits under both hosts: a 1 % Bernoulli coin per
+        link fires on the columnar flood too, and gossip redundancy keeps
+        the flood near-complete anyway."""
+        system = small_system(seed=9)
+        system.finalize_static_membership()
+        assert system.network.faults is None  # uninstalled: zero draws
+        system.network.install_faults(BernoulliLoss(0.01), random.Random(17))
+        system.publish(".t1.t2")
+        system.run_until_idle()
+        assert system.stats.faults_by_reason[FAULT_LOSS] > 0
+        assert system.tracker.deliveries > 0.9 * 250
 
     def test_all_dead_group_cannot_publish(self):
         system = small_system(

@@ -115,6 +115,22 @@ class TestDissemination:
         assert stats.events_sent_between(T1, ROOT) >= 1
         assert stats.events_sent_between(T2, ROOT) == 0  # never skips levels
 
+    def test_recorded_hops_grow_up_the_hierarchy(self):
+        system = build_paper_like_system(seed=5, sizes=(4, 10, 40))
+        event = system.publish(T2)
+        system.run_until_idle()
+        hops = system.tracker.delivery_hops(event.event_id)
+
+        def mean_depth(topic):
+            # the publisher's own delivery (0 hops) never crossed the network
+            depths = [hops[pid] for pid in system.group_pids(topic) if hops[pid]]
+            return sum(depths) / len(depths)
+
+        # Supergroups are reached strictly deeper than the publication
+        # group, and epidemic depth is O(log S): a cap well below S.
+        assert mean_depth(ROOT) > mean_depth(T1) > mean_depth(T2)
+        assert max(hops.values()) <= 20
+
     def test_root_publication_stays_in_root(self):
         system = build_paper_like_system()
         event = system.publish(ROOT)

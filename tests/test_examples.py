@@ -52,8 +52,3 @@ class TestExamples:
         out = run_example("multi_inheritance", capsys)
         assert "diamond deduplicated" in out
         assert "no parasite deliveries" in out
-
-    def test_convergence_monitor(self, capsys):
-        out = run_example("convergence_monitor", capsys)
-        assert "publication after convergence" in out
-        assert "hop depth" in out

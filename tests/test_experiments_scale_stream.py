@@ -23,8 +23,14 @@ class TestScaleSweeps:
         table = sweep_group_size(
             s_values=(100, 400), upper_sizes=(3, 6), runs=2
         )
-        for row in table.as_dicts():
+        rows = table.as_dicts()
+        for row in rows:
             assert 0.6 <= row["normalized"] <= 1.4
+        # flat in S (the fan-out's ceil() is the wiggle room), and the
+        # bottom group dominates the total as it grows
+        normalized = table.column("normalized")
+        assert max(normalized) / min(normalized) <= 1.25
+        assert rows[-1]["bottom_messages"] >= 0.9 * rows[-1]["event_messages"]
 
     def test_depth_rows(self):
         table = sweep_depth(t_values=(1, 2), level_size=20, runs=1)
@@ -37,6 +43,9 @@ class TestScaleSweeps:
         table = sweep_depth(t_values=(1, 3), level_size=30, runs=2)
         per_level = table.column("per_level")
         assert max(per_level) / min(per_level) <= 1.3
+        # g·a more inter-group events per crossed edge
+        inter = table.column("inter_messages")
+        assert inter[-1] > inter[0]
 
 
 class TestStream:
@@ -54,6 +63,7 @@ class TestStream:
         assert metrics["events"] >= 1
         assert metrics["parasites"] == 0.0
         assert 0.0 <= metrics["min_delivery"] <= metrics["mean_delivery"] <= 1.0
+        assert metrics["mean_delivery"] >= 0.95  # mixed topics, none starved
 
     def test_empty_stream_degenerates_cleanly(self):
         metrics = run_stream(
@@ -82,3 +92,7 @@ class TestStream:
         )
         costs = table.column("messages_per_event")
         assert max(costs) / min(costs) <= 1.35
+        # no degradation over the stream at either rate
+        for row in table.as_dicts():
+            assert row["mean_delivery"] >= 0.95
+            assert row["min_delivery"] >= 0.7

@@ -48,6 +48,14 @@ class TestTracker:
         assert tracker.delivery_count(e.event_id) == 2
         assert tracker.delivery_times(e.event_id) == [1.0, 3.0]
 
+    def test_tracker_records_hops(self):
+        tracker = DeliveryTracker()
+        e = event()
+        tracker.record_delivery(1, e, 0.0, hops=2)
+        tracker.record_delivery(2, e, 0.0, hops=3)
+        tracker.record_delivery(2, e, 0.0, hops=9)  # duplicate ignored
+        assert tracker.delivery_hops(e.event_id) == {1: 2, 2: 3}
+
     def test_unknown_event(self):
         tracker = DeliveryTracker()
         assert tracker.receivers(EventId(9, 9)) == {}

@@ -160,6 +160,27 @@ class TestCli:
         assert main(["--jobs", "2", *args]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ablate-g", "--runs", "1", "--values", "5"],
+            ["ablate-c", "--runs", "1", "--values", "5"],
+            ["scale-s", "--runs", "1", "--values", "20", "40"],
+            ["scale-t", "--runs", "1", "--values", "1", "2", "--level-size", "15"],
+            ["stream", "--runs", "1", "--rates", "0.2"],
+        ],
+    )
+    def test_every_sweep_command_can_be_reseeded(self, capsys, argv):
+        # these five took no --seed (argparse exit 2) though every driver
+        # takes master_seed
+        tables = []
+        for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+            assert main([*argv, *seed]) == 0
+            tables.append(capsys.readouterr().out)
+        default, zero, one = tables
+        assert zero == default  # what the command printed before it had a seed
+        assert one != default
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])
