@@ -172,6 +172,48 @@ def _make_experiment_parent(runs: int) -> argparse.ArgumentParser:
     return parent
 
 
+def _make_spec_parent() -> argparse.ArgumentParser:
+    """The spec argument and the `--cache`/`--set`/`--out` options that
+    `scenario run` and `scenario sweep` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "spec", help="path to a SPEC.json, or a bundled preset name"
+    )
+    parent.add_argument(
+        "--cache",
+        default=None,
+        metavar="DIR",
+        help=(
+            "content-addressed per-cell result store: finished cells are "
+            "loaded instead of recomputed, results are persisted per cell "
+            "(atomically) so interrupted runs resume"
+        ),
+    )
+    parent.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="PATH=VALUE",
+        help=(
+            "override a spec field first, e.g. "
+            "--set failures.alive_fraction=0.5 or --set protocol=broadcast "
+            "(VALUE is parsed as JSON, falling back to a bare string)"
+        ),
+    )
+    parent.add_argument(
+        "--out",
+        default=None,
+        metavar="FILE",
+        help=(
+            "also write the result (per-run samples and aggregates, or the "
+            "sweep's points, means and stds) as a JSON payload, renderable "
+            "later with 'scenario render'"
+        ),
+    )
+    return parent
+
+
 def _add_sizes(parser: argparse.ArgumentParser, default: Sequence[int]) -> None:
     parser.add_argument(
         "--sizes",
@@ -293,53 +335,16 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="scenario_command", required=True
     )
 
-    scenario_run = scenario_sub.add_parser(
+    spec_parents = [exec_parent, _make_experiment_parent(3), _make_spec_parent()]
+    scenario_sub.add_parser(
         "run",
         help="run one spec (JSON file path or bundled preset name)",
-        parents=[exec_parent, _make_experiment_parent(3)],
+        parents=spec_parents,
     )
-    scenario_run.add_argument(
-        "spec", help="path to a SPEC.json, or a bundled preset name"
-    )
-    scenario_run.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "content-addressed per-cell result store: finished cells are "
-            "loaded instead of recomputed, results are persisted per cell "
-            "(atomically) so interrupted runs resume"
-        ),
-    )
-    scenario_run.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="PATH=VALUE",
-        help=(
-            "override a spec field before running, e.g. "
-            "--set failures.alive_fraction=0.5 or --set protocol=broadcast "
-            "(VALUE is parsed as JSON, falling back to a bare string)"
-        ),
-    )
-    scenario_run.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help=(
-            "also write the per-run samples and aggregates as a JSON "
-            "payload, renderable later with 'scenario render'"
-        ),
-    )
-
     scenario_sweep = scenario_sub.add_parser(
         "sweep",
         help="sweep one spec field over a list of values",
-        parents=[exec_parent, _make_experiment_parent(3)],
-    )
-    scenario_sweep.add_argument(
-        "spec", help="path to a SPEC.json, or a bundled preset name"
+        parents=spec_parents,
     )
     scenario_sweep.add_argument(
         "--field",
@@ -351,29 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         nargs="+",
         help="values for the swept field (each parsed as JSON, then string)",
-    )
-    scenario_sweep.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="per-cell result store (see 'scenario run --cache')",
-    )
-    scenario_sweep.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="PATH=VALUE",
-        help="override a spec field before sweeping (see 'scenario run')",
-    )
-    scenario_sweep.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help=(
-            "also write the sweep result (points, means, stds) as a JSON "
-            "payload, renderable later with 'scenario render'"
-        ),
     )
 
     scenario_render = scenario_sub.add_parser(

@@ -118,7 +118,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         """
         make_process = self._process_class
         harness = self.harness
-        streams = harness.rngs
+        rngs = harness.rngs
         network = harness.network
         dynamic = self.mode == "dynamic"
         group = self._groups.setdefault(topic, [])
@@ -135,7 +135,7 @@ class DaMulticastSystem(ObjectSystemFacade):
                 self.config,
                 engine=harness.engine,
                 network=network,
-                rngs=streams,
+                rngs=rngs,
                 overlay=self.overlay,
                 tracker=harness.tracker,
                 delivery_callback=self._delivery_callback,
@@ -153,7 +153,7 @@ class DaMulticastSystem(ObjectSystemFacade):
                 self._sync_membership_capacity(topic, group, cell.value, process)
                 assert self.overlay is not None
                 self.overlay.add_process(
-                    process.descriptor, streams.stream("overlay")
+                    process.descriptor, rngs.stream("overlay")
                 )
                 if subscribe:
                     process.subscribe(self._membership_contact_for(process))

@@ -55,8 +55,7 @@ STREAM_REGISTRY: Mapping[str, tuple[str, ...]] = {
         "c",
         "spec/subscriptions",
         "spec/publications",
-        # mixed publication parts recurse as spec/publications/<i>/<j>/...;
-        # only the first level is statically harvestable
+        # one stream per part of a mixed schedule (parts cannot nest)
         "spec/publications/{index}",
         "spec/scenario",
         "spec/faults",

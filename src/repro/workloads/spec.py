@@ -38,7 +38,10 @@ that already exist as modules:
 A spec is a plain mapping (JSON-serializable), validated with precise
 :class:`~repro.errors.ConfigError` messages — unknown keys, out-of-domain
 values and impossible references all fail eagerly at compile time, never
-mid-simulation. :func:`compile_spec` turns it into a :class:`CompiledSpec`;
+mid-simulation (only a publication target that a seeded ``uniform``/``zipf``
+population leaves empty can surface at build time, before anything runs).
+:func:`compile_spec` reads each section once, into the values the build
+consumes, and turns the spec into a :class:`CompiledSpec`;
 ``CompiledSpec.run(seed)`` (or the :func:`run_spec` shorthand) builds the
 system — populate groups, pin failure-protected publishers, install the
 failure/partition model, finalize static membership (``PaperScenario.build``
@@ -109,19 +112,17 @@ from repro.metrics.degradation import (
 )
 from repro.metrics.delivery import parasite_deliveries
 from repro.net.faults import (
-    NO_FAULTS,
     BernoulliLoss,
     DelaySpike,
     DuplicateModel,
     FaultPipeline,
     GilbertElliott,
     LinkClassFaults,
-    LinkFaultModel,
+    NoFaults,
 )
 from repro.net.latency import (
     ConstantLatency,
     ExponentialLatency,
-    LatencyModel,
     LinkClassLatency,
     UniformLatency,
     ZERO_LATENCY,
@@ -300,9 +301,11 @@ def _parse_topic_key(name: Any, where: str, seen: dict[Topic, str]) -> Topic:
 
 
 # ----------------------------------------------------------------------
-# Section validators (each returns nothing; compile stores the sections)
+# Section parsers: each validates its section and returns what
+# CompiledSpec.build consumes — a plain value, or a functools.partial of
+# the constructor the build calls. Every default is stated here, once.
 # ----------------------------------------------------------------------
-def _validate_topics(
+def _parse_topics(
     section: Mapping,
 ) -> tuple[TopicHierarchy, tuple[Topic, ...], bool]:
     """Validate the topic section; return (hierarchy, ordered topics, chain?).
@@ -343,12 +346,15 @@ def _validate_topics(
     return hierarchy, tuple(hierarchy.topics), False
 
 
-def _validate_subscriptions(
+def _parse_subscriptions(
     section: Mapping,
     hierarchy: TopicHierarchy,
     ordered_topics: tuple[Topic, ...],
     is_chain: bool,
-) -> None:
+) -> dict[Topic, int] | functools.partial:
+    """The population: a fixed ``{Topic: count}`` (``per_level``,
+    ``explicit``), or the seeded draw the build calls with its
+    ``spec/subscriptions`` stream (``uniform``, ``zipf``)."""
     _require_mapping(section, "subscriptions")
     kind = _take_kind(
         section, ("per_level", "explicit", "uniform", "zipf"), "subscriptions"
@@ -381,13 +387,14 @@ def _validate_subscriptions(
                 )
         if sum(counts) < 1:
             raise ConfigError("subscriptions: population must not be empty")
-    elif kind == "explicit":
+        return dict(zip(ordered_topics, counts))
+    if kind == "explicit":
         _reject_unknown_keys(section, {"kind", "counts"}, "subscriptions")
         counts = section.get("counts")
         _require_mapping(counts, "subscriptions.counts")
-        total = 0
+        entries: list[tuple[str, Topic, int]] = []
         seen: dict[Topic, str] = {}
-        # repro-lint: allow[DET003]: the integer total is order-independent and counts preserves the spec's declared topic order
+        # repro-lint: allow[DET003]: errors follow the spec's declared topic order and the population is sorted by name below
         for name, count in counts.items():
             topic = _parse_topic_key(name, "subscriptions.counts", seen)
             if topic not in hierarchy:
@@ -404,32 +411,46 @@ def _validate_subscriptions(
                 raise ConfigError(
                     f"subscriptions.counts[{name!r}] must be >= 0, got {count}"
                 )
-            total += count
-        if total < 1:
+            entries.append((name, topic, count))
+        if sum(count for _, _, count in entries) < 1:
             raise ConfigError("subscriptions: population must not be empty")
-    elif kind == "uniform":
+        return {topic: count for _, topic, count in sorted(entries)}
+    if kind == "uniform":
         _reject_unknown_keys(
             section, {"kind", "n", "include_root"}, "subscriptions"
         )
-        _get_number(section, "n", "subscriptions", minimum=1, integer=True)
-        _get_bool(section, "include_root", "subscriptions", default=True)
-    else:  # zipf
-        _reject_unknown_keys(
-            section, {"kind", "n", "exponent", "include_root"}, "subscriptions"
+        n = _get_number(section, "n", "subscriptions", minimum=1, integer=True)
+        include_root = _get_bool(
+            section, "include_root", "subscriptions", default=True
         )
-        _get_number(section, "n", "subscriptions", minimum=1, integer=True)
-        _get_number(section, "exponent", "subscriptions", default=1.0, minimum=0)
-        _get_bool(section, "include_root", "subscriptions", default=False)
+        return functools.partial(
+            uniform_subscriptions, hierarchy, n, include_root=include_root
+        )
+    # zipf
+    _reject_unknown_keys(
+        section, {"kind", "n", "exponent", "include_root"}, "subscriptions"
+    )
+    n = _get_number(section, "n", "subscriptions", minimum=1, integer=True)
+    exponent = _get_number(
+        section, "exponent", "subscriptions", default=1.0, minimum=0
+    )
+    include_root = _get_bool(
+        section, "include_root", "subscriptions", default=False
+    )
+    return functools.partial(
+        zipf_subscriptions, hierarchy, n, exponent=exponent, include_root=include_root
+    )
 
 
-def _validate_topic_ref(
+def _parse_topic_ref(
     section: Mapping,
     ordered_topics: tuple[Topic, ...],
     hierarchy: TopicHierarchy,
     is_chain: bool,
     where: str,
-) -> None:
-    """One publication target: a 'topic' name or (chains only) a 'level'."""
+) -> Topic | None:
+    """One target: a 'topic' name or (chains only) a 'level'; None when
+    the section names neither."""
     if "topic" in section and "level" in section:
         raise ConfigError(f"{where}: give 'topic' or 'level', not both")
     if "topic" in section:
@@ -439,87 +460,143 @@ def _validate_topic_ref(
                 f"{where}: topic {topic.name!r} is not in the declared "
                 "hierarchy"
             )
-    elif "level" in section:
-        if not is_chain:
-            raise ConfigError(
-                f"{where}: 'level' requires a chain topic hierarchy; "
-                "use 'topic' names for trees/names"
-            )
-        level = section["level"]
-        if isinstance(level, bool) or not isinstance(level, int):
-            raise ConfigError(
-                f"{where}: level must be an integer, got {level!r}"
-            )
-        if not -len(ordered_topics) <= level < len(ordered_topics):
-            raise ConfigError(
-                f"{where}: level {level} out of range for a chain of "
-                f"{len(ordered_topics)} levels"
-            )
+        return topic
+    if "level" not in section:
+        return None
+    if not is_chain:
+        raise ConfigError(
+            f"{where}: 'level' requires a chain topic hierarchy; "
+            "use 'topic' names for trees/names"
+        )
+    level = section["level"]
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise ConfigError(f"{where}: level must be an integer, got {level!r}")
+    if not -len(ordered_topics) <= level < len(ordered_topics):
+        raise ConfigError(
+            f"{where}: level {level} out of range for a chain of "
+            f"{len(ordered_topics)} levels"
+        )
+    return ordered_topics[level]
 
 
-def _validate_publications(
+def _resolve_target(
+    topic: Topic | None, counts: Mapping[Topic, int], where: str
+) -> Topic:
+    """A publication target under ``counts``: ``topic``, or the deepest
+    populated topic for None; it must have subscribers."""
+    if topic is None:
+        populated = [t for t, c in counts.items() if c > 0]
+        topic = max(populated, key=lambda t: (t.depth, t.name))
+    if counts.get(topic, 0) < 1:
+        raise ConfigError(
+            f"{where}: publication topic {topic.name!r} has no "
+            "subscribers under this population"
+        )
+    return topic
+
+
+def _resolve_targets(
+    topics: tuple[Topic, ...] | None, counts: Mapping[Topic, int], where: str
+) -> list[Topic]:
+    """Poisson targets under ``counts``: every populated topic for None."""
+    if topics is None:
+        return sorted(t for t, c in counts.items() if c > 0)
+    return [_resolve_target(topic, counts, where) for topic in topics]
+
+
+def _on_topic(
+    make, topic: Topic | None, where: str, counts, rng
+) -> list[ScheduledPublication]:
+    """A ``single``/``burst`` part: ``make`` on its resolved target."""
+    return make(_resolve_target(topic, counts, where))
+
+
+def _poisson(
+    topics: tuple[Topic, ...] | None, where: str, counts, rng, **options
+) -> list[ScheduledPublication]:
+    """A ``poisson`` part, drawn from the part's stream ``rng``."""
+    schedule = PoissonSchedule(_resolve_targets(topics, counts, where), **options)
+    return schedule.generate(rng)
+
+
+def _parse_publications(
     section: Mapping,
     ordered_topics: tuple[Topic, ...],
     hierarchy: TopicHierarchy,
     is_chain: bool,
+    fixed: Mapping[Topic, int] | None,
     where: str = "publications",
     allow_mixed: bool = True,
-) -> None:
+) -> functools.partial | tuple[functools.partial, ...]:
+    """The schedule as ``part(counts, rng)`` — for ``mixed``, a tuple of
+    parts, each drawn from its own stream.
+
+    Under a ``fixed`` population the targets resolve here, so a target
+    without subscribers fails at compile time; under a seeded one the
+    build resolves them (None: the deepest populated topic).
+    """
     _require_mapping(section, where)
     kinds = ("single", "burst", "poisson") + (("mixed",) if allow_mixed else ())
     kind = _take_kind(section, kinds, where)
     if kind == "single":
         _reject_unknown_keys(section, {"kind", "topic", "level", "at"}, where)
-        _validate_topic_ref(section, ordered_topics, hierarchy, is_chain, where)
-        _get_number(section, "at", where, default=0.0, minimum=0)
+        topic = _parse_topic_ref(section, ordered_topics, hierarchy, is_chain, where)
+        make = functools.partial(
+            single_shot, at=_get_number(section, "at", where, default=0.0, minimum=0)
+        )
     elif kind == "burst":
         _reject_unknown_keys(
             section, {"kind", "topic", "level", "count", "start", "spacing"}, where
         )
-        _validate_topic_ref(section, ordered_topics, hierarchy, is_chain, where)
-        _get_number(section, "count", where, minimum=1, integer=True)
-        _get_number(section, "start", where, default=0.0, minimum=0)
-        _get_number(section, "spacing", where, default=0.0, minimum=0)
+        topic = _parse_topic_ref(section, ordered_topics, hierarchy, is_chain, where)
+        make = functools.partial(
+            burst_schedule,
+            count=_get_number(section, "count", where, minimum=1, integer=True),
+            start=_get_number(section, "start", where, default=0.0, minimum=0),
+            spacing=_get_number(section, "spacing", where, default=0.0, minimum=0),
+        )
     elif kind == "poisson":
         _reject_unknown_keys(
             section,
             {"kind", "topics", "levels", "weights", "rate", "horizon"},
             where,
         )
-        _get_number(section, "rate", where, above=0)
-        _get_number(section, "horizon", where, above=0)
+        rate = _get_number(section, "rate", where, above=0)
+        horizon = _get_number(section, "horizon", where, above=0)
         if "topics" in section and "levels" in section:
             raise ConfigError(f"{where}: give 'topics' or 'levels', not both")
-        n_targets = None
+        topics = None
         if "topics" in section:
             names = section["topics"]
             if not isinstance(names, Sequence) or isinstance(names, str) or not names:
                 raise ConfigError(
                     f"{where}: 'topics' must be a non-empty list of names"
                 )
-            for name in names:
-                _validate_topic_ref(
+            topics = tuple(
+                _parse_topic_ref(
                     {"topic": name}, ordered_topics, hierarchy, is_chain, where
                 )
-            n_targets = len(names)
+                for name in names
+            )
         elif "levels" in section:
             levels = section["levels"]
             if not isinstance(levels, Sequence) or not levels:
                 raise ConfigError(
                     f"{where}: 'levels' must be a non-empty list of integers"
                 )
-            for level in levels:
-                _validate_topic_ref(
+            topics = tuple(
+                _parse_topic_ref(
                     {"level": level}, ordered_topics, hierarchy, is_chain, where
                 )
-            n_targets = len(levels)
+                for level in levels
+            )
+        weights = section.get("weights")
         if "weights" in section:
-            weights = section["weights"]
-            if n_targets is None:
+            if topics is None:
                 raise ConfigError(
                     f"{where}: 'weights' requires explicit 'topics' or 'levels'"
                 )
-            if not isinstance(weights, Sequence) or len(weights) != n_targets:
+            if not isinstance(weights, Sequence) or len(weights) != len(topics):
                 raise ConfigError(
                     f"{where}: 'weights' must list one weight per target"
                 )
@@ -536,6 +613,12 @@ def _validate_publications(
                     )
             if sum(weights) <= 0:
                 raise ConfigError(f"{where}: weights must not all be zero")
+            weights = list(weights)
+        if fixed is not None:
+            topics = tuple(_resolve_targets(topics, fixed, where))
+        return functools.partial(
+            _poisson, topics, where, rate=rate, horizon=horizon, weights=weights
+        )
     else:  # mixed
         _reject_unknown_keys(section, {"kind", "parts"}, where)
         parts = section.get("parts")
@@ -543,18 +626,42 @@ def _validate_publications(
             raise ConfigError(
                 f"{where}: 'parts' must be a non-empty list of schedules"
             )
-        for index, part in enumerate(parts):
-            _validate_publications(
+        return tuple(
+            _parse_publications(
                 part,
                 ordered_topics,
                 hierarchy,
                 is_chain,
+                fixed,
                 where=f"{where}.parts[{index}]",
                 allow_mixed=False,
             )
+            for index, part in enumerate(parts)
+        )
+    if fixed is not None:
+        topic = _resolve_target(topic, fixed, where)
+    return functools.partial(_on_topic, make, topic, where)
 
 
-def _validate_failures(section: Mapping) -> None:
+def _perceived(pids, rng, protected, **options) -> DynamicFailures:
+    """Weakly-consistent failures: drawn per transmission, not per build."""
+    return DynamicFailures(**options)
+
+
+def _churn(pids, rng, protected, **options) -> ChurnSchedule:
+    """A crash/recover timeline over the unprotected ``pids``."""
+    shielded = set(protected)
+    return ChurnSchedule.random_churn(
+        [pid for pid in pids if pid not in shielded], rng, **options
+    )
+
+
+def _parse_failures(
+    section: Mapping,
+) -> tuple[functools.partial | None, tuple | None]:
+    """(process-failure model, partition): the model is built per build as
+    ``model(pids, rng=..., protected=...)`` (``protected`` pids never
+    fail); the partition is ``(islands, heals_at)``. None when absent."""
     _require_mapping(section, "failures")
     kind = _take_kind(
         section,
@@ -563,16 +670,34 @@ def _validate_failures(section: Mapping) -> None:
     )
     if kind == "none":
         _reject_unknown_keys(section, {"kind"}, "failures")
-    elif kind == "stillborn":
+        return None, None
+    if kind == "partition":
+        _reject_unknown_keys(section, {"kind", "islands", "heals_at"}, "failures")
+        islands = section.get("islands", _MISSING)
+        if islands is _MISSING:
+            raise ConfigError("failures: missing required key 'islands'")
+        if islands != "by_topic" and (
+            isinstance(islands, bool) or not isinstance(islands, int) or islands < 2
+        ):
+            raise ConfigError(
+                "failures: 'islands' must be an integer >= 2 (random "
+                f"assignment) or 'by_topic', got {islands!r}"
+            )
+        heals_at = section.get("heals_at")
+        if heals_at is not None:
+            _get_number(section, "heals_at", "failures", minimum=0)
+        return None, (islands, heals_at)
+    if kind == "stillborn":
         _reject_unknown_keys(section, {"kind", "alive_fraction"}, "failures")
-        _get_number(
+        alive = _get_number(
             section, "alive_fraction", "failures", minimum=0.0, maximum=1.0
         )
+        model = functools.partial(sample_stillborn, alive_fraction=alive)
     elif kind == "dynamic":
         _reject_unknown_keys(
             section, {"kind", "alive_fraction", "mode"}, "failures"
         )
-        _get_number(
+        alive = _get_number(
             section, "alive_fraction", "failures", minimum=0.0, maximum=1.0
         )
         mode = section.get("mode", "per_attempt")
@@ -581,70 +706,61 @@ def _validate_failures(section: Mapping) -> None:
                 "failures: dynamic mode must be 'per_attempt' or "
                 f"'per_pair', got {mode!r}"
             )
-    elif kind == "churn":
+        model = functools.partial(
+            _perceived, fail_probability=1.0 - alive, mode=mode
+        )
+    else:  # churn
         _reject_unknown_keys(
             section,
             {"kind", "crash_probability", "recover_probability", "horizon"},
             "failures",
         )
-        _get_number(
-            section, "crash_probability", "failures", minimum=0.0, maximum=1.0
+        model = functools.partial(
+            _churn,
+            crash_probability=_get_number(
+                section, "crash_probability", "failures", minimum=0.0, maximum=1.0
+            ),
+            recover_probability=_get_number(
+                section,
+                "recover_probability",
+                "failures",
+                default=0.5,
+                minimum=0.0,
+                maximum=1.0,
+            ),
+            horizon=_get_number(section, "horizon", "failures", above=0),
         )
-        _get_number(
-            section,
-            "recover_probability",
-            "failures",
-            default=0.5,
-            minimum=0.0,
-            maximum=1.0,
-        )
-        _get_number(section, "horizon", "failures", above=0)
-    else:  # partition
-        _reject_unknown_keys(
-            section, {"kind", "islands", "heals_at"}, "failures"
-        )
-        islands = section.get("islands", _MISSING)
-        if islands is _MISSING:
-            raise ConfigError("failures: missing required key 'islands'")
-        if islands != "by_topic" and (
-            isinstance(islands, bool)
-            or not isinstance(islands, int)
-            or islands < 2
-        ):
-            raise ConfigError(
-                "failures: 'islands' must be an integer >= 2 (random "
-                f"assignment) or 'by_topic', got {islands!r}"
-            )
-        if section.get("heals_at") is not None:
-            _get_number(section, "heals_at", "failures", minimum=0)
+    return model, None
 
 
-def _validate_dynamic(section: Mapping) -> None:
+def _parse_dynamic(section: Mapping) -> tuple[dict[str, Any], tuple]:
+    """(run settings, bootstrap plan). The settings hold every
+    ``_DYNAMIC_DEFAULTS`` key; the plan is ``(order, start, wave_size,
+    interval)``: the ``i``-th process in ``order`` joins at
+    ``start + (i // wave_size) * interval``."""
     _require_mapping(section, "dynamic")
     _reject_unknown_keys(
         section, {"bootstrap"} | set(_DYNAMIC_DEFAULTS), "dynamic"
     )
-    _get_number(
-        section, "warmup", "dynamic",
-        default=_DYNAMIC_DEFAULTS["warmup"], minimum=0,
-    )
-    _get_number(
-        section, "settle", "dynamic",
-        default=_DYNAMIC_DEFAULTS["settle"], minimum=0,
-    )
+    settings = {
+        key: _get_number(
+            section, key, "dynamic", default=_DYNAMIC_DEFAULTS[key], minimum=0
+        )
+        for key in ("warmup", "settle")
+    }
     for key in ("maintain_interval", "ping_timeout", "bootstrap_timeout"):
-        _get_number(
+        settings[key] = _get_number(
             section, key, "dynamic", default=_DYNAMIC_DEFAULTS[key], above=0
         )
     for key in ("bootstrap_ttl", "overlay_degree"):
-        _get_number(
+        settings[key] = _get_number(
             section, key, "dynamic",
             default=_DYNAMIC_DEFAULTS[key], minimum=1, integer=True,
         )
-    if "bootstrap" not in section:
-        return
-    bootstrap = _require_mapping(section["bootstrap"], "dynamic.bootstrap")
     where = "dynamic.bootstrap"
+    bootstrap = _require_mapping(
+        section.get("bootstrap", {"kind": "immediate"}), where
+    )
     kind = _take_kind(bootstrap, ("immediate", "staggered", "waves"), where)
     order = bootstrap.get("order", "by_topic")
     if order not in ("by_topic", "interleaved"):
@@ -654,27 +770,36 @@ def _validate_dynamic(section: Mapping) -> None:
         )
     if kind == "immediate":
         _reject_unknown_keys(bootstrap, {"kind", "order"}, where)
-    elif kind == "staggered":
+        return settings, (order, 0.0, 1, 0.0)
+    if kind == "staggered":
         _reject_unknown_keys(
             bootstrap, {"kind", "order", "start", "spacing"}, where
         )
-        _get_number(bootstrap, "start", where, default=0.0, minimum=0)
-        _get_number(bootstrap, "spacing", where, minimum=0)
-    else:  # waves
+        waves = None
+    else:
         _reject_unknown_keys(
             bootstrap, {"kind", "order", "start", "wave_size", "interval"}, where
         )
-        _get_number(bootstrap, "wave_size", where, minimum=1, integer=True)
-        _get_number(bootstrap, "interval", where, above=0)
-        _get_number(bootstrap, "start", where, default=0.0, minimum=0)
+        waves = (
+            _get_number(bootstrap, "wave_size", where, minimum=1, integer=True),
+            _get_number(bootstrap, "interval", where, above=0),
+        )
+    start = _get_number(bootstrap, "start", where, default=0.0, minimum=0)
+    # staggered: waves of one process, 'spacing' apart
+    wave_size, interval = waves or (
+        1, _get_number(bootstrap, "spacing", where, minimum=0)
+    )
+    return settings, (order, start, wave_size, interval)
 
 
-def _validate_campaign(
+def _parse_campaign(
     section: Mapping,
     ordered_topics: tuple[Topic, ...],
     hierarchy: TopicHierarchy,
     is_chain: bool,
-) -> None:
+) -> tuple[tuple[float, Any], ...]:
+    """``(at, action)`` per campaign action; the build schedules it on its
+    :class:`FailureCampaign` as ``action(campaign, at)``."""
     _require_mapping(section, "campaign")
     _reject_unknown_keys(section, {"actions"}, "campaign")
     actions = section.get("actions")
@@ -686,17 +811,23 @@ def _validate_campaign(
         raise ConfigError(
             "campaign: 'actions' must be a non-empty list of action objects"
         )
+    parsed = []
     for index, action in enumerate(actions):
         where = f"campaign.actions[{index}]"
         _require_mapping(action, where)
         kind = _take_kind(action, _CAMPAIGN_KINDS, where)
-        _get_number(action, "at", where, minimum=0)
+        at = _get_number(action, "at", where, minimum=0)
         if kind == "kill_fraction":
             _reject_unknown_keys(
                 action, {"kind", "at", "fraction", "topic", "level"}, where
             )
-            _get_number(action, "fraction", where, minimum=0.0, maximum=1.0)
-            _validate_topic_ref(action, ordered_topics, hierarchy, is_chain, where)
+            fraction = _get_number(
+                action, "fraction", where, minimum=0.0, maximum=1.0
+            )
+            topic = _parse_topic_ref(action, ordered_topics, hierarchy, is_chain, where)
+            call = functools.partial(
+                FailureCampaign.kill_fraction, fraction=fraction, topic=topic
+            )
         elif kind == "kill_super_links":
             _reject_unknown_keys(action, {"kind", "at", "topic", "level"}, where)
             if "topic" not in action and "level" not in action:
@@ -704,28 +835,73 @@ def _validate_campaign(
                     f"{where}: kill_super_links needs a 'topic' or 'level' "
                     "naming the attacked group"
                 )
-            _validate_topic_ref(action, ordered_topics, hierarchy, is_chain, where)
+            topic = _parse_topic_ref(action, ordered_topics, hierarchy, is_chain, where)
+            call = functools.partial(FailureCampaign.kill_super_links, topic=topic)
         elif kind == "recover":
             _reject_unknown_keys(action, {"kind", "at", "fraction"}, where)
-            _get_number(
+            fraction = _get_number(
                 action, "fraction", where, default=1.0, minimum=0.0, maximum=1.0
+            )
+            call = functools.partial(
+                FailureCampaign.recover_fraction, fraction=fraction
             )
         else:  # recover_all
             _reject_unknown_keys(action, {"kind", "at"}, where)
+            call = FailureCampaign.recover_all
+        parsed.append((at, call))
+    return tuple(parsed)
 
 
-def _validate_latency(
+def _parse_link_overrides(
+    section: Mapping, protocol: str, where: str, parse, requires: str
+) -> dict:
+    """The per-link-class ``overrides`` of a latency/faults section, each
+    class parsed by ``parse``, sorted by class."""
+    if "overrides" not in section:
+        return {}
+    overrides = _require_mapping(section["overrides"], f"{where}.overrides")
+    if protocol != "daMulticast":
+        raise ConfigError(
+            f"{where}.overrides: per-link-class {requires} protocol "
+            f"'daMulticast', got {protocol!r}"
+        )
+    parsed = {}
+    for name, sub in overrides.items():
+        if name not in _LINK_CLASSES:
+            raise ConfigError(
+                f"{where}.overrides: unknown link class {name!r}; "
+                f"allowed: {', '.join(_LINK_CLASSES)}"
+            )
+        parsed[name] = parse(
+            sub,
+            protocol,
+            where=f"{where}.overrides[{name!r}]",
+            allow_overrides=False,
+        )
+    return dict(sorted(parsed.items()))
+
+
+def _link_classes(table, default, overrides):
+    """A fresh ``table(default(), {class: model()})`` — the class-keyed
+    latency or fault model of one build."""
+    return table(default(), {name: make() for name, make in overrides.items()})
+
+
+def _parse_latency(
     section: Mapping,
     protocol: str,
     where: str = "latency",
     allow_overrides: bool = True,
-) -> None:
+) -> functools.partial:
+    """The latency-model constructor; every build calls it for fresh
+    instances."""
     _require_mapping(section, where)
     kind = _take_kind(section, ("constant", "uniform", "exponential"), where)
     allowed = {"kind"}
     if kind == "constant":
         allowed |= {"delay"}
-        _get_number(section, "delay", where, default=0.0, minimum=0)
+        delay = _get_number(section, "delay", where, default=0.0, minimum=0)
+        make = functools.partial(ConstantLatency, delay)
     elif kind == "uniform":
         allowed |= {"low", "high"}
         low = _get_number(section, "low", where, minimum=0)
@@ -734,42 +910,36 @@ def _validate_latency(
             raise ConfigError(
                 f"{where}: need low <= high, got [{low}, {high}]"
             )
+        make = functools.partial(UniformLatency, low, high)
     else:  # exponential
         allowed |= {"mean"}
-        _get_number(section, "mean", where, above=0)
+        mean = _get_number(section, "mean", where, above=0)
+        make = functools.partial(ExponentialLatency, mean)
+    overrides = {}
     if allow_overrides:
         allowed |= {"overrides"}
-        if "overrides" in section:
-            overrides = _require_mapping(
-                section["overrides"], f"{where}.overrides"
-            )
-            if protocol != "daMulticast":
-                raise ConfigError(
-                    f"{where}.overrides: per-link-class latency requires "
-                    f"protocol 'daMulticast', got {protocol!r}"
-                )
-            for name, sub in overrides.items():
-                if name not in _LINK_CLASSES:
-                    raise ConfigError(
-                        f"{where}.overrides: unknown link class {name!r}; "
-                        f"allowed: {', '.join(_LINK_CLASSES)}"
-                    )
-                _validate_latency(
-                    sub,
-                    protocol,
-                    where=f"{where}.overrides[{name!r}]",
-                    allow_overrides=False,
-                )
+        overrides = _parse_link_overrides(
+            section, protocol, where, _parse_latency, "latency requires"
+        )
     _reject_unknown_keys(section, allowed, where)
+    if not overrides:
+        return make
+    return functools.partial(_link_classes, LinkClassLatency, make, overrides)
 
 
-def _validate_faults(
+def _fault_pipeline(stages) -> FaultPipeline:
+    return FaultPipeline([make() for make in stages])
+
+
+def _parse_faults(
     section: Mapping,
     protocol: str,
     where: str = "faults",
     allow_overrides: bool = True,
-) -> None:
-    """Validate one ``faults`` (sub-)section.
+) -> functools.partial | None:
+    """One ``faults`` (sub-)section → the constructor of its fault model;
+    every build calls it for fresh instances (Gilbert–Elliott link state
+    never leaks across builds). None when no stage is configured.
 
     Shape (all keys optional; every sub-section is a mapping so any field
     is reachable by :func:`spec_with` dotted paths, e.g.
@@ -782,12 +952,21 @@ def _validate_faults(
          "duplicate":   {"p": ..., "max_copies": ...},
          "delay_spike": {"p": ..., "factor": ...} | {"p": ..., "extra": ...},
          "overrides":   {"intra"/"inter": <same shape, no overrides>}}
+
+    Stages compose loss → duplicate → delay_spike (a lost message cannot
+    be duplicated or delayed). With no stage at all the build installs
+    nothing, so the fault stream is never consulted and the run is
+    bit-identical to a spec without ``faults``. A configured stage with
+    ``p == 0`` *is* installed (it draws but never fires), so every point
+    of a loss-rate sweep — including 0 — pays the same draw sequence and
+    differs only in coin outcomes.
     """
     _require_mapping(section, where)
     allowed = {"loss", "duplicate", "delay_spike"}
+    stages = []
     if "loss" in section:
-        sub = _require_mapping(section["loss"], f"{where}.loss")
         sub_where = f"{where}.loss"
+        sub = _require_mapping(section["loss"], sub_where)
         kind = _take_kind(
             sub, ("none", "bernoulli", "gilbert_elliott"), sub_where
         )
@@ -795,7 +974,8 @@ def _validate_faults(
             _reject_unknown_keys(sub, {"kind"}, sub_where)
         elif kind == "bernoulli":
             _reject_unknown_keys(sub, {"kind", "p"}, sub_where)
-            _get_number(sub, "p", sub_where, minimum=0.0, maximum=1.0)
+            p = _get_number(sub, "p", sub_where, minimum=0.0, maximum=1.0)
+            stages.append(functools.partial(BernoulliLoss, p))
         else:  # gilbert_elliott
             _reject_unknown_keys(
                 sub,
@@ -813,63 +993,63 @@ def _validate_faults(
                     f"{sub_where}: need p_good_bad + p_bad_good > 0 (both "
                     "zero means the chain never moves)"
                 )
-            _get_number(
-                sub, "loss_good", sub_where,
-                default=0.0, minimum=0.0, maximum=1.0,
+            loss_good = _get_number(
+                sub, "loss_good", sub_where, default=0.0, minimum=0.0, maximum=1.0
             )
-            _get_number(
-                sub, "loss_bad", sub_where,
-                default=1.0, minimum=0.0, maximum=1.0,
+            loss_bad = _get_number(
+                sub, "loss_bad", sub_where, default=1.0, minimum=0.0, maximum=1.0
+            )
+            stages.append(
+                functools.partial(
+                    GilbertElliott, p_gb, p_bg, loss_good=loss_good, loss_bad=loss_bad
+                )
             )
     if "duplicate" in section:
-        sub = _require_mapping(section["duplicate"], f"{where}.duplicate")
         sub_where = f"{where}.duplicate"
+        sub = _require_mapping(section["duplicate"], sub_where)
         _reject_unknown_keys(sub, {"p", "max_copies"}, sub_where)
-        _get_number(sub, "p", sub_where, minimum=0.0, maximum=1.0)
-        _get_number(
+        p = _get_number(sub, "p", sub_where, minimum=0.0, maximum=1.0)
+        max_copies = _get_number(
             sub, "max_copies", sub_where, default=2, minimum=2, integer=True
         )
+        stages.append(functools.partial(DuplicateModel, p, max_copies))
     if "delay_spike" in section:
-        sub = _require_mapping(section["delay_spike"], f"{where}.delay_spike")
         sub_where = f"{where}.delay_spike"
+        sub = _require_mapping(section["delay_spike"], sub_where)
         _reject_unknown_keys(sub, {"p", "factor", "extra"}, sub_where)
-        _get_number(sub, "p", sub_where, minimum=0.0, maximum=1.0)
+        p = _get_number(sub, "p", sub_where, minimum=0.0, maximum=1.0)
         if ("factor" in sub) == ("extra" in sub):
             raise ConfigError(
                 f"{sub_where}: give exactly one of 'factor' (multiplies the "
                 "sampled latency) or 'extra' (adds to it)"
             )
         if "factor" in sub:
-            _get_number(sub, "factor", sub_where, minimum=1.0)
+            knob = {"factor": _get_number(sub, "factor", sub_where, minimum=1.0)}
         else:
-            _get_number(sub, "extra", sub_where, minimum=0.0)
+            knob = {"extra": _get_number(sub, "extra", sub_where, minimum=0.0)}
+        stages.append(functools.partial(DelaySpike, p, **knob))
+    overrides = {}
     if allow_overrides:
         allowed |= {"overrides"}
-        if "overrides" in section:
-            overrides = _require_mapping(
-                section["overrides"], f"{where}.overrides"
-            )
-            if protocol != "daMulticast":
-                raise ConfigError(
-                    f"{where}.overrides: per-link-class faults require "
-                    f"protocol 'daMulticast', got {protocol!r}"
-                )
-            for name, sub in overrides.items():
-                if name not in _LINK_CLASSES:
-                    raise ConfigError(
-                        f"{where}.overrides: unknown link class {name!r}; "
-                        f"allowed: {', '.join(_LINK_CLASSES)}"
-                    )
-                _validate_faults(
-                    sub,
-                    protocol,
-                    where=f"{where}.overrides[{name!r}]",
-                    allow_overrides=False,
-                )
+        overrides = _parse_link_overrides(
+            section, protocol, where, _parse_faults, "faults require"
+        )
     _reject_unknown_keys(section, allowed, where)
+    default = (
+        None if not stages
+        else stages[0] if len(stages) == 1
+        else functools.partial(_fault_pipeline, tuple(stages))
+    )
+    overrides = {name: make for name, make in overrides.items() if make is not None}
+    if not overrides:
+        return default
+    # no default stage: links outside the overridden classes draw nothing
+    return functools.partial(
+        _link_classes, LinkClassFaults, default or NoFaults, overrides
+    )
 
 
-def _validate_params(
+def _parse_params(
     section: Mapping, protocol: str
 ) -> tuple[TopicParams, dict[Topic, TopicParams]]:
     _require_mapping(section, "params")
@@ -913,7 +1093,7 @@ def _validate_params(
     return defaults, overrides
 
 
-def _validate_protocol(value: Any) -> tuple[str, dict[str, Any]]:
+def _parse_protocol(value: Any) -> tuple[str, dict[str, Any]]:
     if value is None:
         return "daMulticast", {}
     if isinstance(value, str):
@@ -949,7 +1129,9 @@ class CompiledSpec:
 
     ``spec`` is a deep copy of the input mapping — plain data, picklable,
     so sweep workers can re-compile it locally (compilation is cheap and
-    workers never receive live objects).
+    workers never receive live objects). The fields after ``p_success``
+    are the parsed sections the build consumes (see each ``_parse_*``);
+    the build never reads ``spec``.
     """
 
     spec: dict
@@ -964,104 +1146,34 @@ class CompiledSpec:
     params: TopicParams
     overrides: dict[Topic, TopicParams]
     p_success: float
+    population: dict[Topic, int] | functools.partial
+    publications: functools.partial | tuple[functools.partial, ...]
+    failures: functools.partial | None
+    partition: tuple | None
+    latency: functools.partial | None
+    faults: functools.partial | None
+    dynamic: dict[str, Any] | None
+    bootstrap: tuple | None
+    campaign: tuple[tuple[float, Any], ...] | None
 
     # ------------------------------------------------------------------
     # Per-seed realization
     # ------------------------------------------------------------------
-    def _population(self, seed: int) -> dict[Topic, int]:
-        section = self.spec["subscriptions"]
-        kind = section["kind"]
-        if kind == "per_level":
-            return dict(zip(self.ordered_topics, section["counts"]))
-        if kind == "explicit":
-            return {
-                Topic.parse(name): count
-                for name, count in sorted(section["counts"].items())
-            }
-        rng = random.Random(derive_seed(seed, "spec/subscriptions"))
-        if kind == "uniform":
-            return uniform_subscriptions(
-                self.hierarchy,
-                section["n"],
-                rng,
-                include_root=section.get("include_root", True),
-            )
-        return zipf_subscriptions(
-            self.hierarchy,
-            section["n"],
-            rng,
-            exponent=section.get("exponent", 1.0),
-            include_root=section.get("include_root", False),
-        )
-
-    def _resolve_target(
-        self, section: Mapping, counts: Mapping[Topic, int], where: str
-    ) -> Topic:
-        if "topic" in section:
-            topic = Topic.parse(section["topic"])
-        elif "level" in section:
-            topic = self.ordered_topics[section["level"]]
-        else:
-            populated = [t for t, c in counts.items() if c > 0]
-            topic = max(populated, key=lambda t: (t.depth, t.name))
-        if counts.get(topic, 0) < 1:
-            raise ConfigError(
-                f"{where}: publication topic {topic.name!r} has no "
-                "subscribers under this population"
-            )
-        return topic
-
-    def _realize_schedule(
-        self,
-        section: Mapping,
-        seed: int,
-        counts: Mapping[Topic, int],
-        stream: str = "spec/publications",
-        where: str = "publications",
+    def _schedule(
+        self, seed: int, counts: Mapping[Topic, int]
     ) -> list[ScheduledPublication]:
-        kind = section["kind"]
-        if kind == "single":
-            topic = self._resolve_target(section, counts, where)
-            return single_shot(topic, at=section.get("at", 0.0))
-        if kind == "burst":
-            topic = self._resolve_target(section, counts, where)
-            return burst_schedule(
-                topic,
-                count=section["count"],
-                start=section.get("start", 0.0),
-                spacing=section.get("spacing", 0.0),
+        publications = self.publications
+        if callable(publications):
+            return publications(
+                counts, random.Random(derive_seed(seed, "spec/publications"))
             )
-        if kind == "poisson":
-            if "topics" in section:
-                topics = [
-                    self._resolve_target({"topic": name}, counts, where)
-                    for name in section["topics"]
-                ]
-            elif "levels" in section:
-                topics = [
-                    self._resolve_target({"level": level}, counts, where)
-                    for level in section["levels"]
-                ]
-            else:
-                topics = sorted(t for t, c in counts.items() if c > 0)
-            schedule = PoissonSchedule(
-                topics,
-                rate=section["rate"],
-                horizon=section["horizon"],
-                weights=section.get("weights"),
-            )
-            # repro-lint: allow[DET004]: stream is 'spec/publications' or its '/{index}' extension built by the mixed-parts recursion below
-            return schedule.generate(random.Random(derive_seed(seed, stream)))
         # mixed: realize every part on its own stream, merge time-sorted
         merged: list[ScheduledPublication] = []
-        for index, part in enumerate(section["parts"]):
+        for index, part in enumerate(publications):
             merged.extend(
-                self._realize_schedule(
-                    part,
-                    seed,
+                part(
                     counts,
-                    stream=f"{stream}/{index}",
-                    where=f"{where}.parts[{index}]",
+                    random.Random(derive_seed(seed, f"spec/publications/{index}")),
                 )
             )
         merged.sort(key=lambda publication: publication.time)
@@ -1078,7 +1190,7 @@ class CompiledSpec:
     ):
         """The empty system of this spec's protocol and mode; ``timers``
         are the dynamic section's :class:`DaMulticastConfig` fields."""
-        latency_model = self._latency_model()
+        latency_model = ZERO_LATENCY if self.latency is None else self.latency()
         if self.protocol == "daMulticast":
             config = DaMulticastConfig(
                 default_params=self.params,
@@ -1114,33 +1226,6 @@ class CompiledSpec:
         )
         return HierarchicalGossipSystem(n_clusters=n_clusters, **common)
 
-    def _failure_model(
-        self, pids: Sequence[int], rng: random.Random, protected: Sequence[int] = ()
-    ):
-        """The spec's process-failure model over ``pids`` (``protected``
-        never fail); None for ``none`` and for ``partition``, a link model."""
-        section = self.spec["failures"]
-        kind = section["kind"]
-        if kind == "stillborn":
-            return sample_stillborn(
-                pids, section["alive_fraction"], rng, protected=protected
-            )
-        if kind == "dynamic":
-            return DynamicFailures(
-                fail_probability=1.0 - section["alive_fraction"],
-                mode=section.get("mode", "per_attempt"),
-            )
-        if kind == "churn":
-            shielded = set(protected)
-            return ChurnSchedule.random_churn(
-                [pid for pid in pids if pid not in shielded],
-                rng,
-                crash_probability=section["crash_probability"],
-                horizon=section["horizon"],
-                recover_probability=section.get("recover_probability", 0.5),
-            )
-        return None
-
     def _apply_failures(
         self,
         system,
@@ -1148,71 +1233,30 @@ class CompiledSpec:
         counts: Mapping[Topic, int],
         rng: random.Random,
     ) -> None:
-        section = self.spec["failures"]
-        if section["kind"] == "none":
+        if self.failures is None and self.partition is None:
             return
         network = system.harness.network
         all_pids = [process.pid for process in system.processes]
-        protected = sorted({process.pid for process in publishers.values()})
-        failure_model = self._failure_model(all_pids, rng, protected)
-        if failure_model is not None:
-            network.failure_model = failure_model
-        else:  # partition
-            islands_spec = section["islands"]
-            if islands_spec == "by_topic":
-                islands = [
-                    [process.pid for process in system.group(topic)]
-                    for topic in sorted(counts)
-                    if counts[topic] > 0
-                ]
-            else:
-                assignment = {
-                    pid: rng.randrange(islands_spec) for pid in all_pids
-                }
-                islands = [
-                    [pid for pid in all_pids if assignment[pid] == index]
-                    for index in range(islands_spec)
-                ]
-            network.partition_model = StaticPartition(
-                islands, heals_at=section.get("heals_at")
+        if self.failures is not None:
+            protected = sorted({process.pid for process in publishers.values()})
+            network.failure_model = self.failures(
+                all_pids, rng=rng, protected=protected
             )
-
-    # ------------------------------------------------------------------
-    # Dynamic-mode realization
-    # ------------------------------------------------------------------
-    def _latency_model(self) -> LatencyModel:
-        section = self.spec.get("latency")
-        if section is None:
-            return ZERO_LATENCY
-        default = _make_latency(section)
-        overrides_spec = section.get("overrides")
-        if not overrides_spec:
-            return default
-        overrides = {
-            name: _make_latency(sub)
-            for name, sub in sorted(overrides_spec.items())
-        }
-        return LinkClassLatency(default, overrides)
-
-    def _faults_model(self) -> LinkFaultModel | None:
-        """Fresh fault-model instances for one build (per-link state like
-        Gilbert–Elliott's must never leak across builds); None when the
-        spec configures no fault stage at all."""
-        section = self.spec.get("faults")
-        if section is None:
-            return None
-        default = _make_fault_pipeline(section)
-        overrides_spec = section.get("overrides")
-        if not overrides_spec:
-            return default
-        overrides = {
-            name: model
-            for name, sub in sorted(overrides_spec.items())
-            if (model := _make_fault_pipeline(sub)) is not None
-        }
-        if not overrides:
-            return default
-        return LinkClassFaults(default or NO_FAULTS, overrides)
+            return
+        islands_spec, heals_at = self.partition
+        if islands_spec == "by_topic":
+            islands = [
+                [process.pid for process in system.group(topic)]
+                for topic in sorted(counts)
+                if counts[topic] > 0
+            ]
+        else:
+            assignment = {pid: rng.randrange(islands_spec) for pid in all_pids}
+            islands = [
+                [pid for pid in all_pids if assignment[pid] == index]
+                for index in range(islands_spec)
+            ]
+        network.partition_model = StaticPartition(islands, heals_at=heals_at)
 
     def _install_link_models(self, system, seed: int) -> None:
         """Install the spec's fault model on the built system's network,
@@ -1224,7 +1268,7 @@ class CompiledSpec:
         trajectory.
         """
         network = system.harness.network
-        model = self._faults_model()
+        model = None if self.faults is None else self.faults()
         if model is not None:
             network.install_faults(
                 model, random.Random(derive_seed(seed, "spec/faults"))
@@ -1234,6 +1278,9 @@ class CompiledSpec:
         ):
             network.bind_link_classifier(_topic_link_classifier(system))
 
+    # ------------------------------------------------------------------
+    # Dynamic-mode realization
+    # ------------------------------------------------------------------
     def _join_plan(
         self, counts: Mapping[Topic, int]
     ) -> list[tuple[float, Topic]]:
@@ -1243,16 +1290,13 @@ class CompiledSpec:
         subgroups start bootstrapping toward it); ``interleaved`` round-robins
         across groups so every wave mixes all hierarchy levels.
         """
-        section = self.spec.get("dynamic", {}).get(
-            "bootstrap", {"kind": "immediate"}
-        )
-        kind = section["kind"]
+        order, start, wave_size, interval = self.bootstrap
         topics = [
             topic
             for topic in sorted(counts, key=lambda t: (t.depth, t.name))
             if counts[topic] > 0
         ]
-        if section.get("order", "by_topic") == "by_topic":
+        if order == "by_topic":
             sequence = [
                 topic for topic in topics for _ in range(counts[topic])
             ]
@@ -1266,46 +1310,10 @@ class CompiledSpec:
                         remaining[topic] -= 1
                         if not remaining[topic]:
                             del remaining[topic]
-        if kind == "immediate":
-            return [(0.0, topic) for topic in sequence]
-        start = section.get("start", 0.0)
-        if kind == "staggered":
-            spacing = section["spacing"]
-            return [
-                (start + index * spacing, topic)
-                for index, topic in enumerate(sequence)
-            ]
-        # waves
-        wave_size = section["wave_size"]
-        interval = section["interval"]
         return [
             (start + (index // wave_size) * interval, topic)
             for index, topic in enumerate(sequence)
         ]
-
-    def _campaign_target(self, action: Mapping) -> Topic | None:
-        if "topic" in action:
-            return Topic.parse(action["topic"])
-        if "level" in action:
-            return self.ordered_topics[action["level"]]
-        return None
-
-    def _schedule_campaign(
-        self, campaign: FailureCampaign, actions: Sequence[Mapping]
-    ) -> None:
-        for action in actions:
-            kind = action["kind"]
-            at = action["at"]
-            if kind == "kill_fraction":
-                campaign.kill_fraction(
-                    at, action["fraction"], topic=self._campaign_target(action)
-                )
-            elif kind == "kill_super_links":
-                campaign.kill_super_links(at, self._campaign_target(action))
-            elif kind == "recover":
-                campaign.recover_fraction(at, action.get("fraction", 1.0))
-            else:  # recover_all
-                campaign.recover_all(at)
 
     def _build_dynamic(
         self,
@@ -1316,22 +1324,20 @@ class CompiledSpec:
         """Assemble a full-protocol run: staggered joins, maintenance,
         optional campaign, publications offset by the warmup, horizon-bound.
         """
-        section = self.spec.get("dynamic", {})
-        settings = {
-            key: section.get(key, default)
-            for key, default in _DYNAMIC_DEFAULTS.items()
-        }
+        settings = dict(self.dynamic)
         warmup, settle = settings.pop("warmup"), settings.pop("settle")
         joins = self._join_plan(counts)
-        campaign_spec = self.spec.get("campaign")
         # Pids are assigned 0..N-1 in join order, so a churn timeline can
         # be realized over the full pid space before any process exists —
         # a pid crashed before its join simply joins dead.
-        failure_model = self._failure_model(
-            range(sum(counts.values())),
-            random.Random(derive_seed(seed, "spec/churn")),
-        )
-        if failure_model is None and campaign_spec is not None:
+        failure_model = None
+        if self.failures is not None:
+            failure_model = self.failures(
+                range(sum(counts.values())),
+                rng=random.Random(derive_seed(seed, "spec/churn")),
+                protected=(),
+            )
+        elif self.campaign is not None:
             failure_model = ChurnSchedule()
         system = self._make_system(seed, counts, failure_model, **settings)
         self._install_link_models(system, seed)
@@ -1340,21 +1346,20 @@ class CompiledSpec:
                 time, functools.partial(system.add_process, topic)
             )
         campaign = None
-        if campaign_spec is not None:
+        if self.campaign is not None:
             campaign = FailureCampaign(
                 system,
                 failure_model,
                 random.Random(derive_seed(seed, "spec/campaign")),
             )
-            self._schedule_campaign(campaign, campaign_spec["actions"])
+            for at, action in self.campaign:
+                action(campaign, at)
         shifted = [
             ScheduledPublication(warmup + publication.time, publication.topic)
             for publication in schedule
         ]
         last_action = (
-            max(action["at"] for action in campaign_spec["actions"])
-            if campaign_spec
-            else 0.0
+            max(at for at, _ in self.campaign) if self.campaign else 0.0
         )
         horizon = (
             max(
@@ -1377,8 +1382,13 @@ class CompiledSpec:
 
     def build(self, seed: int) -> "BuiltScenario":
         """Assemble the ready-to-run simulation for one seed."""
-        counts = self._population(seed)
-        schedule = self._realize_schedule(self.spec["publications"], seed, counts)
+        population = self.population
+        counts = (
+            population(random.Random(derive_seed(seed, "spec/subscriptions")))
+            if callable(population)
+            else dict(population)
+        )
+        schedule = self._schedule(seed, counts)
         if self.mode == "dynamic":
             return self._build_dynamic(seed, counts, schedule)
         system = self._make_system(seed, counts)
@@ -1417,62 +1427,6 @@ class CompiledSpec:
             return built.execute()
         finally:
             built.system.close()
-
-
-def _make_fault_pipeline(section: Mapping) -> LinkFaultModel | None:
-    """One validated faults sub-section → a composed model, or None.
-
-    Stages compose loss → duplicate → delay_spike (a lost message cannot
-    be duplicated or delayed). Returns None when no stage is configured —
-    the caller then installs nothing, so the fault RNG stream is never
-    consulted and the run is bit-identical to a spec without ``faults``.
-    A configured stage with ``p == 0`` *is* installed (it draws but never
-    fires), so every point of a loss-rate sweep — including 0 — pays the
-    same draw sequence and differs only in coin outcomes.
-    """
-    stages: list[LinkFaultModel] = []
-    loss = section.get("loss")
-    if loss is not None and loss["kind"] != "none":
-        if loss["kind"] == "bernoulli":
-            stages.append(BernoulliLoss(loss["p"]))
-        else:
-            stages.append(
-                GilbertElliott(
-                    loss["p_good_bad"],
-                    loss["p_bad_good"],
-                    loss_good=loss.get("loss_good", 0.0),
-                    loss_bad=loss.get("loss_bad", 1.0),
-                )
-            )
-    duplicate = section.get("duplicate")
-    if duplicate is not None:
-        stages.append(
-            DuplicateModel(duplicate["p"], duplicate.get("max_copies", 2))
-        )
-    spike = section.get("delay_spike")
-    if spike is not None:
-        stages.append(
-            DelaySpike(
-                spike["p"],
-                factor=spike.get("factor"),
-                extra=spike.get("extra"),
-            )
-        )
-    if not stages:
-        return None
-    if len(stages) == 1:
-        return stages[0]
-    return FaultPipeline(stages)
-
-
-def _make_latency(section: Mapping) -> LatencyModel:
-    """One validated latency sub-section → a latency model instance."""
-    kind = section["kind"]
-    if kind == "constant":
-        return ConstantLatency(section.get("delay", 0.0))
-    if kind == "uniform":
-        return UniformLatency(section["low"], section["high"])
-    return ExponentialLatency(section["mean"])
 
 
 def _topic_link_classifier(system: DaMulticastSystem):
@@ -1634,40 +1588,41 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
             f"spec: 'mode' must be 'static' or 'dynamic', got {mode!r}"
         )
 
-    protocol, protocol_options = _validate_protocol(spec.get("protocol"))
-    hierarchy, ordered_topics, is_chain = _validate_topics(spec["topics"])
-    _validate_subscriptions(
+    protocol, protocol_options = _parse_protocol(spec.get("protocol"))
+    hierarchy, ordered_topics, is_chain = _parse_topics(spec["topics"])
+    population = _parse_subscriptions(
         spec["subscriptions"], hierarchy, ordered_topics, is_chain
     )
-    _validate_publications(
+    publications = _parse_publications(
         spec.get("publications", {"kind": "single"}),
         ordered_topics,
         hierarchy,
         is_chain,
+        fixed=None if callable(population) else population,
     )
-    failures = spec.get("failures", {"kind": "none"})
-    _validate_failures(failures)
+    failures_section = spec.get("failures", {"kind": "none"})
+    failures, partition = _parse_failures(failures_section)
+    dynamic = bootstrap = campaign = None
     if mode == "dynamic":
         if protocol != "daMulticast":
             raise ConfigError(
                 "spec: mode 'dynamic' requires protocol 'daMulticast' "
                 f"(the baselines have no dynamic protocol), got {protocol!r}"
             )
-        failures_kind = failures.get("kind")
+        failures_kind = failures_section.get("kind")
         if failures_kind in ("stillborn", "partition"):
             raise ConfigError(
                 f"failures: kind {failures_kind!r} is a static-mode plan; "
                 "dynamic mode supports 'none', 'churn' or 'dynamic'"
             )
-        if "dynamic" in spec:
-            _validate_dynamic(spec["dynamic"])
+        dynamic, bootstrap = _parse_dynamic(spec.get("dynamic", {}))
         if "campaign" in spec:
             if failures_kind == "dynamic":
                 raise ConfigError(
                     "campaign: cannot combine with 'dynamic' failures — a "
                     "campaign drives a crash/recover (churn) failure model"
                 )
-            _validate_campaign(
+            campaign = _parse_campaign(
                 spec["campaign"], ordered_topics, hierarchy, is_chain
             )
     else:
@@ -1676,20 +1631,16 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
                 raise ConfigError(
                     f"spec: the {section!r} section requires mode 'dynamic'"
                 )
-    if "latency" in spec:
-        _validate_latency(spec["latency"], protocol)
-    if "faults" in spec:
-        _validate_faults(spec["faults"], protocol)
-    params, overrides = _validate_params(spec.get("params", {}), protocol)
+    latency = (
+        _parse_latency(spec["latency"], protocol) if "latency" in spec else None
+    )
+    faults = _parse_faults(spec["faults"], protocol) if "faults" in spec else None
+    params, overrides = _parse_params(spec.get("params", {}), protocol)
     p_success = _get_number(
         spec, "p_success", "spec", default=1.0, minimum=0.0, maximum=1.0
     )
-
-    normalized = copy.deepcopy(dict(spec))
-    normalized.setdefault("publications", {"kind": "single"})
-    normalized.setdefault("failures", {"kind": "none"})
     return CompiledSpec(
-        spec=normalized,
+        spec=copy.deepcopy(dict(spec)),
         name=name,
         description=description,
         protocol=protocol,
@@ -1701,6 +1652,15 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
         params=params,
         overrides=overrides,
         p_success=float(p_success),
+        population=population,
+        publications=publications,
+        failures=failures,
+        partition=partition,
+        latency=latency,
+        faults=faults,
+        dynamic=dynamic,
+        bootstrap=bootstrap,
+        campaign=campaign,
     )
 
 

@@ -391,18 +391,7 @@ class TestSrcTreeGates:
 
     #: declared entries no harvestable call site names, each with the
     #: reason DET004's harvest cannot see its use
-    UNHARVESTABLE = {
-        # the default of CompiledSpec._realize_schedule's ``stream``
-        # argument, drawn from at its pragma'd derive_seed(seed, stream)
-        "spec/publications",
-        # built there as f"{stream}/{index}" for the mixed-parts recursion
-        # and handed down through that argument
-        "spec/publications/{index}",
-        # drawn in DaMulticastSystem._add_members through the per-call
-        # alias ``streams = harness.rngs``, a base name the harvest does
-        # not take for a registry
-        "overlay",
-    }
+    UNHARVESTABLE: set[str] = set()
 
     def test_every_declared_stream_is_drawn_from(self):
         """Declared ⇒ used: a label whose last caller went away may not

@@ -161,6 +161,21 @@ class TestDeterminismContracts:
         lossy = spec(faults={"loss": {"kind": "bernoulli", "p": 0.3}})
         assert run_spec(lossy, seed=11) == run_spec(lossy, seed=11)
 
+    def test_one_compiled_spec_builds_fresh_link_state(self):
+        """Gilbert–Elliott keeps per-link state: two builds of one
+        CompiledSpec must each start from an empty chain table, or the
+        second run replays the first one's bad links."""
+        bursty = {"kind": "gilbert_elliott", "p_good_bad": 0.3, "p_bad_good": 0.3}
+        compiled = compile_spec(
+            spec(
+                faults={
+                    "loss": bursty,
+                    "overrides": {"inter": {"loss": bursty}},
+                }
+            )
+        )
+        assert compiled.run(seed=5) == compiled.run(seed=5)
+
     def test_metrics_key_set_is_fault_invariant(self):
         clean = run_spec(spec(), seed=0)
         lossy = run_spec(

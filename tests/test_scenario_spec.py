@@ -45,6 +45,202 @@ def small(**patches) -> dict:
     return spec
 
 
+#: ``metrics_digest(run_spec(preset, 0))`` of every bundled preset.
+PRESET_DIGESTS = {
+    "baseline-compare": "85d8fee44197bef6a98ba9f02217bbe84c9eceaf3416a1b89ea1bfce994c0357",
+    "bootstrap-wave": "513f720ffb00823c56182b17f9498414531841766c52fe10cd982b42efd0f12a",
+    "churn-heavy": "31099996979443ad6e45f0215d2ae74b4de8076d99b0e600c8a9746211e5b85e",
+    "churn-recover": "5932b65db2973f0ca693371719571f0731577a833432ee51dcfc312992cb01f6",
+    "loss-sweep": "f82af04ab4ec27619758b93775c84c2a43081d44a84bc3166a9c46640caa79b4",
+    "lossy-wan": "d61e36e86edd9e2620fb5dc782f2b396adad7540e1005ca5b0decf83b71d6994",
+    "news-burst": "708210bd1eb9a73089022b3ac2b2e17430730dad76b60e752a9c0f625bceeb6c",
+    "paper-vii": "18afc90507277c69c7de0ef10e29976b93daa12362cc5e0bfa5d19b99b6d12f2",
+    "partition-heal": "b96f83a8a36c08922ce1b032cbc758702ffd444ebfd0e1750465a62c4defe104",
+    "super-link-attack": "1d2f18dd272d4ca8924d7a131583784f98816f547a17f6db0ef5ebd1196fc8d9",
+    "zipf-feed": "3b65a8ac2b16857dc7fbba6994f3444fece81d5005824a0401129a32e35a2d11",
+}
+
+
+def dynamic_small(**patches) -> dict:
+    """A 14-process dynamic-mode spec with sections replaced."""
+    spec = small(
+        mode="dynamic",
+        subscriptions={"kind": "per_level", "counts": [2, 4, 8]},
+        publications={"kind": "burst", "level": -1, "count": 2, "spacing": 6.0},
+        dynamic={"warmup": 15.0, "settle": 10.0},
+        failures={"kind": "none"},
+    )
+    spec.update(patches)
+    return spec
+
+
+#: churn makes publication times visible in the metrics
+_SHORT_CHURN = {"kind": "churn", "crash_probability": 0.6, "horizon": 6.0}
+
+#: One small spec per section kind, option and default no preset states,
+#: keyed like ``KIND_DIGESTS``.
+KIND_FIXTURES = {
+    # include_root (True) left to its default; publications and failures
+    # sections omitted
+    "tree-uniform": {
+        "name": "tree-uniform",
+        "topics": {"kind": "tree", "arity": 2, "depth": 2},
+        "subscriptions": {"kind": "uniform", "n": 60},
+        "params": {"fanout_log_base": 10},
+    },
+    "uniform-without-root": small(
+        subscriptions={"kind": "uniform", "n": 40, "include_root": False},
+        publications={"kind": "poisson", "rate": 1.0, "horizon": 4.0},
+    ),
+    # exponent (1.0) and include_root (False) left to their defaults
+    "zipf-defaults": small(
+        topics={"kind": "names", "names": [".a.b", ".a.c", ".d"]},
+        subscriptions={"kind": "zipf", "n": 50},
+        publications={"kind": "single"},
+    ),
+    "single-at": small(
+        publications={"kind": "single", "level": 1, "at": 2.5},
+        failures=_SHORT_CHURN,
+    ),
+    # start and spacing (0.0) left to their defaults
+    "burst-topic-defaults": small(
+        publications={"kind": "burst", "topic": ".t1", "count": 3},
+        failures=_SHORT_CHURN,
+    ),
+    "poisson-levels-weights": small(
+        publications={
+            "kind": "poisson",
+            "rate": 1.0,
+            "horizon": 5.0,
+            "levels": [1, 2],
+            "weights": [1.0, 3.0],
+        }
+    ),
+    "poisson-topics-mixed": small(
+        publications={
+            "kind": "mixed",
+            "parts": [
+                {
+                    "kind": "poisson",
+                    "rate": 0.5,
+                    "horizon": 6.0,
+                    "topics": [".t1", ".t1.t2"],
+                },
+                {"kind": "single", "topic": ".t1.t2", "at": 1.0},
+            ],
+        }
+    ),
+    "dynamic-failures-per-pair": small(
+        failures={"kind": "dynamic", "alive_fraction": 0.8, "mode": "per_pair"}
+    ),
+    # mode (per_attempt) left to its default
+    "dynamic-failures-default-mode": small(
+        failures={"kind": "dynamic", "alive_fraction": 0.8}
+    ),
+    # recover_probability (0.5) left to its default
+    "churn-default-recover": small(
+        publications={"kind": "burst", "level": -1, "count": 4, "spacing": 2.0},
+        failures={"kind": "churn", "crash_probability": 0.5, "horizon": 10.0},
+    ),
+    "partition-by-topic": small(
+        failures={"kind": "partition", "islands": "by_topic"}
+    ),
+    "bootstrap-immediate-interleaved": dynamic_small(
+        dynamic={
+            "warmup": 15.0,
+            "settle": 10.0,
+            "bootstrap": {"kind": "immediate", "order": "interleaved"},
+        }
+    ),
+    # no bootstrap section: immediate, by_topic
+    "bootstrap-omitted": dynamic_small(),
+    # order (by_topic) and start (0.0) left to their defaults
+    "bootstrap-waves-defaults": dynamic_small(
+        dynamic={
+            "warmup": 15.0,
+            "settle": 10.0,
+            "bootstrap": {"kind": "waves", "wave_size": 4, "interval": 1.0},
+        }
+    ),
+    # a recover fraction (1.0) left to its default
+    "campaign-topics-default-fraction": dynamic_small(
+        failures={"kind": "churn", "crash_probability": 0.2, "horizon": 30.0},
+        campaign={
+            "actions": [
+                {"kind": "kill_super_links", "at": 16.0, "topic": ".t1.t2"},
+                {"kind": "kill_fraction", "at": 17.0, "fraction": 0.5},
+                {"kind": "recover", "at": 20.0},
+            ]
+        },
+    ),
+    # max_copies (2) left to its default
+    "faults-duplicate-spike-factor": small(
+        failures={"kind": "none"},
+        latency={"kind": "uniform", "low": 0.1, "high": 0.3},
+        faults={
+            "duplicate": {"p": 0.2},
+            "delay_spike": {"p": 0.2, "factor": 3.0},
+        },
+    ),
+    # loss_good (0.0) and loss_bad (1.0) left to their defaults
+    "faults-ge-defaults-spike-extra": small(
+        failures={"kind": "none"},
+        latency={"kind": "exponential", "mean": 0.2},
+        faults={
+            "loss": {"kind": "gilbert_elliott", "p_good_bad": 0.1, "p_bad_good": 0.5},
+            "delay_spike": {"p": 0.3, "extra": 1.5},
+            "overrides": {
+                "intra": {"duplicate": {"p": 0.3, "max_copies": 3}},
+                "inter": {"loss": {"kind": "none"}},
+            },
+        },
+    ),
+    # constant delay (0.0) left to its default
+    "latency-intra-params-overrides": small(
+        latency={
+            "kind": "constant",
+            "overrides": {"intra": {"kind": "exponential", "mean": 0.3}},
+        },
+        params={
+            "fanout_log_base": 10,
+            "overrides": {".t1.t2": {"c": 2, "g": 3}, ".t1": {"z": 4}},
+        },
+    ),
+    "protocol-multicast": small(protocol="multicast"),
+    "protocol-naive": small(protocol="naive"),
+    "protocol-hierarchical-clusters": small(
+        protocol={"name": "hierarchical", "n_clusters": 3}
+    ),
+    "protocol-hierarchical-default-clusters": small(protocol="hierarchical"),
+}
+
+#: ``metrics_digest(run_spec(KIND_FIXTURES[key], 0))``
+KIND_DIGESTS = {
+    "tree-uniform": "e7f8124fbebade3c9bb498a94cafbda83376fa06cfa45a9d8c146fc460e2b0c8",
+    "uniform-without-root": "086ef0d6ac959aa0178cb09e6d3f11f4434a17139c8abf083b62d5975fd1aee9",
+    "zipf-defaults": "e980775bbed0965e7fe1bd45875f361679bda8282a2376ee283b1515bcd6f0a1",
+    "single-at": "1a4759836b09d6d55a411918a2fe9dca79ace748c8ea7b4f449519a7f2484696",
+    "burst-topic-defaults": "0a03165b52b21b6d6c7cde12a952bdf895c604331ebfb0de133d9ae9bac50a32",
+    "poisson-levels-weights": "b46311f005d71a00c35074c9056c3e463e3d812ba2513888003bd08ae2b826f8",
+    "poisson-topics-mixed": "7782ccd1f565bb198471bcff1bace0677d3adb4dddc71d833cdc014fd7408a36",
+    "dynamic-failures-per-pair": "c3d090455e5188a6ccf709fd89f1edc02d2f31e4665ec01f216f782f09f9ce1b",
+    "dynamic-failures-default-mode": "6fe04a88b6a7d1a65ab9dda9ef964f45b59e72fb1912c7b4d6c4efac68078486",
+    "churn-default-recover": "8ecafcd8b2c62239dc244aedd4b084655296429cadb910f4e07d6a4dbb806479",
+    "partition-by-topic": "4f7172089bf1def791197ed398d7dd307c7c1e84f958bf56e4649776ded9218a",
+    "bootstrap-immediate-interleaved": "d6e7afe13f5a2ee79a8d4a3b0094be7996520cc58e8aa8cf1466a4c364673003",
+    "bootstrap-omitted": "cf8a2092dfe2f32d9964445aaf410cd8d804c98664670590f07cab5deb15ef23",
+    "bootstrap-waves-defaults": "d3beb765467b7efadb2672e40b60c7ee4cb9fdc1bffebf2a8e3ee3f147a82cfe",
+    "campaign-topics-default-fraction": "abd8f14adc5d911c03fd4a938075c233584c17458ce797657bf252363e8f5cde",
+    "faults-duplicate-spike-factor": "16e60734fbd88d672d613280b00a65a7a9c82edaf3550848364fad70ab3eb535",
+    "faults-ge-defaults-spike-extra": "416cd448fa323d2090a0e2204054cbce898c4dc76d2ea54caf00bf7f97064ba3",
+    "latency-intra-params-overrides": "a3d13a65240cca0e232c08d5479fd18047d44ebda0ae52fe8987e9c66818951a",
+    "protocol-multicast": "d83dfdec312d9f5e75c5b40b1b61fb48b36bdd72e685fdc33eafb45cffc8dc35",
+    "protocol-naive": "d628c21bd932a3516d26da016f6148b168740c5d674e29e0ad78ec7fda336169",
+    "protocol-hierarchical-clusters": "5536db96ef9b798cb7383bf71972403c91b730de3e9f7ca22868e81d3f48911b",
+    "protocol-hierarchical-default-clusters": "e8e0bcb4f1e922e97c5e3536feaeb5069c1675facc90c7b58fa97fd60853c593",
+}
+
+
 class TestValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key.*'fauilures'"):
@@ -301,6 +497,37 @@ class TestValidation:
         with pytest.raises(ConfigError, match="has no subscribers"):
             run_spec(spec, seed=0)
 
+    @pytest.mark.parametrize(
+        "publications",
+        [
+            {"kind": "single", "level": 0},
+            {"kind": "burst", "topic": ".", "count": 2},
+            {"kind": "poisson", "rate": 1.0, "horizon": 4.0, "levels": [2, 0]},
+            {"kind": "poisson", "rate": 1.0, "horizon": 4.0, "topics": ["."]},
+            {"kind": "mixed", "parts": [{"kind": "single"}, {"kind": "single", "level": 0}]},
+        ],
+    )
+    def test_fixed_population_empty_target_fails_at_compile(
+        self, publications, tmp_path
+    ):
+        # a fixed population is known before any seed: publishing to an
+        # empty group is a spec error, not a failure inside the first cell
+        spec = small(
+            subscriptions={"kind": "per_level", "counts": [0, 10, 100]},
+            publications=publications,
+        )
+        message = r"^publications.*publication topic '\.' has no subscribers"
+        with pytest.raises(ConfigError, match=message):
+            compile_spec(spec)
+        executor = CachingExecutor(
+            SerialExecutor(), ArtifactStore(tmp_path), "empty-target"
+        )
+        with pytest.raises(ConfigError, match=message):
+            sweep_scenario(
+                spec, "p_success", [0.5, 1.0], runs=1, executor=executor
+            )
+        assert (executor.executed, executor.hits) == (0, 0)
+
 
 class TestSpecWith:
     def test_sets_nested_field(self):
@@ -516,12 +743,24 @@ class TestPresets:
             "zipf-feed",
         ]
 
-    @pytest.mark.parametrize("name", preset_names())
-    def test_preset_runs_end_to_end(self, name):
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            pytest.param(name, PRESET_DIGESTS[name], id=name)
+            for name in preset_names()
+        ],
+    )
+    def test_preset_runs_end_to_end(self, name, digest):
         metrics = run_spec(load_preset(name), seed=0)
         assert metrics, "metrics dict must not be empty"
         assert metrics["events"] >= 1.0
         assert metrics["processes"] > 0
+        assert metrics_digest(metrics) == digest
+
+    @pytest.mark.parametrize("key", sorted(KIND_FIXTURES))
+    def test_kind_fixture_digest(self, key):
+        metrics = run_spec(KIND_FIXTURES[key], seed=0)
+        assert metrics_digest(metrics) == KIND_DIGESTS[key]
 
     def test_paper_vii_matches_section7_population(self):
         metrics = run_spec(load_preset("paper-vii"), seed=0)
@@ -624,6 +863,23 @@ class TestCli:
         assert main(["scenario", "run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: topics: invalid prefix 'a.b'")
+        assert err.count("\n") == 1
+
+    def test_empty_publication_level_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty-level.json"
+        path.write_text(
+            json.dumps(
+                small(
+                    subscriptions={"kind": "per_level", "counts": [0, 10, 100]},
+                    publications={"kind": "single", "level": 0},
+                )
+            )
+        )
+        assert main(["scenario", "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: publications: publication topic '.' has no subscribers"
+        )
         assert err.count("\n") == 1
 
     def test_bad_set_pair_exits_2(self, capsys):
