@@ -161,6 +161,7 @@ class ColumnarGroupActor:
         hops = message.hops
         now = self.engine.now
         tracker = self.tracker
+        peer = self._peer
         for pid in targets:
             index = pid - base
             if mask[index]:
@@ -168,21 +169,9 @@ class ColumnarGroupActor:
             mask[index] = 1
             if tracker is not None:
                 tracker.record_delivery(pid, event, now, hops=hops)
-            self._disseminate_from(index, event, arrival_hops=hops)
-
-    def _disseminate_from(
-        self,
-        index: int,
-        event: Event,
-        *,
-        arrival_hops: int,
-        force_link: bool = False,
-    ) -> None:
-        peer = self._peer
-        peer.bind(index)
-        disseminate(
-            peer, event, force_link=force_link, arrival_hops=arrival_hops
-        )
+            peer._index = index  # peer.bind(index), without its frame
+            peer.pid = pid
+            disseminate(peer, event, arrival_hops=hops)
 
     # ------------------------------------------------------------------
     # Publishing (driven by the system facade)
@@ -200,9 +189,9 @@ class ColumnarGroupActor:
             self.tracker.record_delivery(
                 self.tables.base + index, event, self.engine.now, hops=0
             )
-        self._disseminate_from(
-            index, event, arrival_hops=0, force_link=force_link
-        )
+        peer = self._peer
+        peer.bind(index)
+        disseminate(peer, event, force_link=force_link)
 
     # ------------------------------------------------------------------
     # State management

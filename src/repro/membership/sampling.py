@@ -48,16 +48,22 @@ def sample_from(
         setsize += 1 << (bits + (bits & 1))  # table size for big sets
     if n <= setsize:
         # Pool branch: a partial shuffle of a copy of the window; each
-        # vacancy is refilled from the pool's tail.
+        # vacancy is refilled from the pool's tail. ``n.bit_length()`` only
+        # changes when ``n`` drops below ``low``, the power of two it
+        # counts down from (``low`` is 0 for an empty window).
         pool = list(range(n) if seq is None else seq[start : start + n])
+        nbits = n.bit_length()
+        low = 1 << nbits >> 1
         for t in range(k):
-            nbits = n.bit_length()
             r = getrandbits(nbits)
             while r >= n:
                 r = getrandbits(nbits)
             chosen[t] = pool[r]
             n -= 1
             pool[r] = pool[n]
+            if n < low:
+                nbits -= 1
+                low >>= 1
         return chosen
     # Selection-set branch: distinct positions by rejection of repeats,
     # looked up afterwards in one pass.

@@ -54,11 +54,12 @@ fan-out, staged so that what is the same for every target is decided once:
   off, the sender-side pass (stages 2–5) is one membership test on the
   sender and then exactly the loss draw per target, in target order, and
   stage 6 one latency class: one list comprehension, one
-  ``record_dropped_many``, one dispatch; at delivery the batch is
-  filtered against the same set in one comprehension. The branch is
-  chosen per call from what the installed models are and declare — there
-  is no switch to set, and a failure model that declares nothing (churn,
-  perceived failures, a user's own) never takes it;
+  ``record_dropped_many``, and the survivors join the current *wave*
+  (below); at delivery the batch is filtered against the same set in one
+  comprehension. The branch is chosen per call from what the installed
+  models are and declare — there is no switch to set, and a failure model
+  that declares nothing (churn, perceived failures, a user's own) never
+  takes it;
 * **the general channel** — anything else checks the sender once, then
   runs stages 3–5 per target *in target order*, with exactly the RNG
   draws :meth:`Network.send` would make (a no-op built-in is still
@@ -72,8 +73,9 @@ fan-out, staged so that what is the same for every target is decided once:
   ``sample``/``transmit`` once; only the draws are per target. Either way
   a multicast is bit-identical to the equivalent loop of sends under the
   same seed;
-* **one entry per latency class** — surviving deliveries that share a
-  latency share one ``fn(*args)`` array-batch call on the transport
+* **one entry per latency class** (general channel) — surviving
+  deliveries that share a latency share one ``fn(*args)`` array-batch
+  call on the transport
   (:meth:`repro.sim.engine.Engine.dispatch`) instead of one closure and one
   heap push per destination; with zero latency (the paper's synchronous
   rounds, the dominant case) an entire fan-out is one entry in the
@@ -86,6 +88,50 @@ fan-out, staged so that what is the same for every target is decided once:
   in one block is a single ``handle_batch`` call, resolved with the same
   two comparisons; otherwise consecutive same-block runs are flushed one
   call each and per-pid actors get ``handle_message`` in order.
+
+Waves (the clean channel's transport entries)
+---------------------------------------------
+
+A flood is a few hops deep and thousands of fan-outs wide, so the clean
+channel pays one transport entry per *wave*, not per fan-out. While a
+clean-channel entry is being delivered, each :meth:`Network.multicast` its
+receivers issue does the whole sender-side pass as above — validation,
+``record_sent_many``, the dead-sender test, the loss draws, the drop
+counts — and appends its survivors to the current wave as one
+``(sender, targets, message)`` sub-batch. When the entry's deliveries
+finish, the wave is dispatched as **one** entry, ``count`` = its
+survivors, at the channel's single ``latency.delay``; its delivery walks
+the sub-batches in order, doing per sub-batch what the general channel's
+``_deliver_batch`` does per entry (the ``static_dead`` filter, the bulk
+statistics, the span check before ``handle_batch``/``handle_message``). A
+fan-out issued outside any delivery — a publish — is a wave of one. Any
+other dispatch the network makes while a wave is being collected (a
+:meth:`Network.send`, a general-channel fan-out) first sends the
+fan-outs collected so far as their own wave, so nothing the network
+dispatches ever moves past a wave.
+
+Why the trajectory cannot move, by induction over the waves: *each wave's
+sub-batches are a contiguous run of the one-entry-per-fan-out order*
+(``(time, seq)`` on the engine, FIFO in its zero-latency bucket,
+``(due, enqueue order)`` on a queue transport), and the wave holds the
+place of its first sub-batch in it. A wave of one is such a run. If a
+wave is one, then in the per-fan-out order nothing runs between its
+sub-batches, so the fan-outs their receivers issue would have been
+dispatched one after another, all at the same ``now + delay``, with no
+other dispatch between them — consecutive sequence numbers, the next
+wave — and the wave that collects them is dispatched before anything
+else is, i.e. at the place of its first member. So deliveries, and
+every draw they cause, happen in the same order: the network's loss
+draws, each ``group/<topic>`` stream of the columnar host and each
+``process/<pid>`` stream of the object host. The argument needs one
+thing of the actors — that a delivery dispatches only through the
+network (no in-repo actor schedules a timer while handling a message).
+Counters see the difference only mid-run: ``Engine.processed`` moves a
+wave at a time (``max_events`` can overshoot by a wave's ``count``),
+and a delivery that raises leaves the wave's undelivered rest requeued
+at the wave's own place (:meth:`~repro.sim.engine.CallQueue.requeue`),
+ahead of the fan-outs already collected, which are dispatched as a wave
+— the per-fan-out order again.
 
 Ordering caveats (documented, not observable by well-behaved actors): the
 trace log groups a multicast's ``net.sent`` records before its drop
@@ -141,6 +187,19 @@ from repro.sim.trace import TraceLog
 #: "No link class resolved yet" — distinct from None, which is a class (the
 #: default model's).
 _UNRESOLVED = object()
+
+
+class _Wave(list):
+    """One clean-channel transport entry: ``(sender, targets, message)``
+    sub-batches in dispatch order and — once dispatched — the entry's
+    handle."""
+
+    __slots__ = ("handle",)
+
+    @property
+    def count(self) -> int:
+        """The deliveries the entry stands for."""
+        return sum([len(targets) for _, targets, _ in self])
 
 
 @runtime_checkable
@@ -223,6 +282,8 @@ class Network:
         self._block_cache: tuple[int, int, BlockActor] | None = None
         #: sorted pid tuple, rebuilt lazily after registrations
         self._pids_cache: tuple[int, ...] | None = None
+        #: the wave being collected while a wave is delivered, else None
+        self._wave: _Wave | None = None
 
     @property
     def clock(self) -> Clock:
@@ -577,6 +638,8 @@ class Network:
                         now, "net.fault", sender, target,
                         message_kind=message.kind, reason=FAULT_DUPLICATE,
                     )
+                if self._wave:
+                    self._flush_wave()
                 self._transport.dispatch(
                     delay,
                     self._deliver_batch,
@@ -584,6 +647,8 @@ class Network:
                     count=copies,
                 )
                 return True
+        if self._wave:
+            self._flush_wave()
         self._transport.dispatch(delay, self._deliver, (sender, target, message))
         return True
 
@@ -602,7 +667,15 @@ class Network:
         targets = list(targets)
         if not targets:
             return 0
-        self._require_registered(targets)
+        # A fan-out inside the block last resolved validates by its span
+        # here, without the frames of the general check.
+        block = self._block_cache
+        if (
+            block is None
+            or not block[0] <= min(targets)
+            or max(targets) >= block[1]
+        ):
+            self._require_registered(targets)
         stats = self.stats
         count = len(targets)
         stats.record_sent_many(message, count)
@@ -626,7 +699,9 @@ class Network:
         ):
             # Clean channel: nothing installed draws randomness or reads the
             # clock, so the whole sender-side pass is the dead-sender test
-            # and the loss draw per target, in target order.
+            # and the loss draw per target, in target order. The survivors
+            # join the wave being collected (a wave of one outside any
+            # delivery — see the module docstring).
             if sender in static_dead:
                 stats.record_dropped_many(message, DROP_DEAD_SENDER, count)
                 return 0
@@ -638,12 +713,11 @@ class Network:
                 message, DROP_CHANNEL_LOSS, count - scheduled
             )
             if scheduled:
-                self._transport.dispatch(
-                    latency.delay,
-                    self._deliver_batch,
-                    (sender, survivors, message),
-                    count=scheduled,
-                )
+                wave = self._wave
+                if wave is None:
+                    self._dispatch_wave(_Wave([(sender, survivors, message)]))
+                else:
+                    wave.append((sender, survivors, message))
             return scheduled
 
         now = self._clock.now
@@ -765,6 +839,8 @@ class Network:
         # fan-out lands in the engine's FIFO bucket). A lone target (every
         # target, under a continuous latency model) is delivered like a
         # send: no tuple, no batch machinery.
+        if self._wave:
+            self._flush_wave()
         scheduled = 0
         dispatch = self._transport.dispatch
         deliver = self._deliver
@@ -862,6 +938,80 @@ class Network:
             block[2].handle_batch(sender, tuple(alive), message)
         else:
             self._dispatch_mixed(sender, alive, message)
+
+    def _dispatch_wave(self, wave: _Wave) -> None:
+        """Send ``wave`` as one transport entry at the clean channel's
+        delay."""
+        wave.handle = self._transport.dispatch(
+            self._latency.delay, self._deliver_wave, (wave,), count=wave.count
+        )
+
+    def _flush_wave(self) -> None:
+        """Send the fan-outs collected so far as their own wave, ahead of
+        the dispatch about to be made, and keep collecting in a new one."""
+        self._dispatch_wave(self._wave)
+        self._wave = _Wave()
+
+    def _deliver_wave(self, wave: _Wave) -> None:
+        """Deliver every sub-batch of ``wave`` in order — per sub-batch what
+        :meth:`_deliver_batch` does per entry — while collecting the
+        clean-channel fan-outs its receivers issue into the next wave."""
+        self._wave = _Wave()
+        done = 0
+        try:
+            static_dead = self._static_dead
+            if static_dead is None or self.trace.enabled:
+                # The channel stopped being clean after this wave left.
+                for sub_batch in wave:
+                    done += 1
+                    self._deliver_batch(*sub_batch)
+                return
+            stats = self.stats
+            actors = self._actors
+            for sender, targets, message in wave:
+                done += 1
+                alive = targets
+                if static_dead:
+                    alive = tuple(
+                        [target for target in targets if target not in static_dead]
+                    )
+                    stats.record_dropped_many(
+                        message, DROP_DEAD_TARGET, len(targets) - len(alive)
+                    )
+                stats.record_delivered_many(message, len(alive))
+                if not alive:
+                    continue
+                block = self._block_cache
+                if (
+                    block is not None
+                    and block[0] <= min(alive)
+                    and max(alive) < block[1]
+                ):
+                    block[2].handle_batch(sender, alive, message)
+                elif not self._blocks:
+                    for target in alive:
+                        actors[target].handle_message(message)
+                else:
+                    block = self._span_block(alive)
+                    if block is not None:
+                        block[2].handle_batch(sender, alive, message)
+                    else:
+                        self._dispatch_mixed(sender, alive, message)
+        except BaseException:
+            # The rest goes back at this wave's own place, ahead of the
+            # fan-outs collected so far: the per-fan-out order.
+            if done < len(wave):
+                rest = _Wave(wave[done:])
+                rest.handle = wave.handle
+                self._transport.requeue(
+                    wave.handle, self._deliver_wave, (rest,), rest.count
+                )
+            raise
+        finally:
+            collected = self._wave
+            self._wave = None
+            if collected:
+                self._dispatch_wave(collected)
 
     def _dispatch_mixed(
         self, sender: int, alive: Iterable[int], message: Message

@@ -52,6 +52,15 @@ class Transport(Protocol):
         handle."""
         ...  # pragma: no cover - protocol
 
+    def requeue(
+        self, handle, fn: Callable[..., Any], args: tuple, count: int
+    ) -> None:
+        """Queue ``fn(*args)`` for ``count`` deliveries again at ``handle``'s
+        place — the undelivered rest of a dispatched call that raised — so
+        it runs next; the ``count`` deliveries are pending again, not
+        executed."""
+        ...  # pragma: no cover - protocol
+
 
 class QueueTransport:
     """In-process delivery queue, pumped explicitly.
@@ -106,6 +115,12 @@ class QueueTransport:
         if self._on_enqueue is not None:
             self._on_enqueue()
         return handle
+
+    def requeue(
+        self, handle: EventHandle, fn: Callable[..., Any], args: tuple, count: int
+    ) -> None:
+        self._queue.requeue(handle, fn, args, count)
+        self.executed -= count
 
     def pump(self, now: float | None = None) -> int:
         """Execute every delivery due at or before ``now`` (default: the

@@ -134,6 +134,22 @@ class CallQueue:
         heapq.heappush(self._heap, (time, handle._seq, handle))
         return handle
 
+    def requeue(
+        self, handle: EventHandle, fn: Callable[..., Any], args: tuple, count: int
+    ) -> None:
+        """Queue ``fn(*args)``, standing for ``count`` events, again at the
+        ``(time, seq)`` of ``handle`` — a call popped from this queue that
+        raised with ``count`` of its events not yet run.
+
+        The call was the earliest one when it was popped, so the rest runs
+        next, ahead of everything queued since. Its events count as pending
+        again and no longer as executed: the owner overrides this to take
+        them back off its executed total.
+        """
+        handle._fn, handle._args, handle._count = fn, args, count
+        self._live += count
+        heapq.heappush(self._heap, (handle.time, handle._seq, handle))
+
     def peek_time(self) -> float | None:
         """Time of the earliest live call, or None when there is none."""
         heap = self._heap
@@ -246,6 +262,14 @@ class Engine(CallQueue):
             self._bucket.append(handle)
         return handle
 
+    def requeue(
+        self, handle: EventHandle, fn: Callable[..., Any], args: tuple, count: int
+    ) -> None:
+        # The heap, even at the current time: a heap call due now runs
+        # before the bucket, and the handle's seq puts it first there.
+        CallQueue.requeue(self, handle, fn, args, count)
+        self._processed -= count
+
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Run ``callback`` after ``delay`` time units (``delay >= 0``)."""
         return self.dispatch(delay, callback)
@@ -276,7 +300,11 @@ class Engine(CallQueue):
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next call (one step, ``count`` processed
-        events). Returns False when nothing is queued."""
+        events). Returns False when nothing is queued.
+
+        One call can be a whole clean-channel *wave* — every fan-out the
+        previous wave's receivers issued (:mod:`repro.net.network`) — so
+        one step can deliver to a flood's whole next hop."""
         before = self._processed
         self._fire(inf, before + 1)
         return self._processed != before
@@ -339,6 +367,8 @@ class Engine(CallQueue):
         self-rescheduling tasks: exceeding it with events still pending and
         no ``until`` horizon raises :class:`SimulationError`. (A call runs
         atomically, so a stop boundary can overshoot by at most one call's
+        ``count`` — and one call can be a whole clean-channel wave, i.e. a
+        flood's whole hop, so ``max_events`` can overshoot by that wave's
         ``count``.)
         """
         if self._running:

@@ -18,7 +18,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.core.columnar import ColumnarStaticSystem
+from repro.core.system import DaMulticastSystem
 from repro.errors import SchedulingError
+from repro.failures import StillbornFailures
+from repro.metrics.collector import DeliveryTracker
 from repro.net.latency import (
     ConstantLatency,
     UniformLatency,
@@ -26,7 +30,9 @@ from repro.net.latency import (
 )
 from repro.net.message import Message, Ping
 from repro.net.network import Network
+from repro.net.partitions import FullyConnected
 from repro.net.transport import QueueTransport, Transport
+from repro.runtime import SimulationHarness
 from repro.sim.clock import Handle
 from repro.sim.engine import Engine, EventHandle
 
@@ -200,6 +206,159 @@ class TestTransportContract:
         assert (driver.executed, driver.pending) == (9, 0)
 
 
+class OpenPartition(FullyConnected):
+    """Connects every pair and draws nothing, like its base — but it is not
+    ``FullyConnected`` itself, so the network takes the general channel:
+    one transport entry per fan-out instead of one per wave."""
+
+
+class OrderTracker(DeliveryTracker):
+    """The full tracker, also keeping every first delivery in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.order = []
+
+    def record_delivery(self, pid, event, time, hops=None):
+        self.order.append((pid, event.event_id, time, hops))
+        super().record_delivery(pid, event, time, hops)
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def _flood(
+    host, transport_kind, *, per_fan_out, seed, p_success, delay, dead,
+    raise_at=(),
+):
+    """Two publications at the same instant over groups of 6 and 40, run
+    to idle; everything observable, and the counters at every raise.
+
+    ``raise_at`` makes the object host's pid 7 raise on those receptions
+    (1-based); each raise is caught and the run resumed.
+    """
+    tracker = OrderTracker()
+    models = dict(
+        seed=seed,
+        p_success=p_success,
+        latency=ConstantLatency(delay),
+        failure_model=StillbornFailures(dead),
+        tracker=tracker,
+    )
+    if host == "object":
+        system = DaMulticastSystem(
+            mode="static", harness=SimulationHarness(**models)
+        )
+    else:
+        system = ColumnarStaticSystem(**models)
+    engine = system.engine
+    inner = engine if transport_kind == "engine" else QueueTransport(engine)
+    transport = RecordingTransport(inner)
+    network = system.network
+    network._transport = transport  # both hosts build their own network
+    if per_fan_out:
+        network.partition_model = OpenPartition()
+    system.add_group(".t1", 6)
+    system.add_group(".t1.t2", 40)
+    system.finalize_static_membership()
+    if raise_at:
+        flaky = network.actor(7)
+        handle_message = flaky.handle_message
+        receptions = 0
+
+        def raising(message):
+            nonlocal receptions
+            receptions += 1
+            if receptions in raise_at:
+                raise Boom(receptions)
+            handle_message(message)
+
+        flaky.handle_message = raising
+    system.publish(".t1.t2")
+    system.publish(".t1")
+
+    def counters():
+        if inner is engine:
+            return engine.processed, engine.pending
+        return inner.dispatched, inner.executed, inner.pending
+
+    raised = []
+    while True:
+        try:
+            if inner is engine:
+                engine.run_until_idle()
+            else:
+                while (due := inner.next_due()) is not None:
+                    engine.run(until=due)
+                    inner.pump(due)
+            break
+        except Boom:
+            raised.append(counters())
+    rngs = system.harness.rngs
+    observed = (
+        tracker.order,
+        system.stats.as_dict(),
+        {name: rngs.stream(name).getstate() for name in rngs.streams()},
+        counters(),
+        raised,
+    )
+    system.close()
+    return observed, len(transport.handles)
+
+
+class TestWavesMatchOneEntryPerFanOut:
+    """The clean channel's waves against the general channel's one entry
+    per fan-out, on the same scenario: the same deliveries in the same
+    order, the same statistics, every RNG stream in the same end state, the
+    same event counts."""
+
+    @given(
+        host=st.sampled_from(["object", "columnar"]),
+        transport_kind=st.sampled_from(["engine", "queue"]),
+        seed=st.integers(0, 2**16),
+        p_success=st.sampled_from([1.0, 0.85]),
+        delay=st.sampled_from([0.0, 0.3]),
+        dead=st.sets(st.integers(1, 45).filter(lambda pid: pid != 6), max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_trajectory(
+        self, host, transport_kind, seed, p_success, delay, dead
+    ):
+        run = dict(seed=seed, p_success=p_success, delay=delay, dead=dead)
+        waves, wave_entries = _flood(
+            host, transport_kind, per_fan_out=False, **run
+        )
+        fan_outs, fan_out_entries = _flood(
+            host, transport_kind, per_fan_out=True, **run
+        )
+        assert waves == fan_outs
+        assert wave_entries < fan_out_entries  # the waves did run
+
+    @pytest.mark.parametrize("transport_kind", ["engine", "queue"])
+    @pytest.mark.parametrize("delay", [0.0, 0.3])
+    def test_a_delivery_raising_mid_wave_loses_nothing(
+        self, transport_kind, delay
+    ):
+        """The undelivered rest of the wave goes back ahead of the fan-outs
+        collected so far: at every raise the counters are the per-fan-out
+        path's (so ``dispatched == executed + pending``), and resuming
+        ends in its state."""
+        run = dict(
+            seed=5, p_success=0.85, delay=delay, dead={3, 20}, raise_at=(1, 3)
+        )
+        waves, _ = _flood("object", transport_kind, per_fan_out=False, **run)
+        fan_outs, _ = _flood("object", transport_kind, per_fan_out=True, **run)
+        assert waves == fan_outs
+        raised = waves[-1]
+        assert len(raised) == 2
+        for counters in raised:
+            if transport_kind == "queue":
+                dispatched, executed, pending = counters
+                assert dispatched == executed + pending
+            assert counters[-1] > 0  # the flood was cut mid-way
+
+
 class TestDefaultTransport:
     def test_default_transport_is_the_clock(self):
         engine = Engine()
@@ -278,6 +437,9 @@ class RecordingTransport:
         handle = self.inner.dispatch(delay, fn, args, count=count)
         self.handles.append(handle)
         return handle
+
+    def requeue(self, handle, fn, args, count):
+        self.inner.requeue(handle, fn, args, count)
 
 
 def engine_transport(engine):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from repro.core.tables import SuperTopicTable
 from repro.membership import PartialView, ProcessDescriptor
+from repro.membership.sampling import sample_from
 from repro.topics import Topic
 
 T1 = Topic.parse(".t1")
@@ -161,6 +162,25 @@ def test_both_branches_of_the_sampler_at_their_thresholds():
         for n in (threshold - 1, threshold, threshold + 1, threshold + 2):
             for seed in range(5):
                 assert_one_sample(filled_view(n), k, seed)
+
+
+def test_sampler_at_and_just_past_powers_of_two():
+    # The pool branch re-derives the draw width only when the pool shrinks
+    # below a power of two: start there, one above, and at the empty window.
+    assert sample_from(None, 0, 0, 0, random.Random(1)) == []
+    for n in sorted({size for j in range(9) for size in (2**j, 2**j + 1)}):
+        window = [1000 + i for i in range(n)]
+        for k in range(n + 1):
+            for seed in range(3):
+                mine, stdlib = random.Random(seed), random.Random(seed)
+                padded = [-1, -2] + window
+                assert sample_from(padded, 2, n, k, mine) == stdlib.sample(
+                    window, k
+                )
+                assert mine.getstate() == stdlib.getstate()
+                positions = sample_from(None, 0, n, k, mine)
+                assert positions == stdlib.sample(range(n), k)
+                assert mine.getstate() == stdlib.getstate()
 
 
 @given(st.integers(1, 130), st.integers(0, 140), st.integers(0, 2**32), st.data())

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError, UnknownTopic
+from repro.net.partitions import FullyConnected
 from repro.service import (
     LiveRuntime,
     delivery_sets_from_trace,
@@ -185,6 +186,52 @@ class TestFailingDeliveries:
                 await runtime.stop()
 
         run_live(scenario())
+
+    def test_a_process_raising_mid_wave_leaves_the_rest_queued(self):
+        """A process that raises on its second reception kills the pump in
+        the middle of a wave. What was not delivered stays queued — the
+        rest of the wave and the fan-outs already collected — with the
+        counts balanced, and pumping by hand finishes the flood exactly as
+        with one transport entry per fan-out."""
+
+        class OpenPartition(FullyConnected):
+            """Not ``FullyConnected`` itself: one entry per fan-out."""
+
+        async def scenario(per_fan_out):
+            runtime = build_runtime(seed=2)
+            network = runtime.system.network
+            if per_fan_out:
+                network.partition_model = OpenPartition()
+            process = network.actor(runtime.system.group_pids(".conf.dsn")[3])
+            handle_message = process.handle_message
+            receptions = []
+
+            def raising(message):
+                receptions.append(message)
+                if len(receptions) == 2:
+                    raise RuntimeError("process broke")
+                handle_message(message)
+
+            process.handle_message = raising
+            await runtime.start()
+            with pytest.raises(RuntimeError, match="process broke"):
+                await asyncio.wait_for(runtime.publish(".conf.dsn"), 2)
+            at_raise = runtime.status()["queue"]
+            runtime.transport.pump()
+            resumed = runtime.status()["queue"]
+            with pytest.raises(RuntimeError, match="process broke"):
+                await runtime.stop()
+            deliveries = runtime.trace()["deliveries"]
+            return at_raise, resumed, deliveries, runtime.system.stats.as_dict()
+
+        waves = run_live(scenario(per_fan_out=False))
+        fan_outs = run_live(scenario(per_fan_out=True))
+        at_raise, resumed, _, _ = waves
+        assert at_raise["pending"] > 0
+        assert at_raise["dispatched"] == at_raise["executed"] + at_raise["pending"]
+        assert resumed["pending"] == 0
+        assert resumed["dispatched"] == resumed["executed"]
+        assert waves == fan_outs
 
 
 class TestReplayOracle:
