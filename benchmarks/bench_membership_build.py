@@ -118,18 +118,19 @@ def _legacy_construction(size: int) -> tuple[float, list[list[int]]]:
         for member in members:  # the old per-join sweep
             member.set_group_size(len(members))
     rng = system.harness.rngs.stream("static-membership")
+    views = []
     for topic in system.topics():
         members = system.group(topic)
         population = [p.descriptor for p in members]
         capacity = system.config.params_for(topic).table_capacity(len(members))
         for process in members:
-            process.install_static_topic_table(
+            views.append(
                 _reference_draw_topic_table(
                     process.descriptor, population, capacity, rng
                 )
             )
     elapsed = time.perf_counter() - start
-    return elapsed, _tables_digest(system)
+    return elapsed, [view.pids for view in views]
 
 
 def _fast_construction(size: int) -> tuple[float, list[list[int]]]:

@@ -22,20 +22,20 @@ replaces the per-process state with:
   ``bytearray(S)`` per in-flight event per group instead of a Python set
   of event-id tuples per process.
 
-Construction is **bit-identical** to the object backend: the same
-``"static-membership"`` RNG stream, the same per-member interleaving of
-topic-table and super-table draws, the same branch structure (see
-membership/columnar.py) — pinned by :meth:`construction_digest` matching
-:meth:`DaMulticastSystem.construction_digest` on the S=500 golden.
-*Runtime* draws use per-group streams (``group/<topic>``): one Mersenne
-state per group instead of ~2.5 KB per process, statistically equivalent
-gossip, not trajectory-gated against the object backend — the runtime
-trajectory is pinned by its own golden (tests/test_core_columnar.py).
+Construction is the object backend's: both hosts draw their tables with
+the same builder (:func:`~repro.membership.columnar.draw_static_tables`)
+from the same ``"static-membership"`` stream, and both digest them with
+the same :func:`~repro.membership.columnar.rows_digest` — pinned by the
+S=500 golden. The object backend seats each process at its row; this one
+keeps the columns and a block actor per group. *Runtime* draws use
+per-group streams (``group/<topic>``): one Mersenne state per group
+instead of ~2.5 KB per process, statistically equivalent gossip, not
+trajectory-gated against the object backend — the runtime trajectory is
+pinned by its own golden (tests/test_core_columnar.py).
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Any, Iterator
 
@@ -43,8 +43,11 @@ from repro.core.dissemination import disseminate, should_deliver
 from repro.core.events import Event, EventId
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.errors import ConfigError, ProtocolError, UnknownTopic
-from repro.membership.columnar import ColumnarGroupTables, build_group_tables
-from repro.membership.static import nearest_populated_super
+from repro.membership.columnar import (
+    ColumnarGroupTables,
+    draw_static_tables,
+    rows_digest,
+)
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.message import EventMessage, Message, Scope
 from repro.failures.model import FailureModel
@@ -73,7 +76,7 @@ class _MemberPeer:
         network,
         rng: random.Random,
     ):
-        self.pid = tables.base
+        self.pid = tables.members[0]
         self.topic = tables.topic
         self.intra_scope = Scope("intra", tables.topic)
         self._tables = tables
@@ -86,24 +89,14 @@ class _MemberPeer:
 
     def bind(self, index: int) -> None:
         self._index = index
-        self.pid = self._tables.base + index
+        self.pid = self._tables.members[index]
 
     def link_targets(
         self, force_link: bool
     ) -> tuple[tuple[Topic, list[int]], ...]:
-        tables = self._tables
-        if not tables.super_stride:
-            return ()
-        random_draw = self._rng.random
-        if not (force_link or random_draw() < self._p_sel):
-            return ()
-        p_a = self._p_a
-        links = [
-            pid
-            for pid in tables.super_row_pids(self._index)
-            if random_draw() < p_a
-        ]
-        return ((tables.super_topic, links),) if links else ()
+        return self._tables.link_targets(
+            self._index, self._p_sel, self._p_a, self._rng, force_link
+        )
 
     def gossip_targets(self) -> list[int]:
         # The member's own pid is never in its row (exclusion is built
@@ -117,7 +110,7 @@ class _MemberPeer:
 class ColumnarGroupActor:
     """One block actor running Fig. 5's RECEIVE for a whole group."""
 
-    __slots__ = ("topic", "tables", "engine", "tracker", "_peer", "_seen")
+    __slots__ = ("topic", "tables", "base", "engine", "tracker", "_peer", "_seen")
 
     def __init__(
         self,
@@ -130,6 +123,8 @@ class ColumnarGroupActor:
     ):
         self.topic = tables.topic
         self.tables = tables
+        #: the group is one pid block: member index = pid - base
+        self.base = tables.members[0]
         self.engine = engine
         self.tracker = tracker
         self._peer = _MemberPeer(tables, params, network, rng)
@@ -147,17 +142,19 @@ class ColumnarGroupActor:
                 f"{type(message).__name__}"
             )
         event = message.event
-        # Property 4 (no parasite messages), asserted once per batch —
-        # every target shares this group's topic.
-        if not should_deliver(event, self.topic):
-            raise ProtocolError(
-                f"parasite delivery: group {self.topic.name} got event of "
-                f"{event.topic.name}"
-            )
         mask = self._seen.get(event.event_id)
         if mask is None:
+            # Property 4 (no parasite messages), asserted once per event
+            # and group, by the first batch to bring it (the publisher's
+            # group makes its mask in publish_from): every target shares
+            # this group's topic, and every later batch the same event.
+            if not should_deliver(event, self.topic):
+                raise ProtocolError(
+                    f"parasite delivery: group {self.topic.name} got event "
+                    f"of {event.topic.name}"
+                )
             mask = self._seen[event.event_id] = bytearray(self.tables.size)
-        base = self.tables.base
+        base = self.base
         hops = message.hops
         now = self.engine.now
         tracker = self.tracker
@@ -187,7 +184,7 @@ class ColumnarGroupActor:
         mask[index] = 1
         if self.tracker is not None:
             self.tracker.record_delivery(
-                self.tables.base + index, event, self.engine.now, hops=0
+                self.base + index, event, self.engine.now, hops=0
             )
         peer = self._peer
         peer.bind(index)
@@ -288,8 +285,8 @@ class ColumnarStaticSystem(SystemFacade):
     def finalize_static_membership(self) -> None:
         """Draw all membership columns once, from global knowledge.
 
-        Same RNG stream, group order, and per-member draw interleaving as
-        the object backend's ``finalize_static_membership`` — the S=500
+        The object backend's build — same builder, RNG stream, group order
+        and per-member draw interleaving — over pid blocks; the S=500
         construction-digest golden pins the equality.
         """
         rng = self._membership_rng()
@@ -297,30 +294,11 @@ class ColumnarStaticSystem(SystemFacade):
             raise ConfigError("membership already finalized")
         if not self._blocks:
             raise ConfigError("no groups added")
-        population = self._blocks
+        drawn = draw_static_tables(self._blocks, self.config.params_for, rng)
         for topic, block in self._blocks.items():
-            params = self.config.params_for(topic)
-            capacity = params.table_capacity(len(block))
-            super_topic = nearest_populated_super(topic, population)
-            if super_topic is not None:
-                super_block = population[super_topic]
-                super_base, super_size = super_block.start, len(super_block)
-            else:
-                super_base = super_size = 0
-            tables = build_group_tables(
-                topic,
-                block.start,
-                len(block),
-                capacity,
-                rng,
-                super_topic=super_topic,
-                super_base=super_base,
-                super_size=super_size,
-                z=params.z,
-            )
             actor = ColumnarGroupActor(
-                tables,
-                params,
+                drawn[topic],
+                self.config.params_for(topic),
                 self.engine,
                 self.network,
                 self.harness.rngs.stream(f"group/{topic.name}"),
@@ -430,26 +408,17 @@ class ColumnarStaticSystem(SystemFacade):
             yield from block
 
     def construction_digest(self) -> str:
-        """SHA-256 over every member's table contents, in pid order —
-        byte-compatible with :meth:`DaMulticastSystem.construction_digest`,
-        and with the S=500 golden in tests/test_golden_static.py."""
+        """SHA-256 over every member's table rows, in pid order — the one
+        digest both backends share (:func:`~repro.membership.columnar.
+        rows_digest`), pinned by the S=500 golden in
+        tests/test_golden_static.py."""
         if not self._finalized:
             raise ConfigError("finalize_static_membership() first")
-        digest = hashlib.sha256()
-        for topic, block in self._blocks.items():
-            tables = self._actors[topic].tables
-            target = str(tables.super_topic).encode()
-            for index in range(len(block)):
-                digest.update(b"T")
-                digest.update(
-                    ",".join(map(str, tables.row_pids(index))).encode()
-                )
-                digest.update(b"S")
-                digest.update(
-                    ",".join(map(str, tables.super_row_pids(index))).encode()
-                )
-                digest.update(target)
-        return digest.hexdigest()
+        return rows_digest(
+            (actor.tables, row)
+            for actor in self._actors.values()
+            for row in range(actor.tables.size)
+        )
 
     def __repr__(self) -> str:
         total = sum(len(block) for block in self._blocks.values())

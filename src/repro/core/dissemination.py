@@ -46,12 +46,16 @@ class DisseminationPeer(Protocol):
     supertopic table or one per parent) and its RNG stream, and makes
     Fig. 7's two selections itself; :func:`disseminate` only ever sees the
     chosen pids, builds one message per scope and multicasts it. Hosts
-    over descriptor tables make the selections with :func:`elect_links`
-    and :meth:`PartialView.sample_pids
+    over descriptor tables (a dynamic process, or a static one whose
+    views were made) make the selections with :func:`elect_links` and
+    :meth:`PartialView.sample_pids
     <repro.membership.view.PartialView.sample_pids>`, hosts over pid
-    columns with :meth:`ColumnarGroupTables.sample_row
+    columns (a static process, the columnar host's peer) with
+    :meth:`ColumnarGroupTables.link_targets
+    <repro.membership.columnar.ColumnarGroupTables.link_targets>` and
+    :meth:`ColumnarGroupTables.sample_row
     <repro.membership.columnar.ColumnarGroupTables.sample_row>` — the same
-    sampler under both; a host must draw in Fig. 7's order — link election
+    draws under both; a host must draw in Fig. 7's order — link election
     and ``p_a`` draws first, gossip sample second — so that every host
     consumes its stream identically.
     """

@@ -8,9 +8,10 @@ supertopic."
 
 This module implements the second option on a :class:`~repro.topics.
 hierarchy.TopicDag`, as a variation of the one static system rather than
-a second one: each process keeps one
+a second one: each process reads its topic table off its group's columns,
+as every static process does, and keeps one
 :class:`~repro.core.tables.SuperTopicTable` *per direct supertopic* of its
-topic, and dissemination runs the Fig. 7 inter-group hand-off once per
+topic; dissemination runs the Fig. 7 inter-group hand-off once per
 table. Deduplication (Fig. 5) keeps reconverging paths (diamonds in the
 DAG) from double-delivering. Inclusion — and therefore the no-parasite
 invariant — follows DAG reachability instead of dotted-path prefixes.
@@ -26,18 +27,21 @@ from typing import Any
 
 from repro.core.dissemination import elect_links
 from repro.core.events import Event
-from repro.core.process import DaMulticastProcess
+from repro.core.process import StaticProcess
 from repro.core.system import DaMulticastSystem
 from repro.core.tables import SuperTopicTable
 from repro.errors import ProtocolError, UnknownTopic
-from repro.membership.static import GroupSampler, GroupTableBuilder
+from repro.membership.columnar import ColumnarTableBuilder
+from repro.membership.static import GroupSampler
+from repro.membership.view import ProcessDescriptor
 from repro.topics.hierarchy import TopicDag
 from repro.topics.topic import Topic
 
 
-class MultiParentProcess(DaMulticastProcess):
+class MultiParentProcess(StaticProcess):
     """A static daMulticast process whose topic may have several
-    supertopics (the inherited single ``super_table`` stays empty)."""
+    supertopics (its group's columns hold no super rows, so the inherited
+    single ``super_table`` is empty)."""
 
     def __init__(self, dag: TopicDag, *args: Any, **wiring: Any):
         super().__init__(*args, **wiring)
@@ -83,7 +87,7 @@ class MultiParentProcess(DaMulticastProcess):
     def memory_footprint(self) -> int:
         """Topic-table entries plus all supertopic tables (§VIII: one
         constant-size table per direct supertopic)."""
-        return len(self.topic_table()) + sum(
+        return self._topic_entries() + sum(
             len(table) for table in self.super_tables.values()
         )
 
@@ -139,33 +143,35 @@ class MultiParentSystem(DaMulticastSystem):
         return None
 
     def finalize_static_membership(self) -> None:
-        """Draw the topic table and one supertopic table per parent.
+        """Draw the topic rows and one supertopic table per parent.
 
         Same stream, group order and per-member interleaving of topic and
         supertopic draws as :meth:`DaMulticastSystem.
-        finalize_static_membership`; a topic with one parent consumes
-        exactly the draws it would there.
+        finalize_static_membership` — the member's topic row from the same
+        builder, then one ``z``-draw per parent — so a topic with one
+        parent consumes exactly the draws it would there.
         """
         rng = self._membership_rng()
         population = {
-            topic: [p.descriptor for p in members]
+            topic: [ProcessDescriptor(p.pid, topic) for p in members]
             for topic, members in self._groups.items()
         }
         # repro-lint: allow[DET003]: _groups preserves deterministic subscription order; sorting would change the membership draw sequence vs goldens
         for topic, members in self._groups.items():
             params = self.config.params_for(topic)
-            capacity = params.table_capacity(len(members))
             z = params.z
-            builder = GroupTableBuilder(population[topic])
+            builder = ColumnarTableBuilder(
+                [p.pid for p in members], params.table_capacity(len(members))
+            )
+            tables = builder.tables(topic)
             parent_samplers = [
                 (parent, target, GroupSampler(population[target]))
                 for parent in self.dag.parents_of(topic)
                 if (target := self._nearest_populated_up(parent)) is not None
             ]
             for index, process in enumerate(members):
-                process.install_static_topic_table(
-                    builder.table_at(index, capacity, rng)
-                )
+                builder.draw_row(index, rng)
+                process.seat(tables, index)
                 process.super_tables = {}
                 for parent, target, sampler in parent_samplers:
                     table = process.super_tables[parent] = SuperTopicTable(z)

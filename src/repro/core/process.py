@@ -10,9 +10,10 @@ Glues together the protocol pieces for one process ``pl ∈ Π_Ti``:
   supertopic-table piggybacking (§V-A.2).
 
 A process runs in one of two modes, matching the paper's two evaluation
-settings: **static** (tables injected once at t=0, no background tasks —
-the §VII simulator) and **dynamic** (the full protocol with join,
-bootstrap, shuffling and repair).
+settings: **dynamic** (:class:`DaMulticastProcess`: the full protocol with
+join, bootstrap, shuffling and repair) and **static**
+(:class:`StaticProcess`: tables drawn once at t=0 as a row of its group's
+columns, no background tasks — the §VII simulator).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.core.maintenance import KeepTableUpdated
 from repro.core.params import DaMulticastConfig
 from repro.core.tables import SuperTopicTable
 from repro.errors import ProtocolError
+from repro.membership.columnar import ColumnarGroupTables
 from repro.membership.flat import FlatMembership, FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
 from repro.membership.view import PartialView, ProcessDescriptor
@@ -72,21 +74,22 @@ class GroupSizeCell:
 
 
 class DaMulticastProcess:
-    """One process interested in exactly one topic (§III-A).
+    """One process interested in exactly one topic (§III-A), running the
+    full protocol: its topic table is its flat membership's view, its
+    supertopic table is maintained by bootstrap and repair, and both
+    protocol tasks exist from construction. A member of the §VII simulator
+    is a :class:`StaticProcess`, which reads its tables off its group's
+    columns instead.
 
     ``rngs`` is the run's stream registry; the process draws from its
     ``process/{pid}`` stream only. A dynamic process seeds it at
     construction (it acts at once: its flat membership takes the stream).
-    A static process seeds it the first time Fig. 7 selects targets —
-    behind the group-constants gate both selections already pass, so the
-    forwarding path gains no check and no frame — or when anything reads
-    :attr:`rng`, whichever comes first. Named streams are independent of
-    each other and of when they are made, so every draw is the one an
-    eagerly seeded process would make; a process that never acts — in the
-    paper's own experiments (Figs. 8–10) most are stillborn or never
-    reached — never pays for a Mersenne state. What only a publisher needs
-    (its event factory) is likewise made by the first :meth:`publish`.
+    What only a publisher needs (its event factory) is made by the first
+    :meth:`publish`.
     """
+
+    #: whether the protocol maintains this process's tables as it runs
+    dynamic = True
 
     def __init__(
         self,
@@ -100,7 +103,6 @@ class DaMulticastProcess:
         overlay: BootstrapOverlay | None = None,
         tracker: DeliveryTracker | None = None,
         delivery_callback: DeliveryCallback | None = None,
-        dynamic: bool = True,
         membership_config: FlatMembershipConfig | None = None,
         group_size_hint: int | None = None,
     ):
@@ -112,9 +114,6 @@ class DaMulticastProcess:
         self.rngs = rngs
         #: the ``process/{pid}`` stream once seeded (read it as :attr:`rng`)
         self._rng: random.Random | None = None
-        self.descriptor = ProcessDescriptor(pid, topic)
-        self.intra_scope = Scope("intra", topic)
-        self.dynamic = dynamic
         self._overlay = overlay
         self._tracker = tracker
         self._delivery_callback = delivery_callback
@@ -132,40 +131,40 @@ class DaMulticastProcess:
         self._sized_for = 0
         self._fanout = 0
         self._p_sel = 0.0
-        self.super_table = SuperTopicTable(params.z)
         self.seen: set[EventId] = set()
-        self.seen_requests: set[tuple[int, int]] = set()
         self.delivered: list[Event] = []
         self.subscribed = False
         #: mints this process's events; made by its first :meth:`publish`
         self._event_factory: EventFactory | None = None
+        self._init_tables(membership_config)
 
-        #: static mode: the frozen table ``finalize_static_membership``
-        #: installs (until then :meth:`topic_table` makes an empty one)
-        self._static_view: PartialView | None = None
-        if dynamic:
-            if membership_config is None:
-                expected = group_size_hint if group_size_hint else 16
-                membership_config = FlatMembershipConfig(
-                    capacity=params.table_capacity(max(2, expected))
-                )
-            self.membership: FlatMembership | None = FlatMembership(
-                self.descriptor,
-                topic,
-                membership_config,
-                engine,
-                self._seed_rng(),
-                self.send,
-                multicast=self.multicast,
-                super_sample_provider=self._piggyback_super_sample,
-                super_sample_consumer=self._merge_piggybacked_super,
+    def _init_tables(self, membership_config: FlatMembershipConfig | None) -> None:
+        """The protocol's own tables — a flat membership view and a
+        supertopic table — and both protocol tasks."""
+        self.descriptor = ProcessDescriptor(self.pid, self.topic)
+        self.intra_scope = Scope("intra", self.topic)
+        self.super_table = SuperTopicTable(self.params.z)
+        self.seen_requests: set[tuple[int, int]] = set()
+        if membership_config is None:
+            expected = self._group_size_hint or 16
+            membership_config = FlatMembershipConfig(
+                capacity=self.params.table_capacity(max(2, expected))
             )
-            # The timer path reads both tasks on every tick: build them now,
-            # so that they are plain instance attributes from the start.
-            self.find_super_contact = self._bootstrap_task()
-            self.maintenance = self._maintenance_task()
-        else:
-            self.membership = None
+        self.membership = FlatMembership(
+            self.descriptor,
+            self.topic,
+            membership_config,
+            self.engine,
+            self._seed_rng(),
+            self.send,
+            multicast=self.multicast,
+            super_sample_provider=self._piggyback_super_sample,
+            super_sample_consumer=self._merge_piggybacked_super,
+        )
+        # The timer path reads both tasks on every tick: build them now,
+        # so that they are plain instance attributes from the start.
+        self.find_super_contact = self._bootstrap_task()
+        self.maintenance = self._maintenance_task()
 
     # ------------------------------------------------------------------
     # The two protocol tasks
@@ -185,15 +184,6 @@ class DaMulticastProcess:
             interval=self.config.maintain_interval,
             ping_timeout=self.config.ping_timeout,
         )
-
-    # A static process never starts either task, and a task points back at
-    # its process: built on first touch instead, they leave the process in
-    # no reference cycle of its own, so a closed system's processes are
-    # freed by reference count. ``cached_property`` defines no ``__set__``,
-    # so the instance attribute — assigned by the constructor in dynamic
-    # mode — shadows it and every read after the first is a plain one.
-    find_super_contact = functools.cached_property(_bootstrap_task)
-    maintenance = functools.cached_property(_maintenance_task)
 
     # ------------------------------------------------------------------
     # The process's random stream
@@ -271,30 +261,8 @@ class DaMulticastProcess:
                 self.membership.view.set_capacity(capacity, self.rng)
 
     def topic_table(self) -> PartialView:
-        """The topic table ``Table_Ti`` (whoever maintains it)."""
-        if self.membership is not None:
-            return self.membership.view
-        view = self._static_view
-        if view is None:  # static mode, before finalize_static_membership
-            view = self._static_view = PartialView(
-                self.params.table_capacity(
-                    max(2, self._group_size_hint or 2)
-                )
-            )
-        return view
-
-    def install_static_topic_table(self, view: PartialView) -> None:
-        """Replace the frozen topic table (static mode only).
-
-        Used by :meth:`repro.core.system.DaMulticastSystem.finalize_static_membership`,
-        which knows the final group sizes and therefore the right capacity
-        ``(b+1)·log(S)`` — unknown at process construction time.
-        """
-        if self.dynamic:
-            raise ProtocolError(
-                "static topic tables cannot be installed on a dynamic process"
-            )
-        self._static_view = view
+        """The topic table ``Table_Ti``: the flat membership's view."""
+        return self.membership.view
 
     def neighborhood(self) -> list[ProcessDescriptor]:
         """The weakly-consistent global contacts (``neighborhood(pl)``)."""
@@ -316,7 +284,7 @@ class DaMulticastProcess:
             return
         self.subscribed = True
         if not self.dynamic:
-            return  # static mode: tables are injected externally
+            return  # static mode: the system's finalize draws the tables
         if self.membership is not None:
             self.membership.start(contact)
         self.maintenance.start()
@@ -484,9 +452,190 @@ class DaMulticastProcess:
         return len(self.topic_table()) + len(self.super_table)
 
     def __repr__(self) -> str:
-        mode = "dynamic" if self.dynamic else "static"
         return (
             f"DaMulticastProcess(pid={self.pid}, topic={self.topic.name}, "
-            f"{mode}, table={len(self.topic_table())}, "
+            f"dynamic, table={len(self.topic_table())}, "
             f"super={len(self.super_table)})"
+        )
+
+
+class StaticProcess(DaMulticastProcess):
+    """A member of the §VII simulator: a row of its group's columns.
+
+    ``finalize_static_membership`` draws each group's tables once, as the
+    two pid columns of a :class:`~repro.membership.columnar.
+    ColumnarGroupTables`, and seats every member at its row. A static
+    process holds ``(tables, row)`` and nothing else of its tables: no
+    descriptor, no view, no supertopic-table object, no dedup set for
+    bootstrap floods it never sees. Fig. 7's two selections read the row in
+    place (:meth:`ColumnarGroupTables.sample_row
+    <repro.membership.columnar.ColumnarGroupTables.sample_row>`,
+    :meth:`ColumnarGroupTables.link_targets
+    <repro.membership.columnar.ColumnarGroupTables.link_targets>`), draw
+    for draw what descriptor tables holding the row would draw. The
+    group's intra scope is one object, handed to every member when it
+    joins.
+
+    What only a stray protocol message or a query needs is made on first
+    read: :meth:`topic_table`, :attr:`super_table`, :attr:`descriptor` and
+    :attr:`seen_requests` — plain methods and properties, never
+    ``__getattr__`` or ``functools.cached_property`` (either slows every
+    other attribute load; ROADMAP, *Settled*). Once a view of the row
+    exists the process selects from it, so a MERGE into its supertopic
+    table (a stray ``AnsContact`` or ``NewProcessReply``) is honoured; a new
+    finalize seats the process afresh and drops its views.
+
+    The ``process/{pid}`` stream is seeded the first time Fig. 7 selects
+    targets — behind the group-constants gate both selections already
+    pass, so the forwarding path gains no check and no frame — or when
+    anything reads :attr:`rng`, whichever comes first. Named streams are
+    independent of each other and of when they are made, so every draw is
+    the one an eagerly seeded process would make; a process that never
+    acts — in the paper's own experiments (Figs. 8–10) most are stillborn
+    or never reached — never pays for a Mersenne state.
+    """
+
+    dynamic = False
+    #: a static process keeps no flat membership
+    membership = None
+
+    def _init_tables(self, membership_config: FlatMembershipConfig | None) -> None:
+        #: the group's columns and this process's row in them, once seated
+        self._tables: ColumnarGroupTables | None = None
+        self._row = 0
+        #: views of the row, made on first read (a finalize drops them)
+        self._topic_view: PartialView | None = None
+        self._super_view: SuperTopicTable | None = None
+        self._seen_requests: set[tuple[int, int]] | None = None
+
+    # A static process starts neither task, and a task points back at its
+    # process: built on first touch, they leave the process in no reference
+    # cycle of its own, so a closed system's processes are freed by
+    # reference count.
+    find_super_contact = functools.cached_property(
+        DaMulticastProcess._bootstrap_task
+    )
+    maintenance = functools.cached_property(
+        DaMulticastProcess._maintenance_task
+    )
+
+    def seat(self, tables: ColumnarGroupTables, row: int) -> None:
+        """Take row ``row`` of ``tables`` as this process's tables, dropping
+        any view of an earlier row (what a finalize does to every member)."""
+        self._tables = tables
+        self._row = row
+        self._topic_view = self._super_view = None
+
+    # ------------------------------------------------------------------
+    # Views of the row, on demand
+    # ------------------------------------------------------------------
+    def topic_table(self) -> PartialView:
+        """The topic table as a view of the row (an empty one before the
+        first finalize), made on first read."""
+        view = self._topic_view
+        if view is None:
+            tables = self._tables
+            if tables is None:
+                view = PartialView(
+                    self.params.table_capacity(max(2, self._group_size_hint or 2))
+                )
+            else:
+                view = PartialView(tables.capacity)
+                topic = self.topic
+                view.install(
+                    [ProcessDescriptor(pid, topic) for pid in tables.row_pids(self._row)]
+                )
+            self._topic_view = view
+        return view
+
+    @property
+    def super_table(self) -> SuperTopicTable:
+        """``sTable_Ti`` as a view of the super row (empty when the group
+        has no populated supergroup), made on first read."""
+        table = self._super_view
+        if table is None:
+            table = self._super_view = SuperTopicTable(self.params.z)
+            tables = self._tables
+            if tables is not None and tables.super_stride:
+                target = tables.super_topic
+                table.install(
+                    target,
+                    [
+                        ProcessDescriptor(pid, target)
+                        for pid in tables.super_row_pids(self._row)
+                    ],
+                )
+        return table
+
+    @property
+    def descriptor(self) -> ProcessDescriptor:
+        """This process as a table entry (a value; made per read)."""
+        return ProcessDescriptor(self.pid, self.topic)
+
+    @property
+    def seen_requests(self) -> set[tuple[int, int]]:
+        """The ``REQCONTACT`` floods this process has handled."""
+        seen = self._seen_requests
+        if seen is None:
+            seen = self._seen_requests = set()
+        return seen
+
+    # ------------------------------------------------------------------
+    # Fig. 7's two selections, off the row (or its views, once made)
+    # ------------------------------------------------------------------
+    def _size_group_constants(self) -> None:
+        if self._tables is None:
+            # never seated by a finalize: make the (empty) views it then
+            # selects from
+            self.topic_table()
+            self.super_table  # the property makes the view
+        super()._size_group_constants()
+
+    def link_targets(
+        self, force_link: bool
+    ) -> Sequence[tuple[Topic, list[int]]]:
+        if self.group_size != self._sized_for:
+            self._size_group_constants()
+        table = self._super_view
+        if table is not None:
+            return elect_links(
+                table, self._p_sel, self._p_a, self._rng, force_link
+            )
+        return self._tables.link_targets(
+            self._row, self._p_sel, self._p_a, self._rng, force_link
+        )
+
+    def gossip_targets(self) -> list[int]:
+        if self.group_size != self._sized_for:
+            self._size_group_constants()
+        view = self._topic_view
+        if view is not None:
+            return view.sample_pids(self._fanout, self._rng, self.pid)
+        return self._tables.sample_row(self._row, self._fanout, self._rng)
+
+    # ------------------------------------------------------------------
+    # Introspection, off the row lengths
+    # ------------------------------------------------------------------
+    def _topic_entries(self) -> int:
+        view = self._topic_view
+        if view is not None:
+            return len(view)
+        return self._tables.stride if self._tables is not None else 0
+
+    def _super_entries(self) -> int:
+        view = self._super_view
+        if view is not None:
+            return len(view)
+        return self._tables.super_stride if self._tables is not None else 0
+
+    @property
+    def memory_footprint(self) -> int:
+        """Topic-table + supertopic-table entries (§VI-C), read off the
+        row lengths — or off the views, once made."""
+        return self._topic_entries() + self._super_entries()
+
+    def __repr__(self) -> str:
+        return (
+            f"StaticProcess(pid={self.pid}, topic={self.topic.name}, "
+            f"row={self._row}, entries={self.memory_footprint})"
         )

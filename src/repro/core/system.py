@@ -22,7 +22,6 @@ Two modes mirror the paper's two settings:
 from __future__ import annotations
 
 import functools
-import hashlib
 from typing import Any
 
 from repro.core.events import Event
@@ -31,27 +30,22 @@ from repro.core.process import (
     DaMulticastProcess,
     DeliveryCallback,
     GroupSizeCell,
+    StaticProcess,
 )
 from repro.errors import ConfigError
 from repro.failures.model import FailureModel
+from repro.membership.columnar import draw_static_tables, rows_digest
 from repro.membership.flat import FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
-from repro.membership.static import (
-    GroupSampler,
-    GroupTableBuilder,
-    nearest_populated_super,
-)
 from repro.membership.view import ProcessDescriptor
 from repro.net.latency import LatencyModel, ZERO_LATENCY
+from repro.net.message import Scope
 from repro.runtime import ObjectSystemFacade, SimulationHarness
 from repro.topics.topic import Topic
 
 
 class DaMulticastSystem(ObjectSystemFacade):
     """A complete daMulticast deployment on one simulation harness."""
-
-    #: what ``_add_members`` instantiates (read once per call)
-    _process_class = DaMulticastProcess
 
     def __init__(
         self,
@@ -71,6 +65,11 @@ class DaMulticastSystem(ObjectSystemFacade):
             raise ConfigError(f"mode must be 'static' or 'dynamic', got {mode!r}")
         self.config = config or DaMulticastConfig()
         self.mode = mode
+        #: what ``_add_members`` instantiates (read once per call): a static
+        #: member is a row of its group's columns
+        self._process_class = (
+            StaticProcess if mode == "static" else DaMulticastProcess
+        )
         # A pre-built harness (e.g. the live runtime's wall-clock one) is
         # adopted as-is; the seed/p_success/latency/... knobs then belong
         # to whoever built it.
@@ -112,9 +111,9 @@ class DaMulticastSystem(ObjectSystemFacade):
         registry, not a stream, and seeds its own on first action.
 
         What every member of a group shares — the group list, the size
-        cell, the expected-receiver provider, the harness parts — is
-        resolved here, once per call; the loop body is what one member
-        costs.
+        cell, the expected-receiver provider, a static group's intra
+        scope, the harness parts — is resolved here, once per call; the
+        loop body is what one member costs.
         """
         make_process = self._process_class
         harness = self.harness
@@ -126,6 +125,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         if cell is None:
             cell = self._group_size_cells[topic] = GroupSizeCell()
         expected_receivers = functools.partial(self._interested_count, topic)
+        intra_scope = Scope("intra", topic)
         created = []
         for _ in range(count):
             pid = harness.next_pid()
@@ -139,7 +139,6 @@ class DaMulticastSystem(ObjectSystemFacade):
                 overlay=self.overlay,
                 tracker=harness.tracker,
                 delivery_callback=self._delivery_callback,
-                dynamic=dynamic,
                 membership_config=membership_config,
                 group_size_hint=None,
             )
@@ -157,8 +156,10 @@ class DaMulticastSystem(ObjectSystemFacade):
                 )
                 if subscribe:
                     process.subscribe(self._membership_contact_for(process))
-            elif subscribe:
-                process.subscribe()
+            else:
+                process.intra_scope = intra_scope
+                if subscribe:
+                    process.subscribe()
             created.append(process)
         return created
 
@@ -211,40 +212,23 @@ class DaMulticastSystem(ObjectSystemFacade):
         Reproduces the paper's simulation setting: each topic table is a
         uniform sample of ``(b+1)·log(S)`` group members, each supertopic
         table a uniform sample of ``z`` members of the nearest populated
-        supergroup. Tables never change afterwards.
+        supergroup. Tables never change afterwards. Each group is drawn as
+        two pid columns (:func:`~repro.membership.columnar.
+        draw_static_tables`, the columnar host's build) and every member
+        is seated at its row; a view made from an earlier row is dropped.
         """
         if self.mode != "static":
             raise ConfigError("finalize_static_membership requires mode='static'")
         rng = self._membership_rng()
-        population: dict[Topic, list[ProcessDescriptor]] = {
-            topic: [p.descriptor for p in members]
-            for topic, members in self._groups.items()
-        }
-        # repro-lint: allow[DET003]: _groups preserves deterministic subscription order; sorting would change the membership draw sequence vs goldens
-        for topic, members in self._groups.items():
-            params = self.config.params_for(topic)
-            capacity = params.table_capacity(len(members))
-            z = params.z
-            super_topic = nearest_populated_super(topic, population)
-            super_members = population.get(super_topic, []) if super_topic else []
-            # One shared build context per group: the descriptor list is
-            # materialised once and every member draws O(capacity) index
-            # samples through it (see membership/static.py), instead of
-            # rebuilding an O(S) exclusion list per member.
-            builder = GroupTableBuilder(population[topic])
-            super_sampler = (
-                GroupSampler(super_members) if super_members else None
-            )
-            for index, process in enumerate(members):
-                process.install_static_topic_table(
-                    builder.table_at(index, capacity, rng)
-                )
-                if super_sampler is not None:
-                    # super_topic is a populated strict supertopic and the
-                    # sample is <= z of its members: all adopt() would check
-                    process.super_table.install(
-                        super_topic, super_sampler.sample(z, rng)
-                    )
+        groups = self._groups
+        drawn = draw_static_tables(
+            {topic: [p.pid for p in members] for topic, members in groups.items()},
+            self.config.params_for,
+            rng,
+        )
+        for topic, tables in drawn.items():
+            for row, process in enumerate(groups[topic]):
+                process.seat(tables, row)
         self._finalized = True
 
     # ------------------------------------------------------------------
@@ -296,26 +280,13 @@ class DaMulticastSystem(ObjectSystemFacade):
         return [p.memory_footprint for p in self.group(topic)]
 
     def construction_digest(self) -> str:
-        """SHA-256 over every process's table contents, in pid order.
-
-        Byte-compatible with the loop that produced the S=500 golden in
-        tests/test_golden_static.py, and with
-        :meth:`repro.core.columnar.ColumnarStaticSystem.construction_digest`
-        — the CI gate asserting the columnar backend reproduces the object
-        backend's membership bit-for-bit compares these two strings.
-        """
-        digest = hashlib.sha256()
-        for process in self.processes:
-            digest.update(b"T")
-            digest.update(
-                ",".join(map(str, process.topic_table().pids)).encode()
-            )
-            digest.update(b"S")
-            digest.update(
-                ",".join(map(str, process.super_table.pids)).encode()
-            )
-            digest.update(str(process.super_table.target_topic).encode())
-        return digest.hexdigest()
+        """SHA-256 over every process's table rows, in pid order — the
+        columnar host's digest (:func:`~repro.membership.columnar.
+        rows_digest`), pinned by the S=500 golden in
+        tests/test_golden_static.py."""
+        if not self._finalized:
+            raise ConfigError("finalize_static_membership() first")
+        return rows_digest((p._tables, p._row) for p in self._processes.values())
 
     def __repr__(self) -> str:
         return (

@@ -11,11 +11,11 @@ package implements:
 * :class:`~repro.membership.flat.FlatMembership` — the dynamic gossip
   membership (join dissemination, periodic view shuffles, failure expiry,
   and the §V-A.2 piggybacking hook for supertopic-table entries),
-* :mod:`~repro.membership.static` — the paper's §VII simulation mode where
-  all tables are drawn once at time zero and frozen,
-* :mod:`~repro.membership.columnar` — the same frozen tables stored as
-  contiguous pid arrays (one block per group, bit-identical construction
-  draws) for 10⁵–10⁶-process runs,
+* :mod:`~repro.membership.columnar` — the paper's §VII simulation mode
+  where all tables are drawn once at time zero and frozen, stored as two
+  pid columns per group; both static hosts draw and read them,
+* :mod:`~repro.membership.static` — the same draws over descriptor lists,
+  for the baselines' tables,
 * :class:`~repro.membership.overlay.BootstrapOverlay` — the weakly
   consistent global overlay providing ``neighborhood(p)`` for the Fig. 4
   bootstrap search.

@@ -1,9 +1,8 @@
-"""Columnar static membership — contiguous pid arrays for huge groups.
+"""Columnar static membership — a group's frozen tables as two pid columns.
 
-The object backend materialises one :class:`~repro.membership.view.
-PartialView` (a dict of :class:`~repro.membership.view.ProcessDescriptor`)
-per process — fine at S=10³, a memory wall at S=10⁵–10⁶. This module
-stores a whole group's membership in two flat ``array('l')`` columns:
+§VII's tables "are initialized at the beginning of the simulation and do
+not change", so neither host keeps them as objects. This module stores a
+whole group's membership in two flat ``array('l')`` columns:
 
 * **topic rows** — member ``i``'s topic table occupies the fixed-stride
   slice ``[i·stride, (i+1)·stride)`` of one contiguous pid array, where
@@ -11,36 +10,60 @@ stores a whole group's membership in two flat ``array('l')`` columns:
 * **super rows** — likewise for the ``sTable`` draws against the nearest
   populated supergroup, stride ``min(z, S_super)``.
 
-Bit-identity with the object backend
-------------------------------------
+Both hosts build here, through :func:`draw_static_tables`. The columnar
+host (:mod:`repro.core.columnar`) passes each group's pid block, a
+``range``; the object host (:class:`~repro.core.system.DaMulticastSystem`)
+passes each group's pids in join order, which need not be contiguous —
+``add_process`` calls for several topics interleave. A builder takes the
+group's pid sequence and a row holds pids, so nothing here assumes a
+block. :class:`~repro.core.multiparent.MultiParentSystem` draws its topic
+rows with :class:`ColumnarTableBuilder` too, interleaved with its own
+per-parent supertopic tables.
+
+Draw order
+----------
 
 The builders replay :class:`~repro.membership.static.GroupTableBuilder` /
-:class:`~repro.membership.static.GroupSampler` draw for draw, resting on
-the same positional-sampling property (``random.Random.sample`` consumes
-the RNG as a function of ``(len(population), k)`` only — see
-membership/static.py). Positions come from the shared
-:func:`~repro.membership.sampling.sample_from` in its positions form (which
-draws identically to sampling the descriptor list itself) and are mapped to
-pids with the exclusion arithmetic ``j = r if r < i else r+1`` instead of a
-working exclusion list. The construction therefore produces the *same pid
-sequences in the same order from the same RNG stream* as the object
-backend — pinned by the S=500 construction-digest golden and the
-hypothesis suite in tests/test_membership_columnar_equivalence.py.
+:class:`~repro.membership.static.GroupSampler` over the group's descriptor
+list draw for draw, resting on the positional-sampling property
+(``random.Random.sample`` consumes the RNG as a function of
+``(len(population), k)`` only — see membership/static.py). Topic-row
+positions come from the shared :func:`~repro.membership.sampling.
+sample_from` in its positions form and are mapped through the group's pid
+sequence with the exclusion arithmetic ``j = r if r < i else r+1`` instead
+of a working exclusion list; super rows are sampled off the supergroup's
+pid sequence itself. Construction therefore produces the *same pid
+sequences in the same order from the same RNG stream* as the descriptor
+tables the object host used to draw — pinned by the S=500
+construction-digest golden (one digest, :func:`rows_digest`, for both
+hosts) and the hypothesis suite in
+tests/test_membership_columnar_equivalence.py.
 
-Group pids must be contiguous (``base .. base+size``): the columnar
-backend allocates each group one pid block, so descriptors reduce to bare
-integers and sampling to index arithmetic.
+Reading a row in place
+----------------------
+
+Fig. 7's two selections read a member's row straight off the columns
+(:meth:`ColumnarGroupTables.sample_row`, :meth:`ColumnarGroupTables.
+link_targets`), draw-identical to :meth:`PartialView.sample_pids
+<repro.membership.view.PartialView.sample_pids>` and
+:func:`~repro.core.dissemination.elect_links` over tables holding the same
+row: a view's pid list is its row, in insertion order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from array import array
-from typing import Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.membership.sampling import sample_from
+from repro.membership.static import nearest_populated_super
 from repro.topics.topic import Topic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.params import TopicParams
 
 
 class ColumnarGroupTables:
@@ -49,35 +72,35 @@ class ColumnarGroupTables:
     Built by :func:`build_group_tables` (which owns the draw order);
     afterwards the tables are immutable — exactly the paper's §VII setting
     ("these tables are initialized at the beginning of the simulation and
-    do not change").
+    do not change"). ``members`` is the group's pid sequence: member
+    ``i`` — pid ``members[i]`` — owns row ``i`` of both columns.
     """
 
     __slots__ = (
-        "topic", "base", "size", "capacity", "stride", "rows",
+        "topic", "members", "size", "capacity", "stride", "rows",
         "super_topic", "super_stride", "super_rows",
     )
 
     def __init__(
         self,
         topic: Topic,
-        base: int,
-        size: int,
+        members: Sequence[int],
         capacity: int,
         stride: int,
         rows: array,
-        super_topic: Topic | None,
-        super_stride: int,
-        super_rows: array,
+        super_topic: Topic | None = None,
+        super_stride: int = 0,
+        super_rows: array | None = None,
     ):
         self.topic = topic
-        self.base = base
-        self.size = size
+        self.members = members
+        self.size = len(members)
         self.capacity = capacity
         self.stride = stride
         self.rows = rows
         self.super_topic = super_topic
         self.super_stride = super_stride
-        self.super_rows = super_rows
+        self.super_rows = array("l") if super_rows is None else super_rows
 
     # ------------------------------------------------------------------
     # Row access (pids, in draw order — the digest/golden order)
@@ -92,6 +115,9 @@ class ColumnarGroupTables:
         start = index * self.super_stride
         return self.super_rows[start : start + self.super_stride].tolist()
 
+    # ------------------------------------------------------------------
+    # Fig. 7's two selections, off the columns
+    # ------------------------------------------------------------------
     def sample_row(
         self, index: int, k: int, rng: random.Random
     ) -> list[int]:
@@ -113,16 +139,43 @@ class ColumnarGroupTables:
             return self.rows[start : start + stride].tolist()
         return sample_from(self.rows, start, stride, k, rng)
 
+    def link_targets(
+        self,
+        index: int,
+        p_sel: float,
+        p_a: float,
+        rng: random.Random,
+        force_link: bool,
+    ) -> tuple[tuple[Topic, list[int]], ...]:
+        """Fig. 7 lines 3-7 over member ``index``'s super row: nothing
+        unless the member elects itself a link (probability ``p_sel``, or
+        ``force_link``), then each entry kept with probability ``p_a``.
+
+        Draw-for-draw identical to :func:`~repro.core.dissemination.
+        elect_links` over a supertopic table holding the row: an empty row
+        draws nothing; otherwise the election draw (skipped when forced),
+        then one ``p_a`` draw per entry, in row order.
+        """
+        stride = self.super_stride
+        if not stride:
+            return ()
+        random_draw = rng.random
+        if not (force_link or random_draw() < p_sel):
+            return ()
+        start = index * stride
+        links = [
+            pid
+            for pid in self.super_rows[start : start + stride]
+            if random_draw() < p_a
+        ]
+        return ((self.super_topic, links),) if links else ()
+
     def nbytes(self) -> int:
-        """Bytes held by the pid columns (the backend's membership state)."""
+        """Bytes held by the pid columns (the group's membership state)."""
         return (
             self.rows.itemsize * len(self.rows)
             + self.super_rows.itemsize * len(self.super_rows)
         )
-
-    def pids(self) -> Iterator[int]:
-        """The group's member pids (the contiguous block)."""
-        return iter(range(self.base, self.base + self.size))
 
     def __len__(self) -> int:
         return self.size
@@ -138,19 +191,21 @@ class ColumnarTableBuilder:
     """Per-group topic-row builder, draw-identical to
     :meth:`GroupTableBuilder.table_at` over the group's descriptor list.
 
-    ``draw_row`` must be called for members in index order (the build
-    interleaves topic and super draws per member, so the caller owns the
-    loop)."""
+    ``draw_row`` must be called for members in index order (a build
+    interleaves each member's topic and supertopic draws, so the caller
+    owns the loop)."""
 
-    def __init__(self, base: int, size: int, capacity: int):
-        if size < 1:
-            raise ConfigError(f"group size must be >= 1, got {size}")
+    def __init__(self, members: Sequence[int], capacity: int):
+        if not members:
+            raise ConfigError("group size must be >= 1, got 0")
         if capacity < 1:
             raise ConfigError(f"table capacity must be >= 1, got {capacity}")
-        self.base = base
-        self.size = size
+        self.members = members
+        #: the pids as a list, the sequence CPython indexes fastest (a
+        #: ``range`` computes each item, an array boxes it)
+        self._pids = list(members)
         self.capacity = capacity
-        n = size - 1  # the exclusion list length: everyone but the member
+        n = len(members) - 1  # the exclusion list length: everyone but the member
         self.stride = min(capacity, n)
         self._n = n
         self._take_all = capacity >= n
@@ -158,92 +213,130 @@ class ColumnarTableBuilder:
 
     def draw_row(self, index: int, rng: random.Random) -> None:
         """Append member ``index``'s topic row (consuming exactly the RNG
-        draws the object backend's ``table_at`` would)."""
-        n = self._n
-        base = self.base
-        append = self.rows.append
+        draws the descriptor build's ``table_at`` would)."""
+        pids = self._pids
+        rows = self.rows
         if self._take_all:
             # capacity >= S-1: the table is everyone else, no draws.
-            for j in range(n + 1):
-                if j != index:
-                    append(base + j)
+            rows.extend(pids[:index])
+            rows.extend(pids[index + 1 :])
             return
-        positions = sample_from(None, 0, n, self.capacity, rng)
+        append = rows.append
         # Exclusion arithmetic: position r in the member-i-removed list is
         # group index r below i, r+1 at or above it.
-        for r in positions:
-            append(base + (r if r < index else r + 1))
+        for r in sample_from(None, 0, self._n, self.capacity, rng):
+            append(pids[r if r < index else r + 1])
+
+    def tables(self, topic: Topic) -> ColumnarGroupTables:
+        """The group's tables: the rows drawn so far, no super rows."""
+        return ColumnarGroupTables(
+            topic, self.members, self.capacity, self.stride, self.rows
+        )
 
 
 class ColumnarSuperBuilder:
     """Per-group ``sTable``-row builder, draw-identical to
     :meth:`GroupSampler.sample` over the supergroup's descriptor list."""
 
-    def __init__(self, super_base: int, super_size: int, z: int):
-        if super_size < 1:
-            raise ConfigError(
-                f"supergroup size must be >= 1, got {super_size}"
-            )
-        self.super_base = super_base
-        self.super_size = super_size
+    def __init__(self, super_members: Sequence[int], z: int):
+        if not super_members:
+            raise ConfigError("supergroup size must be >= 1, got 0")
+        self._pids = list(super_members)
         self.z = z
-        self.stride = min(z, super_size)
-        self._take_all = z >= super_size
+        self.stride = min(z, len(super_members))
+        self._take_all = z >= len(super_members)
         self.rows = array("l")
 
     def draw_row(self, rng: random.Random) -> None:
         """Append one member's super row (one ``z``-draw)."""
-        n = self.super_size
-        base = self.super_base
+        pids = self._pids
+        if self._take_all:
+            self.rows.extend(pids)
+            return
         append = self.rows.append
-        positions = (
-            range(n) if self._take_all else sample_from(None, 0, n, self.z, rng)
-        )
-        for r in positions:
-            append(base + r)
+        for r in sample_from(None, 0, len(pids), self.z, rng):
+            append(pids[r])
 
 
 def build_group_tables(
     topic: Topic,
-    base: int,
-    size: int,
+    members: Sequence[int],
     capacity: int,
     rng: random.Random,
     *,
     super_topic: Topic | None = None,
-    super_base: int = 0,
-    super_size: int = 0,
+    super_members: Sequence[int] = (),
     z: int = 0,
 ) -> ColumnarGroupTables:
     """Draw one group's full membership columns.
 
-    Replays the object backend's per-member interleaving exactly: member
-    ``i``'s topic-table draw, then its super-table draw (when a populated
-    supergroup exists), both from the single shared ``rng`` — the same
-    consumption order as ``DaMulticastSystem.finalize_static_membership``.
+    Member ``i``'s topic-table draw, then its super-table draw (when a
+    populated supergroup exists), both from the single shared ``rng`` —
+    the per-member interleaving every static build has always had.
     """
-    table_builder = ColumnarTableBuilder(base, size, capacity)
-    super_builder = (
-        ColumnarSuperBuilder(super_base, super_size, z)
-        if super_topic is not None and super_size > 0
-        else None
-    )
-    for index in range(size):
+    table_builder = ColumnarTableBuilder(members, capacity)
+    if super_topic is None or not super_members:
+        for index in range(len(members)):
+            table_builder.draw_row(index, rng)
+        return table_builder.tables(topic)
+    super_builder = ColumnarSuperBuilder(super_members, z)
+    for index in range(len(members)):
         table_builder.draw_row(index, rng)
-        if super_builder is not None:
-            super_builder.draw_row(rng)
-    if super_builder is not None:
-        super_stride, super_rows = super_builder.stride, super_builder.rows
-    else:
-        super_topic, super_stride, super_rows = None, 0, array("l")
+        super_builder.draw_row(rng)
     return ColumnarGroupTables(
         topic,
-        base,
-        size,
+        members,
         capacity,
         table_builder.stride,
         table_builder.rows,
         super_topic,
-        super_stride,
-        super_rows,
+        super_builder.stride,
+        super_builder.rows,
     )
+
+
+def draw_static_tables(
+    groups: Mapping[Topic, Sequence[int]],
+    params_for: Callable[[Topic], TopicParams],
+    rng: random.Random,
+) -> dict[Topic, ColumnarGroupTables]:
+    """§VII's build: every group's columns, drawn from global knowledge.
+
+    Groups are drawn in ``groups`` order from the one ``rng``; each member's
+    topic table is a uniform sample of ``(b+1)·log(S)`` other members and
+    its supertopic table a uniform sample of ``z`` members of the nearest
+    populated supergroup (§III-B); ``params_for(topic)`` gives a group's
+    ``b`` (through ``table_capacity``) and ``z``. What both hosts'
+    ``finalize_static_membership`` draw.
+    """
+    drawn: dict[Topic, ColumnarGroupTables] = {}
+    for topic, members in groups.items():
+        params = params_for(topic)
+        super_topic = nearest_populated_super(topic, groups)
+        drawn[topic] = build_group_tables(
+            topic,
+            members,
+            params.table_capacity(len(members)),
+            rng,
+            super_topic=super_topic,
+            super_members=groups[super_topic] if super_topic is not None else (),
+            z=params.z,
+        )
+    return drawn
+
+
+def rows_digest(rows: Iterable[tuple[ColumnarGroupTables, int]]) -> str:
+    """SHA-256 over members' tables, given as ``(tables, row)`` per member
+    in pid order: ``T`` and the topic-row pids, ``S`` and the super-row
+    pids, then the super target — per member, byte for byte the S=500
+    golden's layout (tests/test_golden_static.py). Both hosts'
+    ``construction_digest``."""
+    digest = hashlib.sha256()
+    update = digest.update
+    for tables, row in rows:
+        update(b"T")
+        update(",".join(map(str, tables.row_pids(row))).encode())
+        update(b"S")
+        update(",".join(map(str, tables.super_row_pids(row))).encode())
+        update(str(tables.super_topic).encode())
+    return digest.hexdigest()

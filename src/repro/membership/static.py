@@ -12,9 +12,16 @@ those frozen tables from global knowledge:
   the table points at the first supertopic, by hierarchy level, that
   induces ``Ti``).
 
-The same helpers serve the baselines, which use identically-drawn tables
-for their own group structures (the paper's comparison holds "for fairness,
-all approaches use the same underlying membership algorithm").
+daMulticast's own hosts draw these tables as pid columns
+(:mod:`repro.membership.columnar`, draw for draw what the builders here
+would draw over the same group); :class:`~repro.core.multiparent.
+MultiParentSystem` samples its per-parent supertopic tables with
+:class:`GroupSampler`. The remaining callers of :class:`GroupTableBuilder`
+are the four baselines, which use identically-drawn descriptor tables for
+their own group structures (the paper's comparison holds "for fairness,
+all approaches use the same underlying membership algorithm"). Each of
+them builds its groups from registered processes, so a group never holds
+one pid twice — :class:`GroupTableBuilder` refuses one that does.
 
 Fast build context — the index-sampling equivalence trick
 ---------------------------------------------------------
@@ -57,7 +64,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Sized
 
 from repro.errors import ConfigError
 from repro.membership.sampling import sample_from
@@ -102,12 +109,11 @@ class GroupTableBuilder:
             descriptor.pid: index
             for index, descriptor in enumerate(self._descriptors)
         }
-        # A pid occurring more than once makes positional exclusion (drop
-        # one entry) diverge from pid exclusion (drop every occurrence);
-        # table_for falls back to the reference filter in that case.
-        self._has_duplicate_pids = len(self._pid_index) != len(
-            self._descriptors
-        )
+        if len(self._pid_index) != len(self._descriptors):
+            # positional exclusion (drop one entry) would diverge from pid
+            # exclusion (drop every occurrence), and no group of
+            # registered processes repeats a pid
+            raise ConfigError("a membership group lists a pid more than once")
         # Working exclusion list: equals ``others_cursor`` (the group with
         # the member at ``_cursor`` removed, order preserved).
         self._work = self._descriptors[1:]
@@ -153,14 +159,8 @@ class GroupTableBuilder:
         A member whose pid is not in the group samples from the full list
         (matching the historical filter-by-pid semantics, which removed
         nothing in that case) — the naive-publisher baseline draws
-        publisher-side supergroup tables this way. A group holding the
-        same pid more than once keeps the historical every-occurrence
-        exclusion (positional index sampling would drop only one entry).
+        publisher-side supergroup tables this way.
         """
-        if self._has_duplicate_pids:
-            return _reference_draw_topic_table(
-                member, self._descriptors, capacity, rng
-            )
         index = self._pid_index.get(member.pid)
         if index is not None:
             return self.table_at(index, capacity, rng)
@@ -265,8 +265,7 @@ def _reference_draw_super_table(
 
 
 def nearest_populated_super(
-    topic: Topic,
-    population: Mapping[Topic, Sequence[ProcessDescriptor]],
+    topic: Topic, population: Mapping[Topic, Sized]
 ) -> Topic | None:
     """The first supertopic (walking up) that has interested processes.
 

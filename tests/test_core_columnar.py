@@ -140,7 +140,7 @@ class TestPublish:
         assert event.event_id.publisher not in dead
         actor = system.group_actor(".t1.t2")
         mask = actor._seen[event.event_id]
-        base = actor.tables.base
+        base = actor.base
         seen_pids = {base + i for i, bit in enumerate(mask) if bit}
         assert not (seen_pids & dead)
         alive = [p for p in system.group_pids(".t1.t2") if p not in dead]

@@ -111,14 +111,6 @@ class TestSubscriptionLifecycle:
         process._group_size_hint = None
         assert process.group_size == len(process.topic_table()) + 1
 
-    def test_install_static_view_rejected_in_dynamic(self):
-        from repro.membership.view import PartialView
-
-        system = tiny_system(mode="dynamic")
-        process = system.group(T2)[0]
-        with pytest.raises(ProtocolError):
-            process.install_static_topic_table(PartialView(4))
-
 
 class TestPiggybackMerge:
     def test_super_sample_adopted(self):

@@ -17,9 +17,13 @@ Two numbers, both exact:
 * a **forwarder** (a first receipt: deliver, elect links, sample the gossip
   targets, multicast) cost 34.52 frames before the object host selected
   pids through the shared sampler and resolved ``fanout(S)``/``p_sel(S)``
-  once per group size, then 25.43, and costs 23.37 since a clean-channel
-  fan-out issued during a delivery joins the next wave instead of paying
-  its own transport entry (``Engine.dispatch`` and the ``EventHandle``).
+  once per group size, then 25.43, then 23.37 once a clean-channel fan-out
+  issued during a delivery joined the next wave instead of paying its own
+  transport entry (``Engine.dispatch`` and the ``EventHandle``), and costs
+  20.22 since a static process selects off its row of the group's columns
+  (``ColumnarGroupTables.link_targets``/``sample_row``) instead of through
+  descriptor tables (``elect_links``, ``is_empty``, ``__len__``,
+  ``topic_table``, ``sample_pids``).
   The budget leaves less than one frame per forwarder, so it fails the day
   someone re-adds one — which the last two tests do, with a frame planted
   in ``handle_message`` and one planted under ``gossip_targets``.
@@ -33,15 +37,15 @@ import pytest
 import repro
 from repro.core.process import DaMulticastProcess
 from repro.core.system import DaMulticastSystem
-from repro.membership.view import PartialView
+from repro.membership.columnar import ColumnarGroupTables
 
 PACKAGE = str(pathlib.Path(repro.__file__).resolve().parent)
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>"}
 SEED = 7
 
-#: measured 23.37 (1 519 frames for 65 forwarders); 24.3 has no room for
+#: measured 20.22 (1 314 frames for 65 forwarders); 21.2 has no room for
 #: one more frame per forwarder
-BUDGET_FRAMES_PER_FORWARDER = 24.3
+BUDGET_FRAMES_PER_FORWARDER = 21.2
 
 
 def planted(function):
@@ -89,7 +93,7 @@ def measure_flood() -> dict:
 
     try:
         # one flood to warm up (each process resolves its group constants
-        # and builds its pid list on first use), the second is measured
+        # and seeds its stream on first use), the second is measured
         system.publish(".t1.t2")
         system.run_until_idle()
         event = system.publish(".t1.t2")
@@ -139,7 +143,9 @@ def test_budget_fails_on_a_frame_planted_in_handle_message(monkeypatch):
 
 def test_budget_fails_on_a_frame_planted_under_gossip_targets(monkeypatch):
     monkeypatch.setattr(
-        PartialView, "sample_pids", planted(PartialView.sample_pids)
+        ColumnarGroupTables,
+        "sample_row",
+        planted(ColumnarGroupTables.sample_row),
     )
     with pytest.raises(AssertionError, match="budget"):
         assert_within_budget(measure_flood())

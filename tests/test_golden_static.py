@@ -11,13 +11,12 @@ stack shows up here immediately.
 ``test_static_construction_golden_large`` extends the net to the
 membership *construction* itself at a larger scale (S=500 plus a
 supergroup): its digest covers every table's exact content in exact
-insertion order, so a construction-order regression in the O(S·k) build
-context (index mapping, working-list advance, bulk install) is caught even
-if the aggregate dissemination counters happen to survive it. Captured
-from the pre-build-context implementation.
+insertion order, so a construction-order regression in the build (index
+mapping, exclusion arithmetic, row layout) is caught even if the aggregate
+dissemination counters happen to survive it. Captured from the
+pre-build-context implementation, when every process held descriptor
+tables; both hosts now digest their rows with one function.
 """
-
-import hashlib
 
 import pytest
 
@@ -85,25 +84,13 @@ GOLDEN_LARGE_PUBLISH = {
 }
 
 
-def construction_digest(system) -> str:
-    """SHA-256 over every process's tables, creation and insertion order."""
-    digest = hashlib.sha256()
-    for process in system.processes:
-        digest.update(b"T")
-        digest.update(",".join(map(str, process.topic_table().pids)).encode())
-        digest.update(b"S")
-        digest.update(",".join(map(str, process.super_table.pids)).encode())
-        digest.update(str(process.super_table.target_topic).encode())
-    return digest.hexdigest()
-
-
 def test_static_construction_golden_large():
     """S=500 membership construction is bit-identical, table by table."""
     system = DaMulticastSystem(seed=123, p_success=0.9, mode="static")
     system.add_group(".t1", 100)
     system.add_group(".t1.t2", 500)
     system.finalize_static_membership()
-    assert construction_digest(system) == GOLDEN_LARGE_TABLE_DIGEST
+    assert system.construction_digest() == GOLDEN_LARGE_TABLE_DIGEST
 
     event = system.publish(".t1.t2")
     system.run_until_idle()
@@ -134,7 +121,7 @@ def test_paper_scenario_states_the_paper_vii_preset():
             PaperScenario().build(seed=seed, alive_fraction=0.7),
             compile_spec(preset).build(seed),
         ):
-            digest = construction_digest(built.system)
+            digest = built.system.construction_digest()
             built.execute()
             outcomes.append((digest, built.system.stats.as_dict()))
             built.system.close()

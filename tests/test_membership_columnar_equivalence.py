@@ -1,18 +1,20 @@
-"""Columnar-vs-object equivalence for the static membership build.
+"""Column-vs-descriptor equivalence for the static membership build.
 
-The columnar backend (:mod:`repro.membership.columnar`) must be
-*draw-for-draw* identical to the object backend it replaces at scale:
-identical pid sequences in identical insertion order, **and** an identical
-RNG end-state — the property that makes the two backends' construction
-digests comparable at all. The strategies deliberately straddle
-``random.Random.sample``'s internal pool-vs-selection-set branch point
-(population sizes from tiny to several hundred, capacities from 1 to 64),
-the same envelope test_membership_fast_equivalence.py covers for the
-object-side fast paths.
+Both hosts draw their static tables as pid columns
+(:mod:`repro.membership.columnar`), and those columns must be
+*draw-for-draw* identical to the descriptor tables every golden trajectory
+was recorded with (:class:`~repro.membership.static.GroupTableBuilder` /
+:class:`~repro.membership.static.GroupSampler`): identical pid sequences in
+identical insertion order, **and** an identical RNG end-state. A group's
+pids are a block on the columnar host and need not be one on the object
+host (interleaved ``add_process`` calls), so the strategies draw both. They
+also straddle ``random.Random.sample``'s internal pool-vs-selection-set
+branch point (population sizes from tiny to several hundred, capacities
+from 1 to 64), the same envelope test_membership_fast_equivalence.py
+covers for the descriptor builders.
 
-The last tests are the PR's CI gate: on the existing S=500 construction
-golden, the columnar system's digest must equal the object system's —
-which must itself still equal the pinned constant.
+The last tests are the CI gate: on the S=500 construction golden, the one
+shared digest equals the pinned constant on both hosts.
 """
 
 import random
@@ -35,26 +37,34 @@ from tests.test_golden_static import GOLDEN_LARGE_TABLE_DIGEST
 T = Topic.parse(".eq")
 
 
-def contiguous_group(base: int, n: int) -> list[ProcessDescriptor]:
-    # The columnar backend requires contiguous pid blocks, so equivalence
-    # is asserted over the contiguous case (with nonzero bases to keep
-    # index and pid spaces distinct).
-    return [ProcessDescriptor(base + i, T) for i in range(n)]
+def member_pids(base: int, n: int, step: int) -> range:
+    # step 1 is a pid block (the columnar host), a larger step a group
+    # whose pids interleave with other groups' (the object host); nonzero
+    # bases keep index and pid spaces distinct
+    return range(base, base + step * n, step)
+
+
+def descriptors(pids, topic=T) -> list[ProcessDescriptor]:
+    return [ProcessDescriptor(pid, topic) for pid in pids]
+
+
+steps = st.sampled_from([1, 3])
 
 
 @given(
     base=st.integers(min_value=0, max_value=10**6),
     n=st.integers(min_value=1, max_value=400),
+    step=steps,
     capacity=st.integers(min_value=1, max_value=64),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_columnar_table_builder_matches_object(base, n, capacity, seed):
-    group = contiguous_group(base, n)
+def test_columnar_table_builder_matches_object(base, n, step, capacity, seed):
+    pids = member_pids(base, n, step)
     obj_rng = random.Random(seed)
     col_rng = random.Random(seed)
-    obj_builder = GroupTableBuilder(group)
-    col_builder = ColumnarTableBuilder(base, n, capacity)
+    obj_builder = GroupTableBuilder(descriptors(pids))
+    col_builder = ColumnarTableBuilder(list(pids), capacity)
     for index in range(n):
         obj = obj_builder.table_at(index, capacity, obj_rng)
         col_builder.draw_row(index, col_rng)
@@ -67,17 +77,18 @@ def test_columnar_table_builder_matches_object(base, n, capacity, seed):
 @given(
     base=st.integers(min_value=0, max_value=10**6),
     n=st.integers(min_value=1, max_value=400),
+    step=steps,
     z=st.integers(min_value=1, max_value=64),
     members=st.integers(min_value=1, max_value=20),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_columnar_super_builder_matches_object(base, n, z, members, seed):
-    super_group = contiguous_group(base, n)
+def test_columnar_super_builder_matches_object(base, n, step, z, members, seed):
+    super_pids = member_pids(base, n, step)
     obj_rng = random.Random(seed)
     col_rng = random.Random(seed)
-    sampler = GroupSampler(super_group)
-    builder = ColumnarSuperBuilder(base, n, z)
+    sampler = GroupSampler(descriptors(super_pids))
+    builder = ColumnarSuperBuilder(super_pids, z)
     for index in range(members):
         obj = sampler.table(z, obj_rng)
         builder.draw_row(col_rng)
@@ -90,6 +101,7 @@ def test_columnar_super_builder_matches_object(base, n, z, members, seed):
 @given(
     base=st.integers(min_value=0, max_value=10**4),
     n=st.integers(min_value=1, max_value=200),
+    step=steps,
     capacity=st.integers(min_value=1, max_value=48),
     super_n=st.integers(min_value=1, max_value=200),
     z=st.integers(min_value=1, max_value=8),
@@ -97,19 +109,15 @@ def test_columnar_super_builder_matches_object(base, n, z, members, seed):
 )
 @settings(max_examples=100, deadline=None)
 def test_build_group_tables_interleaving_matches_object(
-    base, n, capacity, super_n, z, seed
+    base, n, step, capacity, super_n, z, seed
 ):
     """The whole-group build interleaves topic and super draws per member
-    exactly as finalize_static_membership does over one shared stream."""
-    super_base = base + n
-    group = contiguous_group(base, n)
-    super_group = [
-        ProcessDescriptor(super_base + i, Topic.parse("."))
-        for i in range(super_n)
-    ]
+    exactly as the descriptor build did over one shared stream."""
+    pids = member_pids(base, n, step)
+    super_pids = member_pids(base + step * n, super_n, step)
     obj_rng = random.Random(seed)
-    obj_builder = GroupTableBuilder(group)
-    obj_sampler = GroupSampler(super_group)
+    obj_builder = GroupTableBuilder(descriptors(pids))
+    obj_sampler = GroupSampler(descriptors(super_pids, Topic.parse(".")))
     obj_rows, obj_super_rows = [], []
     for index in range(n):
         obj_rows.append(obj_builder.table_at(index, capacity, obj_rng).pids)
@@ -118,13 +126,11 @@ def test_build_group_tables_interleaving_matches_object(
     col_rng = random.Random(seed)
     tables = build_group_tables(
         T,
-        base,
-        n,
+        pids,
         capacity,
         col_rng,
         super_topic=Topic.parse("."),
-        super_base=super_base,
-        super_size=super_n,
+        super_members=super_pids,
         z=z,
     )
     for index in range(n):
@@ -144,7 +150,7 @@ def test_sample_row_is_uniform_over_the_row(n, capacity, k, seed):
     """Index-based row sampling returns distinct in-row pids and never the
     member's own pid (exclusion is built into construction)."""
     rng = random.Random(seed)
-    tables = build_group_tables(T, 100, n, capacity, rng)
+    tables = build_group_tables(T, range(100, 100 + n), capacity, rng)
     index = seed % n
     drawn = tables.sample_row(index, k, rng)
     row = tables.row_pids(index)
@@ -169,7 +175,9 @@ def test_sample_row_draws_exactly_like_random_sample(n, capacity, k, seed):
     same pids in the same order as mapping ``rng.sample(range(stride), k)``
     through it, and the same RNG end-state — what keeps the per-group
     runtime streams (and every downstream digest) where they were."""
-    tables = build_group_tables(T, 100, n, capacity, random.Random(seed))
+    tables = build_group_tables(
+        T, range(100, 100 + n), capacity, random.Random(seed)
+    )
     index = seed % n
     row = tables.row_pids(index)
     rng, reference = random.Random(seed + 1), random.Random(seed + 1)
@@ -192,14 +200,13 @@ def _paper_shaped_pair(seed: int):
 
 
 def test_golden_s500_digest_gate():
-    """CI gate: the columnar backend's construction digest equals the
-    object backend's on the S=500 golden, which still equals the pinned
-    pre-columnar constant — so the columnar build is bit-identical to the
-    membership every golden trajectory rests on."""
+    """CI gate: both backends' construction digests equal the pinned
+    pre-columnar constant of the S=500 golden — so the one build both
+    draw with is bit-identical to the membership every golden trajectory
+    rests on."""
     obj, col = _paper_shaped_pair(seed=123)
-    obj_digest = obj.construction_digest()
-    assert obj_digest == GOLDEN_LARGE_TABLE_DIGEST
-    assert col.construction_digest() == obj_digest
+    assert obj.construction_digest() == GOLDEN_LARGE_TABLE_DIGEST
+    assert col.construction_digest() == GOLDEN_LARGE_TABLE_DIGEST
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))

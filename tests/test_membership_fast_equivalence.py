@@ -18,8 +18,10 @@ several hundred, capacities from 1 to 64).
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from repro.errors import ConfigError
 from repro.membership.static import (
     GroupSampler,
     GroupTableBuilder,
@@ -126,24 +128,12 @@ def test_public_wrappers_match_reference(n, capacity, seed):
     assert r1.getstate() == r2.getstate()
 
 
-@given(
-    pids=st.lists(
-        st.integers(min_value=0, max_value=30), min_size=2, max_size=60
-    ),
-    capacity=st.integers(min_value=1, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=100, deadline=None)
-def test_duplicate_pids_match_reference(pids, capacity, seed):
-    """A group repeating a pid keeps the historical every-occurrence
-    exclusion semantics (the builder falls back to the reference filter)."""
-    group = [ProcessDescriptor(pid, T) for pid in pids]
-    member = group[len(group) // 2]
-    r1, r2 = random.Random(seed), random.Random(seed)
-    ref = _reference_draw_topic_table(member, group, capacity, r1)
-    fast = GroupTableBuilder(group).table_for(member, capacity, r2)
-    assert fast.pids == ref.pids
-    assert r1.getstate() == r2.getstate()
+def test_duplicate_pids_are_a_config_error():
+    """No group of registered processes lists a pid twice, and positional
+    exclusion would drop only one of its entries: the builder refuses."""
+    group = [ProcessDescriptor(pid, T) for pid in (4, 7, 4)]
+    with pytest.raises(ConfigError, match="more than once"):
+        GroupTableBuilder(group)
 
 
 @given(
