@@ -111,8 +111,7 @@ def elect_links(
     for descriptor in table.descriptors():
         if random_draw() < p_a:
             topic = descriptor.topic
-            # group members share one interned Topic; == decides the rest
-            if topic is not run_topic and topic != run_topic:
+            if topic is not run_topic:  # one Topic per path
                 run_topic, run = topic, []
                 links.append((topic, run))
             run.append(descriptor.pid)
@@ -147,10 +146,7 @@ def disseminate(
         peer.multicast(
             links,
             EventMessage(
-                sender=pid,
-                event=event,
-                scope=Scope("inter", peer.topic, super_topic),
-                hops=next_hops,
+                pid, event, Scope("inter", peer.topic, super_topic), next_hops
             ),
         )
         inter_sent += len(links)
@@ -159,13 +155,7 @@ def disseminate(
     targets = peer.gossip_targets()
     if targets:
         peer.multicast(
-            targets,
-            EventMessage(
-                sender=pid,
-                event=event,
-                scope=peer.intra_scope,
-                hops=next_hops,
-            ),
+            targets, EventMessage(pid, event, peer.intra_scope, next_hops)
         )
     return len(targets), inter_sent
 

@@ -9,9 +9,9 @@ which needs no coordination and is stable across retransmissions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
+from repro.records import frozen_record
 from repro.topics.topic import Topic
 
 
@@ -29,7 +29,7 @@ class EventId(NamedTuple):
         return f"e{self.publisher}.{self.sequence}"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Event:
     """An application event of topic ``topic`` (the paper's ``e_Ti``).
 

@@ -591,10 +591,16 @@ class StaticProcess(DaMulticastProcess):
             self.super_table  # the property makes the view
         super()._size_group_constants()
 
+    # Both selections gate on the bound size cell's value, a slot read; the
+    # group_size property is consulted only when the cell is unbound or has
+    # moved since the constants were resolved.
     def link_targets(
         self, force_link: bool
     ) -> Sequence[tuple[Topic, list[int]]]:
-        if self.group_size != self._sized_for:
+        cell = self._group_size_cell
+        if (cell is None or cell.value != self._sized_for) and (
+            self.group_size != self._sized_for
+        ):
             self._size_group_constants()
         table = self._super_view
         if table is not None:
@@ -606,7 +612,10 @@ class StaticProcess(DaMulticastProcess):
         )
 
     def gossip_targets(self) -> list[int]:
-        if self.group_size != self._sized_for:
+        cell = self._group_size_cell
+        if (cell is None or cell.value != self._sized_for) and (
+            self.group_size != self._sized_for
+        ):
             self._size_group_constants()
         view = self._topic_view
         if view is not None:

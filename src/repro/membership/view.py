@@ -35,15 +35,15 @@ table — runs straight over the mirror with no per-call filtering.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigError, MembershipError
 from repro.membership.sampling import sample_from
+from repro.records import frozen_record
 from repro.topics.topic import Topic
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@frozen_record(order=True)
 class ProcessDescriptor:
     """Identity of a process as stored in membership tables.
 

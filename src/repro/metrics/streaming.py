@@ -193,7 +193,9 @@ class StreamingDeliveryTracker:
         recording contract here.
         """
         self.deliveries += 1
-        stats = self._stats_for(event.topic)
+        stats = self._topics.get(event.topic)
+        if stats is None:
+            stats = self._stats_for(event.topic)
         stats.delivered += 1
         if self.window is not None:
             self._window_cell(event.published_at)[2] += 1
@@ -203,7 +205,7 @@ class StreamingDeliveryTracker:
             stats.latency_min = latency
         if latency > stats.latency_max:
             stats.latency_max = latency
-        stats.histogram[_latency_bucket(latency)] += 1
+        stats.histogram[0 if latency <= 0.0 else _latency_bucket(latency)] += 1
         if hops is not None:
             stats.hops_count += 1
             stats.hops_sum += hops

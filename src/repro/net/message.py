@@ -16,13 +16,19 @@ Each message class corresponds to a message of the paper's pseudo-code:
 * :class:`MembershipGossip` — the underlying membership algorithm's view
   updates ([10]), onto which daMulticast piggybacks supertopic-table
   entries (§V-A.2's initialization-message optimization).
+
+Every message is a :func:`~repro.records.frozen_record`: a frozen, slotted
+dataclass whose ``__init__`` writes each field through its slot. A flood
+builds one :class:`EventMessage` per fan-out, and the dataclass's own
+``__init__`` would look each field's name up through the class; equality,
+hashing, ``repr``, pickling and immutability are the dataclass's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar, Literal
+from typing import TYPE_CHECKING, ClassVar, Literal
 
+from repro.records import frozen_record
 from repro.topics.topic import Topic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -30,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.membership.view import ProcessDescriptor
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Scope:
     """Where an event transmission happens, for Figs. 8/9 accounting.
 
@@ -48,7 +54,7 @@ class Scope:
             raise ValueError("inter-group scope requires a super_group")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Message:
     """Base class for all wire messages. ``sender`` is the process id."""
 
@@ -56,7 +62,7 @@ class Message:
     sender: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class EventMessage(Message):
     """An application event in flight (the paper's ``SEND(e_Ti)``).
 
@@ -72,7 +78,7 @@ class EventMessage(Message):
     hops: int = 1
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ReqContact(Message):
     """Fig. 4's ``REQCONTACT``: find processes interested in ``topics``.
 
@@ -90,7 +96,7 @@ class ReqContact(Message):
     ttl: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AnsContact(Message):
     """Fig. 4's ``ANSCONTACT``: contacts interested in ``answered_topic``."""
 
@@ -100,7 +106,7 @@ class AnsContact(Message):
     request_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class NewProcessRequest(Message):
     """Fig. 6 lines 19–21: ask a live superprocess for fresh supergroup ids."""
 
@@ -108,7 +114,7 @@ class NewProcessRequest(Message):
     wanted: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class NewProcessReply(Message):
     """Fig. 6 lines 2–5: a superprocess answers with known supergroup members."""
 
@@ -116,7 +122,7 @@ class NewProcessReply(Message):
     contacts: tuple["ProcessDescriptor", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Ping(Message):
     """Liveness probe used by CHECK (Fig. 6, footnote 7)."""
 
@@ -124,7 +130,7 @@ class Ping(Message):
     nonce: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Pong(Message):
     """Answer to a :class:`Ping`."""
 
@@ -132,7 +138,7 @@ class Pong(Message):
     nonce: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class MembershipGossip(Message):
     """A membership view exchange of the underlying algorithm ([10]).
 
@@ -146,12 +152,12 @@ class MembershipGossip(Message):
     kind: ClassVar[str] = "membership_gossip"
     group: Topic
     view_sample: tuple["ProcessDescriptor", ...]
-    super_sample: tuple["ProcessDescriptor", ...] = field(default=())
+    super_sample: tuple["ProcessDescriptor", ...] = ()
     reply_expected: bool = False
     nonce: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class JoinRequest(Message):
     """A new member announcing itself to a group's membership ([10] join).
 

@@ -496,7 +496,9 @@ class Network:
         """Raise :class:`UnknownActor` unless every target is registered."""
         if not self._blocks:
             actors = self._actors
-            for target in targets:
+            if all(map(actors.__contains__, targets)):
+                return
+            for target in targets:  # name the first unknown pid
                 if target not in actors:
                     raise UnknownActor(
                         f"no actor registered with pid {target}"

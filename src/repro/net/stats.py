@@ -110,7 +110,9 @@ class NetworkStats:
             return
         self.sent_by_kind[message.kind] += count
         if isinstance(message, EventMessage):
-            self.events_sent_by_sender[message.sender] += count
+            # dict.get: a first send never enters Counter.__missing__
+            senders = self.events_sent_by_sender
+            senders[message.sender] = senders.get(message.sender, 0) + count
             scope = message.scope
             if scope.kind == "intra":
                 self.intra_group_sent[scope.group] += count

@@ -175,7 +175,10 @@ class LiveRuntime:
             raise ConfigError("LiveRuntime.publish requires start() first")
         resolved = Topic.parse(topic)
         members = self.system.group(resolved)
-        alive = [p for p in members if self.harness.is_alive(p.pid)]
+        network = self.harness.network
+        is_alive = network.failure_model.is_alive
+        now = network.clock.now
+        alive = [p for p in members if is_alive(p.pid, now)]
         if not alive:
             raise UnknownTopic(
                 f"no alive process interested in {resolved.name} to publish from"

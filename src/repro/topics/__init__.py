@@ -6,7 +6,8 @@ when ``Ta`` is a (direct or indirect) supertopic of ``Tb``. This package
 provides:
 
 * :class:`~repro.topics.topic.Topic` — an immutable dotted-path topic name
-  with super/sub-topic navigation,
+  with super/sub-topic navigation, one instance per path (equality is
+  identity),
 * :class:`~repro.topics.hierarchy.TopicHierarchy` — an explicit registry of
   the topics that exist in a system (a rooted tree),
 * :class:`~repro.topics.hierarchy.TopicDag` — the multi-inheritance

@@ -1,4 +1,4 @@
-"""Immutable topic names with super/sub-topic navigation.
+"""Topic names with super/sub-topic navigation: one instance per path.
 
 A topic is a dotted path rooted at ``.`` (the root topic): ``.dsn04`` is the
 direct supertopic of ``.dsn04.reviewers``. Following the paper (§III-A):
@@ -8,11 +8,22 @@ direct supertopic of ``.dsn04.reviewers``. Following the paper (§III-A):
   ``Tb``. :meth:`Topic.includes` is the reflexive closure (a topic includes
   itself) because an event of topic ``Ti`` *is* an event of topic ``Ti``;
   use :meth:`Topic.is_strict_supertopic_of` for the strict relation.
+
+Every event is routed by its topic (§III-A's inclusion, Fig. 7's intra and
+inter scopes), so topics are hashed and compared on every transmission.
+There is one :class:`Topic` per path: construction, navigation and
+unpickling all return the interned instance, so equality is identity and
+hashing is ``object.__hash__``, both in C. The table holds topics weakly,
+so a long-lived process fed arbitrary names does not grow it. Identity
+hashes differ from run to run, so no code may iterate a set of topics in
+hash order (the determinism lint's DET003 gates this).
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from functools import total_ordering
 from typing import Iterator, Sequence
 
@@ -20,14 +31,38 @@ from repro.errors import InvalidTopicName
 
 _SEGMENT_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
+#: segments → the one live topic of that path
+_INTERNED: "weakref.WeakValueDictionary[tuple[str, ...], Topic]" = (
+    weakref.WeakValueDictionary()
+)
+#: held while a path's instance is created, so a path never gets two
+_INTERN_LOCK = threading.Lock()
+
+
+def _interned(segments: tuple[str, ...]) -> "Topic":
+    """The topic of ``segments`` (already validated), created on first
+    use."""
+    topic = _INTERNED.get(segments)
+    if topic is None:
+        with _INTERN_LOCK:
+            topic = _INTERNED.get(segments)
+            if topic is None:
+                topic = object.__new__(Topic)
+                topic._segments = segments
+                topic._name = "." + ".".join(segments) if segments else "."
+                _INTERNED[segments] = topic
+    return topic
+
 
 @total_ordering
 class Topic:
-    """An immutable, hashable topic name.
+    """An immutable topic name: one instance per path; equality is identity.
 
-    Instances are value objects: two topics with the same path are equal and
-    interchangeable. Construction validates every path segment against
-    ``[A-Za-z0-9_-]+``.
+    ``Topic(segments)``, :meth:`parse`, :meth:`child`, :attr:`super_topic`,
+    :meth:`common_ancestor`, pickling and ``copy``/``deepcopy`` all return
+    the one live instance of a path, so ``==`` and ``hash`` are
+    ``object``'s. The first construction of a path validates every segment
+    against ``[A-Za-z0-9_-]+``.
 
     >>> reviewers = Topic.parse(".dsn04.reviewers")
     >>> reviewers.super_topic
@@ -36,24 +71,20 @@ class Topic:
     True
     """
 
-    __slots__ = ("_segments", "_name", "_hash")
+    __slots__ = ("_segments", "_name", "__weakref__")
 
-    def __init__(self, segments: Sequence[str] = ()):
+    def __new__(cls, segments: Sequence[str] = ()) -> "Topic":
         checked = tuple(segments)
+        topic = _INTERNED.get(checked)
+        if topic is not None:
+            return topic
         for segment in checked:
             if not _SEGMENT_RE.match(segment):
                 raise InvalidTopicName(
                     f"invalid topic segment {segment!r}: segments must match "
                     f"[A-Za-z0-9_-]+"
                 )
-        self._set(checked)
-
-    def _set(self, checked: tuple[str, ...]) -> None:
-        """Fill the slots from segments that are already validated."""
-        self._segments = checked
-        self._name = "." + ".".join(checked) if checked else "."
-        # repro-lint: allow[DET003]: cached tuple hash for dict/set keying only; it never crosses a process or digest boundary
-        self._hash = hash(checked)
+        return _interned(checked)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -120,9 +151,7 @@ class Topic:
             return None
         # our own segments were validated when we were built: no second
         # regex pass per step of every ancestors() walk
-        parent = Topic.__new__(Topic)
-        parent._set(self._segments[:-1])
-        return parent
+        return _interned(self._segments[:-1])
 
     def ancestors(self, include_self: bool = False) -> Iterator["Topic"]:
         """Yield supertopics from the direct one up to (and including) root.
@@ -144,7 +173,7 @@ class Topic:
         ``Ta.includes(Tb)`` is true when ``Ta`` is ``Tb`` or a supertopic of
         ``Tb``: every event of ``Tb`` is also an event of ``Ta``.
         """
-        if other is self:  # group members share the hierarchy's Topic
+        if other is self:  # one Topic per path
             return True
         mine = self._segments
         # (a deeper ``self`` compares against a shorter slice: unequal)
@@ -152,7 +181,7 @@ class Topic:
 
     def is_strict_supertopic_of(self, other: "Topic") -> bool:
         """Whether ``self`` is a proper (non-equal) supertopic of ``other``."""
-        return self != other and self.includes(other)
+        return self is not other and self.includes(other)
 
     def is_subtopic_of(self, other: "Topic") -> bool:
         """Whether ``other`` includes ``self`` (reflexive)."""
@@ -165,7 +194,7 @@ class Topic:
             if mine != theirs:
                 break
             prefix.append(mine)
-        return Topic(prefix)
+        return _interned(tuple(prefix))
 
     def distance_to_root(self) -> int:
         """Number of inter-group hops from this topic's group to the root's."""
@@ -184,20 +213,16 @@ class Topic:
         return self.depth - ancestor.depth
 
     # ------------------------------------------------------------------
-    # Value-object protocol
+    # Ordering (sorting) and pickling; == and hash are object's
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Topic):
-            return NotImplemented
-        return self._segments == other._segments
-
     def __lt__(self, other: "Topic") -> bool:
         if not isinstance(other, Topic):
             return NotImplemented
         return self._segments < other._segments
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        # unpickling (and copy/deepcopy) construct, i.e. intern
+        return Topic, (self._segments,)
 
     def __repr__(self) -> str:
         return f"Topic({self._name!r})"

@@ -1442,7 +1442,7 @@ def _topic_link_classifier(system: DaMulticastSystem):
         topic = source.topic
         return [
             None if (peer := process_of(target)) is None
-            else "intra" if peer.topic is topic or peer.topic == topic
+            else "intra" if peer.topic is topic
             else "inter"
             for target in targets
         ]
