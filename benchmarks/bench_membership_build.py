@@ -4,12 +4,13 @@ Not a paper figure: this bench guards the PR that made static membership
 construction linear in the group size. Three layers are measured:
 
 * **draw layer** — drawing every member's topic table plus one supertopic
-  ``z``-draw per member for one group of S descriptors, with the
-  historical per-member helpers (``_reference_draw_topic_table`` /
+  ``z``-draw per member for one group of S members, with the historical
+  per-member helpers (``_reference_draw_topic_table`` /
   ``_reference_draw_super_table`` — each call rebuilds an O(S) exclusion
-  list / population copy) vs the shared
-  :class:`~repro.membership.static.GroupTableBuilder` +
-  :class:`~repro.membership.static.GroupSampler` build context;
+  list / population copy of descriptors) vs the one static table builder
+  every host and baseline draws with,
+  :func:`~repro.membership.columnar.build_group_tables` with super rows
+  (pid columns, each member's topic row then its super row);
 * **daMulticast construction** — end-to-end static build (populate +
   finalize) the way the repository did it before this PR (per-join
   group-size sweep — the old ``_refresh_group_size`` — plus reference
@@ -32,12 +33,11 @@ from repro.baselines.hierarchical import HierarchicalGossipSystem
 from repro.baselines.multicast import GossipMulticastSystem
 from repro.baselines.naive_publisher import NaivePublisherSystem
 from repro.core.system import DaMulticastSystem
+from repro.core.params import TopicParams
+from repro.membership.columnar import build_group_tables
 from repro.membership.static import (
-    GroupSampler,
-    GroupTableBuilder,
     _reference_draw_super_table,
     _reference_draw_topic_table,
-    static_table_capacity,
 )
 from repro.membership.view import ProcessDescriptor
 from repro.metrics.report import Table
@@ -50,7 +50,7 @@ SUPER = Topic.parse(".")
 
 
 # ----------------------------------------------------------------------
-# Draw layer: reference helpers vs shared build context
+# Draw layer: reference helpers vs the columnar build
 # ----------------------------------------------------------------------
 def _draw_all_reference(group, supers, capacity, rng):
     views = []
@@ -60,21 +60,25 @@ def _draw_all_reference(group, supers, capacity, rng):
     return views
 
 
-def _draw_all_fast(group, supers, capacity, rng):
-    builder = GroupTableBuilder(group)
-    sampler = GroupSampler(supers)
-    views = []
-    for index in range(len(group)):
-        views.append(builder.table_at(index, capacity, rng))
-        views.append(sampler.table(Z, rng))
-    return views
+def _draw_all_fast(pids, super_pids, capacity, rng):
+    return build_group_tables(
+        GROUP,
+        pids,
+        capacity,
+        rng,
+        super_topic=SUPER,
+        super_members=super_pids,
+        z=Z,
+    )
 
 
 def _draw_layer(size: int) -> tuple[float, float]:
     """Seconds to draw all tables of one S-sized group, reference vs fast."""
-    group = [ProcessDescriptor(pid, GROUP) for pid in range(size)]
-    supers = [ProcessDescriptor(size + pid, SUPER) for pid in range(size // 10)]
-    capacity = static_table_capacity(size, b=3.0)
+    pids = range(size)
+    super_pids = range(size, size + size // 10)
+    group = [ProcessDescriptor(pid, GROUP) for pid in pids]
+    supers = [ProcessDescriptor(pid, SUPER) for pid in super_pids]
+    capacity = TopicParams(b=3.0).table_capacity(size)
 
     gc.collect()
     start = time.perf_counter()
@@ -83,11 +87,15 @@ def _draw_layer(size: int) -> tuple[float, float]:
 
     gc.collect()
     start = time.perf_counter()
-    fast = _draw_all_fast(group, supers, capacity, random.Random(1))
+    fast = _draw_all_fast(pids, super_pids, capacity, random.Random(1))
     fast_elapsed = time.perf_counter() - start
 
     # Identical trajectories — the speedup changes no draw.
-    assert [v.pids for v in fast] == [v.pids for v in reference]
+    rows = []
+    for index in range(size):
+        rows.append(fast.row_pids(index))
+        rows.append(fast.super_row_pids(index))
+    assert rows == [v.pids for v in reference]
     return ref_elapsed, fast_elapsed
 
 
@@ -172,7 +180,7 @@ def test_membership_build(benchmark, emit):
         _fast_construction(200)
         _baseline_construction(200)
         table = Table(
-            "static membership construction: legacy O(S^2) vs shared build context",
+            "static membership construction: legacy O(S^2) vs the columnar build",
             [
                 "S",
                 "draw_ref_s",
@@ -244,7 +252,8 @@ def test_membership_build(benchmark, emit):
     assert by_size[5000]["build_speedup"] > by_size[500]["build_speedup"]
     assert by_size[5000]["draw_speedup"] > by_size[500]["draw_speedup"]
     # The pure draw layer must stay decisively ahead as well (measured
-    # ≈8× at S=5000; conservative floor so CI noise cannot flake it).
+    # ≈12× at S=5000 for the columnar build on a 2-vCPU box, CPython
+    # 3.11; conservative floor so CI noise cannot flake it).
     assert by_size[5000]["draw_speedup"] >= 4.0
     # The old 2s construction cliff at S=5000 is gone.
     assert by_size[5000]["build_fast_s"] < 1.0

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from repro.baselines.common import BaselineProcess, BaselineSystem
 from repro.core.events import Event
-from repro.membership.static import GroupTableBuilder
-from repro.membership.view import ProcessDescriptor
 from repro.topics.topic import Topic
 
 #: Synthetic group identity for "the entire system".
@@ -29,16 +27,9 @@ class GossipBroadcastSystem(BaselineSystem):
     def finalize_membership(self) -> None:
         """Draw each process's single global table of size ``(b+1)·log(n)``."""
         rng = self._membership_rng()
-        everyone = [
-            ProcessDescriptor(p.pid, GLOBAL_GROUP) for p in self.processes
-        ]
-        n = len(everyone)
-        capacity = self.table_capacity(n)
-        fanout = self.fanout(n)
-        builder = GroupTableBuilder(everyone)
-        for index, process in enumerate(self.processes):
-            view = builder.table_at(index, capacity, rng)
-            process.join_group(GLOBAL_GROUP, view, fanout)
+        everyone = self.processes
+        if everyone:
+            self._draw_group(GLOBAL_GROUP, everyone, rng)
         self._finalized = True
 
     def _expected(self, topic: Topic) -> int:

@@ -6,6 +6,14 @@ first reception of an event in group ``G``, a process forwards it to
 only in how groups are formed (one global group / one per topic / arbitrary
 clusters) and in which groups an event is injected.
 
+"For fairness, all approaches use the same underlying membership
+algorithm" (§VI-E): a baseline's tables are frozen §VII tables drawn by
+:mod:`repro.membership.columnar`, as daMulticast's are, and sized by the
+same :class:`~repro.core.params.TopicParams` laws (``(b+1)·log(S)``
+entries, fan-out ``log(S)+c``). A process holds, per group, its row of
+that group's tables and reads it in place
+(:meth:`~repro.membership.columnar.ColumnarGroupTables.sample_row`).
+
 Group identity reuses :class:`repro.topics.Topic` so the existing
 per-group message accounting (Figs. 8/9 counters) applies unchanged;
 cluster groups of the hierarchical baseline use synthetic topics under
@@ -20,9 +28,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.events import Event, EventFactory, EventId
+from repro.core.params import TopicParams
 from repro.errors import ConfigError
 from repro.failures.model import FailureModel
-from repro.membership.view import PartialView, ProcessDescriptor
+from repro.membership.columnar import ColumnarGroupTables, build_group_tables
+from repro.metrics.delivery import parasite_deliveries
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.message import EventMessage, Message, Scope
 from repro.runtime import ObjectSystemFacade, SimulationHarness
@@ -32,10 +42,12 @@ from repro.validation import check_finite, check_positive
 
 @dataclass
 class GroupState:
-    """One process's participation in one gossip group."""
+    """One process's participation in one gossip group: row ``row`` of the
+    group's frozen ``tables``, and its fan-out."""
 
     group: Topic
-    view: PartialView
+    tables: ColumnarGroupTables
+    row: int
     fanout: int
 
 
@@ -77,22 +89,19 @@ class BaselineProcess:
             )
         return rng
 
-    @property
-    def descriptor(self) -> ProcessDescriptor:
-        """This process as stored in membership tables (keyed by interest)."""
-        return ProcessDescriptor(self.pid, self.interest)
-
     # ------------------------------------------------------------------
     # Group membership
     # ------------------------------------------------------------------
-    def join_group(self, group: Topic, view: PartialView, fanout: int) -> None:
-        """Install a statically drawn table for ``group``."""
-        self.groups[group] = GroupState(group, view, fanout)
+    def join_group(
+        self, group: Topic, tables: ColumnarGroupTables, row: int, fanout: int
+    ) -> None:
+        """Seat this process at row ``row`` of ``group``'s drawn tables."""
+        self.groups[group] = GroupState(group, tables, row, fanout)
 
     @property
     def memory_footprint(self) -> int:
         """Total membership entries across all groups (§VI-E.2 measured)."""
-        return sum(len(state.view) for state in self.groups.values())
+        return sum(state.tables.stride for state in self.groups.values())
 
     @property
     def table_count(self) -> int:
@@ -134,7 +143,7 @@ class BaselineProcess:
         state = self.groups.get(group)
         if state is None:
             return  # not a member (stale table entry pointed at us)
-        targets = state.view.sample_pids(state.fanout, self.rng, self.pid)
+        targets = state.tables.sample_row(state.row, state.fanout, self.rng)
         if not targets:
             return
         self.multicast(
@@ -204,29 +213,28 @@ class BaselineSystem(ObjectSystemFacade):
                 trace=trace,
             )
         )
+        # TopicParams' range checks let NaN through
         check_finite(b, "b")
         check_finite(c, "c")
         check_positive(log_base, "log_base")
-        #: gossip constants shared by the baselines (paper defaults)
-        self.b = b
-        self.c = c
-        self.log_base = log_base
+        #: gossip constants shared by the baselines (paper defaults): table
+        #: size ``params.table_capacity(S)``, fan-out ``params.fanout(S)``
+        self.params = TopicParams(b=b, c=c, fanout_log_base=log_base)
 
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    def fanout(self, group_size: int) -> int:
-        """Infect-and-die fan-out ``log(S)+c`` (≥1)."""
-        log_term = (
-            math.log(group_size, self.log_base) if group_size > 1 else 0.0
+    def _draw_group(
+        self, group: Topic, members: list[BaselineProcess], rng: random.Random
+    ) -> ColumnarGroupTables:
+        """Draw ``group``'s in-group tables over ``members``, rows in member
+        order (each excludes its own member), and seat every member at its
+        row."""
+        size = len(members)
+        tables = build_group_tables(
+            group, [p.pid for p in members], self.params.table_capacity(size), rng
         )
-        return max(1, math.ceil(log_term + self.c))
-
-    def table_capacity(self, group_size: int) -> int:
-        """Membership table size ``(b+1)·log(S)`` (≥1)."""
-        if group_size <= 1:
-            return 1
-        return max(1, math.ceil((self.b + 1) * math.log(group_size, self.log_base)))
+        fanout = self.params.fanout(size)
+        for row, process in enumerate(members):
+            process.join_group(group, tables, row, fanout)
+        return tables
 
     # ------------------------------------------------------------------
     # Population
@@ -261,8 +269,6 @@ class BaselineSystem(ObjectSystemFacade):
 
     def parasite_count(self) -> int:
         """Total parasite deliveries so far (§I's efficiency criterion)."""
-        from repro.metrics.delivery import parasite_deliveries
-
         return parasite_deliveries(self.tracker, self.interests())
 
     def memory_footprints(self) -> list[int]:

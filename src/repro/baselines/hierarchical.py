@@ -19,15 +19,15 @@ parasite deliveries remain maximal.
 
 from __future__ import annotations
 
-import math
+from array import array
+from dataclasses import replace
 from itertools import groupby
-from typing import Any
+from typing import Any, Mapping
 
 from repro.baselines.common import BaselineProcess, BaselineSystem
 from repro.core.events import Event
 from repro.errors import ConfigError
-from repro.membership.static import GroupSampler, GroupTableBuilder
-from repro.membership.view import ProcessDescriptor
+from repro.membership.columnar import ColumnarGroupTables, ColumnarSuperBuilder
 from repro.net.message import EventMessage, Scope
 from repro.topics.topic import Topic
 from repro.validation import check_finite
@@ -47,6 +47,8 @@ class HierarchicalProcess(BaselineProcess):
     def __init__(self, pid: int, interest: Topic, harness) -> None:
         super().__init__(pid, interest, harness)
         self.cluster: Topic | None = None
+        #: pid -> cluster, the system's one map (set at finalize)
+        self.cluster_of: Mapping[int, Topic] | None = None
 
     def _on_first_reception(self, event: Event, scope: Scope) -> None:
         # Two-level forwarding: inside our own cluster, and across clusters
@@ -59,13 +61,13 @@ class HierarchicalProcess(BaselineProcess):
         state = self.groups.get(CLUSTERS_ROOT)
         if state is None:
             return
-        targets = state.view.sample(state.fanout, self.rng, exclude=(self.pid,))
-        assert self.cluster is not None
+        targets = state.tables.sample_row(state.row, state.fanout, self.rng)
+        assert self.cluster is not None and self.cluster_of is not None
         # One batched multicast per destination cluster (consecutive runs
         # preserve the sampled target order, and with it the RNG draws).
-        for destination, run in groupby(targets, key=lambda d: d.topic):
+        for destination, run in groupby(targets, key=self.cluster_of.__getitem__):
             self.multicast(
-                [descriptor.pid for descriptor in run],
+                list(run),
                 EventMessage(
                     sender=self.pid,
                     event=event,
@@ -92,8 +94,11 @@ class HierarchicalGossipSystem(BaselineSystem):
         self.n_clusters = n_clusters
         if c2 is not None:
             check_finite(c2, "c2")
-        #: cross-cluster fan-out constant c2 (defaults to c1 = self.c)
-        self.c2 = self.c if c2 is None else c2
+        #: the cross-cluster level's constants: c2 in place of c1 (the
+        #: default is c1)
+        self.cross_params = (
+            self.params if c2 is None else replace(self.params, c=c2)
+        )
         self._clusters: dict[Topic, list[HierarchicalProcess]] = {}
 
     # ------------------------------------------------------------------
@@ -114,44 +119,44 @@ class HierarchicalGossipSystem(BaselineSystem):
             cluster_topic(i): [] for i in range(self.n_clusters)
         }
         cluster_keys = list(self._clusters)
+        cluster_of: dict[int, Topic] = {}
         for index, process in enumerate(shuffled):
             key = cluster_keys[index % self.n_clusters]
             self._clusters[key].append(process)  # type: ignore[arg-type]
+            cluster_of[process.pid] = key
             process.cluster = key  # type: ignore[attr-defined]
+            process.cluster_of = cluster_of  # type: ignore[attr-defined]
             process.groups.clear()  # a re-draw may move it to another cluster
 
-        # In-cluster tables: (b+1)·log(m), fan-out log(m)+c1. One shared
-        # build context per cluster (draw-identical to the former
-        # per-member exclusion lists).
+        # In-cluster tables: (b+1)·log(m), fan-out log(m)+c1 — every
+        # cluster's rows before any cross row.
         for key, members in self._clusters.items():
-            size = len(members)
-            capacity = self.table_capacity(size)
-            fanout = self.fanout(size)
-            descriptors = [ProcessDescriptor(p.pid, key) for p in members]
-            builder = GroupTableBuilder(descriptors)
-            for index, process in enumerate(members):
-                view = builder.table_at(index, capacity, rng)
-                process.join_group(key, view, fanout)
+            self._draw_group(key, members, rng)
 
         # Cross-cluster tables: (b+1)·log(N) random processes of *other*
-        # clusters, fan-out log(N)+c2; one shared sampler per cluster's
-        # outsider population.
+        # clusters, fan-out log(N)+c2; one outsider row per member.
         n = self.n_clusters
-        cross_capacity = self.table_capacity(n)
-        log_term = math.log(n, self.log_base) if n > 1 else 0.0
-        cross_fanout = max(1, math.ceil(log_term + self.c2))
+        cross_capacity = self.params.table_capacity(n)
+        cross_fanout = self.cross_params.fanout(n)
         for key, members in self._clusters.items():
-            outsiders = GroupSampler(
-                [
-                    ProcessDescriptor(p.pid, other_key)
-                    for other_key, others in self._clusters.items()
-                    if other_key != key
-                    for p in others
-                ]
-            )
-            for process in members:
-                view = outsiders.table(cross_capacity, rng)
-                process.join_group(CLUSTERS_ROOT, view, cross_fanout)
+            pids = [p.pid for p in members]
+            outsiders = [
+                p.pid
+                for other_key, others in self._clusters.items()
+                if other_key != key
+                for p in others
+            ]
+            if outsiders:
+                builder = ColumnarSuperBuilder(outsiders, cross_capacity)
+                for _ in members:
+                    builder.draw_row(rng)
+                tables = builder.tables(CLUSTERS_ROOT, pids)
+            else:  # one cluster: an empty cross table, nothing to send
+                tables = ColumnarGroupTables(
+                    CLUSTERS_ROOT, pids, cross_capacity, 0, array("l")
+                )
+            for row, process in enumerate(members):
+                process.join_group(CLUSTERS_ROOT, tables, row, cross_fanout)
         self._finalized = True
 
     # ------------------------------------------------------------------

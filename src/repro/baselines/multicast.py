@@ -15,8 +15,6 @@ registered subtopic of its interest (up to ``t`` tables on a chain,
 from __future__ import annotations
 
 from repro.baselines.common import BaselineProcess, BaselineSystem
-from repro.membership.static import GroupTableBuilder
-from repro.membership.view import ProcessDescriptor
 from repro.topics.topic import Topic
 
 
@@ -42,14 +40,6 @@ class GossipMulticastSystem(BaselineSystem):
         rng = self._membership_rng()
         for topic in self.hierarchy.topics:
             members = self.group_members(topic)
-            if not members:
-                continue
-            size = len(members)
-            capacity = self.table_capacity(size)
-            fanout = self.fanout(size)
-            descriptors = [ProcessDescriptor(p.pid, topic) for p in members]
-            builder = GroupTableBuilder(descriptors)
-            for index, process in enumerate(members):
-                view = builder.table_at(index, capacity, rng)
-                process.join_group(topic, view, fanout)
+            if members:
+                self._draw_group(topic, members, rng)
         self._finalized = True

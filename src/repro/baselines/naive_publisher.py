@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from repro.baselines.common import BaselineProcess, BaselineSystem
 from repro.core.events import Event
-from repro.membership.static import GroupTableBuilder
-from repro.membership.view import ProcessDescriptor
+from repro.membership.columnar import ColumnarGroupTables, ColumnarSuperBuilder
 from repro.topics.topic import Topic
 
 
@@ -44,35 +43,40 @@ class NaivePublisherSystem(BaselineSystem):
         process additionally receives tables for all its supertopic
         groups so it can publish into them (the pattern-2 requirement)."""
         rng = self._membership_rng()
-        builders: dict[Topic, GroupTableBuilder] = {}
+        own: dict[Topic, ColumnarGroupTables] = {}
         for topic in self.hierarchy.topics:
             members = self.group(topic)
             if members:
-                builders[topic] = GroupTableBuilder(
-                    [ProcessDescriptor(p.pid, topic) for p in members]
-                )
-        for topic, builder in builders.items():
-            size = len(builder)
-            capacity = self.table_capacity(size)
-            fanout = self.fanout(size)
-            for index, process in enumerate(self.group(topic)):
-                view = builder.table_at(index, capacity, rng)
-                process.join_group(topic, view, fanout)
+                own[topic] = self._draw_group(topic, members, rng)
         # Publisher-side supergroup tables: every process gets one table
-        # per *populated* supertopic of its interest. The publisher is
-        # never a member of its supertopic's group, so the draw runs over
-        # the full population (table_for finds no pid to exclude).
+        # per *populated* supertopic of its interest, drawn in process
+        # order. The publisher is never a member of its supertopic's
+        # group, so the draw runs over the full population (an outsider
+        # row, nothing to exclude), sized like the group's own tables.
+        builders: dict[Topic, ColumnarSuperBuilder] = {}
+        drawers: dict[Topic, list[int]] = {}
+        seats: list[tuple[BaselineProcess, Topic, int]] = []
         for process in self.processes:
             for ancestor in process.interest.ancestors():
-                builder = builders.get(ancestor)
-                if builder is None:
+                group = own.get(ancestor)
+                if group is None:
                     continue
-                size = len(builder)
-                capacity = self.table_capacity(size)
-                fanout = self.fanout(size)
-                me = ProcessDescriptor(process.pid, ancestor)
-                view = builder.table_for(me, capacity, rng)
-                process.join_group(ancestor, view, fanout)
+                if ancestor not in builders:
+                    builders[ancestor] = ColumnarSuperBuilder(
+                        group.members, group.capacity
+                    )
+                    drawers[ancestor] = []
+                builders[ancestor].draw_row(rng)
+                seats.append((process, ancestor, len(drawers[ancestor])))
+                drawers[ancestor].append(process.pid)
+        # joined in draw order: a process's groups are its publish order
+        outsiders = {
+            ancestor: builder.tables(ancestor, drawers[ancestor])
+            for ancestor, builder in builders.items()
+        }
+        for process, ancestor, row in seats:
+            fanout = self.params.fanout(own[ancestor].size)
+            process.join_group(ancestor, outsiders[ancestor], row, fanout)
         self._finalized = True
 
     # ------------------------------------------------------------------

@@ -31,8 +31,7 @@ from repro.core.process import StaticProcess
 from repro.core.system import DaMulticastSystem
 from repro.core.tables import SuperTopicTable
 from repro.errors import ProtocolError, UnknownTopic
-from repro.membership.columnar import ColumnarTableBuilder
-from repro.membership.static import GroupSampler
+from repro.membership.columnar import ColumnarSuperBuilder, ColumnarTableBuilder
 from repro.membership.view import ProcessDescriptor
 from repro.topics.hierarchy import TopicDag
 from repro.topics.topic import Topic
@@ -152,11 +151,6 @@ class MultiParentSystem(DaMulticastSystem):
         parent consumes exactly the draws it would there.
         """
         rng = self._membership_rng()
-        population = {
-            topic: [ProcessDescriptor(p.pid, topic) for p in members]
-            for topic, members in self._groups.items()
-        }
-        # repro-lint: allow[DET003]: _groups preserves deterministic subscription order; sorting would change the membership draw sequence vs goldens
         for topic, members in self._groups.items():
             params = self.config.params_for(topic)
             z = params.z
@@ -164,8 +158,12 @@ class MultiParentSystem(DaMulticastSystem):
                 [p.pid for p in members], params.table_capacity(len(members))
             )
             tables = builder.tables(topic)
-            parent_samplers = [
-                (parent, target, GroupSampler(population[target]))
+            parent_builders = [
+                (
+                    parent,
+                    target,
+                    ColumnarSuperBuilder([p.pid for p in self._groups[target]], z),
+                )
                 for parent in self.dag.parents_of(topic)
                 if (target := self._nearest_populated_up(parent)) is not None
             ]
@@ -173,7 +171,9 @@ class MultiParentSystem(DaMulticastSystem):
                 builder.draw_row(index, rng)
                 process.seat(tables, index)
                 process.super_tables = {}
-                for parent, target, sampler in parent_samplers:
+                for parent, target, super_builder in parent_builders:
+                    super_builder.draw_row(rng)
+                    row = super_builder.rows[-super_builder.stride :]
                     table = process.super_tables[parent] = SuperTopicTable(z)
-                    table.install(target, sampler.sample(z, rng))
+                    table.install(target, [ProcessDescriptor(pid, target) for pid in row])
         self._finalized = True

@@ -3,7 +3,7 @@
 * The **topic table** ``Table_Ti`` holds processes interested in the same
   topic; it is populated by the underlying membership algorithm (dynamic
   mode: :class:`repro.membership.flat.FlatMembership`; static mode: drawn
-  once by :mod:`repro.membership.static`).
+  once by :mod:`repro.membership.columnar`).
 * The **supertopic table** ``sTable_Ti`` (this module) has *constant* size
   ``z`` and holds processes of the nearest populated supertopic. It tracks
   which entries recently proved alive (Pongs), implements the paper's MERGE

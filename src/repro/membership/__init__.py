@@ -12,10 +12,10 @@ package implements:
   membership (join dissemination, periodic view shuffles, failure expiry,
   and the §V-A.2 piggybacking hook for supertopic-table entries),
 * :mod:`~repro.membership.columnar` — the paper's §VII simulation mode
-  where all tables are drawn once at time zero and frozen, stored as two
-  pid columns per group; both static hosts draw and read them,
-* :mod:`~repro.membership.static` — the same draws over descriptor lists,
-  for the baselines' tables,
+  where all tables are drawn once at time zero and frozen, stored as pid
+  columns per group; both static hosts, §VIII's per-parent tables and the
+  baselines draw and read them (:mod:`~repro.membership.static` keeps the
+  supergroup rule and the historical draws they are held to),
 * :class:`~repro.membership.overlay.BootstrapOverlay` — the weakly
   consistent global overlay providing ``neighborhood(p)`` for the Fig. 4
   bootstrap search.
@@ -30,13 +30,6 @@ from repro.membership.columnar import (
 )
 from repro.membership.flat import FlatMembership, FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
-from repro.membership.static import (
-    GroupSampler,
-    GroupTableBuilder,
-    draw_super_table,
-    draw_topic_table,
-    static_table_capacity,
-)
 
 __all__ = [
     "ProcessDescriptor",
@@ -48,9 +41,4 @@ __all__ = [
     "FlatMembership",
     "FlatMembershipConfig",
     "BootstrapOverlay",
-    "GroupTableBuilder",
-    "GroupSampler",
-    "draw_topic_table",
-    "draw_super_table",
-    "static_table_capacity",
 ]

@@ -10,34 +10,51 @@ whole group's membership in two flat ``array('l')`` columns:
 * **super rows** — likewise for the ``sTable`` draws against the nearest
   populated supergroup, stride ``min(z, S_super)``.
 
-Both hosts build here, through :func:`draw_static_tables`. The columnar
-host (:mod:`repro.core.columnar`) passes each group's pid block, a
-``range``; the object host (:class:`~repro.core.system.DaMulticastSystem`)
-passes each group's pids in join order, which need not be contiguous —
-``add_process`` calls for several topics interleave. A builder takes the
-group's pid sequence and a row holds pids, so nothing here assumes a
-block. :class:`~repro.core.multiparent.MultiParentSystem` draws its topic
-rows with :class:`ColumnarTableBuilder` too, interleaved with its own
-per-parent supertopic tables.
+Every static table in the tree is built here. The columnar host
+(:mod:`repro.core.columnar`) passes each group's pid block, a ``range``;
+the object host (:class:`~repro.core.system.DaMulticastSystem`) passes each
+group's pids in join order, which need not be contiguous — ``add_process``
+calls for several topics interleave. Both go through
+:func:`draw_static_tables`. :class:`~repro.core.multiparent.
+MultiParentSystem` draws its topic rows with :class:`ColumnarTableBuilder`
+and its per-parent ``z``-samples with :class:`ColumnarSuperBuilder`. The
+four baselines draw their in-group tables with :func:`build_group_tables`
+and their outsider tables (a table over a group the drawer is not in) with
+:class:`ColumnarSuperBuilder`, read back as topic rows through
+:meth:`ColumnarSuperBuilder.tables`. A builder takes the group's pid
+sequence and a row holds pids, so nothing here assumes a block.
 
 Draw order
 ----------
 
-The builders replay :class:`~repro.membership.static.GroupTableBuilder` /
-:class:`~repro.membership.static.GroupSampler` over the group's descriptor
-list draw for draw, resting on the positional-sampling property
-(``random.Random.sample`` consumes the RNG as a function of
-``(len(population), k)`` only — see membership/static.py). Topic-row
-positions come from the shared :func:`~repro.membership.sampling.
-sample_from` in its positions form and are mapped through the group's pid
-sequence with the exclusion arithmetic ``j = r if r < i else r+1`` instead
-of a working exclusion list; super rows are sampled off the supergroup's
-pid sequence itself. Construction therefore produces the *same pid
-sequences in the same order from the same RNG stream* as the descriptor
-tables the object host used to draw — pinned by the S=500
-construction-digest golden (one digest, :func:`rows_digest`, for both
-hosts) and the hypothesis suite in
-tests/test_membership_columnar_equivalence.py.
+Each builder is draw-for-draw identical to a historical per-member body
+kept in :mod:`repro.membership.static` — a topic row to
+:func:`~repro.membership.static._reference_draw_topic_table`, a super or
+outsider row to :func:`~repro.membership.static._reference_draw_super_table`
+— from the same RNG stream, with the same RNG end-state. The argument:
+
+* ``random.Random.sample(population, k)`` is purely positional: its RNG
+  consumption and the *positions* it selects depend only on
+  ``(len(population), k)``, never on the elements. So sampling positions
+  and mapping them through the pid sequence reproduces a draw over a list
+  of descriptors carrying those pids.
+* the oracle's exclusion list for member ``i`` (the group with member
+  ``i`` removed, order preserved) holds group index ``r`` at position
+  ``r`` below ``i`` and ``r+1`` at or above it, so a topic row maps each
+  drawn position with ``j = r if r < i else r+1`` instead of building
+  that list. This holds only when no pid appears twice (pid exclusion
+  would drop every copy), so :class:`ColumnarTableBuilder` refuses a
+  group that repeats one.
+* the draw itself is :func:`~repro.membership.sampling.sample_from` — both
+  of ``random.sample``'s branches (pool for small populations, selection
+  set with rejection for large ones) written out once over the
+  ``getrandbits`` stream the stdlib consumes, in its positions form for
+  the builders and over a row for :meth:`ColumnarGroupTables.sample_row`.
+
+A whole build draws the groups in a fixed order from one stream, each
+member's topic row then its super row (:func:`build_group_tables`). The
+S=500 construction-digest golden (one digest, :func:`rows_digest`, for
+both hosts) and tests/test_membership_equivalence.py pin all of it.
 
 Reading a row in place
 ----------------------
@@ -69,11 +86,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ColumnarGroupTables:
     """One group's frozen membership tables in flat pid columns.
 
-    Built by :func:`build_group_tables` (which owns the draw order);
-    afterwards the tables are immutable — exactly the paper's §VII setting
-    ("these tables are initialized at the beginning of the simulation and
-    do not change"). ``members`` is the group's pid sequence: member
-    ``i`` — pid ``members[i]`` — owns row ``i`` of both columns.
+    Built by the builders below (:func:`build_group_tables` owns a
+    group's draw order); afterwards the tables are immutable — exactly the
+    paper's §VII setting ("these tables are initialized at the beginning
+    of the simulation and do not change"). ``members`` is the group's pid
+    sequence: member ``i`` — pid ``members[i]`` — owns row ``i`` of both
+    columns.
     """
 
     __slots__ = (
@@ -188,12 +206,15 @@ class ColumnarGroupTables:
 
 
 class ColumnarTableBuilder:
-    """Per-group topic-row builder, draw-identical to
-    :meth:`GroupTableBuilder.table_at` over the group's descriptor list.
+    """Per-group topic-row builder: member ``i``'s row is ``capacity``
+    other members, draw-identical to
+    :func:`~repro.membership.static._reference_draw_topic_table`.
 
     ``draw_row`` must be called for members in index order (a build
     interleaves each member's topic and supertopic draws, so the caller
-    owns the loop)."""
+    owns the loop). A group that lists a pid twice is a
+    :class:`~repro.errors.ConfigError`: no group of registered processes
+    repeats one, and positional exclusion would keep the second copy."""
 
     def __init__(self, members: Sequence[int], capacity: int):
         if not members:
@@ -204,6 +225,8 @@ class ColumnarTableBuilder:
         #: the pids as a list, the sequence CPython indexes fastest (a
         #: ``range`` computes each item, an array boxes it)
         self._pids = list(members)
+        if len(set(self._pids)) != len(self._pids):
+            raise ConfigError("a membership group lists a pid more than once")
         self.capacity = capacity
         n = len(members) - 1  # the exclusion list length: everyone but the member
         self.stride = min(capacity, n)
@@ -213,7 +236,7 @@ class ColumnarTableBuilder:
 
     def draw_row(self, index: int, rng: random.Random) -> None:
         """Append member ``index``'s topic row (consuming exactly the RNG
-        draws the descriptor build's ``table_at`` would)."""
+        draws the oracle would)."""
         pids = self._pids
         rows = self.rows
         if self._take_all:
@@ -235,8 +258,11 @@ class ColumnarTableBuilder:
 
 
 class ColumnarSuperBuilder:
-    """Per-group ``sTable``-row builder, draw-identical to
-    :meth:`GroupSampler.sample` over the supergroup's descriptor list."""
+    """Row builder over a group the drawers are not in: each row is a
+    uniform ``z``-draw of ``super_members``, no exclusion, draw-identical
+    to :func:`~repro.membership.static._reference_draw_super_table`.
+
+    Serves ``sTable`` rows and the baselines' outsider tables."""
 
     def __init__(self, super_members: Sequence[int], z: int):
         if not super_members:
@@ -256,6 +282,13 @@ class ColumnarSuperBuilder:
         append = self.rows.append
         for r in sample_from(None, 0, len(pids), self.z, rng):
             append(pids[r])
+
+    def tables(self, topic: Topic, drawers: Sequence[int]) -> ColumnarGroupTables:
+        """The rows drawn so far as topic rows of ``drawers`` (row ``i`` is
+        ``drawers[i]``'s), read with :meth:`ColumnarGroupTables.sample_row`
+        — an outsider table holds none of its drawers, so there is nothing
+        to exclude."""
+        return ColumnarGroupTables(topic, drawers, self.z, self.stride, self.rows)
 
 
 def build_group_tables(

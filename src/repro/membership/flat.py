@@ -49,7 +49,7 @@ class FlatMembershipConfig:
     """Tuning knobs of the flat membership protocol.
 
     ``capacity`` is the table size — use
-    :func:`repro.membership.static.static_table_capacity` for the paper's
+    :meth:`repro.core.params.TopicParams.table_capacity` for the paper's
     ``(b+1)·log(S)``. ``shuffle_length`` entries are exchanged per shuffle;
     ``join_ttl`` bounds join-announcement forwarding; ``join_fanout`` is
     how many view members each hop forwards a join to.

@@ -3,19 +3,18 @@
 ``random.Random.sample(population, k)`` is positional: the draws it makes and
 the *positions* it selects depend only on ``(len(population), k)``, never on
 the elements. :func:`sample_from` writes its two branches out once — over a
-window ``seq[start:start + n]`` of any indexable, so that a descriptor list
-(the static builders), a pid list (:meth:`PartialView.sample_pids`), a
-descriptor tuple (:meth:`PartialView.sample`), bare positions (the columnar
-builders) and a slice of a flat pid column
+window ``seq[start:start + n]`` of any indexable, so that a pid list
+(:meth:`PartialView.sample_pids`), a descriptor tuple
+(:meth:`PartialView.sample`), bare positions (the columnar builders) and a
+slice of a flat pid column
 (:meth:`ColumnarGroupTables.sample_row`) are all sampled by the same loop, with
 the same ``getrandbits`` stream and the same end state as the stdlib call —
 without its ``isinstance(population, Sequence)`` ABC check and its
 ``_randbelow`` frame per selection.
 
 The equivalence is pinned against ``random.Random.sample`` itself, selections
-*and* ``getstate()``, by tests/test_property_views.py,
-tests/test_membership_fast_equivalence.py and
-tests/test_membership_columnar_equivalence.py.
+*and* ``getstate()``, by tests/test_property_views.py and
+tests/test_membership_equivalence.py.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ class TestBroadcast:
         system.publish(T2)
         system.run_until_idle()
         n = sum(SIZES.values())
-        fanout = system.fanout(n)
+        fanout = system.params.fanout(n)
         sent = system.stats.event_messages_sent()
         assert sent <= n * fanout
         assert sent >= 0.9 * n * fanout
@@ -137,10 +137,30 @@ class TestHierarchical:
 
     def test_cross_cluster_table_excludes_own_cluster(self):
         system = populate(HierarchicalGossipSystem(seed=0, n_clusters=5))
+        cluster_of = {
+            p.pid: key for key, members in system.clusters().items() for p in members
+        }
         for process in system.processes:
-            cross = process.groups[CLUSTERS_ROOT].view
-            for descriptor in cross:
-                assert descriptor.topic != process.cluster
+            cross = process.groups[CLUSTERS_ROOT]
+            row = cross.tables.row_pids(cross.row)
+            assert len(row) == system.params.table_capacity(5)
+            for pid in row:
+                assert cluster_of[pid] != process.cluster
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_one_cluster_keeps_an_empty_cross_table(self, redraw):
+        system = populate(HierarchicalGossipSystem(seed=2, n_clusters=1))
+        if redraw:
+            system.finalize_membership()
+        for process in system.processes:
+            # the in-cluster table, (b+1)·ln(85) = 17.8 -> 18 entries, and
+            # an empty cross table
+            assert process.table_count == 2
+            assert process.memory_footprint == 18
+        event = system.publish(T2)
+        system.run_until_idle()
+        assert system.tracker.delivery_count(event.event_id) == sum(SIZES.values())
+        assert sum(system.stats.inter_group_sent.values()) == 0
 
     def test_everyone_receives(self):
         system = populate(HierarchicalGossipSystem(seed=1, n_clusters=5))
@@ -162,6 +182,11 @@ class TestHierarchical:
         system.run_until_idle()
         inter = sum(system.stats.inter_group_sent.values())
         assert inter >= 1
+        # each cross-cluster batch is addressed to its targets' cluster
+        clusters = set(system.clusters())
+        for source, destination in system.stats.inter_group_sent:
+            assert source in clusters and destination in clusters
+            assert source != destination
 
     def test_too_many_clusters_rejected(self):
         system = HierarchicalGossipSystem(seed=0, n_clusters=50)
@@ -198,6 +223,38 @@ class TestFairSubstrate:
         system.run_until_idle()
         fraction = system.delivered_fraction(event, T2)
         assert fraction > 0.8
+
+
+class TestSizeLaws:
+    @pytest.mark.parametrize(
+        "system_class",
+        [
+            GossipBroadcastSystem,
+            GossipMulticastSystem,
+            HierarchicalGossipSystem,
+            NaivePublisherSystem,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"log_base": 1.0}, "fanout_log_base must be > 1"),
+            ({"log_base": 0.5}, "fanout_log_base must be > 1"),
+            ({"b": -1.0}, "b must be >= 0"),
+            ({"c": -0.5}, "c must be >= 0"),
+        ],
+    )
+    def test_out_of_range_constants_rejected(self, system_class, bad, match):
+        with pytest.raises(ConfigError, match=match):
+            system_class(**bad)
+
+    def test_cross_fanout_takes_c2(self):
+        system = HierarchicalGossipSystem(n_clusters=4, c=5.0, c2=1.0)
+        assert system.params.fanout(4) == 7
+        assert system.cross_params.fanout(4) == 3
+        assert system.cross_params.table_capacity(4) == system.params.table_capacity(4)
+        with pytest.raises(ConfigError, match="c must be >= 0"):
+            HierarchicalGossipSystem(c2=-1.0)
 
 
 class TestOnePublish:

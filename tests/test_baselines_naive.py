@@ -27,13 +27,24 @@ class TestStructure:
         root_process = system.group(ROOT)[0]
         assert root_process.table_count == 1
 
+    def test_publisher_groups_in_publish_order(self):
+        # own group, then each populated supergroup walking up: the order
+        # the publisher injects in, whatever order the groups were drawn
+        system = populate(NaivePublisherSystem(seed=0))
+        for process in system.group(T2):
+            assert list(process.groups) == [T2, T1, ROOT]
+        for process in system.group(T1):
+            assert list(process.groups) == [T1, ROOT]
+
     def test_groups_hold_direct_subscribers_only(self):
         system = populate(NaivePublisherSystem(seed=0))
         # A root subscriber never appears in a T2 subscriber's T2 table.
         root_pids = {p.pid for p in system.group(ROOT)}
         for process in system.group(T2):
-            t2_view = process.groups[T2].view
-            assert root_pids.isdisjoint(set(t2_view.pids))
+            state = process.groups[T2]
+            row = state.tables.row_pids(state.row)
+            assert row and process.pid not in row
+            assert root_pids.isdisjoint(row)
 
     def test_empty_supertopic_skipped(self):
         system = NaivePublisherSystem(seed=0)
@@ -69,7 +80,7 @@ class TestDissemination:
         load = system.stats.sender_load(publisher.pid)
         # The publisher alone pays >= one fan-out per populated level.
         per_level = [
-            min(system.fanout(SIZES[t]), system.table_capacity(SIZES[t]))
+            min(system.params.fanout(SIZES[t]), system.params.table_capacity(SIZES[t]))
             for t in (ROOT, T1, T2)
         ]
         assert load >= sum(per_level) - 3  # small-table slack

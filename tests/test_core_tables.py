@@ -8,8 +8,7 @@ from hypothesis import given, settings
 
 from repro.core.tables import SuperTopicTable
 from repro.errors import MembershipError
-from repro.membership import ProcessDescriptor
-from repro.membership.static import GroupSampler
+from repro.membership import ColumnarSuperBuilder, ProcessDescriptor
 from repro.topics import ROOT, Topic
 
 T1 = Topic.parse(".t1")
@@ -168,7 +167,11 @@ class TestInstall:
     )
     @settings(max_examples=150, deadline=None)
     def test_install_equals_clear_then_adopt(self, z, supergroup, seed, previous):
-        sampler = GroupSampler(descs(T1, range(100, 100 + supergroup)))
+        def sample(rng):
+            builder = ColumnarSuperBuilder(range(100, 100 + supergroup), z)
+            builder.draw_row(rng)
+            return descs(T1, builder.rows)
+
         tables, rngs = [], []
         for _ in range(2):
             table = SuperTopicTable(z)
@@ -179,8 +182,8 @@ class TestInstall:
             rngs.append(random.Random(seed))
         reference, installed = tables
         reference.clear()
-        reference.adopt(T1, sampler.sample(z, rngs[0]), rngs[0], own_topic=T2)
-        installed.install(T1, sampler.sample(z, rngs[1]))
+        reference.adopt(T1, sample(rngs[0]), rngs[0], own_topic=T2)
+        installed.install(T1, sample(rngs[1]))
         assert installed.pids == reference.pids
         assert len(installed) == min(z, supergroup)
         assert installed.descriptors() == reference.descriptors()

@@ -1,16 +1,18 @@
-"""Unit tests for static (paper-mode) membership drawing."""
+"""Unit tests for static (paper-mode) membership: the table-size law, the
+drawn rows and the supergroup rule."""
 
 import math
 import random
 
 import pytest
 
+from repro.core.params import TopicParams
 from repro.errors import ConfigError
 from repro.membership import (
+    ColumnarSuperBuilder,
+    ColumnarTableBuilder,
     ProcessDescriptor,
-    draw_super_table,
-    draw_topic_table,
-    static_table_capacity,
+    build_group_tables,
 )
 from repro.membership.static import nearest_populated_super
 from repro.topics import ROOT, Topic
@@ -26,56 +28,75 @@ def group(topic, pids):
 class TestCapacity:
     def test_paper_value_base10(self):
         # S=1000, b=3, log10 -> (3+1)*3 = 12
-        assert static_table_capacity(1000, b=3, log_base=10) == 12
+        assert TopicParams(b=3, fanout_log_base=10).table_capacity(1000) == 12
 
     def test_paper_value_natural(self):
         expected = math.ceil(4 * math.log(1000))
-        assert static_table_capacity(1000, b=3) == expected
+        assert TopicParams(b=3).table_capacity(1000) == expected
 
     def test_singleton_group(self):
-        assert static_table_capacity(1, b=3) == 1
+        assert TopicParams(b=3).table_capacity(1) == 1
 
     def test_small_group_at_least_one(self):
-        assert static_table_capacity(2, b=0) >= 1
+        assert TopicParams(b=0).table_capacity(2) >= 1
 
     def test_invalid_size(self):
         with pytest.raises(ConfigError):
-            static_table_capacity(0, b=3)
+            TopicParams(b=3).table_capacity(0)
 
 
-class TestDrawTopicTable:
+class TestTopicRows:
     def test_excludes_self(self):
-        members = group(T2, range(10))
-        table = draw_topic_table(members[0], members, 5, random.Random(0))
-        assert members[0].pid not in table
+        tables = build_group_tables(T2, range(10), 5, random.Random(0))
+        for index in range(10):
+            assert index not in tables.row_pids(index)
 
     def test_capacity_respected(self):
-        members = group(T2, range(50))
-        table = draw_topic_table(members[0], members, 7, random.Random(0))
-        assert len(table) == 7
+        tables = build_group_tables(T2, range(50), 7, random.Random(0))
+        assert len(tables.row_pids(0)) == tables.stride == 7
 
     def test_small_group_takes_everyone_else(self):
-        members = group(T2, range(3))
-        table = draw_topic_table(members[0], members, 10, random.Random(0))
-        assert len(table) == 2
+        tables = build_group_tables(T2, range(3), 10, random.Random(0))
+        assert tables.row_pids(0) == [1, 2]
+        assert tables.row_pids(1) == [0, 2]
+
+    def test_group_of_one_has_an_empty_row(self):
+        tables = build_group_tables(T2, [7], 1, random.Random(0))
+        assert tables.stride == 0 and tables.row_pids(0) == []
+        assert tables.sample_row(0, 3, random.Random(0)) == []
 
     def test_deterministic(self):
-        members = group(T2, range(30))
-        t1 = draw_topic_table(members[0], members, 5, random.Random(3))
-        t2 = draw_topic_table(members[0], members, 5, random.Random(3))
-        assert t1.pids == t2.pids
+        first = build_group_tables(T2, range(30), 5, random.Random(3))
+        second = ColumnarTableBuilder(list(range(30)), 5)
+        second.draw_row(0, random.Random(3))
+        assert first.row_pids(0) == second.rows.tolist()
 
 
-class TestDrawSuperTable:
+class TestSuperRows:
     def test_size_z(self):
-        supers = group(T1, range(100, 120))
-        table = draw_super_table(supers, 3, random.Random(0))
-        assert len(table) == 3
+        builder = ColumnarSuperBuilder(range(100, 120), 3)
+        builder.draw_row(random.Random(0))
+        assert len(builder.rows) == builder.stride == 3
 
     def test_small_supergroup(self):
-        supers = group(T1, [100])
-        table = draw_super_table(supers, 3, random.Random(0))
-        assert table.pids == [100]
+        builder = ColumnarSuperBuilder([100], 3)
+        builder.draw_row(random.Random(0))
+        assert builder.rows.tolist() == [100]
+
+    def test_outsider_table_reads_its_drawers_rows(self):
+        builder = ColumnarSuperBuilder(range(100, 120), 4)
+        rng = random.Random(5)
+        for _ in range(3):
+            builder.draw_row(rng)
+        tables = builder.tables(T1, [7, 8, 9])
+        assert len(tables) == 3
+        assert [tables.row_pids(i) for i in range(3)] == [
+            builder.rows[4 * i : 4 * i + 4].tolist() for i in range(3)
+        ]
+
+    def test_empty_supergroup_rejected(self):
+        with pytest.raises(ConfigError, match="supergroup size"):
+            ColumnarSuperBuilder([], 3)
 
 
 class TestNearestPopulatedSuper:
