@@ -119,9 +119,9 @@ class ArtifactStore:
         """The stored record for a cell, or None on miss.
 
         A record only counts as a hit when its identity fields match the
-        request exactly — a corrupt file, a schema bump or a stale entry
-        whose content disagrees with its address is a miss (recomputed,
-        never served).
+        request exactly — an undecodable or corrupt file, a schema bump or
+        a stale entry whose content disagrees with its address is a miss
+        (recomputed, never served).
         """
         path = self._path(
             self.cell_key(
@@ -132,7 +132,7 @@ class ArtifactStore:
         try:
             with open(path, encoding="utf-8") as handle:
                 record = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         if not isinstance(record, dict) or "result" not in record:
             return None

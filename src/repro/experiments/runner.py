@@ -45,6 +45,7 @@ arguments; lambdas and nested closures are rejected with a
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -107,7 +108,8 @@ class SweepResult:
 def aggregate_runs(
     samples: Sequence[Mapping[str, float]]
 ) -> tuple[dict[str, float], dict[str, float]]:
-    """Mean and standard deviation per metric over repeated runs.
+    """Mean (``statistics.fmean``'s arithmetic, inlined) and standard
+    deviation per metric over repeated runs.
 
     Metrics are emitted in sorted key order so the returned dicts (and
     everything serialized from them — sweep tables, figure columns) have
@@ -124,7 +126,7 @@ def aggregate_runs(
     stds: dict[str, float] = {}
     for key in sorted(keys):
         values = [float(sample[key]) for sample in samples]
-        means[key] = statistics.fmean(values)
+        means[key] = math.fsum(values) / len(values)
         stds[key] = statistics.stdev(values) if len(values) > 1 else 0.0
     return means, stds
 

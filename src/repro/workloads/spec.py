@@ -1709,27 +1709,33 @@ def run_spec(spec: Mapping, seed: int = 0) -> dict[str, float]:
 # Spec manipulation, digests, loading
 # ----------------------------------------------------------------------
 def spec_with(spec: Mapping, path: str, value: Any) -> dict:
-    """A deep copy of ``spec`` with the dotted ``path`` set to ``value``.
+    """``spec`` with the dotted ``path`` set to ``value``.
 
     Paths address nested mappings (``"failures.alive_fraction"``);
     missing intermediate mappings are created, so sweeping a field of an
     absent optional section still works (validation of the completed
     section happens at compile time).
+
+    Only the mappings on the path are copied, so ``spec`` is left as it
+    was; sub-mappings off the path are shared with it. Specs are values
+    (nothing assigns into one in place), and :func:`compile_spec`
+    deep-copies what it keeps (``CompiledSpec.spec``), so an edit of a
+    shared sub-mapping never reaches a compiled or memoised spec.
     """
     parts = path.split(".")
     if not path or any(not part for part in parts):
         raise ConfigError(f"invalid spec path {path!r}")
-    result = copy.deepcopy(dict(spec))
-    node = result
+    result = node = dict(spec)
     for part in parts[:-1]:
         child = node.get(part)
         if child is None:
-            child = node[part] = {}
+            child = {}
         elif not isinstance(child, dict):
             raise ConfigError(
                 f"spec path {path!r}: {part!r} is not a mapping"
             )
-        node = child
+        node[part] = dict(child)
+        node = node[part]
     node[parts[-1]] = value
     return result
 
@@ -1850,7 +1856,7 @@ def sweep_scenario(
     """
     if not values:
         raise ConfigError("sweep values must not be empty")
-    base = copy.deepcopy(dict(spec))
+    base = dict(spec)
     # Validate every point spec eagerly in the parent: a typo'd field or a
     # bad value should fail before any worker spins up. Through the memo,
     # so a serial cell finds its point compiled and a re-run of the sweep

@@ -90,6 +90,21 @@ class TestStaleEntriesAreMisses:
         self._entry_path(store).write_text("{truncated", encoding="utf-8")
         assert store.get(run_key="rk", seed_name="s/0", master_seed=0) is None
 
+    def test_undecodable_bytes_are_a_miss(self, tmp_path):
+        # Bit-rot or a stray binary: bytes that are not UTF-8 raise a
+        # UnicodeDecodeError, not a JSONDecodeError. Still a miss, and a
+        # sweep over the cell recomputes it and stores it again.
+        store = ArtifactStore(tmp_path)
+        key = dict(run_key="rk", seed_name="cache/2.0", master_seed=0)
+        store.put({"x": 1.0}, **key)
+        store._path(store.cell_key(**key)).write_bytes(b'\xff\xfe{"x":')
+        assert store.get(**key) is None
+        caching = CachingExecutor(SerialExecutor(), store, "rk")
+        expected = [_metrics(2.0, _seed_for("cache/2.0"))]
+        assert caching.map_cells(_metrics, _cells([2.0])) == expected
+        assert (caching.hits, caching.executed) == (0, 1)
+        assert [store.get(**key)["result"]] == expected
+
     def test_digest_mismatch_is_a_miss(self, tmp_path):
         # A file copied to the wrong address: its identity fields
         # disagree with the key it is stored under — never served.

@@ -6,8 +6,11 @@ paper-scale shapes are asserted once, on three grid points, by
 """
 
 import functools
+import statistics
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.cli import main
 from repro.errors import ConfigError
@@ -188,6 +191,14 @@ RECORDED_CALLS = {
 }
 
 
+# Finite floats with subnormals and large magnitudes; five of them sum
+# without overflow, so statistics.fmean is defined on every draw.
+_FLOATS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300]),
+)
+
+
 class TestRunner:
     def test_aggregate_mean_std(self):
         means, stds = aggregate_runs([{"x": 1.0}, {"x": 3.0}])
@@ -197,6 +208,29 @@ class TestRunner:
     def test_aggregate_single_run_zero_std(self):
         means, stds = aggregate_runs([{"x": 5.0}])
         assert stds["x"] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from("zyxw"), min_size=1, max_size=4, unique=True
+        ).flatmap(
+            lambda keys: st.lists(
+                st.fixed_dictionaries({key: _FLOATS for key in keys}),
+                min_size=1, max_size=5,
+            )
+        )
+    )
+    def test_aggregate_is_fmean_and_stdev_bit_for_bit(self, samples):
+        means, stds = aggregate_runs(samples)
+        keys = sorted(samples[0])
+        assert list(means) == keys and list(stds) == keys
+        for key in keys:
+            values = [sample[key] for sample in samples]
+            expected = statistics.fmean(values)
+            assert means[key] == expected
+            assert means[key].hex() == expected.hex()
+            spread = statistics.stdev(values) if len(values) > 1 else 0.0
+            assert stds[key].hex() == spread.hex()
 
     def test_aggregate_rejects_mismatched_keys(self):
         with pytest.raises(ConfigError):

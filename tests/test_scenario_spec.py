@@ -11,7 +11,9 @@ import copy
 import json
 from collections import OrderedDict
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.cli import main
 from repro.errors import ConfigError
@@ -529,6 +531,42 @@ class TestValidation:
         assert (executor.executed, executor.hits) == (0, 0)
 
 
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+    st.floats(allow_nan=False), st.lists(st.integers(), max_size=3),
+)
+_KEYS = st.sampled_from("abcd")
+_SPECS = st.dictionaries(
+    _KEYS,
+    st.recursive(
+        _LEAVES, lambda inner: st.dictionaries(_KEYS, inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=4,
+)
+_PATHS = st.lists(_KEYS, min_size=1, max_size=4)
+_VALUES = st.one_of(_LEAVES, st.dictionaries(_KEYS, _LEAVES, max_size=2))
+
+
+def _deepcopy_then_set(spec, parts, value):
+    """The reference ``spec_with``: copy everything, then set."""
+    result = node = copy.deepcopy(spec)
+    for part in parts[:-1]:
+        if node.get(part) is None:
+            node[part] = {}
+        elif not isinstance(node[part], dict):
+            raise ConfigError(f"{part!r} is not a mapping")
+        node = node[part]
+    node[parts[-1]] = value
+    return result
+
+
+def _mapping_ids(value) -> set[int]:
+    if not isinstance(value, dict):
+        return set()
+    return {id(value)}.union(*(_mapping_ids(child) for child in value.values()))
+
+
 class TestSpecWith:
     def test_sets_nested_field(self):
         modified = spec_with(SMALL, "failures.alive_fraction", 0.5)
@@ -548,6 +586,37 @@ class TestSpecWith:
     def test_rejects_non_mapping_intermediate(self):
         with pytest.raises(ConfigError, match="is not a mapping"):
             spec_with(SMALL, "name.sub", 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_SPECS, parts=_PATHS, value=_VALUES)
+    @example(spec={"a": {"b": 1}, "c": {"d": [1]}}, parts=["e", "f", "g"], value=2)
+    @example(spec={"a": {"b": {"c": 1}}, "d": {}}, parts=["a", "b", "c"], value={})
+    def test_copies_only_the_path(self, spec, parts, value):
+        """By value the result is deepcopy-then-set; the input is left as
+        it was; every mapping on the path is new and everything off the
+        path is shared."""
+        snapshot = copy.deepcopy(spec)
+        path = ".".join(parts)
+        try:
+            expected = _deepcopy_then_set(spec, parts, value)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="is not a mapping"):
+                spec_with(spec, path, value)
+            assert spec == snapshot
+            return
+        result = spec_with(spec, path, value)
+        assert result == expected
+        assert spec == snapshot
+        input_mappings = _mapping_ids(spec)
+        node, source = result, spec
+        for depth, part in enumerate(parts):
+            assert id(node) not in input_mappings
+            for key, child in node.items():
+                if key != part:
+                    assert child is source[key]
+            if depth < len(parts) - 1:
+                node = node[part]
+                source = source.get(part) or {}
 
 
 class TestDeterminism:
@@ -625,6 +694,33 @@ class TestDeterminism:
         assert (executor.executed, executor.hits) == (0, 10)
         assert warm.means == cold.means
         assert len(compiled_specs) == 10
+
+    def test_cached_rerun_makes_no_deep_copy(self, monkeypatch, tmp_path):
+        """Exact count: a fully cached 10-point paper-vii re-run executes
+        no cell and calls ``copy.deepcopy`` zero times (it made 11 when
+        the sweep deep-copied its base and spec_with the whole spec per
+        point). Only top-level calls count: the recursion passes a memo."""
+        values = [round(0.1 * i, 1) for i in range(1, 11)]
+        executor = CachingExecutor(
+            SerialExecutor(), ArtifactStore(tmp_path), "no-deep-copy"
+        )
+        kwargs = dict(runs=1, master_seed=5, executor=executor)
+        spec = load_preset("paper-vii")
+        cold = sweep_scenario(spec, "failures.alive_fraction", values, **kwargs)
+        assert (executor.executed, executor.hits) == (10, 0)
+        top_level_calls = []
+        real_deepcopy = copy.deepcopy
+
+        def counting_deepcopy(value, memo=None, *args):
+            if memo is None:
+                top_level_calls.append(type(value).__name__)
+            return real_deepcopy(value, memo, *args)
+
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        warm = sweep_scenario(spec, "failures.alive_fraction", values, **kwargs)
+        assert (executor.executed, executor.hits) == (0, 10)
+        assert (warm.means, warm.stds) == (cold.means, cold.stds)
+        assert top_level_calls == []
 
     def test_bad_last_point_raises_before_the_first_cell(
         self, compiled_specs, tmp_path
