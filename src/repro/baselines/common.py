@@ -202,7 +202,6 @@ class BaselineSystem(ObjectSystemFacade):
         b: float = 3.0,
         c: float = 5.0,
         log_base: float = math.e,
-        trace: bool = False,
     ):
         super().__init__(
             SimulationHarness(
@@ -210,7 +209,6 @@ class BaselineSystem(ObjectSystemFacade):
                 p_success=p_success,
                 latency=latency,
                 failure_model=failure_model,
-                trace=trace,
             )
         )
         # TopicParams' range checks let NaN through

@@ -238,7 +238,6 @@ class ColumnarStaticSystem(SystemFacade):
         latency: LatencyModel = ZERO_LATENCY,
         failure_model: FailureModel | None = None,
         tracker: str = "streaming",
-        trace: bool = False,
     ):
         self.config = config or DaMulticastConfig()
         super().__init__(
@@ -247,7 +246,6 @@ class ColumnarStaticSystem(SystemFacade):
                 p_success=p_success,
                 latency=latency,
                 failure_model=failure_model,
-                trace=trace,
                 tracker=tracker,
             )
         )

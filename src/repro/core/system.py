@@ -57,7 +57,6 @@ class DaMulticastSystem(ObjectSystemFacade):
         failure_model: FailureModel | None = None,
         mode: str = "dynamic",
         overlay_degree: int = 5,
-        trace: bool = False,
         delivery_callback: DeliveryCallback | None = None,
         harness: SimulationHarness | None = None,
     ):
@@ -79,7 +78,6 @@ class DaMulticastSystem(ObjectSystemFacade):
                 p_success=p_success,
                 latency=latency,
                 failure_model=failure_model,
-                trace=trace,
             )
         )
         self.overlay = (

@@ -50,8 +50,8 @@ fan-out, staged so that what is the same for every target is decided once:
   depends on the time — a failure model that declares its dead set
   (``static_dead``, :mod:`repro.failures.model`: ``AlwaysAlive``'s is
   empty, ``StillbornFailures``' is the paper's Figs. 8–10 setting),
-  ``FullyConnected``, ``ConstantLatency``, no fault hook — and tracing is
-  off, the sender-side pass (stages 2–5) is one membership test on the
+  ``FullyConnected``, ``ConstantLatency``, no fault hook — the
+  sender-side pass (stages 2–5) is one membership test on the
   sender and then exactly the loss draw per target, in target order, and
   stage 6 one latency class: one list comprehension, one
   ``record_dropped_many``, and the survivors join the current *wave*
@@ -133,10 +133,9 @@ at the wave's own place (:meth:`~repro.sim.engine.CallQueue.requeue`),
 ahead of the fan-outs already collected, which are dispatched as a wave
 — the per-fan-out order again.
 
-Ordering caveats (documented, not observable by well-behaved actors): the
-trace log groups a multicast's ``net.sent`` records before its drop
-records, and batched deliveries evaluate target liveness at the shared
-delivery timestamp — identical outcomes unless an actor's
+Ordering caveat (documented, not observable by well-behaved actors):
+batched deliveries evaluate target liveness at the shared delivery
+timestamp — identical outcomes unless an actor's
 ``handle_message`` changes ground-truth liveness of a co-delivered target
 at that same instant, which no in-repo model does.
 
@@ -181,7 +180,6 @@ from repro.net.stats import (
 )
 from repro.net.transport import Transport
 from repro.sim.clock import Clock
-from repro.sim.trace import TraceLog
 
 
 #: "No link class resolved yet" — distinct from None, which is a class (the
@@ -248,8 +246,6 @@ class Network:
         latency: LatencyModel = ZERO_LATENCY,
         failure_model: FailureModel | None = None,
         partition_model: PartitionModel | None = None,
-        stats: NetworkStats | None = None,
-        trace: TraceLog | None = None,
         faults: LinkFaultModel | None = None,
         fault_rng: random.Random | None = None,
         transport: Transport | None = None,
@@ -272,8 +268,7 @@ class Network:
         self.install_faults(faults, fault_rng)  # also resolves link classes
         self.failure_model = failure_model or AlwaysAlive()
         self.partition_model: PartitionModel = partition_model or FullyConnected()
-        self.stats = stats if stats is not None else NetworkStats()
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.stats = NetworkStats()
         self._actors: dict[int, Actor] = {}
         #: block actors: sorted, non-overlapping (start, stop, actor) ranges
         self._blocks: list[tuple[int, int, BlockActor]] = []
@@ -449,7 +444,7 @@ class Network:
         Actors point at their network, so the registry is what ties a
         finished simulation into one reference cycle; without it the
         actors are freed as soon as their owner lets go of them.
-        Statistics and the trace stay readable.
+        Statistics stay readable.
         """
         self._actors.clear()
         self._blocks.clear()
@@ -588,24 +583,21 @@ class Network:
         if target not in self:
             raise UnknownActor(f"no actor registered with pid {target}")
         now = self._clock.now
-        self.stats.record_sent(message)
-        if self.trace.enabled:
-            self.trace.record(
-                now, "net.sent", sender, target, message_kind=message.kind
-            )
+        stats = self.stats
+        stats.record_sent(message)
 
         failure_model = self._failure_model
         if not failure_model.is_alive(sender, now):
-            self._drop(message, sender, target, DROP_DEAD_SENDER)
+            stats.record_dropped(message, DROP_DEAD_SENDER)
             return False
         if failure_model.transmission_blocked(sender, target, now, self._rng):
-            self._drop(message, sender, target, DROP_PERCEIVED_FAILED)
+            stats.record_dropped(message, DROP_PERCEIVED_FAILED)
             return False
         if not self.partition_model.connected(sender, target, now):
-            self._drop(message, sender, target, DROP_PARTITIONED)
+            stats.record_dropped(message, DROP_PARTITIONED)
             return False
         if self._rng.random() >= self.p_success:
-            self._drop(message, sender, target, DROP_CHANNEL_LOSS)
+            stats.record_dropped(message, DROP_CHANNEL_LOSS)
             return False
 
         classify = self._classify
@@ -622,24 +614,14 @@ class Network:
                 sender, target, delay, self._fault_rng
             )
             if copies == 0:
-                self.stats.record_fault(FAULT_LOSS)
-                self._drop(message, sender, target, DROP_FAULT_LOSS)
+                stats.record_fault(FAULT_LOSS)
+                stats.record_dropped(message, DROP_FAULT_LOSS)
                 return False
             if faulted_delay != delay:
-                self.stats.record_fault(FAULT_DELAY_SPIKE)
-                if self.trace.enabled:
-                    self.trace.record(
-                        now, "net.fault", sender, target,
-                        message_kind=message.kind, reason=FAULT_DELAY_SPIKE,
-                    )
+                stats.record_fault(FAULT_DELAY_SPIKE)
                 delay = faulted_delay
             if copies > 1:
-                self.stats.record_fault(FAULT_DUPLICATE, copies - 1)
-                if self.trace.enabled:
-                    self.trace.record(
-                        now, "net.fault", sender, target,
-                        message_kind=message.kind, reason=FAULT_DUPLICATE,
-                    )
+                stats.record_fault(FAULT_DUPLICATE, copies - 1)
                 if self._wave:
                     self._flush_wave()
                 self._transport.dispatch(
@@ -686,8 +668,6 @@ class Network:
         partition_model = self.partition_model
         latency = self._latency
         fault_hook = self._fault_hook
-        trace = self.trace
-        tracing = trace.enabled
         rng = self._rng
         random_draw = rng.random
         p_success = self.p_success
@@ -697,7 +677,6 @@ class Network:
             and type(partition_model) is FullyConnected
             and type(latency) is ConstantLatency
             and fault_hook is None
-            and not tracing
         ):
             # Clean channel: nothing installed draws randomness or reads the
             # clock, so the whole sender-side pass is the dead-sender test
@@ -723,19 +702,8 @@ class Network:
             return scheduled
 
         now = self._clock.now
-        kind = message.kind
-        if tracing:
-            for target in targets:
-                trace.record(now, "net.sent", sender, target, message_kind=kind)
-
         if not failure_model.is_alive(sender, now):
             stats.record_dropped_many(message, DROP_DEAD_SENDER, count)
-            if tracing:
-                for target in targets:
-                    trace.record(
-                        now, "net.dropped", sender, target,
-                        message_kind=kind, reason=DROP_DEAD_SENDER,
-                    )
             return 0
 
         # General channel: per-target pass. The no-op built-ins are still
@@ -796,11 +764,6 @@ class Network:
                     )
                     if faulted_delay != delay and copies:
                         fault_spike += 1
-                        if tracing:
-                            trace.record(
-                                now, "net.fault", sender, target,
-                                message_kind=kind, reason=FAULT_DELAY_SPIKE,
-                            )
                         delay = faulted_delay
                 if copies == 1:
                     batch = batches.get(delay)
@@ -811,21 +774,11 @@ class Network:
                     continue
                 if copies:
                     fault_dup += copies - 1
-                    if tracing:
-                        trace.record(
-                            now, "net.fault", sender, target,
-                            message_kind=kind, reason=FAULT_DUPLICATE,
-                        )
                     batches.setdefault(delay, []).extend((target,) * copies)
                     continue
                 fault_loss += 1
                 reason = DROP_FAULT_LOSS
             drop_counts[reason] = drop_counts.get(reason, 0) + 1
-            if tracing:
-                trace.record(
-                    now, "net.dropped", sender, target,
-                    message_kind=kind, reason=reason,
-                )
         for reason, dropped in drop_counts.items():
             stats.record_dropped_many(message, reason, dropped)
         if fault_loss:
@@ -869,14 +822,9 @@ class Network:
         else:
             dead = target in static_dead
         if dead:
-            self._drop(message, sender, target, DROP_DEAD_TARGET)
+            self.stats.record_dropped(message, DROP_DEAD_TARGET)
             return
         self.stats.record_delivered(message)
-        if self.trace.enabled:
-            self.trace.record(
-                self._clock.now, "net.delivered", sender, target,
-                message_kind=message.kind,
-            )
         actor = self._actors.get(target)
         if actor is not None:
             actor.handle_message(message)
@@ -892,14 +840,19 @@ class Network:
         delivery timestamp, then live targets receive the message in
         order; statistics are recorded in bulk.
         """
-        now = self._clock.now
-        failure_model = self._failure_model
         static_dead = self._static_dead
         stats = self.stats
-        trace = self.trace
-        tracing = trace.enabled
-        kind = message.kind
-        if static_dead is not None and not tracing:
+        if static_dead is None:
+            failure_model = self._failure_model
+            now = self._clock.now
+            alive = [
+                target for target in targets
+                if failure_model.is_alive(target, now)
+            ]
+            stats.record_dropped_many(
+                message, DROP_DEAD_TARGET, len(targets) - len(alive)
+            )
+        else:
             alive = targets
             if static_dead:
                 alive = [
@@ -908,26 +861,7 @@ class Network:
                 stats.record_dropped_many(
                     message, DROP_DEAD_TARGET, len(targets) - len(alive)
                 )
-        else:
-            alive = []
-            dead = 0
-            for target in targets:
-                if failure_model.is_alive(target, now):
-                    alive.append(target)
-                else:
-                    dead += 1
-                    if tracing:
-                        trace.record(
-                            now, "net.dropped", sender, target,
-                            message_kind=kind, reason=DROP_DEAD_TARGET,
-                        )
-            stats.record_dropped_many(message, DROP_DEAD_TARGET, dead)
         stats.record_delivered_many(message, len(alive))
-        if tracing:
-            for target in alive:
-                trace.record(
-                    now, "net.delivered", sender, target, message_kind=kind
-                )
         if not alive:
             return
         if not self._blocks:
@@ -962,7 +896,7 @@ class Network:
         done = 0
         try:
             static_dead = self._static_dead
-            if static_dead is None or self.trace.enabled:
+            if static_dead is None:
                 # The channel stopped being clean after this wave left.
                 for sub_batch in wave:
                     done += 1
@@ -1044,14 +978,6 @@ class Network:
                 run_actor, run = block, [target]
         if run:
             run_actor.handle_batch(sender, tuple(run), message)
-
-    def _drop(self, message: Message, sender: int, target: int, reason: str) -> None:
-        self.stats.record_dropped(message, reason)
-        if self.trace.enabled:
-            self.trace.record(
-                self._clock.now, "net.dropped", sender, target,
-                message_kind=message.kind, reason=reason,
-            )
 
     def __repr__(self) -> str:
         return (

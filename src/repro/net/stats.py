@@ -170,19 +170,6 @@ class NetworkStats:
         """Event messages this process has transmitted (§IV-A load)."""
         return self.events_sent_by_sender[pid]
 
-    def max_sender_load(self) -> int:
-        """The busiest process's event transmissions (0 when none)."""
-        return max(self.events_sent_by_sender.values(), default=0)
-
-    def delivery_ratio(self, kind: str | None = None) -> float:
-        """Delivered / sent for one kind (or overall); 1.0 when nothing sent."""
-        if kind is None:
-            sent, delivered = self.total_sent, self.total_delivered
-        else:
-            sent = self.sent_by_kind[kind]
-            delivered = self.delivered_by_kind[kind]
-        return delivered / sent if sent else 1.0
-
     def as_dict(self) -> dict[str, dict]:
         """Plain-dict snapshot (stable keys) for reports and tests."""
         return {
@@ -198,14 +185,3 @@ class NetworkStats:
                 for (src, dst), count in self.inter_group_sent.items()
             },
         }
-
-    def reset(self) -> None:
-        """Zero every counter (e.g. between warm-up and measurement)."""
-        self.sent_by_kind.clear()
-        self.delivered_by_kind.clear()
-        self.dropped_by_reason.clear()
-        self.dropped_by_kind.clear()
-        self.intra_group_sent.clear()
-        self.inter_group_sent.clear()
-        self.events_sent_by_sender.clear()
-        self.faults_by_reason.clear()

@@ -2,8 +2,8 @@
 
 Both :class:`repro.core.system.DaMulticastSystem` and the baseline systems
 need the same substrate wiring — a deterministic clock, named RNG streams,
-an unreliable network with statistics, a delivery tracker and optional
-tracing. Centralizing it keeps every protocol measured under identical
+an unreliable network with statistics and a delivery tracker.
+Centralizing it keeps every protocol measured under identical
 conditions, which the paper's comparison explicitly requires ("for
 fairness, all approaches use the same underlying membership algorithm" —
 and, here, the same network and failure substrate too).
@@ -36,12 +36,10 @@ from repro.metrics.delivery import all_received, delivered_fraction
 from repro.metrics.streaming import StreamingDeliveryTracker
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.network import Network
-from repro.net.stats import NetworkStats
 from repro.net.transport import Transport
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
 from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
@@ -59,7 +57,6 @@ class SimulationHarness:
         p_success: float = 1.0,
         latency: LatencyModel = ZERO_LATENCY,
         failure_model: FailureModel | None = None,
-        trace: bool = False,
         tracker: str | DeliveryTracker | StreamingDeliveryTracker = "full",
         clock: Clock | None = None,
         transport: Transport | None = None,
@@ -75,18 +72,15 @@ class SimulationHarness:
         #: is also accurate
         self.engine = self.clock
         self.rngs = RngRegistry(seed)
-        self.trace = TraceLog(enabled=trace)
-        self.stats = NetworkStats()
         self.network = Network(
             self.clock,
             self.rngs.stream("network"),
             p_success=p_success,
             latency=latency,
             failure_model=failure_model,
-            stats=self.stats,
-            trace=self.trace,
             transport=transport,
         )
+        self.stats = self.network.stats
         #: ``tracker="full"`` keeps per-(event, pid) records (the figures'
         #: raw material); ``"streaming"`` folds deliveries into O(topics)
         #: per-topic aggregates for 10⁵–10⁶-process runs. A pre-built
@@ -110,7 +104,7 @@ class SimulationHarness:
 
         The system facades call this from their own ``close()`` after
         dropping their process/group registries. Clock, RNG streams,
-        statistics, tracker and trace stay readable; nothing can be
+        statistics and tracker stay readable; nothing can be
         delivered any more.
         """
         self.network.close()

@@ -12,7 +12,6 @@ perturb each other's random sequences.
 
 from repro.sim.engine import Engine, EventHandle, PeriodicTask
 from repro.sim.rng import RngRegistry, derive_seed, spawn_seeds
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Engine",
@@ -21,6 +20,4 @@ __all__ = [
     "RngRegistry",
     "derive_seed",
     "spawn_seeds",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -369,8 +369,15 @@ class Engine(CallQueue):
         atomically, so a stop boundary can overshoot by at most one call's
         ``count`` — and one call can be a whole clean-channel wave, i.e. a
         flood's whole hop, so ``max_events`` can overshoot by that wave's
-        ``count``.)
+        ``count``.) An ``until`` that is not finite or lies before
+        :attr:`now` raises :class:`SchedulingError` before anything runs:
+        time would move to it.
         """
+        if until is not None and not self._now <= until < inf:
+            raise SchedulingError(
+                f"run(until=...) must be finite and >= now={self._now}, "
+                f"got {until}"
+            )
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True

@@ -32,7 +32,7 @@ from repro.net import (
     UniformLatency,
 )
 from repro.net.message import Message, Ping
-from repro.sim import Engine, TraceLog
+from repro.sim import Engine
 
 N_ACTORS = 8
 
@@ -155,23 +155,20 @@ class TestMulticastBasics:
         assert len(actors[1].inbox) == 1 and len(actors[2].inbox) == 1
         assert engine.now == 5.0
 
-    def test_trace_multiset_matches_outcomes(self):
+    def test_stats_match_outcomes(self):
         engine = Engine()
-        trace = TraceLog()
         net = Network(
             engine,
             random.Random(0),
-            trace=trace,
             failure_model=StillbornFailures({2}),
         )
         for pid in range(4):
             net.register(Recorder(pid))
         net.multicast(0, [1, 2, 3], Ping(sender=0, nonce=1))
         engine.run()
-        assert trace.count("net.sent") == 3
-        assert trace.count("net.delivered") == 2
-        drops = trace.filter("net.dropped")
-        assert len(drops) == 1 and drops[0].detail["reason"] == "dead_target"
+        assert net.stats.total_sent == 3
+        assert net.stats.total_delivered == 2
+        assert net.stats.dropped_by_reason == {"dead_target": 1}
 
 
 class BlockRecorder:
@@ -424,10 +421,13 @@ def classify_by_target(sender, targets):
 #: Each entry switches exactly one precondition of the clean branch off
 #: (``clean`` leaves them all on), as Network keyword arguments —
 #: ``link_classes`` switches two (latency and fault hook, both keyed by
-#: link class) and carries the classifier ``make_block_net`` binds.
+#: link class) and carries the classifier ``make_block_net`` binds;
+#: ``open_partition`` switches ``FullyConnected`` off with a partition that
+#: connects every pair (one implicit island, no draws), so the general
+#: channel runs with nothing that can drop or delay a message.
 CHANNELS = {
     "clean": lambda: {},
-    "tracing": lambda: {"trace": TraceLog()},
+    "open_partition": lambda: {"partition_model": StaticPartition([])},
     "fault_hook": lambda: {
         "faults": FaultPipeline([BernoulliLoss(0.3), DuplicateModel(0.3)]),
         "fault_rng": random.Random(99),
@@ -493,12 +493,6 @@ def _observe_blocks(engine, net, plain, blocks):
         },
         "rng_state": net._rng.getstate(),
         "fault_rng_state": fault_rng.getstate() if fault_rng else None,
-        # the trace groups a multicast's records differently (module
-        # docstring), so it is compared as a multiset
-        "trace": sorted(
-            (r.time, r.kind, r.source, r.target, sorted(r.detail.items()))
-            for r in net.trace
-        ),
         "processed": engine.processed,
         "now": engine.now,
     }
@@ -589,7 +583,6 @@ class TestBlockFanouts:
         assert net.stats.total_sent == 0
         assert net.stats.total_dropped == 0
         assert not net.stats.faults_by_reason
-        assert len(net.trace) == 0
         assert engine.pending == 0
         assert net._rng.getstate() == rng_state
         assert all(block.batches == [] for block in blocks)
@@ -710,7 +703,9 @@ class TestLinkClassifierConsultation:
 # answered by set membership: the sender once per fan-out, the targets in
 # one comprehension at delivery. Same layout as above (per-pid actors and
 # blocks), random dead sets — a dead *sender* and an all-dead fan-out
-# included — tracing on (the general channel) and off (the clean one).
+# included — on the clean channel and, under a partition model that
+# connects every pair (``StaticPartition([])``: one implicit island, no
+# draws, not ``FullyConnected``), on the general one.
 
 
 class OrderedRecorder(Recorder):
@@ -735,7 +730,7 @@ class OrderedBlockRecorder(BlockRecorder):
         self._log.extend((target, message.nonce) for target in targets)
 
 
-def _run_stillborn(seed, p_success, dead, tracing, delay, fanouts, batched):
+def _run_stillborn(seed, p_success, dead, general, delay, fanouts, batched):
     engine = Engine()
     net = Network(
         engine,
@@ -743,7 +738,7 @@ def _run_stillborn(seed, p_success, dead, tracing, delay, fanouts, batched):
         p_success=p_success,
         latency=ConstantLatency(delay),
         failure_model=StillbornFailures(dead),
-        trace=TraceLog() if tracing else None,
+        partition_model=StaticPartition([]) if general else None,
     )
     order: list[tuple[int, int]] = []
     plain = [OrderedRecorder(pid, order) for pid in PLAIN_PIDS]
@@ -779,28 +774,28 @@ STILLBORN_FANOUTS = st.lists(
     seed=st.integers(0, 2**32 - 1),
     p_success=st.floats(0.0, 1.0),
     dead=st.sets(st.sampled_from(REGISTERED)),
-    tracing=st.booleans(),
+    general=st.booleans(),
     delay=st.sampled_from([0.0, 2.5]),
     fanouts=STILLBORN_FANOUTS,
 )
 @example(  # a dead sender: every target dropped, no draw
-    seed=1, p_success=0.5, dead={0}, tracing=False, delay=0.0,
+    seed=1, p_success=0.5, dead={0}, general=False, delay=0.0,
     fanouts=[(0, [1, 10, 11]), (1, [0, 2])],
 )
 @example(  # an all-dead fan-out, inside one block and across actors
-    seed=2, p_success=1.0, dead={1, 10, 11, 12}, tracing=False, delay=0.0,
+    seed=2, p_success=1.0, dead={1, 10, 11, 12}, general=False, delay=0.0,
     fanouts=[(0, [10, 11, 12]), (0, [1, 10])],
 )
-@example(  # the same under tracing (general channel, no perception calls)
-    seed=2, p_success=1.0, dead={1, 10, 11, 12}, tracing=True, delay=2.5,
+@example(  # the same on the general channel (no perception calls)
+    seed=2, p_success=1.0, dead={1, 10, 11, 12}, general=True, delay=2.5,
     fanouts=[(0, [10, 11, 12]), (1, [0, 2])],
 )
 @settings(max_examples=150, deadline=None)
 def test_stillborn_multicast_equivalent_to_send_loop(
-    seed, p_success, dead, tracing, delay, fanouts
+    seed, p_success, dead, general, delay, fanouts
 ):
     loop, batch = (
-        _run_stillborn(seed, p_success, dead, tracing, delay, fanouts, batched)
+        _run_stillborn(seed, p_success, dead, general, delay, fanouts, batched)
         for batched in (False, True)
     )
     assert batch == loop

@@ -1,15 +1,22 @@
 """Unit tests for the Network transmission pipeline."""
 
+import pathlib
 import random
+import sys
 
 import pytest
 
+import repro
 from repro.errors import ConfigError, UnknownActor
 from repro.failures import DynamicFailures, StillbornFailures
 from repro.failures.churn import ChurnSchedule
-from repro.net import ConstantLatency, Network, StaticPartition
+from repro.net import BernoulliLoss, ConstantLatency, Network, StaticPartition
+from repro.net.stats import NetworkStats
 from repro.net.message import Message, Ping
-from repro.sim import Engine, TraceLog
+from repro.sim import Engine
+
+PACKAGE = str(pathlib.Path(repro.__file__).resolve().parent)
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>"}
 
 
 class Recorder:
@@ -70,6 +77,17 @@ class TestDelivery:
         engine.run()
         assert net.stats.sent_by_kind["ping"] == 1
         assert net.stats.delivered_by_kind["ping"] == 1
+
+    def test_each_network_counts_its_own_traffic(self):
+        engine, net, _ = make_net()
+        _, other, _ = make_net()
+        assert isinstance(net.stats, NetworkStats)
+        assert net.stats is not other.stats
+        net.send(0, 1, Ping(sender=0, nonce=1))
+        engine.run()
+        assert net.stats.total_sent == 1 and other.stats.total_sent == 0
+        with pytest.raises(TypeError, match="stats"):
+            Network(engine, random.Random(0), stats=NetworkStats())
 
     def test_latency_delays_delivery(self):
         engine, net, actors = make_net(latency=ConstantLatency(5.0))
@@ -165,32 +183,79 @@ class TestPartitions:
         assert len(actors[2].inbox) == 1
 
 
-class TestTracing:
-    def test_trace_records_sent_and_delivered(self):
-        engine = Engine()
-        trace = TraceLog()
-        net = Network(engine, random.Random(0), trace=trace)
-        a, b = Recorder(0), Recorder(1)
-        net.register(a)
-        net.register(b)
-        net.send(0, 1, Ping(sender=0, nonce=1))
-        engine.run()
-        assert trace.count("net.sent") == 1
-        assert trace.count("net.delivered") == 1
+def count_package_frames(run) -> int:
+    """Python frames entered under ``src/repro/`` while ``run()`` executes
+    (comprehension frames left out, so 3.11 and 3.12 agree)."""
+    frames = 0
 
-    def test_trace_records_drops_with_reason(self):
-        engine = Engine()
-        trace = TraceLog()
-        net = Network(
-            engine,
-            random.Random(0),
-            trace=trace,
-            failure_model=StillbornFailures({1}),
-        )
-        net.register(Recorder(0))
-        net.register(Recorder(1))
-        net.send(0, 1, Ping(sender=0, nonce=1))
-        engine.run()
-        drops = trace.filter("net.dropped")
-        assert len(drops) == 1
-        assert drops[0].detail["reason"] == "dead_target"
+    def profiler(frame, event, arg):
+        nonlocal frames
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename.startswith(PACKAGE)
+            and code.co_name not in COMPREHENSIONS
+        ):
+            frames += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+class TestExactCounts:
+    def test_channel_loss_send_enters_eight_frames(self):
+        """A send the channel loses: ``send``, the target check, the clock,
+        ``record_sent``, the three model queries and ``record_dropped`` —
+        nothing between the pipeline and its counter (a drop helper method
+        made it 9)."""
+        _, net, actors = make_net(p_success=0.0)
+        message = Ping(sender=0, nonce=1)
+        frames = count_package_frames(lambda: net.send(0, 1, message))
+        assert net.stats.dropped_by_reason == {"channel_loss": 1}
+        assert frames == 8
+
+#: One drop of each reason, as (reason, Network keyword arguments, target):
+#: the six stages of the pipeline, the last at delivery.
+DROPS = [
+    ("dead_sender", {"failure_model": StillbornFailures({0})}, 1),
+    ("perceived_failed", {"failure_model": DynamicFailures(1.0)}, 1),
+    ("partitioned", {"partition_model": StaticPartition([[0, 1], [2, 3]])}, 2),
+    ("channel_loss", {"p_success": 0.0}, 1),
+    (
+        "fault_loss",
+        {"faults": BernoulliLoss(1.0), "fault_rng": random.Random(1)},
+        1,
+    ),
+    ("dead_target", {"failure_model": StillbornFailures({1})}, 1),
+]
+
+
+class TestDropsAreCountedInPlace:
+    @pytest.mark.parametrize(
+        "reason, kwargs, target", DROPS, ids=[drop[0] for drop in DROPS]
+    )
+    def test_record_dropped_is_called_by_the_stage_that_drops(
+        self, reason, kwargs, target
+    ):
+        """Every drop is one ``record_dropped`` call made by the pipeline
+        itself — ``send``, or ``_deliver`` for a target dead on arrival —
+        with no helper frame between the stage and its counter."""
+        engine, net, _ = make_net(**kwargs)
+        callers = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "record_dropped":
+                callers.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            net.send(0, target, Ping(sender=0, nonce=1))
+            engine.run()
+        finally:
+            sys.setprofile(None)
+        assert net.stats.dropped_by_reason == {reason: 1}
+        assert callers == ["_deliver" if reason == "dead_target" else "send"]

@@ -68,19 +68,6 @@ class TestAggregates:
         assert stats.total_delivered == 1
         assert stats.total_dropped == 1
 
-    def test_delivery_ratio(self):
-        stats = NetworkStats()
-        ping = Ping(sender=0, nonce=1)
-        for _ in range(4):
-            stats.record_sent(ping)
-        stats.record_delivered(ping)
-        assert stats.delivery_ratio("ping") == 0.25
-        assert stats.delivery_ratio() == 0.25
-
-    def test_delivery_ratio_empty_is_one(self):
-        assert NetworkStats().delivery_ratio() == 1.0
-        assert NetworkStats().delivery_ratio("event") == 1.0
-
     def test_as_dict_stable_keys(self):
         stats = NetworkStats()
         stats.record_sent(event_message(INTRA))
@@ -88,10 +75,3 @@ class TestAggregates:
         snapshot = stats.as_dict()
         assert snapshot["intra_group_sent"] == {T2.name: 1}
         assert snapshot["inter_group_sent"] == {f"{T2.name}->{T1.name}": 1}
-
-    def test_reset(self):
-        stats = NetworkStats()
-        stats.record_sent(event_message(INTRA))
-        stats.reset()
-        assert stats.total_sent == 0
-        assert stats.events_sent_in_group(T2) == 0

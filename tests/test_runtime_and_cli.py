@@ -1,9 +1,16 @@
 """Tests for the SimulationHarness bundle and the CLI entry points."""
 
+import random
+
 import pytest
 
+from repro.baselines.common import BaselineSystem
 from repro.cli import main
+from repro.core.columnar import ColumnarStaticSystem
+from repro.core.system import DaMulticastSystem
+from repro.net import Network
 from repro.runtime import SimulationHarness
+from repro.sim import Engine
 
 
 class TestHarness:
@@ -26,10 +33,32 @@ class TestHarness:
         b = SimulationHarness(seed=5).rngs.stream("network").random()
         assert a == b
 
-    def test_trace_disabled_by_default(self):
+    def test_stats_are_the_networks(self):
         harness = SimulationHarness(seed=0)
-        assert not harness.trace.enabled
-        assert SimulationHarness(seed=0, trace=True).trace.enabled
+        assert harness.stats is harness.network.stats
+        assert harness.stats.total_sent == 0
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda **kw: Network(Engine(), random.Random(0), **kw),
+            lambda **kw: SimulationHarness(seed=0, **kw),
+            lambda **kw: DaMulticastSystem(seed=0, **kw),
+            lambda **kw: ColumnarStaticSystem(seed=0, **kw),
+            lambda **kw: BaselineSystem(seed=0, **kw),
+        ],
+        ids=[
+            "Network",
+            "SimulationHarness",
+            "DaMulticastSystem",
+            "ColumnarStaticSystem",
+            "BaselineSystem",
+        ],
+    )
+    def test_no_constructor_takes_a_trace(self, construct):
+        construct()  # the defaults build
+        with pytest.raises(TypeError, match="trace"):
+            construct(trace=True)
 
 
 class TestCli:

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine and periodic tasks."""
 
 import gc
+import math
 import weakref
 
 import pytest
@@ -99,6 +100,31 @@ class TestRun:
         engine = Engine()
         engine.run(until=42.0)
         assert engine.now == 42.0
+
+    def test_run_until_the_past_raises_and_keeps_the_clock(self):
+        engine = Engine()
+        engine.run(until=2.0)
+        with pytest.raises(SchedulingError, match="got 1.0"):
+            engine.run(until=1.0)
+        assert engine.now == 2.0
+        fired = []
+        engine.schedule(0.5, lambda: fired.append(engine.now))
+        engine.run(until=2.0)  # until == now runs nothing and is legal
+        assert fired == [] and engine.now == 2.0
+        engine.run()
+        assert fired == [2.5]
+
+    @pytest.mark.parametrize("until", [math.nan, math.inf, -math.inf])
+    def test_non_finite_until_raises_before_anything_runs(self, until):
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(SchedulingError, match=f"got {until}"):
+            engine.run(until=until)
+        assert fired == [] and engine.now == 0.0 and engine.pending == 1
+        engine.schedule(0.5, lambda: fired.append(2))  # the clock is usable
+        engine.run()
+        assert fired == [2, 1]
 
     def test_max_events_guard_raises_on_livelock(self):
         engine = Engine()
