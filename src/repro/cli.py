@@ -37,8 +37,8 @@ aligned ASCII table. Scenario specs are declarative JSON documents (see
 ``repro.workloads.spec``) covering both static-mode (§VII simulator) and
 dynamic-mode (full protocol: bootstrap, maintenance, failure campaigns,
 latency models) runs; ``scenario`` output is bit-identical for any
-execution backend (``--executor serial | pool:N | warm:N``; ``--jobs N``
-stays as an alias for ``pool:N``). ``scenario run/sweep --out`` saves a
+execution backend (``--executor serial | pool:N``; ``--jobs N`` stays as
+an alias for ``pool:N``; one pool serves the whole command). ``scenario run/sweep --out`` saves a
 JSON payload (written atomically) that ``scenario render`` turns into
 figure-style tables, CSV or JSON, and ``--cache DIR`` keeps a
 content-addressed per-cell result store: a re-run of a finished sweep
@@ -124,8 +124,8 @@ def _make_exec_parent(top_level: bool = False) -> argparse.ArgumentParser:
         default=default(None),
         metavar="SPEC",
         help=(
-            "execution backend: 'serial' (default), 'pool[:N]' (fresh "
-            "worker pool), 'warm[:N]' (persistent workers); results are "
+            "execution backend: 'serial' (default) or 'pool[:N]' (N "
+            "worker processes, kept for the whole command); results are "
             "bit-identical for every backend and worker count"
         ),
     )

@@ -1,7 +1,7 @@
 """Experiment harness: regenerate every figure and table of the paper.
 
-* :mod:`~repro.experiments.executor` — the execution port: serial /
-  pool / warm-pool backends behind one ``Executor`` protocol,
+* :mod:`~repro.experiments.executor` — the execution port: a serial
+  loop and one process pool behind one ``Executor`` protocol,
 * :mod:`~repro.experiments.artifacts` — content-addressed per-cell
   result store (``--cache``): skip finished cells, resume interrupted
   sweeps, re-render without recomputation,
@@ -24,7 +24,6 @@ from repro.experiments.executor import (
     ExecutorSpec,
     PoolExecutor,
     SerialExecutor,
-    WarmPoolExecutor,
     parse_executor_spec,
     resolve_executor,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ExecutorSpec",
     "SerialExecutor",
     "PoolExecutor",
-    "WarmPoolExecutor",
     "parse_executor_spec",
     "resolve_executor",
     "ArtifactStore",

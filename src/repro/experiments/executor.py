@@ -7,32 +7,32 @@ a stable interface::
 
     executor.map_cells(run, cells, master_seed=..., on_result=...)
 
-Three backends ship here, over one pool mechanism:
+Two backends ship here:
 
 * :class:`SerialExecutor` — in-process, canonical order; the oracle
-  every other backend must match bit-for-bit.
-* :class:`WarmPoolExecutor` — the chunked fail-fast ``multiprocessing``
-  scheduler. Its worker processes persist across ``map_cells`` calls,
-  keep the unpickled run function cached by content digest, and (via
-  the process-local compiled-spec cache in :mod:`repro.workloads.spec`)
+  the pool must match bit-for-bit.
+* :class:`PoolExecutor` — the chunked fail-fast scheduler on a stdlib
+  :class:`concurrent.futures.ProcessPoolExecutor`. Its workers start
+  from a ``forkserver`` (never forked from a threaded parent), persist
+  across ``map_cells`` calls until ``close()``, and (via the
+  process-local compiled-spec cache in :mod:`repro.workloads.spec`)
   re-use compiled scenario specs across cells and across whole sweeps —
-  the ModelOps-style warm-pool shape: pay the spawn + import + compile
-  cost once, not per sweep.
-* :class:`PoolExecutor` — a warm pool closed after one call: fresh
-  workers per ``map_cells``, nothing held in between.
+  the ModelOps-style warm-pool shape: pay the start + import + compile
+  cost once per pool, not per sweep. A worker that dies fails the sweep
+  instead of hanging it.
 
-(:class:`~repro.experiments.artifacts.CachingExecutor` wraps any of
-them with the content-addressed result store.) Nothing here requires a
+(:class:`~repro.experiments.artifacts.CachingExecutor` wraps either
+with the content-addressed result store.) Nothing here requires a
 dependency beyond the stdlib.
 
 Bit-identity contract
 ---------------------
-Every backend derives each cell's seed *inside the worker* as
-``derive_seed(master_seed, cell.seed_name)`` and returns results in cell
-order, so any backend × any worker count × any chunking is bit-identical
-to :class:`SerialExecutor`. The hypothesis suites in
+Both backends derive each cell's seed *inside the worker* as
+``derive_seed(master_seed, cell.seed_name)`` and return results in cell
+order, so the pool at any worker count is bit-identical to
+:class:`SerialExecutor`. The hypothesis suites in
 ``tests/test_sweep_parallel.py`` and ``tests/test_executor.py`` enforce
-this for every backend.
+this.
 
 Executor specs
 --------------
@@ -40,8 +40,7 @@ User-facing entry points accept an :data:`ExecutorSpec` — an
 :class:`Executor` instance, ``None`` (serial), or a compact string::
 
     "serial"            in-process
-    "pool"  / "pool:N"  fresh multiprocessing pool per call, N workers
-    "warm"  / "warm:N"  persistent multiprocessing pool, N workers
+    "pool"  / "pool:N"  process pool of N workers
 
 ``N`` defaults to the machine's CPU count. :func:`resolve_executor`
 turns a spec into an instance. Whoever builds an instance closes it:
@@ -51,12 +50,13 @@ from a string or ``None``; an instance handed in stays the caller's.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import multiprocessing
 import os
 import pickle
 import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence, Union, runtime_checkable
 
@@ -85,7 +85,7 @@ class SweepCell:
 
 
 class SweepWorkerError(RuntimeError):
-    """A sweep cell's run function raised.
+    """A sweep cell's run function raised, or the worker running it died.
 
     Identifies the failing cell — point/arg, run index (via
     ``describe``), seed name and the derived seed — plus the worker-side
@@ -181,15 +181,13 @@ def _ensure_picklable(
 
 
 def _make_chunks(
-    cells: Sequence[SweepCell], jobs: int, chunk_size: int | None
+    cells: Sequence[SweepCell], jobs: int
 ) -> list[list[tuple[int, SweepCell]]]:
-    total = len(cells)
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(total / (jobs * 4)))
+    # Contiguous chunks, about four per worker.
+    size = max(1, math.ceil(len(cells) / (jobs * 4)))
     indexed = list(enumerate(cells))
     return [
-        indexed[start : start + chunk_size]
-        for start in range(0, total, chunk_size)
+        indexed[start : start + size] for start in range(0, len(cells), size)
     ]
 
 
@@ -199,33 +197,25 @@ def _make_chunks(
 # seeding. Exceptions are captured per cell and reported back as data:
 # a worker never dies on a run-function error, and the parent re-raises
 # deterministically for the lowest failing cell index.
-def _eval_cell(
+def _run_chunk(
     run: Callable[[Any, int], Any],
     master_seed: int,
-    index: int,
-    cell: SweepCell,
-) -> tuple[int, bool, Any]:
-    # repro-lint: allow[DET004]: cell.seed_name is an f-string literal declared by each sweep driver and linted there
-    seed = derive_seed(master_seed, cell.seed_name)
-    try:
-        result = run(cell.arg, seed)
-        # Verify the result survives the trip back to the parent — an
-        # unpicklable value would otherwise abort the whole pool with an
-        # opaque MaybeEncodingError naming no cell.
-        pickle.dumps(result)
-        return (index, True, result)
-    except Exception as exc:  # noqa: BLE001 — reported to the parent
-        return (index, False, (repr(exc), traceback.format_exc()))
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
-def _check_count(value: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
-    return value
+    chunk: list[tuple[int, SweepCell]],
+) -> list[tuple[int, bool, Any]]:
+    outcomes = []
+    for index, cell in chunk:
+        # repro-lint: allow[DET004]: cell.seed_name is an f-string literal declared by each sweep driver and linted there
+        seed = derive_seed(master_seed, cell.seed_name)
+        try:
+            result = run(cell.arg, seed)
+            # Verify the result survives the trip back to the parent —
+            # an unpicklable value would otherwise fail its whole chunk
+            # with an opaque pickling error naming no cell.
+            pickle.dumps(result)
+            outcomes.append((index, True, result))
+        except Exception as exc:  # noqa: BLE001 — reported to the parent
+            outcomes.append((index, False, (repr(exc), traceback.format_exc())))
+    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -251,82 +241,51 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-# Warm workers cache unpickled run functions by content digest, so a
-# sweep's thousands of cells unpickle their shared run function (and its
-# bound spec dict) once per worker, not once per chunk — and the
-# process-local compiled-spec cache in repro.workloads.spec then keeps
-# the *compiled* scenario alive across cells, sweeps and map_cells
-# calls for as long as the worker lives.
-_WARM_RUN_CACHE: dict[str, Callable[[Any, int], Any]] = {}
-_WARM_RUN_CACHE_LIMIT = 8
+# Workers start from a forkserver, never by forking the parent (which
+# may have threads running, the pool's own among them). The server
+# imports repro.experiments once, so every worker it forks starts with
+# the package loaded.
+_POOL_CONTEXT = multiprocessing.get_context("forkserver")
+_POOL_CONTEXT.set_forkserver_preload(["repro.experiments"])
 
 
-def _run_warm_chunk(
-    task: tuple[str, bytes, int, list[tuple[int, SweepCell]]]
-) -> list[tuple[int, bool, Any]]:
-    run_digest, run_blob, master_seed, chunk = task
-    run = _WARM_RUN_CACHE.get(run_digest)
-    if run is None:
-        run = pickle.loads(run_blob)
-        if len(_WARM_RUN_CACHE) >= _WARM_RUN_CACHE_LIMIT:
-            _WARM_RUN_CACHE.clear()
-        _WARM_RUN_CACHE[run_digest] = run
-    return [
-        _eval_cell(run, master_seed, index, cell) for index, cell in chunk
-    ]
+class PoolExecutor:
+    """The chunked fail-fast process pool: ``jobs`` workers, kept.
 
+    Cells fan out in contiguous chunks (about four per worker) over
+    ``jobs`` worker processes of a stdlib
+    :class:`~concurrent.futures.ProcessPoolExecutor`. A single-cell (or
+    empty, or one-worker) call never pays for a pool — it runs serially,
+    so even unpicklable run functions work. Workers start from the
+    forkserver and import a run function's module by name, so a script
+    that builds a pool needs an ``if __name__ == "__main__":`` guard.
 
-class WarmPoolExecutor:
-    """The chunked fail-fast ``multiprocessing`` scheduler, workers kept.
-
-    Cells fan out in contiguous chunks of ``chunk_size`` (default:
-    enough chunks for ~4 per worker) over ``jobs`` worker processes;
-    ``start_method`` picks fork/spawn/forkserver (None = platform
-    default). A single-cell (or empty, or one-worker) call never pays
-    for a pool — it runs serially, so even unpicklable run functions
-    work.
-
-    The pool is created lazily on the first parallel ``map_cells`` and
-    reused by every later call — ``run_cells``, ``run_sweep`` and
-    ``sweep_scenario`` invocations through one executor instance all
-    share the same workers, so the spawn/import cost is paid once per
-    executor, not once per sweep. Workers additionally cache the
-    unpickled run function by content digest and (through the
-    compiled-spec cache in :mod:`repro.workloads.spec`) the compiled
-    scenario per spec digest.
+    The pool is created on the first parallel ``map_cells`` and reused
+    by every later call until ``close()`` — ``run_cells``, ``run_sweep``
+    and ``sweep_scenario`` invocations through one executor instance all
+    share the same workers, and (through the compiled-spec cache in
+    :mod:`repro.workloads.spec`) each worker compiles a scenario once
+    per spec digest.
 
     A run-function failure is re-raised as :class:`SweepWorkerError`
     for the lowest failing cell index, with the worker traceback
     attached, as soon as every cell below it has completed (so the
-    canonical first failure is known). The pool is *not* torn down:
-    in-flight chunks finish in the background and the workers stay warm
-    for the next call.
+    canonical first failure is known). Chunks not yet started are
+    cancelled; the workers stay for the next call. A worker that dies
+    (out of memory, killed by a signal) breaks the pool: it is closed,
+    :class:`SweepWorkerError` names the lowest unfinished cell and its
+    cause lists every unfinished one, and the next call starts a fresh
+    pool.
 
     Close explicitly (``close()`` or use as a context manager) when
-    done; an unclosed executor's pool is reclaimed at garbage
-    collection / interpreter exit by ``multiprocessing``'s own
-    finalizers, with a :class:`ResourceWarning`.
+    done; closing waits for the chunks already running.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ):
-        self.jobs = _check_count(jobs, "jobs")
-        self.chunk_size = (
-            None if chunk_size is None else _check_count(chunk_size, "chunk_size")
-        )
-        self.start_method = start_method
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            ctx = multiprocessing.get_context(self.start_method)
-            self._pool = ctx.Pool(processes=self.jobs)
-        return self._pool
+    def __init__(self, jobs: int):
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+        self.jobs = jobs
+        self._pool: ProcessPoolExecutor | None = None
 
     def map_cells(
         self,
@@ -343,98 +302,73 @@ class WarmPoolExecutor:
             # fast path (still bit-identical by contract).
             return _run_serial(run, cells, master_seed, on_result)
         _ensure_picklable(run, cells)
-        run_blob = pickle.dumps(run)
-        run_digest = hashlib.sha256(run_blob).hexdigest()
-        chunks = _make_chunks(cells, self.jobs, self.chunk_size)
-        tasks = [(run_digest, run_blob, master_seed, chunk) for chunk in chunks]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                self.jobs, mp_context=_POOL_CONTEXT
+            )
         results: list[Any] = [None] * total
         failures: list[tuple[int, tuple[str, str]]] = []
         finished = [False] * total
         done = 0
-        pool = self._ensure_pool()
-        for chunk_results in pool.imap_unordered(_run_warm_chunk, tasks):
-            for index, ok, payload in chunk_results:
-                finished[index] = True
-                if ok:
-                    results[index] = payload
-                    done += 1
-                    if on_result is not None:
-                        on_result(index, done, total)
-                else:
-                    failures.append((index, payload))
-            # Fail fast, deterministically: once every cell below the
-            # lowest observed failure has completed (necessarily
-            # successfully, or the minimum would be lower), that failure
-            # is the canonical first one. The iterator is abandoned, not
-            # the pool: remaining chunks drain in the background and the
-            # workers stay warm.
-            if failures and all(finished[: min(failures)[0]]):
-                break
-        if failures:
+        broken: BrokenProcessPool | None = None
+        futures = []
+        try:
+            for chunk in _make_chunks(cells, self.jobs):
+                futures.append(
+                    self._pool.submit(_run_chunk, run, master_seed, chunk)
+                )
+            for future in as_completed(futures):
+                for index, ok, payload in future.result():
+                    finished[index] = True
+                    if ok:
+                        results[index] = payload
+                        done += 1
+                        if on_result is not None:
+                            on_result(index, done, total)
+                    else:
+                        failures.append((index, payload))
+                # Fail fast, deterministically: once every cell below the
+                # lowest observed failure has completed (necessarily
+                # successfully, or the minimum would be lower), that
+                # failure is the canonical first one.
+                if failures and all(finished[: min(failures)[0]]):
+                    break
+        except BrokenProcessPool as exc:
+            broken = exc
+            self.close()
+        finally:
+            for future in futures:
+                future.cancel()
+        if failures and all(finished[: min(failures)[0]]):
             index, (cause, worker_tb) = min(failures)
-            cell = cells[index]
-            raise SweepWorkerError(
-                cell,
-                # repro-lint: allow[DET004]: cell.seed_name is an f-string literal declared by each sweep driver and linted there
-                derive_seed(master_seed, cell.seed_name),
-                cause,
-                worker_tb,
+        elif broken is not None:
+            unfinished = [i for i, flag in enumerate(finished) if not flag]
+            index, worker_tb = unfinished[0], None
+            cause = (
+                f"a pool worker died ({broken}); unfinished cells "
+                f"(by index): {unfinished}"
             )
-        return results
+        else:
+            return results
+        cell = cells[index]
+        raise SweepWorkerError(
+            cell,
+            # repro-lint: allow[DET004]: cell.seed_name is an f-string literal declared by each sweep driver and linted there
+            derive_seed(master_seed, cell.seed_name),
+            cause,
+            worker_tb,
+        ) from broken
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def __enter__(self) -> "WarmPoolExecutor":
+    def __enter__(self) -> "PoolExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __repr__(self) -> str:
-        state = "warm" if self._pool is not None else "cold"
-        return f"WarmPoolExecutor(jobs={self.jobs}, {state})"
-
-
-class PoolExecutor:
-    """A :class:`WarmPoolExecutor` closed after every call.
-
-    Each ``map_cells`` runs on workers spawned for that call and torn
-    down when it returns or raises, so nothing is held between calls and
-    there is nothing to close. Arguments, scheduling, chunking and
-    failure semantics are the warm pool's — it is the same code.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ):
-        self._warm = WarmPoolExecutor(
-            jobs, chunk_size=chunk_size, start_method=start_method
-        )
-        self.jobs = self._warm.jobs
-
-    def map_cells(
-        self,
-        run: Callable[[Any, int], Any],
-        cells: Sequence[SweepCell],
-        *,
-        master_seed: int = 0,
-        on_result: OnResultFn | None = None,
-    ) -> list[Any]:
-        with self._warm as pool:
-            return pool.map_cells(
-                run, cells, master_seed=master_seed, on_result=on_result
-            )
-
-    def close(self) -> None:
-        pass
 
     def __repr__(self) -> str:
         return f"PoolExecutor(jobs={self.jobs})"
@@ -446,15 +380,14 @@ class PoolExecutor:
 _BACKENDS: dict[str, Callable[[int], Executor]] = {
     "serial": lambda jobs: SerialExecutor(),
     "pool": PoolExecutor,
-    "warm": WarmPoolExecutor,
 }
 
 
 def parse_executor_spec(spec: str) -> Executor:
     """Parse a compact executor spec string into an instance.
 
-    ``"serial"``, ``"pool"``/``"pool:N"``, ``"warm"``/``"warm:N"``;
-    ``N`` defaults to the CPU count.
+    ``"serial"`` or ``"pool"``/``"pool:N"``; ``N`` defaults to the CPU
+    count.
     """
     name, sep, arg = spec.partition(":")
     factory = _BACKENDS.get(name)
@@ -464,7 +397,7 @@ def parse_executor_spec(spec: str) -> Executor:
             f"{', '.join(sorted(_BACKENDS))} (optionally ':N' workers)"
         )
     if not sep:
-        jobs = 1 if name == "serial" else _default_jobs()
+        jobs = 1 if name == "serial" else os.cpu_count() or 1
     else:
         if name == "serial":
             raise ConfigError(
@@ -493,6 +426,6 @@ def resolve_executor(executor: ExecutorSpec) -> Executor:
     if isinstance(executor, Executor):
         return executor
     raise ConfigError(
-        "executor must be None, a spec string ('serial', 'pool:N', "
-        f"'warm:N', ...) or an Executor instance, got {executor!r}"
+        "executor must be None, a spec string ('serial', 'pool:N') or "
+        f"an Executor instance, got {executor!r}"
     )

@@ -30,9 +30,9 @@ Execution backends
 ------------------
 How cells are evaluated is the :class:`~repro.experiments.executor.
 Executor` port's concern — ``executor=None`` (serial, the default),
-``"pool:N"`` (worker processes spawned for the call), ``"warm:N"``
-(the same workers, kept across calls), or any object implementing the
-protocol (e.g. a :class:`~repro.experiments.artifacts.CachingExecutor`).
+``"pool:N"`` (a pool of ``N`` worker processes), or any object
+implementing the protocol (e.g. a
+:class:`~repro.experiments.artifacts.CachingExecutor`).
 Every entry point hands its ``executor`` argument down unchanged to
 :func:`run_cells`, the one place a spec is resolved: an executor built
 there from a string or ``None`` is closed there when the call returns
@@ -175,9 +175,8 @@ def run_cells(
     seed is ``derive_seed(master_seed, cell.seed_name)``, derived inside
     the worker, so results are bit-identical across backends.
 
-    ``executor`` selects the backend (None = serial; ``"pool:N"``,
-    ``"warm:N"``, or an :class:`~repro.experiments.executor.Executor`
-    instance). One built here from a string or None is closed before
+    ``executor`` selects the backend (None = serial; ``"pool:N"`` or an
+    :class:`~repro.experiments.executor.Executor` instance). One built here from a string or None is closed before
     returning; an instance is left open for its owner.
     ``on_result(index, completed, total)`` is called after each
     *successful* cell (completion order); a failed cell is never
@@ -262,7 +261,7 @@ def run_sweep(
     the label-collision caveat: sweeps sharing a ``label`` and a grid
     point reuse seeds).
 
-    ``executor="pool:N"`` (or ``"warm:N"``, or an Executor instance)
+    ``executor="pool:N"`` (or an Executor instance)
     evaluates the (point, run) cells on ``N`` worker processes; the
     result is bit-identical to serial for every backend and worker count
     because workers re-derive seeds from the contract above and

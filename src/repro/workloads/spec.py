@@ -1676,10 +1676,11 @@ _COMPILE_CACHE_LIMIT = 32
 def compile_spec_cached(spec: Mapping) -> CompiledSpec:
     """:func:`compile_spec`, memoized per :func:`spec_digest`.
 
-    This is what makes warm pool workers cheap: every cell of a sweep
-    reaches :func:`run_spec` in the same worker process, and with the
-    memo the spec validates and compiles once per distinct spec digest —
-    not once per cell. Safe because a :class:`CompiledSpec` is treated
+    This is what makes pool workers cheap: every cell of a sweep reaches
+    :func:`run_spec` in one of a few long-lived worker processes, and
+    with the memo the spec validates and compiles once per worker and
+    distinct spec digest — not once per cell, nor once per sweep when
+    one pool serves several. Safe because a :class:`CompiledSpec` is treated
     as immutable after compilation (``run(seed)`` builds fresh per-seed
     state every call).
     """
@@ -1701,7 +1702,7 @@ def run_spec(spec: Mapping, seed: int = 0) -> dict[str, float]:
 
     Compilation is memoized per spec digest (:func:`compile_spec_cached`),
     so repeated calls with the same spec — the shape of every sweep cell
-    in a warm pool worker — pay the validation cost once."""
+    in a pool worker — pay the validation cost once."""
     return compile_spec_cached(spec).run(seed)
 
 
@@ -1807,8 +1808,8 @@ def run_scenario(
     """Run ``spec`` ``runs`` times with derived seeds; per-run metrics.
 
     Run ``j`` uses ``derive_seed(master_seed, f"{label}/{j}")``; cells
-    run on ``executor`` (None = serial; ``"pool:N"``/``"warm:N"`` or an
-    Executor instance) and the result list is identical for every
+    run on ``executor`` (None = serial; ``"pool:N"`` or an Executor
+    instance) and the result list is identical for every
     backend and worker count. Aggregate with
     :func:`~repro.experiments.runner.aggregate_runs`.
     """
@@ -1852,7 +1853,11 @@ def sweep_scenario(
     unchanged; non-numeric values (protocol names, failure kinds, ...) skip
     only its finite-grid check — same cell scheduler, same
     ``{label}/{value}/{j}`` seed naming — so both are bit-identical across
-    executors and worker counts.
+    executors and worker counts. ``executor`` is None (serial),
+    ``"pool:N"`` (a pool built for this sweep and closed when it returns
+    or raises) or an Executor instance, which stays open, so one
+    :class:`~repro.experiments.executor.PoolExecutor` can serve several
+    sweeps.
     """
     if not values:
         raise ConfigError("sweep values must not be empty")

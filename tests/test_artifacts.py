@@ -197,7 +197,10 @@ class TestCachingExecutor:
                 master_seed=0,
             )
         caching = CachingExecutor(PoolExecutor(2), store, "rk")
-        results = caching.map_cells(_metrics, cells)
+        try:
+            results = caching.map_cells(_metrics, cells)
+        finally:
+            caching.close()
         assert (caching.hits, caching.executed) == (2, 2)
         assert results == uncached
         assert len(store) == 4

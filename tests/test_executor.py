@@ -1,17 +1,18 @@
-"""The execution port: backend equivalence, spec parsing, warm pools.
+"""The execution port: backend equivalence, spec parsing, the kept pool.
 
-The acceptance contract: every executor backend (serial, pool, warm) is
-bit-identical to :class:`SerialExecutor` for any worker count, because
-each backend derives cell seeds inside the worker from ``(master_seed,
-cell.seed_name)`` and returns results in cell order. On top of that:
-spec strings parse predictably, warm pools actually reuse their worker
-processes across ``map_cells`` calls, failures stay deterministic and
-leave a warm pool usable, and the pre-executor ``jobs``/``chunk_size``/
-``start_method`` keywords and the joblib/dask spec strings are gone
-from every entry point.
+The acceptance contract: the pool is bit-identical to
+:class:`SerialExecutor` for any worker count, because both backends
+derive cell seeds inside the worker from ``(master_seed,
+cell.seed_name)`` and return results in cell order. On top of that:
+spec strings parse predictably, the pool reuses its worker processes
+across ``map_cells`` calls and starts them from a forkserver, failures
+stay deterministic and leave the pool usable, and the pre-executor
+``jobs``/``chunk_size``/``start_method`` keywords and the removed
+``warm``/joblib/dask spec strings are gone from every entry point.
 """
 
 import inspect
+import multiprocessing
 import os
 import warnings
 
@@ -26,29 +27,12 @@ from repro.experiments.executor import (
     SerialExecutor,
     SweepCell,
     SweepWorkerError,
-    WarmPoolExecutor,
     parse_executor_spec,
     resolve_executor,
 )
 from repro.sim.rng import derive_seed
 
-
-def _metrics(point, seed):
-    return {"m": (seed % 9973) * point, "b": float(seed % 7)}
-
-
-def _echo_seed(point, seed):
-    return {"seed": float(seed)}
-
-
-def _worker_pid(point, seed):
-    return {"pid": float(os.getpid()), "seed": float(seed)}
-
-
-def _fail_at_two(point, seed):
-    if point == 2.0:
-        raise ValueError("boom")
-    return {"y": 1.0}
+from pool_cells import echo_seed, fail_at_two, poly, worker_pid
 
 
 def _cells(points, label="x"):
@@ -68,20 +52,18 @@ class TestBackendEquivalence:
         ),
         master_seed=st.integers(0, 2**32),
         jobs=st.integers(1, 4),
-        backend=st.sampled_from(["pool", "warm"]),
     )
     def test_hypothesis_bit_identical_to_serial(
-        self, points, master_seed, jobs, backend
+        self, points, master_seed, jobs
     ):
         cells = _cells(points)
         serial = SerialExecutor().map_cells(
-            _metrics, cells, master_seed=master_seed
+            poly, cells, master_seed=master_seed
         )
-        factory = PoolExecutor if backend == "pool" else WarmPoolExecutor
-        executor = factory(jobs)
+        executor = PoolExecutor(jobs)
         try:
             other = executor.map_cells(
-                _metrics, cells, master_seed=master_seed
+                poly, cells, master_seed=master_seed
             )
         finally:
             executor.close()
@@ -93,74 +75,83 @@ class TestBackendEquivalence:
     def test_seed_derived_inside_worker(self):
         cells = _cells([1.0, 2.0, 3.0], label="seeds")
         for executor in (SerialExecutor(), PoolExecutor(2)):
-            results = executor.map_cells(_echo_seed, cells, master_seed=9)
+            try:
+                results = executor.map_cells(
+                    echo_seed, cells, master_seed=9
+                )
+            finally:
+                executor.close()
             assert [r["seed"] for r in results] == [
                 float(derive_seed(9, f"seeds/{p}")) for p in (1.0, 2.0, 3.0)
             ]
 
     def test_warm_repeated_calls_identical(self):
         cells = _cells([0.5, 1.5, 2.5])
-        with WarmPoolExecutor(2) as warm:
-            first = warm.map_cells(_metrics, cells, master_seed=4)
-            second = warm.map_cells(_metrics, cells, master_seed=4)
+        with PoolExecutor(2) as pool:
+            first = pool.map_cells(poly, cells, master_seed=4)
+            second = pool.map_cells(poly, cells, master_seed=4)
         assert first == second
         assert first == SerialExecutor().map_cells(
-            _metrics, cells, master_seed=4
+            poly, cells, master_seed=4
         )
 
 
 class TestWarmPoolReuse:
     def test_workers_persist_across_calls(self):
         cells = _cells([float(i) for i in range(8)])
-        with WarmPoolExecutor(2, chunk_size=1) as warm:
+        with PoolExecutor(2) as pool:
             pids_first = {
-                r["pid"] for r in warm.map_cells(_worker_pid, cells)
+                r["pid"] for r in pool.map_cells(worker_pid, cells)
             }
             pids_second = {
-                r["pid"] for r in warm.map_cells(_worker_pid, cells)
+                r["pid"] for r in pool.map_cells(worker_pid, cells)
             }
         # One persistent 2-worker pool serves both calls, so at most 2
         # distinct pids appear across them; a pool respawned per call
-        # (the cold PoolExecutor behavior) would show up to 4.
+        # would show up to 4.
         assert len(pids_first | pids_second) <= 2
         assert os.getpid() not in {int(p) for p in pids_first | pids_second}
 
-    def test_cold_pool_respawns_per_call(self):
-        cells = _cells([float(i) for i in range(8)])
-        pool = PoolExecutor(2, chunk_size=1)
-        pids_first = {r["pid"] for r in pool.map_cells(_worker_pid, cells)}
-        pids_second = {r["pid"] for r in pool.map_cells(_worker_pid, cells)}
-        # Fresh processes per call: the two worker sets are disjoint.
-        assert not (pids_first & pids_second)
+    def test_workers_start_from_a_forkserver(self):
+        # Never forked from this (threaded) interpreter: every worker
+        # the pool holds is a forkserver child.
+        with PoolExecutor(2) as pool:
+            pool.map_cells(worker_pid, _cells([float(i) for i in range(8)]))
+            children = multiprocessing.active_children()
+        assert children
+        assert all(
+            isinstance(child, multiprocessing.context.ForkServerProcess)
+            for child in children
+        ), children
 
     def test_warm_pool_survives_cell_failure(self):
         ok_cells = _cells([1.0, 3.0])
         bad_cells = _cells([1.0, 2.0, 3.0])
-        with WarmPoolExecutor(2, chunk_size=1) as warm:
-            before = warm.map_cells(_fail_at_two, ok_cells)
+        with PoolExecutor(2) as pool:
+            before = pool.map_cells(fail_at_two, ok_cells)
             with pytest.raises(SweepWorkerError, match="point=2.0"):
-                warm.map_cells(_fail_at_two, bad_cells)
-            after = warm.map_cells(_fail_at_two, ok_cells)
+                pool.map_cells(fail_at_two, bad_cells)
+            after = pool.map_cells(fail_at_two, ok_cells)
         assert before == after == [{"y": 1.0}, {"y": 1.0}]
 
     def test_close_is_idempotent_and_allows_reuse(self):
-        warm = WarmPoolExecutor(2)
+        pool = PoolExecutor(2)
         cells = _cells([1.0, 2.0])
-        assert warm.map_cells(_metrics, cells) == SerialExecutor().map_cells(
-            _metrics, cells
+        assert pool.map_cells(poly, cells) == SerialExecutor().map_cells(
+            poly, cells
         )
-        warm.close()
-        warm.close()
+        pool.close()
+        pool.close()
         # A closed executor lazily re-creates its pool on the next call.
-        assert warm.map_cells(_metrics, cells) == SerialExecutor().map_cells(
-            _metrics, cells
+        assert pool.map_cells(poly, cells) == SerialExecutor().map_cells(
+            poly, cells
         )
-        warm.close()
+        pool.close()
 
     def test_single_cell_never_spawns_pool(self):
         # Lambdas are unpicklable; a 1-cell call must stay in-process.
-        with WarmPoolExecutor(4) as warm:
-            assert warm.map_cells(
+        with PoolExecutor(4) as pool:
+            assert pool.map_cells(
                 lambda p, s: {"y": p}, _cells([7.0])
             ) == [{"y": 7.0}]
 
@@ -168,8 +159,13 @@ class TestWarmPoolReuse:
 class TestOnResult:
     @pytest.mark.parametrize(
         "factory",
-        [SerialExecutor, lambda: PoolExecutor(2, chunk_size=1),
-         lambda: WarmPoolExecutor(2, chunk_size=1)],
+        [
+            SerialExecutor,
+            lambda: PoolExecutor(1),
+            lambda: PoolExecutor(2),
+            lambda: PoolExecutor(3),
+        ],
+        ids=["serial", "pool1", "pool2", "pool3"],
     )
     def test_every_cell_announced_once(self, factory):
         cells = _cells([1.0, 2.0, 3.0, 4.0])
@@ -177,7 +173,7 @@ class TestOnResult:
         executor = factory()
         try:
             executor.map_cells(
-                _metrics,
+                poly,
                 cells,
                 on_result=lambda index, done, total: seen.append(
                     (index, done, total)
@@ -199,26 +195,23 @@ class TestSpecParsing:
         assert isinstance(executor, PoolExecutor)
         assert executor.jobs == 3
 
-    def test_warm_with_count(self):
-        executor = parse_executor_spec("warm:2")
-        assert isinstance(executor, WarmPoolExecutor)
-        assert executor.jobs == 2
-
     def test_count_defaults_to_cpu(self):
         assert parse_executor_spec("pool").jobs == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize(
-        "bad", ["serial:2", "bogus", "pool:x", "pool:", "warm:0"]
+        "bad",
+        [
+            "serial:2", "bogus", "pool:x", "pool:", "pool:0", "pool:-1",
+            "pool:2.5",
+        ],
     )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ConfigError):
             parse_executor_spec(bad)
 
-    @pytest.mark.parametrize("spec", ["joblib:2", "dask"])
+    @pytest.mark.parametrize("spec", ["joblib:2", "dask", "warm", "warm:2"])
     def test_removed_backends_are_unknown_executors(self, spec):
-        with pytest.raises(
-            ConfigError, match="unknown executor.*pool, serial, warm"
-        ):
+        with pytest.raises(ConfigError, match="unknown executor.*pool, serial"):
             parse_executor_spec(spec)
 
     def test_resolve_none_is_serial(self):
@@ -234,7 +227,7 @@ class TestSpecParsing:
 
     def test_protocol_runtime_checkable(self):
         assert isinstance(SerialExecutor(), Executor)
-        assert isinstance(WarmPoolExecutor(1), Executor)
+        assert isinstance(PoolExecutor(1), Executor)
 
 
 class TestNoInternalLegacyUse:
@@ -268,6 +261,10 @@ class TestNoInternalLegacyUse:
             assert "executor" in parameters, entry_point
             assert not legacy & set(parameters), entry_point
 
+    def test_the_pool_takes_only_a_worker_count(self):
+        parameters = inspect.signature(PoolExecutor.__init__).parameters
+        assert list(parameters) == ["self", "jobs"]
+
     def test_public_entry_points_warn_free(self):
         # Behavioral counterpart: exercising the executor-based API end
         # to end (library sweep + scenario + CLI --jobs alias) must not
@@ -283,7 +280,7 @@ class TestNoInternalLegacyUse:
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            run_sweep(_metrics, [1.0, 2.0], runs=2, executor="pool:2")
+            run_sweep(poly, [1.0, 2.0], runs=2, executor="pool:2")
             run_scenario(spec, runs=2, executor="pool:2")
             assert main([
                 "fig10", "--jobs", "2", "--runs", "1",
