@@ -103,7 +103,9 @@ def _draw_layer(size: int) -> tuple[float, float]:
 # daMulticast construction: legacy reconstruction vs current API
 # ----------------------------------------------------------------------
 def _tables_digest(system: DaMulticastSystem) -> list[list[int]]:
-    return [process.topic_table().pids for process in system.processes]
+    return [
+        process.tables.row_pids(process.row) for process in system.processes
+    ]
 
 
 def _legacy_construction(size: int) -> tuple[float, list[list[int]]]:

@@ -72,7 +72,6 @@ class BaselineProcess:
         self._rng: random.Random | None = None
         self.groups: dict[Topic, GroupState] = {}
         self.seen: set[EventId] = set()
-        self.delivered: list[Event] = []
         #: mints this process's events; made by its first :meth:`make_event`
         self._event_factory: EventFactory | None = None
 
@@ -154,7 +153,6 @@ class BaselineProcess:
         )
 
     def _deliver(self, event: Event) -> None:
-        self.delivered.append(event)
         self._harness.tracker.record_delivery(
             self.pid, event, self._harness.now
         )

@@ -39,8 +39,8 @@ from repro.topics.topic import Topic
 
 class MultiParentProcess(StaticProcess):
     """A static daMulticast process whose topic may have several
-    supertopics (its group's columns hold no super rows, so the inherited
-    single ``super_table`` is empty)."""
+    supertopics: its group's columns hold no super rows, and it keeps one
+    supertopic table per direct supertopic instead."""
 
     def __init__(self, dag: TopicDag, *args: Any, **wiring: Any):
         super().__init__(*args, **wiring)
@@ -74,7 +74,6 @@ class MultiParentProcess(StaticProcess):
                 f"parasite delivery: {self.topic.name} process got event "
                 f"of {event.topic.name}"
             )
-        self.delivered.append(event)
         if self._tracker is not None:
             self._tracker.record_delivery(
                 self.pid, event, self.engine.now, hops=hops

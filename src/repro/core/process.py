@@ -18,7 +18,6 @@ columns, no background tasks — the §VII simulator).
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import defaultdict
 from typing import Any, Callable, Sequence
@@ -29,7 +28,7 @@ from repro.core.events import Event, EventFactory, EventId
 from repro.core.maintenance import KeepTableUpdated
 from repro.core.params import DaMulticastConfig
 from repro.core.tables import SuperTopicTable
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.membership.columnar import ColumnarGroupTables
 from repro.membership.flat import FlatMembership, FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
@@ -132,7 +131,6 @@ class DaMulticastProcess:
         self._fanout = 0
         self._p_sel = 0.0
         self.seen: set[EventId] = set()
-        self.delivered: list[Event] = []
         self.subscribed = False
         #: mints this process's events; made by its first :meth:`publish`
         self._event_factory: EventFactory | None = None
@@ -161,25 +159,15 @@ class DaMulticastProcess:
             super_sample_provider=self._piggyback_super_sample,
             super_sample_consumer=self._merge_piggybacked_super,
         )
-        # The timer path reads both tasks on every tick: build them now,
-        # so that they are plain instance attributes from the start.
-        self.find_super_contact = self._bootstrap_task()
-        self.maintenance = self._maintenance_task()
-
-    # ------------------------------------------------------------------
-    # The two protocol tasks
-    # ------------------------------------------------------------------
-    def _bootstrap_task(self) -> FindSuperContact:
-        """Fig. 4's FIND_SUPER_CONTACT task of this process."""
-        return FindSuperContact(
+        # The two protocol tasks — Fig. 4's FIND_SUPER_CONTACT and Fig. 6's
+        # KEEP_TABLE_UPDATED. The timer path reads both on every tick:
+        # build them now, so that they are plain instance attributes.
+        self.find_super_contact = FindSuperContact(
             self,
             timeout=self.config.bootstrap_timeout,
             ttl=self.config.bootstrap_ttl,
         )
-
-    def _maintenance_task(self) -> KeepTableUpdated:
-        """Fig. 6's KEEP_TABLE_UPDATED task of this process."""
-        return KeepTableUpdated(
+        self.maintenance = KeepTableUpdated(
             self,
             interval=self.config.maintain_interval,
             ping_timeout=self.config.ping_timeout,
@@ -221,7 +209,7 @@ class DaMulticastProcess:
             return max(1, self._group_size_cell.value)
         if self._group_size_hint is not None:
             return max(1, self._group_size_hint)
-        return len(self.topic_table()) + 1
+        return self._topic_entries() + 1
 
     def bind_group_size(self, cell: GroupSizeCell) -> None:
         """Share a live group-size counter with this process.
@@ -264,6 +252,10 @@ class DaMulticastProcess:
         """The topic table ``Table_Ti``: the flat membership's view."""
         return self.membership.view
 
+    def _topic_entries(self) -> int:
+        """How many entries the topic table holds."""
+        return len(self.membership.view)
+
     def neighborhood(self) -> list[ProcessDescriptor]:
         """The weakly-consistent global contacts (``neighborhood(pl)``)."""
         if self._overlay is None or self.pid not in self._overlay:
@@ -283,10 +275,7 @@ class DaMulticastProcess:
         if self.subscribed:
             return
         self.subscribed = True
-        if not self.dynamic:
-            return  # static mode: the system's finalize draws the tables
-        if self.membership is not None:
-            self.membership.start(contact)
+        self.membership.start(contact)
         self.maintenance.start()
         if self.super_table.is_empty and not self.topic.is_root:
             self.find_super_contact.start()
@@ -294,8 +283,7 @@ class DaMulticastProcess:
     def unsubscribe(self) -> None:
         """Stop all protocol activity for this process."""
         self.subscribed = False
-        if self.membership is not None:
-            self.membership.stop()
+        self.membership.stop()
         self.maintenance.stop()
         self.find_super_contact.stop()
 
@@ -305,6 +293,11 @@ class DaMulticastProcess:
     def publish(self, payload: Any = None) -> Event:
         """Publish an event on this process's topic and disseminate it."""
         self.subscribe()  # Fig. 7 line 2: DISSEMINATE starts with SUBSCRIBE
+        if not self._sized_for:
+            # a first publish sizes the group constants before its event
+            # exists, so an unseated static process refuses here, before
+            # anything is recorded
+            self._size_group_constants()
         factory = self._event_factory
         if factory is None:
             factory = self._event_factory = EventFactory(self.pid)
@@ -341,6 +334,13 @@ class DaMulticastProcess:
             self.seen.add(event.event_id)
             self._deliver(event, hops=message.hops)
             disseminate(self, event, arrival_hops=message.hops)
+        elif not self.dynamic:
+            # §VII: tables drawn once never change, so a static process
+            # takes part in floods only
+            raise ProtocolError(
+                f"static process {self.pid} cannot handle "
+                f"{type(message).__name__}"
+            )
         elif isinstance(message, ReqContact):
             handle_req_contact(self, message)
         elif isinstance(message, AnsContact):
@@ -354,8 +354,7 @@ class DaMulticastProcess:
         elif isinstance(message, Pong):
             self.super_table.record_proof_of_life(message.sender, self.engine.now)
         elif isinstance(message, (JoinRequest, MembershipGossip)):
-            if self.membership is not None:
-                self.membership.handle_message(message)
+            self.membership.handle_message(message)
         else:
             raise ProtocolError(
                 f"process {self.pid} cannot handle {type(message).__name__}"
@@ -411,7 +410,6 @@ class DaMulticastProcess:
                 f"parasite delivery: process {self.pid} (topic "
                 f"{self.topic.name}) got event of {event.topic.name}"
             )
-        self.delivered.append(event)
         if self._tracker is not None:
             self._tracker.record_delivery(
                 self.pid, event, self.engine.now, hops=hops
@@ -466,24 +464,20 @@ class StaticProcess(DaMulticastProcess):
     two pid columns of a :class:`~repro.membership.columnar.
     ColumnarGroupTables`, and seats every member at its row. A static
     process holds ``(tables, row)`` and nothing else of its tables: no
-    descriptor, no view, no supertopic-table object, no dedup set for
-    bootstrap floods it never sees. Fig. 7's two selections read the row in
-    place (:meth:`ColumnarGroupTables.sample_row
+    view, no supertopic-table object, no protocol task. Fig. 7's two
+    selections read the row in place (:meth:`ColumnarGroupTables.sample_row
     <repro.membership.columnar.ColumnarGroupTables.sample_row>`,
     :meth:`ColumnarGroupTables.link_targets
-    <repro.membership.columnar.ColumnarGroupTables.link_targets>`), draw
-    for draw what descriptor tables holding the row would draw. The
-    group's intra scope is one object, handed to every member when it
-    joins.
+    <repro.membership.columnar.ColumnarGroupTables.link_targets>`); read the
+    topic row with ``tables.row_pids(row)``. The group's intra scope is one
+    object, handed to every member when it joins.
 
-    What only a stray protocol message or a query needs is made on first
-    read: :meth:`topic_table`, :attr:`super_table`, :attr:`descriptor` and
-    :attr:`seen_requests` — plain methods and properties, never
-    ``__getattr__`` or ``functools.cached_property`` (either slows every
-    other attribute load; ROADMAP, *Settled*). Once a view of the row
-    exists the process selects from it, so a MERGE into its supertopic
-    table (a stray ``AnsContact`` or ``NewProcessReply``) is honoured; a new
-    finalize seats the process afresh and drops its views.
+    The tables never change (§VII: "the membership algorithm does not
+    'replace' a failed process"), so a static process takes part in floods
+    only: any other message is a :class:`~repro.errors.ProtocolError`, as
+    it is for the columnar host's group actor. A process no finalize has
+    seated yet refuses to select with the system gate's
+    :class:`~repro.errors.ConfigError`; a new finalize seats it afresh.
 
     The ``process/{pid}`` stream is seeded the first time Fig. 7 selects
     targets — behind the group-constants gate both selections already
@@ -501,94 +495,35 @@ class StaticProcess(DaMulticastProcess):
 
     def _init_tables(self, membership_config: FlatMembershipConfig | None) -> None:
         #: the group's columns and this process's row in them, once seated
-        self._tables: ColumnarGroupTables | None = None
-        self._row = 0
-        #: views of the row, made on first read (a finalize drops them)
-        self._topic_view: PartialView | None = None
-        self._super_view: SuperTopicTable | None = None
-        self._seen_requests: set[tuple[int, int]] | None = None
-
-    # A static process starts neither task, and a task points back at its
-    # process: built on first touch, they leave the process in no reference
-    # cycle of its own, so a closed system's processes are freed by
-    # reference count.
-    find_super_contact = functools.cached_property(
-        DaMulticastProcess._bootstrap_task
-    )
-    maintenance = functools.cached_property(
-        DaMulticastProcess._maintenance_task
-    )
+        self.tables: ColumnarGroupTables | None = None
+        self.row = 0
 
     def seat(self, tables: ColumnarGroupTables, row: int) -> None:
-        """Take row ``row`` of ``tables`` as this process's tables, dropping
-        any view of an earlier row (what a finalize does to every member)."""
-        self._tables = tables
-        self._row = row
-        self._topic_view = self._super_view = None
-
-    # ------------------------------------------------------------------
-    # Views of the row, on demand
-    # ------------------------------------------------------------------
-    def topic_table(self) -> PartialView:
-        """The topic table as a view of the row (an empty one before the
-        first finalize), made on first read."""
-        view = self._topic_view
-        if view is None:
-            tables = self._tables
-            if tables is None:
-                view = PartialView(
-                    self.params.table_capacity(max(2, self._group_size_hint or 2))
-                )
-            else:
-                view = PartialView(tables.capacity)
-                topic = self.topic
-                view.install(
-                    [ProcessDescriptor(pid, topic) for pid in tables.row_pids(self._row)]
-                )
-            self._topic_view = view
-        return view
-
-    @property
-    def super_table(self) -> SuperTopicTable:
-        """``sTable_Ti`` as a view of the super row (empty when the group
-        has no populated supergroup), made on first read."""
-        table = self._super_view
-        if table is None:
-            table = self._super_view = SuperTopicTable(self.params.z)
-            tables = self._tables
-            if tables is not None and tables.super_stride:
-                target = tables.super_topic
-                table.install(
-                    target,
-                    [
-                        ProcessDescriptor(pid, target)
-                        for pid in tables.super_row_pids(self._row)
-                    ],
-                )
-        return table
+        """Take row ``row`` of ``tables`` as this process's tables (what a
+        finalize does to every member)."""
+        self.tables = tables
+        self.row = row
 
     @property
     def descriptor(self) -> ProcessDescriptor:
         """This process as a table entry (a value; made per read)."""
         return ProcessDescriptor(self.pid, self.topic)
 
-    @property
-    def seen_requests(self) -> set[tuple[int, int]]:
-        """The ``REQCONTACT`` floods this process has handled."""
-        seen = self._seen_requests
-        if seen is None:
-            seen = self._seen_requests = set()
-        return seen
+    def subscribe(self, contact: ProcessDescriptor | None = None) -> None:
+        self.subscribed = True  # the system's finalize draws the tables
+
+    def unsubscribe(self) -> None:
+        self.subscribed = False  # no protocol task runs
 
     # ------------------------------------------------------------------
-    # Fig. 7's two selections, off the row (or its views, once made)
+    # Fig. 7's two selections, off the row
     # ------------------------------------------------------------------
     def _size_group_constants(self) -> None:
-        if self._tables is None:
-            # never seated by a finalize: make the (empty) views it then
-            # selects from
-            self.topic_table()
-            self.super_table  # the property makes the view
+        if self.tables is None:
+            raise ConfigError(
+                f"call finalize_static_membership() before process "
+                f"{self.pid} selects: no finalize has seated it yet"
+            )
         super()._size_group_constants()
 
     # Both selections gate on the bound size cell's value, a slot read; the
@@ -602,13 +537,8 @@ class StaticProcess(DaMulticastProcess):
             self.group_size != self._sized_for
         ):
             self._size_group_constants()
-        table = self._super_view
-        if table is not None:
-            return elect_links(
-                table, self._p_sel, self._p_a, self._rng, force_link
-            )
-        return self._tables.link_targets(
-            self._row, self._p_sel, self._p_a, self._rng, force_link
+        return self.tables.link_targets(
+            self.row, self._p_sel, self._p_a, self._rng, force_link
         )
 
     def gossip_targets(self) -> list[int]:
@@ -617,34 +547,23 @@ class StaticProcess(DaMulticastProcess):
             self.group_size != self._sized_for
         ):
             self._size_group_constants()
-        view = self._topic_view
-        if view is not None:
-            return view.sample_pids(self._fanout, self._rng, self.pid)
-        return self._tables.sample_row(self._row, self._fanout, self._rng)
+        return self.tables.sample_row(self.row, self._fanout, self._rng)
 
     # ------------------------------------------------------------------
     # Introspection, off the row lengths
     # ------------------------------------------------------------------
     def _topic_entries(self) -> int:
-        view = self._topic_view
-        if view is not None:
-            return len(view)
-        return self._tables.stride if self._tables is not None else 0
-
-    def _super_entries(self) -> int:
-        view = self._super_view
-        if view is not None:
-            return len(view)
-        return self._tables.super_stride if self._tables is not None else 0
+        return self.tables.stride if self.tables is not None else 0
 
     @property
     def memory_footprint(self) -> int:
         """Topic-table + supertopic-table entries (§VI-C), read off the
-        row lengths — or off the views, once made."""
-        return self._topic_entries() + self._super_entries()
+        row lengths."""
+        tables = self.tables
+        return tables.stride + tables.super_stride if tables is not None else 0
 
     def __repr__(self) -> str:
         return (
             f"StaticProcess(pid={self.pid}, topic={self.topic.name}, "
-            f"row={self._row}, entries={self.memory_footprint})"
+            f"row={self.row}, entries={self.memory_footprint})"
         )

@@ -213,7 +213,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         supergroup. Tables never change afterwards. Each group is drawn as
         two pid columns (:func:`~repro.membership.columnar.
         draw_static_tables`, the columnar host's build) and every member
-        is seated at its row; a view made from an earlier row is dropped.
+        is seated at its row.
         """
         if self.mode != "static":
             raise ConfigError("finalize_static_membership requires mode='static'")
@@ -284,7 +284,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         tests/test_golden_static.py."""
         if not self._finalized:
             raise ConfigError("finalize_static_membership() first")
-        return rows_digest((p._tables, p._row) for p in self._processes.values())
+        return rows_digest((p.tables, p.row) for p in self._processes.values())
 
     def __repr__(self) -> str:
         return (

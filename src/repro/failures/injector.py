@@ -100,9 +100,16 @@ class FailureCampaign:
 
         This is the adversarial fault for daMulticast: it severs every
         existing inter-group link of a group at once, forcing the
-        maintenance/bootstrap machinery to rebuild from scratch.
+        maintenance/bootstrap machinery to rebuild from scratch. Only a
+        dynamic-mode system keeps supertopic tables; any other is refused
+        here, when the action is added.
         """
         _validate_action_time(at)
+        if getattr(self._system, "mode", None) != "dynamic":
+            raise ConfigError(
+                "kill_super_links needs a mode='dynamic' system: a static "
+                "process keeps no supertopic table, only its row"
+            )
 
         def action() -> None:
             victims: set[int] = set()

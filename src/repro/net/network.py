@@ -36,13 +36,15 @@ alone sends to ``log(S)+c`` topic-table members plus up to ``z`` supergroup
 contacts — so :meth:`Network.multicast` runs the six stages once per
 fan-out, staged so that what is the same for every target is decided once:
 
-* **validation by span** — when block actors are registered and the
-  smallest and largest target fall in one registered ``[start, stop)``,
-  every pid between them is registered and owned by that actor, so the
-  fan-out validates with two comparisons; two blocks, a gap, or per-pid
-  actors mixed in fall back to the per-target check.
-  :class:`~repro.errors.UnknownActor` is raised before any statistic is
-  recorded either way;
+* **validation by span** — on a network of block actors, a fan-out must
+  lie in one block: when its smallest and largest target fall in one
+  registered ``[start, stop)``, every pid between them is registered and
+  owned by that actor, so the fan-out validates with two comparisons.
+  Otherwise it names its first unregistered pid
+  (:class:`~repro.errors.UnknownActor`) or, every pid being registered,
+  spans two blocks (:class:`~repro.errors.NetworkError`) — raised before
+  any statistic is recorded, as is an unknown pid on a network of
+  per-pid actors;
 * **bulk statistics** — ``record_sent_many`` / ``record_dropped_many`` /
   ``record_delivered_many``, once per outcome class instead of once per
   destination;
@@ -84,10 +86,10 @@ fan-out, staged so that what is the same for every target is decided once:
   loop of sends. A class of one — every target, under a continuous
   latency model — is not dressed as a batch: it is delivered by the same
   ``_deliver`` a :meth:`Network.send` schedules;
-* **delivery by span** — at delivery time a batch whose live targets lie
-  in one block is a single ``handle_batch`` call, resolved with the same
-  two comparisons; otherwise consecutive same-block runs are flushed one
-  call each and per-pid actors get ``handle_message`` in order.
+* **one call per batch** — on a network of block actors, the live
+  targets of a batch lie in the one block the fan-out was validated
+  against, so their delivery is a single ``handle_batch`` call; per-pid
+  actors get ``handle_message`` in target order.
 
 Waves (the clean channel's transport entries)
 ---------------------------------------------
@@ -103,7 +105,7 @@ finish, the wave is dispatched as **one** entry, ``count`` = its
 survivors, at the channel's single ``latency.delay``; its delivery walks
 the sub-batches in order, doing per sub-batch what the general channel's
 ``_deliver_batch`` does per entry (the ``static_dead`` filter, the bulk
-statistics, the span check before ``handle_batch``/``handle_message``). A
+statistics, the one ``handle_batch`` or the ``handle_message`` calls). A
 fan-out issued outside any delivery — a publish — is a wave of one. Any
 other dispatch the network makes while a wave is being collected (a
 :meth:`Network.send`, a general-channel fan-out) first sends the
@@ -145,7 +147,9 @@ per process is itself the memory wall, so :meth:`Network.register_block`
 registers a single *block actor* for a contiguous pid range ``[start,
 stop)``; it receives whole delivery batches through
 ``handle_batch(sender, targets, message)`` instead of one
-``handle_message`` call per pid.
+``handle_message`` call per pid. A network holds per-pid actors (the
+object hosts) or blocks (the columnar host), never both: registering
+the other kind is a :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ from bisect import bisect_right
 from itertools import repeat
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.errors import ConfigError, SchedulingError, UnknownActor
+from repro.errors import ConfigError, NetworkError, SchedulingError, UnknownActor
 from repro.failures.model import AlwaysAlive, FailureModel
 from repro.net.faults import LinkFaultModel, NoFaults
 from repro.net.latency import (
@@ -275,8 +279,6 @@ class Network:
         self._block_starts: list[int] = []
         #: last resolved block — fan-outs target one group, so this hits
         self._block_cache: tuple[int, int, BlockActor] | None = None
-        #: sorted pid tuple, rebuilt lazily after registrations
-        self._pids_cache: tuple[int, ...] | None = None
         #: the wave being collected while a wave is delivered, else None
         self._wave: _Wave | None = None
 
@@ -406,20 +408,30 @@ class Network:
     # Registration
     # ------------------------------------------------------------------
     def register(self, actor: Actor) -> None:
-        """Attach an actor; its ``pid`` must be unique on this network."""
+        """Attach an actor; its ``pid`` must be unique on this network,
+        which must hold no block actor."""
+        if self._blocks:
+            raise ConfigError(
+                f"process {actor.pid}: this network holds block actors, and "
+                "per-pid actors and blocks do not mix"
+            )
         pid = actor.pid
-        if pid in self._actors or self._block_for(pid) is not None:
+        if pid in self._actors:
             raise ConfigError(f"process id {pid} is already registered")
         self._actors[pid] = actor
-        self._pids_cache = None
 
     def register_block(self, actor: BlockActor, start: int, stop: int) -> None:
         """Attach one block actor covering the pid range ``[start, stop)``.
 
-        The range must be non-empty and must not overlap any registered
-        pid — per-pid or block. Deliveries to any pid in the range reach
-        ``actor.handle_batch(sender, targets, message)``.
+        The range must be non-empty, must not overlap another block, and
+        the network must hold no per-pid actor. Deliveries to any pid in
+        the range reach ``actor.handle_batch(sender, targets, message)``.
         """
+        if self._actors:
+            raise ConfigError(
+                f"pid block [{start}, {stop}): this network holds per-pid "
+                "actors, and per-pid actors and blocks do not mix"
+            )
         if stop <= start:
             raise ConfigError(f"empty pid block [{start}, {stop})")
         for b_start, b_stop, _ in self._blocks:
@@ -427,16 +439,10 @@ class Network:
                 raise ConfigError(
                     f"pid block [{start}, {stop}) overlaps [{b_start}, {b_stop})"
                 )
-        for pid in self._actors:
-            if start <= pid < stop:
-                raise ConfigError(
-                    f"pid block [{start}, {stop}) overlaps registered pid {pid}"
-                )
         self._blocks.append((start, stop, actor))
         self._blocks.sort(key=lambda block: block[0])
         self._block_starts = [block[0] for block in self._blocks]
         self._block_cache = None
-        self._pids_cache = None
 
     def close(self) -> None:
         """Forget every registered actor and block (idempotent).
@@ -450,7 +456,6 @@ class Network:
         self._blocks.clear()
         self._block_starts.clear()
         self._block_cache = None
-        self._pids_cache = None
 
     def _block_for(self, pid: int) -> BlockActor | None:
         """The block actor owning ``pid``, or None."""
@@ -472,7 +477,7 @@ class Network:
         self, targets: Sequence[int]
     ) -> tuple[int, int, BlockActor] | None:
         """The one registered block holding every pid of ``targets``, or
-        None (two blocks, a gap, a per-pid actor, an unknown pid).
+        None (two blocks, a gap, an unknown pid).
 
         Blocks are contiguous and overlap nothing, so when the smallest and
         the largest target fall in the same ``[start, stop)`` every pid
@@ -488,22 +493,20 @@ class Network:
         return block if max(targets) < block[1] else None
 
     def _require_registered(self, targets: Sequence[int]) -> None:
-        """Raise :class:`UnknownActor` unless every target is registered."""
-        if not self._blocks:
-            actors = self._actors
-            if all(map(actors.__contains__, targets)):
+        """Raise :class:`UnknownActor` unless every target is registered,
+        and :class:`NetworkError` for a fan-out that spans two blocks."""
+        if self._blocks:
+            if self._span_block(targets) is not None:
                 return
-            for target in targets:  # name the first unknown pid
-                if target not in actors:
-                    raise UnknownActor(
-                        f"no actor registered with pid {target}"
-                    )
-        elif self._span_block(targets) is None:
-            for target in targets:
-                if target not in self:
-                    raise UnknownActor(
-                        f"no actor registered with pid {target}"
-                    )
+        elif all(map(self._actors.__contains__, targets)):
+            return
+        for target in targets:  # name the first unknown pid
+            if target not in self:
+                raise UnknownActor(f"no actor registered with pid {target}")
+        raise NetworkError(
+            f"fan-out to pids {min(targets)}..{max(targets)} spans more "
+            "than one pid block"
+        )
 
     def actor(self, pid: int) -> Actor | BlockActor:
         """Look an actor up by process id (a block pid resolves to its
@@ -524,51 +527,12 @@ class Network:
             stop - start for start, stop, _ in self._blocks
         )
 
-    def pid_view(self) -> tuple[int, ...]:
-        """All registered process ids, sorted, as a shared immutable view.
-
-        The tuple is built once per registration epoch and reused until the
-        next ``register``/``register_block`` invalidates it — callers that
-        only iterate (membership refresh, alive-set scans, metrics sweeps)
-        skip the per-call list rebuild entirely. Iteration order is the
-        same sorted order :attr:`pids` always produced, so RNG draw order
-        at every call site is unchanged.
-        """
-        cached = self._pids_cache
-        if cached is None:
-            pids = list(self._actors)
-            for start, stop, _ in self._blocks:
-                pids.extend(range(start, stop))
-            pids.sort()
-            cached = self._pids_cache = tuple(pids)
-        return cached
-
-    @property
-    def pids(self) -> list[int]:
-        """All registered process ids, sorted (a fresh mutable copy; use
-        :meth:`pid_view` to iterate without the copy)."""
-        return list(self.pid_view())
-
     # ------------------------------------------------------------------
     # Liveness (convenience passthroughs used by protocols & metrics)
     # ------------------------------------------------------------------
     def is_alive(self, pid: int) -> bool:
         """Ground-truth liveness of ``pid`` right now."""
         return self._failure_model.is_alive(pid, self._clock.now)
-
-    def alive_pids(self) -> list[int]:
-        """All currently alive registered pids, sorted.
-
-        Iterates the cached :meth:`pid_view` — same pids, same sorted
-        order, same per-pid liveness queries as the historical
-        list-rebuilding version, so trajectories are bit-identical.
-        """
-        failure_model = self._failure_model
-        now = self._clock.now
-        return [
-            pid for pid in self.pid_view()
-            if failure_model.is_alive(pid, now)
-        ]
 
     # ------------------------------------------------------------------
     # Transmission
@@ -864,16 +828,13 @@ class Network:
         stats.record_delivered_many(message, len(alive))
         if not alive:
             return
-        if not self._blocks:
+        if self._blocks:
+            # the fan-out was validated to lie in one block
+            self._block_for(alive[0]).handle_batch(sender, tuple(alive), message)
+        else:
             actors = self._actors
             for target in alive:
                 actors[target].handle_message(message)
-            return
-        block = self._span_block(alive)
-        if block is not None:
-            block[2].handle_batch(sender, tuple(alive), message)
-        else:
-            self._dispatch_mixed(sender, alive, message)
 
     def _dispatch_wave(self, wave: _Wave) -> None:
         """Send ``wave`` as one transport entry at the clean channel's
@@ -917,22 +878,16 @@ class Network:
                 stats.record_delivered_many(message, len(alive))
                 if not alive:
                     continue
+                # a fan-out into blocks was validated to lie in one block,
+                # so its first live target names it
                 block = self._block_cache
-                if (
-                    block is not None
-                    and block[0] <= min(alive)
-                    and max(alive) < block[1]
-                ):
+                if block is not None and block[0] <= alive[0] < block[1]:
                     block[2].handle_batch(sender, alive, message)
-                elif not self._blocks:
+                elif self._blocks:
+                    self._block_for(alive[0]).handle_batch(sender, alive, message)
+                else:
                     for target in alive:
                         actors[target].handle_message(message)
-                else:
-                    block = self._span_block(alive)
-                    if block is not None:
-                        block[2].handle_batch(sender, alive, message)
-                    else:
-                        self._dispatch_mixed(sender, alive, message)
         except BaseException:
             # The rest goes back at this wave's own place, ahead of the
             # fan-outs collected so far: the per-fan-out order.
@@ -948,36 +903,6 @@ class Network:
             self._wave = None
             if collected:
                 self._dispatch_wave(collected)
-
-    def _dispatch_mixed(
-        self, sender: int, alive: Iterable[int], message: Message
-    ) -> None:
-        """Dispatch a delivered batch that does not sit in one block.
-
-        Consecutive targets owned by the same block actor are flushed as
-        one ``handle_batch`` call; per-pid actors still get
-        ``handle_message`` individually, in order.
-        """
-        actors = self._actors
-        run_actor: BlockActor | None = None
-        run: list[int] = []
-        for target in alive:
-            actor = actors.get(target)
-            if actor is not None:
-                if run:
-                    run_actor.handle_batch(sender, tuple(run), message)
-                    run_actor, run = None, []
-                actor.handle_message(message)
-                continue
-            block = self._block_for(target)
-            if block is run_actor:
-                run.append(target)
-            else:
-                if run:
-                    run_actor.handle_batch(sender, tuple(run), message)
-                run_actor, run = block, [target]
-        if run:
-            run_actor.handle_batch(sender, tuple(run), message)
 
     def __repr__(self) -> str:
         return (

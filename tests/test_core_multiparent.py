@@ -88,16 +88,20 @@ class TestDissemination:
         assert system.delivered_fraction(event, ROOT) == 1.0
 
     def test_diamond_paths_deliver_once(self):
-        system = build_system(seed=3)
+        deliveries = []
+        system = build_system(
+            seed=3,
+            delivery_callback=lambda process, event: deliveries.append(
+                (process.pid, event.event_id)
+            ),
+        )
         event = system.publish(FOOTBALL)
         system.run_until_idle()
         # Root is reachable via both .sports and .news; dedup must keep
         # deliveries unique.
-        for process in system.group(ROOT):
-            count = sum(
-                1 for e in process.delivered if e.event_id == event.event_id
-            )
-            assert count <= 1
+        assert len(deliveries) == len(set(deliveries))
+        assert len(deliveries) == system.tracker.delivery_count(event.event_id)
+        assert {pid for pid, _ in deliveries} >= set(system.group_pids(ROOT))
 
     def test_sibling_parent_events_stay_separate(self):
         system = build_system(seed=4)
@@ -132,7 +136,7 @@ class TestDissemination:
                 len(t) for t in process.super_tables.values()
             )
             assert process.memory_footprint == len(
-                process.topic_table()
+                process.tables.row_pids(process.row)
             ) + expected_super
             assert expected_super >= 2
 
@@ -183,12 +187,15 @@ class TestSingleParentConformance:
         (static, multi), _ = systems
         for ours, theirs in zip(static.processes, multi.processes):
             assert theirs.pid == ours.pid and theirs.topic == ours.topic
-            assert theirs.topic_table().pids == ours.topic_table().pids
+            assert theirs.tables.row_pids(theirs.row) == ours.tables.row_pids(
+                ours.row
+            )
+            ours_super = ours.tables.super_row_pids(ours.row)
             supers = list(theirs.super_tables.values())
-            assert len(supers) == (0 if ours.super_table.is_empty else 1)
+            assert len(supers) == (1 if ours_super else 0)
             for table in supers:
-                assert table.pids == ours.super_table.pids
-                assert table.target_topic == ours.super_table.target_topic
+                assert table.pids == ours_super
+                assert table.target_topic == ours.tables.super_topic
             assert theirs.memory_footprint == ours.memory_footprint
         assert _stream_states(multi) == _stream_states(static)
 

@@ -19,8 +19,8 @@ T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
 
 
-def tiny_system(mode="static"):
-    system = DaMulticastSystem(seed=0, mode=mode)
+def tiny_system(mode="static", **kwargs):
+    system = DaMulticastSystem(seed=0, mode=mode, **kwargs)
     system.add_group(ROOT, 2)
     system.add_group(T1, 4)
     system.add_group(T2, 6)
@@ -31,22 +31,24 @@ def tiny_system(mode="static"):
 
 class TestMessageDispatch:
     def test_ping_answered_with_pong(self):
-        system = tiny_system()
+        system = tiny_system(mode="dynamic")
         a, b = system.group(T2)[0], system.group(T2)[1]
         a.handle_message(Ping(sender=b.pid, nonce=42))
-        system.run_until_idle()
         assert system.stats.sent_by_kind["pong"] == 1
 
     def test_pong_records_proof_of_life(self):
-        system = tiny_system()
+        system = tiny_system(mode="dynamic")
         process = system.group(T2)[0]
-        super_pid = process.super_table.pids[0]
+        super_pid = system.group(T1)[0].pid
+        process._merge_piggybacked_super((ProcessDescriptor(super_pid, T1),))
         process.handle_message(Pong(sender=super_pid, nonce=1))
         assert process.super_table.check(system.now, timeout=1.0) == 1
 
     def test_pong_from_stranger_ignored(self):
-        system = tiny_system()
+        system = tiny_system(mode="dynamic")
         process = system.group(T2)[0]
+        super_pid = system.group(T1)[0].pid
+        process._merge_piggybacked_super((ProcessDescriptor(super_pid, T1),))
         process.handle_message(Pong(sender=99999, nonce=1))
         assert process.super_table.check(system.now, timeout=1.0) == 0
 
@@ -70,17 +72,25 @@ class TestMessageDispatch:
         with pytest.raises(ProtocolError):
             t2_process.handle_message(message)
 
-    def test_duplicate_event_ignored(self):
-        system = tiny_system()
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_duplicate_event_ignored(self, mode):
+        deliveries = []
+        system = tiny_system(
+            mode,
+            delivery_callback=lambda process, event: deliveries.append(
+                (process.pid, event.event_id)
+            ),
+        )
         process = system.group(T2)[0]
         event = Event(EventId(0, 1), T2, None, 0.0)
         message = EventMessage(
             sender=1, event=event, scope=Scope("intra", T2)
         )
         process.handle_message(message)
-        first_count = len(process.delivered)
+        assert deliveries == [(process.pid, event.event_id)]
         process.handle_message(message)
-        assert len(process.delivered) == first_count
+        assert deliveries == [(process.pid, event.event_id)]
+        assert system.tracker.delivery_count(event.event_id) == 1
 
 
 class TestSubscriptionLifecycle:
@@ -95,8 +105,11 @@ class TestSubscriptionLifecycle:
     def test_static_mode_starts_no_tasks(self):
         system = tiny_system(mode="static")
         for process in system.processes:
-            assert not process.maintenance.running
-            assert not process.find_super_contact.active
+            process.unsubscribe()
+            process.subscribe()
+            assert not hasattr(process, "maintenance")
+            assert not hasattr(process, "find_super_contact")
+        assert system.engine.pending == 0
 
     def test_group_size_hint(self):
         system = tiny_system()
@@ -108,8 +121,12 @@ class TestSubscriptionLifecycle:
     def test_group_size_estimated_without_hint(self):
         system = tiny_system()
         process = system.group(T2)[0]
+        process._group_size_cell = None
         process._group_size_hint = None
-        assert process.group_size == len(process.topic_table()) + 1
+        assert process.group_size == process.tables.stride + 1
+        assert process.group_size == len(
+            process.tables.row_pids(process.row)
+        ) + 1
 
 
 class TestPiggybackMerge:

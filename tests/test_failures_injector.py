@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.baselines import GossipBroadcastSystem
 from repro.core import DaMulticastConfig, DaMulticastSystem, TopicParams
 from repro.errors import ConfigError
 from repro.failures import ChurnSchedule
@@ -116,6 +117,25 @@ class TestKillSuperLinks:
             )
         ]
         assert len(healed) >= len(system.group(T2)) // 2
+
+    @pytest.mark.parametrize("system_class", ["static", "broadcast"])
+    def test_refused_when_added_outside_dynamic_mode(self, system_class):
+        # a static process keeps its row only: there is no supertopic
+        # table to read when the action would run
+        schedule = ChurnSchedule()
+        if system_class == "static":
+            system = DaMulticastSystem(
+                seed=0, mode="static", failure_model=schedule
+            )
+        else:
+            system = GossipBroadcastSystem(seed=0, failure_model=schedule)
+        system.add_group(T1, 4)
+        system.add_group(T2, 8)
+        campaign = FailureCampaign(system, schedule, random.Random(0))
+        with pytest.raises(ConfigError, match="mode='dynamic'"):
+            campaign.kill_super_links(1.0, T2)
+        assert system.engine.pending == 0
+        assert campaign.log.actions == []
 
 
 class TestRecovery:

@@ -43,13 +43,11 @@ def _observe(system, events) -> dict:
     """Everything a run leaves behind that a draw could have moved."""
     rngs = system.harness.rngs
     return {
-        "delivered": {
-            process.pid: [event.event_id for event in process.delivered]
-            for process in system.processes
-        },
+        "seen": {process.pid: sorted(process.seen) for process in system.processes},
         "receivers": [
             dict(system.tracker.receivers(event.event_id)) for event in events
         ],
+        "hops": [system.tracker.delivery_hops(event.event_id) for event in events],
         "stats": system.stats.as_dict(),
         "processed": system.engine.processed,
         "streams": {name: rngs.stream(name).getstate() for name in rngs.streams()},
@@ -144,7 +142,7 @@ def test_multi_parent_seeding_every_stream_up_front_is_the_same_run(
             system.finalize_static_membership()
             publisher = system.group(FOOTBALL)[0]
             system.network.failure_model = sample_stillborn(
-                system.network.pids,
+                [process.pid for process in system.processes],
                 alive_fraction,
                 random.Random(seed),
                 protected=[publisher.pid],
@@ -187,7 +185,7 @@ def test_fig10_sweep_seeds_a_stream_per_acting_process():
             acted = {
                 f"process/{process.pid}"
                 for process in built.system.processes
-                if process.delivered
+                if process.seen
             }
             assert set(_process_streams(built.system)) == acted
             seeded[value] = len(acted)
@@ -204,7 +202,7 @@ def test_baseline_processes_follow_the_same_convention():
         system.add_group(".t1.t2", 40)
         system.finalize_membership()
         system.network.failure_model = sample_stillborn(
-            system.network.pids, 0.5, random.Random(3),
+            [process.pid for process in system.processes], 0.5, random.Random(3),
             protected=[system.group(".t1.t2")[0].pid],
         )
         assert _process_streams(system) == []
@@ -213,7 +211,7 @@ def test_baseline_processes_follow_the_same_convention():
         acted = {
             f"baseline-process/{process.pid}"
             for process in system.processes
-            if process.delivered
+            if process.seen
         }
         assert 1 < len(acted) < 45
         assert set(_process_streams(system)) == acted
@@ -235,7 +233,7 @@ def test_rng_of_a_never_reached_process_is_its_named_stream():
     built = _small_run()
     try:
         system = built.system
-        idle = [process for process in system.processes if not process.delivered]
+        idle = [process for process in system.processes if not process.seen]
         assert idle  # 70 % stillborn: most processes never act
         for process in idle:
             assert f"process/{process.pid}" not in _process_streams(system)

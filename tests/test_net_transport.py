@@ -566,62 +566,3 @@ class TestTransportEquivalence:
             drain_after=drain_after,
         )
         assert engine_run == queue_run
-
-
-class TestPidCaching:
-    def test_pids_stay_a_sorted_list(self):
-        engine = Engine()
-        net = Network(engine, random.Random(0))
-        for pid in (3, 1, 2):
-            net.register(Recorder(pid))
-        assert net.pids == [1, 2, 3]
-        assert isinstance(net.pids, list)
-
-    def test_pid_view_is_cached_until_registration(self):
-        engine = Engine()
-        net = Network(engine, random.Random(0))
-        net.register(Recorder(0))
-        first = net.pid_view()
-        assert first == (0,)
-        assert net.pid_view() is first  # cached, no rebuild
-        net.register(Recorder(1))
-        second = net.pid_view()
-        assert second == (0, 1)
-        assert second is not first
-
-    def test_pids_copy_is_independent(self):
-        engine = Engine()
-        net = Network(engine, random.Random(0))
-        net.register(Recorder(0))
-        pids = net.pids
-        pids.append(99)
-        assert net.pids == [0]
-        assert net.pid_view() == (0,)
-
-    def test_alive_pids_matches_rebuild_semantics(self):
-        from repro.failures import StillbornFailures
-
-        engine = Engine()
-        net = Network(
-            engine,
-            random.Random(0),
-            failure_model=StillbornFailures([1, 4]),
-        )
-        for pid in range(6):
-            net.register(Recorder(pid))
-        expected = [pid for pid in net.pids if net.is_alive(pid)]
-        assert net.alive_pids() == expected
-
-    def test_block_registration_invalidates_cache(self):
-        engine = Engine()
-        net = Network(engine, random.Random(0))
-        net.register(Recorder(0))
-        assert net.pid_view() == (0,)
-
-        class Block:
-            def handle_batch(self, sender, targets, message):
-                pass
-
-        net.register_block(Block(), 10, 13)
-        assert net.pid_view() == (0, 10, 11, 12)
-        assert net.pids == [0, 10, 11, 12]

@@ -20,7 +20,9 @@ from repro.topics.builders import chain
 chain_sizes = st.lists(st.integers(1, 25), min_size=1, max_size=4)
 
 
-def build_static(sizes, seed, p_success=1.0, failed=frozenset()):
+def build_static(
+    sizes, seed, p_success=1.0, failed=frozenset(), delivery_callback=None
+):
     topics = chain(len(sizes) - 1, prefix="t")
     config = DaMulticastConfig(
         default_params=TopicParams(b=3, c=3, g=3, a=1, z=2)
@@ -31,6 +33,7 @@ def build_static(sizes, seed, p_success=1.0, failed=frozenset()):
         p_success=p_success,
         mode="static",
         failure_model=StillbornFailures(failed) if failed else None,
+        delivery_callback=delivery_callback,
     )
     for topic, size in zip(topics, sizes):
         system.add_group(topic, size)
@@ -65,14 +68,19 @@ def test_perfect_network_total_delivery(sizes, seed):
 @given(chain_sizes, st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_at_most_once_delivery(sizes, seed):
-    system, topics = build_static(sizes, seed, p_success=0.8)
+    deliveries = []
+    system, topics = build_static(
+        sizes,
+        seed,
+        p_success=0.8,
+        delivery_callback=lambda process, event: deliveries.append(
+            (process.pid, event.event_id)
+        ),
+    )
     event = system.publish(topics[-1])
     system.run_until_idle()
-    for process in system.processes:
-        count = sum(
-            1 for e in process.delivered if e.event_id == event.event_id
-        )
-        assert count <= 1
+    assert len(deliveries) == len(set(deliveries))
+    assert len(deliveries) == system.tracker.delivery_count(event.event_id)
 
 
 @given(chain_sizes, st.integers(0, 2**32))

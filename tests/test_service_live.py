@@ -46,7 +46,7 @@ class TestPubSubApi:
         pids = trace["deliveries"][str(event.event_id)]
         # Inclusion: a .conf.dsn event reaches its group and the .conf
         # supergroup — all 13 processes on a perfect network.
-        assert pids == sorted(runtime.system.network.pids)
+        assert pids == sorted(p.pid for p in runtime.system.processes)
 
     def test_subscribe_callback_fires_per_delivering_process(self):
         async def scenario():
@@ -157,7 +157,7 @@ class TestFailingDeliveries:
         assert len(dsn_pids) == 8
         assert sorted(calls[:8]) == dsn_pids and len(calls) == 16
         delivered = runtime.trace()["deliveries"][str(event.event_id)]
-        assert delivered == sorted(runtime.system.network.pids)
+        assert delivered == sorted(p.pid for p in runtime.system.processes)
         assert status["subscriber_errors"] == 1
         assert status["queue"]["pending"] == 0
         assert status["queue"]["executed"] == status["queue"]["dispatched"]

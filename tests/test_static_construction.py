@@ -2,9 +2,9 @@
 by reference count.
 
 Three kinds of test: equivalence (``add_group`` is ``n × add_process``; a
-static process, which builds neither protocol task until one is touched,
-behaves as it always did), the ``close()`` contract of every system
-facade, and exact object counts — deterministic, no timer — that fail
+static process holds neither protocol task, a dynamic one both from
+construction), the ``close()`` contract of every system facade, and
+exact object counts — deterministic, no timer — that fail
 when a per-process allocation or a per-process reference cycle creeps
 back into the cold build.
 """
@@ -26,8 +26,6 @@ from repro.core.maintenance import KeepTableUpdated
 from repro.core.multiparent import MultiParentSystem
 from repro.core.process import StaticProcess
 from repro.errors import ConfigError
-from repro.membership import ProcessDescriptor
-from repro.net.message import AnsContact, NewProcessRequest
 from repro.topics import Topic, TopicDag
 from repro.workloads.presets import load_preset
 from repro.workloads.spec import compile_spec
@@ -96,7 +94,7 @@ class TestAddAfterFinalize:
         event = system.publish(T2, publisher=late)
         system.run_until_idle()
         assert system.delivered_fraction(event, T2) == 1.0
-        assert event in late.delivered
+        assert system.tracker.delivered(event.event_id, late.pid)
 
 
 @pytest.mark.parametrize("facade", ["damulticast", "multiparent"])
@@ -105,7 +103,7 @@ def test_a_process_publishes_events_of_its_own_topic_only(facade):
     outsider = system.group(T1)[0]
     with pytest.raises(ConfigError, match=r"\.t1 events, not \.t1\.t2"):
         system.publish(T2, publisher=outsider)
-    assert outsider.delivered == [] and system.stats.total_sent == 0
+    assert outsider.seen == set() and system.stats.total_sent == 0
     event = system.publish(T1, publisher=outsider)
     assert event.topic == T1
 
@@ -160,13 +158,14 @@ def test_add_group_is_n_times_add_process(mode):
         system.run(until=horizon)
     assert grouped.stats.as_dict() == single.stats.as_dict()
     assert _stream_states(grouped) == _stream_states(single)
-    assert [len(p.delivered) for p in grouped.processes] == [
-        len(p.delivered) for p in single.processes
+    assert [sorted(p.seen) for p in grouped.processes] == [
+        sorted(p.seen) for p in single.processes
     ]
 
 
 # ----------------------------------------------------------------------
-# The two protocol tasks: on first touch in static mode, eager in dynamic
+# The two protocol tasks: none in static mode, both from construction in
+# dynamic mode
 # ----------------------------------------------------------------------
 TASKS = ("find_super_contact", "maintenance")
 
@@ -176,16 +175,6 @@ def _built_tasks(process):
 
 
 class TestProtocolTasks:
-    def test_static_process_builds_them_on_first_touch(self):
-        process = static_system().group(T2)[0]
-        assert _built_tasks(process) == []
-        assert not process.find_super_contact.active
-        assert _built_tasks(process) == ["find_super_contact"]
-        assert process.find_super_contact is process.find_super_contact
-        assert not process.maintenance.running
-        assert _built_tasks(process) == list(TASKS)
-        assert process.maintenance._process is process
-
     def test_dynamic_process_holds_both_from_construction(self):
         system = DaMulticastSystem(mode="dynamic", seed=0)
         process = system.add_process(T2, subscribe=False)
@@ -199,51 +188,12 @@ class TestProtocolTasks:
         assert process.subscribed
         process.unsubscribe()
         assert not process.subscribed
-        assert not process.maintenance.running
-        assert not process.find_super_contact.active
+        # stopping builds no task to stop
+        assert not any(hasattr(process, name) for name in TASKS)
+        process.subscribe()
+        assert process.subscribed
         assert system.engine.pending == 0
         assert system.stats.total_sent == 0
-
-    def test_static_stray_ans_contact_merges_like_a_late_answer(self):
-        system = static_system(sizes=(6, 20), seed=5)
-        process = system.group(T2)[0]
-        before = process.super_table.pids
-        rng_before = process.rng.getstate()
-        newcomer = next(
-            p.pid for p in system.group(T1) if p.pid not in before
-        )
-        process.handle_message(
-            AnsContact(
-                sender=newcomer,
-                answered_topic=T1,
-                contacts=(ProcessDescriptor(newcomer, T1),),
-                request_id=1,
-            )
-        )
-        # a full table (z entries) admits the contact and evicts one entry
-        # with one draw from the process's own stream
-        after = process.super_table.pids
-        assert len(after) == len(before) == process.params.z
-        assert set(after) <= set(before) | {newcomer}
-        assert process.super_table.target_topic == T1
-        assert process.rng.getstate() != rng_before
-        assert not process.find_super_contact.active
-        assert system.stats.total_sent == 0
-
-    def test_static_new_process_request_is_answered(self):
-        system = static_system(sizes=(6, 20), seed=5, p_success=1.0)
-        superprocess = system.group(T1)[0]
-        asker = system.group(T2)[0]
-        superprocess.handle_message(
-            NewProcessRequest(sender=asker.pid, wanted=2)
-        )
-        assert system.stats.sent_by_kind["new_process_reply"] == 1
-        system.run_until_idle()
-        # the reply lands in the asker's maintenance task (MERGE): entries
-        # never heard from give way to the reply's contacts
-        assert superprocess.pid in asker.super_table
-        assert asker.super_table.target_topic == T1
-        assert len(asker.super_table) == asker.params.z
 
 
 # ----------------------------------------------------------------------
@@ -341,13 +291,13 @@ class TestExactCounts:
         built = paper_vii.build(1)
         added = len(gc.get_objects()) - tracked
         assert _live(FindSuperContact) + _live(KeepTableUpdated) == tasks
-        # 3 per process — the process, its ``seen`` set and its
-        # ``delivered`` list — plus about 80 per system: measured 3 411
-        # (12 276 while each process held descriptor tables). Its tables
-        # are a row of its group's columns, its RNG stream and event
-        # factory wait for its first action, and it shares its group's
-        # intra scope.
-        assert added <= 3_500, added
+        # 2 per process — the process and its ``seen`` set — plus about
+        # 80 per system: measured 2 296 (3 406 while each process kept a
+        # ``delivered`` list beside the tracker, 12 276 while it held
+        # descriptor tables). Its tables are a row of its group's columns,
+        # its RNG stream and event factory wait for its first action, and
+        # it shares its group's intra scope.
+        assert added <= 2_390, added
         built.system.close()
 
     def test_objects_one_baseline_build_adds(self, baseline_compare):
@@ -355,10 +305,10 @@ class TestExactCounts:
         built = baseline_compare.build(1)
         added = len(gc.get_objects()) - tracked
         assert len(built.system.processes) == 1110
-        # 5 per broadcast process — the process, its ``seen`` set,
-        # ``delivered`` list, ``groups`` dict and one ``GroupState`` — plus
-        # about 50 per system: measured 5 604 (8 929 while each table was a
-        # view of descriptors). The table is a row of the one global
-        # group's pid column.
-        assert added <= 5_700, added
+        # 4 per broadcast process — the process, its ``seen`` set,
+        # ``groups`` dict and one ``GroupState`` — plus about 50 per
+        # system: measured 4 492 (5 602 with a ``delivered`` list per
+        # process, 8 929 while each table was a view of descriptors). The
+        # table is a row of the one global group's pid column.
+        assert added <= 4_590, added
         built.system.close()

@@ -1,26 +1,38 @@
-"""A static process reads its tables off its group's columns; views of
-them are made on demand, and from then on the process selects from those.
+"""A static process is a row of its group's columns, and nothing else.
 
 Every pinned value below was recorded before static processes held rows,
 when each one carried a descriptor topic table and supertopic table of
-its own. A row and the view made from it must be the same table, drawn
-from the same stream and sampled with the same draws, so nothing here
-moves: not the construction digest of a group grown by interleaved
-``add_process`` calls (whose pids are not one block), not the tables a
-second finalize serves to a process whose views were read before it,
-not the links of a process whose supertopic table merged a stray
-``AnsContact``, and not the empty tables of a process no finalize has
-seated yet.
+its own. A row must be the same table, drawn from the same stream and
+sampled with the same draws, so nothing here moves: not the construction
+digest of a group grown by interleaved ``add_process`` calls (whose pids
+are not one block), and not the rows a second finalize seats a process
+at. The tables never change after a finalize (§VII), so a static process
+— on the object host, its §VIII variant and the columnar host alike —
+refuses every message but an event, and one no finalize has seated yet
+refuses to select.
 """
 
 import hashlib
 import json
 
-from repro.core import DaMulticastConfig, DaMulticastSystem
-from repro.core.params import TopicParams
+import pytest
+
+from repro.core import DaMulticastSystem
+from repro.core.columnar import ColumnarStaticSystem
+from repro.core.multiparent import MultiParentSystem
+from repro.errors import ConfigError, ProtocolError
 from repro.membership import ProcessDescriptor
-from repro.net.message import AnsContact, Pong
-from repro.topics import ROOT, Topic
+from repro.net.message import (
+    AnsContact,
+    JoinRequest,
+    MembershipGossip,
+    NewProcessReply,
+    NewProcessRequest,
+    Ping,
+    Pong,
+    ReqContact,
+)
+from repro.topics import ROOT, Topic, TopicDag
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
@@ -75,7 +87,7 @@ def test_interleaved_groups_keep_their_construction_and_flood():
 
 
 # ----------------------------------------------------------------------
-# A second finalize replaces every row and every view made before it
+# A second finalize reseats every process
 # ----------------------------------------------------------------------
 REFINALIZED_TOPIC_ROW = [
     49, 48, 41, 42, 45, 22, 13, 10, 32, 29, 47, 46, 8, 21, 30,
@@ -89,17 +101,24 @@ REFINALIZED_FLOOD = (
 )
 
 
-def test_a_second_finalize_serves_new_rows_to_views_read_before():
+def rows(process):
+    return (
+        process.tables.row_pids(process.row),
+        process.tables.super_row_pids(process.row),
+    )
+
+
+def test_a_second_finalize_reseats_every_process():
     system = DaMulticastSystem(mode="static", seed=8, p_success=0.9)
     system.add_group(T1, 6)
     system.add_group(T2, 30)
     system.finalize_static_membership()
     process = system.group(T2)[0]
-    before = (process.topic_table().pids, process.super_table.pids)
+    before = rows(process)
     system.add_group(T1, 5)
     system.add_group(T2, 10)
     system.finalize_static_membership()
-    after = (process.topic_table().pids, process.super_table.pids)
+    after = rows(process)
     assert after != before
     assert after == (REFINALIZED_TOPIC_ROW, REFINALIZED_SUPER_ROW)
     assert system.construction_digest() == REFINALIZED_DIGEST
@@ -109,62 +128,111 @@ def test_a_second_finalize_serves_new_rows_to_views_read_before():
 
 
 # ----------------------------------------------------------------------
-# A stray AnsContact merges into the view, and links follow the view
+# A static process takes part in floods only
 # ----------------------------------------------------------------------
-MERGED_SUPER_TABLE = [0, 4, 1]
-MERGED_FLOOD = (
-    "9b44d71af4f44482333b1f5341f3d621ec51c23a9d9344d82b0f7432bd7b2e53"
-)
+def _multiparent(**kwargs):
+    dag = TopicDag()
+    dag.add(T2)
+    return MultiParentSystem(dag, **kwargs)
 
 
-def test_links_come_from_a_super_table_merged_after_a_stray_answer():
-    # p_a = a/z = 1: an elected link hands the event to every entry
-    config = DaMulticastConfig(default_params=TopicParams(a=3.0, z=3))
-    system = DaMulticastSystem(
-        mode="static", seed=5, p_success=1.0, config=config
-    )
+#: host -> a static system factory
+HOSTS = {
+    "object": lambda: DaMulticastSystem(mode="static", seed=4),
+    "multiparent": lambda: _multiparent(seed=4),
+    "columnar": lambda: ColumnarStaticSystem(seed=4),
+}
+
+#: every protocol message class but the event, built for a sender in .t1
+PROTOCOL_MESSAGES = {
+    "ReqContact": lambda sender, contact: ReqContact(
+        sender=sender, requester=sender, topics=(T1,), request_id=1, ttl=3
+    ),
+    "AnsContact": lambda sender, contact: AnsContact(
+        sender=sender, answered_topic=T1, contacts=(contact,), request_id=1
+    ),
+    "NewProcessRequest": lambda sender, contact: NewProcessRequest(
+        sender=sender, wanted=2
+    ),
+    "NewProcessReply": lambda sender, contact: NewProcessReply(
+        sender=sender, contacts=(contact,)
+    ),
+    "Ping": lambda sender, contact: Ping(sender=sender, nonce=1),
+    "Pong": lambda sender, contact: Pong(sender=sender, nonce=1),
+    "JoinRequest": lambda sender, contact: JoinRequest(
+        sender=sender, joiner=contact, ttl=2
+    ),
+    "MembershipGossip": lambda sender, contact: MembershipGossip(
+        sender=sender, group=T1, view_sample=(contact,), reply_expected=True
+    ),
+}
+
+
+def _receiver_state(system, host, pid):
+    """What a stray message could move: the receiver's dedup state and
+    rows, the network counters and every RNG stream."""
+    rngs = system.harness.rngs
+    streams = {name: rngs.stream(name).getstate() for name in rngs.streams()}
+    if host == "columnar":
+        actor = system.network.actor(pid)
+        index = pid - actor.base
+        seen = {eid: bytes(mask) for eid, mask in actor._seen.items()}
+        table_rows = (
+            actor.tables.row_pids(index), actor.tables.super_row_pids(index)
+        )
+    else:
+        process = system.process(pid)
+        seen = sorted(process.seen)
+        table_rows = rows(process)
+        if host == "multiparent":
+            table_rows += tuple(
+                (topic, table.pids)
+                for topic, table in process.super_tables.items()
+            )
+    return seen, table_rows, system.stats.as_dict(), streams
+
+
+@pytest.mark.parametrize("kind", sorted(PROTOCOL_MESSAGES))
+@pytest.mark.parametrize("host", sorted(HOSTS))
+def test_static_processes_refuse_protocol_messages(host, kind):
+    system = HOSTS[host]()
     system.add_group(T1, 6)
     system.add_group(T2, 20)
     system.finalize_static_membership()
-    process = system.group(T2)[0]
-    drawn = process.super_table.pids
-    newcomer = next(pid for pid in system.group_pids(T1) if pid not in drawn)
-    process.handle_message(
-        AnsContact(
-            sender=newcomer,
-            answered_topic=T1,
-            contacts=(ProcessDescriptor(newcomer, T1),),
-            request_id=1,
-        )
-    )
-    merged = process.super_table.pids
-    assert newcomer in merged and len(merged) == 3
-    assert merged == MERGED_SUPER_TABLE
-    event = system.publish(T2, publisher=process)
+    system.publish(T2)
     system.run_until_idle()
-    # the publisher always links, and it alone sends at hop 1 into .t1
-    first_hand = {
-        pid
-        for pid, hops in system.tracker.delivery_hops(event.event_id).items()
-        if hops == 1 and pid in system.group_pids(T1)
-    }
-    assert first_hand == set(merged)
-    assert flood_digest(system, event) == MERGED_FLOOD
+    receiver = system.group_pids(T2)[3]
+    sender = system.group_pids(T1)[0]
+    message = PROTOCOL_MESSAGES[kind](sender, ProcessDescriptor(sender, T1))
+    before = _receiver_state(system, host, receiver)
+    with pytest.raises(ProtocolError, match=f"cannot handle {kind}$"):
+        if host == "columnar":
+            system.network.actor(receiver).handle_batch(
+                sender, (receiver,), message
+            )
+        else:
+            system.process(receiver).handle_message(message)
+    assert _receiver_state(system, host, receiver) == before
+    assert system.engine.pending == 0
 
 
 # ----------------------------------------------------------------------
-# A process that joined after the last finalize has empty tables
+# A process that joined after the last finalize refuses to select
 # ----------------------------------------------------------------------
-def test_a_process_not_seated_yet_selects_from_empty_tables():
-    system = DaMulticastSystem(mode="static", seed=2)
+@pytest.mark.parametrize("host", ["object", "multiparent"])
+def test_an_unseated_process_refuses_to_publish(host):
+    system = HOSTS[host]()
     system.add_group(T1, 4)
     system.add_group(T2, 10)
     system.finalize_static_membership()
     late = system.add_process(T2)
-    # a stray Pong makes its supertopic-table view before anything else
-    late.handle_message(Pong(sender=system.group_pids(T1)[0], nonce=1))
+    with pytest.raises(ConfigError, match="finalize_static_membership"):
+        late.publish()
+    # refused before its event existed: nothing recorded, nothing sent
+    assert late.seen == set() and system.tracker.events == []
+    assert system.stats.total_sent == 0
+    assert late.memory_footprint == 0
+    system.finalize_static_membership()
     event = late.publish()
     system.run_until_idle()
-    assert late.delivered == [event]
-    assert late.memory_footprint == 0
-    assert system.stats.total_sent == 0
+    assert system.delivered_fraction(event, T2) == 1.0
