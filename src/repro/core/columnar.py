@@ -251,9 +251,9 @@ class ColumnarStaticSystem(SystemFacade):
         )
         self._blocks: dict[Topic, range] = {}
         self._actors: dict[Topic, ColumnarGroupActor] = {}
-        #: lazily cached alive pids per topic (static failure models are
-        #: time-invariant in this mode, matching the §VII setting)
-        self._alive_cache: dict[Topic, list[int]] = {}
+        #: topic → (failure model, its alive pids), kept only for a model
+        #: that declares ``static_dead`` (its dead set never changes)
+        self._alive_cache: dict[Topic, tuple[FailureModel, list[int]]] = {}
         self._publish_seq: dict[int, int] = {}
 
     def _release(self) -> None:
@@ -358,12 +358,16 @@ class ColumnarStaticSystem(SystemFacade):
         return event
 
     def _alive_pids(self, topic: Topic) -> list[int]:
-        alive = self._alive_cache.get(topic)
-        if alive is None:
-            is_alive = self.harness.is_alive
-            alive = self._alive_cache[topic] = [
-                pid for pid in self._blocks[topic] if is_alive(pid)
-            ]
+        """``topic``'s members alive now: computed per publish unless the
+        installed failure model declares a fixed dead set."""
+        model = self.network.failure_model
+        cached = self._alive_cache.get(topic)
+        if cached is not None and cached[0] is model:
+            return cached[1]
+        is_alive = self.harness.is_alive
+        alive = [pid for pid in self._blocks[topic] if is_alive(pid)]
+        if getattr(model, "static_dead", None) is not None:
+            self._alive_cache[topic] = (model, alive)
         return alive
 
     # ------------------------------------------------------------------

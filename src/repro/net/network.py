@@ -47,7 +47,8 @@ fan-out, staged so that what is the same for every target is decided once:
   per-pid actors;
 * **bulk statistics** — ``record_sent_many`` / ``record_dropped_many`` /
   ``record_delivered_many``, once per outcome class instead of once per
-  destination;
+  destination (and, for the fan-outs issued inside a clean wave, once per
+  wave — see "Waves" below);
 * **the clean channel** — when nothing installed draws randomness or
   depends on the time — a failure model that declares its dead set
   (``static_dead``, :mod:`repro.failures.model`: ``AlwaysAlive``'s is
@@ -58,10 +59,12 @@ fan-out, staged so that what is the same for every target is decided once:
   stage 6 one latency class: one list comprehension, one
   ``record_dropped_many``, and the survivors join the current *wave*
   (below); at delivery the batch is filtered against the same set in one
-  comprehension. The branch is chosen per call from what the installed
-  models are and declare — there is no switch to set, and a failure model
-  that declares nothing (churn, perceived failures, a user's own) never
-  takes it;
+  comprehension. Whether the channel is clean is decided from what the
+  installed models are and declare, each time one is installed
+  (``failure_model``, ``partition_model``, ``latency``,
+  :meth:`Network.install_faults`) — there is no switch to set, and a
+  failure model that declares nothing (churn, perceived failures, a
+  user's own) never takes it;
 * **the general channel** — anything else checks the sender once, then
   runs stages 3–5 per target *in target order*, with exactly the RNG
   draws :meth:`Network.send` would make (a no-op built-in is still
@@ -97,20 +100,35 @@ Waves (the clean channel's transport entries)
 A flood is a few hops deep and thousands of fan-outs wide, so the clean
 channel pays one transport entry per *wave*, not per fan-out. While a
 clean-channel entry is being delivered, each :meth:`Network.multicast` its
-receivers issue does the whole sender-side pass as above — validation,
-``record_sent_many``, the dead-sender test, the loss draws, the drop
-counts — and appends its survivors to the current wave as one
-``(sender, targets, message)`` sub-batch. When the entry's deliveries
-finish, the wave is dispatched as **one** entry, ``count`` = its
-survivors, at the channel's single ``latency.delay``; its delivery walks
-the sub-batches in order, doing per sub-batch what the general channel's
-``_deliver_batch`` does per entry (the ``static_dead`` filter, the bulk
-statistics, the one ``handle_batch`` or the ``handle_message`` calls). A
-fan-out issued outside any delivery — a publish — is a wave of one. Any
-other dispatch the network makes while a wave is being collected (a
-:meth:`Network.send`, a general-channel fan-out) first sends the
-fan-outs collected so far as their own wave, so nothing the network
-dispatches ever moves past a wave.
+receivers issue does at the call only what the draws and the next wave
+need: the validation by span, the dead-sender test, the loss draw per
+target in target order, and appending its survivors to the current wave
+as one ``(sender, targets, message)`` sub-batch. Its counts — the send
+attempts by kind and scope, the channel-loss drops, the sender's load —
+are noted as ``(message, sent, scheduled)`` in the delivery's *tally*,
+and :meth:`~repro.net.stats.NetworkStats.record_fanouts` folds the tally
+into ``stats`` in one pass when the delivery returns or raises, in the
+same ``finally`` that dispatches the collected wave; so ``stats`` is exact
+whenever no wave is being delivered. Whether the channel is clean is
+read once, when the delivery starts. Installing a model during the
+delivery folds the tally first, and the fan-outs after it are counted at
+the call (and take the general channel if it is no longer clean); a
+sub-batch delivered after the failure model was replaced is delivered as
+the general channel's ``_deliver_batch`` would, against the new model. A
+fan-out from a dead sender is counted at the call as well.
+
+When the entry's deliveries finish, the wave is dispatched as **one**
+entry, ``count`` = its survivors, at the channel's single
+``latency.delay``; its delivery walks the sub-batches in order, doing per
+sub-batch what the general channel's ``_deliver_batch`` does per entry
+(the ``static_dead`` filter, the bulk statistics, the one
+``handle_batch`` or the ``handle_message`` calls). A fan-out issued
+outside any delivery — a publish — is a wave of one, counted at the
+call. Any other dispatch the network makes while a wave is being
+collected (a :meth:`Network.send`, a general-channel fan-out) first sends
+the fan-outs collected so far as their own wave, and the fan-outs after
+it join a new one, so nothing the network dispatches ever moves past a
+wave.
 
 Why the trajectory cannot move, by induction over the waves: *each wave's
 sub-batches are a contiguous run of the one-entry-per-fan-out order*
@@ -128,12 +146,13 @@ draws, each ``group/<topic>`` stream of the columnar host and each
 ``process/<pid>`` stream of the object host. The argument needs one
 thing of the actors — that a delivery dispatches only through the
 network (no in-repo actor schedules a timer while handling a message).
-Counters see the difference only mid-run: ``Engine.processed`` moves a
-wave at a time (``max_events`` can overshoot by a wave's ``count``),
-and a delivery that raises leaves the wave's undelivered rest requeued
-at the wave's own place (:meth:`~repro.sim.engine.CallQueue.requeue`),
-ahead of the fan-outs already collected, which are dispatched as a wave
-— the per-fan-out order again.
+Counters see the difference only mid-run: ``stats`` lacks the tally
+while a wave is delivered, ``Engine.processed`` moves a wave at a time
+(``max_events`` can overshoot by a wave's ``count``), and a delivery
+that raises leaves the wave's undelivered rest requeued at the wave's
+own place (:meth:`~repro.sim.engine.CallQueue.requeue`), ahead of the
+fan-outs already collected, which are dispatched as a wave — the
+per-fan-out order again.
 
 Ordering caveat (documented, not observable by well-behaved actors):
 batched deliveries evaluate target liveness at the shared delivery
@@ -266,12 +285,19 @@ class Network:
         self._clock = clock
         self._transport: Transport = transport
         self._rng = rng
+        self._random_draw = rng.random
         self.p_success = p_success
+        #: the wave being collected while a wave is delivered, else None
+        self._wave: _Wave | None = None
+        #: ``(message, sent, scheduled)`` per clean-channel fan-out a wave's
+        #: delivery has issued, folded into ``stats`` when it ends; else None
+        self._tally: list[tuple[Message, int, int]] | None = None
         self._link_classifier: LinkClassifier | None = None
         self._latency = latency
-        self.install_faults(faults, fault_rng)  # also resolves link classes
+        self._partition_model = partition_model or FullyConnected()
+        self._faults = self._fault_hook = None
         self.failure_model = failure_model or AlwaysAlive()
-        self.partition_model: PartitionModel = partition_model or FullyConnected()
+        self.install_faults(faults, fault_rng)  # also resolves the channel
         self.stats = NetworkStats()
         self._actors: dict[int, Actor] = {}
         #: block actors: sorted, non-overlapping (start, stop, actor) ranges
@@ -279,8 +305,6 @@ class Network:
         self._block_starts: list[int] = []
         #: last resolved block — fan-outs target one group, so this hits
         self._block_cache: tuple[int, int, BlockActor] | None = None
-        #: the wave being collected while a wave is delivered, else None
-        self._wave: _Wave | None = None
 
     @property
     def clock(self) -> Clock:
@@ -293,7 +317,8 @@ class Network:
         return self._transport
 
     # ------------------------------------------------------------------
-    # Failures (what the model declares is read once per model, not per send)
+    # Failures and partitions (what a model declares is read once per
+    # model, not per send)
     # ------------------------------------------------------------------
     @property
     def failure_model(self) -> FailureModel:
@@ -308,6 +333,17 @@ class Network:
         self._static_dead: frozenset[int] | None = getattr(
             model, "static_dead", None
         )
+        self._resolve_models()
+
+    @property
+    def partition_model(self) -> PartitionModel:
+        """The installed partition model (assign to replace it)."""
+        return self._partition_model
+
+    @partition_model.setter
+    def partition_model(self, model: PartitionModel) -> None:
+        self._partition_model = model
+        self._resolve_models()
 
     # ------------------------------------------------------------------
     # Latency and link classes (resolved once per model, not per send)
@@ -320,7 +356,7 @@ class Network:
     @latency.setter
     def latency(self, model: LatencyModel) -> None:
         self._latency = model
-        self._resolve_link_classes()
+        self._resolve_models()
 
     def bind_link_classifier(self, classifier: LinkClassifier) -> None:
         """Install the link classifier ``(sender, targets) → link classes``.
@@ -335,11 +371,22 @@ class Network:
         classifier such a model answers with its default.
         """
         self._link_classifier = classifier
-        self._resolve_link_classes()
+        self._resolve_models()
 
-    def _resolve_link_classes(self) -> None:
-        """Re-derive, after any of the three changed, whether transmissions
-        are classified at all, and forget the per-class models."""
+    def _resolve_models(self) -> None:
+        """Re-derive, after a model or the classifier changed, whether the
+        channel is clean and whether transmissions are classified at all,
+        and forget the per-class models. A wave being delivered stops
+        tallying first, so its later fan-outs are counted at the call."""
+        self._end_tally()
+        #: nothing installed draws randomness or reads the clock (see
+        #: "Batched fast path" in the module docstring)
+        self._clean = (
+            self._static_dead is not None
+            and type(self._partition_model) is FullyConnected
+            and type(self._latency) is ConstantLatency
+            and self._fault_hook is None
+        )
         keyed = hasattr(self._latency, "model_for") or hasattr(
             self._faults, "model_for"
         )
@@ -388,7 +435,7 @@ class Network:
             self._faults = None
             self._fault_rng = None
             self._fault_hook = None
-            self._resolve_link_classes()
+            self._resolve_models()
             return
         if not callable(getattr(model, "transmit", None)):
             raise ConfigError(
@@ -402,7 +449,7 @@ class Network:
         self._faults = model
         self._fault_rng = rng
         self._fault_hook = model.transmit
-        self._resolve_link_classes()
+        self._resolve_models()
 
     # ------------------------------------------------------------------
     # Registration
@@ -557,7 +604,7 @@ class Network:
         if failure_model.transmission_blocked(sender, target, now, self._rng):
             stats.record_dropped(message, DROP_PERCEIVED_FAILED)
             return False
-        if not self.partition_model.connected(sender, target, now):
+        if not self._partition_model.connected(sender, target, now):
             stats.record_dropped(message, DROP_PARTITIONED)
             return False
         if self._rng.random() >= self.p_success:
@@ -611,8 +658,16 @@ class Network:
         target order, every attempt is individually counted and the same
         drop reasons apply. Returns how many deliveries were scheduled
         (diagnostics only — protocols must not branch on it).
+
+        A clean-channel fan-out issued while a wave is being delivered does
+        at the call only what the draws and the next wave need — the
+        validation, the dead-sender test, the loss draw per target and its
+        place in the next wave. Its send, drop and per-sender counts are in
+        ``stats`` once that delivery returns or raises ("Waves" in the
+        module docstring).
         """
-        targets = list(targets)
+        if type(targets) is not list:
+            targets = list(targets)
         if not targets:
             return 0
         # A fan-out inside the block last resolved validates by its span
@@ -624,24 +679,34 @@ class Network:
             or max(targets) >= block[1]
         ):
             self._require_registered(targets)
-        stats = self.stats
         count = len(targets)
+        tally = self._tally
+        if tally is not None and sender not in self._static_dead:
+            # A clean wave is being delivered: the channel was resolved when
+            # its delivery began, and the counts are folded when it ends.
+            random_draw = self._random_draw
+            p_success = self.p_success
+            survivors = tuple(
+                [target for target in targets if random_draw() < p_success]
+            )
+            scheduled = len(survivors)
+            tally.append((message, count, scheduled))
+            if scheduled:
+                self._wave.append((sender, survivors, message))
+            return scheduled
+
+        stats = self.stats
         stats.record_sent_many(message, count)
         failure_model = self._failure_model
         static_dead = self._static_dead
-        partition_model = self.partition_model
+        partition_model = self._partition_model
         latency = self._latency
         fault_hook = self._fault_hook
         rng = self._rng
         random_draw = rng.random
         p_success = self.p_success
 
-        if (
-            static_dead is not None
-            and type(partition_model) is FullyConnected
-            and type(latency) is ConstantLatency
-            and fault_hook is None
-        ):
+        if self._clean:
             # Clean channel: nothing installed draws randomness or reads the
             # clock, so the whole sender-side pass is the dead-sender test
             # and the loss draw per target, in target order. The survivors
@@ -849,11 +914,22 @@ class Network:
         self._dispatch_wave(self._wave)
         self._wave = _Wave()
 
+    def _end_tally(self) -> None:
+        """Count the fan-outs tallied during a wave's delivery; later ones
+        are counted at the call."""
+        tally = self._tally
+        if tally is not None:
+            self._tally = None
+            self.stats.record_fanouts(tally)
+
     def _deliver_wave(self, wave: _Wave) -> None:
         """Deliver every sub-batch of ``wave`` in order — per sub-batch what
         :meth:`_deliver_batch` does per entry — while collecting the
-        clean-channel fan-outs its receivers issue into the next wave."""
+        clean-channel fan-outs its receivers issue into the next wave and
+        tallying their counts."""
         self._wave = _Wave()
+        if self._clean:
+            self._tally = []
         done = 0
         try:
             static_dead = self._static_dead
@@ -867,6 +943,10 @@ class Network:
             actors = self._actors
             for sender, targets, message in wave:
                 done += 1
+                if self._static_dead is not static_dead:
+                    # the failure model was replaced during this delivery
+                    self._deliver_batch(sender, targets, message)
+                    continue
                 alive = targets
                 if static_dead:
                     alive = tuple(
@@ -899,6 +979,7 @@ class Network:
                 )
             raise
         finally:
+            self._end_tally()
             collected = self._wave
             self._wave = None
             if collected:

@@ -119,6 +119,44 @@ class NetworkStats:
             else:
                 self.inter_group_sent[(scope.group, scope.super_group)] += count
 
+    def record_fanouts(self, fanouts: list[tuple[Message, int, int]]) -> None:
+        """Count the clean-channel fan-outs of one wave in a single pass.
+
+        ``fanouts`` holds ``(message, sent, scheduled)`` per fan-out, in the
+        order they were issued; the channel lost ``sent - scheduled`` of
+        each. Equivalent to :meth:`record_sent_many` and a
+        :data:`DROP_CHANNEL_LOSS` :meth:`record_dropped_many` per fan-out,
+        but each run of consecutive fan-outs of one kind and scope is one
+        update per counter; only the per-sender load is per fan-out.
+        """
+        senders = self.events_sent_by_sender
+        runs = []  # [first message, sent, lost] per run
+        run_key = run = None
+        for message, sent, scheduled in fanouts:
+            key = getattr(message, "scope", message.kind)
+            if key is not run_key:
+                run_key = key
+                run = [message, 0, 0]
+                runs.append(run)
+                event = isinstance(message, EventMessage)
+            run[1] += sent
+            run[2] += sent - scheduled
+            if event:
+                # dict.get: a first send never enters Counter.__missing__
+                senders[message.sender] = senders.get(message.sender, 0) + sent
+        for message, sent, lost in runs:
+            kind = message.kind
+            self.sent_by_kind[kind] += sent
+            if lost:
+                self.dropped_by_reason[DROP_CHANNEL_LOSS] += lost
+                self.dropped_by_kind[kind] += lost
+            if isinstance(message, EventMessage):
+                scope = message.scope
+                if scope.kind == "intra":
+                    self.intra_group_sent[scope.group] += sent
+                else:
+                    self.inter_group_sent[(scope.group, scope.super_group)] += sent
+
     def record_delivered_many(self, message: Message, count: int) -> None:
         """Count ``count`` deliveries of one message in a single pass."""
         if count <= 0:

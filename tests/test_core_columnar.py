@@ -16,6 +16,7 @@ import pytest
 from repro.core.columnar import ColumnarStaticSystem
 from repro.core.events import Event, EventId
 from repro.errors import ConfigError, ProtocolError, UnknownTopic
+from repro.failures.churn import ChurnSchedule
 from repro.failures.stillborn import StillbornFailures
 from repro.metrics.delivery import delivered_fraction
 from repro.net.faults import BernoulliLoss
@@ -166,6 +167,34 @@ class TestPublish:
         system.finalize_static_membership()
         with pytest.raises(UnknownTopic, match="no alive process"):
             system.publish(".t1")
+
+
+class TestPublisherElection:
+    """The publisher is drawn from the members alive at the publish."""
+
+    def test_churn_crashes_are_seen_by_later_publishes(self):
+        """Pids 0, 1, 3 and 4 of a 5-member group crash at t = 1: every
+        publish at t = 2 comes from pid 2, although a publish at t = 0
+        elected from all five."""
+        churn = ChurnSchedule()
+        for pid in (0, 1, 3, 4):
+            churn.crash_at(pid, 1.0)
+        system = ColumnarStaticSystem(seed=3, failure_model=churn)
+        system.add_group(".t1", 5)
+        system.finalize_static_membership()
+        system.publish(".t1")
+        system.run(until=2.0)
+        publishers = [system.publish(".t1").event_id.publisher for _ in range(6)]
+        system.run_until_idle()
+        assert publishers == [2] * 6
+        assert system.stats.dropped_by_reason["dead_sender"] == 0
+
+    def test_a_replaced_static_model_is_elected_from_afresh(self):
+        system = small_system(seed=4, failure_model=StillbornFailures(range(1, 50)))
+        system.finalize_static_membership()
+        assert system.publish(".t1").event_id.publisher == 0
+        system.network.failure_model = StillbornFailures(range(0, 49))
+        assert system.publish(".t1").event_id.publisher == 49
 
 
 class TestBlockActor:

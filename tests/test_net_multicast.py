@@ -31,8 +31,10 @@ from repro.net import (
     StaticPartition,
     UniformLatency,
 )
-from repro.net.message import Message, Ping
+from repro.core.events import Event, EventId
+from repro.net.message import EventMessage, Message, Ping, Scope
 from repro.sim import Engine
+from repro.topics.topic import Topic
 
 N_ACTORS = 8
 
@@ -317,10 +319,12 @@ FANOUTS = st.lists(
 def _observe(engine, net, actors):
     return {
         "inboxes": [
-            [(m.kind, m.nonce) for m in actor.inbox] for actor in actors
+            [(m.kind, m.sender, getattr(m, "nonce", None)) for m in actor.inbox]
+            for actor in actors
         ],
         "stats": {
             "sent": dict(net.stats.sent_by_kind),
+            "sent_by_sender": dict(net.stats.events_sent_by_sender),
             "delivered": dict(net.stats.delivered_by_kind),
             "dropped_reason": dict(net.stats.dropped_by_reason),
             "dropped_kind": dict(net.stats.dropped_by_kind),
@@ -369,22 +373,47 @@ def test_multicast_same_seed_equivalent_to_send_loop(
     assert batch == loop
 
 
+class EventForwarder(Forwarder):
+    """Re-multicasts its first reception as its own transmission: the
+    event, one hop further, with itself as the sender."""
+
+    def handle_message(self, message: EventMessage) -> None:
+        first = not self.inbox
+        Recorder.handle_message(self, message)
+        if first and self._fan_to:
+            self._network.multicast(
+                self.pid,
+                self._fan_to,
+                EventMessage(
+                    self.pid, message.event, message.scope, message.hops + 1
+                ),
+            )
+
+
+@pytest.mark.parametrize("events", [False, True])
 @given(seed=st.integers(0, 2**32 - 1), p_success=st.floats(0.5, 1.0))
 @settings(max_examples=40, deadline=None)
-def test_equivalence_holds_through_nested_forwarding(seed, p_success):
+def test_equivalence_holds_through_nested_forwarding(events, seed, p_success):
     """Cascading multicasts (receivers fanning out at delivery time)
-    stay equivalent to cascades over the same seed."""
+    stay equivalent to cascades over the same seed — with events, each
+    forwarder's sends are charged to it."""
     observations = []
     for batched in (False, True):
         engine = Engine()
         net = Network(engine, random.Random(seed), p_success=p_success)
+        actor_cls = EventForwarder if events else Forwarder
         actors = [
-            Forwarder(pid, net, fan_to=[(pid + 1) % 4, (pid + 2) % 4])
+            actor_cls(pid, net, fan_to=[(pid + 1) % 4, (pid + 2) % 4])
             for pid in range(4)
         ]
         for actor in actors:
             net.register(actor)
-        message = Ping(sender=0, nonce=0)
+        if events:
+            topic = Topic.parse(".t")
+            event = Event(EventId(0, 1), topic, None, 0.0)
+            message = EventMessage(0, event, Scope("intra", topic))
+        else:
+            message = Ping(sender=0, nonce=0)
         if batched:
             net.multicast(0, [1, 2], message)
         else:
@@ -494,6 +523,7 @@ def _observe_blocks(engine, net, blocks):
         "inboxes": inboxes,
         "stats": {
             "sent": dict(net.stats.sent_by_kind),
+            "sent_by_sender": dict(net.stats.events_sent_by_sender),
             "delivered": dict(net.stats.delivered_by_kind),
             "dropped_reason": dict(net.stats.dropped_by_reason),
             "dropped_kind": dict(net.stats.dropped_by_kind),

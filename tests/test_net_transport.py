@@ -23,6 +23,7 @@ from repro.core.system import DaMulticastSystem
 from repro.errors import SchedulingError
 from repro.failures import StillbornFailures
 from repro.metrics.collector import DeliveryTracker
+from repro.net.faults import BernoulliLoss, DuplicateModel, FaultPipeline
 from repro.net.latency import (
     ConstantLatency,
     UniformLatency,
@@ -30,7 +31,7 @@ from repro.net.latency import (
 )
 from repro.net.message import Message, Ping
 from repro.net.network import Network
-from repro.net.partitions import FullyConnected
+from repro.net.partitions import FullyConnected, StaticPartition
 from repro.net.transport import QueueTransport, Transport
 from repro.runtime import SimulationHarness
 from repro.sim.clock import Handle
@@ -228,15 +229,26 @@ class Boom(RuntimeError):
     pass
 
 
+def _ledger(stats):
+    """Every counter of ``stats``: ``as_dict()`` leaves the per-sender load
+    and the drops by kind out."""
+    return {
+        **stats.as_dict(),
+        "events_sent_by_sender": dict(stats.events_sent_by_sender),
+        "dropped_by_kind": dict(stats.dropped_by_kind),
+    }
+
+
 def _flood(
     host, transport_kind, *, per_fan_out, seed, p_success, delay, dead,
-    raise_at=(),
+    raise_at=(), act=None,
 ):
     """Two publications at the same instant over groups of 6 and 40, run
     to idle; everything observable, and the counters at every raise.
 
     ``raise_at`` makes the object host's pid 7 raise on those receptions
-    (1-based); each raise is caught and the run resumed.
+    (1-based); each raise is caught and the run resumed. ``act(network,
+    message)`` runs on pid 7's first reception, before pid 7 handles it.
     """
     tracker = OrderTracker()
     models = dict(
@@ -262,19 +274,21 @@ def _flood(
     system.add_group(".t1", 6)
     system.add_group(".t1.t2", 40)
     system.finalize_static_membership()
-    if raise_at:
+    if raise_at or act is not None:
         flaky = network.actor(7)
         handle_message = flaky.handle_message
         receptions = 0
 
-        def raising(message):
+        def hooked(message):
             nonlocal receptions
             receptions += 1
             if receptions in raise_at:
                 raise Boom(receptions)
+            if act is not None and receptions == 1:
+                act(network, message)
             handle_message(message)
 
-        flaky.handle_message = raising
+        flaky.handle_message = hooked
     system.publish(".t1.t2")
     system.publish(".t1")
 
@@ -298,7 +312,7 @@ def _flood(
     rngs = system.harness.rngs
     observed = (
         tracker.order,
-        system.stats.as_dict(),
+        _ledger(system.stats),
         {name: rngs.stream(name).getstate() for name in rngs.streams()},
         counters(),
         raised,
@@ -357,6 +371,111 @@ class TestWavesMatchOneEntryPerFanOut:
                 dispatched, executed, pending = counters
                 assert dispatched == executed + pending
             assert counters[-1] > 0  # the flood was cut mid-way
+
+
+class PerceivedFailures:
+    """Declares no dead set: ``dead`` is down, and each transmission is lost
+    to a perceived failure with probability 0.2, drawn from the network's
+    stream."""
+
+    def __init__(self, dead):
+        self.dead = frozenset(dead)
+
+    def is_alive(self, pid, now):
+        return pid not in self.dead
+
+    def transmission_blocked(self, sender, target, now, rng):
+        return rng.random() < 0.2
+
+
+class MidWave:
+    """What pid 7 does on its first reception, inside a clean wave's
+    delivery: one model replaced, or one point-to-point send."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.fault_rng = random.Random(42)
+
+    def __call__(self, network, message):
+        if self.kind == "failure_model":
+            # two more pids down, and perception drawn per transmission
+            dead = network.failure_model.static_dead | {21, 22}
+            network.failure_model = PerceivedFailures(dead)
+        elif self.kind == "partition_model":
+            network.partition_model = StaticPartition([range(6, 26)])
+        elif self.kind == "faults":
+            network.install_faults(
+                FaultPipeline([BernoulliLoss(0.2), DuplicateModel(0.3)]),
+                self.fault_rng,
+            )
+        else:
+            network.send(7, 8, message)
+
+
+def _mid_wave_runs(kind, transport_kind, **run):
+    """Require the wave run of one scenario in which pid 7 does ``kind`` on
+    its first reception to be its one-entry-per-fan-out run, the fault
+    stream's end state included; its counters and both entry counts."""
+    observed = []
+    for per_fan_out in (False, True):
+        act = MidWave(kind)
+        flood, entries = _flood(
+            "object", transport_kind, per_fan_out=per_fan_out, act=act, **run
+        )
+        observed.append(((flood, act.fault_rng.getstate()), entries))
+    (waves, wave_entries), (fan_outs, fan_out_entries) = observed
+    assert waves == fan_outs
+    return waves[0][1], wave_entries, fan_out_entries
+
+
+MID_WAVE_KINDS = ["failure_model", "partition_model", "faults", "send"]
+
+
+class TestMidWaveChangesMatchOneEntryPerFanOut:
+    """A model replaced, or a ``send`` made, while a clean wave is being
+    delivered: the fan-outs tallied so far are counted, later ones take
+    the path a fan-out outside any wave takes (a ``send`` only flushes the
+    wave collected so far, and later fan-outs join the next one), and the
+    run is the one-entry-per-fan-out run — deliveries in the same order,
+    every counter, every RNG stream and the fault stream in the same end
+    state."""
+
+    @pytest.mark.parametrize("kind", MID_WAVE_KINDS)
+    @given(
+        transport_kind=st.sampled_from(["engine", "queue"]),
+        seed=st.integers(0, 2**16),
+        p_success=st.sampled_from([1.0, 0.85]),
+        delay=st.sampled_from([0.0, 0.3]),
+        dead=st.sets(
+            st.integers(1, 45).filter(lambda pid: pid not in (6, 7)),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_same_trajectory(
+        self, kind, transport_kind, seed, p_success, delay, dead
+    ):
+        _mid_wave_runs(
+            kind, transport_kind,
+            seed=seed, p_success=p_success, delay=delay, dead=dead,
+        )
+
+    @pytest.mark.parametrize("kind", MID_WAVE_KINDS[:3])
+    @pytest.mark.parametrize("transport_kind", ["engine", "queue"])
+    def test_the_new_model_takes_effect_within_the_wave(
+        self, kind, transport_kind
+    ):
+        stats, wave_entries, fan_out_entries = _mid_wave_runs(
+            kind, transport_kind, seed=0, p_success=0.85, delay=0.0,
+            dead={3, 20},
+        )
+        assert wave_entries < fan_out_entries  # the waves did run
+        if kind == "failure_model":
+            assert stats["dropped_by_reason"]["perceived_failed"] == 14
+        elif kind == "partition_model":
+            assert stats["dropped_by_reason"]["partitioned"] == 55
+        else:
+            assert sum(stats["faults_by_reason"].values()) == 44
 
 
 class TestDefaultTransport:
