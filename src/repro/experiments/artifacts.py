@@ -24,8 +24,18 @@ without locks (last replace wins; both wrote identical bytes anyway).
 
 Results must be JSON-serializable and JSON-stable (``dict[str, float]``
 metrics dicts are — floats round-trip exactly). That is every scenario
-cell in the tree; generic experiment cells returning richer objects
-should not be cached here.
+cell in the tree. ``put`` encodes the record with no ``default``
+fallback: a result holding a value JSON cannot encode (a ``Decimal``, a
+set, ...) raises :class:`~repro.errors.ConfigError` naming the cell's
+``seed_name`` and the value's type before anything is written, instead
+of being stored as its ``str`` and served back as a string on every hit.
+
+Read path: a hit is one file read and one parse. ``get`` hashes the
+identity fields into the key (one canonical encode), opens
+``<root>/<key[:2]>/<key>.json`` by a string path built from a root
+string held once, reads it in binary, decodes it as UTF-8 and parses
+it; every identity field is then checked against the request. There is
+no in-memory memo: every hit reads the store.
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one record per cell::
 
@@ -57,28 +67,42 @@ from repro.experiments.executor import (
 ARTIFACT_SCHEMA = "repro-artifact-v1"
 
 
+# Built once: ``json.dumps`` with any keyword builds a fresh encoder per
+# call, which a cached sweep would pay twice per cell.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=str
+)
+# The store's record bytes: ``json.dumps``' defaults, with no ``default``.
+_RECORD_ENCODER = json.JSONEncoder()
+
+
 def canonical_json(payload: Any) -> str:
     """Canonical JSON: sorted keys, no whitespace — digest-stable."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
-    )
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def write_json_atomic(path: pathlib.Path, payload: Any, *, indent=None) -> None:
     """Write ``payload`` as JSON to ``path`` via temp file + ``os.replace``.
 
-    The temp file lives in the target directory so the replace is
-    same-filesystem and atomic; a crash mid-write leaves only a stray
-    ``.tmp`` file, never a truncated target.
+    Values JSON cannot encode are written as their ``str``. The temp
+    file lives in the target directory so the replace is same-filesystem
+    and atomic; a crash mid-write leaves only a stray ``.tmp`` file,
+    never a truncated target.
     """
-    path = pathlib.Path(path)
+    _write_atomic(
+        pathlib.Path(path), json.dumps(payload, indent=indent, default=str)
+    )
+
+
+def _write_atomic(path: pathlib.Path, text: str) -> None:
+    """``text`` plus a newline to ``path`` via temp file + ``os.replace``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent, default=str)
+            handle.write(text)
             handle.write("\n")
         os.replace(tmp_name, path)
     except BaseException:
@@ -94,6 +118,7 @@ class ArtifactStore:
 
     def __init__(self, root: str | os.PathLike):
         self.root = pathlib.Path(root)
+        self._prefix = os.path.join(str(self.root), "")
 
     def cell_key(
         self, *, run_key: str, seed_name: str, master_seed: int
@@ -110,8 +135,12 @@ class ArtifactStore:
             ).encode("utf-8")
         ).hexdigest()
 
+    def _location(self, key: str) -> str:
+        """The entry's file as a string: the one place that knows the layout."""
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
+
     def _path(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
+        return pathlib.Path(self._location(key))
 
     def get(
         self, *, run_key: str, seed_name: str, master_seed: int
@@ -123,15 +152,15 @@ class ArtifactStore:
         a stale entry whose content disagrees with its address is a miss
         (recomputed, never served).
         """
-        path = self._path(
+        location = self._location(
             self.cell_key(
                 # repro-lint: allow[DET004]: seed_name is forwarded verbatim from the cell; each sweep driver declares and lints the label
                 run_key=run_key, seed_name=seed_name, master_seed=master_seed
             )
         )
         try:
-            with open(path, encoding="utf-8") as handle:
-                record = json.load(handle)
+            with open(location, "rb") as handle:
+                record = json.loads(handle.read().decode("utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         if not isinstance(record, dict) or "result" not in record:
@@ -153,21 +182,30 @@ class ArtifactStore:
         seed_name: str,
         master_seed: int,
     ) -> None:
-        """Store one cell's result atomically (safe from pool workers)."""
+        """Store one cell's result atomically (safe from pool workers).
+
+        Raises :class:`~repro.errors.ConfigError`, writing nothing, when
+        the result holds a value JSON cannot encode.
+        """
+        try:
+            text = _RECORD_ENCODER.encode(
+                {
+                    "schema": ARTIFACT_SCHEMA,
+                    "run_key": run_key,
+                    "seed_name": seed_name,
+                    "master_seed": master_seed,
+                    "result": result,
+                }
+            )
+        except TypeError as exc:
+            raise ConfigError(
+                f"cell {seed_name!r}: result cannot be stored as JSON: {exc}"
+            ) from exc
         key = self.cell_key(
             # repro-lint: allow[DET004]: seed_name is forwarded verbatim from the cell; each sweep driver declares and lints the label
             run_key=run_key, seed_name=seed_name, master_seed=master_seed
         )
-        write_json_atomic(
-            self._path(key),
-            {
-                "schema": ARTIFACT_SCHEMA,
-                "run_key": run_key,
-                "seed_name": seed_name,
-                "master_seed": master_seed,
-                "result": result,
-            },
-        )
+        _write_atomic(self._path(key), text)
 
     def __len__(self) -> int:
         """Number of stored entries (walks the store)."""

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.experiments.executor import (
@@ -118,6 +118,15 @@ def aggregate_runs(
     """
     if not samples:
         raise ConfigError("cannot aggregate zero runs")
+    if len(samples) == 1:
+        # One pass: ``math.fsum([x]) / 1`` is ``0.0 + x`` bit for bit
+        # (fsum folds -0.0 to 0.0; NaN and ±inf pass through).
+        sample = samples[0]
+        keys = sorted(sample)
+        return (
+            {key: 0.0 + float(sample[key]) for key in keys},
+            dict.fromkeys(keys, 0.0),
+        )
     keys = set(samples[0])
     for sample in samples[1:]:
         if set(sample) != keys:
@@ -230,17 +239,32 @@ def sweep_values(
         executor=executor,
         on_result=grouped_progress(progress, list(values), runs),
     )
-    result = SweepResult(runs=runs)
-    for index, value in enumerate(values):
-        means, stds = aggregate_runs(samples[index * runs : (index + 1) * runs])
-        result.points.append(value)
-        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
-        for key, mean in means.items():
-            result.means.setdefault(key, []).append(mean)
-        # repro-lint: allow[DET003]: aggregate_runs returns dicts with sorted keys
-        for key, std in stds.items():
-            result.stds.setdefault(key, []).append(std)
-    return result
+    folded = [
+        aggregate_runs(samples[index * runs : (index + 1) * runs])
+        for index in range(len(values))
+    ]
+    keys = folded[0][0].keys() if folded else ()
+    for value, (means, _) in zip(values, folded):
+        if means.keys() != keys:
+            raise ConfigError(
+                f"sweep point {value!r} returned metric keys differing from "
+                f"point {values[0]!r}'s: {sorted(means.keys() ^ keys)}"
+            )
+    # aggregate_runs returns sorted keys, so the k-th value of every point's
+    # dict is the same metric: one zip turns the rows into columns.
+    return SweepResult(
+        points=list(values),
+        means=_columns(keys, [means for means, _ in folded]),
+        stds=_columns(keys, [stds for _, stds in folded]),
+        runs=runs,
+    )
+
+
+def _columns(
+    keys: Iterable[str], rows: Sequence[Mapping[str, float]]
+) -> dict[str, list[float]]:
+    """Per-metric columns from per-point dicts sharing one key order."""
+    return dict(zip(keys, map(list, zip(*[row.values() for row in rows]))))
 
 
 def run_sweep(

@@ -91,6 +91,7 @@ from repro.baselines.naive_publisher import NaivePublisherSystem
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.system import DaMulticastSystem
 from repro.errors import ConfigError, ReproError
+from repro.experiments.artifacts import canonical_json
 from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import (
     ProgressFn,
@@ -1741,15 +1742,19 @@ def spec_with(spec: Mapping, path: str, value: Any) -> dict:
     return result
 
 
+# Built once, like the canonical encoder behind ``spec_digest``.
+_METRICS_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=float
+)
+
+
 def metrics_digest(metrics) -> str:
     """SHA-256 hex digest of a metrics dict (or list of them).
 
     Canonical JSON (sorted keys, no whitespace), so two runs digest
     equal iff their metrics are bit-identical.
     """
-    payload = json.dumps(
-        metrics, sort_keys=True, separators=(",", ":"), default=float
-    )
+    payload = _METRICS_ENCODER.encode(metrics)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -1761,10 +1766,7 @@ def spec_digest(spec: Mapping) -> str:
     for artifact-store run keys
     (:class:`~repro.experiments.artifacts.ArtifactStore`).
     """
-    payload = json.dumps(
-        dict(spec), sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(dict(spec)).encode("utf-8")).hexdigest()
 
 
 def load_spec(ref: str) -> dict:

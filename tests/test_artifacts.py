@@ -9,8 +9,15 @@ wrongly-keyed entry is a miss that gets recomputed — never served.
 """
 
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import main
 from repro.errors import ConfigError
@@ -78,6 +85,50 @@ class TestArtifactStore:
         assert len(store) == 0
         assert store.get(run_key="rk", seed_name="s", master_seed=0) is None
 
+    def test_record_bytes_are_pinned(self, tmp_path):
+        # The record format a store written by an earlier version holds:
+        # json.dumps' defaults (ASCII, ", " and ": "), one trailing newline.
+        store = ArtifactStore(tmp_path)
+        result = {
+            "m": 0.1, "n": -0.0, "big": 1e300, "inf": float("inf"),
+            "nan": float("nan"), "i": 3, "label": "café",
+            "list": [1.5, None, True],
+        }
+        store.put(result, run_key="rk", seed_name="s/0", master_seed=7)
+        key = store.cell_key(run_key="rk", seed_name="s/0", master_seed=7)
+        assert key == (
+            "b12ed62620f779ec78cefeb9ecb9a5658257e8363afbdc1219a119d42a16192c"
+        )
+        assert store._path(key).read_bytes() == (
+            b'{"schema": "repro-artifact-v1", "run_key": "rk", '
+            b'"seed_name": "s/0", "master_seed": 7, "result": {"m": 0.1, '
+            b'"n": -0.0, "big": 1e+300, "inf": Infinity, "nan": NaN, '
+            b'"i": 3, "label": "caf\\u00e9", "list": [1.5, null, true]}}\n'
+        )
+
+
+class TestNonJsonResultsAreRefused:
+    """A result JSON cannot encode is never stored as its ``str``: it was
+    served back as ``{"x": "1.5"}`` for ``{"x": Decimal("1.5")}``."""
+
+    def test_put_raises_and_writes_nothing(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        with pytest.raises(ConfigError, match=r"'s/0'.*Decimal"):
+            store.put(
+                {"x": Decimal("1.5")}, run_key="rk", seed_name="s/0",
+                master_seed=0,
+            )
+        assert list(tmp_path.iterdir()) == []
+        assert store.get(run_key="rk", seed_name="s/0", master_seed=0) is None
+
+    def test_a_caching_sweep_fails_the_cell(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        caching = CachingExecutor(SerialExecutor(), store, "rk")
+        with pytest.raises(SweepWorkerError, match="Decimal") as failure:
+            caching.map_cells(_decimal_metrics, _cells([2.0]))
+        assert isinstance(failure.value.__cause__, ConfigError)
+        assert len(store) == 0
+
 
 class TestStaleEntriesAreMisses:
     def _entry_path(self, store):
@@ -140,6 +191,10 @@ class TestStaleEntriesAreMisses:
         assert store.get(run_key="rk", seed_name="cache/2.0", master_seed=0)
 
 
+def _decimal_metrics(point, seed):
+    return {"x": Decimal(point)}
+
+
 def _seed_for(name, master_seed=0):
     from repro.sim.rng import derive_seed
 
@@ -166,6 +221,91 @@ class TestAtomicWrites:
         # Old contents intact, no .tmp debris left behind.
         assert json.loads(target.read_text(encoding="utf-8")) == {"a": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["payload.json"]
+
+
+_KILLED_WRITER = """
+import os, sys
+from repro.experiments.artifacts import ArtifactStore
+
+def die_before_replace(source, target):
+    os._exit(17)
+
+os.replace = die_before_replace
+ArtifactStore(sys.argv[1]).put(
+    {"x": 1.0}, run_key="rk", seed_name="cache/2.0", master_seed=0
+)
+"""
+
+
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    return env
+
+
+class TestKilledWriter:
+    def test_litter_is_never_served(self, tmp_path):
+        # A writer killed between mkstemp and os.replace leaves a complete
+        # record in <key>.json.*.tmp: only <key>.json is ever read.
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_WRITER, str(tmp_path)],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 17, child.stderr
+        store = ArtifactStore(tmp_path)
+        key = dict(run_key="rk", seed_name="cache/2.0", master_seed=0)
+        entry = store._path(store.cell_key(**key))
+        litter = list(entry.parent.glob(entry.name + ".*.tmp"))
+        assert len(litter) == 1
+        assert json.loads(litter[0].read_text(encoding="utf-8"))["result"] == {
+            "x": 1.0
+        }
+        assert store.get(**key) is None
+        assert len(store) == 0
+
+        caching = CachingExecutor(SerialExecutor(), store, "rk")
+        expected = [_metrics(2.0, _seed_for("cache/2.0"))]
+        assert caching.map_cells(_metrics, _cells([2.0])) == expected
+        assert (caching.hits, caching.executed) == (0, 1)
+        assert caching.map_cells(_metrics, _cells([2.0])) == expected
+        assert (caching.hits, caching.executed) == (1, 0)
+        assert store.get(**key)["result"] == expected[0]
+        assert len(store) == 1
+
+        entry.unlink()
+        assert litter[0].is_file()
+        assert store.get(**key) is None
+        assert len(store) == 0
+
+
+class TestSharedCache:
+    def test_concurrent_sweeps_on_one_store(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC), encoding="utf-8")
+        cache = tmp_path / "cache"
+
+        def sweep(out):
+            return subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "--executor", "serial",
+                    "scenario", "sweep", str(spec),
+                    "--field", "failures.alive_fraction",
+                    "--values", "0.5", "0.7", "1.0",
+                    "--runs", "2", "--seed", "3",
+                    "--cache", str(cache), "--out", str(out),
+                ],
+                env=_child_env(), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+            )
+
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        children = [sweep(out) for out in outs]
+        for child in children:
+            _, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(ArtifactStore(cache)) == 6
+        assert list(cache.rglob("*.tmp")) == []
 
 
 class TestCachingExecutor:

@@ -6,11 +6,13 @@ paper-scale shapes are asserted once, on three grid points, by
 """
 
 import functools
+import math
 import statistics
+import struct
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.cli import main
 from repro.errors import ConfigError
@@ -232,6 +234,22 @@ class TestRunner:
             spread = statistics.stdev(values) if len(values) > 1 else 0.0
             assert stds[key].hex() == spread.hex()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(), st.integers(-(2**80), 2**80)))
+    @example(-0.0)
+    @example(float("nan"))
+    @example(-float("nan"))
+    @example(float("inf"))
+    @example(-float("inf"))
+    @example(5e-324)
+    @example(-5e-324)
+    @example(2**53 + 1)
+    def test_one_run_fold_is_fsum_bit_for_bit(self, value):
+        means, stds = aggregate_runs([{"x": value}])
+        expected = math.fsum([float(value)]) / 1
+        assert struct.pack("<d", means["x"]) == struct.pack("<d", expected)
+        assert struct.pack("<d", stds["x"]) == struct.pack("<d", 0.0)
+
     def test_aggregate_rejects_mismatched_keys(self):
         with pytest.raises(ConfigError):
             aggregate_runs([{"x": 1.0}, {"y": 2.0}])
@@ -247,6 +265,14 @@ class TestRunner:
         assert result.points == [1.0, 2.0, 3.0]
         assert result.means["y"] == [2.0, 4.0, 6.0]
         assert result.series("y") == [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]
+
+    def test_run_sweep_refuses_points_with_different_metric_keys(self):
+        # Ragged columns would report b's value from x = 1.0 at x = 0.0.
+        def run(x, seed):
+            return {"a": 1.0} if x == 0.0 else {"a": 1.0, "b": 2.0}
+
+        with pytest.raises(ConfigError, match=r"point 1\.0 .*\['b'\]"):
+            run_sweep(run, [0.0, 1.0], runs=1)
 
     def test_run_sweep_seeds_differ_across_runs(self):
         seen = []

@@ -25,6 +25,7 @@ from repro.workloads.spec import (
     metrics_digest,
     run_scenario,
     run_spec,
+    spec_digest,
     spec_with,
     sweep_scenario,
 )
@@ -721,6 +722,67 @@ class TestDeterminism:
         assert (executor.executed, executor.hits) == (0, 10)
         assert (warm.means, warm.stds) == (cold.means, cold.stds)
         assert top_level_calls == []
+
+    def test_cached_rerun_reads_and_encodes_each_cell_once(
+        self, monkeypatch, tmp_path
+    ):
+        """Exact counts on the hit path: a fully cached 10-point paper-vii
+        re-run opens 10 store files and makes 20 canonical encodes (10
+        cell keys, 10 point-validation digests), executing no cell."""
+        import builtins
+
+        import repro.experiments.artifacts as artifacts
+
+        values = [round(0.1 * i, 1) for i in range(1, 11)]
+        executor = CachingExecutor(
+            SerialExecutor(), ArtifactStore(tmp_path), "hit-path"
+        )
+        kwargs = dict(runs=1, master_seed=5, executor=executor)
+        spec = load_preset("paper-vii")
+        cold = sweep_scenario(spec, "failures.alive_fraction", values, **kwargs)
+        assert (executor.executed, executor.hits) == (10, 0)
+        opened, encoded = [], []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).startswith(str(tmp_path)):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        class CountingEncoder(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(sorted(o))
+                return super().encode(o)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(
+            artifacts,
+            "_CANONICAL_ENCODER",
+            CountingEncoder(sort_keys=True, separators=(",", ":"), default=str),
+        )
+        warm = sweep_scenario(spec, "failures.alive_fraction", values, **kwargs)
+        assert (executor.executed, executor.hits) == (0, 10)
+        assert (warm.means, warm.stds) == (cold.means, cold.stds)
+        assert len(opened) == 10
+        cell_keys = ["master_seed", "run_key", "schema", "seed_name"]
+        assert encoded.count(cell_keys) == 10
+        assert encoded.count(sorted(spec)) == 10
+        assert len(encoded) == 20
+
+    def test_store_keys_are_pinned(self):
+        """A store written by an earlier version is served as is."""
+        key = ArtifactStore("unused").cell_key(
+            run_key="rk",
+            # repro-lint: allow[DET004]: pins the address of a cell the paper-vii sweep's own label names
+            seed_name="scenario/paper-vii/failures.alive_fraction/0.1/0",
+            master_seed=5,
+        )
+        assert key == (
+            "026a1b61992bbdedd8310c0be01f8a69b57f3c72a5c0725d80acfb8a044c7bdb"
+        )
+        assert spec_digest(load_preset("paper-vii")) == (
+            "123cb5f35af24cd1bfb0f93f02a9ea950424f26a192ece14e52f794d4f9c61cc"
+        )
 
     def test_bad_last_point_raises_before_the_first_cell(
         self, compiled_specs, tmp_path
