@@ -72,8 +72,6 @@ ARTIFACT_SCHEMA = "repro-artifact-v1"
 _CANONICAL_ENCODER = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), default=str
 )
-# The store's record bytes: ``json.dumps``' defaults, with no ``default``.
-_RECORD_ENCODER = json.JSONEncoder()
 
 
 def canonical_json(payload: Any) -> str:
@@ -188,7 +186,7 @@ class ArtifactStore:
         the result holds a value JSON cannot encode.
         """
         try:
-            text = _RECORD_ENCODER.encode(
+            text = json.dumps(
                 {
                     "schema": ARTIFACT_SCHEMA,
                     "run_key": run_key,

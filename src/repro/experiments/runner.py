@@ -118,25 +118,22 @@ def aggregate_runs(
     """
     if not samples:
         raise ConfigError("cannot aggregate zero runs")
-    if len(samples) == 1:
-        # One pass: ``math.fsum([x]) / 1`` is ``0.0 + x`` bit for bit
-        # (fsum folds -0.0 to 0.0; NaN and ±inf pass through).
-        sample = samples[0]
-        keys = sorted(sample)
-        return (
-            {key: 0.0 + float(sample[key]) for key in keys},
-            dict.fromkeys(keys, 0.0),
-        )
-    keys = set(samples[0])
+    names = sorted(samples[0])
+    keys = set(names)
     for sample in samples[1:]:
         if set(sample) != keys:
             raise ConfigError("runs returned inconsistent metric keys")
-    means: dict[str, float] = {}
-    stds: dict[str, float] = {}
-    for key in sorted(keys):
-        values = [float(sample[key]) for sample in samples]
-        means[key] = math.fsum(values) / len(values)
-        stds[key] = statistics.stdev(values) if len(values) > 1 else 0.0
+    runs = len(samples)
+    # One row of floats per run, transposed once into one column per metric.
+    columns = list(
+        zip(*[[float(sample[key]) for key in names] for sample in samples])
+    )
+    means = {key: math.fsum(column) / runs for key, column in zip(names, columns)}
+    stds = (
+        {key: statistics.stdev(column) for key, column in zip(names, columns)}
+        if runs > 1
+        else dict.fromkeys(names, 0.0)
+    )
     return means, stds
 
 

@@ -1742,19 +1742,15 @@ def spec_with(spec: Mapping, path: str, value: Any) -> dict:
     return result
 
 
-# Built once, like the canonical encoder behind ``spec_digest``.
-_METRICS_ENCODER = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=float
-)
-
-
 def metrics_digest(metrics) -> str:
     """SHA-256 hex digest of a metrics dict (or list of them).
 
     Canonical JSON (sorted keys, no whitespace), so two runs digest
     equal iff their metrics are bit-identical.
     """
-    payload = _METRICS_ENCODER.encode(metrics)
+    payload = json.dumps(
+        metrics, sort_keys=True, separators=(",", ":"), default=float
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -10,6 +10,7 @@ wrongly-keyed entry is a miss that gets recomputed — never served.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -278,16 +279,24 @@ class TestKilledWriter:
         assert len(store) == 0
 
 
+_BARRIER_SWEEP = Path(__file__).with_name("barrier_sweep.py")
+
+
 class TestSharedCache:
     def test_concurrent_sweeps_on_one_store(self, tmp_path):
+        # barrier_sweep.py holds each sweep's first put until both sweeps
+        # reach theirs, so both miss and compute the first cell together.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(SPEC), encoding="utf-8")
         cache = tmp_path / "cache"
+        barrier = tmp_path / "barrier"
+        barrier.mkdir()
 
         def sweep(out):
             return subprocess.Popen(
                 [
-                    sys.executable, "-m", "repro", "--executor", "serial",
+                    sys.executable, str(_BARRIER_SWEEP), str(barrier), "2",
+                    "--executor", "serial",
                     "scenario", "sweep", str(spec),
                     "--field", "failures.alive_fraction",
                     "--values", "0.5", "0.7", "1.0",
@@ -300,9 +309,18 @@ class TestSharedCache:
 
         outs = [tmp_path / "a.json", tmp_path / "b.json"]
         children = [sweep(out) for out in outs]
+        splits = []
         for child in children:
             _, err = child.communicate(timeout=120)
             assert child.returncode == 0, err
+            report = re.search(r"cache: (\d+) hit\(s\), (\d+) executed", err)
+            assert report, err
+            splits.append(tuple(map(int, report.groups())))
+        # Both sweeps executed cells (they overlapped), and each served
+        # the rest of the six from what the other had stored.
+        for hits, executed in splits:
+            assert executed >= 1 and hits + executed == 6, splits
+        assert len(os.listdir(barrier)) == 2
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert len(ArtifactStore(cache)) == 6
         assert list(cache.rglob("*.tmp")) == []
