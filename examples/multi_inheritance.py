@@ -37,6 +37,8 @@ def main() -> None:
     for parent, table in football_process.super_tables.items():
         print(f"  parent {parent.name:<9} -> {len(table)} contacts in "
               f"{table.target_topic.name}")
+    print(f"  membership state: {football_process.memory_footprint} entries "
+          "(topic table + one table per parent)")
 
     event = system.publish(FOOTBALL, payload="cup final report")
     system.run_until_idle()

@@ -157,10 +157,6 @@ class BaselineProcess:
             self.pid, event, self._harness.now
         )
 
-    def send(self, target: int, message: Message) -> None:
-        """Send via the shared unreliable network."""
-        self._harness.network.send(self.pid, target, message)
-
     def multicast(self, targets: list[int], message: Message) -> None:
         """Send one message to many targets via the batched fast path."""
         self._harness.network.multicast(self.pid, targets, message)
@@ -171,12 +167,6 @@ class BaselineProcess:
         if factory is None:
             factory = self._event_factory = EventFactory(self.pid)
         return factory.create(topic, payload, self._harness.now)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(pid={self.pid}, "
-            f"interest={self.interest.name}, groups={len(self.groups)})"
-        )
 
 
 class BaselineSystem(ObjectSystemFacade):
@@ -307,10 +297,3 @@ class BaselineSystem(ObjectSystemFacade):
         """Start the dissemination: by default in the event's own topic
         group (§IV-A's pattern 1)."""
         publisher.publish_in_groups(event, [event.topic])
-
-    # ------------------------------------------------------------------
-    # To be provided by each baseline
-    # ------------------------------------------------------------------
-    def finalize_membership(self) -> None:
-        """Draw all static tables (baseline-specific)."""
-        raise NotImplementedError

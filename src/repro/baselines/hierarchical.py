@@ -173,7 +173,3 @@ class HierarchicalGossipSystem(BaselineSystem):
         assert publisher.cluster is not None
         publisher.publish_in_groups(event, [publisher.cluster])
         publisher._forward_cross_cluster(event)
-
-    def clusters(self) -> dict[Topic, list[HierarchicalProcess]]:
-        """The cluster partition (after finalization)."""
-        return {key: list(members) for key, members in self._clusters.items()}

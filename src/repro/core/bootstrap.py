@@ -157,13 +157,6 @@ class FindSuperContact:
                 t for t in self._targets if not t.includes(answered)
             ] or [own.super_topic]  # never let the list go empty
 
-    def __repr__(self) -> str:
-        names = [t.name for t in self._targets]
-        return (
-            f"FindSuperContact(pid={self._process.pid}, active={self.active}, "
-            f"targets={names}, attempts={self._attempts})"
-        )
-
 
 def handle_req_contact(
     process: "DaMulticastProcess", message: ReqContact

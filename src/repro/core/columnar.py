@@ -37,7 +37,7 @@ pinned by its own golden (tests/test_core_columnar.py).
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.dissemination import disseminate, should_deliver
 from repro.core.events import Event, EventId
@@ -193,29 +193,15 @@ class ColumnarGroupActor:
     # ------------------------------------------------------------------
     # State management
     # ------------------------------------------------------------------
-    def seen_count(self, event_id: EventId) -> int:
-        """How many group members have seen ``event_id``."""
-        mask = self._seen.get(event_id)
-        return sum(mask) if mask is not None else 0
 
     def release_event_state(self, event_id: EventId) -> None:
         """Drop the seen bitmask of a finished event (dedup state is only
         needed while copies are still in flight)."""
         self._seen.pop(event_id, None)
 
-    def clear_event_state(self) -> None:
-        """Drop every seen bitmask (e.g. between measurement rounds)."""
-        self._seen.clear()
-
     def membership_bytes(self) -> int:
         """Bytes of frozen membership state for the whole group."""
         return self.tables.nbytes()
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnarGroupActor({self.topic.name}, S={self.tables.size}, "
-            f"in_flight={len(self._seen)})"
-        )
 
 
 class ColumnarStaticSystem(SystemFacade):
@@ -255,11 +241,6 @@ class ColumnarStaticSystem(SystemFacade):
         #: that declares ``static_dead`` (its dead set never changes)
         self._alive_cache: dict[Topic, tuple[FailureModel, list[int]]] = {}
         self._publish_seq: dict[int, int] = {}
-
-    def _release(self) -> None:
-        self._blocks.clear()
-        self._actors.clear()
-        self._alive_cache.clear()
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -373,15 +354,6 @@ class ColumnarStaticSystem(SystemFacade):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def topics(self) -> list[Topic]:
-        """All topics with a group, in pid-block order."""
-        return list(self._blocks)
-
-    def group_pids(self, topic: Topic | str) -> list[int]:
-        """The pid block of ``topic``'s group."""
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        block = self._blocks.get(resolved)
-        return list(block) if block is not None else []
 
     def group_actor(self, topic: Topic | str) -> ColumnarGroupActor:
         """The block actor running ``topic``'s group."""
@@ -391,23 +363,9 @@ class ColumnarStaticSystem(SystemFacade):
         except KeyError:
             raise UnknownTopic(f"no group for topic {resolved.name}") from None
 
-    def seen_fraction(self, event: Event, topic: Topic | str) -> float:
-        """Fraction of ``topic``'s group that received ``event`` (off the
-        group's seen bitmask — works with the streaming tracker)."""
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        actor = self.group_actor(resolved)
-        size = actor.tables.size
-        return actor.seen_count(event.event_id) / size if size else 1.0
-
     def membership_bytes(self) -> int:
         """Total frozen membership bytes across every group's columns."""
         return sum(a.membership_bytes() for a in self._actors.values())
-
-    def processes(self) -> Iterator[int]:
-        """Every pid, ascending (blocks are allocated in group order)."""
-        # repro-lint: allow[DET003]: blocks are allocated in ascending-pid group order, so insertion order IS the documented order
-        for block in self._blocks.values():
-            yield from block
 
     def construction_digest(self) -> str:
         """SHA-256 over every member's table rows, in pid order — the one
@@ -420,11 +378,4 @@ class ColumnarStaticSystem(SystemFacade):
             (actor.tables, row)
             for actor in self._actors.values()
             for row in range(actor.tables.size)
-        )
-
-    def __repr__(self) -> str:
-        total = sum(len(block) for block in self._blocks.values())
-        return (
-            f"ColumnarStaticSystem(processes={total}, "
-            f"groups={len(self._blocks)}, finalized={self._finalized})"
         )

@@ -52,23 +52,12 @@ class KeepTableUpdated:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        """Whether the periodic task is active."""
-        return self._task is not None and self._task.running
-
     def start(self) -> None:
-        """Start the periodic maintenance loop (no-op for root processes,
-        whose supertopic table does not exist)."""
-        if self.running or self._process.topic.is_root:
+        """Start the periodic maintenance loop (no-op once started, and for
+        root processes, whose supertopic table does not exist)."""
+        if self._task is not None or self._process.topic.is_root:
             return
         self._task = self._process.engine.every(self._interval, self._tick)
-
-    def stop(self) -> None:
-        """Stop maintaining (unsubscribe/shutdown)."""
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
 
     # ------------------------------------------------------------------
     # The periodic body (Fig. 6 lines 10-25)
@@ -133,9 +122,3 @@ class KeepTableUpdated:
         table.record_proof_of_life(message.sender, now)
         stale = table.stale_pids(now, 2 * self._ping_timeout)
         table.merge_fresh(stale, message.contacts)
-
-    def __repr__(self) -> str:
-        return (
-            f"KeepTableUpdated(pid={self._process.pid}, running={self.running}, "
-            f"probes={self.probes_started})"
-        )

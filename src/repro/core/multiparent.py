@@ -85,15 +85,8 @@ class MultiParentProcess(StaticProcess):
     def memory_footprint(self) -> int:
         """Topic-table entries plus all supertopic tables (§VIII: one
         constant-size table per direct supertopic)."""
-        return self._topic_entries() + sum(
-            len(table) for table in self.super_tables.values()
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiParentProcess(pid={self.pid}, topic={self.topic.name}, "
-            f"supers={len(self.super_tables)})"
-        )
+        topic_entries = self.tables.stride if self.tables is not None else 0
+        return topic_entries + sum(len(table) for table in self.super_tables.values())
 
 
 class MultiParentSystem(DaMulticastSystem):

@@ -25,7 +25,7 @@ it to 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ConfigError
@@ -97,14 +97,6 @@ class TopicParams:
         log_term = math.log(group_size, self.fanout_log_base)
         return max(1, math.ceil((self.b + 1) * log_term))
 
-    def memory_footprint(self, group_size: int, has_super: bool = True) -> float:
-        """The §VI-C memory complexity ``log(S)+c (+z)`` of one process."""
-        log_term = math.log(group_size, self.fanout_log_base) if group_size > 1 else 0.0
-        footprint = log_term + self.c
-        if has_super:
-            footprint += self.z
-        return footprint
-
 
 @dataclass(frozen=True)
 class DaMulticastConfig:
@@ -159,13 +151,3 @@ class DaMulticastConfig:
                 if inherited is not None:
                     return inherited
         return self.default_params
-
-    def with_override(self, topic: Topic, params: TopicParams) -> "DaMulticastConfig":
-        """A copy of this config with ``topic`` overridden (immutable style)."""
-        merged = dict(self.overrides)
-        merged[topic] = params
-        return replace(self, overrides=merged)
-
-    def with_defaults(self, params: TopicParams) -> "DaMulticastConfig":
-        """A copy of this config with new default parameters."""
-        return replace(self, default_params=params)

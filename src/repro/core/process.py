@@ -68,9 +68,6 @@ class GroupSizeCell:
     def __init__(self, value: int = 0):
         self.value = value
 
-    def __repr__(self) -> str:
-        return f"GroupSizeCell({self.value})"
-
 
 class DaMulticastProcess:
     """One process interested in exactly one topic (§III-A), running the
@@ -201,15 +198,15 @@ class DaMulticastProcess:
     def group_size(self) -> int:
         """Best-known size ``S_Ti`` of this process's group.
 
-        Injected by the system facade when global knowledge exists (static
-        simulations); otherwise conservatively estimated from the topic
-        table (self + known members).
+        Injected by the system facade (every system binds a size cell);
+        a process no system sized estimates it conservatively from its
+        topic table (self + known members).
         """
         if self._group_size_cell is not None:
             return max(1, self._group_size_cell.value)
         if self._group_size_hint is not None:
             return max(1, self._group_size_hint)
-        return self._topic_entries() + 1
+        return 1 if self.membership is None else len(self.membership.view) + 1
 
     def bind_group_size(self, cell: GroupSizeCell) -> None:
         """Share a live group-size counter with this process.
@@ -252,10 +249,6 @@ class DaMulticastProcess:
         """The topic table ``Table_Ti``: the flat membership's view."""
         return self.membership.view
 
-    def _topic_entries(self) -> int:
-        """How many entries the topic table holds."""
-        return len(self.membership.view)
-
     def neighborhood(self) -> list[ProcessDescriptor]:
         """The weakly-consistent global contacts (``neighborhood(pl)``)."""
         if self._overlay is None or self.pid not in self._overlay:
@@ -279,13 +272,6 @@ class DaMulticastProcess:
         self.maintenance.start()
         if self.super_table.is_empty and not self.topic.is_root:
             self.find_super_contact.start()
-
-    def unsubscribe(self) -> None:
-        """Stop all protocol activity for this process."""
-        self.subscribed = False
-        self.membership.stop()
-        self.maintenance.stop()
-        self.find_super_contact.stop()
 
     # ------------------------------------------------------------------
     # Publishing (Fig. 7 lines 1-2)
@@ -449,13 +435,6 @@ class DaMulticastProcess:
         """
         return len(self.topic_table()) + len(self.super_table)
 
-    def __repr__(self) -> str:
-        return (
-            f"DaMulticastProcess(pid={self.pid}, topic={self.topic.name}, "
-            f"dynamic, table={len(self.topic_table())}, "
-            f"super={len(self.super_table)})"
-        )
-
 
 class StaticProcess(DaMulticastProcess):
     """A member of the §VII simulator: a row of its group's columns.
@@ -512,9 +491,6 @@ class StaticProcess(DaMulticastProcess):
     def subscribe(self, contact: ProcessDescriptor | None = None) -> None:
         self.subscribed = True  # the system's finalize draws the tables
 
-    def unsubscribe(self) -> None:
-        self.subscribed = False  # no protocol task runs
-
     # ------------------------------------------------------------------
     # Fig. 7's two selections, off the row
     # ------------------------------------------------------------------
@@ -552,8 +528,6 @@ class StaticProcess(DaMulticastProcess):
     # ------------------------------------------------------------------
     # Introspection, off the row lengths
     # ------------------------------------------------------------------
-    def _topic_entries(self) -> int:
-        return self.tables.stride if self.tables is not None else 0
 
     @property
     def memory_footprint(self) -> int:
@@ -561,9 +535,3 @@ class StaticProcess(DaMulticastProcess):
         row lengths."""
         tables = self.tables
         return tables.stride + tables.super_stride if tables is not None else 0
-
-    def __repr__(self) -> str:
-        return (
-            f"StaticProcess(pid={self.pid}, topic={self.topic.name}, "
-            f"row={self.row}, entries={self.memory_footprint})"
-        )

@@ -273,10 +273,6 @@ class DaMulticastSystem(ObjectSystemFacade):
             if t.includes(topic)
         )
 
-    def memory_footprints(self, topic: Topic | str) -> list[int]:
-        """Measured membership state per process of a group (§VI-C)."""
-        return [p.memory_footprint for p in self.group(topic)]
-
     def construction_digest(self) -> str:
         """SHA-256 over every process's table rows, in pid order — the
         columnar host's digest (:func:`~repro.membership.columnar.
@@ -285,9 +281,3 @@ class DaMulticastSystem(ObjectSystemFacade):
         if not self._finalized:
             raise ConfigError("finalize_static_membership() first")
         return rows_digest((p.tables, p.row) for p in self._processes.values())
-
-    def __repr__(self) -> str:
-        return (
-            f"DaMulticastSystem(mode={self.mode!r}, "
-            f"processes={len(self._processes)}, topics={len(self._groups)})"
-        )

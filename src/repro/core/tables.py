@@ -111,11 +111,6 @@ class SuperTopicTable:
             self._last_proof.pop(pid, None)
         return admitted
 
-    def remove(self, pid: int) -> bool:
-        """Drop one entry (e.g. a superprocess that stopped answering)."""
-        self._last_proof.pop(pid, None)
-        return self._view.remove(pid)
-
     def clear(self) -> None:
         """Empty the table and forget its target."""
         self._view.clear()
@@ -188,13 +183,3 @@ class SuperTopicTable:
 
     def __len__(self) -> int:
         return len(self._view)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._view
-
-    def __iter__(self):
-        return iter(self._view)
-
-    def __repr__(self) -> str:
-        target = self.target_topic.name if self.target_topic else None
-        return f"SuperTopicTable({len(self)}/{self.z} -> {target})"

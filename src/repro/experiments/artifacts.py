@@ -205,15 +205,6 @@ class ArtifactStore:
         )
         _write_atomic(self._path(key), text)
 
-    def __len__(self) -> int:
-        """Number of stored entries (walks the store)."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def __repr__(self) -> str:
-        return f"ArtifactStore({str(self.root)!r})"
-
 
 def _caching_run(
     arg_with_name: tuple[Any, str],
@@ -261,6 +252,8 @@ class CachingExecutor:
                 f"run_key must be a non-empty string, got {run_key!r}"
             )
         self.inner = inner
+        #: closing the wrapper closes the executor it wraps
+        self.close = inner.close
         self.store = store
         self.run_key = run_key
         #: hit/executed counts of the most recent map_cells call.
@@ -332,12 +325,3 @@ class CachingExecutor:
         for (index, _), result in zip(missing, sub_results):
             results[index] = result
         return results
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"CachingExecutor({self.inner!r}, store={self.store!r}, "
-            f"run_key={self.run_key[:12]!r}...)"
-        )

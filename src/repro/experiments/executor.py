@@ -237,9 +237,6 @@ class SerialExecutor:
     def close(self) -> None:
         pass
 
-    def __repr__(self) -> str:
-        return "SerialExecutor()"
-
 
 # Workers start from a forkserver, never by forking the parent (which
 # may have threads running, the pool's own among them). The server
@@ -363,15 +360,6 @@ class PoolExecutor:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
-
-    def __enter__(self) -> "PoolExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"PoolExecutor(jobs={self.jobs})"
 
 
 # ----------------------------------------------------------------------

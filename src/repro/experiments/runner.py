@@ -96,10 +96,6 @@ class SweepResult:
     stds: dict[str, list[float]] = field(default_factory=dict)
     runs: int = 0
 
-    def series(self, metric: str) -> list[tuple[float, float]]:
-        """``[(x, mean_y), ...]`` for one metric."""
-        return list(zip(self.points, self.means[metric]))
-
     def metric_names(self) -> list[str]:
         """All aggregated metric names, sorted."""
         return sorted(self.means)

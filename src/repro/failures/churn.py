@@ -104,6 +104,3 @@ class ChurnSchedule:
             if rng.random() < recover_probability:
                 schedule.recover_at(pid, rng.uniform(crash_time, horizon))
         return schedule
-
-    def __repr__(self) -> str:
-        return f"ChurnSchedule({len(self._transitions)} processes with transitions)"

@@ -65,8 +65,3 @@ class DynamicFailures:
         # observer's opinion of a target never changes during the run.
         pair_seed = derive_seed(self._seed, f"pair/{sender}/{target}")
         return random.Random(pair_seed).random() < self.fail_probability
-
-    def __repr__(self) -> str:
-        return (
-            f"DynamicFailures(p={self.fail_probability}, mode={self.mode!r})"
-        )

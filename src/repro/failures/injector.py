@@ -126,19 +126,6 @@ class FailureCampaign:
         self._system.engine.schedule_at(at, action)
         return self
 
-    def recover(self, at: float, pids) -> "FailureCampaign":
-        """Bring the listed pids back at ``at``."""
-        _validate_action_time(at)
-        frozen = tuple(pids)
-
-        def action() -> None:
-            for pid in frozen:
-                self._schedule.recover_at(pid, at)
-            self.log.actions.append((at, "recover", frozen))
-
-        self._system.engine.schedule_at(at, action)
-        return self
-
     def recover_fraction(self, at: float, fraction: float) -> "FailureCampaign":
         """Bring back a uniform ``fraction`` of the currently-dead victims.
 

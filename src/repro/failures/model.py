@@ -60,6 +60,3 @@ class AlwaysAlive:
         self, sender: int, target: int, now: float, rng: random.Random
     ) -> bool:
         return False
-
-    def __repr__(self) -> str:
-        return "AlwaysAlive()"

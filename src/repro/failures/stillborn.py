@@ -12,10 +12,12 @@ import random
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigError
+from repro.failures.model import AlwaysAlive
 
 
-class StillbornFailures:
-    """Processes in ``failed`` are dead for the whole run; others never fail."""
+class StillbornFailures(AlwaysAlive):
+    """Processes in ``failed`` are dead for the whole run; others never fail
+    (and perception matches ground truth: no transmission is blocked)."""
 
     def __init__(self, failed: Iterable[int]):
         self._failed = frozenset(failed)
@@ -23,23 +25,8 @@ class StillbornFailures:
         #: fixed for the run and perception equals ground truth
         self.static_dead = self._failed
 
-    @property
-    def failed(self) -> frozenset[int]:
-        """The set of stillborn process ids."""
-        return self._failed
-
     def is_alive(self, pid: int, now: float) -> bool:
         return pid not in self._failed
-
-    def transmission_blocked(
-        self, sender: int, target: int, now: float, rng: random.Random
-    ) -> bool:
-        # Perception matches ground truth: dead targets are handled by the
-        # network's is_alive check, nothing extra to block here.
-        return False
-
-    def __repr__(self) -> str:
-        return f"StillbornFailures({len(self._failed)} failed)"
 
 
 def sample_stillborn(

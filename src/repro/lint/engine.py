@@ -56,9 +56,6 @@ class Rule:
     id: str = ""
     title: str = ""
 
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        raise NotImplementedError
-
 
 _RULES: dict[str, Type[Rule]] = {}
 

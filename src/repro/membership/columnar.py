@@ -195,15 +195,6 @@ class ColumnarGroupTables:
             + self.super_rows.itemsize * len(self.super_rows)
         )
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnarGroupTables({self.topic.name}, S={self.size}, "
-            f"stride={self.stride}, super_stride={self.super_stride})"
-        )
-
 
 class ColumnarTableBuilder:
     """Per-group topic-row builder: member ``i``'s row is ``capacity``

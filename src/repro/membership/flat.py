@@ -22,8 +22,9 @@ The implementation follows the standard decentralized partial-view design:
   entries supplied by the owner (§V-A.2's optimization); received entries
   are handed to the owner's consumer callback.
 
-The class is transport-agnostic: the owner injects ``send`` and the engine,
-so the same code runs under any network/failure configuration.
+The class is transport-agnostic: the owner injects ``send``, ``multicast``
+and the engine, so the same code runs under any network/failure
+configuration.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class FlatMembership:
         rng: random.Random,
         send: SendFn,
         *,
-        multicast: MulticastFn | None = None,
+        multicast: MulticastFn,
         super_sample_provider: SuperSampleFn | None = None,
         super_sample_consumer: SuperMergeFn | None = None,
     ):
@@ -127,12 +128,6 @@ class FlatMembership:
         self._engine = engine
         self._rng = rng
         self._send = send
-        # Batched fan-out when the owner provides one (the network fast
-        # path); otherwise fall back to one send per target.
-        if multicast is None:
-            def multicast(targets: list[int], message: Message) -> None:
-                for target in targets:
-                    send(target, message)
         self._multicast = multicast
         self._super_sample_provider = super_sample_provider
         self._super_sample_consumer = super_sample_consumer
@@ -169,13 +164,6 @@ class FlatMembership:
             initial_delay=self.config.shuffle_interval
             * (0.5 + 0.5 * self._rng.random()),  # desynchronize members
         )
-
-    def stop(self) -> None:
-        """Stop periodic shuffling (e.g. on unsubscribe or crash)."""
-        self.started = False
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
 
     # ------------------------------------------------------------------
     # Periodic shuffle
@@ -284,16 +272,3 @@ class FlatMembership:
             if descriptor.pid in self._tombstones:
                 continue  # suspected failed: reject hearsay re-admission
             self.view.add(descriptor, self._rng)
-
-    # ------------------------------------------------------------------
-    # Accessors used by the dissemination layer
-    # ------------------------------------------------------------------
-    def table(self) -> PartialView:
-        """The topic table ``Table_Ti`` this protocol maintains."""
-        return self.view
-
-    def __repr__(self) -> str:
-        return (
-            f"FlatMembership(pid={self.owner.pid}, group={self.group.name}, "
-            f"view={len(self.view)}/{self.config.capacity})"
-        )

@@ -13,7 +13,6 @@ weak-consistency the paper tolerates).
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from repro.errors import ConfigError, UnknownActor
 from repro.membership.sampling import sample_from
@@ -33,41 +32,6 @@ class BootstrapOverlay:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def populate(
-        self, descriptors: Iterable[ProcessDescriptor], rng: random.Random
-    ) -> None:
-        """(Re)build the contact graph over ``descriptors``.
-
-        Every process receives ``min(degree, n-1)`` distinct uniform
-        contacts. Contacts are directed (the graph is not symmetrized),
-        matching a gossip-built overlay.
-        """
-        population = list(descriptors)
-        self._descriptors = {d.pid: d for d in population}
-        self._contacts.clear()
-        n = len(population)
-        if len(self._descriptors) == n:
-            # Unique pids (the normal case): draw *positions* in the
-            # member-removed list and map them back with index arithmetic
-            # (r below the member's index, r+1 at or above it). Same
-            # draws as sampling an explicit exclusion list — sample() is
-            # purely positional — without materialising an O(n) list per
-            # member, which made this build O(n²).
-            k = min(self.degree, n - 1)
-            for index, descriptor in enumerate(population):
-                self._contacts[descriptor.pid] = [
-                    population[r if r < index else r + 1]
-                    for r in sample_from(None, 0, n - 1, k, rng)
-                ] if k else []
-        else:
-            # Duplicate pids: keep the historical every-occurrence
-            # exclusion semantics.
-            for descriptor in population:
-                others = [d for d in population if d.pid != descriptor.pid]
-                k = min(self.degree, len(others))
-                self._contacts[descriptor.pid] = (
-                    sample_from(others, 0, len(others), k, rng) if k else []
-                )
 
     def add_process(
         self, descriptor: ProcessDescriptor, rng: random.Random
@@ -98,18 +62,5 @@ class BootstrapOverlay:
         except KeyError:
             raise UnknownActor(f"pid {pid} is not in the overlay") from None
 
-    def descriptor(self, pid: int) -> ProcessDescriptor:
-        """The descriptor registered for ``pid``."""
-        try:
-            return self._descriptors[pid]
-        except KeyError:
-            raise UnknownActor(f"pid {pid} is not in the overlay") from None
-
     def __contains__(self, pid: int) -> bool:
         return pid in self._contacts
-
-    def __len__(self) -> int:
-        return len(self._contacts)
-
-    def __repr__(self) -> str:
-        return f"BootstrapOverlay({len(self)} processes, degree={self.degree})"

@@ -35,7 +35,7 @@ table — runs straight over the mirror with no per-call filtering.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import ConfigError, MembershipError
 from repro.membership.sampling import sample_from
@@ -218,16 +218,8 @@ class PartialView:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[ProcessDescriptor]:
-        return iter(self.descriptors())
-
     def __contains__(self, pid: int) -> bool:
         return pid in self._entries
-
-    @property
-    def is_full(self) -> bool:
-        """Whether the view is at capacity."""
-        return len(self._entries) >= self.capacity
 
     @property
     def pids(self) -> list[int]:
@@ -295,6 +287,3 @@ class PartialView:
         if k >= n:
             return list(pids)
         return sample_from(pids, 0, n, k, rng)
-
-    def __repr__(self) -> str:
-        return f"PartialView({len(self._entries)}/{self.capacity})"

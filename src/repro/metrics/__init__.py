@@ -12,16 +12,14 @@ from repro.metrics.degradation import (
     WindowPoint,
     degradation_summary,
     delivery_ratio_series,
-    time_to_repair,
 )
 from repro.metrics.delivery import (
     delivered_fraction,
     all_received,
     parasite_deliveries,
-    topic_delivery_summary,
 )
 from repro.metrics.streaming import StreamingDeliveryTracker, TopicDeliveryStats
-from repro.metrics.report import Table, format_series
+from repro.metrics.report import Table
 
 __all__ = [
     "DeliveryTracker",
@@ -30,11 +28,8 @@ __all__ = [
     "delivered_fraction",
     "all_received",
     "parasite_deliveries",
-    "topic_delivery_summary",
     "WindowPoint",
     "delivery_ratio_series",
-    "time_to_repair",
     "degradation_summary",
     "Table",
-    "format_series",
 ]

@@ -24,7 +24,6 @@ class DeliveryTracker:
 
     def __init__(self) -> None:
         self._published: dict[EventId, Event] = {}
-        self._publisher: dict[EventId, int] = {}
         self._receivers: dict[EventId, dict[int, float]] = defaultdict(dict)
         self._hops: dict[EventId, dict[int, int]] = defaultdict(dict)
         self._expected: dict[EventId, int] = {}
@@ -49,7 +48,6 @@ class DeliveryTracker:
         denominators.
         """
         self._published[event.event_id] = event
-        self._publisher[event.event_id] = publisher
         if expected is not None:
             self._expected[event.event_id] = expected
 
@@ -77,19 +75,6 @@ class DeliveryTracker:
         """All recorded events, in publish order."""
         return list(self._published.values())
 
-    def event(self, event_id: EventId) -> Event | None:
-        """The published event with ``event_id`` (None if unknown).
-
-        O(1) — the indexed lookup behind per-event metric extraction;
-        callers must not rebuild ``{event_id: event}`` from
-        :attr:`events` (that turns an N-event scan quadratic).
-        """
-        return self._published.get(event_id)
-
-    def publisher_of(self, event_id: EventId) -> int | None:
-        """The pid that published ``event_id`` (None if unknown)."""
-        return self._publisher.get(event_id)
-
     def expected(self, event_id: EventId) -> int | None:
         """Subscribers of the event's topic at publish time (if recorded)."""
         return self._expected.get(event_id)
@@ -108,37 +93,10 @@ class DeliveryTracker:
         receivers = self._receivers.get(event_id)
         return _NO_RECEIVERS if receivers is None else MappingProxyType(receivers)
 
-    def received_by(self, event_id: EventId, pid: int) -> bool:
-        """Whether ``pid`` delivered ``event_id``."""
-        return pid in self._receivers.get(event_id, _NO_RECEIVERS)
-
-    def delivered(self, event_id: EventId, pid: int) -> bool:
-        """O(1) membership fast path (alias of :meth:`received_by`,
-        named for the reliability queries in :mod:`repro.metrics.delivery`)."""
-        return pid in self._receivers.get(event_id, _NO_RECEIVERS)
-
     def delivery_count(self, event_id: EventId) -> int:
         """Number of distinct processes that delivered ``event_id``."""
         return len(self._receivers.get(event_id, {}))
 
-    def delivery_times(self, event_id: EventId) -> list[float]:
-        """Sorted first-delivery times for ``event_id``."""
-        return sorted(self._receivers.get(event_id, {}).values())
-
     def delivery_hops(self, event_id: EventId) -> dict[int, int]:
         """pid → hop count of the first-delivered copy (where recorded)."""
         return dict(self._hops.get(event_id, {}))
-
-    def clear(self) -> None:
-        """Forget everything (e.g. between warm-up and measurement)."""
-        self._published.clear()
-        self._publisher.clear()
-        self._receivers.clear()
-        self._hops.clear()
-        self._expected.clear()
-
-    def __repr__(self) -> str:
-        return (
-            f"DeliveryTracker({len(self._published)} events, "
-            f"{sum(len(r) for r in self._receivers.values())} deliveries)"
-        )

@@ -1,4 +1,4 @@
-"""Graceful-degradation metrics: delivery ratio over time, repair latency.
+"""Graceful-degradation metrics: delivery ratio over time, per topic.
 
 The link-fault layer (:mod:`repro.net.faults`) turns "gossip survives
 loss" into something measurable; this module supplies the measurements:
@@ -10,22 +10,18 @@ loss" into something measurable; this module supplies the measurements:
   it. Deliveries are attributed to the window their event was published
   in (however late they arrive), so a window's ratio answers "of what was
   asked for then, how much was ultimately delivered";
-* :func:`time_to_repair` — how long after a fault window closes the
-  system is back above a delivery-ratio threshold;
 * :func:`degradation_summary` — per-topic delivered fractions, the raw
   material of delivered-fraction-vs-loss-rate curves.
 
-All three read **both** tracker flavours: the full
-:class:`~repro.metrics.collector.DeliveryTracker` (per-event records
-folded on demand) and the
-:class:`~repro.metrics.streaming.StreamingDeliveryTracker` (pre-folded
-window cells and per-topic aggregates — construct it with
-``StreamingDeliveryTracker(window=...)`` to enable the series). The
-denominator in every ratio is the ``expected`` count recorded at publish
-time — the event's *intended receivers*, i.e. how many processes the
-protocol would deliver it to over a perfect network — so a fault-free
-run scores 1.0. Events without a recorded count are excluded from ratio
-denominators.
+The series folds the full
+:class:`~repro.metrics.collector.DeliveryTracker`'s per-event records on
+demand; the summary also reads the
+:class:`~repro.metrics.streaming.StreamingDeliveryTracker`'s per-topic
+aggregates. The denominator in every ratio is the ``expected`` count
+recorded at publish time — the event's *intended receivers*, i.e. how
+many processes the protocol would deliver it to over a perfect network —
+so a fault-free run scores 1.0. Events without a recorded count are
+excluded from ratio denominators.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.errors import MetricsError
 from repro.topics.topic import Topic
-from repro.validation import check_finite, check_window
+from repro.validation import check_window
 
 
 @dataclass(frozen=True)
@@ -52,10 +48,6 @@ class WindowPoint:
     delivered: int
     #: delivered / expected; None when no expected counts were recorded
     ratio: float | None
-
-
-def _require_window(window: float) -> float:
-    return check_window(window, "window", error=MetricsError)
 
 
 def _points_from_cells(
@@ -77,39 +69,19 @@ def _points_from_cells(
     return points
 
 
-def delivery_ratio_series(
-    tracker, window: float | None = None
-) -> list[WindowPoint]:
-    """The sliding-window delivery-ratio series of one run.
-
-    With a full tracker, ``window`` is required and the series is folded
-    from the per-event records on demand. With a streaming tracker the
-    series was folded at recording time: ``window`` may be omitted (the
-    tracker's own width is used) but must match the configured width when
-    given — the streaming tracker cannot re-bucket after the fact.
+def delivery_ratio_series(tracker, window: float) -> list[WindowPoint]:
+    """The sliding-window delivery-ratio series of one run (full tracker).
 
     Only windows with at least one published event appear (gossip
     simulations are bursty; all-empty gaps carry no signal and would
     dominate the list at fine widths).
     """
     if getattr(tracker, "mode", "full") == "streaming":
-        if window is not None:
-            width = _require_window(window)
-            if tracker.window is None or width != tracker.window:
-                raise MetricsError(
-                    f"streaming tracker folded windows of width "
-                    f"{tracker.window!r}; cannot re-bucket to {width!r} "
-                    "after the fact — construct "
-                    "StreamingDeliveryTracker(window=...) with the width "
-                    "you will query"
-                )
-        return _points_from_cells(tracker.window_cells(), tracker.window)
-    if window is None:
         raise MetricsError(
-            "delivery_ratio_series needs an explicit window width with "
-            "the full tracker"
+            "delivery_ratio_series needs per-event records: run with the "
+            "full DeliveryTracker (tracker='full')"
         )
-    width = _require_window(window)
+    width = check_window(window, "window", error=MetricsError)
     cells: dict[int, list[int]] = {}
     for event in tracker.events:
         index = int(event.published_at // width)
@@ -124,38 +96,6 @@ def delivery_ratio_series(
     return _points_from_cells(
         {index: tuple(cell) for index, cell in cells.items()}, width
     )
-
-
-def time_to_repair(
-    series: list[WindowPoint],
-    *,
-    after: float,
-    threshold: float = 0.99,
-) -> float | None:
-    """Time from ``after`` (a fault window closing) back to health.
-
-    Returns ``start - after`` of the first window that begins at or after
-    ``after`` and reports a ratio ``>= threshold`` — i.e. how long until
-    freshly published events are again delivered at the threshold rate.
-    Windows straddling ``after`` are skipped (their events were published
-    under the fault). Returns None when the series never recovers (or no
-    window with a measurable ratio follows ``after``).
-    """
-    if (
-        isinstance(threshold, bool)
-        or not isinstance(threshold, (int, float))
-        or not 0.0 <= threshold <= 1.0
-    ):
-        raise MetricsError(
-            f"threshold must be a number in [0, 1], got {threshold!r}"
-        )
-    check_finite(after, "'after'", error=MetricsError)
-    for point in series:
-        if point.start < after or point.ratio is None:
-            continue
-        if point.ratio >= threshold:
-            return point.start - after
-    return None
 
 
 def degradation_summary(tracker) -> dict[str, dict[str, float | int | None]]:
@@ -175,7 +115,10 @@ def degradation_summary(tracker) -> dict[str, dict[str, float | int | None]]:
                 "published": stats.published,
                 "expected": stats.expected_sum,
                 "delivered": stats.delivered,
-                "delivered_fraction": stats.delivered_fraction,
+                "delivered_fraction": (
+                    stats.delivered / stats.expected_sum
+                    if stats.expected_sum else None
+                ),
             }
         return summary
     totals: dict[Topic, list[int]] = {}

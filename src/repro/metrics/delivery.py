@@ -86,57 +86,3 @@ def parasite_deliveries(
             if topic is None or not topic.includes(event.topic):
                 parasites += 1
     return parasites
-
-
-def mean_delivery_latency(
-    tracker: DeliveryTracker, event_id: EventId
-) -> float | None:
-    """Mean first-delivery time minus publish time; None when undelivered.
-
-    Uses the tracker's O(1) indexed event lookup — extracting latencies
-    for every event of an N-event stream is O(total deliveries), not
-    O(N²).
-    """
-    event = tracker.event(event_id)
-    if event is None:
-        return None
-    times = tracker.delivery_times(event_id)
-    if not times:
-        return None
-    return sum(t - event.published_at for t in times) / len(times)
-
-
-def topic_delivery_summary(
-    tracker,
-    topic: Topic,
-) -> dict[str, float | int | None]:
-    """Per-topic delivery aggregates from *either* tracker flavour.
-
-    Returns ``{"published", "delivered", "mean_latency"}`` for ``topic``.
-    With a :class:`~repro.metrics.streaming.StreamingDeliveryTracker` the
-    numbers come straight off its O(topics) aggregates; with the full
-    :class:`DeliveryTracker` they are folded from the raw per-event
-    records on the fly — identical results, so figures code can run
-    unchanged at either scale.
-    """
-    if getattr(tracker, "mode", "full") == "streaming":
-        stats = tracker.topic_stats(topic)
-        return {
-            "published": stats.published,
-            "delivered": stats.delivered,
-            "mean_latency": stats.mean_latency,
-        }
-    published = delivered = 0
-    latency_sum = 0.0
-    for event in tracker.events:
-        if event.topic != topic:
-            continue
-        published += 1
-        times = tracker.delivery_times(event.event_id)
-        delivered += len(times)
-        latency_sum += sum(t - event.published_at for t in times)
-    return {
-        "published": published,
-        "delivered": delivered,
-        "mean_latency": (latency_sum / delivered) if delivered else None,
-    }

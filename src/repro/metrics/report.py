@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 def _format_cell(value: Any, precision: int) -> str:
@@ -61,11 +61,6 @@ class Table:
     def as_dicts(self) -> list[dict[str, Any]]:
         """Rows as column-keyed dicts (for tests and JSON export)."""
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order."""
-        index = list(self.columns).index(name)
-        return [row[index] for row in self.rows]
 
     def to_csv(self) -> str:
         """CSV rendering (header + rows) for external plotting tools."""
@@ -160,16 +155,3 @@ def table_from_scenario_payload(
         f"{SCENARIO_RUN_SCHEMA!r} or {SCENARIO_SWEEP_SCHEMA!r} "
         "(write one with 'repro scenario run/sweep --out')"
     )
-
-
-def format_series(
-    name: str,
-    xs: Iterable[float],
-    ys: Iterable[float],
-    precision: int = 4,
-) -> str:
-    """One figure series as ``name: (x, y) (x, y) ...`` for log output."""
-    points = " ".join(
-        f"({x:g}, {y:.{precision}f})" for x, y in zip(xs, ys)
-    )
-    return f"{name}: {points}"

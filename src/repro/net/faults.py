@@ -93,9 +93,6 @@ class NoFaults:
     ) -> tuple[int, float]:
         return (1, delay)
 
-    def __repr__(self) -> str:
-        return "NoFaults()"
-
 
 class BernoulliLoss:
     """Independent loss: each transmission is lost with probability ``p``."""
@@ -109,9 +106,6 @@ class BernoulliLoss:
         if rng.random() < self.p:
             return (0, delay)
         return (1, delay)
-
-    def __repr__(self) -> str:
-        return f"BernoulliLoss({self.p})"
 
 
 class GilbertElliott:
@@ -184,12 +178,6 @@ class GilbertElliott:
         self._bad[link] = bad
         return ((0, delay) if lost else (1, delay))
 
-    def __repr__(self) -> str:
-        return (
-            f"GilbertElliott({self.p_good_bad}, {self.p_bad_good}, "
-            f"loss_good={self.loss_good}, loss_bad={self.loss_bad})"
-        )
-
 
 class DuplicateModel:
     """Duplication: with probability ``p`` deliver 2..``max_copies`` copies.
@@ -217,9 +205,6 @@ class DuplicateModel:
         if rng.random() < self.p:
             return (rng.randint(2, self.max_copies), delay)
         return (1, delay)
-
-    def __repr__(self) -> str:
-        return f"DuplicateModel({self.p}, max_copies={self.max_copies})"
 
 
 class DelaySpike:
@@ -267,13 +252,6 @@ class DelaySpike:
             return (1, delay + self.extra)
         return (1, delay)
 
-    def __repr__(self) -> str:
-        knob = (
-            f"factor={self.factor}" if self.factor is not None
-            else f"extra={self.extra}"
-        )
-        return f"DelaySpike({self.p}, {knob})"
-
 
 class FaultPipeline:
     """Compose fault stages in order (canonically loss → dup → delay).
@@ -307,9 +285,6 @@ class FaultPipeline:
             copies *= stage_copies
         return (copies, delay)
 
-    def __repr__(self) -> str:
-        return f"FaultPipeline({list(self.stages)!r})"
-
 
 class LinkClassFaults:
     """Per-link-class faults: a default model plus named-class overrides.
@@ -333,6 +308,8 @@ class LinkClassFaults:
                 f"default must be a fault model, got {default!r}"
             )
         self.default = default
+        #: an unclassified link goes through the default model
+        self.transmit = default.transmit
         self.overrides = dict(overrides or {})
         for name, model in self.overrides.items():
             if not isinstance(name, str) or not name:
@@ -348,17 +325,6 @@ class LinkClassFaults:
         """The model of one link class (the default for None or a class
         without an override)."""
         return self.overrides.get(link_class, self.default)
-
-    def transmit(
-        self, sender: int, target: int, delay: float, rng: random.Random
-    ) -> tuple[int, float]:
-        return self.default.transmit(sender, target, delay, rng)
-
-    def __repr__(self) -> str:
-        classes = ", ".join(
-            f"{name}={model!r}" for name, model in sorted(self.overrides.items())
-        )
-        return f"LinkClassFaults(default={self.default!r}, {{{classes}}})"
 
 
 #: Shared no-op instance (semantically identical to installing nothing).

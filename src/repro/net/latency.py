@@ -35,9 +35,6 @@ class ConstantLatency:
     def sample(self, rng: random.Random) -> float:
         return self.delay
 
-    def __repr__(self) -> str:
-        return f"ConstantLatency({self.delay})"
-
 
 class UniformLatency:
     """Delay drawn uniformly from ``[low, high]``."""
@@ -53,9 +50,6 @@ class UniformLatency:
     def sample(self, rng: random.Random) -> float:
         # random.uniform's own expression, without its frame
         return self.low + (self.high - self.low) * rng.random()
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low}, {self.high})"
 
 
 class ExponentialLatency:
@@ -74,9 +68,6 @@ class ExponentialLatency:
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean)
-
-    def __repr__(self) -> str:
-        return f"ExponentialLatency({self.mean})"
 
 
 #: Classifies the links of one fan-out: ``(sender, targets)`` → one class
@@ -111,6 +102,8 @@ class LinkClassLatency:
                 f"default must be a latency model, got {default!r}"
             )
         self.default = default
+        #: an unclassified link samples the default model
+        self.sample = default.sample
         self.overrides = dict(overrides or {})
         for name, model in self.overrides.items():
             if not isinstance(name, str) or not name:
@@ -126,15 +119,6 @@ class LinkClassLatency:
         """The model of one link class (the default for None or a class
         without an override)."""
         return self.overrides.get(link_class, self.default)
-
-    def sample(self, rng: random.Random) -> float:
-        return self.default.sample(rng)
-
-    def __repr__(self) -> str:
-        classes = ", ".join(
-            f"{name}={model!r}" for name, model in sorted(self.overrides.items())
-        )
-        return f"LinkClassLatency(default={self.default!r}, {{{classes}}})"
 
 
 #: Shared zero-delay model (the paper's synchronous-round semantics).

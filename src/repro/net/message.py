@@ -67,9 +67,8 @@ class EventMessage(Message):
     """An application event in flight (the paper's ``SEND(e_Ti)``).
 
     ``hops`` counts gossip transmissions since publication (the publisher's
-    own sends carry 1); the delivery trackers record it
-    (``delivery_hops``, ``TopicDeliveryStats.mean_hops``) and it costs
-    nothing on the protocol path.
+    own sends carry 1); the full delivery tracker records it
+    (``delivery_hops``) and it costs nothing on the protocol path.
     """
 
     kind: ClassVar[str] = "event"

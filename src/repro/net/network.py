@@ -311,11 +311,6 @@ class Network:
         """The time source timestamps are read from."""
         return self._clock
 
-    @property
-    def transport(self) -> Transport:
-        """The delivery transport surviving messages dispatch through."""
-        return self._transport
-
     # ------------------------------------------------------------------
     # Failures and partitions (what a model declares is read once per
     # model, not per send)
@@ -335,15 +330,13 @@ class Network:
         )
         self._resolve_models()
 
-    @property
-    def partition_model(self) -> PartitionModel:
-        """The installed partition model (assign to replace it)."""
-        return self._partition_model
-
-    @partition_model.setter
-    def partition_model(self, model: PartitionModel) -> None:
+    def _install_partition_model(self, model: PartitionModel) -> None:
         self._partition_model = model
         self._resolve_models()
+
+    #: assign to replace the partition model (write-only: nothing the
+    #: network serves reads it back)
+    partition_model = property(fset=_install_partition_model)
 
     # ------------------------------------------------------------------
     # Latency and link classes (resolved once per model, not per send)
@@ -352,11 +345,6 @@ class Network:
     def latency(self) -> LatencyModel:
         """The installed latency model."""
         return self._latency
-
-    @latency.setter
-    def latency(self, model: LatencyModel) -> None:
-        self._latency = model
-        self._resolve_models()
 
     def bind_link_classifier(self, classifier: LinkClassifier) -> None:
         """Install the link classifier ``(sender, targets) → link classes``.
@@ -411,11 +399,6 @@ class Network:
     # ------------------------------------------------------------------
     # Link faults (resolved once per model, not per send)
     # ------------------------------------------------------------------
-    @property
-    def faults(self) -> LinkFaultModel | None:
-        """The installed link-fault model (None when faults are off)."""
-        return self._faults
-
     def install_faults(
         self,
         model: LinkFaultModel | None,
@@ -554,17 +537,6 @@ class Network:
             f"fan-out to pids {min(targets)}..{max(targets)} spans more "
             "than one pid block"
         )
-
-    def actor(self, pid: int) -> Actor | BlockActor:
-        """Look an actor up by process id (a block pid resolves to its
-        block actor)."""
-        actor = self._actors.get(pid)
-        if actor is not None:
-            return actor
-        block = self._block_for(pid)
-        if block is not None:
-            return block
-        raise UnknownActor(f"no actor registered with pid {pid}")
 
     def __contains__(self, pid: int) -> bool:
         return pid in self._actors or self._block_for(pid) is not None
@@ -984,9 +956,3 @@ class Network:
             self._wave = None
             if collected:
                 self._dispatch_wave(collected)
-
-    def __repr__(self) -> str:
-        return (
-            f"Network({len(self)} actors, p_success={self.p_success}, "
-            f"{self.failure_model!r})"
-        )

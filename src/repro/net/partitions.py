@@ -28,9 +28,6 @@ class FullyConnected:
     def connected(self, source: int, destination: int, now: float) -> bool:
         return True
 
-    def __repr__(self) -> str:
-        return "FullyConnected()"
-
 
 class StaticPartition:
     """A set of disjoint islands, optionally healing at a fixed time.
@@ -64,7 +61,3 @@ class StaticPartition:
             return True
         # Unmentioned processes share the implicit island -1.
         return self._island_of.get(source, -1) == self._island_of.get(destination, -1)
-
-    def __repr__(self) -> str:
-        islands = len(set(self._island_of.values()))
-        return f"StaticPartition({islands} islands, heals_at={self.heals_at})"

@@ -179,11 +179,6 @@ class NetworkStats:
         return sum(self.sent_by_kind.values())
 
     @property
-    def total_delivered(self) -> int:
-        """All successful deliveries, any kind."""
-        return sum(self.delivered_by_kind.values())
-
-    @property
     def total_dropped(self) -> int:
         """All drops, any kind."""
         return sum(self.dropped_by_kind.values())
@@ -203,10 +198,6 @@ class NetworkStats:
     def overhead_messages_sent(self) -> int:
         """Non-event traffic (membership, bootstrap, probes)."""
         return self.total_sent - self.sent_by_kind["event"]
-
-    def sender_load(self, pid: int) -> int:
-        """Event messages this process has transmitted (§IV-A load)."""
-        return self.events_sent_by_sender[pid]
 
     def as_dict(self) -> dict[str, dict]:
         """Plain-dict snapshot (stable keys) for reports and tests."""

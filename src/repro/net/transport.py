@@ -138,9 +138,3 @@ class QueueTransport:
             fn, args = handle._fn, handle._args
             handle._fn = handle._args = None  # a fired call is garbage too
             fn(*args)
-
-    def __repr__(self) -> str:
-        return (
-            f"QueueTransport(pending={self.pending}, "
-            f"executed={self.executed})"
-        )

@@ -9,16 +9,16 @@ fairness, all approaches use the same underlying membership algorithm" —
 and, here, the same network and failure substrate too).
 
 What a system *is besides its protocol* lives here as well, once:
-:class:`SystemFacade` (harness passthroughs, ``close()``, the
-finalize-before-publish gate, the publisher election) under every system
-class, and :class:`ObjectSystemFacade` (the topic → process registry and
-its queries) under those that keep one object per process.
+:class:`SystemFacade` (harness passthroughs, the finalize-before-publish
+gate, the publisher election) under every system class, and
+:class:`ObjectSystemFacade` (the topic → process registry, its queries and
+``close()``) under those that keep one object per process.
 
 The harness is time-source-agnostic: by default it builds a discrete-event
 :class:`~repro.sim.engine.Engine` (the virtual-time oracle every golden
-test replays against), but any :class:`~repro.sim.clock.Clock` — e.g. the
-live runtime's wall-clock :class:`~repro.service.clock.AsyncClock` — can
-be injected together with a matching delivery
+test replays against), but another time source — the live runtime's
+wall-clock :class:`~repro.service.clock.AsyncClock`, which only reads
+``now`` — can be injected together with a matching delivery
 :class:`~repro.net.transport.Transport`. The protocol core above never
 notices the difference.
 """
@@ -166,18 +166,12 @@ class SimulationHarness:
         """Ground-truth liveness of ``pid`` now."""
         return self.network.is_alive(pid)
 
-    def __repr__(self) -> str:
-        return (
-            f"SimulationHarness(seed={self.rngs.master_seed}, "
-            f"actors={len(self.network)}, now={self.now})"
-        )
-
 
 class SystemFacade:
     """What every system is besides its protocol, on one harness.
 
     Subclasses keep their members in their own shape (process objects,
-    pid blocks), implement :meth:`_release`, call :meth:`_touch` from
+    pid blocks), call :meth:`_touch` from
     whatever adds members (or refuse to add once finalized), start their
     finalize with :meth:`_membership_rng` and end it with
     ``self._finalized = True``.
@@ -234,28 +228,6 @@ class SystemFacade:
         return self.harness.run_until_idle(max_events=max_events)
 
     # ------------------------------------------------------------------
-    # Lifetime
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release every member of a finished system (idempotent).
-
-        Drops the member registries and the network's actors. Those
-        registries are the only thing that ties a static system's
-        processes into reference cycles, so after ``close()`` they are
-        freed by reference count as soon as the caller lets go of the
-        system — not whenever the cycle collector next runs. Statistics,
-        tracker, clock and RNG streams stay readable; member queries see
-        an empty system, and adding, finalizing or publishing raises
-        :class:`ConfigError`.
-        """
-        self._release()
-        self.harness.close()
-
-    def _release(self) -> None:
-        """Drop this system's member registries."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
     # The finalize-before-publish gate and the publisher election
     # ------------------------------------------------------------------
     def _touch(self) -> None:
@@ -291,10 +263,11 @@ class SystemFacade:
 class ObjectSystemFacade(SystemFacade):
     """A system that keeps one process object per member.
 
-    The registry — topic → group list, pid → process — and every query
-    answered from it. A subclass provides ``_add_members(topic, count,
-    **options)``, which creates the processes and enters them into
-    ``_groups`` / ``_processes``; the process type needs ``pid`` only.
+    The registry — topic → group list, pid → process — every query
+    answered from it, and ``close()``, which lets go of it. A subclass
+    provides ``_add_members(topic, count, **options)``, which creates the
+    processes and enters them into ``_groups`` / ``_processes``; the
+    process type needs ``pid`` only.
     """
 
     def __init__(self, harness: SimulationHarness):
@@ -309,9 +282,21 @@ class ObjectSystemFacade(SystemFacade):
             self._processes
         )
 
-    def _release(self) -> None:
+    def close(self) -> None:
+        """Release every member of a finished system (idempotent).
+
+        Drops the member registries and the network's actors. Those
+        registries are the only thing that ties a static system's
+        processes into reference cycles, so after ``close()`` they are
+        freed by reference count as soon as the caller lets go of the
+        system — not whenever the cycle collector next runs. Statistics,
+        tracker, clock and RNG streams stay readable; member queries see
+        an empty system, and adding, finalizing or publishing raises
+        :class:`ConfigError`.
+        """
         self._processes.clear()
         self._groups.clear()
+        self.harness.close()
 
     # ------------------------------------------------------------------
     # Population

@@ -4,8 +4,8 @@ The same dissemination/membership code that runs under the deterministic
 discrete-event :class:`~repro.sim.engine.Engine` runs here as a live
 pub/sub service — the clock/transport seam is the only thing that changes:
 
-* :class:`~repro.service.clock.AsyncClock` implements the
-  :class:`~repro.sim.clock.Clock` protocol on an asyncio event loop;
+* :class:`~repro.service.clock.AsyncClock` reads time off an asyncio
+  event loop;
 * deliveries flow through a :class:`~repro.net.transport.QueueTransport`
   pumped by an asyncio task instead of the engine heap;
 * :class:`~repro.service.runtime.LiveRuntime` wraps it all in a
@@ -18,13 +18,12 @@ time — producing the *same per-topic delivery sets*, which the golden
 tests assert.
 """
 
-from repro.service.clock import AsyncClock, AsyncHandle
+from repro.service.clock import AsyncClock
 from repro.service.replay import delivery_sets_from_trace, replay_live_trace
 from repro.service.runtime import LiveRuntime
 
 __all__ = [
     "AsyncClock",
-    "AsyncHandle",
     "LiveRuntime",
     "delivery_sets_from_trace",
     "replay_live_trace",

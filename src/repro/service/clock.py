@@ -1,10 +1,11 @@
-"""Wall-clock :class:`~repro.sim.clock.Clock` over an asyncio event loop.
+"""Wall-clock time over an asyncio event loop.
 
 The live half of the clock seam: where :class:`~repro.sim.engine.Engine`
 *is* time (events advance it), :class:`AsyncClock` *reads* time from the
-loop's monotonic clock and delegates scheduling to ``loop.call_later``.
-The protocol core — :class:`~repro.sim.clock.PeriodicTask`, maintenance,
-membership — runs on either without modification.
+loop's monotonic clock. The live service runs a static system, whose
+processes only read ``now`` (the delivery queue and the tracker's
+timestamps); nothing on it schedules a timer, so the clock has no
+scheduling half.
 
 Wall-clock access is intentional and confined to this package; the
 determinism lint's DET002 allowlist exempts ``service/`` explicitly (see
@@ -14,62 +15,13 @@ determinism lint's DET002 allowlist exempts ``service/`` explicitly (see
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable
-
-from repro.errors import SchedulingError
-from repro.sim.clock import PeriodicTask
-from repro.validation import check_non_negative
-
-
-class AsyncHandle:
-    """Cancellable wrapper over an asyncio ``TimerHandle``.
-
-    Satisfies the :class:`~repro.sim.clock.Handle` protocol — asyncio's
-    own handle has ``cancel``/``cancelled`` but no fired/pending state,
-    which :class:`PeriodicTask` and tests rely on.
-    """
-
-    __slots__ = ("_timer", "_fired", "_cancelled")
-
-    def __init__(self):
-        self._timer: asyncio.TimerHandle | None = None
-        self._fired = False
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op once fired)."""
-        if self._fired or self._cancelled:
-            return
-        self._cancelled = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        return not self._fired and not self._cancelled
-
-    def _run(self, callback: Callable[[], Any]) -> None:
-        if self._cancelled:
-            return
-        self._fired = True
-        self._timer = None
-        callback()
 
 
 class AsyncClock:
-    """Reads ``loop.time()``; schedules via ``loop.call_later``.
+    """Reads ``loop.time()``.
 
-    Time is reported relative to the moment of :meth:`attach` (or first
-    use inside a running loop), so a fresh runtime starts near ``now == 0``
+    Time is reported relative to the moment of :meth:`attach`, so a fresh
+    runtime starts near ``now == 0``
     just like a fresh engine — keeping timestamps in recorded live traces
     comparable to virtual time.
     """
@@ -90,58 +42,9 @@ class AsyncClock:
         self._loop = resolved
         self._origin = resolved.time()
 
-    def _running(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            self.attach()  # raises outside a loop, which is the right error
-        return self._loop
-
-    @property
-    def attached(self) -> bool:
-        """Whether the clock is bound to a loop yet."""
-        return self._loop is not None
-
     @property
     def now(self) -> float:
         """Seconds since :meth:`attach` (0.0 before attachment)."""
         if self._loop is None:
             return 0.0
         return self._loop.time() - self._origin
-
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> AsyncHandle:
-        """Run ``callback`` after ``delay`` seconds of wall-clock time."""
-        check_non_negative(delay, "delay", error=SchedulingError)
-        loop = self._running()
-        handle = AsyncHandle()
-        handle._timer = loop.call_later(delay, handle._run, callback)
-        return handle
-
-    def schedule_at(self, time: float, callback: Callable[[], Any]) -> AsyncHandle:
-        """Run ``callback`` at absolute clock time ``time`` (>= now)."""
-        delay = time - self.now
-        if delay < 0:
-            raise SchedulingError(
-                f"cannot schedule in the past (time={time}, now={self.now})"
-            )
-        return self.schedule(delay, callback)
-
-    def every(
-        self,
-        interval: float,
-        callback: Callable[[], Any],
-        *,
-        initial_delay: float | None = None,
-        max_firings: int | None = None,
-    ) -> PeriodicTask:
-        """Fire ``callback`` every ``interval`` seconds (same
-        :class:`PeriodicTask` semantics as the engine)."""
-        return PeriodicTask(
-            self,
-            interval,
-            callback,
-            initial_delay=initial_delay,
-            max_firings=max_firings,
-        )
-
-    def __repr__(self) -> str:
-        state = f"now={self.now:.3f}" if self.attached else "detached"
-        return f"AsyncClock({state})"

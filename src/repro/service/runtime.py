@@ -57,13 +57,11 @@ class LiveRuntime:
         self,
         *,
         seed: int = 0,
-        mode: str = "static",
         config: DaMulticastConfig | None = None,
         p_success: float = 1.0,
         latency: LatencyModel = ZERO_LATENCY,
     ):
         self.seed = seed
-        self.mode = mode
         self.clock = AsyncClock()
         self.transport = QueueTransport(self.clock, on_enqueue=self._on_enqueue)
         self.harness = SimulationHarness(
@@ -76,7 +74,7 @@ class LiveRuntime:
         )
         self.system = DaMulticastSystem(
             config=config,
-            mode=mode,
+            mode="static",
             harness=self.harness,
             delivery_callback=self._on_delivery,
         )
@@ -101,10 +99,8 @@ class LiveRuntime:
     # ------------------------------------------------------------------
     def add_group(self, topic: str, count: int) -> list[DaMulticastProcess]:
         """Create ``count`` processes interested in ``topic``."""
-        if self._pump_task is not None and self.mode == "static":
-            raise ConfigError(
-                "static-mode topology is fixed once the runtime is started"
-            )
+        if self._pump_task is not None:
+            raise ConfigError("the topology is fixed once the runtime is started")
         processes = self.system.add_group(topic, count)
         self._topics.append((topic, count))
         return processes
@@ -121,8 +117,8 @@ class LiveRuntime:
     async def start(self) -> None:
         """Attach the clock to the running loop and start the pump task.
 
-        In static mode, membership tables are finalized here (once) —
-        mirroring the engine-backed setup sequence the replay performs.
+        Membership tables are finalized here (once) — mirroring the
+        engine-backed setup sequence the replay performs.
         """
         if self._pump_task is not None:
             raise ConfigError("LiveRuntime is already started")
@@ -130,7 +126,7 @@ class LiveRuntime:
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
-        if self.mode == "static" and not self._finalized:
+        if not self._finalized:
             self.system.finalize_static_membership()
             self._finalized = True
         self._pump_task = asyncio.create_task(
@@ -141,7 +137,7 @@ class LiveRuntime:
         self._pump_task.add_done_callback(lambda _task: self._idle.set())
 
     async def stop(self) -> None:
-        """Stop the pump task and every process's periodic work."""
+        """Stop the pump task."""
         task = self._pump_task
         self._pump_task = None
         if task is not None:
@@ -150,8 +146,6 @@ class LiveRuntime:
                 await task
             except asyncio.CancelledError:
                 pass
-        for process in self.system.processes:
-            process.unsubscribe()
 
     async def __aenter__(self) -> "LiveRuntime":
         await self.start()
@@ -294,7 +288,7 @@ class LiveRuntime:
         return {
             "version": TRACE_VERSION,
             "seed": self.seed,
-            "mode": self.mode,
+            "mode": "static",
             "p_success": self._p_success,
             "topics": [list(entry) for entry in self._topics],
             "publishes": [dict(record) for record in self._publishes],
@@ -303,10 +297,3 @@ class LiveRuntime:
                 for event_id, pids in self._deliveries.items()
             },
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"LiveRuntime(seed={self.seed}, mode={self.mode!r}, "
-            f"published={len(self._publishes)}, "
-            f"running={self._pump_task is not None})"
-        )

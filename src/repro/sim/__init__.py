@@ -11,7 +11,7 @@ perturb each other's random sequences.
 """
 
 from repro.sim.engine import Engine, EventHandle, PeriodicTask
-from repro.sim.rng import RngRegistry, derive_seed, spawn_seeds
+from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
     "Engine",
@@ -19,5 +19,4 @@ __all__ = [
     "PeriodicTask",
     "RngRegistry",
     "derive_seed",
-    "spawn_seeds",
 ]

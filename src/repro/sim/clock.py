@@ -1,4 +1,4 @@
-"""The clock/scheduler seam: one time-source protocol, two oracles.
+"""The clock/scheduler seam: the time-source protocol and periodic tasks.
 
 The protocol core (dissemination, maintenance, bootstrap, the baselines)
 never needs to know *what kind of time* it runs on — it only reads ``now``,
@@ -9,12 +9,12 @@ contract:
   ``schedule_at`` / ``every``; cancellation lives on the returned
   :class:`Handle`). :class:`repro.sim.engine.Engine` implements it as the
   **virtual-time oracle**: deterministic discrete-event time, the thing
-  golden tests replay against. :class:`repro.service.clock.AsyncClock`
-  implements it as the **wall-clock runtime**: the same protocol core
-  serving live traffic on an asyncio loop.
+  golden tests replay against. The live runtime's
+  :class:`repro.service.clock.AsyncClock` only reads wall-clock ``now``:
+  the static system it serves schedules nothing.
 * :class:`PeriodicTask` — the paper's repeatedly-executed tasks
   (KEEP_TABLE_UPDATED, FIND_SUPER_CONTACT), written against :class:`Clock`
-  only, so one implementation drives both oracles.
+  only.
 
 Code that needs engine-only capabilities (``run``, ``dispatch``, event
 accounting) keeps importing :class:`~repro.sim.engine.Engine`;
@@ -33,28 +33,12 @@ from repro.validation import check_positive
 class Handle(Protocol):
     """A scheduled callback that can be cancelled.
 
-    Returned by :meth:`Clock.schedule` / :meth:`Clock.schedule_at`.
-    :class:`repro.sim.engine.EventHandle` and
-    :class:`repro.service.clock.AsyncHandle` both satisfy it.
+    Returned by :meth:`Clock.schedule` / :meth:`Clock.schedule_at`;
+    :class:`repro.sim.engine.EventHandle` satisfies it.
     """
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op once fired)."""
-        ...  # pragma: no cover - protocol
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` won the race against firing."""
-        ...  # pragma: no cover - protocol
-
-    @property
-    def fired(self) -> bool:
-        """Whether the callback has already run."""
-        ...  # pragma: no cover - protocol
-
-    @property
-    def pending(self) -> bool:
-        """Whether the callback is still waiting to run."""
         ...  # pragma: no cover - protocol
 
 
@@ -99,9 +83,7 @@ class PeriodicTask:
     Models the paper's repeatedly-executed tasks (Fig. 6's
     KEEP_TABLE_UPDATED, Fig. 4's FIND_SUPER_CONTACT timeout loop). The task
     stops when :meth:`stop` is called or when the callback returns
-    ``False``. Written against :class:`Clock` only, so the same task class
-    drives virtual time (:class:`~repro.sim.engine.Engine`) and wall-clock
-    time (:class:`~repro.service.clock.AsyncClock`).
+    ``False``. Written against :class:`Clock` only.
     """
 
     def __init__(
@@ -122,16 +104,6 @@ class PeriodicTask:
         self._stopped = False
         delay = interval if initial_delay is None else initial_delay
         self._handle = clock.schedule(delay, self._fire)
-
-    @property
-    def firings(self) -> int:
-        """How many times the callback has run."""
-        return self._firings
-
-    @property
-    def running(self) -> bool:
-        """Whether the task is still scheduled."""
-        return not self._stopped
 
     def stop(self) -> None:
         """Cancel future firings."""

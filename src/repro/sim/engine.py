@@ -87,21 +87,6 @@ class EventHandle:
         self._fn = self._args = None
         self._queue._live -= self._count
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called before the call fired."""
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        """Whether the call has already been executed."""
-        return self._fn is None and not self._cancelled
-
-    @property
-    def pending(self) -> bool:
-        """Whether the call is still waiting to fire."""
-        return self._fn is not None
-
 
 class CallQueue:
     """Calls ordered by ``(time, push order)``, cancellable in O(1).
@@ -179,7 +164,7 @@ class Engine(CallQueue):
     :class:`~repro.net.transport.Transport`, so the protocol core written
     against :class:`Clock` runs here deterministically and on the live
     wall-clock runtime unchanged. It is a :class:`CallQueue` whose
-    :meth:`push` knows the current time; :meth:`step` and :meth:`run` pop
+    :meth:`push` knows the current time; :meth:`run` pops
     (``peek_time`` and ``pop_due`` see the heap only, not the bucket).
 
     >>> engine = Engine()
@@ -298,16 +283,6 @@ class Engine(CallQueue):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next call (one step, ``count`` processed
-        events). Returns False when nothing is queued.
-
-        One call can be a whole clean-channel *wave* — every fan-out the
-        previous wave's receivers issued (:mod:`repro.net.network`) — so
-        one step can deliver to a flood's whole next hop."""
-        before = self._processed
-        self._fire(inf, before + 1)
-        return self._processed != before
 
     def _fire(self, horizon: float, stop: float) -> bool:
         """Execute queued calls in ``(time, scheduling order)`` order.
@@ -315,8 +290,7 @@ class Engine(CallQueue):
         Returns True when ``processed`` reached ``stop`` with events still
         queued; False when the queue drained or nothing is left at or
         before ``horizon`` (simulation time then moves to ``horizon``).
-        The one copy of the step body: :meth:`step` is this loop stopping
-        after one call, :meth:`run` this loop under its guards.
+        :meth:`run` is this loop under its guards.
         """
         bucket = self._bucket
         heap = self._heap
@@ -401,9 +375,3 @@ class Engine(CallQueue):
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain (bounded by ``max_events``)."""
         return self.run(max_events=max_events)
-
-    def __repr__(self) -> str:
-        return (
-            f"Engine(now={self._now}, pending={self.pending}, "
-            f"processed={self._processed})"
-        )

@@ -12,9 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from typing import Iterator, Mapping
-
-from repro.errors import ConfigError
+from typing import Mapping
 
 #: Canonical registry of every named RNG stream in the tree, grouped by
 #: *scope*. A scope is one seed-derivation level: two labels can only
@@ -62,22 +60,14 @@ STREAM_REGISTRY: Mapping[str, tuple[str, ...]] = {
         "spec/churn",
         "spec/campaign",
     ),
-    # hashed with a sweep's master seed (experiments/runner.py cells and
-    # spawn_seeds repetitions)
+    # hashed with a sweep's master seed (experiments/runner.py cells)
     "sweep": (
         "{label}/{index}",
         "{label}/{point}/{j}",
     ),
-    # hashed with an RngRegistry's own master seed
-    "registry": ("fork/{name}",),
 }
 
 _PLACEHOLDER_RE = re.compile(r"\{[^{}]*\}")
-
-
-def normalize_stream_label(entry: str) -> str:
-    """Collapse every ``{placeholder}`` to ``{}`` for pattern comparison."""
-    return _PLACEHOLDER_RE.sub("{}", entry)
 
 
 def stream_pattern_regex(entry: str) -> re.Pattern[str]:
@@ -150,17 +140,6 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def spawn_seeds(master_seed: int, count: int, label: str = "run") -> list[int]:
-    """Fan a master seed out into ``count`` independent per-run seeds.
-
-    Used by the experiment runner: run *i* of a sweep gets
-    ``derive_seed(master_seed, f"{label}/{i}")``.
-    """
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
-    return [derive_seed(master_seed, f"{label}/{index}") for index in range(count)]
-
-
 class RngRegistry:
     """A registry of named :class:`random.Random` streams.
 
@@ -173,36 +152,14 @@ class RngRegistry:
 
     def __init__(self, master_seed: int):
         self._master_seed = master_seed
-        self._streams: dict[str, random.Random] = {}
-
-    @property
-    def master_seed(self) -> int:
-        """The master seed this registry was created with."""
-        return self._master_seed
+        #: name → stream, for every stream created so far
+        self.streams: dict[str, random.Random] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""
-        stream = self._streams.get(name)
+        stream = self.streams.get(name)
         if stream is None:
             # repro-lint: allow[DET004]: registry implementation — the caller's stream name is linted at each call site
             stream = random.Random(derive_seed(self._master_seed, name))
-            self._streams[name] = stream
+            self.streams[name] = stream
         return stream
-
-    def streams(self) -> Iterator[str]:
-        """Names of all streams created so far."""
-        return iter(sorted(self._streams))
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's.
-
-        Useful for nesting (e.g. one registry per simulated run inside a
-        sweep that itself draws from a registry).
-        """
-        return RngRegistry(derive_seed(self._master_seed, f"fork/{name}"))
-
-    def __repr__(self) -> str:
-        return (
-            f"RngRegistry(master_seed={self._master_seed}, "
-            f"streams={len(self._streams)})"
-        )

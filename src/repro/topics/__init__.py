@@ -13,8 +13,8 @@ provides:
 * :class:`~repro.topics.hierarchy.TopicDag` — the multi-inheritance
   extension sketched in the paper's conclusion (a topic may have several
   direct supertopics),
-* :mod:`~repro.topics.builders` — convenience constructors (chains, balanced
-  trees, the paper's three-level scenario hierarchy, random hierarchies).
+* :mod:`~repro.topics.builders` — convenience constructors (chains,
+  hierarchies from dotted names, balanced trees).
 """
 
 from repro.topics.topic import ROOT, Topic
@@ -23,8 +23,6 @@ from repro.topics.builders import (
     balanced_tree,
     chain,
     from_names,
-    paper_hierarchy,
-    random_hierarchy,
 )
 
 __all__ = [
@@ -35,6 +33,4 @@ __all__ = [
     "chain",
     "balanced_tree",
     "from_names",
-    "paper_hierarchy",
-    "random_hierarchy",
 ]

@@ -1,15 +1,14 @@
 """Convenience constructors for topic hierarchies.
 
-These cover the shapes used throughout the evaluation: the paper's
-three-level chain (§VII), deeper chains for the complexity analysis (§VI
-assumes a chain ``T0..Tt``), balanced trees for the baseline comparisons,
-and seeded random hierarchies for property-based tests.
+These cover the shapes used throughout the evaluation: chains for the
+paper's three-level scenario (§VII) and the complexity analysis (§VI
+assumes a chain ``T0..Tt``), hierarchies from dotted names, and balanced
+trees for the baseline comparisons.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ConfigError
 from repro.topics.hierarchy import TopicHierarchy
@@ -30,16 +29,6 @@ def chain(depth: int, prefix: str = "level") -> list[Topic]:
     for level in range(1, depth + 1):
         topics.append(topics[-1].child(f"{prefix}{level}"))
     return topics
-
-
-def paper_hierarchy() -> tuple[TopicHierarchy, list[Topic]]:
-    """The §VII simulation hierarchy: ``t = 3`` levels T0 (root), T1, T2.
-
-    Returns ``(hierarchy, [T0, T1, T2])``. The paper publishes on T2 (the
-    bottom-most topic) and measures dissemination up to the root group T0.
-    """
-    topics = chain(2, prefix="t")  # [., .t1, .t1.t2] -> T0, T1, T2
-    return TopicHierarchy.from_topics(topics), topics
 
 
 def from_names(names: Iterable[str]) -> TopicHierarchy:
@@ -69,50 +58,3 @@ def balanced_tree(arity: int, depth: int) -> TopicHierarchy:
                 next_frontier.append(child)
         frontier = next_frontier
     return hierarchy
-
-
-def random_hierarchy(
-    rng: random.Random,
-    n_topics: int,
-    max_children: int = 4,
-) -> TopicHierarchy:
-    """A random rooted hierarchy with ``n_topics`` non-root topics.
-
-    Each new topic attaches to a uniformly chosen existing topic that still
-    has fewer than ``max_children`` children, producing varied shapes for
-    property-based tests while keeping the tree connected by construction.
-    """
-    if n_topics < 0:
-        raise ConfigError(f"n_topics must be >= 0, got {n_topics}")
-    if max_children < 1:
-        raise ConfigError(f"max_children must be >= 1, got {max_children}")
-    hierarchy = TopicHierarchy()
-    attachable: list[Topic] = [ROOT]
-    child_counts: dict[Topic, int] = {ROOT: 0}
-    for index in range(n_topics):
-        parent = rng.choice(attachable)
-        child = parent.child(f"n{index}")
-        hierarchy.add(child)
-        child_counts[child] = 0
-        child_counts[parent] += 1
-        if child_counts[parent] >= max_children:
-            attachable.remove(parent)
-        attachable.append(child)
-    return hierarchy
-
-
-def group_sizes_for_chain(
-    topics: Sequence[Topic], sizes: Sequence[int]
-) -> dict[Topic, int]:
-    """Zip a chain of topics with per-level group sizes.
-
-    The §VII scenario uses sizes ``[10, 100, 1000]`` for ``[T0, T1, T2]``.
-    """
-    if len(topics) != len(sizes):
-        raise ConfigError(
-            f"got {len(topics)} topics but {len(sizes)} sizes; they must match"
-        )
-    for size in sizes:
-        if size < 1:
-            raise ConfigError(f"every group must have >= 1 process, got {size}")
-    return dict(zip(topics, sizes))

@@ -12,7 +12,7 @@ maximum topic depth (the paper's §VI assumes a chain T0..Tt of depth t).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import HierarchyError, UnknownTopic
 from repro.topics.topic import ROOT, Topic
@@ -22,14 +22,12 @@ class TopicHierarchy:
     """A rooted tree of registered topics.
 
     >>> h = TopicHierarchy.from_topics([Topic.parse(".dsn04.reviewers")])
-    >>> h.depth
-    2
-    >>> [t.name for t in h.chain_to_root(Topic.parse(".dsn04.reviewers"))]
-    ['.dsn04.reviewers', '.dsn04', '.']
+    >>> [t.name for t in h.topics]
+    ['.', '.dsn04', '.dsn04.reviewers']
     """
 
     def __init__(self) -> None:
-        self._children: dict[Topic, set[Topic]] = {ROOT: set()}
+        self._topics: set[Topic] = {ROOT}
 
     # ------------------------------------------------------------------
     # Construction
@@ -49,117 +47,25 @@ class TopicHierarchy:
         no-op, so callers need not deduplicate.
         """
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        node = resolved
-        while not node.is_root:
-            parent = node.super_topic
-            assert parent is not None  # not root
-            siblings = self._children.setdefault(parent, set())
-            siblings.add(node)
-            self._children.setdefault(node, set())
-            node = parent
+        self._topics.update(resolved.ancestors(include_self=True))
         return resolved
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, topic: Topic) -> bool:
-        return topic in self._children
-
-    def __len__(self) -> int:
-        return len(self._children)
-
-    def __iter__(self) -> Iterator[Topic]:
-        return iter(sorted(self._children))
+        return topic in self._topics
 
     @property
     def topics(self) -> list[Topic]:
         """All registered topics, sorted (root first)."""
-        return sorted(self._children)
-
-    @property
-    def depth(self) -> int:
-        """The hierarchy depth ``t``: maximum topic depth (root = 0)."""
-        return max(topic.depth for topic in self._children)
+        return sorted(self._topics)
 
     def require(self, topic: Topic) -> Topic:
         """Return ``topic`` if registered, else raise :class:`UnknownTopic`."""
-        if topic not in self._children:
+        if topic not in self._topics:
             raise UnknownTopic(f"topic {topic.name} is not in the hierarchy")
         return topic
-
-    def children(self, topic: Topic) -> list[Topic]:
-        """Direct subtopics of ``topic``, sorted."""
-        self.require(topic)
-        return sorted(self._children[topic])
-
-    def super_of(self, topic: Topic) -> Topic | None:
-        """``super(topic)`` within the hierarchy (None for the root)."""
-        self.require(topic)
-        return topic.super_topic
-
-    def subtree(self, topic: Topic) -> list[Topic]:
-        """``topic`` and every registered topic it includes, sorted."""
-        self.require(topic)
-        return sorted(t for t in self._children if topic.includes(t))
-
-    def leaves(self) -> list[Topic]:
-        """Topics with no registered subtopic, sorted."""
-        return sorted(t for t, kids in self._children.items() if not kids)
-
-    def level(self, depth: int) -> list[Topic]:
-        """All registered topics at exactly ``depth`` hops below the root."""
-        return sorted(t for t in self._children if t.depth == depth)
-
-    def chain_to_root(self, topic: Topic) -> list[Topic]:
-        """``[topic, super(topic), ..., root]`` — the dissemination path."""
-        self.require(topic)
-        return list(topic.ancestors(include_self=True))
-
-    def parents_of(self, topic: Topic) -> list[Topic]:
-        """Direct supertopics (singleton list, or empty for the root).
-
-        Provided so tree and DAG hierarchies expose the same interface.
-        """
-        self.require(topic)
-        parent = topic.super_topic
-        return [] if parent is None else [parent]
-
-    def next_including_with(
-        self, topic: Topic, predicate: Callable[[Topic], bool]
-    ) -> Topic | None:
-        """First strict supertopic of ``topic`` satisfying ``predicate``.
-
-        This is the paper's "first topic, according to the topic hierarchy
-        level, that induces Ti" used when no process is interested in the
-        direct supertopic (§III-B): we walk up the chain and return the
-        nearest supertopic accepted by ``predicate`` (e.g. "has interested
-        processes"), or ``None`` when none qualifies.
-        """
-        self.require(topic)
-        for ancestor in topic.ancestors(include_self=False):
-            if predicate(ancestor):
-                return ancestor
-        return None
-
-    def validate(self) -> None:
-        """Check structural invariants; raise :class:`HierarchyError` if broken.
-
-        The tree built through :meth:`add` is correct by construction; this
-        is a guard for hierarchies assembled by external tooling.
-        """
-        if ROOT not in self._children:
-            raise HierarchyError("hierarchy lost its root topic")
-        for topic in self._children:
-            if topic.is_root:
-                continue
-            parent = topic.super_topic
-            if parent not in self._children:
-                raise HierarchyError(f"{topic.name} has unregistered parent")
-            if topic not in self._children[parent]:
-                raise HierarchyError(f"{topic.name} missing from parent's children")
-
-    def __repr__(self) -> str:
-        return f"TopicHierarchy({len(self)} topics, depth={self.depth})"
 
 
 class TopicDag:
@@ -174,15 +80,6 @@ class TopicDag:
 
     def __init__(self) -> None:
         self._parents: dict[Topic, set[Topic]] = {ROOT: set()}
-        self._children: dict[Topic, set[Topic]] = {ROOT: set()}
-
-    @classmethod
-    def from_hierarchy(cls, hierarchy: TopicHierarchy) -> "TopicDag":
-        """Lift a tree hierarchy into a DAG (each topic keeps its one parent)."""
-        dag = cls()
-        for topic in hierarchy.topics:
-            dag.add(topic)
-        return dag
 
     def add(self, topic: Topic | str) -> Topic:
         """Register ``topic`` with its implicit dotted-path ancestry."""
@@ -190,12 +87,10 @@ class TopicDag:
         node = resolved
         while node not in self._parents:
             self._parents[node] = set()
-            self._children.setdefault(node, set())
             parent = node.super_topic
             if parent is None:
                 break
             self._parents[node].add(parent)
-            self._children.setdefault(parent, set()).add(node)
             node = parent
         return resolved
 
@@ -212,19 +107,12 @@ class TopicDag:
                 f"linking {topic.name} under {extra_parent.name} creates a cycle"
             )
         self._parents[topic].add(extra_parent)
-        self._children[extra_parent].add(topic)
 
     def parents_of(self, topic: Topic) -> list[Topic]:
         """All direct supertopics of ``topic`` (implicit + linked), sorted."""
         if topic not in self._parents:
             raise UnknownTopic(f"topic {topic.name} is not in the DAG")
         return sorted(self._parents[topic])
-
-    def children(self, topic: Topic) -> list[Topic]:
-        """All direct subtopics of ``topic``, sorted."""
-        if topic not in self._children:
-            raise UnknownTopic(f"topic {topic.name} is not in the DAG")
-        return sorted(self._children[topic])
 
     def is_ancestor(self, maybe_ancestor: Topic, topic: Topic) -> bool:
         """Whether ``maybe_ancestor`` is strictly reachable upward from ``topic``."""
@@ -238,30 +126,5 @@ class TopicDag:
             frontier.extend(self._parents.get(node, ()))
         return maybe_ancestor in seen
 
-    def ancestors(self, topic: Topic) -> list[Topic]:
-        """Every topic that includes ``topic`` through any parent chain."""
-        if topic not in self._parents:
-            raise UnknownTopic(f"topic {topic.name} is not in the DAG")
-        seen: set[Topic] = set()
-        frontier = list(self._parents[topic])
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(self._parents.get(node, ()))
-        return sorted(seen)
-
-    @property
-    def topics(self) -> list[Topic]:
-        """All registered topics, sorted (root first)."""
-        return sorted(self._parents)
-
     def __contains__(self, topic: Topic) -> bool:
         return topic in self._parents
-
-    def __len__(self) -> int:
-        return len(self._parents)
-
-    def __repr__(self) -> str:
-        return f"TopicDag({len(self)} topics)"

@@ -19,7 +19,6 @@
 
 from repro.workloads.scenarios import PaperScenario
 from repro.workloads.subscriptions import (
-    per_level_counts,
     uniform_subscriptions,
     zipf_subscriptions,
 )
@@ -42,7 +41,6 @@ from repro.workloads.spec import (
 
 __all__ = [
     "PaperScenario",
-    "per_level_counts",
     "uniform_subscriptions",
     "zipf_subscriptions",
     "single_shot",

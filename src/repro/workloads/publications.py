@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.topics.topic import Topic
@@ -134,12 +134,3 @@ class PoissonSchedule:
             )
             schedule.append(ScheduledPublication(now, topic))
         return schedule
-
-    def __iter__(self) -> Iterator[Topic]:
-        return iter(self.topics)
-
-    def __repr__(self) -> str:
-        return (
-            f"PoissonSchedule({len(self.topics)} topics, rate={self.rate}, "
-            f"horizon={self.horizon})"
-        )

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.params import TopicParams
 from repro.errors import ConfigError
 from repro.topics.builders import chain
 from repro.topics.topic import Topic
@@ -59,10 +58,6 @@ class PaperScenario:
     def topics(self) -> list[Topic]:
         """The chain topics, root first: [T0, T1, ..., Tt]."""
         return chain(self.depth, prefix="t")
-
-    def params(self) -> TopicParams:
-        """The per-group protocol parameters."""
-        return TopicParams(**{name: getattr(self, name) for name in self._PARAMS})
 
     def spec(self, *, alive_fraction: float = 1.0, failure_mode: str = "stillborn") -> dict:
         """This scenario as a plain spec (``paper-vii`` at the defaults).

@@ -1546,9 +1546,7 @@ class BuiltScenario:
     def delivery_windows(self, window: float) -> list[WindowPoint]:
         """Sliding-window delivery-ratio series of this run (event time).
 
-        See :func:`repro.metrics.degradation.delivery_ratio_series`; the
-        repair time after a fault/failure window is
-        :func:`repro.metrics.degradation.time_to_repair` over this series.
+        See :func:`repro.metrics.degradation.delivery_ratio_series`.
         """
         return delivery_ratio_series(self.system.tracker, window)
 

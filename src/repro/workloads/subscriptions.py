@@ -10,31 +10,12 @@ motivates).
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import ConfigError
 from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 from repro.validation import check_non_negative
-
-
-def per_level_counts(
-    topics: Sequence[Topic], counts: Sequence[int]
-) -> dict[Topic, int]:
-    """Fixed subscriber counts per topic (the §VII shape).
-
-    >>> from repro.topics.builders import chain
-    >>> per_level_counts(chain(2), [10, 100, 1000])  # doctest: +ELLIPSIS
-    {...}
-    """
-    if len(topics) != len(counts):
-        raise ConfigError(
-            f"{len(topics)} topics but {len(counts)} counts; must match"
-        )
-    for count in counts:
-        if count < 0:
-            raise ConfigError(f"counts must be >= 0, got {count}")
-    return dict(zip(topics, counts))
 
 
 def uniform_subscriptions(

@@ -33,7 +33,7 @@ class TestComparisonTable:
     def test_all_algorithms_present(self):
         tables = comparison_table()
         for table in tables.values():
-            algorithms = table.column("algorithm")
+            algorithms = [row["algorithm"] for row in table.as_dicts()]
             assert any("daMulticast" in a for a in algorithms)
             assert any("(a)" in a for a in algorithms)
             assert any("(b)" in a for a in algorithms)
@@ -83,6 +83,6 @@ class TestComparisonTable:
     def test_log_base_propagates(self):
         natural = comparison_table(ChainScenario(log_base=math.e))
         base10 = comparison_table(ChainScenario(log_base=10.0))
-        natural_messages = natural["messages"].column("messages")[0]
-        base10_messages = base10["messages"].column("messages")[0]
+        natural_messages = natural["messages"].as_dicts()[0]["messages"]
+        base10_messages = base10["messages"].as_dicts()[0]["messages"]
         assert base10_messages < natural_messages  # log10 < ln

@@ -119,7 +119,7 @@ class TestMulticast:
 class TestHierarchical:
     def test_cluster_partition(self):
         system = populate(HierarchicalGossipSystem(seed=0, n_clusters=5))
-        clusters = system.clusters()
+        clusters = system._clusters
         assert len(clusters) == 5
         total = sum(len(members) for members in clusters.values())
         assert total == sum(SIZES.values())
@@ -138,7 +138,7 @@ class TestHierarchical:
     def test_cross_cluster_table_excludes_own_cluster(self):
         system = populate(HierarchicalGossipSystem(seed=0, n_clusters=5))
         cluster_of = {
-            p.pid: key for key, members in system.clusters().items() for p in members
+            p.pid: key for key, members in system._clusters.items() for p in members
         }
         for process in system.processes:
             cross = process.groups[CLUSTERS_ROOT]
@@ -183,7 +183,7 @@ class TestHierarchical:
         inter = sum(system.stats.inter_group_sent.values())
         assert inter >= 1
         # each cross-cluster batch is addressed to its targets' cluster
-        clusters = set(system.clusters())
+        clusters = set(system._clusters)
         for source, destination in system.stats.inter_group_sent:
             assert source in clusters and destination in clusters
             assert source != destination

@@ -77,7 +77,7 @@ class TestDissemination:
         publisher = system.group(T2)[0]
         system.publish(T2, publisher=publisher)
         system.run_until_idle()
-        load = system.stats.sender_load(publisher.pid)
+        load = system.stats.events_sent_by_sender[publisher.pid]
         # The publisher alone pays >= one fan-out per populated level.
         per_level = [
             min(system.params.fanout(SIZES[t]), system.params.table_capacity(SIZES[t]))
@@ -90,9 +90,9 @@ class TestDissemination:
         publisher = system.group(T2)[0]
         system.publish(T2, publisher=publisher)
         system.run_until_idle()
-        publisher_load = system.stats.sender_load(publisher.pid)
+        publisher_load = system.stats.events_sent_by_sender[publisher.pid]
         other_loads = [
-            system.stats.sender_load(p.pid)
+            system.stats.events_sent_by_sender[p.pid]
             for p in system.processes
             if p.pid != publisher.pid
         ]
@@ -107,9 +107,7 @@ class TestDissemination:
         built = scenario.build(seed=0)
         built.execute()
         (event,) = built.published
-        ours = built.system.stats.sender_load(
-            built.system.tracker.publisher_of(event.event_id)
-        )
+        ours = built.system.stats.events_sent_by_sender[event.event_id.publisher]
 
         system = NaivePublisherSystem(
             seed=0, c=scenario.c, log_base=scenario.fanout_log_base
@@ -120,7 +118,7 @@ class TestDissemination:
         publisher = system.group(scenario.topics()[-1])[0]
         system.publish(publisher.interest, publisher=publisher)
         system.run_until_idle()
-        assert system.stats.sender_load(publisher.pid) >= ours + 5
+        assert system.stats.events_sent_by_sender[publisher.pid] >= ours + 5
 
     def test_publish_requires_finalize(self):
         system = NaivePublisherSystem(seed=0)

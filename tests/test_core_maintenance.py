@@ -115,13 +115,4 @@ class TestLifecycle:
         system = build()
         system.run(until=5.0)
         for process in system.group(ROOT):
-            assert not process.maintenance.running
-
-    def test_unsubscribe_stops_everything(self):
-        system = build()
-        system.run(until=10.0)
-        process = system.group(T2)[0]
-        process.unsubscribe()
-        assert not process.maintenance.running
-        assert not process.find_super_contact.active
-        assert not process.membership.started
+            assert process.maintenance._task is None

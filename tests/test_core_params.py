@@ -88,11 +88,6 @@ class TestDerived:
         assert params.table_capacity(1000) == 12  # (3+1)*3
         assert params.table_capacity(1) == 1
 
-    def test_memory_footprint(self):
-        params = TopicParams(c=5, z=3, fanout_log_base=10)
-        assert params.memory_footprint(1000) == pytest.approx(3 + 5 + 3)
-        assert params.memory_footprint(1000, has_super=False) == pytest.approx(8)
-
 
 class TestConfig:
     def test_default_params(self):
@@ -101,18 +96,12 @@ class TestConfig:
 
     def test_override(self):
         special = TopicParams(c=9)
-        config = DaMulticastConfig().with_override(T2, special)
+        config = DaMulticastConfig(overrides={T2: special})
         assert config.params_for(T2) == special
         assert config.params_for(T1) == TopicParams()
 
-    def test_with_override_is_persistent_copy(self):
-        base = DaMulticastConfig()
-        derived = base.with_override(T2, TopicParams(c=9))
-        assert base.params_for(T2) == TopicParams()
-        assert derived.params_for(T2).c == 9
-
-    def test_with_defaults(self):
-        config = DaMulticastConfig().with_defaults(TopicParams(c=2))
+    def test_default_params_apply_without_override(self):
+        config = DaMulticastConfig(default_params=TopicParams(c=2))
         assert config.params_for(T1).c == 2
 
     def test_interval_validation(self):
@@ -128,22 +117,21 @@ class TestConfig:
 
 class TestOverrideInheritance:
     def test_no_inheritance_by_default(self):
-        config = DaMulticastConfig().with_override(T1, TopicParams(c=9))
+        config = DaMulticastConfig(overrides={T1: TopicParams(c=9)})
         assert config.params_for(T2) == TopicParams()  # T2 under T1
 
     def test_subtree_inherits_nearest_ancestor(self):
-        config = DaMulticastConfig(inherit_overrides=True).with_override(
-            T1, TopicParams(c=9)
+        config = DaMulticastConfig(
+            overrides={T1: TopicParams(c=9)}, inherit_overrides=True
         )
         assert config.params_for(T2).c == 9
         deep = Topic.parse(".t1.t2.t3.t4")
         assert config.params_for(deep).c == 9
 
     def test_exact_override_beats_inherited(self):
-        config = (
-            DaMulticastConfig(inherit_overrides=True)
-            .with_override(T1, TopicParams(c=9))
-            .with_override(T2, TopicParams(c=2))
+        config = DaMulticastConfig(
+            overrides={T1: TopicParams(c=9), T2: TopicParams(c=2)},
+            inherit_overrides=True,
         )
         assert config.params_for(T2).c == 2
 
@@ -152,16 +140,15 @@ class TestOverrideInheritance:
         mid_override = TopicParams(c=7)
         from repro.topics import ROOT
 
-        config = (
-            DaMulticastConfig(inherit_overrides=True)
-            .with_override(ROOT, root_override)
-            .with_override(T1, mid_override)
+        config = DaMulticastConfig(
+            overrides={ROOT: root_override, T1: mid_override},
+            inherit_overrides=True,
         )
         assert config.params_for(T2).c == 7
         assert config.params_for(Topic.parse(".other")).c == 1
 
     def test_siblings_unaffected(self):
-        config = DaMulticastConfig(inherit_overrides=True).with_override(
-            T1, TopicParams(c=9)
+        config = DaMulticastConfig(
+            overrides={T1: TopicParams(c=9)}, inherit_overrides=True
         )
         assert config.params_for(Topic.parse(".other.leaf")) == TopicParams()

@@ -105,7 +105,6 @@ class TestSubscriptionLifecycle:
     def test_static_mode_starts_no_tasks(self):
         system = tiny_system(mode="static")
         for process in system.processes:
-            process.unsubscribe()
             process.subscribe()
             assert not hasattr(process, "maintenance")
             assert not hasattr(process, "find_super_contact")
@@ -119,14 +118,11 @@ class TestSubscriptionLifecycle:
         assert process.group_size == 100
 
     def test_group_size_estimated_without_hint(self):
-        system = tiny_system()
+        system = tiny_system(mode="dynamic")
         process = system.group(T2)[0]
         process._group_size_cell = None
         process._group_size_hint = None
-        assert process.group_size == process.tables.stride + 1
-        assert process.group_size == len(
-            process.tables.row_pids(process.row)
-        ) + 1
+        assert process.group_size == len(process.membership.view) + 1
 
 
 class TestPiggybackMerge:
@@ -138,7 +134,7 @@ class TestPiggybackMerge:
             (ProcessDescriptor(t1_member.pid, T1),)
         )
         assert process.super_table.target_topic == T1
-        assert t1_member.pid in process.super_table
+        assert t1_member.pid in process.super_table.pids
 
     def test_wrong_topic_samples_rejected(self):
         system = tiny_system(mode="dynamic")

@@ -88,7 +88,7 @@ class TestMembershipConvergence:
         system = build_dynamic_system()
         system.run(until=30.0)
         for process in system.processes:
-            for descriptor in process.topic_table():
+            for descriptor in process.topic_table().descriptors():
                 assert descriptor.topic == process.topic
 
 
@@ -152,7 +152,7 @@ class TestMaintenance:
         system = build_dynamic_system()
         system.run(until=5.0)
         for process in system.group(ROOT):
-            assert not process.maintenance.running
+            assert process.maintenance._task is None
 
 
 class TestLateJoin:
@@ -164,7 +164,7 @@ class TestLateJoin:
         assert len(late.topic_table()) >= 1
         event = system.publish(T2)
         system.run(until=90.0)
-        assert system.tracker.received_by(event.event_id, late.pid) or (
+        assert late.pid in system.tracker.receivers(event.event_id) or (
             system.delivered_fraction(event, T2) >= 0.9
         )
 

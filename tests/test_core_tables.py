@@ -77,7 +77,7 @@ class TestMergeFresh:
         table.adopt(T1, descs(T1, [1, 2, 3]), RNG, own_topic=T2)
         admitted = table.merge_fresh([1, 2], descs(T1, [10, 11, 12]))
         assert admitted == 2
-        assert 3 in table  # favorite survived
+        assert 3 in table.pids  # favorite survived
         assert len(table) == 3
 
     def test_rejects_wrong_topic_fresh(self):
@@ -118,14 +118,6 @@ class TestCheck:
         assert table.alive_pids(now=1.0, timeout=1.0) == [1]
         assert table.stale_pids(now=1.0, timeout=1.0) == [2]
 
-    def test_remove_clears_proofs(self):
-        table = SuperTopicTable(z=3)
-        table.adopt(T1, descs(T1, [1]), RNG, own_topic=T2)
-        table.record_proof_of_life(1, now=1.0)
-        table.remove(1)
-        assert table.check(now=1.0, timeout=10.0) == 0
-        assert table.is_empty
-
 
 class TestQueries:
     def test_targets_direct_super(self):
@@ -146,12 +138,11 @@ class TestQueries:
         table.adopt(T1, descs(T1, [1, 2, 3]), RNG, own_topic=T2)
         assert len(table.sample(2, RNG)) == 2
 
-    def test_iteration_and_contains(self):
+    def test_descriptors_and_pids(self):
         table = SuperTopicTable(z=3)
         table.adopt(T1, descs(T1, [1, 2]), RNG, own_topic=T2)
-        assert {d.pid for d in table} == {1, 2}
-        assert 1 in table
-        assert 9 not in table
+        assert {d.pid for d in table.descriptors()} == {1, 2}
+        assert sorted(table.pids) == [1, 2]
 
 
 class TestInstall:

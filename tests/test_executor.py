@@ -15,6 +15,7 @@ import inspect
 import multiprocessing
 import os
 import warnings
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -87,7 +88,7 @@ class TestBackendEquivalence:
 
     def test_warm_repeated_calls_identical(self):
         cells = _cells([0.5, 1.5, 2.5])
-        with PoolExecutor(2) as pool:
+        with closing(PoolExecutor(2)) as pool:
             first = pool.map_cells(poly, cells, master_seed=4)
             second = pool.map_cells(poly, cells, master_seed=4)
         assert first == second
@@ -99,7 +100,7 @@ class TestBackendEquivalence:
 class TestWarmPoolReuse:
     def test_workers_persist_across_calls(self):
         cells = _cells([float(i) for i in range(8)])
-        with PoolExecutor(2) as pool:
+        with closing(PoolExecutor(2)) as pool:
             pids_first = {
                 r["pid"] for r in pool.map_cells(worker_pid, cells)
             }
@@ -115,7 +116,7 @@ class TestWarmPoolReuse:
     def test_workers_start_from_a_forkserver(self):
         # Never forked from this (threaded) interpreter: every worker
         # the pool holds is a forkserver child.
-        with PoolExecutor(2) as pool:
+        with closing(PoolExecutor(2)) as pool:
             pool.map_cells(worker_pid, _cells([float(i) for i in range(8)]))
             children = multiprocessing.active_children()
         assert children
@@ -127,7 +128,7 @@ class TestWarmPoolReuse:
     def test_warm_pool_survives_cell_failure(self):
         ok_cells = _cells([1.0, 3.0])
         bad_cells = _cells([1.0, 2.0, 3.0])
-        with PoolExecutor(2) as pool:
+        with closing(PoolExecutor(2)) as pool:
             before = pool.map_cells(fail_at_two, ok_cells)
             with pytest.raises(SweepWorkerError, match="point=2.0"):
                 pool.map_cells(fail_at_two, bad_cells)
@@ -150,7 +151,7 @@ class TestWarmPoolReuse:
 
     def test_single_cell_never_spawns_pool(self):
         # Lambdas are unpicklable; a 1-cell call must stay in-process.
-        with PoolExecutor(4) as pool:
+        with closing(PoolExecutor(4)) as pool:
             assert pool.map_cells(
                 lambda p, s: {"y": p}, _cells([7.0])
             ) == [{"y": 7.0}]

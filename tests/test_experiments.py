@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.cli import main
+from repro.core.params import TopicParams
 from repro.errors import ConfigError
 from repro.experiments import (
     aggregate_runs,
@@ -264,7 +265,6 @@ class TestRunner:
         )
         assert result.points == [1.0, 2.0, 3.0]
         assert result.means["y"] == [2.0, 4.0, 6.0]
-        assert result.series("y") == [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]
 
     def test_run_sweep_refuses_points_with_different_metric_keys(self):
         # Ragged columns would report b's value from x = 1.0 at x = 0.0.
@@ -300,18 +300,19 @@ class TestFigures:
         assert list(table.columns) == [
             "alive_fraction", "msgs_T2", "msgs_T1", "msgs_T0",
         ]
-        msgs_t2 = table.column("msgs_T2")
+        msgs_t2 = [row["msgs_T2"] for row in table.as_dicts()]
         assert msgs_t2[-1] > msgs_t2[0]  # more alive -> more messages
 
     def test_figure8_full_aliveness_scale(self):
         table = run_figure8(grid=(1.0,), runs=1, scenario=SMALL)
-        fanout = SMALL.params().fanout(64)
-        assert table.column("msgs_T2")[0] == pytest.approx(64 * fanout, rel=0.2)
+        fanout = TopicParams(c=SMALL.c, fanout_log_base=SMALL.fanout_log_base).fanout(64)
+        (row,) = table.as_dicts()
+        assert row["msgs_T2"] == pytest.approx(64 * fanout, rel=0.2)
 
     def test_figure9_columns(self):
         table = run_figure9(grid=GRID, runs=2, scenario=SMALL)
         assert list(table.columns) == ["alive_fraction", "T2->T1", "T1->T0"]
-        assert table.column("T2->T1")[-1] >= 1
+        assert table.as_dicts()[-1]["T2->T1"] >= 1
 
     def test_figure10_full_aliveness_near_one(self):
         table = run_figure10(grid=(1.0,), runs=2, scenario=SMALL)
@@ -333,9 +334,9 @@ class TestFigures:
         fig11 = run_figure11(grid=(alive,), runs=4, scenario=SMALL)
         # Dynamic (transient) failures give markedly better delivery than
         # stillborn failures — the paper's Fig. 11 observation.
-        assert fig11.column("recv_T2")[0] > fig10.column("recv_T2")[0]
+        assert fig11.as_dicts()[0]["recv_T2"] > fig10.as_dicts()[0]["recv_T2"]
         assert (
-            fig11.column("recv_T0")[0] >= fig10.column("recv_T0")[0] - 1e-9
+            fig11.as_dicts()[0]["recv_T0"] >= fig10.as_dicts()[0]["recv_T0"] - 1e-9
         )
 
     @pytest.mark.parametrize("name", sorted(RECORDED_CALLS))
@@ -464,19 +465,19 @@ class TestAblations:
         table = sweep_link_redundancy(
             g_values=(1, 20), scenario=SMALL, alive_fraction=0.6, runs=3
         )
-        inter = table.column("inter_msgs")
+        inter = [row["inter_msgs"] for row in table.as_dicts()]
         assert inter[-1] > inter[0]  # more links -> more inter messages
         # ...and no worse root delivery, as the pit-based prediction says
-        recv_root = table.column("recv_root")
+        recv_root = [row["recv_root"] for row in table.as_dicts()]
         assert recv_root[-1] >= recv_root[0] - 0.05
-        analytic = table.column("analytic_root")
+        analytic = [row["analytic_root"] for row in table.as_dicts()]
         assert analytic[-1] >= analytic[0]
 
     def test_link_redundancy_analytic_column(self):
         table = sweep_link_redundancy(
             g_values=(5,), scenario=SMALL, runs=1
         )
-        analytic = table.column("analytic_root")[0]
+        analytic = table.as_dicts()[0]["analytic_root"]
         assert 0.0 <= analytic <= 1.0
 
     def test_fanout_constant_tradeoff(self):

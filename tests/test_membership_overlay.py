@@ -11,34 +11,30 @@ from repro.topics import Topic
 T = Topic.parse(".t")
 
 
-def population(n):
-    return [ProcessDescriptor(pid, T) for pid in range(n)]
+def grown(n, degree=5, seed=0):
+    """An overlay ``n`` processes joined one by one (the system's way)."""
+    overlay = BootstrapOverlay(degree=degree)
+    rng = random.Random(seed)
+    for pid in range(n):
+        overlay.add_process(ProcessDescriptor(pid, T), rng)
+    return overlay
 
 
-class TestPopulate:
-    def test_degree_contacts(self):
-        overlay = BootstrapOverlay(degree=5)
-        overlay.populate(population(50), random.Random(0))
-        for pid in range(50):
-            contacts = overlay.neighborhood(pid)
-            assert len(contacts) == 5
-            assert all(c.pid != pid for c in contacts)
+class TestGrowth:
+    def test_joiners_get_degree_distinct_contacts(self):
+        overlay = grown(50, degree=5)
+        for pid in range(5, 50):
+            contacts = [c.pid for c in overlay.neighborhood(pid)]
+            assert len(contacts) >= 5
+            assert len(set(contacts)) == len(contacts)
+            assert pid not in contacts
 
-    def test_small_population(self):
-        overlay = BootstrapOverlay(degree=5)
-        overlay.populate(population(3), random.Random(0))
-        assert len(overlay.neighborhood(0)) == 2
+    def test_early_joiners_get_what_exists(self):
+        overlay = grown(3, degree=5)
+        assert len(overlay.neighborhood(2)) >= 2
 
-    def test_contacts_distinct(self):
-        overlay = BootstrapOverlay(degree=10)
-        overlay.populate(population(30), random.Random(1))
-        contacts = overlay.neighborhood(0)
-        assert len({c.pid for c in contacts}) == len(contacts)
-
-    def test_len_and_contains(self):
-        overlay = BootstrapOverlay()
-        overlay.populate(population(10), random.Random(0))
-        assert len(overlay) == 10
+    def test_contains(self):
+        overlay = grown(10)
         assert 3 in overlay
         assert 99 not in overlay
 
@@ -49,15 +45,13 @@ class TestPopulate:
 
 class TestAddProcess:
     def test_late_joiner_gets_contacts(self):
-        overlay = BootstrapOverlay(degree=4)
-        overlay.populate(population(20), random.Random(0))
+        overlay = grown(20, degree=4)
         joiner = ProcessDescriptor(100, T)
         overlay.add_process(joiner, random.Random(1))
         assert len(overlay.neighborhood(100)) == 4
 
     def test_late_joiner_is_discoverable(self):
-        overlay = BootstrapOverlay(degree=4)
-        overlay.populate(population(20), random.Random(0))
+        overlay = grown(20, degree=4)
         joiner = ProcessDescriptor(100, T)
         overlay.add_process(joiner, random.Random(1))
         knowers = [
@@ -74,20 +68,12 @@ class TestAddProcess:
 
 
 class TestQueries:
-    def test_descriptor_lookup(self):
-        overlay = BootstrapOverlay()
-        overlay.populate(population(5), random.Random(0))
-        assert overlay.descriptor(3).pid == 3
-
     def test_unknown_pid_raises(self):
         overlay = BootstrapOverlay()
         with pytest.raises(UnknownActor):
             overlay.neighborhood(7)
-        with pytest.raises(UnknownActor):
-            overlay.descriptor(7)
 
     def test_neighborhood_returns_copy(self):
-        overlay = BootstrapOverlay()
-        overlay.populate(population(5), random.Random(0))
-        overlay.neighborhood(0).clear()
-        assert overlay.neighborhood(0)  # unaffected
+        overlay = grown(5)
+        overlay.neighborhood(4).clear()
+        assert overlay.neighborhood(4)  # unaffected

@@ -89,7 +89,7 @@ class TestSuperRows:
         for _ in range(3):
             builder.draw_row(rng)
         tables = builder.tables(T1, [7, 8, 9])
-        assert len(tables) == 3
+        assert tables.size == 3
         assert [tables.row_pids(i) for i in range(3)] == [
             builder.rows[4 * i : 4 * i + 4].tolist() for i in range(3)
         ]

@@ -130,13 +130,6 @@ class TestQueries:
         assert view.pids == [3, 1, 2]
         assert [d.pid for d in view.descriptors()] == [3, 1, 2]
 
-    def test_is_full(self):
-        view = PartialView(2)
-        view.add(desc(1))
-        assert not view.is_full
-        view.add(desc(2))
-        assert view.is_full
-
     def test_sample_size_and_exclusion(self):
         rng = random.Random(0)
         view = PartialView(10)
@@ -164,14 +157,6 @@ class TestQueries:
         sample = view.sample(10, rng)
         assert len({d.pid for d in sample}) == 10
 
-    def test_iteration_snapshot_safe(self):
-        view = PartialView(5)
-        for pid in range(3):
-            view.add(desc(pid))
-        for descriptor in view:
-            view.remove(descriptor.pid)  # must not blow up mid-iteration
-        assert len(view) == 0
-
 
 class TestInstall:
     def test_install_replaces_content(self):
@@ -190,7 +175,7 @@ class TestInstall:
     def test_install_at_exact_capacity(self):
         view = PartialView(3)
         view.install([desc(1), desc(2), desc(3)])
-        assert view.is_full
+        assert len(view) == view.capacity == 3
 
     def test_install_over_capacity_raises(self):
         view = PartialView(2)

@@ -1,4 +1,5 @@
-"""Graceful-degradation metrics on both tracker flavours."""
+"""Graceful-degradation metrics: the windowed series (full tracker) and
+the per-topic summary (both tracker flavours)."""
 
 import pytest
 
@@ -7,10 +8,8 @@ from repro.errors import MetricsError
 from repro.metrics import (
     DeliveryTracker,
     StreamingDeliveryTracker,
-    WindowPoint,
     degradation_summary,
     delivery_ratio_series,
-    time_to_repair,
 )
 from repro.topics import Topic
 
@@ -47,12 +46,12 @@ def populate(tracker):
 def tracker(request):
     if request.param == "full":
         return populate(DeliveryTracker())
-    return populate(StreamingDeliveryTracker(window=2.0))
+    return populate(StreamingDeliveryTracker())
 
 
 class TestDeliveryRatioSeries:
-    def test_series_shape_and_ratios(self, tracker):
-        series = delivery_ratio_series(tracker, window=2.0)
+    def test_series_shape_and_ratios(self):
+        series = delivery_ratio_series(populate(DeliveryTracker()), window=2.0)
         assert [p.ratio for p in series] == [1.0, pytest.approx(1 / 3), 1.0]
         assert [(p.start, p.end) for p in series] == [
             (0.0, 2.0),
@@ -63,16 +62,9 @@ class TestDeliveryRatioSeries:
         assert [p.expected for p in series] == [6, 3, 2]
         assert [p.delivered for p in series] == [6, 1, 2]
 
-    def test_full_and_streaming_series_agree(self):
-        full = delivery_ratio_series(populate(DeliveryTracker()), window=2.0)
-        streaming = delivery_ratio_series(
-            populate(StreamingDeliveryTracker(window=2.0))
-        )
-        assert full == streaming
-
-    def test_late_delivery_attributed_to_publish_window(self, tracker):
+    def test_late_delivery_attributed_to_publish_window(self):
         # event 4 published at t=4 but delivered at t=9: still window [4,6)
-        series = delivery_ratio_series(tracker, window=2.0)
+        series = delivery_ratio_series(populate(DeliveryTracker()), window=2.0)
         assert series[-1].start == 4.0
         assert series[-1].ratio == 1.0
 
@@ -92,69 +84,16 @@ class TestDeliveryRatioSeries:
         assert point.ratio is None
         assert point.delivered == 1
 
-    def test_full_tracker_requires_window(self):
-        with pytest.raises(MetricsError):
-            delivery_ratio_series(DeliveryTracker())
-
     @pytest.mark.parametrize("bad", [0, -1.0, float("nan"), float("inf"), True])
     def test_window_validation(self, bad):
         with pytest.raises(MetricsError):
             delivery_ratio_series(DeliveryTracker(), window=bad)
 
-    def test_streaming_refuses_to_rebucket(self):
-        t = populate(StreamingDeliveryTracker(window=2.0))
-        with pytest.raises(MetricsError, match="re-bucket"):
-            delivery_ratio_series(t, window=1.0)
-        # matching width is fine
-        assert delivery_ratio_series(t, window=2.0)
-
-    def test_streaming_without_window_has_no_series(self):
+    def test_streaming_tracker_has_no_series(self):
         t = StreamingDeliveryTracker()
         t.record_publish(event(1), publisher=0, expected=1)
-        with pytest.raises(MetricsError):
-            delivery_ratio_series(t)
-
-
-class TestTimeToRepair:
-    def test_repair_time_is_gap_to_first_healthy_window(self, tracker):
-        series = delivery_ratio_series(tracker, window=2.0)
-        # fault window [2, 4) closes at 4.0; window starting at 4.0 is
-        # healthy again → repair time 0 measured from 4.0, 1.0 from 3.0
-        assert time_to_repair(series, after=4.0) == 0.0
-        assert time_to_repair(series, after=3.0) == 1.0
-
-    def test_windows_straddling_after_are_skipped(self, tracker):
-        series = delivery_ratio_series(tracker, window=2.0)
-        # after=1.0 sits inside the healthy [0,2) window, which must be
-        # skipped: first eligible window [2,4) is degraded, repair at 4.0
-        assert time_to_repair(series, after=1.0) == 3.0
-
-    def test_never_recovers_returns_none(self):
-        series = [
-            WindowPoint(0.0, 2.0, 1, 3, 1, 1 / 3),
-            WindowPoint(2.0, 4.0, 1, 3, 2, 2 / 3),
-        ]
-        assert time_to_repair(series, after=0.0) is None
-        assert time_to_repair(series, after=99.0) is None
-
-    def test_threshold_is_inclusive_and_tunable(self):
-        series = [WindowPoint(0.0, 1.0, 1, 4, 3, 0.75)]
-        assert time_to_repair(series, after=0.0, threshold=0.75) == 0.0
-        assert time_to_repair(series, after=0.0, threshold=0.76) is None
-
-    def test_none_ratio_windows_do_not_count_as_repaired(self):
-        series = [WindowPoint(0.0, 1.0, 1, 0, 0, None)]
-        assert time_to_repair(series, after=0.0) is None
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), True, "0.9"])
-    def test_threshold_validation(self, bad):
-        with pytest.raises(MetricsError):
-            time_to_repair([], after=0.0, threshold=bad)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "3"])
-    def test_after_validation(self, bad):
-        with pytest.raises(MetricsError):
-            time_to_repair([], after=bad)
+        with pytest.raises(MetricsError, match="full DeliveryTracker"):
+            delivery_ratio_series(t, window=1.0)
 
 
 class TestDegradationSummary:
@@ -172,7 +111,7 @@ class TestDegradationSummary:
     def test_full_and_streaming_summaries_agree(self):
         full = degradation_summary(populate(DeliveryTracker()))
         streaming = degradation_summary(
-            populate(StreamingDeliveryTracker(window=2.0))
+            populate(StreamingDeliveryTracker())
         )
         for name in full:
             assert full[name] == pytest.approx(streaming[name])

@@ -1,18 +1,11 @@
 """Streaming delivery tracker: aggregates, bounds, and loud refusals."""
 
-import math
-
 import pytest
 
 from repro.core.columnar import ColumnarStaticSystem
 from repro.core.events import Event, EventId
 from repro.errors import MetricsError
-from repro.metrics import (
-    DeliveryTracker,
-    StreamingDeliveryTracker,
-    topic_delivery_summary,
-)
-from repro.metrics.streaming import _bucket_upper_bound, _latency_bucket
+from repro.metrics import StreamingDeliveryTracker
 from repro.topics import Topic
 
 T1 = Topic.parse(".t1")
@@ -27,18 +20,13 @@ class TestAggregates:
     def test_publish_and_delivery_fold_into_topic_stats(self):
         tracker = StreamingDeliveryTracker()
         e = event(at=1.0)
-        tracker.record_publish(e, publisher=0)
+        tracker.record_publish(e, publisher=0, expected=3)
         tracker.record_delivery(1, e, 3.0, hops=2)
         tracker.record_delivery(2, e, 5.0, hops=4)
         stats = tracker.topic_stats(T2)
         assert stats.published == 1
         assert stats.delivered == 2
-        assert stats.latency_sum == pytest.approx(6.0)
-        assert stats.latency_min == pytest.approx(2.0)
-        assert stats.latency_max == pytest.approx(4.0)
-        assert stats.mean_latency == pytest.approx(3.0)
-        assert stats.mean_hops == pytest.approx(3.0)
-        assert stats.hops_max == 4
+        assert stats.expected_sum == 3
         assert tracker.deliveries == 2
         assert tracker.events_published == 1
 
@@ -55,69 +43,7 @@ class TestAggregates:
         stats = tracker.topic_stats(T1)
         assert stats.published == 0
         assert stats.delivered == 0
-        assert stats.mean_latency is None
-        assert stats.mean_hops is None
-        assert tracker.mean_latency(T1) is None
-        assert tracker.latency_percentile(T1, 0.5) is None
-
-    def test_hops_optional(self):
-        tracker = StreamingDeliveryTracker()
-        tracker.record_delivery(1, event(), 1.0)
-        stats = tracker.topic_stats(T2)
-        assert stats.hops_count == 0
-        assert stats.mean_hops is None
-
-    def test_clear(self):
-        tracker = StreamingDeliveryTracker()
-        tracker.record_publish(event(), 0)
-        tracker.record_delivery(1, event(), 1.0)
-        tracker.clear()
         assert tracker.state_size() == 0
-        assert tracker.deliveries == 0
-        assert tracker.events_published == 0
-
-
-class TestPercentiles:
-    def test_bucket_edges(self):
-        assert _latency_bucket(0.0) == 0
-        assert _latency_bucket(-1.0) == 0
-        assert _bucket_upper_bound(0) == 0.0
-        # latency in [2**(e-1), 2**e) lands in the bucket whose upper
-        # bound is 2**e
-        for latency in (0.75, 1.0, 1.5, 2.0, 1000.0, 2**-20):
-            # latency lives in the half-open magnitude range
-            # [upper/2, upper); frexp puts exact powers of two at the
-            # lower edge inclusive.
-            upper = _bucket_upper_bound(_latency_bucket(latency))
-            assert upper / 2 <= latency < upper
-        # clamping: denormal-tiny and astronomically-large both stay in
-        # range
-        assert _latency_bucket(1e-300) == 1
-        assert _latency_bucket(1e300) == 63
-
-    def test_zero_latency_percentiles_are_exact(self):
-        tracker = StreamingDeliveryTracker()
-        for pid in range(10):
-            tracker.record_delivery(pid, event(), 0.0)
-        assert tracker.latency_percentile(T2, 0.5) == 0.0
-        assert tracker.latency_percentile(T2, 1.0) == 0.0
-
-    def test_percentile_bounded_by_max(self):
-        tracker = StreamingDeliveryTracker()
-        for pid, latency in enumerate((0.1, 0.2, 0.3, 1.7)):
-            tracker.record_delivery(pid, event(), latency)
-        p100 = tracker.latency_percentile(T2, 1.0)
-        assert p100 == pytest.approx(1.7)  # capped at latency_max
-        p25 = tracker.latency_percentile(T2, 0.25)
-        assert 0.1 <= p25 <= 0.3  # bucket upper bound approximation
-
-    def test_quantile_validated(self):
-        tracker = StreamingDeliveryTracker()
-        tracker.record_delivery(1, event(), 1.0)
-        with pytest.raises(MetricsError):
-            tracker.latency_percentile(T2, 1.5)
-        with pytest.raises(MetricsError):
-            tracker.topic_stats(T2).latency_percentile(-0.1)
 
 
 class TestPerEventQueriesRefuse:
@@ -125,47 +51,13 @@ class TestPerEventQueriesRefuse:
         "query",
         [
             lambda t: t.receivers(EventId(0, 1)),
-            lambda t: t.received_by(EventId(0, 1), 1),
-            lambda t: t.delivered(EventId(0, 1), 1),
             lambda t: t.delivery_count(EventId(0, 1)),
-            lambda t: t.delivery_times(EventId(0, 1)),
-            lambda t: t.delivery_hops(EventId(0, 1)),
-            lambda t: t.event(EventId(0, 1)),
-            lambda t: t.publisher_of(EventId(0, 1)),
         ],
     )
     def test_raises_metrics_error(self, query):
         tracker = StreamingDeliveryTracker()
         with pytest.raises(MetricsError, match="streaming tracker"):
             query(tracker)
-
-
-class TestTopicDeliverySummary:
-    def test_streaming_and_full_agree(self):
-        """The same delivery stream summarised by either tracker flavour
-        yields identical per-topic numbers."""
-        full = DeliveryTracker()
-        streaming = StreamingDeliveryTracker()
-        deliveries = [
-            (event(1, T2, at=0.0), [(1, 1.0), (2, 3.0)]),
-            (event(2, T2, at=2.0), [(1, 2.5)]),
-            (event(3, T1, at=0.0), [(5, 4.0)]),
-        ]
-        for e, receivers in deliveries:
-            for tracker in (full, streaming):
-                tracker.record_publish(e, publisher=0)
-                for pid, time in receivers:
-                    tracker.record_delivery(pid, e, time)
-        for topic in (T1, T2):
-            full_summary = topic_delivery_summary(full, topic)
-            stream_summary = topic_delivery_summary(streaming, topic)
-            assert full_summary == pytest.approx(stream_summary)
-
-    def test_undelivered_topic(self):
-        summary = topic_delivery_summary(StreamingDeliveryTracker(), T1)
-        assert summary == {
-            "published": 0, "delivered": 0, "mean_latency": None,
-        }
 
 
 class TestMemoryBound:

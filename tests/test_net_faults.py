@@ -298,7 +298,7 @@ class TestNetworkWiring:
         """The disabled path must be provably draw-free — the bit-identity
         guarantee for every pre-existing scenario rests on it."""
         engine, net, actors = make_net()  # no faults installed
-        assert net.faults is None
+        assert net._fault_hook is None
         net.send(0, 1, Ping(sender=0, nonce=1))
         net.multicast(0, [1, 2, 3], Ping(sender=0, nonce=2))
         engine.run()
@@ -306,7 +306,7 @@ class TestNetworkWiring:
 
     def test_no_faults_instance_uninstalls(self):
         _, net, _ = make_net(faults=NoFaults())
-        assert net.faults is None
+        assert net._fault_hook is None
 
     def test_active_model_requires_rng(self):
         engine = Engine()
@@ -394,7 +394,6 @@ class TestNetworkWiring:
     def test_install_faults_can_swap_models_mid_run(self):
         engine, net, actors = make_net()
         net.install_faults(BernoulliLoss(1.0), random.Random(1))
-        assert isinstance(net.faults, BernoulliLoss)
         net.send(0, 1, Ping(sender=0, nonce=1))
         net.install_faults(None)
         net.send(0, 1, Ping(sender=0, nonce=2))

@@ -136,11 +136,6 @@ class TestLatencyModels:
         with pytest.raises(ConfigError, match="finite"):
             ExponentialLatency(float("nan"))
 
-    def test_reprs(self):
-        assert "2.5" in repr(ConstantLatency(2.5))
-        assert "Uniform" in repr(UniformLatency(0, 1))
-        assert "Exponential" in repr(ExponentialLatency(1.0))
-
 
 class TestLinkClassLatency:
     def _model(self):

@@ -40,9 +40,8 @@ def make_net(**kwargs):
 
 
 class TestRegistration:
-    def test_register_and_lookup(self):
+    def test_register(self):
         _, net, actors = make_net()
-        assert net.actor(0) is actors[0]
         assert 2 in net
         assert len(net) == 4
         assert 4 not in net and -1 not in net
@@ -51,11 +50,6 @@ class TestRegistration:
         _, net, _ = make_net()
         with pytest.raises(ConfigError):
             net.register(Recorder(0))
-
-    def test_unknown_actor_lookup_raises(self):
-        _, net, _ = make_net()
-        with pytest.raises(UnknownActor):
-            net.actor(99)
 
     def test_send_to_unknown_raises(self):
         _, net, _ = make_net()

@@ -65,7 +65,7 @@ class TestAggregates:
         stats.record_delivered(ping)
         stats.record_dropped(ping, "channel_loss")
         assert stats.total_sent == 2
-        assert stats.total_delivered == 1
+        assert sum(stats.delivered_by_kind.values()) == 1
         assert stats.total_dropped == 1
 
     def test_as_dict_stable_keys(self):

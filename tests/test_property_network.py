@@ -48,8 +48,9 @@ def test_conservation_sent_equals_delivered_plus_dropped(
     engine.run()
     stats = network.stats
     assert stats.total_sent == attempted
-    assert stats.total_delivered + stats.total_dropped == attempted
-    assert sum(a.received for a in actors) == stats.total_delivered
+    delivered = sum(stats.delivered_by_kind.values())
+    assert delivered + stats.total_dropped == attempted
+    assert sum(a.received for a in actors) == delivered
 
 
 @given(
@@ -101,7 +102,7 @@ def test_dynamic_failures_never_kill_ground_truth(p_fail, seed):
     # account for every attempt.
     stats = network.stats
     assert (
-        stats.total_delivered
+        sum(stats.delivered_by_kind.values())
         + stats.dropped_by_reason["perceived_failed"]
         == 30
     )
@@ -118,6 +119,7 @@ class MemberActor:
             engine,
             rng,
             send=lambda target, msg: network.send(self.pid, target, msg),
+            multicast=lambda targets, msg: network.multicast(self.pid, targets, msg),
         )
 
     def handle_message(self, message):
@@ -151,6 +153,6 @@ def test_flat_membership_invariants_under_loss(n, capacity, seed, p_success):
         view = actor.membership.view
         assert len(view) <= capacity
         assert actor.pid not in view
-        for descriptor in view:
+        for descriptor in view.descriptors():
             assert descriptor.topic == GROUP
             assert 0 <= descriptor.pid < n

@@ -136,7 +136,7 @@ def test_failures_never_break_invariants(sizes, seed, alive_fraction):
     system.run_until_idle()
     # Dead processes never deliver.
     for pid in failed:
-        assert not system.tracker.received_by(event.event_id, pid)
+        assert pid not in system.tracker.receivers(event.event_id)
     # Nothing exceeds the message bound even under failures.
     for topic, size in zip(topics, sizes):
         sent = system.stats.events_sent_in_group(topic)

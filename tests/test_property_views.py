@@ -92,9 +92,9 @@ def test_super_table_merge_fresh_keeps_capacity_and_favorites(
     table.merge_fresh(stale, [ProcessDescriptor(p, T1) for p in fresh])
     assert len(table) <= 3
     for pid in survivors:
-        assert pid in table  # favorites always survive MERGE
+        assert pid in table.pids  # favorites always survive MERGE
     for pid in stale:
-        assert pid not in table
+        assert pid not in table.pids
 
 
 @given(

@@ -9,6 +9,11 @@ make the exporting module reachable: ``from pkg import Name`` follows only
 the ``__init__`` statement that binds ``Name``, while a bare ``import pkg``
 follows the whole ``__init__`` (that is how ``repro.lint.rules`` registers
 its rules).
+
+A module counts as reached here however little of it runs. The
+function-level gate, ``tests/function_reach.py`` (its own CI job), holds
+every def: each one is entered by an entry point, or listed there with an
+allowed reason.
 """
 
 import ast

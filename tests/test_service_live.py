@@ -202,7 +202,7 @@ class TestFailingDeliveries:
             network = runtime.system.network
             if per_fan_out:
                 network.partition_model = OpenPartition()
-            process = network.actor(runtime.system.group_pids(".conf.dsn")[3])
+            process = runtime.system.group(".conf.dsn")[3]
             handle_message = process.handle_message
             receptions = []
 

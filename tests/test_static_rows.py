@@ -46,7 +46,7 @@ def flood_digest(system, event) -> str:
     hops = system.tracker.delivery_hops(event.event_id)
     digest.update(repr(sorted(hops.items())).encode())
     rngs = system.harness.rngs
-    for name in rngs.streams():
+    for name in sorted(rngs.streams):
         digest.update(name.encode())
         digest.update(repr(rngs.stream(name).getstate()).encode())
     return digest.hexdigest()
@@ -172,9 +172,9 @@ def _receiver_state(system, host, pid):
     """What a stray message could move: the receiver's dedup state and
     rows, the network counters and every RNG stream."""
     rngs = system.harness.rngs
-    streams = {name: rngs.stream(name).getstate() for name in rngs.streams()}
+    streams = {name: rngs.stream(name).getstate() for name in sorted(rngs.streams)}
     if host == "columnar":
-        actor = system.network.actor(pid)
+        actor = system.group_actor(T2)
         index = pid - actor.base
         seen = {eid: bytes(mask) for eid, mask in actor._seen.items()}
         table_rows = (
@@ -201,13 +201,17 @@ def test_static_processes_refuse_protocol_messages(host, kind):
     system.finalize_static_membership()
     system.publish(T2)
     system.run_until_idle()
-    receiver = system.group_pids(T2)[3]
-    sender = system.group_pids(T1)[0]
+    if host == "columnar":
+        receiver = system.group_actor(T2).base + 3
+        sender = system.group_actor(T1).base
+    else:
+        receiver = system.group_pids(T2)[3]
+        sender = system.group_pids(T1)[0]
     message = PROTOCOL_MESSAGES[kind](sender, ProcessDescriptor(sender, T1))
     before = _receiver_state(system, host, receiver)
     with pytest.raises(ProtocolError, match=f"cannot handle {kind}$"):
         if host == "columnar":
-            system.network.actor(receiver).handle_batch(
+            system.group_actor(T2).handle_batch(
                 sender, (receiver,), message
             )
         else:

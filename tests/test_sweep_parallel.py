@@ -29,6 +29,7 @@ import subprocess
 import sys
 import time
 import warnings
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,11 @@ from pool_cells import (
 )
 
 
+def stored_entries(store) -> int:
+    """How many cell entries ``store`` holds on disk."""
+    return sum(1 for _ in store.root.glob("*/*.json"))
+
+
 def _survive_a_killed_worker(root):
     """A dead worker fails the sweep fast; the pool and the cache recover.
 
@@ -71,7 +77,7 @@ def _survive_a_killed_worker(root):
         SweepCell(arg=float(p), seed_name=f"kill/{p}", describe=f"point={p}")
         for p in range(1, 7)
     ]
-    with PoolExecutor(2) as pool:
+    with closing(PoolExecutor(2)) as pool:
         started = time.perf_counter()
         with pytest.raises(SweepWorkerError) as excinfo:
             pool.map_cells(run, cells)
@@ -92,7 +98,7 @@ def _survive_a_killed_worker(root):
         with pytest.raises(SweepWorkerError):
             caching.map_cells(run, cells)
         # Each cell is stored from inside its worker as it finishes.
-        stored = len(store)
+        stored = stored_entries(store)
         assert stored < len(cells)
         sentinel.unlink()
         results = caching.map_cells(run, cells)
@@ -182,7 +188,7 @@ class TestSerialParallelEquivalence:
             SweepCell(arg=float(i), seed_name=f"chunk/{i}")
             for i in range(count)
         ]
-        with PoolExecutor(jobs) as pool:
+        with closing(PoolExecutor(jobs)) as pool:
             parallel = pool.map_cells(poly, cells, master_seed=5)
         assert parallel == run_cells(poly, cells, master_seed=5)
 
@@ -347,7 +353,7 @@ class TestSpecStringOwnership:
         leaves_no_pool_behind(failing)
 
     def test_an_instance_stays_open_for_its_owner(self):
-        with PoolExecutor(2) as pool:
+        with closing(PoolExecutor(2)) as pool:
             run_sweep(poly, [1.0, 2.0], runs=2, executor=pool)
             assert multiprocessing.active_children()
         assert multiprocessing.active_children() == []

@@ -43,8 +43,6 @@ class TestOneObjectPerPath:
         assert Topic.parse("ident.a.b") is leaf
         assert middle.child("b") is leaf
         assert leaf.super_topic is middle
-        assert leaf.common_ancestor(Topic.parse(".ident.a.c")) is middle
-        assert leaf.common_ancestor(Topic.parse(".other")) is ROOT
         assert list(leaf.ancestors(include_self=True)) == [
             leaf, middle, Topic.parse(".ident"), ROOT
         ]

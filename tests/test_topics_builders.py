@@ -1,12 +1,9 @@
 """Unit tests for hierarchy builders."""
 
-import random
-
 import pytest
 
 from repro.errors import ConfigError
-from repro.topics import ROOT, Topic, balanced_tree, chain, from_names, paper_hierarchy
-from repro.topics.builders import group_sizes_for_chain, random_hierarchy
+from repro.topics import ROOT, Topic, balanced_tree, chain, from_names
 
 
 class TestChain:
@@ -29,22 +26,6 @@ class TestChain:
             chain(-1)
 
 
-class TestPaperHierarchy:
-    def test_three_levels(self):
-        hierarchy, topics = paper_hierarchy()
-        assert len(topics) == 3
-        t0, t1, t2 = topics
-        assert t0 == ROOT
-        assert t1.super_topic == t0
-        assert t2.super_topic == t1
-        assert hierarchy.depth == 2  # root at depth 0, T2 at depth 2
-
-    def test_registered_in_hierarchy(self):
-        hierarchy, topics = paper_hierarchy()
-        for t in topics:
-            assert t in hierarchy
-
-
 class TestFromNames:
     def test_from_names(self):
         h = from_names([".a.b", ".c"])
@@ -56,58 +37,17 @@ class TestBalancedTree:
     def test_shape(self):
         h = balanced_tree(arity=2, depth=2)
         # root + 2 + 4 topics
-        assert len(h) == 7
-        assert len(h.leaves()) == 4
-        assert h.depth == 2
+        assert len(h.topics) == 7
+        assert [t.name for t in h.topics if t.depth == 2] == [
+            ".s0.s0", ".s0.s1", ".s1.s0", ".s1.s1"
+        ]
 
     def test_depth_zero(self):
         h = balanced_tree(arity=3, depth=0)
-        assert len(h) == 1
+        assert h.topics == [ROOT]
 
     def test_invalid_args(self):
         with pytest.raises(ConfigError):
             balanced_tree(0, 1)
         with pytest.raises(ConfigError):
             balanced_tree(2, -1)
-
-
-class TestRandomHierarchy:
-    def test_size(self):
-        h = random_hierarchy(random.Random(7), n_topics=20)
-        assert len(h) == 21  # includes root
-
-    def test_determinism(self):
-        a = random_hierarchy(random.Random(3), n_topics=15)
-        b = random_hierarchy(random.Random(3), n_topics=15)
-        assert a.topics == b.topics
-
-    def test_max_children_respected(self):
-        h = random_hierarchy(random.Random(1), n_topics=50, max_children=2)
-        for t in h.topics:
-            assert len(h.children(t)) <= 2
-
-    def test_validates(self):
-        h = random_hierarchy(random.Random(5), n_topics=30)
-        h.validate()
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigError):
-            random_hierarchy(random.Random(0), n_topics=-1)
-        with pytest.raises(ConfigError):
-            random_hierarchy(random.Random(0), n_topics=5, max_children=0)
-
-
-class TestGroupSizes:
-    def test_zip(self):
-        topics = chain(2)
-        sizes = group_sizes_for_chain(topics, [10, 100, 1000])
-        assert sizes[topics[0]] == 10
-        assert sizes[topics[2]] == 1000
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ConfigError):
-            group_sizes_for_chain(chain(1), [1, 2, 3])
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ConfigError):
-            group_sizes_for_chain(chain(1), [0, 5])

@@ -14,8 +14,7 @@ class TestTopicHierarchy:
     def test_empty_hierarchy_contains_root(self):
         h = TopicHierarchy()
         assert ROOT in h
-        assert len(h) == 1
-        assert h.depth == 0
+        assert h.topics == [ROOT]
 
     def test_add_registers_ancestors(self):
         h = TopicHierarchy()
@@ -23,13 +22,13 @@ class TestTopicHierarchy:
         assert topic(".a") in h
         assert topic(".a.b") in h
         assert topic(".a.b.c") in h
-        assert len(h) == 4  # root + 3
+        assert len(h.topics) == 4  # root + 3
 
     def test_add_is_idempotent(self):
         h = TopicHierarchy()
         h.add(".a.b")
         h.add(".a.b")
-        assert len(h) == 3
+        assert len(h.topics) == 3
 
     def test_add_accepts_topic_objects(self):
         h = TopicHierarchy()
@@ -38,81 +37,17 @@ class TestTopicHierarchy:
 
     def test_from_topics(self):
         h = TopicHierarchy.from_topics([".a.x", ".a.y", topic(".b")])
-        assert len(h) == 5  # root, .a, .a.x, .a.y, .b
+        assert len(h.topics) == 5  # root, .a, .a.x, .a.y, .b
 
-    def test_children_sorted(self):
-        h = TopicHierarchy.from_topics([".a.y", ".a.x"])
-        assert h.children(topic(".a")) == [topic(".a.x"), topic(".a.y")]
+    def test_topics_sorted_root_first(self):
+        h = TopicHierarchy.from_topics([".b", ".a.x"])
+        assert h.topics == [ROOT, topic(".a"), topic(".a.x"), topic(".b")]
 
-    def test_children_of_unknown_raises(self):
-        h = TopicHierarchy()
-        with pytest.raises(UnknownTopic):
-            h.children(topic(".missing"))
-
-    def test_super_of(self):
-        h = TopicHierarchy.from_topics([".a.b"])
-        assert h.super_of(topic(".a.b")) == topic(".a")
-        assert h.super_of(ROOT) is None
-
-    def test_subtree(self):
-        h = TopicHierarchy.from_topics([".a.x", ".a.y.z", ".b"])
-        subtree = h.subtree(topic(".a"))
-        assert topic(".a") in subtree
-        assert topic(".a.y.z") in subtree
-        assert topic(".b") not in subtree
-
-    def test_leaves(self):
-        h = TopicHierarchy.from_topics([".a.x", ".a.y", ".b"])
-        assert h.leaves() == [topic(".a.x"), topic(".a.y"), topic(".b")]
-
-    def test_level(self):
-        h = TopicHierarchy.from_topics([".a.x", ".b"])
-        assert h.level(0) == [ROOT]
-        assert h.level(1) == [topic(".a"), topic(".b")]
-        assert h.level(2) == [topic(".a.x")]
-
-    def test_depth(self):
-        h = TopicHierarchy.from_topics([".a.b.c", ".x"])
-        assert h.depth == 3
-
-    def test_chain_to_root(self):
-        h = TopicHierarchy.from_topics([".a.b"])
-        assert h.chain_to_root(topic(".a.b")) == [topic(".a.b"), topic(".a"), ROOT]
-        assert h.chain_to_root(ROOT) == [ROOT]
-
-    def test_parents_of(self):
-        h = TopicHierarchy.from_topics([".a.b"])
-        assert h.parents_of(topic(".a.b")) == [topic(".a")]
-        assert h.parents_of(ROOT) == []
-
-    def test_next_including_with(self):
-        h = TopicHierarchy.from_topics([".a.b.c"])
-        populated = {topic(".a")}
-        found = h.next_including_with(topic(".a.b.c"), lambda t: t in populated)
-        assert found == topic(".a")
-
-    def test_next_including_with_none_found(self):
-        h = TopicHierarchy.from_topics([".a.b"])
-        assert h.next_including_with(topic(".a.b"), lambda t: False) is None
-
-    def test_iteration_sorted_root_first(self):
-        h = TopicHierarchy.from_topics([".b", ".a"])
-        assert list(h)[0] == ROOT
-
-    def test_validate_passes_for_built_tree(self):
-        h = TopicHierarchy.from_topics([".a.b.c", ".a.d"])
-        h.validate()  # no raise
-
-    def test_validate_detects_corruption(self):
-        h = TopicHierarchy.from_topics([".a.b"])
-        # Corrupt internals deliberately (white-box).
-        del h._children[topic(".a")]
-        with pytest.raises(HierarchyError):
-            h.validate()
-
-    def test_repr(self):
+    def test_require(self):
         h = TopicHierarchy.from_topics([".a"])
-        assert "2 topics" in repr(h)
+        assert h.require(topic(".a")) is topic(".a")
+        with pytest.raises(UnknownTopic):
+            h.require(topic(".missing"))
 
 
 class TestTopicDag:
@@ -150,16 +85,6 @@ class TestTopicDag:
         with pytest.raises(HierarchyError):
             dag.link(topic(".a"), topic(".a"))
 
-    def test_ancestors_follow_all_parents(self):
-        dag = TopicDag()
-        dag.add(".sports.football")
-        dag.add(".news")
-        dag.link(topic(".sports.football"), topic(".news"))
-        ancestors = dag.ancestors(topic(".sports.football"))
-        assert topic(".news") in ancestors
-        assert topic(".sports") in ancestors
-        assert ROOT in ancestors
-
     def test_is_ancestor_strict(self):
         dag = TopicDag()
         dag.add(".a.b")
@@ -168,23 +93,15 @@ class TestTopicDag:
         assert not dag.is_ancestor(topic(".a.b"), topic(".a.b"))
         assert not dag.is_ancestor(topic(".a.b"), topic(".a"))
 
-    def test_children(self):
+    def test_is_ancestor_follows_linked_parents(self):
         dag = TopicDag()
-        dag.add(".a.b")
-        dag.add(".a.c")
-        assert dag.children(topic(".a")) == [topic(".a.b"), topic(".a.c")]
-
-    def test_from_hierarchy(self):
-        h = TopicHierarchy.from_topics([".a.b", ".c"])
-        dag = TopicDag.from_hierarchy(h)
-        assert len(dag) == len(h)
-        assert dag.parents_of(topic(".a.b")) == [topic(".a")]
+        dag.add(".sports.football")
+        dag.add(".news")
+        dag.link(topic(".sports.football"), topic(".news"))
+        assert dag.is_ancestor(topic(".news"), topic(".sports.football"))
+        assert dag.is_ancestor(topic(".sports"), topic(".sports.football"))
 
     def test_unknown_queries_raise(self):
         dag = TopicDag()
         with pytest.raises(UnknownTopic):
             dag.parents_of(topic(".missing"))
-        with pytest.raises(UnknownTopic):
-            dag.children(topic(".missing"))
-        with pytest.raises(UnknownTopic):
-            dag.ancestors(topic(".missing"))

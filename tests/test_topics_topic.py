@@ -9,7 +9,7 @@ from repro.topics import ROOT, Topic
 class TestParsing:
     def test_parse_simple(self):
         topic = Topic.parse(".dsn04.reviewers")
-        assert topic.segments == ("dsn04", "reviewers")
+        assert topic is Topic(("dsn04", "reviewers"))
         assert topic.name == ".dsn04.reviewers"
 
     def test_parse_without_leading_dot(self):
@@ -66,11 +66,6 @@ class TestNavigation:
         assert ROOT.is_root
         assert not Topic.parse(".a").is_root
 
-    def test_leaf_segment(self):
-        assert Topic.parse(".a.b").leaf_segment == "b"
-        with pytest.raises(InvalidTopicName):
-            _ = ROOT.leaf_segment
-
     def test_ancestors_exclude_self(self):
         topic = Topic.parse(".a.b.c")
         assert list(topic.ancestors()) == [
@@ -113,28 +108,6 @@ class TestInclusion:
         assert a.is_strict_supertopic_of(Topic.parse(".a.b"))
         assert not a.is_strict_supertopic_of(a)
 
-    def test_is_subtopic_of(self):
-        assert Topic.parse(".a.b").is_subtopic_of(Topic.parse(".a"))
-        assert Topic.parse(".a").is_subtopic_of(Topic.parse(".a"))
-
-    def test_common_ancestor(self):
-        x = Topic.parse(".a.b.x")
-        y = Topic.parse(".a.b.y.z")
-        assert x.common_ancestor(y) == Topic.parse(".a.b")
-        assert x.common_ancestor(Topic.parse(".q")) == ROOT
-        assert x.common_ancestor(x) == x
-
-    def test_relative_depth(self):
-        leaf = Topic.parse(".a.b.c")
-        assert leaf.relative_depth(Topic.parse(".a")) == 2
-        assert leaf.relative_depth(leaf) == 0
-        with pytest.raises(InvalidTopicName):
-            leaf.relative_depth(Topic.parse(".q"))
-
-    def test_distance_to_root(self):
-        assert Topic.parse(".a.b").distance_to_root() == 2
-        assert ROOT.distance_to_root() == 0
-
 
 class TestValueSemantics:
     def test_equality_and_hash(self):
@@ -156,8 +129,7 @@ class TestValueSemantics:
             Topic.parse(".b"),
         ]
 
-    def test_str_and_repr(self):
-        topic = Topic.parse(".a.b")
-        assert str(topic) == ".a.b"
-        assert repr(topic) == "Topic('.a.b')"
+    def test_str_is_the_name(self):
+        # rows_digest (the pinned construction goldens) formats topics with str()
+        assert str(Topic.parse(".a.b")) == ".a.b"
         assert str(ROOT) == "."

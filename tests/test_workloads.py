@@ -11,7 +11,6 @@ from repro.workloads import (
     PaperScenario,
     PoissonSchedule,
     burst_schedule,
-    per_level_counts,
     single_shot,
     uniform_subscriptions,
     zipf_subscriptions,
@@ -119,15 +118,6 @@ class TestPaperScenario:
 
 
 class TestSubscriptions:
-    def test_per_level_counts(self):
-        topics = chain(2)
-        counts = per_level_counts(topics, [1, 2, 3])
-        assert counts[topics[2]] == 3
-
-    def test_per_level_mismatch(self):
-        with pytest.raises(ConfigError):
-            per_level_counts(chain(1), [1, 2, 3])
-
     def test_uniform_total(self):
         h = balanced_tree(2, 2)
         counts = uniform_subscriptions(h, 100, random.Random(0))
