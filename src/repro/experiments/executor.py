@@ -257,12 +257,12 @@ class PoolExecutor:
     forkserver and import a run function's module by name, so a script
     that builds a pool needs an ``if __name__ == "__main__":`` guard.
 
-    The pool is created on the first parallel ``map_cells`` and reused
-    by every later call until ``close()`` — ``run_cells``, ``run_sweep``
-    and ``sweep_scenario`` invocations through one executor instance all
-    share the same workers, and (through the compiled-spec cache in
-    :mod:`repro.workloads.spec`) each worker compiles a scenario once
-    per spec digest.
+    The pool, every worker started, is created on the first parallel
+    ``map_cells`` and reused by every later call until ``close()`` —
+    ``run_cells``, ``run_sweep`` and ``sweep_scenario`` invocations
+    through one executor instance all share the same workers, and
+    (through the compiled-spec cache in :mod:`repro.workloads.spec`)
+    each worker compiles a scenario once per spec digest.
 
     A run-function failure is re-raised as :class:`SweepWorkerError`
     for the lowest failing cell index, with the worker traceback
@@ -274,8 +274,8 @@ class PoolExecutor:
     cause lists every unfinished one, and the next call starts a fresh
     pool.
 
-    Close explicitly (``close()`` or use as a context manager) when
-    done; closing waits for the chunks already running.
+    Close explicitly (``close()``, or through ``contextlib.closing``)
+    when done; closing waits for the chunks already running.
     """
 
     def __init__(self, jobs: int):
@@ -303,6 +303,13 @@ class PoolExecutor:
             self._pool = ProcessPoolExecutor(
                 self.jobs, mp_context=_POOL_CONTEXT
             )
+            # Start every worker now, as the pool does for "fork". Left to
+            # spawn one per submit, a submit racing a worker's death can
+            # start a worker after the pool's manager thread has
+            # terminated the others (it marks the pool broken outside the
+            # submit lock): that worker is never terminated, and shutdown
+            # waits on it forever.
+            self._pool._launch_processes()
         results: list[Any] = [None] * total
         failures: list[tuple[int, tuple[str, str]]] = []
         finished = [False] * total

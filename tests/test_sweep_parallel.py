@@ -391,6 +391,18 @@ class TestWorkerDeath:
                 raise
         assert child.returncode == 0, output
 
+    def test_every_worker_starts_before_the_first_submit(self):
+        # A worker spawned by a submit can race the pool breaking and be
+        # left running, unterminated, for shutdown to wait on; so all of
+        # them start up front, even for fewer chunks than workers.
+        cells = [
+            SweepCell(arg=float(p), seed_name=f"eager/{p}") for p in (1, 2)
+        ]
+        with closing(PoolExecutor(3)) as pool:
+            assert pool.map_cells(poly, cells) == run_cells(poly, cells)
+            assert len(multiprocessing.active_children()) == 3
+        assert multiprocessing.active_children() == []
+
 
 class TestProgress:
     def test_serial_progress_in_canonical_order(self):
