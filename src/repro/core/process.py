@@ -206,7 +206,10 @@ class DaMulticastProcess:
             return max(1, self._group_size_cell.value)
         if self._group_size_hint is not None:
             return max(1, self._group_size_hint)
-        return 1 if self.membership is None else len(self.membership.view) + 1
+        if self.membership is not None:
+            return len(self.membership.view) + 1
+        tables = getattr(self, "tables", None)
+        return (tables.stride if tables is not None else 0) + 1
 
     def bind_group_size(self, cell: GroupSizeCell) -> None:
         """Share a live group-size counter with this process.

@@ -252,8 +252,6 @@ class CachingExecutor:
                 f"run_key must be a non-empty string, got {run_key!r}"
             )
         self.inner = inner
-        #: closing the wrapper closes the executor it wraps
-        self.close = inner.close
         self.store = store
         self.run_key = run_key
         #: hit/executed counts of the most recent map_cells call.
@@ -325,3 +323,7 @@ class CachingExecutor:
         for (index, _), result in zip(missing, sub_results):
             results[index] = result
         return results
+
+    def close(self) -> None:
+        """Close the executor this one wraps."""
+        self.inner.close()

@@ -308,8 +308,6 @@ class LinkClassFaults:
                 f"default must be a fault model, got {default!r}"
             )
         self.default = default
-        #: an unclassified link goes through the default model
-        self.transmit = default.transmit
         self.overrides = dict(overrides or {})
         for name, model in self.overrides.items():
             if not isinstance(name, str) or not name:
@@ -325,6 +323,12 @@ class LinkClassFaults:
         """The model of one link class (the default for None or a class
         without an override)."""
         return self.overrides.get(link_class, self.default)
+
+    def transmit(
+        self, sender: int, target: int, delay: float, rng: random.Random
+    ) -> tuple[int, float]:
+        """An unclassified link goes through the default model."""
+        return self.default.transmit(sender, target, delay, rng)
 
 
 #: Shared no-op instance (semantically identical to installing nothing).

@@ -102,8 +102,6 @@ class LinkClassLatency:
                 f"default must be a latency model, got {default!r}"
             )
         self.default = default
-        #: an unclassified link samples the default model
-        self.sample = default.sample
         self.overrides = dict(overrides or {})
         for name, model in self.overrides.items():
             if not isinstance(name, str) or not name:
@@ -119,6 +117,10 @@ class LinkClassLatency:
         """The model of one link class (the default for None or a class
         without an override)."""
         return self.overrides.get(link_class, self.default)
+
+    def sample(self, rng: random.Random) -> float:
+        """An unclassified link samples the default model."""
+        return self.default.sample(rng)
 
 
 #: Shared zero-delay model (the paper's synchronous-round semantics).

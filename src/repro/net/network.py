@@ -61,8 +61,8 @@ fan-out, staged so that what is the same for every target is decided once:
   (below); at delivery the batch is filtered against the same set in one
   comprehension. Whether the channel is clean is decided from what the
   installed models are and declare, each time one is installed
-  (``failure_model``, ``partition_model``, ``latency``,
-  :meth:`Network.install_faults`) — there is no switch to set, and a
+  (``failure_model``, :meth:`Network.install_partition_model`,
+  ``latency``, :meth:`Network.install_faults`) — there is no switch to set, and a
   failure model that declares nothing (churn, perceived failures, a
   user's own) never takes it;
 * **the general channel** — anything else checks the sender once, then
@@ -330,13 +330,10 @@ class Network:
         )
         self._resolve_models()
 
-    def _install_partition_model(self, model: PartitionModel) -> None:
+    def install_partition_model(self, model: PartitionModel) -> None:
+        """Replace the partition model."""
         self._partition_model = model
         self._resolve_models()
-
-    #: assign to replace the partition model (write-only: nothing the
-    #: network serves reads it back)
-    partition_model = property(fset=_install_partition_model)
 
     # ------------------------------------------------------------------
     # Latency and link classes (resolved once per model, not per send)

@@ -84,9 +84,7 @@ class SimulationHarness:
         #: ``tracker="full"`` keeps per-(event, pid) records (the figures'
         #: raw material); ``"streaming"`` folds deliveries into O(topics)
         #: per-topic aggregates for 10⁵–10⁶-process runs. A pre-built
-        #: tracker instance is adopted as-is — how the scenario layer
-        #: installs a windowed ``StreamingDeliveryTracker(window=...)``
-        #: for the graceful-degradation series.
+        #: tracker instance is adopted as-is.
         if isinstance(tracker, str):
             self.tracker = (
                 StreamingDeliveryTracker() if tracker == "streaming"

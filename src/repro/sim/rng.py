@@ -152,14 +152,13 @@ class RngRegistry:
 
     def __init__(self, master_seed: int):
         self._master_seed = master_seed
-        #: name → stream, for every stream created so far
-        self.streams: dict[str, random.Random] = {}
+        self._streams: dict[str, random.Random] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""
-        stream = self.streams.get(name)
+        stream = self._streams.get(name)
         if stream is None:
             # repro-lint: allow[DET004]: registry implementation — the caller's stream name is linted at each call site
             stream = random.Random(derive_seed(self._master_seed, name))
-            self.streams[name] = stream
+            self._streams[name] = stream
         return stream

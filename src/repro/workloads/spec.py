@@ -1257,7 +1257,9 @@ class CompiledSpec:
                 [pid for pid in all_pids if assignment[pid] == index]
                 for index in range(islands_spec)
             ]
-        network.partition_model = StaticPartition(islands, heals_at=heals_at)
+        network.install_partition_model(
+            StaticPartition(islands, heals_at=heals_at)
+        )
 
     def _install_link_models(self, system, seed: int) -> None:
         """Install the spec's fault model on the built system's network,

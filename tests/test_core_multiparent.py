@@ -161,7 +161,7 @@ def _tree_population():
 
 def _stream_states(system):
     rngs = system.harness.rngs
-    return {name: rngs.stream(name).getstate() for name in sorted(rngs.streams)}
+    return {name: rngs.stream(name).getstate() for name in sorted(rngs._streams)}
 
 
 @pytest.mark.parametrize(
@@ -215,7 +215,7 @@ class TestSingleParentConformance:
             )(event_id), query
         # p_success = 0.85 loses messages: the floods agree on which
         assert static.stats.total_dropped > 0
-        assert sorted(multi.harness.rngs.streams) == sorted(
-            static.harness.rngs.streams
+        assert sorted(multi.harness.rngs._streams) == sorted(
+            static.harness.rngs._streams
         )
         assert _stream_states(multi) == _stream_states(static)

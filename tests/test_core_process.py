@@ -124,6 +124,15 @@ class TestSubscriptionLifecycle:
         process._group_size_hint = None
         assert process.group_size == len(process.membership.view) + 1
 
+    def test_static_group_size_estimated_from_its_row(self):
+        system = tiny_system()
+        process = system.group(T2)[0]
+        process._group_size_cell = None
+        process._group_size_hint = None
+        assert process.group_size == process.tables.stride + 1
+        process.tables = None
+        assert process.group_size == 1
+
 
 class TestPiggybackMerge:
     def test_super_sample_adopted(self):

@@ -60,8 +60,8 @@ class TestPartitions:
         pids = system.group_pids(T2)
         island_a = pids[:10]
         island_b = pids[10:]
-        system.network.partition_model = StaticPartition(
-            [island_a, island_b], heals_at=50.0
+        system.network.install_partition_model(
+            StaticPartition([island_a, island_b], heals_at=50.0)
         )
         publisher = system.process(island_a[0])
         event = system.publish(T2, publisher=publisher)

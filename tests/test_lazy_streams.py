@@ -34,7 +34,7 @@ FOOTBALL = Topic.parse(".sports.football")
 def _process_streams(system) -> list[str]:
     return [
         name
-        for name in sorted(system.harness.rngs.streams)
+        for name in sorted(system.harness.rngs._streams)
         if name.startswith(("process/", "baseline-process/"))
     ]
 
@@ -50,7 +50,7 @@ def _observe(system, events) -> dict:
         "hops": [system.tracker.delivery_hops(event.event_id) for event in events],
         "stats": system.stats.as_dict(),
         "processed": system.engine.processed,
-        "streams": {name: rngs.stream(name).getstate() for name in sorted(rngs.streams)},
+        "streams": {name: rngs.stream(name).getstate() for name in sorted(rngs._streams)},
     }
 
 

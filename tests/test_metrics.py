@@ -44,6 +44,14 @@ class TestTracker:
         tracker.record_delivery(2, e, 4.0)  # duplicate ignored
         assert tracker.delivery_count(e.event_id) == 2
 
+    def test_tracker_records_hops(self):
+        tracker = DeliveryTracker()
+        e = event()
+        tracker.record_delivery(1, e, 0.0, hops=2)
+        tracker.record_delivery(2, e, 0.0, hops=3)
+        tracker.record_delivery(2, e, 0.0, hops=9)  # duplicate ignored
+        assert tracker.delivery_hops(e.event_id) == {1: 2, 2: 3}
+
     def test_unknown_event(self):
         tracker = DeliveryTracker()
         assert tracker.receivers(EventId(9, 9)) == {}

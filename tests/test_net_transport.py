@@ -269,7 +269,7 @@ def _flood(
     network = system.network
     network._transport = transport  # both hosts build their own network
     if per_fan_out:
-        network.partition_model = OpenPartition()
+        network.install_partition_model(OpenPartition())
     system.add_group(".t1", 6)
     system.add_group(".t1.t2", 40)
     system.finalize_static_membership()
@@ -312,7 +312,7 @@ def _flood(
     observed = (
         tracker.order,
         _ledger(system.stats),
-        {name: rngs.stream(name).getstate() for name in sorted(rngs.streams)},
+        {name: rngs.stream(name).getstate() for name in sorted(rngs._streams)},
         counters(),
         raised,
     )
@@ -402,7 +402,7 @@ class MidWave:
             dead = network.failure_model.static_dead | {21, 22}
             network.failure_model = PerceivedFailures(dead)
         elif self.kind == "partition_model":
-            network.partition_model = StaticPartition([range(6, 26)])
+            network.install_partition_model(StaticPartition([range(6, 26)]))
         elif self.kind == "faults":
             network.install_faults(
                 FaultPipeline([BernoulliLoss(0.2), DuplicateModel(0.3)]),

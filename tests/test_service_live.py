@@ -201,7 +201,7 @@ class TestFailingDeliveries:
             runtime = build_runtime(seed=2)
             network = runtime.system.network
             if per_fan_out:
-                network.partition_model = OpenPartition()
+                network.install_partition_model(OpenPartition())
             process = runtime.system.group(".conf.dsn")[3]
             handle_message = process.handle_message
             receptions = []

@@ -48,4 +48,4 @@ class TestRngRegistry:
         rngs = RngRegistry(0)
         rngs.stream("b")
         rngs.stream("a")
-        assert sorted(rngs.streams) == ["a", "b"]
+        assert sorted(rngs._streams) == ["a", "b"]

@@ -127,7 +127,7 @@ def _populate(mode, one_by_one, seed=11):
 
 def _stream_states(system):
     rngs = system.harness.rngs
-    return {name: rngs.stream(name).getstate() for name in sorted(rngs.streams)}
+    return {name: rngs.stream(name).getstate() for name in sorted(rngs._streams)}
 
 
 def _tables(system):
@@ -147,8 +147,8 @@ def test_add_group_is_n_times_add_process(mode):
     single = _populate(mode, one_by_one=True)
     assert [p.pid for p in grouped.processes] == list(range(45))
     assert _tables(grouped) == _tables(single)
-    assert sorted(grouped.harness.rngs.streams) == sorted(
-        single.harness.rngs.streams
+    assert sorted(grouped.harness.rngs._streams) == sorted(
+        single.harness.rngs._streams
     )
     assert _stream_states(grouped) == _stream_states(single)
     horizon = None if mode == "static" else 16.0

@@ -46,7 +46,7 @@ def flood_digest(system, event) -> str:
     hops = system.tracker.delivery_hops(event.event_id)
     digest.update(repr(sorted(hops.items())).encode())
     rngs = system.harness.rngs
-    for name in sorted(rngs.streams):
+    for name in sorted(rngs._streams):
         digest.update(name.encode())
         digest.update(repr(rngs.stream(name).getstate()).encode())
     return digest.hexdigest()
@@ -172,7 +172,7 @@ def _receiver_state(system, host, pid):
     """What a stray message could move: the receiver's dedup state and
     rows, the network counters and every RNG stream."""
     rngs = system.harness.rngs
-    streams = {name: rngs.stream(name).getstate() for name in sorted(rngs.streams)}
+    streams = {name: rngs.stream(name).getstate() for name in sorted(rngs._streams)}
     if host == "columnar":
         actor = system.group_actor(T2)
         index = pid - actor.base
