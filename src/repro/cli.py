@@ -9,6 +9,7 @@ Usage (installed as ``damulticast``, or ``python -m repro``)::
     damulticast analysis            # §VI-E closed-form tables
     damulticast tuning --pit 0.9995 # Appendix feasibility/z-bounds
     damulticast ablate-g / ablate-c # tuning-knob sweeps
+    damulticast scale-s / scale-t   # §VI-B message growth in S and in t
     damulticast repair --alive 0.4  # frozen (§VII) vs repaired membership
 
     damulticast serve --topics .conf:5 .conf.dsn:10 \\
@@ -33,7 +34,9 @@ Usage (installed as ``damulticast``, or ``python -m repro``)::
         --set protocol=broadcast             # same grid, baseline
 
 Every command prints the same rows/series the paper reports, as an
-aligned ASCII table. Scenario specs are declarative JSON documents (see
+aligned ASCII table; the eight sweeps (fig8-11, ablate-g/c, scale-s/t)
+are rows of :data:`repro.experiments.paper.SWEEPS` and take their
+defaults from them. Scenario specs are declarative JSON documents (see
 ``repro.workloads.spec``) covering both static-mode (§VII simulator) and
 dynamic-mode (full protocol: bootstrap, maintenance, failure campaigns,
 latency models) runs; ``scenario`` output is bit-identical for any
@@ -61,18 +64,7 @@ from repro.analysis.tuning import (
     match_hierarchical,
     match_multicast,
 )
-from repro.experiments.ablations import (
-    sweep_fanout_constant,
-    sweep_link_redundancy,
-)
 from repro.experiments.comparisons import measured_comparison
-from repro.experiments.figures import (
-    DEFAULT_GRID,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-)
 from repro.experiments.artifacts import (
     ArtifactStore,
     CachingExecutor,
@@ -80,9 +72,9 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.executor import Executor, resolve_executor
 from repro.experiments.multievent import stream_table
+from repro.experiments.paper import SWEEPS, paper_table
 from repro.experiments.repair import REPAIR_SCENARIO, repair_comparison
 from repro.experiments.runner import aggregate_runs
-from repro.experiments.scale import sweep_depth, sweep_group_size
 from repro.metrics.report import (
     SCENARIO_RUN_SCHEMA,
     SCENARIO_SWEEP_SCHEMA,
@@ -99,8 +91,20 @@ from repro.workloads.spec import (
     sweep_scenario,
 )
 
-#: the §VII scenario: what `--sizes` resizes on the figure commands
+#: the §VII scenario: what `--sizes` resizes on `compare`
 _PAPER = PaperScenario()
+
+#: sweep command -> (its SWEEPS row, help)
+_SWEEP_COMMANDS = {
+    "fig8": ("fig8", "events sent within each group vs alive fraction"),
+    "fig9": ("fig9", "events sent between groups vs alive fraction"),
+    "fig10": ("fig10", "reliability under stillborn failures"),
+    "fig11": ("fig11", "reliability under dynamic failures"),
+    "ablate-g": ("ablation-g", "reliability/messages vs link redundancy g"),
+    "ablate-c": ("ablation-c", "reliability/messages vs gossip constant c"),
+    "scale-s": ("scale-S", "message growth vs bottom group size (O(S log S))"),
+    "scale-t": ("scale-t", "message growth vs hierarchy depth (linear in t)"),
+}
 
 
 def _make_exec_parent(top_level: bool = False) -> argparse.ArgumentParser:
@@ -243,21 +247,24 @@ def _build_parser() -> argparse.ArgumentParser:
             parents=[exec_parent, _make_experiment_parent(runs)],
         )
 
-    for name, help_text in [
-        ("fig8", "events sent within each group vs alive fraction"),
-        ("fig9", "events sent between groups vs alive fraction"),
-        ("fig10", "reliability under stillborn failures"),
-        ("fig11", "reliability under dynamic failures"),
-    ]:
-        figure = experiment(name, 5, help_text)
-        figure.add_argument(
-            "--grid",
-            type=float,
+    for command, (name, help_text) in _SWEEP_COMMANDS.items():
+        row = SWEEPS[name]
+        sweep = experiment(command, row.runs, help_text)
+        sweep.add_argument(
+            "--grid" if name.startswith("fig") else "--values",
+            dest="values",
+            metavar=row.axis.upper(),
+            type=int if row.integral else float,
             nargs="+",
-            default=list(DEFAULT_GRID),
-            help="alive-fraction grid points",
+            default=list(row.values),
+            help=f"{row.axis} values (default: %(default)s)",
         )
-        _add_sizes(figure, _PAPER.sizes)
+        if name.startswith("fig"):
+            _add_sizes(sweep, row.scenario.sizes)
+        if name.startswith("ablation"):
+            sweep.add_argument("--alive", type=float, default=row.alive)
+        if name == "scale-t":
+            sweep.add_argument("--level-size", type=int, default=row.scenario.sizes[0])
 
     compare = experiment(
         "compare", 3, "measured §VI-E comparison of all four algorithms"
@@ -282,37 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tuning.add_argument("--n", type=float, default=1110.0)
     tuning.add_argument("--s-t", type=float, default=1000.0)
     tuning.add_argument("--clusters", type=int, default=10)
-
-    ablate_g = experiment(
-        "ablate-g", 5, "reliability/messages vs link redundancy g"
-    )
-    ablate_g.add_argument("--alive", type=float, default=0.7)
-    ablate_g.add_argument(
-        "--values", type=float, nargs="+", default=[1, 2, 5, 10, 20]
-    )
-
-    ablate_c = experiment(
-        "ablate-c", 5, "reliability/messages vs gossip constant c"
-    )
-    ablate_c.add_argument("--alive", type=float, default=1.0)
-    ablate_c.add_argument(
-        "--values", type=float, nargs="+", default=[0, 1, 2, 3, 5, 8]
-    )
-
-    scale_s = experiment(
-        "scale-s", 3, "message growth vs bottom group size (O(S log S))"
-    )
-    scale_s.add_argument(
-        "--values", type=int, nargs="+", default=[50, 100, 200, 400, 800]
-    )
-
-    scale_t = experiment(
-        "scale-t", 3, "message growth vs hierarchy depth (linear in t)"
-    )
-    scale_t.add_argument(
-        "--values", type=int, nargs="+", default=[1, 2, 3, 4, 5]
-    )
-    scale_t.add_argument("--level-size", type=int, default=100)
 
     stream = experiment(
         "stream", 3, "steady-state Poisson stream: cost/delivery/parasites"
@@ -792,7 +768,22 @@ def _run_lint_command(args: argparse.Namespace) -> int:
 
 #: the keywords every seeded driver takes
 _SEEDED = {"runs": "runs", "master_seed": "seed"}
-_FIGURE_KEYWORDS = {"grid": "grid", "scenario": _PAPER, **_SEEDED}
+
+
+def _run_sweep_command(args: argparse.Namespace, executor: Executor) -> Table:
+    """The command's SWEEPS row at the values, sizes (``--sizes``, or
+    ``scale-t``'s one ``--level-size``) and alive fraction it was given."""
+    name = _SWEEP_COMMANDS[args.command][0]
+    scenario = SWEEPS[name].scenario
+    if "sizes" in args or "level_size" in args:
+        sizes = args.sizes if "sizes" in args else [args.level_size]
+        scenario = replace(scenario, sizes=tuple(sizes))
+    return paper_table(
+        name, values=args.values, runs=args.runs, alive=getattr(args, "alive", None),
+        scenario=scenario, master_seed=args.seed, executor=executor,
+        progress=_progress_printer(args),
+    )
+
 
 #: command → (driver, {driver keyword: parsed-argument attribute}); ``None``
 #: hands the driver the parsed arguments whole, and a :class:`PaperScenario`
@@ -802,26 +793,10 @@ _FIGURE_KEYWORDS = {"grid": "grid", "scenario": _PAPER, **_SEEDED}
 #: returns the table to print, or, having printed its own report, an exit
 #: code.
 _COMMANDS = {
-    "fig8": (run_figure8, _FIGURE_KEYWORDS),
-    "fig9": (run_figure9, _FIGURE_KEYWORDS),
-    "fig10": (run_figure10, _FIGURE_KEYWORDS),
-    "fig11": (run_figure11, _FIGURE_KEYWORDS),
+    **dict.fromkeys(_SWEEP_COMMANDS, (_run_sweep_command, None)),
     "compare": (measured_comparison, {"scenario": _PAPER, **_SEEDED}),
     "analysis": (_run_analysis_command, None),
     "tuning": (_run_tuning_command, None),
-    "ablate-g": (
-        sweep_link_redundancy,
-        {"g_values": "values", "alive_fraction": "alive", **_SEEDED},
-    ),
-    "ablate-c": (
-        sweep_fanout_constant,
-        {"c_values": "values", "alive_fraction": "alive", **_SEEDED},
-    ),
-    "scale-s": (sweep_group_size, {"s_values": "values", **_SEEDED}),
-    "scale-t": (
-        sweep_depth,
-        {"t_values": "values", "level_size": "level_size", **_SEEDED},
-    ),
     "stream": (stream_table, {"rates": "rates", **_SEEDED}),
     "repair": (
         repair_comparison,

@@ -27,6 +27,7 @@ from repro.metrics.delivery import delivered_fraction, parasite_deliveries
 from repro.metrics.report import Table
 from repro.sim.rng import derive_seed
 from repro.workloads.scenarios import PaperScenario
+from repro.workloads.spec import compile_spec_cached
 
 
 def _measure_damulticast(
@@ -67,9 +68,6 @@ def _measure_damulticast(
 def _measure_baseline(
     scenario: PaperScenario, protocol: str, seed: int
 ) -> Mapping[str, float]:
-    # Imported here: repro.workloads.spec imports this package.
-    from repro.workloads.spec import compile_spec_cached
-
     spec = {**scenario.spec(), "protocol": protocol, "failures": {"kind": "none"}}
     system = compile_spec_cached(spec).build(seed).system
     topics = scenario.topics()

@@ -16,14 +16,12 @@ that spec to the one build path, :meth:`repro.workloads.spec.CompiledSpec.build`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
 from repro.topics.builders import chain
 from repro.topics.topic import Topic
-
-if TYPE_CHECKING:
-    from repro.workloads.spec import BuiltScenario
+from repro.workloads.spec import BuiltScenario, compile_spec_cached
 
 
 @dataclass(frozen=True)
@@ -80,17 +78,8 @@ class PaperScenario:
         self, *, seed: int, alive_fraction: float = 1.0, failure_mode: str = "stillborn"
     ) -> BuiltScenario:
         """A built, failure-armed, finalized static system for one seed."""
-        # imported here: spec.py imports the experiments package, whose drivers import this module
-        from repro.workloads.spec import compile_spec_cached
-
         spec = self.spec(alive_fraction=alive_fraction, failure_mode=failure_mode)
         return compile_spec_cached(spec).build(seed)
-
-
-def inter_group_messages(built: BuiltScenario) -> dict[tuple[Topic, Topic], int]:
-    """Fig. 9: events sent from each chain group to its supergroup."""
-    topics, sent = built.compiled.ordered_topics, built.system.stats.events_sent_between
-    return {(lower, upper): sent(lower, upper) for lower, upper in zip(topics[1:], topics)}
 
 
 def delivered_fractions(built: BuiltScenario, alive_only: bool = False) -> dict[Topic, float]:

@@ -235,8 +235,7 @@ class TestNoInternalLegacyUse:
     """One ``executor`` argument on every entry point, nothing beside it."""
 
     def test_no_entry_point_takes_the_legacy_keywords(self):
-        from repro.experiments import ablations, comparisons, figures
-        from repro.experiments import multievent, repair, runner, scale
+        from repro.experiments import comparisons, multievent, paper, repair, runner
         from repro.workloads import spec
 
         entry_points = [
@@ -244,15 +243,8 @@ class TestNoInternalLegacyUse:
             runner.run_sweep,
             spec.run_scenario,
             spec.sweep_scenario,
-            figures.run_figure8,
-            figures.run_figure9,
-            figures.run_figure10,
-            figures.run_figure11,
-            ablations.sweep_link_redundancy,
-            ablations.sweep_fanout_constant,
+            paper.paper_table,
             comparisons.measured_comparison,
-            scale.sweep_group_size,
-            scale.sweep_depth,
             multievent.stream_table,
             repair.repair_comparison,
         ]

@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (runner, figures, comparisons, ablations).
+"""Tests for the experiment harness (runner, the paper's sweeps, comparisons).
 
 Figure experiments run on a scaled-down scenario to stay fast; the
 paper-scale shapes are asserted once, on three grid points, by
@@ -17,23 +17,11 @@ from hypothesis import example, given, settings
 from repro.cli import main
 from repro.core.params import TopicParams
 from repro.errors import ConfigError
-from repro.experiments import (
-    aggregate_runs,
-    measured_comparison,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_sweep,
-)
-from repro.experiments.figures import _run_scenario_once
-from repro.experiments.ablations import (
-    sweep_fanout_constant,
-    sweep_link_redundancy,
-)
+from repro.experiments import aggregate_runs, run_sweep
+from repro.experiments.comparisons import measured_comparison
 from repro.experiments.multievent import stream_table
+from repro.experiments.paper import _alive_point, _cell, paper_table
 from repro.experiments.repair import repair_comparison
-from repro.experiments.scale import sweep_depth, sweep_group_size
 from repro.workloads import PaperScenario
 
 SMALL = PaperScenario(sizes=(4, 16, 64))
@@ -156,31 +144,65 @@ DRIVER_GOLDENS = {
     ),
 }
 
+# Three commands the tables above do not pin (the CLI passes float
+# values, so `ablate-g --values 1 5` seeds "ablation-g/1.0/0" where the
+# call below seeds "ablation-g/1/0"), recorded by running `python -m repro`
+# with these arguments before the figure, ablation and scale drivers
+# became the rows of repro.experiments.paper.SWEEPS.
+CLI_GOLDENS = {
+    "ablate-g": (
+        "Ablation — link redundancy g (alive=0.5)",
+        "========================================",
+        "g      recv_root  recv_bottom  inter_msgs  analytic_root",
+        "-----  ---------  -----------  ----------  -------------",
+        "1.000  0.000      0.483        2.000       0.177        ",
+        "5.000  0.000      0.486        2.000       0.861        ",
+    ),
+    "ablate-c": (
+        "Ablation — gossip constant c (alive=1.0)",
+        "========================================",
+        "c      recv_bottom  event_msgs  analytic_one_group",
+        "-----  -----------  ----------  ------------------",
+        "0.000  0.912        2902.000    0.368             ",
+        "5.000  0.997        8723.000    0.993             ",
+    ),
+    "scale-s": (
+        "Scaling — event messages vs bottom group size S (c=5.0, log base 10)",
+        "====================================================================",
+        "S   event_messages  bottom_messages  S_logS_c  normalized",
+        "--  --------------  ---------------  --------  ----------",
+        "20  268.000         120.000          126.021   0.952     ",
+        "40  426.000         280.000          264.082   1.060     ",
+    ),
+}
+
 #: name -> the call whose rendered table is recorded above.
 RECORDED_CALLS = {
-    "fig8": functools.partial(
-        run_figure8, grid=(0.5, 1.0), runs=2, scenario=TINY
-    ),
-    "fig9": functools.partial(
-        run_figure9, grid=(0.5, 1.0), runs=2, scenario=TINY
-    ),
-    "fig10": functools.partial(
-        run_figure10, grid=(0.5, 1.0), runs=2, scenario=TINY
-    ),
-    "fig11": functools.partial(
-        run_figure11, grid=(0.5, 1.0), runs=2, scenario=TINY
-    ),
+    **{
+        figure: functools.partial(
+            paper_table, figure, values=(0.5, 1.0), runs=2, scenario=TINY
+        )
+        for figure in ("fig8", "fig9", "fig10", "fig11")
+    },
     "ablation-g": functools.partial(
-        sweep_link_redundancy, g_values=(1, 5), runs=2, scenario=TINY
+        paper_table, "ablation-g", values=(1, 5), runs=2, scenario=TINY
     ),
     "ablation-c": functools.partial(
-        sweep_fanout_constant, c_values=(0, 5), runs=2, scenario=TINY
+        paper_table, "ablation-c", values=(0, 5), runs=2, scenario=TINY
     ),
     "scale-S": functools.partial(
-        sweep_group_size, s_values=(20, 40), upper_sizes=(3, 6), runs=2
+        paper_table,
+        "scale-S",
+        values=(20, 40),
+        runs=2,
+        scenario=PaperScenario(sizes=(3, 6, 20), p_succ=1.0),
     ),
     "scale-t": functools.partial(
-        sweep_depth, t_values=(1, 2), level_size=15, runs=2
+        paper_table,
+        "scale-t",
+        values=(1, 2),
+        runs=2,
+        scenario=PaperScenario(sizes=(15,), p_succ=1.0),
     ),
     "comparison": functools.partial(measured_comparison, runs=2, scenario=TINY),
     "stream": functools.partial(
@@ -296,7 +318,7 @@ class TestRunner:
 
 class TestFigures:
     def test_figure8_columns_and_monotone_scale(self):
-        table = run_figure8(grid=GRID, runs=2, scenario=SMALL)
+        table = paper_table("fig8", values=GRID, runs=2, scenario=SMALL)
         assert list(table.columns) == [
             "alive_fraction", "msgs_T2", "msgs_T1", "msgs_T0",
         ]
@@ -304,18 +326,18 @@ class TestFigures:
         assert msgs_t2[-1] > msgs_t2[0]  # more alive -> more messages
 
     def test_figure8_full_aliveness_scale(self):
-        table = run_figure8(grid=(1.0,), runs=1, scenario=SMALL)
+        table = paper_table("fig8", values=(1.0,), runs=1, scenario=SMALL)
         fanout = TopicParams(c=SMALL.c, fanout_log_base=SMALL.fanout_log_base).fanout(64)
         (row,) = table.as_dicts()
         assert row["msgs_T2"] == pytest.approx(64 * fanout, rel=0.2)
 
     def test_figure9_columns(self):
-        table = run_figure9(grid=GRID, runs=2, scenario=SMALL)
+        table = paper_table("fig9", values=GRID, runs=2, scenario=SMALL)
         assert list(table.columns) == ["alive_fraction", "T2->T1", "T1->T0"]
         assert table.as_dicts()[-1]["T2->T1"] >= 1
 
     def test_figure10_full_aliveness_near_one(self):
-        table = run_figure10(grid=(1.0,), runs=2, scenario=SMALL)
+        table = paper_table("fig10", values=(1.0,), runs=2, scenario=SMALL)
         row = table.as_dicts()[0]
         assert row["recv_T2"] >= 0.9
         assert row["recv_T1"] >= 0.9
@@ -324,14 +346,14 @@ class TestFigures:
     def test_figure10_midrange_ordering(self):
         # With stillborn failures, lower groups (closer to the root) see
         # compounded losses: recv_T2 >= recv_T0 on average.
-        table = run_figure10(grid=(0.4,), runs=6, scenario=SMALL)
+        table = paper_table("fig10", values=(0.4,), runs=6, scenario=SMALL)
         row = table.as_dicts()[0]
         assert row["recv_T2"] >= row["recv_T0"] - 1e-9
 
     def test_figure11_beats_figure10_midrange(self):
         alive = 0.5
-        fig10 = run_figure10(grid=(alive,), runs=4, scenario=SMALL)
-        fig11 = run_figure11(grid=(alive,), runs=4, scenario=SMALL)
+        fig10 = paper_table("fig10", values=(alive,), runs=4, scenario=SMALL)
+        fig11 = paper_table("fig11", values=(alive,), runs=4, scenario=SMALL)
         # Dynamic (transient) failures give markedly better delivery than
         # stillborn failures — the paper's Fig. 11 observation.
         assert fig11.as_dicts()[0]["recv_T2"] > fig10.as_dicts()[0]["recv_T2"]
@@ -345,7 +367,7 @@ class TestFigures:
         assert RECORDED_CALLS[name]().render().split("\n") == list(recorded)
 
     def test_zero_aliveness_kills_dissemination(self):
-        table = run_figure10(grid=(0.0,), runs=1, scenario=SMALL)
+        table = paper_table("fig10", values=(0.0,), runs=1, scenario=SMALL)
         row = table.as_dicts()[0]
         # Only the protected publisher is alive; nobody else receives.
         assert row["recv_T0"] == 0.0
@@ -356,15 +378,22 @@ class TestPaperScaleFigures:
     """§VII at its own scale (10/100/1000, five runs per point): the
     numbers the paper's figures are read for, at the tolerances the
     deleted ``bench_fig08…11`` files held them to. One stillborn sweep
-    feeds Figs. 8–10 — a run yields every figure's series."""
+    feeds Figs. 8–10 — one cell reports every figure's series."""
 
     @pytest.fixture(scope="class")
     def stillborn(self):
+        keys = [
+            f"{series}_T{level}"
+            for series in ("intra", "received")
+            for level in range(3)
+        ] + ["inter_T1_T0", "inter_T2_T1"]
         sweep = run_sweep(
             functools.partial(
-                _run_scenario_once,
+                _cell,
+                point=_alive_point,
                 scenario=PaperScenario(),
-                failure_mode="stillborn",
+                alive=1.0,
+                keys=keys,
             ),
             (0.0, 0.5, 1.0),
             runs=5,
@@ -416,7 +445,7 @@ class TestPaperScaleFigures:
             assert row["received_T2"] <= alive + 0.05
 
     def test_figure11_perceived_failures_hurt_far_less(self, stillborn):
-        table = run_figure11(grid=(0.5, 1.0), runs=5, scenario=PaperScenario())
+        table = paper_table("fig11", values=(0.5, 1.0), runs=5)
         half, full = table.as_dicts()
         assert full["recv_T2"] >= 0.97
         assert half["recv_T2"] > stillborn[0.5]["received_T2"] + 0.1
@@ -427,15 +456,34 @@ class TestCommandsPrintTheRecordedTables:
     @pytest.mark.parametrize(
         "name, argv",
         [
-            ("fig10", "fig10 --runs 2 --grid 0.5 1.0 --sizes 3 8 20"),
+            *(
+                (figure, f"{figure} --runs 2 --grid 0.5 1.0 --sizes 3 8 20")
+                for figure in ("fig8", "fig9", "fig10", "fig11")
+            ),
+            ("ablate-g", "ablate-g --runs 1 --values 1 5 --alive 0.5"),
+            ("ablate-c", "ablate-c --runs 1 --values 0 5"),
+            ("scale-s", "scale-s --runs 2 --values 20 40"),
             ("scale-t", "scale-t --runs 2 --values 1 2 --level-size 15 --seed 0"),
             ("repair", "repair --runs 1 --sizes 3 6 12"),
         ],
     )
     def test_command_at_the_recorded_parameters(self, capsys, name, argv):
-        recorded = {**FIGURE_GOLDENS, **DRIVER_GOLDENS}[name]
+        recorded = {**FIGURE_GOLDENS, **DRIVER_GOLDENS, **CLI_GOLDENS}[name]
         assert main(argv.split()) == 0
         assert capsys.readouterr().out.rstrip("\n").split("\n") == list(recorded)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("ablate-g --values -1", "g must be >= 1"),
+            ("scale-s --values 0", "has no subscribers"),
+            ("scale-t --values 1 --level-size 0", "population must not be empty"),
+        ],
+    )
+    def test_a_bad_sweep_value_is_a_config_error(self, capsys, argv, message):
+        # every point compiles before any cell runs: exit 2, no traceback
+        assert main(argv.split()) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestComparisons:
@@ -462,8 +510,8 @@ class TestComparisons:
 
 class TestAblations:
     def test_link_redundancy_monotone(self):
-        table = sweep_link_redundancy(
-            g_values=(1, 20), scenario=SMALL, alive_fraction=0.6, runs=3
+        table = paper_table(
+            "ablation-g", values=(1, 20), scenario=SMALL, alive=0.6, runs=3
         )
         inter = [row["inter_msgs"] for row in table.as_dicts()]
         assert inter[-1] > inter[0]  # more links -> more inter messages
@@ -474,16 +522,12 @@ class TestAblations:
         assert analytic[-1] >= analytic[0]
 
     def test_link_redundancy_analytic_column(self):
-        table = sweep_link_redundancy(
-            g_values=(5,), scenario=SMALL, runs=1
-        )
+        table = paper_table("ablation-g", values=(5,), scenario=SMALL, runs=1)
         analytic = table.as_dicts()[0]["analytic_root"]
         assert 0.0 <= analytic <= 1.0
 
     def test_fanout_constant_tradeoff(self):
-        table = sweep_fanout_constant(
-            c_values=(0, 5), scenario=SMALL, runs=3
-        )
+        table = paper_table("ablation-c", values=(0, 5), scenario=SMALL, runs=3)
         rows = table.as_dicts()
         assert rows[1]["event_msgs"] > rows[0]["event_msgs"]
         assert rows[1]["recv_bottom"] >= rows[0]["recv_bottom"] - 1e-9

@@ -3,26 +3,24 @@
 import pytest
 
 from repro.experiments.multievent import run_stream, stream_table
-from repro.experiments.scale import sweep_depth, sweep_group_size
+from repro.experiments.paper import paper_table
 from repro.workloads import PaperScenario
 
 SMALL = PaperScenario(sizes=(3, 10, 40), p_succ=1.0)
+#: the scale-S sweep's upper groups; its bottom group is the swept S
+UPPER = PaperScenario(sizes=(3, 6, 1), p_succ=1.0)
 
 
 class TestScaleSweeps:
     def test_group_size_columns_and_rows(self):
-        table = sweep_group_size(
-            s_values=(20, 40), upper_sizes=(3, 6), runs=1
-        )
+        table = paper_table("scale-S", values=(20, 40), scenario=UPPER, runs=1)
         assert list(table.columns) == [
             "S", "event_messages", "bottom_messages", "S_logS_c", "normalized",
         ]
         assert [row["S"] for row in table.as_dicts()] == [20, 40]
 
     def test_group_size_normalization_near_one(self):
-        table = sweep_group_size(
-            s_values=(100, 400), upper_sizes=(3, 6), runs=2
-        )
+        table = paper_table("scale-S", values=(100, 400), scenario=UPPER, runs=2)
         rows = table.as_dicts()
         for row in rows:
             assert 0.6 <= row["normalized"] <= 1.4
@@ -33,14 +31,18 @@ class TestScaleSweeps:
         assert rows[-1]["bottom_messages"] >= 0.9 * rows[-1]["event_messages"]
 
     def test_depth_rows(self):
-        table = sweep_depth(t_values=(1, 2), level_size=20, runs=1)
+        table = paper_table(
+            "scale-t", values=(1, 2), scenario=PaperScenario(sizes=(20,), p_succ=1.0), runs=1
+        )
         rows = table.as_dicts()
         assert rows[0]["levels"] == 2
         assert rows[1]["levels"] == 3
         assert rows[1]["event_messages"] > rows[0]["event_messages"]
 
     def test_depth_per_level_flat(self):
-        table = sweep_depth(t_values=(1, 3), level_size=30, runs=2)
+        table = paper_table(
+            "scale-t", values=(1, 3), scenario=PaperScenario(sizes=(30,), p_succ=1.0), runs=2
+        )
         per_level = [row["per_level"] for row in table.as_dicts()]
         assert max(per_level) / min(per_level) <= 1.3
         # g·a more inter-group events per crossed edge

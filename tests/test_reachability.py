@@ -17,7 +17,10 @@ allowed reason.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -145,3 +148,25 @@ def test_the_walk_sees_function_level_and_whole_package_imports(walk):
     assert "repro.service.runtime" in reached
     assert "repro.lint.rules.det004_stream_labels" in reached
     assert "repro.__main__" in reached
+
+
+def test_the_spec_module_loads_only_the_execution_port_of_experiments():
+    # repro.workloads.spec sweeps through the port (executor, artifacts,
+    # runner); an experiment loaded with it would import repro.workloads
+    # back, the cycle that kept two imports inside functions
+    code = (
+        "import sys, repro.workloads.spec; "
+        "print(*sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    port = {
+        "repro.experiments",
+        "repro.experiments.executor",
+        "repro.experiments.artifacts",
+        "repro.experiments.runner",
+    }
+    assert "repro.experiments.runner" in loaded
+    assert set(loaded) <= port, sorted(set(loaded) - port)

@@ -17,7 +17,8 @@ from repro.analysis import (
     intergroup_propagation_probability,
     multicast_reliability,
 )
-from repro.experiments import measured_comparison, run_sweep
+from repro.experiments.comparisons import measured_comparison
+from repro.experiments.runner import run_sweep
 from repro.experiments.repair import repair_comparison
 from repro.workloads import PaperScenario
 
