@@ -9,8 +9,8 @@ construction linear in the group size. Three layers are measured:
   ``_reference_draw_super_table`` — each call rebuilds an O(S) exclusion
   list / population copy of descriptors) vs the one static table builder
   every host and baseline draws with,
-  :func:`~repro.membership.columnar.build_group_tables` with super rows
-  (pid columns, each member's topic row then its super row);
+  :func:`~repro.membership.columnar.build_group_tables` with one super
+  block (pid columns, each member's topic row then its super row);
 * **daMulticast construction** — end-to-end static build (populate +
   finalize) the way the repository did it before this PR (per-join
   group-size sweep — the old ``_refresh_group_size`` — plus reference
@@ -34,10 +34,10 @@ from repro.baselines.multicast import GossipMulticastSystem
 from repro.baselines.naive_publisher import NaivePublisherSystem
 from repro.core.system import DaMulticastSystem
 from repro.core.params import TopicParams
-from repro.membership.columnar import build_group_tables
-from repro.membership.static import (
+from repro.membership.columnar import (
     _reference_draw_super_table,
     _reference_draw_topic_table,
+    build_group_tables,
 )
 from repro.membership.view import ProcessDescriptor
 from repro.metrics.report import Table
@@ -66,8 +66,7 @@ def _draw_all_fast(pids, super_pids, capacity, rng):
         pids,
         capacity,
         rng,
-        super_topic=SUPER,
-        super_members=super_pids,
+        supers=[(SUPER, super_pids)],
         z=Z,
     )
 
@@ -94,7 +93,8 @@ def _draw_layer(size: int) -> tuple[float, float]:
     rows = []
     for index in range(size):
         rows.append(fast.row_pids(index))
-        rows.append(fast.super_row_pids(index))
+        [(_, super_row)] = fast.super_rows_of(index)
+        rows.append(super_row)
     assert rows == [v.pids for v in reference]
     return ref_elapsed, fast_elapsed
 

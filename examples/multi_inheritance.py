@@ -3,15 +3,16 @@
 ``.sports.football`` is filed both under ``.sports`` (its path parent) and
 under ``.news`` (a linked second supertopic). Per the paper's concluding
 remarks, each football process simply keeps one supertopic table per
-parent; a match report then climbs BOTH branches — sports desks and news
-desks each receive it, the root receives it exactly once despite the
-diamond, and ``.news``-only events never leak into ``.sports``.
+parent — the static system's one build, over a topic graph with a link;
+a match report then climbs BOTH branches — sports desks and news desks
+each receive it, the root receives it exactly once despite the diamond,
+and ``.news``-only events never leak into ``.sports``.
 
 Run:  python examples/multi_inheritance.py
 """
 
-from repro.core.multiparent import MultiParentSystem
-from repro.topics import Topic, TopicDag
+from repro.core import DaMulticastSystem
+from repro.topics import Topic
 
 ROOT = Topic.parse(".")
 NEWS = Topic.parse(".news")
@@ -20,23 +21,20 @@ FOOTBALL = Topic.parse(".sports.football")
 
 
 def main() -> None:
-    dag = TopicDag()
-    dag.add(FOOTBALL)
-    dag.add(NEWS)
-    dag.link(FOOTBALL, NEWS)  # second supertopic: multiple inheritance
-
-    system = MultiParentSystem(dag, seed=21, p_success=0.9)
+    system = DaMulticastSystem(mode="static", seed=21, p_success=0.9)
     system.add_group(ROOT, 5)
     system.add_group(NEWS, 20)
     system.add_group(SPORTS, 20)
     system.add_group(FOOTBALL, 60)
+    system.link(FOOTBALL, NEWS)  # second supertopic: multiple inheritance
     system.finalize_static_membership()
 
     football_process = system.group(FOOTBALL)[0]
     print("supertopic tables of one .sports.football process:")
-    for parent, table in football_process.super_tables.items():
-        print(f"  parent {parent.name:<9} -> {len(table)} contacts in "
-              f"{table.target_topic.name}")
+    tables = football_process.tables.super_rows_of(football_process.row)
+    for parent, (target, pids) in zip(system.hierarchy.parents_of(FOOTBALL), tables):
+        print(f"  parent {parent.name:<9} -> {len(pids)} contacts in "
+              f"{target.name}")
     print(f"  membership state: {football_process.memory_footprint} entries "
           "(topic table + one table per parent)")
 

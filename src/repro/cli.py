@@ -250,13 +250,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (name, help_text) in _SWEEP_COMMANDS.items():
         row = SWEEPS[name]
         sweep = experiment(command, row.runs, help_text)
+        kind = int if row.integral else float
         sweep.add_argument(
             "--grid" if name.startswith("fig") else "--values",
             dest="values",
             metavar=row.axis.upper(),
-            type=int if row.integral else float,
+            type=kind,
             nargs="+",
-            default=list(row.values),
+            # argparse converts only string defaults: convert the row's
+            # values as it converts typed ones, so the default grid seeds
+            # and prints exactly as the same values given on the line
+            default=[kind(value) for value in row.values],
             help=f"{row.axis} values (default: %(default)s)",
         )
         if name.startswith("fig"):

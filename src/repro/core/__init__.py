@@ -14,8 +14,9 @@ The core package implements §V of the paper:
 * :mod:`~repro.core.maintenance` — Fig. 6's KEEP_TABLE_UPDATED task,
 * :mod:`~repro.core.process` — the protocol actor gluing the above,
 * :mod:`~repro.core.system` — the user-facing facade used by examples
-  and experiments,
-* :mod:`~repro.core.multiparent` — the §VIII multi-supertopic extension.
+  and experiments; in static mode it also serves §VIII's multiple
+  supertopics (:meth:`~repro.runtime.SystemFacade.link`: one supertopic
+  table per direct supertopic, as on the columnar host).
 """
 
 from repro.core.events import Event, EventId

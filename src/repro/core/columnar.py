@@ -23,8 +23,9 @@ replaces the per-process state with:
   of event-id tuples per process.
 
 Construction is the object backend's: both hosts draw their tables with
-the same builder (:func:`~repro.membership.columnar.draw_static_tables`)
-from the same ``"static-membership"`` stream, and both digest them with
+the same builder (:func:`~repro.membership.columnar.draw_static_tables`,
+one super block per direct supertopic, so §VIII's links too) from the
+same ``"static-membership"`` stream, and both digest them with
 the same :func:`~repro.membership.columnar.rows_digest` — pinned by the
 S=500 golden. The object backend seats each process at its row; this one
 keeps the columns and a block actor per group. *Runtime* draws use
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from repro.core.dissemination import disseminate, should_deliver
+from repro.core.dissemination import disseminate
 from repro.core.events import Event, EventId
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.errors import ConfigError, ProtocolError, UnknownTopic
@@ -52,6 +53,7 @@ from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.message import EventMessage, Message, Scope
 from repro.failures.model import FailureModel
 from repro.runtime import SimulationHarness, SystemFacade
+from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
 
@@ -110,12 +112,15 @@ class _MemberPeer:
 class ColumnarGroupActor:
     """One block actor running Fig. 5's RECEIVE for a whole group."""
 
-    __slots__ = ("topic", "tables", "base", "engine", "tracker", "_peer", "_seen")
+    __slots__ = (
+        "topic", "tables", "hierarchy", "base", "engine", "tracker", "_peer", "_seen",
+    )
 
     def __init__(
         self,
         tables: ColumnarGroupTables,
         params: TopicParams,
+        hierarchy: TopicHierarchy,
         engine,
         network,
         rng: random.Random,
@@ -123,6 +128,9 @@ class ColumnarGroupActor:
     ):
         self.topic = tables.topic
         self.tables = tables
+        #: the system's topic graph, whose inclusion decides what the
+        #: group may deliver
+        self.hierarchy = hierarchy
         #: the group is one pid block: member index = pid - base
         self.base = tables.members[0]
         self.engine = engine
@@ -148,7 +156,7 @@ class ColumnarGroupActor:
             # and group, by the first batch to bring it (the publisher's
             # group makes its mask in publish_from): every target shares
             # this group's topic, and every later batch the same event.
-            if not should_deliver(event, self.topic):
+            if not self.hierarchy.includes(self.topic, event.topic):
                 raise ProtocolError(
                     f"parasite delivery: group {self.topic.name} got event "
                     f"of {event.topic.name}"
@@ -215,6 +223,8 @@ class ColumnarStaticSystem(SystemFacade):
     the O(topics) streaming mode.
     """
 
+    _honours_links = True
+
     def __init__(
         self,
         *,
@@ -248,9 +258,7 @@ class ColumnarStaticSystem(SystemFacade):
     def add_group(self, topic: Topic | str, count: int) -> range:
         """Reserve one contiguous pid block of ``count`` processes for
         ``topic``; returns the pid range. One call per topic."""
-        self.harness.require_open()
-        if self._finalized:
-            raise ConfigError("membership already finalized")
+        self._touch()
         resolved = self.hierarchy.add(topic)
         if resolved in self._blocks:
             raise ConfigError(
@@ -260,6 +268,13 @@ class ColumnarStaticSystem(SystemFacade):
         block = self.harness.reserve_pid_block(count)
         self._blocks[resolved] = block
         return block
+
+    def _touch(self) -> None:
+        """Pid blocks and actors are laid out once, so membership — a
+        group or a link — cannot change after the finalize."""
+        self.harness.require_open()
+        if self._finalized:
+            raise ConfigError("membership already finalized")
 
     def finalize_static_membership(self) -> None:
         """Draw all membership columns once, from global knowledge.
@@ -273,11 +288,14 @@ class ColumnarStaticSystem(SystemFacade):
             raise ConfigError("membership already finalized")
         if not self._blocks:
             raise ConfigError("no groups added")
-        drawn = draw_static_tables(self._blocks, self.config.params_for, rng)
+        drawn = draw_static_tables(
+            self._blocks, self.config.params_for, rng, self.hierarchy
+        )
         for topic, block in self._blocks.items():
             actor = ColumnarGroupActor(
                 drawn[topic],
                 self.config.params_for(topic),
+                self.hierarchy,
                 self.engine,
                 self.network,
                 self.harness.rngs.stream(f"group/{topic.name}"),
@@ -322,11 +340,13 @@ class ColumnarStaticSystem(SystemFacade):
         )
         if self.tracker is not None:
             # Intended receivers over a perfect network: the topic's own
-            # block plus every populated ancestor block (inclusion).
+            # block plus every populated ancestor block (inclusion, over
+            # the hierarchy's links too).
+            includes = self.hierarchy.includes
             expected = sum(
                 len(members)
                 for t, members in self._blocks.items()
-                if t.includes(resolved)
+                if includes(t, resolved)
             )
             self.tracker.record_publish(
                 event, publisher_pid, expected=expected

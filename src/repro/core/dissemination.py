@@ -42,8 +42,8 @@ from repro.topics.topic import Topic
 class DisseminationPeer(Protocol):
     """What DISSEMINATE needs from the process running it: pids.
 
-    The host owns its tables (descriptor views, pid columns, one
-    supertopic table or one per parent) and its RNG stream, and makes
+    The host owns its tables (descriptor views, or pid columns with one
+    super block per direct supertopic) and its RNG stream, and makes
     Fig. 7's two selections itself; :func:`disseminate` only ever sees the
     chosen pids, builds one message per scope and multicasts it. Hosts
     over descriptor tables (a dynamic process, or a static one whose
@@ -158,15 +158,3 @@ def disseminate(
             targets, EventMessage(pid, event, peer.intra_scope, next_hops)
         )
     return len(targets), inter_sent
-
-
-def should_deliver(event: Event, topic: Topic) -> bool:
-    """Whether ``event`` is relevant to a subscriber of ``topic``.
-
-    True iff ``topic`` includes the event's publication topic. daMulticast
-    only ever routes events to interested processes, so for this protocol
-    the predicate always holds — it is asserted at delivery time to *prove*
-    the paper's no-parasite-messages claim (§I, property 4) rather than
-    assume it.
-    """
-    return event.is_of_topic(topic)

@@ -43,14 +43,6 @@ class Event:
     payload: Any = None
     published_at: float = 0.0
 
-    def is_of_topic(self, other: Topic) -> bool:
-        """Whether this event is (also) an event of ``other``.
-
-        True when ``other`` includes the publication topic: an event of
-        ``.dsn04.reviewers`` is an event of ``.dsn04`` and of the root.
-        """
-        return other.includes(self.topic)
-
     def __str__(self) -> str:
         return f"{self.event_id}@{self.topic.name}"
 

@@ -50,6 +50,7 @@ from repro.net.message import (
 from repro.net.network import Network
 from repro.sim.clock import Clock
 from repro.sim.rng import RngRegistry
+from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
 DeliveryCallback = Callable[["DaMulticastProcess", Event], None]
@@ -96,6 +97,7 @@ class DaMulticastProcess:
         engine: Clock,
         network: Network,
         rngs: RngRegistry,
+        hierarchy: TopicHierarchy,
         overlay: BootstrapOverlay | None = None,
         tracker: DeliveryTracker | None = None,
         delivery_callback: DeliveryCallback | None = None,
@@ -105,6 +107,9 @@ class DaMulticastProcess:
         self.pid = pid
         self.topic = topic
         self.config = config
+        #: the system's topic graph, whose inclusion decides what this
+        #: process may deliver (a tree, unless a static system linked)
+        self._hierarchy = hierarchy
         self.engine = engine
         self.network = network
         self.rngs = rngs
@@ -393,8 +398,9 @@ class DaMulticastProcess:
     # ------------------------------------------------------------------
     def _deliver(self, event: Event, hops: int = 0) -> None:
         # The paper's property 4: no parasite messages, ever. Make it a
-        # hard invariant instead of trusting the routing.
-        if not self.topic.includes(event.topic):
+        # hard invariant instead of trusting the routing. On a tree the
+        # hierarchy's inclusion is Topic.includes itself (one frame).
+        if not self._hierarchy.includes(self.topic, event.topic):
             raise ProtocolError(
                 f"parasite delivery: process {self.pid} (topic "
                 f"{self.topic.name}) got event of {event.topic.name}"
@@ -534,7 +540,10 @@ class StaticProcess(DaMulticastProcess):
 
     @property
     def memory_footprint(self) -> int:
-        """Topic-table + supertopic-table entries (§VI-C), read off the
-        row lengths."""
+        """Topic-table entries plus every supertopic table's (§VI-C; one
+        table per direct supertopic under §VIII), read off the row
+        lengths."""
         tables = self.tables
-        return tables.stride + tables.super_stride if tables is not None else 0
+        if tables is None:
+            return 0
+        return tables.stride + sum(block.stride for block in tables.supers)

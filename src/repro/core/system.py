@@ -64,11 +64,9 @@ class DaMulticastSystem(ObjectSystemFacade):
             raise ConfigError(f"mode must be 'static' or 'dynamic', got {mode!r}")
         self.config = config or DaMulticastConfig()
         self.mode = mode
-        #: what ``_add_members`` instantiates (read once per call): a static
-        #: member is a row of its group's columns
-        self._process_class = (
-            StaticProcess if mode == "static" else DaMulticastProcess
-        )
+        #: Fig. 4's bootstrap climbs dotted parents only, so only the
+        #: static build draws §VIII's table per linked supertopic
+        self._honours_links = mode == "static"
         # A pre-built harness (e.g. the live runtime's wall-clock one) is
         # adopted as-is; the seed/p_success/latency/... knobs then belong
         # to whoever built it.
@@ -113,11 +111,12 @@ class DaMulticastSystem(ObjectSystemFacade):
         scope, the harness parts — is resolved here, once per call; the
         loop body is what one member costs.
         """
-        make_process = self._process_class
+        dynamic = self.mode == "dynamic"
+        # a static member is a row of its group's columns
+        make_process = DaMulticastProcess if dynamic else StaticProcess
         harness = self.harness
         rngs = harness.rngs
         network = harness.network
-        dynamic = self.mode == "dynamic"
         group = self._groups.setdefault(topic, [])
         cell = self._group_size_cells.get(topic)
         if cell is None:
@@ -134,6 +133,7 @@ class DaMulticastSystem(ObjectSystemFacade):
                 engine=harness.engine,
                 network=network,
                 rngs=rngs,
+                hierarchy=self.hierarchy,
                 overlay=self.overlay,
                 tracker=harness.tracker,
                 delivery_callback=self._delivery_callback,
@@ -210,8 +210,9 @@ class DaMulticastSystem(ObjectSystemFacade):
         Reproduces the paper's simulation setting: each topic table is a
         uniform sample of ``(b+1)·log(S)`` group members, each supertopic
         table a uniform sample of ``z`` members of the nearest populated
-        supergroup. Tables never change afterwards. Each group is drawn as
-        two pid columns (:func:`~repro.membership.columnar.
+        supergroup — one table per direct supertopic when :meth:`link`
+        gave a topic several (§VIII). Tables never change afterwards. Each
+        group is drawn as pid columns (:func:`~repro.membership.columnar.
         draw_static_tables`, the columnar host's build) and every member
         is seated at its row.
         """
@@ -223,6 +224,7 @@ class DaMulticastSystem(ObjectSystemFacade):
             {topic: [p.pid for p in members] for topic, members in groups.items()},
             self.config.params_for,
             rng,
+            self.hierarchy,
         )
         for topic, tables in drawn.items():
             for row, process in enumerate(groups[topic]):
@@ -263,14 +265,15 @@ class DaMulticastSystem(ObjectSystemFacade):
     # ------------------------------------------------------------------
     def _interested_count(self, topic: Topic) -> int:
         """Processes whose subscription *includes* events of ``topic`` —
-        its own group plus every supergroup (inclusion, §III-B): the
-        intended receivers of a ``topic`` event over a perfect network.
-        Live count (consulted at publish time via
+        its own group plus every supergroup (inclusion, §III-B, over the
+        hierarchy's links too): the intended receivers of a ``topic`` event
+        over a perfect network. Live count (consulted at publish time via
         :meth:`DaMulticastProcess.bind_expected_receivers`)."""
+        includes = self.hierarchy.includes
         return sum(
             len(members)
             for t, members in self._groups.items()
-            if t.includes(topic)
+            if includes(t, topic)
         )
 
     def construction_digest(self) -> str:

@@ -74,22 +74,6 @@ class SuperTopicTable:
         self._view.merge(candidates, rng)
         return len(self._view) > before or before == 0
 
-    def install(
-        self, topic: Topic, descriptors: Iterable[ProcessDescriptor]
-    ) -> None:
-        """Replace the whole content with members of ``topic`` (bulk, no rng).
-
-        What :meth:`clear` + :meth:`adopt` leave behind when, as in the
-        static build, the caller already knows what ``adopt`` would check
-        per entry: ``topic`` is a strict supertopic of the owner's, every
-        descriptor is a member of ``topic``, and there are at most ``z`` of
-        them (so no eviction draw). Raises
-        :class:`~repro.errors.MembershipError` when there are more.
-        """
-        self._view.install(descriptors)
-        self._last_proof.clear()
-        self.target_topic = topic if len(self._view) else None
-
     def merge_fresh(
         self,
         stale_pids: Iterable[int],

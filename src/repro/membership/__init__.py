@@ -14,8 +14,8 @@ package implements:
 * :mod:`~repro.membership.columnar` — the paper's §VII simulation mode
   where all tables are drawn once at time zero and frozen, stored as pid
   columns per group; both static hosts, §VIII's per-parent tables and the
-  baselines draw and read them (:mod:`~repro.membership.static` keeps the
-  supergroup rule and the historical draws they are held to),
+  baselines draw and read them (beside the historical draws they are
+  held to),
 * :class:`~repro.membership.overlay.BootstrapOverlay` — the weakly
   consistent global overlay providing ``neighborhood(p)`` for the Fig. 4
   bootstrap search.

@@ -1,23 +1,24 @@
-"""Columnar static membership — a group's frozen tables as two pid columns.
+"""Columnar static membership — a group's frozen tables as flat pid columns.
 
 §VII's tables "are initialized at the beginning of the simulation and do
 not change", so neither host keeps them as objects. This module stores a
-whole group's membership in two flat ``array('l')`` columns:
+whole group's membership in flat ``array('l')`` columns:
 
 * **topic rows** — member ``i``'s topic table occupies the fixed-stride
   slice ``[i·stride, (i+1)·stride)`` of one contiguous pid array, where
   ``stride = min(capacity, S-1)``;
-* **super rows** — likewise for the ``sTable`` draws against the nearest
-  populated supergroup, stride ``min(z, S_super)``.
+* **super blocks** — one per direct supertopic (:class:`SuperBlock`):
+  likewise for the ``sTable`` draws against the nearest populated group
+  at or above that supertopic, stride ``min(z, S_super)``. A tree gives a
+  group none or one; a §VIII DAG one per parent ("adding a supertopic
+  table for each supertopic").
 
 Every static table in the tree is built here. The columnar host
 (:mod:`repro.core.columnar`) passes each group's pid block, a ``range``;
 the object host (:class:`~repro.core.system.DaMulticastSystem`) passes each
 group's pids in join order, which need not be contiguous — ``add_process``
 calls for several topics interleave. Both go through
-:func:`draw_static_tables`. :class:`~repro.core.multiparent.
-MultiParentSystem` draws its topic rows with :class:`ColumnarTableBuilder`
-and its per-parent ``z``-samples with :class:`ColumnarSuperBuilder`. The
+:func:`draw_static_tables`, over their topic hierarchy. The
 four baselines draw their in-group tables with :func:`build_group_tables`
 and their outsider tables (a table over a group the drawer is not in) with
 :class:`ColumnarSuperBuilder`, read back as topic rows through
@@ -28,10 +29,10 @@ Draw order
 ----------
 
 Each builder is draw-for-draw identical to a historical per-member body
-kept in :mod:`repro.membership.static` — a topic row to
-:func:`~repro.membership.static._reference_draw_topic_table`, a super or
-outsider row to :func:`~repro.membership.static._reference_draw_super_table`
-— from the same RNG stream, with the same RNG end-state. The argument:
+kept at the end of this module — a topic row to
+:func:`_reference_draw_topic_table`, a super or outsider row to
+:func:`_reference_draw_super_table` — from the same RNG stream, with the
+same RNG end-state. The argument:
 
 * ``random.Random.sample(population, k)`` is purely positional: its RNG
   consumption and the *positions* it selects depend only on
@@ -52,7 +53,9 @@ outsider row to :func:`~repro.membership.static._reference_draw_super_table`
   the builders and over a row for :meth:`ColumnarGroupTables.sample_row`.
 
 A whole build draws the groups in a fixed order from one stream, each
-member's topic row then its super row (:func:`build_group_tables`). The
+member's topic row then one super row per block, in
+:meth:`~repro.topics.hierarchy.TopicHierarchy.parents_of` order
+(:func:`build_group_tables`). The
 S=500 construction-digest golden (one digest, :func:`rows_digest`, for
 both hosts) and tests/test_membership_equivalence.py pin all of it.
 
@@ -72,15 +75,25 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigError
 from repro.membership.sampling import sample_from
-from repro.membership.static import nearest_populated_super
+from repro.membership.view import PartialView, ProcessDescriptor
 from repro.topics.topic import Topic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.params import TopicParams
+    from repro.topics.hierarchy import TopicHierarchy
+
+
+class SuperBlock(NamedTuple):
+    """One supertopic table per member, for one direct supertopic: the
+    group it points at and the members' rows, ``stride`` pids each."""
+
+    target: Topic
+    stride: int
+    rows: array
 
 
 class ColumnarGroupTables:
@@ -90,14 +103,13 @@ class ColumnarGroupTables:
     group's draw order); afterwards the tables are immutable — exactly the
     paper's §VII setting ("these tables are initialized at the beginning
     of the simulation and do not change"). ``members`` is the group's pid
-    sequence: member ``i`` — pid ``members[i]`` — owns row ``i`` of both
-    columns.
+    sequence: member ``i`` — pid ``members[i]`` — owns row ``i`` of the
+    topic column and of every super block. ``supers`` holds one
+    :class:`SuperBlock` per direct supertopic that has a populated topic
+    above it: none or one on a tree, one per parent on a §VIII DAG.
     """
 
-    __slots__ = (
-        "topic", "members", "size", "capacity", "stride", "rows",
-        "super_topic", "super_stride", "super_rows",
-    )
+    __slots__ = ("topic", "members", "size", "capacity", "stride", "rows", "supers")
 
     def __init__(
         self,
@@ -106,9 +118,7 @@ class ColumnarGroupTables:
         capacity: int,
         stride: int,
         rows: array,
-        super_topic: Topic | None = None,
-        super_stride: int = 0,
-        super_rows: array | None = None,
+        supers: tuple[SuperBlock, ...] = (),
     ):
         self.topic = topic
         self.members = members
@@ -116,9 +126,7 @@ class ColumnarGroupTables:
         self.capacity = capacity
         self.stride = stride
         self.rows = rows
-        self.super_topic = super_topic
-        self.super_stride = super_stride
-        self.super_rows = array("l") if super_rows is None else super_rows
+        self.supers = supers
 
     # ------------------------------------------------------------------
     # Row access (pids, in draw order — the digest/golden order)
@@ -128,10 +136,13 @@ class ColumnarGroupTables:
         start = index * self.stride
         return self.rows[start : start + self.stride].tolist()
 
-    def super_row_pids(self, index: int) -> list[int]:
-        """Member ``index``'s supertopic-table pids, in insertion order."""
-        start = index * self.super_stride
-        return self.super_rows[start : start + self.super_stride].tolist()
+    def super_rows_of(self, index: int) -> list[tuple[Topic, list[int]]]:
+        """Member ``index``'s supertopic tables, one ``(target, pids)`` per
+        super block, pids in insertion order."""
+        return [
+            (target, rows[index * stride : (index + 1) * stride].tolist())
+            for target, stride, rows in self.supers
+        ]
 
     # ------------------------------------------------------------------
     # Fig. 7's two selections, off the columns
@@ -165,41 +176,40 @@ class ColumnarGroupTables:
         rng: random.Random,
         force_link: bool,
     ) -> tuple[tuple[Topic, list[int]], ...]:
-        """Fig. 7 lines 3-7 over member ``index``'s super row: nothing
-        unless the member elects itself a link (probability ``p_sel``, or
-        ``force_link``), then each entry kept with probability ``p_a``.
+        """Fig. 7 lines 3-7 over member ``index``'s super rows, once per
+        super block: nothing unless the member elects itself a link for
+        that block (probability ``p_sel``, or ``force_link``), then each
+        entry kept with probability ``p_a``. One ``(target, pids)`` pair
+        per block that kept a pid.
 
         Draw-for-draw identical to :func:`~repro.core.dissemination.
-        elect_links` over a supertopic table holding the row: an empty row
-        draws nothing; otherwise the election draw (skipped when forced),
-        then one ``p_a`` draw per entry, in row order.
+        elect_links` over one supertopic table per block holding its row:
+        per block, the election draw (skipped when forced), then one
+        ``p_a`` draw per entry, in row order. A block is never empty.
         """
-        stride = self.super_stride
-        if not stride:
-            return ()
         random_draw = rng.random
-        if not (force_link or random_draw() < p_sel):
-            return ()
-        start = index * stride
-        links = [
-            pid
-            for pid in self.super_rows[start : start + stride]
-            if random_draw() < p_a
-        ]
-        return ((self.super_topic, links),) if links else ()
+        links = ()
+        for target, stride, rows in self.supers:
+            if force_link or random_draw() < p_sel:
+                start = index * stride
+                kept = [
+                    pid for pid in rows[start : start + stride] if random_draw() < p_a
+                ]
+                if kept:
+                    links += ((target, kept),)
+        return links
 
     def nbytes(self) -> int:
         """Bytes held by the pid columns (the group's membership state)."""
-        return (
-            self.rows.itemsize * len(self.rows)
-            + self.super_rows.itemsize * len(self.super_rows)
+        return self.rows.itemsize * len(self.rows) + sum(
+            rows.itemsize * len(rows) for _, _, rows in self.supers
         )
 
 
 class ColumnarTableBuilder:
     """Per-group topic-row builder: member ``i``'s row is ``capacity``
     other members, draw-identical to
-    :func:`~repro.membership.static._reference_draw_topic_table`.
+    :func:`_reference_draw_topic_table`.
 
     ``draw_row`` must be called for members in index order (a build
     interleaves each member's topic and supertopic draws, so the caller
@@ -212,7 +222,6 @@ class ColumnarTableBuilder:
             raise ConfigError("group size must be >= 1, got 0")
         if capacity < 1:
             raise ConfigError(f"table capacity must be >= 1, got {capacity}")
-        self.members = members
         #: the pids as a list, the sequence CPython indexes fastest (a
         #: ``range`` computes each item, an array boxes it)
         self._pids = list(members)
@@ -241,17 +250,11 @@ class ColumnarTableBuilder:
         for r in sample_from(None, 0, self._n, self.capacity, rng):
             append(pids[r if r < index else r + 1])
 
-    def tables(self, topic: Topic) -> ColumnarGroupTables:
-        """The group's tables: the rows drawn so far, no super rows."""
-        return ColumnarGroupTables(
-            topic, self.members, self.capacity, self.stride, self.rows
-        )
-
 
 class ColumnarSuperBuilder:
     """Row builder over a group the drawers are not in: each row is a
     uniform ``z``-draw of ``super_members``, no exclusion, draw-identical
-    to :func:`~repro.membership.static._reference_draw_super_table`.
+    to :func:`_reference_draw_super_table`.
 
     Serves ``sTable`` rows and the baselines' outsider tables."""
 
@@ -288,34 +291,37 @@ def build_group_tables(
     capacity: int,
     rng: random.Random,
     *,
-    super_topic: Topic | None = None,
-    super_members: Sequence[int] = (),
+    supers: Sequence[tuple[Topic, Sequence[int]]] = (),
     z: int = 0,
 ) -> ColumnarGroupTables:
     """Draw one group's full membership columns.
 
-    Member ``i``'s topic-table draw, then its super-table draw (when a
-    populated supergroup exists), both from the single shared ``rng`` —
-    the per-member interleaving every static build has always had.
+    ``supers`` lists, per direct supertopic, the populated group its table
+    points at and that group's pids. Member ``i``'s topic-table draw, then
+    one ``z``-draw per entry of ``supers``, in order, all from the single
+    shared ``rng`` — the per-member interleaving every static build has
+    always had.
     """
     table_builder = ColumnarTableBuilder(members, capacity)
-    if super_topic is None or not super_members:
-        for index in range(len(members)):
-            table_builder.draw_row(index, rng)
-        return table_builder.tables(topic)
-    super_builder = ColumnarSuperBuilder(super_members, z)
+    draw_row = table_builder.draw_row
+    super_builders = [
+        (target, ColumnarSuperBuilder(pids, z)) for target, pids in supers
+    ]
+    draw_super_rows = [builder.draw_row for _, builder in super_builders]
     for index in range(len(members)):
-        table_builder.draw_row(index, rng)
-        super_builder.draw_row(rng)
+        draw_row(index, rng)
+        for draw_super_row in draw_super_rows:
+            draw_super_row(rng)
     return ColumnarGroupTables(
         topic,
         members,
         capacity,
         table_builder.stride,
         table_builder.rows,
-        super_topic,
-        super_builder.stride,
-        super_builder.rows,
+        tuple(
+            SuperBlock(target, builder.stride, builder.rows)
+            for target, builder in super_builders
+        ),
     )
 
 
@@ -323,27 +329,32 @@ def draw_static_tables(
     groups: Mapping[Topic, Sequence[int]],
     params_for: Callable[[Topic], TopicParams],
     rng: random.Random,
+    hierarchy: TopicHierarchy,
 ) -> dict[Topic, ColumnarGroupTables]:
     """§VII's build: every group's columns, drawn from global knowledge.
 
     Groups are drawn in ``groups`` order from the one ``rng``; each member's
     topic table is a uniform sample of ``(b+1)·log(S)`` other members and
-    its supertopic table a uniform sample of ``z`` members of the nearest
-    populated supergroup (§III-B); ``params_for(topic)`` gives a group's
-    ``b`` (through ``table_capacity``) and ``z``. What both hosts'
+    each of its supertopic tables a uniform sample of ``z`` members of the
+    nearest populated group at or above one direct supertopic
+    (§III-B; :meth:`~repro.topics.hierarchy.TopicHierarchy.
+    nearest_populated_supers`, one table per parent on a §VIII DAG);
+    ``params_for(topic)`` gives a group's ``b`` (through
+    ``table_capacity``) and ``z``. What both hosts'
     ``finalize_static_membership`` draw.
     """
     drawn: dict[Topic, ColumnarGroupTables] = {}
     for topic, members in groups.items():
         params = params_for(topic)
-        super_topic = nearest_populated_super(topic, groups)
         drawn[topic] = build_group_tables(
             topic,
             members,
             params.table_capacity(len(members)),
             rng,
-            super_topic=super_topic,
-            super_members=groups[super_topic] if super_topic is not None else (),
+            supers=[
+                (target, groups[target])
+                for target in hierarchy.nearest_populated_supers(topic, groups)
+            ],
             z=params.z,
         )
     return drawn
@@ -351,8 +362,9 @@ def draw_static_tables(
 
 def rows_digest(rows: Iterable[tuple[ColumnarGroupTables, int]]) -> str:
     """SHA-256 over members' tables, given as ``(tables, row)`` per member
-    in pid order: ``T`` and the topic-row pids, ``S`` and the super-row
-    pids, then the super target — per member, byte for byte the S=500
+    in pid order: ``T`` and the topic-row pids, then per super block ``S``,
+    its row's pids and its target (a member with none digests as one empty
+    block aimed at ``None``) — per member, byte for byte the S=500
     golden's layout (tests/test_golden_static.py). Both hosts'
     ``construction_digest``."""
     digest = hashlib.sha256()
@@ -360,7 +372,49 @@ def rows_digest(rows: Iterable[tuple[ColumnarGroupTables, int]]) -> str:
     for tables, row in rows:
         update(b"T")
         update(",".join(map(str, tables.row_pids(row))).encode())
-        update(b"S")
-        update(",".join(map(str, tables.super_row_pids(row))).encode())
-        update(str(tables.super_topic).encode())
+        for target, pids in tables.super_rows_of(row) or ((None, ()),):
+            update(b"S")
+            update(",".join(map(str, pids)).encode())
+            update(str(target).encode())
     return digest.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# The historical per-member draws: the oracles the builders are held to
+# (tests/test_membership_equivalence.py, benchmarks/bench_membership_build.py)
+# ----------------------------------------------------------------------
+def _reference_draw_topic_table(
+    member: ProcessDescriptor,
+    group: Sequence[ProcessDescriptor],
+    capacity: int,
+    rng: random.Random,
+) -> PartialView:
+    """The historical topic-table draw: ``capacity`` members of ``group``
+    other than ``member``, rebuilding the O(S) exclusion list per call.
+
+    Kept verbatim as the equivalence oracle: a columnar topic row (or,
+    for a ``member`` outside ``group``, an outsider row) must hold the same
+    pids in the same order *and* leave the same RNG end-state.
+    """
+    view = PartialView(capacity)
+    others = [d for d in group if d.pid != member.pid]
+    chosen = others if capacity >= len(others) else rng.sample(others, capacity)
+    for descriptor in chosen:
+        view.add(descriptor, rng)
+    return view
+
+
+def _reference_draw_super_table(
+    super_group: Sequence[ProcessDescriptor],
+    z: int,
+    rng: random.Random,
+) -> PartialView:
+    """The historical ``sTable`` draw: ``z`` members of ``super_group``,
+    copying the population per call (the oracle of a super row)."""
+    view = PartialView(max(1, z))
+    chosen = (
+        list(super_group) if z >= len(super_group) else rng.sample(list(super_group), z)
+    )
+    for descriptor in chosen:
+        view.add(descriptor, rng)
+    return view

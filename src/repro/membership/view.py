@@ -9,21 +9,19 @@ by the underlying membership algorithm) and the supertopic table
 gossip analysis of [10] needs), and supports the paper's MERGE semantics.
 
 Hot-path design (the gossip fast path calls
-:meth:`PartialView.sample_pids` once per first reception of an event, and
-static construction calls :meth:`PartialView.install` once per process).
+:meth:`PartialView.sample_pids` once per first reception of an event).
 Beside the entry dict a view keeps two insertion-ordered mirrors of it:
 
 * **Cached descriptor tuple** — what ``descriptors`` and ``sample`` serve
   from; every mutator (``add``, ``_evict_uniform``, ``remove``, ``replace``,
-  ``install``, ``clear``, and ``set_capacity`` through its evictions) resets
-  it to ``None`` and it is rebuilt lazily.
+  ``clear``, and ``set_capacity`` through its evictions) resets it to
+  ``None`` and it is rebuilt lazily.
 * **Pid list** — what ``sample_pids`` and uniform eviction index into, so
   that neither materialises ``list(self._entries)`` per call. It is never
   stale: the same mutators keep it in step in place (invariant:
-  ``_pid_list is None`` or ``_pid_list == list(_entries)``; only the bulk
-  ``install`` drops it to ``None``, and the first sample or eviction
-  rebuilds it). An eviction victim is one ``rng._randbelow(len)`` draw —
-  exactly the draw ``rng.choice(list(entries))`` used to make.
+  ``_pid_list == list(_entries)``). An eviction victim is one
+  ``rng._randbelow(len)`` draw — exactly the draw
+  ``rng.choice(list(entries))`` used to make.
 
 Both samples go through :func:`repro.membership.sampling.sample_from`, which
 selects positions exactly as ``random.Random.sample`` does, so a pid sample
@@ -66,8 +64,8 @@ class PartialView:
     (module docstring): the descriptor tuple ``_cache`` behind
     :meth:`descriptors`/:meth:`sample`, dropped by every mutator and
     rebuilt lazily, and the pid list ``_pid_list`` behind
-    :meth:`sample_pids` and eviction, kept in step by every mutator
-    (dropped only by the bulk :meth:`install`). Neither can be served stale.
+    :meth:`sample_pids` and eviction, kept in step by every mutator.
+    Neither can be served stale.
     """
 
     __slots__ = ("capacity", "_entries", "_pid_list", "_cache")
@@ -77,9 +75,8 @@ class PartialView:
             raise ConfigError(f"view capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: dict[int, ProcessDescriptor] = {}
-        #: insertion-order mirror of ``_entries`` keys; ``None`` = rebuild
-        #: lazily on first sample or eviction (bulk ``install`` skips it).
-        self._pid_list: list[int] | None = []
+        #: insertion-order mirror of ``_entries`` keys
+        self._pid_list: list[int] = []
         #: tuple snapshot served by ``descriptors``/``sample``; ``None``
         #: after any mutation.
         self._cache: tuple[ProcessDescriptor, ...] | None = None
@@ -92,8 +89,6 @@ class PartialView:
         if rng is None:
             raise MembershipError(what)
         pids = self._pid_list
-        if pids is None:
-            pids = self._pid_list = list(self._entries)
         # One _randbelow draw — the same single draw that
         # rng.choice(list(self._entries)) used to consume, but without
         # materialising the key list per eviction.
@@ -116,8 +111,7 @@ class PartialView:
         if descriptor.pid in self._entries:
             return True
         self._entries[descriptor.pid] = descriptor
-        if self._pid_list is not None:
-            self._pid_list.append(descriptor.pid)
+        self._pid_list.append(descriptor.pid)
         self._cache = None
         if len(self._entries) > self.capacity:
             victim = self._evict_uniform(
@@ -139,30 +133,11 @@ class PartialView:
             self.add(descriptor, rng)
         return added
 
-    def install(self, descriptors: Iterable[ProcessDescriptor]) -> None:
-        """Replace the whole content with ``descriptors`` (bulk, no rng).
-
-        The static build context uses this to bypass per-add bookkeeping:
-        the caller guarantees at most ``capacity`` distinct pids, so no
-        overflow check (and no eviction draw) is needed. Raises
-        :class:`MembershipError` when more entries than capacity are given.
-        """
-        entries = {d.pid: d for d in descriptors}
-        if len(entries) > self.capacity:
-            raise MembershipError(
-                f"install of {len(entries)} entries exceeds view capacity "
-                f"{self.capacity}"
-            )
-        self._entries = entries
-        self._pid_list = None
-        self._cache = None
-
     def remove(self, pid: int) -> bool:
         """Drop ``pid`` from the view; returns whether it was present."""
         if self._entries.pop(pid, None) is None:
             return False
-        if self._pid_list is not None:
-            self._pid_list.remove(pid)
+        self._pid_list.remove(pid)
         self._cache = None
         return True
 
@@ -183,8 +158,7 @@ class PartialView:
                 break
             if descriptor.pid not in self._entries:
                 self._entries[descriptor.pid] = descriptor
-                if self._pid_list is not None:
-                    self._pid_list.append(descriptor.pid)
+                self._pid_list.append(descriptor.pid)
                 self._cache = None
                 admitted += 1
         # rng kept in the signature for symmetry with merge(); no eviction
@@ -279,8 +253,6 @@ class PartialView:
         if k < 0:
             raise ConfigError(f"sample size must be >= 0, got {k}")
         pids = self._pid_list
-        if pids is None:
-            pids = self._pid_list = list(self._entries)
         if exclude_pid in self._entries:  # never, for a process's own table
             pids = [pid for pid in pids if pid != exclude_pid]
         n = len(pids)

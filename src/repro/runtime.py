@@ -169,14 +169,17 @@ class SystemFacade:
     """What every system is besides its protocol, on one harness.
 
     Subclasses keep their members in their own shape (process objects,
-    pid blocks), call :meth:`_touch` from
-    whatever adds members (or refuse to add once finalized), start their
-    finalize with :meth:`_membership_rng` and end it with
-    ``self._finalized = True``.
+    pid blocks), call :meth:`_touch` from whatever adds members (a
+    subclass that cannot redraw overrides it to refuse once finalized),
+    start their finalize with :meth:`_membership_rng` and end it with
+    ``self._finalized = True``. :meth:`link` is refused unless the
+    subclass's build honours §VIII's extra supertopics.
     """
 
     #: the method that draws the membership tables, named by the gate
     _finalize_verb = "finalize_static_membership"
+    #: whether the build draws a table per linked supertopic (§VIII)
+    _honours_links = False
 
     def __init__(self, harness: SimulationHarness):
         self.harness = harness
@@ -224,6 +227,25 @@ class SystemFacade:
         more than 10⁷ deliveries.
         """
         return self.harness.run_until_idle(max_events=max_events)
+
+    def link(self, topic: Topic | str, extra_parent: Topic | str) -> None:
+        """Give ``topic`` the further direct supertopic ``extra_parent``
+        (§VIII, multiple inheritance), once both are registered.
+
+        The next finalize draws a supertopic table per direct supertopic
+        and inclusion follows the links, so a link re-arms the
+        finalize-before-publish gate, as adding a member does. A system
+        whose build cannot honour a link — the dynamic protocol, whose
+        Fig. 4 bootstrap climbs dotted parents only, and the baselines —
+        refuses it with :class:`ConfigError`.
+        """
+        if not self._honours_links:
+            raise ConfigError(
+                f"{type(self).__name__} cannot honour a link: only the "
+                "static daMulticast build draws a table per supertopic"
+            )
+        self._touch()
+        self.hierarchy.link(topic, extra_parent)
 
     # ------------------------------------------------------------------
     # The finalize-before-publish gate and the publisher election

@@ -9,16 +9,16 @@ provides:
   with super/sub-topic navigation, one instance per path (equality is
   identity),
 * :class:`~repro.topics.hierarchy.TopicHierarchy` — an explicit registry of
-  the topics that exist in a system (a rooted tree),
-* :class:`~repro.topics.hierarchy.TopicDag` — the multi-inheritance
-  extension sketched in the paper's conclusion (a topic may have several
-  direct supertopics),
+  the topics that exist in a system: a rooted tree, or a rooted DAG once
+  :meth:`~repro.topics.hierarchy.TopicHierarchy.link` gives a topic
+  several direct supertopics (the multi-inheritance extension sketched in
+  the paper's conclusion, §VIII),
 * :mod:`~repro.topics.builders` — convenience constructors (chains,
   hierarchies from dotted names, balanced trees).
 """
 
 from repro.topics.topic import ROOT, Topic
-from repro.topics.hierarchy import TopicDag, TopicHierarchy
+from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.builders import (
     balanced_tree,
     chain,
@@ -29,7 +29,6 @@ __all__ = [
     "ROOT",
     "Topic",
     "TopicHierarchy",
-    "TopicDag",
     "chain",
     "balanced_tree",
     "from_names",

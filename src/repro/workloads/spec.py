@@ -438,6 +438,14 @@ def _parse_subscriptions(
     include_root = _get_bool(
         section, "include_root", "subscriptions", default=False
     )
+    # the last-ranked topic's weight is 1 / ranks**exponent: that power
+    # must stay below 2**1023, a float (and an int pow the build can do)
+    ranks = sum(1 for topic in hierarchy.topics if include_root or not topic.is_root)
+    if ranks > 1 and exponent * math.log2(ranks) >= 1023:
+        raise ConfigError(
+            f"subscriptions: exponent {exponent} is too large for {ranks} "
+            f"ranked topics (rank**exponent must fit a float)"
+        )
     return functools.partial(
         zipf_subscriptions, hierarchy, n, exponent=exponent, include_root=include_root
     )
@@ -550,11 +558,16 @@ def _parse_publications(
             section, {"kind", "topic", "level", "count", "start", "spacing"}, where
         )
         topic = _parse_topic_ref(section, ordered_topics, hierarchy, is_chain, where)
+        count = _get_number(section, "count", where, minimum=1, integer=True)
+        start = _get_number(section, "start", where, default=0.0, minimum=0)
+        spacing = _get_number(section, "spacing", where, default=0.0, minimum=0)
+        if not math.isfinite(start + (count - 1) * spacing):
+            raise ConfigError(
+                f"{where}: spacing {spacing} puts publication {count} of "
+                f"{count} at an infinite time (start + (count-1)·spacing)"
+            )
         make = functools.partial(
-            burst_schedule,
-            count=_get_number(section, "count", where, minimum=1, integer=True),
-            start=_get_number(section, "start", where, default=0.0, minimum=0),
-            spacing=_get_number(section, "spacing", where, default=0.0, minimum=0),
+            burst_schedule, count=count, start=start, spacing=spacing
         )
     elif kind == "poisson":
         _reject_unknown_keys(

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from repro.core.dissemination import disseminate, should_deliver
+from repro.core.dissemination import disseminate
 from repro.core.events import Event, EventId
 from repro.core.params import TopicParams
 from repro.core.process import DaMulticastProcess
 from repro.core.tables import SuperTopicTable
 from repro.membership.view import PartialView, ProcessDescriptor
 from repro.net.message import EventMessage, Scope
-from repro.topics import Topic
+from repro.topics import Topic, TopicHierarchy
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
@@ -240,15 +240,22 @@ class TestPidLevelContract:
         assert peer.batches == []
 
 
-class TestShouldDeliver:
+class TestDeliveryInclusion:
+    """The no-parasite check both hosts run before delivering: the
+    subscriber's topic must include the event's, by the hierarchy."""
+
+    @staticmethod
+    def should_deliver(event, topic):
+        return TopicHierarchy().includes(topic, event.topic)
+
     def test_own_topic(self):
-        assert should_deliver(make_event(T2), T2)
+        assert self.should_deliver(make_event(T2), T2)
 
     def test_supertopic_subscriber_gets_subtopic_event(self):
-        assert should_deliver(make_event(T2), T1)
+        assert self.should_deliver(make_event(T2), T1)
 
     def test_subtopic_subscriber_rejects_supertopic_event(self):
-        assert not should_deliver(make_event(T1), T2)
+        assert not self.should_deliver(make_event(T1), T2)
 
     def test_sibling_rejected(self):
-        assert not should_deliver(make_event(T2), Topic.parse(".t1.other"))
+        assert not self.should_deliver(make_event(T2), Topic.parse(".t1.other"))

@@ -55,18 +55,19 @@ class TestStaticMembership:
         system = build_paper_like_system()
         supergroup = set(system.group_pids(T1))
         for process in system.group(T2):
-            assert process.tables.super_topic == T1
-            row = process.tables.super_row_pids(process.row)
+            [(target, row)] = process.tables.super_rows_of(process.row)
+            assert target == T1
             assert len(row) == process.params.z
             assert set(row) <= supergroup
         for process in system.group(T1):
-            assert process.tables.super_topic == ROOT
+            [(target, _)] = process.tables.super_rows_of(process.row)
+            assert target == ROOT
 
     def test_root_group_has_no_super_table(self):
         system = build_paper_like_system()
         for process in system.group(ROOT):
-            assert process.tables.super_stride == 0
-            assert process.tables.super_row_pids(process.row) == []
+            assert process.tables.supers == ()
+            assert process.tables.super_rows_of(process.row) == []
 
     def test_super_table_skips_empty_group(self):
         config = DaMulticastConfig()
@@ -75,7 +76,8 @@ class TestStaticMembership:
         system.add_group(T2, 10)  # T1 exists in hierarchy but has no members
         system.finalize_static_membership()
         for process in system.group(T2):
-            assert process.tables.super_topic == ROOT
+            [(target, _)] = process.tables.super_rows_of(process.row)
+            assert target == ROOT
 
     def test_publish_before_finalize_raises(self):
         system = DaMulticastSystem(mode="static")

@@ -2,13 +2,8 @@
 
 import random
 
-import hypothesis.strategies as st
-import pytest
-from hypothesis import given, settings
-
 from repro.core.tables import SuperTopicTable
-from repro.errors import MembershipError
-from repro.membership import ColumnarSuperBuilder, ProcessDescriptor
+from repro.membership import ProcessDescriptor
 from repro.topics import ROOT, Topic
 
 T1 = Topic.parse(".t1")
@@ -143,58 +138,3 @@ class TestQueries:
         table.adopt(T1, descs(T1, [1, 2]), RNG, own_topic=T2)
         assert {d.pid for d in table.descriptors()} == {1, 2}
         assert sorted(table.pids) == [1, 2]
-
-
-class TestInstall:
-    """``install`` is what the static build leaves in a table: the same
-    content, order, target and RNG end-state as ``clear()`` + ``adopt()``
-    of a fresh ``z``-sample of the supergroup."""
-
-    @given(
-        z=st.integers(min_value=1, max_value=8),
-        supergroup=st.integers(min_value=1, max_value=40),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        previous=st.sampled_from([None, ROOT, T1]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_install_equals_clear_then_adopt(self, z, supergroup, seed, previous):
-        def sample(rng):
-            builder = ColumnarSuperBuilder(range(100, 100 + supergroup), z)
-            builder.draw_row(rng)
-            return descs(T1, builder.rows)
-
-        tables, rngs = [], []
-        for _ in range(2):
-            table = SuperTopicTable(z)
-            if previous is not None:  # whatever was there is replaced
-                table.adopt(previous, descs(previous, [1, 2]), RNG)
-                table.record_proof_of_life(1, now=0.0)
-            tables.append(table)
-            rngs.append(random.Random(seed))
-        reference, installed = tables
-        reference.clear()
-        reference.adopt(T1, sample(rngs[0]), rngs[0], own_topic=T2)
-        installed.install(T1, sample(rngs[1]))
-        assert installed.pids == reference.pids
-        assert len(installed) == min(z, supergroup)
-        assert installed.descriptors() == reference.descriptors()
-        assert installed.target_topic == reference.target_topic == T1
-        assert installed.check(now=0.0, timeout=1.0) == 0
-        assert rngs[1].getstate() == rngs[0].getstate()
-        # and the table goes on behaving like the adopted one
-        extra = descs(T1, [7, 8, 9])
-        assert installed.adopt(T1, extra, rngs[1]) == reference.adopt(
-            T1, extra, rngs[0]
-        )
-        assert installed.pids == reference.pids
-        assert rngs[1].getstate() == rngs[0].getstate()
-
-    def test_install_nothing_is_clear(self):
-        table = SuperTopicTable(3)
-        table.adopt(T1, descs(T1, [1, 2]), RNG)
-        table.install(T1, [])
-        assert table.is_empty and table.target_topic is None
-
-    def test_install_over_capacity_rejected(self):
-        with pytest.raises(MembershipError):
-            SuperTopicTable(2).install(T1, descs(T1, [1, 2, 3]))

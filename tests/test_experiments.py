@@ -473,6 +473,24 @@ class TestCommandsPrintTheRecordedTables:
         assert capsys.readouterr().out.rstrip("\n").split("\n") == list(recorded)
 
     @pytest.mark.parametrize(
+        "default, typed",
+        [
+            ("ablate-c --runs 1", "ablate-c --runs 1 --values 0 1 2 3 5 8"),
+            ("ablate-g --runs 1", "ablate-g --runs 1 --values 1 2 5 10 20"),
+        ],
+    )
+    def test_the_default_values_are_the_same_values_typed(
+        self, capsys, default, typed
+    ):
+        # a value is a seed label, so an int default (0) and the float a
+        # typed value parses to (0.0) would seed and print different rows
+        printed = []
+        for argv in (default, typed):
+            assert main(argv.split()) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             ("ablate-g --values -1", "g must be >= 1"),

@@ -5,7 +5,7 @@ A static process is handed the run's stream registry and seeds its
 reads ``process.rng``). Named streams are independent of each other and of
 *when* they are created, so a run in which every stream is seeded up front
 — what the constructor used to do — must be the same run: that is the
-property below, on the object host and on ``MultiParentSystem``. What does
+property below, on the object host over a tree and over a §VIII DAG. What does
 change is how many streams a run seeds, and that is an exact count: over
 the ten points of the ledger's Fig. 10 sweep (master seed 0), 5 522 of
 11 100 processes ever act, and exactly those have a stream.
@@ -19,10 +19,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.baselines import GossipBroadcastSystem
-from repro.core.multiparent import MultiParentSystem
+from repro.core import DaMulticastSystem
 from repro.failures import sample_stillborn
 from repro.sim.rng import derive_seed
-from repro.topics import ROOT, Topic, TopicDag
+from repro.topics import ROOT, Topic
 from repro.workloads.presets import load_preset
 from repro.workloads.spec import compile_spec_cached, spec_with
 
@@ -110,14 +110,6 @@ def test_object_host_seeding_every_stream_up_front_is_the_same_run(
     _assert_same_run(*observations)
 
 
-def _diamond_dag() -> TopicDag:
-    dag = TopicDag()
-    dag.add(FOOTBALL)
-    dag.add(NEWS)
-    dag.link(FOOTBALL, NEWS)
-    return dag
-
-
 @given(
     sizes=st.tuples(
         st.integers(1, 5), st.integers(1, 12), st.integers(1, 12),
@@ -133,12 +125,13 @@ def test_multi_parent_seeding_every_stream_up_front_is_the_same_run(
 ):
     observations = []
     for eager in (False, True):
-        system = MultiParentSystem(
-            _diamond_dag(), seed=seed, p_success=p_success
+        system = DaMulticastSystem(
+            mode="static", seed=seed, p_success=p_success
         )
         try:
             for topic, size in zip((ROOT, NEWS, SPORTS, FOOTBALL), sizes):
                 system.add_group(topic, size)
+            system.link(FOOTBALL, NEWS)
             system.finalize_static_membership()
             publisher = system.group(FOOTBALL)[0]
             system.network.failure_model = sample_stillborn(
@@ -250,8 +243,6 @@ def test_rng_of_a_never_reached_process_is_its_named_stream():
 
 
 def test_dynamic_processes_are_seeded_at_construction():
-    from repro.core.system import DaMulticastSystem
-
     system = DaMulticastSystem(mode="dynamic", seed=5)
     try:
         created = system.add_group(".t1", 4)

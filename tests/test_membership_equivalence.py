@@ -1,8 +1,8 @@
 """The one static table builder against the historical draws.
 
 Every static table in the tree is drawn by :mod:`repro.membership.columnar`
-and must be *draw-for-draw* identical to the per-member bodies kept in
-:mod:`repro.membership.static` as ``_reference_draw_topic_table`` /
+and must be *draw-for-draw* identical to the per-member bodies kept
+beside the builders as ``_reference_draw_topic_table`` /
 ``_reference_draw_super_table``: the same pids in the same order, **and**
 the same RNG end-state (so everything drawn afterwards in a simulation is
 unchanged — the property every golden trajectory rests on).
@@ -32,7 +32,7 @@ from repro.membership import (
     ProcessDescriptor,
     build_group_tables,
 )
-from repro.membership.static import (
+from repro.membership.columnar import (
     _reference_draw_super_table,
     _reference_draw_topic_table,
 )
@@ -41,6 +41,7 @@ from tests.test_golden_static import GOLDEN_LARGE_TABLE_DIGEST
 
 T = Topic.parse(".eq")
 SUPER = Topic.parse(".")
+OTHER_SUPER = Topic.parse(".other")
 
 
 def member_pids(base: int, n: int, step: int) -> range:
@@ -182,41 +183,43 @@ def test_topic_rows_sample_like_the_reference_view(base, n, step, capacity, k, s
     n=st.integers(min_value=1, max_value=200),
     step=steps,
     capacity=st.integers(min_value=1, max_value=48),
-    super_n=st.integers(min_value=1, max_value=200),
+    super_sizes=st.lists(
+        st.integers(min_value=1, max_value=200), min_size=1, max_size=2
+    ),
     z=st.integers(min_value=1, max_value=8),
     seed=seeds,
 )
 @settings(max_examples=100, deadline=None)
 def test_build_group_tables_interleaving_matches_reference(
-    base, n, step, capacity, super_n, z, seed
+    base, n, step, capacity, super_sizes, z, seed
 ):
     """The whole-group build interleaves topic and super draws per member
-    exactly as the historical per-member build did over one stream."""
+    exactly as the historical per-member build did over one stream — one
+    super draw per block, in block order (two blocks: §VIII's diamond)."""
     pids = member_pids(base, n, step)
-    super_pids = member_pids(base + step * n, super_n, step)
     group = descriptors(pids)
-    super_group = descriptors(super_pids, SUPER)
+    supers, next_base = [], base + step * n
+    for target, size in zip((SUPER, OTHER_SUPER), super_sizes):
+        supers.append((target, member_pids(next_base, size, step)))
+        next_base += step * size
     ref_rng = random.Random(seed)
     ref_rows, ref_super_rows = [], []
     for member in group:
         ref_rows.append(
             _reference_draw_topic_table(member, group, capacity, ref_rng).pids
         )
-        ref_super_rows.append(_reference_draw_super_table(super_group, z, ref_rng).pids)
+        ref_super_rows.append([
+            (target, _reference_draw_super_table(
+                descriptors(super_pids, target), z, ref_rng
+            ).pids)
+            for target, super_pids in supers
+        ])
 
     col_rng = random.Random(seed)
-    tables = build_group_tables(
-        T,
-        pids,
-        capacity,
-        col_rng,
-        super_topic=SUPER,
-        super_members=super_pids,
-        z=z,
-    )
+    tables = build_group_tables(T, pids, capacity, col_rng, supers=supers, z=z)
     for index in range(n):
         assert tables.row_pids(index) == ref_rows[index]
-        assert tables.super_row_pids(index) == ref_super_rows[index]
+        assert tables.super_rows_of(index) == ref_super_rows[index]
     assert col_rng.getstate() == ref_rng.getstate()
 
 

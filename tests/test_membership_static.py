@@ -14,8 +14,7 @@ from repro.membership import (
     ProcessDescriptor,
     build_group_tables,
 )
-from repro.membership.static import nearest_populated_super
-from repro.topics import ROOT, Topic
+from repro.topics import ROOT, Topic, TopicHierarchy
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
@@ -99,23 +98,32 @@ class TestSuperRows:
             ColumnarSuperBuilder([], 3)
 
 
-class TestNearestPopulatedSuper:
+class TestNearestPopulatedSupers:
+    """Where a group's supertopic tables point (§III-B): per direct
+    supertopic, the nearest populated topic at or above it."""
+
+    @staticmethod
+    def nearest(topic, population):
+        return TopicHierarchy.from_topics([T2]).nearest_populated_supers(
+            topic, population
+        )
+
     def test_direct_super_populated(self):
         population = {T1: group(T1, [1]), T2: group(T2, [2])}
-        assert nearest_populated_super(T2, population) == T1
+        assert self.nearest(T2, population) == [T1]
 
     def test_skips_empty_super(self):
         population = {T1: [], ROOT: group(ROOT, [0]), T2: group(T2, [2])}
-        assert nearest_populated_super(T2, population) == ROOT
+        assert self.nearest(T2, population) == [ROOT]
 
     def test_unlisted_super_skipped(self):
         population = {ROOT: group(ROOT, [0]), T2: group(T2, [2])}
-        assert nearest_populated_super(T2, population) == ROOT
+        assert self.nearest(T2, population) == [ROOT]
 
     def test_no_populated_super(self):
         population = {T2: group(T2, [2])}
-        assert nearest_populated_super(T2, population) is None
+        assert self.nearest(T2, population) == []
 
     def test_root_has_no_super(self):
         population = {ROOT: group(ROOT, [0])}
-        assert nearest_populated_super(ROOT, population) is None
+        assert self.nearest(ROOT, population) == []

@@ -158,51 +158,6 @@ class TestQueries:
         assert len({d.pid for d in sample}) == 10
 
 
-class TestInstall:
-    def test_install_replaces_content(self):
-        view = PartialView(5)
-        view.add(desc(99))
-        view.install([desc(1), desc(2), desc(3)])
-        assert view.pids == [1, 2, 3]
-        assert 99 not in view
-
-    def test_install_preserves_order(self):
-        view = PartialView(5)
-        view.install([desc(3), desc(1), desc(2)])
-        assert view.pids == [3, 1, 2]
-        assert [d.pid for d in view.descriptors()] == [3, 1, 2]
-
-    def test_install_at_exact_capacity(self):
-        view = PartialView(3)
-        view.install([desc(1), desc(2), desc(3)])
-        assert len(view) == view.capacity == 3
-
-    def test_install_over_capacity_raises(self):
-        view = PartialView(2)
-        with pytest.raises(MembershipError):
-            view.install([desc(1), desc(2), desc(3)])
-
-    def test_mutation_after_install_keeps_eviction_uniform(self):
-        # install leaves the pid list lazy; a later overflow must still
-        # evict with a single uniform draw over the *current* entries.
-        rng = random.Random(0)
-        view = PartialView(3)
-        view.install([desc(1), desc(2), desc(3)])
-        view.add(desc(4), rng)
-        assert len(view) == 3
-        view.remove(view.pids[0])
-        assert len(view) == 2
-
-    def test_install_matches_incremental_adds(self):
-        incremental = PartialView(4)
-        for pid in (5, 6, 7):
-            incremental.add(desc(pid))
-        bulk = PartialView(4)
-        bulk.install([desc(5), desc(6), desc(7)])
-        assert bulk.pids == incremental.pids
-        assert bulk.descriptors() == incremental.descriptors()
-
-
 class TestDescriptorCache:
     def test_descriptors_cached_between_calls(self):
         view = PartialView(5)
@@ -218,7 +173,6 @@ class TestDescriptorCache:
             lambda v: v.remove(2),
             lambda v: v.merge([desc(60), desc(61)], rng),
             lambda v: v.replace([1], [desc(70)], rng),
-            lambda v: v.install([desc(80), desc(81)]),
             lambda v: v.clear(),
         ]
         for mutate in mutations:

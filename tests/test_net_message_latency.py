@@ -65,12 +65,6 @@ class TestEventFactory:
         b = EventFactory(2).create(T2, None, 0.0)
         assert a.event_id != b.event_id
 
-    def test_is_of_topic(self):
-        event = EventFactory(1).create(T2, None, 0.0)
-        assert event.is_of_topic(T2)
-        assert event.is_of_topic(T1)
-        assert not event.is_of_topic(Topic.parse(".other"))
-
     def test_str_forms(self):
         event = EventFactory(3).create(T2, None, 0.0)
         assert str(event.event_id) == "e3.1"

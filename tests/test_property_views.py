@@ -126,7 +126,8 @@ OWN_PID = 10_000  # a process's own pid: never in its own table
 
 def filled_view(n):
     view = PartialView(max(1, n))
-    view.install(ProcessDescriptor(100 + i, T2) for i in range(n))
+    for i in range(n):
+        view.add(ProcessDescriptor(100 + i, T2))
     return view
 
 
@@ -197,7 +198,6 @@ mutations = st.lists(
         st.tuples(st.just("add"), st.integers(0, 60)),
         st.tuples(st.just("remove"), st.integers(0, 60)),
         st.tuples(st.just("replace"), st.integers(0, 60)),
-        st.tuples(st.just("install"), st.integers(0, 12)),
         st.tuples(st.just("set_capacity"), st.integers(1, 12)),
         st.tuples(st.just("evict"), st.just(0)),
         st.tuples(st.just("clear"), st.just(0)),
@@ -219,11 +219,6 @@ def test_pid_sample_is_never_stale_after_a_mutation(ops, k, seed):
             view.remove(value)
         elif op == "replace":
             view.replace(view.pids[:1], [ProcessDescriptor(value, T2)])
-        elif op == "install":
-            view.install(
-                ProcessDescriptor(200 + i, T2)
-                for i in range(min(value, view.capacity))
-            )
         elif op == "set_capacity":
             view.set_capacity(value, rng)
         elif op == "evict" and len(view):

@@ -31,12 +31,7 @@ LEDGER = REPO / "benchmarks" / "ledger"
 #: module → why no command or workload reaches it yet. The test fails if
 #: an entry *is* reached, so this is ROADMAP item 7's to-do list and cannot
 #: go stale.
-EXCEPTIONS = {
-    "repro.core.multiparent": (
-        "§VIII multi-parent topics: reachable from a spec once "
-        "topics.kind grows 'dag' (ROADMAP 7(b))"
-    ),
-}
+EXCEPTIONS: dict[str, str] = {}
 
 
 def _source(module: str) -> pathlib.Path | None:

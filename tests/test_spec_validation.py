@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.workloads.spec import (
     compile_spec,
@@ -306,3 +307,32 @@ class TestRunsAndSweeps:
 
     def test_run_spec_is_seed_deterministic(self):
         assert run_spec(VALID, seed=3) == run_spec(VALID, seed=3)
+
+
+class TestHostileNumbers:
+    """Finite values whose arithmetic overflows mid-build are refused at
+    compile time, naming the key: exit 2 and one line, not a traceback."""
+
+    @staticmethod
+    def run_preset(capsys, preset, assignment):
+        code = main(["scenario", "run", preset, "--set", assignment])
+        return code, capsys.readouterr().err
+
+    def test_a_table_capacity_that_overflows(self, capsys):
+        code, err = self.run_preset(capsys, "paper-vii", "params.b=1e308")
+        assert code == 2
+        assert err.startswith("error: params: b = 1e+308") and "overflow" in err
+
+    def test_a_zipf_exponent_whose_weights_overflow(self, capsys):
+        code, err = self.run_preset(
+            capsys, "zipf-feed", "subscriptions.exponent=1000000000"
+        )
+        assert code == 2
+        assert err.startswith("error: subscriptions: exponent 1000000000")
+
+    def test_a_burst_spacing_that_overflows_the_schedule(self, capsys):
+        code, err = self.run_preset(
+            capsys, "loss-sweep", "publications.spacing=1e308"
+        )
+        assert code == 2
+        assert err.startswith("error: publications: spacing 1e+308")

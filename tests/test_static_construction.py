@@ -22,21 +22,15 @@ from repro.baselines import (
 from repro.core import DaMulticastSystem
 from repro.core.bootstrap import FindSuperContact
 from repro.core.maintenance import KeepTableUpdated
-from repro.core.multiparent import MultiParentSystem
 from repro.core.process import StaticProcess
 from repro.errors import ConfigError
-from repro.topics import Topic, TopicDag
+from repro.topics import Topic
 from repro.workloads.presets import load_preset
 from repro.workloads.spec import compile_spec
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
-
-
-def _multiparent_system(**kwargs):
-    dag = TopicDag()
-    dag.add(T2)
-    return MultiParentSystem(dag, **kwargs)
+NEWS = Topic.parse(".news")
 
 
 #: every facade that keeps process objects: name -> (factory, finalize verb)
@@ -45,7 +39,10 @@ OBJECT_FACADES = {
         lambda **kwargs: DaMulticastSystem(mode="static", **kwargs),
         "finalize_static_membership",
     ),
-    "multiparent": (_multiparent_system, "finalize_static_membership"),
+    "dag": (
+        lambda **kwargs: DaMulticastSystem(mode="static", **kwargs),
+        "finalize_static_membership",
+    ),
     "broadcast": (GossipBroadcastSystem, "finalize_membership"),
     "multicast": (GossipMulticastSystem, "finalize_membership"),
     "naive": (NaivePublisherSystem, "finalize_membership"),
@@ -62,6 +59,9 @@ def object_system(facade, sizes=(4, 20), **kwargs):
     system = make(**kwargs)
     system.add_group(T1, sizes[0])
     system.add_group(T2, sizes[1])
+    if facade == "dag":  # .t1.t2 also filed under .news (§VIII)
+        system.add_group(NEWS, 3)
+        system.link(T2, NEWS)
     finalize = getattr(system, verb)
     finalize()
     return system, finalize
@@ -96,7 +96,7 @@ class TestAddAfterFinalize:
         assert late.pid in system.tracker.receivers(event.event_id)
 
 
-@pytest.mark.parametrize("facade", ["damulticast", "multiparent"])
+@pytest.mark.parametrize("facade", ["damulticast", "dag"])
 def test_a_process_publishes_events_of_its_own_topic_only(facade):
     system, _ = object_system(facade, seed=1)
     outsider = system.group(T1)[0]

@@ -7,9 +7,9 @@ sampled with the same draws, so nothing here moves: not the construction
 digest of a group grown by interleaved ``add_process`` calls (whose pids
 are not one block), and not the rows a second finalize seats a process
 at. The tables never change after a finalize (§VII), so a static process
-— on the object host, its §VIII variant and the columnar host alike —
-refuses every message but an event, and one no finalize has seated yet
-refuses to select.
+— on the object host, over a tree or a §VIII DAG, and on the columnar host
+alike — refuses every message but an event, and one no finalize has seated
+yet refuses to select.
 """
 
 import hashlib
@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import DaMulticastSystem
 from repro.core.columnar import ColumnarStaticSystem
-from repro.core.multiparent import MultiParentSystem
 from repro.errors import ConfigError, ProtocolError
 from repro.membership import ProcessDescriptor
 from repro.net.message import (
@@ -32,10 +31,11 @@ from repro.net.message import (
     Pong,
     ReqContact,
 )
-from repro.topics import ROOT, Topic, TopicDag
+from repro.topics import ROOT, Topic
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
+NEWS = Topic.parse(".news")
 
 
 def flood_digest(system, event) -> str:
@@ -102,10 +102,8 @@ REFINALIZED_FLOOD = (
 
 
 def rows(process):
-    return (
-        process.tables.row_pids(process.row),
-        process.tables.super_row_pids(process.row),
-    )
+    [(_, super_row)] = process.tables.super_rows_of(process.row)
+    return process.tables.row_pids(process.row), super_row
 
 
 def test_a_second_finalize_reseats_every_process():
@@ -130,18 +128,23 @@ def test_a_second_finalize_reseats_every_process():
 # ----------------------------------------------------------------------
 # A static process takes part in floods only
 # ----------------------------------------------------------------------
-def _multiparent(**kwargs):
-    dag = TopicDag()
-    dag.add(T2)
-    return MultiParentSystem(dag, **kwargs)
-
-
 #: host -> a static system factory
 HOSTS = {
     "object": lambda: DaMulticastSystem(mode="static", seed=4),
-    "multiparent": lambda: _multiparent(seed=4),
+    "dag": lambda: DaMulticastSystem(mode="static", seed=4),
     "columnar": lambda: ColumnarStaticSystem(seed=4),
 }
+
+
+def populate(system, host, sizes):
+    """``.t1`` and ``.t1.t2`` groups of ``sizes``; on the ``dag`` host
+    ``.t1.t2`` is also linked under a populated ``.news`` (§VIII)."""
+    system.add_group(T1, sizes[0])
+    system.add_group(T2, sizes[1])
+    if host == "dag":
+        system.add_group(NEWS, 3)
+        system.link(T2, NEWS)
+    system.finalize_static_membership()
 
 #: every protocol message class but the event, built for a sender in .t1
 PROTOCOL_MESSAGES = {
@@ -178,17 +181,15 @@ def _receiver_state(system, host, pid):
         index = pid - actor.base
         seen = {eid: bytes(mask) for eid, mask in actor._seen.items()}
         table_rows = (
-            actor.tables.row_pids(index), actor.tables.super_row_pids(index)
+            actor.tables.row_pids(index), actor.tables.super_rows_of(index)
         )
     else:
         process = system.process(pid)
         seen = sorted(process.seen)
-        table_rows = rows(process)
-        if host == "multiparent":
-            table_rows += tuple(
-                (topic, table.pids)
-                for topic, table in process.super_tables.items()
-            )
+        table_rows = (
+            process.tables.row_pids(process.row),
+            process.tables.super_rows_of(process.row),
+        )
     return seen, table_rows, system.stats.as_dict(), streams
 
 
@@ -196,9 +197,7 @@ def _receiver_state(system, host, pid):
 @pytest.mark.parametrize("host", sorted(HOSTS))
 def test_static_processes_refuse_protocol_messages(host, kind):
     system = HOSTS[host]()
-    system.add_group(T1, 6)
-    system.add_group(T2, 20)
-    system.finalize_static_membership()
+    populate(system, host, (6, 20))
     system.publish(T2)
     system.run_until_idle()
     if host == "columnar":
@@ -223,12 +222,10 @@ def test_static_processes_refuse_protocol_messages(host, kind):
 # ----------------------------------------------------------------------
 # A process that joined after the last finalize refuses to select
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("host", ["object", "multiparent"])
+@pytest.mark.parametrize("host", ["object", "dag"])
 def test_an_unseated_process_refuses_to_publish(host):
     system = HOSTS[host]()
-    system.add_group(T1, 4)
-    system.add_group(T2, 10)
-    system.finalize_static_membership()
+    populate(system, host, (4, 10))
     late = system.add_process(T2)
     with pytest.raises(ConfigError, match="finalize_static_membership"):
         late.publish()

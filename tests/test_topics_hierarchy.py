@@ -1,9 +1,9 @@
-"""Unit tests for TopicHierarchy and the TopicDag extension."""
+"""Unit tests for TopicHierarchy, its links (§VIII) included."""
 
 import pytest
 
 from repro.errors import HierarchyError, UnknownTopic
-from repro.topics import ROOT, Topic, TopicDag, TopicHierarchy
+from repro.topics import ROOT, Topic, TopicHierarchy
 
 
 def topic(name: str) -> Topic:
@@ -50,58 +50,92 @@ class TestTopicHierarchy:
             h.require(topic(".missing"))
 
 
-class TestTopicDag:
-    def test_add_builds_implicit_chain(self):
-        dag = TopicDag()
-        dag.add(".a.b")
-        assert dag.parents_of(topic(".a.b")) == [topic(".a")]
-        assert dag.parents_of(topic(".a")) == [ROOT]
+class TestLinks:
+    """§VIII: ``link`` gives a topic extra direct supertopics."""
+
+    def test_tree_parents_are_the_dotted_ones(self):
+        h = TopicHierarchy.from_topics([".a.b"])
+        assert h.parents_of(topic(".a.b")) == [topic(".a")]
+        assert h.parents_of(topic(".a")) == [ROOT]
+        assert h.parents_of(ROOT) == []
 
     def test_link_adds_second_parent(self):
-        dag = TopicDag()
-        dag.add(".sports.football")
-        dag.add(".news")
-        dag.link(topic(".sports.football"), topic(".news"))
-        assert dag.parents_of(topic(".sports.football")) == [
+        h = TopicHierarchy.from_topics([".sports.football", ".news"])
+        h.link(topic(".sports.football"), topic(".news"))
+        assert h.parents_of(topic(".sports.football")) == [
+            topic(".news"),
+            topic(".sports"),
+        ]
+
+    def test_link_accepts_names_and_is_idempotent(self):
+        h = TopicHierarchy.from_topics([".sports.football", ".news"])
+        h.link(".sports.football", ".news")
+        h.link(topic(".sports.football"), topic(".news"))
+        assert h.parents_of(topic(".sports.football")) == [
             topic(".news"),
             topic(".sports"),
         ]
 
     def test_link_unknown_raises(self):
-        dag = TopicDag()
-        dag.add(".a")
+        h = TopicHierarchy.from_topics([".a"])
         with pytest.raises(UnknownTopic):
-            dag.link(topic(".a"), topic(".missing"))
+            h.link(topic(".a"), topic(".missing"))
+        with pytest.raises(UnknownTopic):
+            h.link(topic(".missing"), topic(".a"))
 
     def test_link_rejects_cycle(self):
-        dag = TopicDag()
-        dag.add(".a.b")
+        h = TopicHierarchy.from_topics([".a.b"])
         with pytest.raises(HierarchyError):
-            dag.link(topic(".a"), topic(".a.b"))  # child above parent
+            h.link(topic(".a"), topic(".a.b"))  # child above parent
+
+    def test_link_rejects_cycle_through_links(self):
+        h = TopicHierarchy.from_topics([".a", ".b", ".c"])
+        h.link(topic(".a"), topic(".b"))
+        h.link(topic(".b"), topic(".c"))
+        with pytest.raises(HierarchyError):
+            h.link(topic(".c"), topic(".a"))
 
     def test_link_rejects_self(self):
-        dag = TopicDag()
-        dag.add(".a")
+        h = TopicHierarchy.from_topics([".a"])
         with pytest.raises(HierarchyError):
-            dag.link(topic(".a"), topic(".a"))
+            h.link(topic(".a"), topic(".a"))
 
-    def test_is_ancestor_strict(self):
-        dag = TopicDag()
-        dag.add(".a.b")
-        assert dag.is_ancestor(topic(".a"), topic(".a.b"))
-        assert dag.is_ancestor(ROOT, topic(".a.b"))
-        assert not dag.is_ancestor(topic(".a.b"), topic(".a.b"))
-        assert not dag.is_ancestor(topic(".a.b"), topic(".a"))
+    def test_inclusion_on_a_tree_is_the_dotted_test(self):
+        h = TopicHierarchy.from_topics([".a.b"])
+        assert h.includes is Topic.includes
+        assert h.includes(topic(".a"), topic(".a.b"))
+        assert h.includes(ROOT, topic(".a.b"))
+        assert h.includes(topic(".a.b"), topic(".a.b"))
+        assert not h.includes(topic(".a.b"), topic(".a"))
 
-    def test_is_ancestor_follows_linked_parents(self):
-        dag = TopicDag()
-        dag.add(".sports.football")
-        dag.add(".news")
-        dag.link(topic(".sports.football"), topic(".news"))
-        assert dag.is_ancestor(topic(".news"), topic(".sports.football"))
-        assert dag.is_ancestor(topic(".sports"), topic(".sports.football"))
+    def test_inclusion_follows_linked_parents(self):
+        h = TopicHierarchy.from_topics([".sports.football", ".news.local"])
+        h.link(topic(".sports.football"), topic(".news.local"))
+        football = topic(".sports.football")
+        assert h.includes(topic(".news.local"), football)
+        assert h.includes(topic(".news"), football)  # above the linked parent
+        assert h.includes(topic(".sports"), football)
+        assert h.includes(football, football)
+        assert not h.includes(football, topic(".news.local"))
+        assert not h.includes(topic(".sports"), topic(".news.local"))
+
+    def test_inclusion_follows_a_link_of_an_ancestor(self):
+        h = TopicHierarchy.from_topics([".a.b.c", ".x"])
+        h.link(topic(".a"), topic(".x"))
+        assert h.includes(topic(".x"), topic(".a.b.c"))
+        assert not h.includes(topic(".x"), topic(".y"))
+
+    def test_nearest_populated_supers_one_per_parent(self):
+        h = TopicHierarchy.from_topics([".sports.football", ".news"])
+        h.link(topic(".sports.football"), topic(".news"))
+        population = {ROOT: [0], topic(".news"): [1], topic(".sports.football"): [2]}
+        # .sports is empty, so its table climbs breadth-first to the root
+        assert h.nearest_populated_supers(topic(".sports.football"), population) == [
+            topic(".news"),
+            ROOT,
+        ]
 
     def test_unknown_queries_raise(self):
-        dag = TopicDag()
+        h = TopicHierarchy()
         with pytest.raises(UnknownTopic):
-            dag.parents_of(topic(".missing"))
+            h.parents_of(topic(".missing"))
