@@ -103,16 +103,19 @@ def _draw_layer(size: int) -> tuple[float, float]:
 # daMulticast construction: legacy reconstruction vs current API
 # ----------------------------------------------------------------------
 def _tables_digest(system: DaMulticastSystem) -> list[list[int]]:
-    return [
-        process.tables.row_pids(process.row) for process in system.processes
-    ]
+    rows = []
+    for topic in system.topics():
+        tables = system.group_actor(topic).tables
+        rows.extend(tables.row_pids(index) for index in range(tables.size))
+    return rows
 
 
 def _legacy_construction(size: int) -> tuple[float, list[list[int]]]:
     """The pre-PR construction, operation for operation.
 
     * population: after every join, re-notify every member of the new
-      group size (the old ``_refresh_group_size`` sweep — O(S) per join);
+      group size (the old ``_refresh_group_size`` sweep — O(S) per join,
+      here one size entry per member record);
     * finalize: the reference per-member draw (O(S) exclusion list per
       member).
 
@@ -122,22 +125,21 @@ def _legacy_construction(size: int) -> tuple[float, list[list[int]]]:
     gc.collect()
     start = time.perf_counter()
     system = DaMulticastSystem(seed=3, mode="static")
+    group_sizes: dict[int, int] = {}
     for _ in range(size):
         system.add_process(".big")
         members = system.group(".big")
         for member in members:  # the old per-join sweep
-            member.set_group_size(len(members))
+            group_sizes[member.pid] = len(members)
     rng = system.harness.rngs.stream("static-membership")
     views = []
     for topic in system.topics():
         members = system.group(topic)
-        population = [p.descriptor for p in members]
+        population = [ProcessDescriptor(p.pid, topic) for p in members]
         capacity = system.config.params_for(topic).table_capacity(len(members))
-        for process in members:
+        for descriptor in population:
             views.append(
-                _reference_draw_topic_table(
-                    process.descriptor, population, capacity, rng
-                )
+                _reference_draw_topic_table(descriptor, population, capacity, rng)
             )
     elapsed = time.perf_counter() - start
     return elapsed, [view.pids for view in views]

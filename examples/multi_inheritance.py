@@ -3,7 +3,8 @@
 ``.sports.football`` is filed both under ``.sports`` (its path parent) and
 under ``.news`` (a linked second supertopic). Per the paper's concluding
 remarks, each football process simply keeps one supertopic table per
-parent — the static system's one build, over a topic graph with a link;
+parent — a row per parent in its group's columns, drawn by the static
+system's one build over a topic graph with a link;
 a match report then climbs BOTH branches — sports desks and news desks
 each receive it, the root receives it exactly once despite the diamond,
 and ``.news``-only events never leak into ``.sports``.
@@ -29,9 +30,11 @@ def main() -> None:
     system.link(FOOTBALL, NEWS)  # second supertopic: multiple inheritance
     system.finalize_static_membership()
 
+    # a static group is one block actor over its members' table rows
     football_process = system.group(FOOTBALL)[0]
+    actor = system.group_actor(FOOTBALL)
     print("supertopic tables of one .sports.football process:")
-    tables = football_process.tables.super_rows_of(football_process.row)
+    tables = actor.tables.super_rows_of(football_process.pid - actor.base)
     for parent, (target, pids) in zip(system.hierarchy.parents_of(FOOTBALL), tables):
         print(f"  parent {parent.name:<9} -> {len(pids)} contacts in "
               f"{target.name}")

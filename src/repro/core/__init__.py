@@ -12,11 +12,14 @@ The core package implements §V of the paper:
   RECEIVE,
 * :mod:`~repro.core.bootstrap` — Fig. 4's FIND_SUPER_CONTACT task,
 * :mod:`~repro.core.maintenance` — Fig. 6's KEEP_TABLE_UPDATED task,
-* :mod:`~repro.core.process` — the protocol actor gluing the above,
+* :mod:`~repro.core.process` — the protocol actors gluing the above: a
+  dynamic process, and a static group's block actor,
 * :mod:`~repro.core.system` — the user-facing facade used by examples
   and experiments; in static mode it also serves §VIII's multiple
-  supertopics (:meth:`~repro.runtime.SystemFacade.link`: one supertopic
-  table per direct supertopic, as on the columnar host).
+  supertopics (:meth:`~repro.runtime.ObjectSystemFacade.link`: one supertopic
+  table per direct supertopic),
+* :mod:`~repro.core.columnar` — the static build with one stream per
+  group and the streaming tracker, for 10⁵–10⁶ processes.
 """
 
 from repro.core.events import Event, EventId

@@ -6,9 +6,8 @@ A process disseminating an event ``e_Ti``:
    itself as a link and sends the event to each supertopic-table entry with
    probability ``p_a = a/z`` (so on average ``g`` processes per group act
    as links, each reaching ``a`` superprocesses). The publisher itself
-   always acts as a link when ``publisher_always_links`` is set (§IV-C:
-   "p1 sends its events to at least one process from its super topic
-   table"). Note the paper's pseudo-code writes ``RAND() ≥ p_sel``; the
+   always acts as a link (§IV-C: "p1 sends its events to at least one
+   process from its super topic table"). Note the paper's pseudo-code writes ``RAND() ≥ p_sel``; the
    analysis (§VI-B) makes clear the election happens *with probability*
    ``p_sel``, which is what we implement (DESIGN.md, note 1).
 2. **Intra-group gossip** — it forwards the event to ``log(S)+c`` distinct
@@ -19,7 +18,7 @@ application and disseminate it; later copies are ignored.
 
 The functions here are pure protocol logic over the narrow, pid-level
 :class:`DisseminationPeer` contract, so the same code drives the static
-(paper-simulation), columnar and dynamic (full-protocol) hosts. Pid-level
+(paper-simulation) and dynamic (full-protocol) hosts. Pid-level
 all the way down: both kinds of host draw their gossip targets through one
 sampler (:func:`repro.membership.sampling.sample_from`) that hands back
 pids — off a :class:`~repro.membership.view.PartialView`'s pid list or off
@@ -45,12 +44,11 @@ class DisseminationPeer(Protocol):
     The host owns its tables (descriptor views, or pid columns with one
     super block per direct supertopic) and its RNG stream, and makes
     Fig. 7's two selections itself; :func:`disseminate` only ever sees the
-    chosen pids, builds one message per scope and multicasts it. Hosts
-    over descriptor tables (a dynamic process, or a static one whose
-    views were made) make the selections with :func:`elect_links` and
-    :meth:`PartialView.sample_pids
-    <repro.membership.view.PartialView.sample_pids>`, hosts over pid
-    columns (a static process, the columnar host's peer) with
+    chosen pids, builds one message per scope and multicasts it. A host
+    over descriptor tables (a dynamic process) makes the selections with
+    :func:`elect_links` and :meth:`PartialView.sample_pids
+    <repro.membership.view.PartialView.sample_pids>`, a host over pid
+    columns (a static group's block-actor peer) with
     :meth:`ColumnarGroupTables.link_targets
     <repro.membership.columnar.ColumnarGroupTables.link_targets>` and
     :meth:`ColumnarGroupTables.sample_row
@@ -127,8 +125,7 @@ def disseminate(
 ) -> tuple[int, int]:
     """Run Fig. 7's DISSEMINATE on ``peer`` for ``event``.
 
-    ``force_link`` bypasses the ``p_sel`` election (used for the publisher
-    when ``publisher_always_links`` is configured). ``arrival_hops`` is the
+    ``force_link`` bypasses the ``p_sel`` election (the publisher's). ``arrival_hops`` is the
     transmission count at which ``peer`` obtained the event (0 for the
     publisher); forwarded copies carry ``arrival_hops + 1``. Returns
     ``(intra_sent, inter_sent)`` message counts for diagnostics.

@@ -113,20 +113,13 @@ class DaMulticastConfig:
     topic in a hierarchy, the trade-off between the message complexity and
     the reliability"). ``params_for`` resolves a topic to its parameters.
 
-    ``publisher_always_links`` restores §IV-C's "p1 sends its events to at
-    least one process from its super topic table" for the publishing
-    process (see DESIGN.md, faithfulness note 3).
-
-    ``inherit_overrides`` makes an override apply to the whole subtree of
-    its topic: ``params_for(.a.b.c)`` falls back to the *nearest ancestor*
-    override before the defaults. Useful for tuning a branch (e.g. all of
-    ``.markets.equities``) without enumerating its subtopics.
+    An override applies to its own topic only. The publisher of an event
+    always acts as a link (§IV-C: "p1 sends its events to at least one
+    process from its super topic table").
     """
 
     default_params: TopicParams = field(default_factory=TopicParams)
     overrides: Mapping[Topic, TopicParams] = field(default_factory=dict)
-    publisher_always_links: bool = True
-    inherit_overrides: bool = False
     maintain_interval: float = 1.0
     bootstrap_timeout: float = 2.0
     bootstrap_ttl: int = 4
@@ -145,15 +138,6 @@ class DaMulticastConfig:
     def params_for(self, topic: Topic) -> TopicParams:
         """The parameters governing ``topic``'s group.
 
-        Resolution: exact override, then (with ``inherit_overrides``) the
-        nearest ancestor's override, then the defaults.
+        Resolution: the topic's own override, else the defaults.
         """
-        exact = self.overrides.get(topic)
-        if exact is not None:
-            return exact
-        if self.inherit_overrides:
-            for ancestor in topic.ancestors():
-                inherited = self.overrides.get(ancestor)
-                if inherited is not None:
-                    return inherited
-        return self.default_params
+        return self.overrides.get(topic, self.default_params)

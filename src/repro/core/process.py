@@ -1,19 +1,38 @@
-"""The daMulticast process actor.
+"""The daMulticast process actors.
 
-Glues together the protocol pieces for one process ``pl ∈ Π_Ti``:
+A process runs in one of two modes, matching the paper's two evaluation
+settings.
+
+**Dynamic** — :class:`DaMulticastProcess`, one object per process gluing
+together the protocol pieces for ``pl ∈ Π_Ti``:
 
 * its two membership tables (topic table + supertopic table, §V-A.1),
 * the dissemination logic (Fig. 5 RECEIVE / Fig. 7 DISSEMINATE),
 * the bootstrap task (Fig. 4 FIND_SUPER_CONTACT),
 * the maintenance task (Fig. 6 KEEP_TABLE_UPDATED),
-* and, in dynamic mode, the underlying flat membership ([10]) with
-  supertopic-table piggybacking (§V-A.2).
+* and the underlying flat membership ([10]) with supertopic-table
+  piggybacking (§V-A.2).
 
-A process runs in one of two modes, matching the paper's two evaluation
-settings: **dynamic** (:class:`DaMulticastProcess`: the full protocol with
-join, bootstrap, shuffling and repair) and **static**
-(:class:`StaticProcess`: tables drawn once at t=0 as a row of its group's
-columns, no background tasks — the §VII simulator).
+**Static** — the §VII simulator, whose tables are drawn once at t=0 and
+never change. A group is one contiguous pid block run by one
+:class:`ColumnarGroupActor`, registered on the network as a block actor:
+
+* its tables are the group's pid columns
+  (:class:`~repro.membership.columnar.ColumnarGroupTables`), and a member
+  is a row of them;
+* Fig. 5's first-reception dedup is one ``bytearray(S)`` per in-flight
+  event instead of a set per process;
+* Fig. 7 runs through one flyweight peer per group, rebound to the acting
+  member before each ``disseminate`` call (the same code as the dynamic
+  process, over the pid-level
+  :class:`~repro.core.dissemination.DisseminationPeer` contract);
+* each member draws its selections from its row of a stream list the
+  system fills: empty rows are seeded with the member's ``process/{pid}``
+  stream on its first action (a member that never acts never pays for a
+  Mersenne state), or every row holds one ``group/<topic>`` stream.
+
+What the system hands out for a static member is a :class:`StaticMember`
+record: pid, topic and memory footprint.
 """
 
 from __future__ import annotations
@@ -26,9 +45,9 @@ from repro.core.bootstrap import FindSuperContact, handle_req_contact
 from repro.core.dissemination import disseminate, elect_links
 from repro.core.events import Event, EventFactory, EventId
 from repro.core.maintenance import KeepTableUpdated
-from repro.core.params import DaMulticastConfig
+from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.tables import SuperTopicTable
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ProtocolError
 from repro.membership.columnar import ColumnarGroupTables
 from repro.membership.flat import FlatMembership, FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
@@ -53,7 +72,9 @@ from repro.sim.rng import RngRegistry
 from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
-DeliveryCallback = Callable[["DaMulticastProcess", Event], None]
+#: called with the delivering member — a :class:`DaMulticastProcess` or a
+#: :class:`StaticMember` — and the event, once per first delivery
+DeliveryCallback = Callable[[Any, Event], None]
 
 
 class GroupSizeCell:
@@ -75,18 +96,14 @@ class DaMulticastProcess:
     full protocol: its topic table is its flat membership's view, its
     supertopic table is maintained by bootstrap and repair, and both
     protocol tasks exist from construction. A member of the §VII simulator
-    is a :class:`StaticProcess`, which reads its tables off its group's
-    columns instead.
+    is a :class:`StaticMember` of its group's :class:`ColumnarGroupActor`
+    instead.
 
     ``rngs`` is the run's stream registry; the process draws from its
-    ``process/{pid}`` stream only. A dynamic process seeds it at
-    construction (it acts at once: its flat membership takes the stream).
-    What only a publisher needs (its event factory) is made by the first
-    :meth:`publish`.
+    ``process/{pid}`` stream only, seeded at construction (it acts at
+    once: its flat membership takes the stream). What only a publisher
+    needs (its event factory) is made by the first :meth:`publish`.
     """
-
-    #: whether the protocol maintains this process's tables as it runs
-    dynamic = True
 
     def __init__(
         self,
@@ -102,23 +119,20 @@ class DaMulticastProcess:
         tracker: DeliveryTracker | None = None,
         delivery_callback: DeliveryCallback | None = None,
         membership_config: FlatMembershipConfig | None = None,
-        group_size_hint: int | None = None,
     ):
         self.pid = pid
         self.topic = topic
         self.config = config
         #: the system's topic graph, whose inclusion decides what this
-        #: process may deliver (a tree, unless a static system linked)
+        #: process may deliver
         self._hierarchy = hierarchy
         self.engine = engine
         self.network = network
-        self.rngs = rngs
-        #: the ``process/{pid}`` stream once seeded (read it as :attr:`rng`)
-        self._rng: random.Random | None = None
+        #: this process's ``process/{pid}`` stream
+        self.rng = rngs.stream(f"process/{pid}")
         self._overlay = overlay
         self._tracker = tracker
         self._delivery_callback = delivery_callback
-        self._group_size_hint = group_size_hint
         self._group_size_cell: GroupSizeCell | None = None
         self._expected_provider: Callable[[], int] | None = None
 
@@ -136,26 +150,23 @@ class DaMulticastProcess:
         self.subscribed = False
         #: mints this process's events; made by its first :meth:`publish`
         self._event_factory: EventFactory | None = None
-        self._init_tables(membership_config)
 
-    def _init_tables(self, membership_config: FlatMembershipConfig | None) -> None:
-        """The protocol's own tables — a flat membership view and a
-        supertopic table — and both protocol tasks."""
-        self.descriptor = ProcessDescriptor(self.pid, self.topic)
-        self.intra_scope = Scope("intra", self.topic)
-        self.super_table = SuperTopicTable(self.params.z)
+        # The protocol's own tables — a flat membership view and a
+        # supertopic table — and both protocol tasks.
+        self.descriptor = ProcessDescriptor(pid, topic)
+        self.intra_scope = Scope("intra", topic)
+        self.super_table = SuperTopicTable(params.z)
         self.seen_requests: set[tuple[int, int]] = set()
         if membership_config is None:
-            expected = self._group_size_hint or 16
             membership_config = FlatMembershipConfig(
-                capacity=self.params.table_capacity(max(2, expected))
+                capacity=params.table_capacity(16)
             )
         self.membership = FlatMembership(
             self.descriptor,
-            self.topic,
+            topic,
             membership_config,
-            self.engine,
-            self._seed_rng(),
+            engine,
+            self.rng,
             self.send,
             multicast=self.multicast,
             super_sample_provider=self._piggyback_super_sample,
@@ -166,35 +177,14 @@ class DaMulticastProcess:
         # build them now, so that they are plain instance attributes.
         self.find_super_contact = FindSuperContact(
             self,
-            timeout=self.config.bootstrap_timeout,
-            ttl=self.config.bootstrap_ttl,
+            timeout=config.bootstrap_timeout,
+            ttl=config.bootstrap_ttl,
         )
         self.maintenance = KeepTableUpdated(
             self,
-            interval=self.config.maintain_interval,
-            ping_timeout=self.config.ping_timeout,
+            interval=config.maintain_interval,
+            ping_timeout=config.ping_timeout,
         )
-
-    # ------------------------------------------------------------------
-    # The process's random stream
-    # ------------------------------------------------------------------
-    def _seed_rng(self) -> random.Random:
-        """Make ``_rng`` the ``process/{pid}`` stream (the one draw site)."""
-        rng = self._rng = self.rngs.stream(f"process/{self.pid}")
-        return rng
-
-    @property
-    def rng(self) -> random.Random:
-        """This process's ``process/{pid}`` stream, seeded on first need.
-
-        A plain property on purpose: ``functools.cached_property`` stores
-        its value in the instance ``__dict__``, which slows every other
-        attribute load of the instance, and a ``__getattr__`` hook slows
-        them for the whole class (ROADMAP, *Settled*). The forwarding
-        path reads ``_rng`` directly, after the gate that seeds it.
-        """
-        rng = self._rng
-        return rng if rng is not None else self._seed_rng()
 
     # ------------------------------------------------------------------
     # Configuration accessors
@@ -209,20 +199,13 @@ class DaMulticastProcess:
         """
         if self._group_size_cell is not None:
             return max(1, self._group_size_cell.value)
-        if self._group_size_hint is not None:
-            return max(1, self._group_size_hint)
-        if self.membership is not None:
-            return len(self.membership.view) + 1
-        tables = getattr(self, "tables", None)
-        return (tables.stride if tables is not None else 0) + 1
+        return len(self.membership.view) + 1
 
     def bind_group_size(self, cell: GroupSizeCell) -> None:
         """Share a live group-size counter with this process.
 
-        The cell takes precedence over any point-in-time hint, so the
-        facade can grow a group without re-notifying every member (the
-        former O(S)-per-join sweep). An explicit :meth:`set_group_size`
-        unbinds it again.
+        The facade grows a group without re-notifying every member (the
+        former O(S)-per-join sweep).
         """
         self._group_size_cell = cell
 
@@ -238,20 +221,6 @@ class DaMulticastProcess:
         :mod:`repro.metrics.degradation`.
         """
         self._expected_provider = provider
-
-    def set_group_size(self, size: int) -> None:
-        """Update the group-size hint (used for ``p_sel`` and fan-out).
-
-        In dynamic mode the membership table's capacity follows the [10]
-        law ``(b+1)·log(S)``, so the view is resized to match — a group
-        that grew from 10 to 1000 members needs (and gets) bigger tables.
-        """
-        self._group_size_cell = None
-        self._group_size_hint = size
-        if self.membership is not None:
-            capacity = self.params.table_capacity(max(2, size))
-            if capacity != self.membership.view.capacity:
-                self.membership.view.set_capacity(capacity, self.rng)
 
     def topic_table(self) -> PartialView:
         """The topic table ``Table_Ti``: the flat membership's view."""
@@ -287,11 +256,6 @@ class DaMulticastProcess:
     def publish(self, payload: Any = None) -> Event:
         """Publish an event on this process's topic and disseminate it."""
         self.subscribe()  # Fig. 7 line 2: DISSEMINATE starts with SUBSCRIBE
-        if not self._sized_for:
-            # a first publish sizes the group constants before its event
-            # exists, so an unseated static process refuses here, before
-            # anything is recorded
-            self._size_group_constants()
         factory = self._event_factory
         if factory is None:
             factory = self._event_factory = EventFactory(self.pid)
@@ -305,12 +269,9 @@ class DaMulticastProcess:
             self._tracker.record_publish(event, self.pid, expected=expected)
         self.seen.add(event.event_id)
         self._deliver(event, hops=0)
-        disseminate(
-            self,
-            event,
-            force_link=self.config.publisher_always_links,
-            arrival_hops=0,
-        )
+        # §IV-C: "p1 sends its events to at least one process from its
+        # super topic table" — the publisher always acts as a link
+        disseminate(self, event, force_link=True)
         return event
 
     # ------------------------------------------------------------------
@@ -328,13 +289,6 @@ class DaMulticastProcess:
             self.seen.add(event.event_id)
             self._deliver(event, hops=message.hops)
             disseminate(self, event, arrival_hops=message.hops)
-        elif not self.dynamic:
-            # §VII: tables drawn once never change, so a static process
-            # takes part in floods only
-            raise ProtocolError(
-                f"static process {self.pid} cannot handle "
-                f"{type(message).__name__}"
-            )
         elif isinstance(message, ReqContact):
             handle_req_contact(self, message)
         elif isinstance(message, AnsContact):
@@ -367,15 +321,11 @@ class DaMulticastProcess:
     # ------------------------------------------------------------------
     def _size_group_constants(self) -> None:
         """Resolve ``fanout(S)`` and ``p_sel(S)`` for the current group size
-        (static mode: once; dynamic mode: when a join moved the cell) — and,
-        a group size being at least 1 and ``_sized_for`` starting at 0, the
-        stream a static process's first selection is about to draw from."""
+        (when a join moved the cell)."""
         size = self.group_size
         self._fanout = self.params.fanout(size)
         self._p_sel = self.params.p_sel(size)
         self._sized_for = size
-        if self._rng is None:
-            self._seed_rng()
 
     def link_targets(self, force_link: bool) -> list[tuple[Topic, list[int]]]:
         """Supergroup pids this process hands an event up to (Fig. 7
@@ -383,7 +333,7 @@ class DaMulticastProcess:
         if self.group_size != self._sized_for:
             self._size_group_constants()
         return elect_links(
-            self.super_table, self._p_sel, self._p_a, self._rng, force_link
+            self.super_table, self._p_sel, self._p_a, self.rng, force_link
         )
 
     def gossip_targets(self) -> list[int]:
@@ -391,7 +341,7 @@ class DaMulticastProcess:
         when the table is small (Fig. 7 lines 8-14)."""
         if self.group_size != self._sized_for:
             self._size_group_constants()
-        return self.topic_table().sample_pids(self._fanout, self._rng, self.pid)
+        return self.topic_table().sample_pids(self._fanout, self.rng, self.pid)
 
     # ------------------------------------------------------------------
     # Delivery to the application (Fig. 5 line 8)
@@ -445,105 +395,218 @@ class DaMulticastProcess:
         return len(self.topic_table()) + len(self.super_table)
 
 
-class StaticProcess(DaMulticastProcess):
-    """A member of the §VII simulator: a row of its group's columns.
 
-    ``finalize_static_membership`` draws each group's tables once, as the
-    two pid columns of a :class:`~repro.membership.columnar.
-    ColumnarGroupTables`, and seats every member at its row. A static
-    process holds ``(tables, row)`` and nothing else of its tables: no
-    view, no supertopic-table object, no protocol task. Fig. 7's two
-    selections read the row in place (:meth:`ColumnarGroupTables.sample_row
-    <repro.membership.columnar.ColumnarGroupTables.sample_row>`,
-    :meth:`ColumnarGroupTables.link_targets
-    <repro.membership.columnar.ColumnarGroupTables.link_targets>`); read the
-    topic row with ``tables.row_pids(row)``. The group's intra scope is one
-    object, handed to every member when it joins.
 
-    The tables never change (§VII: "the membership algorithm does not
-    'replace' a failed process"), so a static process takes part in floods
-    only: any other message is a :class:`~repro.errors.ProtocolError`, as
-    it is for the columnar host's group actor. A process no finalize has
-    seated yet refuses to select with the system gate's
-    :class:`~repro.errors.ConfigError`; a new finalize seats it afresh.
+# ----------------------------------------------------------------------
+# The §VII simulator: one block actor per group
+# ----------------------------------------------------------------------
+class StaticMember:
+    """A member of the §VII simulator, as the system hands it out.
 
-    The ``process/{pid}`` stream is seeded the first time Fig. 7 selects
-    targets — behind the group-constants gate both selections already
-    pass, so the forwarding path gains no check and no frame — or when
-    anything reads :attr:`rng`, whichever comes first. Named streams are
-    independent of each other and of when they are made, so every draw is
-    the one an eagerly seeded process would make; a process that never
-    acts — in the paper's own experiments (Figs. 8–10) most are stillborn
-    or never reached — never pays for a Mersenne state.
+    Its tables are its row of the group's columns and its flood state is
+    the group's :class:`ColumnarGroupActor`'s, so a member is its pid and
+    topic, plus a read of its table sizes.
     """
 
-    dynamic = False
-    #: a static process keeps no flat membership
-    membership = None
+    __slots__ = ("pid", "topic", "_actors")
 
-    def _init_tables(self, membership_config: FlatMembershipConfig | None) -> None:
-        #: the group's columns and this process's row in them, once seated
-        self.tables: ColumnarGroupTables | None = None
-        self.row = 0
-
-    def seat(self, tables: ColumnarGroupTables, row: int) -> None:
-        """Take row ``row`` of ``tables`` as this process's tables (what a
-        finalize does to every member)."""
-        self.tables = tables
-        self.row = row
-
-    @property
-    def descriptor(self) -> ProcessDescriptor:
-        """This process as a table entry (a value; made per read)."""
-        return ProcessDescriptor(self.pid, self.topic)
-
-    def subscribe(self, contact: ProcessDescriptor | None = None) -> None:
-        self.subscribed = True  # the system's finalize draws the tables
-
-    # ------------------------------------------------------------------
-    # Fig. 7's two selections, off the row
-    # ------------------------------------------------------------------
-    def _size_group_constants(self) -> None:
-        if self.tables is None:
-            raise ConfigError(
-                f"call finalize_static_membership() before process "
-                f"{self.pid} selects: no finalize has seated it yet"
-            )
-        super()._size_group_constants()
-
-    # Both selections gate on the bound size cell's value, a slot read; the
-    # group_size property is consulted only when the cell is unbound or has
-    # moved since the constants were resolved.
-    def link_targets(
-        self, force_link: bool
-    ) -> Sequence[tuple[Topic, list[int]]]:
-        cell = self._group_size_cell
-        if (cell is None or cell.value != self._sized_for) and (
-            self.group_size != self._sized_for
-        ):
-            self._size_group_constants()
-        return self.tables.link_targets(
-            self.row, self._p_sel, self._p_a, self._rng, force_link
-        )
-
-    def gossip_targets(self) -> list[int]:
-        cell = self._group_size_cell
-        if (cell is None or cell.value != self._sized_for) and (
-            self.group_size != self._sized_for
-        ):
-            self._size_group_constants()
-        return self.tables.sample_row(self.row, self._fanout, self._rng)
-
-    # ------------------------------------------------------------------
-    # Introspection, off the row lengths
-    # ------------------------------------------------------------------
+    def __init__(
+        self, pid: int, topic: Topic, actors: dict[Topic, "ColumnarGroupActor"]
+    ):
+        self.pid = pid
+        self.topic = topic
+        #: the system's topic → actor registry, filled by its finalize
+        self._actors = actors
 
     @property
     def memory_footprint(self) -> int:
         """Topic-table entries plus every supertopic table's (§VI-C; one
         table per direct supertopic under §VIII), read off the row
-        lengths."""
-        tables = self.tables
-        if tables is None:
+        lengths; 0 before the finalize draws them."""
+        actor = self._actors.get(self.topic)
+        if actor is None:
             return 0
+        tables = actor.tables
         return tables.stride + sum(block.stride for block in tables.supers)
+
+
+class _MemberPeer:
+    """The flyweight :class:`DisseminationPeer`: one instance per group,
+    rebound to the acting member (its index, pid and stream) per
+    dissemination.
+
+    Everything that depends only on the (static) group — ``fanout(S)``,
+    ``p_sel(S)``, ``p_a``, the intra scope — is computed once here, and
+    both selections return ints straight off the pid columns.
+    """
+
+    __slots__ = (
+        "pid", "topic", "intra_scope",
+        "_tables", "_index", "_rng", "_fanout", "_p_sel", "_p_a", "_network",
+    )
+
+    def __init__(
+        self, tables: ColumnarGroupTables, params: TopicParams, network: Network
+    ):
+        self.pid = tables.members[0]
+        self.topic = tables.topic
+        self.intra_scope = Scope("intra", tables.topic)
+        self._tables = tables
+        self._index = 0
+        self._rng: random.Random | None = None
+        self._fanout = params.fanout(tables.size)
+        self._p_sel = params.p_sel(tables.size)
+        self._p_a = params.p_a
+        self._network = network
+
+    def link_targets(
+        self, force_link: bool
+    ) -> tuple[tuple[Topic, list[int]], ...]:
+        return self._tables.link_targets(
+            self._index, self._p_sel, self._p_a, self._rng, force_link
+        )
+
+    def gossip_targets(self) -> list[int]:
+        # The member's own pid is never in its row (exclusion is built
+        # into construction), so there is nothing to filter.
+        return self._tables.sample_row(self._index, self._fanout, self._rng)
+
+    def multicast(self, targets, message: Message) -> None:
+        self._network.multicast(self.pid, targets, message)
+
+
+class ColumnarGroupActor:
+    """One block actor running Fig. 5's RECEIVE for a whole group.
+
+    ``streams[i]`` is member ``i``'s selection stream; a row left None is
+    seeded with the member's ``process/{pid}`` stream on its first action.
+    ``members[i]`` is what ``callback(member, event)`` is handed on the
+    member's first delivery of an event.
+    """
+
+    __slots__ = (
+        "topic", "tables", "hierarchy", "base", "engine", "tracker", "streams",
+        "members", "_rngs", "_callback", "_peer", "_seen",
+    )
+
+    def __init__(
+        self,
+        tables: ColumnarGroupTables,
+        params: TopicParams,
+        hierarchy: TopicHierarchy,
+        *,
+        engine: Clock,
+        network: Network,
+        rngs: RngRegistry,
+        tracker,
+        streams: list[random.Random | None],
+        members: Sequence[StaticMember],
+        callback: DeliveryCallback | None = None,
+    ):
+        self.topic = tables.topic
+        self.tables = tables
+        #: the system's topic graph, whose inclusion decides what the
+        #: group may deliver
+        self.hierarchy = hierarchy
+        #: the group is one pid block: member index = pid - base
+        self.base = tables.members[0]
+        self.engine = engine
+        self.tracker = tracker
+        self.streams = streams
+        self.members = members
+        self._rngs = rngs
+        self._callback = callback
+        self._peer = _MemberPeer(tables, params, network)
+        #: event_id -> seen bitmask (1 byte per member, per in-flight event)
+        self._seen: dict[EventId, bytearray] = {}
+
+    # ------------------------------------------------------------------
+    # Network entry point
+    # ------------------------------------------------------------------
+    def handle_batch(self, sender: int, targets, message: Message) -> None:
+        """Deliver one message to every target index of this group."""
+        if not isinstance(message, EventMessage):
+            # §VII: tables drawn once never change, so a static group
+            # takes part in floods only
+            raise ProtocolError(
+                f"static group {self.topic.name} cannot handle "
+                f"{type(message).__name__}"
+            )
+        event = message.event
+        mask = self._seen.get(event.event_id)
+        if mask is None:
+            # Property 4 (no parasite messages), asserted once per event
+            # and group, by the first batch to bring it (the publisher's
+            # group makes its mask in publish_from): every target shares
+            # this group's topic, and every later batch the same event.
+            if not self.hierarchy.includes(self.topic, event.topic):
+                raise ProtocolError(
+                    f"parasite delivery: group {self.topic.name} got event "
+                    f"of {event.topic.name}"
+                )
+            mask = self._seen[event.event_id] = bytearray(self.tables.size)
+        base = self.base
+        peer = None
+        for pid in targets:
+            index = pid - base
+            if mask[index]:
+                continue  # Fig. 5: later copies are ignored
+            mask[index] = 1
+            if peer is None:
+                # what a first receipt needs is loaded once per batch, and
+                # not at all for a batch of later copies (most of a flood)
+                peer = self._peer
+                hops = message.hops
+                now = self.engine.now
+                tracker = self.tracker
+                callback = self._callback
+                streams = self.streams
+            if tracker is not None:
+                tracker.record_delivery(pid, event, now, hops=hops)
+            if callback is not None:
+                callback(self.members[index], event)
+            rng = streams[index]
+            if rng is None:
+                rng = streams[index] = self._rngs.stream(f"process/{pid}")
+            peer._index = index  # rebinding the peer, without a frame
+            peer.pid = pid
+            peer._rng = rng
+            disseminate(peer, event, arrival_hops=hops)
+
+    # ------------------------------------------------------------------
+    # Publishing (driven by the system facade)
+    # ------------------------------------------------------------------
+    def publish_from(self, index: int, event: Event) -> None:
+        """Fig. 7 lines 1-2 for the member at ``index``: deliver locally,
+        then disseminate (the publisher has already been recorded). §IV-C:
+        "p1 sends its events to at least one process from its super topic
+        table" — the publisher always acts as a link."""
+        pid = self.base + index
+        mask = self._seen.get(event.event_id)
+        if mask is None:
+            mask = self._seen[event.event_id] = bytearray(self.tables.size)
+        mask[index] = 1
+        if self.tracker is not None:
+            self.tracker.record_delivery(pid, event, self.engine.now, hops=0)
+        if self._callback is not None:
+            self._callback(self.members[index], event)
+        rng = self.streams[index]
+        if rng is None:
+            rng = self.streams[index] = self._rngs.stream(f"process/{pid}")
+        peer = self._peer
+        peer._index = index
+        peer.pid = pid
+        peer._rng = rng
+        disseminate(peer, event, force_link=True)
+
+    # ------------------------------------------------------------------
+    # State management
+    # ------------------------------------------------------------------
+    def release_event_state(self, event_id: EventId) -> None:
+        """Drop the seen bitmask of a finished event (dedup state is only
+        needed while copies are still in flight)."""
+        self._seen.pop(event_id, None)
+
+    def membership_bytes(self) -> int:
+        """Bytes of frozen membership state for the whole group."""
+        return self.tables.nbytes()

@@ -15,6 +15,11 @@ Two modes mirror the paper's two settings:
 * ``mode="static"`` — the §VII simulator: membership tables are drawn once
   from global knowledge by :meth:`finalize_static_membership` and never
   change; no background tasks run, so a publication runs to quiescence.
+  Each group is one contiguous pid block, flooded by one
+  :class:`~repro.core.process.ColumnarGroupActor` (consecutive
+  ``add_process``/``add_group`` calls for a topic extend its block, and
+  membership and links are fixed by the finalize); a member is a
+  :class:`~repro.core.process.StaticMember` record.
 * ``mode="dynamic"`` — the full protocol: joins go through the bootstrap
   overlay, FIND_SUPER_CONTACT floods, tables shuffle and self-repair.
 """
@@ -22,24 +27,25 @@ Two modes mirror the paper's two settings:
 from __future__ import annotations
 
 import functools
+import random
 from typing import Any
 
-from repro.core.events import Event
+from repro.core.events import Event, EventId
 from repro.core.params import DaMulticastConfig
 from repro.core.process import (
+    ColumnarGroupActor,
     DaMulticastProcess,
     DeliveryCallback,
     GroupSizeCell,
-    StaticProcess,
+    StaticMember,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
 from repro.membership.columnar import draw_static_tables, rows_digest
 from repro.membership.flat import FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
 from repro.membership.view import ProcessDescriptor
 from repro.net.latency import LatencyModel, ZERO_LATENCY
-from repro.net.message import Scope
 from repro.runtime import ObjectSystemFacade, SimulationHarness
 from repro.topics.topic import Topic
 
@@ -86,6 +92,13 @@ class DaMulticastSystem(ObjectSystemFacade):
         #: last (b+1)·log S capacity pushed to a group's dynamic views
         self._group_capacities: dict[Topic, int] = {}
         self._delivery_callback = delivery_callback
+        #: static mode: topic → the block actor the finalize made for it
+        self._actors: dict[Topic, ColumnarGroupActor] = {}
+        #: static mode: topic → (failure model, its alive members), kept
+        #: only for a model that declares ``static_dead`` (a fixed dead set)
+        self._alive_cache: dict[Topic, tuple[FailureModel, list]] = {}
+        #: static mode: pid → events it published so far
+        self._publish_seq: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -97,23 +110,22 @@ class DaMulticastSystem(ObjectSystemFacade):
         *,
         subscribe: bool = True,
         membership_config: FlatMembershipConfig | None = None,
-    ) -> list[DaMulticastProcess]:
+    ) -> list:
         """The body of :meth:`add_process` / :meth:`add_group`.
 
-        In dynamic mode each process immediately joins: it gets overlay
-        contacts, a same-group membership contact when one exists, and its
-        background tasks start. In static mode it stays inert until
-        :meth:`finalize_static_membership` — it is handed the stream
-        registry, not a stream, and seeds its own on first action.
+        In static mode the members extend ``topic``'s pid block (see
+        :meth:`_add_static_members`). In dynamic mode each process
+        immediately joins: it gets overlay contacts, a same-group
+        membership contact when one exists, and its background tasks
+        start.
 
         What every member of a group shares — the group list, the size
-        cell, the expected-receiver provider, a static group's intra
-        scope, the harness parts — is resolved here, once per call; the
-        loop body is what one member costs.
+        cell, the expected-receiver provider, the harness parts — is
+        resolved here, once per call; the loop body is what one member
+        costs.
         """
-        dynamic = self.mode == "dynamic"
-        # a static member is a row of its group's columns
-        make_process = DaMulticastProcess if dynamic else StaticProcess
+        if self.mode == "static":
+            return self._add_static_members(topic, count)
         harness = self.harness
         rngs = harness.rngs
         network = harness.network
@@ -122,11 +134,10 @@ class DaMulticastSystem(ObjectSystemFacade):
         if cell is None:
             cell = self._group_size_cells[topic] = GroupSizeCell()
         expected_receivers = functools.partial(self._interested_count, topic)
-        intra_scope = Scope("intra", topic)
         created = []
         for _ in range(count):
             pid = harness.next_pid()
-            process = make_process(
+            process = DaMulticastProcess(
                 pid,
                 topic,
                 self.config,
@@ -138,7 +149,6 @@ class DaMulticastSystem(ObjectSystemFacade):
                 tracker=harness.tracker,
                 delivery_callback=self._delivery_callback,
                 membership_config=membership_config,
-                group_size_hint=None,
             )
             network.register(process)
             group.append(process)
@@ -146,20 +156,45 @@ class DaMulticastSystem(ObjectSystemFacade):
             cell.value = len(group)
             process.bind_group_size(cell)
             process.bind_expected_receivers(expected_receivers)
-            if dynamic:
-                self._sync_membership_capacity(topic, group, cell.value, process)
-                assert self.overlay is not None
-                self.overlay.add_process(
-                    process.descriptor, rngs.stream("overlay")
-                )
-                if subscribe:
-                    process.subscribe(self._membership_contact_for(process))
-            else:
-                process.intra_scope = intra_scope
-                if subscribe:
-                    process.subscribe()
+            self._sync_membership_capacity(topic, group, cell.value, process)
+            assert self.overlay is not None
+            self.overlay.add_process(process.descriptor, rngs.stream("overlay"))
+            if subscribe:
+                process.subscribe(self._membership_contact_for(process))
             created.append(process)
         return created
+
+    def _add_static_members(self, topic: Topic, count: int) -> list[StaticMember]:
+        """Extend ``topic``'s pid block by ``count`` members.
+
+        A group is one contiguous pid block, so its members are added in
+        one run of calls: adding to a topic after another topic's members
+        is refused.
+        """
+        groups = self._groups
+        if topic in groups and topic is not next(reversed(groups)):
+            raise ConfigError(
+                f"static group {topic.name} is one contiguous pid block: "
+                "add all its members before another topic's"
+            )
+        block = self.harness.reserve_pid_block(count)
+        actors = self._actors
+        members = [StaticMember(pid, topic, actors) for pid in block]
+        groups.setdefault(topic, []).extend(members)
+        self._processes.update(zip(block, members))
+        return members
+
+    def _touch(self, topic: Topic | str) -> None:
+        """Static membership and links are fixed by the finalize: the block
+        actors are laid out once."""
+        self.harness.require_open()
+        if self.mode == "static" and self._finalized:
+            name = topic if isinstance(topic, str) else topic.name
+            raise ConfigError(
+                f"cannot change {name}: finalize_static_membership() fixed "
+                "the static membership"
+            )
+        super()._touch(topic)
 
     def _membership_contact_for(
         self, process: DaMulticastProcess
@@ -197,39 +232,68 @@ class DaMulticastSystem(ObjectSystemFacade):
         self._group_capacities[topic] = capacity
         targets = members if previous != capacity else (newcomer,)
         for member in targets:
-            membership = member.membership
-            if membership is not None and membership.view.capacity != capacity:
-                membership.view.set_capacity(capacity, member.rng)
+            view = member.membership.view
+            if view.capacity != capacity:
+                view.set_capacity(capacity, member.rng)
 
     # ------------------------------------------------------------------
     # Static-mode membership injection (§VII)
     # ------------------------------------------------------------------
     def finalize_static_membership(self) -> None:
-        """Draw all membership tables once, from global knowledge.
+        """Draw all membership tables once, from global knowledge, and lay
+        out one block actor per group.
 
         Reproduces the paper's simulation setting: each topic table is a
         uniform sample of ``(b+1)·log(S)`` group members, each supertopic
         table a uniform sample of ``z`` members of the nearest populated
         supergroup — one table per direct supertopic when :meth:`link`
-        gave a topic several (§VIII). Tables never change afterwards. Each
-        group is drawn as pid columns (:func:`~repro.membership.columnar.
-        draw_static_tables`, the columnar host's build) and every member
-        is seated at its row.
+        gave a topic several (§VIII). Tables never change afterwards, and
+        neither do the groups: a finalize is the last change. Each group
+        is drawn as pid columns (:func:`~repro.membership.columnar.
+        draw_static_tables`) and registered as one
+        :class:`~repro.core.process.ColumnarGroupActor` over its pid block.
         """
         if self.mode != "static":
             raise ConfigError("finalize_static_membership requires mode='static'")
         rng = self._membership_rng()
-        groups = self._groups
+        if self._finalized:
+            raise ConfigError("membership already finalized")
+        if not self._groups:
+            raise ConfigError("no groups added")
+        blocks = {
+            topic: range(members[0].pid, members[-1].pid + 1)
+            for topic, members in self._groups.items()
+        }
         drawn = draw_static_tables(
-            {topic: [p.pid for p in members] for topic, members in groups.items()},
-            self.config.params_for,
-            rng,
-            self.hierarchy,
+            blocks, self.config.params_for, rng, self.hierarchy
         )
+        harness = self.harness
         for topic, tables in drawn.items():
-            for row, process in enumerate(groups[topic]):
-                process.seat(tables, row)
+            members = self._groups[topic]
+            actor = ColumnarGroupActor(
+                tables,
+                self.config.params_for(topic),
+                self.hierarchy,
+                engine=harness.engine,
+                network=harness.network,
+                rngs=harness.rngs,
+                tracker=harness.tracker,
+                streams=self._row_streams(topic, len(members)),
+                members=members,
+                callback=self._delivery_callback,
+            )
+            block = blocks[topic]
+            harness.network.register_block(actor, block.start, block.stop)
+            self._actors[topic] = actor
         self._finalized = True
+
+    def _row_streams(
+        self, topic: Topic, size: int
+    ) -> list[random.Random | None]:
+        """Each member's selection stream, by row: empty, so that the
+        actor seeds a member's ``process/{pid}`` stream on its first
+        action."""
+        return [None] * size
 
     # ------------------------------------------------------------------
     # Publishing
@@ -239,7 +303,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         topic: Topic | str,
         payload: Any = None,
         *,
-        publisher: DaMulticastProcess | None = None,
+        publisher: Any = None,
     ) -> Event:
         """Publish an event on ``topic``.
 
@@ -258,7 +322,39 @@ class DaMulticastSystem(ObjectSystemFacade):
                 f"process {publisher.pid} publishes {publisher.topic.name} "
                 f"events, not {resolved.name}"
             )
-        return self._publisher(resolved, publisher).publish(payload)
+        if self.mode == "dynamic":
+            return self._publisher(resolved, publisher).publish(payload)
+        actor = self.group_actor(resolved)
+        if publisher is None:
+            publisher = self._elect_publisher(
+                resolved, self._alive_members(resolved)
+            )
+        pid = publisher.pid
+        sequence = self._publish_seq[pid] = self._publish_seq.get(pid, 0) + 1
+        event = Event(
+            event_id=EventId(pid, sequence),
+            topic=resolved,
+            payload=payload,
+            published_at=self.now,
+        )
+        self.tracker.record_publish(
+            event, pid, expected=self._interested_count(resolved)
+        )
+        actor.publish_from(pid - actor.base, event)
+        return event
+
+    def _alive_members(self, topic: Topic) -> list[StaticMember]:
+        """``topic``'s members alive now: computed per publish unless the
+        installed failure model declares a fixed dead set."""
+        model = self.network.failure_model
+        cached = self._alive_cache.get(topic)
+        if cached is not None and cached[0] is model:
+            return cached[1]
+        is_alive = self.harness.is_alive
+        alive = [member for member in self._groups[topic] if is_alive(member.pid)]
+        if getattr(model, "static_dead", None) is not None:
+            self._alive_cache[topic] = (model, alive)
+        return alive
 
     # ------------------------------------------------------------------
     # Queries
@@ -276,11 +372,32 @@ class DaMulticastSystem(ObjectSystemFacade):
             if includes(t, topic)
         )
 
+    def group_actor(self, topic: Topic | str) -> ColumnarGroupActor:
+        """The block actor running ``topic``'s static group."""
+        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
+        try:
+            return self._actors[resolved]
+        except KeyError:
+            raise UnknownTopic(f"no group for topic {resolved.name}") from None
+
+    def membership_bytes(self) -> int:
+        """Total frozen membership bytes across every group's columns."""
+        return sum(actor.membership_bytes() for actor in self._actors.values())
+
     def construction_digest(self) -> str:
-        """SHA-256 over every process's table rows, in pid order — the
-        columnar host's digest (:func:`~repro.membership.columnar.
-        rows_digest`), pinned by the S=500 golden in
-        tests/test_golden_static.py."""
+        """SHA-256 over every member's table rows, in pid order
+        (:func:`~repro.membership.columnar.rows_digest`), pinned by the
+        S=500 golden in tests/test_golden_static.py."""
         if not self._finalized:
             raise ConfigError("finalize_static_membership() first")
-        return rows_digest((p.tables, p.row) for p in self._processes.values())
+        return rows_digest(
+            (actor.tables, row)
+            for actor in self._actors.values()
+            for row in range(actor.tables.size)
+        )
+
+    def close(self) -> None:
+        """Release every member and block actor (idempotent)."""
+        self._actors.clear()
+        self._alive_cache.clear()
+        super().close()

@@ -171,8 +171,6 @@ def _cell(value, seed: int, *, point, scenario, alive, keys) -> dict[str, float]
         readings[f"intra_T{level}"] = float(stats.events_sent_in_group(topic))
         # the figures count the dead too, which keeps them under the diagonal
         readings[f"received_T{level}"] = system.delivered_fraction(event, topic, alive_only=False)
-        # §VI-D's indicator; no row prints it
-        readings[f"all_received_T{level}"] = float(system.all_received(event, topic))
         if level:
             readings[f"inter_T{level}_T{level - 1}"] = float(inter[level - 1])
     bottom = len(topics) - 1

@@ -13,12 +13,10 @@ whole group's membership in flat ``array('l')`` columns:
   group none or one; a §VIII DAG one per parent ("adding a supertopic
   table for each supertopic").
 
-Every static table in the tree is built here. The columnar host
-(:mod:`repro.core.columnar`) passes each group's pid block, a ``range``;
-the object host (:class:`~repro.core.system.DaMulticastSystem`) passes each
-group's pids in join order, which need not be contiguous — ``add_process``
-calls for several topics interleave. Both go through
-:func:`draw_static_tables`, over their topic hierarchy. The
+Every static table in the tree is built here. The static daMulticast
+build (:meth:`~repro.core.system.DaMulticastSystem.
+finalize_static_membership`) passes each group's pid block, a ``range``,
+to :func:`draw_static_tables`, over its topic hierarchy. The
 four baselines draw their in-group tables with :func:`build_group_tables`
 and their outsider tables (a table over a group the drawer is not in) with
 :class:`ColumnarSuperBuilder`, read back as topic rows through

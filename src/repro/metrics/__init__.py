@@ -15,7 +15,6 @@ from repro.metrics.degradation import (
 )
 from repro.metrics.delivery import (
     delivered_fraction,
-    all_received,
     parasite_deliveries,
 )
 from repro.metrics.streaming import StreamingDeliveryTracker, TopicDeliveryStats
@@ -26,7 +25,6 @@ __all__ = [
     "StreamingDeliveryTracker",
     "TopicDeliveryStats",
     "delivered_fraction",
-    "all_received",
     "parasite_deliveries",
     "WindowPoint",
     "delivery_ratio_series",

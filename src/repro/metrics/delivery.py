@@ -6,8 +6,8 @@ These implement the paper's measured quantities:
   group (:func:`delivered_fraction`, restricted to alive processes because
   a stillborn process cannot receive anything by definition),
 * §VI-D's reliability — "the probability that every process interested in
-  topic Ti receives a given event" (:func:`all_received`, estimated over
-  repeated runs by the experiment harness),
+  topic Ti receives a given event": a run in which
+  :func:`delivered_fraction` reads 1.0, estimated over repeated runs,
 * §I's "parasite messages" — deliveries of events the receiving process
   never subscribed to (:func:`parasite_deliveries`; zero for daMulticast by
   construction, nonzero for broadcast-style baselines).
@@ -31,12 +31,10 @@ def delivered_fraction(
     """Fraction of (alive) ``group_pids`` that delivered ``event_id``.
 
     Returns 1.0 when no alive member remains — an empty group, or a group
-    whose every member is dead. Both are the same vacuous-truth
-    convention :func:`all_received` applies: with nobody left who *could*
-    receive, reliability is trivially met. The all-dead case matters under
-    heavy stillborn failure (Fig. 10's low alive fractions can kill a
-    whole small group); both queries deliberately agree on it, and
-    tests/test_metrics.py pins the agreement.
+    whose every member is dead: with nobody left who *could* receive,
+    reliability is trivially met. The all-dead case matters under heavy
+    stillborn failure (Fig. 10's low alive fractions can kill a whole
+    small group).
 
     O(alive) per call: :meth:`DeliveryTracker.receivers` is a read-only
     view over the live per-event dict, so each membership probe is one
@@ -48,22 +46,6 @@ def delivered_fraction(
     receivers = tracker.receivers(event_id)
     got_it = sum(1 for pid in alive if pid in receivers)
     return got_it / len(alive)
-
-
-def all_received(
-    tracker: DeliveryTracker,
-    event_id: EventId,
-    group_pids: Iterable[int],
-    is_alive: Callable[[int], bool] = lambda pid: True,
-) -> bool:
-    """§VI-D's reliability indicator: did *every* alive member deliver it?
-
-    Vacuously True when no alive member remains (empty group or all
-    members dead) — the same convention as :func:`delivered_fraction`
-    returning 1.0, so the two queries never disagree about a dead group.
-    """
-    receivers = tracker.receivers(event_id)
-    return all(pid in receivers for pid in group_pids if is_alive(pid))
 
 
 def parasite_deliveries(

@@ -142,8 +142,8 @@ other dispatch between them — consecutive sequence numbers, the next
 wave — and the wave that collects them is dispatched before anything
 else is, i.e. at the place of its first member. So deliveries, and
 every draw they cause, happen in the same order: the network's loss
-draws, each ``group/<topic>`` stream of the columnar host and each
-``process/<pid>`` stream of the object host. The argument needs one
+draws and every member's selection stream (``process/<pid>`` or
+``group/<topic>``). The argument needs one
 thing of the actors — that a delivery dispatches only through the
 network (no in-repo actor schedules a timer while handling a message).
 Counters see the difference only mid-run: ``stats`` lacks the tally
@@ -166,9 +166,10 @@ per process is itself the memory wall, so :meth:`Network.register_block`
 registers a single *block actor* for a contiguous pid range ``[start,
 stop)``; it receives whole delivery batches through
 ``handle_batch(sender, targets, message)`` instead of one
-``handle_message`` call per pid. A network holds per-pid actors (the
-object hosts) or blocks (the columnar host), never both: registering
-the other kind is a :class:`~repro.errors.ConfigError`.
+``handle_message`` call per pid. A network holds per-pid actors
+(dynamic daMulticast, the baselines) or blocks (static daMulticast),
+never both: registering the other kind is a
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ class Actor(Protocol):
 class BlockActor(Protocol):
     """One actor standing in for a contiguous pid range.
 
-    The columnar backend registers a single object per *group* rather than
+    Static daMulticast registers a single object per *group* rather than
     one per process; the network hands it delivery batches with the
     resolved target pids so the actor can index straight into its arrays.
     """
@@ -823,6 +824,12 @@ class Network:
             self.stats.record_dropped(message, DROP_DEAD_TARGET)
             return
         self.stats.record_delivered(message)
+        # a network of blocks answers from the block last resolved, without
+        # the frame of _block_for; per-pid actors leave the cache empty
+        block = self._block_cache
+        if block is not None and block[0] <= target < block[1]:
+            block[2].handle_batch(sender, (target,), message)
+            return
         actor = self._actors.get(target)
         if actor is not None:
             actor.handle_message(message)

@@ -9,10 +9,9 @@ fairness, all approaches use the same underlying membership algorithm" —
 and, here, the same network and failure substrate too).
 
 What a system *is besides its protocol* lives here as well, once:
-:class:`SystemFacade` (harness passthroughs, the finalize-before-publish
-gate, the publisher election) under every system class, and
-:class:`ObjectSystemFacade` (the topic → process registry, its queries and
-``close()``) under those that keep one object per process.
+:class:`ObjectSystemFacade` (harness passthroughs, the
+finalize-before-publish gate, the publisher election, the topic → member
+registry, its queries and ``close()``) under every system class.
 
 The harness is time-source-agnostic: by default it builds a discrete-event
 :class:`~repro.sim.engine.Engine` (the virtual-time oracle every golden
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
 from repro.metrics.collector import DeliveryTracker
-from repro.metrics.delivery import all_received, delivered_fraction
+from repro.metrics.delivery import delivered_fraction
 from repro.metrics.streaming import StreamingDeliveryTracker
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.network import Network
@@ -120,8 +119,8 @@ class SimulationHarness:
     def reserve_pid_block(self, count: int) -> range:
         """Allocate ``count`` consecutive process ids, returned as a range.
 
-        The columnar backend gives each group one contiguous pid block so
-        membership reduces to index arithmetic; reservation goes through
+        A static daMulticast group is one contiguous pid block, so its
+        block actor indexes members by arithmetic; reservation goes through
         the same counter as :meth:`next_pid`, so block and per-process
         allocation can be mixed without collisions.
         """
@@ -165,15 +164,19 @@ class SimulationHarness:
         return self.network.is_alive(pid)
 
 
-class SystemFacade:
+class ObjectSystemFacade:
     """What every system is besides its protocol, on one harness.
 
-    Subclasses keep their members in their own shape (process objects,
-    pid blocks), call :meth:`_touch` from whatever adds members (a
-    subclass that cannot redraw overrides it to refuse once finalized),
-    start their finalize with :meth:`_membership_rng` and end it with
-    ``self._finalized = True``. :meth:`link` is refused unless the
-    subclass's build honours §VIII's extra supertopics.
+    The registry — topic → group list, pid → member object — every query
+    answered from it, and ``close()``, which lets go of it. A subclass
+    provides ``_add_members(topic, count, **options)``, which creates the
+    members and enters them into ``_groups`` / ``_processes`` (a member
+    needs ``pid`` and ``topic`` only), starts its finalize with
+    :meth:`_membership_rng` and ends it with ``self._finalized = True``.
+    :meth:`_touch` runs before every change of membership (a subclass
+    that cannot redraw overrides it to refuse once finalized), and
+    :meth:`link` is refused unless the subclass's build honours §VIII's
+    extra supertopics.
     """
 
     #: the method that draws the membership tables, named by the gate
@@ -187,6 +190,15 @@ class SystemFacade:
         self.hierarchy = TopicHierarchy()
         #: whether the tables cover every member added so far
         self._finalized = False
+        self._groups: dict[Topic, list] = {}
+        self._processes: dict[int, Any] = {}
+        #: pid → member, a live read-only view: what is asked per
+        #: transmission (link classifiers) looks a pid up with its ``get``,
+        #: which costs no frame and answers None for a pid that has not
+        #: joined yet where :meth:`process` raises
+        self.process_by_pid: Mapping[int, Any] = MappingProxyType(
+            self._processes
+        )
 
     # ------------------------------------------------------------------
     # Harness passthroughs
@@ -232,28 +244,29 @@ class SystemFacade:
         """Give ``topic`` the further direct supertopic ``extra_parent``
         (§VIII, multiple inheritance), once both are registered.
 
-        The next finalize draws a supertopic table per direct supertopic
-        and inclusion follows the links, so a link re-arms the
-        finalize-before-publish gate, as adding a member does. A system
-        whose build cannot honour a link — the dynamic protocol, whose
-        Fig. 4 bootstrap climbs dotted parents only, and the baselines —
-        refuses it with :class:`ConfigError`.
+        The finalize draws a supertopic table per direct supertopic and
+        inclusion follows the links, so a link is a change of membership:
+        it goes through :meth:`_touch`, and the static build, fixed by its
+        finalize, refuses one afterwards. A system whose build cannot
+        honour a link — the dynamic protocol, whose Fig. 4 bootstrap
+        climbs dotted parents only, and the baselines — refuses it with
+        :class:`ConfigError`.
         """
         if not self._honours_links:
             raise ConfigError(
                 f"{type(self).__name__} cannot honour a link: only the "
                 "static daMulticast build draws a table per supertopic"
             )
-        self._touch()
+        self._touch(topic)
         self.hierarchy.link(topic, extra_parent)
 
     # ------------------------------------------------------------------
     # The finalize-before-publish gate and the publisher election
     # ------------------------------------------------------------------
-    def _touch(self) -> None:
-        """Membership is about to change: tables drawn before a newcomer
-        know nothing of it (and the newcomer has none), so publishing
-        waits for the next finalize."""
+    def _touch(self, topic: Topic | str) -> None:
+        """Membership of ``topic`` is about to change: tables drawn before
+        a newcomer know nothing of it (and the newcomer has none), so
+        publishing waits for the next finalize."""
         self.harness.require_open()
         self._finalized = False
 
@@ -279,28 +292,6 @@ class SystemFacade:
             )
         return self.harness.rngs.stream("publish").choice(alive)
 
-
-class ObjectSystemFacade(SystemFacade):
-    """A system that keeps one process object per member.
-
-    The registry — topic → group list, pid → process — every query
-    answered from it, and ``close()``, which lets go of it. A subclass
-    provides ``_add_members(topic, count, **options)``, which creates the
-    processes and enters them into ``_groups`` / ``_processes``; the
-    process type needs ``pid`` only.
-    """
-
-    def __init__(self, harness: SimulationHarness):
-        super().__init__(harness)
-        self._groups: dict[Topic, list] = {}
-        self._processes: dict[int, Any] = {}
-        #: pid → process, a live read-only view: what is asked per
-        #: transmission (link classifiers) looks a pid up with its ``get``,
-        #: which costs no frame and answers None for a pid that has not
-        #: joined yet where :meth:`process` raises
-        self.process_by_pid: Mapping[int, Any] = MappingProxyType(
-            self._processes
-        )
 
     def close(self) -> None:
         """Release every member of a finished system (idempotent).
@@ -332,7 +323,7 @@ class ObjectSystemFacade(SystemFacade):
         calls would make them (same pids, same draws)."""
         if count < 1:
             raise ConfigError(f"count must be >= 1, got {count}")
-        self._touch()
+        self._touch(topic)
         return self._add_members(self._admit(topic), count, **options)
 
     def _admit(self, topic: Topic | str) -> Topic:
@@ -398,15 +389,3 @@ class ObjectSystemFacade(SystemFacade):
         pids = self.group_pids(topic)
         is_alive = self.harness.is_alive if alive_only else (lambda pid: True)
         return delivered_fraction(self.tracker, event.event_id, pids, is_alive)
-
-    def all_received(
-        self,
-        event: Event,
-        topic: Topic | str,
-        *,
-        alive_only: bool = True,
-    ) -> bool:
-        """§VI-D reliability indicator for one run."""
-        pids = self.group_pids(topic)
-        is_alive = self.harness.is_alive if alive_only else (lambda pid: True)
-        return all_received(self.tracker, event.event_id, pids, is_alive)

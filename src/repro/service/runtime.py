@@ -35,7 +35,7 @@ from typing import Any, Callable
 
 from repro.core.params import DaMulticastConfig
 from repro.core.events import Event, EventId
-from repro.core.process import DaMulticastProcess
+from repro.core.process import StaticMember
 from repro.core.system import DaMulticastSystem
 from repro.errors import ConfigError, UnknownTopic
 from repro.metrics.streaming import StreamingDeliveryTracker
@@ -97,8 +97,9 @@ class LiveRuntime:
     # ------------------------------------------------------------------
     # Topology (record construction order — the replay re-runs it)
     # ------------------------------------------------------------------
-    def add_group(self, topic: str, count: int) -> list[DaMulticastProcess]:
-        """Create ``count`` processes interested in ``topic``."""
+    def add_group(self, topic: str, count: int) -> list[StaticMember]:
+        """Create ``count`` processes interested in ``topic`` (a group is
+        one pid block: all of a topic's members come in one run of calls)."""
         if self._pump_task is not None:
             raise ConfigError("the topology is fixed once the runtime is started")
         processes = self.system.add_group(topic, count)
@@ -211,7 +212,7 @@ class LiveRuntime:
         if self._wake is not None:
             self._wake.set()
 
-    def _on_delivery(self, process: DaMulticastProcess, event: Event) -> None:
+    def _on_delivery(self, process: StaticMember, event: Event) -> None:
         self._deliveries.setdefault(event.event_id, []).append(process.pid)
         callbacks = self._subscribers.get(process.topic)
         if callbacks:

@@ -70,9 +70,9 @@ class TopicHierarchy:
 
         Raises :class:`UnknownTopic` when either endpoint is unregistered
         and :class:`HierarchyError` when the link would make a cycle. A
-        system links through :meth:`SystemFacade.link
-        <repro.runtime.SystemFacade.link>`, which refuses a link its build
-        cannot honour.
+        system links through :meth:`ObjectSystemFacade.link
+        <repro.runtime.ObjectSystemFacade.link>`, which refuses a link its
+        build cannot honour.
         """
         child = self.require(Topic.parse(topic) if isinstance(topic, str) else topic)
         parent = self.require(

@@ -352,10 +352,11 @@ def _parse_subscriptions(
     hierarchy: TopicHierarchy,
     ordered_topics: tuple[Topic, ...],
     is_chain: bool,
-) -> dict[Topic, int] | functools.partial:
-    """The population: a fixed ``{Topic: count}`` (``per_level``,
+) -> tuple[dict[Topic, int] | functools.partial, int]:
+    """The population — a fixed ``{Topic: count}`` (``per_level``,
     ``explicit``), or the seeded draw the build calls with its
-    ``spec/subscriptions`` stream (``uniform``, ``zipf``)."""
+    ``spec/subscriptions`` stream (``uniform``, ``zipf``) — and its
+    ceiling: the fixed total, or the draw's ``n``."""
     _require_mapping(section, "subscriptions")
     kind = _take_kind(
         section, ("per_level", "explicit", "uniform", "zipf"), "subscriptions"
@@ -388,7 +389,7 @@ def _parse_subscriptions(
                 )
         if sum(counts) < 1:
             raise ConfigError("subscriptions: population must not be empty")
-        return dict(zip(ordered_topics, counts))
+        return dict(zip(ordered_topics, counts)), sum(counts)
     if kind == "explicit":
         _reject_unknown_keys(section, {"kind", "counts"}, "subscriptions")
         counts = section.get("counts")
@@ -413,9 +414,10 @@ def _parse_subscriptions(
                     f"subscriptions.counts[{name!r}] must be >= 0, got {count}"
                 )
             entries.append((name, topic, count))
-        if sum(count for _, _, count in entries) < 1:
+        total = sum(count for _, _, count in entries)
+        if total < 1:
             raise ConfigError("subscriptions: population must not be empty")
-        return {topic: count for _, topic, count in sorted(entries)}
+        return {topic: count for _, topic, count in sorted(entries)}, total
     if kind == "uniform":
         _reject_unknown_keys(
             section, {"kind", "n", "include_root"}, "subscriptions"
@@ -426,7 +428,7 @@ def _parse_subscriptions(
         )
         return functools.partial(
             uniform_subscriptions, hierarchy, n, include_root=include_root
-        )
+        ), n
     # zipf
     _reject_unknown_keys(
         section, {"kind", "n", "exponent", "include_root"}, "subscriptions"
@@ -448,7 +450,7 @@ def _parse_subscriptions(
         )
     return functools.partial(
         zipf_subscriptions, hierarchy, n, exponent=exponent, include_root=include_root
-    )
+    ), n
 
 
 def _parse_topic_ref(
@@ -747,11 +749,14 @@ def _parse_failures(
     return model, None
 
 
-def _parse_dynamic(section: Mapping) -> tuple[dict[str, Any], tuple]:
+def _parse_dynamic(
+    section: Mapping, ceiling: int
+) -> tuple[dict[str, Any], tuple]:
     """(run settings, bootstrap plan). The settings hold every
     ``_DYNAMIC_DEFAULTS`` key; the plan is ``(order, start, wave_size,
     interval)``: the ``i``-th process in ``order`` joins at
-    ``start + (i // wave_size) * interval``."""
+    ``start + (i // wave_size) * interval``, which must be finite for
+    every one of the population's ``ceiling`` processes."""
     _require_mapping(section, "dynamic")
     _reject_unknown_keys(
         section, {"bootstrap"} | set(_DYNAMIC_DEFAULTS), "dynamic"
@@ -803,6 +808,16 @@ def _parse_dynamic(section: Mapping) -> tuple[dict[str, Any], tuple]:
     wave_size, interval = waves or (
         1, _get_number(bootstrap, "spacing", where, minimum=0)
     )
+    try:
+        last_join = start + (ceiling - 1) // wave_size * interval
+    except OverflowError:  # a wave count no float holds
+        last_join = math.inf
+    if not math.isfinite(last_join):
+        key = "spacing" if waves is None else "interval"
+        raise ConfigError(
+            f"{where}: {key} {interval} puts join {ceiling} of {ceiling} at "
+            "an infinite time (start + ⌊(n-1)/wave_size⌋·interval)"
+        )
     return settings, (order, start, wave_size, interval)
 
 
@@ -1604,7 +1619,7 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
 
     protocol, protocol_options = _parse_protocol(spec.get("protocol"))
     hierarchy, ordered_topics, is_chain = _parse_topics(spec["topics"])
-    population = _parse_subscriptions(
+    population, ceiling = _parse_subscriptions(
         spec["subscriptions"], hierarchy, ordered_topics, is_chain
     )
     publications = _parse_publications(
@@ -1629,7 +1644,7 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
                 f"failures: kind {failures_kind!r} is a static-mode plan; "
                 "dynamic mode supports 'none', 'churn' or 'dynamic'"
             )
-        dynamic, bootstrap = _parse_dynamic(spec.get("dynamic", {}))
+        dynamic, bootstrap = _parse_dynamic(spec.get("dynamic", {}), ceiling)
         if "campaign" in spec:
             if failures_kind == "dynamic":
                 raise ConfigError(

@@ -66,23 +66,18 @@ ALLOWED_UNREACHED: dict[str, str] = {
     ),
     # what pinned goldens compute
     "repro.core.system:DaMulticastSystem.construction_digest": (
-        "pinned golden: the S=500 construction digest "
-        "(tests/test_golden_static.py) and the static-row pins"
-    ),
-    "repro.core.columnar:ColumnarStaticSystem.construction_digest": (
-        "pinned golden: the columnar host's construction digest "
-        "(tests/test_golden_static.py, tests/test_static_rows.py)"
+        "pinned golden: the S=500 construction digest of both static "
+        "facades (tests/test_golden_static.py)"
     ),
     "repro.membership.columnar:rows_digest": (
-        "pinned golden: the one function behind both hosts' "
-        "construction_digest"
+        "pinned golden: the function behind construction_digest"
     ),
     "repro.topics.topic:Topic.__str__": (
         "pinned golden: rows_digest formats each super target with str()"
     ),
     "repro.metrics.collector:DeliveryTracker.delivery_hops": (
-        "pinned golden: the interleaved-groups flood digest "
-        "(tests/test_static_rows.py) hashes every delivery's hop count"
+        "pinned golden: the §VIII pins (tests/test_core_multiparent.py::"
+        "TestSectionVIIIPins) hash every delivery's hop count"
     ),
     # error-only paths a tier-1 test enters
     "repro.sim.engine:CallQueue.requeue": (

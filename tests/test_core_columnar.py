@@ -50,8 +50,10 @@ class TestLifecycle:
 
     def test_one_block_per_topic(self):
         system = small_system()
-        with pytest.raises(ConfigError, match="already added"):
+        with pytest.raises(ConfigError, match=r"\.t1 is one contiguous pid block"):
             system.add_group(".t1", 10)
+        # the last topic's block grows
+        assert [m.pid for m in system.add_group(".t1.t2", 2)] == [250, 251]
 
     def test_finalize_guards(self):
         empty = ColumnarStaticSystem()
@@ -61,13 +63,15 @@ class TestLifecycle:
         system.finalize_static_membership()
         with pytest.raises(ConfigError, match="already finalized"):
             system.finalize_static_membership()
-        with pytest.raises(ConfigError, match="already finalized"):
+        with pytest.raises(ConfigError, match=r"cannot change \.t3"):
             system.add_group(".t3", 10)
 
     def test_pid_blocks_are_contiguous_in_creation_order(self):
         system = ColumnarStaticSystem()
-        assert system.add_group(".t1", 50) == range(0, 50)
-        assert system.add_group(".t1.t2", 200) == range(50, 250)
+        assert [m.pid for m in system.add_group(".t1", 50)] == list(range(0, 50))
+        assert [m.pid for m in system.add_group(".t1.t2", 200)] == list(
+            range(50, 250)
+        )
 
     def test_unknown_topic_queries(self):
         system = small_system()
@@ -82,9 +86,9 @@ class TestPublish:
     def test_explicit_publisher_and_sequencing(self):
         system = small_system()
         system.finalize_static_membership()
-        first = system.publish(".t1", publisher_pid=3)
-        second = system.publish(".t1", publisher_pid=3)
-        other = system.publish(".t1", publisher_pid=4)
+        first = system.publish(".t1", publisher=system.process(3))
+        second = system.publish(".t1", publisher=system.process(3))
+        other = system.publish(".t1", publisher=system.process(4))
         assert first.event_id == EventId(3, 1)
         assert second.event_id == EventId(3, 2)
         assert other.event_id == EventId(4, 1)
@@ -93,8 +97,8 @@ class TestPublish:
     def test_publisher_must_belong_to_group(self):
         system = small_system()
         system.finalize_static_membership()
-        with pytest.raises(ConfigError, match="not a member"):
-            system.publish(".t1", publisher_pid=199)
+        with pytest.raises(ConfigError, match=r"\.t1\.t2 events, not \.t1"):
+            system.publish(".t1", publisher=system.process(199))
 
     def test_lossless_network_delivers_everywhere(self):
         """p_success=1, no failures: gossip plus the publisher's forced
@@ -220,7 +224,7 @@ class TestBlockActor:
     def test_duplicate_deliveries_ignored(self):
         system = small_system()
         system.finalize_static_membership()
-        event = system.publish(".t1", publisher_pid=0)
+        event = system.publish(".t1", publisher=system.process(0))
         system.run_until_idle()
         actor = system.group_actor(".t1")
         before = system.tracker.topic_stats(T1).delivered

@@ -23,6 +23,7 @@ from repro.baselines import (
 from repro.core import DaMulticastSystem
 from repro.core.columnar import ColumnarStaticSystem
 from repro.errors import ConfigError, HierarchyError, ProtocolError, UnknownTopic
+from repro.net.message import EventMessage, Scope
 from repro.topics import ROOT, Topic
 from repro.topics.builders import balanced_tree, chain
 from tests.test_examples import run_example
@@ -44,25 +45,37 @@ def build_system(seed=0, sizes=DIAMOND, **kwargs):
     return system
 
 
-def targets(process):
-    return [target for target, _ in process.tables.super_rows_of(process.row)]
+def row_of(system, member):
+    """``member``'s group columns and its row in them."""
+    actor = system.group_actor(member.topic)
+    return actor.tables, member.pid - actor.base
+
+
+def super_rows(system, member):
+    tables, row = row_of(system, member)
+    return tables.super_rows_of(row)
+
+
+def targets(system, member):
+    return [target for target, _ in super_rows(system, member)]
 
 
 class TestStructure:
     def test_one_super_table_per_parent(self):
         system = build_system()
         for process in system.group(FOOTBALL):
-            assert targets(process) == [NEWS, SPORTS]
+            assert targets(system, process) == [NEWS, SPORTS]
         for process in system.group(SPORTS):
-            assert targets(process) == [ROOT]
+            assert targets(system, process) == [ROOT]
         for process in system.group(ROOT):
-            assert targets(process) == []
+            assert targets(system, process) == []
 
     def test_tables_point_at_right_groups(self):
         system = build_system()
+        z = system.config.params_for(FOOTBALL).z
         for process in system.group(FOOTBALL):
-            for target, pids in process.tables.super_rows_of(process.row):
-                assert len(pids) == process.params.z
+            for target, pids in super_rows(system, process):
+                assert len(pids) == z
                 assert set(pids) <= set(system.group_pids(target))
 
     def test_unpopulated_parent_falls_back_upward(self):
@@ -70,7 +83,7 @@ class TestStructure:
         for process in system.group(FOOTBALL):
             # parents_of order: the .news-side table, then the .sports
             # side, which walks up to the root group
-            assert targets(process) == [NEWS, ROOT]
+            assert targets(system, process) == [NEWS, ROOT]
 
     def test_link_needs_registered_topics(self):
         system = DaMulticastSystem(mode="static")
@@ -99,20 +112,19 @@ class TestStructure:
         with pytest.raises(ConfigError):
             system.publish(FOOTBALL)
 
-    def test_a_link_after_finalize_rearms_the_gate(self):
-        system = DaMulticastSystem(mode="static", seed=2)
-        for topic, count in DIAMOND.items():
-            system.add_group(topic, count)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: DaMulticastSystem(mode="static"), ColumnarStaticSystem],
+        ids=["object", "columnar"],
+    )
+    def test_a_link_after_finalize_is_refused(self, make):
+        system = make()
+        system.add_group(FOOTBALL, 5)
+        system.add_group(NEWS, 5)
         system.finalize_static_membership()
-        assert all(targets(p) == [SPORTS] for p in system.group(FOOTBALL))
-        system.link(FOOTBALL, NEWS)
-        with pytest.raises(ConfigError, match="finalize_static_membership"):
-            system.publish(FOOTBALL)
-        system.finalize_static_membership()
-        assert all(targets(p) == [NEWS, SPORTS] for p in system.group(FOOTBALL))
-        event = system.publish(FOOTBALL)
-        system.run_until_idle()
-        assert system.delivered_fraction(event, NEWS) == 1.0
+        with pytest.raises(ConfigError, match=r"\.sports\.football: finalize"):
+            system.link(FOOTBALL, NEWS)
+        assert system.hierarchy.parents_of(FOOTBALL) == [SPORTS]
 
 
 @pytest.mark.parametrize(
@@ -186,25 +198,29 @@ class TestDissemination:
         football_proc = system.group(FOOTBALL)[0]
         news_proc = system.group(NEWS)[0]
         sports_proc = system.group(SPORTS)[0]
-        event = football_proc.publish()
+        event = system.publish(FOOTBALL, publisher=football_proc)
         # via the extra DAG edge
         assert system.hierarchy.includes(news_proc.topic, event.topic)
         system.run_until_idle()
         assert news_proc.pid in system.tracker.receivers(event.event_id)
-        bulletin = news_proc.publish()
+        bulletin = system.publish(NEWS, publisher=news_proc)
         assert not system.hierarchy.includes(sports_proc.topic, bulletin.topic)
+        stray = EventMessage(news_proc.pid, bulletin, Scope("intra", SPORTS), 1)
         with pytest.raises(ProtocolError, match="parasite delivery"):
-            sports_proc._deliver(bulletin)
+            system.group_actor(SPORTS).handle_batch(
+                news_proc.pid, (sports_proc.pid,), stray
+            )
         system.run_until_idle()
 
     def test_memory_footprint_counts_all_tables(self):
         system = build_system()
         for process in system.group(FOOTBALL):
             # topic table + two z-sized super tables
-            supers = process.tables.super_rows_of(process.row)
+            tables, row = row_of(system, process)
+            supers = tables.super_rows_of(row)
             expected_super = sum(len(pids) for _, pids in supers)
             assert process.memory_footprint == len(
-                process.tables.row_pids(process.row)
+                tables.row_pids(row)
             ) + expected_super
             assert len(supers) == 2 and expected_super >= 2
 
@@ -214,7 +230,10 @@ class TestDissemination:
 # ----------------------------------------------------------------------
 def columnar_diamond(seed):
     system = ColumnarStaticSystem(seed=seed, tracker="full")
-    blocks = {topic: system.add_group(topic, count) for topic, count in DIAMOND.items()}
+    blocks = {
+        topic: [member.pid for member in system.add_group(topic, count)]
+        for topic, count in DIAMOND.items()
+    }
     system.link(FOOTBALL, NEWS)
     system.finalize_static_membership()
     calls = Counter()
@@ -254,15 +273,6 @@ class TestColumnarDiamond:
         assert receivers == set(blocks[NEWS]) | set(blocks[ROOT])
         assert system.tracker.expected(event.event_id) == DIAMOND[NEWS] + DIAMOND[ROOT]
 
-    def test_a_link_after_finalize_is_refused(self):
-        system = ColumnarStaticSystem(seed=0)
-        system.add_group(FOOTBALL, 5)
-        system.add_group(NEWS, 5)
-        system.finalize_static_membership()
-        with pytest.raises(ConfigError, match="already finalized"):
-            system.link(FOOTBALL, NEWS)
-        assert system.hierarchy.parents_of(FOOTBALL) == [SPORTS]
-
 
 # ----------------------------------------------------------------------
 # §VIII pins: what MultiParentSystem — the parallel subclass pair this
@@ -275,10 +285,11 @@ def _sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def _rows(process):
+def _rows(system, process):
+    tables, row = row_of(system, process)
     return (
-        process.tables.row_pids(process.row),
-        [(t.name, pids) for t, pids in process.tables.super_rows_of(process.row)],
+        tables.row_pids(row),
+        [(t.name, pids) for t, pids in tables.super_rows_of(row)],
     )
 
 
@@ -287,7 +298,7 @@ def _pins(system, events) -> dict:
     rngs = system.harness.rngs
     return {
         "rows": _sha([
-            (p.pid, p.topic.name, _rows(p), p.memory_footprint)
+            (p.pid, p.topic.name, _rows(system, p), p.memory_footprint)
             for p in system.processes
         ]),
         "receivers": _sha([sorted(tracker.receivers(e.event_id)) for e in events]),

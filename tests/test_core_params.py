@@ -115,40 +115,8 @@ class TestConfig:
             DaMulticastConfig(ping_timeout=0)
 
 
-class TestOverrideInheritance:
-    def test_no_inheritance_by_default(self):
+class TestOverrides:
+    def test_an_override_applies_to_its_own_topic_only(self):
         config = DaMulticastConfig(overrides={T1: TopicParams(c=9)})
+        assert config.params_for(T1).c == 9
         assert config.params_for(T2) == TopicParams()  # T2 under T1
-
-    def test_subtree_inherits_nearest_ancestor(self):
-        config = DaMulticastConfig(
-            overrides={T1: TopicParams(c=9)}, inherit_overrides=True
-        )
-        assert config.params_for(T2).c == 9
-        deep = Topic.parse(".t1.t2.t3.t4")
-        assert config.params_for(deep).c == 9
-
-    def test_exact_override_beats_inherited(self):
-        config = DaMulticastConfig(
-            overrides={T1: TopicParams(c=9), T2: TopicParams(c=2)},
-            inherit_overrides=True,
-        )
-        assert config.params_for(T2).c == 2
-
-    def test_nearest_ancestor_wins(self):
-        root_override = TopicParams(c=1)
-        mid_override = TopicParams(c=7)
-        from repro.topics import ROOT
-
-        config = DaMulticastConfig(
-            overrides={ROOT: root_override, T1: mid_override},
-            inherit_overrides=True,
-        )
-        assert config.params_for(T2).c == 7
-        assert config.params_for(Topic.parse(".other")).c == 1
-
-    def test_siblings_unaffected(self):
-        config = DaMulticastConfig(
-            overrides={T1: TopicParams(c=9)}, inherit_overrides=True
-        )
-        assert config.params_for(Topic.parse(".other.leaf")) == TopicParams()

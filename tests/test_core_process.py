@@ -53,7 +53,7 @@ class TestMessageDispatch:
         assert process.super_table.check(system.now, timeout=1.0) == 0
 
     def test_unknown_message_type_raises(self):
-        system = tiny_system()
+        system = tiny_system(mode="dynamic")
         process = system.group(T2)[0]
 
         class Weird(Message):
@@ -63,7 +63,7 @@ class TestMessageDispatch:
             process.handle_message(Weird(sender=0))
 
     def test_parasite_event_raises(self):
-        system = tiny_system()
+        system = tiny_system(mode="dynamic")
         t2_process = system.group(T2)[0]
         bad = Event(EventId(0, 1), T1, None, 0.0)  # supertopic event
         message = EventMessage(
@@ -86,9 +86,19 @@ class TestMessageDispatch:
         message = EventMessage(
             sender=1, event=event, scope=Scope("intra", T2)
         )
-        process.handle_message(message)
+        if mode == "static":  # a static group is one block actor
+            actor = system.group_actor(T2)
+
+            def receive():
+                actor.handle_batch(1, (process.pid,), message)
+        else:
+
+            def receive():
+                process.handle_message(message)
+
+        receive()
         assert deliveries == [(process.pid, event.event_id)]
-        process.handle_message(message)
+        receive()
         assert deliveries == [(process.pid, event.event_id)]
         assert system.tracker.delivery_count(event.event_id) == 1
 
@@ -105,33 +115,20 @@ class TestSubscriptionLifecycle:
     def test_static_mode_starts_no_tasks(self):
         system = tiny_system(mode="static")
         for process in system.processes:
-            process.subscribe()
             assert not hasattr(process, "maintenance")
             assert not hasattr(process, "find_super_contact")
         assert system.engine.pending == 0
 
-    def test_group_size_hint(self):
-        system = tiny_system()
+    def test_group_size_is_the_bound_cell(self):
+        system = tiny_system(mode="dynamic")
         process = system.group(T2)[0]
         assert process.group_size == 6
-        process.set_group_size(100)
-        assert process.group_size == 100
 
-    def test_group_size_estimated_without_hint(self):
+    def test_group_size_estimated_without_a_cell(self):
         system = tiny_system(mode="dynamic")
         process = system.group(T2)[0]
         process._group_size_cell = None
-        process._group_size_hint = None
         assert process.group_size == len(process.membership.view) + 1
-
-    def test_static_group_size_estimated_from_its_row(self):
-        system = tiny_system()
-        process = system.group(T2)[0]
-        process._group_size_cell = None
-        process._group_size_hint = None
-        assert process.group_size == process.tables.stride + 1
-        process.tables = None
-        assert process.group_size == 1
 
 
 class TestPiggybackMerge:

@@ -1,25 +1,25 @@
 """Per-process streams are seeded on first action — and nobody can tell.
 
-A static process is handed the run's stream registry and seeds its
-``process/{pid}`` stream the first time Fig. 7 selects targets (or anything
-reads ``process.rng``). Named streams are independent of each other and of
-*when* they are created, so a run in which every stream is seeded up front
-— what the constructor used to do — must be the same run: that is the
-property below, on the object host over a tree and over a §VIII DAG. What does
-change is how many streams a run seeds, and that is an exact count: over
-the ten points of the ledger's Fig. 10 sweep (master seed 0), 5 522 of
-11 100 processes ever act, and exactly those have a stream.
+A static group's block actor holds one stream row per member, left empty
+by ``DaMulticastSystem(mode="static")``: a member's ``process/{pid}``
+stream is seeded the first time it acts (delivers or publishes). Named
+streams are independent of each other and of *when* they are created, so a
+run in which every row is filled up front must be the same run: that is
+the property below, over a tree and over a §VIII DAG. What does change is
+how many streams a run seeds, and that is an exact count: over the ten
+points of the ledger's Fig. 10 sweep (master seed 0), 5 522 of 11 100
+processes ever act, and exactly those have a stream.
 """
 
 import gc
 import random
-import weakref
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.baselines import GossipBroadcastSystem
 from repro.core import DaMulticastSystem
+from repro.core.process import ColumnarGroupActor, StaticMember
 from repro.failures import sample_stillborn
 from repro.sim.rng import derive_seed
 from repro.topics import ROOT, Topic
@@ -39,11 +39,30 @@ def _process_streams(system) -> list[str]:
     ]
 
 
+def _seed_every_row(system) -> None:
+    """Fill every static member's stream row up front."""
+    rngs = system.harness.rngs
+    for topic in system.topics():
+        actor = system.group_actor(topic)
+        actor.streams[:] = [
+            rngs.stream(f"process/{member.pid}") for member in actor.members
+        ]
+
+
+def _acted(system, events) -> set[str]:
+    """The ``process/{pid}`` stream names of every member that delivered
+    (the publisher included)."""
+    return {
+        f"process/{pid}"
+        for event in events
+        for pid in system.tracker.receivers(event.event_id)
+    }
+
+
 def _observe(system, events) -> dict:
     """Everything a run leaves behind that a draw could have moved."""
     rngs = system.harness.rngs
     return {
-        "seen": {process.pid: sorted(process.seen) for process in system.processes},
         "receivers": [
             dict(system.tracker.receivers(event.event_id)) for event in events
         ],
@@ -98,8 +117,7 @@ def test_object_host_seeding_every_stream_up_front_is_the_same_run(
         system = built.system
         try:
             if eager:
-                for process in system.processes:
-                    assert isinstance(process.rng, random.Random)
+                _seed_every_row(system)
                 assert len(_process_streams(system)) == sum(counts)
             else:
                 assert _process_streams(system) == []
@@ -141,8 +159,7 @@ def test_multi_parent_seeding_every_stream_up_front_is_the_same_run(
                 protected=[publisher.pid],
             )
             if eager:
-                for process in system.processes:
-                    process.rng
+                _seed_every_row(system)
             else:
                 assert _process_streams(system) == []
             event = system.publish(FOOTBALL, publisher=publisher)
@@ -175,11 +192,7 @@ def test_fig10_sweep_seeds_a_stream_per_acting_process():
         try:
             assert _process_streams(built.system) == []
             built.execute()
-            acted = {
-                f"process/{process.pid}"
-                for process in built.system.processes
-                if process.seen
-            }
+            acted = _acted(built.system, built.published)
             assert set(_process_streams(built.system)) == acted
             seeded[value] = len(acted)
         finally:
@@ -213,7 +226,7 @@ def test_baseline_processes_follow_the_same_convention():
 
 
 # ----------------------------------------------------------------------
-# ``process.rng`` stays a public, always-valid read
+# A member that never acts never gets a stream
 # ----------------------------------------------------------------------
 def _small_run(seed=11):
     spec = _spec((2, 5, 30), alive_fraction=0.3, p_success=0.85)
@@ -222,22 +235,27 @@ def _small_run(seed=11):
     return built
 
 
-def test_rng_of_a_never_reached_process_is_its_named_stream():
+def test_a_never_reached_member_keeps_an_empty_row():
     built = _small_run()
     try:
         system = built.system
-        idle = [process for process in system.processes if not process.seen]
+        acted = _acted(system, built.published)
+        idle = [
+            member for member in system.processes
+            if f"process/{member.pid}" not in acted
+        ]
         assert idle  # 70 % stillborn: most processes never act
-        for process in idle:
-            assert f"process/{process.pid}" not in _process_streams(system)
-            expected = random.Random(
-                derive_seed(built.seed, f"process/{process.pid}")
-            )
-            assert process.rng.getstate() == expected.getstate()
-            assert process.rng is process.rng  # one stream, not one per read
-            assert process.rng is system.harness.rngs.stream(
-                f"process/{process.pid}"
-            )
+        streams = system.harness.rngs._streams
+        for member in idle:
+            assert f"process/{member.pid}" not in streams
+            actor = system.group_actor(member.topic)
+            assert actor.streams[member.pid - actor.base] is None
+        for member in system.processes:
+            if f"process/{member.pid}" in acted:
+                actor = system.group_actor(member.topic)
+                assert actor.streams[member.pid - actor.base] is streams[
+                    f"process/{member.pid}"
+                ]
     finally:
         built.system.close()
 
@@ -254,16 +272,21 @@ def test_dynamic_processes_are_seeded_at_construction():
 
 
 def test_close_frees_lazy_processes_by_reference_count():
-    """A process keeps the stream registry; the registry keeps no process,
-    so the new reference closes no cycle."""
-    built = _small_run()
+    """A block actor keeps the stream registry and its members; neither
+    keeps the system, so no reference closes a cycle."""
+    def live() -> int:
+        kinds = (StaticMember, ColumnarGroupActor)
+        return sum(1 for obj in gc.get_objects() if type(obj) in kinds)
+
     gc.collect()
+    before = live()
+    built = _small_run()
     gc.disable()
     try:
-        watched = [weakref.ref(process) for process in built.system.processes]
+        assert live() == before + 37 + 3  # 2 + 5 + 30 members, 3 groups
         built.system.close()
         del built
-        assert all(ref() is None for ref in watched)
+        assert live() == before
         assert gc.collect() == 0
     finally:
         gc.enable()

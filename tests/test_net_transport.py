@@ -10,6 +10,7 @@ workloads through both and require bit-identical results including the
 network RNG's final state.
 """
 
+import contextlib
 import gc
 import random
 import weakref
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.columnar import ColumnarStaticSystem
+from repro.core.process import ColumnarGroupActor
 from repro.core.system import DaMulticastSystem
 from repro.errors import SchedulingError
 from repro.failures import StillbornFailures
@@ -245,9 +247,9 @@ def _flood(
     """Two publications at the same instant over groups of 6 and 40, run
     to idle; everything observable, and the counters at every raise.
 
-    ``raise_at`` makes the object host's pid 7 raise on those receptions
-    (1-based); each raise is caught and the run resumed. ``act(network,
-    message)`` runs on pid 7's first reception, before pid 7 handles it.
+    ``raise_at`` makes pid 7 raise on those receptions (1-based); each
+    raise is caught and the run resumed. ``act(network, message)`` runs on
+    pid 7's first reception, before pid 7 handles it.
     """
     tracker = OrderTracker()
     models = dict(
@@ -273,21 +275,61 @@ def _flood(
     system.add_group(".t1", 6)
     system.add_group(".t1.t2", 40)
     system.finalize_static_membership()
-    if raise_at or act is not None:
-        flaky = system.process(7)
-        handle_message = flaky.handle_message
-        receptions = 0
 
-        def hooked(message):
-            nonlocal receptions
-            receptions += 1
-            if receptions in raise_at:
-                raise Boom(receptions)
-            if act is not None and receptions == 1:
-                act(network, message)
-            handle_message(message)
+    def on_reception(count, message):
+        if count in raise_at:
+            raise Boom(count)
+        if act is not None and count == 1:
+            act(network, message)
 
-        flaky.handle_message = hooked
+    with contextlib.ExitStack() as stack:
+        if raise_at or act is not None:
+            stack.enter_context(reception_hook(7, on_reception))
+        counters, raised = _publish_and_run(system, engine, inner)
+    rngs = system.harness.rngs
+    observed = (
+        tracker.order,
+        _ledger(system.stats),
+        {name: rngs.stream(name).getstate() for name in sorted(rngs._streams)},
+        counters,
+        raised,
+    )
+    if host == "object":
+        system.close()
+    return observed, len(transport.handles)
+
+
+@contextlib.contextmanager
+def reception_hook(pid, on_reception):
+    """Call ``on_reception(count, message)`` on each reception of ``pid``
+    (``count`` from 1), just before its group's block actor handles it:
+    the targets of a batch ahead of ``pid`` are handled first, so a raise
+    there cuts the batch at ``pid``, as a delivery raising at ``pid`` does."""
+    handle_batch = ColumnarGroupActor.handle_batch
+    receptions = 0
+
+    def hooked(actor, sender, targets, message):
+        nonlocal receptions
+        start = 0
+        for index, target in enumerate(targets):
+            if target == pid:
+                if index > start:
+                    handle_batch(actor, sender, targets[start:index], message)
+                start = index
+                receptions += 1
+                on_reception(receptions, message)
+        handle_batch(actor, sender, targets[start:], message)
+
+    ColumnarGroupActor.handle_batch = hooked
+    try:
+        yield
+    finally:
+        ColumnarGroupActor.handle_batch = handle_batch
+
+
+def _publish_and_run(system, engine, inner):
+    """Publish on both groups and run to idle, resuming after every
+    ``Boom``; the counters at the end and at every raise."""
     system.publish(".t1.t2")
     system.publish(".t1")
 
@@ -308,17 +350,7 @@ def _flood(
             break
         except Boom:
             raised.append(counters())
-    rngs = system.harness.rngs
-    observed = (
-        tracker.order,
-        _ledger(system.stats),
-        {name: rngs.stream(name).getstate() for name in sorted(rngs._streams)},
-        counters(),
-        raised,
-    )
-    if host == "object":
-        system.close()
-    return observed, len(transport.handles)
+    return counters(), raised
 
 
 class TestWavesMatchOneEntryPerFanOut:

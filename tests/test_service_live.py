@@ -20,6 +20,7 @@ from repro.service import (
     replay_live_trace,
 )
 from repro.sim.rng import STREAM_REGISTRY
+from tests.test_net_transport import reception_hook
 
 
 def run_live(coro):
@@ -203,24 +204,20 @@ class TestFailingDeliveries:
             if per_fan_out:
                 network.install_partition_model(OpenPartition())
             process = runtime.system.group(".conf.dsn")[3]
-            handle_message = process.handle_message
-            receptions = []
 
-            def raising(message):
-                receptions.append(message)
-                if len(receptions) == 2:
+            def raising(count, message):
+                if count == 2:
                     raise RuntimeError("process broke")
-                handle_message(message)
 
-            process.handle_message = raising
-            await runtime.start()
-            with pytest.raises(RuntimeError, match="process broke"):
-                await asyncio.wait_for(runtime.publish(".conf.dsn"), 2)
-            at_raise = runtime.status()["queue"]
-            runtime.transport.pump()
-            resumed = runtime.status()["queue"]
-            with pytest.raises(RuntimeError, match="process broke"):
-                await runtime.stop()
+            with reception_hook(process.pid, raising):
+                await runtime.start()
+                with pytest.raises(RuntimeError, match="process broke"):
+                    await asyncio.wait_for(runtime.publish(".conf.dsn"), 2)
+                at_raise = runtime.status()["queue"]
+                runtime.transport.pump()
+                resumed = runtime.status()["queue"]
+                with pytest.raises(RuntimeError, match="process broke"):
+                    await runtime.stop()
             deliveries = runtime.trace()["deliveries"]
             return at_raise, resumed, deliveries, runtime.system.stats.as_dict()
 
@@ -348,3 +345,12 @@ class TestServeCli:
 
         assert main(["serve", "--topics", "nocount"]) == 2
         assert "TOPIC:COUNT" in capsys.readouterr().err
+
+    def test_serve_rejects_a_topic_split_around_another(self, capsys):
+        """A static group is one pid block: all of a topic's members come
+        before the next topic's."""
+        from repro.cli import main
+
+        assert main(["serve", "--topics", ".a:5", ".b:5", ".a:5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: static group .a is one contiguous pid block")

@@ -336,3 +336,17 @@ class TestHostileNumbers:
         )
         assert code == 2
         assert err.startswith("error: publications: spacing 1e+308")
+
+    def test_a_bootstrap_spacing_that_overflows_the_last_join(self, capsys):
+        code, err = self.run_preset(
+            capsys, "churn-recover", "dynamic.bootstrap.spacing=1e308"
+        )
+        assert code == 2
+        assert err.startswith("error: dynamic.bootstrap: spacing 1e+308")
+
+    def test_a_bootstrap_wave_interval_that_overflows_the_last_join(self, capsys):
+        code, err = self.run_preset(
+            capsys, "bootstrap-wave", "dynamic.bootstrap.interval=1e308"
+        )
+        assert code == 2
+        assert err.startswith("error: dynamic.bootstrap: interval 1e+308")

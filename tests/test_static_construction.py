@@ -1,12 +1,13 @@
 """Static construction is paid per group, and a finished system is freed
 by reference count.
 
-Three kinds of test: equivalence (``add_group`` is ``n × add_process``; a
-static process holds neither protocol task, a dynamic one both from
-construction), the ``close()`` contract of every object-keeping facade, and
-exact object counts — deterministic, no timer — that fail
-when a per-process allocation or a per-process reference cycle creeps
-back into the cold build.
+Four kinds of test: what a static membership is fixed by (a group is one
+pid block, and the finalize is the last change), equivalence
+(``add_group`` is ``n × add_process``; a static member holds neither
+protocol task, a dynamic process both from construction), the ``close()``
+contract of every facade, and exact object counts — deterministic, no
+timer — that fail when a per-process allocation or a per-process
+reference cycle creeps back into the cold build.
 """
 
 import gc
@@ -21,10 +22,11 @@ from repro.baselines import (
 )
 from repro.core import DaMulticastSystem
 from repro.core.bootstrap import FindSuperContact
+from repro.core.columnar import ColumnarStaticSystem
 from repro.core.maintenance import KeepTableUpdated
-from repro.core.process import StaticProcess
+from repro.core.process import StaticMember
 from repro.errors import ConfigError
-from repro.topics import Topic
+from repro.topics import ROOT, Topic
 from repro.workloads.presets import load_preset
 from repro.workloads.spec import compile_spec
 
@@ -33,7 +35,7 @@ T2 = Topic.parse(".t1.t2")
 NEWS = Topic.parse(".news")
 
 
-#: every facade that keeps process objects: name -> (factory, finalize verb)
+#: every facade: name -> (factory, finalize verb)
 OBJECT_FACADES = {
     "damulticast": (
         lambda **kwargs: DaMulticastSystem(mode="static", **kwargs),
@@ -41,6 +43,10 @@ OBJECT_FACADES = {
     ),
     "dag": (
         lambda **kwargs: DaMulticastSystem(mode="static", **kwargs),
+        "finalize_static_membership",
+    ),
+    "columnar": (
+        lambda **kwargs: ColumnarStaticSystem(tracker="full", **kwargs),
         "finalize_static_membership",
     ),
     "broadcast": (GossipBroadcastSystem, "finalize_membership"),
@@ -71,12 +77,68 @@ def static_system(sizes=(4, 20), **kwargs):
     return object_system("damulticast", sizes, **kwargs)[0]
 
 
+#: the facades of the one static build
+STATIC_FACADES = ["damulticast", "dag", "columnar"]
+#: the facades that redraw their tables when a member joins
+REDRAWING_FACADES = ["broadcast", "multicast", "naive", "hierarchical"]
+
+
 # ----------------------------------------------------------------------
-# Adding to a finalized static system
+# A static membership: one pid block per group, fixed by the finalize
+# ----------------------------------------------------------------------
+class TestStaticMembershipIsFixed:
+    @pytest.mark.parametrize("grow", ["add_process", "add_group"])
+    @pytest.mark.parametrize("facade", STATIC_FACADES)
+    def test_adding_to_an_earlier_topic_is_refused(self, facade, grow):
+        make, _ = OBJECT_FACADES[facade]
+        system = make(seed=3)
+        system.add_group(T1, 4)
+        system.add_group(T2, 20)
+        # the last topic's block grows ...
+        if grow == "add_group":
+            extra = system.add_group(T2, 2)
+        else:
+            extra = [system.add_process(T2)]
+        assert [m.pid for m in extra] == list(range(24, 24 + len(extra)))
+        # ... and an earlier topic's cannot
+        with pytest.raises(ConfigError, match=r"\.t1 is one contiguous pid block"):
+            if grow == "add_group":
+                system.add_group(T1, 1)
+            else:
+                system.add_process(T1)
+        assert system.group_pids(T1) == [0, 1, 2, 3]
+        system.finalize_static_membership()
+        event = system.publish(T2)
+        system.run_until_idle()
+        assert system.tracker.expected(event.event_id) == 4 + 20 + len(extra)
+
+    @pytest.mark.parametrize("change", ["add_process", "add_group", "link"])
+    @pytest.mark.parametrize("facade", STATIC_FACADES)
+    def test_a_change_after_the_finalize_is_refused(self, facade, change):
+        system, finalize = object_system(facade, seed=3, p_success=1.0)
+        sent = system.stats.total_sent
+        with pytest.raises(ConfigError, match=r"cannot change \.t1\.t2: finalize"):
+            if change == "add_process":
+                system.add_process(T2)
+            elif change == "add_group":
+                system.add_group(T2, 1)
+            else:
+                system.link(T2, ROOT)
+        with pytest.raises(ConfigError, match="already finalized"):
+            finalize()
+        assert len(system.processes) == len(system.harness.network)
+        event = system.publish(T2)
+        system.run_until_idle()
+        assert system.delivered_fraction(event, T2) == 1.0
+        assert system.stats.total_sent > sent
+
+
+# ----------------------------------------------------------------------
+# Adding to a finalized system that redraws
 # ----------------------------------------------------------------------
 class TestAddAfterFinalize:
     @pytest.mark.parametrize("grow", ["add_process", "add_group"])
-    @pytest.mark.parametrize("facade", OBJECT_FACADES)
+    @pytest.mark.parametrize("facade", REDRAWING_FACADES)
     def test_publish_waits_for_the_tables_to_be_redrawn(self, facade, grow):
         system, finalize = object_system(facade, seed=3, p_success=1.0)
         if grow == "add_process":
@@ -96,13 +158,13 @@ class TestAddAfterFinalize:
         assert late.pid in system.tracker.receivers(event.event_id)
 
 
-@pytest.mark.parametrize("facade", ["damulticast", "dag"])
+@pytest.mark.parametrize("facade", STATIC_FACADES)
 def test_a_process_publishes_events_of_its_own_topic_only(facade):
     system, _ = object_system(facade, seed=1)
     outsider = system.group(T1)[0]
     with pytest.raises(ConfigError, match=r"\.t1 events, not \.t1\.t2"):
         system.publish(T2, publisher=outsider)
-    assert outsider.seen == set() and system.stats.total_sent == 0
+    assert system.stats.total_sent == 0
     event = system.publish(T1, publisher=outsider)
     assert event.topic == T1
 
@@ -152,14 +214,16 @@ def test_add_group_is_n_times_add_process(mode):
     )
     assert _stream_states(grouped) == _stream_states(single)
     horizon = None if mode == "static" else 16.0
+    events = []
     for system in (grouped, single):
-        system.publish(T2)
+        events.append(system.publish(T2).event_id)
         system.run(until=horizon)
     assert grouped.stats.as_dict() == single.stats.as_dict()
     assert _stream_states(grouped) == _stream_states(single)
-    assert [sorted(p.seen) for p in grouped.processes] == [
-        sorted(p.seen) for p in single.processes
-    ]
+    assert events[0] == events[1]
+    assert dict(grouped.tracker.receivers(events[0])) == dict(
+        single.tracker.receivers(events[1])
+    )
 
 
 # ----------------------------------------------------------------------
@@ -181,12 +245,9 @@ class TestProtocolTasks:
         assert isinstance(vars(process)["find_super_contact"], FindSuperContact)
         assert isinstance(vars(process)["maintenance"], KeepTableUpdated)
 
-    def test_static_subscribe_builds_no_task(self):
+    def test_a_static_member_holds_no_task(self):
         system = static_system()
         process = system.group(T2)[0]
-        assert process.subscribed
-        process.subscribe()
-        assert process.subscribed
         assert not any(hasattr(process, name) for name in TASKS)
         assert system.engine.pending == 0
         assert system.stats.total_sent == 0
@@ -250,23 +311,23 @@ class TestExactCounts:
     def test_a_finished_run_leaves_nothing_for_the_cycle_collector(
         self, paper_vii
     ):
-        before = _live(StaticProcess)
+        before = _live(StaticMember)
         metrics = paper_vii.run(1)
         assert metrics["processes"] == 1110.0
-        assert _live(StaticProcess) == before
+        assert _live(StaticMember) == before
         assert gc.collect() == 0
 
     def test_build_hands_the_system_to_the_caller(self, paper_vii):
-        before = _live(StaticProcess)
+        before = _live(StaticMember)
         built = paper_vii.build(1)
         built.execute()
         # still the caller's: queries after execute() see every process
         assert len(built.system.processes) == 1110
-        assert _live(StaticProcess) == before + 1110
+        assert _live(StaticMember) == before + 1110
         assert built.metrics()["processes"] == 1110.0
         built.system.close()
         del built
-        assert _live(StaticProcess) == before
+        assert _live(StaticMember) == before
         assert gc.collect() == 0
 
     def test_objects_one_build_adds(self, paper_vii):
@@ -275,13 +336,14 @@ class TestExactCounts:
         built = paper_vii.build(1)
         added = len(gc.get_objects()) - tracked
         assert _live(FindSuperContact) + _live(KeepTableUpdated) == tasks
-        # 2 per process — the process and its ``seen`` set — plus about
-        # 80 per system: measured 2 296 (3 406 while each process kept a
+        # 1 per process — its ``StaticMember`` record — plus about 75 per
+        # system: measured 1 183 (2 296 while each process was an object
+        # with its own ``seen`` set, 3 406 while it also kept a
         # ``delivered`` list beside the tracker, 12 276 while it held
         # descriptor tables). Its tables are a row of its group's columns,
-        # its RNG stream and event factory wait for its first action, and
-        # it shares its group's intra scope.
-        assert added <= 2_390, added
+        # its dedup state a byte of the group's per-event bitmask, and its
+        # RNG stream waits in its group's row list for its first action.
+        assert added <= 1_270, added
         built.system.close()
 
     def test_objects_one_baseline_build_adds(self, baseline_compare):
