@@ -169,7 +169,7 @@ def _baseline_construction(size: int) -> dict[str, float]:
         start = time.perf_counter()
         baseline = cls(seed=3)
         baseline.add_group(".big", size)
-        baseline.finalize_membership()
+        baseline.finalize_static_membership()
         timings[name] = time.perf_counter() - start
     return timings
 

@@ -18,16 +18,21 @@ and are measured by the same metrics layer:
   partitioned into ``N`` interest-oblivious clusters of size ``m``, events
   gossip inside the cluster and across clusters, giving
   ``log(N)+log(m)+c1+c2`` memory but, again, parasite messages everywhere.
+
+Beside them, :class:`~repro.baselines.naive_publisher.NaivePublisherSystem`
+is §IV-A's pattern (2) strawman. All four are the one static build of
+:class:`~repro.runtime.ObjectSystemFacade`, flooded by one
+:class:`~repro.baselines.common.BaselineActor` over every pid.
 """
 
 from repro.baselines.broadcast import GossipBroadcastSystem
-from repro.baselines.common import BaselineProcess, BaselineSystem
+from repro.baselines.common import BaselineActor, BaselineSystem
 from repro.baselines.hierarchical import HierarchicalGossipSystem
 from repro.baselines.multicast import GossipMulticastSystem
 from repro.baselines.naive_publisher import NaivePublisherSystem
 
 __all__ = [
-    "BaselineProcess",
+    "BaselineActor",
     "BaselineSystem",
     "GossipBroadcastSystem",
     "GossipMulticastSystem",

@@ -13,8 +13,9 @@ every process receives every event, interested or not.
 
 from __future__ import annotations
 
-from repro.baselines.common import BaselineProcess, BaselineSystem
-from repro.core.events import Event
+import random
+
+from repro.baselines.common import BaselineSystem, Seat
 from repro.topics.topic import Topic
 
 #: Synthetic group identity for "the entire system".
@@ -24,18 +25,14 @@ GLOBAL_GROUP = Topic.parse(".broadcast-all")
 class GossipBroadcastSystem(BaselineSystem):
     """One global infect-and-die gossip group over all processes."""
 
-    def finalize_membership(self) -> None:
-        """Draw each process's single global table of size ``(b+1)·log(n)``."""
-        rng = self._membership_rng()
-        everyone = self.processes
-        if everyone:
-            self._draw_group(GLOBAL_GROUP, everyone, rng)
-        self._finalized = True
+    def _draw_tables(self, rng: random.Random) -> dict[Topic, list[Seat]]:
+        """Each process's single global table of size ``(b+1)·log(n)``."""
+        return {GLOBAL_GROUP: [self._draw_group(GLOBAL_GROUP, list(self._processes), rng)]}
 
-    def _expected(self, topic: Topic) -> int:
+    def _expected_receivers(self, topic: Topic) -> int:
         # Broadcast floods the global group: every process is an intended
         # receiver (interested or not) — the parasite cost made measurable.
         return len(self._processes)
 
-    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
-        publisher.publish_in_groups(event, [GLOBAL_GROUP])
+    def _entry_groups(self, pid: int, topic: Topic) -> list[Topic]:
+        return [GLOBAL_GROUP]

@@ -7,12 +7,16 @@ only in how groups are formed (one global group / one per topic / arbitrary
 clusters) and in which groups an event is injected.
 
 "For fairness, all approaches use the same underlying membership
-algorithm" (§VI-E): a baseline's tables are frozen §VII tables drawn by
-:mod:`repro.membership.columnar`, as daMulticast's are, and sized by the
-same :class:`~repro.core.params.TopicParams` laws (``(b+1)·log(S)``
-entries, fan-out ``log(S)+c``). A process holds, per group, its row of
-that group's tables and reads it in place
-(:meth:`~repro.membership.columnar.ColumnarGroupTables.sample_row`).
+algorithm" (§VI-E): a baseline is the one static build of
+:class:`~repro.runtime.ObjectSystemFacade`, as static daMulticast is —
+pid-block member records, one finalize that fixes the membership, one
+publish path. Its tables are frozen §VII tables drawn by
+:mod:`repro.membership.columnar` and sized by the same
+:class:`~repro.core.params.TopicParams` laws (``(b+1)·log(S)`` entries,
+fan-out ``log(S)+c``), and the finalize registers one
+:class:`BaselineActor` over every pid, ``[0, n)``. A baseline states only
+its table draw, its expected-receiver count and the groups an event
+enters in.
 
 Group identity reuses :class:`repro.topics.Topic` so the existing
 per-group message accounting (Figs. 8/9 counters) applies unchanged;
@@ -24,161 +28,151 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Any
+from typing import Mapping, Sequence
 
-from repro.core.events import Event, EventFactory, EventId
+from repro.core.events import Event, EventId
 from repro.core.params import TopicParams
-from repro.errors import ConfigError
+from repro.errors import ProtocolError
 from repro.failures.model import FailureModel
 from repro.membership.columnar import ColumnarGroupTables, build_group_tables
-from repro.metrics.delivery import parasite_deliveries
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.message import EventMessage, Message, Scope
 from repro.runtime import ObjectSystemFacade, SimulationHarness
 from repro.topics.topic import Topic
 from repro.validation import check_finite, check_positive
 
-
-@dataclass
-class GroupState:
-    """One process's participation in one gossip group: row ``row`` of the
-    group's frozen ``tables``, and its fan-out."""
-
-    group: Topic
-    tables: ColumnarGroupTables
-    row: int
-    fanout: int
+#: a group's tables and the fan-out its members forward with
+Seat = tuple[ColumnarGroupTables, int]
 
 
-class BaselineProcess:
-    """A process participating in one or more infect-and-die gossip groups.
+class BaselineActor:
+    """The one block actor of a baseline, over pids ``[0, n)``.
 
-    ``interest`` is what the process actually subscribed to — used only for
-    parasite accounting; the gossip layer forwards everything it receives,
-    which is precisely why broadcast-style baselines pay parasite messages.
+    ``seats[group]`` lists the tables of ``group``: one pair per table
+    set, whose rows are its ``tables.members``' (a naive publisher's
+    supergroup table and the supergroup's own are two sets of one group).
+    A member forwards in ``group`` from the row that seats it there, and
+    not at all where none does.
+
+    A first reception forwards in the group the event arrived in (Fig. 5's
+    infect-and-die); dedup is one ``bytearray(n)`` per in-flight event,
+    and member ``pid`` draws its targets from its
+    ``baseline-process/{pid}`` stream, held in ``streams[pid]`` and seeded
+    on its first forward.
     """
+
+    __slots__ = ("seats", "streams", "_size", "_seen", "_network", "_clock",
+                 "_tracker", "rngs")
 
     def __init__(
         self,
-        pid: int,
-        interest: Topic,
+        seats: Mapping[Topic, Sequence[Seat]],
+        size: int,
         harness: SimulationHarness,
     ):
-        self.pid = pid
-        self.interest = interest
-        self._harness = harness
-        #: the ``baseline-process/{pid}`` stream once seeded (see :attr:`rng`)
-        self._rng: random.Random | None = None
-        self.groups: dict[Topic, GroupState] = {}
-        self.seen: set[EventId] = set()
-        #: mints this process's events; made by its first :meth:`make_event`
-        self._event_factory: EventFactory | None = None
+        #: group → [(tables, fanout, pid → row), …]
+        self.seats = {
+            group: [
+                (tables, fanout, {pid: row for row, pid in enumerate(tables.members)})
+                for tables, fanout in pairs
+            ]
+            for group, pairs in seats.items()
+        }
+        self.streams: list[random.Random | None] = [None] * size
+        self._size = size
+        #: event_id -> seen bitmask (1 byte per process, per event)
+        self._seen: dict[EventId, bytearray] = {}
+        self._network = harness.network
+        self._clock = harness.clock
+        self._tracker = harness.tracker
+        self.rngs = harness.rngs
 
-    @property
-    def rng(self) -> random.Random:
-        """This process's ``baseline-process/{pid}`` stream, seeded on
-        first need — the convention of
-        :attr:`repro.core.process.DaMulticastProcess.rng`: a process no
-        flood reaches never pays for a Mersenne state."""
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = self._harness.rngs.stream(
-                f"baseline-process/{self.pid}"
-            )
-        return rng
-
-    # ------------------------------------------------------------------
-    # Group membership
-    # ------------------------------------------------------------------
-    def join_group(
-        self, group: Topic, tables: ColumnarGroupTables, row: int, fanout: int
-    ) -> None:
-        """Seat this process at row ``row`` of ``group``'s drawn tables."""
-        self.groups[group] = GroupState(group, tables, row, fanout)
-
-    @property
-    def memory_footprint(self) -> int:
-        """Total membership entries across all groups (§VI-E.2 measured)."""
-        return sum(state.tables.stride for state in self.groups.values())
-
-    @property
-    def table_count(self) -> int:
-        """Number of membership tables this process maintains."""
-        return len(self.groups)
-
-    # ------------------------------------------------------------------
-    # Gossip
-    # ------------------------------------------------------------------
-    def publish_in_groups(
-        self, event: Event, groups: list[Topic]
-    ) -> None:
-        """Inject ``event`` into each listed group (publisher side)."""
-        self.seen.add(event.event_id)
-        self._deliver(event)
-        for group in groups:
-            self._forward(event, group)
-
-    def handle_message(self, message: Message) -> None:
-        """First reception: deliver and forward within the same group."""
+    def handle_batch(self, sender: int, targets, message: Message) -> None:
+        """First reception: deliver, then forward (:meth:`relay`)."""
         if not isinstance(message, EventMessage):
-            raise ConfigError(
-                f"baseline process {self.pid} got unexpected "
+            raise ProtocolError(
+                f"baseline process {targets[0]} got unexpected "
                 f"{type(message).__name__}"
             )
         event = message.event
-        if event.event_id in self.seen:
-            return
-        self.seen.add(event.event_id)
-        self._deliver(event)
-        self._on_first_reception(event, message.scope)
+        mask = self._mask(event.event_id)
+        group = message.scope.group
+        for pid in targets:
+            if mask[pid]:
+                continue
+            mask[pid] = 1
+            self._tracker.record_delivery(pid, event, self._clock.now)
+            self.relay(pid, event, group)
 
-    def _on_first_reception(self, event: Event, scope: Scope) -> None:
-        """Default: forward in the group the event arrived in. The
-        hierarchical baseline overrides this to add cross-cluster gossip."""
-        self._forward(event, scope.group)
+    def relay(self, pid: int, event: Event, group: Topic) -> None:
+        """Forward a first reception in the group it arrived in."""
+        self.forward(pid, event, group)
 
-    def _forward(self, event: Event, group: Topic) -> None:
-        state = self.groups.get(group)
-        if state is None:
-            return  # not a member (stale table entry pointed at us)
-        targets = state.tables.sample_row(state.row, state.fanout, self.rng)
-        if not targets:
+    def publish_from(self, pid: int, event: Event, groups: list[Topic]) -> None:
+        """Deliver ``event`` at its publisher and inject it into each of
+        ``groups`` (the publisher has already been recorded)."""
+        self._mask(event.event_id)[pid] = 1
+        self._tracker.record_delivery(pid, event, self._clock.now)
+        for group in groups:
+            self.forward(pid, event, group)
+
+    def _mask(self, event_id: EventId) -> bytearray:
+        mask = self._seen.get(event_id)
+        if mask is None:
+            mask = self._seen[event_id] = bytearray(self._size)
+        return mask
+
+    def forward(self, pid: int, event: Event, group: Topic) -> None:
+        """Gossip ``event`` from ``pid`` to ``fanout`` entries of its row
+        in ``group``."""
+        for tables, fanout, rows in self.seats.get(group, ()):
+            row = rows.get(pid)
+            if row is None:
+                continue
+            rng = self.streams[pid]
+            if rng is None:
+                rng = self.streams[pid] = self.rngs.stream(
+                    f"baseline-process/{pid}"
+                )
+            targets = tables.sample_row(row, fanout, rng)
+            if targets:
+                self._send(pid, targets, event, group)
             return
-        self.multicast(
-            targets,
-            EventMessage(
-                sender=self.pid, event=event, scope=Scope("intra", group)
-            ),
+
+    def _send(self, pid: int, targets: list[int], event: Event, group: Topic) -> None:
+        self._network.multicast(
+            pid, targets, EventMessage(sender=pid, event=event, scope=Scope("intra", group))
         )
 
-    def _deliver(self, event: Event) -> None:
-        self._harness.tracker.record_delivery(
-            self.pid, event, self._harness.now
-        )
+    def _tables_of(self, pid: int) -> list[ColumnarGroupTables]:
+        return [
+            tables
+            for pairs in self.seats.values()
+            for tables, _, rows in pairs
+            if pid in rows
+        ]
 
-    def multicast(self, targets: list[int], message: Message) -> None:
-        """Send one message to many targets via the batched fast path."""
-        self._harness.network.multicast(self.pid, targets, message)
+    def memory_footprint(self, pid: int) -> int:
+        """Total membership entries across ``pid``'s tables (§VI-E.2
+        measured)."""
+        return sum(tables.stride for tables in self._tables_of(pid))
 
-    def make_event(self, topic: Topic, payload: Any) -> Event:
-        """Mint a new event from this process."""
-        factory = self._event_factory
-        if factory is None:
-            factory = self._event_factory = EventFactory(self.pid)
-        return factory.create(topic, payload, self._harness.now)
+    def table_count(self, pid: int) -> int:
+        """Number of membership tables ``pid`` maintains."""
+        return len(self._tables_of(pid))
 
 
 class BaselineSystem(ObjectSystemFacade):
-    """Common facade: process management, publishing, reliability queries.
+    """A baseline on the one static build.
 
-    Subclasses implement :meth:`finalize_membership` (which groups a
-    process joins) and the two hooks under :meth:`publish`.
+    Subclasses draw the tables (``_draw_tables(rng)`` → group →
+    :data:`Seat` list), and may count every process as an intended
+    receiver (:meth:`_expected_receivers`) and name the groups an event
+    enters in (:meth:`_entry_groups`).
     """
 
-    _finalize_verb = "finalize_membership"
-    #: what ``_add_members`` instantiates
-    _process_class = BaselineProcess
+    #: the block actor the finalize lays out
+    _actor_class = BaselineActor
 
     def __init__(
         self,
@@ -208,92 +202,29 @@ class BaselineSystem(ObjectSystemFacade):
         self.params = TopicParams(b=b, c=c, fanout_log_base=log_base)
 
     def _draw_group(
-        self, group: Topic, members: list[BaselineProcess], rng: random.Random
-    ) -> ColumnarGroupTables:
-        """Draw ``group``'s in-group tables over ``members``, rows in member
-        order (each excludes its own member), and seat every member at its
-        row."""
-        size = len(members)
+        self, group: Topic, pids: list[int], rng: random.Random
+    ) -> Seat:
+        """Draw ``group``'s in-group tables over ``pids``, rows in pid list
+        order (each excludes its own member)."""
+        size = len(pids)
         tables = build_group_tables(
-            group, [p.pid for p in members], self.params.table_capacity(size), rng
+            group, pids, self.params.table_capacity(size), rng
         )
-        fanout = self.params.fanout(size)
-        for row, process in enumerate(members):
-            process.join_group(group, tables, row, fanout)
-        return tables
+        return tables, self.params.fanout(size)
 
-    # ------------------------------------------------------------------
-    # Population
-    # ------------------------------------------------------------------
-    def _add_members(self, interest: Topic, count: int) -> list[BaselineProcess]:
-        """The body of ``add_process`` / ``add_group``: ``count`` processes
-        subscribed to ``interest``."""
-        harness = self.harness
-        created = [
-            self._process_class(harness.next_pid(), interest, harness)
-            for _ in range(count)
-        ]
-        for process in created:
-            harness.network.register(process)
-            self._processes[process.pid] = process
-        self._groups.setdefault(interest, []).extend(created)
-        return created
+    def _lay_out(self, rng: random.Random) -> None:
+        """Register one actor over every pid, which every fan-out lies in."""
+        size = len(self._processes)
+        actor = self._actor_class(self._draw_tables(rng), size, self.harness)
+        self.network.register_block(actor, 0, size)
+        self._actors.update(dict.fromkeys(self._groups, actor))
 
-    # ------------------------------------------------------------------
-    # Queries shared by all baselines
-    # ------------------------------------------------------------------
-    def interested_in(self, topic: Topic | str) -> list[BaselineProcess]:
-        """Processes whose subscription *includes* events of ``topic``.
-
-        A subscriber of ``Ta`` is interested in events of every subtopic,
-        so this returns subscribers of ``topic`` and of its supertopics.
-        """
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        return [
-            p for p in self.processes if p.interest.includes(resolved)
-        ]
-
-    def parasite_count(self) -> int:
-        """Total parasite deliveries so far (§I's efficiency criterion)."""
-        return parasite_deliveries(self.tracker, self.interests())
-
-    def memory_footprints(self) -> list[int]:
-        """Measured membership entries per process."""
-        return [p.memory_footprint for p in self.processes]
-
-    # ------------------------------------------------------------------
-    # Publishing
-    # ------------------------------------------------------------------
-    def publish(
-        self,
-        topic: Topic | str,
-        payload: Any = None,
-        *,
-        publisher: BaselineProcess | None = None,
-    ) -> Event:
-        """Publish an event on ``topic`` from ``publisher`` (default: an
-        elected alive subscriber); an unregistered topic is
-        :class:`~repro.errors.UnknownTopic`. A baseline differs in who it
-        expects to receive (:meth:`_expected`) and where the event enters
-        (:meth:`_inject`)."""
-        self._require_finalized()
-        resolved = self.hierarchy.require(
-            Topic.parse(topic) if isinstance(topic, str) else topic
+    def _inject(self, pid: int, event: Event) -> None:
+        self._actors[event.topic].publish_from(
+            pid, event, self._entry_groups(pid, event.topic)
         )
-        chosen = self._publisher(resolved, publisher)
-        event = chosen.make_event(resolved, payload)
-        self.tracker.record_publish(
-            event, chosen.pid, expected=self._expected(resolved)
-        )
-        self._inject(chosen, event)
-        return event
 
-    def _expected(self, topic: Topic) -> int:
-        """How many processes an event of ``topic`` is meant to reach: the
-        interested set, unless the baseline floods everyone."""
-        return len(self.interested_in(topic))
-
-    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
-        """Start the dissemination: by default in the event's own topic
+    def _entry_groups(self, pid: int, topic: Topic) -> list[Topic]:
+        """Where an event of ``topic`` starts: by default in its own topic
         group (§IV-A's pattern 1)."""
-        publisher.publish_in_groups(event, [event.topic])
+        return [topic]

@@ -11,28 +11,29 @@ Concretely: all processes are partitioned into ``N`` interest-oblivious
 clusters of roughly ``m = n/N`` processes. Each process keeps two tables —
 an in-cluster table of size ``(b+1)·log(m)`` (fan-out ``log(m)+c1``) and a
 cross-cluster table of size ``(b+1)·log(N)`` holding processes of *other*
-clusters (fan-out ``log(N)+c2``). On the first reception of an event, a
-process forwards it both inside its cluster and across clusters. Memory is
+clusters (fan-out ``log(N)+c2``); [10]'s two constants are both the
+system's ``c`` here. On the first reception of an event, a process
+forwards it both inside its cluster and across clusters. Memory is
 ``log(N)+log(m)+c1+c2``; every process still receives every event, so
 parasite deliveries remain maximal.
 """
 
 from __future__ import annotations
 
+import random
 from array import array
-from dataclasses import replace
 from itertools import groupby
-from typing import Any, Mapping
+from typing import Any
 
-from repro.baselines.common import BaselineProcess, BaselineSystem
+from repro.baselines.common import BaselineActor, BaselineSystem, Seat
 from repro.core.events import Event
 from repro.errors import ConfigError
 from repro.membership.columnar import ColumnarGroupTables, ColumnarSuperBuilder
 from repro.net.message import EventMessage, Scope
 from repro.topics.topic import Topic
-from repro.validation import check_finite
 
-#: Synthetic parent topic for cluster group identities.
+#: Synthetic parent topic for cluster group identities, and the group of
+#: the cross-cluster tables.
 CLUSTERS_ROOT = Topic.parse(".cluster")
 
 
@@ -41,37 +42,42 @@ def cluster_topic(index: int) -> Topic:
     return CLUSTERS_ROOT.child(f"c{index}")
 
 
-class HierarchicalProcess(BaselineProcess):
-    """A process with an in-cluster and a cross-cluster table."""
+class ClusterActor(BaselineActor):
+    """Two-level forwarding: a first reception goes on inside the
+    member's cluster and across clusters, whatever level it arrived on."""
 
-    def __init__(self, pid: int, interest: Topic, harness) -> None:
-        super().__init__(pid, interest, harness)
-        self.cluster: Topic | None = None
-        #: pid -> cluster, the system's one map (set at finalize)
-        self.cluster_of: Mapping[int, Topic] | None = None
+    __slots__ = ("cluster_of",)
 
-    def _on_first_reception(self, event: Event, scope: Scope) -> None:
-        # Two-level forwarding: inside our own cluster, and across clusters
-        # — regardless of which level the event arrived on.
-        assert self.cluster is not None
-        self._forward(event, self.cluster)
-        self._forward_cross_cluster(event)
+    def __init__(self, seats, size, harness) -> None:
+        super().__init__(seats, size, harness)
+        #: pid → its cluster
+        self.cluster_of: list[Topic | None] = [None] * size
+        for group, pairs in seats.items():
+            if group is not CLUSTERS_ROOT:
+                for tables, _ in pairs:
+                    for pid in tables.members:
+                        self.cluster_of[pid] = group
 
-    def _forward_cross_cluster(self, event: Event) -> None:
-        state = self.groups.get(CLUSTERS_ROOT)
-        if state is None:
+    def relay(self, pid: int, event: Event, group: Topic) -> None:
+        self.forward(pid, event, self.cluster_of[pid])
+        self.forward(pid, event, CLUSTERS_ROOT)
+
+    def _send(self, pid: int, targets: list[int], event: Event, group: Topic) -> None:
+        if group is not CLUSTERS_ROOT:
+            super()._send(pid, targets, event, group)
             return
-        targets = state.tables.sample_row(state.row, state.fanout, self.rng)
-        assert self.cluster is not None and self.cluster_of is not None
+        cluster_of = self.cluster_of
+        cluster = cluster_of[pid]
         # One batched multicast per destination cluster (consecutive runs
         # preserve the sampled target order, and with it the RNG draws).
-        for destination, run in groupby(targets, key=self.cluster_of.__getitem__):
-            self.multicast(
+        for destination, run in groupby(targets, key=cluster_of.__getitem__):
+            self._network.multicast(
+                pid,
                 list(run),
                 EventMessage(
-                    sender=self.pid,
+                    sender=pid,
                     event=event,
-                    scope=Scope("inter", self.cluster, destination),
+                    scope=Scope("inter", cluster, destination),
                 ),
             )
 
@@ -79,97 +85,61 @@ class HierarchicalProcess(BaselineProcess):
 class HierarchicalGossipSystem(BaselineSystem):
     """Two-level interest-oblivious gossip broadcast."""
 
-    _process_class = HierarchicalProcess
+    _actor_class = ClusterActor
 
-    def __init__(
-        self,
-        *,
-        n_clusters: int = 10,
-        c2: float | None = None,
-        **kwargs: Any,
-    ):
+    def __init__(self, *, n_clusters: int = 10, **kwargs: Any):
         super().__init__(**kwargs)
         if n_clusters < 1:
             raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
         self.n_clusters = n_clusters
-        if c2 is not None:
-            check_finite(c2, "c2")
-        #: the cross-cluster level's constants: c2 in place of c1 (the
-        #: default is c1)
-        self.cross_params = (
-            self.params if c2 is None else replace(self.params, c=c2)
-        )
-        self._clusters: dict[Topic, list[HierarchicalProcess]] = {}
 
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def finalize_membership(self) -> None:
+    def _draw_tables(self, rng: random.Random) -> dict[Topic, list[Seat]]:
         """Partition processes into clusters and draw both tables each."""
-        rng = self._membership_rng()
-        processes = list(self.processes)
-        if len(processes) < self.n_clusters:
+        pids = list(self._processes)
+        n = self.n_clusters
+        if len(pids) < n:
             raise ConfigError(
-                f"{len(processes)} processes cannot fill "
-                f"{self.n_clusters} clusters"
+                f"{len(pids)} processes cannot fill {n} clusters"
             )
-        shuffled = processes[:]
-        rng.shuffle(shuffled)
-        self._clusters = {
-            cluster_topic(i): [] for i in range(self.n_clusters)
-        }
-        cluster_keys = list(self._clusters)
-        cluster_of: dict[int, Topic] = {}
-        for index, process in enumerate(shuffled):
-            key = cluster_keys[index % self.n_clusters]
-            self._clusters[key].append(process)  # type: ignore[arg-type]
-            cluster_of[process.pid] = key
-            process.cluster = key  # type: ignore[attr-defined]
-            process.cluster_of = cluster_of  # type: ignore[attr-defined]
-            process.groups.clear()  # a re-draw may move it to another cluster
+        rng.shuffle(pids)
+        clusters = [(cluster_topic(i), pids[i::n]) for i in range(n)]
 
-        # In-cluster tables: (b+1)·log(m), fan-out log(m)+c1 — every
+        # In-cluster tables: (b+1)·log(m), fan-out log(m)+c — every
         # cluster's rows before any cross row.
-        for key, members in self._clusters.items():
-            self._draw_group(key, members, rng)
+        seats = {
+            key: [self._draw_group(key, members, rng)]
+            for key, members in clusters
+        }
 
         # Cross-cluster tables: (b+1)·log(N) random processes of *other*
-        # clusters, fan-out log(N)+c2; one outsider row per member.
-        n = self.n_clusters
+        # clusters, fan-out log(N)+c; one outsider row per member.
         cross_capacity = self.params.table_capacity(n)
-        cross_fanout = self.cross_params.fanout(n)
-        for key, members in self._clusters.items():
-            pids = [p.pid for p in members]
+        cross_fanout = self.params.fanout(n)
+        cross = seats[CLUSTERS_ROOT] = []
+        for key, members in clusters:
             outsiders = [
-                p.pid
-                for other_key, others in self._clusters.items()
+                pid
+                for other_key, others in clusters
                 if other_key != key
-                for p in others
+                for pid in others
             ]
             if outsiders:
                 builder = ColumnarSuperBuilder(outsiders, cross_capacity)
                 for _ in members:
                     builder.draw_row(rng)
-                tables = builder.tables(CLUSTERS_ROOT, pids)
+                tables = builder.tables(CLUSTERS_ROOT, members)
             else:  # one cluster: an empty cross table, nothing to send
                 tables = ColumnarGroupTables(
-                    CLUSTERS_ROOT, pids, cross_capacity, 0, array("l")
+                    CLUSTERS_ROOT, members, cross_capacity, 0, array("l")
                 )
-            for row, process in enumerate(members):
-                process.join_group(CLUSTERS_ROOT, tables, row, cross_fanout)
-        self._finalized = True
+            cross.append((tables, cross_fanout))
+        return seats
 
-    # ------------------------------------------------------------------
-    # Publishing
-    # ------------------------------------------------------------------
-    def _expected(self, topic: Topic) -> int:
+    def _expected_receivers(self, topic: Topic) -> int:
         # Interest-oblivious clusters flood every process (§VI-E): all of
         # them are intended receivers.
         return len(self._processes)
 
-    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
+    def _entry_groups(self, pid: int, topic: Topic) -> list[Topic]:
         """At the publisher's cluster, on both levels."""
-        assert isinstance(publisher, HierarchicalProcess)
-        assert publisher.cluster is not None
-        publisher.publish_in_groups(event, [publisher.cluster])
-        publisher._forward_cross_cluster(event)
+        return [self._actors[topic].cluster_of[pid], CLUSTERS_ROOT]

@@ -14,32 +14,31 @@ registered subtopic of its interest (up to ``t`` tables on a chain,
 
 from __future__ import annotations
 
-from repro.baselines.common import BaselineProcess, BaselineSystem
+import random
+
+from repro.baselines.common import BaselineSystem, Seat
 from repro.topics.topic import Topic
 
 
 class GossipMulticastSystem(BaselineSystem):
     """Per-topic gossip groups; subscribers join every subtopic group."""
 
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def group_members(self, topic: Topic) -> list[BaselineProcess]:
-        """Everyone who must be in group ``topic``: processes whose
-        subscription includes it (subscribers of ``topic`` or a supertopic)."""
-        return [
-            p for p in self.processes if p.interest.includes(topic)
-        ]
-
-    def finalize_membership(self) -> None:
-        """Draw one table per (process, relevant topic group).
+    def _draw_tables(self, rng: random.Random) -> dict[Topic, list[Seat]]:
+        """One table per (process, relevant topic group).
 
         A process subscribed to ``Ta`` joins the group of every registered
-        topic that ``Ta`` includes — ``Ta`` itself and all its subtopics.
+        topic that ``Ta`` includes — ``Ta`` itself and all its subtopics —
+        so group ``T`` is the subscribers of ``T`` and of its supertopics,
+        in pid order (groups are contiguous pid blocks, added in order).
         """
-        rng = self._membership_rng()
+        seats = {}
         for topic in self.hierarchy.topics:
-            members = self.group_members(topic)
-            if members:
-                self._draw_group(topic, members, rng)
-        self._finalized = True
+            pids = [
+                member.pid
+                for subscribed, members in self._groups.items()
+                if subscribed.includes(topic)
+                for member in members
+            ]
+            if pids:
+                seats[topic] = [self._draw_group(topic, pids, rng)]
+        return seats

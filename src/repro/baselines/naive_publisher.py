@@ -26,28 +26,27 @@ and any group member can carry the event upward.
 
 from __future__ import annotations
 
-from repro.baselines.common import BaselineProcess, BaselineSystem
-from repro.core.events import Event
-from repro.membership.columnar import ColumnarGroupTables, ColumnarSuperBuilder
+import random
+
+from repro.baselines.common import BaselineSystem, Seat
+from repro.membership.columnar import ColumnarSuperBuilder
 from repro.topics.topic import Topic
 
 
 class NaivePublisherSystem(BaselineSystem):
     """Pattern (2) of §IV-A, without daMulticast's optimization."""
 
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def finalize_membership(self) -> None:
+    def _draw_tables(self, rng: random.Random) -> dict[Topic, list[Seat]]:
         """Every subscriber joins only its own topic's group; every
         process additionally receives tables for all its supertopic
         groups so it can publish into them (the pattern-2 requirement)."""
-        rng = self._membership_rng()
-        own: dict[Topic, ColumnarGroupTables] = {}
+        seats = {}
         for topic in self.hierarchy.topics:
-            members = self.group(topic)
+            members = self._groups.get(topic)
             if members:
-                own[topic] = self._draw_group(topic, members, rng)
+                seats[topic] = [
+                    self._draw_group(topic, [p.pid for p in members], rng)
+                ]
         # Publisher-side supergroup tables: every process gets one table
         # per *populated* supertopic of its interest, drawn in process
         # order. The publisher is never a member of its supertopic's
@@ -55,37 +54,24 @@ class NaivePublisherSystem(BaselineSystem):
         # row, nothing to exclude), sized like the group's own tables.
         builders: dict[Topic, ColumnarSuperBuilder] = {}
         drawers: dict[Topic, list[int]] = {}
-        seats: list[tuple[BaselineProcess, Topic, int]] = []
-        for process in self.processes:
-            for ancestor in process.interest.ancestors():
-                group = own.get(ancestor)
-                if group is None:
+        for member in self.processes:
+            for ancestor in member.topic.ancestors():
+                if ancestor not in seats:
                     continue
                 if ancestor not in builders:
+                    own = seats[ancestor][0][0]
                     builders[ancestor] = ColumnarSuperBuilder(
-                        group.members, group.capacity
+                        own.members, own.capacity
                     )
                     drawers[ancestor] = []
                 builders[ancestor].draw_row(rng)
-                seats.append((process, ancestor, len(drawers[ancestor])))
-                drawers[ancestor].append(process.pid)
-        # joined in draw order: a process's groups are its publish order
-        outsiders = {
-            ancestor: builder.tables(ancestor, drawers[ancestor])
-            for ancestor, builder in builders.items()
-        }
-        for process, ancestor, row in seats:
-            fanout = self.params.fanout(own[ancestor].size)
-            process.join_group(ancestor, outsiders[ancestor], row, fanout)
-        self._finalized = True
+                drawers[ancestor].append(member.pid)
+        for ancestor in sorted(builders):
+            tables = builders[ancestor].tables(ancestor, drawers[ancestor])
+            seats[ancestor].append((tables, seats[ancestor][0][1]))
+        return seats
 
-    # ------------------------------------------------------------------
-    # Publishing: the publisher fans into every group itself
-    # ------------------------------------------------------------------
-    def _inject(self, publisher: BaselineProcess, event: Event) -> None:
-        """The topic's group and every supergroup — all transmissions paid
-        by the publisher (§IV-A's plain arrows)."""
-        publisher.publish_in_groups(
-            event,
-            [group for group in publisher.groups if group.includes(event.topic)],
-        )
+    def _entry_groups(self, pid: int, topic: Topic) -> list[Topic]:
+        """The topic's group and every populated supergroup, walking up —
+        all transmissions paid by the publisher (§IV-A's plain arrows)."""
+        return [topic, *(a for a in topic.ancestors() if a in self._groups)]

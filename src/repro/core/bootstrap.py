@@ -35,6 +35,10 @@ from repro.validation import check_positive
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.process import DaMulticastProcess
 
+#: timeouts a search runs before it gives up (KEEP_TABLE_UPDATED restarts
+#: it while the supertopic table is still empty)
+MAX_ATTEMPTS = 10
+
 
 class FindSuperContact:
     """The per-process FIND_SUPER_CONTACT task."""
@@ -45,13 +49,12 @@ class FindSuperContact:
         *,
         timeout: float,
         ttl: int,
-        max_attempts: int | None = 10,
     ):
         check_positive(timeout, "timeout")
         self._process = process
         self._timeout = timeout
         self._ttl = ttl
-        self._max_attempts = max_attempts
+        self._max_attempts = MAX_ATTEMPTS
         self._targets: list[Topic] = []
         self._attempts = 0
         #: floods are deduplicated by ``(requester, request_id)``, so the
@@ -96,7 +99,7 @@ class FindSuperContact:
     def _on_timeout(self) -> bool:
         if not self.active:
             return False
-        if self._max_attempts is not None and self._attempts >= self._max_attempts:
+        if self._attempts >= self._max_attempts:
             # Give up for now; KEEP_TABLE_UPDATED restarts us if the table
             # is still empty (Fig. 6 lines 12-14).
             self.stop()

@@ -31,15 +31,16 @@ never change. A group is one contiguous pid block run by one
   stream on its first action (a member that never acts never pays for a
   Mersenne state), or every row holds one ``group/<topic>`` stream.
 
-What the system hands out for a static member is a :class:`StaticMember`
-record: pid, topic and memory footprint.
+What the system hands out for a static member is a
+:class:`~repro.runtime.StaticMember` record: pid, topic, and what its
+tables cost, read off its group's actor.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.bootstrap import FindSuperContact, handle_req_contact
 from repro.core.dissemination import disseminate, elect_links
@@ -72,8 +73,12 @@ from repro.sim.rng import RngRegistry
 from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime import StaticMember
+
 #: called with the delivering member — a :class:`DaMulticastProcess` or a
-#: :class:`StaticMember` — and the event, once per first delivery
+#: :class:`~repro.runtime.StaticMember` — and the event, once per first
+#: delivery
 DeliveryCallback = Callable[[Any, Event], None]
 
 
@@ -96,8 +101,8 @@ class DaMulticastProcess:
     full protocol: its topic table is its flat membership's view, its
     supertopic table is maintained by bootstrap and repair, and both
     protocol tasks exist from construction. A member of the §VII simulator
-    is a :class:`StaticMember` of its group's :class:`ColumnarGroupActor`
-    instead.
+    is a :class:`~repro.runtime.StaticMember` of its group's
+    :class:`ColumnarGroupActor` instead.
 
     ``rngs`` is the run's stream registry; the process draws from its
     ``process/{pid}`` stream only, seeded at construction (it acts at
@@ -118,7 +123,6 @@ class DaMulticastProcess:
         overlay: BootstrapOverlay | None = None,
         tracker: DeliveryTracker | None = None,
         delivery_callback: DeliveryCallback | None = None,
-        membership_config: FlatMembershipConfig | None = None,
     ):
         self.pid = pid
         self.topic = topic
@@ -157,14 +161,10 @@ class DaMulticastProcess:
         self.intra_scope = Scope("intra", topic)
         self.super_table = SuperTopicTable(params.z)
         self.seen_requests: set[tuple[int, int]] = set()
-        if membership_config is None:
-            membership_config = FlatMembershipConfig(
-                capacity=params.table_capacity(16)
-            )
         self.membership = FlatMembership(
             self.descriptor,
             topic,
-            membership_config,
+            FlatMembershipConfig(capacity=params.table_capacity(16)),
             engine,
             self.rng,
             self.send,
@@ -400,36 +400,6 @@ class DaMulticastProcess:
 # ----------------------------------------------------------------------
 # The §VII simulator: one block actor per group
 # ----------------------------------------------------------------------
-class StaticMember:
-    """A member of the §VII simulator, as the system hands it out.
-
-    Its tables are its row of the group's columns and its flood state is
-    the group's :class:`ColumnarGroupActor`'s, so a member is its pid and
-    topic, plus a read of its table sizes.
-    """
-
-    __slots__ = ("pid", "topic", "_actors")
-
-    def __init__(
-        self, pid: int, topic: Topic, actors: dict[Topic, "ColumnarGroupActor"]
-    ):
-        self.pid = pid
-        self.topic = topic
-        #: the system's topic → actor registry, filled by its finalize
-        self._actors = actors
-
-    @property
-    def memory_footprint(self) -> int:
-        """Topic-table entries plus every supertopic table's (§VI-C; one
-        table per direct supertopic under §VIII), read off the row
-        lengths; 0 before the finalize draws them."""
-        actor = self._actors.get(self.topic)
-        if actor is None:
-            return 0
-        tables = actor.tables
-        return tables.stride + sum(block.stride for block in tables.supers)
-
-
 class _MemberPeer:
     """The flyweight :class:`DisseminationPeer`: one instance per group,
     rebound to the acting member (its index, pid and stream) per
@@ -610,3 +580,15 @@ class ColumnarGroupActor:
     def membership_bytes(self) -> int:
         """Bytes of frozen membership state for the whole group."""
         return self.tables.nbytes()
+
+    def memory_footprint(self, pid: int) -> int:
+        """A member's topic-table entries plus every supertopic table's
+        (§VI-C; one table per direct supertopic under §VIII), read off the
+        row lengths — the same for every member of the group."""
+        tables = self.tables
+        return tables.stride + sum(block.stride for block in tables.supers)
+
+    def table_count(self, pid: int) -> int:
+        """A member's topic table and one supertopic table per super
+        block."""
+        return 1 + len(self.tables.supers)

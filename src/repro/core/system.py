@@ -15,11 +15,11 @@ Two modes mirror the paper's two settings:
 * ``mode="static"`` — the §VII simulator: membership tables are drawn once
   from global knowledge by :meth:`finalize_static_membership` and never
   change; no background tasks run, so a publication runs to quiescence.
-  Each group is one contiguous pid block, flooded by one
-  :class:`~repro.core.process.ColumnarGroupActor` (consecutive
-  ``add_process``/``add_group`` calls for a topic extend its block, and
-  membership and links are fixed by the finalize); a member is a
-  :class:`~repro.core.process.StaticMember` record.
+  It is the one static build of :class:`~repro.runtime.ObjectSystemFacade`
+  (pid-block :class:`~repro.runtime.StaticMember` records, membership and
+  links fixed by the finalize, one publish path); what daMulticast adds
+  is its table draw and one
+  :class:`~repro.core.process.ColumnarGroupActor` per group.
 * ``mode="dynamic"`` — the full protocol: joins go through the bootstrap
   overlay, FIND_SUPER_CONTACT floods, tables shuffle and self-repair.
 """
@@ -30,19 +30,17 @@ import functools
 import random
 from typing import Any
 
-from repro.core.events import Event, EventId
+from repro.core.events import Event
 from repro.core.params import DaMulticastConfig
 from repro.core.process import (
     ColumnarGroupActor,
     DaMulticastProcess,
     DeliveryCallback,
     GroupSizeCell,
-    StaticMember,
 )
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
 from repro.membership.columnar import draw_static_tables, rows_digest
-from repro.membership.flat import FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
 from repro.membership.view import ProcessDescriptor
 from repro.net.latency import LatencyModel, ZERO_LATENCY
@@ -92,32 +90,20 @@ class DaMulticastSystem(ObjectSystemFacade):
         #: last (b+1)·log S capacity pushed to a group's dynamic views
         self._group_capacities: dict[Topic, int] = {}
         self._delivery_callback = delivery_callback
-        #: static mode: topic → the block actor the finalize made for it
-        self._actors: dict[Topic, ColumnarGroupActor] = {}
-        #: static mode: topic → (failure model, its alive members), kept
-        #: only for a model that declares ``static_dead`` (a fixed dead set)
-        self._alive_cache: dict[Topic, tuple[FailureModel, list]] = {}
-        #: static mode: pid → events it published so far
-        self._publish_seq: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Topology construction
     # ------------------------------------------------------------------
     def _add_members(
-        self,
-        topic: Topic,
-        count: int,
-        *,
-        subscribe: bool = True,
-        membership_config: FlatMembershipConfig | None = None,
+        self, topic: Topic, count: int, *, subscribe: bool = True
     ) -> list:
         """The body of :meth:`add_process` / :meth:`add_group`.
 
-        In static mode the members extend ``topic``'s pid block (see
-        :meth:`_add_static_members`). In dynamic mode each process
+        In static mode the members extend ``topic``'s pid block (the
+        shared static build's records). In dynamic mode each process
         immediately joins: it gets overlay contacts, a same-group
-        membership contact when one exists, and its background tasks
-        start.
+        membership contact unless ``subscribe`` is False, and its
+        background tasks start.
 
         What every member of a group shares — the group list, the size
         cell, the expected-receiver provider, the harness parts — is
@@ -125,7 +111,12 @@ class DaMulticastSystem(ObjectSystemFacade):
         costs.
         """
         if self.mode == "static":
-            return self._add_static_members(topic, count)
+            if not subscribe:
+                raise ConfigError(
+                    "subscribe=False needs mode='dynamic': a static member "
+                    "is in its group's tables from the finalize on"
+                )
+            return super()._add_members(topic, count)
         harness = self.harness
         rngs = harness.rngs
         network = harness.network
@@ -133,7 +124,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         cell = self._group_size_cells.get(topic)
         if cell is None:
             cell = self._group_size_cells[topic] = GroupSizeCell()
-        expected_receivers = functools.partial(self._interested_count, topic)
+        expected_receivers = functools.partial(self._expected_receivers, topic)
         created = []
         for _ in range(count):
             pid = harness.next_pid()
@@ -148,7 +139,6 @@ class DaMulticastSystem(ObjectSystemFacade):
                 overlay=self.overlay,
                 tracker=harness.tracker,
                 delivery_callback=self._delivery_callback,
-                membership_config=membership_config,
             )
             network.register(process)
             group.append(process)
@@ -163,38 +153,6 @@ class DaMulticastSystem(ObjectSystemFacade):
                 process.subscribe(self._membership_contact_for(process))
             created.append(process)
         return created
-
-    def _add_static_members(self, topic: Topic, count: int) -> list[StaticMember]:
-        """Extend ``topic``'s pid block by ``count`` members.
-
-        A group is one contiguous pid block, so its members are added in
-        one run of calls: adding to a topic after another topic's members
-        is refused.
-        """
-        groups = self._groups
-        if topic in groups and topic is not next(reversed(groups)):
-            raise ConfigError(
-                f"static group {topic.name} is one contiguous pid block: "
-                "add all its members before another topic's"
-            )
-        block = self.harness.reserve_pid_block(count)
-        actors = self._actors
-        members = [StaticMember(pid, topic, actors) for pid in block]
-        groups.setdefault(topic, []).extend(members)
-        self._processes.update(zip(block, members))
-        return members
-
-    def _touch(self, topic: Topic | str) -> None:
-        """Static membership and links are fixed by the finalize: the block
-        actors are laid out once."""
-        self.harness.require_open()
-        if self.mode == "static" and self._finalized:
-            name = topic if isinstance(topic, str) else topic.name
-            raise ConfigError(
-                f"cannot change {name}: finalize_static_membership() fixed "
-                "the static membership"
-            )
-        super()._touch(topic)
 
     def _membership_contact_for(
         self, process: DaMulticastProcess
@@ -240,26 +198,24 @@ class DaMulticastSystem(ObjectSystemFacade):
     # Static-mode membership injection (§VII)
     # ------------------------------------------------------------------
     def finalize_static_membership(self) -> None:
-        """Draw all membership tables once, from global knowledge, and lay
-        out one block actor per group.
+        """The static build's one finalize (static mode only)."""
+        if self.mode != "static":
+            raise ConfigError("finalize_static_membership requires mode='static'")
+        super().finalize_static_membership()
+
+    def _lay_out(self, rng: random.Random) -> None:
+        """Draw every group's tables and register one block actor per
+        group.
 
         Reproduces the paper's simulation setting: each topic table is a
         uniform sample of ``(b+1)·log(S)`` group members, each supertopic
         table a uniform sample of ``z`` members of the nearest populated
         supergroup — one table per direct supertopic when :meth:`link`
-        gave a topic several (§VIII). Tables never change afterwards, and
-        neither do the groups: a finalize is the last change. Each group
-        is drawn as pid columns (:func:`~repro.membership.columnar.
-        draw_static_tables`) and registered as one
-        :class:`~repro.core.process.ColumnarGroupActor` over its pid block.
+        gave a topic several (§VIII). Each group is drawn as pid columns
+        (:func:`~repro.membership.columnar.draw_static_tables`) and
+        registered as one :class:`~repro.core.process.ColumnarGroupActor`
+        over its pid block.
         """
-        if self.mode != "static":
-            raise ConfigError("finalize_static_membership requires mode='static'")
-        rng = self._membership_rng()
-        if self._finalized:
-            raise ConfigError("membership already finalized")
-        if not self._groups:
-            raise ConfigError("no groups added")
         blocks = {
             topic: range(members[0].pid, members[-1].pid + 1)
             for topic, members in self._groups.items()
@@ -285,7 +241,6 @@ class DaMulticastSystem(ObjectSystemFacade):
             block = blocks[topic]
             harness.network.register_block(actor, block.start, block.stop)
             self._actors[topic] = actor
-        self._finalized = True
 
     def _row_streams(
         self, topic: Topic, size: int
@@ -305,73 +260,24 @@ class DaMulticastSystem(ObjectSystemFacade):
         *,
         publisher: Any = None,
     ) -> Event:
-        """Publish an event on ``topic``.
-
-        ``publisher`` defaults to a uniformly chosen *alive* member of the
-        topic's group (the §VII setting publishes from an alive process);
-        a given one must be a member of that group — a process publishes
-        events of its own topic only.
-        """
+        """Publish an event on ``topic``: the static build's publish path
+        in static mode; in dynamic mode ``publisher`` (default: an elected
+        alive member of the group, checked as in static mode) publishes
+        on its own, once the overlay has had time to converge."""
         if self.mode == "static":
-            self._require_finalized()
-        else:
-            self.harness.require_open()
+            return super().publish(topic, payload, publisher=publisher)
+        self.harness.require_open()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        if publisher is not None and publisher.topic != resolved:
-            raise ConfigError(
-                f"process {publisher.pid} publishes {publisher.topic.name} "
-                f"events, not {resolved.name}"
-            )
-        if self.mode == "dynamic":
-            return self._publisher(resolved, publisher).publish(payload)
-        actor = self.group_actor(resolved)
-        if publisher is None:
-            publisher = self._elect_publisher(
-                resolved, self._alive_members(resolved)
-            )
-        pid = publisher.pid
-        sequence = self._publish_seq[pid] = self._publish_seq.get(pid, 0) + 1
-        event = Event(
-            event_id=EventId(pid, sequence),
-            topic=resolved,
-            payload=payload,
-            published_at=self.now,
-        )
-        self.tracker.record_publish(
-            event, pid, expected=self._interested_count(resolved)
-        )
-        actor.publish_from(pid - actor.base, event)
-        return event
+        return self._publisher(resolved, publisher).publish(payload)
 
-    def _alive_members(self, topic: Topic) -> list[StaticMember]:
-        """``topic``'s members alive now: computed per publish unless the
-        installed failure model declares a fixed dead set."""
-        model = self.network.failure_model
-        cached = self._alive_cache.get(topic)
-        if cached is not None and cached[0] is model:
-            return cached[1]
-        is_alive = self.harness.is_alive
-        alive = [member for member in self._groups[topic] if is_alive(member.pid)]
-        if getattr(model, "static_dead", None) is not None:
-            self._alive_cache[topic] = (model, alive)
-        return alive
+    def _inject(self, pid: int, event: Event) -> None:
+        """Fig. 7 at the publisher, run by its group's block actor."""
+        actor = self._actors[event.topic]
+        actor.publish_from(pid - actor.base, event)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _interested_count(self, topic: Topic) -> int:
-        """Processes whose subscription *includes* events of ``topic`` —
-        its own group plus every supergroup (inclusion, §III-B, over the
-        hierarchy's links too): the intended receivers of a ``topic`` event
-        over a perfect network. Live count (consulted at publish time via
-        :meth:`DaMulticastProcess.bind_expected_receivers`)."""
-        includes = self.hierarchy.includes
-        return sum(
-            len(members)
-            for t, members in self._groups.items()
-            if includes(t, topic)
-        )
-
     def group_actor(self, topic: Topic | str) -> ColumnarGroupActor:
         """The block actor running ``topic``'s static group."""
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
@@ -395,9 +301,3 @@ class DaMulticastSystem(ObjectSystemFacade):
             for actor in self._actors.values()
             for row in range(actor.tables.size)
         )
-
-    def close(self) -> None:
-        """Release every member and block actor (idempotent)."""
-        self._actors.clear()
-        self._alive_cache.clear()
-        super().close()

@@ -30,26 +30,22 @@ from repro.workloads.scenarios import PaperScenario
 from repro.workloads.spec import compile_spec_cached
 
 
-def _measure_damulticast(
-    scenario: PaperScenario, seed: int
-) -> Mapping[str, float]:
-    built = scenario.build(seed=seed, alive_fraction=1.0)
-    built.execute()
-    event = built.published[0]
-    system = built.system
-    topics = built.compiled.ordered_topics
+def _measure(system, event, topics) -> dict[str, float]:
+    """What §VI-E tabulates for ``system`` once ``event``'s flood is over,
+    read off its member records, ``interests()`` and tracker alike for
+    every algorithm."""
+    interests = system.interests()
+    includes = system.hierarchy.includes
     interested_pids = [
-        p.pid for p in system.processes if p.topic.includes(event.topic)
+        pid for pid, topic in interests.items() if includes(topic, event.topic)
     ]
-    footprints = [
-        p.memory_footprint
-        for p in system.processes
-    ]
+    members = system.processes
+    footprints = [member.memory_footprint for member in members]
     metrics = {
         "event_messages": float(system.stats.event_messages_sent()),
         "memory_mean": sum(footprints) / len(footprints),
         "memory_max": float(max(footprints)),
-        "tables_max": 2.0,
+        "tables_max": float(max(member.table_count for member in members)),
         "delivered_interested": delivered_fraction(
             system.tracker, event.event_id, interested_pids
         ),
@@ -59,10 +55,16 @@ def _measure_damulticast(
     if len(topics) > 1:
         system.publish(topics[1])
         system.run_until_idle()
-    metrics["parasites"] = float(
-        parasite_deliveries(system.tracker, system.interests())
-    )
+    metrics["parasites"] = float(parasite_deliveries(system.tracker, interests))
     return metrics
+
+
+def _measure_damulticast(
+    scenario: PaperScenario, seed: int
+) -> Mapping[str, float]:
+    built = scenario.build(seed=seed, alive_fraction=1.0)
+    built.execute()
+    return _measure(built.system, built.published[0], built.compiled.ordered_topics)
 
 
 def _measure_baseline(
@@ -71,27 +73,9 @@ def _measure_baseline(
     spec = {**scenario.spec(), "protocol": protocol, "failures": {"kind": "none"}}
     system = compile_spec_cached(spec).build(seed).system
     topics = scenario.topics()
-    publish_topic = topics[scenario.publish_level]
-    event = system.publish(publish_topic)
+    event = system.publish(topics[scenario.publish_level])
     system.run_until_idle()
-    interested_pids = [p.pid for p in system.interested_in(publish_topic)]
-    footprints = system.memory_footprints()
-    tables = [p.table_count for p in system.processes]
-    metrics = {
-        "event_messages": float(system.stats.event_messages_sent()),
-        "memory_mean": sum(footprints) / len(footprints),
-        "memory_max": float(max(footprints)),
-        "tables_max": float(max(tables)),
-        "delivered_interested": delivered_fraction(
-            system.tracker, event.event_id, interested_pids
-        ),
-    }
-    # Mid-level publication exposes parasite deliveries (see above).
-    if len(topics) > 1:
-        system.publish(topics[1])
-        system.run_until_idle()
-    metrics["parasites"] = float(system.parasite_count())
-    return metrics
+    return _measure(system, event, topics)
 
 
 def run_all_algorithms_once(

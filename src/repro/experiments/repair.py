@@ -44,6 +44,11 @@ from repro.workloads.scenarios import PaperScenario, delivered_fractions
 #: small because the repaired half runs the full dynamic protocol
 REPAIR_SCENARIO = PaperScenario(sizes=(4, 12, 48), p_succ=0.9)
 
+#: the repaired run's phases: convergence before the crash wave, then the
+#: window maintenance gets to repair in before the publication
+SETTLE_TIME = 30.0
+REPAIR_WINDOW = 60.0
+
 
 def _frozen_run(
     scenario: PaperScenario, alive_fraction: float, seed: int
@@ -63,9 +68,6 @@ def _repaired_run(
     scenario: PaperScenario,
     alive_fraction: float,
     seed: int,
-    *,
-    settle_time: float = 30.0,
-    repair_window: float = 60.0,
 ) -> Mapping[str, float]:
     topics = chain(scenario.depth, prefix="t")
     churn = ChurnSchedule()
@@ -91,7 +93,7 @@ def _repaired_run(
     )
     for topic, size in zip(topics, scenario.sizes):
         system.add_group(topic, size)
-    system.run(until=settle_time)
+    system.run(until=SETTLE_TIME)
 
     # Crash the same fraction the frozen variant suffers, at runtime.
     rng = random.Random(derive_seed(seed, "repair-victims"))
@@ -103,13 +105,13 @@ def _repaired_run(
         round(len(pids) * (1.0 - alive_fraction)), len(candidates)
     )
     for pid in rng.sample(candidates, n_failed):
-        churn.crash_at(pid, settle_time)
+        churn.crash_at(pid, SETTLE_TIME)
 
-    system.run(until=settle_time + repair_window)
+    system.run(until=SETTLE_TIME + REPAIR_WINDOW)
     event = system.publish(
         publish_topic, publisher=system.process(publisher_pid)
     )
-    system.run(until=settle_time + repair_window + 30.0)
+    system.run(until=SETTLE_TIME + REPAIR_WINDOW + 30.0)
     return {
         "bottom": system.delivered_fraction(
             event, publish_topic, alive_only=True

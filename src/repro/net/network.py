@@ -166,9 +166,11 @@ per process is itself the memory wall, so :meth:`Network.register_block`
 registers a single *block actor* for a contiguous pid range ``[start,
 stop)``; it receives whole delivery batches through
 ``handle_batch(sender, targets, message)`` instead of one
-``handle_message`` call per pid. A network holds per-pid actors
-(dynamic daMulticast, the baselines) or blocks (static daMulticast),
-never both: registering the other kind is a
+``handle_message`` call per pid. Every static system — static
+daMulticast (one block per group) and the four baselines (one block over
+every pid) — registers blocks; per-pid actors (:meth:`Network.register`)
+are dynamic daMulticast's processes only. A network holds one kind or the
+other, never both: registering the other kind is a
 :class:`~repro.errors.ConfigError`.
 """
 

@@ -9,9 +9,14 @@ fairness, all approaches use the same underlying membership algorithm" —
 and, here, the same network and failure substrate too).
 
 What a system *is besides its protocol* lives here as well, once:
-:class:`ObjectSystemFacade` (harness passthroughs, the
-finalize-before-publish gate, the publisher election, the topic → member
-registry, its queries and ``close()``) under every system class.
+:class:`ObjectSystemFacade` under every system class — harness
+passthroughs, the topic → member registry, its queries and ``close()`` —
+and the one static build every static system shares: pid-block member
+records (:class:`StaticMember`), the finalize that lays the block actors
+out and fixes the membership, and the publish path (publisher election,
+event ids, the expected-receiver count). daMulticast and the four
+baselines differ only in the tables they draw and the actors that flood
+over them.
 
 The harness is time-source-agnostic: by default it builds a discrete-event
 :class:`~repro.sim.engine.Engine` (the virtual-time oracle every golden
@@ -26,8 +31,9 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
+from repro.core.events import Event, EventId
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
 from repro.metrics.collector import DeliveryTracker
@@ -41,9 +47,6 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.events import Event
 
 
 class SimulationHarness:
@@ -164,23 +167,66 @@ class SimulationHarness:
         return self.network.is_alive(pid)
 
 
-class ObjectSystemFacade:
-    """What every system is besides its protocol, on one harness.
+class StaticMember:
+    """A member of a static system, as the system hands it out.
 
-    The registry — topic → group list, pid → member object — every query
-    answered from it, and ``close()``, which lets go of it. A subclass
-    provides ``_add_members(topic, count, **options)``, which creates the
-    members and enters them into ``_groups`` / ``_processes`` (a member
-    needs ``pid`` and ``topic`` only), starts its finalize with
-    :meth:`_membership_rng` and ends it with ``self._finalized = True``.
-    :meth:`_touch` runs before every change of membership (a subclass
-    that cannot redraw overrides it to refuse once finalized), and
+    Its tables are rows of the columns the finalize draws and its flood
+    state is the block actor's that its pid is registered to, so a member
+    is its pid and topic, plus a read of what its tables cost.
+    """
+
+    __slots__ = ("pid", "topic", "_actors")
+
+    def __init__(self, pid: int, topic: Topic, actors: Mapping[Topic, Any]):
+        self.pid = pid
+        self.topic = topic
+        #: the system's topic → block actor registry, filled by its finalize
+        self._actors = actors
+
+    @property
+    def memory_footprint(self) -> int:
+        """Membership entries across all this member's tables (§VI-C,
+        §VI-E.2 measured); 0 before the finalize draws them."""
+        actor = self._actors.get(self.topic)
+        return 0 if actor is None else actor.memory_footprint(self.pid)
+
+    @property
+    def table_count(self) -> int:
+        """How many membership tables this member holds; 0 before the
+        finalize draws them."""
+        actor = self._actors.get(self.topic)
+        return 0 if actor is None else actor.table_count(self.pid)
+
+
+class ObjectSystemFacade:
+    """What every system is besides its protocol, on one harness, and the
+    one static build.
+
+    The registry — topic → group list, pid → member — every query answered
+    from it, and ``close()``, which lets go of it. The static build's rules
+    live here once:
+
+    * **members** are :class:`StaticMember` records over pid blocks: a
+      group is one contiguous block, so consecutive ``add_process`` /
+      ``add_group`` calls for a topic extend it and adding to a topic after
+      another topic's members is a :class:`ConfigError`;
+    * **the finalize** (:meth:`finalize_static_membership`) draws every
+      table once, from the ``"static-membership"`` stream, and registers
+      the block actors through the subclass's ``_lay_out(rng)``. It is the
+      last change: an add, a link or a second finalize afterwards is a
+      :class:`ConfigError`, and so is a finalize with no member;
+    * **publish** elects an alive member of the topic's group (or checks
+      that a given publisher is this system's member of it), mints the
+      event id ``(pid, n)`` for the publisher's ``n``-th event, records the
+      publication with :meth:`_expected_receivers` and hands the event to
+      the subclass's ``_inject(pid, event)``.
+
+    The dynamic daMulticast protocol keeps its own members, joins and
+    publish (``DaMulticastSystem(mode="dynamic")``) and never finalizes.
     :meth:`link` is refused unless the subclass's build honours §VIII's
     extra supertopics.
     """
 
-    #: the method that draws the membership tables, named by the gate
-    _finalize_verb = "finalize_static_membership"
     #: whether the build draws a table per linked supertopic (§VIII)
     _honours_links = False
 
@@ -188,7 +234,7 @@ class ObjectSystemFacade:
         self.harness = harness
         #: every topic a member was added for (and its supertopics)
         self.hierarchy = TopicHierarchy()
-        #: whether the tables cover every member added so far
+        #: set by the finalize, after which membership never changes
         self._finalized = False
         self._groups: dict[Topic, list] = {}
         self._processes: dict[int, Any] = {}
@@ -199,6 +245,13 @@ class ObjectSystemFacade:
         self.process_by_pid: Mapping[int, Any] = MappingProxyType(
             self._processes
         )
+        #: topic → the block actor the finalize registered its members to
+        self._actors: dict[Topic, Any] = {}
+        #: topic → (failure model, its alive members), kept only after the
+        #: finalize and for a model that declares ``static_dead``
+        self._alive_cache: dict[Topic, tuple[FailureModel, list]] = {}
+        #: pid → events it published so far
+        self._publish_seq: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Harness passthroughs
@@ -260,45 +313,13 @@ class ObjectSystemFacade:
         self._touch(topic)
         self.hierarchy.link(topic, extra_parent)
 
-    # ------------------------------------------------------------------
-    # The finalize-before-publish gate and the publisher election
-    # ------------------------------------------------------------------
-    def _touch(self, topic: Topic | str) -> None:
-        """Membership of ``topic`` is about to change: tables drawn before
-        a newcomer know nothing of it (and the newcomer has none), so
-        publishing waits for the next finalize."""
-        self.harness.require_open()
-        self._finalized = False
-
-    def _membership_rng(self):
-        """The stream every static table draw consumes."""
-        self.harness.require_open()
-        return self.harness.rngs.stream("static-membership")
-
-    def _require_finalized(self) -> None:
-        self.harness.require_open()
-        if not self._finalized:
-            raise ConfigError(
-                f"call {self._finalize_verb}() before publishing: the "
-                "membership tables do not cover every process yet"
-            )
-
-    def _elect_publisher(self, topic: Topic, alive):
-        """A uniformly chosen member of ``alive`` — ``topic``'s alive
-        members (the §VII setting publishes from an alive process)."""
-        if not alive:
-            raise UnknownTopic(
-                f"no alive process interested in {topic.name} to publish from"
-            )
-        return self.harness.rngs.stream("publish").choice(alive)
-
-
     def close(self) -> None:
-        """Release every member of a finished system (idempotent).
+        """Release every member and block actor of a finished system
+        (idempotent).
 
-        Drops the member registries and the network's actors. Those
-        registries are the only thing that ties a static system's
-        processes into reference cycles, so after ``close()`` they are
+        Drops the member and actor registries and the network's actors.
+        Those registries are the only thing that ties a static system's
+        members into reference cycles, so after ``close()`` they are
         freed by reference count as soon as the caller lets go of the
         system — not whenever the cycle collector next runs. Statistics,
         tracker, clock and RNG streams stay readable; member queries see
@@ -307,10 +328,12 @@ class ObjectSystemFacade:
         """
         self._processes.clear()
         self._groups.clear()
+        self._actors.clear()
+        self._alive_cache.clear()
         self.harness.close()
 
     # ------------------------------------------------------------------
-    # Population
+    # Population and the finalize
     # ------------------------------------------------------------------
     def add_process(self, topic: Topic | str, **options: Any):
         """Create one process interested in ``topic`` and wire it up
@@ -324,21 +347,141 @@ class ObjectSystemFacade:
         if count < 1:
             raise ConfigError(f"count must be >= 1, got {count}")
         self._touch(topic)
-        return self._add_members(self._admit(topic), count, **options)
+        return self._add_members(self.hierarchy.add(topic), count, **options)
 
-    def _admit(self, topic: Topic | str) -> Topic:
-        """Parse the topic of new members and register it (once per call,
-        not per process)."""
-        return self.hierarchy.add(topic)
+    def _touch(self, topic: Topic | str) -> None:
+        """Membership of ``topic`` is about to change: refused once the
+        finalize laid the block actors out."""
+        self.harness.require_open()
+        if self._finalized:
+            name = topic if isinstance(topic, str) else topic.name
+            raise ConfigError(
+                f"cannot change {name}: finalize_static_membership() fixed "
+                "the static membership"
+            )
+
+    def _add_members(self, topic: Topic, count: int) -> list[StaticMember]:
+        """Extend ``topic``'s pid block by ``count`` member records.
+
+        A group is one contiguous pid block, so its members are added in
+        one run of calls: adding to a topic after another topic's members
+        is refused.
+        """
+        groups = self._groups
+        if topic in groups and topic is not next(reversed(groups)):
+            raise ConfigError(
+                f"static group {topic.name} is one contiguous pid block: "
+                "add all its members before another topic's"
+            )
+        block = self.harness.reserve_pid_block(count)
+        actors = self._actors
+        members = [StaticMember(pid, topic, actors) for pid in block]
+        groups.setdefault(topic, []).extend(members)
+        self._processes.update(zip(block, members))
+        return members
+
+    def finalize_static_membership(self) -> None:
+        """Draw every membership table once, from global knowledge, and
+        register the block actors that flood over them (the subclass's
+        ``_lay_out(rng)``) — the paper's §VII setting: tables never change
+        afterwards, and neither do the groups."""
+        self.harness.require_open()
+        if self._finalized:
+            raise ConfigError("membership already finalized")
+        if not self._groups:
+            raise ConfigError("no groups added")
+        self._lay_out(self.harness.rngs.stream("static-membership"))
+        self._finalized = True
+
+    # ------------------------------------------------------------------
+    # Publishing
+    # ------------------------------------------------------------------
+    def publish(
+        self,
+        topic: Topic | str,
+        payload: Any = None,
+        *,
+        publisher: Any = None,
+    ) -> Event:
+        """Publish an event on ``topic``.
+
+        ``publisher`` defaults to a uniformly chosen *alive* member of the
+        topic's group (the §VII setting publishes from an alive process);
+        a given one must be this system's member of that group — a process
+        publishes events of its own topic only. An unregistered topic is
+        :class:`~repro.errors.UnknownTopic`.
+        """
+        self.harness.require_open()
+        if not self._finalized:
+            raise ConfigError(
+                "call finalize_static_membership() before publishing: the "
+                "membership tables are not drawn yet"
+            )
+        resolved = self.hierarchy.require(
+            Topic.parse(topic) if isinstance(topic, str) else topic
+        )
+        pid = self._publisher(resolved, publisher).pid
+        sequence = self._publish_seq[pid] = self._publish_seq.get(pid, 0) + 1
+        event = Event(
+            event_id=EventId(pid, sequence),
+            topic=resolved,
+            payload=payload,
+            published_at=self.now,
+        )
+        self.tracker.record_publish(
+            event, pid, expected=self._expected_receivers(resolved)
+        )
+        self._inject(pid, event)
+        return event
 
     def _publisher(self, topic: Topic, publisher):
-        """``publisher`` if given, else an elected alive member of
-        ``topic``'s group."""
-        if publisher is not None:
-            return publisher
+        """``publisher``, once checked to be this system's member of
+        ``topic``'s group; else a uniformly chosen alive member."""
+        if publisher is None:
+            alive = self._alive_members(topic)
+            if not alive:
+                raise UnknownTopic(
+                    f"no alive process interested in {topic.name} to publish from"
+                )
+            return self.harness.rngs.stream("publish").choice(alive)
+        if self._processes.get(publisher.pid) is not publisher:
+            raise ConfigError(
+                f"process {publisher.pid} is not a member of this system"
+            )
+        if publisher.topic != topic:
+            raise ConfigError(
+                f"process {publisher.pid} publishes {publisher.topic.name} "
+                f"events, not {topic.name}"
+            )
+        return publisher
+
+    def _alive_members(self, topic: Topic) -> list:
+        """``topic``'s members alive now: computed per publish unless the
+        membership is fixed and the installed failure model declares a
+        fixed dead set."""
+        model = self.network.failure_model
+        cached = self._alive_cache.get(topic)
+        if cached is not None and cached[0] is model:
+            return cached[1]
         is_alive = self.harness.is_alive
-        return self._elect_publisher(
-            topic, [p for p in self._groups.get(topic, ()) if is_alive(p.pid)]
+        alive = [
+            member for member in self._groups.get(topic, ())
+            if is_alive(member.pid)
+        ]
+        if self._finalized and getattr(model, "static_dead", None) is not None:
+            self._alive_cache[topic] = (model, alive)
+        return alive
+
+    def _expected_receivers(self, topic: Topic) -> int:
+        """The intended receivers of a ``topic`` event over a perfect
+        network: every process whose subscription *includes* it — its own
+        group plus every supergroup (inclusion, §III-B, over the
+        hierarchy's links too)."""
+        includes = self.hierarchy.includes
+        return sum(
+            len(members)
+            for t, members in self._groups.items()
+            if includes(t, topic)
         )
 
     # ------------------------------------------------------------------

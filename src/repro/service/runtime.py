@@ -35,13 +35,12 @@ from typing import Any, Callable
 
 from repro.core.params import DaMulticastConfig
 from repro.core.events import Event, EventId
-from repro.core.process import StaticMember
 from repro.core.system import DaMulticastSystem
 from repro.errors import ConfigError, UnknownTopic
 from repro.metrics.streaming import StreamingDeliveryTracker
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.transport import QueueTransport
-from repro.runtime import SimulationHarness
+from repro.runtime import SimulationHarness, StaticMember
 from repro.service.clock import AsyncClock
 from repro.topics.topic import Topic
 
@@ -189,6 +188,11 @@ class LiveRuntime:
             }
         )
         await self.drain()
+        # the cascade is over, so no copy is in flight: the groups' dedup
+        # state for this event goes
+        system = self.system
+        for group in system.topics():
+            system.group_actor(group).release_event_state(event.event_id)
         return event
 
     async def drain(self) -> None:

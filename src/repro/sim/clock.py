@@ -71,7 +71,6 @@ class Clock(Protocol):
         callback: Callable[[], Any],
         *,
         initial_delay: float | None = None,
-        max_firings: int | None = None,
     ) -> "PeriodicTask":
         """Schedule a :class:`PeriodicTask` firing every ``interval``."""
         ...  # pragma: no cover - protocol
@@ -93,14 +92,11 @@ class PeriodicTask:
         callback: Callable[[], Any],
         *,
         initial_delay: float | None = None,
-        max_firings: int | None = None,
     ):
         check_positive(interval, "interval", error=SchedulingError)
         self._clock = clock
         self._interval = interval
         self._callback = callback
-        self._max_firings = max_firings
-        self._firings = 0
         self._stopped = False
         delay = interval if initial_delay is None else initial_delay
         self._handle = clock.schedule(delay, self._fire)
@@ -113,12 +109,7 @@ class PeriodicTask:
     def _fire(self) -> None:
         if self._stopped:
             return
-        self._firings += 1
-        result = self._callback()
-        reached_limit = (
-            self._max_firings is not None and self._firings >= self._max_firings
-        )
-        if result is False or reached_limit or self._stopped:
+        if self._callback() is False or self._stopped:
             self._stopped = True
             return
         self._handle = self._clock.schedule(self._interval, self._fire)

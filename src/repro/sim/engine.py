@@ -269,16 +269,9 @@ class Engine(CallQueue):
         callback: Callable[[], Any],
         *,
         initial_delay: float | None = None,
-        max_firings: int | None = None,
     ) -> PeriodicTask:
         """Schedule a :class:`PeriodicTask` firing every ``interval``."""
-        return PeriodicTask(
-            self,
-            interval,
-            callback,
-            initial_delay=initial_delay,
-            max_firings=max_firings,
-        )
+        return PeriodicTask(self, interval, callback, initial_delay=initial_delay)
 
     # ------------------------------------------------------------------
     # Execution

@@ -1431,10 +1431,7 @@ class CompiledSpec:
             for topic in sorted({publication.topic for publication in schedule})
         }
         self._apply_failures(system, publishers, counts, scenario_rng)
-        if self.protocol == "daMulticast":
-            system.finalize_static_membership()
-        else:
-            system.finalize_membership()
+        system.finalize_static_membership()
         return BuiltScenario(
             compiled=self,
             seed=seed,

@@ -1,5 +1,7 @@
 """Tests for the three baseline algorithms (§VI-E comparisons)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.baselines import (
@@ -12,6 +14,7 @@ from repro.baselines.broadcast import GLOBAL_GROUP
 from repro.baselines.hierarchical import CLUSTERS_ROOT
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures import StillbornFailures
+from repro.metrics.delivery import parasite_deliveries
 from repro.topics import ROOT, Topic
 
 T1 = Topic.parse(".t1")
@@ -22,8 +25,32 @@ SIZES = {ROOT: 5, T1: 20, T2: 60}
 def populate(system):
     for topic, count in SIZES.items():
         system.add_group(topic, count)
-    system.finalize_membership()
+    system.finalize_static_membership()
     return system
+
+
+def actor_of(system):
+    """The one block actor a baseline's finalize registered."""
+    return system._actors[T2]
+
+
+def parasites(system):
+    return parasite_deliveries(system.tracker, system.interests())
+
+
+def interested_pids(system, topic):
+    """Pids whose subscription includes ``topic``."""
+    return {
+        pid for pid, interest in system.interests().items() if interest.includes(topic)
+    }
+
+
+def row_of(system, pid, group):
+    """``pid``'s table in ``group``: its row of the table set seating it."""
+    for tables, _, rows in actor_of(system).seats[group]:
+        if pid in rows:
+            return tables.row_pids(rows[pid])
+    return None
 
 
 class TestBroadcast:
@@ -38,13 +65,14 @@ class TestBroadcast:
         system = populate(GossipBroadcastSystem(seed=0))
         system.publish(T1)  # T2 subscribers are NOT interested in T1 events
         system.run_until_idle()
-        assert system.parasite_count() == SIZES[T2]
+        assert parasites(system) == SIZES[T2]
 
     def test_single_table_per_process(self):
         system = populate(GossipBroadcastSystem(seed=0))
+        assert list(actor_of(system).seats) == [GLOBAL_GROUP]
         for process in system.processes:
             assert process.table_count == 1
-            assert GLOBAL_GROUP in process.groups
+            assert len(row_of(system, process.pid, GLOBAL_GROUP)) == process.memory_footprint
 
     def test_message_complexity_n_log_n(self):
         system = populate(GossipBroadcastSystem(seed=0))
@@ -85,15 +113,14 @@ class TestMulticast:
         event = system.publish(T2)
         system.run_until_idle()
         receivers = set(system.tracker.receivers(event.event_id))
-        interested = {p.pid for p in system.interested_in(T2)}
-        assert receivers == interested
+        assert receivers == interested_pids(system, T2)
 
     def test_no_parasites(self):
         system = populate(GossipMulticastSystem(seed=0))
         system.publish(T2)
         system.publish(T1)
         system.run_until_idle()
-        assert system.parasite_count() == 0
+        assert parasites(system) == 0
 
     def test_supertopic_event_skips_subtopic_subscribers(self):
         system = populate(GossipMulticastSystem(seed=0))
@@ -110,48 +137,42 @@ class TestMulticast:
 
     def test_group_membership_counts(self):
         system = populate(GossipMulticastSystem(seed=0))
-        # Group T2 = subscribers of T2 + T1 + ROOT.
-        assert len(system.group_members(T2)) == sum(SIZES.values())
-        assert len(system.group_members(T1)) == SIZES[ROOT] + SIZES[T1]
-        assert len(system.group_members(ROOT)) == SIZES[ROOT]
+        seats = actor_of(system).seats
+        # Group T2 = subscribers of T2 + T1 + ROOT, in pid order.
+        ((t2, _, _),) = seats[T2]
+        assert list(t2.members) == list(range(sum(SIZES.values())))
+        assert seats[T1][0][0].size == SIZES[ROOT] + SIZES[T1]
+        assert seats[ROOT][0][0].size == SIZES[ROOT]
 
 
 class TestHierarchical:
     def test_cluster_partition(self):
         system = populate(HierarchicalGossipSystem(seed=0, n_clusters=5))
-        clusters = system._clusters
-        assert len(clusters) == 5
-        total = sum(len(members) for members in clusters.values())
-        assert total == sum(SIZES.values())
-        sizes = {len(members) for members in clusters.values()}
-        assert max(sizes) - min(sizes) <= 1  # balanced
+        cluster_of = actor_of(system).cluster_of
+        assert len(cluster_of) == sum(SIZES.values())
+        sizes = Counter(cluster_of)
+        assert len(sizes) == 5 and None not in sizes
+        assert max(sizes.values()) - min(sizes.values()) <= 1  # balanced
 
-    @pytest.mark.parametrize("redraw", [False, True])
-    def test_two_tables_per_process(self, redraw):
+    def test_two_tables_per_process(self):
         system = populate(HierarchicalGossipSystem(seed=0, n_clusters=5))
-        if redraw:  # most processes change cluster; the old table goes
-            system.finalize_membership()
+        cluster_of = actor_of(system).cluster_of
         for process in system.processes:
             assert process.table_count == 2
-            assert CLUSTERS_ROOT in process.groups
+            assert row_of(system, process.pid, cluster_of[process.pid])
+            assert row_of(system, process.pid, CLUSTERS_ROOT)
 
     def test_cross_cluster_table_excludes_own_cluster(self):
         system = populate(HierarchicalGossipSystem(seed=0, n_clusters=5))
-        cluster_of = {
-            p.pid: key for key, members in system._clusters.items() for p in members
-        }
+        cluster_of = actor_of(system).cluster_of
         for process in system.processes:
-            cross = process.groups[CLUSTERS_ROOT]
-            row = cross.tables.row_pids(cross.row)
+            row = row_of(system, process.pid, CLUSTERS_ROOT)
             assert len(row) == system.params.table_capacity(5)
             for pid in row:
-                assert cluster_of[pid] != process.cluster
+                assert cluster_of[pid] != cluster_of[process.pid]
 
-    @pytest.mark.parametrize("redraw", [False, True])
-    def test_one_cluster_keeps_an_empty_cross_table(self, redraw):
+    def test_one_cluster_keeps_an_empty_cross_table(self):
         system = populate(HierarchicalGossipSystem(seed=2, n_clusters=1))
-        if redraw:
-            system.finalize_membership()
         for process in system.processes:
             # the in-cluster table, (b+1)·ln(85) = 17.8 -> 18 entries, and
             # an empty cross table
@@ -174,7 +195,7 @@ class TestHierarchical:
         system = populate(HierarchicalGossipSystem(seed=1, n_clusters=5))
         system.publish(T1)
         system.run_until_idle()
-        assert system.parasite_count() == SIZES[T2]
+        assert parasites(system) == SIZES[T2]
 
     def test_inter_cluster_messages_tracked(self):
         system = populate(HierarchicalGossipSystem(seed=1, n_clusters=5))
@@ -183,7 +204,7 @@ class TestHierarchical:
         inter = sum(system.stats.inter_group_sent.values())
         assert inter >= 1
         # each cross-cluster batch is addressed to its targets' cluster
-        clusters = set(system._clusters)
+        clusters = set(actor_of(system).cluster_of)
         for source, destination in system.stats.inter_group_sent:
             assert source in clusters and destination in clusters
             assert source != destination
@@ -192,7 +213,7 @@ class TestHierarchical:
         system = HierarchicalGossipSystem(seed=0, n_clusters=50)
         system.add_group(T2, 10)
         with pytest.raises(ConfigError):
-            system.finalize_membership()
+            system.finalize_static_membership()
 
     def test_invalid_cluster_count(self):
         with pytest.raises(ConfigError):
@@ -207,7 +228,7 @@ class TestFairSubstrate:
         )
         for topic, count in SIZES.items():
             system.add_group(topic, count)
-        system.finalize_membership()
+        system.finalize_static_membership()
         alive_t2 = [
             p
             for p in system.group(T2)
@@ -247,14 +268,6 @@ class TestSizeLaws:
     def test_out_of_range_constants_rejected(self, system_class, bad, match):
         with pytest.raises(ConfigError, match=match):
             system_class(**bad)
-
-    def test_cross_fanout_takes_c2(self):
-        system = HierarchicalGossipSystem(n_clusters=4, c=5.0, c2=1.0)
-        assert system.params.fanout(4) == 7
-        assert system.cross_params.fanout(4) == 3
-        assert system.cross_params.table_capacity(4) == system.params.table_capacity(4)
-        with pytest.raises(ConfigError, match="c must be >= 0"):
-            HierarchicalGossipSystem(c2=-1.0)
 
 
 class TestOnePublish:

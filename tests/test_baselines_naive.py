@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import NaivePublisherSystem
 from repro.errors import ConfigError
+from repro.metrics.delivery import parasite_deliveries
 from repro.topics import ROOT, Topic
 from repro.workloads import PaperScenario
 
@@ -15,8 +16,20 @@ SIZES = {ROOT: 4, T1: 12, T2: 40}
 def populate(system):
     for topic, count in SIZES.items():
         system.add_group(topic, count)
-    system.finalize_membership()
+    system.finalize_static_membership()
     return system
+
+
+def tables_of(system, pid):
+    """group → ``pid``'s row in it, for every group whose tables seat
+    ``pid``, in the actor's group order."""
+    actor = system._actors[system.processes[0].topic]
+    return {
+        group: tables.row_pids(rows[pid])
+        for group, pairs in actor.seats.items()
+        for tables, _, rows in pairs
+        if pid in rows
+    }
 
 
 class TestStructure:
@@ -30,19 +43,22 @@ class TestStructure:
     def test_publisher_groups_in_publish_order(self):
         # own group, then each populated supergroup walking up: the order
         # the publisher injects in, whatever order the groups were drawn
-        system = populate(NaivePublisherSystem(seed=0))
-        for process in system.group(T2):
-            assert list(process.groups) == [T2, T1, ROOT]
-        for process in system.group(T1):
-            assert list(process.groups) == [T1, ROOT]
+        system = populate(NaivePublisherSystem(seed=0, p_success=1.0))
+        publisher = system.group(T2)[0]
+        assert set(tables_of(system, publisher.pid)) == {T2, T1, ROOT}
+        assert system._entry_groups(publisher.pid, T2) == [T2, T1, ROOT]
+        assert system._entry_groups(system.group(T1)[0].pid, T1) == [T1, ROOT]
+        system.publish(T2, publisher=publisher)
+        system.run_until_idle()
+        for group in (T2, T1, ROOT):
+            assert system.stats.events_sent_in_group(group) > 0
 
     def test_groups_hold_direct_subscribers_only(self):
         system = populate(NaivePublisherSystem(seed=0))
         # A root subscriber never appears in a T2 subscriber's T2 table.
         root_pids = {p.pid for p in system.group(ROOT)}
         for process in system.group(T2):
-            state = process.groups[T2]
-            row = state.tables.row_pids(state.row)
+            row = tables_of(system, process.pid)[T2]
             assert row and process.pid not in row
             assert root_pids.isdisjoint(row)
 
@@ -50,10 +66,9 @@ class TestStructure:
         system = NaivePublisherSystem(seed=0)
         system.add_group(ROOT, 3)
         system.add_group(T2, 10)  # T1 unpopulated
-        system.finalize_membership()
+        system.finalize_static_membership()
         process = system.group(T2)[0]
-        assert T1 not in process.groups
-        assert ROOT in process.groups
+        assert set(tables_of(system, process.pid)) == {T2, ROOT}
 
 
 class TestDissemination:
@@ -61,7 +76,9 @@ class TestDissemination:
         system = populate(NaivePublisherSystem(seed=1))
         event = system.publish(T2)
         system.run_until_idle()
-        interested = {p.pid for p in system.interested_in(T2)}
+        interested = {
+            pid for pid, topic in system.interests().items() if topic.includes(T2)
+        }
         receivers = set(system.tracker.receivers(event.event_id))
         assert receivers == interested
 
@@ -70,7 +87,7 @@ class TestDissemination:
         system.publish(T2)
         system.publish(T1)
         system.run_until_idle()
-        assert system.parasite_count() == 0
+        assert parasite_deliveries(system.tracker, system.interests()) == 0
 
     def test_publisher_carries_all_levels(self):
         system = populate(NaivePublisherSystem(seed=2, p_success=1.0))
@@ -114,9 +131,9 @@ class TestDissemination:
         )
         for topic, size in zip(scenario.topics(), scenario.sizes):
             system.add_group(topic, size)
-        system.finalize_membership()
+        system.finalize_static_membership()
         publisher = system.group(scenario.topics()[-1])[0]
-        system.publish(publisher.interest, publisher=publisher)
+        system.publish(publisher.topic, publisher=publisher)
         system.run_until_idle()
         assert system.stats.events_sent_by_sender[publisher.pid] >= ours + 5
 

@@ -19,8 +19,9 @@ from hypothesis import given, settings
 
 from repro.baselines import GossipBroadcastSystem
 from repro.core import DaMulticastSystem
-from repro.core.process import ColumnarGroupActor, StaticMember
+from repro.core.process import ColumnarGroupActor
 from repro.failures import sample_stillborn
+from repro.runtime import StaticMember
 from repro.sim.rng import derive_seed
 from repro.topics import ROOT, Topic
 from repro.workloads.presets import load_preset
@@ -206,21 +207,25 @@ def test_baseline_processes_follow_the_same_convention():
     try:
         system.add_group(".t1", 5)
         system.add_group(".t1.t2", 40)
-        system.finalize_membership()
+        system.finalize_static_membership()
         system.network.failure_model = sample_stillborn(
             [process.pid for process in system.processes], 0.5, random.Random(3),
             protected=[system.group(".t1.t2")[0].pid],
         )
         assert _process_streams(system) == []
-        system.publish(".t1.t2", publisher=system.group(".t1.t2")[0])
+        event = system.publish(".t1.t2", publisher=system.group(".t1.t2")[0])
         system.run_until_idle()
+        # every receiver forwards once, the publisher included
         acted = {
-            f"baseline-process/{process.pid}"
-            for process in system.processes
-            if process.seen
+            f"baseline-process/{pid}" for pid in system.tracker.receivers(event.event_id)
         }
         assert 1 < len(acted) < 45
         assert set(_process_streams(system)) == acted
+        # the actor's stream rows hold exactly those streams
+        rows = system._actors[event.topic].streams
+        assert {
+            f"baseline-process/{pid}" for pid, rng in enumerate(rows) if rng is not None
+        } == acted
     finally:
         system.close()
 

@@ -66,6 +66,26 @@ class TestPubSubApi:
         assert set(sub_conf) == conf_pids
         assert set(sub_dsn) == dsn_pids
 
+    def test_a_drained_publish_leaves_no_dedup_state(self):
+        async def scenario():
+            runtime = build_runtime()
+            calls = []
+            runtime.subscribe(".conf", lambda e, pid: calls.append(pid))
+            async with runtime:
+                for n in range(20):
+                    await runtime.publish((".conf", ".conf.dsn")[n % 2], n)
+            return runtime, calls
+
+        runtime, calls = run_live(scenario())
+        system = runtime.system
+        for topic in system.topics():
+            assert system.group_actor(topic)._seen == {}
+        # every event still reached its whole audience: the 5 .conf
+        # members deliver all 20
+        assert len(calls) == 20 * 5
+        assert runtime.status()["queue"]["pending"] == 0
+        assert replay_live_trace(runtime.trace())["matches"]
+
     def test_publish_to_empty_topic_raises(self):
         async def scenario():
             runtime = build_runtime()

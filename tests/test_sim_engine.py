@@ -386,14 +386,6 @@ class TestPeriodicTask:
         engine.run(until=100.0)
         assert len(ticks) == 3
 
-    def test_max_firings(self):
-        engine = Engine()
-        ticks = []
-        engine.every(1.0, lambda: ticks.append(1), max_firings=4)
-        engine.run(until=100.0)
-        assert len(ticks) == 4
-        assert engine.pending == 0
-
     def test_invalid_interval(self):
         with pytest.raises(SchedulingError):
             Engine().every(0.0, lambda: None)
