@@ -21,6 +21,7 @@ import math
 import random
 import time
 
+from repro.core.process import ProcessBlock
 from repro.core.system import DaMulticastSystem
 from repro.metrics.report import Table
 from repro.net import Network
@@ -46,8 +47,10 @@ def _net_layer_rate(size: int, batched: bool) -> tuple[float, int]:
     """Events/sec of STEPS fan-outs over a lossy channel, and the count."""
     engine = Engine()
     network = Network(engine, random.Random(0), p_success=0.85)
-    for pid in range(size):
-        network.register(Sink(pid))
+    # per-pid sinks join as one block, the way dynamic processes do
+    network.register_block(
+        ProcessBlock({pid: Sink(pid) for pid in range(size)}), 0, size
+    )
     fanout = math.ceil(math.log10(size) + 5)
     picker = random.Random(1)
     fanouts = [

@@ -13,6 +13,9 @@ together the protocol pieces for ``pl ∈ Π_Ti``:
 * and the underlying flat membership ([10]) with supertopic-table
   piggybacking (§V-A.2).
 
+A network holds blocks only, so a dynamic system's processes (one
+contiguous pid range) are one :class:`ProcessBlock` that grows per join.
+
 **Static** — the §VII simulator, whose tables are drawn once at t=0 and
 never change. A group is one contiguous pid block run by one
 :class:`ColumnarGroupActor`, registered on the network as a block actor:
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.bootstrap import FindSuperContact, handle_req_contact
 from repro.core.dissemination import disseminate, elect_links
@@ -395,6 +398,21 @@ class DaMulticastProcess:
         return len(self.topic_table()) + len(self.super_table)
 
 
+class ProcessBlock:
+    """A dynamic system's processes as one block actor: ``processes`` maps
+    every pid of the block to its process (the system's registry, emptied
+    by its close), and a batch reaches each target's ``handle_message`` in
+    target order, as one delivery per pid would."""
+
+    __slots__ = ("processes",)
+
+    def __init__(self, processes: Mapping[int, Any]):
+        self.processes = processes
+
+    def handle_batch(self, sender: int, targets, message: Message) -> None:
+        processes = self.processes
+        for pid in targets:
+            processes[pid].handle_message(message)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,10 @@ Two modes mirror the paper's two settings:
   is its table draw and one
   :class:`~repro.core.process.ColumnarGroupActor` per group.
 * ``mode="dynamic"`` — the full protocol: joins go through the bootstrap
-  overlay, FIND_SUPER_CONTACT floods, tables shuffle and self-repair.
+  overlay, FIND_SUPER_CONTACT floods, tables shuffle and self-repair. The
+  processes are one :class:`~repro.core.process.ProcessBlock` on the
+  network, grown per join; a join whose pid does not extend it is a
+  :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.core.process import (
     DaMulticastProcess,
     DeliveryCallback,
     GroupSizeCell,
+    ProcessBlock,
 )
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
@@ -90,6 +94,8 @@ class DaMulticastSystem(ObjectSystemFacade):
         #: last (b+1)·log S capacity pushed to a group's dynamic views
         self._group_capacities: dict[Topic, int] = {}
         self._delivery_callback = delivery_callback
+        #: the dynamic processes' one block actor, over ``_processes``
+        self._block = ProcessBlock(self._processes) if mode == "dynamic" else None
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -120,6 +126,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         harness = self.harness
         rngs = harness.rngs
         network = harness.network
+        processes = self._processes
         group = self._groups.setdefault(topic, [])
         cell = self._group_size_cells.get(topic)
         if cell is None:
@@ -128,6 +135,17 @@ class DaMulticastSystem(ObjectSystemFacade):
         created = []
         for _ in range(count):
             pid = harness.next_pid()
+            start = next(iter(processes), pid)
+            if pid != start + len(processes):
+                raise ConfigError(
+                    f"process {pid} does not extend this system's pid block "
+                    f"[{start}, {start + len(processes)}): another system on "
+                    "its harness took the pids between"
+                )
+            if processes:
+                network.extend_block(self._block, pid + 1)
+            else:
+                network.register_block(self._block, pid, pid + 1)
             process = DaMulticastProcess(
                 pid,
                 topic,
@@ -140,9 +158,8 @@ class DaMulticastSystem(ObjectSystemFacade):
                 tracker=harness.tracker,
                 delivery_callback=self._delivery_callback,
             )
-            network.register(process)
             group.append(process)
-            self._processes[pid] = process
+            processes[pid] = process
             cell.value = len(group)
             process.bind_group_size(cell)
             process.bind_expected_receivers(expected_receivers)

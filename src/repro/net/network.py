@@ -36,15 +36,14 @@ alone sends to ``log(S)+c`` topic-table members plus up to ``z`` supergroup
 contacts — so :meth:`Network.multicast` runs the six stages once per
 fan-out, staged so that what is the same for every target is decided once:
 
-* **validation by span** — on a network of block actors, a fan-out must
-  lie in one block: when its smallest and largest target fall in one
-  registered ``[start, stop)``, every pid between them is registered and
-  owned by that actor, so the fan-out validates with two comparisons.
-  Otherwise it names its first unregistered pid
-  (:class:`~repro.errors.UnknownActor`) or, every pid being registered,
-  spans two blocks (:class:`~repro.errors.NetworkError`) — raised before
-  any statistic is recorded, as is an unknown pid on a network of
-  per-pid actors;
+* **validation by span** — a fan-out must lie in one block: when its
+  smallest and largest target fall in one registered ``[start, stop)``,
+  every pid between them is registered and owned by that actor, so the
+  fan-out validates with two comparisons. Otherwise it names its first
+  unregistered pid (:class:`~repro.errors.UnknownActor`) or, every pid
+  being registered, spans two blocks
+  (:class:`~repro.errors.NetworkError`) — raised before any statistic is
+  recorded;
 * **bulk statistics** — ``record_sent_many`` / ``record_dropped_many`` /
   ``record_delivered_many``, once per outcome class instead of once per
   destination (and, for the fan-outs issued inside a clean wave, once per
@@ -89,10 +88,9 @@ fan-out, staged so that what is the same for every target is decided once:
   loop of sends. A class of one — every target, under a continuous
   latency model — is not dressed as a batch: it is delivered by the same
   ``_deliver`` a :meth:`Network.send` schedules;
-* **one call per batch** — on a network of block actors, the live
-  targets of a batch lie in the one block the fan-out was validated
-  against, so their delivery is a single ``handle_batch`` call; per-pid
-  actors get ``handle_message`` in target order.
+* **one call per batch** — the live targets of a batch lie in the one
+  block the fan-out was validated against, so their delivery is a single
+  ``handle_batch`` call.
 
 Waves (the clean channel's transport entries)
 ---------------------------------------------
@@ -122,7 +120,7 @@ entry, ``count`` = its survivors, at the channel's single
 ``latency.delay``; its delivery walks the sub-batches in order, doing per
 sub-batch what the general channel's ``_deliver_batch`` does per entry
 (the ``static_dead`` filter, the bulk statistics, the one
-``handle_batch`` or the ``handle_message`` calls). A fan-out issued
+``handle_batch`` call). A fan-out issued
 outside any delivery — a publish — is a wave of one, counted at the
 call. Any other dispatch the network makes while a wave is being
 collected (a :meth:`Network.send`, a general-channel fan-out) first sends
@@ -156,22 +154,17 @@ per-fan-out order again.
 
 Ordering caveat (documented, not observable by well-behaved actors):
 batched deliveries evaluate target liveness at the shared delivery
-timestamp — identical outcomes unless an actor's
-``handle_message`` changes ground-truth liveness of a co-delivered target
-at that same instant, which no in-repo model does.
+timestamp — identical outcomes unless delivering to one target changes
+ground-truth liveness of a co-delivered target at that same instant,
+which no in-repo model does.
 
-Actors are any objects with a ``pid`` attribute and a
-``handle_message(message)`` method. At columnar scale one Python object
-per process is itself the memory wall, so :meth:`Network.register_block`
-registers a single *block actor* for a contiguous pid range ``[start,
-stop)``; it receives whole delivery batches through
-``handle_batch(sender, targets, message)`` instead of one
-``handle_message`` call per pid. Every static system — static
-daMulticast (one block per group) and the four baselines (one block over
-every pid) — registers blocks; per-pid actors (:meth:`Network.register`)
-are dynamic daMulticast's processes only. A network holds one kind or the
-other, never both: registering the other kind is a
-:class:`~repro.errors.ConfigError`.
+A network holds blocks only: :meth:`Network.register_block` registers a
+*block actor* for a contiguous pid range ``[start, stop)``, which
+receives whole delivery batches through ``handle_batch(sender, targets,
+message)``. A static system registers one per group (daMulticast) or one
+over every pid (the baselines); dynamic daMulticast is one
+:class:`~repro.core.process.ProcessBlock` that grows per join
+(:meth:`Network.extend_block`).
 """
 
 from __future__ import annotations
@@ -227,24 +220,9 @@ class _Wave(list):
 
 
 @runtime_checkable
-class Actor(Protocol):
-    """Anything that can be registered on the network."""
-
-    pid: int
-
-    def handle_message(self, message: Message) -> None:
-        """Process one delivered message."""
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
 class BlockActor(Protocol):
-    """One actor standing in for a contiguous pid range.
-
-    Static daMulticast registers a single object per *group* rather than
-    one per process; the network hands it delivery batches with the
-    resolved target pids so the actor can index straight into its arrays.
-    """
+    """One actor standing in for a contiguous pid range, handed delivery
+    batches with the resolved target pids."""
 
     def handle_batch(
         self, sender: int, targets: "tuple[int, ...]", message: Message
@@ -302,7 +280,6 @@ class Network:
         self.failure_model = failure_model or AlwaysAlive()
         self.install_faults(faults, fault_rng)  # also resolves the channel
         self.stats = NetworkStats()
-        self._actors: dict[int, Actor] = {}
         #: block actors: sorted, non-overlapping (start, stop, actor) ranges
         self._blocks: list[tuple[int, int, BlockActor]] = []
         self._block_starts: list[int] = []
@@ -437,31 +414,36 @@ class Network:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, actor: Actor) -> None:
-        """Attach an actor; its ``pid`` must be unique on this network,
-        which must hold no block actor."""
-        if self._blocks:
-            raise ConfigError(
-                f"process {actor.pid}: this network holds block actors, and "
-                "per-pid actors and blocks do not mix"
-            )
-        pid = actor.pid
-        if pid in self._actors:
-            raise ConfigError(f"process id {pid} is already registered")
-        self._actors[pid] = actor
-
     def register_block(self, actor: BlockActor, start: int, stop: int) -> None:
         """Attach one block actor covering the pid range ``[start, stop)``.
 
-        The range must be non-empty, must not overlap another block, and
-        the network must hold no per-pid actor. Deliveries to any pid in
-        the range reach ``actor.handle_batch(sender, targets, message)``.
+        The range must be non-empty and must not overlap another block.
+        Deliveries to any pid in the range reach
+        ``actor.handle_batch(sender, targets, message)``.
         """
-        if self._actors:
-            raise ConfigError(
-                f"pid block [{start}, {stop}): this network holds per-pid "
-                "actors, and per-pid actors and blocks do not mix"
-            )
+        self._require_free(start, stop)
+        block = (start, stop, actor)
+        self._blocks.append(block)
+        self._blocks.sort(key=lambda block: block[0])
+        self._block_starts = [block[0] for block in self._blocks]
+        # the next send or fan-out most likely targets this block
+        self._block_cache = block
+
+    def extend_block(self, actor: BlockActor, stop: int) -> None:
+        """Grow ``actor``'s block to end at ``stop`` (a dynamic system's
+        grows per join): the pids added must overlap no other block."""
+        for index, (start, old_stop, owner) in enumerate(self._blocks):
+            if owner is actor:
+                break
+        else:
+            raise ConfigError(f"{actor!r} is not a registered block actor")
+        self._require_free(old_stop, stop)
+        block = self._blocks[index] = (start, stop, actor)
+        self._block_cache = block
+
+    def _require_free(self, start: int, stop: int) -> None:
+        """Raise :class:`ConfigError` unless ``[start, stop)`` is non-empty
+        and overlaps no registered block."""
         if stop <= start:
             raise ConfigError(f"empty pid block [{start}, {stop})")
         for b_start, b_stop, _ in self._blocks:
@@ -469,33 +451,23 @@ class Network:
                 raise ConfigError(
                     f"pid block [{start}, {stop}) overlaps [{b_start}, {b_stop})"
                 )
-        self._blocks.append((start, stop, actor))
-        self._blocks.sort(key=lambda block: block[0])
-        self._block_starts = [block[0] for block in self._blocks]
-        self._block_cache = None
 
     def close(self) -> None:
-        """Forget every registered actor and block (idempotent).
+        """Forget every registered block (idempotent).
 
         Actors point at their network, so the registry is what ties a
         finished simulation into one reference cycle; without it the
         actors are freed as soon as their owner lets go of them.
         Statistics stay readable.
         """
-        self._actors.clear()
         self._blocks.clear()
         self._block_starts.clear()
         self._block_cache = None
 
     def _block_for(self, pid: int) -> BlockActor | None:
-        """The block actor owning ``pid``, or None."""
-        cached = self._block_cache
-        if cached is not None and cached[0] <= pid < cached[1]:
-            return cached[2]
-        starts = self._block_starts
-        if not starts:
-            return None
-        index = bisect_right(starts, pid) - 1
+        """The block actor owning ``pid``, or None; its block becomes the
+        cache."""
+        index = bisect_right(self._block_starts, pid) - 1
         if index >= 0:
             block = self._blocks[index]
             if pid < block[1]:
@@ -525,10 +497,7 @@ class Network:
     def _require_registered(self, targets: Sequence[int]) -> None:
         """Raise :class:`UnknownActor` unless every target is registered,
         and :class:`NetworkError` for a fan-out that spans two blocks."""
-        if self._blocks:
-            if self._span_block(targets) is not None:
-                return
-        elif all(map(self._actors.__contains__, targets)):
+        if self._span_block(targets) is not None:
             return
         for target in targets:  # name the first unknown pid
             if target not in self:
@@ -539,12 +508,14 @@ class Network:
         )
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self._actors or self._block_for(pid) is not None
+        # the block last resolved answers without the frame of _block_for
+        block = self._block_cache
+        if block is not None and block[0] <= pid < block[1]:
+            return True
+        return self._block_for(pid) is not None
 
     def __len__(self) -> int:
-        return len(self._actors) + sum(
-            stop - start for start, stop, _ in self._blocks
-        )
+        return sum(stop - start for start, stop, _ in self._blocks)
 
     # ------------------------------------------------------------------
     # Liveness (convenience passthroughs used by protocols & metrics)
@@ -826,15 +797,10 @@ class Network:
             self.stats.record_dropped(message, DROP_DEAD_TARGET)
             return
         self.stats.record_delivered(message)
-        # a network of blocks answers from the block last resolved, without
-        # the frame of _block_for; per-pid actors leave the cache empty
+        # the block last resolved answers without the frame of _block_for
         block = self._block_cache
         if block is not None and block[0] <= target < block[1]:
             block[2].handle_batch(sender, (target,), message)
-            return
-        actor = self._actors.get(target)
-        if actor is not None:
-            actor.handle_message(message)
         else:
             self._block_for(target).handle_batch(sender, (target,), message)
 
@@ -869,15 +835,9 @@ class Network:
                     message, DROP_DEAD_TARGET, len(targets) - len(alive)
                 )
         stats.record_delivered_many(message, len(alive))
-        if not alive:
-            return
-        if self._blocks:
+        if alive:
             # the fan-out was validated to lie in one block
             self._block_for(alive[0]).handle_batch(sender, tuple(alive), message)
-        else:
-            actors = self._actors
-            for target in alive:
-                actors[target].handle_message(message)
 
     def _dispatch_wave(self, wave: _Wave) -> None:
         """Send ``wave`` as one transport entry at the clean channel's
@@ -918,7 +878,6 @@ class Network:
                     self._deliver_batch(*sub_batch)
                 return
             stats = self.stats
-            actors = self._actors
             for sender, targets, message in wave:
                 done += 1
                 if self._static_dead is not static_dead:
@@ -936,16 +895,13 @@ class Network:
                 stats.record_delivered_many(message, len(alive))
                 if not alive:
                     continue
-                # a fan-out into blocks was validated to lie in one block,
-                # so its first live target names it
+                # a fan-out was validated to lie in one block, so its first
+                # live target names it
                 block = self._block_cache
                 if block is not None and block[0] <= alive[0] < block[1]:
                     block[2].handle_batch(sender, alive, message)
-                elif self._blocks:
-                    self._block_for(alive[0]).handle_batch(sender, alive, message)
                 else:
-                    for target in alive:
-                        actors[target].handle_message(message)
+                    self._block_for(alive[0]).handle_batch(sender, alive, message)
         except BaseException:
             # The rest goes back at this wave's own place, ahead of the
             # fan-outs collected so far: the per-fan-out order.

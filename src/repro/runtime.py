@@ -122,10 +122,10 @@ class SimulationHarness:
     def reserve_pid_block(self, count: int) -> range:
         """Allocate ``count`` consecutive process ids, returned as a range.
 
-        A static daMulticast group is one contiguous pid block, so its
-        block actor indexes members by arithmetic; reservation goes through
-        the same counter as :meth:`next_pid`, so block and per-process
-        allocation can be mixed without collisions.
+        A static group is one contiguous pid block, so its block actor
+        indexes members by arithmetic; reservation goes through the same
+        counter as :meth:`next_pid`, so no two systems on one harness
+        share a pid (a dynamic one refuses a join past another's pids).
         """
         if count < 1:
             raise ConfigError(f"count must be >= 1, got {count}")

@@ -8,7 +8,9 @@ KEEP_TABLE_UPDATED repair loop, and dissemination on live tables.
 import pytest
 
 from repro.core import DaMulticastConfig, DaMulticastSystem, TopicParams
+from repro.errors import ConfigError
 from repro.failures import ChurnSchedule
+from repro.runtime import SimulationHarness
 from repro.topics import ROOT, Topic
 
 T1 = Topic.parse(".t1")
@@ -176,3 +178,28 @@ class TestLateJoin:
         system.run(until=60.0)
         assert newcomer.super_table.target_topic == T2
         assert len(newcomer.super_table) >= 1
+
+
+class TestOneGrowingBlock:
+    """A dynamic system's processes are one pid block that grows per join."""
+
+    def test_the_network_holds_one_block_over_every_process(self):
+        system = build_dynamic_system(sizes=(2, 3, 4))
+        network = system.network
+        assert len(network) == 9
+        assert network._blocks == [(0, 9, system._block)]
+        late = system.add_process(T2)
+        assert late.pid == 9 and len(network) == 10 and 9 in network
+
+    def test_a_join_that_does_not_extend_the_block_is_refused(self):
+        """Another system on the shared harness took the pid between."""
+        harness = SimulationHarness(seed=0)
+        first = DaMulticastSystem(harness=harness)
+        second = DaMulticastSystem(harness=harness)
+        first.add_process(T1)  # pid 0
+        second.add_process(T1)  # pid 1
+        with pytest.raises(
+            ConfigError, match=r"process 2 does not extend .* block \[0, 1\)"
+        ):
+            first.add_process(T1)
+        assert len(first.processes) == 1 and len(second.processes) == 1

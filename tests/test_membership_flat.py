@@ -12,6 +12,8 @@ from repro.failures import ChurnSchedule
 from repro.sim import Engine
 from repro.topics import Topic
 
+from net_actors import register_actors
+
 GROUP = Topic.parse(".group")
 
 
@@ -42,8 +44,8 @@ def build_group(n, *, seed=0, capacity=8, failure_model=None):
     members = []
     for pid in range(n):
         actor = MemberActor(pid, engine, network, random.Random(seed * 1000 + pid), config)
-        network.register(actor)
         members.append(actor)
+    register_actors(network, members)
     return engine, network, members
 
 
@@ -179,8 +181,7 @@ class TestPiggybacking:
 
         a = PiggyActor(0, random.Random(1))
         b = PiggyActor(1, random.Random(2))
-        network.register(a)
-        network.register(b)
+        register_actors(network, [a, b])
         a.membership.start()
         b.membership.start(a.descriptor)
         engine.run(until=10.0)

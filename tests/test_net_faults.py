@@ -30,6 +30,8 @@ from repro.net.stats import (
 )
 from repro.sim import Engine
 
+from net_actors import register_actors
+
 
 class Recorder:
     def __init__(self, pid: int):
@@ -56,8 +58,7 @@ def make_net(faults=None, fault_rng=None, **kwargs):
         engine, random.Random(0), faults=faults, fault_rng=fault_rng, **kwargs
     )
     actors = [Recorder(i) for i in range(6)]
-    for actor in actors:
-        net.register(actor)
+    register_actors(net, actors)
     return engine, net, actors
 
 

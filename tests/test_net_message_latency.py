@@ -15,6 +15,8 @@ from repro.net import (
 from repro.net.message import EventMessage, Scope
 from repro.topics import Topic
 
+from net_actors import register_actors
+
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
 
@@ -162,8 +164,7 @@ class TestLinkClassLatency:
         if classifier is not None:
             network.bind_link_classifier(classifier)
         sinks = [Sink(i) for i in range(3)]
-        for sink in sinks:
-            network.register(sink)
+        register_actors(network, sinks)
         ping = Ping(sender=0, nonce=1)
         network.send(0, 1, ping)
         network.send(0, 2, ping)

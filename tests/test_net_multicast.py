@@ -36,6 +36,8 @@ from repro.net.message import EventMessage, Message, Ping, Scope
 from repro.sim import Engine
 from repro.topics.topic import Topic
 
+from net_actors import register_actors
+
 N_ACTORS = 8
 
 
@@ -69,8 +71,7 @@ def make_net(n=N_ACTORS, actor_cls=Recorder, **kwargs):
     engine = Engine()
     net = Network(engine, random.Random(0), **kwargs)
     actors = [actor_cls(i) for i in range(n)]
-    for actor in actors:
-        net.register(actor)
+    register_actors(net, actors)
     return engine, net, actors
 
 
@@ -164,8 +165,7 @@ class TestMulticastBasics:
             random.Random(0),
             failure_model=StillbornFailures({2}),
         )
-        for pid in range(4):
-            net.register(Recorder(pid))
+        register_actors(net, [Recorder(pid) for pid in range(4)])
         net.multicast(0, [1, 2, 3], Ping(sender=0, nonce=1))
         engine.run()
         assert net.stats.total_sent == 3
@@ -238,9 +238,9 @@ class TestBlockActors:
             net.register_block(BlockRecorder(), 40, 40)
         assert len(net) == 10
         actors = Network(Engine(), random.Random(0))
-        actors.register(Recorder(11))
-        with pytest.raises(ConfigError, match="already registered"):
-            actors.register(Recorder(11))
+        register_actors(actors, [Recorder(11)])
+        with pytest.raises(ConfigError, match="overlaps"):
+            register_actors(actors, [Recorder(11)])
         assert len(actors) == 1
 
     def test_unknown_pid_outside_blocks_still_raises(self):
@@ -250,33 +250,43 @@ class TestBlockActors:
             net.multicast(10, [10, 40], Ping(sender=10, nonce=1))
 
 
-class TestOneActorKind:
-    """A network holds per-pid actors or blocks, never both."""
+class TestExtendBlock:
+    """A block grows in place (a dynamic system's, one pid per join)."""
 
-    def test_register_refuses_a_network_of_blocks(self):
-        net = Network(Engine(), random.Random(0))
-        net.register_block(BlockRecorder(), 10, 13)
-        # outside the block too: the kind is refused, not the pid
-        for pid in (11, 40):
-            with pytest.raises(ConfigError, match="do not mix"):
-                net.register(Recorder(pid))
-        assert len(net) == 3 and 40 not in net
-
-    def test_register_block_refuses_a_network_of_actors(self):
-        net = Network(Engine(), random.Random(0))
-        net.register(Recorder(0))
-        for start, stop in ((0, 3), (10, 13)):
-            with pytest.raises(ConfigError, match="do not mix"):
-                net.register_block(BlockRecorder(), start, stop)
-        assert len(net) == 1 and 10 not in net
-
-    def test_a_closed_network_takes_either_kind(self):
-        net = Network(Engine(), random.Random(0))
-        net.register(Recorder(0))
-        net.close()
+    def test_extended_block_takes_the_new_pids_in_one_batch(self):
+        engine = Engine()
+        net = Network(engine, random.Random(0))
         block = BlockRecorder()
-        net.register_block(block, 10, 13)
-        assert net._block_for(11) is block
+        net.register_block(block, 10, 12)
+        net.extend_block(block, 14)
+        assert 13 in net and 14 not in net and len(net) == 4
+        assert net._block_cache == (10, 14, block)
+        net.multicast(0, [10, 13, 11], Ping(sender=0, nonce=1))
+        engine.run()
+        assert [targets for _, targets, _ in block.batches] == [(10, 13, 11)]
+
+    def test_extension_refuses_an_overlap(self):
+        net = Network(Engine(), random.Random(0))
+        grown, next_block = BlockRecorder(), BlockRecorder()
+        net.register_block(grown, 10, 12)
+        net.register_block(next_block, 14, 16)
+        with pytest.raises(ConfigError, match=r"\[12, 15\) overlaps \[14, 16\)"):
+            net.extend_block(grown, 15)
+        with pytest.raises(ConfigError, match="empty"):
+            net.extend_block(grown, 12)
+        with pytest.raises(ConfigError, match="not a registered block"):
+            net.extend_block(BlockRecorder(), 20)
+        assert len(net) == 4 and 12 not in net
+        assert net._block_for(11) is grown and net._block_for(14) is next_block
+
+    def test_a_closed_network_forgets_every_block(self):
+        net = Network(Engine(), random.Random(0))
+        register_actors(net, [Recorder(0), Recorder(1)])
+        net.close()
+        assert len(net) == 0 and 0 not in net
+        block = BlockRecorder()
+        net.register_block(block, 0, 3)
+        assert net._block_for(1) is block
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +366,7 @@ def test_multicast_same_seed_equivalent_to_send_loop(
             partition_model=partition_model,
         )
         actors = [Recorder(i) for i in range(N_ACTORS)]
-        for actor in actors:
-            net.register(actor)
+        register_actors(net, actors)
         for nonce, targets in enumerate(fanouts):
             message = Ping(sender=0, nonce=nonce)
             if batched:
@@ -404,8 +413,7 @@ def test_equivalence_holds_through_nested_forwarding(events, seed, p_success):
             actor_cls(pid, net, fan_to=[(pid + 1) % 4, (pid + 2) % 4])
             for pid in range(4)
         ]
-        for actor in actors:
-            net.register(actor)
+        register_actors(net, actors)
         if events:
             topic = Topic.parse(".t")
             event = Event(EventId(0, 1), topic, None, 0.0)
@@ -732,10 +740,11 @@ class TestLinkClassifierConsultation:
 # A failure model that declares ``static_dead`` (repro.failures.model) is
 # answered by set membership: the sender once per fan-out, the targets in
 # one comprehension at delivery. The pids above, registered either as
-# blocks or as one per-pid actor each, random dead sets — a dead *sender*
-# and an all-dead fan-out included — on the clean channel and, under a
-# partition model that connects every pair (``StaticPartition([])``: one
-# implicit island, no draws, not ``FullyConnected``), on the general one.
+# blocks or as per-pid actors (one ProcessBlock per range), random dead
+# sets — a dead *sender* and an all-dead fan-out included — on the clean
+# channel and, under a partition model that connects every pair
+# (``StaticPartition([])``: one implicit island, no draws, not
+# ``FullyConnected``), on the general one.
 
 
 class OrderedRecorder(Recorder):
@@ -779,8 +788,10 @@ def _run_stillborn(
             net.register_block(block, start, stop)
     else:
         recorders = [OrderedRecorder(pid, order) for pid in REGISTERED]
-        for actor in recorders:
-            net.register(actor)
+        for start, stop in BLOCK_RANGES:
+            register_actors(
+                net, [actor for actor in recorders if start <= actor.pid < stop]
+            )
     for nonce, (sender, targets) in enumerate(fanouts):
         message = Ping(sender=sender, nonce=nonce)
         if batched:

@@ -15,6 +15,8 @@ from repro.net.stats import NetworkStats
 from repro.net.message import Message, Ping
 from repro.sim import Engine
 
+from net_actors import register_actors
+
 PACKAGE = str(pathlib.Path(repro.__file__).resolve().parent)
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>"}
 
@@ -34,8 +36,7 @@ def make_net(**kwargs):
     engine = Engine()
     net = Network(engine, random.Random(0), **kwargs)
     actors = [Recorder(i) for i in range(4)]
-    for actor in actors:
-        net.register(actor)
+    register_actors(net, actors)
     return engine, net, actors
 
 
@@ -48,8 +49,8 @@ class TestRegistration:
 
     def test_duplicate_pid_rejected(self):
         _, net, _ = make_net()
-        with pytest.raises(ConfigError):
-            net.register(Recorder(0))
+        with pytest.raises(ConfigError, match="overlaps"):
+            register_actors(net, [Recorder(0)])
 
     def test_send_to_unknown_raises(self):
         _, net, _ = make_net()

@@ -39,6 +39,8 @@ from repro.runtime import SimulationHarness
 from repro.sim.clock import Handle
 from repro.sim.engine import Engine, EventHandle
 
+from net_actors import register_actors
+
 
 class Recorder:
     def __init__(self, pid: int):
@@ -515,8 +517,7 @@ class TestDefaultTransport:
         engine = Engine()
         net = Network(engine, random.Random(0))
         assert net._transport is engine
-        net.register(Recorder(0))
-        net.register(Recorder(1))
+        register_actors(net, [Recorder(0), Recorder(1)])
         net.send(0, 1, Ping(sender=0, nonce=1))
         assert engine.pending == 1
 
@@ -626,8 +627,7 @@ def _run_workload(
         transport=transport,
     )
     actors = [Recorder(i) for i in range(6)]
-    for actor in actors:
-        net.register(actor)
+    register_actors(net, actors)
     last = len(sends) - 1
     for index, (kind, sender, targets) in enumerate(sends):
         if kind == "send":

@@ -12,6 +12,8 @@ from repro.net.message import Ping
 from repro.sim import Engine
 from repro.topics import Topic
 
+from net_actors import register_actors
+
 GROUP = Topic.parse(".g")
 
 
@@ -38,8 +40,7 @@ def test_conservation_sent_equals_delivered_plus_dropped(
     engine = Engine()
     network = Network(engine, random.Random(seed), p_success=p_success)
     actors = [Sink(i) for i in range(n)]
-    for actor in actors:
-        network.register(actor)
+    register_actors(network, actors)
     attempted = 0
     for src, dst in sends:
         if src < n and dst < n:
@@ -69,8 +70,7 @@ def test_stillborn_targets_never_receive(fail_share, seed):
         failure_model=StillbornFailures(failed),
     )
     actors = [Sink(i) for i in range(n)]
-    for actor in actors:
-        network.register(actor)
+    register_actors(network, actors)
     alive = [pid for pid in range(n) if pid not in failed]
     if not alive:
         return
@@ -93,8 +93,7 @@ def test_dynamic_failures_never_kill_ground_truth(p_fail, seed):
         failure_model=DynamicFailures(p_fail),
     )
     a, b = Sink(0), Sink(1)
-    network.register(a)
-    network.register(b)
+    register_actors(network, [a, b])
     for _ in range(30):
         network.send(0, 1, Ping(sender=0, nonce=1))
     engine.run()
@@ -143,8 +142,8 @@ def test_flat_membership_invariants_under_loss(n, capacity, seed, p_success):
         actor = MemberActor(
             pid, engine, network, random.Random(seed * 2654435761 % 2**31 + pid), config
         )
-        network.register(actor)
         members.append(actor)
+    register_actors(network, members)
     members[0].membership.start()
     for actor in members[1:]:
         actor.membership.start(members[0].descriptor)
