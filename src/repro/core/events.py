@@ -3,12 +3,12 @@
 Every event carries a globally unique :class:`EventId` so receivers can
 deduplicate (Fig. 5: "if e_Ti not received" — forward/deliver only on first
 receipt). Identity is (publisher pid, publisher-local sequence number),
-which needs no coordination and is stable across retransmissions.
+which needs no coordination and is stable across retransmissions; the
+system facade's ``publish`` mints it, for every system.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, NamedTuple
 
 from repro.records import frozen_record
@@ -46,19 +46,3 @@ class Event:
     def __str__(self) -> str:
         return f"{self.event_id}@{self.topic.name}"
 
-
-class EventFactory:
-    """Mints :class:`Event` instances with per-publisher sequence numbers."""
-
-    def __init__(self, publisher: int):
-        self.publisher = publisher
-        self._sequence = itertools.count(1)
-
-    def create(self, topic: Topic, payload: Any, now: float) -> Event:
-        """Create the next event of this publisher."""
-        return Event(
-            event_id=EventId(self.publisher, next(self._sequence)),
-            topic=topic,
-            payload=payload,
-            published_at=now,
-        )

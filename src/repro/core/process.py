@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.bootstrap import FindSuperContact, handle_req_contact
 from repro.core.dissemination import disseminate, elect_links
-from repro.core.events import Event, EventFactory, EventId
+from repro.core.events import Event, EventId
 from repro.core.maintenance import KeepTableUpdated
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.tables import SuperTopicTable
@@ -88,9 +88,10 @@ DeliveryCallback = Callable[[Any, Event], None]
 class GroupSizeCell:
     """A shared, mutable group-size counter.
 
-    The system facade binds one cell per topic group to every member, so a
-    join updates ``S_Ti`` for the whole group with one increment instead of
-    an O(S) re-notification sweep per member (O(S²) per bootstrap wave).
+    The system facade hands one cell per topic group to every member it
+    builds, so a join updates ``S_Ti`` for the whole group with one
+    increment instead of an O(S) re-notification sweep per member (O(S²)
+    per bootstrap wave).
     """
 
     __slots__ = ("value",)
@@ -109,8 +110,9 @@ class DaMulticastProcess:
 
     ``rngs`` is the run's stream registry; the process draws from its
     ``process/{pid}`` stream only, seeded at construction (it acts at
-    once: its flat membership takes the stream). What only a publisher
-    needs (its event factory) is made by the first :meth:`publish`.
+    once: its flat membership takes the stream). ``group_size`` is its
+    group's :class:`GroupSizeCell`, shared with every member; the system
+    mints and records the events it publishes.
     """
 
     def __init__(
@@ -123,8 +125,9 @@ class DaMulticastProcess:
         network: Network,
         rngs: RngRegistry,
         hierarchy: TopicHierarchy,
-        overlay: BootstrapOverlay | None = None,
-        tracker: DeliveryTracker | None = None,
+        overlay: BootstrapOverlay,
+        tracker: DeliveryTracker,
+        group_size: GroupSizeCell,
         delivery_callback: DeliveryCallback | None = None,
     ):
         self.pid = pid
@@ -140,8 +143,7 @@ class DaMulticastProcess:
         self._overlay = overlay
         self._tracker = tracker
         self._delivery_callback = delivery_callback
-        self._group_size_cell: GroupSizeCell | None = None
-        self._expected_provider: Callable[[], int] | None = None
+        self._group_size_cell = group_size
 
         #: the parameters governing this process's topic group (the config
         #: is immutable, so they are resolved once)
@@ -155,8 +157,6 @@ class DaMulticastProcess:
         self._p_sel = 0.0
         self.seen: set[EventId] = set()
         self.subscribed = False
-        #: mints this process's events; made by its first :meth:`publish`
-        self._event_factory: EventFactory | None = None
 
         # The protocol's own tables — a flat membership view and a
         # supertopic table — and both protocol tasks.
@@ -194,36 +194,9 @@ class DaMulticastProcess:
     # ------------------------------------------------------------------
     @property
     def group_size(self) -> int:
-        """Best-known size ``S_Ti`` of this process's group.
-
-        Injected by the system facade (every system binds a size cell);
-        a process no system sized estimates it conservatively from its
-        topic table (self + known members).
-        """
-        if self._group_size_cell is not None:
-            return max(1, self._group_size_cell.value)
-        return len(self.membership.view) + 1
-
-    def bind_group_size(self, cell: GroupSizeCell) -> None:
-        """Share a live group-size counter with this process.
-
-        The facade grows a group without re-notifying every member (the
-        former O(S)-per-join sweep).
-        """
-        self._group_size_cell = cell
-
-    def bind_expected_receivers(self, provider: Callable[[], int]) -> None:
-        """Share a live intended-receiver counter with this process.
-
-        ``provider()`` is consulted at publish time to record how many
-        processes the protocol would deliver the event to over a perfect
-        network — by inclusion (§III-B), subscribers of this topic *and*
-        of every supertopic. The facade binds it from global knowledge;
-        unbound processes fall back to :attr:`group_size` (their own
-        group only). Feeds the graceful-degradation denominators in
-        :mod:`repro.metrics.degradation`.
-        """
-        self._expected_provider = provider
+        """Best-known size ``S_Ti`` of this process's group, read off the
+        group's shared cell."""
+        return max(1, self._group_size_cell.value)
 
     def topic_table(self) -> PartialView:
         """The topic table ``Table_Ti``: the flat membership's view."""
@@ -231,7 +204,7 @@ class DaMulticastProcess:
 
     def neighborhood(self) -> list[ProcessDescriptor]:
         """The weakly-consistent global contacts (``neighborhood(pl)``)."""
-        if self._overlay is None or self.pid not in self._overlay:
+        if self.pid not in self._overlay:
             return []
         return self._overlay.neighborhood(self.pid)
 
@@ -256,26 +229,15 @@ class DaMulticastProcess:
     # ------------------------------------------------------------------
     # Publishing (Fig. 7 lines 1-2)
     # ------------------------------------------------------------------
-    def publish(self, payload: Any = None) -> Event:
-        """Publish an event on this process's topic and disseminate it."""
+    def publish(self, event: Event) -> None:
+        """Deliver ``event``, which the system minted and recorded for this
+        process, and disseminate it."""
         self.subscribe()  # Fig. 7 line 2: DISSEMINATE starts with SUBSCRIBE
-        factory = self._event_factory
-        if factory is None:
-            factory = self._event_factory = EventFactory(self.pid)
-        event = factory.create(self.topic, payload, self.engine.now)
-        if self._tracker is not None:
-            expected = (
-                self._expected_provider()
-                if self._expected_provider is not None
-                else self.group_size
-            )
-            self._tracker.record_publish(event, self.pid, expected=expected)
         self.seen.add(event.event_id)
         self._deliver(event, hops=0)
         # §IV-C: "p1 sends its events to at least one process from its
         # super topic table" — the publisher always acts as a link
         disseminate(self, event, force_link=True)
-        return event
 
     # ------------------------------------------------------------------
     # Message handling
@@ -358,10 +320,7 @@ class DaMulticastProcess:
                 f"parasite delivery: process {self.pid} (topic "
                 f"{self.topic.name}) got event of {event.topic.name}"
             )
-        if self._tracker is not None:
-            self._tracker.record_delivery(
-                self.pid, event, self.engine.now, hops=hops
-            )
+        self._tracker.record_delivery(self.pid, event, self.engine.now, hops=hops)
         if self._delivery_callback is not None:
             self._delivery_callback(self, event)
 

@@ -17,21 +17,23 @@ Two modes mirror the paper's two settings:
   change; no background tasks run, so a publication runs to quiescence.
   It is the one static build of :class:`~repro.runtime.ObjectSystemFacade`
   (pid-block :class:`~repro.runtime.StaticMember` records, membership and
-  links fixed by the finalize, one publish path); what daMulticast adds
-  is its table draw and one
-  :class:`~repro.core.process.ColumnarGroupActor` per group.
+  links fixed by the finalize); what daMulticast adds is its table draw
+  and one :class:`~repro.core.process.ColumnarGroupActor` per group.
 * ``mode="dynamic"`` — the full protocol: joins go through the bootstrap
   overlay, FIND_SUPER_CONTACT floods, tables shuffle and self-repair. The
   processes are one :class:`~repro.core.process.ProcessBlock` on the
   network, grown per join; a join whose pid does not extend it is a
   :class:`~repro.errors.ConfigError`.
+
+Both modes publish through the facade's one ``publish``: it elects or
+checks the publisher, mints the event id and records the publication,
+and Fig. 7 at the publisher runs in the group's block actor (static) or
+in the process itself (dynamic).
 """
 
 from __future__ import annotations
 
-import functools
 import random
-from typing import Any
 
 from repro.core.events import Event
 from repro.core.params import DaMulticastConfig
@@ -75,6 +77,9 @@ class DaMulticastSystem(ObjectSystemFacade):
         #: Fig. 4's bootstrap climbs dotted parents only, so only the
         #: static build draws §VIII's table per linked supertopic
         self._honours_links = mode == "static"
+        #: the dynamic protocol never finalizes: its members publish
+        #: from their join on
+        self._finalize_before_publish = mode == "static"
         # A pre-built harness (e.g. the live runtime's wall-clock one) is
         # adopted as-is; the seed/p_success/latency/... knobs then belong
         # to whoever built it.
@@ -112,9 +117,8 @@ class DaMulticastSystem(ObjectSystemFacade):
         background tasks start.
 
         What every member of a group shares — the group list, the size
-        cell, the expected-receiver provider, the harness parts — is
-        resolved here, once per call; the loop body is what one member
-        costs.
+        cell, the harness parts — is resolved here, once per call; the
+        loop body is what one member costs.
         """
         if self.mode == "static":
             if not subscribe:
@@ -131,7 +135,6 @@ class DaMulticastSystem(ObjectSystemFacade):
         cell = self._group_size_cells.get(topic)
         if cell is None:
             cell = self._group_size_cells[topic] = GroupSizeCell()
-        expected_receivers = functools.partial(self._expected_receivers, topic)
         created = []
         for _ in range(count):
             pid = harness.next_pid()
@@ -156,13 +159,12 @@ class DaMulticastSystem(ObjectSystemFacade):
                 hierarchy=self.hierarchy,
                 overlay=self.overlay,
                 tracker=harness.tracker,
+                group_size=cell,
                 delivery_callback=self._delivery_callback,
             )
             group.append(process)
             processes[pid] = process
             cell.value = len(group)
-            process.bind_group_size(cell)
-            process.bind_expected_receivers(expected_receivers)
             self._sync_membership_capacity(topic, group, cell.value, process)
             assert self.overlay is not None
             self.overlay.add_process(process.descriptor, rngs.stream("overlay"))
@@ -270,25 +272,12 @@ class DaMulticastSystem(ObjectSystemFacade):
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
-    def publish(
-        self,
-        topic: Topic | str,
-        payload: Any = None,
-        *,
-        publisher: Any = None,
-    ) -> Event:
-        """Publish an event on ``topic``: the static build's publish path
-        in static mode; in dynamic mode ``publisher`` (default: an elected
-        alive member of the group, checked as in static mode) publishes
-        on its own, once the overlay has had time to converge."""
-        if self.mode == "static":
-            return super().publish(topic, payload, publisher=publisher)
-        self.harness.require_open()
-        resolved = Topic.parse(topic) if isinstance(topic, str) else topic
-        return self._publisher(resolved, publisher).publish(payload)
-
     def _inject(self, pid: int, event: Event) -> None:
-        """Fig. 7 at the publisher, run by its group's block actor."""
+        """Fig. 7 at the publisher: run by the process itself in dynamic
+        mode, by its group's block actor in static mode."""
+        if self.mode == "dynamic":
+            self._processes[pid].publish(event)
+            return
         actor = self._actors[event.topic]
         actor.publish_from(pid - actor.base, event)
 

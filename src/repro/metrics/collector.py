@@ -42,10 +42,10 @@ class DeliveryTracker:
         supergroup's by inclusion; for flooding baselines, everyone). It
         is the denominator the graceful-degradation queries
         (:mod:`repro.metrics.degradation`) normalize delivered counts by,
-        so a fault-free run scores 1.0 by construction. All in-repo
-        publish paths supply it; trackers fed by external actors may
-        leave it None, in which case the event is excluded from ratio
-        denominators.
+        so a fault-free run scores 1.0 by construction. The one in-repo
+        publish path (:meth:`repro.runtime.ObjectSystemFacade.publish`)
+        supplies it; trackers fed by external actors may leave it None,
+        in which case the event is excluded from ratio denominators.
         """
         self._published[event.event_id] = event
         if expected is not None:

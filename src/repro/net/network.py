@@ -286,11 +286,6 @@ class Network:
         #: last resolved block — fan-outs target one group, so this hits
         self._block_cache: tuple[int, int, BlockActor] | None = None
 
-    @property
-    def clock(self) -> Clock:
-        """The time source timestamps are read from."""
-        return self._clock
-
     # ------------------------------------------------------------------
     # Failures and partitions (what a model declares is read once per
     # model, not per send)

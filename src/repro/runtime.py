@@ -10,13 +10,13 @@ and, here, the same network and failure substrate too).
 
 What a system *is besides its protocol* lives here as well, once:
 :class:`ObjectSystemFacade` under every system class — harness
-passthroughs, the topic → member registry, its queries and ``close()`` —
-and the one static build every static system shares: pid-block member
-records (:class:`StaticMember`), the finalize that lays the block actors
-out and fixes the membership, and the publish path (publisher election,
-event ids, the expected-receiver count). daMulticast and the four
-baselines differ only in the tables they draw and the actors that flood
-over them.
+passthroughs, the topic → member registry, its queries, ``close()`` and
+the one publish path (publisher election, event ids, the
+expected-receiver count) — and the one static build every static system
+shares: pid-block member records (:class:`StaticMember`) and the
+finalize that lays the block actors out and fixes the membership.
+daMulticast and the four baselines differ only in the tables they draw
+and the actors that flood over them.
 
 The harness is time-source-agnostic: by default it builds a discrete-event
 :class:`~repro.sim.engine.Engine` (the virtual-time oracle every golden
@@ -203,8 +203,8 @@ class ObjectSystemFacade:
     one static build.
 
     The registry — topic → group list, pid → member — every query answered
-    from it, and ``close()``, which lets go of it. The static build's rules
-    live here once:
+    from it, ``close()``, which lets go of it, and the one publish path.
+    The static build's rules live here once:
 
     * **members** are :class:`StaticMember` records over pid blocks: a
       group is one contiguous block, so consecutive ``add_process`` /
@@ -214,21 +214,25 @@ class ObjectSystemFacade:
       table once, from the ``"static-membership"`` stream, and registers
       the block actors through the subclass's ``_lay_out(rng)``. It is the
       last change: an add, a link or a second finalize afterwards is a
-      :class:`ConfigError`, and so is a finalize with no member;
-    * **publish** elects an alive member of the topic's group (or checks
-      that a given publisher is this system's member of it), mints the
-      event id ``(pid, n)`` for the publisher's ``n``-th event, records the
-      publication with :meth:`_expected_receivers` and hands the event to
-      the subclass's ``_inject(pid, event)``.
+      :class:`ConfigError`, and so is a finalize with no member; a
+      publish before it is one too.
 
-    The dynamic daMulticast protocol keeps its own members, joins and
-    publish (``DaMulticastSystem(mode="dynamic")``) and never finalizes.
-    :meth:`link` is refused unless the subclass's build honours §VIII's
-    extra supertopics.
+    **Publish**, for every system, elects an alive member of the topic's
+    group (or checks that a given publisher is this system's member of
+    it), mints the event id ``(pid, n)`` for the publisher's ``n``-th
+    event, records the publication with :meth:`_expected_receivers` and
+    hands the event to the subclass's ``_inject(pid, event)``.
+
+    The dynamic daMulticast protocol (``DaMulticastSystem(mode="dynamic")``)
+    keeps its own members and joins, never finalizes, and publishes
+    through the same path. :meth:`link` is refused unless the subclass's
+    build honours §VIII's extra supertopics.
     """
 
     #: whether the build draws a table per linked supertopic (§VIII)
     _honours_links = False
+    #: whether :meth:`publish` waits for :meth:`finalize_static_membership`
+    _finalize_before_publish = True
 
     def __init__(self, harness: SimulationHarness):
         self.harness = harness
@@ -412,7 +416,7 @@ class ObjectSystemFacade:
         :class:`~repro.errors.UnknownTopic`.
         """
         self.harness.require_open()
-        if not self._finalized:
+        if self._finalize_before_publish and not self._finalized:
             raise ConfigError(
                 "call finalize_static_membership() before publishing: the "
                 "membership tables are not drawn yet"
@@ -438,12 +442,9 @@ class ObjectSystemFacade:
         """``publisher``, once checked to be this system's member of
         ``topic``'s group; else a uniformly chosen alive member."""
         if publisher is None:
-            alive = self._alive_members(topic)
-            if not alive:
-                raise UnknownTopic(
-                    f"no alive process interested in {topic.name} to publish from"
-                )
-            return self.harness.rngs.stream("publish").choice(alive)
+            return self.harness.rngs.stream("publish").choice(
+                self.alive_members(topic)
+            )
         if self._processes.get(publisher.pid) is not publisher:
             raise ConfigError(
                 f"process {publisher.pid} is not a member of this system"
@@ -455,10 +456,12 @@ class ObjectSystemFacade:
             )
         return publisher
 
-    def _alive_members(self, topic: Topic) -> list:
-        """``topic``'s members alive now: computed per publish unless the
-        membership is fixed and the installed failure model declares a
-        fixed dead set."""
+    def alive_members(self, topic: Topic) -> list:
+        """``topic``'s members alive now, in group order, which a publisher
+        is elected from: computed per publish unless the membership is
+        fixed and the installed failure model declares a fixed dead set.
+        A group with no alive member is :class:`~repro.errors.UnknownTopic`.
+        """
         model = self.network.failure_model
         cached = self._alive_cache.get(topic)
         if cached is not None and cached[0] is model:
@@ -468,6 +471,10 @@ class ObjectSystemFacade:
             member for member in self._groups.get(topic, ())
             if is_alive(member.pid)
         ]
+        if not alive:
+            raise UnknownTopic(
+                f"no alive process interested in {topic.name} to publish from"
+            )
         if self._finalized and getattr(model, "static_dead", None) is not None:
             self._alive_cache[topic] = (model, alive)
         return alive

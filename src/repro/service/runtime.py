@@ -36,7 +36,7 @@ from typing import Any, Callable
 from repro.core.params import DaMulticastConfig
 from repro.core.events import Event, EventId
 from repro.core.system import DaMulticastSystem
-from repro.errors import ConfigError, UnknownTopic
+from repro.errors import ConfigError
 from repro.metrics.streaming import StreamingDeliveryTracker
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.transport import QueueTransport
@@ -168,16 +168,7 @@ class LiveRuntime:
         if self._pump_task is None:
             raise ConfigError("LiveRuntime.publish requires start() first")
         resolved = Topic.parse(topic)
-        members = self.system.group(resolved)
-        network = self.harness.network
-        is_alive = network.failure_model.is_alive
-        now = network.clock.now
-        alive = [p for p in members if is_alive(p.pid, now)]
-        if not alive:
-            raise UnknownTopic(
-                f"no alive process interested in {resolved.name} to publish from"
-            )
-        publisher = self._publish_rng.choice(alive)
+        publisher = self._publish_rng.choice(self.system.alive_members(resolved))
         event = self.system.publish(resolved, payload, publisher=publisher)
         self._publishes.append(
             {

@@ -124,12 +124,6 @@ class TestSubscriptionLifecycle:
         process = system.group(T2)[0]
         assert process.group_size == 6
 
-    def test_group_size_estimated_without_a_cell(self):
-        system = tiny_system(mode="dynamic")
-        process = system.group(T2)[0]
-        process._group_size_cell = None
-        assert process.group_size == len(process.membership.view) + 1
-
 
 class TestPiggybackMerge:
     def test_super_sample_adopted(self):

@@ -117,8 +117,9 @@ class TestDynamicDissemination:
         system = build_dynamic_system()
         process = system.add_process(T2, subscribe=False)
         assert not process.subscribed
-        process.publish("late")
+        event = system.publish(T2, "late", publisher=process)
         assert process.subscribed
+        assert event.event_id.publisher == process.pid
 
 
 class TestMaintenance:

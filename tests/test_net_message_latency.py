@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from repro.core.events import Event, EventFactory, EventId
+from repro.baselines import GossipMulticastSystem
+from repro.core.events import Event, EventId
+from repro.core.system import DaMulticastSystem
 from repro.errors import ConfigError
 from repro.net import (
     ConstantLatency,
@@ -13,7 +15,7 @@ from repro.net import (
     ZERO_LATENCY,
 )
 from repro.net.message import EventMessage, Scope
-from repro.topics import Topic
+from repro.topics import ROOT, Topic
 
 from net_actors import register_actors
 
@@ -54,21 +56,45 @@ class TestEventMessage:
             message.hops = 5  # type: ignore[misc]
 
 
-class TestEventFactory:
-    def test_sequences_increase(self):
-        factory = EventFactory(7)
-        first = factory.create(T2, None, 0.0)
-        second = factory.create(T2, None, 1.0)
-        assert first.event_id.sequence < second.event_id.sequence
-        assert first.event_id.publisher == 7
+#: one system per publish caller: both daMulticast modes and a baseline
+SYSTEMS = {
+    "static": lambda: DaMulticastSystem(seed=0, mode="static"),
+    "dynamic": lambda: DaMulticastSystem(seed=0, mode="dynamic"),
+    "baseline": lambda: GossipMulticastSystem(seed=0),
+}
 
-    def test_event_ids_unique_across_factories(self):
-        a = EventFactory(1).create(T2, None, 0.0)
-        b = EventFactory(2).create(T2, None, 0.0)
-        assert a.event_id != b.event_id
+
+class TestPublishMintsEvents:
+    """Every system publishes through the facade's one ``publish``."""
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_nth_publish_is_pid_n_at_now_with_inclusion_count(self, kind):
+        system = SYSTEMS[kind]()
+        system.add_group(ROOT, 3)
+        system.add_group(T1, 4)
+        system.add_group(T2, 5)
+        if kind == "dynamic":
+            system.run(until=5.0)  # let membership converge
+        else:
+            system.finalize_static_membership()
+        publisher = system.group(T2)[1]
+        for n, until in enumerate((None, 9.0), start=1):
+            if until is not None:
+                system.run(until=until)
+            now = system.now
+            event = system.publish(T2, n, publisher=publisher)
+            assert event.event_id == EventId(publisher.pid, n)
+            assert event.published_at == now
+            # T2's group and both supergroups include a T2 event
+            assert system.tracker.expected(event.event_id) == 3 + 4 + 5
+        assert now == 9.0
+        other = system.group(T1)[0]
+        event = system.publish(T1, publisher=other)
+        assert event.event_id == EventId(other.pid, 1)
+        assert system.tracker.expected(event.event_id) == 3 + 4
 
     def test_str_forms(self):
-        event = EventFactory(3).create(T2, None, 0.0)
+        event = Event(EventId(3, 1), T2, None, 0.0)
         assert str(event.event_id) == "e3.1"
         assert ".t1.t2" in str(event)
 
