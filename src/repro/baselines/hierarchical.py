@@ -21,7 +21,6 @@ parasite deliveries remain maximal.
 from __future__ import annotations
 
 import random
-from array import array
 from itertools import groupby
 from typing import Any
 
@@ -130,7 +129,7 @@ class HierarchicalGossipSystem(BaselineSystem):
                 tables = builder.tables(CLUSTERS_ROOT, members)
             else:  # one cluster: an empty cross table, nothing to send
                 tables = ColumnarGroupTables(
-                    CLUSTERS_ROOT, members, cross_capacity, 0, array("l")
+                    CLUSTERS_ROOT, members, cross_capacity, 0, []
                 )
             cross.append((tables, cross_fanout))
         return seats

@@ -17,13 +17,17 @@ RECEIVE (Fig. 5): on the *first* reception of an event, deliver it to the
 application and disseminate it; later copies are ignored.
 
 The functions here are pure protocol logic over the narrow, pid-level
-:class:`DisseminationPeer` contract, so the same code drives the static
-(paper-simulation) and dynamic (full-protocol) hosts. Pid-level
-all the way down: both kinds of host draw their gossip targets through one
-sampler (:func:`repro.membership.sampling.sample_from`) that hands back
-pids — off a :class:`~repro.membership.view.PartialView`'s pid list or off
-a pid column — and resolve ``fanout(S)``, ``p_sel(S)`` and ``p_a`` once per
-group size, so a forwarder pays for its draws and its fan-out, not for
+:class:`DisseminationPeer` contract, which the dynamic (full-protocol)
+:class:`~repro.core.process.DaMulticastProcess` implements over its
+descriptor tables. A static (paper-simulation) group runs the same figure
+as one call inside its block actor, over pid columns
+(:meth:`~repro.core.process.ColumnarGroupActor._forward`); the two bodies
+make the same draws in the same order (tests/test_fig7_draw_order.py).
+Both draw their gossip targets through one sampler
+(:func:`repro.membership.sampling.sample_from`) that hands back pids — off
+a :class:`~repro.membership.view.PartialView`'s pid list or off a pid
+column — and resolve ``fanout(S)``, ``p_sel(S)`` and ``p_a`` once per group
+size, so a forwarder pays for its draws and its fan-out, not for
 descriptors or logarithms.
 """
 
@@ -41,21 +45,14 @@ from repro.topics.topic import Topic
 class DisseminationPeer(Protocol):
     """What DISSEMINATE needs from the process running it: pids.
 
-    The host owns its tables (descriptor views, or pid columns with one
-    super block per direct supertopic) and its RNG stream, and makes
-    Fig. 7's two selections itself; :func:`disseminate` only ever sees the
-    chosen pids, builds one message per scope and multicasts it. A host
-    over descriptor tables (a dynamic process) makes the selections with
-    :func:`elect_links` and :meth:`PartialView.sample_pids
-    <repro.membership.view.PartialView.sample_pids>`, a host over pid
-    columns (a static group's block-actor peer) with
-    :meth:`ColumnarGroupTables.link_targets
-    <repro.membership.columnar.ColumnarGroupTables.link_targets>` and
-    :meth:`ColumnarGroupTables.sample_row
-    <repro.membership.columnar.ColumnarGroupTables.sample_row>` — the same
-    draws under both; a host must draw in Fig. 7's order — link election
-    and ``p_a`` draws first, gossip sample second — so that every host
-    consumes its stream identically.
+    The host owns its descriptor tables and its RNG stream, and makes
+    Fig. 7's two selections itself — with :func:`elect_links` and
+    :meth:`PartialView.sample_pids
+    <repro.membership.view.PartialView.sample_pids>`; :func:`disseminate`
+    only ever sees the chosen pids, builds one message per scope and
+    multicasts it. A host must draw in Fig. 7's order — link election and
+    ``p_a`` draws first, gossip sample second — the order a static group's
+    block actor draws in over its pid columns.
     """
 
     pid: int

@@ -61,8 +61,9 @@ class TopicParams:
             raise ConfigError(
                 f"fanout_log_base must be > 1, got {self.fanout_log_base}"
             )
-        # pids are array('l') entries, so no group reaches 2**63 members:
-        # a table capacity finite there is finite for every group
+        # a group is a pid range, whose len() is capped at sys.maxsize, so
+        # no group reaches 2**63 members: a table capacity finite there is
+        # finite for every group
         if not math.isfinite((self.b + 1) * math.log(2**63, self.fanout_log_base)):
             raise ConfigError(
                 f"b = {self.b} makes the table capacity (b+1)·log(S) overflow"

@@ -25,10 +25,12 @@ never change. A group is one contiguous pid block run by one
   is a row of them;
 * Fig. 5's first-reception dedup is one ``bytearray(S)`` per in-flight
   event instead of a set per process;
-* Fig. 7 runs through one flyweight peer per group, rebound to the acting
-  member before each ``disseminate`` call (the same code as the dynamic
-  process, over the pid-level
-  :class:`~repro.core.dissemination.DisseminationPeer` contract);
+* Fig. 7 runs inside the actor, one call per first receipt
+  (:meth:`ColumnarGroupActor._forward`) over the member's rows, with
+  ``fanout(S)``, ``p_sel(S)``, ``p_a``, both scopes and the network's
+  ``multicast`` resolved once per group. Its draws are the ones
+  :func:`~repro.core.dissemination.disseminate` makes for a dynamic
+  process over tables holding the same rows, in the same order;
 * each member draws its selections from its row of a stream list the
   system fills: empty rows are seeded with the member's ``process/{pid}``
   stream on its first action (a member that never acts never pays for a
@@ -377,53 +379,9 @@ class ProcessBlock:
 # ----------------------------------------------------------------------
 # The §VII simulator: one block actor per group
 # ----------------------------------------------------------------------
-class _MemberPeer:
-    """The flyweight :class:`DisseminationPeer`: one instance per group,
-    rebound to the acting member (its index, pid and stream) per
-    dissemination.
-
-    Everything that depends only on the (static) group — ``fanout(S)``,
-    ``p_sel(S)``, ``p_a``, the intra scope — is computed once here, and
-    both selections return ints straight off the pid columns.
-    """
-
-    __slots__ = (
-        "pid", "topic", "intra_scope",
-        "_tables", "_index", "_rng", "_fanout", "_p_sel", "_p_a", "_network",
-    )
-
-    def __init__(
-        self, tables: ColumnarGroupTables, params: TopicParams, network: Network
-    ):
-        self.pid = tables.members[0]
-        self.topic = tables.topic
-        self.intra_scope = Scope("intra", tables.topic)
-        self._tables = tables
-        self._index = 0
-        self._rng: random.Random | None = None
-        self._fanout = params.fanout(tables.size)
-        self._p_sel = params.p_sel(tables.size)
-        self._p_a = params.p_a
-        self._network = network
-
-    def link_targets(
-        self, force_link: bool
-    ) -> tuple[tuple[Topic, list[int]], ...]:
-        return self._tables.link_targets(
-            self._index, self._p_sel, self._p_a, self._rng, force_link
-        )
-
-    def gossip_targets(self) -> list[int]:
-        # The member's own pid is never in its row (exclusion is built
-        # into construction), so there is nothing to filter.
-        return self._tables.sample_row(self._index, self._fanout, self._rng)
-
-    def multicast(self, targets, message: Message) -> None:
-        self._network.multicast(self.pid, targets, message)
-
-
 class ColumnarGroupActor:
-    """One block actor running Fig. 5's RECEIVE for a whole group.
+    """One block actor running Fig. 5's RECEIVE and Fig. 7's DISSEMINATE
+    for a whole group, over its pid columns.
 
     ``streams[i]`` is member ``i``'s selection stream; a row left None is
     seeded with the member's ``process/{pid}`` stream on its first action.
@@ -433,7 +391,8 @@ class ColumnarGroupActor:
 
     __slots__ = (
         "topic", "tables", "hierarchy", "base", "engine", "tracker", "streams",
-        "members", "_rngs", "_callback", "_peer", "_seen",
+        "members", "_rngs", "_callback", "_seen",
+        "_fanout", "_p_sel", "_p_a", "_intra_scope", "_supers", "_multicast",
     )
 
     def __init__(
@@ -450,7 +409,7 @@ class ColumnarGroupActor:
         members: Sequence[StaticMember],
         callback: DeliveryCallback | None = None,
     ):
-        self.topic = tables.topic
+        self.topic = topic = tables.topic
         self.tables = tables
         #: the system's topic graph, whose inclusion decides what the
         #: group may deliver
@@ -463,9 +422,20 @@ class ColumnarGroupActor:
         self.members = members
         self._rngs = rngs
         self._callback = callback
-        self._peer = _MemberPeer(tables, params, network)
         #: event_id -> seen bitmask (1 byte per member, per in-flight event)
         self._seen: dict[EventId, bytearray] = {}
+        # What Fig. 7 reads that depends on the (static) group only,
+        # resolved once: the group's ``fanout(S)``, ``p_sel(S)`` and
+        # ``p_a``, both scopes, and per super block its rows
+        self._fanout = params.fanout(tables.size)
+        self._p_sel = params.p_sel(tables.size)
+        self._p_a = params.p_a
+        self._intra_scope = Scope("intra", topic)
+        self._supers = tuple(
+            (Scope("inter", topic, target), stride, rows)
+            for target, stride, rows in tables.supers
+        )
+        self._multicast = network.multicast
 
     # ------------------------------------------------------------------
     # Network entry point
@@ -493,17 +463,18 @@ class ColumnarGroupActor:
                 )
             mask = self._seen[event.event_id] = bytearray(self.tables.size)
         base = self.base
-        peer = None
+        forward = None
         for pid in targets:
             index = pid - base
             if mask[index]:
                 continue  # Fig. 5: later copies are ignored
             mask[index] = 1
-            if peer is None:
+            if forward is None:
                 # what a first receipt needs is loaded once per batch, and
                 # not at all for a batch of later copies (most of a flood)
-                peer = self._peer
+                forward = self._forward
                 hops = message.hops
+                next_hops = hops + 1
                 now = self.engine.now
                 tracker = self.tracker
                 callback = self._callback
@@ -515,10 +486,45 @@ class ColumnarGroupActor:
             rng = streams[index]
             if rng is None:
                 rng = streams[index] = self._rngs.stream(f"process/{pid}")
-            peer._index = index  # rebinding the peer, without a frame
-            peer.pid = pid
-            peer._rng = rng
-            disseminate(peer, event, arrival_hops=hops)
+            forward(index, pid, rng, event, next_hops, False)
+
+    def _forward(
+        self,
+        index: int,
+        pid: int,
+        rng: random.Random,
+        event: Event,
+        next_hops: int,
+        force_link: bool,
+    ) -> None:
+        """Fig. 7's DISSEMINATE for member ``index`` (pid ``pid``), off its
+        rows, with its stream ``rng``.
+
+        Per super block, the link election (probability ``p_sel``, skipped
+        when ``force_link``) and then one ``p_a`` draw per row entry, in row
+        order (lines 3-7); then up to ``fanout(S)`` distinct topic-row pids
+        (lines 8-14; the member's own pid is never in its row). Each
+        non-empty selection goes out as one multicast of one message
+        carrying ``next_hops``. These are the draws, in the order,
+        :func:`~repro.core.dissemination.disseminate` makes over
+        descriptor tables holding the same rows (tests/test_fig7_draw_order.py).
+        """
+        multicast = self._multicast
+        random_draw = rng.random
+        p_a = self._p_a
+        for scope, stride, rows in self._supers:
+            if force_link or random_draw() < self._p_sel:
+                start = index * stride
+                kept = [
+                    target for target in rows[start : start + stride] if random_draw() < p_a
+                ]
+                if kept:
+                    multicast(pid, kept, EventMessage(pid, event, scope, next_hops))
+        targets = self.tables.sample_row(index, self._fanout, rng)
+        if targets:
+            multicast(
+                pid, targets, EventMessage(pid, event, self._intra_scope, next_hops)
+            )
 
     # ------------------------------------------------------------------
     # Publishing (driven by the system facade)
@@ -540,11 +546,7 @@ class ColumnarGroupActor:
         rng = self.streams[index]
         if rng is None:
             rng = self.streams[index] = self._rngs.stream(f"process/{pid}")
-        peer = self._peer
-        peer._index = index
-        peer.pid = pid
-        peer._rng = rng
-        disseminate(peer, event, force_link=True)
+        self._forward(index, pid, rng, event, 1, True)
 
     # ------------------------------------------------------------------
     # State management

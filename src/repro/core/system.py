@@ -284,26 +284,38 @@ class DaMulticastSystem(ObjectSystemFacade):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _static_actors(self) -> dict[Topic, ColumnarGroupActor]:
+        """The groups' block actors, for the queries only a finalized
+        static build can answer: a dynamic system's processes hold their
+        own tables, and before the finalize no group has an actor."""
+        if self.mode != "static":
+            raise ConfigError(
+                f"mode={self.mode!r} has no static groups: this query needs "
+                "mode='static'"
+            )
+        if not self._finalized:
+            raise ConfigError("finalize_static_membership() first")
+        return self._actors
+
     def group_actor(self, topic: Topic | str) -> ColumnarGroupActor:
         """The block actor running ``topic``'s static group."""
+        actors = self._static_actors()
         resolved = Topic.parse(topic) if isinstance(topic, str) else topic
         try:
-            return self._actors[resolved]
+            return actors[resolved]
         except KeyError:
             raise UnknownTopic(f"no group for topic {resolved.name}") from None
 
     def membership_bytes(self) -> int:
         """Total frozen membership bytes across every group's columns."""
-        return sum(actor.membership_bytes() for actor in self._actors.values())
+        return sum(actor.membership_bytes() for actor in self._static_actors().values())
 
     def construction_digest(self) -> str:
         """SHA-256 over every member's table rows, in pid order
         (:func:`~repro.membership.columnar.rows_digest`), pinned by the
         S=500 golden in tests/test_golden_static.py."""
-        if not self._finalized:
-            raise ConfigError("finalize_static_membership() first")
         return rows_digest(
             (actor.tables, row)
-            for actor in self._actors.values()
+            for actor in self._static_actors().values()
             for row in range(actor.tables.size)
         )

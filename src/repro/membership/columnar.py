@@ -1,11 +1,11 @@
 """Columnar static membership — a group's frozen tables as flat pid columns.
 
 §VII's tables "are initialized at the beginning of the simulation and do
-not change", so neither host keeps them as objects. This module stores a
-whole group's membership in flat ``array('l')`` columns:
+not change", so no static system keeps them as objects. This module stores
+a whole group's membership in flat pid columns, each one Python list:
 
 * **topic rows** — member ``i``'s topic table occupies the fixed-stride
-  slice ``[i·stride, (i+1)·stride)`` of one contiguous pid array, where
+  slice ``[i·stride, (i+1)·stride)`` of one contiguous pid list, where
   ``stride = min(capacity, S-1)``;
 * **super blocks** — one per direct supertopic (:class:`SuperBlock`):
   likewise for the ``sTable`` draws against the nearest populated group
@@ -47,8 +47,9 @@ same RNG end-state. The argument:
 * the draw itself is :func:`~repro.membership.sampling.sample_from` — both
   of ``random.sample``'s branches (pool for small populations, selection
   set with rejection for large ones) written out once over the
-  ``getrandbits`` stream the stdlib consumes, in its positions form for
-  the builders and over a row for :meth:`ColumnarGroupTables.sample_row`.
+  ``getrandbits`` stream the stdlib consumes: in its positions form for a
+  topic row, over the drawn group's pid list for a super or outsider row,
+  and over a row for :meth:`ColumnarGroupTables.sample_row`.
 
 A whole build draws the groups in a fixed order from one stream, each
 member's topic row then one super row per block, in
@@ -60,19 +61,25 @@ both hosts) and tests/test_membership_equivalence.py pin all of it.
 Reading a row in place
 ----------------------
 
-Fig. 7's two selections read a member's row straight off the columns
-(:meth:`ColumnarGroupTables.sample_row`, :meth:`ColumnarGroupTables.
-link_targets`), draw-identical to :meth:`PartialView.sample_pids
-<repro.membership.view.PartialView.sample_pids>` and
-:func:`~repro.core.dissemination.elect_links` over tables holding the same
-row: a view's pid list is its row, in insertion order.
+Fig. 7 reads a member's rows straight off the columns: the group's block
+actor (:meth:`~repro.core.process.ColumnarGroupActor._forward`) makes the
+link election and ``p_a`` draws over its super rows itself, and the gossip
+sample is :meth:`ColumnarGroupTables.sample_row`, draw-identical to
+:meth:`PartialView.sample_pids
+<repro.membership.view.PartialView.sample_pids>` over a view holding the
+same row (a view's pid list is its row, in insertion order).
+
+A row's slots reference the pid ints of the list the builder drew them
+from, so a column costs one pointer, 8 bytes, per slot (what
+:meth:`ColumnarGroupTables.nbytes` counts), and a sampled target is a
+reference, not a freshly made int. Nothing writes to a column after the
+build.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from array import array
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigError
@@ -91,14 +98,14 @@ class SuperBlock(NamedTuple):
 
     target: Topic
     stride: int
-    rows: array
+    rows: list[int]
 
 
 class ColumnarGroupTables:
     """One group's frozen membership tables in flat pid columns.
 
     Built by the builders below (:func:`build_group_tables` owns a
-    group's draw order); afterwards the tables are immutable — exactly the
+    group's draw order); afterwards nothing writes to them — exactly the
     paper's §VII setting ("these tables are initialized at the beginning
     of the simulation and do not change"). ``members`` is the group's pid
     sequence: member ``i`` — pid ``members[i]`` — owns row ``i`` of the
@@ -115,7 +122,7 @@ class ColumnarGroupTables:
         members: Sequence[int],
         capacity: int,
         stride: int,
-        rows: array,
+        rows: list[int],
         supers: tuple[SuperBlock, ...] = (),
     ):
         self.topic = topic
@@ -132,13 +139,13 @@ class ColumnarGroupTables:
     def row_pids(self, index: int) -> list[int]:
         """Member ``index``'s topic-table pids, in insertion order."""
         start = index * self.stride
-        return self.rows[start : start + self.stride].tolist()
+        return self.rows[start : start + self.stride]
 
     def super_rows_of(self, index: int) -> list[tuple[Topic, list[int]]]:
         """Member ``index``'s supertopic tables, one ``(target, pids)`` per
         super block, pids in insertion order."""
         return [
-            (target, rows[index * stride : (index + 1) * stride].tolist())
+            (target, rows[index * stride : (index + 1) * stride])
             for target, stride, rows in self.supers
         ]
 
@@ -163,45 +170,13 @@ class ColumnarGroupTables:
         stride = self.stride
         start = index * stride
         if k >= stride:
-            return self.rows[start : start + stride].tolist()
+            return self.rows[start : start + stride]
         return sample_from(self.rows, start, stride, k, rng)
 
-    def link_targets(
-        self,
-        index: int,
-        p_sel: float,
-        p_a: float,
-        rng: random.Random,
-        force_link: bool,
-    ) -> tuple[tuple[Topic, list[int]], ...]:
-        """Fig. 7 lines 3-7 over member ``index``'s super rows, once per
-        super block: nothing unless the member elects itself a link for
-        that block (probability ``p_sel``, or ``force_link``), then each
-        entry kept with probability ``p_a``. One ``(target, pids)`` pair
-        per block that kept a pid.
-
-        Draw-for-draw identical to :func:`~repro.core.dissemination.
-        elect_links` over one supertopic table per block holding its row:
-        per block, the election draw (skipped when forced), then one
-        ``p_a`` draw per entry, in row order. A block is never empty.
-        """
-        random_draw = rng.random
-        links = ()
-        for target, stride, rows in self.supers:
-            if force_link or random_draw() < p_sel:
-                start = index * stride
-                kept = [
-                    pid for pid in rows[start : start + stride] if random_draw() < p_a
-                ]
-                if kept:
-                    links += ((target, kept),)
-        return links
-
     def nbytes(self) -> int:
-        """Bytes held by the pid columns (the group's membership state)."""
-        return self.rows.itemsize * len(self.rows) + sum(
-            rows.itemsize * len(rows) for _, _, rows in self.supers
-        )
+        """Bytes held by the pid columns (the group's membership state):
+        one 8-byte reference per slot."""
+        return 8 * (len(self.rows) + sum(len(rows) for _, _, rows in self.supers))
 
 
 class ColumnarTableBuilder:
@@ -221,7 +196,8 @@ class ColumnarTableBuilder:
         if capacity < 1:
             raise ConfigError(f"table capacity must be >= 1, got {capacity}")
         #: the pids as a list, the sequence CPython indexes fastest (a
-        #: ``range`` computes each item, an array boxes it)
+        #: ``range`` computes each item); every row slot references one
+        #: of its ints
         self._pids = list(members)
         if len(set(self._pids)) != len(self._pids):
             raise ConfigError("a membership group lists a pid more than once")
@@ -230,7 +206,7 @@ class ColumnarTableBuilder:
         self.stride = min(capacity, n)
         self._n = n
         self._take_all = capacity >= n
-        self.rows = array("l")
+        self.rows: list[int] = []
 
     def draw_row(self, index: int, rng: random.Random) -> None:
         """Append member ``index``'s topic row (consuming exactly the RNG
@@ -242,11 +218,14 @@ class ColumnarTableBuilder:
             rows.extend(pids[:index])
             rows.extend(pids[index + 1 :])
             return
-        append = rows.append
         # Exclusion arithmetic: position r in the member-i-removed list is
         # group index r below i, r+1 at or above it.
-        for r in sample_from(None, 0, self._n, self.capacity, rng):
-            append(pids[r if r < index else r + 1])
+        rows.extend(
+            [
+                pids[r if r < index else r + 1]
+                for r in sample_from(None, 0, self._n, self.capacity, rng)
+            ]
+        )
 
 
 class ColumnarSuperBuilder:
@@ -263,7 +242,7 @@ class ColumnarSuperBuilder:
         self.z = z
         self.stride = min(z, len(super_members))
         self._take_all = z >= len(super_members)
-        self.rows = array("l")
+        self.rows: list[int] = []
 
     def draw_row(self, rng: random.Random) -> None:
         """Append one member's super row (one ``z``-draw)."""
@@ -271,9 +250,8 @@ class ColumnarSuperBuilder:
         if self._take_all:
             self.rows.extend(pids)
             return
-        append = self.rows.append
-        for r in sample_from(None, 0, len(pids), self.z, rng):
-            append(pids[r])
+        # sample_from maps the positions it draws through ``pids``
+        self.rows.extend(sample_from(pids, 0, len(pids), self.z, rng))
 
     def tables(self, topic: Topic, drawers: Sequence[int]) -> ColumnarGroupTables:
         """The rows drawn so far as topic rows of ``drawers`` (row ``i`` is

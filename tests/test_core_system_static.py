@@ -252,3 +252,36 @@ class TestQueries:
         system = DaMulticastSystem(mode="static")
         with pytest.raises(ConfigError):
             system.add_group(T2, 0)
+
+
+class TestStaticOnlyQueries:
+    """``membership_bytes`` and ``group_actor`` read the block actors of a
+    finalized static build; where there is none they refuse, instead of
+    answering 0 bytes or "no group" for a topic that has one."""
+
+    QUERIES = {
+        "membership_bytes": lambda system: system.membership_bytes(),
+        "group_actor": lambda system: system.group_actor(".a"),
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_a_dynamic_system_refuses_naming_its_mode(self, query):
+        system = DaMulticastSystem(mode="dynamic", seed=0)
+        try:
+            system.add_group(".a", 3)
+            system.run(until=5)
+            with pytest.raises(ConfigError, match="mode='dynamic'"):
+                self.QUERIES[query](system)
+        finally:
+            system.close()
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_a_static_system_refuses_before_its_finalize(self, query):
+        system = DaMulticastSystem(mode="static", seed=0)
+        system.add_group(".a", 3)
+        with pytest.raises(
+            ConfigError, match=r"finalize_static_membership\(\) first"
+        ):
+            self.QUERIES[query](system)
+        system.finalize_static_membership()
+        assert self.QUERIES[query](system) is not None

@@ -12,11 +12,16 @@ numbers per facade, both exact:
 
 * **frames per forwarder** — all of them, delivery tracking included,
   divided by the 549 processes that received the event first-hand and
-  forwarded it (every member but the publisher): 11.56 on the columnar
-  system (6 345 frames) and 11.49 on ``DaMulticastSystem`` (6 309; its
+  forwarded it (every member but the publisher): 7.53 on the columnar
+  system (4 135 frames) and 7.47 on ``DaMulticastSystem`` (4 103; its
   members draw from their own streams, so its flood is another flood).
-  The columnar flood read 12.30 (6 752) while a batch of later copies
-  still loaded what a first receipt needs, the clock's ``now`` property
+  Both read 11.56 (6 345) and 11.49 (6 309) while Fig. 7 reached the
+  block actor's pid columns through a flyweight peer rebound per member
+  (``disseminate``, two ``link_targets`` and ``gossip_targets`` frames,
+  the peer's ``multicast`` and a new inter ``Scope`` per hand-off); a
+  first receipt is now one actor call, the sampler and the network's
+  ``multicast``. The columnar flood read 12.30 (6 752) while a batch of
+  later copies still loaded what a first receipt needs, the clock's ``now`` property
   among it, and before that 27.39 when every fan-out was its own transport
   entry, then 18.45 until the parasite check ran once per event and group
   instead of once per batch and link election became one
@@ -28,7 +33,8 @@ numbers per facade, both exact:
   receipt cost one frame; in the block actor's loop it costs none).
   The budget leaves less than one frame per forwarder on either facade,
   so it fails the day someone re-adds one — the last tests plant one
-  under ``gossip_targets`` and one in the block actor's entry;
+  under the gossip draw (``ColumnarGroupTables.sample_row``) and one in
+  the block actor's entry;
 * **transport entries per flood** — the clean channel sends every fan-out
   issued while one entry is delivered as one entry, so a flood costs one
   entry per hop, not one per fan-out: 7 entries for the columnar flood
@@ -62,10 +68,10 @@ FACADES = {
     "columnar": lambda: ColumnarStaticSystem(seed=SEED, tracker="full"),
 }
 
-#: measured 11.56 (columnar, 6 345 frames for 549 forwarders) and 11.49
-#: (object, 6 309); 12.4 has no room for one more frame per forwarder on
-#: either (12.49 and 12.56 would)
-BUDGET_FRAMES_PER_FORWARDER = 12.4
+#: measured 7.53 (columnar, 4 135 frames for 549 forwarders) and 7.47
+#: (object, 4 103); 8.4 has no room for one more frame per forwarder on
+#: either (8.47 and 8.53 would)
+BUDGET_FRAMES_PER_FORWARDER = 8.4
 
 
 def planted(function):

@@ -57,7 +57,7 @@ def descriptors(pids, topic=T) -> list[ProcessDescriptor]:
 
 def row(builder, index: int) -> list[int]:
     start = index * builder.stride
-    return builder.rows[start : start + builder.stride].tolist()
+    return builder.rows[start : start + builder.stride]
 
 
 steps = st.sampled_from([1, 3])

@@ -68,7 +68,7 @@ class TestTopicRows:
         first = build_group_tables(T2, range(30), 5, random.Random(3))
         second = ColumnarTableBuilder(list(range(30)), 5)
         second.draw_row(0, random.Random(3))
-        assert first.row_pids(0) == second.rows.tolist()
+        assert first.row_pids(0) == second.rows
 
 
 class TestSuperRows:
@@ -80,7 +80,7 @@ class TestSuperRows:
     def test_small_supergroup(self):
         builder = ColumnarSuperBuilder([100], 3)
         builder.draw_row(random.Random(0))
-        assert builder.rows.tolist() == [100]
+        assert builder.rows == [100]
 
     def test_outsider_table_reads_its_drawers_rows(self):
         builder = ColumnarSuperBuilder(range(100, 120), 4)
@@ -90,7 +90,7 @@ class TestSuperRows:
         tables = builder.tables(T1, [7, 8, 9])
         assert tables.size == 3
         assert [tables.row_pids(i) for i in range(3)] == [
-            builder.rows[4 * i : 4 * i + 4].tolist() for i in range(3)
+            builder.rows[4 * i : 4 * i + 4] for i in range(3)
         ]
 
     def test_empty_supergroup_rejected(self):
