@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from typing import Mapping, Sequence
 
 from repro.core.events import Event, EventId
 from repro.core.params import TopicParams
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.failures.model import FailureModel
 from repro.membership.columnar import ColumnarGroupTables, build_group_tables
 from repro.net.latency import LatencyModel, ZERO_LATENCY
@@ -58,7 +59,8 @@ class BaselineActor:
     infect-and-die); dedup is one ``bytearray(n)`` per in-flight event,
     and member ``pid`` draws its targets from its
     ``baseline-process/{pid}`` stream, held in ``streams[pid]`` and seeded
-    on its first forward.
+    on its first forward. The actor holds its network weakly (the network
+    holds the actor), so a dropped baseline is freed by reference count.
     """
 
     __slots__ = ("seats", "streams", "_size", "_seen", "_network", "_clock",
@@ -82,7 +84,7 @@ class BaselineActor:
         self._size = size
         #: event_id -> seen bitmask (1 byte per process, per event)
         self._seen: dict[EventId, bytearray] = {}
-        self._network = harness.network
+        self._network = weakref.proxy(harness.network)
         self._clock = harness.clock
         self._tracker = harness.tracker
         self.rngs = harness.rngs
@@ -136,7 +138,13 @@ class BaselineActor:
                 )
             targets = tables.sample_row(row, fanout, rng)
             if targets:
-                self._send(pid, targets, event, group)
+                try:
+                    self._send(pid, targets, event, group)
+                except ReferenceError:
+                    raise ConfigError(
+                        f"baseline actor of {group.name} outlived its system: "
+                        "the network it floods on is gone"
+                    ) from None
             return
 
     def _send(self, pid: int, targets: list[int], event: Event, group: Topic) -> None:

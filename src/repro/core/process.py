@@ -27,14 +27,18 @@ never change. A group is one contiguous pid block run by one
   event instead of a set per process;
 * Fig. 7 runs inside the actor, one call per first receipt
   (:meth:`ColumnarGroupActor._forward`) over the member's rows, with
-  ``fanout(S)``, ``p_sel(S)``, ``p_a``, both scopes and the network's
-  ``multicast`` resolved once per group. Its draws are the ones
+  ``fanout(S)``, ``p_sel(S)``, ``p_a`` and both scopes resolved once per
+  group. Its draws are the ones
   :func:`~repro.core.dissemination.disseminate` makes for a dynamic
   process over tables holding the same rows, in the same order;
 * each member draws its selections from its row of a stream list the
   system fills: empty rows are seeded with the member's ``process/{pid}``
   stream on its first action (a member that never acts never pays for a
-  Mersenne state), or every row holds one ``group/<topic>`` stream.
+  Mersenne state), or every row holds one ``group/<topic>`` stream;
+* the actor holds its network weakly, and a member record (below) its
+  system's actor registry, so nothing in a static build points back at
+  what holds it: a dropped build is freed by reference count, whether or
+  not ``close()`` was called.
 
 What the system hands out for a static member is a
 :class:`~repro.runtime.StaticMember` record: pid, topic, and what its
@@ -44,6 +48,7 @@ tables cost, read off its group's actor.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -53,7 +58,7 @@ from repro.core.events import Event, EventId
 from repro.core.maintenance import KeepTableUpdated
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.tables import SuperTopicTable
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.membership.columnar import ColumnarGroupTables
 from repro.membership.flat import FlatMembership, FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
@@ -392,7 +397,7 @@ class ColumnarGroupActor:
     __slots__ = (
         "topic", "tables", "hierarchy", "base", "engine", "tracker", "streams",
         "members", "_rngs", "_callback", "_seen",
-        "_fanout", "_p_sel", "_p_a", "_intra_scope", "_supers", "_multicast",
+        "_fanout", "_p_sel", "_p_a", "_intra_scope", "_supers", "_network",
     )
 
     def __init__(
@@ -435,7 +440,10 @@ class ColumnarGroupActor:
             (Scope("inter", topic, target), stride, rows)
             for target, stride, rows in tables.supers
         )
-        self._multicast = network.multicast
+        #: held weakly: the network holds its block actors, so a strong
+        #: reference back would leave a dropped system to the cycle
+        #: collector
+        self._network = weakref.proxy(network)
 
     # ------------------------------------------------------------------
     # Network entry point
@@ -509,7 +517,13 @@ class ColumnarGroupActor:
         :func:`~repro.core.dissemination.disseminate` makes over
         descriptor tables holding the same rows (tests/test_fig7_draw_order.py).
         """
-        multicast = self._multicast
+        try:
+            multicast = self._network.multicast
+        except ReferenceError:
+            raise ConfigError(
+                f"static group {self.topic.name} outlived its system: the "
+                "network it floods on is gone"
+            ) from None
         random_draw = rng.random
         p_a = self._p_a
         for scope, stride, rows in self._supers:

@@ -46,11 +46,15 @@ def sample_from(
         bits = (3 * k - 1).bit_length()
         setsize += 1 << (bits + (bits & 1))  # table size for big sets
     if n <= setsize:
-        # Pool branch: a partial shuffle of a copy of the window; each
-        # vacancy is refilled from the pool's tail. ``n.bit_length()`` only
-        # changes when ``n`` drops below ``low``, the power of two it
-        # counts down from (``low`` is 0 for an empty window).
-        pool = list(range(n) if seq is None else seq[start : start + n])
+        # Pool branch: a partial shuffle of a copy of the window (a list's
+        # slice is one already); each vacancy is refilled from the pool's
+        # tail. ``n.bit_length()`` only changes when ``n`` drops below
+        # ``low``, the power of two it counts down from (``low`` is 0 for
+        # an empty window).
+        if type(seq) is list:
+            pool = seq[start : start + n]
+        else:
+            pool = list(range(n) if seq is None else seq[start : start + n])
         nbits = n.bit_length()
         low = 1 << nbits >> 1
         for t in range(k):

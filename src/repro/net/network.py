@@ -450,10 +450,10 @@ class Network:
     def close(self) -> None:
         """Forget every registered block (idempotent).
 
-        Actors point at their network, so the registry is what ties a
-        finished simulation into one reference cycle; without it the
-        actors are freed as soon as their owner lets go of them.
-        Statistics stay readable.
+        The static block actors hold their network weakly, so this
+        registry ties none of them into a reference cycle; a dynamic
+        system's processes hold it strongly, and stay cyclic garbage
+        after a close. Statistics stay readable.
         """
         self._blocks.clear()
         self._block_starts.clear()

@@ -30,6 +30,7 @@ notices the difference.
 from __future__ import annotations
 
 import itertools
+import weakref
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -167,35 +168,51 @@ class SimulationHarness:
         return self.network.is_alive(pid)
 
 
+class ActorRegistry(dict):
+    """A system's topic → block actor registry: a dict its member records
+    can hold weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
 class StaticMember:
     """A member of a static system, as the system hands it out.
 
     Its tables are rows of the columns the finalize draws and its flood
     state is the block actor's that its pid is registered to, so a member
     is its pid and topic, plus a read of what its tables cost.
+
+    ``actors`` is a weak reference to the system's :class:`ActorRegistry`:
+    a block actor holds its members, so a strong one would tie every
+    static build into a cycle. A member read after its system was closed
+    or dropped sees no actor, as before the finalize.
     """
 
     __slots__ = ("pid", "topic", "_actors")
 
-    def __init__(self, pid: int, topic: Topic, actors: Mapping[Topic, Any]):
+    def __init__(self, pid: int, topic: Topic, actors: weakref.ref[ActorRegistry]):
         self.pid = pid
         self.topic = topic
-        #: the system's topic → block actor registry, filled by its finalize
         self._actors = actors
 
     @property
     def memory_footprint(self) -> int:
         """Membership entries across all this member's tables (§VI-C,
         §VI-E.2 measured); 0 before the finalize draws them."""
-        actor = self._actors.get(self.topic)
+        actor = self._actor()
         return 0 if actor is None else actor.memory_footprint(self.pid)
 
     @property
     def table_count(self) -> int:
         """How many membership tables this member holds; 0 before the
         finalize draws them."""
-        actor = self._actors.get(self.topic)
+        actor = self._actor()
         return 0 if actor is None else actor.table_count(self.pid)
+
+    def _actor(self):
+        """The block actor this member's pid is registered to, or None."""
+        actors = self._actors()
+        return None if actors is None else actors.get(self.topic)
 
 
 class ObjectSystemFacade:
@@ -250,7 +267,7 @@ class ObjectSystemFacade:
             self._processes
         )
         #: topic → the block actor the finalize registered its members to
-        self._actors: dict[Topic, Any] = {}
+        self._actors: dict[Topic, Any] = ActorRegistry()
         #: topic → (failure model, its alive members), kept only after the
         #: finalize and for a model that declares ``static_dead``
         self._alive_cache: dict[Topic, tuple[FailureModel, list]] = {}
@@ -322,13 +339,15 @@ class ObjectSystemFacade:
         (idempotent).
 
         Drops the member and actor registries and the network's actors.
-        Those registries are the only thing that ties a static system's
-        members into reference cycles, so after ``close()`` they are
-        freed by reference count as soon as the caller lets go of the
-        system — not whenever the cycle collector next runs. Statistics,
-        tracker, clock and RNG streams stay readable; member queries see
-        an empty system, and adding, finalizing or publishing raises
-        :class:`ConfigError`.
+        Freeing a static system does not wait for it: its actors hold
+        their network and its members their actor registry weakly, so it
+        goes by reference count as soon as the caller lets go of it. A
+        dynamic system is left to the cycle collector either way: its
+        processes hold their network and bound methods of their own, and
+        timers pending at the horizon hold them through the clock.
+        Statistics, tracker, clock and RNG streams stay readable; member
+        queries see an empty system, and adding, finalizing or publishing
+        raises :class:`ConfigError`.
         """
         self._processes.clear()
         self._groups.clear()
@@ -378,7 +397,7 @@ class ObjectSystemFacade:
                 "add all its members before another topic's"
             )
         block = self.harness.reserve_pid_block(count)
-        actors = self._actors
+        actors = weakref.ref(self._actors)
         members = [StaticMember(pid, topic, actors) for pid in block]
         groups.setdefault(topic, []).extend(members)
         self._processes.update(zip(block, members))

@@ -16,6 +16,7 @@ maximum topic depth (the paper's §VI assumes a chain T0..Tt of depth t).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping, Sized
 
 from repro.errors import HierarchyError, UnknownTopic
@@ -39,8 +40,9 @@ class TopicHierarchy:
         #: ``ancestor`` receive events of ``topic``. On a tree it *is*
         #: :meth:`Topic.includes` — the dotted test, one frame, as on every
         #: delivery and publish before links existed; the first link swaps
-        #: in :meth:`_linked_includes`, which walks the links only when the
-        #: dotted test fails.
+        #: in :func:`_linked_includes` over this hierarchy's links (not a
+        #: bound method, which would tie the hierarchy into a cycle), which
+        #: walks the links only when the dotted test fails.
         self.includes = Topic.includes
 
     # ------------------------------------------------------------------
@@ -85,7 +87,7 @@ class TopicHierarchy:
         linked = self._links.setdefault(child, [])
         if parent not in linked:
             linked.append(parent)
-        self.includes = self._linked_includes
+        self.includes = functools.partial(_linked_includes, self._links)
 
     # ------------------------------------------------------------------
     # Queries
@@ -144,20 +146,23 @@ class TopicHierarchy:
                 frontier = next_frontier
         return targets
 
-    def _linked_includes(self, ancestor: Topic, topic: Topic) -> bool:
-        """:attr:`includes` once a link exists: the dotted test, then a
-        walk up through every linked supertopic of ``topic`` and of its
-        dotted ancestors."""
-        if ancestor.includes(topic):
-            return True
-        seen = {topic}
-        stack = [topic]
-        while stack:
-            for node in stack.pop().ancestors(include_self=True):
-                for parent in self._links.get(node, ()):
-                    if ancestor.includes(parent):
-                        return True
-                    if parent not in seen:
-                        seen.add(parent)
-                        stack.append(parent)
-        return False
+
+def _linked_includes(
+    links: Mapping[Topic, list[Topic]], ancestor: Topic, topic: Topic
+) -> bool:
+    """:attr:`TopicHierarchy.includes` once a link exists: the dotted
+    test, then a walk up through every linked supertopic (``links``) of
+    ``topic`` and of its dotted ancestors."""
+    if ancestor.includes(topic):
+        return True
+    seen = {topic}
+    stack = [topic]
+    while stack:
+        for node in stack.pop().ancestors(include_self=True):
+            for parent in links.get(node, ()):
+                if ancestor.includes(parent):
+                    return True
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+    return False

@@ -39,7 +39,9 @@ A spec is a plain mapping (JSON-serializable), validated with precise
 :class:`~repro.errors.ConfigError` messages — unknown keys, out-of-domain
 values and impossible references all fail eagerly at compile time, never
 mid-simulation (only a publication target that a seeded ``uniform``/``zipf``
-population leaves empty can surface at build time, before anything runs).
+population leaves empty, or whose first member a dynamic run's bootstrap
+lets join after the publication, can surface at build time, before
+anything runs).
 :func:`compile_spec` reads each section once, into the values the build
 consumes, and turns the spec into a :class:`CompiledSpec`;
 ``CompiledSpec.run(seed)`` (or the :func:`run_spec` shorthand) builds the
@@ -538,13 +540,18 @@ def _parse_publications(
     fixed: Mapping[Topic, int] | None,
     where: str = "publications",
     allow_mixed: bool = True,
+    joins: tuple[float, Mapping[Topic, float]] | None = None,
 ) -> functools.partial | tuple[functools.partial, ...]:
     """The schedule as ``part(counts, rng)`` — for ``mixed``, a tuple of
     parts, each drawn from its own stream.
 
     Under a ``fixed`` population the targets resolve here, so a target
     without subscribers fails at compile time; under a seeded one the
-    build resolves them (None: the deepest populated topic).
+    build resolves them (None: the deepest populated topic). A dynamic
+    run's ``joins`` (:func:`_require_joined`) refuse a target whose
+    earliest publication comes before its first member joins: ``at`` or
+    ``start``, or — Poisson arrivals fall anywhere after 0 — any time at
+    all for a target of non-zero weight.
     """
     _require_mapping(section, where)
     kinds = ("single", "burst", "poisson") + (("mixed",) if allow_mixed else ())
@@ -552,9 +559,8 @@ def _parse_publications(
     if kind == "single":
         _reject_unknown_keys(section, {"kind", "topic", "level", "at"}, where)
         topic = _parse_topic_ref(section, ordered_topics, hierarchy, is_chain, where)
-        make = functools.partial(
-            single_shot, at=_get_number(section, "at", where, default=0.0, minimum=0)
-        )
+        start = _get_number(section, "at", where, default=0.0, minimum=0)
+        make = functools.partial(single_shot, at=start)
     elif kind == "burst":
         _reject_unknown_keys(
             section, {"kind", "topic", "level", "count", "start", "spacing"}, where
@@ -632,6 +638,10 @@ def _parse_publications(
             weights = list(weights)
         if fixed is not None:
             topics = tuple(_resolve_targets(topics, fixed, where))
+        if joins is not None:
+            for topic, weight in zip(topics, weights or [1.0] * len(topics)):
+                if weight > 0:
+                    _require_joined(topic, 0.0, joins, where)
         return functools.partial(
             _poisson, topics, where, rate=rate, horizon=horizon, weights=weights
         )
@@ -651,11 +661,14 @@ def _parse_publications(
                 fixed,
                 where=f"{where}.parts[{index}]",
                 allow_mixed=False,
+                joins=joins,
             )
             for index, part in enumerate(parts)
         )
     if fixed is not None:
         topic = _resolve_target(topic, fixed, where)
+    if joins is not None:
+        _require_joined(topic, start, joins, where)
     return functools.partial(_on_topic, make, topic, where)
 
 
@@ -819,6 +832,64 @@ def _parse_dynamic(
             "an infinite time (start + ⌊(n-1)/wave_size⌋·interval)"
         )
     return settings, (order, start, wave_size, interval)
+
+
+def _join_plan(
+    bootstrap: tuple, counts: Mapping[Topic, int]
+) -> list[tuple[float, Topic]]:
+    """The bootstrap arrival schedule under plan ``bootstrap`` (what
+    :func:`_parse_dynamic` returns): one (join time, topic) per process,
+    in join order.
+
+    ``by_topic`` order is root-first (each group fully joins before its
+    subgroups start bootstrapping toward it); ``interleaved`` round-robins
+    across groups so every wave mixes all hierarchy levels.
+    """
+    order, start, wave_size, interval = bootstrap
+    topics = [
+        topic
+        for topic in sorted(counts, key=lambda t: (t.depth, t.name))
+        if counts[topic] > 0
+    ]
+    if order == "by_topic":
+        sequence = [
+            topic for topic in topics for _ in range(counts[topic])
+        ]
+    else:  # interleaved
+        remaining = {topic: counts[topic] for topic in topics}
+        sequence = []
+        while remaining:
+            for topic in topics:
+                if remaining.get(topic, 0):
+                    sequence.append(topic)
+                    remaining[topic] -= 1
+                    if not remaining[topic]:
+                        del remaining[topic]
+    return [
+        (start + (index // wave_size) * interval, topic)
+        for index, topic in enumerate(sequence)
+    ]
+
+
+def _first_joins(plan: list[tuple[float, Topic]]) -> dict[Topic, float]:
+    """Each topic's first join time in a :func:`_join_plan` (whose times
+    never decrease: the earliest entry is written last)."""
+    return {topic: time for time, topic in reversed(plan)}
+
+
+def _require_joined(
+    topic: Topic, at: float, joins: tuple[float, Mapping[Topic, float]], where: str
+) -> None:
+    """A ``topic`` publication at ``at`` on the schedule (``warmup + at``
+    on the clock) needs a member of ``topic`` to publish from: one must
+    have joined by then. ``joins`` is ``(warmup, first join per topic)``."""
+    warmup, first = joins
+    if warmup + at < first[topic]:
+        raise ConfigError(
+            f"{where}: a {topic.name} event is due as early as t = "
+            f"{warmup + at:g}, before the first {topic.name} member joins at "
+            f"t = {first[topic]:g} (dynamic.bootstrap)"
+        )
 
 
 def _parse_campaign(
@@ -1312,40 +1383,6 @@ class CompiledSpec:
     # ------------------------------------------------------------------
     # Dynamic-mode realization
     # ------------------------------------------------------------------
-    def _join_plan(
-        self, counts: Mapping[Topic, int]
-    ) -> list[tuple[float, Topic]]:
-        """The bootstrap arrival schedule: one (join time, topic) per process.
-
-        ``by_topic`` order is root-first (each group fully joins before its
-        subgroups start bootstrapping toward it); ``interleaved`` round-robins
-        across groups so every wave mixes all hierarchy levels.
-        """
-        order, start, wave_size, interval = self.bootstrap
-        topics = [
-            topic
-            for topic in sorted(counts, key=lambda t: (t.depth, t.name))
-            if counts[topic] > 0
-        ]
-        if order == "by_topic":
-            sequence = [
-                topic for topic in topics for _ in range(counts[topic])
-            ]
-        else:  # interleaved
-            remaining = {topic: counts[topic] for topic in topics}
-            sequence = []
-            while remaining:
-                for topic in topics:
-                    if remaining.get(topic, 0):
-                        sequence.append(topic)
-                        remaining[topic] -= 1
-                        if not remaining[topic]:
-                            del remaining[topic]
-        return [
-            (start + (index // wave_size) * interval, topic)
-            for index, topic in enumerate(sequence)
-        ]
-
     def _build_dynamic(
         self,
         seed: int,
@@ -1357,7 +1394,13 @@ class CompiledSpec:
         """
         settings = dict(self.dynamic)
         warmup, settle = settings.pop("warmup"), settings.pop("settle")
-        joins = self._join_plan(counts)
+        joins = _join_plan(self.bootstrap, counts)
+        # a seeded population's targets and join order are known here first
+        first_joins = (warmup, _first_joins(joins))
+        for publication in schedule:
+            _require_joined(
+                publication.topic, publication.time, first_joins, "publications"
+            )
         # Pids are assigned 0..N-1 in join order, so a churn timeline can
         # be realized over the full pid space before any process exists —
         # a pid crashed before its join simply joins dead.
@@ -1445,10 +1488,10 @@ class CompiledSpec:
         """Build, replay the schedule to quiescence, return metrics.
 
         ``run`` owns the system it built and closes it once the metrics
-        are taken, so a sweep's finished cells are freed by reference
-        count; :meth:`build` hands the system to the caller, who may keep
-        querying it after ``execute()`` and calls ``system.close()`` when
-        done with it.
+        are taken; :meth:`build` hands the system to the caller, who may
+        keep querying it after ``execute()`` and calls ``system.close()``
+        when done with it. A static system is freed by reference count
+        as soon as it is dropped, closed or not.
         """
         built = self.build(seed)
         try:
@@ -1619,13 +1662,6 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
     population, ceiling = _parse_subscriptions(
         spec["subscriptions"], hierarchy, ordered_topics, is_chain
     )
-    publications = _parse_publications(
-        spec.get("publications", {"kind": "single"}),
-        ordered_topics,
-        hierarchy,
-        is_chain,
-        fixed=None if callable(population) else population,
-    )
     failures_section = spec.get("failures", {"kind": "none"})
     failures, partition = _parse_failures(failures_section)
     dynamic = bootstrap = campaign = None
@@ -1657,6 +1693,19 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
                 raise ConfigError(
                     f"spec: the {section!r} section requires mode 'dynamic'"
                 )
+    fixed = None if callable(population) else population
+    publications = _parse_publications(
+        spec.get("publications", {"kind": "single"}),
+        ordered_topics,
+        hierarchy,
+        is_chain,
+        fixed=fixed,
+        joins=(
+            (dynamic["warmup"], _first_joins(_join_plan(bootstrap, fixed)))
+            if mode == "dynamic" and fixed is not None
+            else None
+        ),
+    )
     latency = (
         _parse_latency(spec["latency"], protocol) if "latency" in spec else None
     )

@@ -184,6 +184,20 @@ def test_sampler_at_and_just_past_powers_of_two():
                 assert mine.getstate() == stdlib.getstate()
 
 
+def test_pool_draw_over_a_list_row_leaves_the_row_unchanged():
+    # The pool branch shuffles its window in place: over a list it works on
+    # the window's slice, never on the caller's row, whole or windowed
+    row = [100 + i for i in range(20)]
+    before = list(row)
+    for start, n in ((0, 20), (3, 12)):
+        for k in (1, 7, n):
+            mine, stdlib = random.Random(k), random.Random(k)
+            assert sample_from(row, start, n, k, mine) == stdlib.sample(
+                before[start : start + n], k
+            )
+            assert row == before
+
+
 @given(st.integers(1, 130), st.integers(0, 140), st.integers(0, 2**32), st.data())
 @settings(max_examples=200)
 def test_pid_sample_with_the_excluded_pid_in_the_view(n, k, seed, data):

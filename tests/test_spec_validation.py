@@ -310,8 +310,10 @@ class TestRunsAndSweeps:
 
 
 class TestHostileNumbers:
-    """Finite values whose arithmetic overflows mid-build are refused at
-    compile time, naming the key: exit 2 and one line, not a traceback."""
+    """Finite values whose arithmetic overflows mid-build, or that put a
+    publication before any member of its topic can have joined, are
+    refused at compile time, naming the key: exit 2 and one line, not a
+    traceback."""
 
     @staticmethod
     def run_preset(capsys, preset, assignment):
@@ -350,3 +352,54 @@ class TestHostileNumbers:
         )
         assert code == 2
         assert err.startswith("error: dynamic.bootstrap: interval 1e+308")
+
+    def test_a_bootstrap_wave_interval_that_joins_the_publishers_too_late(
+        self, capsys
+    ):
+        # the .t1.t2 members join from t = 1e9 on, the event is due at 30
+        code, err = self.run_preset(
+            capsys, "bootstrap-wave", "dynamic.bootstrap.interval=1e9"
+        )
+        assert code == 2
+        assert err.startswith(
+            "error: publications: a .t1.t2 event is due as early as t = 30, "
+            "before the first .t1.t2 member joins at t = 1e+09 "
+            "(dynamic.bootstrap)"
+        )
+        assert err.count("\n") == 1
+
+    def test_a_poisson_target_that_joins_after_the_warmup(self):
+        waves = {
+            "warmup": 15.0,
+            "settle": 10.0,
+            "bootstrap": {"kind": "waves", "wave_size": 6, "interval": 20.0},
+        }
+        poisson = {
+            "kind": "poisson",
+            "rate": 1.0,
+            "horizon": 5.0,
+            "topics": [".t1", ".t1.t2"],
+        }
+        # .t1 joins at 0, .t1.t2 (pids 6..13) at 20: an arrival may fall first
+        with pytest.raises(
+            ConfigError,
+            match=r"^publications: a \.t1\.t2 event is due as early as t = 15,",
+        ):
+            compile_spec(dynamic(publications=poisson, dynamic=waves))
+        # a target of weight 0 is never published
+        compile_spec(
+            dynamic(publications=dict(poisson, weights=[1.0, 0.0]), dynamic=waves)
+        )
+
+    def test_a_seeded_population_is_checked_when_the_build_resolves_it(self):
+        spec = dynamic(
+            subscriptions={"kind": "uniform", "n": 14},
+            dynamic={
+                "warmup": 15.0,
+                "settle": 10.0,
+                "bootstrap": {"kind": "waves", "wave_size": 4, "interval": 1e9},
+            },
+        )
+        compiled = compile_spec(spec)  # the targets wait for the population
+        with pytest.raises(ConfigError, match=r"^publications: a \.t1\.t2 event"):
+            compiled.build(0)

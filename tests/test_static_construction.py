@@ -1,17 +1,19 @@
 """Static construction is paid per group, and a finished system is freed
 by reference count.
 
-Four kinds of test: what a static membership is fixed by, for every
+Five kinds of test: what a static membership is fixed by, for every
 static system — daMulticast's and the four baselines' (a group is one
 pid block, and the finalize is the last change), equivalence
 (``add_group`` is ``n × add_process``; a static member holds neither
-protocol task, a dynamic process both from construction), the ``close()``
-contract of every facade, and exact object counts — deterministic, no
-timer — that fail when a per-process allocation or a per-process
-reference cycle creeps back into the cold build.
+protocol task, a dynamic process both from construction), what a member
+record reads of its tables, the ``close()`` contract of every facade, and
+exact counts — deterministic, no timer — that fail when a per-process
+allocation creeps back into the cold build, or a reference cycle into a
+static build dropped with or without ``close()``.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -28,8 +30,9 @@ from repro.core.maintenance import KeepTableUpdated
 from repro.errors import ConfigError
 from repro.runtime import StaticMember
 from repro.topics import ROOT, Topic
-from repro.workloads.presets import load_preset
+from repro.workloads.presets import load_preset, preset_names
 from repro.workloads.spec import compile_spec
+from tests.test_scenario_spec import KIND_FIXTURES
 
 T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
@@ -253,6 +256,49 @@ class TestProtocolTasks:
 
 
 # ----------------------------------------------------------------------
+# A member record reads its tables off its block actor's columns
+# ----------------------------------------------------------------------
+def _row_lengths(system, member):
+    """The lengths of ``member``'s table rows, read off the columns."""
+    actor = system._actors[member.topic]
+    if hasattr(actor, "seats"):  # a baseline: one row per table set seating it
+        return [
+            len(tables.row_pids(rows[member.pid]))
+            for pairs in actor.seats.values()
+            for tables, _, rows in pairs
+            if member.pid in rows
+        ]
+    row = member.pid - actor.base
+    return [len(actor.tables.row_pids(row))] + [
+        len(pids) for _, pids in actor.tables.super_rows_of(row)
+    ]
+
+
+@pytest.mark.parametrize(
+    "facade, tables",
+    # a .t1.t2 member's tables: its group's and .t1's; the naive
+    # publisher's own and its supergroup's; a cluster's and the cross one
+    [("damulticast", 2), ("naive", 2), ("hierarchical", 2)],
+)
+def test_a_member_reads_no_table_before_the_finalize_and_its_rows_after(
+    facade, tables
+):
+    system = OBJECT_FACADES[facade](seed=5)
+    system.add_group(T1, 4)
+    members = system.add_group(T2, 20)
+    assert [(m.memory_footprint, m.table_count) for m in members] == [(0, 0)] * 20
+    system.finalize_static_membership()
+    for member in system.processes:
+        lengths = _row_lengths(system, member)
+        assert member.memory_footprint == sum(lengths) > 0
+        assert member.table_count == len(lengths)
+    assert {m.table_count for m in members} == {tables}
+    # a member kept past its system reads no table, as after close()
+    del system
+    assert (members[0].memory_footprint, members[0].table_count) == (0, 0)
+
+
+# ----------------------------------------------------------------------
 # close() on every facade that keeps process objects
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("facade", OBJECT_FACADES)
@@ -359,3 +405,75 @@ class TestExactCounts:
         # per-event bitmask, and the RNG stream waits in its row list.
         assert added <= 1_250, added
         built.system.close()
+
+
+# ----------------------------------------------------------------------
+# A dropped static build is freed by reference count, close() or not
+# ----------------------------------------------------------------------
+def _cyclic_garbage(run):
+    """What the cycle collector frees after ``run()`` built, ran and
+    dropped a system with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _is_static(spec):
+    return spec.get("mode", "static") == "static"
+
+
+#: every bundled preset and section-kind fixture in static mode
+STATIC_SPECS = {
+    key: spec
+    for key, spec in [
+        *((name, load_preset(name)) for name in preset_names()),
+        *sorted(KIND_FIXTURES.items()),
+    ]
+    if _is_static(spec)
+}
+
+
+class TestFreedByReferenceCount:
+    """A block actor holds its network weakly and a member record its
+    system's actor registry, so a static build dropped without
+    ``close()`` leaves the cycle collector nothing: its per-process
+    streams go the moment its last reference does."""
+
+    def test_every_static_preset_and_kind_is_counted(self):
+        assert len(STATIC_SPECS) == 8 + 18
+
+    @pytest.mark.parametrize("key", STATIC_SPECS)
+    def test_a_dropped_spec_build_leaves_no_cycle(self, key):
+        compiled = compile_spec(STATIC_SPECS[key])
+        assert _cyclic_garbage(lambda: compiled.build(0).execute()) == 0
+
+    @pytest.mark.parametrize("facade", STATIC_FACADES)
+    def test_a_dropped_hand_built_system_leaves_no_cycle(self, facade):
+        def run():
+            system, _ = object_system(facade, seed=4)
+            system.publish(T2)
+            system.run_until_idle()
+            assert system.stats.total_sent > 0
+
+        assert _cyclic_garbage(run) == 0
+
+    @pytest.mark.parametrize("facade", ["damulticast", "naive", "hierarchical"])
+    def test_a_block_actor_kept_past_its_system_refuses_to_flood(self, facade):
+        system, finalize = object_system(facade, seed=4)
+        network = weakref.ref(system.network)
+        actor = system._actors[T2]
+        pid = system.group(T2)[0].pid
+        event = system.publish(T2, publisher=system.process(pid))
+        system.run_until_idle()
+        if facade == "damulticast":
+            again = (pid - actor.base, event)
+        else:  # a baseline actor is told the groups to enter
+            again = (pid, event, system._entry_groups(pid, T2))
+        del system, finalize
+        assert network() is None
+        with pytest.raises(ConfigError, match="outlived its system"):
+            actor.publish_from(*again)
