@@ -208,8 +208,9 @@ _UNRESOLVED = object()
 
 class _Wave(list):
     """One clean-channel transport entry: ``(sender, targets, message)``
-    sub-batches in dispatch order and — once dispatched — the entry's
-    handle."""
+    sub-batches in dispatch order and — once dispatched — the transport's
+    queue entry for it (``handle``), where a raising delivery requeues the
+    rest."""
 
     __slots__ = ("handle",)
 
@@ -791,7 +792,7 @@ class Network:
         if dead:
             self.stats.record_dropped(message, DROP_DEAD_TARGET)
             return
-        self.stats.record_delivered(message)
+        self.stats.delivered_by_kind[message.kind] += 1
         # the block last resolved answers without the frame of _block_for
         block = self._block_cache
         if block is not None and block[0] <= target < block[1]:

@@ -76,10 +76,6 @@ class NetworkStats:
             else:
                 self.inter_group_sent[(scope.group, scope.super_group)] += 1
 
-    def record_delivered(self, message: Message) -> None:
-        """Count a successful delivery."""
-        self.delivered_by_kind[message.kind] += 1
-
     def record_dropped(self, message: Message, reason: str) -> None:
         """Count a drop with its cause."""
         self.dropped_by_reason[reason] += 1

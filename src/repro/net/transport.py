@@ -31,7 +31,7 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.errors import SchedulingError
 from repro.sim.clock import Clock
-from repro.sim.engine import CallQueue, EventHandle
+from repro.sim.engine import CallQueue
 
 
 @runtime_checkable
@@ -48,14 +48,14 @@ class Transport(Protocol):
     ):
         """Run ``fn(*args)`` after ``delay``; ``count`` is the number of
         logical deliveries the single call stands for (a batched fan-out
-        passes the whole target tuple as one call). Returns a cancellable
-        handle."""
+        passes the whole target tuple as one call). Returns the queue
+        entry, which :meth:`requeue` takes."""
         ...  # pragma: no cover - protocol
 
     def requeue(
-        self, handle, fn: Callable[..., Any], args: tuple, count: int
+        self, entry, fn: Callable[..., Any], args: tuple, count: int
     ) -> None:
-        """Queue ``fn(*args)`` for ``count`` deliveries again at ``handle``'s
+        """Queue ``fn(*args)`` for ``count`` deliveries again at ``entry``'s
         place — the undelivered rest of a dispatched call that raised — so
         it runs next; the ``count`` deliveries are pending again, not
         executed."""
@@ -107,19 +107,19 @@ class QueueTransport:
         args: tuple,
         *,
         count: int = 1,
-    ) -> EventHandle:
+    ) -> list:
         if delay < 0:
             raise SchedulingError(f"cannot deliver in the past (delay={delay})")
-        handle = self._queue.push(self._clock.now + delay, fn, args, count)
+        entry = self._queue.push(self._clock.now + delay, fn, args, count)
         self.dispatched += count
         if self._on_enqueue is not None:
             self._on_enqueue()
-        return handle
+        return entry
 
     def requeue(
-        self, handle: EventHandle, fn: Callable[..., Any], args: tuple, count: int
+        self, entry: list, fn: Callable[..., Any], args: tuple, count: int
     ) -> None:
-        self._queue.requeue(handle, fn, args, count)
+        self._queue.requeue(entry, fn, args, count)
         self.executed -= count
 
     def pump(self, now: float | None = None) -> int:
@@ -130,11 +130,11 @@ class QueueTransport:
         clock = self._clock
         start = self.executed
         while True:
-            handle = pop_due(clock.now if now is None else now)
-            if handle is None:
+            entry = pop_due(clock.now if now is None else now)
+            if entry is None:
                 return self.executed - start
+            _, _, fn, args, count = entry
+            entry[2] = entry[3] = None  # a fired call is garbage too
             # Counted before the call, so a raising delivery stays counted.
-            self.executed += handle._count
-            fn, args = handle._fn, handle._args
-            handle._fn = handle._args = None  # a fired call is garbage too
+            self.executed += count
             fn(*args)

@@ -101,14 +101,18 @@ class SimulationHarness:
         self.closed = False
 
     def close(self) -> None:
-        """Let go of every actor (idempotent).
+        """Let go of every actor and every call still queued on the engine
+        (idempotent).
 
         The system facades call this from their own ``close()`` after
         dropping their process/group registries. Clock, RNG streams,
-        statistics and tracker stay readable; nothing can be
-        delivered any more.
+        statistics and tracker stay readable; nothing can be delivered
+        any more, and no timer pending at the horizon runs (or keeps
+        what it captured) on a later ``run``.
         """
         self.network.close()
+        if isinstance(self.clock, Engine):
+            self.clock.cancel_all()
         self.closed = True
 
     def require_open(self) -> None:
@@ -341,10 +345,11 @@ class ObjectSystemFacade:
         Drops the member and actor registries and the network's actors.
         Freeing a static system does not wait for it: its actors hold
         their network and its members their actor registry weakly, so it
-        goes by reference count as soon as the caller lets go of it. A
-        dynamic system is left to the cycle collector either way: its
-        processes hold their network and bound methods of their own, and
-        timers pending at the horizon hold them through the clock.
+        goes by reference count as soon as the caller lets go of it. The
+        engine's queue is emptied, so timers pending at the horizon no
+        longer hold a dynamic system's processes; the processes are still
+        left to the cycle collector, as they hold their network and bound
+        methods of their own.
         Statistics, tracker, clock and RNG streams stay readable; member
         queries see an empty system, and adding, finalizing or publishing
         raises :class:`ConfigError`.

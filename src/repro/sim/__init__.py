@@ -10,12 +10,11 @@ seed, so runs are reproducible bit-for-bit and independent components do not
 perturb each other's random sequences.
 """
 
-from repro.sim.engine import Engine, EventHandle, PeriodicTask
+from repro.sim.engine import Engine, PeriodicTask
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
     "Engine",
-    "EventHandle",
     "PeriodicTask",
     "RngRegistry",
     "derive_seed",

@@ -6,8 +6,11 @@ schedules callbacks, and runs periodic tasks. This module names that
 contract:
 
 * :class:`Clock` — the scheduling surface (``now`` / ``schedule`` /
-  ``schedule_at`` / ``every``; cancellation lives on the returned
-  :class:`Handle`). :class:`repro.sim.engine.Engine` implements it as the
+  ``schedule_at`` / ``every`` / ``cancel``): ``schedule`` returns a
+  handle, and ``cancel(handle)`` takes the call back. On
+  :class:`repro.sim.engine.Engine` the handle is the queue entry itself, a
+  plain ``[time, seq, fn, args, count]`` list, and the engine's
+  ``cancel`` is its queue's. The engine implements the protocol as the
   **virtual-time oracle**: deterministic discrete-event time, the thing
   golden tests replay against. The live runtime's
   :class:`repro.service.clock.AsyncClock` only reads wall-clock ``now``:
@@ -30,19 +33,6 @@ from repro.validation import check_positive
 
 
 @runtime_checkable
-class Handle(Protocol):
-    """A scheduled callback that can be cancelled.
-
-    Returned by :meth:`Clock.schedule` / :meth:`Clock.schedule_at`;
-    :class:`repro.sim.engine.EventHandle` satisfies it.
-    """
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op once fired)."""
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
 class Clock(Protocol):
     """Time source + callback scheduler (the engine/runtime seam).
 
@@ -57,12 +47,19 @@ class Clock(Protocol):
         live runtime; unitless either way)."""
         ...  # pragma: no cover - protocol
 
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> Handle:
-        """Run ``callback`` after ``delay`` time units (``delay >= 0``)."""
+    def schedule(self, delay: float, callback: Callable[[], Any]) -> Any:
+        """Run ``callback`` after ``delay`` time units (``delay >= 0``);
+        returns the handle :meth:`cancel` takes."""
         ...  # pragma: no cover - protocol
 
-    def schedule_at(self, time: float, callback: Callable[[], Any]) -> Handle:
-        """Run ``callback`` at absolute ``time`` (``time >= now``)."""
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> Any:
+        """Run ``callback`` at absolute ``time`` (``time >= now``);
+        returns the handle :meth:`cancel` takes."""
+        ...  # pragma: no cover - protocol
+
+    def cancel(self, handle: Any) -> None:
+        """Prevent the callback behind ``handle`` from running (idempotent;
+        a no-op once it fired)."""
         ...  # pragma: no cover - protocol
 
     def every(
@@ -104,7 +101,7 @@ class PeriodicTask:
     def stop(self) -> None:
         """Cancel future firings."""
         self._stopped = True
-        self._handle.cancel()
+        self._clock.cancel(self._handle)
 
     def _fire(self) -> None:
         if self._stopped:

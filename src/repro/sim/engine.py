@@ -9,12 +9,17 @@ Time is a unitless float; the paper's synchronous gossip rounds map to
 events at integer times with zero-latency message delivery in between.
 
 That ``(time, scheduling order)`` rule is implemented once, in
-:class:`CallQueue`: a heap of :class:`EventHandle` entries with lazy
-discard of cancelled heads and an exact live-event count. Every queued call
-has one shape — ``fn(*args)`` standing for ``count`` logical events — so a
-fan-out folded into a single array-batch entry is indistinguishable,
-counter-wise, from one entry per destination. :class:`Engine` (virtual
-time) is a :class:`CallQueue`; the live runtime's
+:class:`CallQueue`. Every queued call has one shape — ``fn(*args)``
+standing for ``count`` logical events — and one entry, a plain list
+``[time, seq, fn, args, count]`` that is also the call's handle: the heap
+orders entries by their first two slots, and :meth:`CallQueue.cancel`
+takes an entry back. A fired or cancelled entry has ``fn`` (and ``args``)
+set to None, so whatever the call captured is released at once; a
+cancelled entry still in the heap is discarded lazily when it reaches the
+front, and the live-event count is exact throughout. A fan-out folded into
+a single array-batch entry is indistinguishable, counter-wise, from one
+entry per destination. :class:`Engine` (virtual time) is a
+:class:`CallQueue`; the live runtime's
 :class:`repro.net.transport.QueueTransport` (wall clock) owns one.
 
 The engine adds one fast path, the **zero-latency FIFO bucket**: a call
@@ -22,83 +27,36 @@ scheduled at exactly the current time goes into a plain deque instead of
 the heap. Because simulation time only advances once every same-time call
 has run, the bucket drains before any later heap entry fires, so FIFO
 tie-breaking is preserved while the dominant zero-latency case (the paper's
-synchronous rounds) skips the ``O(log n)`` heap entirely.
+synchronous rounds) skips the ``O(log n)`` heap entirely. Bucket and heap
+hold the same entries.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.clock import Clock, Handle, PeriodicTask
+from repro.sim.clock import Clock, PeriodicTask
 
-__all__ = ["CallQueue", "Clock", "Engine", "EventHandle", "Handle", "PeriodicTask"]
-
-
-class EventHandle:
-    """Handle to one queued call ``fn(*args)``, allowing cancellation.
-
-    Creating a handle registers its ``count`` logical events with ``queue``
-    (sequence number, live count); the call lives on the handle, not in the
-    queue entry, so :meth:`cancel` can release it (and everything it
-    captures) immediately instead of pinning it until the entry is popped.
-    """
-
-    __slots__ = ("time", "_seq", "_count", "_fn", "_args", "_queue", "_cancelled")
-
-    def __init__(
-        self,
-        queue: "CallQueue",
-        time: float,
-        fn: Callable[..., Any],
-        args: tuple,
-        count: int,
-    ):
-        # NaN passes every ordered check and corrupts the heap; an infinite
-        # time is never due on a queue and, once fired on an engine, makes
-        # every later ``now + delay`` the current time.
-        if not -inf < time < inf:
-            raise SchedulingError(f"event time must be finite, got {time}")
-        if count < 1:
-            raise SchedulingError(f"count must be >= 1, got {count}")
-        self.time = time
-        self._seq = next(queue._sequence)
-        self._count = count
-        self._fn = fn  # None once fired or cancelled
-        self._args = args
-        self._queue = queue
-        self._cancelled = False
-        queue._live += count
-
-    def cancel(self) -> None:
-        """Prevent the call from running (no-op if already fired).
-
-        Cancelling releases the call immediately and decrements the queue's
-        live-event count; the dead queue entry is discarded lazily when it
-        reaches the front.
-        """
-        if self._fn is None:
-            return
-        self._cancelled = True
-        self._fn = self._args = None
-        self._queue._live -= self._count
+__all__ = ["CallQueue", "Clock", "Engine", "PeriodicTask"]
 
 
 class CallQueue:
     """Calls ordered by ``(time, push order)``, cancellable in O(1).
 
-    The queue orders and counts; running a popped call — take ``_fn`` and
-    ``_args`` off the handle, then ``fn(*args)`` — is up to the owner, which
-    also keeps its own executed total.
+    The queue orders and counts; running a popped entry — take ``fn`` and
+    ``args`` off it, set both to None, then ``fn(*args)`` — is up to the
+    owner, which also keeps its own executed total.
     """
 
     def __init__(self) -> None:
-        #: (time, seq, handle) — the call itself lives on the handle
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: ``[time, seq, fn, args, count]`` entries; ``fn`` is None once
+        #: the call was cancelled (or fired)
+        self._heap: list[list] = []
         self._sequence = itertools.count()
         self._live = 0
 
@@ -113,17 +71,39 @@ class CallQueue:
 
     def push(
         self, time: float, fn: Callable[..., Any], args: tuple = (), count: int = 1
-    ) -> EventHandle:
-        """Queue ``fn(*args)`` at ``time``, standing for ``count`` events."""
-        handle = EventHandle(self, time, fn, args, count)
-        heapq.heappush(self._heap, (time, handle._seq, handle))
-        return handle
+    ) -> list:
+        """Queue ``fn(*args)`` at ``time``, standing for ``count`` events;
+        returns the entry, the call's handle."""
+        # NaN passes every ordered check and corrupts the heap; an infinite
+        # time is never due on a queue and, once fired on an engine, makes
+        # every later ``now + delay`` the current time.
+        if not -inf < time < inf:
+            raise SchedulingError(f"event time must be finite, got {time}")
+        if count < 1:
+            raise SchedulingError(f"count must be >= 1, got {count}")
+        entry = [time, next(self._sequence), fn, args, count]
+        self._live += count
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Prevent the call of ``entry`` from running.
+
+        Idempotent, and a no-op once the call fired. Cancelling releases
+        the call (and everything it captures) immediately and takes its
+        events off :attr:`pending`; the dead entry is discarded lazily when
+        it reaches the front.
+        """
+        if entry[2] is None:
+            return
+        entry[2] = entry[3] = None
+        self._live -= entry[4]
 
     def requeue(
-        self, handle: EventHandle, fn: Callable[..., Any], args: tuple, count: int
+        self, entry: list, fn: Callable[..., Any], args: tuple, count: int
     ) -> None:
         """Queue ``fn(*args)``, standing for ``count`` events, again at the
-        ``(time, seq)`` of ``handle`` — a call popped from this queue that
+        ``(time, seq)`` of ``entry`` — a call popped from this queue that
         raised with ``count`` of its events not yet run.
 
         The call was the earliest one when it was popped, so the rest runs
@@ -131,28 +111,28 @@ class CallQueue:
         again and no longer as executed: the owner overrides this to take
         them back off its executed total.
         """
-        handle._fn, handle._args, handle._count = fn, args, count
+        entry[2], entry[3], entry[4] = fn, args, count
         self._live += count
-        heapq.heappush(self._heap, (handle.time, handle._seq, handle))
+        heappush(self._heap, entry)
 
     def peek_time(self) -> float | None:
         """Time of the earliest live call, or None when there is none."""
         heap = self._heap
         while heap:
-            if not heap[0][2]._cancelled:
+            if heap[0][2] is not None:
                 return heap[0][0]
-            heapq.heappop(heap)
+            heappop(heap)
         return None
 
-    def pop_due(self, horizon: float) -> EventHandle | None:
-        """Remove and return the earliest live call if its time is at or
+    def pop_due(self, horizon: float) -> list | None:
+        """Remove and return the earliest live entry if its time is at or
         before ``horizon`` (its events leave :attr:`pending`), else None."""
         heap = self._heap
         while heap and heap[0][0] <= horizon:
-            handle = heapq.heappop(heap)[2]
-            if not handle._cancelled:
-                self._live -= handle._count
-                return handle
+            entry = heappop(heap)
+            if entry[2] is not None:
+                self._live -= entry[4]
+                return entry
         return None
 
 
@@ -179,9 +159,9 @@ class Engine(CallQueue):
 
     def __init__(self) -> None:
         super().__init__()
-        #: calls at exactly the current time, FIFO (they still take a
+        #: entries at exactly the current time, FIFO (they still take a
         #: sequence number, and count in ``pending``, like heap entries)
-        self._bucket: deque[EventHandle] = deque()
+        self._bucket: deque[list] = deque()
         self._now = 0.0
         self._processed = 0
         self._running = False
@@ -204,18 +184,23 @@ class Engine(CallQueue):
     # ------------------------------------------------------------------
     def push(
         self, time: float, fn: Callable[..., Any], args: tuple = (), count: int = 1
-    ) -> EventHandle:
+    ) -> list:
         """Queue ``fn(*args)`` at absolute ``time`` (``time >= now``); a
         call at exactly the current time joins the FIFO bucket."""
-        if time < self._now:
+        now = self._now
+        if time < now:
             raise SchedulingError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {now}"
             )
-        if time != self._now:
+        if time != now:
             return CallQueue.push(self, time, fn, args, count)
-        handle = EventHandle(self, time, fn, args, count)
-        self._bucket.append(handle)
-        return handle
+        # the current time is finite, so only the count is left to check
+        if count < 1:
+            raise SchedulingError(f"count must be >= 1, got {count}")
+        entry = [time, next(self._sequence), fn, args, count]
+        self._live += count
+        self._bucket.append(entry)
+        return entry
 
     def dispatch(
         self,
@@ -224,42 +209,59 @@ class Engine(CallQueue):
         args: tuple = (),
         *,
         count: int = 1,
-    ) -> EventHandle:
+    ) -> list:
         """Run ``fn(*args)`` after ``delay`` time units (``delay >= 0``).
 
         ``count`` is the number of logical events the single call stands
         for: the network's vectorized delivery batches pass the whole
         fan-out as one ``fn(sender, targets, message)`` call with
         ``count=len(targets)``, and :attr:`pending` / :attr:`processed`
-        account for every one of them. Cancelling the handle cancels them
-        all.
+        account for every one of them. Cancelling the returned entry
+        cancels them all.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        # One frame per scheduled call (plus the handle's own): this is
-        # push() with the time already known not to lie in the past.
+        # One frame per scheduled call: this is push() with the time
+        # already known not to lie in the past, its checks inline.
         now = self._now
         time = now + delay
-        handle = EventHandle(self, time, fn, args, count)
+        if not -inf < time < inf:
+            raise SchedulingError(f"event time must be finite, got {time}")
+        if count < 1:
+            raise SchedulingError(f"count must be >= 1, got {count}")
+        entry = [time, next(self._sequence), fn, args, count]
+        self._live += count
         if time != now:
-            heapq.heappush(self._heap, (time, handle._seq, handle))
+            heappush(self._heap, entry)
         else:
-            self._bucket.append(handle)
-        return handle
+            self._bucket.append(entry)
+        return entry
 
     def requeue(
-        self, handle: EventHandle, fn: Callable[..., Any], args: tuple, count: int
+        self, entry: list, fn: Callable[..., Any], args: tuple, count: int
     ) -> None:
         # The heap, even at the current time: a heap call due now runs
-        # before the bucket, and the handle's seq puts it first there.
-        CallQueue.requeue(self, handle, fn, args, count)
+        # before the bucket, and the entry's seq puts it first there.
+        CallQueue.requeue(self, entry, fn, args, count)
         self._processed -= count
 
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
+    def cancel_all(self) -> None:
+        """Cancel every call still queued, in the heap and the bucket
+        alike, and drop the entries: a closed system's timers can then
+        neither run nor keep alive what they captured."""
+        cancel = self.cancel
+        for entry in self._heap:
+            cancel(entry)
+        for entry in self._bucket:
+            cancel(entry)
+        self._heap.clear()
+        self._bucket.clear()
+
+    def schedule(self, delay: float, callback: Callable[[], Any]) -> list:
         """Run ``callback`` after ``delay`` time units (``delay >= 0``)."""
         return self.dispatch(delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> list:
         """Run ``callback`` at absolute ``time`` (``time >= now``)."""
         return self.push(time, callback)
 
@@ -287,36 +289,34 @@ class Engine(CallQueue):
         """
         bucket = self._bucket
         heap = self._heap
-        heappop = heapq.heappop
         while self._live:
             if self._processed >= stop:
                 return True
             due = horizon
             if bucket:
-                while bucket and bucket[0]._cancelled:
+                while bucket and bucket[0][2] is None:
                     bucket.popleft()
                 # Bucket calls sit at the current time. A heap call at that
                 # time was pushed before time got there, so it runs first;
                 # a later one waits.
-                if bucket and bucket[0].time < horizon:
-                    due = bucket[0].time
-            handle = None
+                if bucket and bucket[0][0] < horizon:
+                    due = bucket[0][0]
+            entry = None
             while heap and heap[0][0] <= due:
-                popped = heappop(heap)[2]
-                if not popped._cancelled:  # cancelled heads: lazy discard
-                    handle = popped
+                popped = heappop(heap)
+                if popped[2] is not None:  # cancelled heads: lazy discard
+                    entry = popped
                     break
-            if handle is None:
-                if not bucket or bucket[0].time > horizon:
+            if entry is None:
+                if not bucket or bucket[0][0] > horizon:
                     self._now = horizon
                     return False
-                handle = bucket.popleft()
-            count = handle._count
+                entry = bucket.popleft()
+            time, _, fn, args, count = entry
+            entry[2] = entry[3] = None  # a fired call is garbage too
             self._live -= count
-            self._now = handle.time
+            self._now = time
             self._processed += count
-            fn, args = handle._fn, handle._args
-            handle._fn = handle._args = None  # a fired call is garbage too
             fn(*args)
         return False
 

@@ -12,9 +12,12 @@ numbers per facade, both exact:
 
 * **frames per forwarder** — all of them, delivery tracking included,
   divided by the 549 processes that received the event first-hand and
-  forwarded it (every member but the publisher): 7.53 on the columnar
-  system (4 135 frames) and 7.47 on ``DaMulticastSystem`` (4 103; its
+  forwarded it (every member but the publisher): 7.52 on the columnar
+  system (4 129 frames) and 7.46 on ``DaMulticastSystem`` (4 098; its
   members draw from their own streams, so its flood is another flood).
+  They read 7.53 (4 135) and 7.47 (4 103) while every engine entry still
+  had an ``EventHandle`` of its own; a flood schedules few entries (one
+  per hop), so a plain-list entry saves it only those frames.
   Both read 11.56 (6 345) and 11.49 (6 309) while Fig. 7 reached the
   block actor's pid columns through a flyweight peer rebound per member
   (``disseminate``, two ``link_targets`` and ``gossip_targets`` frames,
@@ -68,9 +71,9 @@ FACADES = {
     "columnar": lambda: ColumnarStaticSystem(seed=SEED, tracker="full"),
 }
 
-#: measured 7.53 (columnar, 4 135 frames for 549 forwarders) and 7.47
-#: (object, 4 103); 8.4 has no room for one more frame per forwarder on
-#: either (8.47 and 8.53 would)
+#: measured 7.52 (columnar, 4 129 frames for 549 forwarders) and 7.46
+#: (object, 4 098); 8.4 has no room for one more frame per forwarder on
+#: either (8.46 and 8.52 would)
 BUDGET_FRAMES_PER_FORWARDER = 8.4
 
 

@@ -40,7 +40,7 @@ class TestEventAttribution:
         stats = NetworkStats()
         message = event_message(INTRA)
         stats.record_sent(message)
-        stats.record_delivered(message)
+        stats.record_delivered_many(message, 1)
         assert stats.delivered_by_kind["event"] == stats.sent_by_kind["event"] == 1
 
     def test_event_messages_sent_totals_both_scopes(self):
@@ -62,7 +62,7 @@ class TestAggregates:
         ping = Ping(sender=0, nonce=1)
         stats.record_sent(ping)
         stats.record_sent(ping)
-        stats.record_delivered(ping)
+        stats.record_delivered_many(ping, 1)
         stats.record_dropped(ping, "channel_loss")
         assert stats.total_sent == 2
         assert sum(stats.delivered_by_kind.values()) == 1

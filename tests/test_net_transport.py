@@ -36,8 +36,7 @@ from repro.net.network import Network
 from repro.net.partitions import FullyConnected, StaticPartition
 from repro.net.transport import QueueTransport, Transport
 from repro.runtime import SimulationHarness
-from repro.sim.clock import Handle
-from repro.sim.engine import Engine, EventHandle
+from repro.sim.engine import Engine
 
 from net_actors import register_actors
 
@@ -67,6 +66,9 @@ class EngineDriver:
     def drain(self) -> int:
         return self._engine.run_until_idle()
 
+    def cancel(self, handle) -> None:
+        self._engine.cancel(handle)
+
     @property
     def pending(self) -> int:
         return self._engine.pending
@@ -88,6 +90,10 @@ class QueueDriver:
             executed += self.transport.pump(due)
         return executed
 
+    def cancel(self, handle) -> None:
+        # nothing cancels a live delivery; the queue under it can
+        self.transport._queue.cancel(handle)
+
     @property
     def pending(self) -> int:
         return self.transport.pending
@@ -103,11 +109,11 @@ def driver(request):
 
 
 class TestTransportContract:
-    def test_is_a_transport_returning_the_one_handle_class(self, driver):
+    def test_is_a_transport_returning_the_one_entry_shape(self, driver):
         assert isinstance(driver.transport, Transport)
         handle = driver.transport.dispatch(0.0, lambda: None, ())
-        assert type(handle) is EventHandle
-        assert isinstance(handle, Handle)
+        assert type(handle) is list
+        assert len(handle) == 5
         assert driver.pending == 1
         driver.drain()
         assert driver.pending == 0 and driver.executed == 1
@@ -153,21 +159,21 @@ class TestTransportContract:
         driver.transport.dispatch(1.0, seen.append, ("kept",))
         del payload
         assert driver.pending == 5
-        doomed.cancel()
+        driver.cancel(doomed)
         assert driver.pending == 1
         gc.collect()
         assert ref() is None  # released at once, not when the entry is popped
-        doomed.cancel()  # idempotent
+        driver.cancel(doomed)  # idempotent
         assert driver.pending == 1
         assert driver.drain() == 1
         assert seen == ["kept"]
-        doomed.cancel()  # and still a no-op after the drain
+        driver.cancel(doomed)  # and still a no-op after the drain
         assert driver.pending == 0
 
     def test_cancel_after_fire_is_a_noop(self, driver):
         handle = driver.transport.dispatch(0.0, lambda: None, (), count=2)
         driver.drain()
-        handle.cancel()
+        driver.cancel(handle)
         assert driver.executed == 2
         assert driver.pending == 0
 
@@ -546,7 +552,7 @@ class TestQueueTransport:
     def test_dispatched_counts_every_enqueue(self):
         transport = QueueTransport(TickClock())
         transport.dispatch(0.0, lambda: None, (), count=5)
-        transport.dispatch(1.0, lambda: None, ()).cancel()
+        transport._queue.cancel(transport.dispatch(1.0, lambda: None, ()))
         assert transport.dispatched == 6
         assert transport.pending == 5
         assert transport.pump() == 5
@@ -579,11 +585,20 @@ class TestQueueTransport:
 
 
 class RecordingTransport:
-    """Passes dispatches through, keeping the handles for cancellation."""
+    """Passes dispatches through, keeping the handles for cancellation and
+    which of them were cancelled before they ran."""
 
     def __init__(self, inner):
         self.inner = inner
+        #: the queue the entries live on: the engine, or the live queue's
+        self.queue = inner if isinstance(inner, Engine) else inner._queue
         self.handles = []
+        self.cancelled: set[int] = set()
+
+    def cancel(self, handle) -> None:
+        if handle[2] is not None:
+            self.cancelled.add(id(handle))
+        self.queue.cancel(handle)
 
     def dispatch(self, delay, fn, args, *, count=1):
         handle = self.inner.dispatch(delay, fn, args, count=count)
@@ -636,7 +651,7 @@ def _run_workload(
             net.multicast(sender, targets, Ping(sender=sender, nonce=index))
         for after, which in cancels:
             if after == index and transport.handles:
-                transport.handles[which % len(transport.handles)].cancel()
+                transport.cancel(transport.handles[which % len(transport.handles)])
         if drain_after is not None and index not in drain_after and index != last:
             continue
         if inner is engine:
@@ -648,7 +663,9 @@ def _run_workload(
         [(m.sender, m.nonce) for m in actor.inbox] for actor in actors
     ]
     # a handle has run or been cancelled once its call is released
-    fates = [(h._fn is None, h._cancelled) for h in transport.handles]
+    fates = [
+        (h[2] is None, id(h) in transport.cancelled) for h in transport.handles
+    ]
     return inboxes, fates, rng.getstate(), net.stats.as_dict()
 
 

@@ -394,6 +394,21 @@ class TestDynamicPresets:
     def test_catalog_contains_dynamic_presets(self):
         assert set(DYNAMIC_PRESETS) <= set(preset_names())
 
+    @pytest.mark.parametrize("name", DYNAMIC_PRESETS)
+    def test_close_cancels_the_timers_pending_at_the_horizon(self, name):
+        """A closed system's maintenance and bootstrap timers neither run
+        on the closed network (they crashed in ``Network._deliver``) nor
+        keep its processes alive through the engine's queue."""
+        built = compile_spec(load_preset(name)).build(0)
+        built.execute()
+        engine = built.system.harness.engine
+        assert engine.pending > 0
+        built.system.close()
+        assert engine.pending == 0
+        horizon = engine.now + 50
+        assert engine.run(until=horizon) == 0
+        assert engine.now == horizon
+
 
 class TestCli:
     def test_dynamic_preset_bit_identical_across_jobs(self, capsys):

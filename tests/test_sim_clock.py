@@ -13,19 +13,19 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.service.clock import AsyncClock
-from repro.sim.clock import Clock, Handle, PeriodicTask
-from repro.sim.engine import Engine, EventHandle
+from repro.sim.clock import Clock, PeriodicTask
+from repro.sim.engine import Engine
 
 
 class TestProtocolConformance:
     def test_engine_is_a_clock(self):
         assert isinstance(Engine(), Clock)
 
-    def test_engine_handle_satisfies_handle(self):
+    def test_engine_handle_is_its_queue_entry(self):
         engine = Engine()
         handle = engine.schedule(1.0, lambda: None)
-        assert isinstance(handle, EventHandle)
-        assert isinstance(handle, Handle)
+        assert type(handle) is list
+        assert handle[:2] == [1.0, 0]
 
     def test_engine_every_returns_shared_periodic_task(self):
         engine = Engine()
@@ -38,7 +38,7 @@ class TestEngineCancellation:
         engine = Engine()
         fired = []
         handle = engine.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
+        engine.cancel(handle)
         engine.run_until_idle()
         assert fired == []
         assert engine.pending == 0
@@ -48,7 +48,7 @@ class TestEngineCancellation:
         fired = []
         handle = engine.schedule(1.0, lambda: fired.append(1))
         engine.run_until_idle()
-        handle.cancel()
+        engine.cancel(handle)
         assert fired == [1]
         assert engine.pending == 0
 
@@ -99,8 +99,8 @@ def test_engine_schedule_order_is_deterministic(delays, cancel_mask):
     """Same schedule/cancel sequence → identical firing trace, twice.
 
     The pre/post-refactor bit-identity property at the seam level: Engine
-    consumed through the Clock protocol surface (schedule + Handle.cancel
-    + run) yields exactly the same execution every time.
+    consumed through the Clock protocol surface (schedule + cancel + run)
+    yields exactly the same execution every time.
     """
 
     def run_once():
@@ -115,7 +115,7 @@ def test_engine_schedule_order_is_deterministic(delays, cancel_mask):
             )
         for handle, cancel in zip(handles, cancel_mask):
             if cancel:
-                handle.cancel()
+                engine.cancel(handle)
         engine.run_until_idle()
         return fired
 

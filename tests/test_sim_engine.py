@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim import Engine
+from test_channel_frame_budget import count_package_frames
 
 
 class TestScheduling:
@@ -67,7 +68,7 @@ class TestScheduling:
         engine = Engine()
         fired = []
         handle = engine.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
+        engine.cancel(handle)
         engine.run()
         assert fired == []
         assert engine.pending == 0 and engine.processed == 0
@@ -165,7 +166,7 @@ class TestPendingAccuracy:
         first = engine.schedule(1.0, lambda: None)
         engine.schedule(2.0, lambda: None)
         assert engine.pending == 2
-        first.cancel()
+        engine.cancel(first)
         # The dead heap entry no longer counts, even before it is popped.
         assert engine.pending == 1
         engine.run()
@@ -175,15 +176,15 @@ class TestPendingAccuracy:
         engine = Engine()
         handle = engine.schedule(1.0, lambda: None)
         engine.schedule(2.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        engine.cancel(handle)
+        engine.cancel(handle)
         assert engine.pending == 1
 
     def test_cancel_after_fire_is_noop(self):
         engine = Engine()
         handle = engine.schedule(1.0, lambda: None)
         engine.run()
-        handle.cancel()
+        engine.cancel(handle)
         assert engine.pending == 0
         assert engine.processed == 1
 
@@ -197,11 +198,36 @@ class TestPendingAccuracy:
         ref = weakref.ref(payload)
         handle = engine.schedule(100.0, lambda: payload)
         del payload
-        handle.cancel()
+        engine.cancel(handle)
         gc.collect()
         # The closure (and everything it captured) is gone even though the
         # cancelled entry still sits in the heap.
         assert ref() is None
+
+    def test_cancel_all_empties_heap_and_bucket(self):
+        engine = Engine()
+
+        class Payload:
+            pass
+
+        payload = Payload()
+        ref = weakref.ref(payload)
+        fired = []
+        engine.run(until=1.0)
+        in_bucket = engine.dispatch(0.0, fired.append, (payload,), count=3)
+        in_heap = engine.schedule(5.0, lambda: fired.append("heap"))
+        engine.cancel(engine.schedule(6.0, lambda: None))  # already dead
+        assert engine.pending == 4
+        del payload
+        engine.cancel_all()
+        assert engine.pending == 0
+        gc.collect()
+        assert ref() is None
+        assert in_bucket[2] is None and in_heap[2] is None
+        engine.cancel(in_heap)  # still the one no-op cancel
+        assert engine.pending == 0
+        assert engine.run(until=10.0) == 0
+        assert fired == [] and engine.processed == 0 and engine.now == 10.0
 
     def test_fired_callback_released_too(self):
         engine = Engine()
@@ -263,9 +289,9 @@ class TestDispatch:
         fired = []
         handle = engine.dispatch(1.0, fired.append, (1,), count=5)
         assert engine.pending == 5
-        handle.cancel()
+        engine.cancel(handle)
         assert engine.pending == 0
-        assert handle._args is None
+        assert handle[3] is None
         engine.run()
         assert fired == []
 
@@ -336,7 +362,7 @@ class TestZeroLatencyBucket:
         def kickoff():
             doomed = engine.schedule(0.0, lambda: fired.append("doomed"))
             engine.schedule(0.0, lambda: fired.append("kept"))
-            doomed.cancel()
+            engine.cancel(doomed)
 
         engine.schedule(1.0, kickoff)
         engine.run()
@@ -396,3 +422,31 @@ class TestPeriodicTask:
         engine.every(2.0, lambda: ticks.append(engine.now), initial_delay=0.5)
         engine.run(until=5.0)
         assert ticks == [0.5, 2.5, 4.5]
+
+
+class TestExactFrames:
+    """What the engine costs in package frames, counted as the frame
+    budgets count them (ROADMAP 1(d)): a queue entry is a plain list, so a
+    scheduled call is the one ``dispatch`` frame and a fired C call costs
+    nothing beyond ``run`` and its loop."""
+
+    def test_dispatch_enters_one_frame(self):
+        engine = Engine()
+        seen = []
+        for delay in (1.0, 0.0):  # the heap, then the zero-latency bucket
+            assert count_package_frames(
+                lambda: engine.dispatch(delay, seen.append, (delay,))
+            ) == 1
+        assert engine.pending == 2
+
+    def test_run_frames_do_not_grow_with_the_calls_run(self):
+        def frames_to_run(n: int) -> int:
+            engine = Engine()
+            seen = []
+            for index in range(n):
+                engine.dispatch(float(index % 3), seen.append, (index,))
+            frames = count_package_frames(engine.run)
+            assert len(seen) == n
+            return frames
+
+        assert frames_to_run(1) == frames_to_run(100) == 2  # run and _fire
