@@ -20,27 +20,19 @@ Public API highlights
 See README.md for a quickstart and DESIGN.md for the system inventory.
 """
 
-from repro.core import (
-    DaMulticastConfig,
-    DaMulticastProcess,
-    DaMulticastSystem,
-    Event,
-    EventId,
-    TopicParams,
-)
-from repro.topics import ROOT, Topic, TopicHierarchy
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DaMulticastSystem",
-    "DaMulticastProcess",
-    "DaMulticastConfig",
-    "TopicParams",
-    "Event",
-    "EventId",
-    "Topic",
-    "TopicHierarchy",
-    "ROOT",
-    "__version__",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.system": ("DaMulticastSystem",),
+        "repro.core.process": ("DaMulticastProcess",),
+        "repro.core.params": ("DaMulticastConfig", "TopicParams"),
+        "repro.core.events": ("Event", "EventId"),
+        "repro.topics.topic": ("Topic", "ROOT"),
+        "repro.topics.hierarchy": ("TopicHierarchy",),
+    },
+)
+__all__.append("__version__")

@@ -18,56 +18,38 @@ Three modules map one-to-one onto the paper's analysis:
 :mod:`~repro.analysis.comparison` assembles the §VI-E side-by-side tables.
 """
 
-from repro.analysis.complexity import (
-    broadcast_memory,
-    broadcast_messages,
-    damulticast_memory,
-    damulticast_messages,
-    hierarchical_memory,
-    hierarchical_messages,
-    multicast_memory,
-    multicast_messages,
-)
-from repro.analysis.reliability import (
-    atomic_gossip_reliability,
-    broadcast_reliability,
-    damulticast_reliability,
-    damulticast_reliability_paper,
-    effective_fanout_constant,
-    effective_gossip_reliability,
-    hierarchical_reliability,
-    intergroup_propagation_probability,
-    multicast_reliability,
-)
-from repro.analysis.tuning import (
-    TuningResult,
-    match_broadcast,
-    match_hierarchical,
-    match_multicast,
-)
-from repro.analysis.comparison import comparison_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "damulticast_messages",
-    "broadcast_messages",
-    "multicast_messages",
-    "hierarchical_messages",
-    "damulticast_memory",
-    "broadcast_memory",
-    "multicast_memory",
-    "hierarchical_memory",
-    "atomic_gossip_reliability",
-    "effective_fanout_constant",
-    "effective_gossip_reliability",
-    "intergroup_propagation_probability",
-    "damulticast_reliability",
-    "damulticast_reliability_paper",
-    "broadcast_reliability",
-    "multicast_reliability",
-    "hierarchical_reliability",
-    "TuningResult",
-    "match_broadcast",
-    "match_multicast",
-    "match_hierarchical",
-    "comparison_table",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.complexity": (
+            "damulticast_messages",
+            "broadcast_messages",
+            "multicast_messages",
+            "hierarchical_messages",
+            "damulticast_memory",
+            "broadcast_memory",
+            "multicast_memory",
+            "hierarchical_memory",
+        ),
+        "repro.analysis.reliability": (
+            "atomic_gossip_reliability",
+            "effective_fanout_constant",
+            "effective_gossip_reliability",
+            "intergroup_propagation_probability",
+            "damulticast_reliability",
+            "damulticast_reliability_paper",
+            "broadcast_reliability",
+            "multicast_reliability",
+            "hierarchical_reliability",
+        ),
+        "repro.analysis.tuning": (
+            "TuningResult",
+            "match_broadcast",
+            "match_multicast",
+            "match_hierarchical",
+        ),
+        "repro.analysis.comparison": ("comparison_table",),
+    },
+)

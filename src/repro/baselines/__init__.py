@@ -25,17 +25,15 @@ is §IV-A's pattern (2) strawman. All four are the one static build of
 :class:`~repro.baselines.common.BaselineActor` over every pid.
 """
 
-from repro.baselines.broadcast import GossipBroadcastSystem
-from repro.baselines.common import BaselineActor, BaselineSystem
-from repro.baselines.hierarchical import HierarchicalGossipSystem
-from repro.baselines.multicast import GossipMulticastSystem
-from repro.baselines.naive_publisher import NaivePublisherSystem
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BaselineActor",
-    "BaselineSystem",
-    "GossipBroadcastSystem",
-    "GossipMulticastSystem",
-    "HierarchicalGossipSystem",
-    "NaivePublisherSystem",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.broadcast": ("GossipBroadcastSystem",),
+        "repro.baselines.common": ("BaselineActor", "BaselineSystem"),
+        "repro.baselines.hierarchical": ("HierarchicalGossipSystem",),
+        "repro.baselines.multicast": ("GossipMulticastSystem",),
+        "repro.baselines.naive_publisher": ("NaivePublisherSystem",),
+    },
+)

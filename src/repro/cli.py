@@ -726,7 +726,9 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                 topic = topics[index % len(topics)][0]
                 await runtime.publish(topic, {"n": index})
             status = runtime.status()
-        return runtime.trace(), status
+        trace = runtime.trace()
+        runtime.system.close()
+        return trace, status
 
     async def bounded():
         return await asyncio.wait_for(serve(), timeout=args.timeout)

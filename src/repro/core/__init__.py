@@ -12,8 +12,9 @@ The core package implements §V of the paper:
   RECEIVE,
 * :mod:`~repro.core.bootstrap` — Fig. 4's FIND_SUPER_CONTACT task,
 * :mod:`~repro.core.maintenance` — Fig. 6's KEEP_TABLE_UPDATED task,
-* :mod:`~repro.core.process` — the protocol actors gluing the above: a
-  dynamic process, and a static group's block actor,
+* :mod:`~repro.core.process` — the dynamic process gluing the above,
+* :mod:`~repro.core.group_actor` — the §VII simulator's block actor, one
+  per static group (it imports nothing of the dynamic protocol),
 * :mod:`~repro.core.system` — the user-facing facade used by examples
   and experiments; in static mode it also serves §VIII's multiple
   supertopics (:meth:`~repro.runtime.ObjectSystemFacade.link`: one supertopic
@@ -22,16 +23,14 @@ The core package implements §V of the paper:
   group and the streaming tracker, for 10⁵–10⁶ processes.
 """
 
-from repro.core.events import Event, EventId
-from repro.core.params import DaMulticastConfig, TopicParams
-from repro.core.process import DaMulticastProcess
-from repro.core.system import DaMulticastSystem
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventId",
-    "TopicParams",
-    "DaMulticastConfig",
-    "DaMulticastProcess",
-    "DaMulticastSystem",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.events": ("Event", "EventId"),
+        "repro.core.params": ("TopicParams", "DaMulticastConfig"),
+        "repro.core.process": ("DaMulticastProcess",),
+        "repro.core.system": ("DaMulticastSystem",),
+    },
+)

@@ -13,7 +13,7 @@ the two settings that scale:
   instead of per-(event, pid) records.
 
 Everything else is the shared static build: one contiguous pid block and
-one :class:`~repro.core.process.ColumnarGroupActor` per group, the same
+one :class:`~repro.core.group_actor.ColumnarGroupActor` per group, the same
 table builder (:func:`~repro.membership.columnar.draw_static_tables`) from
 the same ``"static-membership"`` stream, and the same
 :func:`~repro.membership.columnar.rows_digest`, pinned by the S=500

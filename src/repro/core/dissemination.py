@@ -21,7 +21,7 @@ The functions here are pure protocol logic over the narrow, pid-level
 :class:`~repro.core.process.DaMulticastProcess` implements over its
 descriptor tables. A static (paper-simulation) group runs the same figure
 as one call inside its block actor, over pid columns
-(:meth:`~repro.core.process.ColumnarGroupActor._forward`); the two bodies
+(:meth:`~repro.core.group_actor.ColumnarGroupActor._forward`); the two bodies
 make the same draws in the same order (tests/test_fig7_draw_order.py).
 Both draw their gossip targets through one sampler
 (:func:`repro.membership.sampling.sample_from`) that hands back pids — off

@@ -9,7 +9,7 @@ system facade's ``publish`` mints it, for every system.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from repro.records import frozen_record
 from repro.topics.topic import Topic
@@ -46,3 +46,9 @@ class Event:
     def __str__(self) -> str:
         return f"{self.event_id}@{self.topic.name}"
 
+
+#: called with the delivering member — a dynamic
+#: :class:`~repro.core.process.DaMulticastProcess` or a static
+#: :class:`~repro.runtime.StaticMember` — and the event, once per first
+#: delivery
+DeliveryCallback = Callable[[Any, Event], None]

@@ -18,7 +18,7 @@ Two modes mirror the paper's two settings:
   It is the one static build of :class:`~repro.runtime.ObjectSystemFacade`
   (pid-block :class:`~repro.runtime.StaticMember` records, membership and
   links fixed by the finalize); what daMulticast adds is its table draw
-  and one :class:`~repro.core.process.ColumnarGroupActor` per group.
+  and one :class:`~repro.core.group_actor.ColumnarGroupActor` per group.
 * ``mode="dynamic"`` — the full protocol: joins go through the bootstrap
   overlay, FIND_SUPER_CONTACT floods, tables shuffle and self-repair. The
   processes are one :class:`~repro.core.process.ProcessBlock` on the
@@ -34,24 +34,21 @@ in the process itself (dynamic).
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from repro.core.events import Event
+from repro.core.events import DeliveryCallback, Event
+from repro.core.group_actor import ColumnarGroupActor
 from repro.core.params import DaMulticastConfig
-from repro.core.process import (
-    ColumnarGroupActor,
-    DaMulticastProcess,
-    DeliveryCallback,
-    GroupSizeCell,
-    ProcessBlock,
-)
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
 from repro.membership.columnar import draw_static_tables, rows_digest
-from repro.membership.overlay import BootstrapOverlay
-from repro.membership.view import ProcessDescriptor
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.runtime import ObjectSystemFacade, SimulationHarness
 from repro.topics.topic import Topic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.process import DaMulticastProcess, GroupSizeCell
+    from repro.membership.view import ProcessDescriptor
 
 
 class DaMulticastSystem(ObjectSystemFacade):
@@ -91,16 +88,22 @@ class DaMulticastSystem(ObjectSystemFacade):
                 failure_model=failure_model,
             )
         )
-        self.overlay = (
-            BootstrapOverlay(overlay_degree) if mode == "dynamic" else None
-        )
+        self.overlay = None
         #: one live size counter per group, shared with every member
         self._group_size_cells: dict[Topic, GroupSizeCell] = {}
         #: last (b+1)·log S capacity pushed to a group's dynamic views
         self._group_capacities: dict[Topic, int] = {}
         self._delivery_callback = delivery_callback
         #: the dynamic processes' one block actor, over ``_processes``
-        self._block = ProcessBlock(self._processes) if mode == "dynamic" else None
+        self._block = None
+        if mode == "dynamic":
+            # the dynamic protocol's modules load with its first system:
+            # a static run never imports them
+            from repro.core.process import ProcessBlock
+            from repro.membership.overlay import BootstrapOverlay
+
+            self.overlay = BootstrapOverlay(overlay_degree)
+            self._block = ProcessBlock(self._processes)
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -127,6 +130,8 @@ class DaMulticastSystem(ObjectSystemFacade):
                     "is in its group's tables from the finalize on"
                 )
             return super()._add_members(topic, count)
+        from repro.core.process import DaMulticastProcess, GroupSizeCell
+
         harness = self.harness
         rngs = harness.rngs
         network = harness.network
@@ -232,7 +237,7 @@ class DaMulticastSystem(ObjectSystemFacade):
         supergroup — one table per direct supertopic when :meth:`link`
         gave a topic several (§VIII). Each group is drawn as pid columns
         (:func:`~repro.membership.columnar.draw_static_tables`) and
-        registered as one :class:`~repro.core.process.ColumnarGroupActor`
+        registered as one :class:`~repro.core.group_actor.ColumnarGroupActor`
         over its pid block.
         """
         blocks = {

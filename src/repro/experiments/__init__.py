@@ -1,7 +1,8 @@
 """Experiment harness: regenerate every figure and table of the paper.
 
-This package exports its execution port only, because
-``repro.workloads.spec`` sweeps through it:
+This package exports its execution port only, lazily (nothing is
+imported until a name is used); ``repro.workloads.spec`` imports the
+port's modules inside the functions that sweep through it:
 
 * :mod:`~repro.experiments.executor` — a serial loop and one process pool
   behind one ``Executor`` protocol,
@@ -17,42 +18,31 @@ The experiments are imported from their modules: :mod:`~.paper` (Figs.
 :class:`repro.metrics.report.Table` of the series the paper plots.
 """
 
-from repro.experiments.executor import (
-    Executor,
-    ExecutorSpec,
-    PoolExecutor,
-    SerialExecutor,
-    parse_executor_spec,
-    resolve_executor,
-)
-from repro.experiments.artifacts import (
-    ArtifactStore,
-    CachingExecutor,
-    write_json_atomic,
-)
-from repro.experiments.runner import (
-    SweepCell,
-    SweepResult,
-    SweepWorkerError,
-    aggregate_runs,
-    run_cells,
-    run_sweep,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Executor",
-    "ExecutorSpec",
-    "SerialExecutor",
-    "PoolExecutor",
-    "parse_executor_spec",
-    "resolve_executor",
-    "ArtifactStore",
-    "CachingExecutor",
-    "write_json_atomic",
-    "run_sweep",
-    "run_cells",
-    "aggregate_runs",
-    "SweepResult",
-    "SweepCell",
-    "SweepWorkerError",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.executor": (
+            "Executor",
+            "ExecutorSpec",
+            "SerialExecutor",
+            "PoolExecutor",
+            "parse_executor_spec",
+            "resolve_executor",
+        ),
+        "repro.experiments.artifacts": (
+            "ArtifactStore",
+            "CachingExecutor",
+            "write_json_atomic",
+        ),
+        "repro.experiments.runner": (
+            "run_sweep",
+            "run_cells",
+            "aggregate_runs",
+            "SweepResult",
+            "SweepCell",
+            "SweepWorkerError",
+        ),
+    },
+)

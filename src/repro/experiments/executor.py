@@ -51,17 +51,25 @@ from a string or ``None``; an instance handed in stays the caller's.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import pickle
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence, Union, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Protocol,
+    Sequence,
+    Union,
+    runtime_checkable,
+)
 
 from repro.errors import ConfigError
 from repro.sim.rng import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Per-cell completion callback: ``on_result(index, completed, total)``,
 #: invoked after each *successful* cell (completion order under parallel
@@ -238,12 +246,15 @@ class SerialExecutor:
         pass
 
 
-# Workers start from a forkserver, never by forking the parent (which
-# may have threads running, the pool's own among them). The server
-# imports repro.experiments once, so every worker it forks starts with
-# the package loaded.
-_POOL_CONTEXT = multiprocessing.get_context("forkserver")
-_POOL_CONTEXT.set_forkserver_preload(["repro.experiments"])
+#: What the forkserver imports once, so that every worker it forks starts
+#: with the modules a cell runs loaded: the chunk runner and the scenario
+#: layer (with the artifact digest its compile memo keys on). A package
+#: name would preload only its ``__init__``, which imports nothing.
+_POOL_PRELOAD = [
+    "repro.experiments.executor",
+    "repro.experiments.artifacts",
+    "repro.workloads.spec",
+]
 
 
 class PoolExecutor:
@@ -299,10 +310,18 @@ class PoolExecutor:
             # fast path (still bit-identical by contract).
             return _run_serial(run, cells, master_seed, on_result)
         _ensure_picklable(run, cells)
+        # the pool's machinery loads with the first parallel call: a serial
+        # run never imports multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                self.jobs, mp_context=_POOL_CONTEXT
-            )
+            # Workers start from a forkserver, never by forking the parent
+            # (which may have threads running, the pool's own among them).
+            context = multiprocessing.get_context("forkserver")
+            context.set_forkserver_preload(_POOL_PRELOAD)
+            self._pool = ProcessPoolExecutor(self.jobs, mp_context=context)
             # Start every worker now, as the pool does for "fork". Left to
             # spawn one per submit, a submit racing a worker's death can
             # start a worker after the pool's manager thread has

@@ -17,18 +17,15 @@ models crash/recover timelines (§III-A allows crash-recovery), used by the
 dynamic-protocol tests and the failure-injection example.
 """
 
-from repro.failures.model import AlwaysAlive, FailureModel
-from repro.failures.stillborn import StillbornFailures, sample_stillborn
-from repro.failures.dynamic import DynamicFailures
-from repro.failures.churn import ChurnSchedule
-from repro.failures.injector import FailureCampaign
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FailureModel",
-    "AlwaysAlive",
-    "StillbornFailures",
-    "sample_stillborn",
-    "DynamicFailures",
-    "ChurnSchedule",
-    "FailureCampaign",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.failures.model": ("FailureModel", "AlwaysAlive"),
+        "repro.failures.stillborn": ("StillbornFailures", "sample_stillborn"),
+        "repro.failures.dynamic": ("DynamicFailures",),
+        "repro.failures.churn": ("ChurnSchedule",),
+        "repro.failures.injector": ("FailureCampaign",),
+    },
+)

@@ -26,20 +26,14 @@ Intentional exceptions are suppressed inline with
 unused pragmas are themselves findings).
 """
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.lint.engine import all_rules, lint_source, run_lint
-from repro.lint.findings import Finding, LintReport, Suppression
-from repro.lint.report import render_json, render_text
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "Finding",
-    "LintConfig",
-    "LintReport",
-    "Suppression",
-    "all_rules",
-    "lint_source",
-    "render_json",
-    "render_text",
-    "run_lint",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.lint.config": ("DEFAULT_CONFIG", "LintConfig"),
+        "repro.lint.engine": ("all_rules", "lint_source", "run_lint"),
+        "repro.lint.findings": ("Finding", "LintReport", "Suppression"),
+        "repro.lint.report": ("render_json", "render_text"),
+    },
+)

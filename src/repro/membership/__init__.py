@@ -21,24 +21,19 @@ package implements:
   bootstrap search.
 """
 
-from repro.membership.view import PartialView, ProcessDescriptor
-from repro.membership.columnar import (
-    ColumnarGroupTables,
-    ColumnarSuperBuilder,
-    ColumnarTableBuilder,
-    build_group_tables,
-)
-from repro.membership.flat import FlatMembership, FlatMembershipConfig
-from repro.membership.overlay import BootstrapOverlay
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProcessDescriptor",
-    "PartialView",
-    "ColumnarGroupTables",
-    "ColumnarTableBuilder",
-    "ColumnarSuperBuilder",
-    "build_group_tables",
-    "FlatMembership",
-    "FlatMembershipConfig",
-    "BootstrapOverlay",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.membership.view": ("ProcessDescriptor", "PartialView"),
+        "repro.membership.columnar": (
+            "ColumnarGroupTables",
+            "ColumnarTableBuilder",
+            "ColumnarSuperBuilder",
+            "build_group_tables",
+        ),
+        "repro.membership.flat": ("FlatMembership", "FlatMembershipConfig"),
+        "repro.membership.overlay": ("BootstrapOverlay",),
+    },
+)

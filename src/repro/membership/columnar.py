@@ -62,7 +62,7 @@ Reading a row in place
 ----------------------
 
 Fig. 7 reads a member's rows straight off the columns: the group's block
-actor (:meth:`~repro.core.process.ColumnarGroupActor._forward`) makes the
+actor (:meth:`~repro.core.group_actor.ColumnarGroupActor._forward`) makes the
 link election and ``p_a`` draws over its super rows itself, and the gossip
 sample is :meth:`ColumnarGroupTables.sample_row`, draw-identical to
 :meth:`PartialView.sample_pids

@@ -7,27 +7,19 @@ the baselines are measured identically and none can cheat by reporting its
 own internals.
 """
 
-from repro.metrics.collector import DeliveryTracker
-from repro.metrics.degradation import (
-    WindowPoint,
-    degradation_summary,
-    delivery_ratio_series,
-)
-from repro.metrics.delivery import (
-    delivered_fraction,
-    parasite_deliveries,
-)
-from repro.metrics.streaming import StreamingDeliveryTracker, TopicDeliveryStats
-from repro.metrics.report import Table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DeliveryTracker",
-    "StreamingDeliveryTracker",
-    "TopicDeliveryStats",
-    "delivered_fraction",
-    "parasite_deliveries",
-    "WindowPoint",
-    "delivery_ratio_series",
-    "degradation_summary",
-    "Table",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.collector": ("DeliveryTracker",),
+        "repro.metrics.degradation": (
+            "WindowPoint",
+            "delivery_ratio_series",
+            "degradation_summary",
+        ),
+        "repro.metrics.delivery": ("delivered_fraction", "parasite_deliveries"),
+        "repro.metrics.streaming": ("StreamingDeliveryTracker", "TopicDeliveryStats"),
+        "repro.metrics.report": ("Table",),
+    },
+)

@@ -13,69 +13,44 @@ intra/inter-group event counts for Figs. 8–9) lives in
 :class:`~repro.net.stats.NetworkStats`.
 """
 
-from repro.net.faults import (
-    BernoulliLoss,
-    DelaySpike,
-    DuplicateModel,
-    FaultPipeline,
-    GilbertElliott,
-    LinkClassFaults,
-    LinkFaultModel,
-    NO_FAULTS,
-    NoFaults,
-)
-from repro.net.latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    LinkClassLatency,
-    UniformLatency,
-    ZERO_LATENCY,
-)
-from repro.net.message import (
-    AnsContact,
-    EventMessage,
-    JoinRequest,
-    MembershipGossip,
-    Message,
-    NewProcessReply,
-    NewProcessRequest,
-    Ping,
-    Pong,
-    ReqContact,
-)
-from repro.net.network import Network
-from repro.net.partitions import PartitionModel, StaticPartition
-from repro.net.stats import NetworkStats
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Network",
-    "NetworkStats",
-    "Message",
-    "EventMessage",
-    "JoinRequest",
-    "ReqContact",
-    "AnsContact",
-    "NewProcessRequest",
-    "NewProcessReply",
-    "MembershipGossip",
-    "Ping",
-    "Pong",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
-    "LinkClassLatency",
-    "ZERO_LATENCY",
-    "PartitionModel",
-    "StaticPartition",
-    "LinkFaultModel",
-    "NoFaults",
-    "NO_FAULTS",
-    "BernoulliLoss",
-    "GilbertElliott",
-    "DuplicateModel",
-    "DelaySpike",
-    "FaultPipeline",
-    "LinkClassFaults",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.net.faults": (
+            "LinkFaultModel",
+            "NoFaults",
+            "NO_FAULTS",
+            "BernoulliLoss",
+            "GilbertElliott",
+            "DuplicateModel",
+            "DelaySpike",
+            "FaultPipeline",
+            "LinkClassFaults",
+        ),
+        "repro.net.latency": (
+            "LatencyModel",
+            "ConstantLatency",
+            "UniformLatency",
+            "ExponentialLatency",
+            "LinkClassLatency",
+            "ZERO_LATENCY",
+        ),
+        "repro.net.message": (
+            "Message",
+            "EventMessage",
+            "JoinRequest",
+            "ReqContact",
+            "AnsContact",
+            "NewProcessRequest",
+            "NewProcessReply",
+            "MembershipGossip",
+            "Ping",
+            "Pong",
+        ),
+        "repro.net.network": ("Network",),
+        "repro.net.partitions": ("PartitionModel", "StaticPartition"),
+        "repro.net.stats": ("NetworkStats",),
+    },
+)

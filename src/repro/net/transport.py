@@ -27,6 +27,7 @@ identically by construction.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.errors import SchedulingError
@@ -121,6 +122,14 @@ class QueueTransport:
     ) -> None:
         self._queue.requeue(entry, fn, args, count)
         self.executed -= count
+
+    def cancel_all(self) -> None:
+        """Drop every queued delivery unrun (what a closed harness does):
+        none runs on a later :meth:`pump`, none keeps what it captured,
+        and :attr:`pending` reads 0."""
+        pop_due = self._queue.pop_due
+        while pop_due(inf) is not None:
+            pass
 
     def pump(self, now: float | None = None) -> int:
         """Execute every delivery due at or before ``now`` (default: the

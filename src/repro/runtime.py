@@ -22,9 +22,9 @@ The harness is time-source-agnostic: by default it builds a discrete-event
 :class:`~repro.sim.engine.Engine` (the virtual-time oracle every golden
 test replays against), but another time source — the live runtime's
 wall-clock :class:`~repro.service.clock.AsyncClock`, which only reads
-``now`` — can be injected together with a matching delivery
-:class:`~repro.net.transport.Transport`. The protocol core above never
-notices the difference.
+``now`` — can be injected together with a delivery queue
+(:class:`~repro.net.transport.QueueTransport`) that executes the
+deliveries. The protocol core above never notices the difference.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.metrics.delivery import delivered_fraction
 from repro.metrics.streaming import StreamingDeliveryTracker
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.network import Network
-from repro.net.transport import Transport
+from repro.net.transport import QueueTransport
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -62,7 +62,7 @@ class SimulationHarness:
         failure_model: FailureModel | None = None,
         tracker: str | DeliveryTracker | StreamingDeliveryTracker = "full",
         clock: Clock | None = None,
-        transport: Transport | None = None,
+        transport: QueueTransport | None = None,
     ):
         if isinstance(tracker, str) and tracker not in ("full", "streaming"):
             raise ConfigError(
@@ -83,6 +83,8 @@ class SimulationHarness:
             failure_model=failure_model,
             transport=transport,
         )
+        #: the injected delivery transport; None when the engine is its own
+        self._transport = transport
         self.stats = self.network.stats
         #: ``tracker="full"`` keeps per-(event, pid) records (the figures'
         #: raw material); ``"streaming"`` folds deliveries into O(topics)
@@ -101,18 +103,21 @@ class SimulationHarness:
         self.closed = False
 
     def close(self) -> None:
-        """Let go of every actor and every call still queued on the engine
-        (idempotent).
+        """Let go of every actor and every call still queued, on the engine
+        and on an injected delivery queue (idempotent).
 
         The system facades call this from their own ``close()`` after
         dropping their process/group registries. Clock, RNG streams,
         statistics and tracker stay readable; nothing can be delivered
         any more, and no timer pending at the horizon runs (or keeps
-        what it captured) on a later ``run``.
+        what it captured) on a later ``run``, nor a delivery on a later
+        ``pump``.
         """
         self.network.close()
         if isinstance(self.clock, Engine):
             self.clock.cancel_all()
+        if self._transport is not None:
+            self._transport.cancel_all()
         self.closed = True
 
     def require_open(self) -> None:

@@ -18,13 +18,13 @@ time — producing the *same per-topic delivery sets*, which the golden
 tests assert.
 """
 
-from repro.service.clock import AsyncClock
-from repro.service.replay import delivery_sets_from_trace, replay_live_trace
-from repro.service.runtime import LiveRuntime
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AsyncClock",
-    "LiveRuntime",
-    "delivery_sets_from_trace",
-    "replay_live_trace",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.clock": ("AsyncClock",),
+        "repro.service.replay": ("delivery_sets_from_trace", "replay_live_trace"),
+        "repro.service.runtime": ("LiveRuntime",),
+    },
+)

@@ -10,12 +10,12 @@ seed, so runs are reproducible bit-for-bit and independent components do not
 perturb each other's random sequences.
 """
 
-from repro.sim.engine import Engine, PeriodicTask
-from repro.sim.rng import RngRegistry, derive_seed
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Engine",
-    "PeriodicTask",
-    "RngRegistry",
-    "derive_seed",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.engine": ("Engine", "PeriodicTask"),
+        "repro.sim.rng": ("RngRegistry", "derive_seed"),
+    },
+)

@@ -17,19 +17,13 @@ provides:
   hierarchies from dotted names, balanced trees).
 """
 
-from repro.topics.topic import ROOT, Topic
-from repro.topics.hierarchy import TopicHierarchy
-from repro.topics.builders import (
-    balanced_tree,
-    chain,
-    from_names,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ROOT",
-    "Topic",
-    "TopicHierarchy",
-    "chain",
-    "balanced_tree",
-    "from_names",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.topics.topic": ("ROOT", "Topic"),
+        "repro.topics.hierarchy": ("TopicHierarchy",),
+        "repro.topics.builders": ("chain", "balanced_tree", "from_names"),
+    },
+)

@@ -17,42 +17,31 @@
   ``partition-heal``, ``baseline-compare``).
 """
 
-from repro.workloads.scenarios import PaperScenario
-from repro.workloads.subscriptions import (
-    uniform_subscriptions,
-    zipf_subscriptions,
-)
-from repro.workloads.publications import (
-    PoissonSchedule,
-    burst_schedule,
-    replay_on,
-    single_shot,
-)
-from repro.workloads.spec import (
-    CompiledSpec,
-    compile_spec,
-    load_spec,
-    metrics_digest,
-    run_scenario,
-    run_spec,
-    spec_with,
-    sweep_scenario,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PaperScenario",
-    "uniform_subscriptions",
-    "zipf_subscriptions",
-    "single_shot",
-    "burst_schedule",
-    "replay_on",
-    "PoissonSchedule",
-    "CompiledSpec",
-    "compile_spec",
-    "load_spec",
-    "metrics_digest",
-    "run_scenario",
-    "run_spec",
-    "spec_with",
-    "sweep_scenario",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.scenarios": ("PaperScenario",),
+        "repro.workloads.subscriptions": (
+            "uniform_subscriptions",
+            "zipf_subscriptions",
+        ),
+        "repro.workloads.publications": (
+            "single_shot",
+            "burst_schedule",
+            "replay_on",
+            "PoissonSchedule",
+        ),
+        "repro.workloads.spec": (
+            "CompiledSpec",
+            "compile_spec",
+            "load_spec",
+            "metrics_digest",
+            "run_scenario",
+            "run_spec",
+            "spec_with",
+            "sweep_scenario",
+        ),
+    },
+)

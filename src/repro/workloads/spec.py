@@ -84,29 +84,11 @@ import random
 import statistics
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.baselines.broadcast import GossipBroadcastSystem
-from repro.baselines.hierarchical import HierarchicalGossipSystem
-from repro.baselines.multicast import GossipMulticastSystem
-from repro.baselines.naive_publisher import NaivePublisherSystem
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.system import DaMulticastSystem
 from repro.errors import ConfigError, ReproError
-from repro.experiments.artifacts import canonical_json
-from repro.experiments.executor import ExecutorSpec
-from repro.experiments.runner import (
-    ProgressFn,
-    SweepCell,
-    SweepResult,
-    grouped_progress,
-    run_cells,
-    run_sweep,
-    sweep_values,
-)
-from repro.failures.churn import ChurnSchedule
-from repro.failures.dynamic import DynamicFailures
-from repro.failures.injector import FailureCampaign
 from repro.failures.stillborn import sample_stillborn
 from repro.metrics.degradation import (
     WindowPoint,
@@ -149,6 +131,18 @@ from repro.workloads.subscriptions import (
     uniform_subscriptions,
     zipf_subscriptions,
 )
+
+# What only some runs use is imported where it is used: the baselines in
+# _make_system, the dynamic-failure models and the campaign in the builders
+# that make them, the experiments port (executor, artifacts, runner) in
+# spec_digest, run_scenario and sweep_scenario. A static daMulticast run
+# loads none of them.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.executor import ExecutorSpec
+    from repro.experiments.runner import ProgressFn, SweepResult
+    from repro.failures.churn import ChurnSchedule
+    from repro.failures.dynamic import DynamicFailures
+    from repro.failures.injector import FailureCampaign
 
 PROTOCOLS = ("daMulticast", "broadcast", "multicast", "hierarchical", "naive")
 
@@ -674,11 +668,15 @@ def _parse_publications(
 
 def _perceived(pids, rng, protected, **options) -> DynamicFailures:
     """Weakly-consistent failures: drawn per transmission, not per build."""
+    from repro.failures.dynamic import DynamicFailures
+
     return DynamicFailures(**options)
 
 
 def _churn(pids, rng, protected, **options) -> ChurnSchedule:
     """A crash/recover timeline over the unprotected ``pids``."""
+    from repro.failures.churn import ChurnSchedule
+
     shielded = set(protected)
     return ChurnSchedule.random_churn(
         [pid for pid in pids if pid not in shielded], rng, **options
@@ -900,6 +898,8 @@ def _parse_campaign(
 ) -> tuple[tuple[float, Any], ...]:
     """``(at, action)`` per campaign action; the build schedules it on its
     :class:`FailureCampaign` as ``action(campaign, at)``."""
+    from repro.failures.injector import FailureCampaign
+
     _require_mapping(section, "campaign")
     _reject_unknown_keys(section, {"actions"}, "campaign")
     actions = section.get("actions")
@@ -1315,11 +1315,19 @@ class CompiledSpec:
             log_base=self.params.fanout_log_base,
         )
         if self.protocol == "broadcast":
+            from repro.baselines.broadcast import GossipBroadcastSystem
+
             return GossipBroadcastSystem(**common)
         if self.protocol == "multicast":
+            from repro.baselines.multicast import GossipMulticastSystem
+
             return GossipMulticastSystem(**common)
         if self.protocol == "naive":
+            from repro.baselines.naive_publisher import NaivePublisherSystem
+
             return NaivePublisherSystem(**common)
+        from repro.baselines.hierarchical import HierarchicalGossipSystem
+
         total = sum(counts.values())
         n_clusters = self.protocol_options.get(
             "n_clusters", max(2, round(total**0.5 / 3))
@@ -1392,6 +1400,9 @@ class CompiledSpec:
         """Assemble a full-protocol run: staggered joins, maintenance,
         optional campaign, publications offset by the warmup, horizon-bound.
         """
+        from repro.failures.churn import ChurnSchedule
+        from repro.failures.injector import FailureCampaign
+
         settings = dict(self.dynamic)
         warmup, settle = settings.pop("warmup"), settings.pop("settle")
         joins = _join_plan(self.bootstrap, counts)
@@ -1836,6 +1847,8 @@ def spec_digest(spec: Mapping) -> str:
     for artifact-store run keys
     (:class:`~repro.experiments.artifacts.ArtifactStore`).
     """
+    from repro.experiments.artifacts import canonical_json
+
     return hashlib.sha256(canonical_json(dict(spec)).encode("utf-8")).hexdigest()
 
 
@@ -1885,6 +1898,8 @@ def run_scenario(
     backend and worker count. Aggregate with
     :func:`~repro.experiments.runner.aggregate_runs`.
     """
+    from repro.experiments.runner import SweepCell, grouped_progress, run_cells
+
     compiled = compile_spec_cached(spec)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
@@ -1931,6 +1946,8 @@ def sweep_scenario(
     :class:`~repro.experiments.executor.PoolExecutor` can serve several
     sweeps.
     """
+    from repro.experiments.runner import run_sweep, sweep_values
+
     if not values:
         raise ConfigError("sweep values must not be empty")
     base = dict(spec)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from repro.core.dissemination import disseminate, elect_links
 from repro.core.events import Event, EventId
 from repro.core.params import TopicParams
-from repro.core.process import ColumnarGroupActor
+from repro.core.group_actor import ColumnarGroupActor
 from repro.core.tables import SuperTopicTable
 from repro.membership.columnar import build_group_tables
 from repro.membership.view import PartialView, ProcessDescriptor

@@ -56,7 +56,7 @@ import pytest
 
 import repro
 from repro.core.columnar import ColumnarStaticSystem
-from repro.core.process import ColumnarGroupActor
+from repro.core.group_actor import ColumnarGroupActor
 from repro.core.system import DaMulticastSystem
 from repro.membership.columnar import ColumnarGroupTables
 from repro.net.network import Network

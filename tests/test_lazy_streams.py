@@ -19,7 +19,7 @@ from hypothesis import given, settings
 
 from repro.baselines import GossipBroadcastSystem
 from repro.core import DaMulticastSystem
-from repro.core.process import ColumnarGroupActor
+from repro.core.group_actor import ColumnarGroupActor
 from repro.failures import sample_stillborn
 from repro.runtime import StaticMember
 from repro.sim.rng import derive_seed

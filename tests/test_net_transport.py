@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.columnar import ColumnarStaticSystem
-from repro.core.process import ColumnarGroupActor
+from repro.core.group_actor import ColumnarGroupActor
 from repro.core.system import DaMulticastSystem
 from repro.errors import SchedulingError
 from repro.failures import StillbornFailures
@@ -582,6 +582,26 @@ class TestQueueTransport:
         transport.dispatch(0.0, seen.append, ("a",))
         transport.pump()
         assert seen == ["a"]
+
+    def test_a_closed_harness_leaves_nothing_queued(self):
+        """Closing empties the delivery queue as it empties the engine's:
+        a delivery still queued at close() would reach a network that
+        forgot its blocks, and a later pump() crash on it."""
+        clock = TickClock()
+        transport = QueueTransport(clock)
+        system = DaMulticastSystem(
+            mode="static",
+            harness=SimulationHarness(seed=1, clock=clock, transport=transport),
+        )
+        system.add_group(".t1", 5)
+        system.add_group(".t1.t2", 20)
+        system.finalize_static_membership()
+        system.publish(".t1.t2")
+        assert transport.pending > 0
+        system.close()
+        assert transport.pending == 0
+        assert transport.next_due() is None
+        assert transport.pump() == 0
 
 
 class RecordingTransport:

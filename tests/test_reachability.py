@@ -6,9 +6,10 @@ kinds of root: ``repro.cli``, ``repro.__main__`` and every ``repro.*``
 module a file under ``benchmarks/ledger/`` imports. Imports inside
 functions count. A package's ``__init__`` re-exporting a name does not
 make the exporting module reachable: ``from pkg import Name`` follows only
-the ``__init__`` statement that binds ``Name``, while a bare ``import pkg``
-follows the whole ``__init__`` (that is how ``repro.lint.rules`` registers
-its rules).
+the module the package's lazy-export table (``repro._exports``) names for
+``Name``, or else the ``__init__`` statement that binds ``Name``, while a
+bare ``import pkg`` follows the whole ``__init__`` (that is how
+``repro.lint.rules`` registers its rules).
 
 A module counts as reached here however little of it runs. The
 function-level gate, ``tests/function_reach.py`` (its own CI job), holds
@@ -104,10 +105,35 @@ class _Graph:
         elif _source(f"{base}.{name}") is not None:
             self.follow_module(f"{base}.{name}")
         elif (base, name) not in self._names_followed:
-            # a name the package re-exports: only the statement binding it
+            # a name the package re-exports: only the module its lazy
+            # table names (and the helper serving it), or else only the
+            # statement binding it
             self._names_followed.add((base, name))
-            for node in self._tree(_source(base)).body:
+            body = self._tree(_source(base)).body
+            home = _lazy_home(body, name)
+            if home is not None:
+                for node in body:
+                    self._follow_statement(node, only="lazy_exports")
+                self.follow_module(home)
+                return
+            for node in body:
                 self._follow_statement(node, only=name)
+
+
+def _lazy_home(body: list[ast.stmt], name: str) -> str | None:
+    """The module a package's ``lazy_exports(__name__, {module: names})``
+    table names for ``name``, if the package has the table and it names
+    ``name``."""
+    for node in body:
+        call = getattr(node, "value", None)
+        if (
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "lazy_exports"
+        ):
+            for module, names in ast.literal_eval(call.args[1]).items():
+                if name in names:
+                    return module
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -146,22 +172,29 @@ def test_the_walk_sees_function_level_and_whole_package_imports(walk):
 
 
 def test_the_spec_module_loads_only_the_execution_port_of_experiments():
-    # repro.workloads.spec sweeps through the port (executor, artifacts,
-    # runner); an experiment loaded with it would import repro.workloads
+    # repro.workloads.spec imports the port (executor, artifacts, runner)
+    # inside the functions that sweep through it, so importing the spec
+    # loads no experiment module, and a sweep loads the port and nothing
+    # else: an experiment loaded with it would import repro.workloads
     # back, the cycle that kept two imports inside functions
     code = (
-        "import sys, repro.workloads.spec; "
-        "print(*sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
+        "import sys, repro.workloads.spec as spec\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('repro.experiments'))\n"
+        "print(*loaded(), sep=',')\n"
+        "spec.sweep_scenario({'topics': {'kind': 'chain', 'depth': 1},\n"
+        "    'subscriptions': {'kind': 'per_level', 'counts': [2, 3]}},\n"
+        "    'p_success', [0.5, 1.0], runs=1)\n"
+        "print(*loaded(), sep=',')\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    loaded = subprocess.run(
+    on_import, after_sweep = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    port = {
+    ).stdout.splitlines()
+    assert on_import == ""
+    assert after_sweep.split(",") == [
         "repro.experiments",
-        "repro.experiments.executor",
         "repro.experiments.artifacts",
+        "repro.experiments.executor",
         "repro.experiments.runner",
-    }
-    assert "repro.experiments.runner" in loaded
-    assert set(loaded) <= port, sorted(set(loaded) - port)
+    ]
