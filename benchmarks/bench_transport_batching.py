@@ -25,7 +25,7 @@ from repro.core.process import ProcessBlock
 from repro.core.system import DaMulticastSystem
 from repro.metrics.report import Table
 from repro.net import Network
-from repro.net.message import Ping
+from repro.net.control import Ping
 from repro.sim import Engine
 
 SIZES = (100, 1000, 5000)

@@ -55,32 +55,11 @@ import inspect
 import json
 import sys
 from dataclasses import replace
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.analysis.comparison import ChainScenario, comparison_table
 from repro.errors import ConfigError
-from repro.analysis.tuning import (
-    match_broadcast,
-    match_hierarchical,
-    match_multicast,
-)
-from repro.experiments.comparisons import measured_comparison
-from repro.experiments.artifacts import (
-    ArtifactStore,
-    CachingExecutor,
-    write_json_atomic,
-)
-from repro.experiments.executor import Executor, resolve_executor
-from repro.experiments.multievent import stream_table
 from repro.experiments.paper import SWEEPS, paper_table
 from repro.experiments.repair import REPAIR_SCENARIO, repair_comparison
-from repro.experiments.runner import aggregate_runs
-from repro.metrics.report import (
-    SCENARIO_RUN_SCHEMA,
-    SCENARIO_SWEEP_SCHEMA,
-    Table,
-    table_from_scenario_payload,
-)
 from repro.workloads.scenarios import PaperScenario
 from repro.workloads.spec import (
     load_spec,
@@ -90,6 +69,12 @@ from repro.workloads.spec import (
     spec_with,
     sweep_scenario,
 )
+
+# The parser reads its defaults off the SWEEPS rows, the repair scenario and
+# PaperScenario; what only some commands run is imported in their handlers.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.executor import Executor
+    from repro.metrics.report import Table
 
 #: the §VII scenario: what `--sizes` resizes on `compare`
 _PAPER = PaperScenario()
@@ -488,6 +473,8 @@ def _apply_overrides(spec: Mapping, pairs: Sequence[str]) -> Mapping:
 
 
 def _write_payload(path: str, payload: Mapping) -> None:
+    from repro.experiments.artifacts import write_json_atomic
+
     # Atomic (temp file + os.replace): a crash mid-write can truncate a
     # stray temp file but never the payload a later render would read.
     write_json_atomic(path, payload, indent=2)
@@ -507,6 +494,8 @@ def _load_payload(path: str) -> Mapping:
 
 
 def _render_scenario_payload(args: argparse.Namespace) -> int:
+    from repro.metrics.report import table_from_scenario_payload
+
     table = table_from_scenario_payload(
         _load_payload(args.payload), metrics=args.metrics
     )
@@ -531,12 +520,16 @@ def _caching(
     """Wrap ``executor`` with the artifact store when ``--cache`` is set."""
     if cache is None:
         return executor
+    from repro.experiments.artifacts import ArtifactStore, CachingExecutor
+
     return CachingExecutor(
         executor, ArtifactStore(cache), spec_digest(run_key_payload)
     )
 
 
 def _report_cache(executor: Executor) -> None:
+    from repro.experiments.artifacts import CachingExecutor
+
     if isinstance(executor, CachingExecutor):
         print(
             f"cache: {executor.hits} hit(s), {executor.executed} executed",
@@ -545,6 +538,12 @@ def _report_cache(executor: Executor) -> None:
 
 
 def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
+    from repro.metrics.report import (
+        SCENARIO_RUN_SCHEMA,
+        SCENARIO_SWEEP_SCHEMA,
+        Table,
+    )
+
     if args.scenario_command == "render":
         return _render_scenario_payload(args)
     if args.scenario_command == "list":
@@ -570,6 +569,8 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
     spec = _apply_overrides(load_spec(args.spec), args.overrides)
     progress = _progress_printer(args)
     if args.scenario_command == "run":
+        from repro.experiments.runner import aggregate_runs
+
         executor = _caching(
             executor, args.cache, {"kind": "scenario-run", "spec": spec}
         )
@@ -658,6 +659,8 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
 
 
 def _run_analysis_command(args: argparse.Namespace) -> int:
+    from repro.analysis.comparison import ChainScenario, comparison_table
+
     scenario = ChainScenario(sizes=tuple(args.sizes), p_succ=args.p_succ)
     for table in comparison_table(scenario).values():
         print(table.render())
@@ -666,6 +669,13 @@ def _run_analysis_command(args: argparse.Namespace) -> int:
 
 
 def _run_tuning_command(args: argparse.Namespace) -> Table:
+    from repro.analysis.tuning import (
+        match_broadcast,
+        match_hierarchical,
+        match_multicast,
+    )
+    from repro.metrics.report import Table
+
     table = Table(
         f"Appendix tuning (pit={args.pit}, t={args.t})",
         ["baseline", "c", "feasible", "c_window", "c1", "z_bound"],
@@ -711,6 +721,7 @@ def _parse_topic_counts(pairs: Sequence[str]) -> list[tuple[str, int]]:
 def _run_serve_command(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.metrics.report import Table
     from repro.service import LiveRuntime, replay_live_trace
 
     topics = _parse_topic_counts(args.topics)
@@ -791,6 +802,18 @@ def _run_sweep_command(args: argparse.Namespace, executor: Executor) -> Table:
     )
 
 
+def _run_compare_command(*, executor: Executor, **call: Any) -> Table:
+    from repro.experiments.comparisons import measured_comparison
+
+    return measured_comparison(executor=executor, **call)
+
+
+def _run_stream_command(*, executor: Executor, **call: Any) -> Table:
+    from repro.experiments.multievent import stream_table
+
+    return stream_table(executor=executor, **call)
+
+
 #: command → (driver, {driver keyword: parsed-argument attribute}); ``None``
 #: hands the driver the parsed arguments whole, and a :class:`PaperScenario`
 #: in place of an attribute is the command's scenario, resized by
@@ -800,10 +823,10 @@ def _run_sweep_command(args: argparse.Namespace, executor: Executor) -> Table:
 #: code.
 _COMMANDS = {
     **dict.fromkeys(_SWEEP_COMMANDS, (_run_sweep_command, None)),
-    "compare": (measured_comparison, {"scenario": _PAPER, **_SEEDED}),
+    "compare": (_run_compare_command, {"scenario": _PAPER, **_SEEDED}),
     "analysis": (_run_analysis_command, None),
     "tuning": (_run_tuning_command, None),
-    "stream": (stream_table, {"rates": "rates", **_SEEDED}),
+    "stream": (_run_stream_command, {"rates": "rates", **_SEEDED}),
     "repair": (
         repair_comparison,
         {"alive_fraction": "alive", "scenario": REPAIR_SCENARIO, **_SEEDED},
@@ -836,6 +859,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         call = _driver_call(args, keywords)
         if "executor" in inspect.signature(driver).parameters:
+            from repro.experiments.executor import resolve_executor
+
             executor = call["executor"] = resolve_executor(
                 _executor_spec_from(args)
             )
@@ -846,10 +871,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if executor is not None:
             executor.close()
-    if isinstance(result, Table):
-        print(result.render())
-        return 0
-    return result
+    if isinstance(result, int):
+        return result
+    print(result.render())  # a Table
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.membership.view import ProcessDescriptor
-from repro.net.message import AnsContact, ReqContact
+from repro.net.control import AnsContact, ReqContact
 from repro.sim.clock import PeriodicTask
 from repro.topics.topic import Topic
 from repro.validation import check_positive

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.net.message import NewProcessReply, NewProcessRequest, Ping
+from repro.net.control import NewProcessReply, NewProcessRequest, Ping
 from repro.sim.clock import PeriodicTask
 from repro.validation import check_positive
 

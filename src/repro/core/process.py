@@ -34,19 +34,17 @@ from repro.membership.flat import FlatMembership, FlatMembershipConfig
 from repro.membership.overlay import BootstrapOverlay
 from repro.membership.view import PartialView, ProcessDescriptor
 from repro.metrics.collector import DeliveryTracker
-from repro.net.message import (
+from repro.net.control import (
     AnsContact,
-    EventMessage,
     JoinRequest,
     MembershipGossip,
-    Message,
     NewProcessReply,
     NewProcessRequest,
     Ping,
     Pong,
     ReqContact,
-    Scope,
 )
+from repro.net.message import EventMessage, Message, Scope
 from repro.net.network import Network
 from repro.sim.clock import Clock
 from repro.sim.rng import RngRegistry

@@ -84,11 +84,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 from repro.errors import ConfigError
 from repro.membership.sampling import sample_from
-from repro.membership.view import PartialView, ProcessDescriptor
 from repro.topics.topic import Topic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.params import TopicParams
+    from repro.membership.view import PartialView, ProcessDescriptor
     from repro.topics.hierarchy import TopicHierarchy
 
 
@@ -357,7 +357,8 @@ def rows_digest(rows: Iterable[tuple[ColumnarGroupTables, int]]) -> str:
 
 # ----------------------------------------------------------------------
 # The historical per-member draws: the oracles the builders are held to
-# (tests/test_membership_equivalence.py, benchmarks/bench_membership_build.py)
+# (tests/test_membership_equivalence.py, benchmarks/bench_membership_build.py).
+# Only they build views, so they import the view module themselves.
 # ----------------------------------------------------------------------
 def _reference_draw_topic_table(
     member: ProcessDescriptor,
@@ -372,6 +373,8 @@ def _reference_draw_topic_table(
     for a ``member`` outside ``group``, an outsider row) must hold the same
     pids in the same order *and* leave the same RNG end-state.
     """
+    from repro.membership.view import PartialView
+
     view = PartialView(capacity)
     others = [d for d in group if d.pid != member.pid]
     chosen = others if capacity >= len(others) else rng.sample(others, capacity)
@@ -387,6 +390,8 @@ def _reference_draw_super_table(
 ) -> PartialView:
     """The historical ``sTable`` draw: ``z`` members of ``super_group``,
     copying the population per call (the oracle of a super row)."""
+    from repro.membership.view import PartialView
+
     view = PartialView(max(1, z))
     chosen = (
         list(super_group) if z >= len(super_group) else rng.sample(list(super_group), z)

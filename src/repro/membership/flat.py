@@ -35,7 +35,8 @@ from typing import Callable
 
 from repro.errors import ConfigError
 from repro.membership.view import PartialView, ProcessDescriptor
-from repro.net.message import JoinRequest, MembershipGossip, Message
+from repro.net.control import JoinRequest, MembershipGossip
+from repro.net.message import Message
 from repro.sim.clock import Clock, PeriodicTask
 from repro.topics.topic import Topic
 

@@ -37,9 +37,7 @@ __all__ = lazy_exports(
             "LinkClassLatency",
             "ZERO_LATENCY",
         ),
-        "repro.net.message": (
-            "Message",
-            "EventMessage",
+        "repro.net.control": (
             "JoinRequest",
             "ReqContact",
             "AnsContact",
@@ -49,6 +47,7 @@ __all__ = lazy_exports(
             "Ping",
             "Pong",
         ),
+        "repro.net.message": ("Message", "EventMessage"),
         "repro.net.network": ("Network",),
         "repro.net.partitions": ("PartitionModel", "StaticPartition"),
         "repro.net.stats": ("NetworkStats",),

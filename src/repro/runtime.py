@@ -32,14 +32,13 @@ from __future__ import annotations
 import itertools
 import weakref
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.events import Event, EventId
 from repro.errors import ConfigError, UnknownTopic
 from repro.failures.model import FailureModel
 from repro.metrics.collector import DeliveryTracker
 from repro.metrics.delivery import delivered_fraction
-from repro.metrics.streaming import StreamingDeliveryTracker
 from repro.net.latency import LatencyModel, ZERO_LATENCY
 from repro.net.network import Network
 from repro.net.transport import QueueTransport
@@ -48,6 +47,9 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.topics.hierarchy import TopicHierarchy
 from repro.topics.topic import Topic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.streaming import StreamingDeliveryTracker
 
 
 class SimulationHarness:
@@ -90,13 +92,14 @@ class SimulationHarness:
         #: raw material); ``"streaming"`` folds deliveries into O(topics)
         #: per-topic aggregates for 10⁵–10⁶-process runs. A pre-built
         #: tracker instance is adopted as-is.
-        if isinstance(tracker, str):
-            self.tracker = (
-                StreamingDeliveryTracker() if tracker == "streaming"
-                else DeliveryTracker()
-            )
-        else:
+        if not isinstance(tracker, str):
             self.tracker = tracker
+        elif tracker == "streaming":
+            from repro.metrics.streaming import StreamingDeliveryTracker
+
+            self.tracker = StreamingDeliveryTracker()
+        else:
+            self.tracker = DeliveryTracker()
         self._pid_counter = itertools.count(0)
         #: set by :meth:`close`; the system facades refuse to build on or
         #: publish into a closed harness

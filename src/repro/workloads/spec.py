@@ -33,7 +33,8 @@ that already exist as modules:
 * and, in dynamic mode, a **bootstrap arrival schedule** (``dynamic``
   section: immediate, staggered, or waves) plus an orchestrated **failure
   campaign** (``campaign`` section compiling to
-  :class:`~repro.failures.injector.FailureCampaign` actions).
+  :class:`~repro.failures.injector.FailureCampaign` actions), both read
+  by :mod:`repro.workloads.spec_dynamic`.
 
 A spec is a plain mapping (JSON-serializable), validated with precise
 :class:`~repro.errors.ConfigError` messages — unknown keys, out-of-domain
@@ -81,10 +82,9 @@ import json
 import math
 import pathlib
 import random
-import statistics
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.params import DaMulticastConfig, TopicParams
 from repro.core.system import DaMulticastSystem
@@ -133,10 +133,12 @@ from repro.workloads.subscriptions import (
 )
 
 # What only some runs use is imported where it is used: the baselines in
-# _make_system, the dynamic-failure models and the campaign in the builders
-# that make them, the experiments port (executor, artifacts, runner) in
-# spec_digest, run_scenario and sweep_scenario. A static daMulticast run
-# loads none of them.
+# _make_system, the perceived and churn failure models in the builders that
+# make them, the dynamic and campaign sections (repro.workloads.spec_dynamic,
+# with the campaign model) in compile_spec's and build's dynamic branches,
+# the experiments port (executor, artifacts, runner) in spec_digest,
+# run_scenario and sweep_scenario. A static daMulticast run loads none of
+# them.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.executor import ExecutorSpec
     from repro.experiments.runner import ProgressFn, SweepResult
@@ -174,27 +176,6 @@ _PARAM_DEFAULTS: dict[str, Any] = {
     "tau": 1,
     "fanout_log_base": 10.0,
 }
-
-#: Dynamic-mode run settings (the ``dynamic`` section's defaults):
-#: publications replay at ``warmup + t``, the run ends ``settle`` after the
-#: last scheduled activity, and the remaining knobs feed
-#: :class:`~repro.core.params.DaMulticastConfig` / the bootstrap overlay.
-_DYNAMIC_DEFAULTS: dict[str, Any] = {
-    "warmup": 30.0,
-    "settle": 10.0,
-    "maintain_interval": 1.0,
-    "ping_timeout": 1.0,
-    "bootstrap_timeout": 2.0,
-    "bootstrap_ttl": 4,
-    "overlay_degree": 5,
-}
-
-_CAMPAIGN_KINDS = (
-    "kill_fraction",
-    "kill_super_links",
-    "recover",
-    "recover_all",
-)
 
 _LINK_CLASSES = ("inter", "intra")
 
@@ -534,7 +515,7 @@ def _parse_publications(
     fixed: Mapping[Topic, int] | None,
     where: str = "publications",
     allow_mixed: bool = True,
-    joins: tuple[float, Mapping[Topic, float]] | None = None,
+    joined: Callable[[Topic, float, str], None] | None = None,
 ) -> functools.partial | tuple[functools.partial, ...]:
     """The schedule as ``part(counts, rng)`` — for ``mixed``, a tuple of
     parts, each drawn from its own stream.
@@ -542,7 +523,7 @@ def _parse_publications(
     Under a ``fixed`` population the targets resolve here, so a target
     without subscribers fails at compile time; under a seeded one the
     build resolves them (None: the deepest populated topic). A dynamic
-    run's ``joins`` (:func:`_require_joined`) refuse a target whose
+    run's ``joined(topic, at, where)`` check refuses a target whose
     earliest publication comes before its first member joins: ``at`` or
     ``start``, or — Poisson arrivals fall anywhere after 0 — any time at
     all for a target of non-zero weight.
@@ -632,10 +613,10 @@ def _parse_publications(
             weights = list(weights)
         if fixed is not None:
             topics = tuple(_resolve_targets(topics, fixed, where))
-        if joins is not None:
+        if joined is not None:
             for topic, weight in zip(topics, weights or [1.0] * len(topics)):
                 if weight > 0:
-                    _require_joined(topic, 0.0, joins, where)
+                    joined(topic, 0.0, where)
         return functools.partial(
             _poisson, topics, where, rate=rate, horizon=horizon, weights=weights
         )
@@ -655,14 +636,14 @@ def _parse_publications(
                 fixed,
                 where=f"{where}.parts[{index}]",
                 allow_mixed=False,
-                joins=joins,
+                joined=joined,
             )
             for index, part in enumerate(parts)
         )
     if fixed is not None:
         topic = _resolve_target(topic, fixed, where)
-    if joins is not None:
-        _require_joined(topic, start, joins, where)
+    if joined is not None:
+        joined(topic, start, where)
     return functools.partial(_on_topic, make, topic, where)
 
 
@@ -758,198 +739,6 @@ def _parse_failures(
             horizon=_get_number(section, "horizon", "failures", above=0),
         )
     return model, None
-
-
-def _parse_dynamic(
-    section: Mapping, ceiling: int
-) -> tuple[dict[str, Any], tuple]:
-    """(run settings, bootstrap plan). The settings hold every
-    ``_DYNAMIC_DEFAULTS`` key; the plan is ``(order, start, wave_size,
-    interval)``: the ``i``-th process in ``order`` joins at
-    ``start + (i // wave_size) * interval``, which must be finite for
-    every one of the population's ``ceiling`` processes."""
-    _require_mapping(section, "dynamic")
-    _reject_unknown_keys(
-        section, {"bootstrap"} | set(_DYNAMIC_DEFAULTS), "dynamic"
-    )
-    settings = {
-        key: _get_number(
-            section, key, "dynamic", default=_DYNAMIC_DEFAULTS[key], minimum=0
-        )
-        for key in ("warmup", "settle")
-    }
-    for key in ("maintain_interval", "ping_timeout", "bootstrap_timeout"):
-        settings[key] = _get_number(
-            section, key, "dynamic", default=_DYNAMIC_DEFAULTS[key], above=0
-        )
-    for key in ("bootstrap_ttl", "overlay_degree"):
-        settings[key] = _get_number(
-            section, key, "dynamic",
-            default=_DYNAMIC_DEFAULTS[key], minimum=1, integer=True,
-        )
-    where = "dynamic.bootstrap"
-    bootstrap = _require_mapping(
-        section.get("bootstrap", {"kind": "immediate"}), where
-    )
-    kind = _take_kind(bootstrap, ("immediate", "staggered", "waves"), where)
-    order = bootstrap.get("order", "by_topic")
-    if order not in ("by_topic", "interleaved"):
-        raise ConfigError(
-            f"{where}: 'order' must be 'by_topic' or 'interleaved', "
-            f"got {order!r}"
-        )
-    if kind == "immediate":
-        _reject_unknown_keys(bootstrap, {"kind", "order"}, where)
-        return settings, (order, 0.0, 1, 0.0)
-    if kind == "staggered":
-        _reject_unknown_keys(
-            bootstrap, {"kind", "order", "start", "spacing"}, where
-        )
-        waves = None
-    else:
-        _reject_unknown_keys(
-            bootstrap, {"kind", "order", "start", "wave_size", "interval"}, where
-        )
-        waves = (
-            _get_number(bootstrap, "wave_size", where, minimum=1, integer=True),
-            _get_number(bootstrap, "interval", where, above=0),
-        )
-    start = _get_number(bootstrap, "start", where, default=0.0, minimum=0)
-    # staggered: waves of one process, 'spacing' apart
-    wave_size, interval = waves or (
-        1, _get_number(bootstrap, "spacing", where, minimum=0)
-    )
-    try:
-        last_join = start + (ceiling - 1) // wave_size * interval
-    except OverflowError:  # a wave count no float holds
-        last_join = math.inf
-    if not math.isfinite(last_join):
-        key = "spacing" if waves is None else "interval"
-        raise ConfigError(
-            f"{where}: {key} {interval} puts join {ceiling} of {ceiling} at "
-            "an infinite time (start + ⌊(n-1)/wave_size⌋·interval)"
-        )
-    return settings, (order, start, wave_size, interval)
-
-
-def _join_plan(
-    bootstrap: tuple, counts: Mapping[Topic, int]
-) -> list[tuple[float, Topic]]:
-    """The bootstrap arrival schedule under plan ``bootstrap`` (what
-    :func:`_parse_dynamic` returns): one (join time, topic) per process,
-    in join order.
-
-    ``by_topic`` order is root-first (each group fully joins before its
-    subgroups start bootstrapping toward it); ``interleaved`` round-robins
-    across groups so every wave mixes all hierarchy levels.
-    """
-    order, start, wave_size, interval = bootstrap
-    topics = [
-        topic
-        for topic in sorted(counts, key=lambda t: (t.depth, t.name))
-        if counts[topic] > 0
-    ]
-    if order == "by_topic":
-        sequence = [
-            topic for topic in topics for _ in range(counts[topic])
-        ]
-    else:  # interleaved
-        remaining = {topic: counts[topic] for topic in topics}
-        sequence = []
-        while remaining:
-            for topic in topics:
-                if remaining.get(topic, 0):
-                    sequence.append(topic)
-                    remaining[topic] -= 1
-                    if not remaining[topic]:
-                        del remaining[topic]
-    return [
-        (start + (index // wave_size) * interval, topic)
-        for index, topic in enumerate(sequence)
-    ]
-
-
-def _first_joins(plan: list[tuple[float, Topic]]) -> dict[Topic, float]:
-    """Each topic's first join time in a :func:`_join_plan` (whose times
-    never decrease: the earliest entry is written last)."""
-    return {topic: time for time, topic in reversed(plan)}
-
-
-def _require_joined(
-    topic: Topic, at: float, joins: tuple[float, Mapping[Topic, float]], where: str
-) -> None:
-    """A ``topic`` publication at ``at`` on the schedule (``warmup + at``
-    on the clock) needs a member of ``topic`` to publish from: one must
-    have joined by then. ``joins`` is ``(warmup, first join per topic)``."""
-    warmup, first = joins
-    if warmup + at < first[topic]:
-        raise ConfigError(
-            f"{where}: a {topic.name} event is due as early as t = "
-            f"{warmup + at:g}, before the first {topic.name} member joins at "
-            f"t = {first[topic]:g} (dynamic.bootstrap)"
-        )
-
-
-def _parse_campaign(
-    section: Mapping,
-    ordered_topics: tuple[Topic, ...],
-    hierarchy: TopicHierarchy,
-    is_chain: bool,
-) -> tuple[tuple[float, Any], ...]:
-    """``(at, action)`` per campaign action; the build schedules it on its
-    :class:`FailureCampaign` as ``action(campaign, at)``."""
-    from repro.failures.injector import FailureCampaign
-
-    _require_mapping(section, "campaign")
-    _reject_unknown_keys(section, {"actions"}, "campaign")
-    actions = section.get("actions")
-    if (
-        not isinstance(actions, Sequence)
-        or isinstance(actions, str)
-        or not actions
-    ):
-        raise ConfigError(
-            "campaign: 'actions' must be a non-empty list of action objects"
-        )
-    parsed = []
-    for index, action in enumerate(actions):
-        where = f"campaign.actions[{index}]"
-        _require_mapping(action, where)
-        kind = _take_kind(action, _CAMPAIGN_KINDS, where)
-        at = _get_number(action, "at", where, minimum=0)
-        if kind == "kill_fraction":
-            _reject_unknown_keys(
-                action, {"kind", "at", "fraction", "topic", "level"}, where
-            )
-            fraction = _get_number(
-                action, "fraction", where, minimum=0.0, maximum=1.0
-            )
-            topic = _parse_topic_ref(action, ordered_topics, hierarchy, is_chain, where)
-            call = functools.partial(
-                FailureCampaign.kill_fraction, fraction=fraction, topic=topic
-            )
-        elif kind == "kill_super_links":
-            _reject_unknown_keys(action, {"kind", "at", "topic", "level"}, where)
-            if "topic" not in action and "level" not in action:
-                raise ConfigError(
-                    f"{where}: kill_super_links needs a 'topic' or 'level' "
-                    "naming the attacked group"
-                )
-            topic = _parse_topic_ref(action, ordered_topics, hierarchy, is_chain, where)
-            call = functools.partial(FailureCampaign.kill_super_links, topic=topic)
-        elif kind == "recover":
-            _reject_unknown_keys(action, {"kind", "at", "fraction"}, where)
-            fraction = _get_number(
-                action, "fraction", where, default=1.0, minimum=0.0, maximum=1.0
-            )
-            call = functools.partial(
-                FailureCampaign.recover_fraction, fraction=fraction
-            )
-        else:  # recover_all
-            _reject_unknown_keys(action, {"kind", "at"}, where)
-            call = FailureCampaign.recover_all
-        parsed.append((at, call))
-    return tuple(parsed)
 
 
 def _parse_link_overrides(
@@ -1284,18 +1073,20 @@ class CompiledSpec:
         seed: int,
         counts: Mapping[Topic, int],
         failure_model=None,
-        *,
-        overlay_degree: int = _DYNAMIC_DEFAULTS["overlay_degree"],
-        **timers: Any,
+        **dynamic: Any,
     ):
-        """The empty system of this spec's protocol and mode; ``timers``
-        are the dynamic section's :class:`DaMulticastConfig` fields."""
+        """The empty system of this spec's protocol and mode; ``dynamic``
+        is a dynamic run's settings (the :class:`DaMulticastConfig` timers
+        and the bootstrap ``overlay_degree``), empty in static mode."""
         latency_model = ZERO_LATENCY if self.latency is None else self.latency()
         if self.protocol == "daMulticast":
+            overlay = (
+                {"overlay_degree": dynamic.pop("overlay_degree")} if dynamic else {}
+            )
             config = DaMulticastConfig(
                 default_params=self.params,
                 overrides=dict(self.overrides),
-                **timers,
+                **dynamic,
             )
             return DaMulticastSystem(
                 config=config,
@@ -1304,7 +1095,7 @@ class CompiledSpec:
                 latency=latency_model,
                 failure_model=failure_model,
                 mode=self.mode,
-                overlay_degree=overlay_degree,
+                **overlay,
             )
         common = dict(
             seed=seed,
@@ -1388,83 +1179,6 @@ class CompiledSpec:
         ):
             network.bind_link_classifier(_topic_link_classifier(system))
 
-    # ------------------------------------------------------------------
-    # Dynamic-mode realization
-    # ------------------------------------------------------------------
-    def _build_dynamic(
-        self,
-        seed: int,
-        counts: Mapping[Topic, int],
-        schedule: list[ScheduledPublication],
-    ) -> "BuiltScenario":
-        """Assemble a full-protocol run: staggered joins, maintenance,
-        optional campaign, publications offset by the warmup, horizon-bound.
-        """
-        from repro.failures.churn import ChurnSchedule
-        from repro.failures.injector import FailureCampaign
-
-        settings = dict(self.dynamic)
-        warmup, settle = settings.pop("warmup"), settings.pop("settle")
-        joins = _join_plan(self.bootstrap, counts)
-        # a seeded population's targets and join order are known here first
-        first_joins = (warmup, _first_joins(joins))
-        for publication in schedule:
-            _require_joined(
-                publication.topic, publication.time, first_joins, "publications"
-            )
-        # Pids are assigned 0..N-1 in join order, so a churn timeline can
-        # be realized over the full pid space before any process exists —
-        # a pid crashed before its join simply joins dead.
-        failure_model = None
-        if self.failures is not None:
-            failure_model = self.failures(
-                range(sum(counts.values())),
-                rng=random.Random(derive_seed(seed, "spec/churn")),
-                protected=(),
-            )
-        elif self.campaign is not None:
-            failure_model = ChurnSchedule()
-        system = self._make_system(seed, counts, failure_model, **settings)
-        self._install_link_models(system, seed)
-        for time, topic in joins:
-            system.engine.schedule_at(
-                time, functools.partial(system.add_process, topic)
-            )
-        campaign = None
-        if self.campaign is not None:
-            campaign = FailureCampaign(
-                system,
-                failure_model,
-                random.Random(derive_seed(seed, "spec/campaign")),
-            )
-            for at, action in self.campaign:
-                action(campaign, at)
-        shifted = [
-            ScheduledPublication(warmup + publication.time, publication.topic)
-            for publication in schedule
-        ]
-        last_action = (
-            max(at for at, _ in self.campaign) if self.campaign else 0.0
-        )
-        horizon = (
-            max(
-                max((time for time, _ in joins), default=0.0),
-                max((publication.time for publication in shifted), default=0.0),
-                last_action,
-            )
-            + settle
-        )
-        return BuiltScenario(
-            compiled=self,
-            seed=seed,
-            system=system,
-            counts=dict(counts),
-            schedule=shifted,
-            publishers=None,
-            horizon=horizon,
-            campaign=campaign,
-        )
-
     def build(self, seed: int) -> "BuiltScenario":
         """Assemble the ready-to-run simulation for one seed."""
         population = self.population
@@ -1475,7 +1189,9 @@ class CompiledSpec:
         )
         schedule = self._schedule(seed, counts)
         if self.mode == "dynamic":
-            return self._build_dynamic(seed, counts, schedule)
+            from repro.workloads.spec_dynamic import _build_dynamic
+
+            return _build_dynamic(self, seed, counts, schedule)
         system = self._make_system(seed, counts)
         self._install_link_models(system, seed)
         populate_system(system, counts)
@@ -1596,11 +1312,15 @@ class BuiltScenario:
             "event_messages": event_messages,
             "messages_per_event": event_messages / events if events else 0.0,
             "mean_delivery": (
-                statistics.fmean(alive_fractions) if alive_fractions else 1.0
+                math.fsum(alive_fractions) / len(alive_fractions)
+                if alive_fractions
+                else 1.0
             ),
             "min_delivery": min(alive_fractions) if alive_fractions else 1.0,
             "mean_delivery_all": (
-                statistics.fmean(all_fractions) if all_fractions else 1.0
+                math.fsum(all_fractions) / len(all_fractions)
+                if all_fractions
+                else 1.0
             ),
             "parasites": float(parasites),
             # every process is one registered actor: counted, not listed
@@ -1675,8 +1395,15 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
     )
     failures_section = spec.get("failures", {"kind": "none"})
     failures, partition = _parse_failures(failures_section)
-    dynamic = bootstrap = campaign = None
+    fixed = None if callable(population) else population
+    dynamic = bootstrap = campaign = joined = None
     if mode == "dynamic":
+        from repro.workloads.spec_dynamic import (
+            _parse_campaign,
+            _parse_dynamic,
+            _publication_check,
+        )
+
         if protocol != "daMulticast":
             raise ConfigError(
                 "spec: mode 'dynamic' requires protocol 'daMulticast' "
@@ -1689,6 +1416,8 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
                 "dynamic mode supports 'none', 'churn' or 'dynamic'"
             )
         dynamic, bootstrap = _parse_dynamic(spec.get("dynamic", {}), ceiling)
+        if fixed is not None:
+            joined = _publication_check(dynamic, bootstrap, fixed)
         if "campaign" in spec:
             if failures_kind == "dynamic":
                 raise ConfigError(
@@ -1704,18 +1433,13 @@ def compile_spec(spec: Mapping) -> CompiledSpec:
                 raise ConfigError(
                     f"spec: the {section!r} section requires mode 'dynamic'"
                 )
-    fixed = None if callable(population) else population
     publications = _parse_publications(
         spec.get("publications", {"kind": "single"}),
         ordered_topics,
         hierarchy,
         is_chain,
         fixed=fixed,
-        joins=(
-            (dynamic["warmup"], _first_joins(_join_plan(bootstrap, fixed)))
-            if mode == "dynamic" and fixed is not None
-            else None
-        ),
+        joined=joined,
     )
     latency = (
         _parse_latency(spec["latency"], protocol) if "latency" in spec else None

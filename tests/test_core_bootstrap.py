@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import DaMulticastConfig, DaMulticastSystem
 from repro.core.bootstrap import FindSuperContact, known_contacts_for
-from repro.net.message import ReqContact
+from repro.net.control import ReqContact
 from repro.topics import ROOT, Topic
 from repro.workloads.presets import load_preset
 from repro.workloads.spec import compile_spec

@@ -6,13 +6,8 @@ from repro.core import DaMulticastConfig, DaMulticastSystem
 from repro.core.events import Event, EventId
 from repro.errors import ProtocolError
 from repro.membership import ProcessDescriptor
-from repro.net.message import (
-    EventMessage,
-    Message,
-    Ping,
-    Pong,
-    Scope,
-)
+from repro.net.control import Ping, Pong
+from repro.net.message import EventMessage, Message, Scope
 from repro.topics import ROOT, Topic
 
 T1 = Topic.parse(".t1")

@@ -21,7 +21,8 @@ from repro.net import (
     NO_FAULTS,
     NoFaults,
 )
-from repro.net.message import Message, Ping
+from repro.net.control import Ping
+from repro.net.message import Message
 from repro.net.stats import (
     DROP_FAULT_LOSS,
     FAULT_DELAY_SPIKE,

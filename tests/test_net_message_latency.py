@@ -172,7 +172,7 @@ class TestLinkClassLatency:
         and 2 from pid 0, on a network with ``classifier`` bound (None:
         nothing bound)."""
         from repro.net import Network
-        from repro.net.message import Ping
+        from repro.net.control import Ping
         from repro.sim import Engine
 
         class Sink:

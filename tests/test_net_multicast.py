@@ -32,7 +32,8 @@ from repro.net import (
     UniformLatency,
 )
 from repro.core.events import Event, EventId
-from repro.net.message import EventMessage, Message, Ping, Scope
+from repro.net.control import Ping
+from repro.net.message import EventMessage, Message, Scope
 from repro.sim import Engine
 from repro.topics.topic import Topic
 

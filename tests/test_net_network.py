@@ -12,7 +12,8 @@ from repro.failures import DynamicFailures, StillbornFailures
 from repro.failures.churn import ChurnSchedule
 from repro.net import BernoulliLoss, ConstantLatency, Network, StaticPartition
 from repro.net.stats import NetworkStats
-from repro.net.message import Message, Ping
+from repro.net.control import Ping
+from repro.net.message import Message
 from repro.sim import Engine
 
 from net_actors import register_actors

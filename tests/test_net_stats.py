@@ -1,7 +1,8 @@
 """Unit tests for network statistics, including Figs. 8/9 attribution."""
 
 from repro.core.events import Event, EventId
-from repro.net.message import EventMessage, Ping, Scope
+from repro.net.control import Ping
+from repro.net.message import EventMessage, Scope
 from repro.net.stats import NetworkStats
 from repro.topics import Topic
 

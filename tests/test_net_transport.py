@@ -31,7 +31,8 @@ from repro.net.latency import (
     UniformLatency,
     ZERO_LATENCY,
 )
-from repro.net.message import Message, Ping
+from repro.net.control import Ping
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.partitions import FullyConnected, StaticPartition
 from repro.net.transport import QueueTransport, Transport

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from repro.failures import DynamicFailures, StillbornFailures
 from repro.membership import FlatMembership, FlatMembershipConfig, ProcessDescriptor
 from repro.net import Network
-from repro.net.message import Ping
+from repro.net.control import Ping
 from repro.sim import Engine
 from repro.topics import Topic
 

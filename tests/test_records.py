@@ -17,20 +17,19 @@ import pytest
 
 from repro.core.events import Event, EventId
 from repro.membership.view import ProcessDescriptor
+from repro.net import control as control_module
 from repro.net import message as message_module
-from repro.net.message import (
+from repro.net.control import (
     AnsContact,
-    EventMessage,
     JoinRequest,
     MembershipGossip,
-    Message,
     NewProcessReply,
     NewProcessRequest,
     Ping,
     Pong,
     ReqContact,
-    Scope,
 )
+from repro.net.message import EventMessage, Message, Scope
 from repro.records import frozen_record
 from repro.topics.topic import Topic
 
@@ -101,19 +100,27 @@ def args_of(cls) -> list:
     return [VALUES[f.name] for f in dataclasses.fields(cls)]
 
 
+def _records_of(module) -> set:
+    return {
+        value
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and dataclasses.is_dataclass(value)
+        and value.__module__ == module.__name__
+    }
+
+
 def test_every_message_class_is_covered():
     # (the dataclass decorator replaces each class by a slotted copy; the
     # module holds the copy, __subclasses__ may still list the original)
+    modules = {module.__name__: module for module in (message_module, control_module)}
     assert {
-        getattr(message_module, cls.__name__)
+        getattr(modules[cls.__module__], cls.__name__)
         for cls in Message.__subclasses__()
     } == set(MESSAGES)
-    assert all(
-        getattr(message_module, name) in RECORDS
-        for name in dir(message_module)
-        if isinstance(getattr(message_module, name), type)
-        and dataclasses.is_dataclass(getattr(message_module, name))
-    )
+    # the flood's records stay in message, the dynamic protocol's in control
+    assert _records_of(message_module) == {Scope, Message, EventMessage}
+    assert _records_of(control_module) == set(MESSAGES) - {EventMessage}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -12,7 +12,7 @@ from repro.core import DaMulticastSystem
 from repro.core.columnar import ColumnarStaticSystem
 from repro.errors import ProtocolError
 from repro.membership import ProcessDescriptor
-from repro.net.message import (
+from repro.net.control import (
     AnsContact,
     JoinRequest,
     MembershipGossip,
