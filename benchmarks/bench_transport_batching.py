@@ -21,7 +21,6 @@ import math
 import random
 import time
 
-from repro.core.process import ProcessBlock
 from repro.core.system import DaMulticastSystem
 from repro.metrics.report import Table
 from repro.net import Network
@@ -43,13 +42,28 @@ class Sink:
         self.received += 1
 
 
+class SinkBlock:
+    """Per-pid sinks as one block actor: each target's ``handle_message``
+    in target order, as one delivery per pid would."""
+
+    __slots__ = ("sinks",)
+
+    def __init__(self, sinks):
+        self.sinks = sinks
+
+    def handle_batch(self, sender, targets, message):
+        sinks = self.sinks
+        for pid in targets:
+            sinks[pid].handle_message(message)
+
+
 def _net_layer_rate(size: int, batched: bool) -> tuple[float, int]:
     """Events/sec of STEPS fan-outs over a lossy channel, and the count."""
     engine = Engine()
     network = Network(engine, random.Random(0), p_success=0.85)
-    # per-pid sinks join as one block, the way dynamic processes do
+    # per-pid sinks join as one block (a network holds blocks only)
     network.register_block(
-        ProcessBlock({pid: Sink(pid) for pid in range(size)}), 0, size
+        SinkBlock({pid: Sink(pid) for pid in range(size)}), 0, size
     )
     fanout = math.ceil(math.log10(size) + 5)
     picker = random.Random(1)

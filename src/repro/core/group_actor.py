@@ -9,13 +9,11 @@ changes it. A group is one contiguous pid block run by one
   is a row of them;
 * Fig. 5's first-reception dedup is one ``bytearray(S)`` per in-flight
   event instead of a set per process;
-* Fig. 7 runs inside the actor, one call per first receipt
-  (:meth:`ColumnarGroupActor._forward`) over the member's rows, with
-  ``fanout(S)``, ``p_sel(S)``, ``p_a`` and both scopes resolved once per
-  group. Its draws are the ones
-  :func:`~repro.core.dissemination.disseminate` makes for a dynamic
-  process (:mod:`repro.core.process`) over tables holding the same rows,
-  in the same order;
+* Fig. 7 is one kernel, :func:`forward`, called once per first receipt
+  over the member's windows of the columns, with ``fanout(S)``,
+  ``p_sel(S)``, ``p_a`` and both scopes resolved once per group. A
+  dynamic process (:mod:`repro.core.process`) calls the same kernel over
+  its descriptor tables, so the figure has one body;
 * each member draws its selections from its row of a stream list the
   system fills: empty rows are seeded with the member's ``process/{pid}``
   stream on its first action (a member that never acts never pays for a
@@ -35,12 +33,13 @@ from __future__ import annotations
 
 import random
 import weakref
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.events import DeliveryCallback, Event, EventId
 from repro.core.params import TopicParams
 from repro.errors import ConfigError, ProtocolError
 from repro.membership.columnar import ColumnarGroupTables
+from repro.membership.sampling import sample_from
 from repro.net.message import EventMessage, Message, Scope
 from repro.net.network import Network
 from repro.sim.clock import Clock
@@ -49,6 +48,59 @@ from repro.topics.hierarchy import TopicHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import StaticMember
+
+
+def forward(
+    multicast: Callable[[int, list[int], Message], None],
+    pid: int,
+    event: Event,
+    next_hops: int,
+    rng: random.Random,
+    force_link: bool,
+    index: int,
+    supers: Iterable[tuple[Scope, int, list[int]]],
+    p_sel: float,
+    p_a: float,
+    intra_scope: Scope,
+    row: list[int],
+    row_stride: int,
+    fanout: int,
+) -> None:
+    """Fig. 7's DISSEMINATE for member ``index`` (pid ``pid``) of a group,
+    drawing from ``rng``: the one body both modes run.
+
+    Per super block ``(scope, stride, rows)`` with a non-empty row, the
+    link election (probability ``p_sel``, skipped when ``force_link``) and
+    then one ``p_a`` draw per entry of the member's row
+    ``rows[index*stride : (index+1)*stride]``, in row order (lines 3-7);
+    then the gossip over the member's topic row, the window
+    ``row[index*row_stride : (index+1)*row_stride]``: all of it when
+    ``fanout`` covers it, else ``fanout`` distinct pids drawn by
+    :func:`~repro.membership.sampling.sample_from` (lines 8-14; a member's
+    own pid is never in its row). Each non-empty selection goes out as one
+    ``multicast(pid, targets, message)`` of one message carrying
+    ``next_hops``.
+
+    A static group passes its pid columns; a dynamic process passes
+    ``index`` 0, its supertopic table as one block and its view's pid
+    list as the whole row.
+    """
+    random_draw = rng.random
+    for scope, stride, rows in supers:
+        if stride and (force_link or random_draw() < p_sel):
+            start = index * stride
+            kept = [
+                target for target in rows[start : start + stride] if random_draw() < p_a
+            ]
+            if kept:
+                multicast(pid, kept, EventMessage(pid, event, scope, next_hops))
+    start = index * row_stride
+    if fanout >= row_stride:
+        targets = row[start : start + row_stride]
+    else:
+        targets = sample_from(row, start, row_stride, fanout, rng)
+    if targets:
+        multicast(pid, targets, EventMessage(pid, event, intra_scope, next_hops))
 
 
 class ColumnarGroupActor:
@@ -63,8 +115,7 @@ class ColumnarGroupActor:
 
     __slots__ = (
         "topic", "tables", "hierarchy", "base", "engine", "tracker", "streams",
-        "members", "_rngs", "_callback", "_seen",
-        "_fanout", "_p_sel", "_p_a", "_intra_scope", "_supers", "_network",
+        "members", "_rngs", "_callback", "_seen", "_fig7", "_network",
     )
 
     def __init__(
@@ -96,16 +147,21 @@ class ColumnarGroupActor:
         self._callback = callback
         #: event_id -> seen bitmask (1 byte per member, per in-flight event)
         self._seen: dict[EventId, bytearray] = {}
-        # What Fig. 7 reads that depends on the (static) group only,
-        # resolved once: the group's ``fanout(S)``, ``p_sel(S)`` and
-        # ``p_a``, both scopes, and per super block its rows
-        self._fanout = params.fanout(tables.size)
-        self._p_sel = params.p_sel(tables.size)
-        self._p_a = params.p_a
-        self._intra_scope = Scope("intra", topic)
-        self._supers = tuple(
-            (Scope("inter", topic, target), stride, rows)
-            for target, stride, rows in tables.supers
+        #: what Fig. 7 reads that depends on the (static) group only,
+        #: resolved once, as the kernel's trailing arguments: per super
+        #: block its scope and rows, ``p_sel(S)``, ``p_a``, the intra
+        #: scope, the topic column and ``fanout(S)``
+        self._fig7 = (
+            tuple(
+                (Scope("inter", topic, target), stride, rows)
+                for target, stride, rows in tables.supers
+            ),
+            params.p_sel(tables.size),
+            params.p_a,
+            Scope("intra", topic),
+            tables.rows,
+            tables.stride,
+            params.fanout(tables.size),
         )
         #: held weakly: the network holds its block actors, so a strong
         #: reference back would leave a dropped system to the cycle
@@ -138,22 +194,23 @@ class ColumnarGroupActor:
                 )
             mask = self._seen[event.event_id] = bytearray(self.tables.size)
         base = self.base
-        forward = None
+        multicast = None
         for pid in targets:
             index = pid - base
             if mask[index]:
                 continue  # Fig. 5: later copies are ignored
             mask[index] = 1
-            if forward is None:
+            if multicast is None:
                 # what a first receipt needs is loaded once per batch, and
                 # not at all for a batch of later copies (most of a flood)
-                forward = self._forward
+                multicast = self._multicast()
                 hops = message.hops
                 next_hops = hops + 1
                 now = self.engine.now
                 tracker = self.tracker
                 callback = self._callback
                 streams = self.streams
+                fig7 = self._fig7
             if tracker is not None:
                 tracker.record_delivery(pid, event, now, hops=hops)
             if callback is not None:
@@ -161,51 +218,18 @@ class ColumnarGroupActor:
             rng = streams[index]
             if rng is None:
                 rng = streams[index] = self._rngs.stream(f"process/{pid}")
-            forward(index, pid, rng, event, next_hops, False)
+            forward(multicast, pid, event, next_hops, rng, False, index, *fig7)
 
-    def _forward(
-        self,
-        index: int,
-        pid: int,
-        rng: random.Random,
-        event: Event,
-        next_hops: int,
-        force_link: bool,
-    ) -> None:
-        """Fig. 7's DISSEMINATE for member ``index`` (pid ``pid``), off its
-        rows, with its stream ``rng``.
-
-        Per super block, the link election (probability ``p_sel``, skipped
-        when ``force_link``) and then one ``p_a`` draw per row entry, in row
-        order (lines 3-7); then up to ``fanout(S)`` distinct topic-row pids
-        (lines 8-14; the member's own pid is never in its row). Each
-        non-empty selection goes out as one multicast of one message
-        carrying ``next_hops``. These are the draws, in the order,
-        :func:`~repro.core.dissemination.disseminate` makes over
-        descriptor tables holding the same rows (tests/test_fig7_draw_order.py).
-        """
+    def _multicast(self):
+        """The network's ``multicast``, which a group that outlived its
+        system can no longer reach."""
         try:
-            multicast = self._network.multicast
+            return self._network.multicast
         except ReferenceError:
             raise ConfigError(
                 f"static group {self.topic.name} outlived its system: the "
                 "network it floods on is gone"
             ) from None
-        random_draw = rng.random
-        p_a = self._p_a
-        for scope, stride, rows in self._supers:
-            if force_link or random_draw() < self._p_sel:
-                start = index * stride
-                kept = [
-                    target for target in rows[start : start + stride] if random_draw() < p_a
-                ]
-                if kept:
-                    multicast(pid, kept, EventMessage(pid, event, scope, next_hops))
-        targets = self.tables.sample_row(index, self._fanout, rng)
-        if targets:
-            multicast(
-                pid, targets, EventMessage(pid, event, self._intra_scope, next_hops)
-            )
 
     # ------------------------------------------------------------------
     # Publishing (driven by the system facade)
@@ -227,7 +251,7 @@ class ColumnarGroupActor:
         rng = self.streams[index]
         if rng is None:
             rng = self.streams[index] = self._rngs.stream(f"process/{pid}")
-        self._forward(index, pid, rng, event, 1, True)
+        forward(self._multicast(), pid, event, 1, rng, True, index, *self._fig7)
 
     # ------------------------------------------------------------------
     # State management

@@ -5,27 +5,30 @@ process.
 ``pl ∈ Π_Ti``:
 
 * its two membership tables (topic table + supertopic table, §V-A.1),
-* the dissemination logic (Fig. 5 RECEIVE / Fig. 7 DISSEMINATE),
+* delivery and Fig. 7 DISSEMINATE on a first receipt
+  (:meth:`DaMulticastProcess.deliver`, through the one kernel,
+  :func:`~repro.core.group_actor.forward`),
 * the bootstrap task (Fig. 4 FIND_SUPER_CONTACT),
 * the maintenance task (Fig. 6 KEEP_TABLE_UPDATED),
 * and the underlying flat membership ([10]) with supertopic-table
   piggybacking (§V-A.2).
 
 A network holds blocks only, so a dynamic system's processes (one
-contiguous pid range) are one :class:`ProcessBlock` that grows per join.
-The §VII simulator's static groups are run by
-:class:`~repro.core.group_actor.ColumnarGroupActor` instead, which
-imports nothing from here: a static run never loads this module.
+contiguous pid range) are one :class:`ProcessBlock` that grows per join
+and runs Fig. 5's RECEIVE as a static group's block actor does: one seen
+bitmask per event. The §VII simulator's static groups are run by
+:class:`~repro.core.group_actor.ColumnarGroupActor`, which imports
+nothing from here: a static run never loads this module.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.bootstrap import FindSuperContact, handle_req_contact
-from repro.core.dissemination import disseminate, elect_links
 from repro.core.events import DeliveryCallback, Event, EventId
+from repro.core.group_actor import forward
 from repro.core.maintenance import KeepTableUpdated
 from repro.core.params import DaMulticastConfig
 from repro.core.tables import SuperTopicTable
@@ -116,13 +119,15 @@ class DaMulticastProcess:
         #: is immutable, so they are resolved once)
         params = self.params = config.params_for(topic)
         #: Fig. 7's group constants: ``p_a`` never changes; ``fanout(S)``
-        #: and ``p_sel(S)`` are resolved for the last group size a
-        #: selection saw (``_sized_for``), not once per forwarder
+        #: and ``p_sel(S)`` are resolved for the last group size a first
+        #: receipt saw (``_sized_for``), not once per forwarder
         self._p_a = params.p_a
         self._sized_for = 0
         self._fanout = 0
         self._p_sel = 0.0
-        self.seen: set[EventId] = set()
+        #: the inter scope of the last supertopic this process handed an
+        #: event up to (a table re-targets seldom)
+        self._inter_scope: Scope | None = None
         self.subscribed = False
 
         # The protocol's own tables — a flat membership view and a
@@ -194,34 +199,12 @@ class DaMulticastProcess:
             self.find_super_contact.start()
 
     # ------------------------------------------------------------------
-    # Publishing (Fig. 7 lines 1-2)
-    # ------------------------------------------------------------------
-    def publish(self, event: Event) -> None:
-        """Deliver ``event``, which the system minted and recorded for this
-        process, and disseminate it."""
-        self.subscribe()  # Fig. 7 line 2: DISSEMINATE starts with SUBSCRIBE
-        self.seen.add(event.event_id)
-        self._deliver(event, hops=0)
-        # §IV-C: "p1 sends its events to at least one process from its
-        # super topic table" — the publisher always acts as a link
-        disseminate(self, event, force_link=True)
-
-    # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
     def handle_message(self, message: Message) -> None:
-        """Network entry point: dispatch one delivered message."""
-        if isinstance(message, EventMessage):
-            # Fig. 5 lines 5-10, RECEIVE: only the first copy of an event
-            # is delivered and disseminated. Most receptions of a flood
-            # are later copies, and they end here, in this frame.
-            event = message.event
-            if event.event_id in self.seen:
-                return
-            self.seen.add(event.event_id)
-            self._deliver(event, hops=message.hops)
-            disseminate(self, event, arrival_hops=message.hops)
-        elif isinstance(message, ReqContact):
+        """Network entry point: dispatch one delivered control message
+        (events go through the block, :meth:`ProcessBlock.handle_batch`)."""
+        if isinstance(message, ReqContact):
             handle_req_contact(self, message)
         elif isinstance(message, AnsContact):
             self.find_super_contact.on_answer(message)
@@ -249,36 +232,14 @@ class DaMulticastProcess:
         self.network.multicast(self.pid, targets, message)
 
     # ------------------------------------------------------------------
-    # DisseminationPeer: Fig. 7's two selections, as pids
+    # A first receipt (Fig. 5 lines 7-9, Fig. 7)
     # ------------------------------------------------------------------
-    def _size_group_constants(self) -> None:
-        """Resolve ``fanout(S)`` and ``p_sel(S)`` for the current group size
-        (when a join moved the cell)."""
-        size = self.group_size
-        self._fanout = self.params.fanout(size)
-        self._p_sel = self.params.p_sel(size)
-        self._sized_for = size
-
-    def link_targets(self, force_link: bool) -> list[tuple[Topic, list[int]]]:
-        """Supergroup pids this process hands an event up to (Fig. 7
-        lines 3-7): empty unless it elects itself as a link."""
-        if self.group_size != self._sized_for:
-            self._size_group_constants()
-        return elect_links(
-            self.super_table, self._p_sel, self._p_a, self.rng, force_link
-        )
-
-    def gossip_targets(self) -> list[int]:
-        """``log(S)+c`` distinct pids sampled from ``Table − Ω`` — fewer
-        when the table is small (Fig. 7 lines 8-14)."""
-        if self.group_size != self._sized_for:
-            self._size_group_constants()
-        return self.topic_table().sample_pids(self._fanout, self.rng, self.pid)
-
-    # ------------------------------------------------------------------
-    # Delivery to the application (Fig. 5 line 8)
-    # ------------------------------------------------------------------
-    def _deliver(self, event: Event, hops: int = 0) -> None:
+    def deliver(self, event: Event, hops: int, force_link: bool) -> None:
+        """Deliver ``event``, which reached this process for the first time
+        after ``hops`` transmissions (0 for the publisher), and disseminate
+        it (:func:`~repro.core.group_actor.forward`, over its supertopic
+        table as one super block and its view's pids as its topic row).
+        The block dedups before it calls this."""
         # The paper's property 4: no parasite messages, ever. Make it a
         # hard invariant instead of trusting the routing. On a tree the
         # hierarchy's inclusion is Topic.includes itself (one frame).
@@ -290,6 +251,27 @@ class DaMulticastProcess:
         self._tracker.record_delivery(self.pid, event, self.engine.now, hops=hops)
         if self._delivery_callback is not None:
             self._delivery_callback(self, event)
+        size = self.group_size
+        if size != self._sized_for:  # a join moved the group's cell
+            self._fanout = self.params.fanout(size)
+            self._p_sel = self.params.p_sel(size)
+            self._sized_for = size
+        supers = ()
+        links = self.super_table.pids
+        if links:
+            # every entry is of the table's target topic (adopt and
+            # merge_fresh admit no other)
+            target = self.super_table.target_topic
+            scope = self._inter_scope
+            if scope is None or scope.super_group is not target:
+                scope = self._inter_scope = Scope("inter", self.topic, target)
+            supers = ((scope, len(links), links),)
+        row = self.membership.view.pids
+        forward(
+            self.network.multicast, self.pid, event, hops + 1, self.rng,
+            force_link, 0, supers, self._p_sel, self._p_a, self.intra_scope,
+            row, len(row), self._fanout,
+        )
 
     # ------------------------------------------------------------------
     # Supertopic-table piggybacking over membership gossip (§V-A.2)
@@ -325,17 +307,61 @@ class DaMulticastProcess:
 
 
 class ProcessBlock:
-    """A dynamic system's processes as one block actor: ``processes`` maps
-    every pid of the block to its process (the system's registry, emptied
-    by its close), and a batch reaches each target's ``handle_message`` in
-    target order, as one delivery per pid would."""
+    """A dynamic system's processes as one block actor over pids
+    ``base, base+1, …``: ``processes`` maps each to its process (the
+    system's registry, grown per join and emptied by its close).
 
-    __slots__ = ("processes",)
+    Fig. 5's first-reception dedup is the static group actor's: one
+    ``bytearray`` per event over the block, indexed ``pid - base`` and
+    extended when a process that joined after the event's first copy
+    receives it. A first receipt reaches :meth:`DaMulticastProcess.deliver`
+    in target order; every other message kind reaches each target's
+    ``handle_message``.
+    """
 
-    def __init__(self, processes: Mapping[int, Any]):
+    __slots__ = ("processes", "base", "_seen")
+
+    def __init__(self, processes: Mapping[int, DaMulticastProcess], base: int):
         self.processes = processes
+        self.base = base
+        #: event_id -> seen bitmask (1 byte per process of the block)
+        self._seen: dict[EventId, bytearray] = {}
+
+    def _mask(self, event_id: EventId) -> bytearray:
+        """The event's seen bitmask, covering every process of the block."""
+        mask = self._seen.get(event_id)
+        if mask is None:
+            mask = self._seen[event_id] = bytearray(len(self.processes))
+        elif len(mask) < len(self.processes):
+            mask.extend(bytes(len(self.processes) - len(mask)))
+        return mask
 
     def handle_batch(self, sender: int, targets, message: Message) -> None:
         processes = self.processes
+        if not isinstance(message, EventMessage):
+            for pid in targets:
+                processes[pid].handle_message(message)
+            return
+        event = message.event
+        mask = self._seen.get(event.event_id)
+        if mask is None or len(mask) < len(processes):
+            mask = self._mask(event.event_id)
+        base = self.base
+        hops = message.hops
         for pid in targets:
-            processes[pid].handle_message(message)
+            index = pid - base
+            if mask[index]:
+                continue  # Fig. 5: later copies are ignored
+            mask[index] = 1
+            processes[pid].deliver(event, hops, False)
+
+    def publish_from(self, index: int, event: Event) -> None:
+        """Fig. 7 lines 1-2 for the process at ``index``: join, deliver
+        locally, then disseminate (the publisher has already been
+        recorded). §IV-C: "p1 sends its events to at least one process
+        from its super topic table" — the publisher always acts as a
+        link."""
+        process = self.processes[self.base + index]
+        process.subscribe()  # Fig. 7 line 2: DISSEMINATE starts with SUBSCRIBE
+        self._mask(event.event_id)[index] = 1
+        process.deliver(event, 0, True)

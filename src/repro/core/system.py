@@ -27,8 +27,9 @@ Two modes mirror the paper's two settings:
 
 Both modes publish through the facade's one ``publish``: it elects or
 checks the publisher, mints the event id and records the publication,
-and Fig. 7 at the publisher runs in the group's block actor (static) or
-in the process itself (dynamic).
+and Fig. 7 at the publisher runs in the block actor holding it — its
+group's (static) or the processes' one block (dynamic) — through the one
+kernel, :func:`~repro.core.group_actor.forward`.
 """
 
 from __future__ import annotations
@@ -95,15 +96,14 @@ class DaMulticastSystem(ObjectSystemFacade):
         self._group_capacities: dict[Topic, int] = {}
         self._delivery_callback = delivery_callback
         #: the dynamic processes' one block actor, over ``_processes``
+        #: (registered with the first join)
         self._block = None
         if mode == "dynamic":
             # the dynamic protocol's modules load with its first system:
             # a static run never imports them
-            from repro.core.process import ProcessBlock
             from repro.membership.overlay import BootstrapOverlay
 
             self.overlay = BootstrapOverlay(overlay_degree)
-            self._block = ProcessBlock(self._processes)
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -130,7 +130,7 @@ class DaMulticastSystem(ObjectSystemFacade):
                     "is in its group's tables from the finalize on"
                 )
             return super()._add_members(topic, count)
-        from repro.core.process import DaMulticastProcess, GroupSizeCell
+        from repro.core.process import DaMulticastProcess, GroupSizeCell, ProcessBlock
 
         harness = self.harness
         rngs = harness.rngs
@@ -153,6 +153,7 @@ class DaMulticastSystem(ObjectSystemFacade):
             if processes:
                 network.extend_block(self._block, pid + 1)
             else:
+                self._block = ProcessBlock(processes, pid)
                 network.register_block(self._block, pid, pid + 1)
             process = DaMulticastProcess(
                 pid,
@@ -278,12 +279,10 @@ class DaMulticastSystem(ObjectSystemFacade):
     # Publishing
     # ------------------------------------------------------------------
     def _inject(self, pid: int, event: Event) -> None:
-        """Fig. 7 at the publisher: run by the process itself in dynamic
-        mode, by its group's block actor in static mode."""
-        if self.mode == "dynamic":
-            self._processes[pid].publish(event)
-            return
-        actor = self._actors[event.topic]
+        """Fig. 7 at the publisher, run by the block actor holding it: its
+        group's in static mode, the processes' one block in dynamic
+        mode."""
+        actor = self._block or self._actors[event.topic]
         actor.publish_from(pid - actor.base, event)
 
     # ------------------------------------------------------------------

@@ -62,12 +62,13 @@ Reading a row in place
 ----------------------
 
 Fig. 7 reads a member's rows straight off the columns: the group's block
-actor (:meth:`~repro.core.group_actor.ColumnarGroupActor._forward`) makes the
-link election and ``p_a`` draws over its super rows itself, and the gossip
-sample is :meth:`ColumnarGroupTables.sample_row`, draw-identical to
-:meth:`PartialView.sample_pids
-<repro.membership.view.PartialView.sample_pids>` over a view holding the
-same row (a view's pid list is its row, in insertion order).
+actor hands its columns and the member's index to the one Fig. 7 kernel
+(:func:`~repro.core.group_actor.forward`), which makes the link election
+and ``p_a`` draws over the member's window of each super block and samples
+its gossip off its window of the topic column — the draws it makes for a
+dynamic process over a view holding the same row (a view's pid list is its
+row, in insertion order). A baseline samples its forward with
+:meth:`ColumnarGroupTables.sample_row`.
 
 A row's slots reference the pid ints of the list the builder drew them
 from, so a column costs one pointer, 8 bytes, per slot (what
@@ -150,7 +151,7 @@ class ColumnarGroupTables:
         ]
 
     # ------------------------------------------------------------------
-    # Fig. 7's two selections, off the columns
+    # A baseline's forward, off the columns
     # ------------------------------------------------------------------
     def sample_row(
         self, index: int, k: int, rng: random.Random
@@ -164,8 +165,8 @@ class ColumnarGroupTables:
         column itself — so the RNG end-state is the one the stdlib call
         would leave. The member's own pid is never in its row (exclusion
         is built into construction), so no per-call filtering is needed:
-        the columnar equivalent of
-        ``PartialView.sample_pids(k, rng, self.pid)``.
+        the pids of ``PartialView.sample(k, rng, (pid,))`` over a view
+        holding the row.
         """
         stride = self.stride
         start = index * stride

@@ -3,11 +3,12 @@
 ``random.Random.sample(population, k)`` is positional: the draws it makes and
 the *positions* it selects depend only on ``(len(population), k)``, never on
 the elements. :func:`sample_from` writes its two branches out once — over a
-window ``seq[start:start + n]`` of any indexable, so that a pid list
-(:meth:`PartialView.sample_pids`), a descriptor tuple
-(:meth:`PartialView.sample`), bare positions (the columnar builders) and a
-slice of a flat pid column
-(:meth:`ColumnarGroupTables.sample_row`) are all sampled by the same loop, with
+window ``seq[start:start + n]`` of any indexable, so that Fig. 7's gossip
+over a slice of a flat pid column or a view's pid list
+(:func:`repro.core.group_actor.forward`), a baseline's
+(:meth:`ColumnarGroupTables.sample_row`), a descriptor tuple
+(:meth:`PartialView.sample`) and bare positions (the columnar builders) are
+all sampled by the same loop, with
 the same ``getrandbits`` stream and the same end state as the stdlib call —
 without its ``isinstance(population, Sequence)`` ABC check and its
 ``_randbelow`` frame per selection.

@@ -8,26 +8,27 @@ by the underlying membership algorithm) and the supertopic table
 (which keeps views close to uniform samples of the group — the property the
 gossip analysis of [10] needs), and supports the paper's MERGE semantics.
 
-Hot-path design (the gossip fast path calls
-:meth:`PartialView.sample_pids` once per first reception of an event).
-Beside the entry dict a view keeps two insertion-ordered mirrors of it:
+Hot-path design. A dynamic process's Fig. 7 reads its view's pid list
+(:attr:`PartialView.pids`) once per first reception of an event, and
+gossip and piggybacking sample descriptors. Beside the entry dict a view
+keeps two insertion-ordered mirrors of it:
 
 * **Cached descriptor tuple** — what ``descriptors`` and ``sample`` serve
   from; every mutator (``add``, ``_evict_uniform``, ``remove``, ``replace``,
   ``clear``, and ``set_capacity`` through its evictions) resets it to
   ``None`` and it is rebuilt lazily.
-* **Pid list** — what ``sample_pids`` and uniform eviction index into, so
-  that neither materialises ``list(self._entries)`` per call. It is never
-  stale: the same mutators keep it in step in place (invariant:
+* **Pid list** — what uniform eviction indexes into, so that it does not
+  materialise ``list(self._entries)`` per eviction. It is never stale:
+  the same mutators keep it in step in place (invariant:
   ``_pid_list == list(_entries)``). An eviction victim is one
   ``rng._randbelow(len)`` draw — exactly the draw
   ``rng.choice(list(entries))`` used to make.
 
-Both samples go through :func:`repro.membership.sampling.sample_from`, which
-selects positions exactly as ``random.Random.sample`` does, so a pid sample
-is, draw for draw, the pids of the descriptor sample. The ubiquitous
-``exclude=(self.pid,)`` call — a process never holds itself in its own
-table — runs straight over the mirror with no per-call filtering.
+A sample goes through :func:`repro.membership.sampling.sample_from`, which
+selects positions exactly as ``random.Random.sample`` does. The
+ubiquitous ``exclude=(self.pid,)`` call — a process never holds itself in
+its own table — runs straight over the cached tuple with no per-call
+filtering.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ class PartialView:
     Two insertion-ordered mirrors of the entry dict serve the hot paths
     (module docstring): the descriptor tuple ``_cache`` behind
     :meth:`descriptors`/:meth:`sample`, dropped by every mutator and
-    rebuilt lazily, and the pid list ``_pid_list`` behind
-    :meth:`sample_pids` and eviction, kept in step by every mutator.
-    Neither can be served stale.
+    rebuilt lazily, and the pid list ``_pid_list`` behind eviction, kept
+    in step by every mutator. Neither can be served stale.
     """
 
     __slots__ = ("capacity", "_entries", "_pid_list", "_cache")
@@ -243,19 +243,3 @@ class PartialView:
         if k >= n:
             return list(candidates)
         return sample_from(candidates, 0, n, k, rng)
-
-    def sample_pids(
-        self, k: int, rng: random.Random, exclude_pid: int | None = None
-    ) -> list[int]:
-        """The pids of ``sample(k, rng, exclude=(exclude_pid,))``, from the
-        same draws, without touching a descriptor (Fig. 7 only ever needs
-        the chosen pids)."""
-        if k < 0:
-            raise ConfigError(f"sample size must be >= 0, got {k}")
-        pids = self._pid_list
-        if exclude_pid in self._entries:  # never, for a process's own table
-            pids = [pid for pid in pids if pid != exclude_pid]
-        n = len(pids)
-        if k >= n:
-            return list(pids)
-        return sample_from(pids, 0, n, k, rng)

@@ -1,7 +1,7 @@
 """ColumnarStaticSystem runtime: block actors, flyweight dissemination.
 
-The columnar backend must run the *same protocol* (repro.core.dissemination
-drives both backends) over per-group state. These tests exercise the
+The columnar backend must run the *same protocol* (one Fig. 7 kernel,
+repro.core.group_actor.forward, drives every host) over per-group state. These tests exercise the
 facade's lifecycle guards, the block actor's delivery semantics (dedup
 bitmask, parasite refusal), and cross-check the delivery outcome against
 the full tracker and the paper's expectations (100% delivery on a lossless

@@ -14,6 +14,12 @@ T1 = Topic.parse(".t1")
 T2 = Topic.parse(".t1.t2")
 
 
+def block_of(system, topic):
+    """The block actor holding ``topic``'s members: the processes' one
+    block in dynamic mode, the group's actor in static mode."""
+    return system._block or system._actors[topic]
+
+
 def tiny_system(mode="static", **kwargs):
     system = DaMulticastSystem(seed=0, mode=mode, **kwargs)
     system.add_group(ROOT, 2)
@@ -64,8 +70,19 @@ class TestMessageDispatch:
         message = EventMessage(
             sender=1, event=bad, scope=Scope("intra", T2)
         )
-        with pytest.raises(ProtocolError):
-            t2_process.handle_message(message)
+        with pytest.raises(ProtocolError, match="parasite"):
+            block_of(system, T2).handle_batch(1, (t2_process.pid,), message)
+
+    def test_event_is_not_a_control_message(self):
+        """Events go through the block's dedup, never through a process's
+        control-message dispatch."""
+        system = tiny_system(mode="dynamic")
+        process = system.group(T2)[0]
+        event = Event(EventId(0, 1), T2, None, 0.0)
+        with pytest.raises(ProtocolError, match="cannot handle"):
+            process.handle_message(
+                EventMessage(sender=1, event=event, scope=Scope("intra", T2))
+            )
 
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_duplicate_event_ignored(self, mode):
@@ -81,21 +98,40 @@ class TestMessageDispatch:
         message = EventMessage(
             sender=1, event=event, scope=Scope("intra", T2)
         )
-        if mode == "static":  # a static group is one block actor
-            actor = system.group_actor(T2)
-
-            def receive():
-                actor.handle_batch(1, (process.pid,), message)
-        else:
-
-            def receive():
-                process.handle_message(message)
-
-        receive()
+        block = block_of(system, T2)
+        block.handle_batch(1, (process.pid,), message)
         assert deliveries == [(process.pid, event.event_id)]
-        receive()
+        block.handle_batch(1, (process.pid,), message)
         assert deliveries == [(process.pid, event.event_id)]
         assert system.tracker.delivery_count(event.event_id) == 1
+
+    def test_a_later_joiner_gets_an_event_once(self):
+        """A process that joined after an event's seen mask was made is
+        past the mask's end: its first copy extends the mask and is
+        delivered, its later copies are not."""
+        deliveries = []
+        system = tiny_system(
+            "dynamic",
+            delivery_callback=lambda process, event: deliveries.append(
+                (process.pid, event.event_id)
+            ),
+        )
+        first = system.group(T2)[0]
+        event = Event(EventId(0, 1), T2, None, 0.0)
+        message = EventMessage(
+            sender=1, event=event, scope=Scope("intra", T2)
+        )
+        block = block_of(system, T2)
+        block.handle_batch(1, (first.pid,), message)
+        joiner = system.add_process(T2)
+        assert joiner.pid - block.base == len(block._seen[event.event_id])
+        block.handle_batch(1, (joiner.pid, first.pid, joiner.pid), message)
+        block.handle_batch(1, (joiner.pid,), message)
+        assert deliveries == [
+            (first.pid, event.event_id),
+            (joiner.pid, event.event_id),
+        ]
+        assert system.tracker.delivery_count(event.event_id) == 2
 
 
 class TestSubscriptionLifecycle:

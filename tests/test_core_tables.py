@@ -2,6 +2,9 @@
 
 import random
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.core.tables import SuperTopicTable
 from repro.membership import ProcessDescriptor
 from repro.topics import ROOT, Topic
@@ -138,3 +141,59 @@ class TestQueries:
         table.adopt(T1, descs(T1, [1, 2]), RNG, own_topic=T2)
         assert {d.pid for d in table.descriptors()} == {1, 2}
         assert sorted(table.pids) == [1, 2]
+
+
+# ----------------------------------------------------------------------
+# One target per table — what Fig. 7 relies on
+# ----------------------------------------------------------------------
+#
+# A dynamic process hands an event up as one super block: every entry of
+# its supertopic table, under one ``Scope("inter", topic, target_topic)``.
+# That is sound only if the table never holds a descriptor of another
+# topic, whatever sequence of adopts (several topics and depths), fresh
+# merges (descriptors of mixed topics) and clears it goes through.
+
+OWN = Topic.parse(".a.b.c.d")
+#: the own topic's strict supertopics, at every depth, and topics that
+#: are not supertopics of it (a sibling and a cousin)
+TOPICS = [Topic.parse(name) for name in (".", ".a", ".a.b", ".a.b.c", ".a.x", ".y")]
+
+pid_lists = st.lists(st.integers(min_value=0, max_value=40), max_size=8)
+mixed_descriptors = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=40), st.sampled_from(TOPICS)),
+    max_size=8,
+).map(lambda pairs: [ProcessDescriptor(pid, topic) for pid, topic in pairs])
+steps = st.one_of(
+    st.tuples(
+        st.just("adopt"),
+        st.sampled_from(TOPICS),
+        mixed_descriptors,
+        st.booleans(),
+    ),
+    st.tuples(st.just("merge_fresh"), pid_lists, mixed_descriptors),
+    st.tuples(st.just("clear")),
+)
+
+
+@given(
+    z=st.integers(min_value=1, max_value=6),
+    script=st.lists(steps, max_size=30),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_entry_is_of_the_target_topic(z, script, seed):
+    rng = random.Random(seed)
+    table = SuperTopicTable(z)
+    for step in script:
+        if step[0] == "adopt":
+            _, topic, descriptors, guarded = step
+            table.adopt(topic, descriptors, rng, own_topic=OWN if guarded else None)
+        elif step[0] == "merge_fresh":
+            _, stale, fresh = step
+            table.merge_fresh(stale, fresh)
+        else:
+            table.clear()
+        assert len(table) <= z
+        assert all(d.topic is table.target_topic for d in table.descriptors())
+        if table.target_topic is None:
+            assert table.is_empty

@@ -1,15 +1,16 @@
-"""Fig. 7 has two bodies, and they draw alike.
+"""Fig. 7 has one body, and it draws as the figure reads.
 
-A dynamic process disseminates through :func:`repro.core.dissemination.
-disseminate` over descriptor tables (:func:`elect_links` over a
-:class:`SuperTopicTable`, :meth:`PartialView.sample_pids`); a static group's
-block actor runs the figure itself over pid columns
-(:meth:`ColumnarGroupActor._forward`). Given the same rows and equal-seeded
-streams, both must make the same multicasts — targets, scope and hops, in
-order — and leave their stream in the same state: per super block the link
-election (skipped when forced) and one ``p_a`` draw per row entry, then the
-gossip sample. Zero, one or two super blocks cover a group at the root, on
-a tree and under §VIII's one table per parent.
+Both modes disseminate through :func:`repro.core.group_actor.forward`: a
+static group's block actor over its pid columns (a member's rows are
+windows of them), a dynamic process over its descriptor tables (index 0,
+its :class:`SuperTopicTable` as one super block, its view's pid list as
+the whole topic row). Given equal-seeded streams, the kernel must make the
+multicasts — targets, scope and hops, in order — and leave its stream in
+the state of :func:`reference_fig7`, the figure written out over plain
+lists with ``random.sample``: per non-empty supertopic table the link
+election (skipped when forced) and one ``p_a`` draw per entry, then the
+gossip sample. Zero, one or two super blocks cover a group at the root,
+on a tree and under §VIII's one table per parent.
 """
 
 import random
@@ -17,71 +18,55 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.dissemination import disseminate, elect_links
 from repro.core.events import Event, EventId
+from repro.core.group_actor import forward
 from repro.core.params import TopicParams
-from repro.core.group_actor import ColumnarGroupActor
 from repro.core.tables import SuperTopicTable
 from repro.membership.columnar import build_group_tables
 from repro.membership.view import PartialView, ProcessDescriptor
 from repro.net.message import Scope
-from repro.topics import Topic, TopicHierarchy
+from repro.topics import Topic
 
 T = Topic.parse(".t1.t2")
 PARENTS = (Topic.parse(".t1"), Topic.parse(".other"))
+INTRA = Scope("intra", T)
 BASE = 1_000
+EVENT = Event(EventId(99, 1), T, None, 0.0)
 
 
-class RecordingNetwork:
-    """What the actor binds: ``multicast``, recorded."""
+def reference_fig7(pid, rng, params, size, topic_row, super_rows, force_link, next_hops):
+    """Fig. 7 lines 3-14 over a member's rows, as ``(sender, targets,
+    scope, hops)`` sends: ``super_rows`` is ``[(scope, pids), …]``."""
+    sent = []
+    for scope, pids in super_rows:
+        if not pids:
+            continue  # an empty supertopic table draws nothing
+        if force_link or rng.random() < params.p_sel(size):
+            kept = [target for target in pids if rng.random() < params.p_a]
+            if kept:
+                sent.append((pid, kept, scope, next_hops))
+    fanout = params.fanout(size)
+    if fanout >= len(topic_row):
+        gossip = list(topic_row)
+    else:
+        gossip = rng.sample(topic_row, fanout)
+    if gossip:
+        sent.append((pid, gossip, INTRA, next_hops))
+    return sent
+
+
+class RecordingMulticast:
+    """The kernel's ``multicast``, recorded."""
 
     def __init__(self):
         self.sent = []
 
-    def multicast(self, sender, targets, message):
+    def __call__(self, sender, targets, message):
         self.sent.append((sender, list(targets), message.scope, message.hops))
 
 
-class DescriptorPeer:
-    """A :class:`~repro.core.dissemination.DisseminationPeer` over
-    descriptor tables holding a member's rows: one supertopic table per
-    super block, each elected over on its own."""
-
-    def __init__(self, pid, rng, params, size, topic_row, super_rows):
-        self.pid = pid
-        self.topic = T
-        self.intra_scope = Scope("intra", T)
-        self.rng = rng
-        self._fanout = params.fanout(size)
-        self._p_sel = params.p_sel(size)
-        self._p_a = params.p_a
-        self._view = PartialView(max(1, len(topic_row)))
-        for target in topic_row:
-            self._view.add(ProcessDescriptor(target, T))
-        self._super_tables = []
-        for parent, pids in super_rows:
-            table = SuperTopicTable(params.z)
-            # z holds the whole row, so the merge draws nothing
-            table.adopt(parent, [ProcessDescriptor(p, parent) for p in pids], None)
-            assert [d.pid for d in table.descriptors()] == pids
-            self._super_tables.append(table)
-        self.sent = []
-
-    def link_targets(self, force_link):
-        links = []
-        for table in self._super_tables:
-            links += elect_links(table, self._p_sel, self._p_a, self.rng, force_link)
-        return links
-
-    def gossip_targets(self):
-        return self._view.sample_pids(self._fanout, self.rng, self.pid)
-
-    def multicast(self, targets, message):
-        self.sent.append((message.sender, list(targets), message.scope, message.hops))
-
-
 @st.composite
-def groups(draw):
+def params_and_size(draw):
     size = draw(st.integers(min_value=1, max_value=200))
     z = draw(st.integers(min_value=1, max_value=10))
     params = TopicParams(
@@ -91,27 +76,26 @@ def groups(draw):
         z=z,
         fanout_log_base=draw(st.sampled_from([2.0, 10.0])),
     )
-    # the topic row's length is min(capacity, S-1): a fan-out above it
-    # takes the whole row, one at or below it samples
-    capacity = draw(st.integers(min_value=1, max_value=30))
-    super_sizes = draw(
-        st.lists(st.integers(min_value=1, max_value=15), max_size=len(PARENTS))
-    )
-    return size, params, capacity, super_sizes
+    return params, size
 
 
 @given(
-    group=groups(),
+    group=params_and_size(),
+    # the topic row's length is min(capacity, S-1): a fan-out above it
+    # takes the whole row, one at or below it samples
+    capacity=st.integers(min_value=1, max_value=30),
+    super_sizes=st.lists(st.integers(min_value=1, max_value=15), max_size=len(PARENTS)),
     index_at=st.floats(min_value=0, max_value=1, exclude_max=True),
     force_link=st.booleans(),
-    arrival_hops=st.integers(min_value=0, max_value=5),
+    next_hops=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=300, deadline=None)
-def test_the_block_actor_draws_like_disseminate(
-    group, index_at, force_link, arrival_hops, seed
+def test_a_column_window_draws_like_the_figure(
+    group, capacity, super_sizes, index_at, force_link, next_hops, seed
 ):
-    size, params, capacity, super_sizes = group
+    """A static member: its rows are windows of its group's pid columns."""
+    params, size = group
     supers = []
     next_base = BASE + size
     for parent, super_size in zip(PARENTS, super_sizes):
@@ -127,32 +111,76 @@ def test_the_block_actor_draws_like_disseminate(
     )
     index = int(index_at * size)
     pid = BASE + index
-    event = Event(EventId(99, 1), T, None, 0.0)
+    blocks = [
+        (Scope("inter", T, target), stride, rows)
+        for target, stride, rows in tables.supers
+    ]
 
-    network = RecordingNetwork()
-    actor = ColumnarGroupActor(
-        tables,
-        params,
-        TopicHierarchy(),
-        engine=None,
-        network=network,
-        rngs=None,
-        tracker=None,
-        streams=[None] * size,
-        members=[None] * size,
+    multicast = RecordingMulticast()
+    rng = random.Random(seed)
+    forward(
+        multicast, pid, EVENT, next_hops, rng, force_link, index, blocks,
+        params.p_sel(size), params.p_a, INTRA, tables.rows, tables.stride,
+        params.fanout(size),
     )
-    actor_rng = random.Random(seed)
-    actor._forward(index, pid, actor_rng, event, arrival_hops + 1, force_link)
 
-    peer = DescriptorPeer(
+    reference_rng = random.Random(seed)
+    expected = reference_fig7(
         pid,
-        random.Random(seed),
+        reference_rng,
         params,
         size,
         tables.row_pids(index),
-        tables.super_rows_of(index),
+        [(Scope("inter", T, target), pids) for target, pids in tables.super_rows_of(index)],
+        force_link,
+        next_hops,
     )
-    disseminate(peer, event, force_link=force_link, arrival_hops=arrival_hops)
+    assert multicast.sent == expected
+    assert rng.getstate() == reference_rng.getstate()
 
-    assert network.sent == peer.sent
-    assert actor_rng.getstate() == peer.rng.getstate()
+
+@given(
+    group=params_and_size(),
+    topic_row=st.lists(st.integers(min_value=1, max_value=500), max_size=40, unique=True),
+    super_row=st.lists(
+        st.integers(min_value=501, max_value=900), max_size=10, unique=True
+    ),
+    force_link=st.booleans(),
+    next_hops=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_view_list_draws_like_the_figure(
+    group, topic_row, super_row, force_link, next_hops, seed
+):
+    """A dynamic process: index 0, its supertopic table as one block (none
+    when empty) and its view's pids as the whole row."""
+    params, size = group
+    parent = PARENTS[0]
+    view = PartialView(max(1, len(topic_row)))
+    for target in topic_row:
+        view.add(ProcessDescriptor(target, T))
+    table = SuperTopicTable(len(super_row) or 1)
+    if super_row:
+        # the table holds the whole row, so the merge draws nothing
+        table.adopt(parent, [ProcessDescriptor(p, parent) for p in super_row], None)
+    scope = Scope("inter", T, parent)
+    links = table.pids
+    blocks = ((scope, len(links), links),) if links else ()
+    row = view.pids
+
+    multicast = RecordingMulticast()
+    rng = random.Random(seed)
+    forward(
+        multicast, 0, EVENT, next_hops, rng, force_link, 0, blocks,
+        params.p_sel(size), params.p_a, INTRA, row, len(row),
+        params.fanout(size),
+    )
+
+    reference_rng = random.Random(seed)
+    expected = reference_fig7(
+        0, reference_rng, params, size, topic_row, [(scope, super_row)],
+        force_link, next_hops,
+    )
+    assert multicast.sent == expected
+    assert rng.getstate() == reference_rng.getstate()

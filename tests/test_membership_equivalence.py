@@ -140,15 +140,12 @@ def test_outsider_rows_match_reference(base, n, step, capacity, drawers, k, seed
         assert tables.row_pids(index) == reference.pids
         # the forward: what the baselines sampled off the view, as pids
         # (naive) or as descriptors (the hierarchical cross table)
-        row_rng, pid_rng, descriptor_rng = (
-            random.Random(seed + index) for _ in range(3)
-        )
+        row_rng, descriptor_rng = (random.Random(seed + index) for _ in range(2))
         drawn = tables.sample_row(index, k, row_rng)
-        assert drawn == reference.sample_pids(k, pid_rng, drawer.pid)
         assert drawn == [
             d.pid for d in reference.sample(k, descriptor_rng, (drawer.pid,))
         ]
-        assert row_rng.getstate() == pid_rng.getstate() == descriptor_rng.getstate()
+        assert row_rng.getstate() == descriptor_rng.getstate()
 
 
 @given(
@@ -161,8 +158,9 @@ def test_outsider_rows_match_reference(base, n, step, capacity, drawers, k, seed
 )
 @settings(max_examples=100, deadline=None)
 def test_topic_rows_sample_like_the_reference_view(base, n, step, capacity, k, seed):
-    """A baseline's forward off its row draws what ``PartialView.
-    sample_pids`` drew off the descriptor table holding that row."""
+    """A baseline's forward off its row draws the pids of what
+    ``PartialView.sample`` drew off the descriptor table holding that
+    row."""
     pids = member_pids(base, n, step)
     group = descriptors(pids)
     ref_rng, col_rng = random.Random(seed), random.Random(seed)
@@ -174,7 +172,9 @@ def test_topic_rows_sample_like_the_reference_view(base, n, step, capacity, k, s
     assert col_rng.getstate() == ref_rng.getstate()
     for index, member in enumerate(group):
         drawn = tables.sample_row(index, k, col_rng)
-        assert drawn == references[index].sample_pids(k, ref_rng, member.pid)
+        assert drawn == [
+            d.pid for d in references[index].sample(k, ref_rng, (member.pid,))
+        ]
     assert col_rng.getstate() == ref_rng.getstate()
 
 

@@ -741,7 +741,7 @@ class TestLinkClassifierConsultation:
 # A failure model that declares ``static_dead`` (repro.failures.model) is
 # answered by set membership: the sender once per fan-out, the targets in
 # one comprehension at delivery. The pids above, registered either as
-# blocks or as per-pid actors (one ProcessBlock per range), random dead
+# blocks or as per-pid actors (one per-pid block per range), random dead
 # sets — a dead *sender* and an all-dead fan-out included — on the clean
 # channel and, under a partition model that connects every pair
 # (``StaticPartition([])``: one implicit island, no draws, not

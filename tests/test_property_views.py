@@ -132,20 +132,16 @@ def filled_view(n):
 
 
 def assert_one_sample(view, k, seed, exclude_pid=OWN_PID):
-    """``sample_pids`` == pids of ``sample`` == pids of ``random.sample``,
-    and all three leave their generator in the same state."""
-    rng_pids, rng_descriptors, rng_stdlib = (
-        random.Random(seed), random.Random(seed), random.Random(seed)
-    )
+    """The pids of ``sample`` == the pids of ``random.sample``, and both
+    leave their generator in the same state."""
+    rng_descriptors, rng_stdlib = random.Random(seed), random.Random(seed)
     candidates = [d for d in view.descriptors() if d.pid != exclude_pid]
     expected = (
         candidates if k >= len(candidates) else rng_stdlib.sample(candidates, k)
     )
-    pids = view.sample_pids(k, rng_pids, exclude_pid)
     descriptors = view.sample(k, rng_descriptors, exclude=(exclude_pid,))
-    assert pids == [d.pid for d in descriptors] == [d.pid for d in expected]
-    assert rng_pids.getstate() == rng_descriptors.getstate()
-    assert rng_pids.getstate() == rng_stdlib.getstate()
+    assert [d.pid for d in descriptors] == [d.pid for d in expected]
+    assert rng_descriptors.getstate() == rng_stdlib.getstate()
 
 
 @given(st.integers(0, 130), st.integers(0, 140), st.integers(0, 2**32))
@@ -204,7 +200,9 @@ def test_pid_sample_with_the_excluded_pid_in_the_view(n, k, seed, data):
     view = filled_view(n)
     present = 100 + data.draw(st.integers(0, n - 1))
     assert_one_sample(view, k, seed, exclude_pid=present)
-    assert present not in view.sample_pids(n, random.Random(seed), present)
+    assert present not in [
+        d.pid for d in view.sample(n, random.Random(seed), (present,))
+    ]
 
 
 mutations = st.lists(
@@ -242,4 +240,4 @@ def test_pid_sample_is_never_stale_after_a_mutation(ops, k, seed):
         # a sample between every two mutations, so a snapshot taken
         # before the mutation would be served here if anything kept one
         assert_one_sample(view, k, seed)
-        assert view.sample_pids(99, rng) == view.pids
+        assert [d.pid for d in view.sample(99, rng)] == view.pids == view._pid_list
