@@ -35,11 +35,12 @@ Usage (installed as ``damulticast``, or ``python -m repro``)::
 
 Every command prints the same rows/series the paper reports, as an
 aligned ASCII table; the eight sweeps (fig8-11, ablate-g/c, scale-s/t)
-are rows of :data:`repro.experiments.paper.SWEEPS` and take their
-defaults from them. Scenario specs are declarative JSON documents (see
-``repro.workloads.spec``) covering both static-mode (§VII simulator) and
-dynamic-mode (full protocol: bootstrap, maintenance, failure campaigns,
-latency models) runs; ``scenario`` output is bit-identical for any
+are rows of :data:`repro.experiments.paper.SWEEPS`. A command's defaults
+are its driver's or its ``SWEEPS`` row's: the parser states none of them,
+and hands a driver only the options typed. Scenario specs are
+declarative JSON documents (see ``repro.workloads.spec``) covering both
+static-mode (§VII simulator) and dynamic-mode (full protocol: bootstrap,
+maintenance, failure campaigns, latency models) runs; ``scenario`` output is bit-identical for any
 execution backend (``--executor serial | pool:N``; ``--jobs N`` stays as
 an alias for ``pool:N``; one pool serves the whole command). ``scenario run/sweep --out`` saves a
 JSON payload (written atomically) that ``scenario render`` turns into
@@ -51,6 +52,7 @@ executes zero cells, an interrupted sweep resumes where it stopped.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -58,26 +60,12 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import ConfigError
-from repro.experiments.paper import SWEEPS, paper_table
-from repro.experiments.repair import REPAIR_SCENARIO, repair_comparison
-from repro.workloads.scenarios import PaperScenario
-from repro.workloads.spec import (
-    load_spec,
-    metrics_digest,
-    run_scenario,
-    spec_digest,
-    spec_with,
-    sweep_scenario,
-)
 
-# The parser reads its defaults off the SWEEPS rows, the repair scenario and
-# PaperScenario; what only some commands run is imported in their handlers.
+# Building the parser reads no experiment: each command imports what it
+# runs in its handler.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.executor import Executor
     from repro.metrics.report import Table
-
-#: the §VII scenario: what `--sizes` resizes on `compare`
-_PAPER = PaperScenario()
 
 #: sweep command -> (its SWEEPS row, help)
 _SWEEP_COMMANDS = {
@@ -146,18 +134,22 @@ def _executor_spec_from(args: argparse.Namespace) -> str | None:
     return executor
 
 
-def _make_experiment_parent(runs: int) -> argparse.ArgumentParser:
+def _option(parser, flag: str, kind: type, what: str, where: str, **options) -> None:
+    """An option whose default is its driver's or its ``SWEEPS`` row's, not
+    the parser's: SUPPRESS leaves it out of the parsed arguments unless it
+    is typed, and its help says where the default lives."""
+    parser.add_argument(
+        flag, type=kind, default=argparse.SUPPRESS, help=f"{what} (default: {where})",
+        **options,
+    )
+
+
+def _make_experiment_parent() -> argparse.ArgumentParser:
     """The `--runs`/`--seed` pair of every command that repeats a seeded
-    run; ``runs`` is the command's own default. One parent per command:
-    argparse shares a parent's actions, so a shared one could hold only
-    one default."""
+    run, shared by all of them: neither states a default."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--runs", type=int, default=runs, help="repetitions with derived seeds"
-    )
-    parent.add_argument(
-        "--seed", type=int, default=0, help="master seed every run derives from"
-    )
+    _option(parent, "--runs", int, "repetitions with derived seeds", "the command's")
+    _option(parent, "--seed", int, "master seed every run derives from", "the command's")
     return parent
 
 
@@ -203,16 +195,6 @@ def _make_spec_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _add_sizes(parser: argparse.ArgumentParser, default: Sequence[int]) -> None:
-    parser.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=list(default),
-        help="group sizes from the root down (default: %(default)s)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="damulticast",
@@ -224,50 +206,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     exec_parent = _make_exec_parent()
+    experiment_parent = _make_experiment_parent()
 
-    def experiment(name: str, runs: int, help_text: str):
+    def experiment(name: str, help_text: str):
         return sub.add_parser(
-            name,
-            help=help_text,
-            parents=[exec_parent, _make_experiment_parent(runs)],
+            name, help=help_text, parents=[exec_parent, experiment_parent]
         )
 
     for command, (name, help_text) in _SWEEP_COMMANDS.items():
-        row = SWEEPS[name]
-        sweep = experiment(command, row.runs, help_text)
-        kind = int if row.integral else float
-        sweep.add_argument(
-            "--grid" if name.startswith("fig") else "--values",
-            dest="values",
-            metavar=row.axis.upper(),
-            type=kind,
-            nargs="+",
-            # argparse converts only string defaults: convert the row's
-            # values as it converts typed ones, so the default grid seeds
-            # and prints exactly as the same values given on the line
-            default=[kind(value) for value in row.values],
-            help=f"{row.axis} values (default: %(default)s)",
+        sweep, row = experiment(command, help_text), f"the {name} row's"
+        figure = name.startswith("fig")
+        _option(
+            sweep, "--grid" if figure else "--values", float, "grid values", row,
+            dest="values", nargs="+", metavar="VALUE",
         )
-        if name.startswith("fig"):
-            _add_sizes(sweep, row.scenario.sizes)
+        if figure:
+            _option(sweep, "--sizes", int, "group sizes from the root down", row, nargs="+")
         if name.startswith("ablation"):
-            sweep.add_argument("--alive", type=float, default=row.alive)
+            _option(sweep, "--alive", float, "alive fraction", row)
         if name == "scale-t":
-            sweep.add_argument("--level-size", type=int, default=row.scenario.sizes[0])
+            _option(sweep, "--level-size", int, "group size at every level", row)
 
-    compare = experiment(
-        "compare", 3, "measured §VI-E comparison of all four algorithms"
+    compare = experiment("compare", "measured §VI-E comparison of all four algorithms")
+    _option(
+        compare, "--sizes", int, "group sizes from the root down",
+        "the §VII scenario's", nargs="+",
     )
-    _add_sizes(compare, _PAPER.sizes)
 
-    analysis = sub.add_parser(
-        "analysis", help="closed-form §VI-E tables (no simulation)"
+    analysis = sub.add_parser("analysis", help="closed-form §VI-E tables (no simulation)")
+    _option(
+        analysis, "--sizes", int, "group sizes from the publication level up",
+        "the §VII chain's", nargs="+",
     )
-    analysis.add_argument(
-        "--sizes", type=int, nargs="+", default=[1000, 100, 10],
-        help="group sizes from the publication level up",
-    )
-    analysis.add_argument("--p-succ", type=float, default=1.0)
+    _option(analysis, "--p-succ", float, "transmission success probability", "the §VII chain's")
 
     tuning = sub.add_parser(
         "tuning", help="Appendix equivalence windows and z-bounds"
@@ -279,18 +250,15 @@ def _build_parser() -> argparse.ArgumentParser:
     tuning.add_argument("--s-t", type=float, default=1000.0)
     tuning.add_argument("--clusters", type=int, default=10)
 
-    stream = experiment(
-        "stream", 3, "steady-state Poisson stream: cost/delivery/parasites"
-    )
-    stream.add_argument(
-        "--rates", type=float, nargs="+", default=[0.05, 0.2, 0.5]
-    )
+    stream = experiment("stream", "steady-state Poisson stream: cost/delivery/parasites")
+    _option(stream, "--rates", float, "event arrival rates", "the driver's", nargs="+")
 
-    repair = experiment(
-        "repair", 4, "frozen membership (§VII) vs live repair, among survivors"
+    repair = experiment("repair", "frozen membership (§VII) vs live repair, among survivors")
+    _option(repair, "--alive", float, "alive fraction", "the driver's")
+    _option(
+        repair, "--sizes", int, "group sizes from the root down",
+        "the repair scenario's", nargs="+",
     )
-    repair.add_argument("--alive", type=float, default=0.6)
-    _add_sizes(repair, REPAIR_SCENARIO.sizes)
 
     scenario = sub.add_parser(
         "scenario",
@@ -300,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="scenario_command", required=True
     )
 
-    spec_parents = [exec_parent, _make_experiment_parent(3), _make_spec_parent()]
+    spec_parents = [exec_parent, experiment_parent, _make_spec_parent()]
     scenario_sub.add_parser(
         "run",
         help="run one spec (JSON file path or bundled preset name)",
@@ -464,6 +432,8 @@ def _parse_cli_value(raw: str) -> Any:
 
 
 def _apply_overrides(spec: Mapping, pairs: Sequence[str]) -> Mapping:
+    from repro.workloads.spec import spec_with
+
     for pair in pairs:
         path, sep, raw = pair.partition("=")
         if not sep or not path:
@@ -521,6 +491,7 @@ def _caching(
     if cache is None:
         return executor
     from repro.experiments.artifacts import ArtifactStore, CachingExecutor
+    from repro.workloads.spec import spec_digest
 
     return CachingExecutor(
         executor, ArtifactStore(cache), spec_digest(run_key_payload)
@@ -566,8 +537,12 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
         print(table.render())
         return 0
 
+    from repro.workloads.spec import load_spec, metrics_digest, run_scenario, sweep_scenario
+
     spec = _apply_overrides(load_spec(args.spec), args.overrides)
     progress = _progress_printer(args)
+    # the command's own defaults: three runs (run_scenario's is one)
+    runs, seed = getattr(args, "runs", 3), getattr(args, "seed", 0)
     if args.scenario_command == "run":
         from repro.experiments.runner import aggregate_runs
 
@@ -576,8 +551,8 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
         )
         samples = run_scenario(
             spec,
-            runs=args.runs,
-            master_seed=args.seed,
+            runs=runs,
+            master_seed=seed,
             executor=executor,
             progress=progress,
         )
@@ -585,7 +560,7 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
         means, stds = aggregate_runs(samples)
         table = Table(
             f"scenario {spec.get('name', args.spec)} — metrics over "
-            f"{args.runs} run(s), master seed {args.seed}",
+            f"{runs} run(s), master seed {seed}",
             ["metric", "mean", "std"],
             precision=4,
         )
@@ -601,8 +576,8 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
                     "schema": SCENARIO_RUN_SCHEMA,
                     "name": spec.get("name", args.spec),
                     "spec": spec,
-                    "runs": args.runs,
-                    "master_seed": args.seed,
+                    "runs": runs,
+                    "master_seed": seed,
                     "samples": samples,
                     "means": means,
                     "stds": stds,
@@ -622,8 +597,8 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
         spec,
         args.field,
         values,
-        runs=args.runs,
-        master_seed=args.seed,
+        runs=runs,
+        master_seed=seed,
         executor=executor,
         progress=progress,
     )
@@ -631,7 +606,7 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
     metric_names = result.metric_names()
     table = Table(
         f"scenario sweep over {args.field} "
-        f"({args.runs} run(s)/point, master seed {args.seed})",
+        f"({runs} run(s)/point, master seed {seed})",
         [args.field, *metric_names],
         precision=4,
     )
@@ -648,8 +623,8 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
                 "name": spec.get("name", args.spec),
                 "spec": spec,
                 "field": args.field,
-                "runs": args.runs,
-                "master_seed": args.seed,
+                "runs": runs,
+                "master_seed": seed,
                 "points": result.points,
                 "means": result.means,
                 "stds": result.stds,
@@ -658,11 +633,11 @@ def _run_scenario_command(args: argparse.Namespace, executor: Executor) -> int:
     return 0
 
 
-def _run_analysis_command(args: argparse.Namespace) -> int:
+def _run_analysis_command(*, progress: Any, **chain: Any) -> int:
+    """The closed-form tables of the chain typed (no sweep: no progress)."""
     from repro.analysis.comparison import ChainScenario, comparison_table
 
-    scenario = ChainScenario(sizes=tuple(args.sizes), p_succ=args.p_succ)
-    for table in comparison_table(scenario).values():
+    for table in comparison_table(ChainScenario(**chain)).values():
         print(table.render())
         print()
     return 0
@@ -785,26 +760,32 @@ def _run_lint_command(args: argparse.Namespace) -> int:
 
 #: the keywords every seeded driver takes
 _SEEDED = {"runs": "runs", "master_seed": "seed"}
+#: what a sweep command hands its row
+_SWEEP_KEYWORDS = {
+    **{name: name for name in ("values", "alive", "sizes", "level_size")}, **_SEEDED
+}
 
 
-def _run_sweep_command(args: argparse.Namespace, executor: Executor) -> Table:
-    """The command's SWEEPS row at the values, sizes (``--sizes``, or
-    ``scale-t``'s one ``--level-size``) and alive fraction it was given."""
-    name = _SWEEP_COMMANDS[args.command][0]
-    scenario = SWEEPS[name].scenario
-    if "sizes" in args or "level_size" in args:
-        sizes = args.sizes if "sizes" in args else [args.level_size]
-        scenario = replace(scenario, sizes=tuple(sizes))
-    return paper_table(
-        name, values=args.values, runs=args.runs, alive=getattr(args, "alive", None),
-        scenario=scenario, master_seed=args.seed, executor=executor,
-        progress=_progress_printer(args),
-    )
+def _run_sweep_command(
+    name: str, *, executor: Executor, sizes=None, level_size=None, **call: Any
+) -> Table:
+    """The SWEEPS row ``name`` at what was typed: ``--sizes``, or
+    ``scale-t``'s one ``--level-size``, resizes the row's scenario."""
+    from repro.experiments.paper import SWEEPS, paper_table
+
+    if level_size is not None:
+        sizes = (level_size,)
+    if sizes is not None:
+        call["scenario"] = replace(SWEEPS[name].scenario, sizes=sizes)
+    return paper_table(name, executor=executor, **call)
 
 
-def _run_compare_command(*, executor: Executor, **call: Any) -> Table:
+def _run_compare_command(*, executor: Executor, sizes=None, **call: Any) -> Table:
     from repro.experiments.comparisons import measured_comparison
+    from repro.workloads.scenarios import PaperScenario
 
+    if sizes is not None:
+        call["scenario"] = PaperScenario(sizes=sizes)
     return measured_comparison(executor=executor, **call)
 
 
@@ -814,22 +795,32 @@ def _run_stream_command(*, executor: Executor, **call: Any) -> Table:
     return stream_table(executor=executor, **call)
 
 
+def _run_repair_command(*, executor: Executor, sizes=None, **call: Any) -> Table:
+    from repro.experiments.repair import REPAIR_SCENARIO, repair_comparison
+
+    if sizes is not None:
+        call["scenario"] = replace(REPAIR_SCENARIO, sizes=sizes)
+    return repair_comparison(executor=executor, **call)
+
+
 #: command → (driver, {driver keyword: parsed-argument attribute}); ``None``
-#: hands the driver the parsed arguments whole, and a :class:`PaperScenario`
-#: in place of an attribute is the command's scenario, resized by
-#: ``--sizes``. A driver that declares ``executor`` also gets the one
-#: resolved from the shared execution options, closed when it returns. It
-#: returns the table to print, or, having printed its own report, an exit
-#: code.
+#: hands the driver the parsed arguments whole. A keyword is passed only
+#: when its option was typed, so the driver defaults the rest, and
+#: ``sizes`` resizes the driver's own scenario. A driver that declares
+#: ``executor`` also gets the one resolved from the shared execution
+#: options, closed when it returns. It returns the table to print, or,
+#: having printed its own report, an exit code.
 _COMMANDS = {
-    **dict.fromkeys(_SWEEP_COMMANDS, (_run_sweep_command, None)),
-    "compare": (_run_compare_command, {"scenario": _PAPER, **_SEEDED}),
-    "analysis": (_run_analysis_command, None),
+    **{
+        command: (functools.partial(_run_sweep_command, name), _SWEEP_KEYWORDS)
+        for command, (name, _) in _SWEEP_COMMANDS.items()
+    },
+    "compare": (_run_compare_command, {"sizes": "sizes", **_SEEDED}),
+    "analysis": (_run_analysis_command, {"sizes": "sizes", "p_succ": "p_succ"}),
     "tuning": (_run_tuning_command, None),
     "stream": (_run_stream_command, {"rates": "rates", **_SEEDED}),
     "repair": (
-        repair_comparison,
-        {"alive_fraction": "alive", "scenario": REPAIR_SCENARIO, **_SEEDED},
+        _run_repair_command, {"alive_fraction": "alive", "sizes": "sizes", **_SEEDED}
     ),
     "scenario": (_run_scenario_command, None),
     "serve": (_run_serve_command, None),
@@ -838,16 +829,14 @@ _COMMANDS = {
 
 
 def _driver_call(args: argparse.Namespace, keywords) -> dict[str, Any]:
-    """The driver's keyword arguments, read off the parsed ones."""
+    """The driver's keyword arguments: the typed ones among ``keywords``."""
     if keywords is None:
         return {"args": args}
     call: dict[str, Any] = {"progress": _progress_printer(args)}
     for keyword, attribute in keywords.items():
-        if isinstance(attribute, PaperScenario):
-            call[keyword] = replace(attribute, sizes=tuple(args.sizes))
-            continue
-        value = getattr(args, attribute)
-        call[keyword] = tuple(value) if isinstance(value, list) else value
+        if attribute in args:
+            value = getattr(args, attribute)
+            call[keyword] = tuple(value) if isinstance(value, list) else value
     return call
 
 

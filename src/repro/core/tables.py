@@ -162,7 +162,8 @@ class SuperTopicTable:
 
     @property
     def pids(self) -> list[int]:
-        """Entry pids, oldest first."""
+        """Entry pids, oldest first: the view's own list, not a copy, so
+        read it and never mutate it or hold it across a mutation."""
         return self._view.pids
 
     def __len__(self) -> int:

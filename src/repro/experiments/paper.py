@@ -21,6 +21,7 @@ from repro.analysis.reliability import (
     atomic_gossip_reliability,
     damulticast_reliability,
 )
+from repro.errors import ConfigError
 from repro.experiments.executor import ExecutorSpec
 from repro.experiments.runner import ProgressFn, run_sweep
 from repro.metrics.report import Table
@@ -55,7 +56,7 @@ class Sweep:
     runs: int = 5
     scenario: PaperScenario = PaperScenario()
     alive: float = 1.0
-    integral: bool = False  # int values, seeded as floats, printed as ints
+    integral: bool = False  # integer values, seeded as floats, printed as ints
 
 
 def _alive_point(scenario, alive, value, failure_mode="stillborn"):
@@ -105,7 +106,7 @@ SWEEPS: Mapping[str, Sweep] = {
     # an extra self-elected link raises the chance an event survives a hop
     # (pit = 1-(1-p_succ)^{g·a·π}) for g·a more messages per level
     "ablation-g": Sweep(
-        "Ablation — link redundancy g (alive={alive})", "g", (1, 2, 5, 10, 20),
+        "Ablation — link redundancy g (alive={alive})", "g", (1.0, 2.0, 5.0, 10.0, 20.0),
         functools.partial(_knob_point, knob="g"),
         (
             ("recv_root", "received_root"),
@@ -121,7 +122,7 @@ SWEEPS: Mapping[str, Sweep] = {
     ),
     # intra-group reliability e^{-e^{-c}} against cost S·(log S + c)
     "ablation-c": Sweep(
-        "Ablation — gossip constant c (alive={alive})", "c", (0, 1, 2, 3, 5, 8),
+        "Ablation — gossip constant c (alive={alive})", "c", (0.0, 1.0, 2.0, 3.0, 5.0, 8.0),
         functools.partial(_knob_point, knob="c"),
         (
             ("recv_bottom", "received_bottom"),
@@ -211,7 +212,11 @@ def paper_table(
     row = SWEEPS[name]
     values = list(row.values if values is None else values)
     check_finite_grid(values)
-    values = [float(value) for value in values] if row.integral else values
+    if row.integral:
+        for value in values:
+            if not float(value).is_integer():
+                raise ConfigError(f"{row.axis} values must be integers, got {value!r}")
+        values = [float(value) for value in values]
     alive = row.alive if alive is None else alive
     scenario = row.scenario if scenario is None else scenario
     for value in values:

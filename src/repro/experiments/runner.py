@@ -70,16 +70,15 @@ __all__ = [
     "grouped_progress",
     "run_cells",
     "run_sweep",
-    "sweep_values",
 ]
 
-RunFn = Callable[[float, int], Mapping[str, float]]
+RunFn = Callable[[Any, int], Mapping[str, float]]
 
 #: Per-point progress callback: ``progress(point, completed_points,
 #: total_points)``, invoked once per grid point as soon as all of its
 #: runs have finished (completion order under parallel executors,
 #: canonical order serially).
-ProgressFn = Callable[[float, int, int], None]
+ProgressFn = Callable[[Any, int, int], None]
 
 
 @dataclass
@@ -196,63 +195,6 @@ def run_cells(
             resolved.close()
 
 
-def sweep_values(
-    run: Callable[[Any, int], Mapping[str, float]],
-    values: Sequence[Any],
-    *,
-    runs: int,
-    master_seed: int,
-    label: str,
-    executor: ExecutorSpec,
-    progress: ProgressFn | None,
-) -> SweepResult:
-    """``runs`` seeded cells per value, aggregated per value.
-
-    The scheduler shared by :func:`run_sweep` (numeric grids) and
-    :func:`~repro.workloads.spec.sweep_scenario` (any values): cell
-    ``j`` of ``value`` is seeded ``derive_seed(master_seed,
-    f"{label}/{value}/{j}")`` and the fold runs in canonical (value,
-    run) order.
-    """
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
-    cells = [
-        SweepCell(
-            arg=value,
-            seed_name=f"{label}/{value}/{j}",
-            describe=f"point={value!r}, run={j}",
-        )
-        for value in values
-        for j in range(runs)
-    ]
-    samples = run_cells(
-        run,
-        cells,
-        master_seed=master_seed,
-        executor=executor,
-        on_result=grouped_progress(progress, list(values), runs),
-    )
-    folded = [
-        aggregate_runs(samples[index * runs : (index + 1) * runs])
-        for index in range(len(values))
-    ]
-    keys = folded[0][0].keys() if folded else ()
-    for value, (means, _) in zip(values, folded):
-        if means.keys() != keys:
-            raise ConfigError(
-                f"sweep point {value!r} returned metric keys differing from "
-                f"point {values[0]!r}'s: {sorted(means.keys() ^ keys)}"
-            )
-    # aggregate_runs returns sorted keys, so the k-th value of every point's
-    # dict is the same metric: one zip turns the rows into columns.
-    return SweepResult(
-        points=list(values),
-        means=_columns(keys, [means for means, _ in folded]),
-        stds=_columns(keys, [stds for _, stds in folded]),
-        runs=runs,
-    )
-
-
 def _columns(
     keys: Iterable[str], rows: Sequence[Mapping[str, float]]
 ) -> dict[str, list[float]]:
@@ -262,7 +204,7 @@ def _columns(
 
 def run_sweep(
     run: RunFn,
-    grid: Sequence[float],
+    grid: Sequence[Any],
     *,
     runs: int = 5,
     master_seed: int = 0,
@@ -272,11 +214,12 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate ``run`` at every grid point, ``runs`` times each.
 
-    Seed for run ``j`` at point ``x`` is ``derive_seed(master_seed,
-    f"{label}/{x}/{j}")`` — independent across points and runs, stable
-    across processes (see the module docstring for the full contract and
-    the label-collision caveat: sweeps sharing a ``label`` and a grid
-    point reuse seeds).
+    A point is any value: a numeric one must be finite, any other (a
+    protocol name, a failure kind) is taken as it is. Seed for run ``j``
+    at point ``x`` is ``derive_seed(master_seed, f"{label}/{x}/{j}")`` —
+    independent across points and runs, stable across processes (see the
+    module docstring for the full contract and the label-collision
+    caveat: sweeps sharing a ``label`` and a grid point reuse seeds).
 
     ``executor="pool:N"`` (or an Executor instance)
     evaluates the (point, run) cells on ``N`` worker processes; the
@@ -290,13 +233,45 @@ def run_sweep(
     """
     if not grid:
         raise ConfigError("grid must not be empty")
-    check_finite_grid(grid)
-    return sweep_values(
+    check_finite_grid(
+        point
+        for point in grid
+        if isinstance(point, (int, float)) and not isinstance(point, bool)
+    )
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
+    cells = [
+        SweepCell(
+            arg=point,
+            seed_name=f"{label}/{point}/{j}",
+            describe=f"point={point!r}, run={j}",
+        )
+        for point in grid
+        for j in range(runs)
+    ]
+    samples = run_cells(
         run,
-        grid,
-        runs=runs,
+        cells,
         master_seed=master_seed,
-        label=label,
         executor=executor,
-        progress=progress,
+        on_result=grouped_progress(progress, list(grid), runs),
+    )
+    folded = [
+        aggregate_runs(samples[index * runs : (index + 1) * runs])
+        for index in range(len(grid))
+    ]
+    keys = folded[0][0].keys()
+    for point, (means, _) in zip(grid, folded):
+        if means.keys() != keys:
+            raise ConfigError(
+                f"sweep point {point!r} returned metric keys differing from "
+                f"point {grid[0]!r}'s: {sorted(means.keys() ^ keys)}"
+            )
+    # aggregate_runs returns sorted keys, so the k-th value of every point's
+    # dict is the same metric: one zip turns the rows into columns.
+    return SweepResult(
+        points=list(grid),
+        means=_columns(keys, [means for means, _ in folded]),
+        stds=_columns(keys, [stds for _, stds in folded]),
+        runs=runs,
     )

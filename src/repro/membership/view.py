@@ -17,10 +17,11 @@ keeps two insertion-ordered mirrors of it:
   from; every mutator (``add``, ``_evict_uniform``, ``remove``, ``replace``,
   ``clear``, and ``set_capacity`` through its evictions) resets it to
   ``None`` and it is rebuilt lazily.
-* **Pid list** — what uniform eviction indexes into, so that it does not
-  materialise ``list(self._entries)`` per eviction. It is never stale:
-  the same mutators keep it in step in place (invariant:
-  ``_pid_list == list(_entries)``). An eviction victim is one
+* **Pid list** (``pids``) — what Fig. 7 reads and uniform eviction
+  indexes into, so that neither materialises ``list(self._entries)``. It
+  is never stale: the same mutators keep it in step in place (invariant:
+  ``pids == list(_entries)``), so a reader must neither mutate it nor
+  hold it across a mutation of the view. An eviction victim is one
   ``rng._randbelow(len)`` draw — exactly the draw
   ``rng.choice(list(entries))`` used to make.
 
@@ -64,19 +65,21 @@ class PartialView:
     Two insertion-ordered mirrors of the entry dict serve the hot paths
     (module docstring): the descriptor tuple ``_cache`` behind
     :meth:`descriptors`/:meth:`sample`, dropped by every mutator and
-    rebuilt lazily, and the pid list ``_pid_list`` behind eviction, kept
-    in step by every mutator. Neither can be served stale.
+    rebuilt lazily, and the pid list :attr:`pids`, read in place by Fig. 7
+    and eviction and kept in step by every mutator. Neither can be served
+    stale.
     """
 
-    __slots__ = ("capacity", "_entries", "_pid_list", "_cache")
+    __slots__ = ("capacity", "_entries", "pids", "_cache")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError(f"view capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: dict[int, ProcessDescriptor] = {}
-        #: insertion-order mirror of ``_entries`` keys
-        self._pid_list: list[int] = []
+        #: all member pids in insertion order (oldest first): the
+        #: ``_entries`` keys, kept in step in place; read-only to callers
+        self.pids: list[int] = []
         #: tuple snapshot served by ``descriptors``/``sample``; ``None``
         #: after any mutation.
         self._cache: tuple[ProcessDescriptor, ...] | None = None
@@ -88,7 +91,7 @@ class PartialView:
         """Remove and return one uniformly chosen pid (one rng draw)."""
         if rng is None:
             raise MembershipError(what)
-        pids = self._pid_list
+        pids = self.pids
         # One _randbelow draw — the same single draw that
         # rng.choice(list(self._entries)) used to consume, but without
         # materialising the key list per eviction.
@@ -111,7 +114,7 @@ class PartialView:
         if descriptor.pid in self._entries:
             return True
         self._entries[descriptor.pid] = descriptor
-        self._pid_list.append(descriptor.pid)
+        self.pids.append(descriptor.pid)
         self._cache = None
         if len(self._entries) > self.capacity:
             victim = self._evict_uniform(
@@ -137,7 +140,7 @@ class PartialView:
         """Drop ``pid`` from the view; returns whether it was present."""
         if self._entries.pop(pid, None) is None:
             return False
-        self._pid_list.remove(pid)
+        self.pids.remove(pid)
         self._cache = None
         return True
 
@@ -158,7 +161,7 @@ class PartialView:
                 break
             if descriptor.pid not in self._entries:
                 self._entries[descriptor.pid] = descriptor
-                self._pid_list.append(descriptor.pid)
+                self.pids.append(descriptor.pid)
                 self._cache = None
                 admitted += 1
         # rng kept in the signature for symmetry with merge(); no eviction
@@ -169,7 +172,7 @@ class PartialView:
     def clear(self) -> None:
         """Empty the view."""
         self._entries.clear()
-        self._pid_list = []
+        self.pids = []
         self._cache = None
 
     def set_capacity(
@@ -194,11 +197,6 @@ class PartialView:
 
     def __contains__(self, pid: int) -> bool:
         return pid in self._entries
-
-    @property
-    def pids(self) -> list[int]:
-        """All member pids in insertion order (oldest first)."""
-        return list(self._entries)
 
     def descriptors(self) -> tuple[ProcessDescriptor, ...]:
         """All entries in insertion order (oldest first), cached."""

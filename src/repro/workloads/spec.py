@@ -1660,17 +1660,16 @@ def sweep_scenario(
 ) -> SweepResult:
     """Sweep ``spec`` over any dotted field; aggregated metrics per value.
 
-    Numeric grids go through :func:`~repro.experiments.runner.run_sweep`
-    unchanged; non-numeric values (protocol names, failure kinds, ...) skip
-    only its finite-grid check — same cell scheduler, same
-    ``{label}/{value}/{j}`` seed naming — so both are bit-identical across
+    Every value, numeric or not (a protocol name, a failure kind), goes
+    through :func:`~repro.experiments.runner.run_sweep`, seeded
+    ``{label}/{value}/{j}``, so the result is bit-identical across
     executors and worker counts. ``executor`` is None (serial),
     ``"pool:N"`` (a pool built for this sweep and closed when it returns
     or raises) or an Executor instance, which stays open, so one
     :class:`~repro.experiments.executor.PoolExecutor` can serve several
     sweeps.
     """
-    from repro.experiments.runner import run_sweep, sweep_values
+    from repro.experiments.runner import run_sweep
 
     if not values:
         raise ConfigError("sweep values must not be empty")
@@ -1681,12 +1680,8 @@ def sweep_scenario(
     # (every cell a cache hit, say) compiles nothing.
     for value in values:
         compile_spec_cached(spec_with(base, sweep_field, value))
-    numeric = all(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        for value in values
-    )
     name = base.get("name", "spec")
-    return (run_sweep if numeric else sweep_values)(
+    return run_sweep(
         functools.partial(_sweep_spec_cell, spec=base, sweep_field=sweep_field),
         list(values),
         runs=runs,

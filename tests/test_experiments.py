@@ -144,11 +144,12 @@ DRIVER_GOLDENS = {
     ),
 }
 
-# Three commands the tables above do not pin (the CLI passes float
-# values, so `ablate-g --values 1 5` seeds "ablation-g/1.0/0" where the
-# call below seeds "ablation-g/1/0"), recorded by running `python -m repro`
-# with these arguments before the figure, ablation and scale drivers
-# became the rows of repro.experiments.paper.SWEEPS.
+# Three commands the tables above do not pin, recorded by running `python
+# -m repro` with these arguments before the figure, ablation and scale
+# drivers became the rows of repro.experiments.paper.SWEEPS. A typed value
+# parses to a float, so `ablate-g --values 1 5` seeds "ablation-g/1.0/0"
+# where the int values of the call below seed "ablation-g/1/0"; left
+# untyped, the CLI and the driver seed alike, from the row's float grid.
 CLI_GOLDENS = {
     "ablate-g": (
         "Ablation — link redundancy g (alive=0.5)",
@@ -496,6 +497,7 @@ class TestCommandsPrintTheRecordedTables:
             ("ablate-g --values -1", "g must be >= 1"),
             ("scale-s --values 0", "has no subscribers"),
             ("scale-t --values 1 --level-size 0", "population must not be empty"),
+            ("scale-s --values 20.5", "S values must be integers"),
         ],
     )
     def test_a_bad_sweep_value_is_a_config_error(self, capsys, argv, message):

@@ -240,4 +240,4 @@ def test_pid_sample_is_never_stale_after_a_mutation(ops, k, seed):
         # a sample between every two mutations, so a snapshot taken
         # before the mutation would be served here if anything kept one
         assert_one_sample(view, k, seed)
-        assert [d.pid for d in view.sample(99, rng)] == view.pids == view._pid_list
+        assert [d.pid for d in view.sample(99, rng)] == view.pids == list(view._entries)

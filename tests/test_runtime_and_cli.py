@@ -1,11 +1,12 @@
 """Tests for the SimulationHarness bundle and the CLI entry points."""
 
+import argparse
 import random
 
 import pytest
 
 from repro.baselines.common import BaselineSystem
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.core.columnar import ColumnarStaticSystem
 from repro.core.system import DaMulticastSystem
 from repro.net import Network
@@ -61,7 +62,34 @@ class TestHarness:
             construct(trace=True)
 
 
+def _help_argvs() -> list[list[str]]:
+    """``--help`` at the top level and under every subcommand, nested
+    ones (``scenario run``, ...) included."""
+    commands = [[]]
+
+    def walk(parser: argparse.ArgumentParser, prefix: list[str]) -> None:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    commands.append([*prefix, name])
+                    walk(child, [*prefix, name])
+
+    walk(_build_parser(), [])
+    return [[*command, "--help"] for command in commands]
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", _help_argvs(), ids=" ".join)
+    def test_help_renders_without_a_suppressed_default(self, capsys, argv):
+        # an option a driver defaults is SUPPRESSed; its help must say where
+        # the default lives, never render %(default)s over SUPPRESS
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:")
+        assert "SUPPRESS" not in out
+
     def test_analysis_command(self, capsys):
         assert main(["analysis"]) == 0
         out = capsys.readouterr().out
